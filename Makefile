@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check vet lint build test race bench bench-smoke bench-gate report-smoke timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
+.PHONY: all check vet lint build test race bench report-smoke timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
 
 all: check
 
@@ -29,17 +29,6 @@ race:
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
-# Reproducible capacity benchmark suite: segments/sec, failovers/sec, and
-# the 2,000-connection failover run. CI uploads BENCH.json as an artifact.
-bench-smoke:
-	$(GO) run ./cmd/sttcp-bench -bench-out BENCH.json
-
-# The suite as a regression gate: compare the fresh BENCH.json against the
-# committed BENCH_0.json baseline and fail on a >15% drop in segments/sec
-# or failovers/sec (see EXPERIMENTS.md "Performance trajectory").
-bench-gate:
-	$(GO) run ./cmd/sttcp-bench -bench-out BENCH.json -bench-baseline BENCH_0.json
 
 # Cross-run regression observatory gate: run the 50-connection scale
 # failover with telemetry sampling, render its dashboard, and diff the
@@ -83,11 +72,10 @@ chaos-smoke:
 explore:
 	$(GO) run ./cmd/sttcp-explore -seed 7 -fault-span 4ms -grace 10ms -fault-points 2
 
-# CI-sized exploration: the closable window under both event queues, with
-# a wall budget as a backstop against pathological machines.
+# CI-sized exploration: the closable window, with a wall budget as a
+# backstop against pathological machines.
 explore-smoke:
 	$(GO) run ./cmd/sttcp-explore -seed 7 -fault-span 4ms -grace 10ms -fault-points 2 -wall 25s -require-closed
-	$(GO) run ./cmd/sttcp-explore -seed 7 -scheduler calendar -fault-span 4ms -grace 10ms -fault-points 2 -wall 25s -require-closed
 
 clean:
 	$(GO) clean ./...

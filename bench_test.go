@@ -13,10 +13,6 @@ import (
 	"time"
 
 	"repro/internal/experiment"
-	"repro/internal/hb"
-	"repro/internal/ip"
-	"repro/internal/sim"
-	"repro/internal/tcp"
 )
 
 // runDemo resolves a demonstration through the experiment registry and runs
@@ -292,105 +288,6 @@ func BenchmarkWitnessMajority(b *testing.B) {
 	}
 	b.ReportMetric(float64(pairwise.Milliseconds())/float64(b.N), "pairwise_ms")
 	b.ReportMetric(float64(witness.Milliseconds())/float64(b.N), "witness_ms")
-}
-
-// BenchmarkScaleFailover pushes hundreds of concurrent connections through
-// a primary crash. Simulated quantities (detection, worst per-client stall)
-// ride along as metrics; segments/s measures how fast the simulator chews
-// through the scenario's segment load in wall-clock terms.
-func BenchmarkScaleFailover(b *testing.B) {
-	for _, conns := range []int{250, 1000} {
-		conns := conns
-		b.Run(benchName("conns", conns), func(b *testing.B) {
-			var segs, stall, detect int64
-			for i := 0; i < b.N; i++ {
-				res := runDemo(b, "scale", experiment.Params{
-					Seed: int64(i + 1), Conns: conns, Size: 16 << 10,
-				})
-				segs += res.Scale.SegmentsEmitted
-				stall += int64(res.Scale.MaxStall)
-				detect += int64(res.Scale.DetectionTime)
-			}
-			b.ReportMetric(float64(segs)/b.Elapsed().Seconds(), "segments/s")
-			b.ReportMetric(float64(time.Duration(stall/int64(b.N)).Milliseconds()), "max_stall_ms")
-			b.ReportMetric(float64(time.Duration(detect/int64(b.N)).Milliseconds()), "detect_ms")
-		})
-	}
-}
-
-// BenchmarkSchedulerKinds runs the same scale failover under each event-
-// queue implementation, so `go test -bench SchedulerKinds` prints the
-// heap/calendar segments-per-second contrast directly. The simulated
-// quantities are byte-identical across sub-benchmarks — only the wall
-// rate moves (see DESIGN.md "Scheduler architecture").
-func BenchmarkSchedulerKinds(b *testing.B) {
-	for _, kind := range []sim.SchedulerKind{sim.SchedulerHeap, sim.SchedulerCalendar} {
-		kind := kind
-		b.Run(kind.String(), func(b *testing.B) {
-			var segs int64
-			for i := 0; i < b.N; i++ {
-				res := runDemo(b, "scale", experiment.Params{
-					Seed: int64(i + 1), Conns: 500, Size: 16 << 10, Scheduler: kind,
-				})
-				segs += res.Scale.SegmentsEmitted
-			}
-			b.ReportMetric(float64(segs)/b.Elapsed().Seconds(), "segments/s")
-		})
-	}
-}
-
-// BenchmarkSegmentThroughput is the bench suite's headline rate: one bulk
-// transfer with no faults, reported as simulated TCP segments processed
-// per wall-clock second.
-func BenchmarkSegmentThroughput(b *testing.B) {
-	var segs int64
-	for i := 0; i < b.N; i++ {
-		res := runDemo(b, "demo3", experiment.Params{Seed: int64(i + 1), Size: 32 << 20})
-		segs += res.Overhead.Metrics.CounterTotal("tcp.segments_sent")
-	}
-	b.SetBytes(32 << 20)
-	b.ReportMetric(float64(segs)/b.Elapsed().Seconds(), "segments/s")
-}
-
-// --- Microbenchmarks of the hot paths ---
-
-func BenchmarkSegmentEncodeDecode(b *testing.B) {
-	src, dst := ip.MakeAddr(10, 0, 0, 1), ip.MakeAddr(10, 0, 0, 100)
-	payload := make([]byte, tcp.DefaultMSS)
-	seg := tcp.Segment{SrcPort: 50000, DstPort: 80, Seq: 1, Ack: 2, Flags: tcp.FlagACK, Window: 65535, Payload: payload}
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		raw := seg.Encode(src, dst)
-		if _, err := tcp.Decode(src, dst, raw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHeartbeatEncodeDecode(b *testing.B) {
-	m := hb.Message{Role: hb.RolePrimary}
-	for i := 0; i < 100; i++ {
-		m.Conns = append(m.Conns, hb.ConnState{RemotePort: uint16(i), LocalPort: 80})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		raw, err := m.Encode()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := hb.Decode(raw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkChecksum(b *testing.B) {
-	data := make([]byte, 1460)
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		_ = ip.Checksum(data)
-	}
 }
 
 func benchName(prefix string, n int) string {

@@ -30,17 +30,6 @@ func Seed(def int64, note string) *int64 {
 	return flag.Int64("seed", def, usage)
 }
 
-// Scheduler registers the canonical -scheduler flag, selecting the
-// simulator's event-queue implementation. Every run is byte-identical
-// across implementations — the flag trades wall-clock speed only — so it
-// is safe to flip on any reproduction command.
-func Scheduler() *sim.SchedulerKind {
-	k := new(sim.SchedulerKind)
-	flag.Var(k, "scheduler",
-		"event-queue implementation: heap (default) or calendar (faster for timer-heavy runs); results are identical")
-	return k
-}
-
 // MetricsOut registers the canonical -metrics-out flag. subject names
 // which run's snapshot is exported ("the final demo", "the last run").
 func MetricsOut(subject string) *string {

@@ -8,7 +8,9 @@
 // Usage:
 //
 //	sttcp-bench -exp demo2|demo3|hbcap|ablation|all [-seed 42] [-metrics-out m.json]
-//	sttcp-bench -bench-out BENCH.json   # reproducible capacity benchmark suite
+//
+// Every figure it prints is virtual time. What the code costs on the host is
+// the benchmark's business: go run ./benchmark (see benchmark/README.md).
 package main
 
 import (
@@ -21,7 +23,6 @@ import (
 	"repro/cmd/internal/cliflags"
 	"repro/internal/experiment"
 	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -35,34 +36,15 @@ func main() {
 func run() error {
 	exp := flag.String("exp", "all", "experiment: demo2, demo3, hbcap, ablation, or all")
 	seed := cliflags.Seed(42, "")
-	sched := cliflags.Scheduler()
 	csvDir := flag.String("csv", "", "also write the series as CSV files into this directory")
 	metricsOut := cliflags.MetricsOut("the last testbed run")
 	reportOut := cliflags.ReportOut("the last testbed run")
 	telWindow := cliflags.TelemetryWindow(0)
-	benchOut := flag.String("bench-out", "", "run the reproducible capacity benchmark suite and write BENCH.json to this file ('-' for stdout)")
-	benchBaseline := flag.String("bench-baseline", "", "compare the -bench-out report against this committed baseline (BENCH_0.json) and fail on regression")
-	benchMaxRegress := flag.Float64("bench-max-regress", 15, "with -bench-baseline: max tolerated drop, percent, in segments/sec or failovers/sec")
 	flag.Parse()
-	benchSched = *sched
 	if *reportOut != "" && *telWindow == 0 {
 		*telWindow = 100 * time.Millisecond
 	}
 	benchTelWindow = *telWindow
-	if *benchOut != "" {
-		if err := benchSuite(*benchOut, *seed, *benchBaseline, *benchMaxRegress); err != nil {
-			return err
-		}
-		// The run report doubles as the machine-readable bench record:
-		// the suite's wall-clock rates ride along in the bench section.
-		if lastReport != nil {
-			lastReport.Bench = benchPoints
-		}
-		return cliflags.WriteReport(*reportOut, lastReport)
-	}
-	if *benchBaseline != "" {
-		return fmt.Errorf("-bench-baseline requires -bench-out")
-	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			return err
@@ -111,10 +93,6 @@ func run() error {
 // csvOut, when set, receives CSV exports of the sweeps.
 var csvOut string
 
-// benchSched is the -scheduler selection, threaded into every testbed the
-// sweeps and the benchmark suite build.
-var benchSched sim.SchedulerKind
-
 // lastSnapshot holds the metric snapshot of the most recent testbed run,
 // for -metrics-out.
 var lastSnapshot *metrics.Snapshot
@@ -124,7 +102,6 @@ var lastSnapshot *metrics.Snapshot
 var (
 	benchTelWindow time.Duration
 	lastReport     *telemetry.Report
-	benchPoints    []telemetry.BenchPoint
 )
 
 func noteSnapshot(s *metrics.Snapshot) {
@@ -173,11 +150,11 @@ func demo2Sweep(seed int64) error {
 		100 * time.Millisecond, 200 * time.Millisecond, 500 * time.Millisecond,
 		time.Second, 2 * time.Second,
 	}
-	eagerRes, err := runDemo("demo2", experiment.Params{Seed: seed, Scheduler: benchSched, Periods: periods, Eager: true})
+	eagerRes, err := runDemo("demo2", experiment.Params{Seed: seed, Periods: periods, Eager: true})
 	if err != nil {
 		return err
 	}
-	faithfulRes, err := runDemo("demo2", experiment.Params{Seed: seed, Scheduler: benchSched, Periods: periods})
+	faithfulRes, err := runDemo("demo2", experiment.Params{Seed: seed, Periods: periods})
 	if err != nil {
 		return err
 	}
@@ -196,7 +173,7 @@ func demo2Sweep(seed int64) error {
 	}
 
 	fmt.Println("\n   crash-phase distribution at hb=200ms (8 crash instants across one period):")
-	distRes, err := runDemo("demo2-dist", experiment.Params{Seed: seed, Scheduler: benchSched, Samples: 8})
+	distRes, err := runDemo("demo2-dist", experiment.Params{Seed: seed, Samples: 8})
 	if err != nil {
 		return err
 	}
@@ -205,7 +182,7 @@ func demo2Sweep(seed int64) error {
 	fmt.Println("   (failover is quantised by the retransmission schedule, not by detection phase)")
 
 	fmt.Println("\n   client-as-sender variant (restart driven by the client's backoff):")
-	uploadRes, err := runDemo("demo2-upload", experiment.Params{Seed: seed, Scheduler: benchSched, Periods: periods})
+	uploadRes, err := runDemo("demo2-upload", experiment.Params{Seed: seed, Periods: periods})
 	if err != nil {
 		return err
 	}
@@ -223,7 +200,7 @@ func demo3Sweep(seed int64) error {
 	fmt.Println("\n## Demo 3 sweep: failure-free overhead vs transfer size")
 	fmt.Printf("%-12s %-14s %-14s %-10s\n", "size", "with ST-TCP", "without", "overhead")
 	for _, size := range []int64{10 << 20, 50 << 20, 100 << 20} {
-		res, err := runDemo("demo3", experiment.Params{Seed: seed, Scheduler: benchSched, Size: size})
+		res, err := runDemo("demo3", experiment.Params{Seed: seed, Size: size})
 		if err != nil {
 			return err
 		}
@@ -240,7 +217,7 @@ func demo3Sweep(seed int64) error {
 func hbCapacitySweep() error {
 	fmt.Println("\n## §3 serial heartbeat capacity (115.2 kbit/s, 200 ms period)")
 	fmt.Printf("%-8s %-10s %-14s %-14s %s\n", "conns", "hb bytes", "mean interval", "max backlog", "saturated")
-	serialRes, err := runDemo("capacity", experiment.Params{Scheduler: benchSched})
+	serialRes, err := runDemo("capacity", experiment.Params{})
 	if err != nil {
 		return err
 	}
@@ -257,7 +234,6 @@ func hbCapacitySweep() error {
 	fmt.Println("\n   same load over a crossover 100 Mbit/s Ethernet heartbeat link (§3's advice):")
 	fmt.Printf("%-8s %-14s %-14s %s\n", "conns", "mean interval", "max backlog", "saturated")
 	ethRes, err := runDemo("capacity", experiment.Params{
-		Scheduler:         benchSched,
 		ConnCounts:        []int{100, 250, 1000, 3500},
 		LinkBitsPerSecond: 100_000_000,
 	})
@@ -273,7 +249,7 @@ func hbCapacitySweep() error {
 
 func ablations(seed int64) error {
 	fmt.Println("\n## Ablation: backup NIC load — enhanced HB state exchange vs pre-enhancement tap (§3)")
-	nicRes, err := runDemo("nicload", experiment.Params{Seed: seed, Scheduler: benchSched})
+	nicRes, err := runDemo("nicload", experiment.Params{Seed: seed})
 	if err != nil {
 		return err
 	}
@@ -283,11 +259,11 @@ func ablations(seed int64) error {
 
 	fmt.Println("\n## Ablation: takeover strategy at hb=1s (paper waits for the next retransmission)")
 	second := []time.Duration{time.Second}
-	faithful, err := runDemo("demo2", experiment.Params{Seed: seed, Scheduler: benchSched, Periods: second})
+	faithful, err := runDemo("demo2", experiment.Params{Seed: seed, Periods: second})
 	if err != nil {
 		return err
 	}
-	eager, err := runDemo("demo2", experiment.Params{Seed: seed, Scheduler: benchSched, Periods: second, Eager: true})
+	eager, err := runDemo("demo2", experiment.Params{Seed: seed, Periods: second, Eager: true})
 	if err != nil {
 		return err
 	}
@@ -295,7 +271,7 @@ func ablations(seed int64) error {
 	fmt.Printf("%-28s failover %v\n", "eager retransmit extension", eager.Failovers[0].FailoverTime.Round(time.Millisecond))
 
 	fmt.Println("\n## Extension: output-commit logger (§4.3's unrecoverable case)")
-	ocRes, err := runDemo("output-commit", experiment.Params{Seed: seed + 19, Scheduler: benchSched})
+	ocRes, err := runDemo("output-commit", experiment.Params{Seed: seed + 19})
 	if err != nil {
 		return err
 	}

@@ -31,7 +31,6 @@ import (
 func main() {
 	var (
 		seed         = cliflags.Seed(1, "run i uses seed+i")
-		sched        = cliflags.Scheduler()
 		runs         = flag.Int("runs", 100, "number of schedules to run (0 with -wall: unlimited)")
 		wall         = flag.Duration("wall", 0, "stop starting new runs after this much real time (0: no limit)")
 		shrinkBudget = flag.Int("shrink-budget", 50, "max re-executions the shrinker may spend on a failure")
@@ -48,8 +47,7 @@ func main() {
 	if *reportOut != "" && *telWindow == 0 {
 		*telWindow = 100 * time.Millisecond
 	}
-	opts := chaos.Options{TraceDetail: *traceDetail, FlightRecorder: *flightRec, Scheduler: *sched,
-		TelemetryWindow: *telWindow}
+	opts := chaos.Options{TraceDetail: *traceDetail, FlightRecorder: *flightRec, TelemetryWindow: *telWindow}
 
 	if *runs == 0 && *wall == 0 {
 		fmt.Fprintln(os.Stderr, "sttcp-chaos: need -runs or -wall")

@@ -42,7 +42,6 @@ func main() {
 func run() error {
 	demo := flag.String("demo", "all", "demonstration to run: a registry name (demo1..demo5, demo2-upload, capacity, scale, ...), a bare number 1..5, or 'all'")
 	seed := cliflags.Seed(42, "")
-	sched := cliflags.Scheduler()
 	eager := flag.Bool("eager", false, "enable the eager-retransmit takeover extension where applicable")
 	showTrace := flag.Bool("trace", false, "dump the event trace after each demo")
 	jsonPath := flag.String("json", "", "write demo1's ST-TCP event trace as JSON to this file")
@@ -108,7 +107,7 @@ func run() error {
 	var lastReport *telemetry.Report
 	for _, d := range selected {
 		p := experiment.Params{
-			Seed: *seed, Eager: *eager, TraceDetail: detail, Scheduler: *sched,
+			Seed: *seed, Eager: *eager, TraceDetail: detail,
 			Conns: *conns, Periods: periods, TelemetryWindow: *telWindow,
 		}
 		res, err := d.Run(p)

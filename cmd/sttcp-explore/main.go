@@ -9,8 +9,7 @@
 //
 // Usage:
 //
-//	sttcp-explore [-seed N] [-scheduler heap|calendar]
-//	              [-fault-at DUR] [-fault-span DUR] [-grace DUR]
+//	sttcp-explore [-seed N] [-fault-at DUR] [-fault-span DUR] [-grace DUR]
 //	              [-fault-points N] [-faults KIND[,KIND...]]
 //	              [-max-runs N] [-max-prefix N] [-wall DUR] [-workers N]
 //	              [-require-closed]
@@ -40,7 +39,6 @@ import (
 func main() {
 	var (
 		seed         = cliflags.Seed(1, "every replayed interleaving uses the same seed")
-		sched        = cliflags.Scheduler()
 		faultAt      = flag.Duration("fault-at", 300*time.Millisecond, "start of the fault-placement window")
 		faultSpan    = flag.Duration("fault-span", 30*time.Millisecond, "length of the fault-placement window")
 		grace        = flag.Duration("grace", 1400*time.Millisecond, "how far past the fault window tie-breaks keep forking (default: the takeover-latency bound)")
@@ -72,7 +70,6 @@ func main() {
 
 	cfg := explore.Config{
 		Seed:           *seed,
-		Scheduler:      *sched,
 		FaultKinds:     kinds,
 		FaultAt:        *faultAt,
 		FaultSpan:      *faultSpan,
@@ -100,8 +97,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sttcp-explore: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("sttcp-explore: seed=%d scheduler=%v window=[%v,%v) grace=%v\n",
-		*seed, *sched, *faultAt, *faultAt+*faultSpan, *grace)
+	fmt.Printf("sttcp-explore: seed=%d window=[%v,%v) grace=%v\n",
+		*seed, *faultAt, *faultAt+*faultSpan, *grace)
 	fmt.Printf("%s", res.Report())
 	fmt.Printf("elapsed: %v\n", //sttcp:allow simdeterminism summary reports real elapsed time
 		time.Since(start).Round(time.Millisecond))

@@ -41,7 +41,6 @@ func run() error {
 	traceOut := cliflags.TraceOut("the run")
 	reportOut := cliflags.ReportOut("the run")
 	telWindow := cliflags.TelemetryWindow(0)
-	sched := cliflags.Scheduler()
 	flag.Parse()
 	if flag.NArg() != 1 {
 		return fmt.Errorf("usage: sttcp-lab [-trace] [-timeline] [-trace-out FILE] [-report-out FILE] <script.sttcp | ->")
@@ -65,7 +64,7 @@ func run() error {
 	}
 	// Exports want the per-segment detail spans that are off by default.
 	res, err := scenario.RunWith(sc, scenario.RunOptions{
-		TraceDetail: *timeline || *traceOut != "", Scheduler: *sched,
+		TraceDetail:     *timeline || *traceOut != "",
 		TelemetryWindow: *telWindow,
 	})
 	if err != nil {

@@ -1,8 +1,7 @@
 // Command sttcp-report inspects the unified run-report artifacts the other
 // CLIs emit via -report-out: it renders a single report as an ASCII
 // dashboard (sparkline time series, failover anatomy, chaos invariant
-// verdicts, bench figures), and diffs two reports as a cross-run
-// regression gate.
+// verdicts), and diffs two reports as a cross-run regression gate.
 //
 // Usage:
 //
@@ -11,11 +10,11 @@
 //	sttcp-report -diff base.json cand.json    # exit 1 when cand regressed
 //
 // The diff's exit status is machine-readable: 0 means no regression beyond
-// tolerance, 1 means at least one (latency series worsened, a failover
-// phase drifted, an invariant newly violated), 2 means usage or I/O error.
-// Reports contain only virtual-time figures, so a genuine pair — the same
-// run under two event-queue implementations, or on two machines — diffs
-// clean byte for byte.
+// tolerance, 1 means at least one (latency series worsened or went
+// missing, a failover phase drifted, an invariant newly violated), 2 means
+// usage or I/O error. Reports contain only virtual-time figures, so a
+// genuine pair — the same run twice, or on two machines — diffs clean byte
+// for byte.
 package main
 
 import (

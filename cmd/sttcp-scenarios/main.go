@@ -13,7 +13,6 @@ import (
 
 	"repro/cmd/internal/cliflags"
 	"repro/internal/experiment"
-	"repro/internal/sim"
 	"repro/internal/sttcp"
 	"repro/internal/telemetry"
 )
@@ -27,7 +26,6 @@ func main() {
 
 func run() error {
 	seed := cliflags.Seed(42, "scenario i runs at seed+i")
-	sched := cliflags.Scheduler()
 	showTrace := flag.Bool("trace", false, "dump the event trace per scenario")
 	reportOut := cliflags.ReportOut("the last scenario")
 	telWindow := cliflags.TelemetryWindow(0)
@@ -43,11 +41,11 @@ func run() error {
 	failures := 0
 	var lastReport *telemetry.Report
 	for i, sc := range experiment.Scenarios {
-		res, err := experiment.RunScenarioOpts(*seed+int64(i), sc, *sched, *telWindow)
+		res, err := experiment.RunScenarioOpts(*seed+int64(i), sc, *telWindow)
 		if err != nil {
 			return fmt.Errorf("%v: %w", sc, err)
 		}
-		lastReport = scenarioReport(*seed+int64(i), sc, *sched, res)
+		lastReport = scenarioReport(*seed+int64(i), sc, res)
 		action := describeAction(res)
 		det := "-"
 		if res.DetectionTime > 0 {
@@ -62,20 +60,26 @@ func run() error {
 		}
 	}
 	fmt.Println()
+	if failures == 0 {
+		fmt.Println("All ten scenarios masked from the client.")
+	}
+	// The report is written before the failure is returned: a failing
+	// matrix is exactly the run whose artifact is wanted.
+	if err := cliflags.WriteReport(*reportOut, lastReport); err != nil {
+		return err
+	}
 	if failures > 0 {
 		return fmt.Errorf("%d scenario(s) disturbed the client", failures)
 	}
-	fmt.Println("All ten scenarios masked from the client.")
-	return cliflags.WriteReport(*reportOut, lastReport)
+	return nil
 }
 
 // scenarioReport assembles the run-report artifact for one Table 1 case.
-func scenarioReport(seed int64, sc experiment.Scenario, sched sim.SchedulerKind, res experiment.ScenarioResult) *telemetry.Report {
+func scenarioReport(seed int64, sc experiment.Scenario, res experiment.ScenarioResult) *telemetry.Report {
 	rep := &telemetry.Report{
 		Version:   telemetry.ReportVersion,
 		Demo:      "table1",
 		Seed:      seed,
-		Scheduler: sched.Resolve().String(),
 		Params:    map[string]string{"scenario": fmt.Sprint(sc)},
 		Metrics:   res.Metrics,
 		Telemetry: res.Telemetry,

@@ -39,16 +39,11 @@ type Options struct {
 	// TraceDetail enables per-segment/per-frame detail events and spans
 	// on the run's recorder.
 	TraceDetail bool
-	// Scheduler selects the simulator's event-queue implementation for
-	// every run in the campaign. Runs are byte-identical across kinds, so
-	// a failure found under one scheduler replays under the other.
-	Scheduler sim.SchedulerKind
-	// CustomScheduler, when non-nil, supplies the run's event queue
-	// directly and Scheduler only documents the nominal kind. The factory
-	// is invoked once per run, at testbed build, and must return a fresh
-	// queue — the exhaustive-interleaving explorer injects its tie-break-
-	// forking wrapper here and keeps the returned instance to read the
-	// recorded choices back out.
+	// CustomScheduler, when non-nil, supplies the run's event queue in
+	// place of the heap. The factory is invoked once per run, at testbed
+	// build, and must return a fresh queue — the exhaustive-interleaving
+	// explorer injects its tie-break-forking wrapper here and keeps the
+	// returned instance to read the recorded choices back out.
 	CustomScheduler func() sim.Scheduler
 	// TelemetryWindow, when > 0, samples every registered instrument into
 	// windowed time series at this period; the unwrapped timeline lands in
@@ -180,7 +175,6 @@ func Run(sc Schedule, opts Options) (*RunResult, error) {
 		Seed:            sc.Seed,
 		FlightRecorder:  opts.FlightRecorder,
 		TraceDetail:     opts.TraceDetail,
-		Scheduler:       opts.Scheduler,
 		CustomScheduler: opts.CustomScheduler,
 		TelemetryWindow: opts.TelemetryWindow,
 	})

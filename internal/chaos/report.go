@@ -5,7 +5,7 @@ import (
 )
 
 // RunReport assembles the versioned run-report artifact for one chaos run:
-// the schedule identity (seed, scheduler, rendered event list), the final
+// the schedule identity (seed, rendered event list), the final
 // metrics snapshot, the telemetry timeline (when enabled), every failover
 // anatomy the tracer assembled, and — unique to chaos runs — the invariant
 // verdicts. One verdict is emitted per registered invariant, in registry
@@ -15,7 +15,6 @@ func (r *RunResult) RunReport() *telemetry.Report {
 		Version:   telemetry.ReportVersion,
 		Demo:      "chaos",
 		Seed:      r.Schedule.Seed,
-		Scheduler: r.Opts.Scheduler.Resolve().String(),
 		Metrics:   r.Metrics,
 		Telemetry: r.Telemetry,
 		Chaos:     r.chaosSection(),

@@ -69,22 +69,10 @@ type HostConfig struct {
 	// Metrics receives the host's instruments (nil for none); it is
 	// threaded through the TCP stack and survives reboots.
 	Metrics *metrics.Registry
-	// Scheduler, when not SchedulerDefault, asserts which event-queue
-	// implementation the host expects its simulator to run. A testbed
-	// that plumbs a scheduler selection down to its hosts sets this so a
-	// mismatch (one component built against a different simulator than
-	// the rest) fails loudly at construction instead of as a divergent
-	// trace.
-	Scheduler sim.SchedulerKind
 }
 
-// New builds a machine with one NIC from cfg. It panics if cfg.Scheduler
-// names a concrete scheduler kind and s runs a different one.
+// New builds a machine with one NIC from cfg.
 func New(s *sim.Simulator, cfg HostConfig) *Host {
-	if cfg.Scheduler != sim.SchedulerDefault && s.SchedulerKind() != cfg.Scheduler.Resolve() {
-		panic("cluster: host " + cfg.Name + " configured for the " + cfg.Scheduler.String() +
-			" scheduler but the simulator runs " + s.SchedulerKind().String())
-	}
 	nic := netem.NewNIC(s, cfg.Name+"/eth0", eth.MakeAddr(cfg.EthNum))
 	ns := netstack.New(s, cfg.Name, nic, cfg.Addr)
 	st := tcp.NewStack(s, ns, cfg.Name, cfg.TCP, cfg.Tracer, cfg.Metrics)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/sim"
 )
 
 // NICLoadResult is one arm of the "nicload" registry demo: the backup
@@ -21,8 +20,8 @@ type NICLoadResult struct {
 // pre-enhancement tap in which primary→client traffic also reaches the
 // backup's NIC — the overload that motivated the design change. Reached
 // through the "nicload" registry demo.
-func runBackupNICLoad(seed int64, tapBothDirections bool, sched sim.SchedulerKind) (int64, error) {
-	tb := Build(Options{Seed: seed, TapBothDirections: tapBothDirections, Scheduler: sched})
+func runBackupNICLoad(seed int64, tapBothDirections bool) (int64, error) {
+	tb := Build(Options{Seed: seed, TapBothDirections: tapBothDirections})
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		return 0, err
 	}

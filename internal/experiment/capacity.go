@@ -30,16 +30,16 @@ type SerialCapacityResult struct {
 // heartbeats describing n connections for the given duration and measures
 // queueing: once serialization time exceeds the period, heartbeats back up
 // and the link is saturated. Reached through the "capacity" registry demo.
-func runSerialCapacity(n int, period, runFor time.Duration, sched sim.SchedulerKind) (SerialCapacityResult, error) {
-	return runHBLinkCapacity(n, period, runFor, serial.DefaultBitsPerSecond, sched)
+func runSerialCapacity(n int, period, runFor time.Duration) (SerialCapacityResult, error) {
+	return runHBLinkCapacity(n, period, runFor, serial.DefaultBitsPerSecond)
 }
 
 // runHBLinkCapacity generalises the capacity experiment to any
 // point-to-point link rate; §3 recommends a crossover 10/100 Mbit/s
 // Ethernet cable instead of RS-232 when more than ~100 connections are
 // expected, and this shows why.
-func runHBLinkCapacity(n int, period, runFor time.Duration, bitsPerSecond int64, sched sim.SchedulerKind) (SerialCapacityResult, error) {
-	s := sim.NewWithConfig(sim.Config{Seed: 1, Scheduler: sched})
+func runHBLinkCapacity(n int, period, runFor time.Duration, bitsPerSecond int64) (SerialCapacityResult, error) {
+	s := sim.New(1)
 	pa, pb := serial.NewPair(s, "primary/hb0", "backup/hb0", bitsPerSecond)
 
 	msg := hb.Message{Role: hb.RolePrimary}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/app"
 	"repro/internal/baseline"
 	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/sttcp"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -132,11 +131,11 @@ type Demo1Result struct {
 // the primary is crashed mid-transfer. Under ST-TCP the transfer survives
 // with at worst a brief stall; under the baseline the client must detect
 // the stall itself, reconnect to the backup server, and resume.
-func runDemo1(seed int64, transferSize int64, crashAfter time.Duration, detail bool, sched sim.SchedulerKind, telWindow time.Duration) (Demo1Result, error) {
+func runDemo1(seed int64, transferSize int64, crashAfter time.Duration, detail bool, telWindow time.Duration) (Demo1Result, error) {
 	var out Demo1Result
 
 	// --- ST-TCP run ---
-	tb := Build(Options{Seed: seed, TraceDetail: detail, Scheduler: sched, TelemetryWindow: telWindow})
+	tb := Build(Options{Seed: seed, TraceDetail: detail, TelemetryWindow: telWindow})
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		return out, err
 	}
@@ -172,7 +171,7 @@ func runDemo1(seed int64, transferSize int64, crashAfter time.Duration, detail b
 	// --- Baseline run: same workload, same crash schedule, no ST-TCP.
 	// Each server listens on its own address; the client carries the
 	// failover logic.
-	tb2 := Build(Options{Seed: seed, TraceDetail: detail, Scheduler: sched, TelemetryWindow: telWindow})
+	tb2 := Build(Options{Seed: seed, TraceDetail: detail, TelemetryWindow: telWindow})
 	pSrv := app.NewDataServer("primary/app", tb2.Tracer)
 	bSrv := app.NewDataServer("backup/app", tb2.Tracer)
 	pl, err := tb2.Primary.TCP().Listen(PrimaryAddr, ServicePort)
@@ -218,10 +217,10 @@ func runDemo1(seed int64, transferSize int64, crashAfter time.Duration, detail b
 // and the client-observed gap is measured. eager enables the
 // retransmit-at-takeover extension (the paper's design waits for the next
 // retransmission).
-func runDemo2(seed int64, periods []time.Duration, eager, detail bool, sched sim.SchedulerKind, telWindow time.Duration) ([]FailoverResult, error) {
+func runDemo2(seed int64, periods []time.Duration, eager, detail bool, telWindow time.Duration) ([]FailoverResult, error) {
 	results := make([]FailoverResult, 0, len(periods))
 	for i, p := range periods {
-		tb := Build(Options{Seed: seed + int64(i), TraceDetail: detail, Scheduler: sched, TelemetryWindow: telWindow})
+		tb := Build(Options{Seed: seed + int64(i), TraceDetail: detail, TelemetryWindow: telWindow})
 		err := tb.StartSTTCP(p, func(c *sttcp.Config) {
 			c.EagerTakeoverRetransmit = eager
 		})
@@ -267,10 +266,10 @@ func runDemo2(seed int64, periods []time.Duration, eager, detail bool, sched sim
 // the crash it is the *client's* TCP that retransmits with exponential
 // backoff, and the post-detection gap is governed by the client's RTO
 // schedule rather than the backup's.
-func runDemo2Upload(seed int64, periods []time.Duration, detail bool, sched sim.SchedulerKind, telWindow time.Duration) ([]FailoverResult, error) {
+func runDemo2Upload(seed int64, periods []time.Duration, detail bool, telWindow time.Duration) ([]FailoverResult, error) {
 	results := make([]FailoverResult, 0, len(periods))
 	for i, p := range periods {
-		tb := Build(Options{Seed: seed + int64(i), TraceDetail: detail, Scheduler: sched, TelemetryWindow: telWindow})
+		tb := Build(Options{Seed: seed + int64(i), TraceDetail: detail, TelemetryWindow: telWindow})
 		if err := tb.StartSTTCP(p, nil); err != nil {
 			return nil, err
 		}
@@ -324,11 +323,11 @@ func (r Demo3Result) String() string {
 // runDemo3 reproduces Demo 3: a large failure-free transfer (the paper
 // uses about 100 MB) timed with ST-TCP enabled and disabled; the point is
 // that the overhead is negligible.
-func runDemo3(seed int64, size int64, sched sim.SchedulerKind) (Demo3Result, error) {
+func runDemo3(seed int64, size int64) (Demo3Result, error) {
 	out := Demo3Result{Size: size}
 
 	// ST-TCP enabled.
-	tb := Build(Options{Seed: seed, Scheduler: sched})
+	tb := Build(Options{Seed: seed})
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		return out, err
 	}
@@ -351,7 +350,7 @@ func runDemo3(seed int64, size int64, sched sim.SchedulerKind) (Demo3Result, err
 	out.Metrics = tb.Metrics.Snapshot()
 
 	// ST-TCP disabled: plain server on the primary, same topology.
-	tb2 := Build(Options{Seed: seed, Scheduler: sched})
+	tb2 := Build(Options{Seed: seed})
 	srv := app.NewDataServer("primary/app", tb2.Tracer)
 	tb2.Primary.Netstack().AddAlias(ServiceAddr)
 	l, err := tb2.Primary.TCP().Listen(ServiceAddr, ServicePort)
@@ -407,8 +406,8 @@ func (m AppCrashMode) String() string {
 // mid-transfer (in either of the two modes) while the OS and TCP layer stay
 // up; ST-TCP detects it via the application-lag criteria and migrates the
 // connection to the backup.
-func runDemo4(seed int64, mode AppCrashMode, detail bool, sched sim.SchedulerKind, telWindow time.Duration) (FailoverResult, error) {
-	tb := Build(Options{Seed: seed, TraceDetail: detail, Scheduler: sched, TelemetryWindow: telWindow})
+func runDemo4(seed int64, mode AppCrashMode, detail bool, telWindow time.Duration) (FailoverResult, error) {
+	tb := Build(Options{Seed: seed, TraceDetail: detail, TelemetryWindow: telWindow})
 	// Shrink MaxDelayFIN so the gated-FIN path is visible inside the
 	// run; detection is still expected to come from the lag criteria
 	// first.
@@ -477,9 +476,9 @@ type Demo5Result struct {
 // serial link stays up; the servers diagnose which side lost its NIC using
 // the client-stream positions and gateway pings exchanged over the serial
 // heartbeat.
-func runDemo5(seed int64, failPrimary bool, detail bool, sched sim.SchedulerKind, telWindow time.Duration) (Demo5Result, error) {
+func runDemo5(seed int64, failPrimary bool, detail bool, telWindow time.Duration) (Demo5Result, error) {
 	out := Demo5Result{FailedAtPrimary: failPrimary}
-	tb := Build(Options{Seed: seed, TraceDetail: detail, Scheduler: sched, TelemetryWindow: telWindow})
+	tb := Build(Options{Seed: seed, TraceDetail: detail, TelemetryWindow: telWindow})
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		return out, err
 	}

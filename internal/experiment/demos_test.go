@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"repro/internal/sim"
 	"testing"
 	"time"
 )
@@ -11,7 +10,7 @@ import (
 // conventional hot-backup baseline the client also completes but only by
 // reconnecting, with a much larger disruption.
 func TestDemo1(t *testing.T) {
-	res, err := runDemo1(42, 16<<20, 500*time.Millisecond, false, sim.SchedulerDefault, 0)
+	res, err := runDemo1(42, 16<<20, 500*time.Millisecond, false, 0)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -43,7 +42,7 @@ func TestDemo1(t *testing.T) {
 // detection time is roughly the heartbeat timeout (3 periods).
 func TestDemo2(t *testing.T) {
 	periods := []time.Duration{200 * time.Millisecond, 500 * time.Millisecond, time.Second}
-	results, err := runDemo2(7, periods, false, false, sim.SchedulerDefault, 0)
+	results, err := runDemo2(7, periods, false, false, 0)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -73,11 +72,11 @@ func TestDemo2(t *testing.T) {
 // the 1 s-heartbeat failover versus the paper's wait-for-retransmission.
 func TestDemo2Eager(t *testing.T) {
 	periods := []time.Duration{time.Second}
-	faithful, err := runDemo2(7, periods, false, false, sim.SchedulerDefault, 0)
+	faithful, err := runDemo2(7, periods, false, false, 0)
 	if err != nil {
 		t.Fatalf("run faithful: %v", err)
 	}
-	eager, err := runDemo2(7, periods, true, false, sim.SchedulerDefault, 0)
+	eager, err := runDemo2(7, periods, true, false, 0)
 	if err != nil {
 		t.Fatalf("run eager: %v", err)
 	}
@@ -97,7 +96,7 @@ func TestDemo3(t *testing.T) {
 	if testing.Short() {
 		size = 16 << 20
 	}
-	res, err := runDemo3(11, size, sim.SchedulerDefault)
+	res, err := runDemo3(11, size)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -114,7 +113,7 @@ func TestDemo4(t *testing.T) {
 	for _, mode := range []AppCrashMode{CrashNoCleanup, CrashWithCleanup} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
-			res, err := runDemo4(13, mode, false, sim.SchedulerDefault, 0)
+			res, err := runDemo4(13, mode, false, 0)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -133,7 +132,7 @@ func TestDemo4(t *testing.T) {
 // takeover, backup NIC death in non-FT mode, with the client unaffected.
 func TestDemo5(t *testing.T) {
 	t.Run("primary", func(t *testing.T) {
-		res, err := runDemo5(17, true, false, sim.SchedulerDefault, 0)
+		res, err := runDemo5(17, true, false, 0)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -146,7 +145,7 @@ func TestDemo5(t *testing.T) {
 		t.Logf("primary NIC fail: detect=%v", res.DetectionTime)
 	})
 	t.Run("backup", func(t *testing.T) {
-		res, err := runDemo5(18, false, false, sim.SchedulerDefault, 0)
+		res, err := runDemo5(18, false, false, 0)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"repro/internal/sim"
 	"testing"
 	"time"
 
@@ -16,7 +15,7 @@ import (
 // the client's retransmission backoff.
 func TestDemo2Upload(t *testing.T) {
 	periods := []time.Duration{200 * time.Millisecond, time.Second}
-	results, err := runDemo2Upload(71, periods, false, sim.SchedulerDefault, 0)
+	results, err := runDemo2Upload(71, periods, false, 0)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/sim"
 	"repro/internal/sttcp"
 )
 
@@ -35,8 +34,8 @@ const (
 // on, and reports the outcome as a FailoverResult (CrashAt is the moment
 // starvation begins; a run the scorer rides out simply has no takeover
 // anatomy).
-func runGrayStarve(seed int64, scale float64, detail bool, sched sim.SchedulerKind, telWindow time.Duration) (FailoverResult, error) {
-	tb := Build(Options{Seed: seed, TraceDetail: detail, Scheduler: sched, TelemetryWindow: telWindow})
+func runGrayStarve(seed int64, scale float64, detail bool, telWindow time.Duration) (FailoverResult, error) {
+	tb := Build(Options{Seed: seed, TraceDetail: detail, TelemetryWindow: telWindow})
 	err := tb.StartSTTCP(0, func(c *sttcp.Config) {
 		c.Suspicion.Enabled = true
 	})

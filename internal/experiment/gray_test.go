@@ -3,8 +3,6 @@ package experiment
 import (
 	"testing"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // TestGrayDemo checks both halves of the slow-not-dead demonstration:
@@ -13,7 +11,7 @@ import (
 // accrual bound, with the client completing verified either way.
 func TestGrayDemo(t *testing.T) {
 	t.Run("mild", func(t *testing.T) {
-		res, err := runGrayStarve(42, 25, false, sim.SchedulerDefault, 0)
+		res, err := runGrayStarve(42, 25, false, 0)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -26,7 +24,7 @@ func TestGrayDemo(t *testing.T) {
 		}
 	})
 	t.Run("convicting", func(t *testing.T) {
-		res, err := runGrayStarve(42, 500, false, sim.SchedulerDefault, 0)
+		res, err := runGrayStarve(42, 500, false, 0)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/sim"
 	"repro/internal/sttcp"
 	"repro/internal/trace"
 )
@@ -35,9 +34,9 @@ type OutputCommitResult struct {
 // optional logger machine taps the client stream and makes the bytes
 // recoverable at takeover. Reached through the "output-commit" registry
 // demo.
-func runOutputCommit(seed int64, withLogger bool, sched sim.SchedulerKind) (OutputCommitResult, error) {
+func runOutputCommit(seed int64, withLogger bool) (OutputCommitResult, error) {
 	out := OutputCommitResult{WithLogger: withLogger}
-	tb := Build(Options{Seed: seed, WithLogger: withLogger, Scheduler: sched})
+	tb := Build(Options{Seed: seed, WithLogger: withLogger})
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		return out, err
 	}

@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // TestOutputCommitWithoutLoggerIsUnrecoverable reproduces the limitation
@@ -12,7 +10,7 @@ import (
 // failure as unrecoverable — the client will not retransmit acknowledged
 // bytes, so the session wedges after takeover.
 func TestOutputCommitWithoutLoggerIsUnrecoverable(t *testing.T) {
-	res, err := runOutputCommit(61, false, sim.SchedulerDefault)
+	res, err := runOutputCommit(61, false)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -30,7 +28,7 @@ func TestOutputCommitWithoutLoggerIsUnrecoverable(t *testing.T) {
 // the logger machine tapping the client stream, the backup retrieves the
 // acknowledged-but-missed bytes at takeover and the session completes.
 func TestOutputCommitWithLoggerRecovers(t *testing.T) {
-	res, err := runOutputCommit(61, true, sim.SchedulerDefault)
+	res, err := runOutputCommit(61, true)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/serial"
-	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
@@ -36,11 +35,6 @@ type Params struct {
 	// spans in the failover demos (the -trace-out/-timeline CLI flags set
 	// it); Demo 3's overhead benchmark ignores it.
 	TraceDetail bool
-	// Scheduler selects the simulator's event-queue implementation for
-	// every testbed the demo builds (the -scheduler CLI flag sets it).
-	// The run itself is byte-identical across kinds; only wall-clock
-	// speed differs.
-	Scheduler sim.SchedulerKind
 	// TelemetryWindow, when > 0, attaches the windowed time-series
 	// sampler to every testbed the demo builds (the -report-out and
 	// -telemetry-window CLI flags set it). The run's virtual-time outcome
@@ -186,7 +180,7 @@ func builtinDemos() []Demo {
 				if crashAfter == 0 {
 					crashAfter = 500 * time.Millisecond
 				}
-				d, err := runDemo1(p.Seed, size, crashAfter, p.TraceDetail, p.Scheduler, p.TelemetryWindow)
+				d, err := runDemo1(p.Seed, size, crashAfter, p.TraceDetail, p.TelemetryWindow)
 				if err != nil {
 					return Result{Demo: "demo1"}, err
 				}
@@ -203,7 +197,7 @@ func builtinDemos() []Demo {
 			Name:  "demo2",
 			Title: "failover time vs. heartbeat period",
 			Run: func(p Params) (Result, error) {
-				rs, err := runDemo2(p.Seed, defaultPeriods(p.Periods), p.Eager, p.TraceDetail, p.Scheduler, p.TelemetryWindow)
+				rs, err := runDemo2(p.Seed, defaultPeriods(p.Periods), p.Eager, p.TraceDetail, p.TelemetryWindow)
 				if err != nil {
 					return Result{Demo: "demo2"}, err
 				}
@@ -214,7 +208,7 @@ func builtinDemos() []Demo {
 			Name:  "demo2-upload",
 			Title: "failover time vs. heartbeat period, client as sender",
 			Run: func(p Params) (Result, error) {
-				rs, err := runDemo2Upload(p.Seed, defaultPeriods(p.Periods), p.TraceDetail, p.Scheduler, p.TelemetryWindow)
+				rs, err := runDemo2Upload(p.Seed, defaultPeriods(p.Periods), p.TraceDetail, p.TelemetryWindow)
 				if err != nil {
 					return Result{Demo: "demo2-upload"}, err
 				}
@@ -229,7 +223,7 @@ func builtinDemos() []Demo {
 				if size == 0 {
 					size = 100 << 20
 				}
-				d, err := runDemo3(p.Seed, size, p.Scheduler)
+				d, err := runDemo3(p.Seed, size)
 				if err != nil {
 					return Result{Demo: "demo3"}, err
 				}
@@ -246,7 +240,7 @@ func builtinDemos() []Demo {
 				}
 				out := Result{Demo: "demo4"}
 				for _, mode := range modes {
-					r, err := runDemo4(p.Seed, mode, p.TraceDetail, p.Scheduler, p.TelemetryWindow)
+					r, err := runDemo4(p.Seed, mode, p.TraceDetail, p.TelemetryWindow)
 					if err != nil {
 						return out, fmt.Errorf("mode %v: %w", mode, err)
 					}
@@ -264,7 +258,7 @@ func builtinDemos() []Demo {
 			Run: func(p Params) (Result, error) {
 				out := Result{Demo: "demo5"}
 				for _, atPrimary := range []bool{true, false} {
-					r, err := runDemo5(p.Seed, atPrimary, p.TraceDetail, p.Scheduler, p.TelemetryWindow)
+					r, err := runDemo5(p.Seed, atPrimary, p.TraceDetail, p.TelemetryWindow)
 					if err != nil {
 						return out, err
 					}
@@ -293,7 +287,7 @@ func builtinDemos() []Demo {
 					bps = serial.DefaultBitsPerSecond
 				}
 				series, err := fanIdx(p.Workers, len(counts), func(i int) (SerialCapacityResult, error) {
-					return runHBLinkCapacity(counts[i], period, 10*time.Second, bps, p.Scheduler)
+					return runHBLinkCapacity(counts[i], period, 10*time.Second, bps)
 				})
 				return Result{Demo: "capacity", Capacity: series}, err
 			},
@@ -311,7 +305,7 @@ func builtinDemos() []Demo {
 				if samples == 0 {
 					samples = 8
 				}
-				dist, err := runDemo2Sampled(p.Seed, period, samples, p.Workers, p.Scheduler)
+				dist, err := runDemo2Sampled(p.Seed, period, samples, p.Workers)
 				if err != nil {
 					return Result{Demo: "demo2-dist"}, err
 				}
@@ -324,7 +318,7 @@ func builtinDemos() []Demo {
 			Extended: true,
 			Run: func(p Params) (Result, error) {
 				rs, err := fanIdx(p.Workers, 2, func(i int) (OutputCommitResult, error) {
-					return runOutputCommit(p.Seed, i == 1, p.Scheduler)
+					return runOutputCommit(p.Seed, i == 1)
 				})
 				return Result{Demo: "output-commit", OutputCommit: rs}, err
 			},
@@ -336,7 +330,7 @@ func builtinDemos() []Demo {
 			Run: func(p Params) (Result, error) {
 				rs, err := fanIdx(p.Workers, 2, func(i int) (WitnessResult, error) {
 					withWitness := i == 1
-					d, err := runWitnessConflict(p.Seed, withWitness, p.Scheduler)
+					d, err := runWitnessConflict(p.Seed, withWitness)
 					return WitnessResult{WithWitness: withWitness, Resolution: d}, err
 				})
 				return Result{Demo: "witness", Witness: rs}, err
@@ -349,7 +343,7 @@ func builtinDemos() []Demo {
 			Run: func(p Params) (Result, error) {
 				rs, err := fanIdx(p.Workers, 2, func(i int) (NICLoadResult, error) {
 					tap := i == 1
-					rx, err := runBackupNICLoad(p.Seed, tap, p.Scheduler)
+					rx, err := runBackupNICLoad(p.Seed, tap)
 					return NICLoadResult{TapBothDirections: tap, BackupRxBytes: rx}, err
 				})
 				return Result{Demo: "nicload", NICLoad: rs}, err
@@ -365,7 +359,7 @@ func builtinDemos() []Demo {
 				// scorer must stay quiet. Heavy starvation pushes every
 				// response far past it — the scorer must convict.
 				for _, scale := range []float64{25, 500} {
-					r, err := runGrayStarve(p.Seed, scale, p.TraceDetail, p.Scheduler, p.TelemetryWindow)
+					r, err := runGrayStarve(p.Seed, scale, p.TraceDetail, p.TelemetryWindow)
 					if err != nil {
 						return out, fmt.Errorf("starve x%g: %w", scale, err)
 					}
@@ -389,7 +383,7 @@ func builtinDemos() []Demo {
 				if size == 0 {
 					size = 32 << 10
 				}
-				sc, err := runScaleFailover(p.Seed, conns, size, true, p.Scheduler, p.TelemetryWindow)
+				sc, err := runScaleFailover(p.Seed, conns, size, true, p.TelemetryWindow)
 				if err != nil {
 					return Result{Demo: "scale"}, err
 				}

@@ -8,10 +8,10 @@ import (
 )
 
 // BuildReport assembles the run-report artifact for one demo result: the
-// identity of the run (demo, seed, scheduler, the params that deviated
-// from defaults), the final metrics snapshot, the telemetry timeline, and
-// the failover anatomy. Chaos runs add their section via
-// chaos.RunResult.Report; bench figures are appended by the bench CLI.
+// identity of the run (demo, seed, the params that deviated from
+// defaults), the final metrics snapshot, the telemetry timeline, and the
+// failover anatomy. Chaos runs add their section via
+// chaos.RunResult.Report.
 //
 // Every field derives from virtual time, so two runs of the same demo at
 // the same seed produce byte-identical reports on any machine — that is
@@ -22,7 +22,6 @@ func BuildReport(p Params, res Result) *telemetry.Report {
 		Version:   telemetry.ReportVersion,
 		Demo:      res.Demo,
 		Seed:      p.Seed,
-		Scheduler: res.SchedulerName(p),
 		Params:    paramsMap(p),
 		Metrics:   res.Metrics,
 		Telemetry: res.Telemetry,
@@ -39,13 +38,6 @@ func BuildReport(p Params, res Result) *telemetry.Report {
 		r.Anatomy = append(r.Anatomy, telemetry.PhasesFromAnatomy(*res.Scale.Anatomy))
 	}
 	return r
-}
-
-// SchedulerName renders the scheduler the run used, resolving the
-// default to its concrete kind so reports from explicit and defaulted
-// invocations compare equal.
-func (res Result) SchedulerName(p Params) string {
-	return p.Scheduler.Resolve().String()
 }
 
 // paramsMap records the knobs that shaped the run, skipping zero values

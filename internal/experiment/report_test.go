@@ -9,18 +9,17 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden dashboard file from the current run")
 
-// scaleReport runs the 25-connection failover under the given scheduler
-// and assembles its run report — the workload behind the cross-run
-// regression observatory's genuine-pair check.
-func scaleReport(t *testing.T, sched sim.SchedulerKind) *telemetry.Report {
+// scaleReport runs the 25-connection failover and assembles its run
+// report — the workload behind the cross-run regression observatory's
+// genuine-pair check.
+func scaleReport(t *testing.T) *telemetry.Report {
 	t.Helper()
-	p := Params{Seed: 91, Conns: 25, Size: 256 << 10, Scheduler: sched,
+	p := Params{Seed: 91, Conns: 25, Size: 256 << 10,
 		TelemetryWindow: 100 * time.Millisecond}
 	d, ok := DemoByName("scale")
 	if !ok {
@@ -34,57 +33,77 @@ func scaleReport(t *testing.T, sched sim.SchedulerKind) *telemetry.Report {
 }
 
 // TestGenuinePairDiffsClean is the observatory's soundness half: the same
-// run under the heap and calendar schedulers must produce reports that are
-// byte-identical up to the scheduler name, and sttcp-report's diff must
-// find nothing to flag. If this fails, either the schedulers diverged (a
-// simulator bug) or the report captured something non-deterministic (a
-// telemetry bug) — both make every cross-run comparison meaningless.
+// run twice must produce byte-identical reports, and sttcp-report's diff
+// must find nothing to flag. If this fails the report captured something
+// non-deterministic, which makes every cross-run comparison meaningless.
 func TestGenuinePairDiffsClean(t *testing.T) {
-	heap := scaleReport(t, sim.SchedulerHeap)
-	cal := scaleReport(t, sim.SchedulerCalendar)
+	first := scaleReport(t)
+	second := scaleReport(t)
 
-	d := telemetry.DiffReports(heap, cal, telemetry.DiffOptions{})
+	d := telemetry.DiffReports(first, second, telemetry.DiffOptions{})
 	if !d.Ok() {
 		t.Fatalf("genuine pair flagged as regression:\n%v", d.Regressions)
 	}
 
-	// Byte-identical once the one legitimate difference is erased.
-	heap.Scheduler, cal.Scheduler = "", ""
-	hj, err := json.Marshal(heap)
+	fj, err := json.Marshal(first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cj, err := json.Marshal(cal)
+	sj, err := json.Marshal(second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(hj, cj) {
-		t.Errorf("heap and calendar reports differ beyond the scheduler name (%d vs %d bytes)", len(hj), len(cj))
+	if !bytes.Equal(fj, sj) {
+		t.Errorf("two runs of the same seed produced different reports (%d vs %d bytes)", len(fj), len(sj))
 	}
 }
 
 // TestDegradedReportFailsDiff is the observatory's sensitivity half: take
-// a genuine report, worsen its latency series and failover anatomy the way
-// a real regression would, and the diff must flag it.
+// a genuine report, worsen it the way a real regression would — slower
+// latency series and failover anatomy, or the evidence gone altogether —
+// and the diff must flag it.
 func TestDegradedReportFailsDiff(t *testing.T) {
-	base := scaleReport(t, sim.SchedulerHeap)
-	degraded := scaleReport(t, sim.SchedulerHeap)
-
-	for i := range degraded.Telemetry.Series {
-		s := &degraded.Telemetry.Series[i]
-		if s.Name == "client.response_latency.p99" {
-			for j := range s.Points {
-				s.Points[j] *= 10
+	const p99 = "client.response_latency.p99"
+	base := scaleReport(t)
+	cases := []struct {
+		name    string
+		degrade func(r *telemetry.Report)
+	}{
+		{"10x p99 and 3x detection latency", func(r *telemetry.Report) {
+			for i := range r.Telemetry.Series {
+				s := &r.Telemetry.Series[i]
+				if s.Name == p99 {
+					for j := range s.Points {
+						s.Points[j] *= 10
+					}
+				}
 			}
+			for i := range r.Anatomy {
+				r.Anatomy[i].Detection *= 3
+			}
+		}},
+		{"p99 latency series missing from the candidate", func(r *telemetry.Report) {
+			kept := r.Telemetry.Series[:0]
+			for _, s := range r.Telemetry.Series {
+				if s.Name != p99 {
+					kept = append(kept, s)
+				}
+			}
+			if len(kept) == len(r.Telemetry.Series) {
+				t.Fatalf("base report has no %s series; the case proves nothing", p99)
+			}
+			r.Telemetry.Series = kept
+		}},
+		{"telemetry timeline missing from the candidate", func(r *telemetry.Report) {
+			r.Telemetry = nil
+		}},
+	}
+	for _, c := range cases {
+		degraded := scaleReport(t)
+		c.degrade(degraded)
+		if d := telemetry.DiffReports(base, degraded, telemetry.DiffOptions{}); d.Ok() {
+			t.Errorf("%s slipped through the diff gate", c.name)
 		}
-	}
-	for i := range degraded.Anatomy {
-		degraded.Anatomy[i].Detection *= 3
-	}
-
-	d := telemetry.DiffReports(base, degraded, telemetry.DiffOptions{})
-	if d.Ok() {
-		t.Fatal("10x p99 and 3x detection latency slipped through the diff gate")
 	}
 }
 
@@ -96,7 +115,7 @@ func TestDegradedReportFailsDiff(t *testing.T) {
 //	go test ./internal/experiment -run DashboardGolden -update
 func TestDemo2DashboardGolden(t *testing.T) {
 	p := Params{Seed: 42, Periods: []time.Duration{200 * time.Millisecond},
-		Scheduler: sim.SchedulerDefault, TelemetryWindow: 100 * time.Millisecond}
+		TelemetryWindow: 100 * time.Millisecond}
 	d, ok := DemoByName("demo2")
 	if !ok {
 		t.Fatal("demo2 not registered")

@@ -57,9 +57,9 @@ type ScaleResult struct {
 // 115.2 kbit/s serial line — and dials are staggered so the SYN burst
 // doesn't serialise into one instant. Reached through the "scale"
 // registry demo.
-func runScaleFailover(seed int64, conns int, bytesPerClient int64, crash bool, sched sim.SchedulerKind, telWindow time.Duration) (ScaleResult, error) {
+func runScaleFailover(seed int64, conns int, bytesPerClient int64, crash bool, telWindow time.Duration) (ScaleResult, error) {
 	out := ScaleResult{Conns: conns, BytesPerClient: bytesPerClient, Crashed: crash}
-	tb := Build(Options{Seed: seed, SerialRate: 100_000_000, Scheduler: sched, TelemetryWindow: telWindow})
+	tb := Build(Options{Seed: seed, SerialRate: 100_000_000, TelemetryWindow: telWindow})
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		return out, err
 	}

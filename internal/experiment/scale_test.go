@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"repro/internal/sim"
 	"testing"
 	"time"
 
@@ -13,7 +12,7 @@ import (
 // size cheap enough for -short: staggered dials, the 100 Mbit/s heartbeat
 // link, a mid-stream crash, and the aggregated result fields.
 func TestScaleFailoverSmoke(t *testing.T) {
-	res, err := runScaleFailover(91, 25, 1<<20, true, sim.SchedulerDefault, 0)
+	res, err := runScaleFailover(91, 25, 1<<20, true, 0)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -40,7 +39,7 @@ func TestThousandConnectionsFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test skipped in -short")
 	}
-	res, err := runScaleFailover(91, 1000, 64<<10, true, sim.SchedulerDefault, 0)
+	res, err := runScaleFailover(91, 1000, 64<<10, true, 0)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

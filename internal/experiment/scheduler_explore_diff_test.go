@@ -10,11 +10,10 @@ import (
 	"repro/internal/sim"
 )
 
-// This file extends the scheduler differential suite to the explorer's
-// tie-break-forking wrapper. The wrapper's contract is that with an empty
-// choice sequence it is invisible: a full chaos run — workload, crash,
-// takeover, recovery — produces byte-identical traces and metrics whether
-// the event queue is a bare heap, a bare calendar, or either one wrapped.
+// This file holds the explorer's tie-break-forking wrapper to its
+// contract: with an empty choice sequence it is invisible — a full chaos
+// run (workload, crash, takeover, recovery) produces byte-identical traces
+// and metrics whether the event queue is the bare heap or the heap wrapped.
 // That identity is what lets exploration results transfer to production
 // runs. (It lives outside package experiment because explore imports
 // experiment for its demo registration.)
@@ -33,18 +32,17 @@ func exploreDiffSchedule() chaos.Schedule {
 	}
 }
 
-func runExploreDiff(t *testing.T, kind sim.SchedulerKind, custom func() sim.Scheduler) *chaos.RunResult {
+func runExploreDiff(t *testing.T, custom func() sim.Scheduler) *chaos.RunResult {
 	t.Helper()
 	res, err := chaos.Run(exploreDiffSchedule(), chaos.Options{
-		Scheduler:       kind,
 		TraceDetail:     true,
 		CustomScheduler: custom,
 	})
 	if err != nil {
-		t.Fatalf("%v run: %v", kind, err)
+		t.Fatalf("run: %v", err)
 	}
 	if res.Failed() {
-		t.Fatalf("%v run violated invariants:\n%s", kind, res.Report())
+		t.Fatalf("run violated invariants:\n%s", res.Report())
 	}
 	return res
 }
@@ -75,51 +73,37 @@ func demandIdentical(t *testing.T, label string, a, b *chaos.RunResult) {
 	}
 }
 
-// TestExploreWrapperIsInvisibleWithEmptyPrefix runs the same failover
-// under each bare scheduler kind and under the explore wrapper decorating
-// each kind, and demands all four runs are byte-identical.
+// TestExploreWrapperIsInvisibleWithEmptyPrefix runs the same failover on
+// the bare heap and under the explore wrapper decorating it, and demands
+// the two runs are byte-identical.
 func TestExploreWrapperIsInvisibleWithEmptyPrefix(t *testing.T) {
-	bareHeap := runExploreDiff(t, sim.SchedulerHeap, nil)
-	bareCal := runExploreDiff(t, sim.SchedulerCalendar, nil)
-	wrapHeap := runExploreDiff(t, sim.SchedulerHeap, func() sim.Scheduler {
-		return explore.NewScheduler(sim.SchedulerHeap, nil)
+	bare := runExploreDiff(t, nil)
+	wrapped := runExploreDiff(t, func() sim.Scheduler {
+		return explore.NewScheduler(nil, nil)
 	})
-	wrapCal := runExploreDiff(t, sim.SchedulerCalendar, func() sim.Scheduler {
-		return explore.NewScheduler(sim.SchedulerCalendar, nil)
-	})
-
-	demandIdentical(t, "bare heap vs bare calendar", bareHeap, bareCal)
-	demandIdentical(t, "bare heap vs wrapped heap", bareHeap, wrapHeap)
-	demandIdentical(t, "bare calendar vs wrapped calendar", bareCal, wrapCal)
-	demandIdentical(t, "wrapped heap vs wrapped calendar", wrapHeap, wrapCal)
+	demandIdentical(t, "bare heap vs wrapped heap", bare, wrapped)
 }
 
 // TestExploreWrapperForcedPrefixIsDeterministic forces a fixed non-empty
-// choice sequence and demands (a) the run reproduces exactly on rerun,
-// (b) the recorded choices reproduce too, and (c) the forced order is
-// identical whichever inner queue the wrapper decorates.
+// choice sequence and demands (a) the run reproduces exactly on rerun and
+// (b) the recorded choices reproduce too.
 func TestExploreWrapperForcedPrefixIsDeterministic(t *testing.T) {
 	prefix := []int{1, 0, 2, 1, 1, 0, 3}
-	run := func(kind sim.SchedulerKind) (*chaos.RunResult, []explore.Choice) {
+	run := func() (*chaos.RunResult, []explore.Choice) {
 		var sched *explore.Scheduler
-		res := runExploreDiff(t, kind, func() sim.Scheduler {
-			sched = explore.NewScheduler(kind, prefix)
+		res := runExploreDiff(t, func() sim.Scheduler {
+			sched = explore.NewScheduler(nil, prefix)
 			return sched
 		})
 		return res, sched.Choices()
 	}
 
-	h1, c1 := run(sim.SchedulerHeap)
-	h2, c2 := run(sim.SchedulerHeap)
-	cal, c3 := run(sim.SchedulerCalendar)
+	h1, c1 := run()
+	h2, c2 := run()
 
 	demandIdentical(t, "forced heap, rerun", h1, h2)
-	demandIdentical(t, "forced heap vs forced calendar", h1, cal)
 	if !reflect.DeepEqual(c1, c2) {
 		t.Errorf("recorded choices diverged across reruns: %d vs %d", len(c1), len(c2))
-	}
-	if !reflect.DeepEqual(c1, c3) {
-		t.Errorf("recorded choices diverged across inner kinds: %d vs %d", len(c1), len(c3))
 	}
 	if len(c1) == 0 {
 		t.Fatalf("run recorded no tie-break choices; the differential proves nothing")

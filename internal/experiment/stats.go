@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/sim"
 )
 
 // Stats summarises a sample of durations.
@@ -56,7 +55,7 @@ type Demo2Distribution struct {
 // sweep fans them across workers; the distribution is computed from the
 // samples in phase order regardless of completion order. Reached through
 // the "demo2-dist" registry demo.
-func runDemo2Sampled(seed int64, period time.Duration, samples, workers int, sched sim.SchedulerKind) (Demo2Distribution, error) {
+func runDemo2Sampled(seed int64, period time.Duration, samples, workers int) (Demo2Distribution, error) {
 	out := Demo2Distribution{HBPeriod: period}
 	if samples < 1 {
 		samples = 1
@@ -66,7 +65,7 @@ func runDemo2Sampled(seed int64, period time.Duration, samples, workers int, sch
 	}
 	results, err := fanIdx(workers, samples, func(i int) (sample, error) {
 		offset := period * time.Duration(i) / time.Duration(samples)
-		tb := Build(Options{Seed: seed + int64(i), Scheduler: sched})
+		tb := Build(Options{Seed: seed + int64(i)})
 		if err := tb.StartSTTCP(period, nil); err != nil {
 			return sample{}, err
 		}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/sttcp"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -134,19 +133,14 @@ func (s Scenario) ExpectNonFT() bool {
 // data flowing both ways, the failure is injected two seconds in, and the
 // run continues until the workload finishes or times out.
 func RunScenario(seed int64, sc Scenario) (ScenarioResult, error) {
-	return RunScenarioWith(seed, sc, sim.SchedulerDefault)
+	return RunScenarioOpts(seed, sc, 0)
 }
 
-// RunScenarioWith is RunScenario on an explicit scheduler kind.
-func RunScenarioWith(seed int64, sc Scenario, sched sim.SchedulerKind) (ScenarioResult, error) {
-	return RunScenarioOpts(seed, sc, sched, 0)
-}
-
-// RunScenarioOpts is RunScenarioWith with telemetry sampling at telWindow
+// RunScenarioOpts is RunScenario with telemetry sampling at telWindow
 // (0 disables it).
-func RunScenarioOpts(seed int64, sc Scenario, sched sim.SchedulerKind, telWindow time.Duration) (ScenarioResult, error) {
+func RunScenarioOpts(seed int64, sc Scenario, telWindow time.Duration) (ScenarioResult, error) {
 	out := ScenarioResult{Scenario: sc}
-	tb := Build(Options{Seed: seed, Scheduler: sched, TelemetryWindow: telWindow})
+	tb := Build(Options{Seed: seed, TelemetryWindow: telWindow})
 	err := tb.StartSTTCP(0, func(c *sttcp.Config) {
 		c.MaxDelayFIN = 15 * time.Second
 	})

@@ -53,15 +53,10 @@ var ReverseGroup = eth.MakeMulticastAddr(0x200)
 type Options struct {
 	// Seed drives all randomness in the run.
 	Seed int64
-	// Scheduler selects the simulator's event-queue implementation
-	// (sim.SchedulerDefault resolves to the heap). Every run is
-	// byte-identical across kinds; the choice only affects wall-clock
-	// speed.
-	Scheduler sim.SchedulerKind
 	// CustomScheduler, when non-nil, supplies the simulator's event queue
-	// directly (it must be fresh — one factory call builds one testbed).
-	// The exhaustive-interleaving explorer injects its tie-break-forking
-	// wrapper here; Scheduler then only names the wrapped kind.
+	// in place of the heap (it must be fresh — one factory call builds one
+	// testbed). The exhaustive-interleaving explorer injects its
+	// tie-break-forking wrapper here.
 	CustomScheduler func() sim.Scheduler
 	// LAN overrides the 100 Mbit/s default link configuration.
 	LAN *netem.LinkConfig
@@ -138,7 +133,7 @@ type Testbed struct {
 
 // Build constructs the testbed of Figure 2.
 func Build(opts Options) *Testbed {
-	cfg := sim.Config{Seed: opts.Seed, Scheduler: opts.Scheduler}
+	cfg := sim.Config{Seed: opts.Seed}
 	if opts.CustomScheduler != nil {
 		cfg.Custom = opts.CustomScheduler()
 	}
@@ -166,10 +161,6 @@ func Build(opts Options) *Testbed {
 			TCP:     opts.TCP,
 			Tracer:  tracer,
 			Metrics: reg,
-			// The simulator's own resolved kind, not opts.Scheduler: with a
-			// custom (wrapper) queue injected the two can differ, and the
-			// cluster's coherence check compares against the simulator.
-			Scheduler: s.SchedulerKind(),
 		})
 	}
 	tb.Client = host("client", 1, ClientAddr)

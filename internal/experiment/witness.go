@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/sim"
 	"repro/internal/sttcp"
 	"repro/internal/trace"
 )
@@ -23,8 +22,8 @@ type WitnessResult struct {
 // takes to resolve, with or without the witness replica's majority vote
 // (§4.2.2). It returns the time from injection to the takeover. Reached
 // through the "witness" registry demo.
-func runWitnessConflict(seed int64, withWitness bool, sched sim.SchedulerKind) (time.Duration, error) {
-	tb := Build(Options{Seed: seed, WithWitness: withWitness, Scheduler: sched})
+func runWitnessConflict(seed int64, withWitness bool) (time.Duration, error) {
+	tb := Build(Options{Seed: seed, WithWitness: withWitness})
 	err := tb.StartSTTCP(0, func(c *sttcp.Config) {
 		c.MaxDelayFIN = 15 * time.Second
 	})

@@ -35,7 +35,6 @@ func init() {
 			// truncated frontier. Wider windows are the CLI's business.
 			r, err := Explore(Config{
 				Seed:           p.Seed,
-				Scheduler:      p.Scheduler,
 				Workers:        p.Workers,
 				FaultSpan:      4 * time.Millisecond,
 				Grace:          10 * time.Millisecond,

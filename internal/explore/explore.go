@@ -20,9 +20,6 @@ import (
 type Config struct {
 	// Seed drives the testbed simulation of every run.
 	Seed int64
-	// Scheduler is the inner event-queue kind the forking wrapper
-	// decorates (default resolves to the heap).
-	Scheduler sim.SchedulerKind
 
 	// Rounds and MsgSize parameterise the echo workload (defaults 300
 	// rounds of 512 B — long enough that the client is mid-workload
@@ -179,7 +176,11 @@ type runOut struct {
 }
 
 type explorer struct {
-	cfg      Config
+	cfg Config
+	// inner builds the queue each run's forking wrapper decorates: the
+	// heap, except where the in-package tests substitute the calendar
+	// queue to reach its seeded-bug hook.
+	inner    func() sim.Scheduler
 	winLo    int64 // fault window start, ns
 	winHi    int64 // fault window end, ns
 	choiceHi int64 // forking window end (winHi + grace), ns
@@ -189,10 +190,13 @@ type explorer struct {
 // Explore runs the systematic exploration and returns its results. The
 // whole exploration is deterministic in Config (Stop aside): the same
 // inputs enumerate the same interleavings in the same order.
-func Explore(cfg Config) (*Result, error) {
+func Explore(cfg Config) (*Result, error) { return explore(cfg, heapQueue) }
+
+func explore(cfg Config, inner func() sim.Scheduler) (*Result, error) {
 	cfg = cfg.withDefaults()
 	e := &explorer{
 		cfg:      cfg,
+		inner:    inner,
 		winLo:    cfg.FaultAt.Nanoseconds(),
 		winHi:    (cfg.FaultAt + cfg.FaultSpan).Nanoseconds(),
 		choiceHi: (cfg.FaultAt + cfg.FaultSpan + cfg.Grace).Nanoseconds(),
@@ -373,10 +377,9 @@ func (e *explorer) recordViolation(res *Result, sc chaos.Schedule, prefix []int,
 func (e *explorer) execute(sc chaos.Schedule, prefix []int) (*runOut, error) {
 	var sched *Scheduler
 	res, err := chaos.Run(sc, chaos.Options{
-		Scheduler:   e.cfg.Scheduler,
 		TraceDetail: true,
 		CustomScheduler: func() sim.Scheduler {
-			sched = NewScheduler(e.cfg.Scheduler, prefix)
+			sched = NewScheduler(e.inner(), prefix)
 			sched.ForkWindow(e.winLo, e.choiceHi)
 			sched.RecordBoundaries(e.winLo, e.winHi)
 			return sched

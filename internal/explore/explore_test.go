@@ -4,17 +4,14 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // smallWindow is a configuration whose interleaving space closes in
 // about a second of wall clock: one connection, one crash kind, a 4 ms
 // fault window, and a 10 ms forking grace.
-func smallWindow(kind sim.SchedulerKind) Config {
+func smallWindow() Config {
 	return Config{
 		Seed:           7,
-		Scheduler:      kind,
 		FaultSpan:      4 * time.Millisecond,
 		Grace:          10 * time.Millisecond,
 		MaxFaultPoints: 2,
@@ -25,7 +22,7 @@ func smallWindow(kind sim.SchedulerKind) Config {
 // 1-connection takeover window fully closes — the frontier drains with
 // zero truncations — and every interleaving satisfies every invariant.
 func TestExploreClosesSmallWindow(t *testing.T) {
-	res, err := Explore(smallWindow(sim.SchedulerHeap))
+	res, err := Explore(smallWindow())
 	if err != nil {
 		t.Fatalf("explore: %v", err)
 	}
@@ -51,15 +48,15 @@ func TestExploreClosesSmallWindow(t *testing.T) {
 // identical result — counters, boundaries, closure verdict, everything.
 // Workers changes the replay parallelism and must not change any of it.
 func TestExploreDeterministic(t *testing.T) {
-	a, err := Explore(smallWindow(sim.SchedulerHeap))
+	a, err := Explore(smallWindow())
 	if err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	b, err := Explore(smallWindow(sim.SchedulerHeap))
+	b, err := Explore(smallWindow())
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}
-	serial := smallWindow(sim.SchedulerHeap)
+	serial := smallWindow()
 	serial.Workers = 1
 	c, err := Explore(serial)
 	if err != nil {
@@ -76,7 +73,7 @@ func TestExploreDeterministic(t *testing.T) {
 // TestExploreStop verifies the wall-clock escape hatch: a Stop that trips
 // immediately abandons the frontier and reports the window as not closed.
 func TestExploreStop(t *testing.T) {
-	cfg := smallWindow(sim.SchedulerHeap)
+	cfg := smallWindow()
 	cfg.Stop = func() bool { return true }
 	res, err := Explore(cfg)
 	if err != nil {

@@ -27,7 +27,7 @@ func runPlan(kind sim.SchedulerKind, bare bool, ops []byte, forced []int) planOu
 	var sched *Scheduler
 	cfg := sim.Config{Seed: 1, Scheduler: kind}
 	if !bare {
-		sched = NewScheduler(kind, forced)
+		sched = NewScheduler(sim.NewScheduler(kind), forced)
 		cfg.Custom = sched
 	}
 	s := sim.NewWithConfig(cfg)

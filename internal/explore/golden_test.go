@@ -12,6 +12,10 @@ import (
 	"repro/internal/sim"
 )
 
+// calendarQueue is the inner queue of the seeded-bug fixture: the rewind
+// hook lives in the calendar queue, which no production run reaches.
+func calendarQueue() sim.Scheduler { return sim.NewScheduler(sim.SchedulerCalendar) }
+
 var updateGolden = flag.Bool("update", false, "rewrite the golden minimal-schedule file from the current run")
 
 // TestGoldenSeededRewindBug reintroduces the calendar queue's historical
@@ -29,8 +33,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden minimal-schedu
 func TestGoldenSeededRewindBug(t *testing.T) {
 	defer sim.SetRewindStrandBugForTest(sim.SetRewindStrandBugForTest(true))
 
-	cfg := smallWindow(sim.SchedulerCalendar)
-	res, err := Explore(cfg)
+	cfg := smallWindow()
+	res, err := explore(cfg, calendarQueue)
 	if err != nil {
 		t.Fatalf("explore: %v", err)
 	}
@@ -59,7 +63,7 @@ func TestGoldenSeededRewindBug(t *testing.T) {
 
 	// The shrink must also be stable: a second exploration lands on the
 	// byte-identical minimal reproduction.
-	again, err := Explore(cfg)
+	again, err := explore(cfg, calendarQueue)
 	if err != nil {
 		t.Fatalf("second explore: %v", err)
 	}
@@ -99,7 +103,7 @@ func renderViolation(v ViolationRun) string {
 func TestSeededBugInvisibleWithoutAudit(t *testing.T) {
 	defer sim.SetRewindStrandBugForTest(sim.SetRewindStrandBugForTest(true))
 
-	res, err := Explore(smallWindow(sim.SchedulerCalendar))
+	res, err := explore(smallWindow(), calendarQueue)
 	if err != nil {
 		t.Fatalf("explore: %v", err)
 	}
@@ -120,7 +124,7 @@ func TestSeededBugInvisibleWithoutAudit(t *testing.T) {
 // with the hook off, the identical calendar-scheduler exploration closes
 // with zero violations.
 func TestGoldenBugOffStillCloses(t *testing.T) {
-	res, err := Explore(smallWindow(sim.SchedulerCalendar))
+	res, err := explore(smallWindow(), calendarQueue)
 	if err != nil {
 		t.Fatalf("explore: %v", err)
 	}

@@ -89,14 +89,21 @@ type Scheduler struct {
 	group []*sim.Event // gather scratch
 }
 
-// NewScheduler wraps a fresh inner queue of kind k. forced is the choice
-// prefix: the i-th recorded multi-way tie group pops the member at index
-// forced[i] (reduced modulo the group size, so any int sequence is a
-// valid input — the fuzz target leans on that); groups beyond the
-// prefix pop in canonical (when, seq) order.
-func NewScheduler(k sim.SchedulerKind, forced []int) *Scheduler {
-	return &Scheduler{inner: sim.NewScheduler(k), forced: forced}
+// NewScheduler decorates inner, which must be fresh and empty; nil means
+// the heap every run uses. forced is the choice prefix: the i-th recorded
+// multi-way tie group pops the member at index forced[i] (reduced modulo
+// the group size, so any int sequence is a valid input — the fuzz target
+// leans on that); groups beyond the prefix pop in canonical (when, seq)
+// order.
+func NewScheduler(inner sim.Scheduler, forced []int) *Scheduler {
+	if inner == nil {
+		inner = heapQueue()
+	}
+	return &Scheduler{inner: inner, forced: forced}
 }
+
+// heapQueue builds the inner queue of every production exploration.
+func heapQueue() sim.Scheduler { return sim.NewScheduler(sim.SchedulerHeap) }
 
 // ForkWindow restricts choice recording (and forced-prefix consumption)
 // to tie groups whose virtual time falls in [loNS, hiNS); groups outside
@@ -128,8 +135,7 @@ func (x *Scheduler) Boundaries() []int64 { return x.boundaries }
 // any; the explorer turns each into an invariant violation.
 func (x *Scheduler) OrderViolations() []string { return x.orderErrs }
 
-// Kind reports the inner queue's kind, so the wrapper is transparent to
-// the cluster's scheduler-coherence check.
+// Kind reports the inner queue's kind (sim.Scheduler requires it).
 func (x *Scheduler) Kind() sim.SchedulerKind { return x.inner.Kind() }
 
 // Len counts the inner queue plus the decided head, if any.

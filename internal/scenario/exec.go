@@ -70,10 +70,6 @@ type RunOptions struct {
 	// spans, for runs whose trace will be exported (sttcp-lab's
 	// -trace-out/-timeline flags set it).
 	TraceDetail bool
-	// Scheduler selects the simulator's event-queue implementation
-	// (sttcp-lab's -scheduler flag sets it). Scripts run byte-identically
-	// under either kind, so golden outputs never depend on it.
-	Scheduler sim.SchedulerKind
 	// TelemetryWindow, when > 0, samples every metric into windowed time
 	// series at this period; the timeline lands in Result.Report.
 	TelemetryWindow time.Duration
@@ -85,8 +81,7 @@ func Run(sc *Script) (*Result, error) { return RunWith(sc, RunOptions{}) }
 // RunWith is Run with execution options.
 func RunWith(sc *Script, ro RunOptions) (*Result, error) {
 	// Pass 1: options and workload-kind validation.
-	opts := experiment.Options{Seed: 42, TraceDetail: ro.TraceDetail, Scheduler: ro.Scheduler,
-		TelemetryWindow: ro.TelemetryWindow}
+	opts := experiment.Options{Seed: 42, TraceDetail: ro.TraceDetail, TelemetryWindow: ro.TelemetryWindow}
 	hb := time.Duration(0)
 	maxDelayFIN := time.Duration(0)
 	suspicion := false
@@ -178,7 +173,6 @@ func RunWith(sc *Script, ro RunOptions) (*Result, error) {
 		Version:    telemetry.ReportVersion,
 		Demo:       "scenario",
 		Seed:       opts.Seed,
-		Scheduler:  ro.Scheduler.Resolve().String(),
 		FinishedAt: snap.At,
 		Metrics:    snap,
 		Telemetry:  tb.Telemetry.Timeline(),

@@ -1,10 +1,10 @@
 package sim
 
-import "fmt"
-
 // SchedulerKind selects the event-queue implementation backing a
-// Simulator. The zero value picks the default (the binary heap), so a
-// zero Config keeps today's behaviour.
+// Simulator. The zero value picks the default (the binary heap). Nothing
+// above this package selects a kind: every run uses the heap, and the
+// enum survives only for the benchmark's hold-model drivers and the
+// differential tests here (see DESIGN.md "Scheduler architecture").
 type SchedulerKind uint8
 
 const (
@@ -29,7 +29,7 @@ func (k SchedulerKind) Resolve() SchedulerKind {
 	return k
 }
 
-// String returns the command-line spelling of the kind.
+// String names the kind.
 func (k SchedulerKind) String() string {
 	switch k.Resolve() {
 	case SchedulerCalendar:
@@ -37,30 +37,6 @@ func (k SchedulerKind) String() string {
 	default:
 		return "heap"
 	}
-}
-
-// Set parses a command-line spelling, implementing flag.Value so CLIs can
-// register -scheduler with flag.Var.
-func (k *SchedulerKind) Set(s string) error {
-	got, err := ParseSchedulerKind(s)
-	if err != nil {
-		return err
-	}
-	*k = got
-	return nil
-}
-
-// ParseSchedulerKind parses the command-line spelling of a scheduler kind.
-func ParseSchedulerKind(s string) (SchedulerKind, error) {
-	switch s {
-	case "", "default":
-		return SchedulerDefault, nil
-	case "heap":
-		return SchedulerHeap, nil
-	case "calendar":
-		return SchedulerCalendar, nil
-	}
-	return SchedulerDefault, fmt.Errorf("sim: unknown scheduler kind %q (want heap or calendar)", s)
 }
 
 // Config configures a Simulator. The zero value is valid: seed 0 and the

@@ -88,8 +88,8 @@ func TestSchedulerDifferential(t *testing.T) {
 		traces := make(map[SchedulerKind][]string)
 		for _, kind := range schedulerKinds {
 			s := NewWithConfig(Config{Seed: seed, Scheduler: kind})
-			if got := s.SchedulerKind(); got != kind {
-				t.Fatalf("seed %d: SchedulerKind() = %v, want %v", seed, got, kind)
+			if got := s.sched.Kind(); got != kind {
+				t.Fatalf("seed %d: scheduler Kind() = %v, want %v", seed, got, kind)
 			}
 			traces[kind] = runWorkload(s, 200*time.Millisecond)
 		}
@@ -367,36 +367,5 @@ func TestHeapSteadyStateAllocs(t *testing.T) {
 func TestCalendarSteadyStateAllocs(t *testing.T) {
 	if allocs := steadyStateAllocs(t, SchedulerCalendar); allocs != 0 {
 		t.Fatalf("calendar steady state allocates %v per run, want 0", allocs)
-	}
-}
-
-// TestParseSchedulerKind pins the command-line surface.
-func TestParseSchedulerKind(t *testing.T) {
-	cases := []struct {
-		in   string
-		want SchedulerKind
-		ok   bool
-	}{
-		{"", SchedulerDefault, true},
-		{"default", SchedulerDefault, true},
-		{"heap", SchedulerHeap, true},
-		{"calendar", SchedulerCalendar, true},
-		{"ladder", SchedulerDefault, false},
-	}
-	for _, c := range cases {
-		got, err := ParseSchedulerKind(c.in)
-		if (err == nil) != c.ok || got != c.want {
-			t.Errorf("ParseSchedulerKind(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
-		}
-	}
-	var k SchedulerKind
-	if err := k.Set("calendar"); err != nil || k != SchedulerCalendar {
-		t.Errorf("Set(calendar) = %v, kind %v", err, k)
-	}
-	if k.String() != "calendar" {
-		t.Errorf("String() = %q, want calendar", k.String())
-	}
-	if SchedulerDefault.String() != "heap" {
-		t.Errorf("default String() = %q, want heap", SchedulerDefault.String())
 	}
 }

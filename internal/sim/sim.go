@@ -7,10 +7,9 @@
 // bit-for-bit. No component inside a simulation may use the real clock or
 // spawn goroutines.
 //
-// Event storage is pluggable: the Scheduler interface has a reference
-// binary-heap implementation and a calendar queue tuned for timer-heavy
-// workloads, selected by Config.Scheduler. Both yield the exact same event
-// order for the same run (see DESIGN.md "Scheduler architecture").
+// Events wait in a binary heap behind the Scheduler interface; Config.Custom
+// is the seam through which the interleaving explorer and the benchmark
+// decorate it (see DESIGN.md "Scheduler architecture").
 package sim
 
 import (
@@ -112,10 +111,6 @@ func NewWithConfig(cfg Config) *Simulator {
 		sched: sched,
 	}
 }
-
-// SchedulerKind reports which event-queue implementation this simulator
-// runs (never SchedulerDefault — the default is resolved at construction).
-func (s *Simulator) SchedulerKind() SchedulerKind { return s.sched.Kind() }
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() time.Time { return s.now }

@@ -86,14 +86,7 @@ func Run[T any](workers int, seeds []int64, job func(seed int64) (T, error)) ([]
 // seeds. The simulator is sealed to the job — it must not be retained
 // past the job's return.
 func RunSim[T any](workers int, seeds []int64, job func(s *sim.Simulator, seed int64) (T, error)) ([]T, error) {
-	return RunSimKind(workers, seeds, sim.SchedulerDefault, job)
-}
-
-// RunSimKind is RunSim with an explicit event-queue selection for every
-// job's simulator. Results are identical for every kind; the sweep merge
-// order depends only on the input seed order either way.
-func RunSimKind[T any](workers int, seeds []int64, kind sim.SchedulerKind, job func(s *sim.Simulator, seed int64) (T, error)) ([]T, error) {
 	return Run(workers, seeds, func(seed int64) (T, error) {
-		return job(sim.NewWithConfig(sim.Config{Seed: seed, Scheduler: kind}), seed)
+		return job(sim.New(seed), seed)
 	})
 }

@@ -69,16 +69,18 @@ func (d *Diff) note(format string, args ...any) {
 //
 //  1. windowed latency series (".p50"/".p99"/".max" suffixes): the
 //     candidate's peak and mean may not exceed the baseline's by more
-//     than the tolerance (plus absolute slack);
+//     than the tolerance (plus absolute slack), and a series — or the
+//     whole timeline — the baseline has may not be missing from the
+//     candidate, or a change that stops producing the evidence would
+//     diff clean;
 //  2. failover anatomy: each phase of each failover may not grow past
 //     tolerance+slack, and the failover count may not increase;
 //  3. chaos invariants: a violation in the candidate that the baseline
 //     did not have fails outright.
 //
-// Everything else — counter deltas, bench figures, config drift — is
-// reported as notes only, because it is either machine-dependent or an
-// expected consequence of the comparison (e.g. heap vs calendar
-// scheduler runs legitimately differ in scheduler name).
+// Everything else — counter deltas, config drift — is reported as notes
+// only, because it is an expected consequence of comparing two different
+// runs.
 func DiffReports(base, cand *Report, opts DiffOptions) *Diff {
 	o := opts.withDefaults()
 	d := &Diff{}
@@ -88,9 +90,6 @@ func DiffReports(base, cand *Report, opts DiffOptions) *Diff {
 	}
 	if base.Seed != cand.Seed {
 		d.note("seed differs: %d vs %d", base.Seed, cand.Seed)
-	}
-	if base.Scheduler != cand.Scheduler {
-		d.note("scheduler differs: %q vs %q", base.Scheduler, cand.Scheduler)
 	}
 
 	d.diffLatencySeries(base.Telemetry, cand.Telemetry, o)
@@ -110,10 +109,14 @@ func isLatencySeries(name string) bool {
 }
 
 func (d *Diff) diffLatencySeries(base, cand *Timeline, o DiffOptions) {
-	if base == nil || cand == nil {
-		if (base == nil) != (cand == nil) {
-			d.note("telemetry timeline present in only one report")
+	if base == nil {
+		if cand != nil {
+			d.note("telemetry timeline present only in candidate")
 		}
+		return
+	}
+	if cand == nil {
+		d.regress("telemetry timeline missing from candidate")
 		return
 	}
 	slack := o.LatencySlack.Seconds()
@@ -123,7 +126,7 @@ func (d *Diff) diffLatencySeries(base, cand *Timeline, o DiffOptions) {
 		}
 		cs := cand.Find(bs.Name)
 		if cs == nil {
-			d.note("series %s missing from candidate", bs.Name)
+			d.regress("latency series %s missing from candidate", bs.Name)
 			continue
 		}
 		bPeak, _ := bs.Max()

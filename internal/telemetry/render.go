@@ -83,9 +83,6 @@ func RenderDashboard(w io.Writer, r *Report, opts RenderOptions) error {
 		fmt.Fprintf(&b, "  demo=%s", r.Demo)
 	}
 	fmt.Fprintf(&b, "  seed=%d", r.Seed)
-	if r.Scheduler != "" {
-		fmt.Fprintf(&b, "  scheduler=%s", r.Scheduler)
-	}
 	b.WriteByte('\n')
 	if len(r.Params) > 0 {
 		b.WriteString("params:")
@@ -149,13 +146,6 @@ func RenderDashboard(w io.Writer, r *Report, opts RenderOptions) error {
 				verdict = fmt.Sprintf("VIOLATED (%d)", len(iv.Violations))
 			}
 			fmt.Fprintf(&b, "  %-28s %s\n", iv.Name, verdict)
-		}
-	}
-
-	if len(r.Bench) > 0 {
-		b.WriteString("\nbench:\n")
-		for _, bp := range r.Bench {
-			fmt.Fprintf(&b, "  %-40s %.0f ns/op\n", bp.Name, bp.NsPerOp)
 		}
 	}
 

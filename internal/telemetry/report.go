@@ -28,10 +28,9 @@ type Report struct {
 	Version int `json:"version"`
 
 	// Run identity: which demo/scenario, under what knobs.
-	Demo      string            `json:"demo,omitempty"`
-	Seed      int64             `json:"seed"`
-	Scheduler string            `json:"scheduler,omitempty"`
-	Params    map[string]string `json:"params,omitempty"`
+	Demo   string            `json:"demo,omitempty"`
+	Seed   int64             `json:"seed"`
+	Params map[string]string `json:"params,omitempty"`
 
 	// FinishedAt is the virtual instant the run ended.
 	FinishedAt time.Time `json:"finished_at"`
@@ -40,7 +39,6 @@ type Report struct {
 	Telemetry *Timeline         `json:"telemetry,omitempty"`
 	Anatomy   []Phases          `json:"anatomy,omitempty"`
 	Chaos     *ChaosReport      `json:"chaos,omitempty"`
-	Bench     []BenchPoint      `json:"bench,omitempty"`
 }
 
 // Phases is the plain-typed mirror of trace.FailoverAnatomy: one
@@ -110,15 +108,6 @@ func (c *ChaosReport) Violated() bool {
 		}
 	}
 	return false
-}
-
-// BenchPoint is one benchmark figure carried along in the report. Bench
-// numbers are wall-clock and machine-dependent, so DiffReports treats
-// them as informational only.
-type BenchPoint struct {
-	Name         string  `json:"name"`
-	NsPerOp      float64 `json:"ns_per_op,omitempty"`
-	EventsPerSec float64 `json:"events_per_sec,omitempty"`
 }
 
 // Write serializes the report as indented JSON.

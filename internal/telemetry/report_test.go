@@ -16,7 +16,6 @@ func sampleReport() *Report {
 		Version:    ReportVersion,
 		Demo:       "demo2",
 		Seed:       42,
-		Scheduler:  "heap",
 		Params:     map[string]string{"hb": "200ms"},
 		FinishedAt: sim.Epoch.Add(10 * time.Second),
 		Telemetry: &Timeline{
@@ -92,19 +91,19 @@ func TestPhasesFromAnatomy(t *testing.T) {
 
 func TestDiffGenuinePairIsClean(t *testing.T) {
 	base, cand := sampleReport(), sampleReport()
-	cand.Scheduler = "calendar" // the legitimate scheduler-compare case
+	cand.Demo = "demo2-rerun" // config drift is a note, not a regression
 	d := DiffReports(base, cand, DiffOptions{})
 	if !d.Ok() {
 		t.Fatalf("identical virtual runs must diff clean, got %v", d.Regressions)
 	}
 	found := false
 	for _, n := range d.Notes {
-		if strings.Contains(n, "scheduler differs") {
+		if strings.Contains(n, "demo differs") {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("scheduler difference should be noted informationally")
+		t.Error("demo difference should be noted informationally")
 	}
 }
 
@@ -186,7 +185,7 @@ func TestRenderDashboardGolden(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"demo=demo2", "seed=42", "scheduler=heap",
+		"demo=demo2", "seed=42",
 		"telemetry: 4 windows x 100ms",
 		"client.response_latency.p99",
 		"failover anatomy:",
