@@ -27,8 +27,13 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
+# One iteration of every go-test benchmark: the paper's experiments at the
+# root and the in-package micro-benchmarks of the layers a download's host
+# time is spent in. A smoke (CI runs it) — they must keep compiling and
+# running; for figures use a real -benchtime, and `go run ./benchmark` for
+# the repository's benchmark.
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
+	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/tcp ./internal/app ./internal/sttcp
 
 # Cross-run regression observatory gate: run the 50-connection scale
 # failover with telemetry sampling, render its dashboard, and diff the

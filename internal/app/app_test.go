@@ -1,6 +1,7 @@
 package app
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -27,6 +28,11 @@ type fixture struct {
 }
 
 func newFixture(t *testing.T, seed int64) *fixture {
+	return newFixtureOpts(t, seed, tcp.Options{})
+}
+
+// newFixtureOpts is newFixture with the server stack's options given.
+func newFixtureOpts(t *testing.T, seed int64, serverOpts tcp.Options) *fixture {
 	t.Helper()
 	s := sim.New(seed)
 	tracer := trace.NewRecorder(s.Now)
@@ -41,7 +47,7 @@ func newFixture(t *testing.T, seed int64) *fixture {
 	return &fixture{
 		sim:    s,
 		client: tcp.NewStack(s, nsC, "client", tcp.Options{}, tracer, nil),
-		server: tcp.NewStack(s, nsS, "server", tcp.Options{}, tracer, nil),
+		server: tcp.NewStack(s, nsS, "server", serverOpts, tracer, nil),
 		tracer: tracer,
 	}
 }
@@ -66,7 +72,11 @@ func TestPatternDeterministicAndVerifiable(t *testing.T) {
 }
 
 // TestPatternSplitProperty: the pattern is position-determined, so any
-// split of the stream fills identically.
+// split of the stream fills identically, and the table spans FillPattern
+// copies and VerifyPattern compares agree with PatternByte byte for byte
+// at every phase of the 256-byte period — for offsets far beyond 2^40 and
+// across the int64 sign bit, and for lengths that are not multiples of the
+// period.
 func TestPatternSplitProperty(t *testing.T) {
 	fn := func(off int64, split uint8, n uint8) bool {
 		size := int(n) + 1
@@ -81,6 +91,30 @@ func TestPatternSplitProperty(t *testing.T) {
 	}
 	if err := quick.Check(fn, nil); err != nil {
 		t.Fatal(err)
+	}
+
+	offsets := []int64{0, 1, 255, 256, 1 << 40, 1<<40 + 255, 1<<53 + 1, 1<<62 + 12345, math.MaxInt64 - 20_000, -1, math.MinInt64}
+	lengths := []int{1, 255, 257, 1460, 16<<10 + 3}
+	for _, off := range offsets {
+		for _, n := range lengths {
+			p := make([]byte, n)
+			FillPattern(off, p)
+			for i := range p {
+				if want := PatternByte(off + int64(i)); p[i] != want {
+					t.Fatalf("FillPattern(%d, %d bytes)[%d] = %#x, PatternByte = %#x", off, n, i, p[i], want)
+				}
+			}
+			if i := VerifyPattern(off, p); i != -1 {
+				t.Fatalf("VerifyPattern(%d, %d bytes) = %d on its own fill", off, n, i)
+			}
+			// The first wrong byte is reported, wherever in a span it is.
+			for _, bad := range []int{n - 1, n / 2, 0} {
+				p[bad]++
+				if i := VerifyPattern(off, p); i != bad {
+					t.Fatalf("VerifyPattern(%d, %d bytes) = %d with byte %d wrong", off, n, i, bad)
+				}
+			}
+		}
 	}
 }
 
@@ -291,5 +325,27 @@ func TestMaxGapComputation(t *testing.T) {
 	g, ok := cl.GapAfter(base.Add(250 * time.Millisecond))
 	if !ok || g != time.Second {
 		t.Fatalf("GapAfter = %v, %v", g, ok)
+	}
+}
+
+// BenchmarkFillPattern and BenchmarkVerifyPattern time one full segment's
+// worth of the pattern: the per-byte cost the server's pump and the
+// client's check add to every segment of a download.
+func BenchmarkFillPattern(b *testing.B) {
+	p := make([]byte, tcp.DefaultMSS)
+	b.SetBytes(int64(len(p)))
+	for i := 0; i < b.N; i++ {
+		FillPattern(int64(i)*int64(len(p)), p)
+	}
+}
+
+func BenchmarkVerifyPattern(b *testing.B) {
+	p := make([]byte, tcp.DefaultMSS)
+	FillPattern(1<<40, p)
+	b.SetBytes(int64(len(p)))
+	for i := 0; i < b.N; i++ {
+		if VerifyPattern(1<<40, p) != -1 {
+			b.Fatal("pattern does not verify")
+		}
 	}
 }

@@ -33,6 +33,9 @@ type DataServer struct {
 
 	crashedSilent bool
 	conns         map[*tcp.Conn]*serveState
+	// chunk is the one scratch area every pump fills and writes from;
+	// Write copies out of it before returning.
+	chunk []byte
 
 	// cpu models scheduler starvation (SetCPU), as on EchoServer.
 	cpu *sim.Clock
@@ -179,22 +182,18 @@ func (s *DataServer) readable(c *tcp.Conn, st *serveState) {
 	}
 }
 
+// writable pumps response bytes until the send buffer is full or the
+// response is complete.
 func (s *DataServer) writable(c *tcp.Conn, st *serveState) {
 	if s.crashedSilent || !st.started {
 		return
 	}
-	chunkSize := s.MaxChunk
-	if chunkSize <= 0 {
-		chunkSize = 16 << 10
-	}
-	chunk := make([]byte, chunkSize)
 	for st.remain > 0 {
-		n := int64(len(chunk))
-		if n > st.remain {
-			n = st.remain
+		chunk := s.fill(st, c.WriteSpace())
+		if len(chunk) == 0 {
+			return
 		}
-		FillPattern(st.writeOff, chunk[:n])
-		written, err := c.Write(chunk[:n])
+		written, err := c.Write(chunk)
 		if err != nil || written == 0 {
 			return
 		}
@@ -206,6 +205,26 @@ func (s *DataServer) writable(c *tcp.Conn, st *serveState) {
 		st.started = false // single-shot service
 		_ = c.Close()
 	}
+}
+
+// fill generates the next bytes of st's response in the server's scratch
+// chunk: min(MaxChunk, remaining, space) of them, space being what the
+// connection will accept. Offering only that much means no byte is
+// generated twice, and Write accepts exactly what it would have accepted
+// of a full chunk.
+//
+//sttcp:hotpath
+func (s *DataServer) fill(st *serveState, space int) []byte {
+	chunkSize := s.MaxChunk
+	if chunkSize <= 0 {
+		chunkSize = 16 << 10
+	}
+	if len(s.chunk) != chunkSize {
+		s.chunk = make([]byte, chunkSize)
+	}
+	n := min(int64(chunkSize), int64(space), st.remain)
+	FillPattern(st.writeOff, s.chunk[:n])
+	return s.chunk[:n]
 }
 
 // parseRequest parses "GET <nbytes>" or the resuming form

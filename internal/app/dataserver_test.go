@@ -1,0 +1,222 @@
+package app
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/tcp"
+)
+
+// pumpSample is the server connection's write position after one
+// application callback, with the virtual instant it ran at.
+type pumpSample struct {
+	at      time.Time
+	written int64
+}
+
+// offerWholeChunks is the pump DataServer had before it filled only what
+// fits: every Write offers a whole maxChunk (or all that remains) and the
+// connection clips it. It is the reference the fill-what-fits pump must be
+// indistinguishable from, seen from the connection.
+func offerWholeChunks(c *tcp.Conn, maxChunk int, off, remain *int64) {
+	chunk := make([]byte, maxChunk)
+	for *remain > 0 {
+		n := min(int64(len(chunk)), *remain)
+		FillPattern(*off, chunk[:n])
+		written, err := c.Write(chunk[:n])
+		if err != nil || written == 0 {
+			return
+		}
+		*off += int64(written)
+		*remain -= int64(written)
+	}
+}
+
+// servePumps downloads size bytes from a server whose send buffer holds
+// sendBuf bytes and returns LastAppByteWritten after every callback on the
+// server's connection. accept installs the server application on the
+// connection and returns nothing: it is DataServer.Accept or the reference.
+func servePumps(t *testing.T, sendBuf int, size int64, accept func(*tcp.Conn)) []pumpSample {
+	t.Helper()
+	f := newFixtureOpts(t, 11, tcp.Options{SendBufferSize: sendBuf})
+	l, err := f.server.Listen(addrServer, 80)
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	var samples []pumpSample
+	l.OnEstablished = func(c *tcp.Conn) {
+		accept(c)
+		note := func() { samples = append(samples, pumpSample{f.sim.Now(), c.LastAppByteWritten()}) }
+		note()
+		readable, writable := c.OnReadable, c.OnWritable
+		c.OnReadable = func() { readable(); note() }
+		c.OnWritable = func() { writable(); note() }
+	}
+	cl := NewStreamClient(ClientConfig{
+		Name: "client/app", Stack: f.client,
+		Service: addrServer, Port: 80,
+		Request: size, Tracer: f.tracer,
+	})
+	if err := cl.Start(); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	_ = f.sim.Run(time.Minute)
+	if !cl.Done || cl.Err != nil || cl.Received != size || cl.VerifyFailures != 0 {
+		t.Fatalf("client: done=%v err=%v received=%d of %d, %d verify failures",
+			cl.Done, cl.Err, cl.Received, size, cl.VerifyFailures)
+	}
+	return samples
+}
+
+// TestDataServerPumpMatchesWholeChunkOffers: filling only what the send
+// buffer will take must not change what the connection sees. For a send
+// buffer smaller than, equal to and larger than MaxChunk, and MaxChunk of
+// one byte, one MSS and the 16 KiB default, the write position after every
+// pump — the LastAppByteWritten each heartbeat reports — is at every
+// virtual instant what the whole-chunk pump produced, and the client
+// verifies every byte.
+func TestDataServerPumpMatchesWholeChunkOffers(t *testing.T) {
+	const size = 100_003
+	for _, sendBuf := range []int{4096, 16 << 10, 256 << 10} {
+		for _, maxChunk := range []int{1, 1460, 16 << 10} {
+			t.Run(fmt.Sprintf("buf%d/chunk%d", sendBuf, maxChunk), func(t *testing.T) {
+				srv := NewDataServer("server/app", nil)
+				srv.MaxChunk = maxChunk
+				got := servePumps(t, sendBuf, size, srv.Accept)
+				if srv.BytesServed != size {
+					t.Fatalf("BytesServed = %d, want %d", srv.BytesServed, size)
+				}
+
+				want := servePumps(t, sendBuf, size, func(c *tcp.Conn) {
+					off, remain, started := int64(0), int64(0), false
+					buf := make([]byte, 512)
+					c.OnReadable = func() {
+						for {
+							n, _ := c.Read(buf)
+							if n == 0 {
+								break
+							}
+							if !started {
+								started, remain = true, size
+							}
+						}
+						offerWholeChunks(c, maxChunk, &off, &remain)
+					}
+					c.OnWritable = func() { offerWholeChunks(c, maxChunk, &off, &remain) }
+				})
+
+				if len(got) != len(want) {
+					t.Fatalf("%d pumps, whole-chunk reference %d", len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("pump %d: written %d at %v, reference %d at %v",
+							i, got[i].written, got[i].at, want[i].written, want[i].at)
+					}
+				}
+				if last := got[len(got)-1].written; last != size {
+					t.Fatalf("last write position %d, want %d", last, size)
+				}
+				if len(got) < 3 {
+					t.Fatalf("only %d pumps: the transfer never filled the send buffer", len(got))
+				}
+			})
+		}
+	}
+}
+
+// parkedServer returns a DataServer connection sitting on a full send
+// buffer with most of its response still to write: the client asked for
+// more than the run delivers and reads none of it.
+func parkedServer(t *testing.T) (*DataServer, *tcp.Conn, *serveState) {
+	t.Helper()
+	f := newFixtureOpts(t, 12, tcp.Options{SendBufferSize: 32 << 10})
+	srv := NewDataServer("server/app", nil)
+	l, err := f.server.Listen(addrServer, 80)
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	var conn *tcp.Conn
+	l.OnEstablished = func(c *tcp.Conn) { conn = c; srv.Accept(c) }
+	c, err := f.client.Dial(addrClient, addrServer, 80)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	c.OnEstablished = func() { _, _ = c.Write([]byte(FormatRequest(1 << 30))) }
+	_ = f.sim.Run(2 * time.Second)
+	if conn == nil || conn.WriteSpace() != 0 || srv.BytesServed == 0 {
+		t.Fatalf("set-up: server connection %v not parked on a full send buffer", conn)
+	}
+	return srv, conn, srv.conns[conn]
+}
+
+// TestDataServerPumpDoesNotAllocate is the gate a 16 KiB scratch chunk per
+// pump slipped past: after the first pump has sized the server's scratch
+// area, a pump allocates nothing — neither the wake-up that finds the send
+// buffer still full (most of them, on a window-limited connection) nor the
+// generation of the next bytes when there is room.
+func TestDataServerPumpDoesNotAllocate(t *testing.T) {
+	srv, conn, st := parkedServer(t)
+	if n := testing.AllocsPerRun(1000, func() { srv.writable(conn, st) }); n != 0 {
+		t.Fatalf("pump on a full send buffer allocated %.1f times, want 0", n)
+	}
+	space := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		space = (space + 1460) % (20 << 10)
+		if got := len(srv.fill(st, space)); got != min(space, 16<<10) {
+			t.Fatalf("fill(%d) generated %d bytes", space, got)
+		}
+	}); n != 0 {
+		t.Fatalf("fill allocated %.1f times, want 0", n)
+	}
+}
+
+// TestDataServerDownloadAllocBudget is TestAllocsPerSegmentBudget of
+// internal/tcp with the application in the loop: a whole download through
+// DataServer and StreamClient, after a warm-up one, stays within the
+// per-segment budgets for objects and for bytes. The pump's per-call chunk
+// read 17 KB per segment here while the stack-only test read under 1 KB.
+func TestDataServerDownloadAllocBudget(t *testing.T) {
+	f := newFixture(t, 13)
+	srv := NewDataServer("server/app", nil)
+	l, err := f.server.Listen(addrServer, 80)
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	l.OnEstablished = srv.Accept
+	const size = 2 << 20
+	download := func() {
+		cl := NewStreamClient(ClientConfig{
+			Name: "client/app", Stack: f.client,
+			Service: addrServer, Port: 80, Request: size,
+		})
+		if err := cl.Start(); err != nil {
+			t.Fatalf("start: %v", err)
+		}
+		_ = f.sim.Run(time.Minute)
+		if !cl.Done || cl.Err != nil || cl.VerifyFailures != 0 {
+			t.Fatalf("client: done=%v err=%v verifyFailures=%d", cl.Done, cl.Err, cl.VerifyFailures)
+		}
+	}
+	download() // pools, free lists and the server's scratch chunk reach steady state
+
+	segsBefore := f.client.Emitted + f.server.Emitted
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	download()
+	runtime.ReadMemStats(&after)
+
+	segs := float64(f.client.Emitted + f.server.Emitted - segsBefore)
+	if segs < 1000 {
+		t.Fatalf("only %.0f segments moved; harness broken", segs)
+	}
+	perSeg := float64(after.Mallocs-before.Mallocs) / segs
+	bytesPerSeg := float64(after.TotalAlloc-before.TotalAlloc) / segs
+	t.Logf("%.0f segments, %.2f allocs/segment, %.0f B/segment", segs, perSeg, bytesPerSeg)
+	if perSeg > 6 || bytesPerSeg > 2<<10 {
+		t.Fatalf("download allocates %.2f objects and %.0f B per segment, budget 6 and %d", perSeg, bytesPerSeg, 2<<10)
+	}
+}

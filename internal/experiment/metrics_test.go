@@ -1,9 +1,11 @@
 package experiment
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/app"
 	"repro/internal/trace"
 )
 
@@ -95,5 +97,53 @@ func TestDemoRegistry(t *testing.T) {
 	}
 	if _, ok := DemoByName("nope"); ok {
 		t.Error("DemoByName(nope) unexpectedly found")
+	}
+}
+
+// TestHoldBufferGaugeOnEchoRun pins the hold-buffer occupancy gauge on an
+// echo-shaped run — four connections of 64-byte ping-pong, failure-free, the
+// only shape where clients write payload all run long. The gauge is fed
+// from a running total on the node; the figures are those the walk over
+// every connection's buffer produced before it (same seed, same run), so a
+// missed adjustment shows up as a different high-water mark or a total that
+// does not return to zero.
+func TestHoldBufferGaugeOnEchoRun(t *testing.T) {
+	tb := Build(Options{Seed: 17})
+	if err := tb.StartSTTCP(0, nil); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	pSrv := app.NewEchoServer("primary/app", nil)
+	bSrv := app.NewEchoServer("backup/app", nil)
+	tb.PrimaryNode.OnAccept = pSrv.Accept
+	tb.BackupNode.OnAccept = bSrv.Accept
+	var clients []*app.EchoClient
+	for i := 0; i < 4; i++ {
+		cl := app.NewEchoClient(fmt.Sprintf("client/app%d", i), tb.Client.TCP(), ServiceAddr, ServicePort, 2000, 64, nil)
+		if err := cl.Start(); err != nil {
+			t.Fatalf("client %d: %v", i, err)
+		}
+		clients = append(clients, cl)
+	}
+	if err := tb.Run(time.Minute); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for i, cl := range clients {
+		if !cl.Done || cl.Err != nil || cl.VerifyFailures != 0 {
+			t.Fatalf("client %d: done=%v err=%v rounds=%d", i, cl.Done, cl.Err, cl.RoundsDone)
+		}
+	}
+	var found bool
+	for _, sm := range tb.Metrics.Snapshot().Find("sttcp.holdbuf_bytes") {
+		if sm.Component != "primary/sttcp" {
+			continue
+		}
+		found = true
+		const wantMax, wantLast = 198400, 0
+		if sm.Max != wantMax || sm.Value != wantLast {
+			t.Fatalf("sttcp.holdbuf_bytes max %d last %d, want %d and %d", sm.Max, sm.Value, wantMax, wantLast)
+		}
+	}
+	if !found {
+		t.Fatal("no sttcp.holdbuf_bytes gauge on the primary")
 	}
 }

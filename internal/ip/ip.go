@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // AddrLen is the length of an IPv4 address in bytes.
@@ -23,7 +24,15 @@ func MakeAddr(a, b, c, d byte) Addr { return Addr{a, b, c, d} }
 
 // String renders the address in dotted-quad form.
 func (a Addr) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3])
+	var buf [len("255.255.255.255")]byte
+	b := buf[:0]
+	for i, octet := range a {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(octet), 10)
+	}
+	return string(b)
 }
 
 // IsZero reports whether the address is the unspecified address 0.0.0.0.

@@ -3,6 +3,7 @@ package ip
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -155,6 +156,16 @@ func TestPseudoHeaderSum(t *testing.T) {
 func TestAddrString(t *testing.T) {
 	if got := MakeAddr(10, 0, 0, 100).String(); got != "10.0.0.100" {
 		t.Fatalf("String = %q", got)
+	}
+	// Every octet width in every position renders as %d does.
+	for _, a := range []Addr{{}, {0, 9, 10, 99}, {100, 255, 1, 0}, {255, 255, 255, 255}} {
+		if got, want := a.String(), fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3]); got != want {
+			t.Fatalf("String = %q, want %q", got, want)
+		}
+	}
+	a := MakeAddr(192, 168, 100, 200)
+	if n := testing.AllocsPerRun(100, func() { _ = a.String() }); n > 1 {
+		t.Fatalf("String allocated %.0f times, want the result only", n)
 	}
 	if !(Addr{}).IsZero() {
 		t.Fatal("zero addr not reported zero")

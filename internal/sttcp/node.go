@@ -3,7 +3,8 @@ package sttcp
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -35,6 +36,9 @@ type heldSegment struct {
 // repConn is the node's replication state for one TCP connection.
 type repConn struct {
 	conn *tcp.Conn
+	// key is conn.ID().String(), rendered once: it is the order the node
+	// walks its connections in (sortedKeys).
+	key  string
 	hold *holdBuffer // primary role only
 
 	// replicated is false for connections that exist only locally —
@@ -103,6 +107,7 @@ type witnessState struct {
 func newRepConn(c *tcp.Conn) *repConn {
 	return &repConn{
 		conn:            c,
+		key:             c.ID().String(),
 		wWatermark:      -1,
 		rWatermark:      -1,
 		nicLagWatermark: -1,
@@ -137,6 +142,10 @@ type Node struct {
 
 	state NodeState
 	conns map[tcp.ConnID]*repConn
+	// holdBytes is the total parked across every connection's hold
+	// buffer, adjusted wherever one is appended to, released, dropped or
+	// discarded, so sampling the occupancy gauge walks nothing.
+	holdBytes int64
 
 	// Backup-only: segments parked until the ISN announcement, and the
 	// announced ISNs.
@@ -382,12 +391,21 @@ func (n *Node) setState(s NodeState) {
 	}
 }
 
+// sortedKeys returns the connection IDs in the order of their rendered
+// text (ConnID.String): the order heartbeats list connections in and
+// takeover retransmits them in. Decimal text and numeric field order
+// disagree across port widths ("10000" sorts before "9999"), so the sort
+// is on the text itself, cached on the repConn.
 func (n *Node) sortedKeys() []tcp.ConnID {
-	keys := make([]tcp.ConnID, 0, len(n.conns))
-	for k := range n.conns {
-		keys = append(keys, k)
+	rcs := make([]*repConn, 0, len(n.conns))
+	for _, rc := range n.conns {
+		rcs = append(rcs, rc)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+	slices.SortFunc(rcs, func(a, b *repConn) int { return strings.Compare(a.key, b.key) })
+	keys := make([]tcp.ConnID, len(rcs))
+	for i, rc := range rcs {
+		keys[i] = rc.conn.ID()
+	}
 	return keys
 }
 
@@ -458,32 +476,27 @@ func (n *Node) tapDelivered(rc *repConn, off int64, data []byte) {
 	if rc.hold == nil || n.state != StateActive {
 		return
 	}
+	before := rc.hold.held()
 	if rc.hold.end() < off {
 		// Should not happen (tap is in-order), but never wedge.
 		rc.hold.release(off)
 		rc.hold.base = off
 	}
-	if err := rc.hold.append(off, data); err != nil {
-		if errors.Is(err, ErrHoldOverflow) {
-			n.declarePeerFailed("hold buffer overflow: backup cannot catch up")
-		}
+	err := rc.hold.append(off, data)
+	// Noted before acting on an overflow: declaring the backup failed
+	// discards every hold buffer, this one included.
+	n.noteHoldOccupancy(rc.hold.held() - before)
+	if errors.Is(err, ErrHoldOverflow) {
+		n.declarePeerFailed("hold buffer overflow: backup cannot catch up")
 	}
-	n.noteHoldOccupancy()
 }
 
-// noteHoldOccupancy samples the total bytes parked across every hold
-// buffer into the occupancy gauge (its Max is the high-water mark).
-func (n *Node) noteHoldOccupancy() {
-	if n.mHoldBytes == nil {
-		return
-	}
-	var total int64
-	for _, rc := range n.conns {
-		if rc.hold != nil {
-			total += int64(rc.hold.held())
-		}
-	}
-	n.mHoldBytes.Set(total)
+// noteHoldOccupancy folds a change in one hold buffer's occupancy into the
+// node-wide total and samples it into the occupancy gauge (its Max is the
+// high-water mark).
+func (n *Node) noteHoldOccupancy(delta int) {
+	n.holdBytes += int64(delta)
+	n.mHoldBytes.Set(n.holdBytes)
 }
 
 // --- Backup segment holding ---
@@ -585,6 +598,12 @@ func (n *Node) composeHB() hb.Message {
 func (n *Node) dropConn(id tcp.ConnID) {
 	if rc, ok := n.conns[id]; ok {
 		n.cancelFINTimers(rc)
+		if rc.hold != nil {
+			// Not sampled into the gauge here: a drop is not an
+			// occupancy event, and the total is right when the
+			// next append or release samples it.
+			n.holdBytes -= int64(rc.hold.held())
+		}
 		delete(n.conns, id)
 	}
 	delete(n.announced, id)
@@ -688,8 +707,9 @@ func (n *Node) adoptFromHB(id tcp.ConnID, cs *hb.ConnState) {
 func (n *Node) primaryConsumeConnState(rc *repConn) {
 	// Release hold-buffer bytes the backup has confirmed.
 	if rc.hold != nil {
+		before := rc.hold.held()
 		rc.hold.release(rc.peerLBR)
-		n.noteHoldOccupancy()
+		n.noteHoldOccupancy(rc.hold.held() - before)
 	}
 	// FIN agreement: if we gated a FIN and the backup has also generated
 	// one, this is a normal close — send it (§4.2.2).
@@ -1522,7 +1542,7 @@ func (n *Node) enterNonFT(reason string) {
 		n.releaseGatedFIN(rc, "entering non-fault-tolerant mode")
 		rc.hold = nil
 	}
-	n.noteHoldOccupancy()
+	n.noteHoldOccupancy(-int(n.holdBytes)) // every hold buffer is gone
 	if n.tracer != nil {
 		n.tracer.Emit(trace.KindNonFTMode, n.comp, "primary in non-fault-tolerant mode: %s", reason)
 	}

@@ -1,0 +1,188 @@
+package sttcp
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/ip"
+	"repro/internal/metrics"
+	"repro/internal/serial"
+	"repro/internal/sim"
+	"repro/internal/tcp"
+	"repro/internal/trace"
+)
+
+// newPrimaryWithConns builds an unstarted primary node holding one
+// established service connection per client endpoint, each set up as the
+// stack would on accept: hold buffer, delivery tap and FIN gate installed.
+func newPrimaryWithConns(tb testing.TB, clients []tcp.ConnID) *Node {
+	tb.Helper()
+	s := sim.New(1)
+	host := cluster.New(s, cluster.HostConfig{
+		Name: "primary", EthNum: 2, Addr: ip.MakeAddr(10, 0, 0, 2),
+		Tracer: trace.NewRecorder(s.Now), Metrics: metrics.New(s.Now),
+	})
+	sp, _ := serial.NewPair(s, "a/tty", "b/tty", 0)
+	host.AttachSerial(sp)
+	node, err := NewNode(host, RolePrimary, Config{
+		ServiceAddr:    ip.MakeAddr(10, 0, 0, 100),
+		ServicePort:    80,
+		PeerAddr:       ip.MakeAddr(10, 0, 0, 3),
+		HoldBufferSize: 4096,
+	}, nil)
+	if err != nil {
+		tb.Fatalf("node: %v", err)
+	}
+	for i, id := range clients {
+		c, err := host.TCP().CreateReplicaConn(id, uint32(0x1000+i), node.setupConn)
+		if err != nil {
+			tb.Fatalf("conn %v: %v", id, err)
+		}
+		c.ForceEstablish(0x2000)
+	}
+	return node
+}
+
+// clientIDs returns n distinct service-connection IDs whose client
+// addresses and ports span every decimal width, so that text order and
+// numeric order disagree on them.
+func clientIDs(n int) []tcp.ConnID {
+	ids := make([]tcp.ConnID, n)
+	for i := range ids {
+		ids[i] = tcp.ConnID{
+			LocalAddr:  ip.MakeAddr(10, 0, 0, 100),
+			LocalPort:  80,
+			RemoteAddr: ip.MakeAddr(10, 0, byte(i%3*99), byte(1+i%5*50)),
+			RemotePort: uint16(9 + i*7919%56000),
+		}
+	}
+	return ids
+}
+
+// TestSortedKeysIsTextOrder: the order the node walks its connections in —
+// heartbeat contents, takeover retransmit order, every golden — is the
+// order of ConnID.String, whatever the port widths. Numeric field order
+// would differ on these IDs ("…:10000" sorts before "…:9999").
+func TestSortedKeysIsTextOrder(t *testing.T) {
+	ids := clientIDs(300)
+	ids = append(ids,
+		tcp.ConnID{LocalAddr: ip.MakeAddr(10, 0, 0, 100), LocalPort: 80, RemoteAddr: ip.MakeAddr(10, 0, 0, 1), RemotePort: 9999},
+		tcp.ConnID{LocalAddr: ip.MakeAddr(10, 0, 0, 100), LocalPort: 80, RemoteAddr: ip.MakeAddr(10, 0, 0, 1), RemotePort: 10000},
+	)
+	node := newPrimaryWithConns(t, ids)
+	got := node.sortedKeys()
+
+	want := append([]tcp.ConnID(nil), ids...)
+	sort.Slice(want, func(i, j int) bool { return want[i].String() < want[j].String() })
+	if len(got) != len(want) {
+		t.Fatalf("%d keys, want %d", len(got), len(want))
+	}
+	numeric := true
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("key %d = %v, want %v", i, got[i], want[i])
+		}
+		if i > 0 && got[i-1].RemoteAddr == got[i].RemoteAddr && got[i-1].RemotePort > got[i].RemotePort {
+			numeric = false
+		}
+	}
+	if numeric {
+		t.Fatal("test IDs do not tell text order from numeric order")
+	}
+}
+
+// TestHoldOccupancyRunningTotal drives every way a hold buffer's occupancy
+// changes — client bytes tapped in, releases on the backup's confirmation,
+// a dropped connection, the wedge-recovery path, overflow into
+// non-fault-tolerant mode — across several connections, and after every
+// step compares the node's running total with the sum over the buffers,
+// and the gauge with it wherever occupancy is sampled.
+func TestHoldOccupancyRunningTotal(t *testing.T) {
+	node := newPrimaryWithConns(t, clientIDs(6))
+	sum := func() int64 {
+		var total int64
+		for _, rc := range node.conns {
+			if rc.hold != nil {
+				total += int64(rc.hold.held())
+			}
+		}
+		return total
+	}
+	check := func(step string, sampled bool) {
+		t.Helper()
+		if node.holdBytes != sum() {
+			t.Fatalf("%s: running total %d, hold buffers sum to %d", step, node.holdBytes, sum())
+		}
+		if sampled && node.mHoldBytes.Value() != sum() {
+			t.Fatalf("%s: gauge reads %d, hold buffers sum to %d", step, node.mHoldBytes.Value(), sum())
+		}
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	keys := node.sortedKeys()
+	var peak int64
+	for step := 0; step < 400; step++ {
+		rc := node.conns[keys[rng.Intn(len(keys))]]
+		switch rng.Intn(3) {
+		case 0, 1:
+			node.tapDelivered(rc, rc.hold.end(), make([]byte, 1+rng.Intn(300)))
+			check("append", true)
+		case 2:
+			rc.peerLBR = rc.hold.base + int64(rng.Intn(rc.hold.held()+1))
+			node.primaryConsumeConnState(rc)
+			check("release", true)
+		}
+		if node.State() != StateActive {
+			t.Fatalf("step %d: node left the active state (%s); lower the append sizes", step, node.FailoverReason)
+		}
+		peak = max(peak, sum())
+	}
+	if peak == 0 || node.mHoldBytes.Max() != peak {
+		t.Fatalf("gauge max %d, peak of the recomputed sum %d", node.mHoldBytes.Max(), peak)
+	}
+
+	// A tap that skips ahead discards what was held and restarts there.
+	rc := node.conns[keys[0]]
+	node.tapDelivered(rc, rc.hold.end()+10, []byte("abc"))
+	if rc.hold.held() != 3 {
+		t.Fatalf("after a skipping tap the buffer holds %d bytes, want 3", rc.hold.held())
+	}
+	check("skip-ahead append", true)
+
+	// Dropping a connection takes its bytes out of the total; the gauge
+	// is next sampled at the following append or release.
+	victim := node.conns[keys[1]]
+	node.tapDelivered(victim, victim.hold.end(), make([]byte, 100))
+	node.dropConn(keys[1])
+	check("drop", false)
+	node.tapDelivered(rc, rc.hold.end(), []byte("d"))
+	check("append after drop", true)
+
+	// Overflow declares the backup failed: every buffer is discarded.
+	node.tapDelivered(rc, rc.hold.end(), make([]byte, node.cfg.HoldBufferSize))
+	if node.State() != StateNonFT {
+		t.Fatalf("overflow left the node %v, want non-FT", node.State())
+	}
+	check("non-FT", true)
+	if node.holdBytes != 0 {
+		t.Fatalf("running total %d after every hold buffer was discarded", node.holdBytes)
+	}
+}
+
+// BenchmarkNodeSortedKeys is the per-heartbeat, per-detector-tick walk
+// order at the scale workload's size.
+func BenchmarkNodeSortedKeys(b *testing.B) {
+	node := newPrimaryWithConns(b, clientIDs(1000))
+	if got := len(node.conns); got != 1000 {
+		b.Fatalf("%d distinct connections, want 1000", got)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(node.sortedKeys()) != 1000 {
+			b.Fatal("keys lost")
+		}
+	}
+}

@@ -82,9 +82,42 @@ func TestAllocsPerSegmentBudget(t *testing.T) {
 		t.Fatalf("only %d segments moved; harness broken", segs)
 	}
 	perSeg := float64(after.Mallocs-before.Mallocs) / float64(segs)
-	t.Logf("%d segments, %.2f allocs/segment", segs, perSeg)
+	bytesPerSeg := float64(after.TotalAlloc-before.TotalAlloc) / float64(segs)
+	t.Logf("%d segments, %.2f allocs/segment, %.0f B/segment", segs, perSeg, bytesPerSeg)
 	const budget = 6.0
 	if perSeg > budget {
 		t.Fatalf("hot path allocates %.2f objects per segment, budget %.1f — a pooled layer regressed", perSeg, budget)
+	}
+	// Objects alone missed a 16 KiB scratch chunk per application pump:
+	// one object, eleven segments' worth of bytes.
+	const bytesBudget = 2 << 10
+	if bytesPerSeg > bytesBudget {
+		t.Fatalf("hot path allocates %.0f B per segment, budget %d — something sized by a buffer, not by a segment, is allocated per segment", bytesPerSeg, bytesBudget)
+	}
+}
+
+// TestSendBufferSteadyStateDoesNotAllocate is the dynamic half of the
+// //sttcp:hotpath annotations on sendBuffer: once the ring has reached its
+// capacity and its scratch area exists, acknowledging, refilling and
+// slicing a full buffer — wrapped spans included — allocates nothing.
+func TestSendBufferSteadyStateDoesNotAllocate(t *testing.T) {
+	const size, mss = 64 << 10, 1460 // mss does not divide size: every span position occurs
+	sb := newSendBuffer(size)
+	sb.write(make([]byte, size))
+	p := make([]byte, mss)
+	round := func() {
+		sb.release(sb.base + mss)
+		if n := sb.write(p); n != mss {
+			t.Fatalf("full buffer accepted %d of %d after a release of as much", n, mss)
+		}
+		if seg, err := sb.slice(sb.end()-mss, mss); err != nil || len(seg) != mss {
+			t.Fatalf("slice = %d bytes, %v", len(seg), err)
+		}
+	}
+	for i := 0; i <= size/mss; i++ {
+		round() // once around the ring: the scratch area is sized on the way
+	}
+	if n := testing.AllocsPerRun(1000, round); n != 0 {
+		t.Fatalf("steady-state release+write+slice allocated %.1f times per round, want 0", n)
 	}
 }

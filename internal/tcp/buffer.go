@@ -2,7 +2,6 @@ package tcp
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 )
 
@@ -16,10 +15,22 @@ var (
 // Offsets are absolute stream offsets (offset 0 is the first payload byte
 // after the SYN); keeping them 64-bit internally confines 32-bit sequence
 // wraparound handling to the wire boundary.
+//
+// The bytes live in a ring so that an ACK costs an index update, not a
+// copy of everything still unacknowledged: a bulk sender keeps the buffer
+// full, and every payload byte is then copied in once by write and never
+// moved again. The ring is grown on demand, by doubling, up to the
+// configured capacity and never beyond it, so a connection that only ever
+// has a few bytes outstanding holds only those.
 type sendBuffer struct {
-	data []byte
-	base int64 // stream offset of data[0] (== oldest unacked byte)
+	ring []byte // backing store; len(ring) <= cap is what has been grown so far
+	head int    // index in ring of the byte at stream offset base
+	n    int    // bytes held
+	base int64  // stream offset of the oldest unacked byte
 	cap  int
+	// wrapped assembles a slice that straddles the end of the ring. It is
+	// sized by the largest such request, which is one MSS.
+	wrapped []byte
 }
 
 func newSendBuffer(capacity int) *sendBuffer {
@@ -27,55 +38,100 @@ func newSendBuffer(capacity int) *sendBuffer {
 }
 
 // end returns the stream offset one past the last byte written.
-func (b *sendBuffer) end() int64 { return b.base + int64(len(b.data)) }
+func (b *sendBuffer) end() int64 { return b.base + int64(b.n) }
 
 // free reports how many bytes may still be written.
-func (b *sendBuffer) free() int { return b.cap - len(b.data) }
+func (b *sendBuffer) free() int { return b.cap - b.n }
 
 // write appends as much of p as fits and returns the number of bytes
 // accepted.
+//
+//sttcp:hotpath
 func (b *sendBuffer) write(p []byte) int {
 	n := b.free()
 	if n > len(p) {
 		n = len(p)
 	}
-	b.data = append(b.data, p[:n]...)
+	if b.n+n > len(b.ring) {
+		b.grow(b.n + n)
+	}
+	tail := b.index(b.n)
+	first := copy(b.ring[tail:], p[:n])
+	copy(b.ring, p[first:n])
+	b.n += n
 	return n
 }
 
+// grow replaces the ring with one at least need bytes long (need <= cap),
+// unwrapping the held bytes to its start.
+func (b *sendBuffer) grow(need int) {
+	size := 2 * len(b.ring)
+	if size < need {
+		size = need
+	}
+	if size > b.cap {
+		size = b.cap
+	}
+	ring := make([]byte, size)
+	first := copy(ring[:b.n], b.ring[b.head:])
+	copy(ring[first:b.n], b.ring)
+	b.ring, b.head = ring, 0
+}
+
+// index maps a distance i <= len(ring) from the oldest held byte to its
+// position in the ring.
+func (b *sendBuffer) index(i int) int {
+	i += b.head
+	if i >= len(b.ring) {
+		i -= len(b.ring)
+	}
+	return i
+}
+
 // slice returns the stream bytes [off, off+n), clipped to what the buffer
-// holds. The result aliases the buffer and must be copied before any
-// subsequent release.
+// holds. The result aliases the buffer (or its one scratch area, when the
+// span straddles the end of the ring) and must be consumed before the next
+// write, release or slice.
+//
+//sttcp:hotpath
 func (b *sendBuffer) slice(off int64, n int) ([]byte, error) {
 	if off < b.base {
-		return nil, fmt.Errorf("%w: off=%d base=%d", errGapInData, off, b.base)
+		return nil, errGapInData
 	}
-	start := int(off - b.base)
-	if start >= len(b.data) {
+	if off-b.base >= int64(b.n) {
 		return nil, nil
 	}
-	stop := start + n
-	if stop > len(b.data) {
-		stop = len(b.data)
+	start := int(off - b.base)
+	if n > b.n-start {
+		n = b.n - start
 	}
-	return b.data[start:stop], nil
+	i := b.index(start)
+	if i+n <= len(b.ring) {
+		return b.ring[i : i+n], nil
+	}
+	if cap(b.wrapped) < n {
+		b.wrapped = make([]byte, n)
+	}
+	w := b.wrapped[:n]
+	first := copy(w, b.ring[i:])
+	copy(w[first:], b.ring)
+	return w, nil
 }
 
 // release discards bytes acknowledged up to (not including) offset upTo.
+//
+//sttcp:hotpath
 func (b *sendBuffer) release(upTo int64) {
 	if upTo <= b.base {
 		return
 	}
 	drop := upTo - b.base
-	if drop >= int64(len(b.data)) {
-		b.base = upTo
-		b.data = b.data[:0]
+	if drop >= int64(b.n) {
+		b.base, b.head, b.n = upTo, 0, 0
 		return
 	}
-	// Copy down rather than re-slicing so released memory is reused and
-	// the backing array cannot grow without bound.
-	remaining := copy(b.data, b.data[drop:])
-	b.data = b.data[:remaining]
+	b.head = b.index(int(drop))
+	b.n -= int(drop)
 	b.base = upTo
 }
 

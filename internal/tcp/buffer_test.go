@@ -39,8 +39,8 @@ func TestSendBufferReleaseBeyondEnd(t *testing.T) {
 	b := newSendBuffer(10)
 	b.write([]byte("abc"))
 	b.release(100)
-	if b.base != 100 || len(b.data) != 0 {
-		t.Fatalf("release beyond end: base=%d len=%d", b.base, len(b.data))
+	if b.base != 100 || b.end() != 100 || b.free() != 10 {
+		t.Fatalf("release beyond end: base=%d end=%d free=%d", b.base, b.end(), b.free())
 	}
 }
 
@@ -99,6 +99,209 @@ func TestSendBufferProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refSendBuffer is the copy-down send buffer the ring replaced, kept as the
+// reference model: same contract, O(held) per release.
+type refSendBuffer struct {
+	data []byte
+	base int64
+	cap  int
+}
+
+func (b *refSendBuffer) end() int64 { return b.base + int64(len(b.data)) }
+func (b *refSendBuffer) free() int  { return b.cap - len(b.data) }
+
+func (b *refSendBuffer) write(p []byte) int {
+	n := b.free()
+	if n > len(p) {
+		n = len(p)
+	}
+	b.data = append(b.data, p[:n]...)
+	return n
+}
+
+func (b *refSendBuffer) slice(off int64, n int) ([]byte, error) {
+	if off < b.base {
+		return nil, errGapInData
+	}
+	start := int(off - b.base)
+	if start >= len(b.data) {
+		return nil, nil
+	}
+	stop := start + n
+	if stop > len(b.data) {
+		stop = len(b.data)
+	}
+	return b.data[start:stop], nil
+}
+
+func (b *refSendBuffer) release(upTo int64) {
+	if upTo <= b.base {
+		return
+	}
+	drop := upTo - b.base
+	if drop >= int64(len(b.data)) {
+		b.base = upTo
+		b.data = b.data[:0]
+		return
+	}
+	remaining := copy(b.data, b.data[drop:])
+	b.data = b.data[:remaining]
+	b.base = upTo
+}
+
+// sendBufferOp encodes one step of a send-buffer script: three bytes, the
+// kind and a 16-bit operand (see driveSendBuffers).
+func sendBufferOp(kind byte, v int) []byte { return []byte{kind, byte(v >> 8), byte(v)} }
+
+// driveSendBuffers runs one script against the ring and the reference
+// model and fails on the first difference in end/free/base, in the bytes a
+// slice returns, or in the whole held content. Per op, with operand v:
+//
+//	kind&3 == 0  write v bytes (clipped by both to what fits)
+//	kind&3 == 1  release to base + v mod (held+2): up to one past the end
+//	kind&3 == 2  slice at base + v mod (held+1), 1 + 24*(kind>>2) bytes
+//	kind&3 == 3  slice 1 + v mod 3 bytes below base: both must refuse
+func driveSendBuffers(t *testing.T, capacity int, script []byte) {
+	t.Helper()
+	ring := newSendBuffer(capacity)
+	ref := &refSendBuffer{cap: capacity}
+	var written int64
+	for step := 0; len(script) >= 3; step, script = step+1, script[3:] {
+		kind, v := script[0], int(script[1])<<8|int(script[2])
+		held := int(ref.end() - ref.base)
+		switch kind & 3 {
+		case 0:
+			p := make([]byte, v)
+			for i := range p {
+				off := written + int64(i)
+				p[i] = byte(off*131 + off>>8)
+			}
+			n, want := ring.write(p), ref.write(p)
+			if n != want {
+				t.Fatalf("step %d: write(%d) accepted %d, reference %d", step, v, n, want)
+			}
+			written += int64(n)
+		case 1:
+			upTo := ref.base + int64(v%(held+2))
+			ring.release(upTo)
+			ref.release(upTo)
+		case 2:
+			off, n := ref.base+int64(v%(held+1)), 1+24*int(kind>>2)
+			got, err := ring.slice(off, n)
+			want, _ := ref.slice(off, n)
+			if err != nil || !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+				t.Fatalf("step %d: slice(%d, %d) = %d bytes, %v; reference %d bytes", step, off, n, len(got), err, len(want))
+			}
+		case 3:
+			off := ref.base - 1 - int64(v%3)
+			if _, err := ring.slice(off, 4); err == nil {
+				t.Fatalf("step %d: slice(%d) below base %d did not error", step, off, ring.base)
+			}
+		}
+		if ring.end() != ref.end() || ring.free() != ref.free() || ring.base != ref.base {
+			t.Fatalf("step %d (kind %d, v %d): end/free/base = %d/%d/%d, reference %d/%d/%d",
+				step, kind&3, v, ring.end(), ring.free(), ring.base, ref.end(), ref.free(), ref.base)
+		}
+		if len(ring.ring) > capacity {
+			t.Fatalf("step %d: ring grew to %d, capacity %d", step, len(ring.ring), capacity)
+		}
+		if got := heldBytes(ring); !bytes.Equal(got, ref.data) {
+			t.Fatalf("step %d: held bytes differ from reference (%d held)", step, len(ref.data))
+		}
+	}
+}
+
+// heldBytes reads the ring's whole content through slice, one span at a
+// time so the scratch area is exercised too.
+func heldBytes(b *sendBuffer) []byte {
+	var out []byte
+	for off := b.base; off < b.end(); {
+		p, err := b.slice(off, 1460)
+		if err != nil || len(p) == 0 {
+			return nil
+		}
+		out = append(out, p...)
+		off += int64(len(p))
+	}
+	return out
+}
+
+// TestSendBufferMatchesReference drives the ring and the copy-down buffer
+// it replaced with the same seeded random scripts at capacities on both
+// sides of every boundary that matters: a single byte, a prime, one MSS, a
+// power of two, and sizes that are neither.
+func TestSendBufferMatchesReference(t *testing.T) {
+	for _, capacity := range []int{1, 7, 1460, 4096, 3000, 100_003} {
+		for seed := int64(1); seed <= 8; seed++ {
+			rng := rand.New(rand.NewSource(seed*1000 + int64(capacity)))
+			steps := 600
+			if capacity > 4096 {
+				steps = 150
+			}
+			var script []byte
+			for i := 0; i < steps; i++ {
+				kind := byte(rng.Intn(256))
+				v := rng.Intn(1 << 16)
+				if kind&3 == 0 && rng.Intn(3) > 0 {
+					// Mostly partial writes, so the ring is grown in
+					// steps and wraps before it reaches capacity.
+					v = rng.Intn(capacity/3 + 2)
+				}
+				script = append(script, sendBufferOp(kind, v)...)
+			}
+			driveSendBuffers(t, capacity, script)
+		}
+	}
+}
+
+// TestSendBufferGrowWhileWrapped pins the one path a random script reaches
+// only by luck: the ring must grow while its content straddles the end.
+func TestSendBufferGrowWhileWrapped(t *testing.T) {
+	b := newSendBuffer(16)
+	b.write([]byte("abcd"))
+	b.release(2)
+	b.write([]byte("ef")) // ring of 4: "efcd", head at 'c'
+	if len(b.ring) != 4 || b.head != 2 {
+		t.Fatalf("set-up: ring %d head %d, want 4 and 2", len(b.ring), b.head)
+	}
+	if got, _ := b.slice(3, 3); string(got) != "def" {
+		t.Fatalf("straddling slice = %q, want def", got)
+	}
+	if n := b.write([]byte("ghi")); n != 3 {
+		t.Fatalf("write = %d", n)
+	}
+	if len(b.ring) != 8 || b.head != 0 {
+		t.Fatalf("after growth: ring %d head %d, want 8 and 0", len(b.ring), b.head)
+	}
+	if got, _ := b.slice(2, 16); string(got) != "cdefghi" {
+		t.Fatalf("after growth = %q, want cdefghi", got)
+	}
+	b.write(bytes.Repeat([]byte("z"), 100))
+	if len(b.ring) != 16 || b.free() != 0 {
+		t.Fatalf("ring %d free %d, want the full 16 and 0", len(b.ring), b.free())
+	}
+}
+
+// BenchmarkSendBufferFull is a bulk sender's steady state: a 256 KiB
+// buffer kept full, one MSS acknowledged, written and sliced per op.
+func BenchmarkSendBufferFull(b *testing.B) {
+	const size, mss = 256 << 10, 1460
+	sb := newSendBuffer(size)
+	sb.write(make([]byte, size))
+	p := make([]byte, mss)
+	b.ReportAllocs()
+	b.SetBytes(mss)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sb.release(sb.base + mss)
+		sb.write(p)
+		seg, _ := sb.slice(sb.end()-mss, mss)
+		benchSink += len(seg)
+	}
+}
+
+var benchSink int
 
 func TestRecvBufferInOrder(t *testing.T) {
 	b := newRecvBuffer(100)

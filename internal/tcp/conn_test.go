@@ -3,6 +3,7 @@ package tcp
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -359,5 +360,24 @@ func TestConnIDReverse(t *testing.T) {
 	}
 	if r.Reverse() != id {
 		t.Fatal("double reverse not identity")
+	}
+}
+
+// TestConnIDString: the text is what %v:%d<->%v:%d renders — ST-TCP orders
+// its connections by it — and costs the one allocation of the result.
+func TestConnIDString(t *testing.T) {
+	for _, id := range []ConnID{
+		{},
+		{LocalAddr: addrB, LocalPort: 80, RemoteAddr: addrA, RemotePort: 9999},
+		{LocalAddr: ip.MakeAddr(255, 255, 255, 255), LocalPort: 65535, RemoteAddr: ip.MakeAddr(100, 10, 1, 0), RemotePort: 10000},
+	} {
+		want := fmt.Sprintf("%v:%d<->%v:%d", id.LocalAddr, id.LocalPort, id.RemoteAddr, id.RemotePort)
+		if got := id.String(); got != want {
+			t.Fatalf("String = %q, want %q", got, want)
+		}
+	}
+	id := ConnID{LocalAddr: addrB, LocalPort: 80, RemoteAddr: addrA, RemotePort: 50000}
+	if n := testing.AllocsPerRun(100, func() { _ = id.String() }); n > 1 {
+		t.Fatalf("String allocated %.0f times, want the result only", n)
 	}
 }

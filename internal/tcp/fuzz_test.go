@@ -68,3 +68,36 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 		_, _ = Decode(src, dst, payload)
 	})
 }
+
+// FuzzSendBuffer runs arbitrary write/release/slice scripts (the encoding
+// of driveSendBuffers) against the ring and the copy-down reference model
+// at a fuzzer-chosen capacity. The seeds reach the paths a bulk transfer
+// lives on: a full buffer that wraps on every write, a slice straddling the
+// end of the ring, release beyond the end, and growth while wrapped.
+func FuzzSendBuffer(f *testing.F) {
+	join := func(ops ...[]byte) []byte {
+		var out []byte
+		for _, op := range ops {
+			out = append(out, op...)
+		}
+		return out
+	}
+	const write, release, slice, below = 0, 1, 2, 3
+	// Growth while wrapped: 4 in, 2 out, 2 in (wraps a ring of 4), 3 in.
+	f.Add(uint16(16), join(sendBufferOp(write, 4), sendBufferOp(release, 2), sendBufferOp(write, 2),
+		sendBufferOp(slice, 1), sendBufferOp(write, 3), sendBufferOp(slice, 0), sendBufferOp(below, 0)))
+	// A full buffer acknowledged and refilled one MSS at a time, with the
+	// newest MSS sliced (it straddles the wrap on the second round).
+	f.Add(uint16(4096), join(sendBufferOp(write, 5000), sendBufferOp(release, 1460), sendBufferOp(write, 1460),
+		sendBufferOp(slice|60<<2, 2636), sendBufferOp(release, 1460), sendBufferOp(write, 1460), sendBufferOp(slice|60<<2, 2636)))
+	// Release one past the end, then start again from the new base.
+	f.Add(uint16(7), join(sendBufferOp(write, 5), sendBufferOp(release, 6), sendBufferOp(write, 9), sendBufferOp(slice|1<<2, 3)))
+	f.Add(uint16(1), join(sendBufferOp(write, 1), sendBufferOp(slice, 0), sendBufferOp(release, 1), sendBufferOp(write, 2)))
+
+	f.Fuzz(func(t *testing.T, capacity uint16, script []byte) {
+		if len(script) > 3*256 {
+			script = script[:3*256]
+		}
+		driveSendBuffers(t, int(capacity), script)
+	})
+}

@@ -3,6 +3,7 @@ package tcp
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/ip"
@@ -29,7 +30,23 @@ type ConnID struct {
 
 // String renders the 4-tuple.
 func (id ConnID) String() string {
-	return fmt.Sprintf("%v:%d<->%v:%d", id.LocalAddr, id.LocalPort, id.RemoteAddr, id.RemotePort)
+	var buf [len("255.255.255.255:65535<->255.255.255.255:65535")]byte
+	b := appendEndpoint(buf[:0], id.LocalAddr, id.LocalPort)
+	b = append(b, "<->"...)
+	b = appendEndpoint(b, id.RemoteAddr, id.RemotePort)
+	return string(b)
+}
+
+// appendEndpoint appends "a.b.c.d:port".
+func appendEndpoint(b []byte, addr ip.Addr, port uint16) []byte {
+	for i, octet := range addr {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(octet), 10)
+	}
+	b = append(b, ':')
+	return strconv.AppendUint(b, uint64(port), 10)
 }
 
 // Reverse swaps the local and remote halves.
