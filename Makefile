@@ -14,7 +14,7 @@ vet:
 # Domain-specific static analysis: determinism, span hygiene, hot-path
 # allocation discipline (see README "Correctness tooling").
 lint:
-	$(GO) run ./cmd/sttcp-vet ./...
+	$(GO) run ./cmd/sttcp vet ./...
 
 build:
 	$(GO) build ./...
@@ -39,13 +39,13 @@ bench:
 # failover with telemetry sampling, render its dashboard, and diff the
 # fresh run report against the committed REPORT_0.json baseline. Reports
 # hold only virtual-time figures, so a genuine pair diffs clean on any
-# machine; sttcp-report exits 1 when a latency series or failover phase
+# machine; `sttcp report -diff` exits 1 when a latency series or failover phase
 # regressed beyond tolerance (see EXPERIMENTS.md "Run reports & the
 # regression observatory"). CI uploads REPORT.json as an artifact.
 report-smoke:
-	$(GO) run ./cmd/sttcp-demo -demo scale -conns 50 -seed 91 -report-out REPORT.json
-	$(GO) run ./cmd/sttcp-report -filter client. REPORT.json
-	$(GO) run ./cmd/sttcp-report -diff REPORT_0.json REPORT.json
+	$(GO) run ./cmd/sttcp demo -demo scale -conns 50 -seed 91 -report-out REPORT.json
+	$(GO) run ./cmd/sttcp report -filter client. REPORT.json
+	$(GO) run ./cmd/sttcp report -diff REPORT_0.json REPORT.json
 
 # Render the Demo 1 failover anatomy: phase report plus ASCII span timeline.
 # The same view ships as a golden (internal/scenario/testdata/golden); after
@@ -53,34 +53,34 @@ report-smoke:
 #   go test ./internal/scenario -run Golden -update
 #   go test ./internal/scenario -run TimelineGolden -update
 timeline:
-	$(GO) run ./cmd/sttcp-demo -demo demo1 -timeline
+	$(GO) run ./cmd/sttcp demo -demo demo1 -timeline
 
 # Randomized fault-injection campaign: 200 seeded schedules judged by the
 # system-wide invariant registry (see EXPERIMENTS.md "Chaos campaigns").
 chaos:
-	$(GO) run ./cmd/sttcp-chaos -runs 200
+	$(GO) run ./cmd/sttcp chaos -runs 200
 
 # Gray-failure campaign: every schedule carries at least one slow-not-dead,
 # asymmetric-partition, corruption, flapping, or clock-skew fault, judged
 # by the gray invariants on top of the crisp ones (see EXPERIMENTS.md
 # "Gray failures").
 chaos-gray:
-	$(GO) run ./cmd/sttcp-chaos -gray -runs 200
+	$(GO) run ./cmd/sttcp chaos -gray -runs 200
 
 # CI-sized campaign: as many schedules as fit in 30 seconds of wall time.
 chaos-smoke:
-	$(GO) run ./cmd/sttcp-chaos -runs 0 -wall 30s
+	$(GO) run ./cmd/sttcp chaos -runs 0 -wall 30s
 
 # Exhaustive-interleaving exploration of a bounded failover window: every
 # tie-break order and fault placement, judged by the invariant registry
 # (see EXPERIMENTS.md "Exhaustive exploration"). This window fully closes.
 explore:
-	$(GO) run ./cmd/sttcp-explore -seed 7 -fault-span 4ms -grace 10ms -fault-points 2
+	$(GO) run ./cmd/sttcp explore -seed 7 -fault-span 4ms -grace 10ms -fault-points 2
 
 # CI-sized exploration: the closable window, with a wall budget as a
 # backstop against pathological machines.
 explore-smoke:
-	$(GO) run ./cmd/sttcp-explore -seed 7 -fault-span 4ms -grace 10ms -fault-points 2 -wall 25s -require-closed
+	$(GO) run ./cmd/sttcp explore -seed 7 -fault-span 4ms -grace 10ms -fault-points 2 -wall 25s -require-closed
 
 clean:
 	$(GO) clean ./...

@@ -197,23 +197,16 @@ func BenchmarkDemo5NICFailure(b *testing.B) {
 
 // BenchmarkTable1Scenarios regenerates the full Table 1 failure matrix.
 func BenchmarkTable1Scenarios(b *testing.B) {
-	for _, sc := range experiment.Scenarios {
-		sc := sc
-		b.Run(sc.String(), func(b *testing.B) {
-			var detect time.Duration
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunScenario(int64(i+1), sc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.ClientOK {
-					b.Fatalf("client failed: %v", res.ClientErr)
-				}
-				detect += res.DetectionTime
+	var detect time.Duration
+	for i := 0; i < b.N; i++ {
+		for _, row := range runDemo(b, "table1", experiment.Params{Seed: int64(i + 1)}).Table1 {
+			if !row.ClientOK {
+				b.Fatalf("%v: client failed: %v", row.Scenario, row.ClientErr)
 			}
-			b.ReportMetric(float64(detect.Milliseconds())/float64(b.N), "detect_ms")
-		})
+			detect += row.DetectionTime
+		}
 	}
+	b.ReportMetric(float64(detect.Milliseconds())/float64(b.N), "detect_ms")
 }
 
 // BenchmarkHeartbeatSerialCapacity regenerates the §3 bandwidth budget:

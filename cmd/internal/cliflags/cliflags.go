@@ -1,16 +1,15 @@
-// Package cliflags registers the flags the ST-TCP command-line tools
-// share — -seed, -metrics-out, -trace-out, -report-out — so they are spelled,
-// documented, and behave identically across every CLI, and provides the
-// matching artifact writers.
-//
-// Each helper registers on flag.CommandLine and must be called before
-// flag.Parse. The writers are no-ops on an empty path, so a main can call
-// them unconditionally after its run.
+// Package cliflags is the one flag-and-artifact path the sttcp subcommands
+// share: -seed and the artifact flags are spelled and documented once, and
+// what happens to the artifacts around a run happens here — the window a
+// report implies, refusing beforehand what the selection cannot produce,
+// writing the files afterwards.
 package cliflags
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -22,104 +21,144 @@ import (
 
 // Seed registers the canonical -seed flag. A non-empty note is appended
 // to the shared usage string (e.g. "run i uses seed+i").
-func Seed(def int64, note string) *int64 {
+func Seed(fs *flag.FlagSet, def int64, note string) *int64 {
 	usage := "simulation seed"
 	if note != "" {
 		usage += "; " + note
 	}
-	return flag.Int64("seed", def, usage)
+	return fs.Int64("seed", def, usage)
 }
 
-// MetricsOut registers the canonical -metrics-out flag. subject names
-// which run's snapshot is exported ("the final demo", "the last run").
-func MetricsOut(subject string) *string {
-	return flag.String("metrics-out", "",
-		"write "+subject+"'s metric snapshot as JSON to this file ('-' for stdout)")
+// Kind selects the artifact flags a subcommand takes.
+type Kind uint8
+
+const (
+	Metrics Kind = 1 << iota // -metrics-out
+	Trace                    // -trace-out
+	Events                   // -json
+	Report                   // -report-out
+	Window                   // -telemetry-window
+)
+
+// Artifacts holds a subcommand's artifact flags and, after Note, what the
+// last run produced for each of them.
+type Artifacts struct {
+	MetricsOut, TraceOut, EventsOut, ReportOut string
+	window                                     time.Duration
+
+	snap   *metrics.Snapshot
+	tracer *trace.Recorder
+	report *telemetry.Report
 }
 
-// TraceOut registers the canonical -trace-out flag.
-func TraceOut(subject string) *string {
-	return flag.String("trace-out", "",
-		"write "+subject+"'s causal span trace as Chrome trace-event JSON (load in ui.perfetto.dev)")
+// Register registers the flags in which on fs. subject names whose
+// artifacts are exported ("the final demo", "the last run").
+func Register(fs *flag.FlagSet, subject string, which Kind) *Artifacts {
+	a := &Artifacts{}
+	if which&Metrics != 0 {
+		fs.StringVar(&a.MetricsOut, "metrics-out", "",
+			"write "+subject+"'s metric snapshot as JSON to this file ('-' for stdout)")
+	}
+	if which&Trace != 0 {
+		fs.StringVar(&a.TraceOut, "trace-out", "",
+			"write "+subject+"'s causal span trace as Chrome trace-event JSON (load in ui.perfetto.dev)")
+	}
+	if which&Events != 0 {
+		fs.StringVar(&a.EventsOut, "json", "",
+			"write "+subject+"'s flat event trace as JSON to this file")
+	}
+	if which&Report != 0 {
+		fs.StringVar(&a.ReportOut, "report-out", "",
+			"write "+subject+"'s unified run report (config, metrics, telemetry time series, failover anatomy) as JSON ('-' for stdout); inspect with sttcp report")
+	}
+	if which&Window != 0 {
+		fs.DurationVar(&a.window, "telemetry-window", 0,
+			"sample every metric into windowed time series at this period (0 disables telemetry; -report-out defaults it to 100ms)")
+	}
+	return a
 }
 
-// WriteMetrics exports snap to path: "-" prints the human-readable
-// rendering to stdout, anything else gets the JSON encoding plus a
-// confirmation line. A no-op when path is empty; an error when the
-// selected run never produced a snapshot.
-func WriteMetrics(path string, snap *metrics.Snapshot) error {
-	if path == "" {
+// Window is the telemetry sampling period the run should use: asking for a
+// report without ever setting a window defaults the sampler on.
+func (a *Artifacts) Window() time.Duration {
+	if a.window == 0 && a.ReportOut != "" {
+		return 100 * time.Millisecond
+	}
+	return a.window
+}
+
+// Check rejects, before anything runs, what the selection cannot produce:
+// a metric snapshot for -metrics-out, or a recorder for -trace-out and for
+// the trace views the subcommand renders itself (traceViews).
+func (a *Artifacts) Check(hasMetrics, hasTracer, traceViews bool) error {
+	if a.MetricsOut != "" && !hasMetrics {
+		return fmt.Errorf("-metrics-out: the selection produces no metric snapshot")
+	}
+	if (a.TraceOut != "" || a.EventsOut != "" || traceViews) && !hasTracer {
+		return fmt.Errorf("-trace-out, -trace, -timeline, -json: the selection records no trace")
+	}
+	return nil
+}
+
+// Note remembers what a finished run produced. A nil argument leaves the
+// previous run's in place, so after a sequence of runs each artifact comes
+// from the last run that produced one.
+func (a *Artifacts) Note(snap *metrics.Snapshot, tracer *trace.Recorder, report *telemetry.Report) {
+	if snap != nil {
+		a.snap = snap
+	}
+	if tracer != nil {
+		a.tracer = tracer
+	}
+	if report != nil {
+		a.report = report
+	}
+}
+
+// Write exports every requested artifact of the noted run — each one is
+// attempted even when another fails; confirmation lines (and "-" payloads)
+// go to stdout.
+func (a *Artifacts) Write(stdout io.Writer) error {
+	return errors.Join(
+		export(stdout, a.MetricsOut, "-metrics-out", "metric snapshot", "", a.snap != nil,
+			func(w io.Writer) error { return a.snap.WriteJSON(w) }),
+		export(stdout, a.TraceOut, "-trace-out", "span trace", " — load it in ui.perfetto.dev or chrome://tracing", a.tracer != nil,
+			func(w io.Writer) error { return a.tracer.WriteChromeTrace(w, sim.Epoch) }),
+		export(stdout, a.EventsOut, "-json", "event trace", "", a.tracer != nil,
+			func(w io.Writer) error { return a.tracer.WriteJSON(w, sim.Epoch) }),
+		export(stdout, a.ReportOut, "-report-out", "run report", " — render it with sttcp report "+a.ReportOut, a.report != nil,
+			func(w io.Writer) error { return a.report.Write(w) }),
+	)
+}
+
+// export writes one artifact to path: "" skips it, "-" is stdout, anything
+// else a file followed by a confirmation line.
+func export(stdout io.Writer, path, name, what, hint string, have bool, write func(io.Writer) error) error {
+	switch {
+	case path == "":
 		return nil
+	case !have:
+		return fmt.Errorf("%s: the selected run produced no %s", name, what)
+	case path == "-":
+		return write(stdout)
 	}
-	if snap == nil {
-		return fmt.Errorf("-metrics-out: the selected run produced no metric snapshot")
+	if err := WriteFile(path, write); err != nil {
+		return fmt.Errorf("%s: %w", name, err)
 	}
-	if path == "-" {
-		fmt.Println(snap.String())
-		return nil
-	}
+	fmt.Fprintf(stdout, "\n(%s written to %s%s)\n", what, path, hint)
+	return nil
+}
+
+// WriteFile creates path, fills it with write, and reports the first error
+// of the three steps (the close included: these are files someone asked for).
+func WriteFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("create %s: %w", path, err)
-	}
-	defer f.Close()
-	if err := snap.WriteJSON(f); err != nil {
 		return err
 	}
-	fmt.Printf("\n(metric snapshot written to %s)\n", path)
-	return nil
-}
-
-// ReportOut registers the canonical -report-out flag. subject names which
-// run's report is exported.
-func ReportOut(subject string) *string {
-	return flag.String("report-out", "",
-		"write "+subject+"'s unified run report (config, metrics, telemetry time series, failover anatomy) as JSON ('-' for stdout); inspect with sttcp-report")
-}
-
-// TelemetryWindow registers the canonical -telemetry-window flag. A zero
-// duration disables time-series sampling entirely.
-func TelemetryWindow(def time.Duration) *time.Duration {
-	return flag.Duration("telemetry-window", def,
-		"sample every metric into windowed time series at this period (0 disables telemetry)")
-}
-
-// WriteReport exports rep to path ("-" for stdout). A no-op when path is
-// empty; an error when the selected run produced no report.
-func WriteReport(path string, rep *telemetry.Report) error {
-	if path == "" {
-		return nil
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if rep == nil {
-		return fmt.Errorf("-report-out: the selected run produced no report")
-	}
-	if err := telemetry.WriteFile(path, rep); err != nil {
-		return err
-	}
-	if path != "-" {
-		fmt.Printf("\n(run report written to %s — render it with sttcp-report %s)\n", path, path)
-	}
-	return nil
-}
-
-// WriteChromeTrace exports the recorder's span trace to path as Chrome
-// trace-event JSON. A no-op when path is empty; an error when the
-// selected run recorded no trace.
-func WriteChromeTrace(path string, tracer *trace.Recorder) error {
-	if path == "" {
-		return nil
-	}
-	if tracer == nil {
-		return fmt.Errorf("-trace-out: the selected run recorded no span trace")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create %s: %w", path, err)
-	}
-	defer f.Close()
-	if err := tracer.WriteChromeTrace(f, sim.Epoch); err != nil {
-		return err
-	}
-	fmt.Printf("\n(span trace written to %s — load it in ui.perfetto.dev or chrome://tracing)\n", path)
-	return nil
+	return err
 }

@@ -1,0 +1,242 @@
+package main
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/analysis"
+)
+
+// cli runs the command in-process and returns its exit status and output.
+func cli(args ...string) (code int, stdout, stderr string) {
+	var out, errb bytes.Buffer
+	code = run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// mustRun fails the test unless the command exits 0.
+func mustRun(t *testing.T, args ...string) string {
+	t.Helper()
+	code, out, errb := cli(args...)
+	if code != 0 {
+		t.Fatalf("sttcp %s: exit %d\nstderr: %s\nstdout: %s", strings.Join(args, " "), code, errb, out)
+	}
+	return out
+}
+
+func TestUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{},
+		{"frobnicate"},
+		{"demo", "-no-such-flag"},
+		{"demo", "-demo", "demo99"},
+		{"bench", "-exp", "nothing"},
+		{"lab"},
+		{"chaos", "-runs", "0"},
+		{"explore", "-faults", "gremlins"},
+		{"report"},
+		{"vet", "-format", "xml"},
+	} {
+		code, out, errb := cli(args...)
+		if code != 2 || out != "" || errb == "" {
+			t.Errorf("sttcp %v: exit %d, stdout %q, stderr %q; want exit 2 with only a diagnostic", args, code, out, errb)
+		}
+	}
+	if _, _, errb := cli("frobnicate"); !strings.Contains(errb, "usage: sttcp <subcommand>") {
+		t.Errorf("unknown subcommand did not print the usage:\n%s", errb)
+	}
+	if _, _, errb := cli("demo", "-no-such-flag"); !strings.Contains(errb, "usage: sttcp demo") {
+		t.Errorf("unknown flag did not print the subcommand's usage:\n%s", errb)
+	}
+}
+
+// TestHelpListsEverySubcommand: `sttcp help` is the CLI reference README.md
+// tabulates, so it must name every subcommand and show its flags.
+func TestHelpListsEverySubcommand(t *testing.T) {
+	out := mustRun(t, "help")
+	for _, c := range commands {
+		if !strings.Contains(out, "usage: sttcp "+c.name+" ") {
+			t.Errorf("help lacks the usage of %q", c.name)
+		}
+	}
+	for _, flagName := range []string{"-demo", "-exp", "-timeline", "-gray", "-require-closed", "-diff", "-format", "-report-out"} {
+		if !strings.Contains(out, "  "+flagName+" ") && !strings.Contains(out, "  "+flagName+"\n") {
+			t.Errorf("help lacks flag %s", flagName)
+		}
+	}
+}
+
+func TestDemoIsDeterministic(t *testing.T) {
+	first := mustRun(t, "demo", "-demo", "demo1", "-seed", "7")
+	if second := mustRun(t, "demo", "-demo", "demo1", "-seed", "7"); first != second {
+		t.Errorf("same seed, different stdout:\n--- first\n%s--- second\n%s", first, second)
+	}
+	if !strings.Contains(first, "=== demo1: ") || !strings.Contains(first, "never reconnected") {
+		t.Errorf("demo1 output lost its shape:\n%s", first)
+	}
+}
+
+func TestLabPasses(t *testing.T) {
+	out := mustRun(t, "lab", "../../scenarios/transient-recovery.sttcp")
+	if n := strings.Count(out, "PASS  expect"); n != 3 || strings.Contains(out, "FAIL") {
+		t.Errorf("want three PASS lines and no FAIL:\n%s", out)
+	}
+}
+
+func TestChaosHoldsInvariants(t *testing.T) {
+	out := mustRun(t, "chaos", "-runs", "2")
+	if !strings.Contains(out, "sttcp chaos: 2 runs in ") || !strings.Contains(out, "all invariants held") {
+		t.Errorf("campaign summary missing:\n%s", out)
+	}
+	for _, inv := range []string{"counter-trace", "span-integrity"} {
+		if !strings.Contains(out, inv) {
+			t.Errorf("invariant %s not listed as checked:\n%s", inv, out)
+		}
+	}
+}
+
+func TestReportRendersAndDiffsItsOwnOutput(t *testing.T) {
+	rep := filepath.Join(t.TempDir(), "report.json")
+	out := mustRun(t, "demo", "-demo", "demo5", "-report-out", rep)
+	if !strings.Contains(out, "render it with sttcp report "+rep) {
+		t.Errorf("no confirmation line for the report:\n%s", out)
+	}
+	if dash := mustRun(t, "report", "-filter", "client.", rep); !strings.Contains(dash, "demo5") {
+		t.Errorf("dashboard does not name the demo:\n%s", dash)
+	}
+	mustRun(t, "report", "-diff", rep, rep)
+}
+
+func TestVetListsTheAnalyzers(t *testing.T) {
+	out := mustRun(t, "vet", "-list")
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 8 || len(analysis.Analyzers()) != 8 {
+		t.Fatalf("want the eight analyzers, got %d lines:\n%s", len(lines), out)
+	}
+	for i, a := range analysis.Analyzers() {
+		if !strings.HasPrefix(lines[i], a.Name+" ") {
+			t.Errorf("line %d = %q, want analyzer %s", i, lines[i], a.Name)
+		}
+	}
+}
+
+// TestTraceViewsRejectedBeforeTheRun: a demo with no recorder to give must
+// refuse the trace flags up front (it used to run to completion and then
+// fail, or ignore the flag); the runs below would take seconds if started.
+func TestTraceViewsRejectedBeforeTheRun(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-trace-out", filepath.Join(dir, "t.json")},
+		{"-json", filepath.Join(dir, "e.json")},
+		{"-timeline"},
+		{"-trace"},
+		{"-metrics-out", filepath.Join(dir, "m.json")},
+	} {
+		code, out, errb := cli(append([]string{"demo", "-demo", "explore"}, args...)...)
+		if code != 2 || out != "" || !strings.Contains(errb, "-demo explore") {
+			t.Errorf("demo -demo explore %v: exit %d, stdout %q, stderr %q; want a refusal before any output", args, code, out, errb)
+		}
+	}
+	if code, out, errb := cli("bench", "-exp", "hbcap", "-metrics-out", "-"); code != 2 || out != "" {
+		t.Errorf("bench -exp hbcap -metrics-out: exit %d, stdout %q, stderr %q; want a refusal before any output", code, out, errb)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Errorf("a refused run still wrote %d file(s)", len(left))
+	}
+}
+
+// TestTraceArtifactsForAnyTracedDemo: -trace-out used to know two of the
+// result shapes and -json only demo1; now every demo that builds a testbed
+// hands its recorder back.
+func TestTraceArtifactsForAnyTracedDemo(t *testing.T) {
+	dir := t.TempDir()
+	spans, events := filepath.Join(dir, "spans.json"), filepath.Join(dir, "events.json")
+	mustRun(t, "demo", "-demo", "scale", "-conns", "10", "-trace-out", spans, "-json", events)
+	for _, path := range []string{spans, events} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc any
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Errorf("%s is not JSON: %v", filepath.Base(path), err)
+		}
+		if !bytes.Contains(raw, []byte("takeover")) {
+			t.Errorf("%s records no takeover", filepath.Base(path))
+		}
+	}
+}
+
+// TestMetricsOutDashIsJSON: `-metrics-out -` used to print the human
+// rendering although its help text promises JSON.
+func TestMetricsOutDashIsJSON(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "m.json")
+	toFile := mustRun(t, "demo", "-demo", "demo5", "-metrics-out", file)
+	toStdout := mustRun(t, "demo", "-demo", "demo5", "-metrics-out", "-")
+	want, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	banner := strings.TrimSuffix(toFile, "\n(metric snapshot written to "+file+")\n")
+	if toStdout != banner+string(want) {
+		t.Errorf("-metrics-out - did not append the file's JSON encoding to the demo output:\n%s", toStdout)
+	}
+	var snap struct{ Samples []json.RawMessage }
+	if err := json.Unmarshal(want, &snap); err != nil || len(snap.Samples) == 0 {
+		t.Errorf("snapshot does not decode as JSON with samples: %v", err)
+	}
+}
+
+// TestReportsMatchTheOldAssemblers pins telemetry.NewReport at each of its
+// four call sites — a registry demo, a chaos run, a scenario script, a
+// Table 1 row — to the bytes the four hand-rolled assemblers it replaced
+// produced for the same runs (SHA-256 of the -report-out file, captured at
+// the parent commit of the change that introduced NewReport). Table 1 also
+// checks its ten rows here, to run the matrix once. After a deliberate
+// protocol change these move with the trace goldens: take the new sums
+// from the failure messages.
+func TestReportsMatchTheOldAssemblers(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		args []string
+		// from is where the pinned bytes start: the old Table 1 report
+		// named its row in params and carried that row's seed, the
+		// registry's records the invocation, so its identity header is out.
+		from, sum string
+		rows      int // Table 1 rows that must report client ok
+	}{
+		{"demo2 at 200ms (the demo2-dashboard.golden run)",
+			[]string{"demo", "-demo", "demo2", "-periods", "200ms", "-telemetry-window", "100ms"},
+			"", "b770f5abd431945a16b04c4505f4723ec4c7a639713e65de58725a94a9501621", 0},
+		{"chaos seed 1",
+			[]string{"chaos", "-seed", "1", "-runs", "1"},
+			"", "4a174b02e79e8a0ed169e25f1c4febd446f1fb5892a5853787b143cc4a7c0e57", 0},
+		{"scenario transient-recovery",
+			[]string{"lab", "../../scenarios/transient-recovery.sttcp"},
+			"", "854fcc207bc998584f98d5b80d807aaadb90f672cea0ea3e92ab3e1c760337aa", 0},
+		{"Table 1 row 5P",
+			[]string{"demo", "-demo", "table1"},
+			`  "finished_at"`, "3f19a2e2ce63abf3ddf8e9f58f2c8070461c85c84bf228099f0bb5fd33f9b0e5", 10},
+	} {
+		path := filepath.Join(dir, "report.json")
+		out := mustRun(t, append([]string{c.args[0], "-report-out", path}, c.args[1:]...)...)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinned := raw[bytes.Index(raw, []byte(c.from)):]
+		if sum := sha256.Sum256(pinned); hex.EncodeToString(sum[:]) != c.sum {
+			t.Errorf("%s: report differs from the old assembler's (sha256 %x, want %s)", c.name, sum, c.sum)
+		}
+		if n := strings.Count(out, " true\n"); c.rows > 0 && n != c.rows {
+			t.Errorf("%s: %d rows report client ok, want %d:\n%s", c.name, n, c.rows, out)
+		}
+	}
+}

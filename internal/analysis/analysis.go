@@ -10,7 +10,7 @@
 // observable work ordered by map iteration, every non-auto trace span
 // closed or handed off on all paths, zero allocation on the per-segment
 // hot path, no discarded harness errors. The analyzers in this package
-// check those conventions at compile time; cmd/sttcp-vet runs them from
+// check those conventions at compile time; `sttcp vet` runs them from
 // the command line and lint_test.go runs them under plain `go test ./...`
 // so a violation fails the tier-1 gate.
 //

@@ -26,7 +26,7 @@ var wantArgRE = regexp.MustCompile("\"((?:[^\"\\\\]|\\\\.)*)\"|`([^`]*)`")
 // diagnostic must match a want on its line, and every want must be hit.
 // It returns a list of human-readable problems (empty means pass). This
 // is the test harness for the analyzer corpora; it lives in the main
-// package so cmd/sttcp-vet could also offer a self-test mode.
+// package so `sttcp vet` could also offer a self-test mode.
 func CheckExpectations(moduleDir, modulePath string, patterns []string, analyzers ...*Analyzer) ([]string, error) {
 	loader, err := NewLoader(moduleDir, modulePath)
 	if err != nil {

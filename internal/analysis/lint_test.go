@@ -2,7 +2,7 @@ package analysis
 
 import "testing"
 
-// TestRepoLintsClean runs the full sttcp-vet suite over the real source
+// TestRepoLintsClean runs the full `sttcp vet` suite over the real source
 // tree. Any diagnostic here fails tier-1 `go test ./...`, which is the
 // point: determinism, span hygiene, and hot-path discipline are part of
 // the build contract, not an optional extra pass.

@@ -21,7 +21,7 @@ var errorOriginPkgs = map[string]bool{
 // assigned to the blank identifier or dropped entirely by an expression
 // statement, and any discard of a Result value or its Errors field. The
 // scenario executor goes to some length to surface runtime injection
-// failures through Result.Errors (sttcp-lab exits non-zero on them);
+// failures through Result.Errors (`sttcp lab` exits non-zero on them);
 // a single `_ =` upstream silently converts a failed campaign into a
 // passed one.
 var ResultErrors = &Analyzer{

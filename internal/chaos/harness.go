@@ -30,12 +30,6 @@ type Options struct {
 	// Fatal faults then strand the clients, which the integrity
 	// invariant must report.
 	SabotageBlindDetectors bool
-	// FlightRecorder, when > 0, caps trace memory to roughly this many
-	// spans (8× as many events) for long campaigns; windows around
-	// violations are pinned so the post-mortem survives eviction. The
-	// counter-trace and span-ancestry checks are skipped once events
-	// have actually been evicted — they need the full log.
-	FlightRecorder int
 	// TraceDetail enables per-segment/per-frame detail events and spans
 	// on the run's recorder.
 	TraceDetail bool
@@ -51,15 +45,6 @@ type Options struct {
 	// perturb protocol event order, so runs stay byte-identical with
 	// telemetry on or off.
 	TelemetryWindow time.Duration
-}
-
-// appServer is the slice of the app-server API the harness injects faults
-// through; both app.DataServer and app.EchoServer satisfy it.
-type appServer interface {
-	Accept(*tcp.Conn)
-	CrashSilent()
-	CrashCleanup(abort bool)
-	SetCPU(sm *sim.Simulator, cpu *sim.Clock)
 }
 
 // clientRec tracks one workload connection.
@@ -118,7 +103,7 @@ type harness struct {
 	// nodes lists every sttcp node ever started (stale post-crash nodes
 	// included; their state is Stopped).
 	nodes   []*sttcp.Node
-	servers map[*cluster.Host]appServer
+	servers map[*cluster.Host]app.Server
 	clients []*clientRec
 	eras    []*silenceEra
 
@@ -166,14 +151,13 @@ func Run(sc Schedule, opts Options) (*RunResult, error) {
 	h := &harness{
 		sc:         sc,
 		opts:       opts,
-		servers:    make(map[*cluster.Host]appServer),
+		servers:    make(map[*cluster.Host]app.Server),
 		nicFailed:  make(map[*cluster.Host]bool),
 		appCrashed: make(map[*cluster.Host]bool),
 		injected:   make(map[EventKind]int),
 	}
 	h.tb = experiment.Build(experiment.Options{
 		Seed:            sc.Seed,
-		FlightRecorder:  opts.FlightRecorder,
 		TraceDetail:     opts.TraceDetail,
 		CustomScheduler: opts.CustomScheduler,
 		TelemetryWindow: opts.TelemetryWindow,
@@ -298,17 +282,8 @@ func (h *harness) fire(ev Event) {
 	}
 }
 
-func (h *harness) newServer(host *cluster.Host, name string) appServer {
-	var srv appServer
-	if h.sc.Workload == "echo" {
-		srv = app.NewEchoServer(name, h.tb.Tracer)
-	} else {
-		srv = app.NewDataServer(name, h.tb.Tracer)
-	}
-	// Bind request processing to the host's CPU clock so a starve
-	// injection slows the application without touching protocol timers.
-	srv.SetCPU(h.tb.Sim, host.CPU())
-	return srv
+func (h *harness) newServer(host *cluster.Host, name string) app.Server {
+	return app.NewServer(h.sc.Workload == "echo", name, h.tb.Tracer, h.tb.Sim, host.CPU())
 }
 
 // mkApp is the Lifecycle.Reintegrate callback: it builds the application
@@ -403,10 +378,6 @@ func (h *harness) closeAllEras() {
 }
 
 func (h *harness) violate(inv, detail string) {
-	// Protect the evidence: the flight recorder must not evict the spans
-	// and events around a violation.
-	now := h.tb.Sim.Now()
-	h.tb.Tracer.PinWindow(now.Add(-2*time.Second), now.Add(2*time.Second))
 	h.violations = append(h.violations, Violation{Invariant: inv, Detail: detail})
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/app"
 	"repro/internal/cluster"
 	"repro/internal/experiment"
 	"repro/internal/netem"
@@ -150,7 +151,7 @@ func (e *Env) LinkFor(host *cluster.Host) *netem.Link { return e.h.linkFor(host)
 func (e *Env) Healthy(host *cluster.Host) bool { return e.h.healthy(host) }
 
 // Server is the application server running on host.
-func (e *Env) Server(host *cluster.Host) appServer { return e.h.servers[host] }
+func (e *Env) Server(host *cluster.Host) app.Server { return e.h.servers[host] }
 
 // --- survivability bookkeeping (see the field docs on harness) ---
 

@@ -257,17 +257,12 @@ func (h *harness) endInvariants(snap *metrics.Snapshot) []Violation {
 		{"tcp.retransmits", trace.KindRetransmit},
 		{"hb.sent", trace.KindHBSent},
 	}
-	// With the flight recorder actively evicting, the event log is no
-	// longer complete, so checks that need full history step aside.
-	evicted := h.tb.Tracer.DroppedEvents() > 0 || h.tb.Tracer.DroppedSpans() > 0
-	if !evicted {
-		for _, p := range pairs {
-			got := snap.CounterTotal(p.counter)
-			want := int64(h.tb.Tracer.Count(p.kind))
-			if got != want {
-				bad("counter-trace", "counter %s total %d != %d %v trace events",
-					p.counter, got, want, p.kind)
-			}
+	for _, p := range pairs {
+		got := snap.CounterTotal(p.counter)
+		want := int64(h.tb.Tracer.Count(p.kind))
+		if got != want {
+			bad("counter-trace", "counter %s total %d != %d %v trace events",
+				p.counter, got, want, p.kind)
 		}
 	}
 
@@ -275,12 +270,10 @@ func (h *harness) endInvariants(snap *metrics.Snapshot) []Violation {
 	// no suspect in its ancestry means the backup promoted itself
 	// without a declared suspicion; an open non-auto span or a recorded
 	// open/close error means leaked instrumentation.
-	if !evicted {
-		for _, sp := range h.tb.Tracer.FilterSpans(trace.KindTakeover) {
-			if !h.tb.Tracer.CausallyLinked(sp.ID, trace.KindSuspect) {
-				bad("span-integrity", "takeover span #%d (%s) has no causally-linked suspect ancestor",
-					sp.ID, sp.Component)
-			}
+	for _, sp := range h.tb.Tracer.FilterSpans(trace.KindTakeover) {
+		if !h.tb.Tracer.CausallyLinked(sp.ID, trace.KindSuspect) {
+			bad("span-integrity", "takeover span #%d (%s) has no causally-linked suspect ancestor",
+				sp.ID, sp.Component)
 		}
 	}
 	for _, sp := range h.tb.Tracer.OpenSpans() {

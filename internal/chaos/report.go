@@ -11,22 +11,8 @@ import (
 // verdicts. One verdict is emitted per registered invariant, in registry
 // order, so a clean run still documents exactly what was checked.
 func (r *RunResult) RunReport() *telemetry.Report {
-	rep := &telemetry.Report{
-		Version:   telemetry.ReportVersion,
-		Demo:      "chaos",
-		Seed:      r.Schedule.Seed,
-		Metrics:   r.Metrics,
-		Telemetry: r.Telemetry,
-		Chaos:     r.chaosSection(),
-	}
-	if r.Metrics != nil {
-		rep.FinishedAt = r.Metrics.At
-	}
-	if r.Trace != nil {
-		for _, a := range r.Trace.Anatomy() {
-			rep.Anatomy = append(rep.Anatomy, telemetry.PhasesFromAnatomy(a))
-		}
-	}
+	rep := telemetry.NewReport("chaos", r.Schedule.Seed, nil, r.Metrics, r.Telemetry, r.Trace.Anatomy())
+	rep.Chaos = r.chaosSection()
 	return rep
 }
 

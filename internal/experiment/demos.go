@@ -72,20 +72,22 @@ func (r FailoverResult) String() string {
 		r.HBPeriod, r.DetectionTime.Round(time.Millisecond), r.FailoverTime.Round(time.Millisecond), r.Completed)
 }
 
-// serviceApps bundles the replicated application pair.
-type serviceApps struct {
-	primary *app.DataServer
-	backup  *app.DataServer
-}
-
-func attachDataServers(tb *Testbed) serviceApps {
-	apps := serviceApps{
-		primary: app.NewDataServer("primary/app", tb.Tracer),
-		backup:  app.NewDataServer("backup/app", tb.Tracer),
+// attachServers installs one application replica per ST-TCP node — echo
+// servers when echo is set, data servers otherwise — named "<host>/app"
+// and bound to the host's CPU clock: on the primary, the backup, and the
+// witness when the topology has one. It returns the primary's and the
+// backup's handles for fault injection.
+func (tb *Testbed) attachServers(echo bool) (primary, backup app.Server) {
+	install := func(n *sttcp.Node) app.Server {
+		srv := app.NewServer(echo, n.Host().Name()+"/app", tb.Tracer, tb.Sim, n.Host().CPU())
+		n.OnAccept = srv.Accept
+		return srv
 	}
-	tb.PrimaryNode.OnAccept = apps.primary.Accept
-	tb.BackupNode.OnAccept = apps.backup.Accept
-	return apps
+	primary, backup = install(tb.PrimaryNode), install(tb.BackupNode)
+	if tb.WitnessNode != nil {
+		install(tb.WitnessNode)
+	}
+	return primary, backup
 }
 
 // fillFailoverTimes derives detection/takeover/gap metrics from the span
@@ -139,7 +141,7 @@ func runDemo1(seed int64, transferSize int64, crashAfter time.Duration, detail b
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		return out, err
 	}
-	attachDataServers(tb)
+	tb.attachServers(false)
 	cl := app.NewStreamClient(app.ClientConfig{
 		Name: "client/app", Stack: tb.Client.TCP(),
 		Service: ServiceAddr, Port: ServicePort,
@@ -227,7 +229,7 @@ func runDemo2(seed int64, periods []time.Duration, eager, detail bool, telWindow
 		if err != nil {
 			return nil, err
 		}
-		attachDataServers(tb)
+		tb.attachServers(false)
 		const transferSize = 32 << 20
 		cl := app.NewStreamClient(app.ClientConfig{
 			Name: "client/app", Stack: tb.Client.TCP(),
@@ -273,10 +275,7 @@ func runDemo2Upload(seed int64, periods []time.Duration, detail bool, telWindow 
 		if err := tb.StartSTTCP(p, nil); err != nil {
 			return nil, err
 		}
-		pSrv := app.NewEchoServer("primary/app", tb.Tracer)
-		bSrv := app.NewEchoServer("backup/app", tb.Tracer)
-		tb.PrimaryNode.OnAccept = pSrv.Accept
-		tb.BackupNode.OnAccept = bSrv.Accept
+		tb.attachServers(true)
 
 		cl := app.NewEchoClient("client/app", tb.Client.TCP(), ServiceAddr, ServicePort, 4000, 1024, tb.Tracer)
 		cl.Gap = time.Millisecond
@@ -311,8 +310,9 @@ type Demo3Result struct {
 	WithoutTCP  time.Duration
 	OverheadPct float64
 
-	// Metrics is the snapshot from the ST-TCP-enabled run.
+	// Metrics and Tracer are the ST-TCP-enabled run's.
 	Metrics *metrics.Snapshot
+	Tracer  *trace.Recorder
 }
 
 func (r Demo3Result) String() string {
@@ -331,7 +331,7 @@ func runDemo3(seed int64, size int64) (Demo3Result, error) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		return out, err
 	}
-	attachDataServers(tb)
+	tb.attachServers(false)
 	cl := app.NewStreamClient(app.ClientConfig{
 		Name: "client/app", Stack: tb.Client.TCP(),
 		Service: ServiceAddr, Port: ServicePort,
@@ -348,6 +348,7 @@ func runDemo3(seed int64, size int64) (Demo3Result, error) {
 	}
 	out.WithSTTCP = cl.Elapsed()
 	out.Metrics = tb.Metrics.Snapshot()
+	out.Tracer = tb.Tracer
 
 	// ST-TCP disabled: plain server on the primary, same topology.
 	tb2 := Build(Options{Seed: seed})
@@ -417,7 +418,7 @@ func runDemo4(seed int64, mode AppCrashMode, detail bool, telWindow time.Duratio
 	if err != nil {
 		return FailoverResult{}, err
 	}
-	apps := attachDataServers(tb)
+	primaryApp, _ := tb.attachServers(false)
 
 	const transferSize = 32 << 20
 	cl := app.NewStreamClient(app.ClientConfig{
@@ -433,9 +434,9 @@ func runDemo4(seed int64, mode AppCrashMode, detail bool, telWindow time.Duratio
 	tb.Sim.At(crashAt, func() {
 		switch mode {
 		case CrashNoCleanup:
-			apps.primary.CrashSilent()
+			primaryApp.CrashSilent()
 		case CrashWithCleanup:
-			apps.primary.CrashCleanup(false)
+			primaryApp.CrashCleanup(false)
 		}
 	})
 	if err := tb.Run(10 * time.Minute); err != nil {
@@ -482,10 +483,7 @@ func runDemo5(seed int64, failPrimary bool, detail bool, telWindow time.Duration
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		return out, err
 	}
-	pSrv := app.NewEchoServer("primary/app", tb.Tracer)
-	bSrv := app.NewEchoServer("backup/app", tb.Tracer)
-	tb.PrimaryNode.OnAccept = pSrv.Accept
-	tb.BackupNode.OnAccept = bSrv.Accept
+	tb.attachServers(true)
 
 	// A long-running echo conversation keeps client data flowing in both
 	// directions, which is what the §4.3 diagnosis consumes.

@@ -43,7 +43,7 @@ func TestClientAbortNoFailover(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	attachDataServers(tb)
+	tb.attachServers(false)
 	cl := app.NewStreamClient(app.ClientConfig{
 		Name: "client/app", Stack: tb.Client.TCP(),
 		Service: ServiceAddr, Port: ServicePort,
@@ -105,7 +105,7 @@ func TestFailoverDuringHandshake(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	attachDataServers(tb)
+	tb.attachServers(false)
 	// Crash the primary ~1ms after the dial: SYN, announcement, and
 	// SYN-ACK have flown; the request may or may not have.
 	cl := app.NewStreamClient(app.ClientConfig{
@@ -136,7 +136,7 @@ func TestNewConnectionsAfterTakeover(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	attachDataServers(tb)
+	tb.attachServers(false)
 	first := app.NewStreamClient(app.ClientConfig{
 		Name: "client/app", Stack: tb.Client.TCP(),
 		Service: ServiceAddr, Port: ServicePort,
@@ -181,9 +181,9 @@ func TestConnectionChurnThenFailover(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	apps := attachDataServers(tb)
-	apps.primary.CloseAfterServe = true
-	apps.backup.CloseAfterServe = true
+	pSrv, bSrv := tb.attachServers(false)
+	pSrv.(*app.DataServer).CloseAfterServe = true
+	bSrv.(*app.DataServer).CloseAfterServe = true
 
 	// Ten short-lived transfers back to back.
 	done := 0
@@ -245,7 +245,7 @@ func TestTakeoverStateIntrospection(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	attachDataServers(tb)
+	tb.attachServers(false)
 	cl := app.NewStreamClient(app.ClientConfig{
 		Name: "client/app", Stack: tb.Client.TCP(),
 		Service: ServiceAddr, Port: ServicePort,

@@ -42,12 +42,7 @@ func runGrayStarve(seed int64, scale float64, detail bool, telWindow time.Durati
 	if err != nil {
 		return FailoverResult{}, err
 	}
-	pSrv := app.NewEchoServer("primary/app", tb.Tracer)
-	pSrv.SetCPU(tb.Sim, tb.Primary.CPU())
-	bSrv := app.NewEchoServer("backup/app", tb.Tracer)
-	bSrv.SetCPU(tb.Sim, tb.Backup.CPU())
-	tb.PrimaryNode.OnAccept = pSrv.Accept
-	tb.BackupNode.OnAccept = bSrv.Accept
+	tb.attachServers(true)
 
 	const rounds, msgSize = 1000, 512
 	cl := app.NewEchoClient("client/app", tb.Client.TCP(), ServiceAddr, ServicePort, rounds, msgSize, tb.Tracer)

@@ -20,7 +20,8 @@ type OutputCommitResult struct {
 	// session wedges; with the logger the missing bytes are replayed.
 	ClientDone bool
 	ClientErr  error
-	RoundsDone int
+	// RoundsDone of Rounds echo rounds completed.
+	RoundsDone, Rounds int
 	// LoggerServed counts recovery datagrams the logger answered.
 	LoggerServed int64
 	Tracer       *trace.Recorder
@@ -35,17 +36,14 @@ type OutputCommitResult struct {
 // recoverable at takeover. Reached through the "output-commit" registry
 // demo.
 func runOutputCommit(seed int64, withLogger bool) (OutputCommitResult, error) {
-	out := OutputCommitResult{WithLogger: withLogger}
+	out := OutputCommitResult{WithLogger: withLogger, Rounds: 800}
 	tb := Build(Options{Seed: seed, WithLogger: withLogger})
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		return out, err
 	}
-	pSrv := app.NewEchoServer("primary/app", tb.Tracer)
-	bSrv := app.NewEchoServer("backup/app", tb.Tracer)
-	tb.PrimaryNode.OnAccept = pSrv.Accept
-	tb.BackupNode.OnAccept = bSrv.Accept
+	tb.attachServers(true)
 
-	cl := app.NewEchoClient("client/app", tb.Client.TCP(), ServiceAddr, ServicePort, 800, 1024, tb.Tracer)
+	cl := app.NewEchoClient("client/app", tb.Client.TCP(), ServiceAddr, ServicePort, out.Rounds, 1024, tb.Tracer)
 	cl.Gap = 2 * time.Millisecond
 	if err := cl.Start(); err != nil {
 		return out, err

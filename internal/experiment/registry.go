@@ -8,6 +8,7 @@ import (
 	"repro/internal/serial"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // Params is the common parameter set every registered demo accepts.
@@ -65,9 +66,9 @@ type Params struct {
 // on the demo: every failover-style run lands in Failovers (one per
 // sweep point or scenario), Demo 1 additionally fills Baseline, Demo 3
 // fills Overhead, Demo 5 fills NIC, and the extended studies fill
-// Capacity, Distribution, OutputCommit, Witness, NICLoad, or Scale.
-// Metrics is the snapshot from the demo's last (or only) ST-TCP testbed
-// run.
+// Capacity, Distribution, OutputCommit, Witness, NICLoad, Scale, or
+// Table1. Metrics, Telemetry and Tracer come from the demo's last (or
+// only) ST-TCP testbed run.
 type Result struct {
 	Demo      string
 	Failovers []FailoverResult
@@ -75,9 +76,12 @@ type Result struct {
 	Overhead  *Demo3Result
 	NIC       []Demo5Result
 	Metrics   *metrics.Snapshot
-	// Telemetry is the last (or only) run's windowed time-series export,
-	// nil unless Params.TelemetryWindow was set.
+	// Telemetry is the windowed time-series export, nil unless
+	// Params.TelemetryWindow was set.
 	Telemetry *telemetry.Timeline
+	// Tracer is the run's recorder — what -trace, -timeline, -json and
+	// -trace-out render. Every demo that builds a testbed fills it.
+	Tracer *trace.Recorder
 
 	// Capacity is the heartbeat-link capacity series (capacity demo).
 	Capacity []SerialCapacityResult
@@ -92,6 +96,8 @@ type Result struct {
 	NICLoad []NICLoadResult
 	// Scale is the thousand-connection failover run (scale demo).
 	Scale *ScaleResult
+	// Table1 holds the ten single-failure rows of the paper's Table 1.
+	Table1 []ScenarioResult
 	// Explore is the exhaustive-interleaving exploration summary (the
 	// explore demo, registered by internal/explore).
 	Explore *ExploreSummary
@@ -130,8 +136,13 @@ type Demo struct {
 	Title string
 	// Extended marks studies beyond the paper's five demonstrations
 	// (capacity curves, ablations, extension studies, the scale run);
-	// sttcp-demo's 'all' selects only the non-extended demos.
+	// `sttcp demo -demo all` selects only the non-extended demos.
 	Extended bool
+	// NoMetrics and NoTracer mark the demos whose Result leaves Metrics
+	// or Tracer nil (fan-out studies, runs without a testbed), so a CLI
+	// can refuse -metrics-out or -trace-out before the run instead of
+	// after it.
+	NoMetrics, NoTracer bool
 	// Run executes the demo.
 	Run func(Params) (Result, error)
 }
@@ -190,6 +201,7 @@ func builtinDemos() []Demo {
 					Baseline:  &d.Baseline,
 					Metrics:   d.STTCP.Metrics,
 					Telemetry: d.STTCP.Telemetry,
+					Tracer:    d.STTCP.Tracer,
 				}, nil
 			},
 		},
@@ -201,7 +213,7 @@ func builtinDemos() []Demo {
 				if err != nil {
 					return Result{Demo: "demo2"}, err
 				}
-				return Result{Demo: "demo2", Failovers: rs, Metrics: lastMetrics(rs), Telemetry: lastTimeline(rs)}, nil
+				return withLastRun(Result{Demo: "demo2", Failovers: rs}), nil
 			},
 		},
 		{
@@ -212,7 +224,7 @@ func builtinDemos() []Demo {
 				if err != nil {
 					return Result{Demo: "demo2-upload"}, err
 				}
-				return Result{Demo: "demo2-upload", Failovers: rs, Metrics: lastMetrics(rs), Telemetry: lastTimeline(rs)}, nil
+				return withLastRun(Result{Demo: "demo2-upload", Failovers: rs}), nil
 			},
 		},
 		{
@@ -227,7 +239,7 @@ func builtinDemos() []Demo {
 				if err != nil {
 					return Result{Demo: "demo3"}, err
 				}
-				return Result{Demo: "demo3", Overhead: &d, Metrics: d.Metrics}, nil
+				return Result{Demo: "demo3", Overhead: &d, Metrics: d.Metrics, Tracer: d.Tracer}, nil
 			},
 		},
 		{
@@ -247,9 +259,7 @@ func builtinDemos() []Demo {
 					r.Scenario = mode.String()
 					out.Failovers = append(out.Failovers, r)
 				}
-				out.Metrics = lastMetrics(out.Failovers)
-				out.Telemetry = lastTimeline(out.Failovers)
-				return out, nil
+				return withLastRun(out), nil
 			},
 		},
 		{
@@ -263,8 +273,7 @@ func builtinDemos() []Demo {
 						return out, err
 					}
 					out.NIC = append(out.NIC, r)
-					out.Metrics = r.Metrics
-					out.Telemetry = r.Telemetry
+					out.Metrics, out.Telemetry, out.Tracer = r.Metrics, r.Telemetry, r.Tracer
 				}
 				return out, nil
 			},
@@ -272,7 +281,7 @@ func builtinDemos() []Demo {
 		{
 			Name:     "capacity",
 			Title:    "heartbeat-link capacity vs connection count (§3 bandwidth budget)",
-			Extended: true,
+			Extended: true, NoMetrics: true, NoTracer: true, // a bare serial pair, no testbed
 			Run: func(p Params) (Result, error) {
 				counts := p.ConnCounts
 				if len(counts) == 0 {
@@ -295,7 +304,7 @@ func builtinDemos() []Demo {
 		{
 			Name:     "demo2-dist",
 			Title:    "failover-time distribution across the crash phase at one heartbeat period",
-			Extended: true,
+			Extended: true, NoMetrics: true,
 			Run: func(p Params) (Result, error) {
 				period := 200 * time.Millisecond
 				if len(p.Periods) > 0 {
@@ -305,48 +314,53 @@ func builtinDemos() []Demo {
 				if samples == 0 {
 					samples = 8
 				}
-				dist, err := runDemo2Sampled(p.Seed, period, samples, p.Workers)
+				dist, tracer, err := runDemo2Sampled(p.Seed, period, samples, p.Workers)
 				if err != nil {
 					return Result{Demo: "demo2-dist"}, err
 				}
-				return Result{Demo: "demo2-dist", Distribution: &dist}, nil
+				return Result{Demo: "demo2-dist", Distribution: &dist, Tracer: tracer}, nil
 			},
 		},
 		{
 			Name:     "output-commit",
 			Title:    "§4.3 output-commit gap, without and with the logger machine",
-			Extended: true,
+			Extended: true, NoMetrics: true,
 			Run: func(p Params) (Result, error) {
 				rs, err := fanIdx(p.Workers, 2, func(i int) (OutputCommitResult, error) {
 					return runOutputCommit(p.Seed, i == 1)
 				})
-				return Result{Demo: "output-commit", OutputCommit: rs}, err
+				if err != nil {
+					return Result{Demo: "output-commit"}, err
+				}
+				return Result{Demo: "output-commit", OutputCommit: rs, Tracer: rs[1].Tracer}, nil
 			},
 		},
 		{
 			Name:     "witness",
 			Title:    "§4.2.2 FIN-conflict resolution, pairwise vs witness majority",
-			Extended: true,
+			Extended: true, NoMetrics: true,
 			Run: func(p Params) (Result, error) {
 				rs, err := fanIdx(p.Workers, 2, func(i int) (WitnessResult, error) {
-					withWitness := i == 1
-					d, err := runWitnessConflict(p.Seed, withWitness)
-					return WitnessResult{WithWitness: withWitness, Resolution: d}, err
+					return runWitnessConflict(p.Seed, i == 1)
 				})
-				return Result{Demo: "witness", Witness: rs}, err
+				if err != nil {
+					return Result{Demo: "witness"}, err
+				}
+				return Result{Demo: "witness", Witness: rs, Tracer: rs[1].Tracer}, nil
 			},
 		},
 		{
 			Name:     "nicload",
 			Title:    "§3 tap ablation: backup NIC receive volume, enhanced vs tap-both-directions",
-			Extended: true,
+			Extended: true, NoMetrics: true,
 			Run: func(p Params) (Result, error) {
 				rs, err := fanIdx(p.Workers, 2, func(i int) (NICLoadResult, error) {
-					tap := i == 1
-					rx, err := runBackupNICLoad(p.Seed, tap)
-					return NICLoadResult{TapBothDirections: tap, BackupRxBytes: rx}, err
+					return runBackupNICLoad(p.Seed, i == 1)
 				})
-				return Result{Demo: "nicload", NICLoad: rs}, err
+				if err != nil {
+					return Result{Demo: "nicload"}, err
+				}
+				return Result{Demo: "nicload", NICLoad: rs, Tracer: rs[1].Tracer}, nil
 			},
 		},
 		{
@@ -365,9 +379,7 @@ func builtinDemos() []Demo {
 					}
 					out.Failovers = append(out.Failovers, r)
 				}
-				out.Metrics = lastMetrics(out.Failovers)
-				out.Telemetry = lastTimeline(out.Failovers)
-				return out, nil
+				return withLastRun(out), nil
 			},
 		},
 		{
@@ -387,7 +399,24 @@ func builtinDemos() []Demo {
 				if err != nil {
 					return Result{Demo: "scale"}, err
 				}
-				return Result{Demo: "scale", Scale: &sc, Metrics: sc.Metrics, Telemetry: sc.Telemetry}, nil
+				return Result{Demo: "scale", Scale: &sc, Metrics: sc.Metrics, Telemetry: sc.Telemetry, Tracer: sc.Tracer}, nil
+			},
+		},
+		{
+			Name:     "table1",
+			Title:    "Table 1 single-failure matrix (continuous echo, failure injected at t=2s; row i runs at seed+i)",
+			Extended: true,
+			Run: func(p Params) (Result, error) {
+				out := Result{Demo: "table1"}
+				for i, sc := range Scenarios {
+					r, err := runScenario(p.Seed+int64(i), sc, p.TraceDetail, p.TelemetryWindow)
+					if err != nil {
+						return out, fmt.Errorf("%v: %w", sc, err)
+					}
+					out.Table1 = append(out.Table1, r)
+					out.Metrics, out.Telemetry, out.Tracer = r.Metrics, r.Telemetry, r.Tracer
+				}
+				return out, nil
 			},
 		},
 	}
@@ -413,16 +442,12 @@ func DemoByName(name string) (Demo, bool) {
 	return Demo{}, false
 }
 
-func lastMetrics(rs []FailoverResult) *metrics.Snapshot {
-	if len(rs) == 0 {
-		return nil
+// withLastRun fills the result's Metrics, Telemetry and Tracer from its
+// last failover run.
+func withLastRun(res Result) Result {
+	if n := len(res.Failovers); n > 0 {
+		last := res.Failovers[n-1]
+		res.Metrics, res.Telemetry, res.Tracer = last.Metrics, last.Telemetry, last.Tracer
 	}
-	return rs[len(rs)-1].Metrics
-}
-
-func lastTimeline(rs []FailoverResult) *telemetry.Timeline {
-	if len(rs) == 0 {
-		return nil
-	}
-	return rs[len(rs)-1].Telemetry
+	return res
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"reflect"
 	"testing"
+	"time"
 )
 
 func mustDemo(t *testing.T, name string) Demo {
@@ -68,7 +69,7 @@ func TestRegistryExtendedDemos(t *testing.T) {
 	if core == 0 || extended == 0 {
 		t.Fatalf("registry should carry both core and extended demos (core=%d extended=%d)", core, extended)
 	}
-	for _, name := range []string{"capacity", "demo2-dist", "output-commit", "witness", "nicload", "gray", "scale"} {
+	for _, name := range []string{"capacity", "demo2-dist", "output-commit", "witness", "nicload", "gray", "scale", "table1"} {
 		if !mustDemo(t, name).Extended {
 			t.Errorf("demo %q should be marked Extended", name)
 		}
@@ -76,6 +77,36 @@ func TestRegistryExtendedDemos(t *testing.T) {
 	for _, name := range []string{"demo1", "demo2", "demo3", "demo4", "demo5"} {
 		if mustDemo(t, name).Extended {
 			t.Errorf("paper demo %q must not be marked Extended", name)
+		}
+	}
+}
+
+// TestRegistryArtifactsMatchDeclaration: the CLI refuses -metrics-out and
+// the trace flags before a run on the strength of Demo.NoMetrics and
+// Demo.NoTracer, so each demo must fill exactly what it declares — and
+// every demo that builds a testbed must hand its recorder back.
+func TestRegistryArtifactsMatchDeclaration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every registered demo once")
+	}
+	p := Params{Seed: 3, Size: 1 << 20, Conns: 20, Samples: 2, ConnCounts: []int{1},
+		Periods: []time.Duration{200 * time.Millisecond}}
+	for _, d := range Demos() {
+		res, err := d.Run(p)
+		if err != nil {
+			t.Errorf("%s: %v", d.Name, err)
+			continue
+		}
+		if (res.Metrics == nil) != d.NoMetrics {
+			t.Errorf("%s: NoMetrics=%v but Result.Metrics nil=%v", d.Name, d.NoMetrics, res.Metrics == nil)
+		}
+		if (res.Tracer == nil) != d.NoTracer {
+			t.Errorf("%s: NoTracer=%v but Result.Tracer nil=%v", d.Name, d.NoTracer, res.Tracer == nil)
+		}
+		// The two that have no one run to single out: a bare serial pair,
+		// and (when internal/explore is linked in) hundreds of replays.
+		if d.NoTracer && d.Name != "capacity" && d.Name != "explore" {
+			t.Errorf("%s builds a testbed, so it must return its recorder", d.Name)
 		}
 	}
 }

@@ -26,8 +26,7 @@ func TestReintegrationDoubleFailover(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	apps := attachDataServers(tb)
-	_ = apps
+	tb.attachServers(false)
 
 	// Phase 1: a transfer across the first failover.
 	first := app.NewStreamClient(app.ClientConfig{
@@ -120,7 +119,7 @@ func TestReintegrationLocalOnlyConnections(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	attachDataServers(tb)
+	tb.attachServers(false)
 	tb.Sim.Schedule(100*time.Millisecond, tb.Primary.CrashHW)
 	if err := tb.Run(2 * time.Second); err != nil {
 		t.Fatalf("run: %v", err)

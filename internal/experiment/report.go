@@ -5,39 +5,33 @@ import (
 	"strconv"
 
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // BuildReport assembles the run-report artifact for one demo result: the
 // identity of the run (demo, seed, the params that deviated from
 // defaults), the final metrics snapshot, the telemetry timeline, and the
-// failover anatomy. Chaos runs add their section via
-// chaos.RunResult.Report.
+// failover anatomy — every failover's where the demo sweeps, the last
+// row's for Table 1 (the row whose metrics the report carries).
 //
 // Every field derives from virtual time, so two runs of the same demo at
 // the same seed produce byte-identical reports on any machine — that is
-// the property the cross-run regression observatory (sttcp-report -diff)
+// the property the cross-run regression observatory (`sttcp report -diff`)
 // is built on.
 func BuildReport(p Params, res Result) *telemetry.Report {
-	r := &telemetry.Report{
-		Version:   telemetry.ReportVersion,
-		Demo:      res.Demo,
-		Seed:      p.Seed,
-		Params:    paramsMap(p),
-		Metrics:   res.Metrics,
-		Telemetry: res.Telemetry,
-	}
-	if res.Metrics != nil {
-		r.FinishedAt = res.Metrics.At
-	}
+	var anatomies []trace.FailoverAnatomy
 	for _, f := range res.Failovers {
 		if f.Anatomy != nil {
-			r.Anatomy = append(r.Anatomy, telemetry.PhasesFromAnatomy(*f.Anatomy))
+			anatomies = append(anatomies, *f.Anatomy)
 		}
 	}
 	if res.Scale != nil && res.Scale.Anatomy != nil {
-		r.Anatomy = append(r.Anatomy, telemetry.PhasesFromAnatomy(*res.Scale.Anatomy))
+		anatomies = append(anatomies, *res.Scale.Anatomy)
 	}
-	return r
+	if n := len(res.Table1); n > 0 {
+		anatomies = res.Table1[n-1].Tracer.Anatomy()
+	}
+	return telemetry.NewReport(res.Demo, p.Seed, paramsMap(p), res.Metrics, res.Telemetry, anatomies)
 }
 
 // paramsMap records the knobs that shaped the run, skipping zero values

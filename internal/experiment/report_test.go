@@ -33,7 +33,7 @@ func scaleReport(t *testing.T) *telemetry.Report {
 }
 
 // TestGenuinePairDiffsClean is the observatory's soundness half: the same
-// run twice must produce byte-identical reports, and sttcp-report's diff
+// run twice must produce byte-identical reports, and `sttcp report`'s diff
 // must find nothing to flag. If this fails the report captured something
 // non-deterministic, which makes every cross-run comparison meaningless.
 func TestGenuinePairDiffsClean(t *testing.T) {

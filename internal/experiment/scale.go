@@ -47,6 +47,7 @@ type ScaleResult struct {
 	Telemetry *telemetry.Timeline
 	// Anatomy is the takeover's phase decomposition (nil without a crash).
 	Anatomy *trace.FailoverAnatomy
+	Tracer  *trace.Recorder
 }
 
 // runScaleFailover pushes the testbed to conns concurrent connections,
@@ -63,7 +64,7 @@ func runScaleFailover(seed int64, conns int, bytesPerClient int64, crash bool, t
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		return out, err
 	}
-	attachDataServers(tb)
+	tb.attachServers(false)
 
 	// Stagger dials 500µs apart: connection setup overlaps with the
 	// transfers of already-established clients, as a real arrival process
@@ -157,6 +158,7 @@ func runScaleFailover(seed int64, conns int, bytesPerClient int64, crash bool, t
 	out.SegmentsEmitted = tb.Client.TCP().Emitted + tb.Primary.TCP().Emitted + tb.Backup.TCP().Emitted
 	out.Metrics = tb.Metrics.Snapshot()
 	out.Telemetry = tb.Telemetry.Timeline()
+	out.Tracer = tb.Tracer
 	if anatomies := tb.Tracer.Anatomy(); len(anatomies) > 0 {
 		out.Anatomy = &anatomies[0]
 	}

@@ -94,7 +94,7 @@ func TestNonFTPrimaryKeepsServing(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	attachDataServers(tb)
+	tb.attachServers(false)
 	first := app.NewStreamClient(app.ClientConfig{
 		Name: "client/app", Stack: tb.Client.TCP(),
 		Service: ServiceAddr, Port: ServicePort,

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/app"
+	"repro/internal/trace"
 )
 
 // Stats summarises a sample of durations.
@@ -53,15 +54,17 @@ type Demo2Distribution struct {
 // crash, and the restart is further quantised by the retransmission
 // backoff schedule. Each sample is an independent sealed testbed, so the
 // sweep fans them across workers; the distribution is computed from the
-// samples in phase order regardless of completion order. Reached through
-// the "demo2-dist" registry demo.
-func runDemo2Sampled(seed int64, period time.Duration, samples, workers int) (Demo2Distribution, error) {
+// samples in phase order regardless of completion order; the recorder
+// returned is the last sample's. Reached through the "demo2-dist" registry
+// demo.
+func runDemo2Sampled(seed int64, period time.Duration, samples, workers int) (Demo2Distribution, *trace.Recorder, error) {
 	out := Demo2Distribution{HBPeriod: period}
 	if samples < 1 {
 		samples = 1
 	}
 	type sample struct {
 		detect, failover time.Duration
+		tracer           *trace.Recorder
 	}
 	results, err := fanIdx(workers, samples, func(i int) (sample, error) {
 		offset := period * time.Duration(i) / time.Duration(samples)
@@ -69,7 +72,7 @@ func runDemo2Sampled(seed int64, period time.Duration, samples, workers int) (De
 		if err := tb.StartSTTCP(period, nil); err != nil {
 			return sample{}, err
 		}
-		attachDataServers(tb)
+		tb.attachServers(false)
 		cl := app.NewStreamClient(app.ClientConfig{
 			Name: "client/app", Stack: tb.Client.TCP(),
 			Service: ServiceAddr, Port: ServicePort,
@@ -88,10 +91,10 @@ func runDemo2Sampled(seed int64, period time.Duration, samples, workers int) (De
 		}
 		r := FailoverResult{CrashAt: crashAt}
 		fillFailoverTimes(&r, tb, cl.MaxGap)
-		return sample{detect: r.DetectionTime, failover: r.FailoverTime}, nil
+		return sample{detect: r.DetectionTime, failover: r.FailoverTime, tracer: tb.Tracer}, nil
 	})
 	if err != nil {
-		return out, err
+		return out, nil, err
 	}
 	detects := make([]time.Duration, len(results))
 	failovers := make([]time.Duration, len(results))
@@ -101,5 +104,5 @@ func runDemo2Sampled(seed int64, period time.Duration, samples, workers int) (De
 	}
 	out.Detection = computeStats(detects)
 	out.Failover = computeStats(failovers)
-	return out, nil
+	return out, results[len(results)-1].tracer, nil
 }

@@ -23,7 +23,7 @@ func TestDemo2SampledDistribution(t *testing.T) {
 		t.Skip("sampled sweep skipped in -short")
 	}
 	const period = 200 * time.Millisecond
-	dist, err := runDemo2Sampled(5, period, 8, 0)
+	dist, _, err := runDemo2Sampled(5, period, 8, 0)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -18,9 +18,9 @@ func TestNormalCloseIsPrompt(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	apps := attachDataServers(tb)
-	apps.primary.CloseAfterServe = true
-	apps.backup.CloseAfterServe = true
+	pSrv, bSrv := tb.attachServers(false)
+	pSrv.(*app.DataServer).CloseAfterServe = true
+	bSrv.(*app.DataServer).CloseAfterServe = true
 
 	cl := app.NewStreamClient(app.ClientConfig{
 		Name: "client/app", Stack: tb.Client.TCP(),
@@ -56,7 +56,7 @@ func TestMultiConnectionFailover(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	attachDataServers(tb)
+	tb.attachServers(false)
 
 	var clients []*app.StreamClient
 	for i := 0; i < 3; i++ {
@@ -99,7 +99,7 @@ func TestReplicaReconstructionFromHeartbeat(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	attachDataServers(tb)
+	tb.attachServers(false)
 
 	// Blind the backup around connection setup.
 	tb.BackupLink.DropFromBFor(150 * time.Millisecond)
@@ -136,7 +136,7 @@ func TestSerialLinkFailureAlone(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	attachDataServers(tb)
+	tb.attachServers(false)
 	cl := app.NewStreamClient(app.ClientConfig{
 		Name: "client/app", Stack: tb.Client.TCP(),
 		Service: ServiceAddr, Port: ServicePort,
@@ -173,7 +173,7 @@ func TestTapAblationNICLoad(t *testing.T) {
 		if err := tb.StartSTTCP(0, nil); err != nil {
 			t.Fatalf("start: %v", err)
 		}
-		attachDataServers(tb)
+		tb.attachServers(false)
 		cl := app.NewStreamClient(app.ClientConfig{
 			Name: "client/app", Stack: tb.Client.TCP(),
 			Service: ServiceAddr, Port: ServicePort,

@@ -129,28 +129,20 @@ func (s Scenario) ExpectNonFT() bool {
 	}
 }
 
-// RunScenario executes one Table 1 case: an echo workload keeps client
+// runScenario executes one Table 1 case: an echo workload keeps client
 // data flowing both ways, the failure is injected two seconds in, and the
-// run continues until the workload finishes or times out.
-func RunScenario(seed int64, sc Scenario) (ScenarioResult, error) {
-	return RunScenarioOpts(seed, sc, 0)
-}
-
-// RunScenarioOpts is RunScenario with telemetry sampling at telWindow
-// (0 disables it).
-func RunScenarioOpts(seed int64, sc Scenario, telWindow time.Duration) (ScenarioResult, error) {
+// run continues until the workload finishes or times out. Reached through
+// the "table1" registry demo.
+func runScenario(seed int64, sc Scenario, detail bool, telWindow time.Duration) (ScenarioResult, error) {
 	out := ScenarioResult{Scenario: sc}
-	tb := Build(Options{Seed: seed, TelemetryWindow: telWindow})
+	tb := Build(Options{Seed: seed, TraceDetail: detail, TelemetryWindow: telWindow})
 	err := tb.StartSTTCP(0, func(c *sttcp.Config) {
 		c.MaxDelayFIN = 15 * time.Second
 	})
 	if err != nil {
 		return out, err
 	}
-	pSrv := app.NewEchoServer("primary/app", tb.Tracer)
-	bSrv := app.NewEchoServer("backup/app", tb.Tracer)
-	tb.PrimaryNode.OnAccept = pSrv.Accept
-	tb.BackupNode.OnAccept = bSrv.Accept
+	pSrv, bSrv := tb.attachServers(true)
 
 	cl := app.NewEchoClient("client/app", tb.Client.TCP(), ServiceAddr, ServicePort, 1500, 1024, tb.Tracer)
 	cl.Gap = 5 * time.Millisecond
@@ -190,7 +182,7 @@ func RunScenarioOpts(seed int64, sc Scenario, telWindow time.Duration) (Scenario
 	return out, nil
 }
 
-func inject(tb *Testbed, pSrv, bSrv *app.EchoServer, sc Scenario) {
+func inject(tb *Testbed, pSrv, bSrv app.Server, sc Scenario) {
 	switch sc {
 	case HWCrashPrimary:
 		tb.Primary.CrashHW()

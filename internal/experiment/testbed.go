@@ -78,10 +78,6 @@ type Options struct {
 	// segment-journey/hb-round spans (trace.Recorder.SetDetail). Off by
 	// default: soaks and benches pay nothing for them.
 	TraceDetail bool
-	// FlightRecorder, when > 0, bounds trace memory to roughly this many
-	// spans (and 8× as many events); the oldest closed spans are evicted
-	// first, pinned failure windows survive.
-	FlightRecorder int
 	// TelemetryWindow, when > 0, attaches a time-series sampler that
 	// closes one window per period: every registered instrument plus the
 	// derived scheduler/serial/heartbeat series. The sampler's ticker adds
@@ -168,9 +164,6 @@ func Build(opts Options) *Testbed {
 	tb.Backup = host("backup", 3, BackupAddr)
 	tb.Gateway = host("gateway", 254, GatewayAddr)
 
-	if opts.FlightRecorder > 0 {
-		tracer.SetFlightRecorder(opts.FlightRecorder)
-	}
 	connect := func(h *cluster.Host) (*netem.Link, *netem.SwitchPort) {
 		l, p := netem.Connect(s, sw, h.NIC(), lan)
 		l.SetMetrics(reg, h.Name()+"-switch")

@@ -15,45 +15,41 @@ import (
 type WitnessResult struct {
 	WithWitness bool
 	Resolution  time.Duration
+	Tracer      *trace.Recorder
 }
 
 // runWitnessConflict measures how long a primary-side FIN conflict (the
 // primary's application crashes with cleanup mid-echo; Table 1 row 3P)
 // takes to resolve, with or without the witness replica's majority vote
-// (§4.2.2). It returns the time from injection to the takeover. Reached
+// (§4.2.2): Resolution is the time from injection to the takeover. Reached
 // through the "witness" registry demo.
-func runWitnessConflict(seed int64, withWitness bool) (time.Duration, error) {
+func runWitnessConflict(seed int64, withWitness bool) (WitnessResult, error) {
+	out := WitnessResult{WithWitness: withWitness}
 	tb := Build(Options{Seed: seed, WithWitness: withWitness})
 	err := tb.StartSTTCP(0, func(c *sttcp.Config) {
 		c.MaxDelayFIN = 15 * time.Second
 	})
 	if err != nil {
-		return 0, err
+		return out, err
 	}
-	pSrv := app.NewEchoServer("primary/app", tb.Tracer)
-	bSrv := app.NewEchoServer("backup/app", tb.Tracer)
-	tb.PrimaryNode.OnAccept = pSrv.Accept
-	tb.BackupNode.OnAccept = bSrv.Accept
-	if withWitness {
-		wSrv := app.NewEchoServer("witness/app", tb.Tracer)
-		tb.WitnessNode.OnAccept = wSrv.Accept
-	}
+	pSrv, _ := tb.attachServers(true)
 	cl := app.NewEchoClient("client/app", tb.Client.TCP(), ServiceAddr, ServicePort, 1500, 1024, tb.Tracer)
 	cl.Gap = 5 * time.Millisecond
 	if err := cl.Start(); err != nil {
-		return 0, err
+		return out, err
 	}
 	injectAt := tb.Sim.Now().Add(2 * time.Second)
 	tb.Sim.At(injectAt, func() { pSrv.CrashCleanup(false) })
 	if err := tb.Run(5 * time.Minute); err != nil {
-		return 0, err
+		return out, err
 	}
 	if !cl.Done || cl.Err != nil || cl.VerifyFailures != 0 {
-		return 0, fmt.Errorf("experiment: witness conflict client failed: %v", cl.Err)
+		return out, fmt.Errorf("experiment: witness conflict client failed: %v", cl.Err)
 	}
 	e, ok := tb.Tracer.First(trace.KindTakeover)
 	if !ok {
-		return 0, fmt.Errorf("experiment: witness conflict: no takeover")
+		return out, fmt.Errorf("experiment: witness conflict: no takeover")
 	}
-	return e.Time.Sub(injectAt), nil
+	out.Resolution, out.Tracer = e.Time.Sub(injectAt), tb.Tracer
+	return out, nil
 }

@@ -39,7 +39,7 @@ func witnessEchoFixture(t *testing.T, seed int64, withWitness bool) (*Testbed, *
 // TestWitnessSpeedsUpBackupFINConflict: the backup's application crashes
 // with cleanup (its lone FIN is the Table 1 row 3B conflict). Without a
 // witness the primary needs the lag detector (~1.5 s here); with the
-// witness's vote the conflict resolves in about MajorityDelay (600 ms).
+// witness's vote the conflict resolves in about three heartbeat periods (600 ms).
 func TestWitnessSpeedsUpBackupFINConflict(t *testing.T) {
 	detect := func(withWitness bool) (time.Duration, *Testbed) {
 		tb, _, bSrv, cl := witnessEchoFixture(t, 101, withWitness)
@@ -66,7 +66,7 @@ func TestWitnessSpeedsUpBackupFINConflict(t *testing.T) {
 		t.Fatalf("witness did not speed up the 3B conflict: %v vs %v", with, without)
 	}
 	if with > time.Second {
-		t.Fatalf("majority resolution took %v, want ≲ 2×MajorityDelay", with)
+		t.Fatalf("majority resolution took %v, want ≲ 2× the 600 ms majority delay", with)
 	}
 	t.Logf("3B conflict resolved: without witness %v, with witness %v (reason: %s)",
 		without, with, tb.PrimaryNode.FailoverReason)
@@ -74,7 +74,7 @@ func TestWitnessSpeedsUpBackupFINConflict(t *testing.T) {
 
 // TestWitnessSpeedsUpPrimaryFINConflict: the primary's application crashes
 // with cleanup (row 3P). With the witness agreeing that no close is due,
-// the primary reports itself failed after MajorityDelay and the backup
+// the primary reports itself failed after the majority delay and the backup
 // takes over — far faster than the quiet-connection lag path.
 func TestWitnessSpeedsUpPrimaryFINConflict(t *testing.T) {
 	detect := func(withWitness bool) time.Duration {
@@ -114,9 +114,9 @@ func TestWitnessNoFalsePositiveOnNormalClose(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	apps := attachDataServers(tb)
-	apps.primary.CloseAfterServe = true
-	apps.backup.CloseAfterServe = true
+	pSrv, bSrv := tb.attachServers(false)
+	pSrv.(*app.DataServer).CloseAfterServe = true
+	bSrv.(*app.DataServer).CloseAfterServe = true
 	wSrv := app.NewDataServer("witness/app", tb.Tracer)
 	wSrv.CloseAfterServe = true
 	tb.WitnessNode.OnAccept = wSrv.Accept

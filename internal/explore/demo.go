@@ -20,14 +20,14 @@ func (r *Result) Summary() *experiment.ExploreSummary {
 	}
 }
 
-// The explore demo rides the standard registry so sttcp-demo can run a
+// The explore demo rides the standard registry so `sttcp demo` can run a
 // bounded exploration alongside the paper demos. Registered from init
 // because experiment sits below explore in the import graph.
 func init() {
 	experiment.Register(experiment.Demo{
 		Name:     "explore",
 		Title:    "exhaustive interleaving exploration of the failover window",
-		Extended: true,
+		Extended: true, NoMetrics: true, NoTracer: true, // hundreds of replays, none singled out
 		Run: func(p experiment.Params) (experiment.Result, error) {
 			// The demo's window is sized to close: a 4 ms fault window
 			// with a 10 ms forking grace exhausts in a couple of seconds,

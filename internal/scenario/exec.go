@@ -10,7 +10,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/experiment"
 	"repro/internal/netem"
-	"repro/internal/sim"
 	"repro/internal/sttcp"
 	"repro/internal/tcp"
 	"repro/internal/telemetry"
@@ -31,7 +30,7 @@ type Result struct {
 	Clients []string // one status line per workload
 	Errors  []string // fault injections that failed at run time (e.g. rejoin with no takeover)
 	Tracer  *trace.Recorder
-	// Report is the run-report artifact: seed, scheduler, final metrics,
+	// Report is the run-report artifact: seed, final metrics,
 	// telemetry timeline (when RunOptions.TelemetryWindow sampled one),
 	// and any failover anatomy the tracer assembled.
 	Report *telemetry.Report
@@ -60,14 +59,14 @@ type executor struct {
 	echoes    []*app.EchoClient
 	kind      string // "download" | "echo"
 	mkApp     func(name string) func(*tcp.Conn)
-	apps      map[string]crashable
+	apps      map[string]app.Server
 	res       *Result
 }
 
 // RunOptions adjusts execution beyond what the script itself specifies.
 type RunOptions struct {
 	// TraceDetail enables per-segment trace events and segment-journey
-	// spans, for runs whose trace will be exported (sttcp-lab's
+	// spans, for runs whose trace will be exported (`sttcp lab`'s
 	// -trace-out/-timeline flags set it).
 	TraceDetail bool
 	// TelemetryWindow, when > 0, samples every metric into windowed time
@@ -143,7 +142,7 @@ func RunWith(sc *Script, ro RunOptions) (*Result, error) {
 		ex.apps[hostName] = srv
 		return srv.Accept
 	}
-	ex.apps = map[string]crashable{}
+	ex.apps = map[string]app.Server{}
 	ex.installApp(tb.PrimaryNode, "primary")
 	ex.installApp(tb.BackupNode, "backup")
 	if tb.WitnessNode != nil {
@@ -168,46 +167,15 @@ func RunWith(sc *Script, ro RunOptions) (*Result, error) {
 		}
 	}
 	ex.summariseClients()
-	snap := tb.Metrics.Snapshot()
-	rep := &telemetry.Report{
-		Version:    telemetry.ReportVersion,
-		Demo:       "scenario",
-		Seed:       opts.Seed,
-		FinishedAt: snap.At,
-		Metrics:    snap,
-		Telemetry:  tb.Telemetry.Timeline(),
-	}
-	for _, a := range tb.Tracer.Anatomy() {
-		rep.Anatomy = append(rep.Anatomy, telemetry.PhasesFromAnatomy(a))
-	}
-	ex.res.Report = rep
+	ex.res.Report = telemetry.NewReport("scenario", opts.Seed, nil,
+		tb.Metrics.Snapshot(), tb.Telemetry.Timeline(), tb.Tracer.Anatomy())
 	return ex.res, nil
 }
 
-// crashable is the app-crash surface both server kinds share.
-type crashable interface {
-	CrashSilent()
-	CrashCleanup(abort bool)
-}
-
-// appServer is the full server surface the executor drives: crashes, the
-// accept hook, and the host CPU clock (so `starve` actually slows the
-// application, not just a number on the host).
-type appServer interface {
-	crashable
-	Accept(c *tcp.Conn)
-	SetCPU(sm *sim.Simulator, cpu *sim.Clock)
-}
-
-func (ex *executor) newServer(name string, host *cluster.Host) appServer {
-	var srv appServer
-	if ex.kind == "echo" {
-		srv = app.NewEchoServer(name, ex.tb.Tracer)
-	} else {
-		srv = app.NewDataServer(name, ex.tb.Tracer)
-	}
-	srv.SetCPU(ex.tb.Sim, host.CPU())
-	return srv
+// newServer binds the replica to its host's CPU clock, so `starve` slows
+// the application and not just a number on the host.
+func (ex *executor) newServer(name string, host *cluster.Host) app.Server {
+	return app.NewServer(ex.kind == "echo", name, ex.tb.Tracer, ex.tb.Sim, host.CPU())
 }
 
 func (ex *executor) installApp(node *sttcp.Node, host string) {

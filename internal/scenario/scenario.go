@@ -1,6 +1,6 @@
 // Package scenario implements a small line-oriented language for scripting
 // ST-TCP failure demonstrations, and an executor that runs scripts on the
-// simulated testbed. It powers cmd/sttcp-lab: the conference-demo workflow
+// simulated testbed. It powers `sttcp lab`: the conference-demo workflow
 // of "start a workload, break something at a chosen moment, watch the
 // client" as a reproducible text file.
 //

@@ -85,7 +85,7 @@ type Simulator struct {
 // the single audited construction point for randomness in sim-driven code
 // (see DESIGN.md "Determinism contract"): every component draws either
 // from the simulator's own source (Rand) or from a *rand.Rand built here,
-// so one seed determines the entire run and sttcp-vet's simdeterminism
+// so one seed determines the entire run and `sttcp vet`'s simdeterminism
 // analyzer can forbid rand construction everywhere else.
 func NewRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed)) //sttcp:allow simdeterminism this is the audited seeding point itself

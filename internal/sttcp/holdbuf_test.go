@@ -174,7 +174,7 @@ func TestConfigDefaults(t *testing.T) {
 	if c.AppMaxLagBytes != 64<<10 || c.MaxDelayFIN.Seconds() != 60 {
 		t.Fatalf("defaults: %+v", c)
 	}
-	if c.ServicePort == 0 || c.HoldBufferSize == 0 || c.RecoveryChunk == 0 {
+	if c.ServicePort == 0 || c.HoldBufferSize == 0 {
 		t.Fatalf("zero defaults remain: %+v", c)
 	}
 }

@@ -217,8 +217,8 @@ func (lg *Logger) handleCtrl(src ip.Addr, srcPort uint16, payload []byte) {
 		lg.tracer.EmitValue(trace.KindByteRecovery, lg.comp, int64(len(data)),
 			"serving %d logged bytes [%d,…) of %v to %v", len(data), m.From, id, src)
 	}
-	for off := 0; off < len(data); off += lg.cfg.RecoveryChunk {
-		end := off + lg.cfg.RecoveryChunk
+	for off := 0; off < len(data); off += recoveryChunk {
+		end := off + recoveryChunk
 		if end > len(data) {
 			end = len(data)
 		}

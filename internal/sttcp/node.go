@@ -26,6 +26,17 @@ var (
 // awaiting the primary's ISN announcement.
 const maxHeldSegments = 128
 
+// Gateway pinging: one echo request per pingInterval, lost after
+// pingTimeout.
+const (
+	pingInterval = 500 * time.Millisecond
+	pingTimeout  = 250 * time.Millisecond
+)
+
+// recoveryChunk bounds each recovery-data datagram's payload (node and
+// logger alike).
+const recoveryChunk = 1024
+
 // heldSegment is an inbound segment the backup parked until it learns the
 // connection's ISN.
 type heldSegment struct {
@@ -838,8 +849,8 @@ func (n *Node) serveRecovery(m recoveryRequestMsg) {
 	if err != nil || len(data) == 0 {
 		return
 	}
-	for off := 0; off < len(data); off += n.cfg.RecoveryChunk {
-		end := off + n.cfg.RecoveryChunk
+	for off := 0; off < len(data); off += recoveryChunk {
+		end := off + recoveryChunk
 		if end > len(data) {
 			end = len(data)
 		}
@@ -919,8 +930,8 @@ func (n *Node) releaseGatedFIN(rc *repConn, why string) {
 
 // armFINDisagreeTimer starts the primary's MaxDelayFIN window after the
 // backup generated a FIN the primary's application did not. With a witness
-// configured, a majority vote resolves the conflict after MajorityDelay
-// instead (§4.2.2's "additional backup servers" proposal).
+// configured, a majority vote resolves the conflict after three heartbeat
+// periods instead (§4.2.2's "additional backup servers" proposal).
 func (n *Node) armFINDisagreeTimer(rc *repConn) {
 	if rc.finDisagreeTimer != nil {
 		return
@@ -953,7 +964,7 @@ func (n *Node) armMajorityVote(rc *repConn, localFIN bool) {
 	if rc.majorityTimer != nil {
 		return
 	}
-	rc.majorityTimer = n.sim.Schedule(n.cfg.MajorityDelay, func() {
+	rc.majorityTimer = n.sim.Schedule(3*n.cfg.HB.Period, func() {
 		rc.majorityTimer = nil
 		n.decideByMajority(rc, localFIN)
 	})
@@ -1082,8 +1093,8 @@ func (n *Node) startPinging() {
 	if n.pingTicker != nil || n.cfg.GatewayAddr.IsZero() {
 		return
 	}
-	n.pingTicker = n.host.Clock().NewTicker(n.cfg.PingInterval, func() {
-		err := n.host.Netstack().Ping(n.cfg.GatewayAddr, n.cfg.PingTimeout, func(ok bool, _ time.Duration) {
+	n.pingTicker = n.host.Clock().NewTicker(pingInterval, func() {
+		err := n.host.Netstack().Ping(n.cfg.GatewayAddr, pingTimeout, func(ok bool, _ time.Duration) {
 			n.myPingValid = true
 			n.myPingOK = ok
 		})

@@ -32,6 +32,9 @@ import (
 // the verdict anyway.
 const respRingSize = 32
 
+// suspicionThreshold is the score at which the peer is declared failed.
+const suspicionThreshold = 1.0
+
 // linkSilenceBonus is the suspicion contributed by exactly one silent
 // heartbeat link (both silent is the crisp peer-crashed verdict).
 const linkSilenceBonus = 0.5
@@ -186,7 +189,7 @@ func (n *Node) scoreSuspicion(now time.Time, worst time.Duration) {
 			s.violSince = now.Add(-worst)
 		}
 		s.score += float64(dt) / float64(cfg.RespHold)
-		if lim := cfg.Threshold * 1.2; s.score > lim {
+		if lim := suspicionThreshold * 1.2; s.score > lim {
 			s.score = lim
 		}
 	} else {
@@ -229,10 +232,10 @@ func (n *Node) scoreSuspicion(now time.Time, worst time.Duration) {
 		}
 	}
 
-	if total >= cfg.Threshold {
+	if total >= suspicionThreshold {
 		n.declarePeerFailed(fmt.Sprintf(
 			"suspicion %.2f >= %.2f: peer response latency past SLO %v (staleness %v, link bonus %.1f)",
-			total, cfg.Threshold, cfg.RespSLO, worst, bonus))
+			total, suspicionThreshold, cfg.RespSLO, worst, bonus))
 	}
 }
 

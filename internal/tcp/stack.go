@@ -366,7 +366,7 @@ func (st *Stack) listenerFor(addr ip.Addr, port uint16) *Listener {
 
 // noteEmit is the per-segment transmit bookkeeping shared by emit and
 // sendRSTFor. It runs once per simulated segment on every host, so it is
-// annotated hotpath (enforced by sttcp-vet) and asserted zero-alloc by
+// annotated hotpath (enforced by `sttcp vet`) and asserted zero-alloc by
 // TestNoteEmitDoesNotAllocate.
 //
 //sttcp:hotpath

@@ -46,7 +46,7 @@ func (o DiffOptions) withDefaults() DiffOptions {
 }
 
 // Diff is the outcome of comparing a candidate report against a baseline.
-// Regressions gate (non-zero exit in sttcp-report -diff); Notes are
+// Regressions gate (non-zero exit in `sttcp report -diff`); Notes are
 // informational drift.
 type Diff struct {
 	Regressions []string `json:"regressions,omitempty"`

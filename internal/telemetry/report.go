@@ -41,6 +41,29 @@ type Report struct {
 	Chaos     *ChaosReport      `json:"chaos,omitempty"`
 }
 
+// NewReport is the one constructor every report producer goes through
+// (registry demos, chaos runs — which then add their Chaos section — and
+// scenario scripts): it stamps the schema version, takes FinishedAt from
+// the snapshot, and converts the tracer's anatomies to their report form.
+// snap, tl and anatomies may each be nil.
+func NewReport(demo string, seed int64, params map[string]string, snap *metrics.Snapshot, tl *Timeline, anatomies []trace.FailoverAnatomy) *Report {
+	r := &Report{
+		Version:   ReportVersion,
+		Demo:      demo,
+		Seed:      seed,
+		Params:    params,
+		Metrics:   snap,
+		Telemetry: tl,
+	}
+	if snap != nil {
+		r.FinishedAt = snap.At
+	}
+	for _, a := range anatomies {
+		r.Anatomy = append(r.Anatomy, PhasesFromAnatomy(a))
+	}
+	return r
+}
+
 // Phases is the plain-typed mirror of trace.FailoverAnatomy: one
 // failover's phase decomposition, in a shape that serializes compactly
 // and diffs field-by-field.
@@ -118,22 +141,6 @@ func (r *Report) Write(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// WriteFile writes the report to path ("-" for stdout).
-func WriteFile(path string, r *Report) error {
-	if path == "-" {
-		return r.Write(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("telemetry: write report: %w", err)
-	}
-	if err := r.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // Read parses a report and validates its version.

@@ -103,9 +103,6 @@ func (r *Recorder) open(kind Kind, parent SpanID, component string, auto bool, f
 		lastTouch: now,
 	})
 	r.spanIdx[id] = len(r.spans) - 1
-	if r.maxSpans > 0 && len(r.spans) > r.maxSpans {
-		r.compactSpans()
-	}
 	return id
 }
 
@@ -291,98 +288,6 @@ func (r *Recorder) FinalizeAutoSpans() {
 			r.spans[i].End = r.spans[i].lastTouch
 		}
 	}
-}
-
-// SetFlightRecorder bounds memory for long campaigns: at most maxSpans
-// spans and 8×maxSpans events are retained; when the cap is exceeded the
-// oldest closed, unpinned entries are evicted (down to 3/4 of the cap) and
-// counted in DroppedSpans/DroppedEvents. Open spans and anything inside a
-// pinned window survive. Zero disables the cap.
-func (r *Recorder) SetFlightRecorder(maxSpans int) {
-	if r == nil {
-		return
-	}
-	r.maxSpans = maxSpans
-	r.maxEvents = 8 * maxSpans
-}
-
-// PinWindow protects [start, end] from flight-recorder eviction, so the
-// spans and events around a failure stay available for the post-mortem.
-func (r *Recorder) PinWindow(start, end time.Time) {
-	if r == nil {
-		return
-	}
-	r.pins = append(r.pins, pinWindow{start: start, end: end})
-}
-
-// DroppedSpans reports how many spans the flight recorder evicted.
-func (r *Recorder) DroppedSpans() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.droppedSpans
-}
-
-// DroppedEvents reports how many events the flight recorder evicted.
-func (r *Recorder) DroppedEvents() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.droppedEvents
-}
-
-func (r *Recorder) pinned(start, end time.Time) bool {
-	for _, p := range r.pins {
-		if !end.Before(p.start) && !start.After(p.end) {
-			return true
-		}
-	}
-	return false
-}
-
-func (r *Recorder) compactSpans() {
-	toDrop := len(r.spans) - r.maxSpans*3/4
-	kept := r.spans[:0]
-	for _, s := range r.spans {
-		if toDrop > 0 && !s.Open() && !r.pinned(s.Start, s.End) {
-			toDrop--
-			r.droppedSpans++
-			delete(r.spanIdx, s.ID)
-			continue
-		}
-		kept = append(kept, s)
-	}
-	r.spans = kept
-	for i, s := range r.spans {
-		r.spanIdx[s.ID] = i
-	}
-}
-
-func (r *Recorder) compactEvents() {
-	target := r.maxEvents * 3 / 4
-	toDrop := len(r.events) - target
-	kept := r.events[:0]
-	for _, e := range r.events {
-		if toDrop > 0 && !r.pinned(e.Time, e.Time) && !r.spanOpen(e.Span) {
-			toDrop--
-			r.droppedEvents++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	r.events = kept
-	r.byKind = map[Kind][]int{}
-	for i, e := range r.events {
-		r.byKind[e.Kind] = append(r.byKind[e.Kind], i)
-	}
-}
-
-func (r *Recorder) spanOpen(id SpanID) bool {
-	if id == 0 {
-		return false
-	}
-	i, ok := r.spanIdx[id]
-	return ok && r.spans[i].Open()
 }
 
 // DumpSpans renders the span tree as an indented multi-line string, roots

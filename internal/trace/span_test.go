@@ -41,11 +41,6 @@ func TestNilRecorderSpanSafe(t *testing.T) {
 		t.Fatal("nil SpanErrors")
 	}
 	r.FinalizeAutoSpans()
-	r.SetFlightRecorder(4)
-	r.PinWindow(time.Now(), time.Now())
-	if r.DroppedSpans() != 0 || r.DroppedEvents() != 0 {
-		t.Fatal("nil drop counters")
-	}
 	if r.DumpSpans() != "(no spans)\n" && r.DumpSpans() != "" {
 		t.Fatalf("nil DumpSpans = %q", r.DumpSpans())
 	}
@@ -184,65 +179,6 @@ func TestSpanAncestryAndEvents(t *testing.T) {
 	evs := r.Filter(KindGeneric)
 	if len(evs) != 2 || evs[0].Span != take || evs[1].Span != 0 {
 		t.Fatalf("ambient attribution wrong: %+v", evs)
-	}
-}
-
-// TestFlightRecorder checks the ring-buffer mode: span count stays bounded,
-// the oldest closed spans go first, eviction is reported, and pinned
-// windows survive compaction.
-func TestFlightRecorder(t *testing.T) {
-	clock := newClock()
-	r := NewRecorder(clock)
-	r.SetFlightRecorder(8)
-
-	var pinnedID SpanID
-	var pinStart, pinEnd time.Time
-	for i := 0; i < 50; i++ {
-		id := r.OpenSpan(KindGeneric, 0, "x", "span %d", i)
-		r.EmitIn(id, KindGeneric, "x", int64(i), "work")
-		r.CloseSpan(id)
-		if i == 10 {
-			sp, _ := r.SpanByID(id)
-			pinnedID = id
-			pinStart, pinEnd = sp.Start, sp.End
-			r.PinWindow(pinStart, pinEnd)
-		}
-	}
-	if n := len(r.Spans()); n > 8 {
-		t.Fatalf("flight recorder kept %d spans, cap 8", n)
-	}
-	if r.DroppedSpans() == 0 {
-		t.Fatal("no spans reported dropped")
-	}
-	if _, ok := r.SpanByID(pinnedID); !ok {
-		t.Fatalf("pinned span #%d was evicted", pinnedID)
-	}
-	if _, ok := r.SpanByID(1); ok {
-		t.Fatal("oldest unpinned span survived 50 inserts")
-	}
-	// The most recent span must always be present.
-	spans := r.Spans()
-	if spans[len(spans)-1].Message != "span 49" {
-		t.Fatalf("latest span missing: %v", spans[len(spans)-1])
-	}
-}
-
-// TestFlightRecorderKeepsOpenSpans checks open (in-flight) spans are never
-// evicted regardless of age.
-func TestFlightRecorderKeepsOpenSpans(t *testing.T) {
-	r := NewRecorder(newClock())
-	r.SetFlightRecorder(8)
-	open := r.OpenSpan(KindRetransmitWait, 0, "x", "still waiting")
-	for i := 0; i < 50; i++ {
-		id := r.OpenSpan(KindGeneric, 0, "x", "filler %d", i)
-		r.CloseSpan(id)
-	}
-	if _, ok := r.SpanByID(open); !ok {
-		t.Fatal("open span was evicted")
-	}
-	r.CloseSpan(open)
-	if errs := r.SpanErrors(); len(errs) != 0 {
-		t.Fatalf("closing survivor errored: %v", errs)
 	}
 }
 

@@ -156,17 +156,6 @@ type Recorder struct {
 	ambient uint64
 
 	detail bool
-
-	// Flight-recorder state (see SetFlightRecorder).
-	maxSpans      int
-	maxEvents     int
-	pins          []pinWindow
-	droppedSpans  int64
-	droppedEvents int64
-}
-
-type pinWindow struct {
-	start, end time.Time
 }
 
 // NewRecorder returns a recorder that stamps events using now, typically
@@ -246,9 +235,6 @@ func (r *Recorder) append(e Event) {
 	}
 	r.events = append(r.events, e)
 	r.byKind[e.Kind] = append(r.byKind[e.Kind], len(r.events)-1)
-	if r.maxEvents > 0 && len(r.events) > r.maxEvents {
-		r.compactEvents()
-	}
 }
 
 // Events returns a copy of all recorded events.
