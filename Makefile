@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check vet lint build test race bench report-smoke timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
+.PHONY: all check vet lint build test race bench loc report-smoke timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
 
 all: check
 
@@ -34,6 +34,14 @@ race:
 # the repository's benchmark.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/tcp ./internal/app ./internal/sttcp
+
+# Non-test Go lines per package (outside benchmark/ and testdata/): the
+# ROADMAP item 7 table, reproducibly. CI prints it after the build so the
+# trend is in every log.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' -not -path './.bench_build/*' \
+	  | xargs wc -l | awk '$$2 != "total" { d = $$2; sub("^\\./", "", d); sub("/?[^/]*$$", "", d); if (d == "") d = "."; n[d] += $$1; t += $$1 } \
+	      END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t }' | sort -k2
 
 # Cross-run regression observatory gate: run the 50-connection scale
 # failover with telemetry sampling, render its dashboard, and diff the

@@ -38,9 +38,7 @@ func BenchmarkDemo1Failover(b *testing.B) {
 			var stall, transfer time.Duration
 			var reconnects int
 			for i := 0; i < b.N; i++ {
-				res := runDemo(b, "demo1", experiment.Params{
-					Seed: int64(i + 1), Size: 16 << 20, CrashAfter: 500 * time.Millisecond,
-				})
+				res := runDemo(b, "demo1", experiment.Params{Seed: int64(i + 1), Size: 16 << 20})
 				r := res.Failovers[0]
 				if which == "baseline" {
 					r = *res.Baseline

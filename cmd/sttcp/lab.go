@@ -49,7 +49,7 @@ func setupLab(fs *flag.FlagSet) func(io.Writer) error {
 		}
 		fmt.Fprintln(stdout)
 		for _, e := range res.Errors {
-			fmt.Fprintf(stdout, "ERROR injection failed: %s\n", e)
+			fmt.Fprintf(stdout, "ERROR %s\n", e)
 		}
 		failed := 0
 		for _, c := range res.Checks {
@@ -70,7 +70,7 @@ func setupLab(fs *flag.FlagSet) func(io.Writer) error {
 			return err
 		}
 		if failed > 0 || len(res.Errors) > 0 {
-			return fmt.Errorf("%d expectation(s) failed, %d injection error(s)", failed, len(res.Errors))
+			return fmt.Errorf("%d expectation(s) failed, %d run-time error(s)", failed, len(res.Errors))
 		}
 		return nil
 	}

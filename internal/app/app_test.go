@@ -1,6 +1,7 @@
 package app
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -146,8 +147,8 @@ func TestDataServerServesRequest(t *testing.T) {
 	if srv.RequestsServed != 1 || srv.BytesServed != size {
 		t.Fatalf("server: requests=%d bytes=%d", srv.RequestsServed, srv.BytesServed)
 	}
-	if cl.Progress() != 1 {
-		t.Fatalf("progress = %f", cl.Progress())
+	if want := fmt.Sprintf("%d/%d bytes", size, size); cl.Progress() != want {
+		t.Fatalf("progress = %q, want %q", cl.Progress(), want)
 	}
 	if len(cl.Samples) == 0 {
 		t.Fatal("no progress samples recorded")

@@ -18,6 +18,59 @@ type ProgressSample struct {
 	Bytes int64
 }
 
+// Client is the client half of Server: what the harnesses (experiment,
+// chaos, scenario) read from a workload connection, whichever of
+// StreamClient and EchoClient drives it.
+type Client interface {
+	// Outcome reports whether the workload has finished, how many pattern
+	// mismatches it saw (must stay 0), and the error it ended with.
+	Outcome() (done bool, verifyFailures int64, err error)
+	// MaxGap is the largest stall in the progress series and its midpoint.
+	MaxGap() (gap time.Duration, around time.Time)
+	// Progress renders how far the workload got: "n/m bytes" or "n/m rounds".
+	Progress() string
+	// Conn exposes the client's TCP connection.
+	Conn() *tcp.Conn
+}
+
+// Completed is the client-transparency claim for one client: it finished,
+// without an error, with every byte verified.
+func Completed(c Client) bool {
+	done, bad, err := c.Outcome()
+	return done && err == nil && bad == 0
+}
+
+// MaxGap returns the largest interval between consecutive progress samples
+// (including from start to the first sample; a zero start counts from the
+// first sample): the client-visible stall a failover causes. around
+// reports the midpoint of that gap.
+func MaxGap(start time.Time, samples []ProgressSample) (gap time.Duration, around time.Time) {
+	if start.IsZero() && len(samples) > 0 {
+		start = samples[0].Time
+	}
+	for _, s := range samples {
+		if d := s.Time.Sub(start); d > gap {
+			gap = d
+			around = start.Add(d / 2)
+		}
+		start = s.Time
+	}
+	return gap, around
+}
+
+// GapAfter returns the stall observed around time t: the interval between
+// the last delivery at or before t (or start) and the first delivery after
+// t. It reports false if no delivery followed t.
+func GapAfter(start time.Time, samples []ProgressSample, t time.Time) (time.Duration, bool) {
+	for _, s := range samples {
+		if s.Time.After(t) {
+			return s.Time.Sub(start), true
+		}
+		start = s.Time
+	}
+	return 0, false
+}
+
 // StreamClient is the paper's demo client: it connects to the service,
 // requests a byte count, verifies every received byte against the
 // deterministic pattern, and records a progress time series from which the
@@ -206,43 +259,18 @@ func (cl *StreamClient) Elapsed() time.Duration {
 	return end.Sub(cl.started)
 }
 
-// Progress returns the fraction of the request received, in [0, 1] — the
-// pie chart's angle.
-func (cl *StreamClient) Progress() float64 {
-	if cl.Request == 0 {
-		return 1
-	}
-	return float64(cl.Received) / float64(cl.Request)
-}
+// Outcome implements Client.
+func (cl *StreamClient) Outcome() (bool, int64, error) { return cl.Done, cl.VerifyFailures, cl.Err }
 
-// MaxGap returns the largest interval between consecutive progress samples
-// (including from start to the first sample): the client-visible stall a
-// failover causes. around reports the midpoint of that gap.
+// Progress implements Client.
+func (cl *StreamClient) Progress() string { return fmt.Sprintf("%d/%d bytes", cl.Received, cl.Request) }
+
+// MaxGap is the largest client-visible stall (see the package's MaxGap).
 func (cl *StreamClient) MaxGap() (gap time.Duration, around time.Time) {
-	prev := cl.started
-	if prev.IsZero() && len(cl.Samples) > 0 {
-		prev = cl.Samples[0].Time
-	}
-	for _, s := range cl.Samples {
-		if d := s.Time.Sub(prev); d > gap {
-			gap = d
-			around = prev.Add(d / 2)
-		}
-		prev = s.Time
-	}
-	return gap, around
+	return MaxGap(cl.started, cl.Samples)
 }
 
-// GapAfter returns the stall the client observed around time t: the
-// interval between the last delivery at or before t and the first delivery
-// after t. It reports false if no delivery followed t.
+// GapAfter is the stall the client observed around time t.
 func (cl *StreamClient) GapAfter(t time.Time) (time.Duration, bool) {
-	last := cl.started
-	for _, s := range cl.Samples {
-		if s.Time.After(t) {
-			return s.Time.Sub(last), true
-		}
-		last = s.Time
-	}
-	return 0, false
+	return GapAfter(cl.started, cl.Samples, t)
 }

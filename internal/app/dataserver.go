@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
-	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/trace"
 )
@@ -23,23 +21,16 @@ import (
 // and CrashCleanup closes every connection (FIN, or RST when abort is
 // requested), modelling the OS cleaning up a dead process.
 type DataServer struct {
-	name   string
-	tracer *trace.Recorder
+	replica[serveState]
 
 	// CloseAfterServe closes the connection after the response bytes.
 	CloseAfterServe bool
 	// MaxChunk bounds each Write call (0 means 16 KiB).
 	MaxChunk int
 
-	crashedSilent bool
-	conns         map[*tcp.Conn]*serveState
 	// chunk is the one scratch area every pump fills and writes from;
 	// Write copies out of it before returning.
 	chunk []byte
-
-	// cpu models scheduler starvation (SetCPU), as on EchoServer.
-	cpu *sim.Clock
-	sm  *sim.Simulator
 
 	// BytesServed totals response bytes written across connections.
 	BytesServed int64
@@ -58,97 +49,29 @@ type serveState struct {
 // NewDataServer builds a server; attach it with Accept (typically
 // node.OnAccept = server.Accept).
 func NewDataServer(name string, tracer *trace.Recorder) *DataServer {
-	return &DataServer{
-		name:   name,
-		tracer: tracer,
-		conns:  make(map[*tcp.Conn]*serveState),
-	}
+	return &DataServer{replica: newReplica[serveState](name, tracer, "application", "no cleanup, no FIN")}
 }
 
 // Name returns the server's trace name.
 func (s *DataServer) Name() string { return s.name }
 
-// SetCPU attaches the host's CPU clock so injected starvation stretches
-// this server's processing time. Call before traffic starts.
-func (s *DataServer) SetCPU(sm *sim.Simulator, cpu *sim.Clock) {
-	s.sm, s.cpu = sm, cpu
-}
-
-// schedule runs fn inline at nominal CPU rate, or defers it by the
-// starvation stretch, coalescing wakeups per connection.
-func (s *DataServer) schedule(st *serveState, fn func()) {
-	if s.cpu.Rate() == 1 || s.sm == nil {
-		fn()
-		return
-	}
-	if st.deferred {
-		return
-	}
-	st.deferred = true
-	s.sm.Schedule(s.cpu.Stretch(procQuantum)-procQuantum, func() {
-		st.deferred = false
-		fn()
-	})
-}
-
 // Accept adopts an established connection.
 func (s *DataServer) Accept(c *tcp.Conn) {
 	st := &serveState{}
-	s.conns[c] = st
-	c.OnReadable = func() { s.schedule(st, func() { s.readable(c, st) }) }
-	c.OnWritable = func() { s.schedule(st, func() { s.writable(c, st) }) }
-	c.OnClose = func(error) { delete(s.conns, c) }
+	s.adopt(c, st)
+	readable, writable := func() { s.readable(c, st) }, func() { s.writable(c, st) }
+	c.OnReadable = func() { s.run(&st.deferred, readable) }
+	c.OnWritable = func() { s.run(&st.deferred, writable) }
 	// Data may already be buffered (replica force-established or request
 	// segment processed before accept).
 	s.readable(c, st)
-}
-
-// CrashSilent simulates an application crash without cleanup (§4.2.1): the
-// process stops reading and writing but the OS keeps the socket open, so no
-// FIN is generated.
-func (s *DataServer) CrashSilent() {
-	s.crashedSilent = true
-	if s.tracer != nil {
-		s.tracer.Emit(trace.KindAppCrash, s.name, "application crashed (no cleanup, no FIN)")
-	}
-}
-
-// CrashCleanup simulates an application crash with OS cleanup (§4.2.2):
-// every socket is closed, generating a FIN (or a RST when abort is true).
-func (s *DataServer) CrashCleanup(abort bool) {
-	s.crashedSilent = true
-	if s.tracer != nil {
-		s.tracer.Emit(trace.KindAppCrash, s.name, "application crashed (cleanup, abort=%v)", abort)
-	}
-	for c := range s.conns {
-		if abort {
-			c.Abort()
-		} else {
-			_ = c.Close()
-		}
-	}
-}
-
-// Crashed reports whether a crash was injected.
-func (s *DataServer) Crashed() bool { return s.crashedSilent }
-
-// StartHealthBeats runs a local timer that calls beat every interval while
-// the application is healthy — the application-side half of the §4.2.2
-// watchdog mechanism. A purely local timer does not affect replica
-// determinism, which constrains only the socket I/O.
-func (s *DataServer) StartHealthBeats(sm *sim.Simulator, interval time.Duration, beat func()) {
-	sim.NewTicker(sm, interval, func() {
-		if !s.crashedSilent {
-			beat()
-		}
-	})
 }
 
 // ActiveConns reports the number of live connections.
 func (s *DataServer) ActiveConns() int { return len(s.conns) }
 
 func (s *DataServer) readable(c *tcp.Conn, st *serveState) {
-	if s.crashedSilent {
+	if s.crashed {
 		return
 	}
 	buf := make([]byte, 512)
@@ -185,7 +108,7 @@ func (s *DataServer) readable(c *tcp.Conn, st *serveState) {
 // writable pumps response bytes until the send buffer is full or the
 // response is complete.
 func (s *DataServer) writable(c *tcp.Conn, st *serveState) {
-	if s.crashedSilent || !st.started {
+	if s.crashed || !st.started {
 		return
 	}
 	for st.remain > 0 {

@@ -16,18 +16,7 @@ import (
 // application-lag failure detector (§4.2.1) and the NIC-failure client-data
 // criterion (§4.3) are exercised.
 type EchoServer struct {
-	name   string
-	tracer *trace.Recorder
-
-	crashed bool
-	conns   map[*tcp.Conn]*echoState
-
-	// cpu models scheduler starvation on the host (SetCPU): at rates
-	// above 1 each processing quantum is deferred by the stretch, so
-	// responses slow down while the host's timers — and heartbeats —
-	// stay on schedule. Nil or rate 1 keeps the pump fully inline.
-	cpu *sim.Clock
-	sm  *sim.Simulator
+	replica[echoState]
 
 	// BytesEchoed totals bytes written back.
 	BytesEchoed int64
@@ -38,82 +27,19 @@ type echoState struct {
 	deferred bool   // a starved pump is already scheduled
 }
 
-// procQuantum is the nominal processing time one pump invocation stands
-// for. At CPU rate r a pump is deferred by (r-1)×procQuantum; at rate 1
-// it runs inline with zero deferral, bit-for-bit as before.
-const procQuantum = time.Millisecond
-
 // NewEchoServer builds an echo server.
 func NewEchoServer(name string, tracer *trace.Recorder) *EchoServer {
-	return &EchoServer{name: name, tracer: tracer, conns: make(map[*tcp.Conn]*echoState)}
-}
-
-// SetCPU attaches the host's CPU clock so injected starvation stretches
-// this server's processing time. Call before traffic starts.
-func (s *EchoServer) SetCPU(sm *sim.Simulator, cpu *sim.Clock) {
-	s.sm, s.cpu = sm, cpu
-}
-
-// schedulePump runs the pump inline at nominal CPU rate, or defers it by
-// the starvation stretch otherwise. Deferred pumps coalesce per
-// connection: however many readable/writable wakeups arrive during the
-// wait, the starved process gets one quantum at the end of it.
-func (s *EchoServer) schedulePump(c *tcp.Conn, st *echoState) {
-	if s.cpu.Rate() == 1 || s.sm == nil {
-		s.pump(c, st)
-		return
-	}
-	if st.deferred {
-		return
-	}
-	st.deferred = true
-	s.sm.Schedule(s.cpu.Stretch(procQuantum)-procQuantum, func() {
-		st.deferred = false
-		s.pump(c, st)
-	})
+	return &EchoServer{replica: newReplica[echoState](name, tracer, "echo application", "no cleanup")}
 }
 
 // Accept adopts an established connection.
 func (s *EchoServer) Accept(c *tcp.Conn) {
 	st := &echoState{}
-	s.conns[c] = st
-	c.OnReadable = func() { s.schedulePump(c, st) }
-	c.OnWritable = func() { s.schedulePump(c, st) }
-	c.OnClose = func(error) { delete(s.conns, c) }
-	s.schedulePump(c, st)
-}
-
-// CrashSilent stops the echo loop without closing sockets (no FIN).
-func (s *EchoServer) CrashSilent() {
-	s.crashed = true
-	if s.tracer != nil {
-		s.tracer.Emit(trace.KindAppCrash, s.name, "echo application crashed (no cleanup)")
-	}
-}
-
-// StartHealthBeats runs a local timer that calls beat every interval while
-// the application is healthy (the §4.2.2 watchdog mechanism).
-func (s *EchoServer) StartHealthBeats(sm *sim.Simulator, interval time.Duration, beat func()) {
-	sim.NewTicker(sm, interval, func() {
-		if !s.crashed {
-			beat()
-		}
-	})
-}
-
-// CrashCleanup closes every connection (FIN, or RST when abort).
-func (s *EchoServer) CrashCleanup(abort bool) {
-	s.crashed = true
-	if s.tracer != nil {
-		s.tracer.Emit(trace.KindAppCrash, s.name, "echo application crashed (cleanup, abort=%v)", abort)
-	}
-	for c := range s.conns {
-		if abort {
-			c.Abort()
-		} else {
-			_ = c.Close()
-		}
-	}
+	s.adopt(c, st)
+	pump := func() { s.pump(c, st) }
+	c.OnReadable = func() { s.run(&st.deferred, pump) }
+	c.OnWritable = c.OnReadable
+	c.OnReadable()
 }
 
 func (s *EchoServer) pump(c *tcp.Conn, st *echoState) {
@@ -324,15 +250,13 @@ func (cl *EchoClient) finish(err error) {
 	}
 }
 
+// Outcome implements Client.
+func (cl *EchoClient) Outcome() (bool, int64, error) { return cl.Done, cl.VerifyFailures, cl.Err }
+
+// Progress implements Client.
+func (cl *EchoClient) Progress() string { return fmt.Sprintf("%d/%d rounds", cl.RoundsDone, cl.Rounds) }
+
 // MaxGap returns the largest interval between consecutive completed rounds.
 func (cl *EchoClient) MaxGap() (gap time.Duration, around time.Time) {
-	prev := cl.started
-	for _, s := range cl.Samples {
-		if d := s.Time.Sub(prev); d > gap {
-			gap = d
-			around = prev.Add(d / 2)
-		}
-		prev = s.Time
-	}
-	return gap, around
+	return MaxGap(cl.started, cl.Samples)
 }

@@ -235,25 +235,10 @@ func (cl *ReconnectClient) Elapsed() time.Duration {
 // MaxGap returns the largest interval between consecutive progress
 // samples — the client-visible service disruption.
 func (cl *ReconnectClient) MaxGap() (gap time.Duration, around time.Time) {
-	prev := cl.started
-	for _, s := range cl.Samples {
-		if d := s.Time.Sub(prev); d > gap {
-			gap = d
-			around = prev.Add(d / 2)
-		}
-		prev = s.Time
-	}
-	return gap, around
+	return app.MaxGap(cl.started, cl.Samples)
 }
 
 // GapAfter returns the stall observed around time t.
 func (cl *ReconnectClient) GapAfter(t time.Time) (time.Duration, bool) {
-	last := cl.started
-	for _, s := range cl.Samples {
-		if s.Time.After(t) {
-			return s.Time.Sub(last), true
-		}
-		last = s.Time
-	}
-	return 0, false
+	return app.GapAfter(cl.started, cl.Samples, t)
 }

@@ -2,14 +2,12 @@ package chaos
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/app"
 	"repro/internal/cluster"
 	"repro/internal/experiment"
 	"repro/internal/metrics"
-	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/sttcp"
 	"repro/internal/tcp"
@@ -50,16 +48,13 @@ type Options struct {
 // clientRec tracks one workload connection.
 type clientRec struct {
 	name    string
-	dl      *app.StreamClient
-	ec      *app.EchoClient
+	cl      app.Client
 	started time.Time
 }
 
 func (r *clientRec) done() bool {
-	if r.dl != nil {
-		return r.dl.Done
-	}
-	return r.ec.Done
+	done, _, _ := r.cl.Outcome()
+	return done
 }
 
 // silenceEra is one interval during which a node held the backup role and
@@ -103,7 +98,6 @@ type harness struct {
 	// nodes lists every sttcp node ever started (stale post-crash nodes
 	// included; their state is Stopped).
 	nodes   []*sttcp.Node
-	servers map[*cluster.Host]app.Server
 	clients []*clientRec
 	eras    []*silenceEra
 
@@ -151,7 +145,6 @@ func Run(sc Schedule, opts Options) (*RunResult, error) {
 	h := &harness{
 		sc:         sc,
 		opts:       opts,
-		servers:    make(map[*cluster.Host]app.Server),
 		nicFailed:  make(map[*cluster.Host]bool),
 		appCrashed: make(map[*cluster.Host]bool),
 		injected:   make(map[EventKind]int),
@@ -184,10 +177,7 @@ func Run(sc Schedule, opts Options) (*RunResult, error) {
 	h.lc = experiment.NewLifecycle(h.tb)
 	h.cfg = h.tb.PrimaryNode.Config()
 
-	h.servers[h.tb.Primary] = h.newServer(h.tb.Primary, "primary/app")
-	h.servers[h.tb.Backup] = h.newServer(h.tb.Backup, "backup/app")
-	h.tb.PrimaryNode.OnAccept = h.servers[h.tb.Primary].Accept
-	h.tb.BackupNode.OnAccept = h.servers[h.tb.Backup].Accept
+	h.tb.AttachServers(sc.Workload == "echo")
 	h.hookNode(h.tb.PrimaryNode)
 	h.hookNode(h.tb.BackupNode)
 
@@ -280,23 +270,6 @@ func (h *harness) fire(ev Event) {
 	if ev.Dur > 0 {
 		h.tb.Sim.Schedule(ev.Dur, func() { inj.Revert(env, ev) })
 	}
-}
-
-func (h *harness) newServer(host *cluster.Host, name string) app.Server {
-	return app.NewServer(h.sc.Workload == "echo", name, h.tb.Tracer, h.tb.Sim, host.CPU())
-}
-
-// mkApp is the Lifecycle.Reintegrate callback: it builds the application
-// replica for a rejoined machine and records it for later fault injection.
-func (h *harness) mkApp(name string) func(*tcp.Conn) {
-	hostName := strings.TrimSuffix(name, "/app")
-	host := h.tb.Backup
-	if hostName == h.tb.Primary.Name() {
-		host = h.tb.Primary
-	}
-	srv := h.newServer(host, name)
-	h.servers[host] = srv
-	return srv.Accept
 }
 
 // hookNode installs the harness's observation (and sabotage) hooks on a
@@ -399,17 +372,6 @@ func (h *harness) standbyNode() *sttcp.Node {
 	return nil
 }
 
-func (h *harness) linkFor(host *cluster.Host) *netem.Link {
-	switch host {
-	case h.tb.Primary:
-		return h.tb.PrimaryLink
-	case h.tb.Backup:
-		return h.tb.BackupLink
-	default:
-		return h.tb.ClientLink
-	}
-}
-
 func (h *harness) healthy(host *cluster.Host) bool {
 	return !host.Crashed() && !h.nicFailed[host] && !h.appCrashed[host]
 }
@@ -467,28 +429,14 @@ func (h *harness) startClient(ev Event) error {
 	if len(h.clients) > 0 {
 		name = fmt.Sprintf("client%d/app", len(h.clients)+1)
 	}
-	rec := &clientRec{name: name, started: h.tb.Sim.Now()}
-	if h.sc.Workload == "echo" {
-		ec := app.NewEchoClient(name, h.tb.Client.TCP(), experiment.ServiceAddr, experiment.ServicePort,
-			h.sc.Rounds, h.sc.MsgSize, h.tb.Tracer)
-		ec.Gap = 3 * time.Millisecond
-		ec.Telemetry = h.tb.Telemetry.NewClientTrack()
-		if err := ec.Start(); err != nil {
-			return err
-		}
-		rec.ec = ec
-	} else {
-		dl := app.NewStreamClient(app.ClientConfig{
-			Name: name, Stack: h.tb.Client.TCP(),
-			Service: experiment.ServiceAddr, Port: experiment.ServicePort,
-			Request: h.sc.Bytes, Tracer: h.tb.Tracer,
-			Telemetry: h.tb.Telemetry.NewClientTrack(),
-		})
-		if err := dl.Start(); err != nil {
-			return err
-		}
-		rec.dl = dl
+	cl, err := h.tb.StartClient(name, experiment.Workload{
+		Echo: h.sc.Workload == "echo", Bytes: h.sc.Bytes,
+		Rounds: h.sc.Rounds, MsgSize: h.sc.MsgSize, Gap: 3 * time.Millisecond,
+	})
+	if err != nil {
+		return err
 	}
+	rec := &clientRec{name: name, cl: cl, started: h.tb.Sim.Now()}
 	h.clients = append(h.clients, rec)
 	h.note(ev, name)
 	return nil

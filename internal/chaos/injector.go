@@ -144,14 +144,14 @@ func (e *Env) ServingNode() *sttcp.Node { return e.h.servingNode() }
 func (e *Env) StandbyNode() *sttcp.Node { return e.h.standbyNode() }
 
 // LinkFor resolves a host's ethernet link.
-func (e *Env) LinkFor(host *cluster.Host) *netem.Link { return e.h.linkFor(host) }
+func (e *Env) LinkFor(host *cluster.Host) *netem.Link { return e.h.tb.Link(host.Name()) }
 
 // Healthy reports whether the host is fully up: not crashed, NIC alive,
 // application alive.
 func (e *Env) Healthy(host *cluster.Host) bool { return e.h.healthy(host) }
 
 // Server is the application server running on host.
-func (e *Env) Server(host *cluster.Host) app.Server { return e.h.servers[host] }
+func (e *Env) Server(host *cluster.Host) app.Server { return e.h.tb.Server(host.Name()) }
 
 // --- survivability bookkeeping (see the field docs on harness) ---
 

@@ -252,19 +252,19 @@ func (serialCutInjector) Apply(env *Env, ev Event) error {
 func (h *harness) linkTarget(ev Event) (*netem.Link, string, bool) {
 	switch ev.Kind {
 	case EvDropClient, EvLossClient, EvDelayClient:
-		return h.tb.ClientLink, "client link", true
+		return h.tb.Link("client"), "client link", true
 	case EvDropServing, EvLossServing, EvDelayServing:
 		n := h.servingNode()
 		if n.Host().Crashed() {
 			return nil, "", false
 		}
-		return h.linkFor(n.Host()), n.Host().Name() + " link", true
+		return h.tb.Link(n.Host().Name()), n.Host().Name() + " link", true
 	default:
 		n := h.standbyNode()
 		if n == nil {
 			return nil, "", false
 		}
-		return h.linkFor(n.Host()), n.Host().Name() + " link", true
+		return h.tb.Link(n.Host().Name()), n.Host().Name() + " link", true
 	}
 }
 
@@ -383,7 +383,7 @@ func (rejoinInjector) Validate(env *Env, ev Event) string {
 func (rejoinInjector) Apply(env *Env, ev Event) error {
 	h := env.h
 	dead := h.lc.PrimaryHost()
-	if err := h.lc.Reintegrate(h.mkApp); err != nil {
+	if err := h.lc.Reintegrate(h.tb.NewReplica); err != nil {
 		return fmt.Errorf("reintegrate: %v", err)
 	}
 	env.Note(ev, dead.Name())

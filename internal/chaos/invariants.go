@@ -124,19 +124,10 @@ type ClientSummary struct {
 }
 
 func summarize(r *clientRec) ClientSummary {
-	s := ClientSummary{Name: r.name}
-	if r.dl != nil {
-		s.Done = r.dl.Done
-		if r.dl.Err != nil {
-			s.Err = r.dl.Err.Error()
-		}
-		s.Progress = fmt.Sprintf("%d/%d bytes", r.dl.Received, r.dl.Request)
-	} else {
-		s.Done = r.ec.Done
-		if r.ec.Err != nil {
-			s.Err = r.ec.Err.Error()
-		}
-		s.Progress = fmt.Sprintf("%d/%d rounds", r.ec.RoundsDone, r.ec.Rounds)
+	s := ClientSummary{Name: r.name, Progress: r.cl.Progress()}
+	var err error
+	if s.Done, _, err = r.cl.Outcome(); err != nil {
+		s.Err = err.Error()
 	}
 	return s
 }
@@ -217,13 +208,7 @@ func (h *harness) endInvariants(snap *metrics.Snapshot) []Violation {
 		case s.Err != "":
 			bad("client-integrity", "%s failed: %s", s.Name, s.Err)
 		}
-		var verr int64
-		if r.dl != nil {
-			verr = r.dl.VerifyFailures
-		} else {
-			verr = r.ec.VerifyFailures
-		}
-		if verr > 0 {
+		if _, verr, _ := r.cl.Outcome(); verr > 0 {
 			bad("client-integrity", "%s observed %d byte-pattern mismatches", s.Name, verr)
 		}
 	}

@@ -139,7 +139,7 @@ func (e *endHarness) syncCounterTrace() {
 // violating history, plus a clean history that must pass them all.
 func TestEndInvariants(t *testing.T) {
 	doneClient := func(name string) *clientRec {
-		return &clientRec{name: name, ec: &app.EchoClient{Rounds: 10, RoundsDone: 10, Done: true}}
+		return &clientRec{name: name, cl: &app.EchoClient{Rounds: 10, RoundsDone: 10, Done: true}}
 	}
 	cases := []struct {
 		name string
@@ -157,7 +157,7 @@ func TestEndInvariants(t *testing.T) {
 			name: "client-unfinished",
 			build: func(e *endHarness) {
 				e.h.clients = append(e.h.clients,
-					&clientRec{name: "c0", ec: &app.EchoClient{Rounds: 10, RoundsDone: 3}})
+					&clientRec{name: "c0", cl: &app.EchoClient{Rounds: 10, RoundsDone: 3}})
 			},
 			want: "client-integrity",
 		},
@@ -165,7 +165,7 @@ func TestEndInvariants(t *testing.T) {
 			name: "client-error",
 			build: func(e *endHarness) {
 				e.h.clients = append(e.h.clients, &clientRec{name: "c0",
-					ec: &app.EchoClient{Rounds: 10, RoundsDone: 10, Done: true, Err: errors.New("conn reset")}})
+					cl: &app.EchoClient{Rounds: 10, RoundsDone: 10, Done: true, Err: errors.New("conn reset")}})
 			},
 			want: "client-integrity",
 		},
@@ -173,7 +173,7 @@ func TestEndInvariants(t *testing.T) {
 			name: "client-bad-bytes",
 			build: func(e *endHarness) {
 				e.h.clients = append(e.h.clients, &clientRec{name: "c0",
-					ec: &app.EchoClient{Rounds: 10, RoundsDone: 10, Done: true, VerifyFailures: 2}})
+					cl: &app.EchoClient{Rounds: 10, RoundsDone: 10, Done: true, VerifyFailures: 2}})
 			},
 			want: "client-integrity",
 		},
@@ -181,7 +181,7 @@ func TestEndInvariants(t *testing.T) {
 			name: "stream-client-short-download",
 			build: func(e *endHarness) {
 				e.h.clients = append(e.h.clients, &clientRec{name: "c0",
-					dl: &app.StreamClient{Request: 1 << 20, Received: 4096}})
+					cl: &app.StreamClient{Request: 1 << 20, Received: 4096}})
 			},
 			want: "client-integrity",
 		},

@@ -223,9 +223,6 @@ func (h *Host) Reboot() {
 	}
 }
 
-// Reboots counts how many times the host has been rebooted.
-func (h *Host) Reboots() int { return h.reboots }
-
 // PowerController exposes the out-of-band power channel to a target
 // machine, modelling the remote power switch of the testbed.
 type PowerController struct {

@@ -32,7 +32,7 @@ func stallAround(r FailoverResult, at time.Time) time.Duration {
 // retransmission wait — must sum to the client-visible failover time (after
 // the pipeline-drain and delivery-latency corrections) within one sim tick.
 func TestDemo2AnatomyPhasesSumToStall(t *testing.T) {
-	results, err := runDemo2(42, []time.Duration{100 * time.Millisecond, time.Second}, false, false, 0)
+	results, err := runDemo2(Options{Seed: 42}, []time.Duration{100 * time.Millisecond, time.Second}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,18 +26,13 @@ type SerialCapacityResult struct {
 	EffectiveBitsS float64
 }
 
-// runSerialCapacity drives one side of a 115.2 kbit/s serial pair with
-// heartbeats describing n connections for the given duration and measures
-// queueing: once serialization time exceeds the period, heartbeats back up
-// and the link is saturated. Reached through the "capacity" registry demo.
-func runSerialCapacity(n int, period, runFor time.Duration) (SerialCapacityResult, error) {
-	return runHBLinkCapacity(n, period, runFor, serial.DefaultBitsPerSecond)
-}
-
-// runHBLinkCapacity generalises the capacity experiment to any
-// point-to-point link rate; §3 recommends a crossover 10/100 Mbit/s
-// Ethernet cable instead of RS-232 when more than ~100 connections are
-// expected, and this shows why.
+// runHBLinkCapacity drives one side of a point-to-point heartbeat link
+// (the 115.2 kbit/s serial pair by default) with heartbeats describing n
+// connections for the given duration and measures queueing: once
+// serialization time exceeds the period, heartbeats back up and the link is
+// saturated. §3 recommends a crossover 10/100 Mbit/s Ethernet cable
+// instead of RS-232 when more than ~100 connections are expected, and the
+// rate parameter shows why. Reached through the "capacity" registry demo.
 func runHBLinkCapacity(n int, period, runFor time.Duration, bitsPerSecond int64) (SerialCapacityResult, error) {
 	s := sim.New(1)
 	pa, pb := serial.NewPair(s, "primary/hb0", "backup/hb0", bitsPerSecond)

@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/baseline"
+	"repro/internal/cluster"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 	"repro/internal/sttcp"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -72,134 +74,52 @@ func (r FailoverResult) String() string {
 		r.HBPeriod, r.DetectionTime.Round(time.Millisecond), r.FailoverTime.Round(time.Millisecond), r.Completed)
 }
 
-// attachServers installs one application replica per ST-TCP node — echo
-// servers when echo is set, data servers otherwise — named "<host>/app"
-// and bound to the host's CPU clock: on the primary, the backup, and the
-// witness when the topology has one. It returns the primary's and the
-// backup's handles for fault injection.
-func (tb *Testbed) attachServers(echo bool) (primary, backup app.Server) {
-	install := func(n *sttcp.Node) app.Server {
-		srv := app.NewServer(echo, n.Host().Name()+"/app", tb.Tracer, tb.Sim, n.Host().CPU())
-		n.OnAccept = srv.Accept
-		return srv
-	}
-	primary, backup = install(tb.PrimaryNode), install(tb.BackupNode)
-	if tb.WitnessNode != nil {
-		install(tb.WitnessNode)
-	}
-	return primary, backup
-}
+// crashPrimary is the fault most runs inject: a HW/OS crash of the primary.
+func crashPrimary(at time.Duration) Fault { return Fault{At: at, Kind: FaultCrash, Host: "primary"} }
 
-// fillFailoverTimes derives detection/takeover/gap metrics from the span
-// tree: the trace.Anatomy analyzer decomposes each takeover into phases
-// that provably reconcile with the client-observed stall (frames already
-// in flight at the crash instant still arrive, so the stall begins when
-// the pipeline drains, and ends at the first post-takeover delivery).
-// Runs without a takeover — the baseline, non-FT fallbacks — keep the old
-// client-side arithmetic: the largest stall in the progress series.
-func fillFailoverTimes(r *FailoverResult, tb *Testbed, maxGap func() (time.Duration, time.Time)) {
-	if e, ok := tb.Tracer.First(trace.KindSuspect); ok {
-		r.SuspectAt = e.Time
-		r.DetectionTime = e.Time.Sub(r.CrashAt)
-	}
-	if anatomies := tb.Tracer.Anatomy(); len(anatomies) > 0 {
-		a := anatomies[0]
-		r.Anatomy = &a
-		r.SuspectAt = a.SuspectAt
-		r.TakeoverAt = a.TakeoverAt
-		r.DetectionTime = a.SuspectAt.Sub(r.CrashAt)
-		if a.ClientStall > 0 {
-			r.FailoverTime = a.ClientStall
-		}
-	}
-	if r.FailoverTime == 0 {
-		if gap, around := maxGap(); !around.IsZero() && around.After(r.CrashAt.Add(-gap)) {
-			r.FailoverTime = gap
-		}
-	}
-	r.Tracer = tb.Tracer
-	r.Metrics = tb.Metrics.Snapshot()
-	r.Telemetry = tb.Telemetry.Timeline()
-}
-
-// Demo1Result pairs the ST-TCP run with the conventional hot-backup
-// baseline run on the identical workload and crash schedule.
-type Demo1Result struct {
-	STTCP    FailoverResult
-	Baseline FailoverResult
-}
+// demo1CrashAfter is when Demo 1 crashes the primary, counted from the
+// start of the transfer.
+const demo1CrashAfter = 500 * time.Millisecond
 
 // runDemo1 reproduces Demo 1: a client downloads transferSize bytes while
 // the primary is crashed mid-transfer. Under ST-TCP the transfer survives
 // with at worst a brief stall; under the baseline the client must detect
-// the stall itself, reconnect to the backup server, and resume.
-func runDemo1(seed int64, transferSize int64, crashAfter time.Duration, detail bool, telWindow time.Duration) (Demo1Result, error) {
-	var out Demo1Result
-
-	// --- ST-TCP run ---
-	tb := Build(Options{Seed: seed, TraceDetail: detail, TelemetryWindow: telWindow})
-	if err := tb.StartSTTCP(0, nil); err != nil {
-		return out, err
-	}
-	tb.attachServers(false)
-	cl := app.NewStreamClient(app.ClientConfig{
-		Name: "client/app", Stack: tb.Client.TCP(),
-		Service: ServiceAddr, Port: ServicePort,
-		Request: transferSize, Tracer: tb.Tracer,
-		Telemetry: tb.Telemetry.NewClientTrack(),
-	})
-	if err := cl.Start(); err != nil {
-		return out, err
-	}
-	crashAt := tb.Sim.Now().Add(crashAfter)
-	tb.Sim.At(crashAt, tb.Primary.CrashHW)
-	if err := tb.Run(10 * time.Minute); err != nil {
-		return out, err
-	}
-	out.STTCP = FailoverResult{
-		HBPeriod:       tb.PrimaryNode.Config().HB.Period,
-		CrashAt:        crashAt,
-		Completed:      cl.Done && cl.Err == nil && cl.VerifyFailures == 0,
-		ClientErr:      cl.Err,
-		BytesReceived:  cl.Received,
-		VerifyFailures: cl.VerifyFailures,
-		TransferTime:   cl.Elapsed(),
-		Progress:       cl.Samples,
-		StartAt:        crashAt.Add(-crashAfter),
-		TotalBytes:     transferSize,
-	}
-	fillFailoverTimes(&out.STTCP, tb, cl.MaxGap)
-
-	// --- Baseline run: same workload, same crash schedule, no ST-TCP.
-	// Each server listens on its own address; the client carries the
-	// failover logic.
-	tb2 := Build(Options{Seed: seed, TraceDetail: detail, TelemetryWindow: telWindow})
-	pSrv := app.NewDataServer("primary/app", tb2.Tracer)
-	bSrv := app.NewDataServer("backup/app", tb2.Tracer)
-	pl, err := tb2.Primary.TCP().Listen(PrimaryAddr, ServicePort)
+// the stall itself, reconnect to the backup server, and resume. It returns
+// the ST-TCP run and the baseline run on the identical workload and crash
+// schedule.
+func runDemo1(o Options, transferSize int64) (st, bl FailoverResult, err error) {
+	run, err := plan{Options: o, Workload: Workload{Bytes: transferSize},
+		Faults: []Fault{crashPrimary(demo1CrashAfter)}, Horizon: 10 * time.Minute}.run()
 	if err != nil {
-		return out, err
+		return st, bl, err
 	}
-	pl.OnEstablished = pSrv.Accept
-	bl, err := tb2.Backup.TCP().Listen(BackupAddr, ServicePort)
-	if err != nil {
-		return out, err
-	}
-	bl.OnEstablished = bSrv.Accept
+	st = run.failover()
 
-	rc := baseline.NewReconnectClient("client/app", tb2.Client.TCP(), transferSize, 3*time.Second, tb2.Tracer)
+	// Baseline run: same workload, same crash schedule, no ST-TCP. Each
+	// server listens on its own address; the client carries the failover
+	// logic.
+	tb := Build(o)
+	for _, h := range []*cluster.Host{tb.Primary, tb.Backup} {
+		l, err := h.TCP().Listen(addrOf(h), ServicePort)
+		if err != nil {
+			return st, bl, err
+		}
+		l.OnEstablished = app.NewDataServer(h.Name()+"/app", tb.Tracer).Accept
+	}
+	rc := baseline.NewReconnectClient("client/app", tb.Client.TCP(), transferSize, 3*time.Second, tb.Tracer)
 	rc.AddServer(PrimaryAddr, ServicePort)
 	rc.AddServer(BackupAddr, ServicePort)
 	if err := rc.Start(); err != nil {
-		return out, err
+		return st, bl, err
 	}
-	crashAt2 := tb2.Sim.Now().Add(crashAfter)
-	tb2.Sim.At(crashAt2, tb2.Primary.CrashHW)
-	if err := tb2.Run(10 * time.Minute); err != nil {
-		return out, err
+	if err := tb.Schedule(crashPrimary(demo1CrashAfter)); err != nil {
+		return st, bl, err
 	}
-	out.Baseline = FailoverResult{
-		CrashAt:        crashAt2,
+	if err := tb.Run(10 * time.Minute); err != nil {
+		return st, bl, err
+	}
+	bl = FailoverResult{
+		CrashAt:        run.injectAt,
 		Completed:      rc.Done && rc.Err == nil && rc.VerifyFailures == 0,
 		ClientErr:      rc.Err,
 		BytesReceived:  rc.Received,
@@ -207,60 +127,26 @@ func runDemo1(seed int64, transferSize int64, crashAfter time.Duration, detail b
 		TransferTime:   rc.Elapsed(),
 		Reconnects:     rc.Reconnects,
 		Progress:       rc.Samples,
-		StartAt:        crashAt2.Add(-crashAfter),
+		StartAt:        sim.Epoch,
 		TotalBytes:     transferSize,
 	}
-	fillFailoverTimes(&out.Baseline, tb2, rc.MaxGap)
-	return out, nil
+	fillFailoverTimes(&bl, tb, rc.MaxGap)
+	return st, bl, nil
 }
 
+// demo2CrashAfter is when Demos 2 and 4 break the primary: mid-transfer.
+const demo2CrashAfter = 700 * time.Millisecond
+
 // runDemo2 reproduces Demo 2: the dependence of failover time on the
-// heartbeat period. For each period the primary is crashed mid-transfer
-// and the client-observed gap is measured. eager enables the
-// retransmit-at-takeover extension (the paper's design waits for the next
-// retransmission).
-func runDemo2(seed int64, periods []time.Duration, eager, detail bool, telWindow time.Duration) ([]FailoverResult, error) {
-	results := make([]FailoverResult, 0, len(periods))
-	for i, p := range periods {
-		tb := Build(Options{Seed: seed + int64(i), TraceDetail: detail, TelemetryWindow: telWindow})
-		err := tb.StartSTTCP(p, func(c *sttcp.Config) {
-			c.EagerTakeoverRetransmit = eager
-		})
-		if err != nil {
-			return nil, err
-		}
-		tb.attachServers(false)
-		const transferSize = 32 << 20
-		cl := app.NewStreamClient(app.ClientConfig{
-			Name: "client/app", Stack: tb.Client.TCP(),
-			Service: ServiceAddr, Port: ServicePort,
-			Request: transferSize, Tracer: tb.Tracer,
-			Telemetry: tb.Telemetry.NewClientTrack(),
-		})
-		if err := cl.Start(); err != nil {
-			return nil, err
-		}
-		crashAt := tb.Sim.Now().Add(700 * time.Millisecond)
-		tb.Sim.At(crashAt, tb.Primary.CrashHW)
-		if err := tb.Run(10 * time.Minute); err != nil {
-			return nil, err
-		}
-		r := FailoverResult{
-			HBPeriod:       p,
-			CrashAt:        crashAt,
-			Completed:      cl.Done && cl.Err == nil && cl.VerifyFailures == 0,
-			ClientErr:      cl.Err,
-			BytesReceived:  cl.Received,
-			VerifyFailures: cl.VerifyFailures,
-			TransferTime:   cl.Elapsed(),
-			Progress:       cl.Samples,
-			StartAt:        crashAt.Add(-700 * time.Millisecond),
-			TotalBytes:     transferSize,
-		}
-		fillFailoverTimes(&r, tb, cl.MaxGap)
-		results = append(results, r)
-	}
-	return results, nil
+// heartbeat period. For each period (period i at seed+i) the primary is
+// crashed mid-transfer and the client-observed gap is measured. eager
+// enables the retransmit-at-takeover extension (the paper's design waits
+// for the next retransmission).
+func runDemo2(o Options, periods []time.Duration, eager bool) ([]FailoverResult, error) {
+	return sweepPeriods(o, periods, plan{
+		mutate:   func(c *sttcp.Config) { c.EagerTakeoverRetransmit = eager },
+		Workload: Workload{Bytes: 32 << 20},
+	})
 }
 
 // runDemo2Upload is Demo 2 with the client as the data source (the paper's
@@ -268,36 +154,26 @@ func runDemo2(seed int64, periods []time.Duration, eager, detail bool, telWindow
 // the crash it is the *client's* TCP that retransmits with exponential
 // backoff, and the post-detection gap is governed by the client's RTO
 // schedule rather than the backup's.
-func runDemo2Upload(seed int64, periods []time.Duration, detail bool, telWindow time.Duration) ([]FailoverResult, error) {
-	results := make([]FailoverResult, 0, len(periods))
-	for i, p := range periods {
-		tb := Build(Options{Seed: seed + int64(i), TraceDetail: detail, TelemetryWindow: telWindow})
-		if err := tb.StartSTTCP(p, nil); err != nil {
-			return nil, err
-		}
-		tb.attachServers(true)
+func runDemo2Upload(o Options, periods []time.Duration) ([]FailoverResult, error) {
+	return sweepPeriods(o, periods, plan{
+		Workload: Workload{Echo: true, Rounds: 4000, MsgSize: 1024, Gap: time.Millisecond},
+	})
+}
 
-		cl := app.NewEchoClient("client/app", tb.Client.TCP(), ServiceAddr, ServicePort, 4000, 1024, tb.Tracer)
-		cl.Gap = time.Millisecond
-		cl.Telemetry = tb.Telemetry.NewClientTrack()
-		if err := cl.Start(); err != nil {
+// sweepPeriods runs p once per heartbeat period — period i at seed+i, the
+// primary crashed demo2CrashAfter in — and reads each run out as a
+// failover.
+func sweepPeriods(o Options, periods []time.Duration, p plan) ([]FailoverResult, error) {
+	results := make([]FailoverResult, 0, len(periods))
+	p.Faults, p.Horizon = []Fault{crashPrimary(demo2CrashAfter)}, 10*time.Minute
+	for i, hb := range periods {
+		p.Options, p.HB = o, hb
+		p.Seed += int64(i)
+		run, err := p.run()
+		if err != nil {
 			return nil, err
 		}
-		crashAt := tb.Sim.Now().Add(700 * time.Millisecond)
-		tb.Sim.At(crashAt, tb.Primary.CrashHW)
-		if err := tb.Run(10 * time.Minute); err != nil {
-			return nil, err
-		}
-		r := FailoverResult{
-			HBPeriod:       p,
-			CrashAt:        crashAt,
-			Completed:      cl.Done && cl.Err == nil && cl.VerifyFailures == 0,
-			ClientErr:      cl.Err,
-			BytesReceived:  int64(cl.RoundsDone),
-			VerifyFailures: cl.VerifyFailures,
-		}
-		fillFailoverTimes(&r, tb, cl.MaxGap)
-		results = append(results, r)
+		results = append(results, run.failover())
 	}
 	return results, nil
 }
@@ -325,55 +201,39 @@ func (r Demo3Result) String() string {
 // that the overhead is negligible.
 func runDemo3(seed int64, size int64) (Demo3Result, error) {
 	out := Demo3Result{Size: size}
+	download := Workload{Bytes: size}
 
-	// ST-TCP enabled.
-	tb := Build(Options{Seed: seed})
-	if err := tb.StartSTTCP(0, nil); err != nil {
+	// ST-TCP enabled. The plan injects nothing, so run() also holds it to
+	// the failure-free postcondition: replication on from start to end.
+	run, err := plan{Options: Options{Seed: seed}, Workload: download, Horizon: 30 * time.Minute}.run()
+	if err != nil {
 		return out, err
 	}
-	tb.attachServers(false)
-	cl := app.NewStreamClient(app.ClientConfig{
-		Name: "client/app", Stack: tb.Client.TCP(),
-		Service: ServiceAddr, Port: ServicePort,
-		Request: size, Tracer: tb.Tracer,
-	})
-	if err := cl.Start(); err != nil {
+	if err := run.completed("demo3 ST-TCP transfer"); err != nil {
+		return out, err
+	}
+	with := run.failover()
+	out.WithSTTCP, out.Metrics, out.Tracer = with.TransferTime, with.Metrics, with.Tracer
+
+	// ST-TCP disabled: plain server on the primary, same topology.
+	tb := Build(Options{Seed: seed})
+	tb.Primary.Netstack().AddAlias(ServiceAddr)
+	l, err := tb.Primary.TCP().Listen(ServiceAddr, ServicePort)
+	if err != nil {
+		return out, err
+	}
+	l.OnEstablished = app.NewDataServer("primary/app", tb.Tracer).Accept
+	cl, err := tb.StartClient("client/app", download)
+	if err != nil {
 		return out, err
 	}
 	if err := tb.Run(30 * time.Minute); err != nil {
 		return out, err
 	}
-	if !cl.Done || cl.Err != nil || cl.VerifyFailures != 0 {
-		return out, fmt.Errorf("experiment: demo3 ST-TCP transfer failed: done=%v err=%v", cl.Done, cl.Err)
+	if !app.Completed(cl) {
+		return out, fmt.Errorf("experiment: demo3 plain transfer failed: %s", cl.Progress())
 	}
-	out.WithSTTCP = cl.Elapsed()
-	out.Metrics = tb.Metrics.Snapshot()
-	out.Tracer = tb.Tracer
-
-	// ST-TCP disabled: plain server on the primary, same topology.
-	tb2 := Build(Options{Seed: seed})
-	srv := app.NewDataServer("primary/app", tb2.Tracer)
-	tb2.Primary.Netstack().AddAlias(ServiceAddr)
-	l, err := tb2.Primary.TCP().Listen(ServiceAddr, ServicePort)
-	if err != nil {
-		return out, err
-	}
-	l.OnEstablished = srv.Accept
-	cl2 := app.NewStreamClient(app.ClientConfig{
-		Name: "client/app", Stack: tb2.Client.TCP(),
-		Service: ServiceAddr, Port: ServicePort,
-		Request: size, Tracer: tb2.Tracer,
-	})
-	if err := cl2.Start(); err != nil {
-		return out, err
-	}
-	if err := tb2.Run(30 * time.Minute); err != nil {
-		return out, err
-	}
-	if !cl2.Done || cl2.Err != nil || cl2.VerifyFailures != 0 {
-		return out, fmt.Errorf("experiment: demo3 plain transfer failed: done=%v err=%v", cl2.Done, cl2.Err)
-	}
-	out.WithoutTCP = cl2.Elapsed()
+	out.WithoutTCP = cl.(*app.StreamClient).Elapsed()
 	out.OverheadPct = 100 * (out.WithSTTCP.Seconds() - out.WithoutTCP.Seconds()) / out.WithoutTCP.Seconds()
 	return out, nil
 }
@@ -391,68 +251,37 @@ const (
 	CrashWithCleanup
 )
 
-// String names the mode.
-func (m AppCrashMode) String() string {
-	switch m {
-	case CrashNoCleanup:
-		return "no-cleanup"
-	case CrashWithCleanup:
-		return "with-cleanup"
-	default:
-		return fmt.Sprintf("AppCrashMode(%d)", int(m))
-	}
+// appCrashModes names each mode and the fault it injects at the primary.
+var appCrashModes = map[AppCrashMode]struct {
+	name  string
+	fault FaultKind
+}{
+	CrashNoCleanup:   {"no-cleanup", FaultAppCrashSilent},
+	CrashWithCleanup: {"with-cleanup", FaultAppCrashCleanup},
 }
+
+// String names the mode.
+func (m AppCrashMode) String() string { return appCrashModes[m].name }
 
 // runDemo4 reproduces Demo 4: the application on the primary crashes
 // mid-transfer (in either of the two modes) while the OS and TCP layer stay
 // up; ST-TCP detects it via the application-lag criteria and migrates the
 // connection to the backup.
-func runDemo4(seed int64, mode AppCrashMode, detail bool, telWindow time.Duration) (FailoverResult, error) {
-	tb := Build(Options{Seed: seed, TraceDetail: detail, TelemetryWindow: telWindow})
-	// Shrink MaxDelayFIN so the gated-FIN path is visible inside the
-	// run; detection is still expected to come from the lag criteria
-	// first.
-	err := tb.StartSTTCP(0, func(c *sttcp.Config) {
-		c.MaxDelayFIN = 20 * time.Second
-	})
+func runDemo4(o Options, mode AppCrashMode) (FailoverResult, error) {
+	run, err := plan{
+		Options: o,
+		// Shrink MaxDelayFIN so the gated-FIN path is visible inside the
+		// run; detection is still expected to come from the lag criteria
+		// first.
+		mutate:   func(c *sttcp.Config) { c.MaxDelayFIN = 20 * time.Second },
+		Workload: Workload{Bytes: 32 << 20},
+		Faults:   []Fault{{At: demo2CrashAfter, Kind: appCrashModes[mode].fault, Host: "primary"}},
+		Horizon:  10 * time.Minute,
+	}.run()
 	if err != nil {
 		return FailoverResult{}, err
 	}
-	primaryApp, _ := tb.attachServers(false)
-
-	const transferSize = 32 << 20
-	cl := app.NewStreamClient(app.ClientConfig{
-		Name: "client/app", Stack: tb.Client.TCP(),
-		Service: ServiceAddr, Port: ServicePort,
-		Request: transferSize, Tracer: tb.Tracer,
-		Telemetry: tb.Telemetry.NewClientTrack(),
-	})
-	if err := cl.Start(); err != nil {
-		return FailoverResult{}, err
-	}
-	crashAt := tb.Sim.Now().Add(700 * time.Millisecond)
-	tb.Sim.At(crashAt, func() {
-		switch mode {
-		case CrashNoCleanup:
-			primaryApp.CrashSilent()
-		case CrashWithCleanup:
-			primaryApp.CrashCleanup(false)
-		}
-	})
-	if err := tb.Run(10 * time.Minute); err != nil {
-		return FailoverResult{}, err
-	}
-	r := FailoverResult{
-		HBPeriod:       tb.BackupNode.Config().HB.Period,
-		CrashAt:        crashAt,
-		Completed:      cl.Done && cl.Err == nil && cl.VerifyFailures == 0,
-		ClientErr:      cl.Err,
-		BytesReceived:  cl.Received,
-		VerifyFailures: cl.VerifyFailures,
-		TransferTime:   cl.Elapsed(),
-	}
-	fillFailoverTimes(&r, tb, cl.MaxGap)
-	return r, nil
+	return run.failover(), nil
 }
 
 // Demo5Result reports a NIC-failure scenario.
@@ -476,45 +305,34 @@ type Demo5Result struct {
 // the backup (second part). The heartbeat on the IP link dies while the
 // serial link stays up; the servers diagnose which side lost its NIC using
 // the client-stream positions and gateway pings exchanged over the serial
-// heartbeat.
-func runDemo5(seed int64, failPrimary bool, detail bool, telWindow time.Duration) (Demo5Result, error) {
-	out := Demo5Result{FailedAtPrimary: failPrimary}
-	tb := Build(Options{Seed: seed, TraceDetail: detail, TelemetryWindow: telWindow})
-	if err := tb.StartSTTCP(0, nil); err != nil {
-		return out, err
+// heartbeat. It is Table 1 row 4 with a longer echo conversation — client
+// data flowing in both directions is what the §4.3 diagnosis consumes —
+// and the default FIN gate.
+func runDemo5(o Options, failPrimary bool) (Demo5Result, error) {
+	p := NICFailBackup.plan(o)
+	if failPrimary {
+		p = NICFailPrimary.plan(o)
 	}
-	tb.attachServers(true)
-
-	// A long-running echo conversation keeps client data flowing in both
-	// directions, which is what the §4.3 diagnosis consumes.
-	cl := app.NewEchoClient("client/app", tb.Client.TCP(), ServiceAddr, ServicePort, 2000, 1024, tb.Tracer)
-	cl.Gap = 5 * time.Millisecond
-	cl.Telemetry = tb.Telemetry.NewClientTrack()
-	if err := cl.Start(); err != nil {
-		return out, err
+	p.mutate, p.Workload.Rounds = nil, 2000
+	run, err := p.run()
+	if err != nil {
+		return Demo5Result{FailedAtPrimary: failPrimary}, err
 	}
-
-	out.FailAt = tb.Sim.Now().Add(2 * time.Second)
-	tb.Sim.At(out.FailAt, func() {
-		if failPrimary {
-			tb.Primary.FailNIC()
-		} else {
-			tb.Backup.FailNIC()
-		}
-	})
-	if err := tb.Run(10 * time.Minute); err != nil {
-		return out, err
+	s := run.scenario()
+	out := Demo5Result{
+		FailedAtPrimary: failPrimary,
+		FailAt:          s.InjectAt,
+		DetectionTime:   s.DetectionTime,
+		TookOver:        s.BackupState == sttcp.StateTakenOver,
+		NonFT:           s.PrimaryState == sttcp.StateNonFT,
+		ClientOK:        s.ClientOK,
+		ClientErr:       s.ClientErr,
+		Tracer:          s.Tracer,
+		Metrics:         s.Metrics,
+		Telemetry:       s.Telemetry,
 	}
-	if e, ok := tb.Tracer.First(trace.KindSuspect); ok {
-		out.SuspectAt = e.Time
-		out.DetectionTime = e.Time.Sub(out.FailAt)
+	if s.DetectionTime != 0 {
+		out.SuspectAt = s.InjectAt.Add(s.DetectionTime)
 	}
-	out.TookOver = tb.BackupNode.State() == sttcp.StateTakenOver
-	out.NonFT = tb.PrimaryNode.State() == sttcp.StateNonFT
-	out.ClientOK = cl.Done && cl.Err == nil && cl.VerifyFailures == 0
-	out.ClientErr = cl.Err
-	out.Tracer = tb.Tracer
-	out.Metrics = tb.Metrics.Snapshot()
-	out.Telemetry = tb.Telemetry.Timeline()
 	return out, nil
 }

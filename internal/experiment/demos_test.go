@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // TestDemo1 checks the paper's headline contrast: under ST-TCP the client
@@ -10,11 +13,10 @@ import (
 // conventional hot-backup baseline the client also completes but only by
 // reconnecting, with a much larger disruption.
 func TestDemo1(t *testing.T) {
-	res, err := runDemo1(42, 16<<20, 500*time.Millisecond, false, 0)
+	st, bl, err := runDemo1(Options{Seed: 42}, 16<<20)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	st, bl := res.STTCP, res.Baseline
 	if !st.Completed {
 		t.Fatalf("ST-TCP client failed: %v", st.ClientErr)
 	}
@@ -42,7 +44,7 @@ func TestDemo1(t *testing.T) {
 // detection time is roughly the heartbeat timeout (3 periods).
 func TestDemo2(t *testing.T) {
 	periods := []time.Duration{200 * time.Millisecond, 500 * time.Millisecond, time.Second}
-	results, err := runDemo2(7, periods, false, false, 0)
+	results, err := runDemo2(Options{Seed: 7}, periods, false)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -72,11 +74,11 @@ func TestDemo2(t *testing.T) {
 // the 1 s-heartbeat failover versus the paper's wait-for-retransmission.
 func TestDemo2Eager(t *testing.T) {
 	periods := []time.Duration{time.Second}
-	faithful, err := runDemo2(7, periods, false, false, 0)
+	faithful, err := runDemo2(Options{Seed: 7}, periods, false)
 	if err != nil {
 		t.Fatalf("run faithful: %v", err)
 	}
-	eager, err := runDemo2(7, periods, true, false, 0)
+	eager, err := runDemo2(Options{Seed: 7}, periods, true)
 	if err != nil {
 		t.Fatalf("run eager: %v", err)
 	}
@@ -113,7 +115,7 @@ func TestDemo4(t *testing.T) {
 	for _, mode := range []AppCrashMode{CrashNoCleanup, CrashWithCleanup} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
-			res, err := runDemo4(13, mode, false, 0)
+			res, err := runDemo4(Options{Seed: 13}, mode)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -122,6 +124,18 @@ func TestDemo4(t *testing.T) {
 			}
 			if res.TakeoverAt.IsZero() {
 				t.Fatalf("no takeover happened")
+			}
+			// The §4.2.1 byte-lag criterion must be what fires, at the
+			// backup, and its hold must run from the crash: the detection
+			// used to read 700 ms for a 1 s hold, because the clock had been
+			// (falsely) armed since the transfer began.
+			const hold, hbPeriod = time.Second, 200 * time.Millisecond
+			e, _ := res.Tracer.First(trace.KindSuspect)
+			if e.Component != "backup/sttcp" || !strings.Contains(e.Message, "peer app lags by") {
+				t.Fatalf("detected by %s: %s; want the backup's byte-lag criterion", e.Component, e.Message)
+			}
+			if res.DetectionTime < hold || res.DetectionTime > hold+3*hbPeriod {
+				t.Fatalf("detection %v after the crash, want within [%v, %v]", res.DetectionTime, hold, hold+3*hbPeriod)
 			}
 			t.Logf("mode=%v detect=%v failover=%v", mode, res.DetectionTime, res.FailoverTime)
 		})
@@ -132,7 +146,7 @@ func TestDemo4(t *testing.T) {
 // takeover, backup NIC death in non-FT mode, with the client unaffected.
 func TestDemo5(t *testing.T) {
 	t.Run("primary", func(t *testing.T) {
-		res, err := runDemo5(17, true, false, 0)
+		res, err := runDemo5(Options{Seed: 17}, true)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -145,7 +159,7 @@ func TestDemo5(t *testing.T) {
 		t.Logf("primary NIC fail: detect=%v", res.DetectionTime)
 	})
 	t.Run("backup", func(t *testing.T) {
-		res, err := runDemo5(18, false, false, 0)
+		res, err := runDemo5(Options{Seed: 18}, false)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}

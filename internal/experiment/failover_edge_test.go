@@ -15,7 +15,7 @@ import (
 // the client's retransmission backoff.
 func TestDemo2Upload(t *testing.T) {
 	periods := []time.Duration{200 * time.Millisecond, time.Second}
-	results, err := runDemo2Upload(71, periods, false, 0)
+	results, err := runDemo2Upload(Options{Seed: 71}, periods)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -43,7 +43,7 @@ func TestClientAbortNoFailover(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	tb.attachServers(false)
+	tb.AttachServers(false)
 	cl := app.NewStreamClient(app.ClientConfig{
 		Name: "client/app", Stack: tb.Client.TCP(),
 		Service: ServiceAddr, Port: ServicePort,
@@ -105,7 +105,7 @@ func TestFailoverDuringHandshake(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	tb.attachServers(false)
+	tb.AttachServers(false)
 	// Crash the primary ~1ms after the dial: SYN, announcement, and
 	// SYN-ACK have flown; the request may or may not have.
 	cl := app.NewStreamClient(app.ClientConfig{
@@ -136,7 +136,7 @@ func TestNewConnectionsAfterTakeover(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	tb.attachServers(false)
+	tb.AttachServers(false)
 	first := app.NewStreamClient(app.ClientConfig{
 		Name: "client/app", Stack: tb.Client.TCP(),
 		Service: ServiceAddr, Port: ServicePort,
@@ -181,7 +181,8 @@ func TestConnectionChurnThenFailover(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	pSrv, bSrv := tb.attachServers(false)
+	tb.AttachServers(false)
+	pSrv, bSrv := tb.Server("primary"), tb.Server("backup")
 	pSrv.(*app.DataServer).CloseAfterServe = true
 	bSrv.(*app.DataServer).CloseAfterServe = true
 
@@ -245,7 +246,7 @@ func TestTakeoverStateIntrospection(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	tb.attachServers(false)
+	tb.AttachServers(false)
 	cl := app.NewStreamClient(app.ClientConfig{
 		Name: "client/app", Stack: tb.Client.TCP(),
 		Service: ServiceAddr, Port: ServicePort,

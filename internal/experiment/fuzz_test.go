@@ -47,9 +47,9 @@ func TestTransientFaultFuzz(t *testing.T) {
 			}
 			tb.Sim.Schedule(at, func() {
 				if atBackup {
-					tb.BackupLink.DropFromBFor(dur)
+					tb.Link("backup").DropFromBFor(dur)
 				} else {
-					tb.PrimaryLink.DropFromBFor(dur)
+					tb.Link("primary").DropFromBFor(dur)
 				}
 			})
 			if err := tb.Run(5 * time.Minute); err != nil {

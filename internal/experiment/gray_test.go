@@ -11,7 +11,7 @@ import (
 // accrual bound, with the client completing verified either way.
 func TestGrayDemo(t *testing.T) {
 	t.Run("mild", func(t *testing.T) {
-		res, err := runGrayStarve(42, 25, false, 0)
+		res, err := runGrayStarve(Options{Seed: 42}, 25)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -24,7 +24,7 @@ func TestGrayDemo(t *testing.T) {
 		}
 	})
 	t.Run("convicting", func(t *testing.T) {
-		res, err := runGrayStarve(42, 500, false, 0)
+		res, err := runGrayStarve(Options{Seed: 42}, 500)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}

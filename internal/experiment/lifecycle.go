@@ -2,9 +2,7 @@ package experiment
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/app"
 	"repro/internal/cluster"
 	"repro/internal/ip"
 	"repro/internal/sttcp"
@@ -19,12 +17,9 @@ import (
 type Lifecycle struct {
 	tb *Testbed
 
-	// The two server machines and their current sttcp nodes.
-	hostA, hostB *cluster.Host
-	nodeA, nodeB *sttcp.Node
-
-	// primaryIsA tracks which side currently serves as primary.
-	primaryIsA bool
+	// primary and backup are the nodes currently holding each role; the
+	// two machines swap them every generation.
+	primary, backup *sttcp.Node
 
 	// Generations counts completed crash→rejoin cycles.
 	Generations int
@@ -32,46 +27,17 @@ type Lifecycle struct {
 
 // NewLifecycle wraps a started testbed (StartSTTCP must have succeeded).
 func NewLifecycle(tb *Testbed) *Lifecycle {
-	return &Lifecycle{
-		tb:         tb,
-		hostA:      tb.Primary,
-		hostB:      tb.Backup,
-		nodeA:      tb.PrimaryNode,
-		nodeB:      tb.BackupNode,
-		primaryIsA: true,
-	}
+	return &Lifecycle{tb: tb, primary: tb.PrimaryNode, backup: tb.BackupNode}
 }
 
 // PrimaryHost returns the machine currently serving as primary.
-func (lc *Lifecycle) PrimaryHost() *cluster.Host {
-	if lc.primaryIsA {
-		return lc.hostA
-	}
-	return lc.hostB
-}
+func (lc *Lifecycle) PrimaryHost() *cluster.Host { return lc.primary.Host() }
 
 // BackupNode returns the node currently in the backup role.
-func (lc *Lifecycle) BackupNode() *sttcp.Node {
-	if lc.primaryIsA {
-		return lc.nodeB
-	}
-	return lc.nodeA
-}
+func (lc *Lifecycle) BackupNode() *sttcp.Node { return lc.backup }
 
 // PrimaryNode returns the node currently in the primary role.
-func (lc *Lifecycle) PrimaryNode() *sttcp.Node {
-	if lc.primaryIsA {
-		return lc.nodeA
-	}
-	return lc.nodeB
-}
-
-func (lc *Lifecycle) backupHost() *cluster.Host {
-	if lc.primaryIsA {
-		return lc.hostB
-	}
-	return lc.hostA
-}
+func (lc *Lifecycle) PrimaryNode() *sttcp.Node { return lc.primary }
 
 func addrOf(h *cluster.Host) ip.Addr { return h.Netstack().Addr() }
 
@@ -82,20 +48,17 @@ func (lc *Lifecycle) CrashPrimary() { lc.PrimaryHost().CrashHW() }
 // the (by now promoted) survivor, completing one generation. newApp is
 // invoked to build the application replica for the rejoined node.
 func (lc *Lifecycle) Reintegrate(newApp func(name string) func(*tcp.Conn)) error {
-	dead := lc.PrimaryHost()
-	survivorNode := lc.BackupNode()
-	if survivorNode.State() != sttcp.StateTakenOver {
-		return fmt.Errorf("experiment: survivor state %v, want taken-over", survivorNode.State())
+	dead, survivor := lc.PrimaryHost(), lc.backup
+	if survivor.State() != sttcp.StateTakenOver {
+		return fmt.Errorf("experiment: survivor state %v, want taken-over", survivor.State())
 	}
 	dead.Reboot()
-	if err := survivorNode.EnableReplication(addrOf(dead), cluster.NewPowerController(dead)); err != nil {
+	if err := survivor.EnableReplication(addrOf(dead), cluster.NewPowerController(dead)); err != nil {
 		return fmt.Errorf("experiment: enable replication: %w", err)
 	}
-	cfg := lc.tb.NodeConfig(addrOf(lc.backupHost()), 0)
-	// lc.backupHost() still points at the survivor's machine here; the
-	// new node's peer is the survivor.
-	cfg.PeerAddr = addrOf(survivorNode.Host())
-	fresh, err := sttcp.NewNode(dead, sttcp.RoleBackup, cfg, cluster.NewPowerController(survivorNode.Host()))
+	// The new node's peer is the survivor.
+	cfg := lc.tb.NodeConfig(addrOf(survivor.Host()), 0)
+	fresh, err := sttcp.NewNode(dead, sttcp.RoleBackup, cfg, cluster.NewPowerController(survivor.Host()))
 	if err != nil {
 		return fmt.Errorf("experiment: new backup node: %w", err)
 	}
@@ -105,29 +68,7 @@ func (lc *Lifecycle) Reintegrate(newApp func(name string) func(*tcp.Conn)) error
 	}
 	// Swap roles: the survivor is the primary now, the rebooted machine
 	// the backup.
-	if lc.primaryIsA {
-		lc.nodeA = fresh
-	} else {
-		lc.nodeB = fresh
-	}
-	lc.primaryIsA = !lc.primaryIsA
+	lc.primary, lc.backup = survivor, fresh
 	lc.Generations++
 	return nil
-}
-
-// RunTransfer starts one verified download against the service and runs
-// the simulation until it completes or deadline passes.
-func (lc *Lifecycle) RunTransfer(size int64, deadline time.Duration) (*app.StreamClient, error) {
-	cl := app.NewStreamClient(app.ClientConfig{
-		Name: "client/app", Stack: lc.tb.Client.TCP(),
-		Service: ServiceAddr, Port: ServicePort,
-		Request: size, Tracer: lc.tb.Tracer,
-	})
-	if err := cl.Start(); err != nil {
-		return nil, err
-	}
-	if err := lc.tb.Run(deadline); err != nil {
-		return nil, err
-	}
-	return cl, nil
 }

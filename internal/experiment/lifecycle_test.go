@@ -72,11 +72,14 @@ func TestRepeatedFailoverCycles(t *testing.T) {
 		t.Fatalf("takeovers = %d, want 3", got)
 	}
 	// A final failure-free transfer on the 4th-generation pair.
-	cl, err := lc.RunTransfer(4<<20, 30*time.Second)
+	cl, err := tb.StartClient("client/app", Workload{Bytes: 4 << 20})
 	if err != nil {
 		t.Fatalf("final transfer: %v", err)
 	}
-	if !cl.Done || cl.Err != nil || cl.VerifyFailures != 0 {
-		t.Fatalf("final transfer failed: %v", cl.Err)
+	if err := tb.Run(30 * time.Second); err != nil {
+		t.Fatalf("final transfer: %v", err)
+	}
+	if !app.Completed(cl) {
+		t.Fatalf("final transfer failed after %s", cl.Progress())
 	}
 }

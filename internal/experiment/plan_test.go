@@ -1,0 +1,213 @@
+package experiment
+
+import (
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/app"
+	"repro/internal/sttcp"
+	"repro/internal/trace"
+)
+
+// startedTestbed is the default Figure 2 testbed with ST-TCP up and data
+// servers attached.
+func startedTestbed(t *testing.T, o Options) *Testbed {
+	t.Helper()
+	tb := Build(o)
+	if err := tb.StartSTTCP(0, nil); err != nil {
+		t.Fatalf("start sttcp: %v", err)
+	}
+	tb.AttachServers(false)
+	return tb
+}
+
+// TestTable1Spec pins the shape of the Table 1 table: ten rows in enum
+// order with unique names, each naming a fault the default testbed accepts.
+func TestTable1Spec(t *testing.T) {
+	if len(table1) != 10 || len(Scenarios) != 10 {
+		t.Fatalf("Table 1 has %d rows and %d scenarios, want 10 and 10", len(table1), len(Scenarios))
+	}
+	tb := startedTestbed(t, Options{Seed: 1})
+	names := map[string]bool{}
+	for i, row := range table1 {
+		if row.Scenario != Scenario(i+1) || Scenarios[i] != row.Scenario {
+			t.Errorf("row %d is scenario %d: the table must follow the enum", i, row.Scenario)
+		}
+		if names[row.name] || row.Scenario.String() != row.name {
+			t.Errorf("row %d: name %q duplicated or not what String() returns (%q)", i, row.name, row.Scenario)
+		}
+		names[row.name] = true
+		if err := tb.Schedule(row.Fault); err != nil {
+			t.Errorf("%v: fault does not validate: %v", row.Scenario, err)
+		}
+		if row.ExpectTakeover() && row.ExpectNonFT() {
+			t.Errorf("%v expects both recovery actions", row.Scenario)
+		}
+	}
+	if got := Scenario(0).String() + Scenario(11).String(); got != "Scenario(0)Scenario(11)" {
+		t.Errorf("out-of-range scenarios print as %q", got)
+	}
+}
+
+// TestScheduleValidation drives every refusal Testbed.Schedule has: a
+// fault that cannot take effect must fail loudly instead of silently doing
+// nothing.
+func TestScheduleValidation(t *testing.T) {
+	tb := startedTestbed(t, Options{Seed: 1})
+	for _, tc := range []struct {
+		name string
+		f    Fault
+		want string // "" = accepted
+	}{
+		{"unknown host", Fault{Kind: FaultCrash, Host: "router"}, "not present in this topology"},
+		{"absent witness", Fault{Kind: FaultAppCrashSilent, Host: "witness"}, "not present in this topology"},
+		{"absent logger link", Fault{Kind: FaultDrop, Host: "logger", Dur: time.Second}, "not present in this topology"},
+		{"appcrash on gateway", Fault{Kind: FaultAppCrashSilent, Host: "gateway"}, "runs no server application"},
+		{"appcrash on client", Fault{Kind: FaultAppCrashCleanup, Host: "client"}, "runs no server application"},
+		{"drop without duration", Fault{Kind: FaultDrop, Host: "backup"}, "duration must be positive"},
+		{"drop with negative duration", Fault{Kind: FaultDrop, Host: "client", Dur: -time.Second}, "duration must be positive"},
+		{"starve without duration", Fault{Kind: FaultStarve, Host: "primary", Scale: 10}, "duration must be positive"},
+		{"unknown kind", Fault{Kind: "meteor", Host: "primary"}, "unknown fault kind"},
+		{"empty kind", Fault{Host: "primary"}, "unknown fault kind"},
+		{"serial cut needs no host", Fault{Kind: FaultSerialCut}, ""},
+		{"drop on gateway link", Fault{Kind: FaultDrop, Host: "gateway", Dur: time.Second}, ""},
+		{"reboot", Fault{Kind: FaultReboot, Host: "backup"}, ""},
+	} {
+		err := tb.Schedule(tc.f)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	// Witness and logger exist, and have links, in the topologies that ask
+	// for them.
+	full := startedTestbed(t, Options{Seed: 1, WithWitness: true, WithLogger: true})
+	for _, host := range []string{"witness", "logger"} {
+		if full.Link(host) == nil {
+			t.Errorf("Link(%q) = nil in a topology that has the host", host)
+		}
+		if err := full.Schedule(Fault{Kind: FaultDrop, Host: host, Dur: time.Second}); err != nil {
+			t.Errorf("drop on %s: %v", host, err)
+		}
+	}
+	if err := full.Schedule(Fault{Kind: FaultAppCrashSilent, Host: "witness"}); err != nil {
+		t.Errorf("appcrash on the witness replica: %v", err)
+	}
+}
+
+// TestStartClient covers the client primitive: both workload kinds run to
+// completion through it, and a workload of the other kind than the attached
+// servers speak is refused.
+func TestStartClient(t *testing.T) {
+	tb := startedTestbed(t, Options{Seed: 3})
+	if _, err := tb.StartClient("client/app", Workload{Echo: true, Rounds: 5, MsgSize: 64}); err == nil ||
+		!strings.Contains(err.Error(), "cannot mix") {
+		t.Fatalf("echo client against data servers: error %v, want a refusal to mix", err)
+	}
+	dl, err := tb.StartClient("client/app", Workload{Bytes: 1 << 20})
+	if err != nil {
+		t.Fatalf("download: %v", err)
+	}
+	if err := tb.Run(10 * time.Second); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !app.Completed(dl) || dl.Progress() != "1048576/1048576 bytes" || dl.Conn() == nil {
+		t.Fatalf("download ended at %s", dl.Progress())
+	}
+
+	etb := Build(Options{Seed: 3})
+	if err := etb.StartSTTCP(0, nil); err != nil {
+		t.Fatalf("start sttcp: %v", err)
+	}
+	etb.AttachServers(true)
+	if _, err := etb.StartClient("client/app", Workload{Bytes: 1 << 20}); err == nil {
+		t.Fatal("download against echo servers accepted")
+	}
+	ec, err := etb.StartClient("client/app", Workload{Echo: true, Rounds: 20, MsgSize: 256, Gap: time.Millisecond})
+	if err != nil {
+		t.Fatalf("echo: %v", err)
+	}
+	if err := etb.Run(10 * time.Second); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if gap, _ := ec.MaxGap(); !app.Completed(ec) || ec.Progress() != "20/20 rounds" || gap < time.Millisecond {
+		t.Fatalf("echo ended at %s, max gap %v", ec.Progress(), gap)
+	}
+}
+
+// TestPlanFailureFreePostcondition holds plan.run() to its one
+// postcondition from both sides. A plan that injects nothing and runs a
+// download well past the 1.4 s at which the byte-lag detector used to
+// convict a healthy backup must pass; the same plan with the detectors
+// bent by hand into raising a false suspicion must fail run() itself —
+// no runner has to remember to look.
+func TestPlanFailureFreePostcondition(t *testing.T) {
+	healthy := plan{Options: Options{Seed: 9}, Workload: Workload{Bytes: 48 << 20}, Horizon: time.Minute}
+	run, err := healthy.run()
+	if err != nil {
+		t.Fatalf("failure-free plan: %v", err)
+	}
+	if err := run.completed("download"); err != nil {
+		t.Fatal(err)
+	}
+	if run.client.(*app.StreamClient).Elapsed() < 3*time.Second {
+		t.Fatalf("the download took %v: too short to have crossed the old detector's 1.4 s", run.failover().TransferTime)
+	}
+
+	// A heartbeat timeout shorter than the period declares the peer silent
+	// between two beats of a perfectly healthy exchange.
+	bent := healthy
+	bent.mutate = func(c *sttcp.Config) { c.HB.Period, c.HB.Timeout = 200*time.Millisecond, 50*time.Millisecond }
+	if _, err := bent.run(); err == nil || !strings.Contains(err.Error(), "failure-free run") {
+		t.Fatalf("false suspicion in a failure-free plan: run() returned %v, want the postcondition's error", err)
+	}
+
+	// With a fault in the plan a suspicion is the expected outcome.
+	faulty := healthy
+	faulty.Faults = []Fault{crashPrimary(500 * time.Millisecond)}
+	if run, err = faulty.run(); err != nil || !run.tb.Tracer.Has(trace.KindSuspect) {
+		t.Fatalf("plan with a crash: err %v, suspect recorded %v", err, run != nil && run.tb.Tracer.Has(trace.KindSuspect))
+	}
+}
+
+// TestFailureFreeRegistryPlans runs every registry demo whose plans inject
+// nothing; each must end with zero suspects (run() enforces it, so a nil
+// error is the check).
+func TestFailureFreeRegistryPlans(t *testing.T) {
+	for name, p := range map[string]Params{
+		"demo3":   {Seed: 5, Size: 64 << 20},
+		"nicload": {Seed: 5},
+	} {
+		d, _ := DemoByName(name)
+		res, err := d.Run(p)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		} else if n := res.Tracer.Count(trace.KindSuspect); n != 0 {
+			t.Errorf("%s: %d suspect events in a failure-free run", name, n)
+		}
+	}
+}
+
+// TestLongDownloadsStayFailureFree is the detector regression: 64 MiB and
+// 100 MiB downloads with nothing injected run 5.6 and 8.7 virtual seconds
+// at 100 Mbit/s, and must end with zero suspects and both nodes active
+// (the postcondition inside run() is the check). Before the §4.2.1
+// byte-lag criterion compared like with like, every such run lost its
+// backup at t = 1.4 s.
+func TestLongDownloadsStayFailureFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two long transfers")
+	}
+	for _, mib := range []int64{64, 100} {
+		run, err := plan{Options: Options{Seed: mib}, Workload: Workload{Bytes: mib << 20}, Horizon: time.Minute}.run()
+		if err != nil {
+			t.Fatalf("%d MiB: %v", mib, err)
+		}
+		if err := run.completed("download"); err != nil {
+			t.Errorf("%d MiB: %v", mib, err)
+		}
+	}
+}

@@ -21,9 +21,6 @@ type Params struct {
 	// (Demo 1: default 16 MiB; Demo 3: default 100 MiB; scale: per-client
 	// bytes, default 32 KiB).
 	Size int64
-	// CrashAfter is when the primary is crashed after the transfer
-	// starts (Demo 1; default 500 ms).
-	CrashAfter time.Duration
 	// Periods is the heartbeat-period sweep (Demo 2 and its upload
 	// variant; default 200 ms, 500 ms, 1 s — the paper's three
 	// settings). The capacity and demo2-dist demos use Periods[0].
@@ -147,11 +144,29 @@ type Demo struct {
 	Run func(Params) (Result, error)
 }
 
-func defaultPeriods(p []time.Duration) []time.Duration {
-	if len(p) > 0 {
-		return p
+// options are the testbed options the failover demos pass through: the
+// seed plus the two observation switches.
+func (p Params) options() Options {
+	return Options{Seed: p.Seed, TraceDetail: p.TraceDetail, TelemetryWindow: p.TelemetryWindow}
+}
+
+// periods is the heartbeat-period sweep: Params.Periods, or the paper's
+// three settings.
+func (p Params) periods() []time.Duration {
+	if len(p.Periods) > 0 {
+		return p.Periods
 	}
 	return []time.Duration{200 * time.Millisecond, 500 * time.Millisecond, time.Second}
+}
+
+// or returns v, or def when v is its type's zero value: how a Params field
+// selects its paper-faithful default.
+func or[T comparable](v, def T) T {
+	var zero T
+	if v == zero {
+		return def
+	}
+	return v
 }
 
 // extras holds demos registered by packages that sit above experiment in
@@ -163,18 +178,40 @@ var extras []Demo
 // Register adds a demo to the registry. Call from an init function; the
 // name must not collide with a built-in demo.
 func Register(d Demo) {
-	for _, have := range Demos() {
-		if have.Name == d.Name {
-			panic("experiment: duplicate demo " + d.Name)
-		}
+	if _, have := DemoByName(d.Name); have {
+		panic("experiment: duplicate demo " + d.Name)
 	}
 	extras = append(extras, d)
 }
 
-// Demos returns every registered demonstration in presentation order.
-// The slice is freshly allocated; callers may reorder or filter it.
+// Demos returns every registered demonstration in presentation order, each
+// stamping its name on the Result it returns. The slice is freshly
+// allocated; callers may reorder or filter it.
 func Demos() []Demo {
-	return append(builtinDemos(), extras...)
+	all := append(builtinDemos(), extras...)
+	for i := range all {
+		name, run := all[i].Name, all[i].Run
+		all[i].Run = func(p Params) (Result, error) {
+			res, err := run(p)
+			res.Demo = name
+			return res, err
+		}
+	}
+	return all
+}
+
+// failovers runs one failover-style variant per element of variants and
+// collects them; Metrics, Telemetry and Tracer are the last run's.
+func failovers[V any](variants []V, run func(V) (FailoverResult, error)) (Result, error) {
+	var out Result
+	for _, v := range variants {
+		r, err := run(v)
+		if err != nil {
+			return out, fmt.Errorf("%v: %w", v, err)
+		}
+		out.Failovers = append(out.Failovers, r)
+	}
+	return withLastRun(out), nil
 }
 
 func builtinDemos() []Demo {
@@ -183,63 +220,32 @@ func builtinDemos() []Demo {
 			Name:  "demo1",
 			Title: "transparent failover vs. reconnecting hot-backup baseline",
 			Run: func(p Params) (Result, error) {
-				size := p.Size
-				if size == 0 {
-					size = 16 << 20
-				}
-				crashAfter := p.CrashAfter
-				if crashAfter == 0 {
-					crashAfter = 500 * time.Millisecond
-				}
-				d, err := runDemo1(p.Seed, size, crashAfter, p.TraceDetail, p.TelemetryWindow)
-				if err != nil {
-					return Result{Demo: "demo1"}, err
-				}
-				return Result{
-					Demo:      "demo1",
-					Failovers: []FailoverResult{d.STTCP},
-					Baseline:  &d.Baseline,
-					Metrics:   d.STTCP.Metrics,
-					Telemetry: d.STTCP.Telemetry,
-					Tracer:    d.STTCP.Tracer,
-				}, nil
+				st, bl, err := runDemo1(p.options(), or(p.Size, 16<<20))
+				return withLastRun(Result{Failovers: []FailoverResult{st}, Baseline: &bl}), err
 			},
 		},
 		{
 			Name:  "demo2",
 			Title: "failover time vs. heartbeat period",
 			Run: func(p Params) (Result, error) {
-				rs, err := runDemo2(p.Seed, defaultPeriods(p.Periods), p.Eager, p.TraceDetail, p.TelemetryWindow)
-				if err != nil {
-					return Result{Demo: "demo2"}, err
-				}
-				return withLastRun(Result{Demo: "demo2", Failovers: rs}), nil
+				rs, err := runDemo2(p.options(), p.periods(), p.Eager)
+				return withLastRun(Result{Failovers: rs}), err
 			},
 		},
 		{
 			Name:  "demo2-upload",
 			Title: "failover time vs. heartbeat period, client as sender",
 			Run: func(p Params) (Result, error) {
-				rs, err := runDemo2Upload(p.Seed, defaultPeriods(p.Periods), p.TraceDetail, p.TelemetryWindow)
-				if err != nil {
-					return Result{Demo: "demo2-upload"}, err
-				}
-				return withLastRun(Result{Demo: "demo2-upload", Failovers: rs}), nil
+				rs, err := runDemo2Upload(p.options(), p.periods())
+				return withLastRun(Result{Failovers: rs}), err
 			},
 		},
 		{
 			Name:  "demo3",
 			Title: "failure-free overhead of replication",
 			Run: func(p Params) (Result, error) {
-				size := p.Size
-				if size == 0 {
-					size = 100 << 20
-				}
-				d, err := runDemo3(p.Seed, size)
-				if err != nil {
-					return Result{Demo: "demo3"}, err
-				}
-				return Result{Demo: "demo3", Overhead: &d, Metrics: d.Metrics, Tracer: d.Tracer}, nil
+				d, err := runDemo3(p.Seed, or(p.Size, 100<<20))
+				return Result{Overhead: &d, Metrics: d.Metrics, Tracer: d.Tracer}, err
 			},
 		},
 		{
@@ -250,25 +256,20 @@ func builtinDemos() []Demo {
 				if p.Mode != 0 {
 					modes = []AppCrashMode{p.Mode}
 				}
-				out := Result{Demo: "demo4"}
-				for _, mode := range modes {
-					r, err := runDemo4(p.Seed, mode, p.TraceDetail, p.TelemetryWindow)
-					if err != nil {
-						return out, fmt.Errorf("mode %v: %w", mode, err)
-					}
+				return failovers(modes, func(mode AppCrashMode) (FailoverResult, error) {
+					r, err := runDemo4(p.options(), mode)
 					r.Scenario = mode.String()
-					out.Failovers = append(out.Failovers, r)
-				}
-				return withLastRun(out), nil
+					return r, err
+				})
 			},
 		},
 		{
 			Name:  "demo5",
 			Title: "NIC failure diagnosis at the primary and the backup",
 			Run: func(p Params) (Result, error) {
-				out := Result{Demo: "demo5"}
+				var out Result
 				for _, atPrimary := range []bool{true, false} {
-					r, err := runDemo5(p.Seed, atPrimary, p.TraceDetail, p.TelemetryWindow)
+					r, err := runDemo5(p.options(), atPrimary)
 					if err != nil {
 						return out, err
 					}
@@ -287,18 +288,11 @@ func builtinDemos() []Demo {
 				if len(counts) == 0 {
 					counts = []int{1, 10, 25, 50, 75, 100, 125, 150, 250}
 				}
-				period := 200 * time.Millisecond
-				if len(p.Periods) > 0 {
-					period = p.Periods[0]
-				}
-				bps := p.LinkBitsPerSecond
-				if bps == 0 {
-					bps = serial.DefaultBitsPerSecond
-				}
+				bps := or(p.LinkBitsPerSecond, serial.DefaultBitsPerSecond)
 				series, err := fanIdx(p.Workers, len(counts), func(i int) (SerialCapacityResult, error) {
-					return runHBLinkCapacity(counts[i], period, 10*time.Second, bps)
+					return runHBLinkCapacity(counts[i], p.periods()[0], 10*time.Second, bps)
 				})
-				return Result{Demo: "capacity", Capacity: series}, err
+				return Result{Capacity: series}, err
 			},
 		},
 		{
@@ -306,19 +300,8 @@ func builtinDemos() []Demo {
 			Title:    "failover-time distribution across the crash phase at one heartbeat period",
 			Extended: true, NoMetrics: true,
 			Run: func(p Params) (Result, error) {
-				period := 200 * time.Millisecond
-				if len(p.Periods) > 0 {
-					period = p.Periods[0]
-				}
-				samples := p.Samples
-				if samples == 0 {
-					samples = 8
-				}
-				dist, tracer, err := runDemo2Sampled(p.Seed, period, samples, p.Workers)
-				if err != nil {
-					return Result{Demo: "demo2-dist"}, err
-				}
-				return Result{Demo: "demo2-dist", Distribution: &dist, Tracer: tracer}, nil
+				dist, tracer, err := runDemo2Sampled(p.Seed, p.periods()[0], or(p.Samples, 8), p.Workers)
+				return Result{Distribution: &dist, Tracer: tracer}, err
 			},
 		},
 		{
@@ -326,13 +309,8 @@ func builtinDemos() []Demo {
 			Title:    "§4.3 output-commit gap, without and with the logger machine",
 			Extended: true, NoMetrics: true,
 			Run: func(p Params) (Result, error) {
-				rs, err := fanIdx(p.Workers, 2, func(i int) (OutputCommitResult, error) {
-					return runOutputCommit(p.Seed, i == 1)
-				})
-				if err != nil {
-					return Result{Demo: "output-commit"}, err
-				}
-				return Result{Demo: "output-commit", OutputCommit: rs, Tracer: rs[1].Tracer}, nil
+				rs, tracer, err := pair(p, runOutputCommit, func(r OutputCommitResult) *trace.Recorder { return r.Tracer })
+				return Result{OutputCommit: rs, Tracer: tracer}, err
 			},
 		},
 		{
@@ -340,13 +318,8 @@ func builtinDemos() []Demo {
 			Title:    "§4.2.2 FIN-conflict resolution, pairwise vs witness majority",
 			Extended: true, NoMetrics: true,
 			Run: func(p Params) (Result, error) {
-				rs, err := fanIdx(p.Workers, 2, func(i int) (WitnessResult, error) {
-					return runWitnessConflict(p.Seed, i == 1)
-				})
-				if err != nil {
-					return Result{Demo: "witness"}, err
-				}
-				return Result{Demo: "witness", Witness: rs, Tracer: rs[1].Tracer}, nil
+				rs, tracer, err := pair(p, runWitnessConflict, func(r WitnessResult) *trace.Recorder { return r.Tracer })
+				return Result{Witness: rs, Tracer: tracer}, err
 			},
 		},
 		{
@@ -354,13 +327,8 @@ func builtinDemos() []Demo {
 			Title:    "§3 tap ablation: backup NIC receive volume, enhanced vs tap-both-directions",
 			Extended: true, NoMetrics: true,
 			Run: func(p Params) (Result, error) {
-				rs, err := fanIdx(p.Workers, 2, func(i int) (NICLoadResult, error) {
-					return runBackupNICLoad(p.Seed, i == 1)
-				})
-				if err != nil {
-					return Result{Demo: "nicload"}, err
-				}
-				return Result{Demo: "nicload", NICLoad: rs, Tracer: rs[1].Tracer}, nil
+				rs, tracer, err := pair(p, runBackupNICLoad, func(r NICLoadResult) *trace.Recorder { return r.Tracer })
+				return Result{NICLoad: rs, Tracer: tracer}, err
 			},
 		},
 		{
@@ -368,18 +336,12 @@ func builtinDemos() []Demo {
 			Title:    "gray failure: slow-not-dead primary, starvation the scorer rides out vs convicts",
 			Extended: true,
 			Run: func(p Params) (Result, error) {
-				out := Result{Demo: "gray"}
 				// Mild starvation keeps echo responses inside the SLO — the
 				// scorer must stay quiet. Heavy starvation pushes every
 				// response far past it — the scorer must convict.
-				for _, scale := range []float64{25, 500} {
-					r, err := runGrayStarve(p.Seed, scale, p.TraceDetail, p.TelemetryWindow)
-					if err != nil {
-						return out, fmt.Errorf("starve x%g: %w", scale, err)
-					}
-					out.Failovers = append(out.Failovers, r)
-				}
-				return withLastRun(out), nil
+				return failovers([]float64{25, 500}, func(scale float64) (FailoverResult, error) {
+					return runGrayStarve(p.options(), scale)
+				})
 			},
 		},
 		{
@@ -387,19 +349,8 @@ func builtinDemos() []Demo {
 			Title:    "thousand-connection capacity: concurrent transfers across a primary crash",
 			Extended: true,
 			Run: func(p Params) (Result, error) {
-				conns := p.Conns
-				if conns == 0 {
-					conns = 2000
-				}
-				size := p.Size
-				if size == 0 {
-					size = 32 << 10
-				}
-				sc, err := runScaleFailover(p.Seed, conns, size, true, p.TelemetryWindow)
-				if err != nil {
-					return Result{Demo: "scale"}, err
-				}
-				return Result{Demo: "scale", Scale: &sc, Metrics: sc.Metrics, Telemetry: sc.Telemetry, Tracer: sc.Tracer}, nil
+				sc, err := runScaleFailover(p.Seed, or(p.Conns, 2000), or(p.Size, 32<<10), p.TelemetryWindow)
+				return Result{Scale: &sc, Metrics: sc.Metrics, Telemetry: sc.Telemetry, Tracer: sc.Tracer}, err
 			},
 		},
 		{
@@ -407,9 +358,11 @@ func builtinDemos() []Demo {
 			Title:    "Table 1 single-failure matrix (continuous echo, failure injected at t=2s; row i runs at seed+i)",
 			Extended: true,
 			Run: func(p Params) (Result, error) {
-				out := Result{Demo: "table1"}
+				var out Result
 				for i, sc := range Scenarios {
-					r, err := runScenario(p.Seed+int64(i), sc, p.TraceDetail, p.TelemetryWindow)
+					o := p.options()
+					o.Seed += int64(i)
+					r, err := runScenario(o, sc)
 					if err != nil {
 						return out, fmt.Errorf("%v: %w", sc, err)
 					}

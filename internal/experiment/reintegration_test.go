@@ -26,7 +26,7 @@ func TestReintegrationDoubleFailover(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	tb.attachServers(false)
+	tb.AttachServers(false)
 
 	// Phase 1: a transfer across the first failover.
 	first := app.NewStreamClient(app.ClientConfig{
@@ -119,7 +119,7 @@ func TestReintegrationLocalOnlyConnections(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	tb.attachServers(false)
+	tb.AttachServers(false)
 	tb.Sim.Schedule(100*time.Millisecond, tb.Primary.CrashHW)
 	if err := tb.Run(2 * time.Second); err != nil {
 		t.Fatalf("run: %v", err)

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -39,36 +38,20 @@ func BuildReport(p Params, res Result) *telemetry.Report {
 // only when they truly matched.
 func paramsMap(p Params) map[string]string {
 	m := map[string]string{}
-	if p.Size != 0 {
-		m["size"] = strconv.FormatInt(p.Size, 10)
+	put := func(key string, set bool, v any) {
+		if set {
+			m[key] = fmt.Sprint(v)
+		}
 	}
-	if p.CrashAfter != 0 {
-		m["crash_after"] = p.CrashAfter.String()
-	}
-	if len(p.Periods) > 0 {
-		m["periods"] = fmt.Sprint(p.Periods)
-	}
-	if p.Eager {
-		m["eager"] = "true"
-	}
-	if p.Mode != 0 {
-		m["mode"] = p.Mode.String()
-	}
-	if p.Conns != 0 {
-		m["conns"] = strconv.Itoa(p.Conns)
-	}
-	if len(p.ConnCounts) > 0 {
-		m["conn_counts"] = fmt.Sprint(p.ConnCounts)
-	}
-	if p.LinkBitsPerSecond != 0 {
-		m["link_bps"] = strconv.FormatInt(p.LinkBitsPerSecond, 10)
-	}
-	if p.Samples != 0 {
-		m["samples"] = strconv.Itoa(p.Samples)
-	}
-	if p.TelemetryWindow != 0 {
-		m["telemetry_window"] = p.TelemetryWindow.String()
-	}
+	put("size", p.Size != 0, p.Size)
+	put("periods", len(p.Periods) > 0, p.Periods)
+	put("eager", p.Eager, p.Eager)
+	put("mode", p.Mode != 0, p.Mode)
+	put("conns", p.Conns != 0, p.Conns)
+	put("conn_counts", len(p.ConnCounts) > 0, p.ConnCounts)
+	put("link_bps", p.LinkBitsPerSecond != 0, p.LinkBitsPerSecond)
+	put("samples", p.Samples != 0, p.Samples)
+	put("telemetry_window", p.TelemetryWindow != 0, p.TelemetryWindow)
 	if len(m) == 0 {
 		return nil
 	}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -13,13 +14,13 @@ import (
 )
 
 // ScaleResult reports a capacity-at-scale run: hundreds to thousands of
-// concurrent ST-TCP connections, optionally crashed over to the backup
-// mid-transfer. Every client must finish its full transfer with zero
-// pattern-verification failures for the run to count.
+// concurrent ST-TCP connections crashed over to the backup mid-transfer.
+// Every client must finish its full transfer with zero pattern-verification
+// failures for the run to count.
 type ScaleResult struct {
 	Conns          int
 	BytesPerClient int64
-	// Crashed reports whether a primary crash was injected.
+	// Crashed reports that a primary crash was injected (always, today).
 	Crashed bool
 	// TookOver reports the backup completed the takeover.
 	TookOver bool
@@ -32,7 +33,7 @@ type ScaleResult struct {
 	// SegmentsEmitted sums TCP segments transmitted by the client and both
 	// servers — the numerator of the bench suite's segments/sec figure.
 	SegmentsEmitted int64
-	// DetectionTime is crash → suspect declaration (zero without a crash).
+	// DetectionTime is crash → suspect declaration.
 	DetectionTime time.Duration
 	// MaxStall is the largest delivery gap any client observed — at scale
 	// the takeover must re-drive every connection's retransmission, so
@@ -45,26 +46,26 @@ type ScaleResult struct {
 	// Telemetry is the windowed time-series export, nil unless sampling
 	// was enabled.
 	Telemetry *telemetry.Timeline
-	// Anatomy is the takeover's phase decomposition (nil without a crash).
+	// Anatomy is the takeover's phase decomposition.
 	Anatomy *trace.FailoverAnatomy
 	Tracer  *trace.Recorder
 }
 
 // runScaleFailover pushes the testbed to conns concurrent connections,
-// each transferring bytesPerClient, and (when crash is set) kills the
-// primary once every connection is established and replicated. The
-// heartbeat link runs at 100 Mbit/s — §3's advice for beyond ~100
-// connections, where per-connection heartbeat state saturates the
-// 115.2 kbit/s serial line — and dials are staggered so the SYN burst
-// doesn't serialise into one instant. Reached through the "scale"
-// registry demo.
-func runScaleFailover(seed int64, conns int, bytesPerClient int64, crash bool, telWindow time.Duration) (ScaleResult, error) {
-	out := ScaleResult{Conns: conns, BytesPerClient: bytesPerClient, Crashed: crash}
+// each transferring bytesPerClient, and kills the primary once every
+// connection is established and replicated. The heartbeat link runs at
+// 100 Mbit/s — §3's advice for beyond ~100 connections, where
+// per-connection heartbeat state saturates the 115.2 kbit/s serial line —
+// and dials are staggered so the SYN burst doesn't serialise into one
+// instant. Reached through the "scale" registry demo; hand-written because
+// a thousand clients dialled mid-run are not a plan's one conversation.
+func runScaleFailover(seed int64, conns int, bytesPerClient int64, telWindow time.Duration) (ScaleResult, error) {
+	out := ScaleResult{Conns: conns, BytesPerClient: bytesPerClient, Crashed: true}
 	tb := Build(Options{Seed: seed, SerialRate: 100_000_000, TelemetryWindow: telWindow})
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		return out, err
 	}
-	tb.attachServers(false)
+	tb.AttachServers(false)
 
 	// Stagger dials 500µs apart: connection setup overlaps with the
 	// transfers of already-established clients, as a real arrival process
@@ -78,13 +79,13 @@ func runScaleFailover(seed int64, conns int, bytesPerClient int64, crash bool, t
 	for i := 0; i < conns; i++ {
 		i := i
 		tb.Sim.At(start.Add(time.Duration(i)*dialGap), func() {
-			cl := app.NewStreamClient(app.ClientConfig{
-				Name: "client/app", Stack: tb.Client.TCP(),
-				Service: ServiceAddr, Port: ServicePort,
-				Request: bytesPerClient, Tracer: tb.Tracer,
-				Telemetry: tb.Telemetry.NewClientTrack(),
-			})
-			cl.OnDone = func(error) {
+			cl, err := tb.StartClient("client/app", Workload{Bytes: bytesPerClient})
+			if err != nil {
+				dialErr = errors.Join(dialErr, fmt.Errorf("experiment: scale dial %d: %w", i, err))
+				return
+			}
+			clients[i] = cl.(*app.StreamClient)
+			clients[i].OnDone = func(error) {
 				lastDone = tb.Sim.Now()
 				if done++; done == conns {
 					// All transfers settled: stop instead of
@@ -92,19 +93,14 @@ func runScaleFailover(seed int64, conns int, bytesPerClient int64, crash bool, t
 					tb.Sim.Stop()
 				}
 			}
-			if err := cl.Start(); err != nil && dialErr == nil {
-				dialErr = fmt.Errorf("experiment: scale dial %d: %w", i, err)
-			}
-			clients[i] = cl
 		})
 	}
 
-	var crashAt time.Time
-	if crash {
-		// One second past the last dial: every connection is established
-		// and its state replicated through at least two heartbeats.
-		crashAt = start.Add(time.Duration(conns)*dialGap + time.Second)
-		tb.Sim.At(crashAt, tb.Primary.CrashHW)
+	// One second past the last dial: every connection is established and
+	// its state replicated through at least two heartbeats.
+	crashAfter := time.Duration(conns)*dialGap + time.Second
+	if err := tb.Schedule(crashPrimary(crashAfter)); err != nil {
+		return out, err
 	}
 
 	deadline := start.Add(30 * time.Minute)
@@ -114,7 +110,7 @@ func runScaleFailover(seed int64, conns int, bytesPerClient int64, crash bool, t
 	// If every transfer drained before the crash was even injected (tiny
 	// per-client sizes), keep simulating in slices until the takeover
 	// lands so the post-run assertions see the settled cluster state.
-	for crash && tb.BackupNode.State() != sttcp.StateTakenOver && tb.Sim.Now().Before(deadline) {
+	for tb.BackupNode.State() != sttcp.StateTakenOver && tb.Sim.Now().Before(deadline) {
 		if err := tb.Sim.Run(100 * time.Millisecond); err != nil && err != sim.ErrStopped {
 			return out, err
 		}
@@ -146,14 +142,12 @@ func runScaleFailover(seed int64, conns int, bytesPerClient int64, crash bool, t
 		return out, fmt.Errorf("experiment: only %d/%d scale clients completed", out.ClientsDone, conns)
 	}
 
-	if crash {
-		out.TookOver = tb.BackupNode.State() == sttcp.StateTakenOver
-		if !out.TookOver {
-			return out, fmt.Errorf("experiment: scale run: backup state %v, want taken-over", tb.BackupNode.State())
-		}
-		if e, ok := tb.Tracer.First(trace.KindSuspect); ok {
-			out.DetectionTime = e.Time.Sub(crashAt)
-		}
+	out.TookOver = tb.BackupNode.State() == sttcp.StateTakenOver
+	if !out.TookOver {
+		return out, fmt.Errorf("experiment: scale run: backup state %v, want taken-over", tb.BackupNode.State())
+	}
+	if e, ok := tb.Tracer.First(trace.KindSuspect); ok {
+		out.DetectionTime = e.Time.Sub(start.Add(crashAfter))
 	}
 	out.SegmentsEmitted = tb.Client.TCP().Emitted + tb.Primary.TCP().Emitted + tb.Backup.TCP().Emitted
 	out.Metrics = tb.Metrics.Snapshot()

@@ -12,7 +12,7 @@ import (
 // size cheap enough for -short: staggered dials, the 100 Mbit/s heartbeat
 // link, a mid-stream crash, and the aggregated result fields.
 func TestScaleFailoverSmoke(t *testing.T) {
-	res, err := runScaleFailover(91, 25, 1<<20, true, 0)
+	res, err := runScaleFailover(91, 25, 1<<20, 0)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -39,7 +39,7 @@ func TestThousandConnectionsFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test skipped in -short")
 	}
-	res, err := runScaleFailover(91, 1000, 64<<10, true, 0)
+	res, err := runScaleFailover(91, 1000, 64<<10, 0)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -94,7 +94,7 @@ func TestNonFTPrimaryKeepsServing(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	tb.attachServers(false)
+	tb.AttachServers(false)
 	first := app.NewStreamClient(app.ClientConfig{
 		Name: "client/app", Stack: tb.Client.TCP(),
 		Service: ServiceAddr, Port: ServicePort,

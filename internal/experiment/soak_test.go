@@ -59,9 +59,9 @@ func TestFullSystemSoak(t *testing.T) {
 	}
 
 	// Phase 1 (0–4s): transient faults that must all be absorbed.
-	tb.Sim.Schedule(1200*time.Millisecond, func() { tb.BackupLink.DropFromBFor(250 * time.Millisecond) })
-	tb.Sim.Schedule(2200*time.Millisecond, func() { tb.PrimaryLink.DropFromBFor(200 * time.Millisecond) })
-	tb.Sim.Schedule(3100*time.Millisecond, func() { tb.ClientLink.DropFromBFor(150 * time.Millisecond) })
+	tb.Sim.Schedule(1200*time.Millisecond, func() { tb.Link("backup").DropFromBFor(250 * time.Millisecond) })
+	tb.Sim.Schedule(2200*time.Millisecond, func() { tb.Link("primary").DropFromBFor(200 * time.Millisecond) })
+	tb.Sim.Schedule(3100*time.Millisecond, func() { tb.Link("client").DropFromBFor(150 * time.Millisecond) })
 
 	if err := tb.Run(4 * time.Second); err != nil {
 		t.Fatalf("phase 1: %v", err)

@@ -2,9 +2,9 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
-	"repro/internal/app"
 	"repro/internal/trace"
 )
 
@@ -18,19 +18,11 @@ func computeStats(samples []time.Duration) Stats {
 	if len(samples) == 0 {
 		return Stats{}
 	}
-	s := Stats{N: len(samples), Min: samples[0], Max: samples[0]}
 	var sum time.Duration
 	for _, d := range samples {
 		sum += d
-		if d < s.Min {
-			s.Min = d
-		}
-		if d > s.Max {
-			s.Max = d
-		}
 	}
-	s.Mean = sum / time.Duration(len(samples))
-	return s
+	return Stats{N: len(samples), Min: slices.Min(samples), Mean: sum / time.Duration(len(samples)), Max: slices.Max(samples)}
 }
 
 func (s Stats) String() string {
@@ -62,47 +54,28 @@ func runDemo2Sampled(seed int64, period time.Duration, samples, workers int) (De
 	if samples < 1 {
 		samples = 1
 	}
-	type sample struct {
-		detect, failover time.Duration
-		tracer           *trace.Recorder
-	}
-	results, err := fanIdx(workers, samples, func(i int) (sample, error) {
-		offset := period * time.Duration(i) / time.Duration(samples)
-		tb := Build(Options{Seed: seed + int64(i)})
-		if err := tb.StartSTTCP(period, nil); err != nil {
-			return sample{}, err
+	results, err := fanIdx(workers, samples, func(i int) (FailoverResult, error) {
+		run, err := plan{
+			Options:  Options{Seed: seed + int64(i)},
+			HB:       period,
+			Workload: Workload{Bytes: 32 << 20},
+			Faults:   []Fault{crashPrimary(demo2CrashAfter + period*time.Duration(i)/time.Duration(samples))},
+			Horizon:  10 * time.Minute,
+		}.run()
+		if err != nil {
+			return FailoverResult{}, err
 		}
-		tb.attachServers(false)
-		cl := app.NewStreamClient(app.ClientConfig{
-			Name: "client/app", Stack: tb.Client.TCP(),
-			Service: ServiceAddr, Port: ServicePort,
-			Request: 32 << 20, Tracer: tb.Tracer,
-		})
-		if err := cl.Start(); err != nil {
-			return sample{}, err
-		}
-		crashAt := tb.Sim.Now().Add(700*time.Millisecond + offset)
-		tb.Sim.At(crashAt, tb.Primary.CrashHW)
-		if err := tb.Run(10 * time.Minute); err != nil {
-			return sample{}, err
-		}
-		if !cl.Done || cl.Err != nil || cl.VerifyFailures != 0 {
-			return sample{}, fmt.Errorf("experiment: demo2 sample %d failed: %v", i, cl.Err)
-		}
-		r := FailoverResult{CrashAt: crashAt}
-		fillFailoverTimes(&r, tb, cl.MaxGap)
-		return sample{detect: r.DetectionTime, failover: r.FailoverTime, tracer: tb.Tracer}, nil
+		return run.failover(), run.completed(fmt.Sprintf("demo2 sample %d", i))
 	})
 	if err != nil {
 		return out, nil, err
 	}
 	detects := make([]time.Duration, len(results))
 	failovers := make([]time.Duration, len(results))
-	for i, s := range results {
-		detects[i] = s.detect
-		failovers[i] = s.failover
+	for i, r := range results {
+		detects[i], failovers[i] = r.DetectionTime, r.FailoverTime
 	}
 	out.Detection = computeStats(detects)
 	out.Failover = computeStats(failovers)
-	return out, results[len(results)-1].tracer, nil
+	return out, results[len(results)-1].Tracer, nil
 }

@@ -18,7 +18,8 @@ func TestNormalCloseIsPrompt(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	pSrv, bSrv := tb.attachServers(false)
+	tb.AttachServers(false)
+	pSrv, bSrv := tb.Server("primary"), tb.Server("backup")
 	pSrv.(*app.DataServer).CloseAfterServe = true
 	bSrv.(*app.DataServer).CloseAfterServe = true
 
@@ -56,7 +57,7 @@ func TestMultiConnectionFailover(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	tb.attachServers(false)
+	tb.AttachServers(false)
 
 	var clients []*app.StreamClient
 	for i := 0; i < 3; i++ {
@@ -99,10 +100,10 @@ func TestReplicaReconstructionFromHeartbeat(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	tb.attachServers(false)
+	tb.AttachServers(false)
 
 	// Blind the backup around connection setup.
-	tb.BackupLink.DropFromBFor(150 * time.Millisecond)
+	tb.Link("backup").DropFromBFor(150 * time.Millisecond)
 
 	cl := app.NewStreamClient(app.ClientConfig{
 		Name: "client/app", Stack: tb.Client.TCP(),
@@ -136,7 +137,7 @@ func TestSerialLinkFailureAlone(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	tb.attachServers(false)
+	tb.AttachServers(false)
 	cl := app.NewStreamClient(app.ClientConfig{
 		Name: "client/app", Stack: tb.Client.TCP(),
 		Service: ServiceAddr, Port: ServicePort,
@@ -173,7 +174,7 @@ func TestTapAblationNICLoad(t *testing.T) {
 		if err := tb.StartSTTCP(0, nil); err != nil {
 			t.Fatalf("start: %v", err)
 		}
-		tb.attachServers(false)
+		tb.AttachServers(false)
 		cl := app.NewStreamClient(app.ClientConfig{
 			Name: "client/app", Stack: tb.Client.TCP(),
 			Service: ServiceAddr, Port: ServicePort,

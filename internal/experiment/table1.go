@@ -29,45 +29,56 @@ const (
 	TempNetFailPrimary
 )
 
-// Scenarios lists all ten cases in Table 1 order.
-var Scenarios = []Scenario{
-	HWCrashPrimary, HWCrashBackup,
-	AppCrashNoFINPrimary, AppCrashNoFINBackup,
-	AppCrashFINPrimary, AppCrashFINBackup,
-	NICFailPrimary, NICFailBackup,
-	TempNetFailBackup, TempNetFailPrimary,
+// table1 is the paper's Table 1, one row per Scenario in enum order: the
+// row's name, the fault that stands for it (injected table1InjectAt into
+// the run), and the recovery action the paper lists, as the state it
+// leaves the survivor in — the backup taken-over, the primary non-FT, or
+// (row 5, absorbed) both still active.
+var table1 = []struct {
+	Scenario
+	name string
+	Fault
+	expect sttcp.NodeState
+}{
+	{HWCrashPrimary, "1P hw/os crash @primary", Fault{Kind: FaultCrash, Host: "primary"}, sttcp.StateTakenOver},
+	{HWCrashBackup, "1B hw/os crash @backup", Fault{Kind: FaultCrash, Host: "backup"}, sttcp.StateNonFT},
+	{AppCrashNoFINPrimary, "2P app crash no-FIN @primary", Fault{Kind: FaultAppCrashSilent, Host: "primary"}, sttcp.StateTakenOver},
+	{AppCrashNoFINBackup, "2B app crash no-FIN @backup", Fault{Kind: FaultAppCrashSilent, Host: "backup"}, sttcp.StateNonFT},
+	{AppCrashFINPrimary, "3P app crash FIN @primary", Fault{Kind: FaultAppCrashCleanup, Host: "primary"}, sttcp.StateTakenOver},
+	{AppCrashFINBackup, "3B app crash FIN @backup", Fault{Kind: FaultAppCrashCleanup, Host: "backup"}, sttcp.StateNonFT},
+	{NICFailPrimary, "4P NIC failure @primary", Fault{Kind: FaultNICFail, Host: "primary"}, sttcp.StateTakenOver},
+	{NICFailBackup, "4B NIC failure @backup", Fault{Kind: FaultNICFail, Host: "backup"}, sttcp.StateNonFT},
+	{TempNetFailBackup, "5B temp net failure @backup", Fault{Kind: FaultDrop, Host: "backup", Dur: 300 * time.Millisecond}, sttcp.StateActive},
+	{TempNetFailPrimary, "5P temp net failure @primary", Fault{Kind: FaultDrop, Host: "primary", Dur: 300 * time.Millisecond}, sttcp.StateActive},
 }
 
-var scenarioNames = map[Scenario]string{
-	HWCrashPrimary:       "1P hw/os crash @primary",
-	HWCrashBackup:        "1B hw/os crash @backup",
-	AppCrashNoFINPrimary: "2P app crash no-FIN @primary",
-	AppCrashNoFINBackup:  "2B app crash no-FIN @backup",
-	AppCrashFINPrimary:   "3P app crash FIN @primary",
-	AppCrashFINBackup:    "3B app crash FIN @backup",
-	NICFailPrimary:       "4P NIC failure @primary",
-	NICFailBackup:        "4B NIC failure @backup",
-	TempNetFailBackup:    "5B temp net failure @backup",
-	TempNetFailPrimary:   "5P temp net failure @primary",
-}
+// table1InjectAt is when every row's fault strikes.
+const table1InjectAt = 2 * time.Second
+
+// Scenarios lists all ten cases in Table 1 order.
+var Scenarios = func() (all []Scenario) {
+	for _, row := range table1 {
+		all = append(all, row.Scenario)
+	}
+	return all
+}()
 
 // String names the scenario with its Table 1 row.
 func (s Scenario) String() string {
-	if n, ok := scenarioNames[s]; ok {
-		return n
+	if s < 1 || int(s) > len(table1) {
+		return fmt.Sprintf("Scenario(%d)", int(s))
 	}
-	return fmt.Sprintf("Scenario(%d)", int(s))
+	return table1[s-1].name
 }
 
-// AtPrimary reports whether the failure is injected at the primary.
-func (s Scenario) AtPrimary() bool {
-	switch s {
-	case HWCrashPrimary, AppCrashNoFINPrimary, AppCrashFINPrimary, NICFailPrimary, TempNetFailPrimary:
-		return true
-	default:
-		return false
-	}
-}
+// ExpectTakeover reports whether the Table 1 recovery action for this
+// scenario is a backup takeover (versus the primary entering non-FT mode,
+// or no action for row 5).
+func (s Scenario) ExpectTakeover() bool { return table1[s-1].expect == sttcp.StateTakenOver }
+
+// ExpectNonFT reports whether the action is the primary running
+// non-fault-tolerantly.
+func (s Scenario) ExpectNonFT() bool { return table1[s-1].expect == sttcp.StateNonFT }
 
 // ScenarioResult records what a Table 1 scenario produced.
 type ScenarioResult struct {
@@ -106,105 +117,55 @@ type ScenarioResult struct {
 	Telemetry *telemetry.Timeline
 }
 
-// ExpectTakeover reports whether the Table 1 recovery action for this
-// scenario is a backup takeover (versus the primary entering non-FT mode,
-// or no action for row 5).
-func (s Scenario) ExpectTakeover() bool {
-	switch s {
-	case HWCrashPrimary, AppCrashNoFINPrimary, AppCrashFINPrimary, NICFailPrimary:
-		return true
-	default:
-		return false
+// plan is the row's experiment: an echo workload keeps client data flowing
+// both ways, the row's fault strikes two seconds in, and the run continues
+// until the workload finishes or times out.
+func (s Scenario) plan(o Options) plan {
+	fault := table1[s-1].Fault
+	fault.At = table1InjectAt
+	return plan{
+		Options:  o,
+		mutate:   func(c *sttcp.Config) { c.MaxDelayFIN = 15 * time.Second },
+		Workload: Workload{Echo: true, Rounds: 1500, MsgSize: 1024, Gap: 5 * time.Millisecond},
+		Faults:   []Fault{fault},
+		Horizon:  10 * time.Minute,
 	}
 }
 
-// ExpectNonFT reports whether the action is the primary running
-// non-fault-tolerantly.
-func (s Scenario) ExpectNonFT() bool {
-	switch s {
-	case HWCrashBackup, AppCrashNoFINBackup, AppCrashFINBackup, NICFailBackup:
-		return true
-	default:
-		return false
-	}
-}
-
-// runScenario executes one Table 1 case: an echo workload keeps client
-// data flowing both ways, the failure is injected two seconds in, and the
-// run continues until the workload finishes or times out. Reached through
-// the "table1" registry demo.
-func runScenario(seed int64, sc Scenario, detail bool, telWindow time.Duration) (ScenarioResult, error) {
-	out := ScenarioResult{Scenario: sc}
-	tb := Build(Options{Seed: seed, TraceDetail: detail, TelemetryWindow: telWindow})
-	err := tb.StartSTTCP(0, func(c *sttcp.Config) {
-		c.MaxDelayFIN = 15 * time.Second
-	})
+// runScenario executes one Table 1 case. Reached through the "table1"
+// registry demo.
+func runScenario(o Options, sc Scenario) (ScenarioResult, error) {
+	run, err := sc.plan(o).run()
 	if err != nil {
-		return out, err
+		return ScenarioResult{Scenario: sc}, err
 	}
-	pSrv, bSrv := tb.attachServers(true)
-
-	cl := app.NewEchoClient("client/app", tb.Client.TCP(), ServiceAddr, ServicePort, 1500, 1024, tb.Tracer)
-	cl.Gap = 5 * time.Millisecond
-	cl.Telemetry = tb.Telemetry.NewClientTrack()
-	if err := cl.Start(); err != nil {
-		return out, err
-	}
-
-	out.InjectAt = tb.Sim.Now().Add(2 * time.Second)
-	tb.Sim.At(out.InjectAt, func() { inject(tb, pSrv, bSrv, sc) })
-
-	if err := tb.Run(10 * time.Minute); err != nil {
-		return out, err
-	}
-
-	out.PrimaryState = tb.PrimaryNode.State()
-	out.BackupState = tb.BackupNode.State()
-	out.PrimaryDead = tb.Primary.Crashed()
-	out.BackupDead = tb.Backup.Crashed()
-	if e, ok := tb.Tracer.First(trace.KindSuspect); ok {
-		out.DetectionTime = e.Time.Sub(out.InjectAt)
-	}
-	if tb.PrimaryNode.FailoverReason != "" {
-		out.Reason = tb.PrimaryNode.FailoverReason
-	}
-	if tb.BackupNode.FailoverReason != "" {
-		out.Reason = tb.BackupNode.FailoverReason
-	}
-	out.RecoveryEvents = tb.Tracer.Count(trace.KindByteRecovery)
-	out.FINDelayed = tb.Tracer.Has(trace.KindFINDelayed)
-	out.FINSuppressed = tb.Tracer.Has(trace.KindFINSuppressed)
-	out.ClientOK = cl.Done && cl.Err == nil && cl.VerifyFailures == 0
-	out.ClientErr = cl.Err
-	out.Tracer = tb.Tracer
-	out.Metrics = tb.Metrics.Snapshot()
-	out.Telemetry = tb.Telemetry.Timeline()
+	out := run.scenario()
+	out.Scenario = sc
 	return out, nil
 }
 
-func inject(tb *Testbed, pSrv, bSrv app.Server, sc Scenario) {
-	switch sc {
-	case HWCrashPrimary:
-		tb.Primary.CrashHW()
-	case HWCrashBackup:
-		tb.Backup.CrashHW()
-	case AppCrashNoFINPrimary:
-		pSrv.CrashSilent()
-	case AppCrashNoFINBackup:
-		bSrv.CrashSilent()
-	case AppCrashFINPrimary:
-		pSrv.CrashCleanup(false)
-	case AppCrashFINBackup:
-		bSrv.CrashCleanup(false)
-	case NICFailPrimary:
-		tb.Primary.FailNIC()
-	case NICFailBackup:
-		tb.Backup.FailNIC()
-	case TempNetFailBackup:
-		tb.Tracer.Emit(trace.KindLinkDrop, "backup/eth0", "dropping inbound frames for 300ms")
-		tb.BackupLink.DropFromBFor(300 * time.Millisecond)
-	case TempNetFailPrimary:
-		tb.Tracer.Emit(trace.KindLinkDrop, "primary/eth0", "dropping inbound frames for 300ms")
-		tb.PrimaryLink.DropFromBFor(300 * time.Millisecond)
+// scenario reads the run out as a Table 1 row: where the pair ended up
+// and what the client saw.
+func (o *outcome) scenario() ScenarioResult {
+	tb := o.tb
+	out := ScenarioResult{
+		InjectAt:       o.injectAt,
+		PrimaryState:   tb.PrimaryNode.State(),
+		BackupState:    tb.BackupNode.State(),
+		PrimaryDead:    tb.Primary.Crashed(),
+		BackupDead:     tb.Backup.Crashed(),
+		Reason:         or(tb.BackupNode.FailoverReason, tb.PrimaryNode.FailoverReason),
+		RecoveryEvents: tb.Tracer.Count(trace.KindByteRecovery),
+		FINDelayed:     tb.Tracer.Has(trace.KindFINDelayed),
+		FINSuppressed:  tb.Tracer.Has(trace.KindFINSuppressed),
+		ClientOK:       app.Completed(o.client),
+		Tracer:         tb.Tracer,
+		Metrics:        tb.Metrics.Snapshot(),
+		Telemetry:      tb.Telemetry.Timeline(),
 	}
+	if e, ok := tb.Tracer.First(trace.KindSuspect); ok {
+		out.DetectionTime = e.Time.Sub(out.InjectAt)
+	}
+	_, _, out.ClientErr = o.client.Outcome()
+	return out
 }

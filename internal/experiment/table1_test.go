@@ -17,7 +17,7 @@ func TestTable1Scenarios(t *testing.T) {
 		sc := sc
 		seed := int64(100 + i)
 		t.Run(sc.String(), func(t *testing.T) {
-			res, err := runScenario(seed, sc, false, 0)
+			res, err := runScenario(Options{Seed: seed}, sc)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}

@@ -9,8 +9,10 @@ package experiment
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
+	"repro/internal/app"
 	"repro/internal/cluster"
 	"repro/internal/eth"
 	"repro/internal/hb"
@@ -103,10 +105,13 @@ type Testbed struct {
 	Backup  *cluster.Host
 	Gateway *cluster.Host
 
-	ClientLink  *netem.Link
-	PrimaryLink *netem.Link
-	BackupLink  *netem.Link
-	GatewayLink *netem.Link
+	// hosts and links index every machine and its switch link by host
+	// name (Link); servers holds the application replica on each ST-TCP
+	// host (AttachServers, NewReplica), all of the echo kind or none.
+	hosts   map[string]*cluster.Host
+	links   map[string]*netem.Link
+	servers map[string]app.Server
+	echo    bool
 
 	SerialPrimary *serial.Port
 	SerialBackup  *serial.Port
@@ -148,9 +153,10 @@ func Build(opts Options) *Testbed {
 	}
 
 	reg := metrics.New(s.Now)
-	tb := &Testbed{Sim: s, Tracer: tracer, Metrics: reg, Switch: sw}
+	tb := &Testbed{Sim: s, Tracer: tracer, Metrics: reg, Switch: sw,
+		hosts: map[string]*cluster.Host{}, links: map[string]*netem.Link{}}
 	host := func(name string, ethNum uint32, addr ip.Addr) *cluster.Host {
-		return cluster.New(s, cluster.HostConfig{
+		tb.hosts[name] = cluster.New(s, cluster.HostConfig{
 			Name:    name,
 			EthNum:  ethNum,
 			Addr:    addr,
@@ -158,33 +164,36 @@ func Build(opts Options) *Testbed {
 			Tracer:  tracer,
 			Metrics: reg,
 		})
+		return tb.hosts[name]
 	}
 	tb.Client = host("client", 1, ClientAddr)
 	tb.Primary = host("primary", 2, PrimaryAddr)
 	tb.Backup = host("backup", 3, BackupAddr)
 	tb.Gateway = host("gateway", 254, GatewayAddr)
 
-	connect := func(h *cluster.Host) (*netem.Link, *netem.SwitchPort) {
+	// connect cables h to the switch; tap also subscribes its port and
+	// NIC to the service's multicast group, so it receives every client
+	// frame.
+	connect := func(h *cluster.Host, tap bool) *netem.SwitchPort {
 		l, p := netem.Connect(s, sw, h.NIC(), lan)
 		l.SetMetrics(reg, h.Name()+"-switch")
 		l.SetTrace(tracer, h.Name()+"-switch")
-		return l, p
+		tb.links[h.Name()] = l
+		if tap {
+			sw.JoinGroup(ServiceGroup, p)
+			h.NIC().JoinGroup(ServiceGroup)
+		}
+		return p
 	}
-	var clientPort, primaryPort, backupPort *netem.SwitchPort
-	tb.ClientLink, clientPort = connect(tb.Client)
-	tb.PrimaryLink, primaryPort = connect(tb.Primary)
-	tb.BackupLink, backupPort = connect(tb.Backup)
-	tb.GatewayLink, _ = connect(tb.Gateway)
+	clientPort := connect(tb.Client, false)
+	connect(tb.Primary, true)
+	backupPort := connect(tb.Backup, true)
+	connect(tb.Gateway, false)
 
 	// serviceIP → multiEA: static ARP on the client and the gateway
-	// (Figure 2), multicast group membership on both server ports and
-	// NICs.
+	// (Figure 2).
 	tb.Client.Netstack().ARP().AddStatic(ServiceAddr, ServiceGroup)
 	tb.Gateway.Netstack().ARP().AddStatic(ServiceAddr, ServiceGroup)
-	sw.JoinGroup(ServiceGroup, primaryPort)
-	sw.JoinGroup(ServiceGroup, backupPort)
-	tb.Primary.NIC().JoinGroup(ServiceGroup)
-	tb.Backup.NIC().JoinGroup(ServiceGroup)
 
 	if opts.TapBothDirections {
 		// Old design: the servers send client-bound service traffic
@@ -202,15 +211,11 @@ func Build(opts Options) *Testbed {
 
 	if opts.WithLogger {
 		tb.LoggerHost = host("logger", 9, LoggerAddr)
-		_, loggerPort := connect(tb.LoggerHost)
-		sw.JoinGroup(ServiceGroup, loggerPort)
-		tb.LoggerHost.NIC().JoinGroup(ServiceGroup)
+		connect(tb.LoggerHost, true)
 	}
 	if opts.WithWitness {
 		tb.WitnessHost = host("witness", 5, WitnessAddr)
-		_, witnessPort := connect(tb.WitnessHost)
-		sw.JoinGroup(ServiceGroup, witnessPort)
-		tb.WitnessHost.NIC().JoinGroup(ServiceGroup)
+		connect(tb.WitnessHost, true)
 	}
 
 	// Null-modem serial cable between the servers.
@@ -320,11 +325,10 @@ func (tb *Testbed) StartSTTCP(hbPeriod time.Duration, mutate func(*sttcp.Config)
 	}
 	if tb.WitnessHost != nil {
 		wCfg := tb.NodeConfig(PrimaryAddr, hbPeriod)
-		wCfg.Witness = true
 		if mutate != nil {
 			mutate(&wCfg)
-			wCfg.Witness = true
 		}
+		wCfg.Witness = true
 		tb.WitnessNode, err = sttcp.NewNode(tb.WitnessHost, sttcp.RoleBackup, wCfg, nil)
 		if err != nil {
 			return fmt.Errorf("experiment: witness node: %w", err)
@@ -338,3 +342,159 @@ func (tb *Testbed) StartSTTCP(hbPeriod time.Duration, mutate func(*sttcp.Config)
 
 // Run advances the simulation by d.
 func (tb *Testbed) Run(d time.Duration) error { return tb.Sim.Run(d) }
+
+// Link returns the Ethernet link between the named host and the switch
+// (nil for a host this topology does not have). The host is the link's A
+// side, the switch port its B side.
+func (tb *Testbed) Link(host string) *netem.Link { return tb.links[host] }
+
+// AttachServers installs one application replica per ST-TCP node — echo
+// servers when echo is set, data servers otherwise — on the primary, the
+// backup, and the witness when the topology has one.
+func (tb *Testbed) AttachServers(echo bool) {
+	tb.echo, tb.servers = echo, map[string]app.Server{}
+	for _, n := range []*sttcp.Node{tb.PrimaryNode, tb.BackupNode, tb.WitnessNode} {
+		if n != nil {
+			n.OnAccept = tb.NewReplica(n.Host().Name() + "/app")
+		}
+	}
+}
+
+// NewReplica builds the application replica "<host>/app" of the kind
+// AttachServers chose, bound to the host's CPU clock (so a starve fault
+// slows the application, not just a number on the host), records it as
+// Server(host) and returns its accept hook. It is the
+// Lifecycle.Reintegrate callback.
+func (tb *Testbed) NewReplica(name string) func(*tcp.Conn) {
+	host := strings.TrimSuffix(name, "/app")
+	srv := app.NewServer(tb.echo, name, tb.Tracer, tb.Sim, tb.hosts[host].CPU())
+	tb.servers[host] = srv
+	return srv.Accept
+}
+
+// Server returns the application replica currently installed on the named
+// host, nil if it runs none.
+func (tb *Testbed) Server(host string) app.Server { return tb.servers[host] }
+
+// Workload describes one client conversation against the replicated
+// service: a verified download of Bytes, or — with Echo — Rounds ping-pong
+// exchanges of MsgSize bytes, Gap apart.
+type Workload struct {
+	Echo    bool
+	Bytes   int64
+	Rounds  int
+	MsgSize int
+	Gap     time.Duration
+}
+
+// StartClient dials the service from the client host and starts w under
+// the given trace name. It is the one place a workload client is built:
+// service address, tracer and telemetry track all come from the testbed.
+func (tb *Testbed) StartClient(name string, w Workload) (app.Client, error) {
+	if tb.servers != nil && w.Echo != tb.echo {
+		return nil, fmt.Errorf("experiment: %s: cannot mix download and echo workloads (one service protocol per testbed)", name)
+	}
+	if w.Echo {
+		cl := app.NewEchoClient(name, tb.Client.TCP(), ServiceAddr, ServicePort, w.Rounds, w.MsgSize, tb.Tracer)
+		cl.Gap, cl.Telemetry = w.Gap, tb.Telemetry.NewClientTrack()
+		return cl, cl.Start()
+	}
+	cl := app.NewStreamClient(app.ClientConfig{
+		Name: name, Stack: tb.Client.TCP(),
+		Service: ServiceAddr, Port: ServicePort,
+		Request: w.Bytes, Tracer: tb.Tracer,
+		Telemetry: tb.Telemetry.NewClientTrack(),
+	})
+	return cl, cl.Start()
+}
+
+// FaultKind names one of the physical acts the demos, Table 1 and the lab
+// inject.
+type FaultKind string
+
+// The fault vocabulary.
+const (
+	FaultCrash           FaultKind = "crash"            // HW/OS crash of Host
+	FaultNICFail         FaultKind = "nicfail"          // Host's NIC dies
+	FaultAppCrashSilent  FaultKind = "appcrash-silent"  // Host's application dies, socket stays open (§4.2.1)
+	FaultAppCrashCleanup FaultKind = "appcrash-cleanup" // Host's application dies, the OS closes its sockets (§4.2.2)
+	FaultDrop            FaultKind = "drop"             // every frame toward Host is dropped for Dur
+	FaultStarve          FaultKind = "starve"           // Host's CPU runs Scale times slower for Dur
+	FaultSerialCut       FaultKind = "serialcut"        // the null-modem cable is cut (both ends)
+	FaultReboot          FaultKind = "reboot"           // a crashed Host boots with fresh software
+)
+
+// Fault is one injection: Kind happens to Host at virtual time At (since
+// the start of the run). Dur bounds the windowed kinds, Scale is the
+// starvation factor.
+type Fault struct {
+	At    time.Duration
+	Kind  FaultKind
+	Host  string
+	Dur   time.Duration
+	Scale float64
+}
+
+// Schedule validates f and arms it. A fault that would silently do nothing
+// makes every later observation meaningless, so it is refused up front.
+func (tb *Testbed) Schedule(f Fault) error {
+	host := tb.hosts[f.Host]
+	if host == nil && f.Kind != FaultSerialCut {
+		return fmt.Errorf("%s: host %q not present in this topology", f.Kind, f.Host)
+	}
+	var act func()
+	switch f.Kind {
+	case FaultCrash:
+		act = host.CrashHW
+	case FaultNICFail:
+		act = host.FailNIC
+	case FaultReboot:
+		act = host.Reboot
+	case FaultSerialCut:
+		act = func() {
+			tb.SerialPrimary.SetDown(true)
+			tb.SerialBackup.SetDown(true)
+		}
+	case FaultAppCrashSilent, FaultAppCrashCleanup:
+		if tb.servers[f.Host] == nil {
+			return fmt.Errorf("%s: host %q runs no server application", f.Kind, f.Host)
+		}
+		// The replica is looked up when the fault strikes: a rejoin may
+		// have replaced it by then.
+		act = func() { tb.servers[f.Host].CrashSilent() }
+		if f.Kind == FaultAppCrashCleanup {
+			act = func() { tb.servers[f.Host].CrashCleanup(false) }
+		}
+	case FaultDrop:
+		act = func() {
+			tb.Tracer.Emit(trace.KindLinkDrop, f.Host+"/eth0", "dropping inbound frames for %v", f.Dur)
+			tb.links[f.Host].DropFromBFor(f.Dur) // B side = switch port
+		}
+	case FaultStarve:
+		act = func() {
+			tb.Tracer.Emit(trace.KindGeneric, f.Host, "CPU starved x%g for %v (slow-not-dead)", f.Scale, f.Dur)
+			host.SetCPUScale(f.Scale)
+			tb.Sim.Schedule(f.Dur, func() { host.SetCPUScale(1) })
+		}
+	default:
+		return fmt.Errorf("unknown fault kind %q", f.Kind)
+	}
+	if (f.Kind == FaultDrop || f.Kind == FaultStarve) && f.Dur <= 0 {
+		return fmt.Errorf("%s: duration must be positive, got %v", f.Kind, f.Dur)
+	}
+	tb.Sim.At(sim.Epoch.Add(f.At), act)
+	return nil
+}
+
+// FailureFree is the postcondition of a run nothing was injected into: no
+// node ever suspected its peer, and both ended the run active.
+func (tb *Testbed) FailureFree() error {
+	if e, ok := tb.Tracer.First(trace.KindSuspect); ok {
+		return fmt.Errorf("experiment: failure-free run raised a suspicion at %v: %s: %s",
+			e.Time.Sub(sim.Epoch), e.Component, e.Message)
+	}
+	if p, b := tb.PrimaryNode.State(), tb.BackupNode.State(); p != sttcp.StateActive || b != sttcp.StateActive {
+		return fmt.Errorf("experiment: failure-free run ended with states %v/%v, want active/active", p, b)
+	}
+	return nil
+}

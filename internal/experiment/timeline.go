@@ -24,37 +24,22 @@ func ProgressTimeline(samples []app.ProgressSample, total int64, start, end time
 			bytes = samples[i].Bytes
 			i++
 		}
-		f := float64(bytes) / float64(total)
-		if f > 1 {
-			f = 1
-		}
-		out = append(out, f)
+		out = append(out, min(float64(bytes)/float64(total), 1))
 	}
 	return out
 }
 
-// RenderTimeline draws a one-line text chart of the fractions (the pie
-// chart as seen over time), marking each sample with a filling glyph.
-func RenderTimeline(fractions []float64) string {
-	const glyphs = " .:-=+*#%@"
-	var b strings.Builder
-	for _, f := range fractions {
-		idx := int(f * float64(len(glyphs)-1))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(glyphs) {
-			idx = len(glyphs) - 1
-		}
-		b.WriteByte(glyphs[idx])
-	}
-	return b.String()
-}
-
-// FormatTimeline renders the chart with percentage bookends.
+// FormatTimeline draws a one-line text chart of the fractions (the pie
+// chart as seen over time), one filling glyph per sample, with percentage
+// bookends.
 func FormatTimeline(fractions []float64) string {
 	if len(fractions) == 0 {
 		return "(no samples)"
 	}
-	return fmt.Sprintf("0%% |%s| %.0f%%", RenderTimeline(fractions), fractions[len(fractions)-1]*100)
+	const glyphs = " .:-=+*#%@"
+	var b strings.Builder
+	for _, f := range fractions {
+		b.WriteByte(glyphs[max(0, min(int(f*float64(len(glyphs)-1)), len(glyphs)-1))])
+	}
+	return fmt.Sprintf("0%% |%s| %.0f%%", b.String(), fractions[len(fractions)-1]*100)
 }

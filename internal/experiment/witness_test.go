@@ -114,7 +114,8 @@ func TestWitnessNoFalsePositiveOnNormalClose(t *testing.T) {
 	if err := tb.StartSTTCP(0, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	pSrv, bSrv := tb.attachServers(false)
+	tb.AttachServers(false)
+	pSrv, bSrv := tb.Server("primary"), tb.Server("backup")
 	pSrv.(*app.DataServer).CloseAfterServe = true
 	bSrv.(*app.DataServer).CloseAfterServe = true
 	wSrv := app.NewDataServer("witness/app", tb.Tracer)

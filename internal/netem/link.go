@@ -177,9 +177,6 @@ func (l *Link) SetLossRate(p float64) { l.cfg.LossRate = p }
 // elsewhere on the path — without touching the link's serialization rate.
 func (l *Link) SetExtraDelay(d time.Duration) { l.extraDelay = d }
 
-// ExtraDelay returns the current extra one-way delay.
-func (l *Link) ExtraDelay() time.Duration { return l.extraDelay }
-
 // DropFromAFor drops all frames transmitted by endpoint A for d, modelling a
 // temporary local failure (paper Table 1 row 5: buffer overflow, transient
 // NIC trouble).
@@ -197,12 +194,6 @@ func (l *Link) SetCutFromA(cut bool) { l.a.cut = cut }
 
 // SetCutFromB cuts (or restores) only the B→A direction, indefinitely.
 func (l *Link) SetCutFromB(cut bool) { l.b.cut = cut }
-
-// CutFromA reports whether the A→B direction is cut.
-func (l *Link) CutFromA() bool { return l.a.cut }
-
-// CutFromB reports whether the B→A direction is cut.
-func (l *Link) CutFromB() bool { return l.b.cut }
 
 // SetCorruptRate makes the link flip one random bit in each frame with
 // probability p (both directions). Corrupted frames are still delivered;

@@ -64,9 +64,6 @@ func (n *NIC) AttachToLink(l *Link, sideA bool) {
 // servers join the service's multiEA group so both receive client frames.
 func (n *NIC) JoinGroup(g eth.Addr) { n.groups[g] = true }
 
-// LeaveGroup unsubscribes from a multicast group.
-func (n *NIC) LeaveGroup(g eth.Addr) { delete(n.groups, g) }
-
 // SetPromiscuous toggles delivery of all frames regardless of destination.
 // The pre-enhancement ST-TCP backup ran its tap NIC promiscuously to also
 // observe primary→client traffic.

@@ -96,9 +96,6 @@ func (s *Switch) AddPort() *SwitchPort {
 	return p
 }
 
-// NumPorts reports the number of ports.
-func (s *Switch) NumPorts() int { return len(s.ports) }
-
 // JoinGroup adds port p to the multicast group g (static group membership,
 // standing in for IGMP snooping / static switch configuration).
 func (s *Switch) JoinGroup(g eth.Addr, p *SwitchPort) {

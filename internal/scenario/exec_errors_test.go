@@ -38,12 +38,39 @@ func TestInjectionErrors(t *testing.T) {
 			wantErr: "not present in this topology",
 		},
 		{
-			name: "drop on witness (serial only, no ethernet)",
+			// Build connects the witness to the switch like every other
+			// host; the lab used to discard the link and refuse this.
+			name: "drop on witness link",
 			script: "option witness\n" +
 				"client download 1MiB\n" +
 				"at 100ms drop witness 200ms\n" +
+				"run 5s\n" +
+				"expect clients-done\n",
+		},
+		{
+			name: "drop on absent witness",
+			script: "client download 1MiB\n" +
+				"at 100ms drop witness 200ms\n" +
 				"run 5s\n",
-			wantErr: "no ethernet link",
+			wantErr: "not present in this topology",
+		},
+		{
+			// Sim.At clamps the past to now: this used to fire at 2s
+			// without a word.
+			name: "at in the past",
+			script: "client download 1MiB\n" +
+				"run 2s\n" +
+				"at 1s crash primary\n" +
+				"run 5s\n",
+			wantErr: "line 3: at 1s is in the past",
+		},
+		{
+			name: "at the current instant",
+			script: "client download 1MiB\n" +
+				"run 2s\n" +
+				"at 2s crash backup\n" +
+				"run 5s\n" +
+				"expect non-ft\n",
 		},
 		{
 			name: "drop with negative duration",

@@ -91,7 +91,7 @@ func TestGoldenTraces(t *testing.T) {
 			}
 		})
 	}
-	if ran < 8 {
-		t.Fatalf("only %d scenarios covered by golden traces, want all 8", ran)
+	if ran < 9 {
+		t.Fatalf("only %d scenarios covered by golden traces, want all 9", ran)
 	}
 }

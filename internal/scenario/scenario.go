@@ -32,7 +32,10 @@
 //	                              clients-done | recovery | active
 //
 // Times in `at` statements are absolute virtual times from the start of the
-// run; the executor schedules them before the first `run`.
+// run. A statement takes effect where it stands in the script, so an `at`
+// earlier than the virtual time already run is an error (equal is fine).
+// Every action but rejoin is an experiment.Fault, validated by the testbed
+// before it is armed; a script with no `at` at all must end failure-free.
 package scenario
 
 import (

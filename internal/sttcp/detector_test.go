@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/hb"
 	"repro/internal/ip"
 	"repro/internal/serial"
 	"repro/internal/sim"
@@ -88,32 +89,87 @@ func (h *detectorHarness) step(d time.Duration) {
 	_ = h.sim.Run(d)
 }
 
-// TestDetectAppLagBytesCriterion: a sustained byte lag beyond
-// AppMaxLagBytes for AppLagByteHold fires; a transient one does not.
+// report applies a peer heartbeat numbered seq that carries the given
+// application positions for the harness connection.
+func (h *detectorHarness) report(seq uint64, appW, appR int64) {
+	id := h.conn.ID()
+	h.node.applyPeerConnState(&hb.ConnState{
+		RemoteAddr: id.RemoteAddr, RemotePort: id.RemotePort, LocalPort: id.LocalPort,
+		LastByteReceived: uint32(h.conn.LastByteReceived()), LastAckReceived: uint32(h.conn.LastAckReceived()),
+		LastAppByteWritten: uint32(appW), LastAppByteRead: uint32(appR),
+		Established: true,
+	}, seq)
+}
+
+// TestDetectAppLagBytesCriterion: a byte lag beyond AppMaxLagBytes that
+// the peer's reports keep showing for AppLagByteHold fires; a transient one
+// does not — and neither does a healthy peer whose reports are merely old
+// by the time the detector looks, which is what the criterion used to
+// convict (it compared the live local position with the last report's).
 func TestDetectAppLagBytesCriterion(t *testing.T) {
 	h := newDetectorHarness(t, func(c *Config) {
 		c.AppMaxLagBytes = 1000
 		c.AppLagByteHold = time.Second
 		c.AppMaxLagTime = time.Hour // keep the other criterion out
 	})
-	h.localProgress(t, 5000) // local app 5000 bytes ahead of peer's 0
-	now := h.sim.Now()
-	if h.node.detectAppLag(h.rc, now) {
+	fired := func() bool { return h.node.detectAppLag(h.rc, h.sim.Now()) }
+
+	// A healthy peer at full rate: every report matches our position at
+	// the instant it arrives, then we run 5000 bytes ahead of it until the
+	// next one. Checked between reports, for three holds' worth.
+	var seq uint64
+	var pos int64
+	for i := 0; i < 15; i++ {
+		h.report(seq, pos, pos)
+		seq++
+		h.localProgress(t, 5000)
+		pos += 5000
+		h.step(100 * time.Millisecond)
+		if fired() {
+			t.Fatalf("healthy peer convicted on a %v-old report (round %d)", 100*time.Millisecond, i)
+		}
+		h.step(100 * time.Millisecond)
+	}
+
+	// The serial copy of a heartbeat arrives after the local application
+	// has moved on: it must neither re-sample the lag nor, when it is
+	// older than the view in place, replace it.
+	h.report(seq, pos, pos)
+	h.localProgress(t, 5000)
+	pos += 5000
+	h.report(seq, pos-5000, pos-5000)     // same heartbeat, second link
+	h.report(seq-1, pos-10000, pos-10000) // an older one, late
+	if h.rc.peerAppLag != 0 || h.rc.peerAppW != pos-5000 {
+		t.Fatalf("stale copies changed the view: lag %d, peer write position %d (want 0, %d)",
+			h.rc.peerAppLag, h.rc.peerAppW, pos-5000)
+	}
+	seq++
+
+	// A real lag, but the peer catches up before the hold expires.
+	h.report(seq, pos-5000, pos-5000)
+	seq++
+	if fired() {
 		t.Fatal("fired on first observation")
 	}
-	// Peer catches up before the hold expires: no detection.
 	h.step(500 * time.Millisecond)
-	h.rc.peerAppW, h.rc.peerAppR = 5000, 5000
-	if h.node.detectAppLag(h.rc, h.sim.Now()) {
+	h.report(seq, pos, pos)
+	seq++
+	if fired() {
 		t.Fatal("fired after the peer caught up")
 	}
-	// Now a lag that persists past the hold.
-	h.localProgress(t, 5000) // local at 10000, peer at 5000
-	if h.node.detectAppLag(h.rc, h.sim.Now()) {
-		t.Fatal("fired without the hold elapsing")
+
+	// Now reports that keep showing the lag past the hold.
+	h.localProgress(t, 5000)
+	pos += 5000
+	for i := 0; i < 6; i++ {
+		h.report(seq, pos-5000, pos-5000)
+		seq++
+		if i < 5 && fired() {
+			t.Fatalf("fired %v into a %v hold", time.Duration(i)*200*time.Millisecond, time.Second)
+		}
+		h.step(200 * time.Millisecond)
 	}
-	h.step(1100 * time.Millisecond)
-	if !h.node.detectAppLag(h.rc, h.sim.Now()) {
+	if !fired() {
 		t.Fatal("sustained byte lag not detected")
 	}
 	if h.node.State() != StateNonFT {

@@ -77,14 +77,6 @@ func (lg *Logger) Start() error {
 // Streams reports how many connections the logger is tracking.
 func (lg *Logger) Streams() int { return len(lg.streams) }
 
-// LoggedBytes reports the retained bytes for the connection, if tracked.
-func (lg *Logger) LoggedBytes(id tcp.ConnID) int {
-	if s, ok := lg.streams[id]; ok {
-		return len(s.data)
-	}
-	return 0
-}
-
 // handlePacket ingests one tapped client→service TCP packet.
 func (lg *Logger) handlePacket(pkt ip.Packet) {
 	if pkt.Dst != lg.cfg.ServiceAddr {

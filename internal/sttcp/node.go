@@ -59,16 +59,20 @@ type repConn struct {
 	// way to reconstruct their history.
 	replicated bool
 
-	// Latest peer view (unwrapped to 64-bit stream offsets).
-	peerValid bool
-	peerLBR   int64 // peer's LastByteReceived
-	peerLAR   int64 // peer's LastAckReceived
-	peerAppW  int64 // peer's LastAppByteWritten
-	peerAppR  int64 // peer's LastAppByteRead
-	peerFIN   bool
-	peerRST   bool
-	peerEstab bool
-	peerSeen  time.Time
+	// Latest peer view (unwrapped to 64-bit stream offsets), from the
+	// heartbeat numbered peerSeq. peerAppLag is how far the peer's
+	// application trailed ours, on the worse of the two streams, at the
+	// instant that heartbeat was applied.
+	peerValid  bool
+	peerSeq    uint64
+	peerLBR    int64 // peer's LastByteReceived
+	peerLAR    int64 // peer's LastAckReceived
+	peerAppW   int64 // peer's LastAppByteWritten
+	peerAppR   int64 // peer's LastAppByteRead
+	peerAppLag int64
+	peerFIN    bool
+	peerRST    bool
+	peerEstab  bool
 
 	// Application-lag watermarks (§4.2.1). A watermark of -1 means the
 	// peer is not currently behind on that stream.
@@ -654,11 +658,11 @@ func (n *Node) handleHB(m hb.Message, link hb.LinkID) {
 	}
 
 	for i := range m.Conns {
-		n.applyPeerConnState(&m.Conns[i])
+		n.applyPeerConnState(&m.Conns[i], m.Seq)
 	}
 }
 
-func (n *Node) applyPeerConnState(cs *hb.ConnState) {
+func (n *Node) applyPeerConnState(cs *hb.ConnState, seq uint64) {
 	id := cs.Key(n.cfg.ServiceAddr)
 	rc, ok := n.conns[id]
 	if !ok {
@@ -671,13 +675,28 @@ func (n *Node) applyPeerConnState(cs *hb.ConnState) {
 		}
 	}
 	c := rc.conn
-	now := n.sim.Now()
-	rc.peerValid = true
-	rc.peerSeen = now
+	// Both links deliver every heartbeat, the serial copy milliseconds
+	// after the IP one (longer when the line is backed up): a report older
+	// than the view it would replace is dropped. A rejoined peer restarts
+	// its sequence, but peerValid was reset with it (EnableReplication).
+	if rc.peerValid && seq < rc.peerSeq {
+		return
+	}
+	fresh := !rc.peerValid || seq > rc.peerSeq
+	rc.peerValid, rc.peerSeq = true, seq
 	rc.peerLBR = hb.Unwrap32(cs.LastByteReceived, c.LastByteReceived())
 	rc.peerLAR = hb.Unwrap32(cs.LastAckReceived, c.LastAckReceived())
 	rc.peerAppW = hb.Unwrap32(cs.LastAppByteWritten, c.LastAppByteWritten())
 	rc.peerAppR = hb.Unwrap32(cs.LastAppByteRead, c.LastAppByteRead())
+	if fresh {
+		// The byte-lag criterion compares like with like: the peer's
+		// positions against ours as they stand now, when the report
+		// arrives, not against wherever ours have moved by the time a
+		// detector looks (at 100 Mbit/s a 200 ms-old report is 2.4 MB
+		// "behind" a healthy peer). The second copy of a heartbeat says
+		// nothing new and does not re-sample.
+		rc.peerAppLag = max(c.LastAppByteWritten()-rc.peerAppW, c.LastAppByteRead()-rc.peerAppR)
+	}
 	rc.peerFIN = cs.FINGenerated
 	rc.peerRST = cs.RSTGenerated
 	rc.peerEstab = cs.Established
@@ -1221,15 +1240,12 @@ func (n *Node) detectAppLag(rc *repConn, now time.Time) bool {
 	}
 
 	// Criterion 1: lag exceeding AppMaxLagBytes sustained for
-	// AppLagByteHold.
-	lag := localW - rc.peerAppW
-	if r := localR - rc.peerAppR; r > lag {
-		lag = r
-	}
+	// AppLagByteHold, judged on the lag each peer report showed when it
+	// was applied (applyPeerConnState).
+	lag := rc.peerAppLag
 	if lag > n.cfg.AppMaxLagBytes {
-		// The flag alone is not span-opening evidence: at full transfer
-		// rate the heartbeat-stale peer positions make a healthy peer
-		// appear this far behind, so only the *held* lag counts.
+		// The flag alone is not span-opening evidence — one report may
+		// catch the peer mid-burst — so only the *held* lag counts.
 		if !rc.bytesLagging {
 			rc.bytesLagging = true
 			rc.bytesLagSince = now
