@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check vet lint build test race bench loc report-smoke timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
+.PHONY: all check vet lint build test race bench loc faults-one-place report-smoke timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
 
 all: check
 
@@ -42,6 +42,18 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' -not -path './.bench_build/*' \
 	  | xargs wc -l | awk '$$2 != "total" { d = $$2; sub("^\\./", "", d); sub("/?[^/]*$$", "", d); if (d == "") d = "."; n[d] += $$1; t += $$1 } \
 	      END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t }' | sort -k2
+
+# One fault vocabulary: the substrate packages implement the mechanisms
+# (netem, serial, cluster, app), internal/experiment/testbed.go performs
+# them as experiment.Fault, and nobody else — demos, Table 1, lab, chaos,
+# examples — breaks the world behind its back (benchmark/ crashes its
+# primary directly, by design). A grep, not an analyzer: the names are few
+# and distinctive. CI runs it next to `make loc`.
+faults-one-place:
+	@! grep -rnE '\.(CrashHW|FailNIC|DropFrom[AB]For|SetLossRate|SetExtraDelay|SetCutFrom[AB]|SetCorruptRate|SetCPUScale|SetTimerScale|CrashSilent|CrashCleanup)\b|SetDown\(true\)' \
+	    --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build . \
+	  | grep -vE '^\./internal/(netem|serial|cluster|app)/|^\./internal/experiment/testbed\.go:' \
+	  || { echo "faults-one-place: a fault is performed outside experiment.Testbed (lines above)"; exit 1; }
 
 # Cross-run regression observatory gate: run the 50-connection scale
 # failover with telemetry sampling, render its dashboard, and diff the

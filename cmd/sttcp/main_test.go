@@ -215,9 +215,13 @@ func TestReportsMatchTheOldAssemblers(t *testing.T) {
 		{"demo2 at 200ms (the demo2-dashboard.golden run)",
 			[]string{"demo", "-demo", "demo2", "-periods", "200ms", "-telemetry-window", "100ms"},
 			"", "b770f5abd431945a16b04c4505f4723ec4c7a639713e65de58725a94a9501621", 0},
+		// Re-pinned when chaos began injecting through experiment.Testbed:
+		// the harness's no-op revert event behind each self-expiring drop
+		// is gone, so the sched.fired/sched.pending series — and only
+		// they — read two events fewer for this schedule's two drops.
 		{"chaos seed 1",
 			[]string{"chaos", "-seed", "1", "-runs", "1"},
-			"", "4a174b02e79e8a0ed169e25f1c4febd446f1fb5892a5853787b143cc4a7c0e57", 0},
+			"", "1e43eae33ca864e5bbac1552678d8acd9e106bf0f5d71016c5ac8f3f189983ea", 0},
 		{"scenario transient-recovery",
 			[]string{"lab", "../../scenarios/transient-recovery.sttcp"},
 			"", "854fcc207bc998584f98d5b80d807aaadb90f672cea0ea3e92ab3e1c760337aa", 0},

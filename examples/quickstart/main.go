@@ -54,7 +54,9 @@ func run() error {
 	}
 
 	// 4. Crash the primary 300 ms in.
-	tb.Sim.Schedule(300*time.Millisecond, tb.Primary.CrashHW)
+	if err := tb.Schedule(experiment.Fault{At: 300 * time.Millisecond, Kind: experiment.FaultCrash, Host: "primary"}); err != nil {
+		return err
+	}
 
 	// 5. Let the simulation play out.
 	if err := tb.Run(2 * time.Minute); err != nil {

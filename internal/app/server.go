@@ -10,12 +10,13 @@ import (
 
 // Server is the surface the harnesses (experiment, chaos, scenario) drive
 // on a replicated application: the accept hook, the two application-crash
-// injections, and the host CPU clock. Both DataServer and EchoServer
-// satisfy it.
+// injections and whether one struck, and the host CPU clock. Both DataServer
+// and EchoServer satisfy it.
 type Server interface {
 	Accept(c *tcp.Conn)
 	CrashSilent()
 	CrashCleanup(abort bool)
+	Crashed() bool
 	SetCPU(sm *sim.Simulator, cpu *sim.Clock)
 }
 

@@ -2,430 +2,118 @@ package chaos
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/netem"
-	"repro/internal/serial"
+	"repro/internal/trace"
 )
 
-// The gray-failure injectors: faults that degrade without cleanly dying.
-// Verdict-class faults (starve, asym partition) record a detection
-// expectation — the run FAILS if no takeover happens by the deadline.
-// Noise-class faults (corruption, skew) record the opposite: the
-// detectors must ride them out, judged by gray-quiescence. Flaps sit in
-// between — flap-containment tolerates one takeover but never two.
+// What the gray invariants may expect of an injected gray fault — the
+// after hooks of the gray rows in kinds. Verdict-class faults (starve, asym
+// partition) record a detection expectation: the run FAILS if no takeover
+// happens by the deadline. Noise-class faults (corruption, skew) record the
+// opposite: the detectors must ride them out, judged by gray-quiescence.
+// Flaps sit in between — flap-containment tolerates one takeover but never
+// two.
 
-func init() {
-	Register(EvStarveServing, starveInjector{})
-	Register(EvAsymPartition, asymPartitionInjector{})
-	Register(EvCorruptServing, corruptLinkInjector{})
-	Register(EvCorruptSerial, corruptSerialInjector{})
-	Register(EvNICFlap, nicFlapInjector{})
-	Register(EvSerialFlap, serialFlapInjector{})
-	Register(EvClockSkew, clockSkewInjector{})
+// expectTakeoverBy records that the fault just injected must be detected: a
+// takeover span must start within d of now. Judged by gray-detection-bound.
+func (h *harness) expectTakeoverBy(d time.Duration, what string) {
+	h.grayExpects = append(h.grayExpects, grayExpect{deadline: h.tb.Sim.Elapsed() + d, what: what})
 }
 
-// --- slow-not-dead primary ---
-
-type starveInjector struct{}
-
-func (starveInjector) Name() string { return "starve-serving" }
-
-func (starveInjector) Validate(env *Env, ev Event) string {
-	if !env.Healthy(env.ServingNode().Host()) {
-		return "serving host unhealthy"
-	}
-	sb := env.StandbyNode()
-	if sb == nil || !env.Healthy(sb.Host()) {
-		return "no healthy standby to take over"
-	}
-	if !env.ClientsSurviveServingLoss() {
-		return "unfinished pre-rejoin connection is local-only on the serving host"
-	}
-	if env.StandbyAtRisk() {
-		return "standby link was recently lossy; ACKed-byte recovery may be in flight (§4.3 output-commit window)"
-	}
-	if ev.Scale < 1 {
-		return "starve scale below 1 would speed the host up"
-	}
-	return ""
+// expectEvidence records an end-of-run predicate proving the fault actually
+// bit; desc names it in the gray-evidence violation.
+func (h *harness) expectEvidence(desc string, ok func() bool) {
+	h.grayEvidence = append(h.grayEvidence, grayEvidence{desc: desc, ok: ok})
 }
 
-func (starveInjector) Apply(env *Env, ev Event) error {
-	host := env.ServingNode().Host()
-	env.Note(ev, host.Name())
-	host.SetCPUScale(ev.Scale)
-	env.Stash(host)
-	// With the suspicion scorer on and a long echo workload keeping
-	// responses flowing, a starve this deep holds response staleness
-	// past the SLO (staleness ≈ (scale−1)·1ms of app quantum stretch),
-	// so the scorer must reach its threshold: SLO 400ms + RespHold 1s
-	// + heartbeat piggyback lag, with slack for the score ramp.
-	if env.Config().Suspicion.Enabled && env.Schedule().Workload == "echo" &&
-		ev.Scale >= 420 && ev.Dur >= 5*time.Second {
-		env.ExpectTakeoverBy(env.Sim().Elapsed()+4*time.Second,
-			fmt.Sprintf("slow-not-dead primary (cpu ×%.0f) past response SLO", ev.Scale))
-	}
-	return nil
-}
-
-func (starveInjector) Revert(env *Env, ev Event) {
-	if host, ok := env.Stashed().(*cluster.Host); ok {
-		host.SetCPUScale(1)
+// expectStarveVerdict: with the suspicion scorer on and a long echo
+// workload keeping responses flowing, a starve this deep holds response
+// staleness past the SLO (staleness ≈ (scale−1)·1ms of app quantum stretch),
+// so the scorer must reach its threshold: SLO 400ms + RespHold 1s +
+// heartbeat piggyback lag, with slack for the score ramp.
+func expectStarveVerdict(h *harness, ev Event, _ *cluster.Host) {
+	if h.cfg.Suspicion.Enabled && h.sc.Workload == "echo" && ev.Scale >= 420 && ev.Dur >= 5*time.Second {
+		h.expectTakeoverBy(4*time.Second, fmt.Sprintf("slow-not-dead primary (cpu ×%.0f) past response SLO", ev.Scale))
 	}
 }
 
-// --- asymmetric partition ---
-
-type asymPartitionInjector struct{}
-
-func (asymPartitionInjector) Name() string { return "asym-partition" }
-
-func (asymPartitionInjector) Validate(env *Env, ev Event) string {
-	if env.SerialCut() {
-		return "serial is cut; the asymmetry verdict needs the serial path"
-	}
-	if !env.Healthy(env.ServingNode().Host()) {
-		return "serving host unhealthy"
-	}
-	sb := env.StandbyNode()
-	if sb == nil || !env.Healthy(sb.Host()) {
-		return "no healthy standby to take over"
-	}
-	if !env.ClientsSurviveServingLoss() {
-		return "unfinished pre-rejoin connection is local-only on the serving host"
-	}
-	if env.StandbyAtRisk() {
-		return "standby link was recently lossy; ACKed-byte recovery may be in flight (§4.3 output-commit window)"
-	}
-	return ""
-}
-
-func (asymPartitionInjector) Apply(env *Env, ev Event) error {
-	n := env.ServingNode()
-	link := env.LinkFor(n.Host())
-	env.Note(ev, n.Host().Name()+" outbound")
-	link.SetCutFromA(true) // A side = host: outbound dies, inbound survives
-	env.Stash(link)
-	if env.Config().Suspicion.Enabled {
-		// The standby's criterion: its IP heartbeat goes silent
-		// (HB.Timeout), must stay down past NICLagGrace, then the
-		// asymmetry pattern must hold AsymHold; slack for ping and
-		// detector cadence.
-		c := env.Config()
-		env.ExpectTakeoverBy(
-			env.Sim().Elapsed()+c.HB.Timeout+c.NICLagGrace+c.AsymHold+1500*time.Millisecond,
-			fmt.Sprintf("asymmetric partition (%s outbound cut)", n.Host().Name()))
-	}
-	return nil
-}
-
-func (asymPartitionInjector) Revert(env *Env, ev Event) {
-	if link, ok := env.Stashed().(*netem.Link); ok {
-		link.SetCutFromA(false)
+// expectAsymVerdict: the standby's criterion is that its IP heartbeat goes
+// silent (HB.Timeout), stays down past NICLagGrace, then the asymmetry
+// pattern holds AsymHold; slack for ping and detector cadence.
+func expectAsymVerdict(h *harness, _ Event, t *cluster.Host) {
+	if c := h.cfg; c.Suspicion.Enabled {
+		h.expectTakeoverBy(c.HB.Timeout+c.NICLagGrace+c.AsymHold+1500*time.Millisecond,
+			fmt.Sprintf("asymmetric partition (%s outbound cut)", t.Name()))
 	}
 }
-
-// --- byte-corrupting links ---
 
 // Corruption evidence is statistical: a clean window proves nothing if
 // almost no frames crossed the wire (an overlapping loss or delay fault
-// can stall the workload into RTO backoff). The exposure trackers count
-// traffic actually subjected to the corruption rate; the evidence check
-// only demands a reject once enough frames were exposed that a clean
-// window is astronomically unlikely (0.95^250 ≈ 3e-6 at the GraySpec
-// rate floor; 0.70^25 ≈ 1e-4 on serial).
+// can stall the workload into RTO backoff). An exposure counts traffic
+// actually subjected to the corruption rate; the evidence check only
+// demands a reject once enough frames were exposed that a clean window is
+// astronomically unlikely (0.95^250 ≈ 3e-6 at the GraySpec rate floor;
+// 0.70^25 ≈ 1e-4 on serial).
 const (
 	corruptMinFrames     = 250
 	serialCorruptMinMsgs = 25
 )
 
-// corruptObs freezes the exposed-frame count when the window closes, so
-// traffic after Revert doesn't inflate the exposure.
-type corruptObs struct {
-	link     *netem.Link
-	start    int64
-	end      int64
-	reverted bool
-}
-
-func (o *corruptObs) exposed() int64 {
-	if o.reverted {
-		return o.end - o.start
-	}
-	return o.link.Delivered - o.start
-}
-
-type corruptLinkInjector struct{}
-
-func (corruptLinkInjector) Name() string { return "corrupt-serving" }
-
-func (corruptLinkInjector) Validate(env *Env, ev Event) string {
-	if env.SerialCut() {
-		return "serial is cut; corruption-dropped heartbeats could STONITH a healthy peer"
-	}
-	if env.ServingNode().Host().Crashed() {
-		return "no live target link"
-	}
-	return ""
-}
-
-func (corruptLinkInjector) Apply(env *Env, ev Event) error {
-	n := env.ServingNode()
-	link := env.LinkFor(n.Host())
-	env.Note(ev, n.Host().Name()+" link")
-	link.SetCorruptRate(ev.Rate)
-	env.ExtendLossWindow(ev.Dur)
-	env.NoteGrayNoise()
-	obs := &corruptObs{link: link, start: link.Delivered}
-	env.ExpectEvidence(fmt.Sprintf("checksum rejects on the %s link", n.Host().Name()),
-		func() bool { return link.Corrupted > 0 || obs.exposed() < corruptMinFrames })
-	env.Stash(obs)
-	return nil
-}
-
-func (corruptLinkInjector) Revert(env *Env, ev Event) {
-	if obs, ok := env.Stashed().(*corruptObs); ok {
-		obs.end = obs.link.Delivered
-		obs.reverted = true
-		obs.link.SetCorruptRate(0)
-	}
-}
-
-type corruptSerialInjector struct {
-	baseInjector
-}
-
-func (corruptSerialInjector) Name() string { return "corrupt-serial" }
-
-func (corruptSerialInjector) Validate(env *Env, ev Event) string {
-	if env.SerialCut() {
-		return "serial already cut"
-	}
-	if env.NICFailed(env.Testbed().Primary) || env.NICFailed(env.Testbed().Backup) {
-		return "a server NIC is down; serial noise on top risks an unsurvivable double fault"
-	}
-	return ""
-}
-
-// serialObs mirrors corruptObs for the serial pair: exposure is the
-// number of messages that actually reached a receiver's CRC check
-// (delivered plus rejected — a flapped-down port drops in flight
-// without ever checking the FCS).
-type serialObs struct {
-	a, b     *serial.Port
-	start    int64
-	end      int64
-	reverted bool
-}
-
-func (o *serialObs) checked() int64 {
-	return o.a.RxMessages + o.a.CRCErrors + o.b.RxMessages + o.b.CRCErrors
-}
-
-func (o *serialObs) exposed() int64 {
-	if o.reverted {
-		return o.end - o.start
-	}
-	return o.checked() - o.start
-}
-
-func (corruptSerialInjector) Apply(env *Env, ev Event) error {
-	tb := env.Testbed()
-	env.Note(ev, "serial cable")
-	tb.SerialPrimary.SetCorruptRate(ev.Rate)
-	tb.SerialBackup.SetCorruptRate(ev.Rate)
-	env.NoteGrayNoise()
-	obs := &serialObs{a: tb.SerialPrimary, b: tb.SerialBackup}
-	obs.start = obs.checked()
-	env.Stash(obs)
-	env.ExpectEvidence("CRC rejects on the serial cable", func() bool {
-		return tb.SerialPrimary.CRCErrors+tb.SerialBackup.CRCErrors > 0 ||
-			obs.exposed() < serialCorruptMinMsgs
-	})
-	return nil
-}
-
-func (corruptSerialInjector) Revert(env *Env, ev Event) {
-	tb := env.Testbed()
-	if obs, ok := env.Stashed().(*serialObs); ok {
-		obs.end = obs.checked()
-		obs.reverted = true
-	}
-	tb.SerialPrimary.SetCorruptRate(0)
-	tb.SerialBackup.SetCorruptRate(0)
-}
-
-// --- interface flapping ---
-
-// flapState carries a flap's ticking closure stop flag from Apply to
-// Revert (the closure reschedules itself until stopped).
-type flapState struct {
-	stopped bool
-	link    *netem.Link
-}
-
-type nicFlapInjector struct{}
-
-func (nicFlapInjector) Name() string { return "nicflap-serving" }
-
-func (nicFlapInjector) Validate(env *Env, ev Event) string {
-	if env.SerialCut() {
-		return "serial already cut; NIC flapping would be an unsurvivable double fault"
-	}
-	if !env.Healthy(env.ServingNode().Host()) {
-		return "serving host unhealthy"
-	}
-	sb := env.StandbyNode()
-	if sb == nil || !env.Healthy(sb.Host()) {
-		return "no healthy standby to take over"
-	}
-	if !env.ClientsSurviveServingLoss() {
-		return "unfinished pre-rejoin connection is local-only on the serving host"
-	}
-	if env.StandbyAtRisk() {
-		return "standby link was recently lossy; ACKed-byte recovery may be in flight (§4.3 output-commit window)"
-	}
-	if ev.Period <= 0 {
-		return "flap period must be positive"
-	}
-	return ""
-}
-
-func (nicFlapInjector) Apply(env *Env, ev Event) error {
-	n := env.ServingNode()
-	link := env.LinkFor(n.Host())
-	env.Note(ev, n.Host().Name()+" link")
-	st := &flapState{link: link}
-	env.Stash(st)
-	env.NoteFlap()
-	// The link is unreliable for the whole window plus however long the
-	// heartbeat view takes to settle afterwards.
-	env.ExtendLossWindow(ev.Dur + env.Config().HB.Timeout)
-	half := ev.Period / 2
-	if half <= 0 {
-		half = time.Millisecond
-	}
-	down := false
-	var tick func()
-	tick = func() {
-		if st.stopped {
-			return
+// exposure reads a monotonic traffic counter from the injection until the
+// window closes, where it freezes so later traffic does not inflate it.
+func (h *harness) exposure(dur time.Duration, count func() int64) func() int64 {
+	start, end, closed := count(), int64(0), false
+	h.tb.Sim.Schedule(dur, func() { end, closed = count(), true })
+	return func() int64 {
+		if closed {
+			return end - start
 		}
-		down = !down
-		link.SetCutFromA(down)
-		link.SetCutFromB(down)
-		env.Sim().Schedule(half, tick)
-	}
-	tick()
-	return nil
-}
-
-func (nicFlapInjector) Revert(env *Env, ev Event) {
-	if st, ok := env.Stashed().(*flapState); ok {
-		st.stopped = true
-		st.link.SetCutFromA(false)
-		st.link.SetCutFromB(false)
+		return count() - start
 	}
 }
 
-type serialFlapInjector struct{}
-
-func (serialFlapInjector) Name() string { return "serialflap" }
-
-func (serialFlapInjector) Validate(env *Env, ev Event) string {
-	if env.SerialCut() {
-		return "serial already cut"
-	}
-	if env.NICFailed(env.Testbed().Primary) || env.NICFailed(env.Testbed().Backup) {
-		return "a server NIC is down; flapping serial too risks an unsurvivable double fault"
-	}
-	if env.LossWindowActive() {
-		return "loss window active on a server link"
-	}
-	if ev.Period <= 0 {
-		return "flap period must be positive"
-	}
-	return ""
+func observeLinkCorruption(h *harness, ev Event, t *cluster.Host) {
+	h.extendLossWindow(ev.Dur)
+	h.grayNoise++
+	link := h.tb.Link(t.Name())
+	exposed := h.exposure(ev.Dur, func() int64 { return link.Delivered })
+	h.expectEvidence(fmt.Sprintf("checksum rejects on the %s link", t.Name()),
+		func() bool { return link.Corrupted > 0 || exposed() < corruptMinFrames })
 }
 
-func (serialFlapInjector) Apply(env *Env, ev Event) error {
-	tb := env.Testbed()
-	env.Note(ev, "serial cable")
-	st := &flapState{}
-	env.Stash(st)
-	env.NoteFlap()
-	half := ev.Period / 2
-	if half <= 0 {
-		half = time.Millisecond
-	}
-	down := false
-	var tick func()
-	tick = func() {
-		if st.stopped {
-			return
-		}
-		down = !down
-		tb.SerialPrimary.SetDown(down)
-		tb.SerialBackup.SetDown(down)
-		env.Sim().Schedule(half, tick)
-	}
-	tick()
-	return nil
+// observeSerialCorruption counts the messages that actually reached a
+// receiver's CRC check (delivered plus rejected — a flapped-down port drops
+// in flight without ever checking the FCS).
+func observeSerialCorruption(h *harness, ev Event, _ *cluster.Host) {
+	h.grayNoise++
+	a, b := h.tb.SerialPrimary, h.tb.SerialBackup
+	exposed := h.exposure(ev.Dur, func() int64 { return a.RxMessages + a.CRCErrors + b.RxMessages + b.CRCErrors })
+	h.expectEvidence("CRC rejects on the serial cable",
+		func() bool { return a.CRCErrors+b.CRCErrors > 0 || exposed() < serialCorruptMinMsgs })
 }
 
-func (serialFlapInjector) Revert(env *Env, ev Event) {
-	if st, ok := env.Stashed().(*flapState); ok {
-		st.stopped = true
-		tb := env.Testbed()
-		tb.SerialPrimary.SetDown(false)
-		tb.SerialBackup.SetDown(false)
-	}
-}
-
-// --- clock-rate skew ---
-
-type clockSkewInjector struct{}
-
-func (clockSkewInjector) Name() string { return "clockskew-standby" }
-
-func (clockSkewInjector) Validate(env *Env, ev Event) string {
-	if env.StandbyNode() == nil {
-		return "no active standby"
-	}
-	if ev.Scale <= 0 {
-		return "skew scale must be positive"
-	}
-	return ""
-}
-
-func (clockSkewInjector) Apply(env *Env, ev Event) error {
-	host := env.StandbyNode().Host()
-	env.Note(ev, host.Name())
-	host.SetTimerScale(ev.Scale)
-	env.Stash(host)
-	env.NoteGrayNoise()
-	// Large enough skew held long enough must trip the peer's cadence
-	// drift estimator (±80‰ note threshold, EWMA warm-up ≈ 30 samples
-	// at the heartbeat period). Only demanded when the schedule leaves
-	// the observer alive and its heartbeat stream intact — see
-	// Schedule.DriftObservable.
+// expectDriftNote: large enough skew held long enough must trip the peer's
+// cadence drift estimator (±80‰ note threshold, EWMA warm-up ≈ 30 samples
+// at the heartbeat period). Only demanded when the schedule leaves the
+// observer alive and its heartbeat stream intact — see
+// Schedule.DriftObservable.
+func expectDriftNote(h *harness, ev Event, t *cluster.Host) {
+	h.grayNoise++
 	d := ev.Scale - 1
 	if d < 0 {
 		d = -d
 	}
-	if env.Config().Suspicion.Enabled && env.Schedule().DriftObservable() &&
-		d >= 0.10 && ev.Dur >= 5*time.Second {
-		env.ExpectEvidence(
-			fmt.Sprintf("heartbeat cadence drift note for %s (×%.3f)", host.Name(), ev.Scale),
-			env.DriftNoted)
-	}
-	return nil
-}
-
-func (clockSkewInjector) Revert(env *Env, ev Event) {
-	if host, ok := env.Stashed().(*cluster.Host); ok {
-		host.SetTimerScale(1)
+	if h.cfg.Suspicion.Enabled && h.sc.DriftObservable() && d >= 0.10 && ev.Dur >= 5*time.Second {
+		h.expectEvidence(fmt.Sprintf("heartbeat cadence drift note for %s (×%.3f)", t.Name(), ev.Scale), func() bool {
+			for _, e := range h.tb.Tracer.Filter(trace.KindGeneric) {
+				if strings.Contains(e.Message, "clock-rate skew suspected") {
+					return true
+				}
+			}
+			return false
+		})
 	}
 }

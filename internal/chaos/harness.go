@@ -101,13 +101,11 @@ type harness struct {
 	clients []*clientRec
 	eras    []*silenceEra
 
-	// Fault bookkeeping: the harness injected these, so it knows them
-	// without peeking into the implementation.
-	nicFailed  map[*cluster.Host]bool
-	appCrashed map[*cluster.Host]bool
-	serialCut  bool
-	// lossUntil is when the latest loss window on a *server* link ends;
-	// serial cuts are deferred past it (see serialCutInjector).
+	// Fault bookkeeping the world does not hold: a cut cable (a flapped
+	// or crashed port is also Down, which is not the same fact), and
+	// lossUntil, when the latest loss window on a *server* link ends —
+	// serial cuts are deferred past it (see the EvSerialCut row).
+	serialCut bool
 	lossUntil time.Duration
 	// standbyRiskUntil is when the standby's link was last dropping
 	// inbound client bytes, plus a recovery grace period. Killing the
@@ -122,8 +120,8 @@ type harness struct {
 	lastRejoin   time.Time
 	lastEventAt  time.Duration
 
-	// Gray-failure bookkeeping (recorded by the gray injectors through
-	// Env, judged by endInvariants).
+	// Gray-failure bookkeeping (recorded by the after hooks of the gray
+	// kinds, judged by endInvariants).
 	injected      map[EventKind]int
 	fatalInjected bool
 	grayNoise     int
@@ -142,13 +140,7 @@ type harness struct {
 // invariant-checked result. The run is a pure function of (sc, opts): the
 // same inputs produce byte-identical traces and metrics.
 func Run(sc Schedule, opts Options) (*RunResult, error) {
-	h := &harness{
-		sc:         sc,
-		opts:       opts,
-		nicFailed:  make(map[*cluster.Host]bool),
-		appCrashed: make(map[*cluster.Host]bool),
-		injected:   make(map[EventKind]int),
-	}
+	h := &harness{sc: sc, opts: opts, injected: make(map[EventKind]int)}
 	h.tb = experiment.Build(experiment.Options{
 		Seed:            sc.Seed,
 		TraceDetail:     opts.TraceDetail,
@@ -239,37 +231,6 @@ func Run(sc Schedule, opts Options) (*RunResult, error) {
 	res.Violations = append(res.Violations, h.violations...)
 	res.Violations = append(res.Violations, h.endInvariants(res.Metrics)...)
 	return res, nil
-}
-
-// fire dispatches one scheduled event to its registered injector, or
-// records why it was skipped. Validate guards are deterministic functions
-// of the harness's own bookkeeping, so a replayed seed skips exactly the
-// same events (see Injector). A windowed fault's Revert runs ev.Dur later
-// on the same Env, carrying the applied target through the stash.
-func (h *harness) fire(ev Event) {
-	inj, ok := injectorFor(ev.Kind)
-	if !ok {
-		h.skip(ev, "no injector registered for this kind")
-		return
-	}
-	env := &Env{h: h}
-	if reason := inj.Validate(env, ev); reason != "" {
-		h.skip(ev, reason)
-		return
-	}
-	if err := inj.Apply(env, ev); err != nil {
-		h.skip(ev, err.Error())
-		return
-	}
-	h.injected[ev.Kind]++
-	if ev.Kind >= EvCrashServing && ev.Kind <= EvSerialCut {
-		// A crisp fatal fault ran; the gray-quiescence invariant (which
-		// demands zero verdicts) no longer applies to this run.
-		h.fatalInjected = true
-	}
-	if ev.Dur > 0 {
-		h.tb.Sim.Schedule(ev.Dur, func() { inj.Revert(env, ev) })
-	}
 }
 
 // hookNode installs the harness's observation (and sabotage) hooks on a
@@ -372,9 +333,16 @@ func (h *harness) standbyNode() *sttcp.Node {
 	return nil
 }
 
+// healthy reports whether the host is fully up: not crashed, NIC alive,
+// application alive. All three are read from the world (a crash fails the
+// NIC and Reboot recovers it; a rejoin installs a fresh replica).
 func (h *harness) healthy(host *cluster.Host) bool {
-	return !host.Crashed() && !h.nicFailed[host] && !h.appCrashed[host]
+	return !host.NIC().Failed() && !h.tb.Server(host.Name()).Crashed()
 }
+
+// nicDown reports a machine that is running with a dead NIC — the state
+// in which the serial line is its only voice.
+func nicDown(host *cluster.Host) bool { return host.NIC().Failed() && !host.Crashed() }
 
 func (h *harness) allClientsDone() bool {
 	for _, r := range h.clients {
@@ -402,8 +370,12 @@ func (h *harness) noteStandbyRisk(d time.Duration) {
 	}
 }
 
-func (h *harness) standbyAtRisk() bool {
-	return h.tb.Sim.Elapsed() < h.standbyRiskUntil
+// extendLossWindow records that a server link is unreliable for d from
+// now.
+func (h *harness) extendLossWindow(d time.Duration) {
+	if until := h.tb.Sim.Elapsed() + d; until > h.lossUntil {
+		h.lossUntil = until
+	}
 }
 
 // clientsSurviveServingLoss reports whether killing the serving machine is
@@ -423,7 +395,7 @@ func (h *harness) clientsSurviveServingLoss() bool {
 }
 
 // startClient opens one workload connection; a non-nil error skips the
-// event (reachability is vetted by clientInjector.Validate).
+// event (reachability is vetted by the row's guard).
 func (h *harness) startClient(ev Event) error {
 	name := "client/app"
 	if len(h.clients) > 0 {
@@ -439,6 +411,26 @@ func (h *harness) startClient(ev Event) error {
 	rec := &clientRec{name: name, cl: cl, started: h.tb.Sim.Now()}
 	h.clients = append(h.clients, rec)
 	h.note(ev, name)
+	return nil
+}
+
+// rejoin reboots the dead machine and reintegrates it as the new backup.
+func (h *harness) rejoin(ev Event) error {
+	dead := h.lc.PrimaryHost()
+	if err := h.lc.Reintegrate(h.tb.NewReplica); err != nil {
+		return fmt.Errorf("reintegrate: %v", err)
+	}
+	h.note(ev, dead.Name())
+	// The repair also replaces a cut serial cable (Reboot resets only the
+	// dead side's port).
+	if h.serialCut {
+		h.tb.SerialPrimary.SetDown(false)
+		h.tb.SerialBackup.SetDown(false)
+		h.serialCut = false
+	}
+	h.haveRejoined = true
+	h.lastRejoin = h.tb.Sim.Now()
+	h.hookNode(h.lc.BackupNode())
 	return nil
 }
 

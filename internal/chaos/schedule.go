@@ -4,9 +4,13 @@
 // serial cuts, loss/latency bursts, double failovers, and gray failures —
 // slow-not-dead hosts, asymmetric partitions, byte-corrupting links,
 // flapping interfaces, clock-rate skew), injects it into a fresh testbed
-// run through a registry of pluggable Injectors, and afterwards checks a
-// registry of system-wide invariants against the trace stream and the
-// metrics snapshot. Everything is driven by the simulator's seeded
+// run, and afterwards checks a registry of system-wide invariants against
+// the trace stream and the metrics snapshot. Chaos performs no fault itself:
+// every physical act is an experiment.Fault that the testbed vets, performs
+// and (for a windowed kind) reverts. What is chaos's own is one table
+// (kinds) saying, per EventKind, whom it strikes — a role resolved to a
+// machine when it fires — when striking is survivable, which fault it is,
+// and what the invariants may expect afterwards. Everything is driven by the simulator's seeded
 // randomness, so any failure replays exactly from its seed, and a greedy
 // shrinker minimises the failing schedule.
 package chaos
@@ -123,8 +127,7 @@ type Event struct {
 	// Kind selects the fault.
 	Kind EventKind
 	// Dur is the window length for windowed events (drop/loss/delay and
-	// every gray fault); the executor schedules the injector's Revert at
-	// At+Dur.
+	// every gray fault); the testbed restores nominal at At+Dur.
 	Dur time.Duration
 	// Rate is the loss probability for loss events and the corruption
 	// probability for corrupt events.

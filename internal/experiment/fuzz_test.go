@@ -26,9 +26,8 @@ func TestTransientFaultFuzz(t *testing.T) {
 		seed := int64(2000 + i)
 		at := time.Duration(rng.Int63n(int64(1500 * time.Millisecond)))
 		dur := time.Duration(rng.Int63n(int64(350*time.Millisecond))) + 50*time.Millisecond
-		atBackup := rng.Intn(2) == 0
 		where := "primary"
-		if atBackup {
+		if rng.Intn(2) == 0 {
 			where = "backup"
 		}
 		t.Run(where+"@"+at.Round(time.Millisecond).String(), func(t *testing.T) {
@@ -36,28 +35,20 @@ func TestTransientFaultFuzz(t *testing.T) {
 			if err := tb.StartSTTCP(0, nil); err != nil {
 				t.Fatalf("start: %v", err)
 			}
-			pSrv := app.NewEchoServer("primary/app", tb.Tracer)
-			bSrv := app.NewEchoServer("backup/app", tb.Tracer)
-			tb.PrimaryNode.OnAccept = pSrv.Accept
-			tb.BackupNode.OnAccept = bSrv.Accept
-			cl := app.NewEchoClient("client/app", tb.Client.TCP(), ServiceAddr, ServicePort, 600, 1024, tb.Tracer)
-			cl.Gap = 3 * time.Millisecond
-			if err := cl.Start(); err != nil {
+			tb.AttachServers(true)
+			cl, err := tb.StartClient("client/app", Workload{Echo: true, Rounds: 600, MsgSize: 1024, Gap: 3 * time.Millisecond})
+			if err != nil {
 				t.Fatalf("client: %v", err)
 			}
-			tb.Sim.Schedule(at, func() {
-				if atBackup {
-					tb.Link("backup").DropFromBFor(dur)
-				} else {
-					tb.Link("primary").DropFromBFor(dur)
-				}
-			})
+			if err := tb.Schedule(Fault{At: at, Kind: FaultDrop, Host: where, Dur: dur}); err != nil {
+				t.Fatalf("schedule: %v", err)
+			}
 			if err := tb.Run(5 * time.Minute); err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			if !cl.Done || cl.Err != nil || cl.VerifyFailures != 0 {
-				t.Fatalf("drop %v@%v on %s: done=%v err=%v rounds=%d\n%s",
-					dur, at, where, cl.Done, cl.Err, cl.RoundsDone, tailStr(tb.Tracer.Dump()))
+			if done, bad, cerr := cl.Outcome(); !app.Completed(cl) {
+				t.Fatalf("drop %v@%v on %s: done=%v err=%v verify failures=%d, %s\n%s",
+					dur, at, where, done, cerr, bad, cl.Progress(), tailStr(tb.Tracer.Dump()))
 			}
 			if tb.PrimaryNode.State() != sttcp.StateActive || tb.BackupNode.State() != sttcp.StateActive {
 				t.Fatalf("transient %v@%v on %s caused a failover: primary=%v backup=%v reason=%q%q\n%s",

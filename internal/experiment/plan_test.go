@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -68,6 +69,27 @@ func TestScheduleValidation(t *testing.T) {
 		{"drop without duration", Fault{Kind: FaultDrop, Host: "backup"}, "duration must be positive"},
 		{"drop with negative duration", Fault{Kind: FaultDrop, Host: "client", Dur: -time.Second}, "duration must be positive"},
 		{"starve without duration", Fault{Kind: FaultStarve, Host: "primary", Scale: 10}, "duration must be positive"},
+		// Used to be accepted, then panic in the event loop at strike time.
+		{"starve without scale", Fault{Kind: FaultStarve, Host: "primary", Dur: time.Second}, "scale must be at least 1"},
+		{"starve", Fault{Kind: FaultStarve, Host: "primary", Dur: time.Second, Scale: 10}, ""},
+		{"loss rate above 1", Fault{Kind: FaultLoss, Host: "client", Dur: time.Second, Rate: 1.5}, "rate must be in (0, 1]"},
+		{"loss", Fault{Kind: FaultLoss, Host: "client", Dur: time.Second, Rate: 1}, ""},
+		{"delay without delay", Fault{Kind: FaultDelay, Host: "backup", Dur: time.Second}, "delay must be positive"},
+		{"delay", Fault{Kind: FaultDelay, Host: "backup", Dur: time.Second, Delay: time.Millisecond}, ""},
+		{"txcut without duration", Fault{Kind: FaultTxCut, Host: "primary"}, "duration must be positive"},
+		{"txcut", Fault{Kind: FaultTxCut, Host: "primary", Dur: time.Second}, ""},
+		{"corrupt without rate", Fault{Kind: FaultCorrupt, Host: "primary", Dur: time.Second}, "rate must be in (0, 1]"},
+		{"corrupt", Fault{Kind: FaultCorrupt, Host: "primary", Dur: time.Second, Rate: 0.05}, ""},
+		{"serialcorrupt with negative rate", Fault{Kind: FaultSerialCorrupt, Dur: time.Second, Rate: -0.1}, "rate must be in (0, 1]"},
+		{"serialcorrupt needs no host", Fault{Kind: FaultSerialCorrupt, Dur: time.Second, Rate: 0.3}, ""},
+		{"nicflap without period", Fault{Kind: FaultNICFlap, Host: "primary", Dur: time.Second}, "period must span"},
+		{"nicflap on an unknown host", Fault{Kind: FaultNICFlap, Host: "router", Dur: time.Second, Period: time.Millisecond}, "not present in this topology"},
+		{"nicflap", Fault{Kind: FaultNICFlap, Host: "primary", Dur: time.Second, Period: 100 * time.Millisecond}, ""},
+		{"serialflap with a half-less period", Fault{Kind: FaultSerialFlap, Dur: time.Second, Period: 1}, "period must span"},
+		{"serialflap needs no host", Fault{Kind: FaultSerialFlap, Dur: time.Second, Period: 100 * time.Millisecond}, ""},
+		{"clockskew with negative scale", Fault{Kind: FaultClockSkew, Host: "backup", Dur: time.Second, Scale: -1}, "scale must be positive"},
+		{"clockskew without duration", Fault{Kind: FaultClockSkew, Host: "backup", Scale: 1.1}, "duration must be positive"},
+		{"clockskew may run fast", Fault{Kind: FaultClockSkew, Host: "backup", Dur: time.Second, Scale: 0.9}, ""},
 		{"unknown kind", Fault{Kind: "meteor", Host: "primary"}, "unknown fault kind"},
 		{"empty kind", Fault{Host: "primary"}, "unknown fault kind"},
 		{"serial cut needs no host", Fault{Kind: FaultSerialCut}, ""},
@@ -209,5 +231,86 @@ func TestLongDownloadsStayFailureFree(t *testing.T) {
 		if err := run.completed("download"); err != nil {
 			t.Errorf("%d MiB: %v", mib, err)
 		}
+	}
+}
+
+// crosses reports whether a frame put on host's link now — by the host, or
+// toward it — comes out of the other end within a millisecond (the idle
+// LAN needs a few microseconds). The frame is addressed to nobody.
+func crosses(t *testing.T, tb *Testbed, host string, fromHost bool) bool {
+	t.Helper()
+	l, frame := tb.Link(host), make([]byte, 64)
+	before := l.Delivered
+	if fromHost {
+		l.TransmitFromA(frame)
+	} else {
+		l.TransmitFromB(frame)
+	}
+	if err := tb.Run(time.Millisecond); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return l.Delivered > before
+}
+
+// TestWindowedFaults checks every windowed kind of the vocabulary on an
+// otherwise silent testbed: what the fault acts on — a link, the serial
+// ports, a host clock — is off-nominal early and late inside [At, At+Dur)
+// and exactly nominal again after it.
+func TestWindowedFaults(t *testing.T) {
+	const at, dur = 10 * time.Millisecond, 100 * time.Millisecond
+	wire := func(t *testing.T, tb *Testbed) string { // "out in": does a frame cross the primary's link each way
+		return fmt.Sprint(crosses(t, tb, "primary", true), crosses(t, tb, "primary", false))
+	}
+	for _, tc := range []struct {
+		f      Fault
+		state  func(t *testing.T, tb *Testbed) string
+		during string
+	}{
+		{Fault{Kind: FaultDrop}, wire, "true false"},
+		{Fault{Kind: FaultLoss, Rate: 1}, wire, "false false"},
+		{Fault{Kind: FaultDelay, Delay: 5 * time.Millisecond}, wire, "false false"},
+		{Fault{Kind: FaultTxCut}, wire, "false true"},
+		{Fault{Kind: FaultNICFlap, Period: 40 * time.Millisecond}, wire, "false false"}, // sampled in a down half
+		{Fault{Kind: FaultCorrupt, Rate: 0.5},
+			func(_ *testing.T, tb *Testbed) string { return fmt.Sprint(tb.Link("primary").CorruptRate()) }, "0.5"},
+		{Fault{Kind: FaultSerialCorrupt, Rate: 0.25},
+			func(_ *testing.T, tb *Testbed) string {
+				return fmt.Sprint(tb.SerialPrimary.CorruptRate(), tb.SerialBackup.CorruptRate())
+			}, "0.25 0.25"},
+		{Fault{Kind: FaultSerialFlap, Period: 40 * time.Millisecond},
+			func(_ *testing.T, tb *Testbed) string {
+				return fmt.Sprint(tb.SerialPrimary.Down(), tb.SerialBackup.Down())
+			},
+			"true true"},
+		{Fault{Kind: FaultStarve, Scale: 10},
+			func(_ *testing.T, tb *Testbed) string { return fmt.Sprint(tb.Primary.CPU().Rate()) }, "10"},
+		{Fault{Kind: FaultClockSkew, Scale: 1.1},
+			func(_ *testing.T, tb *Testbed) string { return fmt.Sprint(tb.Primary.Clock().Rate()) }, "1.1"},
+	} {
+		t.Run(string(tc.f.Kind), func(t *testing.T) {
+			tb := Build(Options{Seed: 1})
+			runTo := func(when time.Duration) {
+				t.Helper()
+				if err := tb.Run(when - tb.Sim.Elapsed()); err != nil {
+					t.Fatalf("run: %v", err)
+				}
+			}
+			nominal := tc.state(t, tb)
+			f := tc.f
+			f.At, f.Dur, f.Host = at, dur, "primary"
+			if err := tb.Schedule(f); err != nil {
+				t.Fatalf("schedule: %v", err)
+			}
+			for _, inside := range []time.Duration{at + 5*time.Millisecond, at + dur - 5*time.Millisecond} {
+				runTo(inside)
+				if got := tc.state(t, tb); got != tc.during || got == nominal {
+					t.Errorf("at %v, inside the window: %s, want %s (nominal %s)", inside, got, tc.during, nominal)
+				}
+			}
+			runTo(at + dur + 50*time.Millisecond)
+			if got := tc.state(t, tb); got != nominal {
+				t.Errorf("after the window: %s, want nominal %s", got, nominal)
+			}
+		})
 	}
 }

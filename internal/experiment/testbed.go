@@ -408,11 +408,13 @@ func (tb *Testbed) StartClient(name string, w Workload) (app.Client, error) {
 	return cl, cl.Start()
 }
 
-// FaultKind names one of the physical acts the demos, Table 1 and the lab
-// inject.
+// FaultKind names one physical act. The vocabulary is the only place
+// outside the substrate packages where a fault is performed: demos, Table 1
+// and the lab schedule one, chaos arms one at strike time.
 type FaultKind string
 
-// The fault vocabulary.
+// The fault vocabulary. The kinds from FaultLoss down are windowed like
+// FaultDrop and FaultStarve: they hold for Dur, then restore nominal.
 const (
 	FaultCrash           FaultKind = "crash"            // HW/OS crash of Host
 	FaultNICFail         FaultKind = "nicfail"          // Host's NIC dies
@@ -422,68 +424,181 @@ const (
 	FaultStarve          FaultKind = "starve"           // Host's CPU runs Scale times slower for Dur
 	FaultSerialCut       FaultKind = "serialcut"        // the null-modem cable is cut (both ends)
 	FaultReboot          FaultKind = "reboot"           // a crashed Host boots with fresh software
+	FaultLoss            FaultKind = "loss"             // Host's link loses each frame with probability Rate
+	FaultDelay           FaultKind = "delay"            // Host's link adds Delay of one-way latency
+	FaultTxCut           FaultKind = "txcut"            // Host's transmit direction is cut; it keeps receiving
+	FaultCorrupt         FaultKind = "corrupt"          // Host's link flips a bit per frame with probability Rate
+	FaultSerialCorrupt   FaultKind = "serialcorrupt"    // both serial transmitters flip a bit per message with probability Rate
+	FaultNICFlap         FaultKind = "nicflap"          // Host's link goes down and up again every Period
+	FaultSerialFlap      FaultKind = "serialflap"       // the serial cable goes down and up again every Period
+	FaultClockSkew       FaultKind = "clockskew"        // Host's timers run at Scale times the nominal rate
 )
 
-// Fault is one injection: Kind happens to Host at virtual time At (since
-// the start of the run). Dur bounds the windowed kinds, Scale is the
-// starvation factor.
+// Fault is one injection: Kind happens to Host (the serial kinds name
+// none) at virtual time At since the start of the run. Dur bounds the
+// windowed kinds; Scale, Rate, Delay and Period are each the one parameter
+// of the kinds that name them above.
 type Fault struct {
-	At    time.Duration
-	Kind  FaultKind
-	Host  string
-	Dur   time.Duration
-	Scale float64
+	At     time.Duration
+	Kind   FaultKind
+	Host   string
+	Dur    time.Duration
+	Scale  float64
+	Rate   float64
+	Delay  time.Duration
+	Period time.Duration
 }
 
-// Schedule validates f and arms it. A fault that would silently do nothing
-// makes every later observation meaningless, so it is refused up front.
-func (tb *Testbed) Schedule(f Fault) error {
-	host := tb.hosts[f.Host]
-	if host == nil && f.Kind != FaultSerialCut {
-		return fmt.Errorf("%s: host %q not present in this topology", f.Kind, f.Host)
+// vet is the one validator: a fault that would silently do nothing, or
+// panic inside the event loop, makes every later observation meaningless,
+// so it is refused before anything happens.
+func (tb *Testbed) vet(f Fault) error {
+	need := func(ok bool, what string, got any) error {
+		if ok {
+			return nil
+		}
+		return fmt.Errorf("%s: %s, got %v", f.Kind, what, got)
 	}
-	var act func()
+	windowed, cable := true, false
+	var param error
 	switch f.Kind {
-	case FaultCrash:
-		act = host.CrashHW
-	case FaultNICFail:
-		act = host.FailNIC
-	case FaultReboot:
-		act = host.Reboot
+	case FaultCrash, FaultNICFail, FaultReboot, FaultAppCrashSilent, FaultAppCrashCleanup:
+		windowed = false
 	case FaultSerialCut:
-		act = func() {
-			tb.SerialPrimary.SetDown(true)
-			tb.SerialBackup.SetDown(true)
-		}
-	case FaultAppCrashSilent, FaultAppCrashCleanup:
-		if tb.servers[f.Host] == nil {
-			return fmt.Errorf("%s: host %q runs no server application", f.Kind, f.Host)
-		}
-		// The replica is looked up when the fault strikes: a rejoin may
-		// have replaced it by then.
-		act = func() { tb.servers[f.Host].CrashSilent() }
-		if f.Kind == FaultAppCrashCleanup {
-			act = func() { tb.servers[f.Host].CrashCleanup(false) }
-		}
-	case FaultDrop:
-		act = func() {
-			tb.Tracer.Emit(trace.KindLinkDrop, f.Host+"/eth0", "dropping inbound frames for %v", f.Dur)
-			tb.links[f.Host].DropFromBFor(f.Dur) // B side = switch port
-		}
+		windowed, cable = false, true
+	case FaultDrop, FaultTxCut:
 	case FaultStarve:
-		act = func() {
-			tb.Tracer.Emit(trace.KindGeneric, f.Host, "CPU starved x%g for %v (slow-not-dead)", f.Scale, f.Dur)
-			host.SetCPUScale(f.Scale)
-			tb.Sim.Schedule(f.Dur, func() { host.SetCPUScale(1) })
-		}
+		param = need(f.Scale >= 1, "scale must be at least 1 (less would speed the host up)", f.Scale)
+	case FaultClockSkew:
+		param = need(f.Scale > 0, "scale must be positive", f.Scale)
+	case FaultLoss, FaultCorrupt, FaultSerialCorrupt:
+		cable = f.Kind == FaultSerialCorrupt
+		param = need(f.Rate > 0 && f.Rate <= 1, "rate must be in (0, 1]", f.Rate)
+	case FaultDelay:
+		param = need(f.Delay > 0, "delay must be positive", f.Delay)
+	case FaultNICFlap, FaultSerialFlap:
+		cable = f.Kind == FaultSerialFlap
+		param = need(f.Period >= 2, "period must span a down and an up half", f.Period)
 	default:
 		return fmt.Errorf("unknown fault kind %q", f.Kind)
 	}
-	if (f.Kind == FaultDrop || f.Kind == FaultStarve) && f.Dur <= 0 {
-		return fmt.Errorf("%s: duration must be positive, got %v", f.Kind, f.Dur)
+	switch {
+	case !cable && tb.hosts[f.Host] == nil:
+		return fmt.Errorf("%s: host %q not present in this topology", f.Kind, f.Host)
+	case strings.HasPrefix(string(f.Kind), "appcrash") && tb.servers[f.Host] == nil:
+		return fmt.Errorf("%s: host %q runs no server application", f.Kind, f.Host)
+	case windowed && f.Dur <= 0:
+		return need(false, "duration must be positive", f.Dur)
 	}
-	tb.Sim.At(sim.Epoch.Add(f.At), act)
-	return nil
+	return param
+}
+
+// Arm validates f against this topology and returns the act that performs
+// it; nothing has happened until strike is called (At is Schedule's
+// business). Chaos arms a fault at the instant it fires, once its own
+// survivability guards have passed.
+func (tb *Testbed) Arm(f Fault) (strike func(), err error) {
+	if err := tb.vet(f); err != nil {
+		return nil, err
+	}
+	return func() { tb.inject(f) }, nil
+}
+
+// Schedule arms f and performs it At after the start of the run.
+func (tb *Testbed) Schedule(f Fault) error {
+	strike, err := tb.Arm(f)
+	if err == nil {
+		tb.Sim.At(sim.Epoch.Add(f.At), strike)
+	}
+	return err
+}
+
+// inject performs a vetted fault, now. Hosts and links are fixed for the
+// life of the testbed; the application replica is looked up here because a
+// rejoin may have replaced it since the fault was armed.
+func (tb *Testbed) inject(f Fault) {
+	host, link := tb.hosts[f.Host], tb.links[f.Host]
+	cableDown := func(down bool) {
+		tb.SerialPrimary.SetDown(down)
+		tb.SerialBackup.SetDown(down)
+	}
+	switch f.Kind {
+	case FaultCrash:
+		host.CrashHW()
+	case FaultNICFail:
+		host.FailNIC()
+	case FaultReboot:
+		host.Reboot()
+	case FaultAppCrashSilent:
+		tb.servers[f.Host].CrashSilent()
+	case FaultAppCrashCleanup:
+		tb.servers[f.Host].CrashCleanup(false)
+	case FaultSerialCut:
+		cableDown(true)
+	case FaultDrop:
+		tb.Tracer.Emit(trace.KindLinkDrop, f.Host+"/eth0", "dropping inbound frames for %v", f.Dur)
+		link.DropFromBFor(f.Dur) // B side = switch port; the link expires the window itself
+	case FaultStarve:
+		tb.Tracer.Emit(trace.KindGeneric, f.Host, "CPU starved x%g for %v (slow-not-dead)", f.Scale, f.Dur)
+		tb.hold(f, func(on bool) { host.SetCPUScale(pick(on, f.Scale, 1)) })
+	case FaultClockSkew:
+		tb.hold(f, func(on bool) { host.SetTimerScale(pick(on, f.Scale, 1)) })
+	case FaultLoss:
+		tb.hold(f, func(on bool) { link.SetLossRate(pick(on, f.Rate, 0)) })
+	case FaultDelay:
+		tb.hold(f, func(on bool) { link.SetExtraDelay(pick(on, f.Delay, 0)) })
+	case FaultTxCut:
+		tb.hold(f, link.SetCutFromA) // A side = host
+	case FaultCorrupt:
+		tb.hold(f, func(on bool) { link.SetCorruptRate(pick(on, f.Rate, 0)) })
+	case FaultSerialCorrupt:
+		tb.hold(f, func(on bool) {
+			tb.SerialPrimary.SetCorruptRate(pick(on, f.Rate, 0))
+			tb.SerialBackup.SetCorruptRate(pick(on, f.Rate, 0))
+		})
+	case FaultNICFlap:
+		tb.flap(f, func(down bool) {
+			link.SetCutFromA(down)
+			link.SetCutFromB(down)
+		})
+	case FaultSerialFlap:
+		tb.flap(f, cableDown)
+	}
+}
+
+func pick[T any](on bool, during, nominal T) T {
+	if on {
+		return during
+	}
+	return nominal
+}
+
+// hold keeps a windowed fault's off-nominal setting for f.Dur, then
+// restores nominal on the very target it set: by then a failover may have
+// moved the role the caller resolved the host from.
+func (tb *Testbed) hold(f Fault, set func(on bool)) {
+	set(true)
+	tb.Sim.Schedule(f.Dur, func() { set(false) })
+}
+
+// flap toggles a link down and up, half of f.Period each, starting down,
+// and leaves it up when f.Dur is over.
+func (tb *Testbed) flap(f Fault, set func(down bool)) {
+	down, over := false, false
+	var tick func()
+	tick = func() {
+		if over {
+			return
+		}
+		down = !down
+		set(down)
+		tb.Sim.Schedule(f.Period/2, tick)
+	}
+	tick()
+	tb.Sim.Schedule(f.Dur, func() {
+		over = true
+		set(false)
+	})
 }
 
 // FailureFree is the postcondition of a run nothing was injected into: no
