@@ -255,7 +255,9 @@ func crosses(t *testing.T, tb *Testbed, host string, fromHost bool) bool {
 // TestWindowedFaults checks every windowed kind of the vocabulary on an
 // otherwise silent testbed: what the fault acts on — a link, the serial
 // ports, a host clock — is off-nominal early and late inside [At, At+Dur)
-// and exactly nominal again after it.
+// and exactly nominal again after it; and when a second window of the kind
+// opens on the same target before the first has closed, the first one's
+// end does not cancel it.
 func TestWindowedFaults(t *testing.T) {
 	const at, dur = 10 * time.Millisecond, 100 * time.Millisecond
 	wire := func(t *testing.T, tb *Testbed) string { // "out in": does a frame cross the primary's link each way
@@ -288,19 +290,24 @@ func TestWindowedFaults(t *testing.T) {
 			func(_ *testing.T, tb *Testbed) string { return fmt.Sprint(tb.Primary.Clock().Rate()) }, "1.1"},
 	} {
 		t.Run(string(tc.f.Kind), func(t *testing.T) {
-			tb := Build(Options{Seed: 1})
+			var tb *Testbed
 			runTo := func(when time.Duration) {
 				t.Helper()
 				if err := tb.Run(when - tb.Sim.Elapsed()); err != nil {
 					t.Fatalf("run: %v", err)
 				}
 			}
-			nominal := tc.state(t, tb)
-			f := tc.f
-			f.At, f.Dur, f.Host = at, dur, "primary"
-			if err := tb.Schedule(f); err != nil {
-				t.Fatalf("schedule: %v", err)
+			schedule := func(at, dur time.Duration) {
+				t.Helper()
+				f := tc.f
+				f.At, f.Dur, f.Host = at, dur, "primary"
+				if err := tb.Schedule(f); err != nil {
+					t.Fatalf("schedule: %v", err)
+				}
 			}
+			tb = Build(Options{Seed: 1})
+			nominal := tc.state(t, tb)
+			schedule(at, dur)
 			for _, inside := range []time.Duration{at + 5*time.Millisecond, at + dur - 5*time.Millisecond} {
 				runTo(inside)
 				if got := tc.state(t, tb); got != tc.during || got == nominal {
@@ -310,6 +317,20 @@ func TestWindowedFaults(t *testing.T) {
 			runTo(at + dur + 50*time.Millisecond)
 			if got := tc.state(t, tb); got != nominal {
 				t.Errorf("after the window: %s, want nominal %s", got, nominal)
+			}
+
+			// [10ms, 60ms) and [40ms, 120ms), sampled at 85 ms (a down half
+			// of the second flap) and once both are over.
+			tb = Build(Options{Seed: 1})
+			schedule(at, 50*time.Millisecond)
+			schedule(at+30*time.Millisecond, 80*time.Millisecond)
+			runTo(85 * time.Millisecond)
+			if got := tc.state(t, tb); got != tc.during {
+				t.Errorf("in the second of two overlapping windows, after the first closed: %s, want %s", got, tc.during)
+			}
+			runTo(170 * time.Millisecond)
+			if got := tc.state(t, tb); got != nominal {
+				t.Errorf("after two overlapping windows: %s, want nominal %s", got, nominal)
 			}
 		})
 	}

@@ -112,6 +112,9 @@ type Testbed struct {
 	links   map[string]*netem.Link
 	servers map[string]app.Server
 	echo    bool
+	// holds counts the open windows of each windowed fault kind on each
+	// target (keyed by a Fault holding just Kind and Host).
+	holds map[Fault]int
 
 	SerialPrimary *serial.Port
 	SerialBackup  *serial.Port
@@ -154,7 +157,7 @@ func Build(opts Options) *Testbed {
 
 	reg := metrics.New(s.Now)
 	tb := &Testbed{Sim: s, Tracer: tracer, Metrics: reg, Switch: sw,
-		hosts: map[string]*cluster.Host{}, links: map[string]*netem.Link{}}
+		hosts: map[string]*cluster.Host{}, links: map[string]*netem.Link{}, holds: map[Fault]int{}}
 	host := func(name string, ethNum uint32, addr ip.Addr) *cluster.Host {
 		tb.hosts[name] = cluster.New(s, cluster.HostConfig{
 			Name:    name,
@@ -575,10 +578,19 @@ func pick[T any](on bool, during, nominal T) T {
 
 // hold keeps a windowed fault's off-nominal setting for f.Dur, then
 // restores nominal on the very target it set: by then a failover may have
-// moved the role the caller resolved the host from.
+// moved the role the caller resolved the host from. Windows of one kind
+// that overlap on one target end together, when the last of them does — an
+// earlier window's end must not cancel a later one (the latest setting
+// wins meanwhile).
 func (tb *Testbed) hold(f Fault, set func(on bool)) {
+	key := Fault{Kind: f.Kind, Host: f.Host}
+	tb.holds[key]++
 	set(true)
-	tb.Sim.Schedule(f.Dur, func() { set(false) })
+	tb.Sim.Schedule(f.Dur, func() {
+		if tb.holds[key]--; tb.holds[key] == 0 {
+			set(false)
+		}
+	})
 }
 
 // flap toggles a link down and up, half of f.Period each, starting down,

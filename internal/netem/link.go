@@ -179,11 +179,18 @@ func (l *Link) SetExtraDelay(d time.Duration) { l.extraDelay = d }
 
 // DropFromAFor drops all frames transmitted by endpoint A for d, modelling a
 // temporary local failure (paper Table 1 row 5: buffer overflow, transient
-// NIC trouble).
-func (l *Link) DropFromAFor(d time.Duration) { l.a.dropTill = l.sim.Now().Add(d) }
+// NIC trouble). A window already open beyond d stands: a second, shorter
+// drop must not cut the first one short.
+func (l *Link) DropFromAFor(d time.Duration) { l.a.dropFor(l.sim.Now().Add(d)) }
 
 // DropFromBFor drops all frames transmitted by endpoint B for d.
-func (l *Link) DropFromBFor(d time.Duration) { l.b.dropTill = l.sim.Now().Add(d) }
+func (l *Link) DropFromBFor(d time.Duration) { l.b.dropFor(l.sim.Now().Add(d)) }
+
+func (s *linkSide) dropFor(till time.Time) {
+	if till.After(s.dropTill) {
+		s.dropTill = till
+	}
+}
 
 // SetCutFromA cuts (or restores) only the A→B direction, indefinitely.
 // The reverse direction keeps working: this is the asymmetric partition

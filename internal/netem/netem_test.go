@@ -186,6 +186,9 @@ func TestDropWindow(t *testing.T) {
 	_ = b
 	a.link.DropFromAFor(100 * time.Millisecond)
 	send(t, a, b.Addr(), "lost")
+	// A shorter window opened inside the first must not cut it short.
+	s.Schedule(20*time.Millisecond, func() { a.link.DropFromAFor(10 * time.Millisecond) })
+	s.Schedule(50*time.Millisecond, func() { send(t, a, b.Addr(), "lost too") })
 	s.Schedule(200*time.Millisecond, func() { send(t, a, b.Addr(), "arrives") })
 	_ = s.Run(time.Second)
 	if len(*rxB) != 1 || string((*rxB)[0].Payload) != "arrives" {
