@@ -36,7 +36,8 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/tcp ./internal/app ./internal/sttcp
 
 # Non-test Go lines per package (outside benchmark/ and testdata/): the
-# ROADMAP item 7 table, reproducibly. CI prints it after the build so the
+# instrument every ROADMAP "quality of design" figure is read from,
+# reproducibly. CI prints it after the build so the
 # trend is in every log.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' -not -path './.bench_build/*' \

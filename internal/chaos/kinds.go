@@ -273,8 +273,8 @@ func unless(ok func(h *harness, t *cluster.Host) bool, why string) check {
 	}
 }
 
+func present(_ *harness, t *cluster.Host) bool { return t != nil }
 func running(_ *harness, t *cluster.Host) bool { return !t.Crashed() }
-func fit(h *harness, t *cluster.Host) bool     { return h.healthy(t) }
 func appRunning(h *harness, t *cluster.Host) bool {
 	return !t.Crashed() && !h.tb.Server(t.Name()).Crashed()
 }
@@ -285,15 +285,15 @@ func serverNICsUp(h *harness, _ *cluster.Host) bool {
 }
 
 var (
-	reachable     = unless(fit, "service is not reachable right now")
-	servingFit    = unless(fit, "serving host unhealthy")
+	reachable     = unless(servingHealthy, "service is not reachable right now")
+	servingFit    = unless(servingHealthy, "serving host unhealthy")
 	servingUp     = unless(servingHealthy, "serving side unhealthy")
 	liveServing   = unless(running, "no live target link")
 	nicAlive      = unless(func(_ *harness, t *cluster.Host) bool { return !t.NIC().Failed() }, "target NIC already dead")
 	serialPlugged = unless(serialIntact, "serial already cut")
 	hbRedundant   = unless(serialIntact, "serial is cut; heartbeat loss could STONITH a healthy peer")
-	haveStandby   = unless(func(_ *harness, t *cluster.Host) bool { return t != nil }, "no active standby")
-	liveStandby   = unless(func(_ *harness, t *cluster.Host) bool { return t != nil }, "no live target link")
+	haveStandby   = unless(present, "no active standby")
+	liveStandby   = unless(present, "no live target link")
 	lossSettled   = unless(func(h *harness, _ *cluster.Host) bool { return h.tb.Sim.Elapsed() >= h.lossUntil },
 		"loss window active on a server link")
 
@@ -323,7 +323,8 @@ func (h *harness) fire(ev Event) {
 		h.skip(ev, "unknown event kind")
 		return
 	}
-	k, t, host := &kinds[ev.Kind], h.resolve(kinds[ev.Kind].target), ""
+	k, host := &kinds[ev.Kind], ""
+	t := h.resolve(k.target)
 	if t != nil {
 		host = t.Name()
 	}

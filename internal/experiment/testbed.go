@@ -488,7 +488,7 @@ func (tb *Testbed) vet(f Fault) error {
 	switch {
 	case !cable && tb.hosts[f.Host] == nil:
 		return fmt.Errorf("%s: host %q not present in this topology", f.Kind, f.Host)
-	case strings.HasPrefix(string(f.Kind), "appcrash") && tb.servers[f.Host] == nil:
+	case (f.Kind == FaultAppCrashSilent || f.Kind == FaultAppCrashCleanup) && tb.servers[f.Host] == nil:
 		return fmt.Errorf("%s: host %q runs no server application", f.Kind, f.Host)
 	case windowed && f.Dur <= 0:
 		return need(false, "duration must be positive", f.Dur)
@@ -543,21 +543,21 @@ func (tb *Testbed) inject(f Fault) {
 		link.DropFromBFor(f.Dur) // B side = switch port; the link expires the window itself
 	case FaultStarve:
 		tb.Tracer.Emit(trace.KindGeneric, f.Host, "CPU starved x%g for %v (slow-not-dead)", f.Scale, f.Dur)
-		tb.hold(f, func(on bool) { host.SetCPUScale(pick(on, f.Scale, 1)) })
+		hold(tb, f, f.Scale, 1, host.SetCPUScale)
 	case FaultClockSkew:
-		tb.hold(f, func(on bool) { host.SetTimerScale(pick(on, f.Scale, 1)) })
+		hold(tb, f, f.Scale, 1, host.SetTimerScale)
 	case FaultLoss:
-		tb.hold(f, func(on bool) { link.SetLossRate(pick(on, f.Rate, 0)) })
+		hold(tb, f, f.Rate, 0, link.SetLossRate)
 	case FaultDelay:
-		tb.hold(f, func(on bool) { link.SetExtraDelay(pick(on, f.Delay, 0)) })
+		hold(tb, f, f.Delay, 0, link.SetExtraDelay)
 	case FaultTxCut:
-		tb.hold(f, link.SetCutFromA) // A side = host
+		hold(tb, f, true, false, link.SetCutFromA) // A side = host
 	case FaultCorrupt:
-		tb.hold(f, func(on bool) { link.SetCorruptRate(pick(on, f.Rate, 0)) })
+		hold(tb, f, f.Rate, 0, link.SetCorruptRate)
 	case FaultSerialCorrupt:
-		tb.hold(f, func(on bool) {
-			tb.SerialPrimary.SetCorruptRate(pick(on, f.Rate, 0))
-			tb.SerialBackup.SetCorruptRate(pick(on, f.Rate, 0))
+		hold(tb, f, f.Rate, 0, func(p float64) {
+			tb.SerialPrimary.SetCorruptRate(p)
+			tb.SerialBackup.SetCorruptRate(p)
 		})
 	case FaultNICFlap:
 		tb.flap(f, func(down bool) {
@@ -569,46 +569,34 @@ func (tb *Testbed) inject(f Fault) {
 	}
 }
 
-func pick[T any](on bool, during, nominal T) T {
-	if on {
-		return during
-	}
-	return nominal
-}
-
-// hold keeps a windowed fault's off-nominal setting for f.Dur, then
-// restores nominal on the very target it set: by then a failover may have
-// moved the role the caller resolved the host from. Windows of one kind
-// that overlap on one target end together, when the last of them does — an
-// earlier window's end must not cancel a later one (the latest setting
-// wins meanwhile).
-func (tb *Testbed) hold(f Fault, set func(on bool)) {
+// hold sets a windowed fault's off-nominal value for f.Dur, then restores
+// nominal on the very target it set: by then a failover may have moved the
+// role the caller resolved the host from. Windows of one kind that overlap
+// on one target end together, when the last of them does — an earlier
+// window's end must not cancel a later one (the latest value wins
+// meanwhile).
+func hold[T any](tb *Testbed, f Fault, during, nominal T, set func(T)) {
 	key := Fault{Kind: f.Kind, Host: f.Host}
 	tb.holds[key]++
-	set(true)
+	set(during)
 	tb.Sim.Schedule(f.Dur, func() {
 		if tb.holds[key]--; tb.holds[key] == 0 {
-			set(false)
+			set(nominal)
 		}
 	})
 }
 
-// flap toggles a link down and up, half of f.Period each, starting down,
-// and leaves it up when f.Dur is over.
+// flap takes a link down and up, half of f.Period each, starting down, and
+// leaves it up when f.Dur is over.
 func (tb *Testbed) flap(f Fault, set func(down bool)) {
-	down, over := false, false
-	var tick func()
-	tick = func() {
-		if over {
-			return
-		}
+	down := true
+	set(down)
+	t := sim.NewTicker(tb.Sim, f.Period/2, func() {
 		down = !down
 		set(down)
-		tb.Sim.Schedule(f.Period/2, tick)
-	}
-	tick()
+	})
 	tb.Sim.Schedule(f.Dur, func() {
-		over = true
+		t.Stop()
 		set(false)
 	})
 }

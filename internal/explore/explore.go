@@ -28,7 +28,11 @@ type Config struct {
 	MsgSize int
 
 	// FaultKinds lists the faults to place at each enumerated boundary
-	// (default: a serving-side machine crash).
+	// (default: a serving-side machine crash). An event is placed with no
+	// parameters, so only the kinds that need none are meaningful — the
+	// crashes, NIC failures and the serial cut; the testbed's fault
+	// validator refuses a windowed kind without a duration and the run
+	// records the skip.
 	FaultKinds []chaos.EventKind
 	// FaultAt and FaultSpan bound the fault-placement window
 	// [FaultAt, FaultAt+FaultSpan): a probe run collects the distinct

@@ -36,6 +36,9 @@
 // earlier than the virtual time already run is an error (equal is fine).
 // Every action but rejoin is an experiment.Fault, validated by the testbed
 // before it is armed; a script with no `at` at all must end failure-free.
+// The vocabulary is the one the demos, Table 1 and the chaos campaigns
+// inject through; its chaos-born kinds (loss, delay, txcut, corrupt,
+// serialcorrupt, nicflap, serialflap, clockskew) have no verb here yet.
 package scenario
 
 import (
