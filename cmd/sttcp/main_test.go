@@ -42,6 +42,7 @@ func TestUsageErrors(t *testing.T) {
 		{"explore", "-faults", "gremlins"},
 		{"report"},
 		{"vet", "-format", "xml"},
+		{"vet", "-format", "json"},
 	} {
 		code, out, errb := cli(args...)
 		if code != 2 || out != "" || errb == "" {
@@ -113,15 +114,21 @@ func TestReportRendersAndDiffsItsOwnOutput(t *testing.T) {
 	mustRun(t, "report", "-diff", rep, rep)
 }
 
+// TestVetListsTheAnalyzers: vet has no -list; `sttcp help` names the four
+// analyzers of the suite, each with its one-line doc.
 func TestVetListsTheAnalyzers(t *testing.T) {
-	out := mustRun(t, "vet", "-list")
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 8 || len(analysis.Analyzers()) != 8 {
-		t.Fatalf("want the eight analyzers, got %d lines:\n%s", len(lines), out)
+	out := mustRun(t, "help")
+	want := []string{"simdeterminism", "maporder", "hotpathalloc", "resulterrors"}
+	suite := analysis.Analyzers()
+	if len(suite) != len(want) {
+		t.Fatalf("the suite has %d analyzers, want %v", len(suite), want)
 	}
-	for i, a := range analysis.Analyzers() {
-		if !strings.HasPrefix(lines[i], a.Name+" ") {
-			t.Errorf("line %d = %q, want analyzer %s", i, lines[i], a.Name)
+	for i, a := range suite {
+		if a.Name != want[i] {
+			t.Errorf("analyzer %d is %s, want %s", i, a.Name, want[i])
+		}
+		if !strings.Contains(out, "\n  "+a.Name+" ") || !strings.Contains(out, a.Doc) {
+			t.Errorf("help does not list %s with its doc %q:\n%s", a.Name, a.Doc, out)
 		}
 	}
 }

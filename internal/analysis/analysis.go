@@ -1,24 +1,31 @@
 // Package analysis is a stdlib-only static-analysis framework for the
-// ST-TCP testbed, plus the domain analyzers that make the repository's
-// determinism and observability conventions structural instead of
-// aspirational.
+// ST-TCP testbed, plus the four domain analyzers that check what a run
+// cannot show.
 //
 // Everything this reproduction claims — replay-by-seed chaos campaigns,
 // greedy schedule shrinking, golden milestone traces, the span-anatomy
-// identity of Demo 2 — rests on conventions that are invisible to the
-// compiler: no wall clock or global randomness inside sim-driven code, no
-// observable work ordered by map iteration, every non-auto trace span
-// closed or handed off on all paths, zero allocation on the per-segment
-// hot path, no discarded harness errors. The analyzers in this package
-// check those conventions at compile time; `sttcp vet` runs them from
-// the command line and lint_test.go runs them under plain `go test ./...`
-// so a violation fails the tier-1 gate.
+// identity of Demo 2 — is judged by observing deterministic runs, and
+// most conventions are held by a test or a chaos invariant that fails
+// when they are broken. An analyzer earns its place only where that
+// cannot work: no deterministic test can observe a wall-clock read,
+// global randomness, a goroutine or a second event queue in sim-driven
+// code (simdeterminism), nor observable work ordered by Go's randomised
+// map iteration (maporder); and two analyzers make a decision the tests
+// do not — hotpathalloc names the expression behind a per-segment
+// allocation regression, resulterrors finds a discarded harness error
+// that would turn a failed run into a passed one. `sttcp vet` runs the
+// four from the command line and lint_test.go runs them under plain
+// `go test ./...` so a violation fails the tier-1 gate. Span pairing,
+// causal-context restore, frame-pool lifetimes and daemon-tick hygiene
+// are deterministic runtime faults at a handful of call sites, so tests
+// hold them, not analyzers — README "Correctness tooling" names them.
 //
 // The framework is deliberately small: a Package loader built on
 // go/parser and go/types (the "source" importer resolves the standard
-// library, so there are no dependencies outside the standard library), an
-// Analyzer/Pass pair modeled loosely on golang.org/x/tools/go/analysis,
-// and a driver that applies the //sttcp:allow suppression directive:
+// library, so there are no dependencies outside the standard library), a
+// static call graph, an Analyzer/ModulePass pair modeled loosely on
+// golang.org/x/tools/go/analysis, and a driver that applies the
+// //sttcp:allow suppression directive:
 //
 //	foo := time.Now() //sttcp:allow simdeterminism wall budget for the campaign loop
 //
@@ -48,63 +55,20 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// Analyzer is one named check. Exactly one of Run and RunModule is set:
-// Run inspects a single package through its Pass, while RunModule sees
-// every loaded package at once plus the static call graph — the shape
-// interprocedural analyses (taint propagation, reachability) need.
+// Analyzer is one named check. Run sees every loaded package at once
+// plus the static call graph — the shape interprocedural analyses (taint
+// propagation, reachability) need; a check that is local to a package
+// loops over ModulePass.Pkgs and takes each one's packagePass.
 type Analyzer struct {
-	Name      string
-	Doc       string
-	Run       func(*Pass)
-	RunModule func(*ModulePass)
+	Name string
+	Doc  string
+	Run  func(*ModulePass)
 }
 
-// Pass carries one (package, analyzer) execution: the parsed and
-// type-checked package plus the report sink.
-type Pass struct {
-	Analyzer *Analyzer
-	Pkg      *Package
-
-	allows *allowTable
-	report func(Diagnostic)
-}
-
-// Fset returns the file set positions resolve against.
-func (p *Pass) Fset() *token.FileSet { return p.Pkg.Fset }
-
-// Files returns the package's parsed files (tests excluded).
-func (p *Pass) Files() []*ast.File { return p.Pkg.Files }
-
-// TypesInfo returns the package's type-checker fact tables.
-func (p *Pass) TypesInfo() *types.Info { return p.Pkg.Info }
-
-// TypeOf returns the static type of e, or nil if unknown.
-func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
-
-// ObjectOf resolves an identifier to its object (use or def), or nil.
-func (p *Pass) ObjectOf(id *ast.Ident) types.Object { return p.Pkg.Info.ObjectOf(id) }
-
-// Reportf records a diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Pkg.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Allowed reports whether an //sttcp:allow directive for this analyzer
-// covers pos, marking the directive used. Analyzers call this to treat a
-// site as audited (and, say, stop taint there) without reporting; the
-// mark keeps such directives out of the unused-suppression audit.
-func (p *Pass) Allowed(pos token.Pos) bool {
-	return p.allows.allowedAt(p.Pkg.Fset.Position(pos), p.Analyzer.Name)
-}
-
-// ModulePass carries one module-wide analyzer execution: every loaded
-// package, the static call graph over them, and the report sink. All
-// packages share one token.FileSet (the loader guarantees it), so any
-// token.Pos from any package resolves through Fset.
+// ModulePass carries one analyzer execution: every loaded package, the
+// static call graph over them, and the report sink. All packages share
+// one token.FileSet (the loader guarantees it), so any token.Pos from any
+// package resolves through Fset.
 type ModulePass struct {
 	Analyzer *Analyzer
 	Pkgs     []*Package
@@ -128,40 +92,32 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Allowed reports whether an //sttcp:allow directive for this analyzer
-// covers pos, marking the directive used (see Pass.Allowed).
+// covers pos, marking the directive used. Analyzers call this to treat a
+// site as audited (and, say, stop taint there) without reporting; the
+// mark keeps such directives out of the unused-suppression audit.
 func (p *ModulePass) Allowed(pos token.Pos) bool {
 	return p.allows.allowedAt(p.fset.Position(pos), p.Analyzer.Name)
 }
 
-// packagePass derives a per-package Pass view sharing this module pass's
-// suppression state and report sink, so module analyzers can reuse the
-// intraprocedural helpers unchanged.
-func (p *ModulePass) packagePass(pkg *Package) *Pass {
-	return &Pass{Analyzer: p.Analyzer, Pkg: pkg, allows: p.allows, report: p.report}
+// Pass is one package's view of a ModulePass: the same report sink and
+// suppression state, plus the package's type-checker facts, so the
+// intraprocedural helpers take a single handle.
+type Pass struct {
+	*ModulePass
+	Pkg *Package
 }
+
+func (p *ModulePass) packagePass(pkg *Package) *Pass { return &Pass{p, pkg} }
+
+// TypeOf returns the static type of e, or nil if unknown.
+func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
+
+// ObjectOf resolves an identifier to its object (use or def), or nil.
+func (p *Pass) ObjectOf(id *ast.Ident) types.Object { return p.Pkg.Info.ObjectOf(id) }
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		SimDeterminism,
-		MapOrder,
-		SpanPairing,
-		CtxPairing,
-		PoolLifecycle,
-		DaemonHygiene,
-		HotPathAlloc,
-		ResultErrors,
-	}
-}
-
-// ByName resolves an analyzer from the suite, nil if unknown.
-func ByName(name string) *Analyzer {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
+	return []*Analyzer{SimDeterminism, MapOrder, HotPathAlloc, ResultErrors}
 }
 
 // Run executes the analyzers over the packages, applies //sttcp:allow
@@ -169,6 +125,9 @@ func ByName(name string) *Analyzer {
 // that suppress nothing, and returns the surviving diagnostics sorted by
 // position.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	if len(pkgs) == 0 {
+		return nil
+	}
 	known := map[string]bool{allowAnalyzerName: true}
 	for _, a := range Analyzers() { // directives may name any suite analyzer,
 		known[a.Name] = true // even one this run does not execute
@@ -188,29 +147,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	}
 
 	ran := map[string]bool{allowAnalyzerName: true}
-	var moduleAnalyzers []*Analyzer
+	graph := buildCallGraph(pkgs)
 	for _, a := range analyzers {
 		ran[a.Name] = true
-		if a.RunModule != nil {
-			moduleAnalyzers = append(moduleAnalyzers, a)
-			continue
-		}
-		for _, pkg := range pkgs {
-			a.Run(&Pass{Analyzer: a, Pkg: pkg, allows: table, report: report})
-		}
-	}
-	if len(moduleAnalyzers) > 0 && len(pkgs) > 0 {
-		graph := buildCallGraph(pkgs)
-		for _, a := range moduleAnalyzers {
-			a.RunModule(&ModulePass{
-				Analyzer: a,
-				Pkgs:     pkgs,
-				Graph:    graph,
-				fset:     pkgs[0].Fset,
-				allows:   table,
-				report:   report,
-			})
-		}
+		a.Run(&ModulePass{Analyzer: a, Pkgs: pkgs, Graph: graph, fset: pkgs[0].Fset, allows: table, report: report})
 	}
 
 	// Suppression rot: a well-formed directive whose analyzers all ran

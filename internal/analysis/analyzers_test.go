@@ -9,7 +9,7 @@ import (
 // expectation comments using the given analyzers.
 func runCorpus(t *testing.T, pattern string, analyzers ...*Analyzer) {
 	t.Helper()
-	problems, err := CheckExpectations(filepath.Join("testdata", "src"), "example.com/vet", []string{pattern}, analyzers...)
+	problems, err := checkExpectations(filepath.Join("testdata", "src"), "example.com/vet", []string{pattern}, analyzers...)
 	if err != nil {
 		t.Fatalf("corpus %s: %v", pattern, err)
 	}
@@ -26,26 +26,6 @@ func TestSimDeterminismCorpus(t *testing.T) {
 func TestMapOrderCorpus(t *testing.T) {
 	t.Parallel()
 	runCorpus(t, "./maporder", MapOrder)
-}
-
-func TestSpanPairingCorpus(t *testing.T) {
-	t.Parallel()
-	runCorpus(t, "./spanpairing", SpanPairing)
-}
-
-func TestCtxPairingCorpus(t *testing.T) {
-	t.Parallel()
-	runCorpus(t, "./ctxpairing", CtxPairing)
-}
-
-func TestPoolLifecycleCorpus(t *testing.T) {
-	t.Parallel()
-	runCorpus(t, "./poollifecycle", PoolLifecycle)
-}
-
-func TestDaemonHygieneCorpus(t *testing.T) {
-	t.Parallel()
-	runCorpus(t, "./daemonhygiene", DaemonHygiene)
 }
 
 func TestHotPathAllocCorpus(t *testing.T) {

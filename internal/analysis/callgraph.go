@@ -12,20 +12,15 @@ import (
 // and deliberately honest about it:
 //
 //   - Nodes are function declarations and function literals of the loaded
-//     packages. Literals get their own nodes because callbacks handed to
-//     the simulator (daemon ticks, scheduled events) are almost always
-//     literals, and daemonhygiene needs to reason about what is reachable
-//     from exactly one of them.
+//     packages. Literals get their own nodes so a frame scan (inspectShallow)
+//     stops at the closure boundary and the closure's body is judged once.
 //   - Edges are statically resolvable calls: direct function calls and
 //     method calls on concrete receivers. Calls through interfaces and
 //     plain function values are NOT edges — the analyzers built on the
 //     graph are "may miss", never "may invent".
-//   - A function that creates a literal gets a creates-edge to it (the
-//     closure may run with the creator's obligations), except when the
-//     literal is passed directly as a callback to one of the simulator's
-//     scheduling entry points — there the literal is a root of whichever
-//     execution context (foreground or daemon) the entry point mints,
-//     and the creates-edge would conflate setup code with tick code.
+//   - A function that creates a literal gets a creates-edge to it: the
+//     closure may run with the creator's obligations, so taint found in
+//     the literal reaches its creator.
 type cgNode struct {
 	Fn   *types.Func   // nil for literals
 	Lit  *ast.FuncLit  // nil for declared functions
@@ -60,21 +55,6 @@ func (n *cgNode) Body() *ast.BlockStmt {
 	return n.Lit.Body
 }
 
-// Pos returns the node's declaration position.
-func (n *cgNode) Pos() token.Pos {
-	if n.Decl != nil {
-		return n.Decl.Pos()
-	}
-	return n.Lit.Pos()
-}
-
-// Exported reports whether the node is an exported declared function or
-// method — the module's public surface, which interprocedural analyses
-// must assume can be entered from anywhere (tests are not loaded).
-func (n *cgNode) Exported() bool {
-	return n.Fn != nil && n.Fn.Exported()
-}
-
 type cgEdgeKind int
 
 const (
@@ -86,8 +66,7 @@ type cgEdge struct {
 	Caller *cgNode
 	Callee *cgNode
 	Kind   cgEdgeKind
-	Call   *ast.CallExpr // the call site; nil for creates-edges
-	Pos    token.Pos
+	Pos    token.Pos // the call site, or the literal for a creates-edge
 }
 
 // callGraph indexes every node of the analyzed packages with
@@ -95,39 +74,13 @@ type cgEdge struct {
 // file order the loader already guarantees).
 type callGraph struct {
 	decls map[*types.Func]*cgNode
-	lits  map[*ast.FuncLit]*cgNode
 	Nodes []*cgNode // deterministic order
-}
-
-// callbackArgIndex returns which argument of a recognized scheduling
-// entry point is the callback, or -1. These are the call shapes whose
-// literal arguments become execution-context roots instead of plain
-// closures of their creator (see the creates-edge rule above).
-func callbackArgIndex(fn *types.Func) int {
-	switch {
-	case isMethodOn(fn, "sim", "Simulator"):
-		switch fn.Name() {
-		case "Schedule", "At", "Post", "PostAt":
-			return 1
-		case "NewTimer":
-			return 0
-		}
-	case isTopLevelFuncOfSuffix(fn, "internal/sim"):
-		switch fn.Name() {
-		case "NewTicker", "NewDaemonTicker":
-			return 2
-		}
-	}
-	return -1
 }
 
 // buildCallGraph indexes the packages' functions and resolves their
 // static call edges.
 func buildCallGraph(pkgs []*Package) *callGraph {
-	g := &callGraph{
-		decls: map[*types.Func]*cgNode{},
-		lits:  map[*ast.FuncLit]*cgNode{},
-	}
+	g := &callGraph{decls: map[*types.Func]*cgNode{}}
 	// Pass 1: index declared functions so cross-package edges resolve no
 	// matter the load order.
 	for _, pkg := range pkgs {
@@ -162,54 +115,22 @@ func (g *callGraph) walkFrame(n *cgNode, pkg *Package) {
 	if body == nil {
 		return
 	}
-	// Literals passed directly as callbacks to scheduling entry points:
-	// no creates-edge (they are context roots, found by the analyzers via
-	// the call expression itself).
-	callbackLits := map[*ast.FuncLit]bool{}
-	inspectShallow(body, func(m ast.Node) {
-		call, ok := m.(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		fn := calleeFunc(pkg.Info, call)
-		if fn == nil {
-			return
-		}
-		if i := callbackArgIndex(fn); i >= 0 && i < len(call.Args) {
-			if lit, ok := ast.Unparen(call.Args[i]).(*ast.FuncLit); ok {
-				callbackLits[lit] = true
-			}
-		}
-	})
-	var walk func(node ast.Node) bool
-	walk = func(m ast.Node) bool {
+	ast.Inspect(body, func(m ast.Node) bool {
 		switch m := m.(type) {
 		case *ast.FuncLit:
 			ln := &cgNode{Lit: m, Pkg: pkg}
-			g.lits[m] = ln
 			g.Nodes = append(g.Nodes, ln)
-			if !callbackLits[m] {
-				g.addEdge(&cgEdge{Caller: n, Callee: ln, Kind: edgeCreates, Pos: m.Pos()})
-			}
+			g.addEdge(&cgEdge{Caller: n, Callee: ln, Kind: edgeCreates, Pos: m.Pos()})
 			g.walkFrame(ln, pkg)
 			return false // the literal's frame walks itself
 		case *ast.CallExpr:
 			if fn := calleeFunc(pkg.Info, m); fn != nil {
 				if callee, ok := g.decls[fn]; ok {
-					g.addEdge(&cgEdge{Caller: n, Callee: callee, Kind: edgeCall, Call: m, Pos: m.Pos()})
+					g.addEdge(&cgEdge{Caller: n, Callee: callee, Kind: edgeCall, Pos: m.Pos()})
 				}
 			}
 		}
 		return true
-	}
-	ast.Inspect(body, func(m ast.Node) bool {
-		if m == nil {
-			return false
-		}
-		if m == ast.Node(body) {
-			return true
-		}
-		return walk(m)
 	})
 	sortEdges(n.Callees)
 }
@@ -221,28 +142,6 @@ func (g *callGraph) addEdge(e *cgEdge) {
 
 func sortEdges(es []*cgEdge) {
 	sort.SliceStable(es, func(i, j int) bool { return es[i].Pos < es[j].Pos })
-}
-
-// NodeForFunc resolves a declared function or method to its node, nil if
-// it is outside the analyzed packages (stdlib, dependency-only loads).
-func (g *callGraph) NodeForFunc(fn *types.Func) *cgNode { return g.decls[fn] }
-
-// NodeForExpr resolves a callback expression — a function literal, a
-// function identifier, or a method value — to its node, nil otherwise.
-func (g *callGraph) NodeForExpr(info *types.Info, e ast.Expr) *cgNode {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.FuncLit:
-		return g.lits[e]
-	case *ast.Ident:
-		if fn, ok := info.Uses[e].(*types.Func); ok {
-			return g.decls[fn]
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := info.Uses[e.Sel].(*types.Func); ok {
-			return g.decls[fn]
-		}
-	}
-	return nil
 }
 
 // inspectShallow walks n without descending into nested function
@@ -258,15 +157,4 @@ func inspectShallow(root ast.Node, fn func(ast.Node)) {
 		fn(m)
 		return true
 	})
-}
-
-// isTopLevelFuncOfSuffix reports whether fn is a receiver-less function
-// of a package whose import path ends in the given suffix (module-path
-// agnostic, so corpus stand-in packages match like the real ones).
-func isTopLevelFuncOfSuffix(fn *types.Func, suffix string) bool {
-	if fn == nil || fn.Pkg() == nil || !pkgPathHasSuffix(fn.Pkg().Path(), suffix) {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
 }

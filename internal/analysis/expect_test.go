@@ -20,14 +20,13 @@ type expectation struct {
 var wantRE = regexp.MustCompile(`//\s*want\s+(.*)$`)
 var wantArgRE = regexp.MustCompile("\"((?:[^\"\\\\]|\\\\.)*)\"|`([^`]*)`")
 
-// CheckExpectations loads the packages under (moduleDir, modulePath)
+// checkExpectations loads the packages under (moduleDir, modulePath)
 // matching patterns, runs the given analyzers, and verifies the
 // diagnostics against `// want "regex"` comments in the sources: every
 // diagnostic must match a want on its line, and every want must be hit.
 // It returns a list of human-readable problems (empty means pass). This
-// is the test harness for the analyzer corpora; it lives in the main
-// package so `sttcp vet` could also offer a self-test mode.
-func CheckExpectations(moduleDir, modulePath string, patterns []string, analyzers ...*Analyzer) ([]string, error) {
+// is the test harness for the analyzer corpora.
+func checkExpectations(moduleDir, modulePath string, patterns []string, analyzers ...*Analyzer) ([]string, error) {
 	loader, err := NewLoader(moduleDir, modulePath)
 	if err != nil {
 		return nil, err

@@ -80,17 +80,6 @@ func isTopLevelFuncOf(fn *types.Func, pkgPath string) bool {
 	return ok && sig.Recv() == nil
 }
 
-// importsPkgSuffix reports whether the package imports (directly) a
-// package whose path ends in suffix.
-func importsPkgSuffix(pkg *Package, suffix string) bool {
-	for _, imp := range pkg.Types.Imports() {
-		if pkgPathHasSuffix(imp.Path(), suffix) {
-			return true
-		}
-	}
-	return false
-}
-
 // isErrorType reports whether t is the built-in error interface or a
 // slice of it.
 func isErrorType(t types.Type) bool {

@@ -38,9 +38,9 @@ import (
 // benchmark proves the property today, the analyzer names the exact
 // expression that breaks it tomorrow.
 var HotPathAlloc = &Analyzer{
-	Name:      "hotpathalloc",
-	Doc:       "forbid allocating constructs in //sttcp:hotpath functions, transitively through callees",
-	RunModule: runHotPathAlloc,
+	Name: "hotpathalloc",
+	Doc:  "forbid allocating constructs in //sttcp:hotpath functions, transitively through callees",
+	Run:  runHotPathAlloc,
 }
 
 // hotFinding is one allocating construct: format has exactly one %s slot
@@ -112,10 +112,10 @@ func checkTransitiveHotPath(mp *ModulePass) {
 		}
 		pass := mp.packagePass(n.Pkg)
 		for _, f := range scanHotFrame(pass, n.Body()) {
-			pos := mp.Fset().Position(f.pos)
-			if mp.allows.allowedAt(pos, mp.Analyzer.Name) {
+			if mp.Allowed(f.pos) {
 				continue // audited cold construct: not a witness
 			}
+			pos := mp.Fset().Position(f.pos)
 			witness[n] = f.short + " (" + filepath.Base(pos.Filename) + ":" + strconv.Itoa(pos.Line) + ")"
 			queue = append(queue, n)
 			break

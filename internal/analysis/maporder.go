@@ -38,23 +38,25 @@ var MapOrder = &Analyzer{
 	Run:  runMapOrder,
 }
 
-func runMapOrder(pass *Pass) {
-	for _, f := range pass.Files() {
-		ast.Inspect(f, func(n ast.Node) bool {
-			rng, ok := n.(*ast.RangeStmt)
-			if !ok {
+func runMapOrder(mp *ModulePass) {
+	for _, pkg := range mp.Pkgs {
+		pass := mp.packagePass(pkg)
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				rng, ok := n.(*ast.RangeStmt)
+				if !ok {
+					return true
+				}
+				t := pass.TypeOf(rng.X)
+				if t == nil {
+					return true
+				}
+				if _, isMap := types.Unalias(t.Underlying()).(*types.Map); isMap {
+					checkMapRangeBody(pass, rng)
+				}
 				return true
-			}
-			t := pass.TypeOf(rng.X)
-			if t == nil {
-				return true
-			}
-			if _, isMap := types.Unalias(t.Underlying()).(*types.Map); !isMap {
-				return true
-			}
-			checkMapRangeBody(pass, rng)
-			return true
-		})
+			})
+		}
 	}
 }
 

@@ -30,17 +30,20 @@ var ResultErrors = &Analyzer{
 	Run:  runResultErrors,
 }
 
-func runResultErrors(pass *Pass) {
-	for _, f := range pass.Files() {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				checkBlankDiscards(pass, n)
-			case *ast.ExprStmt:
-				checkDroppedCall(pass, n)
-			}
-			return true
-		})
+func runResultErrors(mp *ModulePass) {
+	for _, pkg := range mp.Pkgs {
+		pass := mp.packagePass(pkg)
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					checkBlankDiscards(pass, n)
+				case *ast.ExprStmt:
+					checkDroppedCall(pass, n)
+				}
+				return true
+			})
+		}
 	}
 }
 

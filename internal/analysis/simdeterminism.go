@@ -54,9 +54,9 @@ var randConstructors = map[string]bool{
 // tie-break nondeterminism, and the differential and fuzz suites hold it
 // to the scheduler contract.
 var SimDeterminism = &Analyzer{
-	Name:      "simdeterminism",
-	Doc:       "forbid wall-clock time, global randomness, and goroutines in sim-driven packages, including through call chains",
-	RunModule: runSimDeterminism,
+	Name: "simdeterminism",
+	Doc:  "forbid wall-clock time, global randomness, and goroutines in sim-driven packages, including through call chains",
+	Run:  runSimDeterminism,
 }
 
 // simDrivenSet computes which loaded packages are sim-driven: internal/sim

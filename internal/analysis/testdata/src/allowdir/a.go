@@ -29,6 +29,6 @@ func missingReason() {
 }
 
 func wrongAnalyzerDoesNotSuppress() {
-	//sttcp:allow spanpairing an allow for one analyzer must not silence another
+	//sttcp:allow maporder an allow for one analyzer must not silence another
 	_ = time.Now() // want `time\.Now in sim-driven code`
 }

@@ -23,49 +23,6 @@ func NewRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed)) //sttcp:allow simdeterminism corpus mirror of the audited seeding point
 }
 
-// Post mimics relative-delay event posting.
-func (s *Simulator) Post(delay int, fn func()) {}
-
-// PostAt mimics absolute-time event posting.
-func (s *Simulator) PostAt(t int, fn func()) {}
-
-// Ctx mimics the causal-context handle.
-type Ctx struct{ id int }
-
-// Context mimics reading the ambient causal context.
-func (s *Simulator) Context() Ctx { return Ctx{} }
-
-// SetContext mimics replacing the ambient causal context.
-func (s *Simulator) SetContext(c Ctx) {}
-
-// Timer mimics the re-armable pooled timer.
-type Timer struct{}
-
-// NewTimer mimics timer construction.
-func (s *Simulator) NewTimer(fn func()) *Timer { return &Timer{} }
-
-// Arm mimics relative re-arming.
-func (t *Timer) Arm(d int) {}
-
-// ArmAt mimics absolute re-arming.
-func (t *Timer) ArmAt(at int) {}
-
-// Stop mimics cancellation.
-func (t *Timer) Stop() {}
-
-// Ticker mimics the periodic callback.
-type Ticker struct{}
-
-// NewTicker mimics foreground tickers: their ticks count as work.
-func NewTicker(s *Simulator, period int, fn func()) *Ticker { return &Ticker{} }
-
-// NewDaemonTicker mimics background instrumentation tickers: their ticks
-// never extend a run.
-func NewDaemonTicker(s *Simulator, period int, fn func()) *Ticker { return &Ticker{} }
-
-// Stop mimics ticker cancellation.
-func (t *Ticker) Stop() {}
-
 // Event mimics a scheduled event.
 type Event struct{}
 

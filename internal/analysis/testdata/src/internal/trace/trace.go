@@ -1,7 +1,6 @@
 // Package trace is a corpus stand-in for the real recorder: same type
-// and method names on the same package-path suffix, so the maporder and
-// spanpairing analyzers resolve corpus calls exactly as they resolve the
-// real ones.
+// and method names on the same package-path suffix, so the maporder
+// analyzer resolves corpus calls exactly as it resolves the real ones.
 package trace
 
 // Kind mimics the event kind.
@@ -31,9 +30,3 @@ func (r *Recorder) OpenAutoSpan(kind Kind, parent SpanID, component, format stri
 
 // CloseSpan mimics closing a span.
 func (r *Recorder) CloseSpan(id SpanID) {}
-
-// Activate mimics making a span ambient.
-func (r *Recorder) Activate(id SpanID) func() { return func() {} }
-
-// SetSpanValue mimics attaching a payload.
-func (r *Recorder) SetSpanValue(id SpanID, v int64) {}

@@ -27,7 +27,7 @@ func stale() {
 }
 
 func notJudgeable() {
-	//sttcp:allow spanpairing that analyzer did not run, so staleness cannot be judged
+	//sttcp:allow hotpathalloc that analyzer did not run, so staleness cannot be judged
 	_ = 2
 }
 
