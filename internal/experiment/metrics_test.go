@@ -2,10 +2,12 @@ package experiment
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/app"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -145,5 +147,69 @@ func TestHoldBufferGaugeOnEchoRun(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no sttcp.holdbuf_bytes gauge on the primary")
+	}
+}
+
+// TestTelemetrySamplingDoesNotChangeTheRun states "observation must not
+// perturb the run" directly: the Demo 2 plan at 200 ms and seed 42, run
+// without the sampler and with one ticking every 10 ms, fires the same events
+// plus exactly one per sampled window, leaves the same events pending plus
+// the next tick, and produces the same event trace and the same metrics —
+// except the instruments the sampler registers for itself under component
+// "telemetry". (The clock always ends on the horizon, so the event counts are
+// what show a run that went on longer.) A tick that posted foreground work,
+// at any delay, would add events; one that touched the system would move the
+// trace. Unlike a static call graph, which may miss calls through function
+// values, this sees every path the tick takes.
+func TestTelemetrySamplingDoesNotChangeTheRun(t *testing.T) {
+	run := func(window time.Duration) *Testbed {
+		out, err := plan{
+			Options:  Options{Seed: 42, TelemetryWindow: window},
+			HB:       200 * time.Millisecond,
+			Workload: Workload{Bytes: 32 << 20},
+			Faults:   []Fault{crashPrimary(demo2CrashAfter)},
+			Horizon:  10 * time.Minute,
+		}.run()
+		if err != nil {
+			t.Fatalf("telemetry window %v: %v", window, err)
+		}
+		if err := out.completed("demo2 download"); err != nil {
+			t.Fatal(err)
+		}
+		return out.tb
+	}
+	off, on := run(0), run(10*time.Millisecond)
+
+	windows := on.Telemetry.Timeline().Windows
+	if windows < 100 {
+		t.Fatalf("the sampled run sampled %d windows: too few for the comparison to mean anything", windows)
+	}
+	if got, want := on.Sim.Fired(), off.Sim.Fired()+uint64(windows); got != want {
+		t.Errorf("sampled run fired %d events, want the unsampled run's %d plus one per window (%d): a tick scheduled work or kept the run alive",
+			got, off.Sim.Fired(), windows)
+	}
+	if got, want := on.Sim.Pending(), off.Sim.Pending()+1; got != want {
+		t.Errorf("sampled run left %d events pending, want the unsampled run's %d plus the next tick", got, off.Sim.Pending())
+	}
+	if a, b := off.Tracer.Dump(), on.Tracer.Dump(); a != b {
+		t.Errorf("sampling changed the event trace: %d events unsampled, %d sampled", off.Tracer.Len(), on.Tracer.Len())
+	}
+	own := 0
+	systemOnly := func(s *metrics.Snapshot) string {
+		var b strings.Builder
+		for _, sm := range s.Samples {
+			if sm.Component == "telemetry" {
+				own++
+				continue
+			}
+			fmt.Fprintf(&b, "%+v\n", sm)
+		}
+		return b.String()
+	}
+	if a, b := systemOnly(off.Metrics.Snapshot()), systemOnly(on.Metrics.Snapshot()); a != b {
+		t.Errorf("sampling changed metrics outside component telemetry:\n--- unsampled\n%s--- sampled\n%s", a, b)
+	}
+	if own == 0 {
+		t.Error("the sampled run registered nothing under component telemetry: the filter above tests nothing")
 	}
 }

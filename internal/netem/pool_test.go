@@ -146,3 +146,35 @@ func TestLinkDropInFlightReturnsBuffer(t *testing.T) {
 		t.Fatalf("%d delivery records recycled, want 1", len(link.deliveries))
 	}
 }
+
+// TestDeliverFrameBufValidForTheWholeCall states the Endpoint contract from
+// the endpoint's side: buf stays the bytes that were sent until DeliverFrame
+// returns, whatever the endpoint does meanwhile. A raw Endpoint replies from
+// inside the call, so the link takes a buffer from its pool while the
+// delivered one is still in use; had the link put that one back before
+// calling the endpoint, the reply would be copied over it. (A NIC would hide
+// this: it copies the payload out before its handler runs.)
+func TestDeliverFrameBufValidForTheWholeCall(t *testing.T) {
+	s := sim.New(1)
+	link := NewLink(s, LinkConfig{Delay: time.Millisecond})
+	reply := bytes.Repeat([]byte{0xEE}, 300)
+	checked := 0
+	link.Attach(endpointFunc(func([]byte) {}), endpointFunc(func(buf []byte) {
+		checked++
+		link.TransmitFromB(reply)
+		if sent := bytes.Repeat([]byte{byte(checked)}, 300); !bytes.Equal(buf, sent) {
+			t.Errorf("frame %d changed under DeliverFrame once the endpoint transmitted: sent % x…, buf now % x…", checked, sent[:4], buf[:4])
+		}
+	}))
+
+	const frames = 4
+	for i := 0; i < frames; i++ {
+		link.TransmitFromA(bytes.Repeat([]byte{byte(i + 1)}, 300))
+	}
+	if err := s.Run(time.Second); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if checked != frames {
+		t.Fatalf("delivered %d frames, want %d", checked, frames)
+	}
+}
