@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check vet lint build test race bench loc faults-one-place report-smoke timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
+.PHONY: all check vet lint build test race bench loc allows faults-one-place report-smoke timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
 
 all: check
 
@@ -11,8 +11,10 @@ check: vet lint build race
 vet:
 	$(GO) vet ./...
 
-# Domain-specific static analysis: determinism, span hygiene, hot-path
-# allocation discipline (see README "Correctness tooling").
+# Domain-specific static analysis: determinism (wall clock, randomness,
+# goroutines, map-ordered output), hot-path allocation discipline, discarded
+# harness errors, and the //sttcp:allow audit (see README "Correctness
+# tooling").
 lint:
 	$(GO) run ./cmd/sttcp vet ./...
 
@@ -43,6 +45,17 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' -not -path './.bench_build/*' \
 	  | xargs wc -l | awk '$$2 != "total" { d = $$2; sub("^\\./", "", d); sub("/?[^/]*$$", "", d); if (d == "") d = "."; n[d] += $$1; t += $$1 } \
 	      END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t }' | sort -k2
+
+# Which analyzers carry audited exceptions, and how many: every
+# //sttcp:allow directive in the code `sttcp vet` loads (non-test Go; the
+# analysis package's own docs and corpora excluded), counted per analyzer
+# list. A line whose directive sits behind an earlier `//` is a doc-comment
+# example, not a directive. Like faults-one-place a grep, not an analyzer;
+# CI prints it next to `make loc`.
+allows:
+	@grep -rhE '^([^/]|/[^/])*//sttcp:allow ' --include='*.go' --exclude='*_test.go' \
+	    --exclude-dir=analysis --exclude-dir=testdata --exclude-dir=.bench_build . \
+	  | grep -o '//sttcp:allow [a-z,]*' | sort | uniq -c
 
 # One fault vocabulary: the substrate packages implement the mechanisms
 # (netem, serial, cluster, app), internal/experiment/testbed.go performs
