@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check vet lint build test race bench loc allows faults-one-place report-smoke timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
+.PHONY: all check vet lint build test race bench observers loc allows faults-one-place report-smoke timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
 
 all: check
 
@@ -36,6 +36,15 @@ race:
 # the repository's benchmark.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/tcp ./internal/app ./internal/sttcp
+
+# The observers' block of the benchmark's traced ladder on the smallest-packet
+# workload: how many events the always-on trace holds for a whole echo run
+# (trace.events — milestones, so tens, whatever the round count), how many
+# instruments and telemetry windows ride along, and what one emit, one counter
+# increment, detail and telemetry cost. Reads only; CI prints it after the
+# benchmark's correctness run so the trend is in every log beside `make loc`.
+observers:
+	$(GO) run ./benchmark -workload echo -traced -reps 1 | grep -E '^(trace|metrics|telemetry)\.'
 
 # Non-test Go lines per package (outside benchmark/ and testdata/): the
 # instrument every ROADMAP "quality of design" figure is read from,

@@ -323,9 +323,27 @@ func TestMaxGapComputation(t *testing.T) {
 	if around.Before(base.Add(200*time.Millisecond)) || around.After(base.Add(1200*time.Millisecond)) {
 		t.Fatalf("around = %v outside the gap", around)
 	}
-	g, ok := cl.GapAfter(base.Add(250 * time.Millisecond))
-	if !ok || g != time.Second {
-		t.Fatalf("GapAfter = %v, %v", g, ok)
+
+	// Bracket: the deliveries around an instant, "at or before" and
+	// "after" as the failover anatomy reads the stall around a takeover.
+	at := func(ms int) time.Time { return base.Add(time.Duration(ms) * time.Millisecond) }
+	var none time.Time
+	for _, c := range []struct {
+		name          string
+		t             time.Time
+		before, after time.Time
+	}{
+		{"before the first sample", at(50), none, at(100)},
+		{"exactly on a sample", at(200), at(200), at(1200)},
+		{"between two samples", at(250), at(200), at(1200)},
+		{"after the last sample", at(2000), at(1300), none},
+	} {
+		if b, a := Bracket(cl.Samples, c.t); !b.Equal(c.before) || !a.Equal(c.after) {
+			t.Errorf("Bracket %s = %v, %v; want %v, %v", c.name, b, a, c.before, c.after)
+		}
+	}
+	if b, a := Bracket(nil, at(250)); !b.IsZero() || !a.IsZero() {
+		t.Errorf("Bracket of an empty series = %v, %v; want zero, zero", b, a)
 	}
 }
 

@@ -2,6 +2,7 @@ package app
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/ip"
@@ -58,17 +59,18 @@ func MaxGap(start time.Time, samples []ProgressSample) (gap time.Duration, aroun
 	return gap, around
 }
 
-// GapAfter returns the stall observed around time t: the interval between
-// the last delivery at or before t (or start) and the first delivery after
-// t. It reports false if no delivery followed t.
-func GapAfter(start time.Time, samples []ProgressSample, t time.Time) (time.Duration, bool) {
-	for _, s := range samples {
-		if s.Time.After(t) {
-			return s.Time.Sub(start), true
-		}
-		start = s.Time
+// Bracket returns the deliveries around time t: the last one at or before
+// t and the first one after it, each zero when the series has none. The
+// stall a takeover at t caused the client is after − before.
+func Bracket(samples []ProgressSample, t time.Time) (before, after time.Time) {
+	i := sort.Search(len(samples), func(i int) bool { return samples[i].Time.After(t) })
+	if i > 0 {
+		before = samples[i-1].Time
 	}
-	return 0, false
+	if i < len(samples) {
+		after = samples[i].Time
+	}
+	return before, after
 }
 
 // StreamClient is the paper's demo client: it connects to the service,
@@ -103,11 +105,10 @@ type StreamClient struct {
 	// OnDone fires once at completion or failure.
 	OnDone func(err error)
 
-	started      time.Time
-	finished     time.Time
-	readBuf      []byte
-	telemetry    *telemetry.ClientTrack
-	lastDelivery time.Time
+	started   time.Time
+	finished  time.Time
+	readBuf   []byte
+	telemetry *telemetry.ClientTrack
 }
 
 // ClientConfig configures a StreamClient. Name, Stack, Service, Port,
@@ -189,26 +190,7 @@ func (cl *StreamClient) readable() {
 	for {
 		n, err := cl.conn.Read(buf)
 		if n > 0 {
-			if bad := VerifyPattern(cl.Received, buf[:n]); bad >= 0 {
-				cl.VerifyFailures++
-				if cl.tracer != nil {
-					cl.tracer.Emit(trace.KindGeneric, cl.name, "pattern mismatch at offset %d", cl.Received+int64(bad))
-				}
-			}
-			cl.Received += int64(n)
-			now := cl.sim.Now()
-			var lat time.Duration
-			if !cl.lastDelivery.IsZero() {
-				lat = now.Sub(cl.lastDelivery)
-			} else if !cl.started.IsZero() {
-				lat = now.Sub(cl.started)
-			}
-			cl.lastDelivery = now
-			cl.telemetry.Deliver(n, lat)
-			cl.Samples = append(cl.Samples, ProgressSample{Time: now, Bytes: cl.Received})
-			if cl.tracer != nil {
-				cl.tracer.EmitValue(trace.KindAppProgress, cl.name, cl.Received, "received %d bytes", cl.Received)
-			}
+			cl.deliver(buf[:n])
 			if cl.Received >= cl.Request {
 				_ = cl.conn.Close()
 				cl.finish(nil)
@@ -225,9 +207,33 @@ func (cl *StreamClient) readable() {
 				cl.finish(fmt.Errorf("app: %s: stream ended after %d/%d bytes: %w",
 					cl.name, cl.Received, cl.Request, err))
 			}
-			return
 		}
 		return
+	}
+}
+
+// deliver verifies one delivery and records it, once: a sample on the
+// progress series (and a telemetry observation, a no-op unless a window is
+// set). The event is per-packet narrative, so it is built only when detail
+// is on; otherwise the steady state allocates nothing
+// (TestClientDeliveryDoesNotAllocate).
+func (cl *StreamClient) deliver(p []byte) {
+	if bad := VerifyPattern(cl.Received, p); bad >= 0 {
+		cl.VerifyFailures++
+		if cl.tracer != nil {
+			cl.tracer.Emit(trace.KindGeneric, cl.name, "pattern mismatch at offset %d", cl.Received+int64(bad))
+		}
+	}
+	cl.Received += int64(len(p))
+	now := cl.sim.Now()
+	prev := cl.started
+	if len(cl.Samples) > 0 {
+		prev = cl.Samples[len(cl.Samples)-1].Time
+	}
+	cl.telemetry.Deliver(len(p), now.Sub(prev))
+	cl.Samples = append(cl.Samples, ProgressSample{Time: now, Bytes: cl.Received})
+	if cl.tracer.Detail() {
+		cl.tracer.EmitValue(trace.KindAppProgress, cl.name, cl.Received, "received %d bytes", cl.Received)
 	}
 }
 
@@ -268,9 +274,4 @@ func (cl *StreamClient) Progress() string { return fmt.Sprintf("%d/%d bytes", cl
 // MaxGap is the largest client-visible stall (see the package's MaxGap).
 func (cl *StreamClient) MaxGap() (gap time.Duration, around time.Time) {
 	return MaxGap(cl.started, cl.Samples)
-}
-
-// GapAfter is the stall the client observed around time t.
-func (cl *StreamClient) GapAfter(t time.Time) (time.Duration, bool) {
-	return GapAfter(cl.started, cl.Samples, t)
 }

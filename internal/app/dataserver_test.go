@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/tcp"
+	"repro/internal/trace"
 )
 
 // pumpSample is the server connection's write position after one
@@ -170,6 +171,40 @@ func TestDataServerPumpDoesNotAllocate(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("fill allocated %.1f times, want 0", n)
+	}
+}
+
+// TestClientDeliveryDoesNotAllocate is the same gate on the receiving side:
+// with a tracer attached and detail off, a delivery is recorded once — one
+// sample appended to the progress series — and, once the series has
+// capacity, allocates nothing. A per-delivery event costs its message
+// string and a slot in the recorder on every segment; with detail on that
+// is paid, and the recorder shows it.
+func TestClientDeliveryDoesNotAllocate(t *testing.T) {
+	f := newFixture(t, 17)
+	cl := NewStreamClient(ClientConfig{
+		Name: "client/app", Stack: f.client,
+		Service: addrServer, Port: 80,
+		Request: 1 << 40, Tracer: f.tracer,
+	})
+	const runs = 1000
+	cl.Samples = make([]ProgressSample, 0, 2*runs+2)
+	p := make([]byte, tcp.DefaultMSS)
+	deliver := func() {
+		FillPattern(cl.Received, p)
+		cl.deliver(p)
+	}
+	if n := testing.AllocsPerRun(runs, deliver); n != 0 {
+		t.Fatalf("a delivery with detail off allocated %.1f times, want 0", n)
+	}
+	if len(cl.Samples) != runs+1 || cl.VerifyFailures != 0 || f.tracer.Len() != 0 {
+		t.Fatalf("%d samples, %d verify failures, %d events after %d deliveries; want one sample each and nothing else",
+			len(cl.Samples), cl.VerifyFailures, f.tracer.Len(), runs+1)
+	}
+	f.tracer.SetDetail(true)
+	deliver()
+	if f.tracer.Count(trace.KindAppProgress) != 1 {
+		t.Fatalf("a delivery with detail on recorded %d app-progress events, want 1", f.tracer.Count(trace.KindAppProgress))
 	}
 }
 

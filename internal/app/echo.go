@@ -109,7 +109,6 @@ type EchoClient struct {
 	// OnDone fires once at completion or failure.
 	OnDone func(err error)
 
-	sent     int64 // total bytes sent
 	echoed   int64 // total bytes verified
 	sendOff  int64 // pattern offset for sending
 	writeRem int   // bytes of the current message still to write
@@ -184,7 +183,6 @@ func (cl *EchoClient) continueSend() {
 			return
 		}
 		cl.sendOff += int64(written)
-		cl.sent += int64(written)
 		cl.writeRem -= written
 	}
 }
@@ -195,11 +193,8 @@ func (cl *EchoClient) readable() {
 	}
 	buf := make([]byte, 16<<10)
 	for {
-		n, err := cl.conn.Read(buf)
+		n, _ := cl.conn.Read(buf)
 		if n == 0 {
-			if err != nil {
-				return
-			}
 			return
 		}
 		if bad := VerifyPattern(cl.echoed, buf[:n]); bad >= 0 {
@@ -215,7 +210,7 @@ func (cl *EchoClient) readable() {
 			}
 			cl.Telemetry.Deliver(cl.MsgSize, now.Sub(prev))
 			cl.Samples = append(cl.Samples, ProgressSample{Time: now, Bytes: cl.echoed})
-			if cl.tracer != nil {
+			if cl.tracer.Detail() {
 				cl.tracer.EmitValue(trace.KindAppProgress, cl.name, cl.echoed, "round %d echoed (%d bytes)", cl.RoundsDone, cl.echoed)
 			}
 			if cl.RoundsDone >= cl.Rounds {

@@ -237,8 +237,3 @@ func (cl *ReconnectClient) Elapsed() time.Duration {
 func (cl *ReconnectClient) MaxGap() (gap time.Duration, around time.Time) {
 	return app.MaxGap(cl.started, cl.Samples)
 }
-
-// GapAfter returns the stall observed around time t.
-func (cl *ReconnectClient) GapAfter(t time.Time) (time.Duration, bool) {
-	return app.GapAfter(cl.started, cl.Samples, t)
-}

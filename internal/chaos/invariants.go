@@ -230,8 +230,9 @@ func (h *harness) endInvariants(snap *metrics.Snapshot) []Violation {
 		}
 	}
 
-	// counter-trace: the two observability channels record the same
-	// incidents at the same call sites, so totals must agree exactly.
+	// counter-trace: these rare milestones are both counted and traced at
+	// the same call sites, so totals must agree exactly. Per-packet facts
+	// (heartbeats, segments) are only counted; their events are detail.
 	pairs := []struct {
 		counter string
 		kind    trace.Kind
@@ -240,7 +241,6 @@ func (h *harness) endInvariants(snap *metrics.Snapshot) []Violation {
 		{"sttcp.nonft_transitions", trace.KindNonFTMode},
 		{"sttcp.suspects", trace.KindSuspect},
 		{"tcp.retransmits", trace.KindRetransmit},
-		{"hb.sent", trace.KindHBSent},
 	}
 	for _, p := range pairs {
 		got := snap.CounterTotal(p.counter)

@@ -126,7 +126,6 @@ func (e *endHarness) syncCounterTrace() {
 		"sttcp.nonft_transitions": trace.KindNonFTMode,
 		"sttcp.suspects":          trace.KindSuspect,
 		"tcp.retransmits":         trace.KindRetransmit,
-		"hb.sent":                 trace.KindHBSent,
 	}
 	for name, kind := range pairs {
 		if n := e.h.tb.Tracer.Count(kind); n > 0 {

@@ -26,8 +26,7 @@ type Host struct {
 	tracer  *trace.Recorder
 	metrics *metrics.Registry
 
-	addr    ip.Addr
-	tcpOpts tcp.Options
+	addr ip.Addr
 
 	nic    *netem.NIC
 	ns     *netstack.Stack
@@ -53,8 +52,8 @@ type Host struct {
 // HostConfig describes one machine. Name and Addr are required; the
 // rest default sensibly: EthNum seeds the MAC address (derive it from
 // the address when zero is fine for single-host tests, but testbeds
-// with several hosts must assign distinct values), TCP zero-value means
-// default options, Tracer and Metrics may be nil.
+// with several hosts must assign distinct values), Tracer and Metrics may
+// be nil. The TCP stack runs with default options.
 type HostConfig struct {
 	// Name labels the host in traces and metric component names.
 	Name string
@@ -62,8 +61,6 @@ type HostConfig struct {
 	EthNum uint32
 	// Addr is the host's own IP address.
 	Addr ip.Addr
-	// TCP tunes the host's TCP stack; zero values select defaults.
-	TCP tcp.Options
 	// Tracer is the shared event recorder (nil for none).
 	Tracer *trace.Recorder
 	// Metrics receives the host's instruments (nil for none); it is
@@ -75,14 +72,13 @@ type HostConfig struct {
 func New(s *sim.Simulator, cfg HostConfig) *Host {
 	nic := netem.NewNIC(s, cfg.Name+"/eth0", eth.MakeAddr(cfg.EthNum))
 	ns := netstack.New(s, cfg.Name, nic, cfg.Addr)
-	st := tcp.NewStack(s, ns, cfg.Name, cfg.TCP, cfg.Tracer, cfg.Metrics)
+	st := tcp.NewStack(s, ns, cfg.Name, tcp.Options{}, cfg.Tracer, cfg.Metrics)
 	return &Host{
 		sim:        s,
 		name:       cfg.Name,
 		tracer:     cfg.Tracer,
 		metrics:    cfg.Metrics,
 		addr:       cfg.Addr,
-		tcpOpts:    cfg.TCP,
 		nic:        nic,
 		ns:         ns,
 		tcp:        st,
@@ -213,7 +209,7 @@ func (h *Host) Reboot() {
 	h.reboots++
 	h.nic.Recover()
 	h.ns = netstack.New(h.sim, h.name, h.nic, h.addr)
-	h.tcp = tcp.NewStack(h.sim, h.ns, h.name, h.tcpOpts, h.tracer, h.metrics)
+	h.tcp = tcp.NewStack(h.sim, h.ns, h.name, tcp.Options{}, h.tracer, h.metrics)
 	if h.serial != nil {
 		h.serial.SetDown(false)
 		h.serial.SetHandler(nil)

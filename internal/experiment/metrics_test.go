@@ -41,7 +41,6 @@ func TestMetricsMatchTrace(t *testing.T) {
 	}{
 		{"tcp.retransmits", trace.KindRetransmit},
 		{"sttcp.takeovers", trace.KindTakeover},
-		{"hb.sent", trace.KindHBSent},
 	}
 	for _, c := range checks {
 		got := r.Metrics.CounterTotal(c.counter)

@@ -234,6 +234,58 @@ func TestLongDownloadsStayFailureFree(t *testing.T) {
 	}
 }
 
+// TestAlwaysOnTraceIsMilestones holds the always-on trace to what it is
+// for: with TraceDetail off a failure-free plan records no event of a
+// high-volume kind, so the length of its trace does not depend on how many
+// bytes or rounds the client moved — each delivery is recorded once, in the
+// client's progress series. The per-packet narrative is gated, not gone:
+// the same plans with TraceDetail on contain it.
+func TestAlwaysOnTraceIsMilestones(t *testing.T) {
+	download := func(bytes int64) Workload { return Workload{Bytes: bytes} }
+	echo := func(rounds int) Workload {
+		return Workload{Echo: true, Rounds: rounds, MsgSize: 64, Gap: time.Millisecond}
+	}
+	run := func(w Workload, detail bool) *outcome {
+		t.Helper()
+		out, err := plan{Options: Options{Seed: 3, TraceDetail: detail}, Workload: w, Horizon: 5 * time.Second}.run()
+		if err != nil {
+			t.Fatalf("%+v: %v", w, err)
+		}
+		if err := out.completed("workload"); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, pair := range [][2]Workload{
+		{download(1 << 20), download(8 << 20)},
+		{echo(100), echo(1000)},
+	} {
+		short, long := run(pair[0], false), run(pair[1], false)
+		if a, b := short.tb.Tracer.Len(), long.tb.Tracer.Len(); a != b {
+			t.Errorf("always-on trace has %d events for %+v and %d for %+v: it grows with the workload",
+				a, pair[0], b, pair[1])
+		}
+		for _, out := range []*outcome{short, long} {
+			for _, k := range out.tb.Tracer.Kinds() {
+				if k.HighVolume() {
+					t.Errorf("%s: %d %v events recorded with TraceDetail off",
+						out.client.Progress(), out.tb.Tracer.Count(k), k)
+				}
+			}
+			if gap, _ := out.client.MaxGap(); gap <= 0 {
+				t.Errorf("%s: no progress series behind the run", out.client.Progress())
+			}
+		}
+
+		detailed := run(pair[0], true)
+		for _, k := range []trace.Kind{trace.KindAppProgress, trace.KindHBSent, trace.KindHBReceived} {
+			if !detailed.tb.Tracer.Has(k) {
+				t.Errorf("%+v with TraceDetail on: no %v event", pair[0], k)
+			}
+		}
+	}
+}
+
 // crosses reports whether a frame put on host's link now — by the host, or
 // toward it — comes out of the other end within a millisecond (the idle
 // LAN needs a few microseconds). The frame is addressed to nobody.

@@ -62,8 +62,6 @@ type Options struct {
 	CustomScheduler func() sim.Scheduler
 	// LAN overrides the 100 Mbit/s default link configuration.
 	LAN *netem.LinkConfig
-	// TCP overrides stack options on every host.
-	TCP tcp.Options
 	// SerialRate overrides the 115.2 kbit/s serial line rate.
 	SerialRate int64
 	// TapBothDirections enables the pre-enhancement topology in which
@@ -107,11 +105,14 @@ type Testbed struct {
 
 	// hosts and links index every machine and its switch link by host
 	// name (Link); servers holds the application replica on each ST-TCP
-	// host (AttachServers, NewReplica), all of the echo kind or none.
+	// host (AttachServers, NewReplica), all of the echo kind or none;
+	// series are the progress series of the clients StartClient started,
+	// which the tracer's anatomy reads the client-visible stall from.
 	hosts   map[string]*cluster.Host
 	links   map[string]*netem.Link
 	servers map[string]app.Server
 	echo    bool
+	series  []*[]app.ProgressSample
 	// holds counts the open windows of each windowed fault kind on each
 	// target (keyed by a Fault holding just Kind and Host).
 	holds map[Fault]int
@@ -158,12 +159,12 @@ func Build(opts Options) *Testbed {
 	reg := metrics.New(s.Now)
 	tb := &Testbed{Sim: s, Tracer: tracer, Metrics: reg, Switch: sw,
 		hosts: map[string]*cluster.Host{}, links: map[string]*netem.Link{}, holds: map[Fault]int{}}
+	tracer.BindProgress(tb.bracket)
 	host := func(name string, ethNum uint32, addr ip.Addr) *cluster.Host {
 		tb.hosts[name] = cluster.New(s, cluster.HostConfig{
 			Name:    name,
 			EthNum:  ethNum,
 			Addr:    addr,
-			TCP:     opts.TCP,
 			Tracer:  tracer,
 			Metrics: reg,
 		})
@@ -400,6 +401,7 @@ func (tb *Testbed) StartClient(name string, w Workload) (app.Client, error) {
 	if w.Echo {
 		cl := app.NewEchoClient(name, tb.Client.TCP(), ServiceAddr, ServicePort, w.Rounds, w.MsgSize, tb.Tracer)
 		cl.Gap, cl.Telemetry = w.Gap, tb.Telemetry.NewClientTrack()
+		tb.series = append(tb.series, &cl.Samples)
 		return cl, cl.Start()
 	}
 	cl := app.NewStreamClient(app.ClientConfig{
@@ -408,7 +410,23 @@ func (tb *Testbed) StartClient(name string, w Workload) (app.Client, error) {
 		Request: w.Bytes, Tracer: tb.Tracer,
 		Telemetry: tb.Telemetry.NewClientTrack(),
 	})
+	tb.series = append(tb.series, &cl.Samples)
 	return cl, cl.Start()
+}
+
+// bracket is the tracer's progress binding: over every client started so
+// far, the last delivery at or before t and the first one after it.
+func (tb *Testbed) bracket(t time.Time) (before, after time.Time) {
+	for _, s := range tb.series {
+		b, a := app.Bracket(*s, t)
+		if b.After(before) {
+			before = b
+		}
+		if !a.IsZero() && (after.IsZero() || a.Before(after)) {
+			after = a
+		}
+	}
+	return before, after
 }
 
 // FaultKind names one physical act. The vocabulary is the only place

@@ -157,14 +157,9 @@ type Exchanger struct {
 	seq     uint64
 	stopped bool
 
-	// Sent and Received count heartbeats per link.
-	Sent     map[LinkID]int64
-	Received map[LinkID]int64
-
-	// Per-link metric instruments, created lazily at Attach; all nil
-	// no-ops when the exchanger was built without a registry. mSent is
-	// incremented exactly where KindHBSent is traced, so the counter
-	// matches the trace stream.
+	// Per-link metric instruments, created at Attach; all nil no-ops when
+	// the exchanger was built without a registry. They are the only count
+	// of heartbeats: the hb-sent / hb-received events are detail.
 	reg       *metrics.Registry
 	mSent     map[LinkID]*metrics.Counter
 	mReceived map[LinkID]*metrics.Counter
@@ -187,8 +182,6 @@ func NewExchanger(s *sim.Simulator, name string, cfg ExchangerConfig, tracer *tr
 		tracer:    tracer,
 		lastRx:    make(map[LinkID]time.Time),
 		down:      make(map[LinkID]bool),
-		Sent:      make(map[LinkID]int64),
-		Received:  make(map[LinkID]int64),
 		reg:       reg,
 		mSent:     make(map[LinkID]*metrics.Counter),
 		mReceived: make(map[LinkID]*metrics.Counter),
@@ -313,9 +306,8 @@ func (e *Exchanger) tick() {
 			}
 		}
 		if sent > 0 {
-			e.Sent[c.ID()]++
 			e.mSent[c.ID()].Inc()
-			if e.tracer != nil {
+			if e.tracer.Detail() {
 				e.tracer.EmitValue(trace.KindHBSent, e.name, int64(m.Seq), "hb seq=%d on %v (%d chunk(s), %dB)", m.Seq, c.ID(), sent, bytes)
 			}
 		}
@@ -330,7 +322,6 @@ func (e *Exchanger) receive(link LinkID, raw []byte) {
 	if err != nil {
 		return
 	}
-	e.Received[link]++
 	e.mReceived[link].Inc()
 	e.lastRx[link] = e.sim.Now()
 	if e.tracer.Detail() {

@@ -80,7 +80,6 @@ var (
 	ErrBadChecksum    = errors.New("ip: bad header checksum")
 	ErrBadLength      = errors.New("ip: total length mismatch")
 	ErrHasOptions     = errors.New("ip: options not supported")
-	ErrTTLExpired     = errors.New("ip: TTL expired")
 )
 
 // Packet is a decoded IPv4 packet.

@@ -21,12 +21,9 @@ import (
 
 // Stack errors.
 var (
-	ErrStackDown    = errors.New("netstack: stack is down")
-	ErrPortInUse    = errors.New("netstack: UDP port already bound")
-	ErrNoRoute      = errors.New("netstack: cannot resolve destination")
-	ErrNotBound     = errors.New("netstack: UDP port not bound")
-	ErrPingPending  = errors.New("netstack: ping with this ID already pending")
-	ErrNoTCPHandler = errors.New("netstack: no TCP handler registered")
+	ErrStackDown   = errors.New("netstack: stack is down")
+	ErrPortInUse   = errors.New("netstack: UDP port already bound")
+	ErrPingPending = errors.New("netstack: ping with this ID already pending")
 )
 
 // UDPHandler receives datagrams delivered to a bound UDP port.
@@ -80,8 +77,7 @@ type Stack struct {
 	nextPingID uint16
 	nextIPID   uint16
 
-	answerAliasARP bool
-	down           bool
+	down bool
 
 	// encBuf is the reusable IP-encoding scratch. Safe because the
 	// simulation is single-threaded and the NIC copies the encoded packet
@@ -128,12 +124,6 @@ func (s *Stack) AddAlias(a ip.Addr) { s.aliases[a] = true }
 
 // HasAddr reports whether a is the primary address or an alias.
 func (s *Stack) HasAddr(a ip.Addr) bool { return a == s.addr || s.aliases[a] }
-
-// SetAnswerAliasARP controls whether the stack answers ARP requests for its
-// alias addresses. It defaults to false: two ST-TCP servers share the
-// serviceIP alias, and the testbed avoids ARP races by giving the client a
-// static entry instead.
-func (s *Stack) SetAnswerAliasARP(v bool) { s.answerAliasARP = v }
 
 // SetDown makes the stack inert (OS crash): every frame is ignored and
 // every send fails. The NIC itself may still be electrically alive.
@@ -306,8 +296,10 @@ func (s *Stack) handleARP(f eth.Frame) {
 	if p.Op != arp.OpRequest {
 		return
 	}
-	isMine := p.TargetIP == s.addr || (s.answerAliasARP && s.aliases[p.TargetIP])
-	if !isMine {
+	// Only the primary address is answered for, never an alias: two ST-TCP
+	// servers share the serviceIP alias, and the testbed avoids ARP races
+	// by giving the client a static entry instead.
+	if p.TargetIP != s.addr {
 		return
 	}
 	reply := arp.Packet{

@@ -12,19 +12,17 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden trace files from the current run")
 
-// condenseTrace reduces a full trace to its milestone event-kind sequence:
-// high-frequency noise (heartbeats, retransmits, per-delivery progress,
-// free-form generic notes) is dropped, and consecutive repeats of the same
-// kind collapse to one line. What remains is the protocol's story — crash,
+// condenseTrace reduces a trace to its milestone event-kind sequence: the
+// two kinds a detail-off run still records in bulk (retransmits, free-form
+// generic notes) are dropped — high-volume kinds (trace.Kind.HighVolume) are
+// never recorded with detail off — and consecutive repeats of the same kind
+// collapse to one line. What remains is the protocol's story — crash,
 // suspect, takeover, recovery, connection lifecycle — which must not change
 // unnoticed.
 func condenseTrace(rec *trace.Recorder) string {
 	noise := map[trace.Kind]bool{
-		trace.KindGeneric:     true,
-		trace.KindHBSent:      true,
-		trace.KindHBReceived:  true,
-		trace.KindRetransmit:  true,
-		trace.KindAppProgress: true,
+		trace.KindGeneric:    true,
+		trace.KindRetransmit: true,
 	}
 	var b strings.Builder
 	var last trace.Kind

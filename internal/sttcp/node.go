@@ -16,11 +16,8 @@ import (
 	"repro/internal/trace"
 )
 
-// Node construction errors.
-var (
-	ErrNoSerial   = errors.New("sttcp: host has no serial port attached")
-	ErrNotStarted = errors.New("sttcp: node not started")
-)
+// ErrNoSerial is the node construction error.
+var ErrNoSerial = errors.New("sttcp: host has no serial port attached")
 
 // maxHeldSegments bounds the backup's per-connection queue of segments
 // awaiting the primary's ISN announcement.

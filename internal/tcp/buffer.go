@@ -5,11 +5,7 @@ import (
 	"sort"
 )
 
-// Buffer errors.
-var (
-	ErrBufferFull = errors.New("tcp: buffer full")
-	errGapInData  = errors.New("tcp: internal: requested bytes below buffer base")
-)
+var errGapInData = errors.New("tcp: internal: requested bytes below buffer base")
 
 // sendBuffer holds the unacknowledged portion of the outgoing byte stream.
 // Offsets are absolute stream offsets (offset 0 is the first payload byte

@@ -112,7 +112,6 @@ type Conn struct {
 
 	peerFINSeen bool
 	peerFINOff  int64
-	peerFINRead bool
 
 	// ST-TCP hooks.
 	suppressed    bool
@@ -168,8 +167,8 @@ func (c *Conn) MSS() int { return c.mss }
 // clamped to the stack's maximum.
 func (c *Conn) RTO() time.Duration {
 	rto := c.rto << c.backoff
-	if rto > c.stack.opts.MaxRTO || rto <= 0 {
-		return c.stack.opts.MaxRTO
+	if rto > maxRTO || rto <= 0 {
+		return maxRTO
 	}
 	return rto
 }
@@ -1049,8 +1048,8 @@ func (c *Conn) armPersistTimer() {
 		return
 	}
 	d := c.stack.opts.MinRTO << c.persistShift
-	if d > c.stack.opts.MaxRTO {
-		d = c.stack.opts.MaxRTO
+	if d > maxRTO {
+		d = maxRTO
 	}
 	c.persistTimer.Arm(d)
 }
@@ -1142,8 +1141,8 @@ func (c *Conn) updateRTT(sample time.Duration) {
 	if rto < c.stack.opts.MinRTO {
 		rto = c.stack.opts.MinRTO
 	}
-	if rto > c.stack.opts.MaxRTO {
-		rto = c.stack.opts.MaxRTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
 	c.rto = rto
 }

@@ -59,14 +59,19 @@ func (id ConnID) Reverse() ConnID {
 	}
 }
 
+// The retransmission timeout starts at initialRTO, before the first RTT
+// sample, and is clamped to maxRTO however far it backs off (RFC 6298).
+const (
+	initialRTO = time.Second
+	maxRTO     = 60 * time.Second
+)
+
 // Options tune a TCP stack. Zero values select defaults.
 type Options struct {
 	MSS            int
 	SendBufferSize int
 	RecvBufferSize int
 	MinRTO         time.Duration
-	MaxRTO         time.Duration
-	InitialRTO     time.Duration
 	MaxRetransmits int
 	MSL            time.Duration
 
@@ -95,12 +100,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.MinRTO == 0 {
 		o.MinRTO = 200 * time.Millisecond
-	}
-	if o.MaxRTO == 0 {
-		o.MaxRTO = 60 * time.Second
-	}
-	if o.InitialRTO == 0 {
-		o.InitialRTO = time.Second
 	}
 	if o.MaxRetransmits == 0 {
 		o.MaxRetransmits = 15
@@ -316,7 +315,7 @@ func (st *Stack) newConn(id ConnID) *Conn {
 		mss:   st.opts.MSS,
 		sb:    newSendBuffer(st.opts.SendBufferSize),
 		rb:    newRecvBuffer(st.opts.RecvBufferSize),
-		rto:   st.opts.InitialRTO,
+		rto:   initialRTO,
 	}
 	// All per-connection timers and notification callbacks are bound here,
 	// once, so the per-segment path re-arms and re-posts without allocating.
@@ -367,7 +366,7 @@ func (st *Stack) listenerFor(addr ip.Addr, port uint16) *Listener {
 // noteEmit is the per-segment transmit bookkeeping shared by emit and
 // sendRSTFor. It runs once per simulated segment on every host, so it is
 // annotated hotpath (enforced by `sttcp vet`) and asserted zero-alloc by
-// TestNoteEmitDoesNotAllocate.
+// TestSegmentBookkeepingDoesNotAllocate.
 //
 //sttcp:hotpath
 func (st *Stack) noteEmit() {

@@ -11,36 +11,27 @@ type DiffOptions struct {
 	// latency series' peak or mean before it counts as a regression
 	// (default 0.25 = +25%).
 	LatencyTolerance float64
-	// LatencySlack is an absolute floor under which latency growth is
-	// never flagged, so sub-millisecond jitter cannot fail a gate
-	// (default 1ms).
-	LatencySlack time.Duration
 	// PhaseTolerance is the allowed relative growth of a failover
 	// anatomy phase (default 0.25).
 	PhaseTolerance float64
-	// PhaseSlack is the absolute slack for phase comparisons
-	// (default 50ms).
-	PhaseSlack time.Duration
-	// MetricNoteLimit caps the informational metric-delta notes
-	// (default 20).
-	MetricNoteLimit int
 }
+
+const (
+	// latencySlack is an absolute floor under which latency growth is
+	// never flagged, so sub-millisecond jitter cannot fail a gate.
+	latencySlack = time.Millisecond
+	// phaseSlack is the absolute slack for phase comparisons.
+	phaseSlack = 50 * time.Millisecond
+	// metricNoteLimit caps the informational metric-delta notes.
+	metricNoteLimit = 20
+)
 
 func (o DiffOptions) withDefaults() DiffOptions {
 	if o.LatencyTolerance <= 0 {
 		o.LatencyTolerance = 0.25
 	}
-	if o.LatencySlack <= 0 {
-		o.LatencySlack = time.Millisecond
-	}
 	if o.PhaseTolerance <= 0 {
 		o.PhaseTolerance = 0.25
-	}
-	if o.PhaseSlack <= 0 {
-		o.PhaseSlack = 50 * time.Millisecond
-	}
-	if o.MetricNoteLimit <= 0 {
-		o.MetricNoteLimit = 20
 	}
 	return o
 }
@@ -119,7 +110,7 @@ func (d *Diff) diffLatencySeries(base, cand *Timeline, o DiffOptions) {
 		d.regress("telemetry timeline missing from candidate")
 		return
 	}
-	slack := o.LatencySlack.Seconds()
+	slack := latencySlack.Seconds()
 	for _, bs := range base.Series {
 		if !isLatencySeries(bs.Name) {
 			continue
@@ -165,7 +156,7 @@ func (d *Diff) diffAnatomy(base, cand []Phases, o DiffOptions) {
 	for i := 0; i < n; i++ {
 		for _, ph := range phases {
 			b, c := ph.get(base[i]), ph.get(cand[i])
-			limit := time.Duration(float64(b)*(1+o.PhaseTolerance)) + o.PhaseSlack
+			limit := time.Duration(float64(b)*(1+o.PhaseTolerance)) + phaseSlack
 			if c > limit {
 				d.regress("failover %d phase %s drifted %v -> %v (limit %v)", i, ph.name, b, c, limit)
 			} else if c != b {
@@ -209,13 +200,13 @@ func (d *Diff) diffMetrics(base, cand *Report, o DiffOptions) {
 		if cv == bs.Value {
 			continue
 		}
-		if noted < o.MetricNoteLimit {
+		if noted < metricNoteLimit {
 			d.note("counter %s/%s%s %d -> %d", bs.Component, bs.Name, labelSuffix(bs.Labels), bs.Value, cv)
 		}
 		noted++
 	}
-	if noted > o.MetricNoteLimit {
-		d.note("... and %d more counter deltas", noted-o.MetricNoteLimit)
+	if noted > metricNoteLimit {
+		d.note("... and %d more counter deltas", noted-metricNoteLimit)
 	}
 }
 

@@ -143,18 +143,13 @@ func (r *Recorder) anatomyOf(take Span) FailoverAnatomy {
 	a.Takeover = a.TakeoverAt.Sub(a.SuspectAt)
 	a.RetransmitWait = a.ResumeTxAt.Sub(a.TakeoverAt)
 
-	// Client-side view: the progress gap that brackets the takeover.
-	var before, after time.Time
-	for _, e := range r.Filter(KindAppProgress) {
-		if !strings.HasPrefix(e.Component, "client") {
-			continue
-		}
-		if !e.Time.After(a.TakeoverAt) {
-			before = e.Time
-		} else if after.IsZero() {
-			after = e.Time
-		}
+	// Client-side view: the deliveries that bracket the takeover, read from
+	// the clients' own progress series (BindProgress). A recorder with no
+	// series bound — a baseline run, a bare recorder — leaves it zero.
+	if r.progress == nil {
+		return a
 	}
+	before, after := r.progress(a.TakeoverAt)
 	if !before.IsZero() && !after.IsZero() {
 		a.StallStart = before
 		a.StallEnd = after

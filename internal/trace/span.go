@@ -76,21 +76,27 @@ func (r *Recorder) OpenAutoSpan(kind Kind, parent SpanID, component, format stri
 // the future (or zero) is clamped to now.
 func (r *Recorder) OpenAutoSpanAt(start time.Time, kind Kind, parent SpanID, component, format string, args ...any) SpanID {
 	id := r.open(kind, parent, component, true, format, args...)
-	if r == nil || id == 0 {
-		return id
-	}
-	if i, ok := r.spanIdx[id]; ok && !start.IsZero() && start.Before(r.spans[i].Start) {
-		r.spans[i].Start = start
+	if sp := r.span(id); sp != nil && !start.IsZero() && start.Before(sp.Start) {
+		sp.Start = start
 	}
 	return id
+}
+
+// span returns the recorded span with the given ID, nil for 0 or an ID this
+// recorder never assigned. IDs are sequential from 1 and spans is
+// append-only, so the index is id-1.
+func (r *Recorder) span(id SpanID) *Span {
+	if id == 0 || id > SpanID(len(r.spans)) {
+		return nil
+	}
+	return &r.spans[id-1]
 }
 
 func (r *Recorder) open(kind Kind, parent SpanID, component string, auto bool, format string, args ...any) SpanID {
 	if r == nil {
 		return 0
 	}
-	r.nextSpan++
-	id := r.nextSpan
+	id := SpanID(len(r.spans) + 1)
 	now := r.nowFn()
 	r.spans = append(r.spans, Span{
 		ID:        id,
@@ -102,7 +108,6 @@ func (r *Recorder) open(kind Kind, parent SpanID, component string, auto bool, f
 		Auto:      auto,
 		lastTouch: now,
 	})
-	r.spanIdx[id] = len(r.spans) - 1
 	return id
 }
 
@@ -114,28 +119,28 @@ func (r *Recorder) CloseSpan(id SpanID) {
 	if r == nil || id == 0 {
 		return
 	}
-	i, ok := r.spanIdx[id]
-	if !ok {
+	sp := r.span(id)
+	if sp == nil {
 		r.spanErrs = append(r.spanErrs, fmt.Sprintf("close of unknown span #%d", id))
 		return
 	}
-	if !r.spans[i].Open() {
-		r.spanErrs = append(r.spanErrs, fmt.Sprintf("double close of span #%d (%s %s)", id, r.spans[i].Kind, r.spans[i].Component))
+	if !sp.Open() {
+		r.spanErrs = append(r.spanErrs, fmt.Sprintf("double close of span #%d (%s %s)", id, sp.Kind, sp.Component))
 		return
 	}
 	now := r.nowFn()
-	r.spans[i].End = now
-	r.spans[i].lastTouch = now
+	sp.End = now
+	sp.lastTouch = now
 }
 
 // SetSpanValue attaches a numeric payload (bytes recovered, sequence
 // number, ...) to an open or closed span.
 func (r *Recorder) SetSpanValue(id SpanID, v int64) {
-	if r == nil || id == 0 {
+	if r == nil {
 		return
 	}
-	if i, ok := r.spanIdx[id]; ok {
-		r.spans[i].Value = v
+	if sp := r.span(id); sp != nil {
+		sp.Value = v
 	}
 }
 
@@ -191,8 +196,8 @@ func (r *Recorder) SpanByID(id SpanID) (Span, bool) {
 	if r == nil {
 		return Span{}, false
 	}
-	if i, ok := r.spanIdx[id]; ok {
-		return r.spans[i], true
+	if sp := r.span(id); sp != nil {
+		return *sp, true
 	}
 	return Span{}, false
 }
@@ -299,7 +304,7 @@ func (r *Recorder) DumpSpans() string {
 	children := map[SpanID][]SpanID{}
 	var roots []SpanID
 	for _, s := range r.spans {
-		if _, ok := r.spanIdx[s.Parent]; s.Parent != 0 && ok {
+		if r.span(s.Parent) != nil {
 			children[s.Parent] = append(children[s.Parent], s.ID)
 		} else {
 			roots = append(roots, s.ID)

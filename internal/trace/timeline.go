@@ -14,56 +14,25 @@ type TimelineOptions struct {
 	Start, End time.Time
 	// Width is the number of chart columns (default 80).
 	Width int
-	// Components selects and orders the lanes; empty renders every
-	// component with activity in the window, sorted by name.
-	Components []string
-	// Kinds filters which span/event kinds are drawn; empty draws spans of
-	// every kind and only milestone (non-detail) events.
-	Kinds []Kind
 	// Epoch is the zero point for the axis labels (default sim start is
 	// whatever the recorder's clock counts from; the testbed passes
 	// sim.Epoch).
 	Epoch time.Time
 }
 
-// detailEventKinds are high-volume kinds hidden from timelines unless
-// explicitly requested via TimelineOptions.Kinds.
-var detailEventKinds = map[Kind]bool{
-	KindHBSent: true, KindHBReceived: true,
-	KindSegmentTX: true, KindSegmentRX: true, KindSegmentSuppressed: true,
-	KindNetEnqueue: true, KindNetDeliver: true, KindNetDrop: true,
-	KindAppProgress: true, KindGeneric: true,
-}
-
-// detailSpanKinds are the per-segment/per-round detail spans: thousands per
-// second of simulated transfer, so timelines show them only on request.
-var detailSpanKinds = map[Kind]bool{
-	KindSegmentJourney: true, KindHBRound: true,
-}
-
 // RenderSpanTimeline draws spans as bars and events as point marks on one
-// ASCII lane per component — the terminal counterpart of the Perfetto
-// export, good enough to read a failover's anatomy in a CI log.
+// ASCII lane per component with activity in the window — the terminal
+// counterpart of the Perfetto export, good enough to read a failover's
+// anatomy in a CI log. It draws the milestones: high-volume kinds
+// (thousands per second of simulated transfer) and free-form generic notes
+// stay in the Perfetto view.
 func (r *Recorder) RenderSpanTimeline(o TimelineOptions) string {
 	if r == nil {
 		return ""
 	}
 	r.FinalizeAutoSpans()
 
-	kindOK := func(k Kind, isSpan bool) bool {
-		if len(o.Kinds) == 0 {
-			if isSpan {
-				return !detailSpanKinds[k]
-			}
-			return !detailEventKinds[k]
-		}
-		for _, want := range o.Kinds {
-			if k == want {
-				return true
-			}
-		}
-		return false
-	}
+	drawn := func(k Kind) bool { return !k.HighVolume() && k != KindGeneric }
 
 	// Establish the window.
 	start, end := o.Start, o.End
@@ -102,27 +71,25 @@ func (r *Recorder) RenderSpanTimeline(o TimelineOptions) string {
 	}
 	lanes := map[string][]bar{}
 	for _, s := range r.spans {
-		if !kindOK(s.Kind, true) || s.Start.After(end) || s.End.Before(start) {
+		if !drawn(s.Kind) || s.Start.After(end) || s.End.Before(start) {
 			continue
 		}
 		label := fmt.Sprintf("%s %v", s.Kind, s.End.Sub(s.Start).Round(time.Millisecond))
 		lanes[s.Component] = append(lanes[s.Component], bar{col(s.Start), col(s.End), label})
 	}
 	for _, e := range r.events {
-		if !kindOK(e.Kind, false) || e.Time.Before(start) || e.Time.After(end) {
+		if !drawn(e.Kind) || e.Time.Before(start) || e.Time.After(end) {
 			continue
 		}
 		c := col(e.Time)
 		lanes[e.Component] = append(lanes[e.Component], bar{c, c, "*" + e.Kind.String()})
 	}
 
-	comps := o.Components
-	if len(comps) == 0 {
-		for c := range lanes {
-			comps = append(comps, c)
-		}
-		sort.Strings(comps)
+	comps := make([]string, 0, len(lanes))
+	for c := range lanes {
+		comps = append(comps, c)
 	}
+	sort.Strings(comps)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "timeline %v -> %v  (%v, %d cols, 1 col ~ %v)\n",
@@ -148,14 +115,10 @@ func (r *Recorder) RenderSpanTimeline(o TimelineOptions) string {
 	fmt.Fprintf(&b, "%*s  %s\n", nameW, "", strings.TrimRight(string(labels), " "))
 
 	for _, c := range comps {
-		bars := lanes[c]
-		if len(bars) == 0 {
-			continue
-		}
 		// First-fit row packing so overlapping bars stack.
 		var rows [][]byte
 	place:
-		for _, bar := range bars {
+		for _, bar := range lanes[c] {
 			for _, row := range rows {
 				if rowFree(row, bar.c0, bar.c1) {
 					drawBar(row, bar.c0, bar.c1, bar.label)

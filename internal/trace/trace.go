@@ -55,9 +55,9 @@ const (
 	KindAppProgress
 	KindAppDone
 
-	// Causal span kinds and high-volume detail events (gated behind
-	// Recorder.SetDetail). Span kinds double as event kinds where a span's
-	// open/close is itself a milestone.
+	// Causal span kinds and high-volume detail events (see HighVolume).
+	// Span kinds double as event kinds where a span's open/close is itself
+	// a milestone.
 	KindSegmentJourney
 	KindHBRound
 	KindDetection
@@ -116,6 +116,22 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
+// HighVolume reports whether k is a per-packet kind — one event per
+// delivery, heartbeat, segment or frame, one span per segment or heartbeat
+// round. Every emitter of such a kind guards the call with Recorder.Detail,
+// so a run with detail off records none of them: its trace is the
+// milestones, and the per-packet facts live in the clients' progress
+// series and the metric counters.
+func (k Kind) HighVolume() bool {
+	switch k {
+	case KindHBSent, KindHBReceived, KindAppProgress,
+		KindSegmentTX, KindSegmentRX, KindSegmentSuppressed, KindSegmentJourney, KindHBRound,
+		KindNetEnqueue, KindNetDeliver, KindNetDrop:
+		return true
+	}
+	return false
+}
+
 // Event is one recorded occurrence.
 type Event struct {
 	Time      time.Time
@@ -143,9 +159,7 @@ type Recorder struct {
 	byKind map[Kind][]int // event indices per kind, in order
 	nowFn  func() time.Time
 
-	spans    []Span
-	spanIdx  map[SpanID]int // span index by ID
-	nextSpan SpanID
+	spans    []Span // append-only; span ID n is spans[n-1]
 	spanErrs []string
 
 	// ctxGet/ctxSet bind the recorder to the simulator's ambient causal
@@ -154,6 +168,9 @@ type Recorder struct {
 	ctxSet func(uint64)
 	// ambient is the fallback context store when no simulator is bound.
 	ambient uint64
+	// progress is the client-side delivery record Anatomy joins with the
+	// span tree (see BindProgress).
+	progress func(t time.Time) (before, after time.Time)
 
 	detail bool
 }
@@ -161,7 +178,7 @@ type Recorder struct {
 // NewRecorder returns a recorder that stamps events using now, typically
 // (*sim.Simulator).Now.
 func NewRecorder(now func() time.Time) *Recorder {
-	return &Recorder{nowFn: now, byKind: map[Kind][]int{}, spanIdx: map[SpanID]int{}}
+	return &Recorder{nowFn: now, byKind: map[Kind][]int{}}
 }
 
 // BindContext connects the recorder to an external ambient-context store —
@@ -177,9 +194,19 @@ func (r *Recorder) BindContext(get func() uint64, set func(uint64)) {
 	r.ctxSet = set
 }
 
-// SetDetail toggles high-volume instrumentation (per-segment tx/rx, link
-// enqueue/deliver/drop). Off by default so long campaigns and benchmarks pay
-// nothing for it.
+// BindProgress connects the recorder to the clients' progress series, the
+// one per-delivery record of a run: bracket reports the last client delivery
+// at or before t and the first after it, zero where there is none. Anatomy
+// reads the client-visible stall of each takeover through it.
+func (r *Recorder) BindProgress(bracket func(t time.Time) (before, after time.Time)) {
+	if r == nil {
+		return
+	}
+	r.progress = bracket
+}
+
+// SetDetail toggles high-volume instrumentation (the Kind.HighVolume kinds).
+// Off by default so long campaigns and benchmarks pay nothing for it.
 func (r *Recorder) SetDetail(on bool) {
 	if r == nil {
 		return
@@ -200,17 +227,7 @@ func (r *Recorder) Emit(kind Kind, component, format string, args ...any) {
 // EmitValue records an event carrying a numeric payload. The event is
 // attached to the ambient causal span, if one is active.
 func (r *Recorder) EmitValue(kind Kind, component string, value int64, format string, args ...any) {
-	if r == nil {
-		return
-	}
-	r.append(Event{
-		Time:      r.nowFn(),
-		Kind:      kind,
-		Component: component,
-		Message:   fmt.Sprintf(format, args...),
-		Value:     value,
-		Span:      r.Ambient(),
-	})
+	r.EmitIn(r.Ambient(), kind, component, value, format, args...)
 }
 
 // EmitIn records an event attached to a specific span rather than the
@@ -230,8 +247,8 @@ func (r *Recorder) EmitIn(span SpanID, kind Kind, component string, value int64,
 }
 
 func (r *Recorder) append(e Event) {
-	if i, ok := r.spanIdx[e.Span]; e.Span != 0 && ok {
-		r.spans[i].lastTouch = e.Time
+	if sp := r.span(e.Span); sp != nil {
+		sp.lastTouch = e.Time
 	}
 	r.events = append(r.events, e)
 	r.byKind[e.Kind] = append(r.byKind[e.Kind], len(r.events)-1)
