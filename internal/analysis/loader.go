@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -216,7 +217,8 @@ func (l *Loader) loadPath(path, dir string) (*Package, error) {
 	var files []*ast.File
 	var names []string
 	for _, e := range entries {
-		if isSourceFile(e) {
+		// Of a race / !race pair the plain build's file is the one loaded.
+		if ok, _ := build.Default.MatchFile(dir, e.Name()); ok && isSourceFile(e) {
 			names = append(names, e.Name())
 		}
 	}

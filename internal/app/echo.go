@@ -18,18 +18,25 @@ import (
 type EchoServer struct {
 	replica[echoState]
 
+	// buf is the one scratch every pump reads into, on the way to pending.
+	buf []byte
+
 	// BytesEchoed totals bytes written back.
 	BytesEchoed int64
 }
 
 type echoState struct {
-	pending  []byte // read but not yet written back
-	deferred bool   // a starved pump is already scheduled
+	pending  []byte // read but not yet written back: pending[flushed:]
+	flushed  int
+	deferred bool // a starved pump is already scheduled
 }
+
+// echoReadSize bounds one Read of either end of an echo connection.
+const echoReadSize = 16 << 10
 
 // NewEchoServer builds an echo server.
 func NewEchoServer(name string, tracer *trace.Recorder) *EchoServer {
-	return &EchoServer{replica: newReplica[echoState](name, tracer, "echo application", "no cleanup")}
+	return &EchoServer{replica: newReplica[echoState](name, tracer, "echo application", "no cleanup"), buf: make([]byte, echoReadSize)}
 }
 
 // Accept adopts an established connection.
@@ -46,11 +53,10 @@ func (s *EchoServer) pump(c *tcp.Conn, st *echoState) {
 	if s.crashed {
 		return
 	}
-	buf := make([]byte, 16<<10)
 	for {
 		// Flush pending echo bytes first to preserve order.
-		for len(st.pending) > 0 {
-			n, err := c.Write(st.pending)
+		for st.flushed < len(st.pending) {
+			n, err := c.Write(st.pending[st.flushed:])
 			if err != nil {
 				return
 			}
@@ -58,16 +64,18 @@ func (s *EchoServer) pump(c *tcp.Conn, st *echoState) {
 				return // send buffer full; OnWritable resumes
 			}
 			s.BytesEchoed += int64(n)
-			st.pending = st.pending[n:]
+			st.flushed += n
 		}
-		n, err := c.Read(buf)
+		// Drained: back to the base of the array, for the append to reuse.
+		st.pending, st.flushed = st.pending[:0], 0
+		n, err := c.Read(s.buf)
 		if n == 0 {
 			if err != nil && c.PeerFINSeen() {
 				_ = c.Close() // echo everything, then mirror the close
 			}
 			return
 		}
-		st.pending = append(st.pending, buf[:n]...)
+		st.pending = append(st.pending, s.buf[:n]...)
 	}
 }
 
@@ -97,6 +105,10 @@ type EchoClient struct {
 	Telemetry *telemetry.ClientTrack
 
 	conn *tcp.Conn
+	// buf serves both directions, one at a time (an echo is verified before
+	// the next message is generated). With one message outstanding there are
+	// never more than MsgSize bytes to read or write: that is its size.
+	buf []byte
 
 	// RoundsDone counts completed verified exchanges.
 	RoundsDone int
@@ -139,6 +151,7 @@ func (cl *EchoClient) Start() error {
 		return fmt.Errorf("app: %s dial: %w", cl.name, err)
 	}
 	cl.conn = c
+	cl.buf = make([]byte, min(cl.MsgSize, echoReadSize))
 	cl.started = cl.sim.Now()
 	c.OnEstablished = func() { cl.sendRound() }
 	c.OnWritable = func() { cl.continueSend() }
@@ -167,14 +180,10 @@ func (cl *EchoClient) continueSend() {
 	if cl.Done || cl.writeRem == 0 || cl.conn == nil {
 		return
 	}
-	chunk := make([]byte, 4096)
 	for cl.writeRem > 0 {
-		n := len(chunk)
-		if n > cl.writeRem {
-			n = cl.writeRem
-		}
-		FillPattern(cl.sendOff, chunk[:n])
-		written, err := cl.conn.Write(chunk[:n])
+		chunk := cl.buf[:min(4096, cl.writeRem, len(cl.buf))]
+		FillPattern(cl.sendOff, chunk)
+		written, err := cl.conn.Write(chunk)
 		if err != nil {
 			cl.finish(err)
 			return
@@ -191,13 +200,12 @@ func (cl *EchoClient) readable() {
 	if cl.Done || cl.conn == nil {
 		return
 	}
-	buf := make([]byte, 16<<10)
 	for {
-		n, _ := cl.conn.Read(buf)
+		n, _ := cl.conn.Read(cl.buf)
 		if n == 0 {
 			return
 		}
-		if bad := VerifyPattern(cl.echoed, buf[:n]); bad >= 0 {
+		if bad := VerifyPattern(cl.echoed, cl.buf[:n]); bad >= 0 {
 			cl.VerifyFailures++
 		}
 		cl.echoed += int64(n)

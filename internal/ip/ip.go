@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
 )
 
@@ -178,17 +179,33 @@ func Checksum(data []byte) uint16 {
 	return FinishChecksum(SumWords(0, data))
 }
 
-// SumWords folds data into a running 32-bit ones-complement accumulator,
-// allowing checksums over discontiguous regions (pseudo-header + segment).
+// SumWords folds data, zero-padded to an even length, into a running
+// ones-complement sum, eight bytes a step: a big-endian 64-bit load is four
+// 16-bit words at weights all congruent to 1 modulo 0xffff, as is the carry
+// out of bit 63, fed back in. The result is 16 bits, zero only if all input is.
 func SumWords(sum uint32, data []byte) uint32 {
-	n := len(data)
-	for i := 0; i+1 < n; i += 2 {
-		sum += uint32(data[i])<<8 | uint32(data[i+1])
+	acc, carry := uint64(sum), uint64(0)
+	for len(data) >= 32 { // a straight run of four keeps the carry in the flag
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(data), carry)
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(data[8:]), carry)
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(data[16:]), carry)
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(data[24:]), carry)
+		data = data[32:]
 	}
-	if n%2 == 1 {
-		sum += uint32(data[n-1]) << 8
+	for len(data) >= 8 {
+		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(data), carry)
+		data = data[8:]
 	}
-	return sum
+	var tail uint64 // the last 0-7 bytes, left-aligned as a load has them
+	for i, b := range data {
+		tail |= uint64(b) << (56 - 8*uint(i))
+	}
+	acc, carry = bits.Add64(acc, tail, carry)
+	acc = acc>>32 + acc&0xffffffff + carry
+	for acc>>16 != 0 {
+		acc = acc&0xffff + acc>>16
+	}
+	return uint32(acc)
 }
 
 // FinishChecksum folds the accumulator and returns the complemented
@@ -203,10 +220,7 @@ func FinishChecksum(sum uint32) uint16 {
 // PseudoHeaderSum starts a transport checksum with the IPv4 pseudo-header
 // for the given addresses, protocol, and transport length.
 func PseudoHeaderSum(src, dst Addr, proto Protocol, length int) uint32 {
-	var sum uint32
-	sum = SumWords(sum, src[:])
-	sum = SumWords(sum, dst[:])
-	sum += uint32(proto)
-	sum += uint32(length)
-	return sum
+	be := binary.BigEndian
+	return uint32(be.Uint16(src[:])) + uint32(be.Uint16(src[2:])) + uint32(be.Uint16(dst[:])) +
+		uint32(be.Uint16(dst[2:])) + uint32(proto) + uint32(length)
 }

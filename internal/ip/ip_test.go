@@ -174,3 +174,75 @@ func TestAddrString(t *testing.T) {
 		t.Fatal("non-zero addr reported zero")
 	}
 }
+
+// sumWordsRef is SumWords as it was before it summed eight bytes a step: one
+// 16-bit word at a time into a 32-bit accumulator. It is the reference the
+// fast version must agree with after FinishChecksum (the accumulators
+// themselves differ: the fast one is already folded).
+func sumWordsRef(sum uint32, data []byte) uint32 {
+	n := len(data)
+	for i := 0; i+1 < n; i += 2 {
+		sum += uint32(data[i])<<8 | uint32(data[i+1])
+	}
+	if n%2 == 1 {
+		sum += uint32(data[n-1]) << 8
+	}
+	return sum
+}
+
+// TestSumWordsMatchesReference covers every frame-sized length — so every
+// alignment of the 32-byte run, the 8-byte steps and the 0-7 byte tail — over
+// bytes that carry hard (all 0xff), not at all (all zero) and arbitrarily,
+// from zero and non-zero incoming sums, alone and chained the way a transport
+// checksum chains pseudo-header, header and payload.
+func TestSumWordsMatchesReference(t *testing.T) {
+	const maxLen = 1514
+	fills := map[string]func(i int) byte{
+		"ones":    func(int) byte { return 0xff },
+		"zero":    func(int) byte { return 0 },
+		"pattern": func(i int) byte { return byte(i*131 + i>>8 + 7) },
+	}
+	for name, fill := range fills {
+		buf := make([]byte, maxLen)
+		for i := range buf {
+			buf[i] = fill(i)
+		}
+		for n := 0; n <= maxLen; n++ {
+			data := buf[maxLen-n:] // vary the start too: the pattern differs per n
+			for _, sum := range []uint32{0, 1, 0xffff, 0x10000, 0x0bad_f00d} {
+				if got, want := FinishChecksum(SumWords(sum, data)), FinishChecksum(sumWordsRef(sum, data)); got != want {
+					t.Fatalf("%s, %d bytes, sum %#x: checksum %#04x, reference %#04x", name, n, sum, got, want)
+				}
+			}
+			// Chained: an odd-length first part is padded on its own.
+			cut := n / 3
+			got := SumWords(SumWords(SumWords(6, data[:cut]), data[cut:n/2]), data[n/2:])
+			want := sumWordsRef(sumWordsRef(sumWordsRef(6, data[:cut]), data[cut:n/2]), data[n/2:])
+			if FinishChecksum(got) != FinishChecksum(want) {
+				t.Fatalf("%s, %d bytes chained at %d and %d: checksum %#04x, reference %#04x",
+					name, n, cut, n/2, FinishChecksum(got), FinishChecksum(want))
+			}
+		}
+	}
+	if got := SumWords(0, make([]byte, 64)); got != 0 {
+		t.Fatalf("all-zero input sums to %#x, want 0 (the checksum 0xffff, not 0)", got)
+	}
+}
+
+// FuzzSumWords checks the same agreement on arbitrary bytes and incoming
+// sums. The reference's 32-bit accumulator must not overflow, so the fuzzer's
+// sum is halved and its data capped at what 2^31 can hold.
+func FuzzSumWords(f *testing.F) {
+	f.Add(uint32(0), []byte{})
+	f.Add(uint32(0xffff), []byte{0xff})
+	f.Add(uint32(0x1234_5678), bytes.Repeat([]byte{0xff, 0x00, 0x80}, 500))
+	f.Fuzz(func(t *testing.T, sum uint32, data []byte) {
+		sum >>= 1
+		if len(data) > 1<<16 {
+			data = data[:1<<16]
+		}
+		if got, want := FinishChecksum(SumWords(sum, data)), FinishChecksum(sumWordsRef(sum, data)); got != want {
+			t.Fatalf("sum %#x over %d bytes: checksum %#04x, reference %#04x", sum, len(data), got, want)
+		}
+	})
+}

@@ -19,9 +19,9 @@ type Endpoint interface {
 	// DeliverFrame hands a fully received frame to the endpoint. buf is
 	// valid only for the duration of the call — the link returns it to a
 	// frame pool when DeliverFrame returns — so the endpoint must copy
-	// anything it keeps (the NIC copies the payload before invoking its
-	// handler; the switch copies into its own pooled buffer before the
-	// store-and-forward latency).
+	// anything it keeps (the switch copies into its own pooled buffer
+	// before the store-and-forward latency; the NIC lends buf on to its
+	// handler under the same contract, see NIC.SetHandler).
 	DeliverFrame(buf []byte)
 }
 

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -16,9 +17,18 @@ func twoNICs(s *sim.Simulator, cfg LinkConfig) (a, b *NIC, rxA, rxB *[]eth.Frame
 	Connect(s, sw, a, cfg)
 	Connect(s, sw, b, cfg)
 	var fa, fb []eth.Frame
-	a.SetHandler(func(f eth.Frame) { fa = append(fa, f) })
-	b.SetHandler(func(f eth.Frame) { fb = append(fb, f) })
+	a.SetHandler(keep(&fa))
+	b.SetHandler(keep(&fb))
 	return a, b, &fa, &fb, sw
+}
+
+// keep returns a handler that retains every frame, and so — the payload
+// being the link's, reissued once the handler returns — clones it.
+func keep(rx *[]eth.Frame) func(eth.Frame) {
+	return func(f eth.Frame) {
+		f.Payload = bytes.Clone(f.Payload)
+		*rx = append(*rx, f)
+	}
 }
 
 func send(t *testing.T, n *NIC, dst eth.Addr, payload string) {
@@ -80,7 +90,7 @@ func TestMulticastGroupDelivery(t *testing.T) {
 		i := i
 		n := NewNIC(s, "n", eth.MakeAddr(uint32(i+1)))
 		_, port := Connect(s, sw, n, DefaultLANConfig())
-		n.SetHandler(func(f eth.Frame) { rx[i] = append(rx[i], f) })
+		n.SetHandler(keep(&rx[i]))
 		nics = append(nics, n)
 		if i > 0 { // NICs 1 and 2 are the servers
 			n.JoinGroup(group)

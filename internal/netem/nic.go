@@ -69,7 +69,8 @@ func (n *NIC) JoinGroup(g eth.Addr) { n.groups[g] = true }
 // observe primary→client traffic.
 func (n *NIC) SetPromiscuous(p bool) { n.promisc = p }
 
-// SetHandler registers the receive callback; it runs on the event loop.
+// SetHandler registers the receive callback; it runs on the event loop. The
+// frame's Payload is the link's pooled buffer, valid only until h returns.
 func (n *NIC) SetHandler(h func(eth.Frame)) { n.handler = h }
 
 // Fail makes the NIC silently drop everything in both directions.
@@ -124,11 +125,6 @@ func (n *NIC) DeliverFrame(buf []byte) {
 	n.RxFrames++
 	n.RxBytes += int64(len(buf))
 	if n.handler != nil {
-		// Copy the payload out of the shared frame buffer before the
-		// handler retains it.
-		payload := make([]byte, len(f.Payload))
-		copy(payload, f.Payload)
-		f.Payload = payload
 		n.handler(f)
 	}
 }

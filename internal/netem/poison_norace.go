@@ -1,0 +1,6 @@
+//go:build !race
+
+package netem
+
+// PoisonReleased is off outside the race build; see poison_race.go.
+const PoisonReleased = false

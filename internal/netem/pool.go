@@ -28,7 +28,15 @@ func (p *bufPool) get(n int) []byte {
 	return make([]byte, n, c)
 }
 
-// put returns a buffer to the pool. The caller must not touch b afterwards.
+// put returns a buffer to the pool. The caller must not touch b afterwards:
+// the race build overwrites it, so a borrower that kept an alias reads poison.
 func (p *bufPool) put(b []byte) {
+	if PoisonReleased {
+		b = b[:cap(b)]
+		b[0] = 0xDB
+		for n := 1; n < len(b); n *= 2 { // by doubling: a byte loop is slow under -race
+			copy(b[n:], b[:n])
+		}
+	}
 	p.free = append(p.free, b)
 }

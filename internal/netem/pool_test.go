@@ -152,8 +152,9 @@ func TestLinkDropInFlightReturnsBuffer(t *testing.T) {
 // returns, whatever the endpoint does meanwhile. A raw Endpoint replies from
 // inside the call, so the link takes a buffer from its pool while the
 // delivered one is still in use; had the link put that one back before
-// calling the endpoint, the reply would be copied over it. (A NIC would hide
-// this: it copies the payload out before its handler runs.)
+// calling the endpoint, the reply would be copied over it. (A NIC lends the
+// same bytes on to its handler, so every layer above borrows under this
+// contract.)
 func TestDeliverFrameBufValidForTheWholeCall(t *testing.T) {
 	s := sim.New(1)
 	link := NewLink(s, LinkConfig{Delay: time.Millisecond})

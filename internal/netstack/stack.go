@@ -26,10 +26,12 @@ var (
 	ErrPingPending = errors.New("netstack: ping with this ID already pending")
 )
 
-// UDPHandler receives datagrams delivered to a bound UDP port.
+// UDPHandler receives datagrams delivered to a bound UDP port; payload is
+// the received frame's, valid only until the handler returns.
 type UDPHandler func(src ip.Addr, srcPort uint16, payload []byte)
 
-// TCPHandler receives raw TCP segments (the IP payload) for the host.
+// TCPHandler receives raw TCP segments (the IP payload) for the host;
+// pkt.Payload is the received frame's, valid only until the handler returns.
 type TCPHandler func(pkt ip.Packet)
 
 type pendingPacket struct {

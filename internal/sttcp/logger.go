@@ -1,6 +1,7 @@
 package sttcp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -139,9 +140,7 @@ func (s *streamLog) accept(off int64, payload []byte) {
 }
 
 func (s *streamLog) insertOOO(off int64, payload []byte) {
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	s.ooo = append(s.ooo, oooChunk{off: off, data: cp})
+	s.ooo = append(s.ooo, oooChunk{off: off, data: bytes.Clone(payload)})
 	// Keep sorted by offset (insertion into a short slice).
 	for i := len(s.ooo) - 1; i > 0 && s.ooo[i].off < s.ooo[i-1].off; i-- {
 		s.ooo[i], s.ooo[i-1] = s.ooo[i-1], s.ooo[i]

@@ -22,14 +22,17 @@ func TestStreamLogInOrder(t *testing.T) {
 	}
 }
 
+// Every payload arrives in one frame buffer, as it does from the logger's tap,
+// and the link reissues it once accept has returned: a kept chunk is a copy.
 func TestStreamLogOutOfOrderMerge(t *testing.T) {
 	s := &streamLog{cap: 1024}
-	s.accept(10, []byte("cccc"))
-	s.accept(5, []byte("bbbbb"))
+	frame := make([]byte, 5)
+	s.accept(10, frame[:copy(frame, "cccc")])
+	s.accept(5, frame[:copy(frame, "bbbbb")])
 	if s.next != 0 {
 		t.Fatalf("next advanced to %d before the gap filled", s.next)
 	}
-	s.accept(0, []byte("aaaaa"))
+	s.accept(0, frame[:copy(frame, "aaaaa")])
 	got, err := s.slice(0, -1)
 	if err != nil || string(got) != "aaaaabbbbbcccc" {
 		t.Fatalf("merged = %q, %v", got, err)

@@ -1,6 +1,7 @@
 package sttcp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -35,7 +36,7 @@ const (
 const recoveryChunk = 1024
 
 // heldSegment is an inbound segment the backup parked until it learns the
-// connection's ISN.
+// connection's ISN. It outlives the frame it arrived in: it owns its bytes.
 type heldSegment struct {
 	pkt ip.Packet
 	seg tcp.Segment
@@ -536,7 +537,9 @@ func (n *Node) filterSegment(pkt ip.Packet, seg *tcp.Segment) bool {
 	}
 	q := n.held[id]
 	if len(q) < maxHeldSegments {
-		n.held[id] = append(q, heldSegment{pkt: pkt, seg: *seg})
+		h := heldSegment{pkt: pkt, seg: *seg}
+		h.pkt.Payload, h.seg.Payload = nil, bytes.Clone(seg.Payload)
+		n.held[id] = append(q, h)
 		n.mHeldSegs.Add(1)
 	}
 	return false
@@ -552,8 +555,8 @@ func (n *Node) adoptAnnouncement(id tcp.ConnID, iss uint32) {
 	q := n.held[id]
 	delete(n.held, id)
 	n.mHeldSegs.Add(-int64(len(q)))
-	for _, h := range q {
-		n.tcpStack.HandleSegment(h.pkt, h.seg)
+	for i := range q {
+		n.tcpStack.HandleSegment(q[i].pkt, &q[i].seg)
 	}
 }
 

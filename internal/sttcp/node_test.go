@@ -186,3 +186,60 @@ func BenchmarkNodeSortedKeys(b *testing.B) {
 		}
 	}
 }
+
+// TestHeldSegmentOwnsItsBytes holds the borrowed-frame contract at its one
+// keeper outside the receive buffers: a segment the backup parks until the
+// primary's ISN announcement outlives the frame it arrived in, so it must
+// carry its own copy of the payload. A normal run parks only the payload-less
+// SYN, which is why every behaviour suite passes with the clone in
+// filterSegment removed; this one does not.
+func TestHeldSegmentOwnsItsBytes(t *testing.T) {
+	s := sim.New(1)
+	service, client := ip.MakeAddr(10, 0, 0, 100), ip.MakeAddr(10, 0, 0, 1)
+	host := cluster.New(s, cluster.HostConfig{
+		Name: "backup", EthNum: 3, Addr: ip.MakeAddr(10, 0, 0, 3),
+		Tracer: trace.NewRecorder(s.Now), Metrics: metrics.New(s.Now),
+	})
+	sp, _ := serial.NewPair(s, "a/tty", "b/tty", 0)
+	host.AttachSerial(sp)
+	node, err := NewNode(host, RoleBackup, Config{ServiceAddr: service, ServicePort: 80, PeerAddr: ip.MakeAddr(10, 0, 0, 2)}, nil)
+	if err != nil {
+		t.Fatalf("node: %v", err)
+	}
+	if err := node.Start(); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+
+	const irs, iss = 0x2000, 0x1000
+	id := tcp.ConnID{LocalAddr: service, LocalPort: 80, RemoteAddr: client, RemotePort: 50000}
+	pkt := ip.Packet{Src: client, Dst: service, Proto: ip.ProtoTCP}
+	frame := []byte("what the client wrote before the announcement arrived") // the link's pooled frame
+	want := string(frame)
+	pkt.Payload = frame
+	for _, seg := range []*tcp.Segment{
+		{SrcPort: 50000, DstPort: 80, Seq: irs, Flags: tcp.FlagSYN, Window: 65535},
+		{SrcPort: 50000, DstPort: 80, Seq: irs + 1, Ack: iss + 1, Flags: tcp.FlagACK | tcp.FlagPSH, Window: 65535, Payload: frame},
+	} {
+		if node.filterSegment(pkt, seg) {
+			t.Fatalf("segment %v of an unannounced connection was not parked", seg)
+		}
+	}
+	// The handler returns; the link reissues the frame to the next packet.
+	for i := range frame {
+		frame[i] = 0xDB
+	}
+
+	node.adoptAnnouncement(id, iss)
+	c, ok := host.TCP().Lookup(id)
+	if !ok {
+		t.Fatal("replaying the parked SYN created no replica connection")
+	}
+	buf := make([]byte, 2*len(want))
+	n, _ := c.Read(buf)
+	if got := string(buf[:n]); got != want {
+		t.Fatalf("replica connection read %q, want %q: the parked segment aliased its frame", got, want)
+	}
+	for _, h := range node.held {
+		t.Fatalf("segments still parked after the announcement: %v", h)
+	}
+}

@@ -31,15 +31,16 @@ func TestSegmentBookkeepingDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestAllocsPerSegmentBudget is the regression fence around the pooled hot
-// path: timers are reusable sim.Timers, notifications ride pooled Post
-// events, wire encoding reuses per-owner scratch buffers, and link/switch
-// frames come from buffer pools. What remains per segment is the NIC's
-// receive-side payload copy (handlers such as the ST-TCP backup's hold
-// buffer retain inbound payloads) and the escape of the Segment value into
-// the observer-facing emit path. The budget has headroom over the measured
-// steady state but fails loudly if any pooled layer regresses to
-// allocate-per-segment again.
+// TestAllocsPerSegmentBudget is the runtime half of //sttcp:hotpath, and the
+// half that sees an escape (hotpathalloc is syntactic: for many PRs it passed
+// a Segment that escaped to the heap through the OnTransmit hook inside an
+// annotated function). In steady state a segment allocates nothing: timers
+// are reusable sim.Timers, notifications ride pooled Post events, wire
+// encoding reuses per-owner scratch buffers, link and switch frames come
+// from buffer pools and are borrowed — not copied — up the receive path, and
+// Segments come from the stack's free list. The budget is what amortised
+// growth leaves (a pool or ring doubling once in the measured transfer), so
+// one allocation per segment anywhere fails it ten times over.
 func TestAllocsPerSegmentBudget(t *testing.T) {
 	h := newPair(t, 77, netem.LinkConfig{BitsPerSecond: 100_000_000, Delay: 50 * time.Microsecond}, Options{})
 	client, server := connectPair(t, h, 80)
@@ -84,13 +85,13 @@ func TestAllocsPerSegmentBudget(t *testing.T) {
 	perSeg := float64(after.Mallocs-before.Mallocs) / float64(segs)
 	bytesPerSeg := float64(after.TotalAlloc-before.TotalAlloc) / float64(segs)
 	t.Logf("%d segments, %.2f allocs/segment, %.0f B/segment", segs, perSeg, bytesPerSeg)
-	const budget = 6.0
+	const budget = 0.1
 	if perSeg > budget {
 		t.Fatalf("hot path allocates %.2f objects per segment, budget %.1f — a pooled layer regressed", perSeg, budget)
 	}
 	// Objects alone missed a 16 KiB scratch chunk per application pump:
 	// one object, eleven segments' worth of bytes.
-	const bytesBudget = 2 << 10
+	const bytesBudget = 64
 	if bytesPerSeg > bytesBudget {
 		t.Fatalf("hot path allocates %.0f B per segment, budget %d — something sized by a buffer, not by a segment, is allocated per segment", bytesPerSeg, bytesBudget)
 	}

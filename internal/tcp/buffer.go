@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"bytes"
 	"errors"
 	"sort"
 )
@@ -229,9 +230,7 @@ func (b *recvBuffer) insertOOO(off int64, payload []byte) {
 	if total+len(payload) > b.oooMax {
 		return
 	}
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	b.ooo = append(b.ooo, oooSegment{off: off, data: cp})
+	b.ooo = append(b.ooo, oooSegment{off: off, data: bytes.Clone(payload)})
 	sort.Slice(b.ooo, func(i, j int) bool { return b.ooo[i].off < b.ooo[j].off })
 }
 

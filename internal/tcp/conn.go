@@ -884,7 +884,8 @@ func (c *Conn) sendControl(flags Flags) {
 //
 //sttcp:hotpath
 func (c *Conn) sendSegmentRaw(flags Flags, off int64, payload []byte, isSYN bool) {
-	seg := Segment{
+	seg := c.stack.takeSegment()
+	*seg = Segment{
 		SrcPort: c.id.LocalPort,
 		DstPort: c.id.RemotePort,
 		Seq:     c.sendWireSeq(off),
@@ -899,31 +900,33 @@ func (c *Conn) sendSegmentRaw(flags Flags, off int64, payload []byte, isSYN bool
 		seg.Ack = c.recvWireSeq(c.rb.rcvNxt)
 		c.clearDelayedAck() // this segment carries the ack
 	}
-	if c.suppressed {
-		c.SuppressedSegments++
-		c.stack.noteSuppressed(&seg, c) //sttcp:allow hotpathalloc trace boxing is behind the Detail() gate; off in measured runs
-		return
-	}
-	c.stack.emit(c, &seg) //sttcp:allow hotpathalloc trace boxing is behind the Detail() gate; off in measured runs
+	c.output(seg) //sttcp:allow hotpathalloc emit and noteSuppressed box trace arguments behind the Detail() gate, off in measured runs; the Segment itself is pooled (TestAllocsPerSegmentBudget)
 }
 
 func (c *Conn) sendRST() {
 	if c.state == StateClosed {
 		return
 	}
-	seg := Segment{
+	seg := c.stack.takeSegment()
+	*seg = Segment{
 		SrcPort: c.id.LocalPort,
 		DstPort: c.id.RemotePort,
 		Seq:     c.sendWireSeq(c.sndNxt),
 		Ack:     c.recvWireSeq(c.rb.rcvNxt),
 		Flags:   FlagRST | FlagACK,
 	}
+	c.output(seg)
+}
+
+// output emits seg, or on a suppressed connection notes it, and releases it.
+func (c *Conn) output(seg *Segment) {
 	if c.suppressed {
 		c.SuppressedSegments++
-		c.stack.noteSuppressed(&seg, c)
-		return
+		c.stack.noteSuppressed(seg, c)
+	} else {
+		c.stack.emit(c, seg)
 	}
-	c.stack.emit(c, &seg)
+	c.stack.releaseSegment(seg)
 }
 
 func clampWindow(w int) uint16 {

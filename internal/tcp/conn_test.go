@@ -292,7 +292,7 @@ func TestDuplicateSYNHandled(t *testing.T) {
 		MSS:     DefaultMSS,
 	}
 	pkt := ip.Packet{Src: addrA, Dst: addrB, Proto: ip.ProtoTCP}
-	h.stackB.HandleSegment(pkt, seg)
+	h.stackB.HandleSegment(pkt, &seg)
 	_ = h.sim.Run(time.Second)
 	if server.State() != StateEstablished {
 		t.Fatalf("duplicate SYN broke the connection: %v", server.State())

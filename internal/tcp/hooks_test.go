@@ -227,7 +227,11 @@ func TestISNProviderPinsSequenceNumbers(t *testing.T) {
 	}
 }
 
-// TestSegmentFilterHoldsSegments checks the backup's park-and-replay flow.
+// TestSegmentFilterHoldsSegments checks the backup's park-and-replay flow,
+// first on the SYN and then on segments that carry data. A parked segment
+// outlives the frame it was decoded from, which the link reissues to the next
+// frame, so the filter clones the payload: without the Clone below the first
+// parked segment replays the second one's bytes.
 func TestSegmentFilterHoldsSegments(t *testing.T) {
 	h := newPair(t, 28, lan(), Options{})
 	l, err := h.stackB.Listen(addrB, 80)
@@ -237,22 +241,30 @@ func TestSegmentFilterHoldsSegments(t *testing.T) {
 	var accepted *Conn
 	l.OnEstablished = func(c *Conn) { accepted = c }
 
-	var held []struct {
+	type parked struct {
 		pkt ip.Packet
 		seg Segment
 	}
+	var held []parked
 	holding := true
 	h.stackB.SegmentFilter = func(pkt ip.Packet, seg *Segment) bool {
 		if !holding {
 			return true
 		}
-		held = append(held, struct {
-			pkt ip.Packet
-			seg Segment
-		}{pkt, *seg})
+		p := parked{pkt, *seg}
+		p.pkt.Payload, p.seg.Payload = nil, bytes.Clone(seg.Payload)
+		held = append(held, p)
 		return false
 	}
-	if _, err := h.stackA.Dial(ip.Addr{}, addrB, 80); err != nil {
+	replay := func() {
+		holding = false
+		for i := range held {
+			h.stackB.HandleSegment(held[i].pkt, &held[i].seg)
+		}
+		held = nil
+	}
+	client, err := h.stackA.Dial(ip.Addr{}, addrB, 80)
+	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	_ = h.sim.Run(3 * time.Second)
@@ -262,13 +274,31 @@ func TestSegmentFilterHoldsSegments(t *testing.T) {
 	if len(held) == 0 {
 		t.Fatal("nothing held")
 	}
-	holding = false
-	for _, hs := range held {
-		h.stackB.HandleSegment(hs.pkt, hs.seg)
-	}
+	replay()
 	_ = h.sim.Run(5 * time.Second)
 	if accepted == nil {
 		t.Fatal("replay did not establish the connection")
+	}
+
+	sk := attachSink(accepted)
+	holding = true
+	first, second := []byte("first"), []byte("second, and longer")
+	for _, msg := range [][]byte{first, second} {
+		if n, err := client.Write(msg); n != len(msg) || err != nil {
+			t.Fatalf("write %q = %d, %v", msg, n, err)
+		}
+		_ = h.sim.Run(10 * time.Millisecond)
+	}
+	if len(held) < 2 {
+		t.Fatalf("held %d data segments, want the two writes parked separately", len(held))
+	}
+	if got := held[0].seg.Payload; !bytes.Equal(got, first) {
+		t.Fatalf("first parked payload reads %q once its frame carried the second, want %q", got, first)
+	}
+	replay()
+	_ = h.sim.Run(time.Second)
+	if want := append(first, second...); !bytes.Equal(sk.data, want) {
+		t.Fatalf("replayed stream = %q, want %q", sk.data, want)
 	}
 }
 

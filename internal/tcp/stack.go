@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ip"
 	"repro/internal/metrics"
+	"repro/internal/netem"
 	"repro/internal/netstack"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -175,7 +176,8 @@ type Stack struct {
 	// SegmentFilter, when non-nil, sees every inbound segment before
 	// demux and may consume it by returning false. The ST-TCP backup
 	// uses it to hold segments for connections whose ISN announcement
-	// has not yet arrived.
+	// has not yet arrived. seg is the stack's and its Payload the received
+	// frame's, valid only during the call: a filter that parks one clones it.
 	SegmentFilter func(pkt ip.Packet, seg *Segment) bool
 
 	// Emitted counts segments actually transmitted.
@@ -200,6 +202,33 @@ type Stack struct {
 	// frame), so one buffer per stack suffices and the per-segment
 	// make([]byte) disappears.
 	encBuf []byte
+
+	// segFree is the LIFO free list every Segment this stack builds or
+	// decodes comes from: the hooks take it by pointer through a function
+	// value, so a local would be a heap object per segment. A list, not one
+	// scratch struct: receive → ACK nests, and a hook may re-enter.
+	segFree []*Segment
+}
+
+// takeSegment returns a Segment for the caller to overwrite whole.
+func (st *Stack) takeSegment() *Segment {
+	n := len(st.segFree)
+	if n == 0 {
+		return new(Segment)
+	}
+	seg := st.segFree[n-1]
+	st.segFree = st.segFree[:n-1]
+	return seg
+}
+
+// releaseSegment takes seg back zeroed — or, in the race build, poisoned, so
+// that a hook which kept the pointer reads nonsense, not the next segment.
+func (st *Stack) releaseSegment(seg *Segment) {
+	*seg = Segment{}
+	if netem.PoisonReleased {
+		*seg = Segment{SrcPort: 0xDBDB, DstPort: 0xDBDB, Seq: 0xDBDBDBDB, Flags: 0xDB, Window: 0xDBDB}
+	}
+	st.segFree = append(st.segFree, seg) //sttcp:allow hotpathalloc amortized: the list grows to the deepest nesting seen, two or three
 }
 
 // NewStack creates a TCP layer on top of ns and registers itself as the
@@ -423,17 +452,19 @@ func (st *Stack) noteSuppressed(seg *Segment, c *Conn) {
 
 // handlePacket demultiplexes one inbound TCP packet.
 func (st *Stack) handlePacket(pkt ip.Packet) {
-	seg, err := Decode(pkt.Src, pkt.Dst, pkt.Payload)
-	if err != nil {
-		return
+	seg := st.takeSegment()
+	var err error
+	if *seg, err = Decode(pkt.Src, pkt.Dst, pkt.Payload); err == nil {
+		st.HandleSegment(pkt, seg)
 	}
-	st.HandleSegment(pkt, seg)
+	st.releaseSegment(seg)
 }
 
 // HandleSegment runs demux on an already-decoded segment. It is exported
-// so the ST-TCP backup can re-inject segments it held back.
-func (st *Stack) HandleSegment(pkt ip.Packet, seg Segment) {
-	if st.SegmentFilter != nil && !st.SegmentFilter(pkt, &seg) {
+// so the ST-TCP backup can re-inject segments it held back. seg and its
+// Payload are borrowed for the call: the receive buffer copies what it keeps.
+func (st *Stack) HandleSegment(pkt ip.Packet, seg *Segment) {
+	if st.SegmentFilter != nil && !st.SegmentFilter(pkt, seg) {
 		return
 	}
 	st.noteReceived()
@@ -448,18 +479,18 @@ func (st *Stack) HandleSegment(pkt ip.Packet, seg Segment) {
 		RemotePort: seg.SrcPort,
 	}
 	if c, ok := st.conns[id]; ok {
-		c.handleSegment(&seg)
+		c.handleSegment(seg)
 		return
 	}
 	if seg.Flags.Has(FlagSYN) && !seg.Flags.Has(FlagACK) {
 		if l := st.listenerFor(pkt.Dst, seg.DstPort); l != nil {
-			st.acceptNew(l, id, &seg)
+			st.acceptNew(l, id, seg)
 			return
 		}
 	}
 	// Out of the blue: reset, unless it was itself a RST.
 	if !seg.Flags.Has(FlagRST) {
-		st.sendRSTFor(pkt, &seg)
+		st.sendRSTFor(pkt, seg)
 	}
 }
 
