@@ -35,7 +35,7 @@ race:
 # running; for figures use a real -benchtime, and `go run ./benchmark` for
 # the repository's benchmark.
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/tcp ./internal/app ./internal/sttcp
+	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/sim ./internal/netem ./internal/tcp ./internal/app ./internal/sttcp
 
 # The observers' block of the benchmark's traced ladder on the smallest-packet
 # workload: how many events the always-on trace holds for a whole echo run

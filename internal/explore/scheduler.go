@@ -165,7 +165,7 @@ func (x *Scheduler) Schedule(e *sim.Event) {
 // Cancel removes e. Cancelling the decided head un-decides it (the
 // surviving group members are already back in the inner queue, so the
 // next Peek re-forms the group without the victim); anything else is
-// the inner queue's tombstone business.
+// the inner queue's business.
 func (x *Scheduler) Cancel(e *sim.Event) {
 	if e == x.next {
 		x.next = nil

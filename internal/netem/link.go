@@ -6,6 +6,7 @@
 package netem
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/metrics"
@@ -90,13 +91,14 @@ type Link struct {
 }
 
 // delivery is one in-flight frame: the pooled buffer, the arrival
-// deadline, and the sender's causal context, restored around the
-// endpoint call so trace spans follow the frame across the wire even
-// though many frames share one timer event.
+// deadline (virtual time since sim.Epoch, as Simulator.Elapsed reads it),
+// and the sender's causal context, restored around the endpoint call so
+// trace spans follow the frame across the wire even though many frames
+// share one timer event.
 type delivery struct {
 	peer    Endpoint
 	frame   []byte
-	arrival time.Time
+	arrival time.Duration
 	ctx     uint64
 }
 
@@ -116,10 +118,10 @@ func (l *Link) takeDelivery() *delivery {
 // simulator's event queue holds O(links) delivery events instead of
 // O(in-flight frames).
 type linkSide struct {
-	peer     Endpoint // delivery target (the *other* end)
-	nextFree time.Time
-	dropTill time.Time
-	cut      bool // indefinite one-direction cut (asymmetric partition)
+	peer     Endpoint      // delivery target (the *other* end)
+	nextFree time.Duration // when the wire is free again, since sim.Epoch
+	dropTill time.Duration // end of the drop window, since sim.Epoch
+	cut      bool          // indefinite one-direction cut (asymmetric partition)
 
 	pending []*delivery // in flight, pending[head:] sorted by arrival
 	head    int
@@ -181,14 +183,18 @@ func (l *Link) SetExtraDelay(d time.Duration) { l.extraDelay = d }
 // temporary local failure (paper Table 1 row 5: buffer overflow, transient
 // NIC trouble). A window already open beyond d stands: a second, shorter
 // drop must not cut the first one short.
-func (l *Link) DropFromAFor(d time.Duration) { l.a.dropFor(l.sim.Now().Add(d)) }
+func (l *Link) DropFromAFor(d time.Duration) { l.dropFor(l.a, d) }
 
 // DropFromBFor drops all frames transmitted by endpoint B for d.
-func (l *Link) DropFromBFor(d time.Duration) { l.b.dropFor(l.sim.Now().Add(d)) }
+func (l *Link) DropFromBFor(d time.Duration) { l.dropFor(l.b, d) }
 
-func (s *linkSide) dropFor(till time.Time) {
-	if till.After(s.dropTill) {
-		s.dropTill = till
+func (l *Link) dropFor(side *linkSide, d time.Duration) {
+	till := l.sim.Elapsed() + d
+	if d > 0 && till < 0 {
+		till = math.MaxInt64 // a window that outlasts the clock is forever, not a wrap into the past
+	}
+	if till > side.dropTill {
+		side.dropTill = till
 	}
 }
 
@@ -221,7 +227,8 @@ func (l *Link) transmit(side *linkSide, buf []byte) {
 	if side.peer == nil {
 		return
 	}
-	if l.down || side.cut || l.sim.Now().Before(side.dropTill) {
+	now := l.sim.Elapsed()
+	if l.down || side.cut || now < side.dropTill {
 		l.Drops++
 		l.mDrops.Inc()
 		l.traceDrop(len(buf), "down/drop-window")
@@ -233,24 +240,24 @@ func (l *Link) transmit(side *linkSide, buf []byte) {
 		l.traceDrop(len(buf), "random loss")
 		return
 	}
-	start := l.sim.Now()
-	if start.Before(side.nextFree) {
+	start := now
+	if start < side.nextFree {
 		start = side.nextFree
 	}
-	l.mQueue.Observe(start.Sub(l.sim.Now()))
+	l.mQueue.Observe(start - now)
 	if l.tracer.Detail() {
 		l.tracer.EmitValue(trace.KindNetEnqueue, l.name, int64(len(buf)),
-			"enqueue %dB, wire free in %v", len(buf), start.Sub(l.sim.Now()))
+			"enqueue %dB, wire free in %v", len(buf), start-now)
 	}
 	var txTime time.Duration
 	if l.cfg.BitsPerSecond > 0 {
 		bits := int64(len(buf)) * 8
 		txTime = time.Duration(bits * int64(time.Second) / l.cfg.BitsPerSecond)
 	}
-	side.nextFree = start.Add(txTime)
-	arrival := side.nextFree.Add(l.cfg.Delay + l.extraDelay)
+	side.nextFree = start + txTime
+	arrival := side.nextFree + l.cfg.Delay + l.extraDelay
 	if l.cfg.Jitter > 0 {
-		arrival = arrival.Add(time.Duration(l.sim.Rand().Int63n(int64(l.cfg.Jitter))))
+		arrival += time.Duration(l.sim.Rand().Int63n(int64(l.cfg.Jitter)))
 	}
 	frame := l.pool.get(len(buf))
 	copy(frame, buf)
@@ -284,7 +291,7 @@ func (l *Link) enqueue(side *linkSide, d *delivery) {
 	// iterations; with jitter it is bounded by the frames inside one
 	// jitter window.
 	i := len(p)
-	for i > side.head && p[i-1].arrival.After(d.arrival) {
+	for i > side.head && p[i-1].arrival > d.arrival {
 		i--
 	}
 	p = append(p, nil)
@@ -292,7 +299,7 @@ func (l *Link) enqueue(side *linkSide, d *delivery) {
 	p[i] = d
 	side.pending = p
 	if i == side.head {
-		side.timer.ArmAt(d.arrival)
+		side.timer.Arm(d.arrival - l.sim.Elapsed())
 	}
 }
 
@@ -301,10 +308,10 @@ func (l *Link) enqueue(side *linkSide, d *delivery) {
 // same side (zero-delay topologies), so the bounds are re-read each
 // iteration.
 func (l *Link) drain(side *linkSide) {
-	now := l.sim.Now()
+	now := l.sim.Elapsed()
 	for side.head < len(side.pending) {
 		d := side.pending[side.head]
-		if d.arrival.After(now) {
+		if d.arrival > now {
 			break
 		}
 		side.pending[side.head] = nil
@@ -320,7 +327,7 @@ func (l *Link) drain(side *linkSide) {
 		side.head = 0
 	}
 	if side.head < len(side.pending) {
-		side.timer.ArmAt(side.pending[side.head].arrival)
+		side.timer.Arm(side.pending[side.head].arrival - now)
 	}
 }
 

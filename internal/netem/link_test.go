@@ -69,3 +69,44 @@ func TestLinkDeliveryRunsUnderSenderContextAndRestores(t *testing.T) {
 		t.Errorf("ambient context after the run = %d, want 0", s.Context())
 	}
 }
+
+// TestLinkArrivalInstantsByHand pins the link's arithmetic to the nanosecond
+// against figures worked out by hand, at 100 Mbit/s (10 ns a bit) and 50 µs:
+// a frame leaves when the one before it has left the wire and arrives one
+// propagation delay after its own last bit, and a drop window is half-open —
+// a frame sent at the very instant it ends is carried.
+func TestLinkArrivalInstantsByHand(t *testing.T) {
+	s := sim.New(1)
+	link := NewLink(s, DefaultLANConfig())
+	var got []time.Duration
+	link.Attach(nil, endpointFunc(func(buf []byte) { got = append(got, s.Elapsed()) }))
+
+	// Back to back at t = 0: 64 B is 512 bits, 5,120 ns on the wire; 1,514 B
+	// is 12,112 bits, 121,120 ns, and starts when the first has left.
+	link.TransmitFromA(make([]byte, 64))
+	link.TransmitFromA(make([]byte, 1514))
+	// A window over [1 ms, 2 ms): one frame inside it, one exactly at its end.
+	s.Schedule(time.Millisecond, func() { link.DropFromAFor(time.Millisecond) })
+	s.Schedule(1500*time.Microsecond, func() { link.TransmitFromA(make([]byte, 64)) })
+	s.Schedule(2*time.Millisecond, func() { link.TransmitFromA(make([]byte, 64)) })
+	if err := s.Run(time.Second); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+
+	want := []time.Duration{
+		5_120 + 50_000,
+		5_120 + 121_120 + 50_000,
+		2_000_000 + 5_120 + 50_000,
+	}
+	if len(got) != len(want) {
+		t.Fatalf("arrivals at %v, want %v (drops %d)", got, want, link.Drops)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("frame %d arrived at %d ns, want %d ns", i, got[i], want[i])
+		}
+	}
+	if link.Drops != 1 {
+		t.Errorf("%d frames dropped, want the one sent inside the window", link.Drops)
+	}
+}

@@ -2,6 +2,7 @@ package netem
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
@@ -203,6 +204,22 @@ func TestDropWindow(t *testing.T) {
 	_ = s.Run(time.Second)
 	if len(*rxB) != 1 || string((*rxB)[0].Payload) != "arrives" {
 		t.Fatalf("drop window misbehaved: %d frames", len(*rxB))
+	}
+}
+
+// TestDropWindowLongerThanTheClock: a window whose end the clock cannot
+// represent never closes; kept as an integer since Epoch, now + d must not
+// wrap into the past and open nothing.
+func TestDropWindowLongerThanTheClock(t *testing.T) {
+	s := sim.New(1)
+	a, b, _, rxB, _ := twoNICs(s, DefaultLANConfig())
+	s.Schedule(time.Millisecond, func() {
+		a.link.DropFromAFor(math.MaxInt64)
+		send(t, a, b.Addr(), "lost")
+	})
+	_ = s.Run(time.Second)
+	if len(*rxB) != 0 || a.link.Drops != 1 {
+		t.Fatalf("%d frames crossed a window opened for ever, %d dropped", len(*rxB), a.link.Drops)
 	}
 }
 

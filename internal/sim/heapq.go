@@ -1,116 +1,144 @@
 package sim
 
-// heapScheduler is the reference Scheduler: a binary min-heap of entries
-// ordered by (when, seq). Cancellation is lazy — tombstones are skipped
-// when they surface at the root, and the whole heap is compacted once
-// tombstones outnumber live entries — so Cancel is O(1) instead of the
-// O(log n) sift that heap.Remove used to pay on every timer re-arm.
+// heapArity is the heap's fan-out. Against a binary heap, four children a
+// node halve the depth a sift walks — half the moves and position updates —
+// for the same number of comparisons. Measured against 2 on the benchmark
+// it is a tie on echo's shallow queue and 2 % ahead, within the noise, on
+// scale's thousands-deep one (EXPERIMENTS.md "What a segment costs the
+// host").
+const heapArity = 4
+
+// heapEntry is one queued Event. The (when, seq) key is copied out of the
+// event so ordering never dereferences it on the comparison path.
+type heapEntry struct {
+	when int64 // virtual time, nanoseconds since Epoch
+	seq  uint64
+	ev   *Event
+}
+
+func (en heapEntry) less(o heapEntry) bool {
+	if en.when != o.when {
+		return en.when < o.when
+	}
+	return en.seq < o.seq
+}
+
+// heapScheduler is the Scheduler every run uses: an indexed min-heap of
+// entries ordered by (when, seq). It holds live events only — each queued
+// Event records where its entry sits (Event.heapPos), so Cancel takes the
+// entry out in place, and len(q) is Len(). A timer pushed back before it
+// fires (the RTO on every ACK) sits at or near a leaf, where removal
+// refills the hole from the last slot with little or no sifting.
 type heapScheduler struct {
-	q    []entry
-	dead int // tombstones still buried in q
+	q []heapEntry
 }
 
 func (h *heapScheduler) Kind() SchedulerKind { return SchedulerHeap }
 
-func (h *heapScheduler) Len() int { return len(h.q) - h.dead }
+func (h *heapScheduler) Len() int { return len(h.q) }
 
 //sttcp:hotpath
 func (h *heapScheduler) Schedule(e *Event) {
 	//sttcp:allow hotpathalloc amortized heap growth; steady state reuses capacity (TestHeapSteadyStateAllocs)
-	h.q = append(h.q, entry{when: e.when, seq: e.seq, gen: e.gen, ev: e})
-	h.up(len(h.q) - 1)
+	h.q = append(h.q, heapEntry{})
+	h.up(len(h.q)-1, heapEntry{when: e.when, seq: e.seq, ev: e})
 }
 
+// Cancel of an event that is not queued is a no-op.
+//
 //sttcp:hotpath
 func (h *heapScheduler) Cancel(e *Event) {
-	h.dead++
-	if h.dead > 64 && h.dead > len(h.q)-h.dead {
-		h.compact() //sttcp:allow hotpathalloc amortized tombstone compaction reuses the heap backing array
+	if e.heapPos > 0 {
+		h.remove(e.heapPos - 1)
 	}
 }
 
 func (h *heapScheduler) Peek() *Event {
-	for len(h.q) > 0 {
-		if !h.q[0].stale() {
-			return h.q[0].ev
-		}
-		h.removeTop()
-		h.dead--
+	if len(h.q) == 0 {
+		return nil
 	}
-	return nil
+	return h.q[0].ev
 }
 
 //sttcp:hotpath
 func (h *heapScheduler) Pop() *Event {
-	for len(h.q) > 0 {
-		en := h.q[0]
-		h.removeTop()
-		if en.stale() {
-			h.dead--
-			continue
-		}
-		return en.ev
+	if len(h.q) == 0 {
+		return nil
 	}
-	return nil
+	e := h.q[0].ev
+	h.remove(0)
+	return e
 }
 
-// compact drops every tombstone and rebuilds the heap in O(n).
-func (h *heapScheduler) compact() {
-	keep := h.q[:0]
-	for _, en := range h.q {
-		if !en.stale() {
-			keep = append(keep, en)
-		}
-	}
-	for i := len(keep); i < len(h.q); i++ {
-		h.q[i] = entry{} // release stale *Event pointers
-	}
-	h.q = keep
-	h.dead = 0
-	for i := len(h.q)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
+// remove takes the entry at i out: the last entry leaves its slot and is
+// sifted from the hole at i to wherever it belongs.
+//
 //sttcp:hotpath
-func (h *heapScheduler) removeTop() {
+func (h *heapScheduler) remove(i int) {
+	h.q[i].ev.heapPos = 0
 	n := len(h.q) - 1
-	h.q[0] = h.q[n]
-	h.q[n] = entry{}
+	last := h.q[n]
+	h.q[n] = heapEntry{} // drop the *Event so the backing array never pins it
 	h.q = h.q[:n]
-	if n > 0 {
-		h.down(0)
+	if i == n {
+		return
+	}
+	if i > 0 && last.less(h.q[(i-1)/heapArity]) {
+		h.up(i, last)
+	} else {
+		h.down(i, last)
 	}
 }
 
+// up moves the hole at i toward the root until en fits, and puts en there.
+//
 //sttcp:hotpath
-func (h *heapScheduler) up(i int) {
+func (h *heapScheduler) up(i int, en heapEntry) {
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.q[i].less(h.q[parent]) {
+		parent := (i - 1) / heapArity
+		if !en.less(h.q[parent]) {
 			break
 		}
-		h.q[i], h.q[parent] = h.q[parent], h.q[i]
+		h.place(i, h.q[parent])
 		i = parent
 	}
+	h.place(i, en)
 }
 
+// down moves the hole at i toward the leaves until en fits, and puts en
+// there.
+//
 //sttcp:hotpath
-func (h *heapScheduler) down(i int) {
+func (h *heapScheduler) down(i int, en heapEntry) {
 	n := len(h.q)
 	for {
-		left := 2*i + 1
-		if left >= n {
+		least := heapArity*i + 1
+		if least >= n {
 			break
 		}
-		least := left
-		if right := left + 1; right < n && h.q[right].less(h.q[left]) {
-			least = right
+		end := least + heapArity
+		if end > n {
+			end = n
 		}
-		if !h.q[least].less(h.q[i]) {
+		for c := least + 1; c < end; c++ {
+			if h.q[c].less(h.q[least]) {
+				least = c
+			}
+		}
+		if !h.q[least].less(en) {
 			break
 		}
-		h.q[i], h.q[least] = h.q[least], h.q[i]
+		h.place(i, h.q[least])
 		i = least
 	}
+	h.place(i, en)
+}
+
+// place stores en at i and records the position in its event: the one
+// spot where an entry moves, so the two can never disagree.
+//
+//sttcp:hotpath
+func (h *heapScheduler) place(i int, en heapEntry) {
+	h.q[i] = en
+	en.ev.heapPos = i + 1
 }

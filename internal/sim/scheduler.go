@@ -1,7 +1,7 @@
 package sim
 
 // SchedulerKind selects the event-queue implementation backing a
-// Simulator. The zero value picks the default (the binary heap). Nothing
+// Simulator. The zero value picks the default (the heap). Nothing
 // above this package selects a kind: every run uses the heap, and the
 // enum survives only for the benchmark's hold-model drivers and the
 // differential tests here (see DESIGN.md "Scheduler architecture").
@@ -10,8 +10,8 @@ type SchedulerKind uint8
 const (
 	// SchedulerDefault resolves to the reference implementation.
 	SchedulerDefault SchedulerKind = iota
-	// SchedulerHeap is the reference binary min-heap: O(log n) insert
-	// and pop, robust for any event mix.
+	// SchedulerHeap is the indexed min-heap every run uses: O(log n)
+	// insert, pop and cancel, robust for any event mix.
 	SchedulerHeap
 	// SchedulerCalendar is a calendar queue tuned for the RTO/HB
 	// timer-heavy workload: events land in time-indexed buckets by O(1)
@@ -57,18 +57,18 @@ type Config struct {
 }
 
 // Scheduler is the event-queue backend of a Simulator: a priority queue
-// over (virtual time, sequence number) keys with lazy cancellation. The
-// Simulator owns Event lifecycle (sequence numbers, generation bumps,
-// the live flag); the scheduler owns placement and retrieval. All
-// implementations must yield the exact same pop order — the total order
-// by (when, seq) — for the same schedule/cancel history, which is what
-// keeps a run's trace independent of the scheduler selected (proved by
-// the differential tests in scheduler_test.go).
+// over (virtual time, sequence number) keys. The Simulator owns Event
+// lifecycle (sequence numbers, generation bumps, the live flag); the
+// scheduler owns placement and retrieval. All implementations must yield
+// the exact same pop order — the total order by (when, seq) — for the
+// same schedule/cancel history, which is what keeps a run's trace
+// independent of the scheduler selected (proved by the differential
+// tests in scheduler_test.go).
 //
-// Cancellation is lazy everywhere: Cancel only bumps tombstone
-// accounting, and the stale entry — detected by its recorded generation
-// no longer matching the event's — is skipped when it surfaces at the
-// head, or reclaimed wholesale by compaction when tombstones dominate.
+// How a cancelled entry leaves is the implementation's business: the
+// heap takes it out at once, the calendar leaves a tombstone — an entry
+// whose recorded generation no longer matches the event's — and skips or
+// compacts it later. Either way Len, Peek and Pop see live events only.
 type Scheduler interface {
 	// Kind identifies the implementation.
 	Kind() SchedulerKind
@@ -77,9 +77,9 @@ type Scheduler interface {
 	// Schedule inserts e keyed by its (when, seq). The caller guarantees
 	// e has no live entry in the queue.
 	Schedule(e *Event)
-	// Cancel records that e's pending entry became a tombstone. The
-	// caller has already bumped e's generation; the entry itself is
-	// reclaimed lazily.
+	// Cancel drops e's pending entry. The caller has already bumped e's
+	// generation, which is what marks a lazily-cancelling queue's entry
+	// stale.
 	Cancel(e *Event)
 	// Peek returns the earliest live event without removing it, nil when
 	// no live events remain.
@@ -102,7 +102,8 @@ func newScheduler(k SchedulerKind) Scheduler {
 // via Config.Custom. Everyone else lets NewWithConfig pick the queue.
 func NewScheduler(k SchedulerKind) Scheduler { return newScheduler(k) }
 
-// entry is one scheduled occurrence of an Event. The (when, seq) key is
+// entry is one scheduled occurrence of an Event in the calendar queue
+// (the heap keeps its own, gen-less heapEntry). The (when, seq) key is
 // copied out of the event so ordering never dereferences the event on
 // the comparison path, and gen snapshots the event's generation at
 // schedule time: a mismatch later means the occurrence was cancelled or

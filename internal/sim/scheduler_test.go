@@ -13,8 +13,11 @@ var schedulerKinds = []SchedulerKind{SchedulerHeap, SchedulerCalendar}
 
 // runWorkload drives one simulator through a randomized timer-heavy
 // workload — self-re-arming timers with jittered periods, cross-timer
-// stops and re-arms, pooled Post chains, and bursts of same-instant
-// events — and returns the exact firing trace. The workload draws all
+// stops and re-arms, pooled Post chains, bursts of same-instant events,
+// and one far timer pushed back from every firing event the way a
+// connection's RTO is on every ACK — and returns the exact firing trace,
+// so the differential covers removal at a leaf (the far timer), mid-heap
+// (the cross-timer meddling) and at the root. The workload draws all
 // randomness from the simulator's own seeded source, so two simulators
 // with the same seed see byte-identical schedules regardless of which
 // Scheduler backs them.
@@ -25,18 +28,20 @@ func runWorkload(s *Simulator, horizon time.Duration) []string {
 		trace = append(trace, fmt.Sprintf("%d %s", s.Elapsed(), label))
 	}
 
+	rto := s.NewTimer(func() { record("rto") })
 	const nTimers = 40
 	timers := make([]*Timer, nTimers)
 	for i := 0; i < nTimers; i++ {
 		i := i
 		timers[i] = s.NewTimer(func() {
 			record(fmt.Sprintf("timer%d", i))
+			rto.Arm(20*time.Millisecond + time.Duration(rng.Int63n(int64(20*time.Millisecond))))
 			// Re-arm with a jittered period spanning ns to ms scales, so
 			// events land across many calendar buckets and in overflow.
 			delay := time.Duration(rng.Int63n(int64(5 * time.Millisecond)))
 			timers[i].Arm(delay)
 			// Occasionally meddle with a random peer: half stops, half
-			// forced re-arms — both exercise lazy cancellation.
+			// forced re-arms — both cancel an entry wherever it sits.
 			switch rng.Intn(10) {
 			case 0:
 				timers[rng.Intn(nTimers)].Stop()
@@ -334,8 +339,8 @@ func steadyStateAllocs(t *testing.T, kind SchedulerKind) float64 {
 		i := i
 		timers[i] = s.NewTimer(func() {
 			timers[i].Arm(period) // fired path: re-arm
-			// cancelled path: the neighbour's pending arming becomes a
-			// tombstone and is immediately replaced.
+			// cancelled path: the neighbour's pending arming is dropped
+			// and immediately replaced.
 			timers[(i+1)%nTimers].Arm(period + time.Duration(i))
 		})
 		timers[i].Arm(time.Duration(i) * time.Microsecond)

@@ -7,14 +7,18 @@
 // bit-for-bit. No component inside a simulation may use the real clock or
 // spawn goroutines.
 //
-// Events wait in a binary heap behind the Scheduler interface; Config.Custom
-// is the seam through which the interleaving explorer and the benchmark
-// decorate it (see DESIGN.md "Scheduler architecture").
+// Events wait in an indexed heap that holds live events only (a cancelled
+// one leaves at once), behind the Scheduler interface; Config.Custom is the
+// seam through which the interleaving explorer and the benchmark decorate it.
+// Virtual time is an integer, nanoseconds since Epoch, wherever an event is
+// keyed or a per-segment deadline kept; Now is its time.Time form, for
+// reports (see DESIGN.md "Scheduler architecture").
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -31,18 +35,17 @@ var ErrStopped = errors.New("sim: stopped")
 // cancelled until it fires.
 //
 // An Event may be re-scheduled after it fires or is cancelled (that is how
-// Timer re-arms without allocating). Cancellation is lazy: the queue entry
-// becomes a tombstone, detected by the generation counter, and is reclaimed
-// when it surfaces or when the scheduler compacts.
+// Timer re-arms without allocating).
 type Event struct {
-	when   int64 // virtual time, nanoseconds since Epoch
-	seq    uint64
-	fn     func()
-	ctx    uint64 // causal context captured at schedule time
-	gen    uint32 // bumped on cancel and fire; queue entries snapshot it
-	live   bool   // a current-generation entry is in the queue
-	pooled bool   // created by Post/PostAt; recycled after firing
-	daemon bool   // background event: does not keep Run alive (see NewDaemonTicker)
+	when    int64 // virtual time, nanoseconds since Epoch
+	seq     uint64
+	fn      func()
+	ctx     uint64 // causal context captured at schedule time
+	heapPos int    // owned by heapScheduler: 1 + the index of the event's entry, 0 when not queued there
+	gen     uint32 // bumped on cancel and fire; the calendar queue's entries snapshot it
+	live    bool   // the event is in the queue
+	pooled  bool   // created by Post; recycled after firing
+	daemon  bool   // background event: does not keep Run alive (see NewDaemonTicker)
 }
 
 // When reports the virtual time at which the event will fire.
@@ -68,8 +71,7 @@ func (e *Event) Cancelled() bool { return !e.live }
 // Simulator is a deterministic discrete-event scheduler. The zero value is
 // not usable; construct with New or NewWithConfig.
 type Simulator struct {
-	now     time.Time
-	nowNS   int64 // now as nanoseconds since Epoch (the scheduler's key space)
+	nowNS   int64 // virtual time, nanoseconds since Epoch (the scheduler's key space)
 	sched   Scheduler
 	seq     uint64
 	rng     *rand.Rand
@@ -78,7 +80,7 @@ type Simulator struct {
 	fired   uint64
 	ctx     uint64
 	fg      int      // live non-daemon events in the queue
-	free    []*Event // recycled Post/PostAt events
+	free    []*Event // recycled Post events
 }
 
 // NewRand returns a deterministic random source derived from seed. It is
@@ -106,19 +108,20 @@ func NewWithConfig(cfg Config) *Simulator {
 		sched = newScheduler(cfg.Scheduler)
 	}
 	return &Simulator{
-		now:   Epoch,
 		rng:   NewRand(cfg.Seed),
 		sched: sched,
 	}
 }
 
-// Now returns the current virtual time.
-func (s *Simulator) Now() time.Time { return s.now }
+// Now returns the current virtual time. It is derived on each call; code
+// that keeps a deadline per segment keeps it as Elapsed instead.
+func (s *Simulator) Now() time.Time { return Epoch.Add(time.Duration(s.nowNS)) }
 
 // Since returns the virtual duration elapsed since t.
-func (s *Simulator) Since(t time.Time) time.Duration { return s.now.Sub(t) }
+func (s *Simulator) Since(t time.Time) time.Duration { return s.Now().Sub(t) }
 
-// Elapsed returns the virtual duration elapsed since Epoch.
+// Elapsed returns the virtual duration elapsed since Epoch: the clock as
+// the simulator keeps it.
 func (s *Simulator) Elapsed() time.Duration { return time.Duration(s.nowNS) }
 
 // Rand returns the simulation's deterministic random source.
@@ -142,19 +145,24 @@ func (s *Simulator) SetContext(ctx uint64) { s.ctx = ctx }
 // Fired reports how many events have fired so far.
 func (s *Simulator) Fired() uint64 { return s.fired }
 
-// Pending reports how many events are scheduled but have not fired.
-// Cancelled events stop counting immediately even though their tombstones
-// are reclaimed lazily.
+// Pending reports how many events are scheduled but have not fired or
+// been cancelled.
 func (s *Simulator) Pending() int { return s.sched.Len() }
 
-// nsSinceEpoch converts a virtual timestamp to the scheduler's key space,
-// clamped to the present (events cannot fire in the past).
-func (s *Simulator) nsSinceEpoch(t time.Time) int64 {
-	ns := int64(t.Sub(Epoch))
-	if ns < s.nowNS {
-		ns = s.nowNS
+// after converts a delay from the present to the scheduler's key space. A
+// negative delay is the present (events cannot fire in the past), and a
+// delay that would overflow saturates at the end of time instead of
+// wrapping into the past.
+//
+//sttcp:hotpath
+func (s *Simulator) after(delay time.Duration) int64 {
+	if delay <= 0 {
+		return s.nowNS
 	}
-	return ns
+	if delay > math.MaxInt64-time.Duration(s.nowNS) {
+		return math.MaxInt64
+	}
+	return s.nowNS + int64(delay)
 }
 
 // enqueue keys e at whenNS with the next sequence number and hands it to
@@ -176,20 +184,25 @@ func (s *Simulator) enqueue(e *Event, whenNS int64) {
 // delay is treated as zero. The returned event can be cancelled until it
 // fires.
 func (s *Simulator) Schedule(delay time.Duration, fn func()) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	return s.At(s.now.Add(delay), fn)
+	return s.scheduleAt(s.after(delay), fn)
 }
 
 // At arranges for fn to run at virtual time t. Times in the past are clamped
 // to the present.
 func (s *Simulator) At(t time.Time, fn func()) *Event {
+	whenNS := int64(t.Sub(Epoch))
+	if whenNS < s.nowNS {
+		whenNS = s.nowNS
+	}
+	return s.scheduleAt(whenNS, fn)
+}
+
+func (s *Simulator) scheduleAt(whenNS int64, fn func()) *Event {
 	if fn == nil {
-		panic("sim: At called with nil callback")
+		panic("sim: Schedule or At called with nil callback")
 	}
 	e := &Event{fn: fn, ctx: s.ctx}
-	s.enqueue(e, s.nsSinceEpoch(t))
+	s.enqueue(e, whenNS)
 	return e
 }
 
@@ -198,21 +211,12 @@ func (s *Simulator) At(t time.Time, fn func()) *Event {
 // recycles its Event once it fires. Per-segment work (frame delivery, switch
 // forwarding, readable/writable notifications) uses Post so steady-state
 // traffic does not allocate one Event per segment.
-func (s *Simulator) Post(delay time.Duration, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	s.PostAt(s.now.Add(delay), fn)
-}
-
-// PostAt arranges for fn to run at virtual time t with the same pooling
-// behaviour as Post. Times in the past are clamped to the present.
 //
 //sttcp:hotpath
-func (s *Simulator) PostAt(t time.Time, fn func()) {
+func (s *Simulator) Post(delay time.Duration, fn func()) {
 	if fn == nil {
 		//sttcp:allow hotpathalloc programming-error panic, never taken in steady state (TestHeapSteadyStateAllocs)
-		panic("sim: PostAt called with nil callback")
+		panic("sim: Post called with nil callback")
 	}
 	var e *Event
 	if n := len(s.free); n > 0 {
@@ -223,12 +227,11 @@ func (s *Simulator) PostAt(t time.Time, fn func()) {
 	} else {
 		e = &Event{fn: fn, ctx: s.ctx, pooled: true}
 	}
-	s.enqueue(e, s.nsSinceEpoch(t))
+	s.enqueue(e, s.after(delay))
 }
 
 // Cancel removes e from the queue. Cancelling a nil, fired, or already
-// cancelled event is a no-op. The removal is lazy: the queue entry becomes
-// a tombstone reclaimed by the scheduler later, so Cancel is O(1).
+// cancelled event is a no-op.
 //
 //sttcp:hotpath
 func (s *Simulator) Cancel(e *Event) {
@@ -257,7 +260,6 @@ func (s *Simulator) take(e *Event) {
 	}
 	if e.when > s.nowNS {
 		s.nowNS = e.when
-		s.now = Epoch.Add(time.Duration(e.when))
 	}
 	s.fired++
 }
@@ -270,7 +272,7 @@ func (s *Simulator) Stop() { s.stopped = true }
 // virtual clock would pass horizon. The clock is left at the time of the
 // last fired event, or at horizon if the queue outlives it.
 func (s *Simulator) Run(horizon time.Duration) error {
-	return s.RunUntil(s.now.Add(horizon))
+	return s.RunUntil(s.Now().Add(horizon))
 }
 
 // RunUntil executes events in timestamp order until the queue is empty or
@@ -280,7 +282,7 @@ func (s *Simulator) Run(horizon time.Duration) error {
 // extends a run past the point where the workload itself went quiet.
 func (s *Simulator) RunUntil(deadline time.Time) error {
 	if s.running {
-		return fmt.Errorf("sim: RunUntil called re-entrantly at %v", s.now)
+		return fmt.Errorf("sim: RunUntil called re-entrantly at %v", s.Now())
 	}
 	s.running = true
 	defer func() { s.running = false }()
@@ -292,8 +294,7 @@ func (s *Simulator) RunUntil(deadline time.Time) error {
 			break
 		}
 		if next.when > deadlineNS {
-			s.setIdleTime(deadline, deadlineNS)
-			return nil
+			break
 		}
 		s.sched.Pop()
 		s.take(next)
@@ -302,17 +303,11 @@ func (s *Simulator) RunUntil(deadline time.Time) error {
 			return ErrStopped
 		}
 	}
-	s.setIdleTime(deadline, deadlineNS)
-	return nil
-}
-
-// setIdleTime advances the clock to deadline when no event carried it
-// that far.
-func (s *Simulator) setIdleTime(deadline time.Time, deadlineNS int64) {
+	// Park the clock on the deadline when no event carried it that far.
 	if s.nowNS < deadlineNS {
 		s.nowNS = deadlineNS
-		s.now = deadline
 	}
+	return nil
 }
 
 // RunUntilIdle executes events until the queue drains (daemon events do
@@ -321,7 +316,7 @@ func (s *Simulator) setIdleTime(deadline time.Time, deadlineNS int64) {
 // cap is reached.
 func (s *Simulator) RunUntilIdle(maxEvents uint64) error {
 	if s.running {
-		return fmt.Errorf("sim: RunUntilIdle called re-entrantly at %v", s.now)
+		return fmt.Errorf("sim: RunUntilIdle called re-entrantly at %v", s.Now())
 	}
 	s.running = true
 	defer func() { s.running = false }()
@@ -338,7 +333,7 @@ func (s *Simulator) RunUntilIdle(maxEvents uint64) error {
 			// pending via re-enqueue.
 			s.sched.Schedule(next)
 			next.live = true
-			return fmt.Errorf("sim: event cap %d reached at %v with %d pending", maxEvents, s.now, s.sched.Len())
+			return fmt.Errorf("sim: event cap %d reached at %v with %d pending", maxEvents, s.Now(), s.sched.Len())
 		}
 		fired++
 		s.take(next)

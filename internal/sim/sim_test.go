@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -84,15 +85,54 @@ func TestCancelFromWithinEvent(t *testing.T) {
 	}
 }
 
+// TestNegativeDelayClamps: once the clock has advanced, a negative delay
+// (Schedule, Post, Timer.Arm) and an At in the past all fire at the present.
 func TestNegativeDelayClamps(t *testing.T) {
 	s := New(1)
-	fired := false
-	s.Schedule(-time.Second, func() { fired = true })
-	if err := s.Run(time.Millisecond); err != nil {
+	var fired []time.Duration
+	note := func() { fired = append(fired, s.Elapsed()) }
+	tm := s.NewTimer(note)
+	s.Schedule(time.Second, func() {
+		s.Schedule(-time.Hour, note)
+		s.Post(-time.Hour, note)
+		tm.Arm(-time.Hour)
+		s.At(Epoch, note)
+		s.At(Epoch.Add(-time.Hour), note)
+	})
+	if err := s.Run(time.Minute); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !fired {
-		t.Fatal("negative-delay event did not fire immediately")
+	if len(fired) != 5 {
+		t.Fatalf("%d of 5 clamped events fired", len(fired))
+	}
+	for i, at := range fired {
+		if at != time.Second {
+			t.Errorf("clamped event %d fired at %v, want the present, 1s", i, at)
+		}
+	}
+}
+
+// TestHugeDelayNeverFiresEarly: a delay that runs past the end of
+// representable time saturates there. Before Arm, Schedule and Post shared
+// one saturating add, Arm computed nowNS + delay, which wraps negative once
+// the clock has left zero, and the timer fired at once.
+func TestHugeDelayNeverFiresEarly(t *testing.T) {
+	s := New(1)
+	var fired []string
+	tm := s.NewTimer(func() { fired = append(fired, "timer") })
+	s.Schedule(time.Second, func() {
+		tm.Arm(math.MaxInt64)
+		s.Schedule(math.MaxInt64, func() { fired = append(fired, "event") })
+		s.Post(math.MaxInt64, func() { fired = append(fired, "post") })
+	})
+	if err := s.Run(time.Hour); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if len(fired) != 0 {
+		t.Fatalf("%v fired within the hour, armed for the end of time", fired)
+	}
+	if !tm.Armed() || s.Pending() != 3 {
+		t.Fatalf("timer armed = %v, %d pending; want all three still waiting", tm.Armed(), s.Pending())
 	}
 }
 

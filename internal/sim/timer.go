@@ -10,10 +10,9 @@ import "time"
 // arm/fire/stop cycles, which is what lets per-connection RTO, persist, and
 // delayed-ACK timers run without per-segment heap churn.
 //
-// Re-arming and stopping are lazy: the superseded queue entry becomes a
-// tombstone (the event's generation moves on) and is reclaimed by the
-// scheduler later, so the RTO-reset-per-ACK pattern costs one O(1) insert
-// instead of a heap removal plus re-insert.
+// Re-arming takes the pending entry out of the queue and inserts the new
+// one. A timer pushed back again and again without firing (the RTO, reset
+// on every ACK) sits near the heap's leaves, where both halves are cheap.
 //
 // The zero value is not usable; construct with Simulator.NewTimer.
 type Timer struct {
@@ -37,23 +36,9 @@ func (s *Simulator) NewTimer(fn func()) *Timer {
 //
 //sttcp:hotpath
 func (t *Timer) Arm(delay time.Duration) {
-	if delay < 0 {
-		delay = 0
-	}
-	whenNS := t.s.nowNS + int64(delay)
 	t.s.Cancel(&t.ev)
 	t.ev.ctx = t.s.ctx
-	t.s.enqueue(&t.ev, whenNS)
-}
-
-// ArmAt schedules the callback at virtual time tm, replacing any pending
-// arming. Times in the past are clamped to the present.
-//
-//sttcp:hotpath
-func (t *Timer) ArmAt(tm time.Time) {
-	t.s.Cancel(&t.ev)
-	t.ev.ctx = t.s.ctx
-	t.s.enqueue(&t.ev, t.s.nsSinceEpoch(tm))
+	t.s.enqueue(&t.ev, t.s.after(delay))
 }
 
 // Stop cancels a pending arming. Stopping an unarmed timer is a no-op; the

@@ -88,7 +88,7 @@ type Conn struct {
 	srtt, rttvar time.Duration
 	rto          time.Duration
 	backoff      uint
-	rtStart      time.Time
+	rtStart      time.Duration // sim.Elapsed() when the timed segment left
 	rtOffset     int64
 	rtPending    bool
 
@@ -656,7 +656,7 @@ func (c *Conn) advanceUna(ackOff int64) {
 	c.sb.release(relTo)
 
 	if c.rtPending && ackOff > c.rtOffset {
-		c.updateRTT(c.stack.sim.Since(c.rtStart))
+		c.updateRTT(c.stack.sim.Elapsed() - c.rtStart)
 		c.rtPending = false
 	}
 	c.backoff = 0
@@ -1117,7 +1117,7 @@ func (c *Conn) teardown(err error) {
 func (c *Conn) startRTTSample(off int64) {
 	c.rtPending = true
 	c.rtOffset = off
-	c.rtStart = c.stack.sim.Now()
+	c.rtStart = c.stack.sim.Elapsed()
 }
 
 // takeRTTSample seeds the estimator from the handshake round trip.
