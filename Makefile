@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check vet lint build test race bench observers loc allows faults-one-place report-smoke timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
+.PHONY: all check vet lint build test race bench observers loc doc-bytes allows faults-one-place report-smoke timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
 
 all: check
 
@@ -29,13 +29,13 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# One iteration of every go-test benchmark: the paper's experiments at the
-# root and the in-package micro-benchmarks of the layers a download's host
-# time is spent in. A smoke (CI runs it) — they must keep compiling and
-# running; for figures use a real -benchtime, and `go run ./benchmark` for
-# the repository's benchmark.
+# One iteration of every go-test benchmark: the in-package micro-benchmarks
+# of the layers a download's host time is spent in. A smoke (CI runs it) —
+# they must keep compiling and running; for figures use a real -benchtime,
+# `go run ./benchmark` for the repository's benchmark, and `sttcp demo` for
+# the paper's experiments.
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/sim ./internal/netem ./internal/tcp ./internal/app ./internal/sttcp
+	$(GO) test -bench . -benchtime 1x -run '^$$' ./internal/sim ./internal/netem ./internal/tcp ./internal/app ./internal/sttcp
 
 # The observers' block of the benchmark's traced ladder on the smallest-packet
 # workload: how many events the always-on trace holds for a whole echo run
@@ -54,6 +54,12 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' -not -path './.bench_build/*' \
 	  | xargs wc -l | awk '$$2 != "total" { d = $$2; sub("^\\./", "", d); sub("/?[^/]*$$", "", d); if (d == "") d = "."; n[d] += $$1; t += $$1 } \
 	      END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t }' | sort -k2
+
+# Bytes of the three documents ROADMAP item 3 budgets (EXPERIMENTS quotes
+# its figures from `sttcp demo` under a test; the rest is prose). CI prints it
+# beside `make loc`.
+doc-bytes:
+	@wc -c README.md DESIGN.md EXPERIMENTS.md
 
 # Which analyzers carry audited exceptions, and how many: every
 # //sttcp:allow directive in the code `sttcp vet` loads (non-test Go; the
@@ -110,9 +116,11 @@ chaos:
 chaos-gray:
 	$(GO) run ./cmd/sttcp chaos -gray -runs 200
 
-# CI-sized campaign: as many schedules as fit in 30 seconds of wall time.
+# CI-sized campaign, stated in seeds so every machine checks the same
+# schedules (seeds 1-4,500; ~30 s on a 2-core machine). `-runs 0 -wall DUR`
+# is for local soaks.
 chaos-smoke:
-	$(GO) run ./cmd/sttcp chaos -runs 0 -wall 30s
+	$(GO) run ./cmd/sttcp chaos -runs 4500
 
 # Exhaustive-interleaving exploration of a bounded failover window: every
 # tie-break order and fault placement, judged by the invariant registry

@@ -29,17 +29,17 @@ func setupChaos(fs *flag.FlagSet) func(io.Writer) error {
 		}
 		opts := chaos.Options{TraceDetail: *traceDetail, TelemetryWindow: art.Window()}
 
-		// The -wall budget is real time by definition: it bounds how long the
-		// campaign may occupy a CI worker, not anything inside a run. Nothing
-		// below the per-run boundary ever sees this clock.
-		start := time.Now() //sttcp:allow simdeterminism -wall budgets real CI time, outside any simulation
+		// The -wall budget is real time by definition: it bounds how long a
+		// local soak may occupy the machine, not anything inside a run.
+		// Nothing below the per-run boundary ever sees this clock.
+		start := time.Now() //sttcp:allow simdeterminism -wall budgets real time, outside any simulation
 		var (
 			executed, skipped int
 			takeovers, nonft  int64
 			last              *chaos.RunResult
 		)
 		for i := 0; *runs == 0 || i < *runs; i++ {
-			if *wall > 0 && time.Since(start) >= *wall { //sttcp:allow simdeterminism -wall budgets real CI time, outside any simulation
+			if *wall > 0 && time.Since(start) >= *wall { //sttcp:allow simdeterminism -wall budgets real time, outside any simulation
 				break
 			}
 			s := *seed + int64(i)

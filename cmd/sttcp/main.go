@@ -21,7 +21,6 @@ type command struct {
 
 var commands = []command{
 	{"demo", "[flags]", "run the paper's demonstrations, Table 1 and the extended studies from the registry", setupDemo},
-	{"bench", "[flags]", "print the series behind the demonstrations as parameter sweeps (virtual time only)", setupBench},
 	{"lab", "[flags] <script.sttcp | ->", "run a scripted failure scenario and judge its expectations", setupLab},
 	{"chaos", "[flags]", "run a seeded chaos campaign judged by the invariant registry", setupChaos},
 	{"explore", "[flags]", "exhaustively explore tie-break orders and fault placements in a failover window", setupExplore},
@@ -57,24 +56,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	for _, c := range commands {
-		if c.name == args[0] {
-			return c.run(args[1:], stdout, stderr)
-		}
+	if c, ok := commandByName(args[0]); ok {
+		return c.run(args[1:], stdout, stderr)
 	}
 	fmt.Fprintf(stderr, "sttcp: unknown subcommand %q\n\n", args[0])
 	usage(stderr)
 	return 2
 }
 
-func (c command) run(args []string, stdout, stderr io.Writer) int {
+func commandByName(name string) (command, bool) {
+	for _, c := range commands {
+		if c.name == name {
+			return c, true
+		}
+	}
+	return command{}, false
+}
+
+// flagSet returns the subcommand's FlagSet with its flags registered, and
+// the function that runs the subcommand once they are parsed.
+func (c command) flagSet(stderr io.Writer) (*flag.FlagSet, func(stdout io.Writer) error) {
 	fs := flag.NewFlagSet("sttcp "+c.name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: sttcp %s %s\n  %s\n", c.name, c.args, c.summary)
 		fs.PrintDefaults()
 	}
-	exec := c.setup(fs)
+	return fs, c.setup(fs)
+}
+
+func (c command) run(args []string, stdout, stderr io.Writer) int {
+	fs, exec := c.flagSet(stderr)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0

@@ -36,7 +36,7 @@ func TestUsageErrors(t *testing.T) {
 		{"frobnicate"},
 		{"demo", "-no-such-flag"},
 		{"demo", "-demo", "demo99"},
-		{"bench", "-exp", "nothing"},
+		{"bench", "-exp", "all"}, // the sweeps are registry demos now: an unknown subcommand
 		{"lab"},
 		{"chaos", "-runs", "0"},
 		{"explore", "-faults", "gremlins"},
@@ -66,7 +66,10 @@ func TestHelpListsEverySubcommand(t *testing.T) {
 			t.Errorf("help lacks the usage of %q", c.name)
 		}
 	}
-	for _, flagName := range []string{"-demo", "-exp", "-timeline", "-gray", "-require-closed", "-diff", "-format", "-report-out"} {
+	if len(commands) != 6 {
+		t.Errorf("the command table has %d subcommands, want six (README \"Command-line reference\")", len(commands))
+	}
+	for _, flagName := range []string{"-demo", "-timeline", "-gray", "-require-closed", "-diff", "-format", "-report-out"} {
 		if !strings.Contains(out, "  "+flagName+" ") && !strings.Contains(out, "  "+flagName+"\n") {
 			t.Errorf("help lacks flag %s", flagName)
 		}
@@ -150,8 +153,9 @@ func TestTraceViewsRejectedBeforeTheRun(t *testing.T) {
 			t.Errorf("demo -demo explore %v: exit %d, stdout %q, stderr %q; want a refusal before any output", args, code, out, errb)
 		}
 	}
-	if code, out, errb := cli("bench", "-exp", "hbcap", "-metrics-out", "-"); code != 2 || out != "" {
-		t.Errorf("bench -exp hbcap -metrics-out: exit %d, stdout %q, stderr %q; want a refusal before any output", code, out, errb)
+	// The capacity demo drives a bare serial pair: no testbed, no snapshot.
+	if code, out, errb := cli("demo", "-demo", "capacity", "-metrics-out", "-"); code != 2 || out != "" || !strings.Contains(errb, "-demo capacity") {
+		t.Errorf("demo -demo capacity -metrics-out -: exit %d, stdout %q, stderr %q; want a refusal before any output", code, out, errb)
 	}
 	if left, _ := os.ReadDir(dir); len(left) != 0 {
 		t.Errorf("a refused run still wrote %d file(s)", len(left))

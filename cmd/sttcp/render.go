@@ -90,6 +90,8 @@ func (v view) printResult(w io.Writer, d experiment.Demo, res experiment.Result)
 		fmt.Fprintf(w, "%-16s %d\n", "violations:", e.Violations)
 	case len(res.Capacity) > 0:
 		printCapacity(w, res.Capacity, true)
+		fmt.Fprintln(w, "\n   same load over a crossover 100 Mbit/s Ethernet heartbeat link (§3's advice):")
+		printCapacity(w, res.EthernetCapacity, false)
 	case res.Distribution != nil:
 		fmt.Fprintf(w, "crash-phase sweep at hb=%v\n", res.Distribution.HBPeriod)
 		fmt.Fprintf(w, "%-12s %v\n", "detection:", res.Distribution.Detection)
@@ -163,25 +165,30 @@ func printFailoverVsBaseline(w io.Writer, res experiment.Result) {
 // latency, the recovery action taken, and whether the client's workload
 // survived untouched.
 func (v view) printTable1(w io.Writer, rows []experiment.ScenarioResult) error {
-	fmt.Fprintf(w, "%-32s %-12s %-44s %s\n", "scenario", "detection", "recovery action", "client ok")
+	// The action column is as wide as its longest entry, so 'client ok'
+	// lines up on every row.
+	actions, width := make([]string, len(rows)), len("recovery action")
+	for i, r := range rows {
+		switch {
+		case r.BackupState == sttcp.StateTakenOver:
+			actions[i] = "backup took over; primary powered down"
+		case r.PrimaryState == sttcp.StateNonFT:
+			actions[i] = "primary in non-FT mode; backup shut down"
+		case r.RecoveryEvents > 0:
+			actions[i] = fmt.Sprintf("missed bytes recovered (%d events); no failover", r.RecoveryEvents)
+		default:
+			actions[i] = "absorbed by normal TCP retransmission; no failover"
+		}
+		width = max(width, len(actions[i]))
+	}
+	fmt.Fprintf(w, "%-32s %-12s %-*s %s\n", "scenario", "detection", width, "recovery action", "client ok")
 	failures := 0
-	for _, r := range rows {
+	for i, r := range rows {
 		det := "-"
 		if r.DetectionTime > 0 {
 			det = r.DetectionTime.Round(time.Millisecond).String()
 		}
-		var action string
-		switch {
-		case r.BackupState == sttcp.StateTakenOver:
-			action = "backup took over; primary powered down"
-		case r.PrimaryState == sttcp.StateNonFT:
-			action = "primary in non-FT mode; backup shut down"
-		case r.RecoveryEvents > 0:
-			action = fmt.Sprintf("missed bytes recovered (%d events); no failover", r.RecoveryEvents)
-		default:
-			action = "absorbed by normal TCP retransmission; no failover"
-		}
-		fmt.Fprintf(w, "%-32s %-12s %-44s %v\n", r.Scenario, det, action, r.ClientOK)
+		fmt.Fprintf(w, "%-32s %-12s %-*s %v\n", r.Scenario, det, width, actions[i], r.ClientOK)
 		if !r.ClientOK {
 			failures++
 		}

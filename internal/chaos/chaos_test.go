@@ -3,6 +3,7 @@ package chaos
 import (
 	"flag"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -88,6 +89,33 @@ func TestChaosDeterministic(t *testing.T) {
 		if m1 != m2 {
 			t.Errorf("seed %d: metrics snapshots differ between identical runs", seed)
 		}
+	}
+}
+
+// TestSeed4468AppCrashWaitsOutTheCommitWindow pins the seed that turned
+// the wall-budgeted CI campaign red: its appcrash-serving lands 10.5 ms
+// into a drop-standby window. Injected, the primary convicts the deaf
+// backup, powers it off and goes non-FT with its own application already
+// dead, and the client stops at 1,161,015 bytes — a double failure §4.3
+// calls unrecoverable, so the guard must refuse it like every other fault
+// that silences the serving side.
+func TestSeed4468AppCrashWaitsOutTheCommitWindow(t *testing.T) {
+	res, err := Run(Generate(DefaultSpec(4468)), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed() {
+		t.Fatalf("seed 4468 violated invariants:\n%s", res.Report())
+	}
+	skipped := false
+	for _, s := range res.Skipped {
+		skipped = skipped || strings.Contains(s, "appcrash-serving") && strings.Contains(s, "output-commit window")
+	}
+	if !skipped || res.Injected["appcrash-serving"] != 0 {
+		t.Errorf("appcrash-serving was not skipped for the output-commit reason: injected %v, skipped %q", res.Injected, res.Skipped)
+	}
+	if c := res.Clients[0]; !c.Done || c.Progress != "3145728/3145728 bytes" {
+		t.Errorf("client ended at %+v, want all 3145728 bytes", c)
 	}
 }
 

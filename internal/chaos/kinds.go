@@ -66,11 +66,9 @@ var kinds = [...]kind{
 		guard: all(haveStandby, unless(servingHealthy, "serving side unhealthy; killing the standby would lose service")),
 		fault: strike(experiment.FaultCrash),
 	},
-	// An application crash has never waited out the output-commit window
-	// (committed); adding the check would re-time existing seeds.
 	EvAppCrashServing: {
 		name: "appcrash-serving", target: serving, fatal: true,
-		guard: all(unless(appRunning, "serving application already gone"), takeover),
+		guard: all(unless(appRunning, "serving application already gone"), takeover, committed),
 		fault: appCrash,
 	},
 	EvAppCrashStandby: {

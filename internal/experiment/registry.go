@@ -27,8 +27,6 @@ type Params struct {
 	Periods []time.Duration
 	// Eager enables the eager-retransmit takeover extension (Demo 2).
 	Eager bool
-	// Mode selects Demo 4's application-crash scenario; zero runs both.
-	Mode AppCrashMode
 	// TraceDetail turns on per-segment trace events and segment-journey
 	// spans in the failover demos (the -trace-out/-timeline CLI flags set
 	// it); Demo 3's overhead benchmark ignores it.
@@ -42,15 +40,6 @@ type Params struct {
 	// Conns is the concurrent-connection count for the scale demo
 	// (default 2,000).
 	Conns int
-	// ConnCounts is the capacity demo's sweep of connection counts
-	// (default the §3 series 1..250).
-	ConnCounts []int
-	// LinkBitsPerSecond overrides the heartbeat-link rate in the
-	// capacity demo (default the 115.2 kbit/s serial line).
-	LinkBitsPerSecond int64
-	// Samples is how many crash instants demo2-dist sweeps across one
-	// heartbeat period (default 8).
-	Samples int
 	// Workers bounds the worker pool for demos that fan independent
 	// simulations through internal/sweep (capacity, demo2-dist,
 	// output-commit, witness, nicload). 0 runs fully parallel; 1 forces
@@ -80,8 +69,10 @@ type Result struct {
 	// -trace-out render. Every demo that builds a testbed fills it.
 	Tracer *trace.Recorder
 
-	// Capacity is the heartbeat-link capacity series (capacity demo).
-	Capacity []SerialCapacityResult
+	// Capacity is the 115.2 kbit/s serial heartbeat link's capacity series,
+	// EthernetCapacity the same load over the crossover 100 Mbit/s
+	// Ethernet link §3 advises past ~100 connections (capacity demo).
+	Capacity, EthernetCapacity []SerialCapacityResult
 	// Distribution is the crash-phase failover distribution (demo2-dist).
 	Distribution *Demo2Distribution
 	// OutputCommit holds the §4.3 scenario without and with the logger.
@@ -252,11 +243,7 @@ func builtinDemos() []Demo {
 			Name:  "demo4",
 			Title: "application crash with and without OS cleanup",
 			Run: func(p Params) (Result, error) {
-				modes := []AppCrashMode{CrashNoCleanup, CrashWithCleanup}
-				if p.Mode != 0 {
-					modes = []AppCrashMode{p.Mode}
-				}
-				return failovers(modes, func(mode AppCrashMode) (FailoverResult, error) {
+				return failovers([]AppCrashMode{CrashNoCleanup, CrashWithCleanup}, func(mode AppCrashMode) (FailoverResult, error) {
 					r, err := runDemo4(p.options(), mode)
 					r.Scenario = mode.String()
 					return r, err
@@ -284,15 +271,17 @@ func builtinDemos() []Demo {
 			Title:    "heartbeat-link capacity vs connection count (§3 bandwidth budget)",
 			Extended: true, NoMetrics: true, NoTracer: true, // a bare serial pair, no testbed
 			Run: func(p Params) (Result, error) {
-				counts := p.ConnCounts
-				if len(counts) == 0 {
-					counts = []int{1, 10, 25, 50, 75, 100, 125, 150, 250}
+				series := func(bps int64, counts ...int) ([]SerialCapacityResult, error) {
+					return fanIdx(p.Workers, len(counts), func(i int) (SerialCapacityResult, error) {
+						return runHBLinkCapacity(counts[i], p.periods()[0], 10*time.Second, bps)
+					})
 				}
-				bps := or(p.LinkBitsPerSecond, serial.DefaultBitsPerSecond)
-				series, err := fanIdx(p.Workers, len(counts), func(i int) (SerialCapacityResult, error) {
-					return runHBLinkCapacity(counts[i], p.periods()[0], 10*time.Second, bps)
-				})
-				return Result{Capacity: series}, err
+				overSerial, err := series(serial.DefaultBitsPerSecond, 1, 10, 25, 50, 75, 100, 125, 150, 250)
+				if err != nil {
+					return Result{}, err
+				}
+				overEthernet, err := series(100_000_000, 100, 250, 1000, 3500)
+				return Result{Capacity: overSerial, EthernetCapacity: overEthernet}, err
 			},
 		},
 		{
@@ -300,7 +289,7 @@ func builtinDemos() []Demo {
 			Title:    "failover-time distribution across the crash phase at one heartbeat period",
 			Extended: true, NoMetrics: true,
 			Run: func(p Params) (Result, error) {
-				dist, tracer, err := runDemo2Sampled(p.Seed, p.periods()[0], or(p.Samples, 8), p.Workers)
+				dist, tracer, err := runDemo2Sampled(p.Seed, p.periods()[0], demo2DistSamples, p.Workers)
 				return Result{Distribution: &dist, Tracer: tracer}, err
 			},
 		},

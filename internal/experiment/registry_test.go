@@ -21,36 +21,34 @@ func mustDemo(t *testing.T, name string) Demo {
 // because every job owns a sealed simulator and results merge in input
 // order, never completion order.
 func TestRegistryParallelMatchesSerial(t *testing.T) {
-	counts := []int{1, 10, 50}
 	cap := mustDemo(t, "capacity")
-	serial, err := cap.Run(Params{ConnCounts: counts, Workers: 1})
+	serial, err := cap.Run(Params{Workers: 1})
 	if err != nil {
 		t.Fatalf("serial capacity: %v", err)
 	}
-	parallel, err := cap.Run(Params{ConnCounts: counts, Workers: 3})
+	parallel, err := cap.Run(Params{Workers: 3})
 	if err != nil {
 		t.Fatalf("parallel capacity: %v", err)
 	}
-	if !reflect.DeepEqual(serial.Capacity, parallel.Capacity) {
-		t.Errorf("capacity diverged across worker counts:\nserial:   %+v\nparallel: %+v",
-			serial.Capacity, parallel.Capacity)
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Errorf("capacity diverged across worker counts:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
 
 	if testing.Short() {
 		t.Skip("demo2-dist identity check skipped in -short")
 	}
-	dist := mustDemo(t, "demo2-dist")
-	serial, err = dist.Run(Params{Seed: 7, Samples: 3, Workers: 1})
+	// Three crash phases, not the demo's eight: the contract is the
+	// runner's, whatever the sample count.
+	one, _, err := runDemo2Sampled(7, 200*time.Millisecond, 3, 1)
 	if err != nil {
 		t.Fatalf("serial demo2-dist: %v", err)
 	}
-	parallel, err = dist.Run(Params{Seed: 7, Samples: 3, Workers: 3})
+	three, _, err := runDemo2Sampled(7, 200*time.Millisecond, 3, 3)
 	if err != nil {
 		t.Fatalf("parallel demo2-dist: %v", err)
 	}
-	if !reflect.DeepEqual(serial.Distribution, parallel.Distribution) {
-		t.Errorf("demo2-dist diverged across worker counts:\nserial:   %+v\nparallel: %+v",
-			serial.Distribution, parallel.Distribution)
+	if one != three {
+		t.Errorf("demo2-dist diverged across worker counts:\nserial:   %+v\nparallel: %+v", one, three)
 	}
 }
 
@@ -89,7 +87,7 @@ func TestRegistryArtifactsMatchDeclaration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every registered demo once")
 	}
-	p := Params{Seed: 3, Size: 1 << 20, Conns: 20, Samples: 2, ConnCounts: []int{1},
+	p := Params{Seed: 3, Size: 1 << 20, Conns: 20,
 		Periods: []time.Duration{200 * time.Millisecond}}
 	for _, d := range Demos() {
 		res, err := d.Run(p)

@@ -46,11 +46,7 @@ func paramsMap(p Params) map[string]string {
 	put("size", p.Size != 0, p.Size)
 	put("periods", len(p.Periods) > 0, p.Periods)
 	put("eager", p.Eager, p.Eager)
-	put("mode", p.Mode != 0, p.Mode)
 	put("conns", p.Conns != 0, p.Conns)
-	put("conn_counts", len(p.ConnCounts) > 0, p.ConnCounts)
-	put("link_bps", p.LinkBitsPerSecond != 0, p.LinkBitsPerSecond)
-	put("samples", p.Samples != 0, p.Samples)
 	put("telemetry_window", p.TelemetryWindow != 0, p.TelemetryWindow)
 	if len(m) == 0 {
 		return nil

@@ -38,6 +38,10 @@ type Demo2Distribution struct {
 	Failover  Stats
 }
 
+// demo2DistSamples is how many crash instants the demo2-dist demo sweeps
+// across one heartbeat period.
+const demo2DistSamples = 8
+
 // runDemo2Sampled measures the detection- and failover-time distribution
 // at one heartbeat period by sweeping the crash instant across a full
 // heartbeat interval. The phase of the crash relative to the heartbeat
@@ -51,9 +55,6 @@ type Demo2Distribution struct {
 // demo.
 func runDemo2Sampled(seed int64, period time.Duration, samples, workers int) (Demo2Distribution, *trace.Recorder, error) {
 	out := Demo2Distribution{HBPeriod: period}
-	if samples < 1 {
-		samples = 1
-	}
 	results, err := fanIdx(workers, samples, func(i int) (FailoverResult, error) {
 		run, err := plan{
 			Options:  Options{Seed: seed + int64(i)},

@@ -290,8 +290,8 @@ func (c *Conn) ForceEstablish(irs uint32) {
 func (c *Conn) FINGated() bool { return c.finGate && c.finQueued }
 
 // ForceRetransmit immediately retransmits from the oldest unacked byte and
-// resets the backoff — the "eager takeover" extension measured by the
-// ablation bench (the paper's ST-TCP instead waits for the next
+// resets the backoff — the "eager takeover" extension measured by
+// `sttcp demo -demo demo2 -eager` (the paper's ST-TCP instead waits for the next
 // retransmission timer).
 func (c *Conn) ForceRetransmit() {
 	if c.state == StateClosed || c.state == StateTimeWait {
