@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check vet lint build test race bench observers loc doc-bytes allows faults-one-place report-smoke timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
+.PHONY: all check vet lint build test race bench observers loc flags doc-bytes allows faults-one-place timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
 
 all: check
 
@@ -13,8 +13,7 @@ vet:
 
 # Domain-specific static analysis: determinism (wall clock, randomness,
 # goroutines, map-ordered output), hot-path allocation discipline, discarded
-# harness errors, and the //sttcp:allow audit (see README "Correctness
-# tooling").
+# harness errors, and the //sttcp:allow audit (see DESIGN.md §10).
 lint:
 	$(GO) run ./cmd/sttcp vet ./...
 
@@ -55,6 +54,15 @@ loc:
 	  | xargs wc -l | awk '$$2 != "total" { d = $$2; sub("^\\./", "", d); sub("/?[^/]*$$", "", d); if (d == "") d = "."; n[d] += $$1; t += $$1 } \
 	      END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t }' | sort -k2
 
+# How many command-line flags the one binary registers: every fs.Bool /
+# fs.IntVar / fs.Func / ... call under cmd/ (the shared ones in
+# cmd/internal/cliflags count once). An option is a configuration tests must
+# cover, so the count should only fall. Like `make allows` a grep; CI prints
+# it beside `make loc`.
+flags:
+	@grep -rhoE 'fs\.(Bool|Int|Int64|Uint|String|Duration|Float64|Func|Var|Text)(Var)?\(' \
+	    --include='*.go' --exclude='*_test.go' cmd | wc -l
+
 # Bytes of the three documents ROADMAP item 3 budgets (EXPERIMENTS quotes
 # its figures from `sttcp demo` under a test; the rest is prose). CI prints it
 # beside `make loc`.
@@ -84,18 +92,6 @@ faults-one-place:
 	  | grep -vE '^\./internal/(netem|serial|cluster|app)/|^\./internal/experiment/testbed\.go:' \
 	  || { echo "faults-one-place: a fault is performed outside experiment.Testbed (lines above)"; exit 1; }
 
-# Cross-run regression observatory gate: run the 50-connection scale
-# failover with telemetry sampling, render its dashboard, and diff the
-# fresh run report against the committed REPORT_0.json baseline. Reports
-# hold only virtual-time figures, so a genuine pair diffs clean on any
-# machine; `sttcp report -diff` exits 1 when a latency series or failover phase
-# regressed beyond tolerance (see EXPERIMENTS.md "Run reports & the
-# regression observatory"). CI uploads REPORT.json as an artifact.
-report-smoke:
-	$(GO) run ./cmd/sttcp demo -demo scale -conns 50 -seed 91 -report-out REPORT.json
-	$(GO) run ./cmd/sttcp report -filter client. REPORT.json
-	$(GO) run ./cmd/sttcp report -diff REPORT_0.json REPORT.json
-
 # Render the Demo 1 failover anatomy: phase report plus ASCII span timeline.
 # The same view ships as a golden (internal/scenario/testdata/golden); after
 # an intentional protocol change regenerate with
@@ -117,8 +113,8 @@ chaos-gray:
 	$(GO) run ./cmd/sttcp chaos -gray -runs 200
 
 # CI-sized campaign, stated in seeds so every machine checks the same
-# schedules (seeds 1-4,500; ~30 s on a 2-core machine). `-runs 0 -wall DUR`
-# is for local soaks.
+# schedules (seeds 1-4,500; ~30 s on a 2-core machine). A local soak is a
+# bigger -runs from another -seed, never a number of seconds.
 chaos-smoke:
 	$(GO) run ./cmd/sttcp chaos -runs 4500
 
@@ -128,10 +124,10 @@ chaos-smoke:
 explore:
 	$(GO) run ./cmd/sttcp explore -seed 7 -fault-span 4ms -grace 10ms -fault-points 2
 
-# CI-sized exploration: the closable window, with a wall budget as a
-# backstop against pathological machines.
+# CI-sized exploration: the closable window must close (-max-runs bounds it
+# on any machine, after the same run).
 explore-smoke:
-	$(GO) run ./cmd/sttcp explore -seed 7 -fault-span 4ms -grace 10ms -fault-points 2 -wall 25s -require-closed
+	$(GO) run ./cmd/sttcp explore -seed 7 -fault-span 4ms -grace 10ms -fault-points 2 -require-closed
 
 clean:
 	$(GO) clean ./...

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/cmd/internal/cliflags"
 	"repro/internal/chaos"
@@ -15,8 +14,7 @@ import (
 // failure. The same seed always reproduces the same run bit for bit.
 func setupChaos(fs *flag.FlagSet) func(io.Writer) error {
 	seed := cliflags.Seed(fs, 1, "run i uses seed+i")
-	runs := fs.Int("runs", 100, "number of schedules to run (0 with -wall: unlimited)")
-	wall := fs.Duration("wall", 0, "stop starting new runs after this much real time (0: no limit)")
+	runs := fs.Int("runs", 100, "number of schedules to run (seeds seed..seed+runs-1)")
 	shrinkBudget := fs.Int("shrink-budget", 50, "max re-executions the shrinker may spend on a failure")
 	traceDetail := fs.Bool("trace-detail", false, "record per-segment trace events and spans (heavier; pairs well with -trace-out)")
 	gray := fs.Bool("gray", false, "generate gray-failure schedules (starvation, asymmetric cuts, corruption, flapping, clock skew) instead of crisp Table 1 faults")
@@ -24,30 +22,23 @@ func setupChaos(fs *flag.FlagSet) func(io.Writer) error {
 	art := cliflags.Register(fs, "the last (or first failing) run", cliflags.Metrics|cliflags.Trace|cliflags.Report|cliflags.Window)
 
 	return func(stdout io.Writer) error {
-		if *runs == 0 && *wall == 0 {
-			return usageErr("need -runs or -wall")
+		if *runs < 1 {
+			return usageErr("-runs %d: a campaign needs at least one schedule", *runs)
 		}
 		opts := chaos.Options{TraceDetail: *traceDetail, TelemetryWindow: art.Window()}
 
-		// The -wall budget is real time by definition: it bounds how long a
-		// local soak may occupy the machine, not anything inside a run.
-		// Nothing below the per-run boundary ever sees this clock.
-		start := time.Now() //sttcp:allow simdeterminism -wall budgets real time, outside any simulation
+		campaign := chaos.CampaignDefault
+		if *gray {
+			campaign = chaos.CampaignGray
+		}
 		var (
-			executed, skipped int
-			takeovers, nonft  int64
-			last              *chaos.RunResult
+			skipped          int
+			takeovers, nonft int64
+			last             *chaos.RunResult
 		)
-		for i := 0; *runs == 0 || i < *runs; i++ {
-			if *wall > 0 && time.Since(start) >= *wall { //sttcp:allow simdeterminism -wall budgets real time, outside any simulation
-				break
-			}
+		for i := 0; i < *runs; i++ {
 			s := *seed + int64(i)
-			spec := chaos.DefaultSpec(s)
-			if *gray {
-				spec = chaos.GraySpec(s)
-			}
-			sc := chaos.Generate(spec)
+			sc := chaos.Generate(campaign, s)
 			if *verbose {
 				fmt.Fprintf(stdout, "--- run %d ---\n%v", i, sc)
 			}
@@ -55,7 +46,6 @@ func setupChaos(fs *flag.FlagSet) func(io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("seed %d: %w", s, err)
 			}
-			executed++
 			last = res
 			skipped += len(res.Skipped)
 			takeovers += res.Metrics.CounterTotal("sttcp.takeovers")
@@ -85,15 +75,12 @@ func setupChaos(fs *flag.FlagSet) func(io.Writer) error {
 				return fmt.Errorf("seed %d violated an invariant", s)
 			}
 		}
-		if last != nil {
-			art.Note(last.Metrics, last.Trace, last.RunReport())
-		}
+		art.Note(last.Metrics, last.Trace, last.RunReport())
 		if err := art.Write(stdout); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "sttcp chaos: %d runs in %v, all invariants held (%d takeovers, %d non-FT transitions, %d events skipped as unsurvivable)\n",
-			executed, //sttcp:allow simdeterminism campaign summary reports real elapsed time
-			time.Since(start).Round(time.Millisecond), takeovers, nonft, skipped)
+		fmt.Fprintf(stdout, "sttcp chaos: %d runs, all invariants held (%d takeovers, %d non-FT transitions, %d events skipped as unsurvivable)\n",
+			*runs, takeovers, nonft, skipped)
 		fmt.Fprintf(stdout, "invariants checked: %v\n", chaos.InvariantNames())
 		return nil
 	}

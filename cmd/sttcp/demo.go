@@ -9,7 +9,6 @@ import (
 
 	"repro/cmd/internal/cliflags"
 	"repro/internal/experiment"
-	_ "repro/internal/explore" // registers the explore demo
 )
 
 // setupDemo is `sttcp demo`: it runs registry demos and prints what the

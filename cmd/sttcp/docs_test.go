@@ -23,7 +23,8 @@ var docs = []string{"../../README.md", "../../DESIGN.md", experimentsDoc, "../..
 var quoted = regexp.MustCompile("(?s)<!-- (sttcp [^\n]*?) -->\n```\n(.*?)```\n<!-- /sttcp -->\n")
 
 // TestExperimentsQuotesTheTool: every paper number in EXPERIMENTS.md sits
-// in a block quoted from `sttcp demo`, so a protocol change that moves one
+// in a block quoted from `sttcp demo` (and the explorer's closure verdict in
+// one from `sttcp explore`), so a protocol change that moves one
 // fails here, naming the command, until the doc is regenerated on purpose:
 //
 //	go test ./cmd/sttcp -run ExperimentsQuotesTheTool -update

@@ -26,7 +26,6 @@ func setupExplore(fs *flag.FlagSet) func(io.Writer) error {
 	faults := fs.String("faults", "crash-serving", "comma-separated fault kinds to place at each boundary")
 	fs.IntVar(&cfg.MaxRuns, "max-runs", 2000, "max interleavings to execute")
 	fs.IntVar(&cfg.MaxPrefix, "max-prefix", 64, "max choice-prefix depth (deeper branch points void the closure claim)")
-	wall := fs.Duration("wall", 0, "stop extending the frontier after this much real time (0: no limit)")
 	fs.IntVar(&cfg.Workers, "workers", 0, "replay worker pool (0: fully parallel; results identical for any setting)")
 	fs.BoolVar(&cfg.NoPrune, "no-prune", false, "disable DPOR-style independence pruning")
 	fs.BoolVar(&cfg.NoDedup, "no-dedup", false, "disable outcome-fingerprint dedup")
@@ -43,16 +42,6 @@ func setupExplore(fs *flag.FlagSet) func(io.Writer) error {
 			}
 			cfg.FaultKinds = append(cfg.FaultKinds, k)
 		}
-		// The -wall budget bounds how long the exploration may occupy a CI
-		// worker; it is polled only between replay batches, so nothing inside
-		// a simulated run ever sees this clock.
-		start := time.Now() //sttcp:allow simdeterminism -wall budgets real CI time, outside any simulation
-		if *wall > 0 {
-			cfg.Stop = func() bool {
-				return time.Since(start) >= *wall //sttcp:allow simdeterminism -wall budgets real CI time, outside any simulation
-			}
-		}
-
 		res, err := explore.Explore(cfg)
 		if err != nil {
 			return err
@@ -60,8 +49,6 @@ func setupExplore(fs *flag.FlagSet) func(io.Writer) error {
 		fmt.Fprintf(stdout, "sttcp explore: seed=%d window=[%v,%v) grace=%v\n",
 			cfg.Seed, cfg.FaultAt, cfg.FaultAt+cfg.FaultSpan, cfg.Grace)
 		fmt.Fprintf(stdout, "%s", res.Report())
-		fmt.Fprintf(stdout, "elapsed: %v\n", //sttcp:allow simdeterminism summary reports real elapsed time
-			time.Since(start).Round(time.Millisecond))
 
 		if len(res.Violations) > 0 {
 			r := res.Violations[0].Result

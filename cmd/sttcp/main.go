@@ -24,7 +24,7 @@ var commands = []command{
 	{"lab", "[flags] <script.sttcp | ->", "run a scripted failure scenario and judge its expectations", setupLab},
 	{"chaos", "[flags]", "run a seeded chaos campaign judged by the invariant registry", setupChaos},
 	{"explore", "[flags]", "exhaustively explore tie-break orders and fault placements in a failover window", setupExplore},
-	{"report", "[flags] REPORT.json | -diff BASE.json CAND.json", "render a run report as a dashboard, or diff two as a regression gate", setupReport},
+	{"report", "[flags] REPORT.json", "render a run report as a dashboard", setupReport},
 	{"vet", "[flags] [patterns...]", "run the domain static-analysis suite over the module", setupVet},
 }
 

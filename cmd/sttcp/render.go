@@ -78,16 +78,6 @@ func (v view) printResult(w io.Writer, d experiment.Demo, res experiment.Result)
 		fmt.Fprintf(w, "%-22s %v\n", "max client stall:", s.MaxStall.Round(time.Millisecond))
 		fmt.Fprintf(w, "%-22s %d\n", "segments emitted:", s.SegmentsEmitted)
 		anatomy = s.Anatomy
-	case res.Explore != nil:
-		e := res.Explore
-		fmt.Fprintf(w, "%-16s %d across %d fault points\n", "interleavings:", e.Interleavings, e.FaultPoints)
-		fmt.Fprintf(w, "%-16s %d (pruned %d, deduped %d)\n", "choice points:", e.ChoicePoints, e.Pruned, e.Deduped)
-		verdict := fmt.Sprintf("NOT closed (frontier %d)", e.Frontier)
-		if e.FullyClosed {
-			verdict = "FULLY CLOSED: every interleaving explored"
-		}
-		fmt.Fprintf(w, "%-16s %s\n", "window:", verdict)
-		fmt.Fprintf(w, "%-16s %d\n", "violations:", e.Violations)
 	case len(res.Capacity) > 0:
 		printCapacity(w, res.Capacity, true)
 		fmt.Fprintln(w, "\n   same load over a crossover 100 Mbit/s Ethernet heartbeat link (§3's advice):")

@@ -17,13 +17,13 @@ import (
 // clean, 1 diagnostics, 2 a load or usage error. Suppressions are audited
 // in source, never on the command line:
 //
-//	t := time.Now() //sttcp:allow simdeterminism wall budget for the campaign loop
+//	return time.Now() //sttcp:allow simdeterminism host-time measurement, never fed to an event loop
 func setupVet(fs *flag.FlagSet) func(io.Writer) error {
 	format := fs.String("format", "text", "diagnostic format: text or github (workflow annotations)")
 	flagUsage := fs.Usage
 	fs.Usage = func() {
 		flagUsage()
-		fmt.Fprintln(fs.Output(), "analyzers (all run; README \"Correctness tooling\" has the table):")
+		fmt.Fprintln(fs.Output(), "analyzers (all run; DESIGN.md §10 has the table):")
 		for _, a := range analysis.Analyzers() {
 			fmt.Fprintf(fs.Output(), "  %-16s %s\n", a.Name, a.Doc)
 		}

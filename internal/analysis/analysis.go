@@ -18,7 +18,7 @@
 // `go test ./...` so a violation fails the tier-1 gate. Span pairing,
 // causal-context restore, frame-pool lifetimes and daemon-tick hygiene
 // are deterministic runtime faults at a handful of call sites, so tests
-// hold them, not analyzers — README "Correctness tooling" names them.
+// hold them, not analyzers — DESIGN.md §10 names them.
 //
 // The framework is deliberately small: a Package loader built on
 // go/parser and go/types (the "source" importer resolves the standard
@@ -27,7 +27,7 @@
 // golang.org/x/tools/go/analysis, and a driver that applies the
 // //sttcp:allow suppression directive:
 //
-//	foo := time.Now() //sttcp:allow simdeterminism wall budget for the campaign loop
+//	return time.Now() //sttcp:allow simdeterminism host-time measurement, never fed to an event loop
 //
 // An allow names the analyzer it silences and must carry a reason; it
 // applies to diagnostics on its own line or, for a comment standing alone

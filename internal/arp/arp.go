@@ -127,11 +127,5 @@ func (t *Table) Lookup(addr ip.Addr) (eth.Addr, bool) {
 	return e.hw, ok
 }
 
-// IsStatic reports whether addr has a pinned entry.
-func (t *Table) IsStatic(addr ip.Addr) bool {
-	e, ok := t.entries[addr]
-	return ok && e.static
-}
-
 // Len reports the number of entries.
 func (t *Table) Len() int { return len(t.entries) }

@@ -91,8 +91,8 @@ func TestStaticEntrySurvivesLearn(t *testing.T) {
 	if !ok || got != group {
 		t.Fatalf("static entry displaced: %v", got)
 	}
-	if !tbl.IsStatic(service) {
-		t.Fatal("entry not reported static")
+	if !tbl.entries[service].static {
+		t.Fatal("entry no longer static")
 	}
 	if tbl.Len() != 1 {
 		t.Fatalf("len = %d, want 1", tbl.Len())

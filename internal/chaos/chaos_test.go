@@ -39,11 +39,11 @@ func TestChaos(t *testing.T) {
 
 func runOne(t *testing.T, seed int64, verbose bool) Schedule {
 	t.Helper()
-	spec := DefaultSpec(seed)
+	campaign := CampaignDefault
 	if *chaosGray {
-		spec = GraySpec(seed)
+		campaign = CampaignGray
 	}
-	sc := Generate(spec)
+	sc := Generate(campaign, seed)
 	if verbose {
 		t.Logf("schedule:\n%v", sc)
 	}
@@ -75,7 +75,7 @@ func runOne(t *testing.T, seed int64, verbose bool) Schedule {
 func TestChaosDeterministic(t *testing.T) {
 	for _, seed := range []int64{3, 17, 40} {
 		run := func() (string, string) {
-			res, err := Run(Generate(DefaultSpec(seed)), Options{})
+			res, err := Run(Generate(CampaignDefault, seed), Options{})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -100,7 +100,7 @@ func TestChaosDeterministic(t *testing.T) {
 // calls unrecoverable, so the guard must refuse it like every other fault
 // that silences the serving side.
 func TestSeed4468AppCrashWaitsOutTheCommitWindow(t *testing.T) {
-	res, err := Run(Generate(DefaultSpec(4468)), Options{})
+	res, err := Run(Generate(CampaignDefault, 4468), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestChaosShrinksBrokenDetection(t *testing.T) {
 }
 
 // TestChaosGray is the gray-failure campaign: 50 seed-derived schedules
-// drawn from GraySpec — starvation, asymmetric cuts, corrupting links,
+// drawn from the gray campaign — starvation, asymmetric cuts, corrupting links,
 // flapping interfaces, clock skew — every one judged by the full
 // invariant registry including the gray invariants (quiescence under
 // noise, detection bounds on verdict faults, fingerprint evidence,
@@ -243,9 +243,9 @@ func TestChaosShrinksBrokenDetection(t *testing.T) {
 func TestChaosGray(t *testing.T) {
 	verdicts, noise := 0, 0
 	for seed := int64(1); seed <= 50; seed++ {
-		sc := Generate(GraySpec(seed))
+		sc := Generate(CampaignGray, seed)
 		if !sc.HasGray() {
-			t.Fatalf("seed %d: GraySpec schedule has no gray fault:\n%v", seed, sc)
+			t.Fatalf("seed %d: gray-campaign schedule has no gray fault:\n%v", seed, sc)
 		}
 		if sc.DriftObservable() && sc.HasGray() {
 			noise++
@@ -279,7 +279,7 @@ func TestChaosGray(t *testing.T) {
 func TestChaosGrayDeterministic(t *testing.T) {
 	for _, seed := range []int64{2, 30, 42} {
 		run := func() (string, string) {
-			res, err := Run(Generate(GraySpec(seed)), Options{})
+			res, err := Run(Generate(CampaignGray, seed), Options{})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -361,7 +361,7 @@ func TestGrayCorruptionRiddenOut(t *testing.T) {
 // least one fault exists, and String/Signature round out stably.
 func TestGenerateShapes(t *testing.T) {
 	for seed := int64(1); seed <= 500; seed++ {
-		sc := Generate(DefaultSpec(seed))
+		sc := Generate(CampaignDefault, seed)
 		if len(sc.Events) < 2 {
 			t.Fatalf("seed %d: schedule has no fault events:\n%v", seed, sc)
 		}
@@ -376,7 +376,7 @@ func TestGenerateShapes(t *testing.T) {
 		if sc.Workload != "download" && sc.Workload != "echo" {
 			t.Fatalf("seed %d: unknown workload %q", seed, sc.Workload)
 		}
-		if a, b := Generate(DefaultSpec(seed)).Signature(), sc.Signature(); a != b {
+		if a, b := Generate(CampaignDefault, seed).Signature(), sc.Signature(); a != b {
 			t.Fatalf("seed %d: Generate is not deterministic", seed)
 		}
 		if fmt.Sprint(sc) == "" {

@@ -64,12 +64,12 @@ func TestCampaignDigest(t *testing.T) {
 		t.Skip("120 campaign runs skipped in -short")
 	}
 	for _, c := range []struct {
-		name string
-		spec func(int64) GenSpec
-	}{{"default", DefaultSpec}, {"gray", GraySpec}} {
+		name     string
+		campaign Campaign
+	}{{"default", CampaignDefault}, {"gray", CampaignGray}} {
 		var got strings.Builder
 		for seed := int64(1); seed <= 60; seed++ {
-			res, err := Run(Generate(c.spec(seed)), Options{})
+			res, err := Run(Generate(c.campaign, seed), Options{})
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", c.name, seed, err)
 			}

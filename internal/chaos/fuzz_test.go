@@ -18,9 +18,9 @@ func FuzzGraySchedule(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		sc := Generate(GraySpec(seed))
+		sc := Generate(CampaignGray, seed)
 		if !sc.HasGray() {
-			t.Fatalf("seed %d: no gray fault in a GraySpec schedule:\n%v", seed, sc)
+			t.Fatalf("seed %d: no gray fault in a gray-campaign schedule:\n%v", seed, sc)
 		}
 		if len(sc.Events) == 0 || sc.Events[0].Kind != EvClientStart || sc.Events[0].At != 0 {
 			t.Fatalf("seed %d: schedule must open with client-start@0:\n%v", seed, sc)
@@ -42,7 +42,7 @@ func FuzzGraySchedule(f *testing.F) {
 				t.Fatalf("seed %d: flap period %v not positive:\n%v", seed, e.Period, sc)
 			}
 		}
-		if Generate(GraySpec(seed)).Signature() != sc.Signature() {
+		if Generate(CampaignGray, seed).Signature() != sc.Signature() {
 			t.Fatalf("seed %d: generation is not deterministic", seed)
 		}
 		res, err := Run(sc, Options{})

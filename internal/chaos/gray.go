@@ -55,7 +55,7 @@ func expectAsymVerdict(h *harness, _ Event, t *cluster.Host) {
 // can stall the workload into RTO backoff). An exposure counts traffic
 // actually subjected to the corruption rate; the evidence check only
 // demands a reject once enough frames were exposed that a clean window is
-// astronomically unlikely (0.95^250 ≈ 3e-6 at the GraySpec rate floor;
+// astronomically unlikely (0.95^250 ≈ 3e-6 at the gray campaign's rate floor;
 // 0.70^25 ≈ 1e-4 on serial).
 const (
 	corruptMinFrames     = 250

@@ -266,228 +266,73 @@ func (sc Schedule) WithoutEvent(i int) Schedule {
 	return out
 }
 
-// KindWeight weights one kind in a generator slate. Slates expand in
-// slice order, so two specs with identical ordered weights consume the
-// generator's randomness identically — the property that keeps
-// DefaultSpec byte-compatible with historical seeds.
-type KindWeight struct {
-	Kind   EventKind
-	Weight int
-}
+// Campaign names one of the two schedule families Generate draws.
+type Campaign int
 
-// Range bounds a uniform duration draw (inclusive Lo, exclusive Hi).
-type Range struct{ Lo, Hi time.Duration }
+const (
+	// CampaignDefault is crisp Table 1 faults (machine, application and NIC
+	// failures, with the double-failover chain) over benign noise on every
+	// link; no gray events.
+	CampaignDefault Campaign = iota
+	// CampaignGray drops the fatal slate, restricts background noise to the
+	// client link (server-link noise would blur the quiescence judgement of
+	// the detectors under test), and draws from the gray fault classes.
+	CampaignGray
+)
 
-// FloatRange bounds a uniform float draw.
-type FloatRange struct{ Lo, Hi float64 }
-
-// GenSpec parameterises schedule generation: per-kind weights for the
-// benign, fatal, and gray slates, and the duration/rate bounds for each
-// fault family. DefaultSpec reproduces the historical generator exactly;
-// GraySpec trades the fatal slate for the gray one.
-type GenSpec struct {
-	// Seed drives generation AND the run the schedule is injected into.
-	Seed int64
-	// Horizon bounds the run (default 60s).
-	Horizon time.Duration
-
-	// Benign is the background-noise slate; up to MaxBenign events are
-	// drawn from it, placed uniformly in BenignAt. An empty slate (or
-	// MaxBenign 0) disables benign noise.
-	Benign    []KindWeight
-	MaxBenign int
-	BenignAt  Range
-
-	// Parameter bounds for the benign families.
-	DropDur  Range
-	LossRate FloatRange
-	LossDur  Range
-	Delay    Range
-	DelayDur Range
-
-	// Fatal is the crisp-fault slate; an empty slate disables fatal
-	// faults entirely. When benign noise was drawn, a fatal fault lands
-	// with probability FatalProb (a noise-free schedule always gets
-	// one); it is placed in EarlyAt (the connection-establishment
-	// window) with probability EarlyProb, else in FatalAt.
-	Fatal       []KindWeight
-	FatalProb   float64
-	EarlyProb   float64
-	EarlyAt     Range
-	FatalAt     Range
-	CleanupProb float64
-
-	// The double-failover chain: a serving-side fatal fault rejoins with
-	// probability ChainProb, then starts a second client with
-	// SecondClientProb, then kills again with SecondFatalProb.
-	ChainProb        float64
-	SecondClientProb float64
-	SecondFatalProb  float64
-
-	// Gray is the gray-failure slate; an empty slate disables gray
-	// faults. A drawn verdict-class kind (starve, asym partition) makes
-	// the whole schedule verdict-class: exactly one detection target,
-	// with the workload forced long enough to span it. Any other first
-	// draw makes a noise-class schedule of up to MaxGray distinct kinds,
-	// which the gray-quiescence invariant requires to stay verdict-free.
-	Gray    []KindWeight
-	MaxGray int
-	GrayAt  Range
-
-	// Parameter bounds for the gray families.
-	StarveScale      FloatRange
-	StarveDur        Range
-	AsymDur          Range
-	CorruptRate      FloatRange
-	CorruptDur       Range
-	SerialCorrupt    FloatRange
-	SerialCorruptDur Range
-	FlapPeriod       Range
-	FlapDur          Range
-	SkewScale        FloatRange
-	SkewDur          Range
-	// SkewRideProb is the chance a verdict-class schedule also skews the
-	// standby's clock: detection must still meet its deadline with a
-	// mildly off-rate observer.
-	SkewRideProb float64
-}
-
-// DefaultSpec is the historical generator: crisp Table 1 faults plus
-// benign noise, no gray events. For any seed, Generate(DefaultSpec(seed))
-// produces exactly the schedule the pre-GenSpec Generate(seed) did.
-func DefaultSpec(seed int64) GenSpec {
-	return GenSpec{
-		Seed:    seed,
-		Horizon: 60 * time.Second,
-		Benign: []KindWeight{
-			{EvDropServing, 1}, {EvDropStandby, 1}, {EvDropClient, 1},
-			{EvLossServing, 1}, {EvLossStandby, 1}, {EvLossClient, 1},
-			{EvDelayServing, 1}, {EvDelayStandby, 1}, {EvDelayClient, 1},
-			{EvSerialCut, 1},
-		},
-		MaxBenign: 3,
-		BenignAt:  Range{0, 3 * time.Second},
-		// Drops stay shorter than the 600 ms HB timeout: they must never
-		// cause a spurious failover on a server link.
-		DropDur:  Range{50 * time.Millisecond, 400 * time.Millisecond},
-		LossRate: FloatRange{0.05, 0.25},
-		LossDur:  Range{200 * time.Millisecond, 2 * time.Second},
-		Delay:    Range{time.Millisecond, 20 * time.Millisecond},
-		DelayDur: Range{100 * time.Millisecond, 2 * time.Second},
-		Fatal: []KindWeight{
-			{EvCrashServing, 3}, {EvCrashStandby, 2},
-			{EvAppCrashServing, 2}, {EvAppCrashStandby, 1},
-			{EvNICFailServing, 1}, {EvNICFailStandby, 1},
-		},
-		FatalProb:        0.75,
-		EarlyProb:        0.30,
-		EarlyAt:          Range{0, 300 * time.Millisecond},
-		FatalAt:          Range{0, 1200 * time.Millisecond},
-		CleanupProb:      0.33,
-		ChainProb:        0.5,
-		SecondClientProb: 0.6,
-		SecondFatalProb:  0.6,
+// The generator's slates. A kind's weight is how many times it appears,
+// and the order is part of the draw contract: a slate is indexed by
+// rng.Intn, so reordering one moves every pinned seed.
+var (
+	benignSlate = []EventKind{
+		EvDropServing, EvDropStandby, EvDropClient,
+		EvLossServing, EvLossStandby, EvLossClient,
+		EvDelayServing, EvDelayStandby, EvDelayClient,
+		EvSerialCut,
 	}
-}
-
-// GraySpec generates gray-failure schedules: the fatal slate is dropped,
-// background noise is restricted to the client link (server-link noise
-// would blur the quiescence judgement of the detectors under test), and
-// one of the five gray fault classes is drawn.
-func GraySpec(seed int64) GenSpec {
-	sp := DefaultSpec(seed)
-	sp.Benign = []KindWeight{
-		{EvDropClient, 1}, {EvLossClient, 1}, {EvDelayClient, 1},
+	benignClientSlate = []EventKind{EvDropClient, EvLossClient, EvDelayClient}
+	fatalSlate        = []EventKind{
+		EvCrashServing, EvCrashServing, EvCrashServing,
+		EvCrashStandby, EvCrashStandby,
+		EvAppCrashServing, EvAppCrashServing,
+		EvAppCrashStandby,
+		EvNICFailServing,
+		EvNICFailStandby,
 	}
-	sp.MaxBenign = 2
-	sp.Fatal = nil
-	sp.Gray = []KindWeight{
-		{EvStarveServing, 3}, {EvAsymPartition, 2},
-		{EvCorruptServing, 2}, {EvCorruptSerial, 2},
-		{EvNICFlap, 2}, {EvSerialFlap, 1}, {EvClockSkew, 2},
+	graySlate = []EventKind{
+		EvStarveServing, EvStarveServing, EvStarveServing,
+		EvAsymPartition, EvAsymPartition,
+		EvCorruptServing, EvCorruptServing,
+		EvCorruptSerial, EvCorruptSerial,
+		EvNICFlap, EvNICFlap,
+		EvSerialFlap,
+		EvClockSkew, EvClockSkew,
 	}
-	sp.MaxGray = 3
-	sp.GrayAt = Range{800 * time.Millisecond, 2 * time.Second}
-	// Starvation stretch: staleness observed by the scorer is roughly
-	// (Scale-1)ms per processing quantum plus heartbeat staleness, so
-	// the floor sits comfortably above the 400 ms response SLO.
-	sp.StarveScale = FloatRange{450, 800}
-	sp.StarveDur = Range{6 * time.Second, 10 * time.Second}
-	// Long enough for grace (1s) + hold (1s) + ping turnaround, short
-	// enough that the link is restored within the horizon.
-	sp.AsymDur = Range{5 * time.Second, 8 * time.Second}
-	// LAN corruption bounded so the resulting retransmission stalls keep
-	// the suspicion bucket below threshold.
-	sp.CorruptRate = FloatRange{0.05, 0.10}
-	sp.CorruptDur = Range{800 * time.Millisecond, 1500 * time.Millisecond}
-	// Serial heartbeats flow at only 5/s, so the rate and window are
-	// sized for the CRC-error fingerprint to be near-certain (≥ 25
-	// frames cross both ports in the shortest window; at the floor rate
-	// the no-reject probability is under 0.02%).
-	sp.SerialCorrupt = FloatRange{0.30, 0.45}
-	sp.SerialCorruptDur = Range{2500 * time.Millisecond, 4 * time.Second}
-	// Flap cycles well under the 600 ms HB timeout.
-	sp.FlapPeriod = Range{100 * time.Millisecond, 250 * time.Millisecond}
-	sp.FlapDur = Range{1500 * time.Millisecond, 3 * time.Second}
-	// Skew magnitude past the 8% drift-note threshold, long enough for
-	// the EWMA to converge.
-	sp.SkewScale = FloatRange{1.10, 1.15}
-	sp.SkewDur = Range{6 * time.Second, 9 * time.Second}
-	sp.SkewRideProb = 0.35
-	return sp
-}
+)
 
+// dur draws a duration uniformly from [lo, hi).
 func dur(rng *rand.Rand, lo, hi time.Duration) time.Duration {
 	return lo + time.Duration(rng.Int63n(int64(hi-lo)))
 }
 
-func rdur(rng *rand.Rand, r Range) time.Duration { return dur(rng, r.Lo, r.Hi) }
-
-func rfloat(rng *rand.Rand, r FloatRange) float64 {
-	return r.Lo + (r.Hi-r.Lo)*rng.Float64()
+// uniform draws a float uniformly from [lo, hi).
+func uniform(rng *rand.Rand, lo, hi float64) float64 {
+	return lo + (hi-lo)*rng.Float64()
 }
 
-// expandKinds unrolls a weighted slate into a draw slice, in slice order.
-func expandKinds(ws []KindWeight) []EventKind {
-	var out []EventKind
-	for _, w := range ws {
-		for i := 0; i < w.Weight; i++ {
-			out = append(out, w.Kind)
-		}
-	}
-	return out
-}
-
-// hasKind reports whether the slate mentions k with positive weight.
-func hasKind(ws []KindWeight, k EventKind) bool {
-	for _, w := range ws {
-		if w.Kind == k && w.Weight > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Generate derives a randomized schedule from the spec. The generator
-// biases toward interesting structure: every schedule starts a client at
-// t=0 and injects at least one fault; fatal faults land early (EarlyProb
-// inside the connection-establishment window) so handshake races are
-// exercised; a fatal fault on the serving side may chain into a rejoin, a
-// second client, and a second fatal fault — the double-failover path.
-func Generate(spec GenSpec) Schedule {
-	return GenerateWith(sim.NewRand(spec.Seed), spec)
-}
-
-// GenerateWith is Generate drawing from an injected source — the audit
-// point for schedule randomness. The campaign driver passes sim.NewRand
-// (spec.Seed), so the schedule and the testbed run it is injected into
-// derive from the same single seed; tests may pass any deterministic
-// source.
-func GenerateWith(rng *rand.Rand, spec GenSpec) Schedule {
-	sc := Schedule{Seed: spec.Seed, Horizon: spec.Horizon}
-	if sc.Horizon == 0 {
-		sc.Horizon = 60 * time.Second
-	}
+// Generate derives the campaign's randomized schedule for seed; the same
+// seed drives the run the schedule is injected into (sim.NewRand is the
+// audited seeding point). The generator biases toward interesting
+// structure: every schedule starts a client at t=0 and injects at least one
+// fault; fatal faults land early (30 % inside the connection-establishment
+// window) so handshake races are exercised; a fatal fault on the serving
+// side may chain into a rejoin, a second client, and a second fatal fault —
+// the double-failover path. The order of the draws below is the contract
+// the pinned seeds and campaign digests hold: a bound may move, a draw may
+// not.
+func Generate(campaign Campaign, seed int64) Schedule {
+	rng := sim.NewRand(seed)
+	sc := Schedule{Seed: seed, Horizon: 60 * time.Second}
 
 	if rng.Intn(2) == 0 {
 		sc.Workload = "download"
@@ -500,79 +345,88 @@ func GenerateWith(rng *rand.Rand, spec GenSpec) Schedule {
 	sc.Events = append(sc.Events, Event{At: 0, Kind: EvClientStart})
 
 	// Benign background noise.
-	benign := expandKinds(spec.Benign)
-	nBenign := 0
-	if len(benign) > 0 && spec.MaxBenign > 0 {
-		nBenign = rng.Intn(spec.MaxBenign + 1)
+	benign, maxBenign := benignSlate, 3
+	if campaign == CampaignGray {
+		benign, maxBenign = benignClientSlate, 2
 	}
+	nBenign := rng.Intn(maxBenign + 1)
 	for i := 0; i < nBenign; i++ {
-		ev := Event{At: rdur(rng, spec.BenignAt), Kind: benign[rng.Intn(len(benign))]}
+		ev := Event{At: dur(rng, 0, 3*time.Second), Kind: benign[rng.Intn(len(benign))]}
 		switch ev.Kind {
 		case EvDropServing, EvDropStandby, EvDropClient:
-			ev.Dur = rdur(rng, spec.DropDur)
+			// Drops stay shorter than the 600 ms HB timeout: they must
+			// never cause a spurious failover on a server link.
+			ev.Dur = dur(rng, 50*time.Millisecond, 400*time.Millisecond)
 		case EvLossServing, EvLossStandby, EvLossClient:
-			ev.Rate = rfloat(rng, spec.LossRate)
-			ev.Dur = rdur(rng, spec.LossDur)
+			ev.Rate = uniform(rng, 0.05, 0.25)
+			ev.Dur = dur(rng, 200*time.Millisecond, 2*time.Second)
 		case EvDelayServing, EvDelayStandby, EvDelayClient:
-			ev.Delay = rdur(rng, spec.Delay)
-			ev.Dur = rdur(rng, spec.DelayDur)
+			ev.Delay = dur(rng, time.Millisecond, 20*time.Millisecond)
+			ev.Dur = dur(rng, 100*time.Millisecond, 2*time.Second)
 		}
 		sc.Events = append(sc.Events, ev)
 	}
 
-	// The fatal fault, biased toward the handshake window.
-	fatal := expandKinds(spec.Fatal)
-	haveFatal := len(fatal) > 0 && (nBenign == 0 || rng.Float64() < spec.FatalProb)
-	if haveFatal {
-		ev := Event{Kind: fatal[rng.Intn(len(fatal))]}
-		if rng.Float64() < spec.EarlyProb {
-			ev.At = rdur(rng, spec.EarlyAt)
-		} else {
-			ev.At = rdur(rng, spec.FatalAt)
-		}
-		if ev.Kind == EvAppCrashServing || ev.Kind == EvAppCrashStandby {
-			ev.Cleanup = rng.Float64() < spec.CleanupProb
-		}
-		sc.Events = append(sc.Events, ev)
-
-		// A serving-side fatal fault can chain into the repair loop and
-		// a second failover generation.
-		servingFatal := ev.Kind == EvCrashServing ||
-			(ev.Kind == EvAppCrashServing && !ev.Cleanup) ||
-			ev.Kind == EvNICFailServing
-		if servingFatal && rng.Float64() < spec.ChainProb {
-			rejoinAt := ev.At + 4*time.Second + dur(rng, 0, 2*time.Second)
-			sc.Events = append(sc.Events, Event{At: rejoinAt, Kind: EvRejoin})
-			if rng.Float64() < spec.SecondClientProb {
-				clientAt := rejoinAt + dur(rng, 0, time.Second)
-				sc.Events = append(sc.Events, Event{At: clientAt, Kind: EvSecondClient})
-				if rng.Float64() < spec.SecondFatalProb {
-					second := EvCrashServing
-					if rng.Intn(2) == 0 {
-						second = EvCrashStandby
-					}
-					sc.Events = append(sc.Events, Event{
-						At:   clientAt + dur(rng, 200*time.Millisecond, 1500*time.Millisecond),
-						Kind: second,
-					})
-				}
-			}
-		}
-	}
-
-	if len(spec.Gray) > 0 {
-		generateGray(rng, spec, &sc)
+	if campaign == CampaignGray {
+		generateGray(rng, &sc)
+	} else if nBenign == 0 || rng.Float64() < 0.75 {
+		// A noise-free schedule always gets its fatal fault.
+		generateFatal(rng, &sc)
 	}
 
 	sort.SliceStable(sc.Events, func(i, j int) bool { return sc.Events[i].At < sc.Events[j].At })
 	return sc
 }
 
+// generateFatal appends the crisp fault, biased toward the handshake
+// window, and with it the double-failover chain.
+func generateFatal(rng *rand.Rand, sc *Schedule) {
+	ev := Event{Kind: fatalSlate[rng.Intn(len(fatalSlate))]}
+	if rng.Float64() < 0.30 {
+		ev.At = dur(rng, 0, 300*time.Millisecond)
+	} else {
+		ev.At = dur(rng, 0, 1200*time.Millisecond)
+	}
+	if ev.Kind == EvAppCrashServing || ev.Kind == EvAppCrashStandby {
+		ev.Cleanup = rng.Float64() < 0.33
+	}
+	sc.Events = append(sc.Events, ev)
+
+	// A serving-side fatal fault can chain into the repair loop and a
+	// second failover generation: a rejoin, then perhaps a second client,
+	// then perhaps a second kill.
+	servingFatal := ev.Kind == EvCrashServing ||
+		(ev.Kind == EvAppCrashServing && !ev.Cleanup) ||
+		ev.Kind == EvNICFailServing
+	if !servingFatal || rng.Float64() >= 0.5 {
+		return
+	}
+	rejoinAt := ev.At + 4*time.Second + dur(rng, 0, 2*time.Second)
+	sc.Events = append(sc.Events, Event{At: rejoinAt, Kind: EvRejoin})
+	if rng.Float64() >= 0.6 {
+		return
+	}
+	clientAt := rejoinAt + dur(rng, 0, time.Second)
+	sc.Events = append(sc.Events, Event{At: clientAt, Kind: EvSecondClient})
+	if rng.Float64() >= 0.6 {
+		return
+	}
+	second := EvCrashServing
+	if rng.Intn(2) == 0 {
+		second = EvCrashStandby
+	}
+	sc.Events = append(sc.Events, Event{
+		At:   clientAt + dur(rng, 200*time.Millisecond, 1500*time.Millisecond),
+		Kind: second,
+	})
+}
+
 // generateGray appends the gray block. The first draw decides the
-// schedule's class: a verdict kind (starve, asym partition) yields
-// exactly one detection target; anything else yields a noise-class mix
-// that the detectors must ride out without a verdict.
-func generateGray(rng *rand.Rand, spec GenSpec, sc *Schedule) {
+// schedule's class: a verdict kind (starve, asym partition) makes the whole
+// schedule verdict-class — exactly one detection target — while anything
+// else yields a noise-class mix of up to three distinct kinds that the
+// detectors must ride out without a verdict (gray-quiescence).
+func generateGray(rng *rand.Rand, sc *Schedule) {
 	// Every gray schedule runs a long echo workload: the suspicion
 	// scorer needs response traffic in flight from fault to verdict, and
 	// noise-class windows must overlap dense two-way traffic or their
@@ -582,58 +436,70 @@ func generateGray(rng *rand.Rand, spec GenSpec, sc *Schedule) {
 	sc.Bytes = 0
 	sc.Rounds = 900 + rng.Intn(300)
 	sc.MsgSize = 256 + rng.Intn(768)
-	slate := expandKinds(spec.Gray)
-	first := slate[rng.Intn(len(slate))]
+	first := graySlate[rng.Intn(len(graySlate))]
 	if first == EvStarveServing || first == EvAsymPartition {
-		sc.Events = append(sc.Events, grayEvent(rng, spec, first))
-		if spec.SkewRideProb > 0 && hasKind(spec.Gray, EvClockSkew) &&
-			rng.Float64() < spec.SkewRideProb {
-			sc.Events = append(sc.Events, grayEvent(rng, spec, EvClockSkew))
+		sc.Events = append(sc.Events, grayEvent(rng, first))
+		// A verdict-class schedule may also skew the standby's clock:
+		// detection must still meet its deadline with a mildly off-rate
+		// observer.
+		if rng.Float64() < 0.35 {
+			sc.Events = append(sc.Events, grayEvent(rng, EvClockSkew))
 		}
 		return
 	}
-	n := 1
-	if spec.MaxGray > 1 {
-		n = 1 + rng.Intn(spec.MaxGray)
-	}
+	n := 1 + rng.Intn(3)
 	seen := make(map[EventKind]bool)
 	add := func(k EventKind) {
 		if seen[k] || k == EvStarveServing || k == EvAsymPartition {
 			return // dedup; verdict kinds never join a noise schedule
 		}
 		seen[k] = true
-		sc.Events = append(sc.Events, grayEvent(rng, spec, k))
+		sc.Events = append(sc.Events, grayEvent(rng, k))
 	}
 	add(first)
 	for i := 1; i < n; i++ {
-		add(slate[rng.Intn(len(slate))])
+		add(graySlate[rng.Intn(len(graySlate))])
 	}
 }
 
 // grayEvent draws one gray event's placement and parameters.
-func grayEvent(rng *rand.Rand, spec GenSpec, k EventKind) Event {
-	ev := Event{At: rdur(rng, spec.GrayAt), Kind: k}
+func grayEvent(rng *rand.Rand, k EventKind) Event {
+	ev := Event{At: dur(rng, 800*time.Millisecond, 2*time.Second), Kind: k}
 	switch k {
 	case EvStarveServing:
-		ev.Scale = rfloat(rng, spec.StarveScale)
-		ev.Dur = rdur(rng, spec.StarveDur)
+		// Starvation stretch: staleness observed by the scorer is roughly
+		// (Scale-1)ms per processing quantum plus heartbeat staleness, so
+		// the floor sits comfortably above the 400 ms response SLO.
+		ev.Scale = uniform(rng, 450, 800)
+		ev.Dur = dur(rng, 6*time.Second, 10*time.Second)
 	case EvAsymPartition:
-		ev.Dur = rdur(rng, spec.AsymDur)
+		// Long enough for grace (1s) + hold (1s) + ping turnaround, short
+		// enough that the link is restored within the horizon.
+		ev.Dur = dur(rng, 5*time.Second, 8*time.Second)
 	case EvCorruptServing:
-		ev.Rate = rfloat(rng, spec.CorruptRate)
-		ev.Dur = rdur(rng, spec.CorruptDur)
+		// LAN corruption bounded so the resulting retransmission stalls
+		// keep the suspicion bucket below threshold.
+		ev.Rate = uniform(rng, 0.05, 0.10)
+		ev.Dur = dur(rng, 800*time.Millisecond, 1500*time.Millisecond)
 	case EvCorruptSerial:
-		ev.Rate = rfloat(rng, spec.SerialCorrupt)
-		ev.Dur = rdur(rng, spec.SerialCorruptDur)
+		// Serial heartbeats flow at only 5/s, so the rate and window are
+		// sized for the CRC-error fingerprint to be near-certain (≥ 25
+		// frames cross both ports in the shortest window; at the floor
+		// rate the no-reject probability is under 0.02%).
+		ev.Rate = uniform(rng, 0.30, 0.45)
+		ev.Dur = dur(rng, 2500*time.Millisecond, 4*time.Second)
 	case EvNICFlap, EvSerialFlap:
-		ev.Period = rdur(rng, spec.FlapPeriod)
-		ev.Dur = rdur(rng, spec.FlapDur)
+		// Flap cycles well under the 600 ms HB timeout.
+		ev.Period = dur(rng, 100*time.Millisecond, 250*time.Millisecond)
+		ev.Dur = dur(rng, 1500*time.Millisecond, 3*time.Second)
 	case EvClockSkew:
-		ev.Scale = rfloat(rng, spec.SkewScale)
+		// Skew magnitude past the 8% drift-note threshold, long enough
+		// for the EWMA to converge.
+		ev.Scale = uniform(rng, 1.10, 1.15)
 		if rng.Intn(2) == 0 {
 			ev.Scale = 1 / ev.Scale // fast clock instead of slow
 		}
-		ev.Dur = rdur(rng, spec.SkewDur)
+		ev.Dur = dur(rng, 6*time.Second, 9*time.Second)
 	}
 	return ev
 }

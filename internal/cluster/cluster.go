@@ -6,8 +6,6 @@
 package cluster
 
 import (
-	"time"
-
 	"repro/internal/eth"
 	"repro/internal/ip"
 	"repro/internal/metrics"
@@ -43,10 +41,9 @@ type Host struct {
 	timerClock *sim.Clock
 	cpuClock   *sim.Clock
 
-	crashed   bool
-	onCrash   []func()
-	crashTime time.Time
-	reboots   int
+	crashed bool
+	onCrash []func()
+	reboots int
 }
 
 // HostConfig describes one machine. Name and Addr are required; the
@@ -149,9 +146,6 @@ func (h *Host) OnCrash(fn func()) { h.onCrash = append(h.onCrash, fn) }
 // Crashed reports whether the host has crashed.
 func (h *Host) Crashed() bool { return h.crashed }
 
-// CrashTime returns when the host crashed (zero if it has not).
-func (h *Host) CrashTime() time.Time { return h.crashTime }
-
 // CrashHW simulates a hardware or OS crash: the NIC goes silent, the IP
 // stack stops, the serial port drops, and registered crash hooks run. This
 // is Table 1 row 1's injected failure.
@@ -170,7 +164,6 @@ func (h *Host) crash(kind trace.Kind, why string) {
 		return
 	}
 	h.crashed = true
-	h.crashTime = h.sim.Now()
 	if h.tracer != nil {
 		h.tracer.Emit(kind, h.name, "%s", why)
 	}
@@ -204,7 +197,6 @@ func (h *Host) Reboot() {
 		return
 	}
 	h.crashed = false
-	h.crashTime = time.Time{}
 	h.onCrash = nil
 	h.reboots++
 	h.nic.Recover()

@@ -41,11 +41,6 @@ func (lc *Lifecycle) PrimaryNode() *sttcp.Node { return lc.primary }
 
 func addrOf(h *cluster.Host) ip.Addr { return h.Netstack().Addr() }
 
-// CrashPrimary kills the current primary machine.
-func (lc *Lifecycle) CrashPrimary() {
-	lc.tb.inject(Fault{Kind: FaultCrash, Host: lc.PrimaryHost().Name()})
-}
-
 // Reintegrate reboots the dead machine and rejoins it as the new backup of
 // the (by now promoted) survivor, completing one generation. newApp is
 // invoked to build the application replica for the rejoined node.

@@ -39,7 +39,9 @@ func TestRepeatedFailoverCycles(t *testing.T) {
 		if err := cl.Start(); err != nil {
 			t.Fatalf("gen %d: client: %v", gen, err)
 		}
-		tb.Sim.Schedule(200*time.Millisecond, lc.CrashPrimary)
+		tb.Sim.Schedule(200*time.Millisecond, func() {
+			tb.inject(Fault{Kind: FaultCrash, Host: lc.PrimaryHost().Name()})
+		})
 		if err := tb.Run(10 * time.Second); err != nil {
 			t.Fatalf("gen %d: run: %v", gen, err)
 		}

@@ -86,34 +86,6 @@ type Result struct {
 	Scale *ScaleResult
 	// Table1 holds the ten single-failure rows of the paper's Table 1.
 	Table1 []ScenarioResult
-	// Explore is the exhaustive-interleaving exploration summary (the
-	// explore demo, registered by internal/explore).
-	Explore *ExploreSummary
-}
-
-// ExploreSummary is the registry-facing digest of an exhaustive
-// exploration of the failover window (internal/explore fills it in; the
-// field lives here so the demo registry does not import the explorer).
-type ExploreSummary struct {
-	// Interleavings is how many distinct runs were executed.
-	Interleavings int
-	// FaultPoints is how many fault placements the fault axis enumerated.
-	FaultPoints int
-	// ChoicePoints is the total number of multi-way tie-break decisions
-	// observed across all runs.
-	ChoicePoints int
-	// Pruned counts alternatives skipped by independence pruning, Deduped
-	// counts runs cut short because their fingerprint was already known.
-	Pruned  int
-	Deduped int
-	// Frontier is the number of unexplored alternatives remaining when
-	// the exploration stopped; FullyClosed reports that it is zero AND no
-	// budget truncation occurred — the window's schedule space is proven
-	// exhausted.
-	Frontier    int
-	FullyClosed bool
-	// Violations is how many interleavings broke an invariant.
-	Violations int
 }
 
 // Demo is one registered demonstration.
@@ -160,26 +132,11 @@ func or[T comparable](v, def T) T {
 	return v
 }
 
-// extras holds demos registered by packages that sit above experiment in
-// the import graph (internal/explore registers its demo from an init so
-// the registry does not import the explorer). Appended to Demos() in
-// registration order.
-var extras []Demo
-
-// Register adds a demo to the registry. Call from an init function; the
-// name must not collide with a built-in demo.
-func Register(d Demo) {
-	if _, have := DemoByName(d.Name); have {
-		panic("experiment: duplicate demo " + d.Name)
-	}
-	extras = append(extras, d)
-}
-
 // Demos returns every registered demonstration in presentation order, each
 // stamping its name on the Result it returns. The slice is freshly
 // allocated; callers may reorder or filter it.
 func Demos() []Demo {
-	all := append(builtinDemos(), extras...)
+	all := builtinDemos()
 	for i := range all {
 		name, run := all[i].Name, all[i].Run
 		all[i].Run = func(p Params) (Result, error) {

@@ -101,9 +101,8 @@ func TestRegistryArtifactsMatchDeclaration(t *testing.T) {
 		if (res.Tracer == nil) != d.NoTracer {
 			t.Errorf("%s: NoTracer=%v but Result.Tracer nil=%v", d.Name, d.NoTracer, res.Tracer == nil)
 		}
-		// The two that have no one run to single out: a bare serial pair,
-		// and (when internal/explore is linked in) hundreds of replays.
-		if d.NoTracer && d.Name != "capacity" && d.Name != "explore" {
+		// The one with no run to single out: a bare serial pair.
+		if d.NoTracer && d.Name != "capacity" {
 			t.Errorf("%s builds a testbed, so it must return its recorder", d.Name)
 		}
 	}

@@ -15,8 +15,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden dashboard file from the current run")
 
 // scaleReport runs the 25-connection failover and assembles its run
-// report — the workload behind the cross-run regression observatory's
-// genuine-pair check.
+// report.
 func scaleReport(t *testing.T) *telemetry.Report {
 	t.Helper()
 	p := Params{Seed: 91, Conns: 25, Size: 256 << 10,
@@ -32,78 +31,21 @@ func scaleReport(t *testing.T) *telemetry.Report {
 	return BuildReport(p, res)
 }
 
-// TestGenuinePairDiffsClean is the observatory's soundness half: the same
-// run twice must produce byte-identical reports, and `sttcp report`'s diff
-// must find nothing to flag. If this fails the report captured something
-// non-deterministic, which makes every cross-run comparison meaningless.
+// TestGenuinePairDiffsClean is what makes comparing two reports exact: the
+// same run twice must produce byte-identical reports. If this fails the
+// report captured something non-deterministic, and no pinned report hash,
+// golden or quoted block downstream of it means anything.
 func TestGenuinePairDiffsClean(t *testing.T) {
-	first := scaleReport(t)
-	second := scaleReport(t)
-
-	d := telemetry.DiffReports(first, second, telemetry.DiffOptions{})
-	if !d.Ok() {
-		t.Fatalf("genuine pair flagged as regression:\n%v", d.Regressions)
-	}
-
-	fj, err := json.Marshal(first)
+	fj, err := json.Marshal(scaleReport(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sj, err := json.Marshal(second)
+	sj, err := json.Marshal(scaleReport(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(fj, sj) {
 		t.Errorf("two runs of the same seed produced different reports (%d vs %d bytes)", len(fj), len(sj))
-	}
-}
-
-// TestDegradedReportFailsDiff is the observatory's sensitivity half: take
-// a genuine report, worsen it the way a real regression would — slower
-// latency series and failover anatomy, or the evidence gone altogether —
-// and the diff must flag it.
-func TestDegradedReportFailsDiff(t *testing.T) {
-	const p99 = "client.response_latency.p99"
-	base := scaleReport(t)
-	cases := []struct {
-		name    string
-		degrade func(r *telemetry.Report)
-	}{
-		{"10x p99 and 3x detection latency", func(r *telemetry.Report) {
-			for i := range r.Telemetry.Series {
-				s := &r.Telemetry.Series[i]
-				if s.Name == p99 {
-					for j := range s.Points {
-						s.Points[j] *= 10
-					}
-				}
-			}
-			for i := range r.Anatomy {
-				r.Anatomy[i].Detection *= 3
-			}
-		}},
-		{"p99 latency series missing from the candidate", func(r *telemetry.Report) {
-			kept := r.Telemetry.Series[:0]
-			for _, s := range r.Telemetry.Series {
-				if s.Name != p99 {
-					kept = append(kept, s)
-				}
-			}
-			if len(kept) == len(r.Telemetry.Series) {
-				t.Fatalf("base report has no %s series; the case proves nothing", p99)
-			}
-			r.Telemetry.Series = kept
-		}},
-		{"telemetry timeline missing from the candidate", func(r *telemetry.Report) {
-			r.Telemetry = nil
-		}},
-	}
-	for _, c := range cases {
-		degraded := scaleReport(t)
-		c.degrade(degraded)
-		if d := telemetry.DiffReports(base, degraded, telemetry.DiffOptions{}); d.Ok() {
-			t.Errorf("%s slipped through the diff gate", c.name)
-		}
 	}
 }
 

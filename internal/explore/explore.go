@@ -75,11 +75,6 @@ type Config struct {
 	// ShrinkBudget bounds the re-runs spent minimising each violation
 	// (default 25, shared between schedule and prefix shrinking).
 	ShrinkBudget int
-
-	// Stop, when non-nil, is polled between batches; returning true
-	// abandons the frontier (reported, not FullyClosed). The CLI wires a
-	// wall-clock budget here so the package itself never reads the wall.
-	Stop func() bool
 }
 
 func (c Config) withDefaults() Config {
@@ -158,7 +153,7 @@ type Result struct {
 
 	// Frontier is the number of unexplored (schedule, prefix) candidates
 	// left when the exploration stopped; FullyClosed reports that the
-	// frontier drained with zero truncations and no early stop — the
+	// frontier drained with zero truncations and inside MaxRuns — the
 	// bounded window's interleaving space is exhausted.
 	Frontier    int
 	FullyClosed bool
@@ -182,8 +177,8 @@ type runOut struct {
 type explorer struct {
 	cfg Config
 	// inner builds the queue each run's forking wrapper decorates: the
-	// heap, except where the in-package tests substitute the calendar
-	// queue to reach its seeded-bug hook.
+	// heap, except where the in-package tests substitute a deliberately
+	// buggy one.
 	inner    func() sim.Scheduler
 	winLo    int64 // fault window start, ns
 	winHi    int64 // fault window end, ns
@@ -192,7 +187,7 @@ type explorer struct {
 }
 
 // Explore runs the systematic exploration and returns its results. The
-// whole exploration is deterministic in Config (Stop aside): the same
+// whole exploration is deterministic in Config: the same
 // inputs enumerate the same interleavings in the same order.
 func Explore(cfg Config) (*Result, error) { return explore(cfg, heapQueue) }
 
@@ -244,10 +239,6 @@ func explore(cfg Config, inner func() sim.Scheduler) (*Result, error) {
 	}
 
 	for len(frontier) > 0 {
-		if cfg.Stop != nil && cfg.Stop() {
-			res.Frontier = len(frontier)
-			return res, nil
-		}
 		n := batchSize(cfg.Workers)
 		if room := cfg.MaxRuns - res.Interleavings; room < n {
 			n = room
@@ -524,7 +515,7 @@ func (r *Result) Report() string {
 	if r.FullyClosed {
 		b.WriteString("window FULLY CLOSED: every interleaving explored, all invariants held\n")
 	} else if len(r.Violations) == 0 {
-		b.WriteString("window NOT closed (budget or stop reached); no violations found\n")
+		b.WriteString("window NOT closed (budget reached); no violations found\n")
 	}
 	for i := range r.Violations {
 		v := &r.Violations[i]

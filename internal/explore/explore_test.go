@@ -70,11 +70,12 @@ func TestExploreDeterministic(t *testing.T) {
 	}
 }
 
-// TestExploreStop verifies the wall-clock escape hatch: a Stop that trips
-// immediately abandons the frontier and reports the window as not closed.
+// TestExploreStop verifies the one budget that can cut an exploration
+// short: MaxRuns abandons the frontier, reports what is left of it, and
+// never claims closure — on every machine after the same run.
 func TestExploreStop(t *testing.T) {
 	cfg := smallWindow()
-	cfg.Stop = func() bool { return true }
+	cfg.MaxRuns = 5
 	res, err := Explore(cfg)
 	if err != nil {
 		t.Fatalf("explore: %v", err)
@@ -82,9 +83,45 @@ func TestExploreStop(t *testing.T) {
 	if res.FullyClosed {
 		t.Fatalf("stopped exploration still claimed closure: %+v", res)
 	}
+	if res.Interleavings != cfg.MaxRuns {
+		t.Errorf("executed %d interleavings, want the budget of %d", res.Interleavings, cfg.MaxRuns)
+	}
 	if res.Frontier == 0 {
 		t.Errorf("stopped exploration reports an empty frontier; the abandonment is invisible")
 	}
+}
+
+// TestApproximationsAgreeWithTheSlowWay holds independence pruning and
+// fingerprint dedup to their reference: on a window small enough to close
+// both ways, switching both off (what -no-prune -no-dedup do) must reach the
+// same verdict over at least as many interleavings.
+func TestApproximationsAgreeWithTheSlowWay(t *testing.T) {
+	fast := Config{Seed: 7, FaultSpan: 4 * time.Millisecond, Grace: 2 * time.Millisecond, MaxFaultPoints: 1}
+	slow := fast
+	slow.NoPrune, slow.NoDedup = true, true
+	a, err := Explore(fast)
+	if err != nil {
+		t.Fatalf("with the approximations: %v", err)
+	}
+	b, err := Explore(slow)
+	if err != nil {
+		t.Fatalf("without them: %v", err)
+	}
+	for _, r := range []*Result{a, b} {
+		if !r.FullyClosed || len(r.Violations) != 0 {
+			t.Errorf("window did not close clean:\n%s", r.Report())
+		}
+	}
+	if b.Pruned != 0 || b.Deduped != 0 {
+		t.Errorf("the slow way still pruned %d and deduped %d", b.Pruned, b.Deduped)
+	}
+	if a.Pruned+a.Deduped == 0 {
+		t.Errorf("the approximations never fired over %d interleavings; the comparison proves nothing", a.Interleavings)
+	}
+	if b.Interleavings < a.Interleavings {
+		t.Errorf("the slow way explored %d interleavings, fewer than the approximated %d", b.Interleavings, a.Interleavings)
+	}
+	t.Logf("approximated %d interleavings, exhaustive %d", a.Interleavings, b.Interleavings)
 }
 
 // TestStride pins the boundary-thinning helper: endpoints survive, order

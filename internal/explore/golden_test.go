@@ -12,29 +12,60 @@ import (
 	"repro/internal/sim"
 )
 
-// calendarQueue is the inner queue of the seeded-bug fixture: the rewind
-// hook lives in the calendar queue, which no production run reaches.
-func calendarQueue() sim.Scheduler { return sim.NewScheduler(sim.SchedulerCalendar) }
+// strandQueue is the seeded-bug fixture: a heap that, once wait pops have
+// gone by, hands out the runner-up and leaves the earliest event stranded
+// until the pop after — the shape of the calendar queue's historical
+// rewind-strand bug (spilled entries consulted only after later ones had
+// fired), so one pop comes out of (when, seq) order and the virtual clock
+// steps backward. Only an event alone at its instant is stranded: a tie
+// group is the explorer's to order. A negative wait never strands.
+type strandQueue struct {
+	sim.Scheduler
+	wait int
+	last int64 // instant of the previous pop
+}
+
+func (q *strandQueue) Pop() *sim.Event {
+	first, next := q.Scheduler.Pop(), q.Scheduler.Peek()
+	if q.wait > 0 {
+		q.wait--
+	}
+	if first == nil || next == nil {
+		return first
+	}
+	at, _ := first.SchedKey()
+	after, _ := next.SchedKey()
+	alone := at != q.last && at != after
+	q.last = at
+	if q.wait != 0 || !alone {
+		return first
+	}
+	q.wait = -1
+	q.Scheduler.Pop()
+	q.Scheduler.Schedule(first)
+	return next
+}
+
+func strandingQueue() sim.Scheduler { return &strandQueue{Scheduler: heapQueue(), wait: 1000} }
+func soundQueue() sim.Scheduler     { return &strandQueue{Scheduler: heapQueue(), wait: -1} }
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden minimal-schedule file from the current run")
 
 // TestGoldenSeededRewindBug reintroduces the calendar queue's historical
-// rewind-strand bug behind its test hook and demands that the explorer
+// rewind-strand bug as a buggy inner queue and demands that the explorer
 // (a) finds a violating interleaving and (b) shrinks it to the exact
-// minimal schedule checked into testdata/golden. The bug leaves rewound
-// entries stranded in overflow so pops come out of order and the virtual
-// clock steps backward — invisible to every end-state invariant (the
-// queue self-heals at the next re-anchor) but caught by the wrapper's
-// scheduler-order audit on the very first run.
+// minimal schedule checked into testdata/golden. The bug leaves an entry
+// stranded so pops come out of order and the virtual clock steps backward
+// — invisible to every end-state invariant (the queue self-heals at the
+// next pop) but caught by the wrapper's scheduler-order audit on the very
+// first run.
 //
 // Regenerate after an intentional change with:
 //
 //	go test ./internal/explore -run Golden -update
 func TestGoldenSeededRewindBug(t *testing.T) {
-	defer sim.SetRewindStrandBugForTest(sim.SetRewindStrandBugForTest(true))
-
 	cfg := smallWindow()
-	res, err := explore(cfg, calendarQueue)
+	res, err := explore(cfg, strandingQueue)
 	if err != nil {
 		t.Fatalf("explore: %v", err)
 	}
@@ -63,7 +94,7 @@ func TestGoldenSeededRewindBug(t *testing.T) {
 
 	// The shrink must also be stable: a second exploration lands on the
 	// byte-identical minimal reproduction.
-	again, err := explore(cfg, calendarQueue)
+	again, err := explore(cfg, strandingQueue)
 	if err != nil {
 		t.Fatalf("second explore: %v", err)
 	}
@@ -97,13 +128,11 @@ func renderViolation(v ViolationRun) string {
 }
 
 // TestSeededBugInvisibleWithoutAudit documents why the wrapper's order
-// audit exists: the strand self-heals at the next re-anchor, so the same
+// audit exists: the strand self-heals at the next pop, so the same
 // buggy run sails through every end-state invariant. Only the
 // scheduler-order audit separates the two runs.
 func TestSeededBugInvisibleWithoutAudit(t *testing.T) {
-	defer sim.SetRewindStrandBugForTest(sim.SetRewindStrandBugForTest(true))
-
-	res, err := explore(smallWindow(), calendarQueue)
+	res, err := explore(smallWindow(), strandingQueue)
 	if err != nil {
 		t.Fatalf("explore: %v", err)
 	}
@@ -121,15 +150,15 @@ func TestSeededBugInvisibleWithoutAudit(t *testing.T) {
 }
 
 // TestGoldenBugOffStillCloses proves the golden path is the bug's fault:
-// with the hook off, the identical calendar-scheduler exploration closes
-// with zero violations.
+// with the strand off, the identical exploration over the same fixture
+// queue closes with zero violations.
 func TestGoldenBugOffStillCloses(t *testing.T) {
-	res, err := explore(smallWindow(), calendarQueue)
+	res, err := explore(smallWindow(), soundQueue)
 	if err != nil {
 		t.Fatalf("explore: %v", err)
 	}
 	if len(res.Violations) != 0 || !res.FullyClosed {
-		t.Fatalf("bug-off calendar exploration: closed=%v violations=%d\n%s",
+		t.Fatalf("bug-off exploration: closed=%v violations=%d\n%s",
 			res.FullyClosed, len(res.Violations), res.Report())
 	}
 }

@@ -1,12 +1,10 @@
 package metrics
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"time"
 )
 
@@ -34,9 +32,8 @@ type Sample struct {
 // Snapshot is an immutable copy of every instrument in a registry,
 // sorted by (component, name, labels, type) — type breaks the tie when
 // one key holds several instrument kinds, so the order is total and two
-// snapshots of the same registry state serialize identically. WriteJSON
-// and WriteCSV emit samples in exactly this order. Taking a snapshot
-// does not disturb the live instruments, and later updates to the
+// snapshots of the same registry state serialize identically; WriteJSON
+// emits samples in exactly this order. Taking a snapshot does not disturb the live instruments, and later updates to the
 // registry do not alter an already-taken snapshot.
 type Snapshot struct {
 	At      time.Time `json:"at"` // virtual time the snapshot was taken
@@ -93,16 +90,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		return a.Type < b.Type
 	})
 	return s
-}
-
-// ReadSnapshot parses a snapshot previously serialized with WriteJSON —
-// the inverse half of the round trip the run-report machinery depends on.
-func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("metrics: read snapshot: %w", err)
-	}
-	return &s, nil
 }
 
 // CounterTotal sums every counter sample named name across all
@@ -168,30 +155,6 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// WriteCSV writes the snapshot as CSV with one row per sample:
-// component,name,labels,type,value,max,count,sum_ns. Histogram buckets
-// are elided — use JSON for the full distribution.
-func (s *Snapshot) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"component", "name", "labels", "type", "value", "max", "count", "sum_ns"}); err != nil {
-		return err
-	}
-	for _, sm := range s.Samples {
-		rec := []string{
-			sm.Component, sm.Name, sm.Labels, sm.Type,
-			strconv.FormatInt(sm.Value, 10),
-			strconv.FormatInt(sm.Max, 10),
-			strconv.FormatInt(sm.Count, 10),
-			strconv.FormatInt(int64(sm.Sum), 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // String renders a compact human-readable dump (used by -metrics-out=-

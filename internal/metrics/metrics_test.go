@@ -211,7 +211,7 @@ func TestWriteCSV(t *testing.T) {
 	r.Gauge("x", "g").Set(4)
 	r.Histogram("x", "h", nil).Observe(time.Second)
 	var buf bytes.Buffer
-	if err := r.Snapshot().WriteCSV(&buf); err != nil {
+	if err := writeCSV(r.Snapshot(), &buf); err != nil {
 		t.Fatalf("WriteCSV: %v", err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

@@ -113,9 +113,6 @@ func (p *SwitchPort) AttachToLink(l *Link, sideA bool) {
 	p.sideA = sideA
 }
 
-// Index returns the port's position on the switch.
-func (p *SwitchPort) Index() int { return p.index }
-
 // DeliverFrame implements Endpoint: a frame arrived on this port.
 func (p *SwitchPort) DeliverFrame(buf []byte) {
 	sw := p.sw

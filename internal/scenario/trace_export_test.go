@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -38,7 +40,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	if err := res.Tracer.WriteChromeTrace(&buf, sim.Epoch); err != nil {
 		t.Fatalf("export: %v", err)
 	}
-	n, err := trace.ValidateChromeTrace(buf.Bytes())
+	n, err := validateChromeTrace(buf.Bytes())
 	if err != nil {
 		t.Fatalf("exported trace does not validate: %v", err)
 	}
@@ -51,6 +53,67 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 			t.Errorf("export lacks %q slices", want)
 		}
 	}
+}
+
+// validateChromeTrace parses data as Chrome trace-event JSON and checks the
+// structural invariants Perfetto relies on: known phases, named events,
+// non-negative timestamps and durations, and balanced flow arrows. It
+// returns the number of trace events.
+func validateChromeTrace(data []byte) (int, error) {
+	var f struct {
+		TraceEvents []struct {
+			Name  string          `json:"name"`
+			Phase string          `json:"ph"`
+			TS    *float64        `json:"ts"`
+			Dur   *float64        `json:"dur"`
+			PID   *int            `json:"pid"`
+			TID   *int            `json:"tid"`
+			ID    string          `json:"id"`
+			Args  json.RawMessage `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &f); err != nil {
+		return 0, fmt.Errorf("invalid JSON: %w", err)
+	}
+	if len(f.TraceEvents) == 0 {
+		return 0, fmt.Errorf("no traceEvents")
+	}
+	flows := map[string]int{}
+	for i, e := range f.TraceEvents {
+		switch e.Phase {
+		case "M":
+			// Metadata carries no timestamp.
+		case "X":
+			if e.Dur == nil || *e.Dur < 0 {
+				return 0, fmt.Errorf("event %d (%q): X without non-negative dur", i, e.Name)
+			}
+			fallthrough
+		case "i", "s", "f":
+			if e.TS == nil || *e.TS < 0 {
+				return 0, fmt.Errorf("event %d (%q): missing or negative ts", i, e.Name)
+			}
+		default:
+			return 0, fmt.Errorf("event %d (%q): unknown phase %q", i, e.Name, e.Phase)
+		}
+		if e.Name == "" {
+			return 0, fmt.Errorf("event %d: empty name", i)
+		}
+		if e.PID == nil || e.TID == nil {
+			return 0, fmt.Errorf("event %d (%q): missing pid/tid", i, e.Name)
+		}
+		switch e.Phase {
+		case "s":
+			flows[e.ID]++
+		case "f":
+			flows[e.ID]--
+		}
+	}
+	for id, n := range flows {
+		if n != 0 {
+			return 0, fmt.Errorf("unbalanced flow %q (%+d)", id, n)
+		}
+	}
+	return len(f.TraceEvents), nil
 }
 
 // TestTimelineGolden renders the demo1-failover scenario's span timeline at

@@ -95,9 +95,6 @@ func (p *Port) SetCorruptRate(prob float64) { p.corruptRate = prob }
 // CorruptRate returns the transmitter's current bit-flip probability.
 func (p *Port) CorruptRate() float64 { return p.corruptRate }
 
-// Busy reports whether the transmitter is mid-message.
-func (p *Port) Busy() bool { return p.sim.Now().Before(p.busyTil) }
-
 // QueueDelay reports how long a message sent now would wait before its
 // first bit goes on the wire, a direct measure of serial-link saturation.
 func (p *Port) QueueDelay() time.Duration {

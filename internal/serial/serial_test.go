@@ -67,9 +67,6 @@ func TestQueueingUnderLoad(t *testing.T) {
 	if a.QueueDelay() == 0 {
 		t.Fatal("queue delay zero with two messages in flight")
 	}
-	if !a.Busy() {
-		t.Fatal("transmitter not busy")
-	}
 	_ = s.Run(time.Second)
 	if len(times) != 2 {
 		t.Fatalf("delivered %d messages", len(times))

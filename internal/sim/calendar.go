@@ -58,26 +58,6 @@ const (
 	calInitWidth = int64(50_000)   // 50µs, a LAN-scale guess until the first re-anchor
 )
 
-// rewindStrandBug, when set, makes rewind skip its deal-back step —
-// reintroducing, byte for byte, the bug the scheduler differential suite
-// caught before this queue shipped: spilled entries below the new
-// ringEnd stay stranded in overflow (consulted only once the ring runs
-// dry) while later-scheduled ring entries fire first, so pops come out
-// of (when, seq) order and the virtual clock can step backwards. It
-// exists solely so the exhaustive-interleaving explorer's golden
-// regression test can prove a real historical bug is found and shrunk;
-// nothing outside tests may set it.
-var rewindStrandBug bool
-
-// SetRewindStrandBugForTest toggles the reintroduced rewind bug and
-// returns the previous setting, so tests can restore it. See
-// rewindStrandBug; production code must never call this.
-func SetRewindStrandBugForTest(on bool) bool {
-	prev := rewindStrandBug
-	rewindStrandBug = on
-	return prev
-}
-
 func newCalendarScheduler() *calendarScheduler {
 	return &calendarScheduler{width: calInitWidth, ringEnd: calInitWidth * calBuckets}
 }
@@ -290,11 +270,6 @@ func (c *calendarScheduler) rewind(when int64) {
 	c.rewindKeepStart()
 	c.curStart = when
 	c.ringEnd = when + c.span()
-	if rewindStrandBug {
-		// The pre-fix behaviour: no deal-back, so everything just
-		// spilled sits in overflow below ringEnd. See rewindStrandBug.
-		return
-	}
 	// Every spilled or overflow entry is at or after the old curStart,
 	// and the new curStart precedes it, so the offsets below are never
 	// negative and never reach past the ring.

@@ -65,9 +65,6 @@ func (e *Event) SchedKey() (whenNS int64, seq uint64) { return e.when, e.seq }
 // disjoint components and therefore commute.
 func (e *Event) CausalContext() uint64 { return e.ctx }
 
-// Cancelled reports whether the event has been cancelled or already fired.
-func (e *Event) Cancelled() bool { return !e.live }
-
 // Simulator is a deterministic discrete-event scheduler. The zero value is
 // not usable; construct with New or NewWithConfig.
 type Simulator struct {

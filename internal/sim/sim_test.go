@@ -64,8 +64,8 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !e.Cancelled() {
-		t.Fatal("event does not report cancelled")
+	if e.live {
+		t.Fatal("cancelled event is still live")
 	}
 	s.Cancel(e) // double-cancel must be a no-op
 	s.Cancel(nil)
@@ -272,15 +272,20 @@ func TestTickerStopFromCallback(t *testing.T) {
 	}
 }
 
+// TestTickerReset: a ticker's period is changed by stopping it and starting
+// another from the current instant; the stopped one never fires again.
 func TestTickerReset(t *testing.T) {
 	s := New(1)
 	n := 0
 	tk := NewTicker(s, 100*time.Millisecond, func() { n++ })
-	s.Schedule(500*time.Millisecond, func() { tk.Reset(50 * time.Millisecond) })
+	s.Schedule(500*time.Millisecond, func() {
+		tk.Stop()
+		NewTicker(s, 50*time.Millisecond, func() { n++ })
+	})
 	if err := s.Run(time.Second); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	// Ticks at 100..400ms (4). At t=500ms the Reset event was scheduled
+	// Ticks at 100..400ms (4). At t=500ms the reset event was scheduled
 	// before the 500ms tick (lower sequence number), so it fires first
 	// and cancels that tick. Then every 50ms from 550..1000: 10 more.
 	if n != 14 {

@@ -70,15 +70,3 @@ func (t *Ticker) Stop() {
 
 // Period returns the ticker's period.
 func (t *Ticker) Period() time.Duration { return t.period }
-
-// Reset changes the period and re-arms the ticker from the current instant.
-func (t *Ticker) Reset(period time.Duration) {
-	if period <= 0 {
-		panic("sim: Ticker.Reset with non-positive period")
-	}
-	if t.stopped {
-		return
-	}
-	t.period = period
-	t.timer.Arm(t.clock.Stretch(period))
-}

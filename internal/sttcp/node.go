@@ -212,8 +212,8 @@ type Node struct {
 	FailoverReason string
 
 	// Metric instruments, from the host's registry (nil no-ops without
-	// one). mTakeovers is incremented exactly where KindTakeover is
-	// traced, mSuspects where declarePeerFailed traces KindSuspect.
+	// one). mTakeovers, mSuspects and mNonFT move only in milestone,
+	// together with their event.
 	mTakeovers   *metrics.Counter
 	mSuspects    *metrics.Counter
 	mNonFT       *metrics.Counter
@@ -1305,6 +1305,15 @@ func (n *Node) detectNICLag(rc *repConn, now time.Time) bool {
 
 // --- Recovery actions (Table 1, rightmost column) ---
 
+// milestone is the one place a suspicion verdict, a takeover or a non-FT
+// transition is recorded: its counter and its event on span move together,
+// so the two cannot disagree. A node without a registry (nil counter) or
+// without a tracer still records the other half.
+func (n *Node) milestone(c *metrics.Counter, span trace.SpanID, kind trace.Kind, format string, args ...any) {
+	c.Inc()
+	n.tracer.EmitIn(span, kind, n.comp, 0, format, args...)
+}
+
 // declarePeerFailed performs the role-appropriate recovery action: the
 // backup takes over the client connections; the primary transitions to
 // non-fault-tolerant mode. Both power the peer down first (STONITH).
@@ -1314,21 +1323,17 @@ func (n *Node) declarePeerFailed(reason string) {
 	}
 	if n.cfg.Witness {
 		// A witness observes but never acts: no STONITH, no takeover.
-		n.mSuspects.Inc()
-		if n.tracer != nil {
-			n.tracer.Emit(trace.KindSuspect, n.comp, "witness observed peer failure (no action): %s", reason)
-		}
+		n.milestone(n.mSuspects, n.tracer.Ambient(), trace.KindSuspect, "witness observed peer failure (no action): %s", reason)
 		return
 	}
 	n.FailoverReason = reason
-	n.mSuspects.Inc()
 	// Detection is declared over: the suspect verdict and the STONITH
 	// action both belong to the detection span, which ends here. When the
 	// declaration came without prior evidence (e.g. the peer's own
 	// watchdog flagged it over a live heartbeat link), the span is
 	// zero-length by construction.
 	n.noteEvidence("%s", reason)
-	n.tracer.EmitIn(n.detSpan, trace.KindSuspect, n.comp, 0, "peer declared failed: %s", reason)
+	n.milestone(n.mSuspects, n.detSpan, trace.KindSuspect, "peer declared failed: %s", reason)
 	if n.peerPower != nil {
 		n.tracer.EmitIn(n.detSpan, trace.KindShutdownPeer, n.comp, 0, "powering peer down")
 		n.peerPower.Off()
@@ -1408,7 +1413,6 @@ func (n *Node) takeover(reason string) {
 			n.mTakeoverLat.Observe(n.sim.Now().Sub(last))
 		}
 	}
-	n.mTakeovers.Inc()
 	n.shutdownTimers()
 	for _, k := range n.sortedKeys() {
 		rc := n.conns[k]
@@ -1425,9 +1429,7 @@ func (n *Node) takeover(reason string) {
 			n.requestLoggerRecovery(rc)
 		}
 	}
-	if n.tracer != nil {
-		n.tracer.Emit(trace.KindTakeover, n.comp, "backup took over %d connection(s): %s", len(n.conns), reason)
-	}
+	n.milestone(n.mTakeovers, n.tracer.Ambient(), trace.KindTakeover, "backup took over %d connection(s): %s", len(n.conns), reason)
 }
 
 // watchResume installs a transmit hook that pins the end of the
@@ -1562,7 +1564,6 @@ func (n *Node) EnableReplication(peerAddr ip.Addr, peerPower *cluster.PowerContr
 // open, replication stops, service continues.
 func (n *Node) enterNonFT(reason string) {
 	n.setState(StateNonFT)
-	n.mNonFT.Inc()
 	n.shutdownTimers()
 	for _, k := range n.sortedKeys() {
 		rc := n.conns[k]
@@ -1570,7 +1571,5 @@ func (n *Node) enterNonFT(reason string) {
 		rc.hold = nil
 	}
 	n.noteHoldOccupancy(-int(n.holdBytes)) // every hold buffer is gone
-	if n.tracer != nil {
-		n.tracer.Emit(trace.KindNonFTMode, n.comp, "primary in non-fault-tolerant mode: %s", reason)
-	}
+	n.milestone(n.mNonFT, n.tracer.Ambient(), trace.KindNonFTMode, "primary in non-fault-tolerant mode: %s", reason)
 }

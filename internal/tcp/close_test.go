@@ -3,6 +3,7 @@ package tcp
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -177,7 +178,13 @@ func TestTracedLifecycle(t *testing.T) {
 	_ = client.Close()
 	_ = server.Close()
 	_ = h.sim.Run(5 * time.Second)
-	if got := len(h.tracer.FilterComponent("tcp")); got < 3 {
+	got := 0
+	for _, e := range h.tracer.Events() {
+		if strings.Contains(e.Component, "tcp") {
+			got++
+		}
+	}
+	if got < 3 {
 		t.Fatalf("only %d tcp trace events", got)
 	}
 }

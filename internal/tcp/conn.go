@@ -439,6 +439,17 @@ func (c *Conn) traceValue(kind trace.Kind, value int64, format string, args ...a
 	}
 }
 
+// noteRetransmit is the one place a retransmission is recorded: the
+// connection's own tally, the stack's tcp.retransmits counter and the
+// KindRetransmit event (carrying the wire sequence resent from) move
+// together, so the three cannot disagree. A stack without a registry or
+// without a tracer still records the rest.
+func (c *Conn) noteRetransmit(format string, args ...any) {
+	c.Retransmits++
+	c.stack.mRetransmits.Inc()
+	c.traceValue(trace.KindRetransmit, int64(c.sendWireSeq(c.sndUna)), format, args...)
+}
+
 // wire sequence conversions: stream offset 0 is the byte after the SYN, so
 // the SYN itself sits at offset -1.
 func (c *Conn) sendWireSeq(off int64) uint32 { return c.iss + 1 + uint32(uint64(off)) }
@@ -995,9 +1006,7 @@ func (c *Conn) onRetransTimeout() {
 			if c.finSent && !c.finAcked {
 				c.finSent = false // resend the FIN after the data
 			}
-			c.Retransmits++
-			c.stack.mRetransmits.Inc()
-			c.traceValue(trace.KindRetransmit, int64(c.sendWireSeq(c.sndUna)), "timeout: rewind to una=%d rto=%v", c.sndUna, c.RTO())
+			c.noteRetransmit("timeout: rewind to una=%d rto=%v", c.sndUna, c.RTO())
 			c.maybeSend()
 		} else if c.finSent && !c.finAcked {
 			c.retransmit() // lone FIN outstanding
@@ -1008,9 +1017,7 @@ func (c *Conn) onRetransTimeout() {
 
 // retransmit resends the oldest outstanding segment (or SYN/FIN).
 func (c *Conn) retransmit() {
-	c.Retransmits++
-	c.stack.mRetransmits.Inc()
-	c.traceValue(trace.KindRetransmit, int64(c.sendWireSeq(c.sndUna)), "retransmit una=%d nxt=%d rto=%v", c.sndUna, c.sndNxt, c.RTO())
+	c.noteRetransmit("retransmit una=%d nxt=%d rto=%v", c.sndUna, c.sndNxt, c.RTO())
 	switch c.state {
 	case StateSynSent:
 		c.sendSegmentRaw(FlagSYN, -1, nil, true)

@@ -352,14 +352,18 @@ func TestListenerRejectsDuplicateBind(t *testing.T) {
 	}
 }
 
+// TestConnIDReverse: the two endpoints of one connection name it with the
+// local and remote halves swapped.
 func TestConnIDReverse(t *testing.T) {
-	id := ConnID{LocalAddr: addrA, LocalPort: 1, RemoteAddr: addrB, RemotePort: 2}
-	r := id.Reverse()
-	if r.LocalAddr != addrB || r.LocalPort != 2 || r.RemoteAddr != addrA || r.RemotePort != 1 {
-		t.Fatalf("reverse = %+v", r)
+	h := newPair(t, 48, lan(), Options{})
+	client, server := connectPair(t, h, 80)
+	c, s := client.ID(), server.ID()
+	if c.LocalAddr != s.RemoteAddr || c.LocalPort != s.RemotePort ||
+		c.RemoteAddr != s.LocalAddr || c.RemotePort != s.LocalPort {
+		t.Fatalf("client names the connection %+v, server %+v", c, s)
 	}
-	if r.Reverse() != id {
-		t.Fatal("double reverse not identity")
+	if s.LocalAddr != addrB || s.LocalPort != 80 {
+		t.Fatalf("server end = %+v, want %v:80", s, addrB)
 	}
 }
 

@@ -50,16 +50,6 @@ func appendEndpoint(b []byte, addr ip.Addr, port uint16) []byte {
 	return strconv.AppendUint(b, uint64(port), 10)
 }
 
-// Reverse swaps the local and remote halves.
-func (id ConnID) Reverse() ConnID {
-	return ConnID{
-		LocalAddr:  id.RemoteAddr,
-		LocalPort:  id.RemotePort,
-		RemoteAddr: id.LocalAddr,
-		RemotePort: id.LocalPort,
-	}
-}
-
 // The retransmission timeout starts at initialRTO, before the first RTT
 // sample, and is clamped to maxRTO however far it backs off (RFC 6298).
 const (
@@ -186,9 +176,8 @@ type Stack struct {
 	Received int64
 
 	// Metric instruments; nil (no-op) when the stack was built without a
-	// registry. mRetransmits is incremented exactly where the
-	// KindRetransmit trace event fires, so the counter and the trace
-	// stream always agree.
+	// registry. mRetransmits moves only in Conn.noteRetransmit, together
+	// with the KindRetransmit event.
 	mSent        *metrics.Counter
 	mReceived    *metrics.Counter
 	mSuppressed  *metrics.Counter

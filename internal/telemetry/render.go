@@ -153,25 +153,6 @@ func RenderDashboard(w io.Writer, r *Report, opts RenderOptions) error {
 	return err
 }
 
-// RenderDiff writes a diff in the fixed shape the CI log and the exit
-// status contract rely on: regressions first, then notes.
-func RenderDiff(w io.Writer, d *Diff) error {
-	var b strings.Builder
-	if d.Ok() {
-		b.WriteString("diff: OK — no regressions\n")
-	} else {
-		fmt.Fprintf(&b, "diff: %d regression(s)\n", len(d.Regressions))
-		for _, r := range d.Regressions {
-			fmt.Fprintf(&b, "  REGRESSION: %s\n", r)
-		}
-	}
-	for _, n := range d.Notes {
-		fmt.Fprintf(&b, "  note: %s\n", n)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
 // fmtValue renders a point with its unit: seconds get duration form,
 // everything else a compact number.
 func fmtValue(v float64, unit string) string {

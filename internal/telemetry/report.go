@@ -120,19 +120,6 @@ type InvariantVerdict struct {
 	Violations []string `json:"violations,omitempty"`
 }
 
-// Violated reports whether any invariant in the chaos section failed.
-func (c *ChaosReport) Violated() bool {
-	if c == nil {
-		return false
-	}
-	for _, iv := range c.Invariants {
-		if len(iv.Violations) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Write serializes the report as indented JSON.
 func (r *Report) Write(w io.Writer) error {
 	if r.Version == 0 {

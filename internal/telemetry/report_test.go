@@ -89,75 +89,6 @@ func TestPhasesFromAnatomy(t *testing.T) {
 	}
 }
 
-func TestDiffGenuinePairIsClean(t *testing.T) {
-	base, cand := sampleReport(), sampleReport()
-	cand.Demo = "demo2-rerun" // config drift is a note, not a regression
-	d := DiffReports(base, cand, DiffOptions{})
-	if !d.Ok() {
-		t.Fatalf("identical virtual runs must diff clean, got %v", d.Regressions)
-	}
-	found := false
-	for _, n := range d.Notes {
-		if strings.Contains(n, "demo differs") {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("demo difference should be noted informationally")
-	}
-}
-
-func TestDiffCatchesLatencyRegression(t *testing.T) {
-	base, cand := sampleReport(), sampleReport()
-	for i := range cand.Telemetry.Series[0].Points {
-		cand.Telemetry.Series[0].Points[i] *= 10 // degrade p99 everywhere
-	}
-	d := DiffReports(base, cand, DiffOptions{})
-	if d.Ok() {
-		t.Fatal("10x p99 degradation must regress")
-	}
-	if !strings.Contains(d.Regressions[0], "client.response_latency.p99") {
-		t.Errorf("regression should name the series: %v", d.Regressions)
-	}
-}
-
-func TestDiffCatchesAnatomyDrift(t *testing.T) {
-	base, cand := sampleReport(), sampleReport()
-	cand.Anatomy[0].Detection = 2 * time.Second // vs 600ms baseline
-	d := DiffReports(base, cand, DiffOptions{})
-	if d.Ok() {
-		t.Fatal("3x detection drift must regress")
-	}
-	if !strings.Contains(d.Regressions[0], "detection") {
-		t.Errorf("regression should name the phase: %v", d.Regressions)
-	}
-	// Drift inside tolerance is a note, not a regression.
-	cand.Anatomy[0].Detection = 610 * time.Millisecond
-	if d := DiffReports(base, cand, DiffOptions{}); !d.Ok() {
-		t.Errorf("10ms drift within slack flagged as regression: %v", d.Regressions)
-	}
-}
-
-func TestDiffCatchesNewInvariantViolation(t *testing.T) {
-	base, cand := sampleReport(), sampleReport()
-	cand.Chaos.Invariants[0].Violations = []string{"gap at byte 4096"}
-	d := DiffReports(base, cand, DiffOptions{})
-	if d.Ok() {
-		t.Fatal("new invariant violation must regress")
-	}
-	if !strings.Contains(d.Regressions[0], "no-data-loss") {
-		t.Errorf("regression should name the invariant: %v", d.Regressions)
-	}
-}
-
-func TestDiffExtraFailoverRegresses(t *testing.T) {
-	base, cand := sampleReport(), sampleReport()
-	cand.Anatomy = append(cand.Anatomy, cand.Anatomy[0])
-	if d := DiffReports(base, cand, DiffOptions{}); d.Ok() {
-		t.Fatal("an extra (unexpected) failover must regress")
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	if got := Sparkline([]float64{0, 1}, 2); got != "▁█" {
 		t.Errorf("Sparkline(0,1) = %q, want low+high glyphs", got)

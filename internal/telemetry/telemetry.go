@@ -491,15 +491,6 @@ func (t *Timeline) Find(name string) *SeriesData {
 	return nil
 }
 
-// WindowIndex maps a virtual instant to the window that contains it
-// (-1 before sampling started). Nil-safe.
-func (t *Timeline) WindowIndex(at time.Time) int {
-	if t == nil || at.Before(t.Start) || t.Window <= 0 {
-		return -1
-	}
-	return int(at.Sub(t.Start) / t.Window)
-}
-
 // Max returns the largest point and its window index (-1 when empty).
 func (s *SeriesData) Max() (float64, int) {
 	if s == nil || len(s.Points) == 0 {

@@ -206,13 +206,24 @@ func TestRingWrapKeepsMostRecentWindows(t *testing.T) {
 	}
 }
 
+// TestWindowIndex pins how a reader finds an instant in a timeline: window
+// i covers [Start+i*Window, Start+(i+1)*Window), with Start the instant
+// sampling began, not the epoch.
 func TestWindowIndex(t *testing.T) {
-	tl := &Timeline{Start: sim.Epoch, Window: 100 * time.Millisecond}
-	if got := tl.WindowIndex(sim.Epoch.Add(250 * time.Millisecond)); got != 2 {
-		t.Errorf("WindowIndex(+250ms) = %d, want 2", got)
+	s, r, sp := newTestSampler(t, Config{Window: 100 * time.Millisecond})
+	c := r.Counter("x", "hits")
+	s.Post(time.Second, sp.Start)
+	at := sim.Epoch.Add(1250 * time.Millisecond)
+	s.Post(at.Sub(sim.Epoch), c.Inc)
+	runTo(t, s, 1450*time.Millisecond)
+
+	tl := sp.Timeline()
+	if !tl.Start.Equal(sim.Epoch.Add(time.Second)) {
+		t.Fatalf("Start = %v, want the instant sampling began", tl.Start)
 	}
-	if got := tl.WindowIndex(sim.Epoch.Add(-time.Second)); got != -1 {
-		t.Errorf("WindowIndex before start = %d, want -1", got)
+	idx, got := int(at.Sub(tl.Start)/tl.Window), tl.Find("x.hits.rate").Points
+	if want := []float64{0, 0, 1, 0}; idx != 2 || !floatsEqual(got, want) {
+		t.Errorf("+250ms maps to window %d of %v, want window 2 of %v", idx, got, want)
 	}
 }
 

@@ -92,9 +92,6 @@ func (r *Recorder) WriteChromeTrace(w io.Writer, epoch time.Time) error {
 		if s.Parent != 0 {
 			args["parent"] = uint64(s.Parent)
 		}
-		if s.Value != 0 {
-			args["value"] = s.Value
-		}
 		d := dur
 		out = append(out, chromeEvent{
 			Name: s.Kind.String(), Cat: "span", Phase: "X",
@@ -137,66 +134,4 @@ func (r *Recorder) WriteChromeTrace(w io.Writer, epoch time.Time) error {
 		return fmt.Errorf("trace: encode chrome trace: %w", err)
 	}
 	return nil
-}
-
-// ValidateChromeTrace parses data as Chrome trace-event JSON and checks the
-// structural invariants Perfetto relies on: known phases, named events,
-// non-negative timestamps and durations, and balanced flow arrows. It
-// returns the number of trace events. Tests use it to prove an exported
-// file round-trips.
-func ValidateChromeTrace(data []byte) (int, error) {
-	var f struct {
-		TraceEvents []struct {
-			Name  string          `json:"name"`
-			Phase string          `json:"ph"`
-			TS    *float64        `json:"ts"`
-			Dur   *float64        `json:"dur"`
-			PID   *int            `json:"pid"`
-			TID   *int            `json:"tid"`
-			ID    string          `json:"id"`
-			Args  json.RawMessage `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		return 0, fmt.Errorf("trace: invalid JSON: %w", err)
-	}
-	if len(f.TraceEvents) == 0 {
-		return 0, fmt.Errorf("trace: no traceEvents")
-	}
-	flows := map[string]int{}
-	for i, e := range f.TraceEvents {
-		switch e.Phase {
-		case "M":
-			// Metadata carries no timestamp.
-		case "X":
-			if e.Dur == nil || *e.Dur < 0 {
-				return 0, fmt.Errorf("trace: event %d (%q): X without non-negative dur", i, e.Name)
-			}
-			fallthrough
-		case "i", "s", "f":
-			if e.TS == nil || *e.TS < 0 {
-				return 0, fmt.Errorf("trace: event %d (%q): missing or negative ts", i, e.Name)
-			}
-		default:
-			return 0, fmt.Errorf("trace: event %d (%q): unknown phase %q", i, e.Name, e.Phase)
-		}
-		if e.Name == "" {
-			return 0, fmt.Errorf("trace: event %d: empty name", i)
-		}
-		if e.PID == nil || e.TID == nil {
-			return 0, fmt.Errorf("trace: event %d (%q): missing pid/tid", i, e.Name)
-		}
-		switch e.Phase {
-		case "s":
-			flows[e.ID]++
-		case "f":
-			flows[e.ID]--
-		}
-	}
-	for id, n := range flows {
-		if n != 0 {
-			return 0, fmt.Errorf("trace: unbalanced flow %q (%+d)", id, n)
-		}
-	}
-	return len(f.TraceEvents), nil
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -21,7 +20,6 @@ type Span struct {
 	Kind      Kind
 	Component string
 	Message   string
-	Value     int64
 	Start     time.Time
 	End       time.Time // zero while open
 	// Auto marks fan-out spans (segment journeys, heartbeat rounds) that
@@ -131,17 +129,6 @@ func (r *Recorder) CloseSpan(id SpanID) {
 	now := r.nowFn()
 	sp.End = now
 	sp.lastTouch = now
-}
-
-// SetSpanValue attaches a numeric payload (bytes recovered, sequence
-// number, ...) to an open or closed span.
-func (r *Recorder) SetSpanValue(id SpanID, v int64) {
-	if r == nil {
-		return
-	}
-	if sp := r.span(id); sp != nil {
-		sp.Value = v
-	}
 }
 
 // Ambient returns the span ID currently propagated as the causal context
@@ -293,40 +280,4 @@ func (r *Recorder) FinalizeAutoSpans() {
 			r.spans[i].End = r.spans[i].lastTouch
 		}
 	}
-}
-
-// DumpSpans renders the span tree as an indented multi-line string, roots
-// first, children nested under their parents in open order.
-func (r *Recorder) DumpSpans() string {
-	if r == nil {
-		return ""
-	}
-	children := map[SpanID][]SpanID{}
-	var roots []SpanID
-	for _, s := range r.spans {
-		if r.span(s.Parent) != nil {
-			children[s.Parent] = append(children[s.Parent], s.ID)
-		} else {
-			roots = append(roots, s.ID)
-		}
-	}
-	var b []byte
-	var walk func(id SpanID, depth int)
-	walk = func(id SpanID, depth int) {
-		s, _ := r.SpanByID(id)
-		for i := 0; i < depth; i++ {
-			b = append(b, ' ', ' ')
-		}
-		b = append(b, s.String()...)
-		b = append(b, '\n')
-		kids := children[id]
-		sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
-		for _, k := range kids {
-			walk(k, depth+1)
-		}
-	}
-	for _, id := range roots {
-		walk(id, 0)
-	}
-	return string(b)
 }

@@ -9,7 +9,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -288,20 +287,6 @@ func (r *Recorder) Filter(kind Kind) []Event {
 	return out
 }
 
-// FilterComponent returns events whose component contains substr.
-func (r *Recorder) FilterComponent(substr string) []Event {
-	if r == nil {
-		return nil
-	}
-	var out []Event
-	for _, e := range r.events {
-		if strings.Contains(e.Component, substr) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // First returns the earliest event of the given kind, or false if none.
 func (r *Recorder) First(kind Kind) (Event, bool) {
 	if r == nil {
@@ -312,18 +297,6 @@ func (r *Recorder) First(kind Kind) (Event, bool) {
 		return Event{}, false
 	}
 	return r.events[idx[0]], true
-}
-
-// Last returns the latest event of the given kind, or false if none.
-func (r *Recorder) Last(kind Kind) (Event, bool) {
-	if r == nil {
-		return Event{}, false
-	}
-	idx := r.byKind[kind]
-	if len(idx) == 0 {
-		return Event{}, false
-	}
-	return r.events[idx[len(idx)-1]], true
 }
 
 // Count reports the number of events of the given kind.
@@ -351,21 +324,4 @@ func (r *Recorder) Dump() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Kinds returns the distinct kinds recorded, sorted by name, useful in
-// tests that assert a scenario produced exactly the expected classes of
-// events.
-func (r *Recorder) Kinds() []Kind {
-	if r == nil {
-		return nil
-	}
-	var out []Kind
-	for k, idx := range r.byKind {
-		if len(idx) > 0 {
-			out = append(out, k)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
 }
