@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check vet lint build test race bench observers loc flags doc-bytes allows faults-one-place timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
+.PHONY: all check vet lint build test race bench observers loc flags doc-bytes allows faults-one-place artifacts-one-place timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
 
 all: check
 
@@ -91,6 +91,18 @@ faults-one-place:
 	    --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build . \
 	  | grep -vE '^\./internal/(netem|serial|cluster|app)/|^\./internal/experiment/testbed\.go:' \
 	  || { echo "faults-one-place: a fault is performed outside experiment.Testbed (lines above)"; exit 1; }
+
+# One place a run's artifacts live: the finished experiment.Testbed. A run
+# is the result (experiment.Run) and what a demo prints is a value
+# projection of it, so no struct under internal/experiment but Testbed
+# (testbed.go) declares a *trace.Recorder, *metrics.Snapshot or
+# *telemetry.Timeline field — the per-result-type plumbing (twenty such
+# lines before PR 23) cannot quietly grow back. A grep in the idiom of
+# faults-one-place; CI runs it beside it.
+artifacts-one-place:
+	@! grep -nE '^[[:space:]]+[A-Za-z_][A-Za-z0-9_, ]*[[:space:]]+\*(trace\.Recorder|metrics\.Snapshot|telemetry\.Timeline)\b' \
+	    $$(ls internal/experiment/*.go | grep -vE '_test\.go$$|/testbed\.go$$') \
+	  || { echo "artifacts-one-place: a result type carries a recorder, snapshot or timeline (lines above); read it off the run's Testbed"; exit 1; }
 
 # Render the Demo 1 failover anatomy: phase report plus ASCII span timeline.
 # The same view ships as a golden (internal/scenario/testdata/golden); after

@@ -41,7 +41,7 @@ const (
 )
 
 // Artifacts holds a subcommand's artifact flags and, after Note, what the
-// last run produced for each of them.
+// last run left for each of them.
 type Artifacts struct {
 	MetricsOut, TraceOut, EventsOut, ReportOut string
 	window                                     time.Duration
@@ -87,59 +87,47 @@ func (a *Artifacts) Window() time.Duration {
 	return a.window
 }
 
-// Check rejects, before anything runs, what the selection cannot produce:
-// a metric snapshot for -metrics-out, or a recorder for -trace-out and for
-// the trace views the subcommand renders itself (traceViews).
-func (a *Artifacts) Check(hasMetrics, hasTracer, traceViews bool) error {
-	if a.MetricsOut != "" && !hasMetrics {
-		return fmt.Errorf("-metrics-out: the selection produces no metric snapshot")
-	}
-	if (a.TraceOut != "" || a.EventsOut != "" || traceViews) && !hasTracer {
-		return fmt.Errorf("-trace-out, -trace, -timeline, -json: the selection records no trace")
+// Check rejects, before anything runs, every artifact flag and trace view
+// (traceViews: the ones the subcommand renders itself) asked of a selection
+// that builds no testbed: there is nothing to snapshot, trace or sample.
+func (a *Artifacts) Check(hasTestbed, traceViews bool) error {
+	asked := a.MetricsOut != "" || a.TraceOut != "" || a.EventsOut != "" || a.ReportOut != "" || a.window != 0 || traceViews
+	if asked && !hasTestbed {
+		return fmt.Errorf("-metrics-out, -report-out, -telemetry-window, -trace-out, -json, -trace, -timeline: the selection builds no testbed to observe")
 	}
 	return nil
 }
 
-// Note remembers what a finished run produced. A nil argument leaves the
-// previous run's in place, so after a sequence of runs each artifact comes
-// from the last run that produced one.
+// Note remembers what a finished run left behind; Write exports the last
+// run noted.
 func (a *Artifacts) Note(snap *metrics.Snapshot, tracer *trace.Recorder, report *telemetry.Report) {
-	if snap != nil {
-		a.snap = snap
-	}
-	if tracer != nil {
-		a.tracer = tracer
-	}
-	if report != nil {
-		a.report = report
-	}
+	a.snap, a.tracer, a.report = snap, tracer, report
 }
 
-// Write exports every requested artifact of the noted run — each one is
-// attempted even when another fails; confirmation lines (and "-" payloads)
-// go to stdout.
+// Write exports every requested artifact of the noted run (a subcommand
+// notes a run before it writes, and every run has all it registered flags
+// for) — each one is attempted even when another fails; confirmation lines
+// (and "-" payloads) go to stdout.
 func (a *Artifacts) Write(stdout io.Writer) error {
 	return errors.Join(
-		export(stdout, a.MetricsOut, "-metrics-out", "metric snapshot", "", a.snap != nil,
+		export(stdout, a.MetricsOut, "-metrics-out", "metric snapshot", "",
 			func(w io.Writer) error { return a.snap.WriteJSON(w) }),
-		export(stdout, a.TraceOut, "-trace-out", "span trace", " — load it in ui.perfetto.dev or chrome://tracing", a.tracer != nil,
+		export(stdout, a.TraceOut, "-trace-out", "span trace", " — load it in ui.perfetto.dev or chrome://tracing",
 			func(w io.Writer) error { return a.tracer.WriteChromeTrace(w, sim.Epoch) }),
-		export(stdout, a.EventsOut, "-json", "event trace", "", a.tracer != nil,
+		export(stdout, a.EventsOut, "-json", "event trace", "",
 			func(w io.Writer) error { return a.tracer.WriteJSON(w, sim.Epoch) }),
-		export(stdout, a.ReportOut, "-report-out", "run report", " — render it with sttcp report "+a.ReportOut, a.report != nil,
+		export(stdout, a.ReportOut, "-report-out", "run report", " — render it with sttcp report "+a.ReportOut,
 			func(w io.Writer) error { return a.report.Write(w) }),
 	)
 }
 
 // export writes one artifact to path: "" skips it, "-" is stdout, anything
 // else a file followed by a confirmation line.
-func export(stdout io.Writer, path, name, what, hint string, have bool, write func(io.Writer) error) error {
-	switch {
-	case path == "":
+func export(stdout io.Writer, path, name, what, hint string, write func(io.Writer) error) error {
+	switch path {
+	case "":
 		return nil
-	case !have:
-		return fmt.Errorf("%s: the selected run produced no %s", name, what)
-	case path == "-":
+	case "-":
 		return write(stdout)
 	}
 	if err := WriteFile(path, write); err != nil {

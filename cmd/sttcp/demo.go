@@ -9,6 +9,7 @@ import (
 
 	"repro/cmd/internal/cliflags"
 	"repro/internal/experiment"
+	"repro/internal/trace"
 )
 
 // setupDemo is `sttcp demo`: it runs registry demos and prints what the
@@ -41,12 +42,11 @@ func setupDemo(fs *flag.FlagSet) func(io.Writer) error {
 
 		// Refuse up front what the selection cannot deliver, rather than
 		// after a 2,000-connection run.
-		hasMetrics, hasTracer := false, false
+		hasTestbed := false
 		for _, d := range selected {
-			hasMetrics = hasMetrics || !d.NoMetrics
-			hasTracer = hasTracer || !d.NoTracer
+			hasTestbed = hasTestbed || d.HasTestbed()
 		}
-		if err := art.Check(hasMetrics, hasTracer, v.trace || v.timeline); err != nil {
+		if err := art.Check(hasTestbed, v.trace || v.timeline); err != nil {
 			return usageErr("%w (-demo %s)", err, *demo)
 		}
 
@@ -59,14 +59,21 @@ func setupDemo(fs *flag.FlagSet) func(io.Writer) error {
 				TraceDetail:     art.TraceOut != "" || v.timeline,
 				TelemetryWindow: art.Window(),
 			}
-			res, err := d.Run(p)
+			runs, printer, err := d.Run(p)
 			if err != nil {
 				return fmt.Errorf("%s: %w", d.Name, err)
 			}
-			if err := v.printResult(stdout, d, res); err != nil && failed == nil {
+			fmt.Fprintf(stdout, "\n=== %s: %s ===\n\n", d.Name, d.Title)
+			err = printer(stdout, func(r *experiment.Run, zoom *trace.FailoverAnatomy) {
+				v.traces(stdout, r.Testbed.Tracer, zoom)
+			})
+			if err != nil && failed == nil {
 				failed = fmt.Errorf("%s: %w", d.Name, err)
 			}
-			art.Note(res.Metrics, res.Tracer, experiment.BuildReport(p, res))
+			if len(runs) > 0 {
+				tb := runs[len(runs)-1].Testbed
+				art.Note(tb.Metrics.Snapshot(), tb.Tracer, tb.Report(d.Name, p))
+			}
 		}
 		// Artifacts are written before a failed demo is reported: a failing
 		// matrix is exactly the run whose report is wanted.

@@ -167,9 +167,10 @@ func TestVetListsTheAnalyzers(t *testing.T) {
 	}
 }
 
-// TestTraceViewsRejectedBeforeTheRun: a demo with no recorder to give must
-// refuse the trace flags up front (it used to run to completion and then
-// fail, or ignore the flag).
+// TestTraceViewsRejectedBeforeTheRun: a demo that builds no testbed must
+// refuse every artifact flag and trace view up front (it used to run to
+// completion and then fail, ignore the flag, or — for -report-out — write an
+// empty shell of a report).
 func TestTraceViewsRejectedBeforeTheRun(t *testing.T) {
 	dir := t.TempDir()
 	for _, args := range [][]string{
@@ -178,6 +179,8 @@ func TestTraceViewsRejectedBeforeTheRun(t *testing.T) {
 		{"-timeline"},
 		{"-trace"},
 		{"-metrics-out", filepath.Join(dir, "m.json")},
+		{"-report-out", "-"},
+		{"-telemetry-window", "100ms"},
 	} {
 		code, out, errb := cli(append([]string{"demo", "-demo", "capacity"}, args...)...)
 		if code != 2 || out != "" || !strings.Contains(errb, "-demo capacity") {

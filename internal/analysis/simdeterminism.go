@@ -60,7 +60,10 @@ var SimDeterminism = &Analyzer{
 }
 
 // simDrivenSet computes which loaded packages are sim-driven: internal/sim
-// itself plus everything that transitively imports it. The transitive
+// itself, internal/sweep (in jurisdiction by name: it is the audited
+// goroutine boundary of checkSimDirect whether or not it imports the
+// simulators its jobs build) plus everything that transitively imports
+// either. The transitive
 // closure is the point of v2 — a command driving chaos campaigns is as
 // replay-sensitive as the campaign package it imports.
 func simDrivenSet(pkgs []*Package) map[*Package]bool {
@@ -71,7 +74,7 @@ func simDrivenSet(pkgs []*Package) map[*Package]bool {
 			return v
 		}
 		memo[p] = false // cycle guard; import graphs are acyclic anyway
-		if pkgPathHasSuffix(p.Path(), "internal/sim") {
+		if pkgPathHasSuffix(p.Path(), "internal/sim") || pkgPathHasSuffix(p.Path(), "internal/sweep") {
 			memo[p] = true
 			return true
 		}

@@ -32,14 +32,15 @@ func stallAround(r FailoverResult, at time.Time) time.Duration {
 // retransmission wait — must sum to the client-visible failover time (after
 // the pipeline-drain and delivery-latency corrections) within one sim tick.
 func TestDemo2AnatomyPhasesSumToStall(t *testing.T) {
-	results, err := runDemo2(Options{Seed: 42}, []time.Duration{100 * time.Millisecond, time.Second}, false)
+	runs, err := runDemo2(Options{Seed: 42}, []time.Duration{100 * time.Millisecond, time.Second}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results, want 2", len(results))
+	if len(runs) != 2 {
+		t.Fatalf("got %d runs, want 2", len(runs))
 	}
-	for _, r := range results {
+	for _, run := range runs {
+		r := run.failover()
 		t.Run(r.HBPeriod.String(), func(t *testing.T) {
 			if !r.Completed {
 				t.Fatalf("transfer did not complete: %v", r.ClientErr)
@@ -87,7 +88,7 @@ func TestDemo2AnatomyPhasesSumToStall(t *testing.T) {
 
 			// The takeover span must be causally rooted in the detection
 			// evidence.
-			if a.TakeoverSpan == 0 || !r.Tracer.CausallyLinked(a.TakeoverSpan, trace.KindSuspect) {
+			if a.TakeoverSpan == 0 || !run.Testbed.Tracer.CausallyLinked(a.TakeoverSpan, trace.KindSuspect) {
 				t.Errorf("takeover span #%d not causally linked to suspect evidence", a.TakeoverSpan)
 			}
 		})

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"repro/internal/hb"
@@ -89,4 +90,29 @@ func runHBLinkCapacity(n int, period, runFor time.Duration, bitsPerSecond int64)
 		res.EffectiveBitsS = float64(res.MessageBytes*10) / res.MeanInterval.Seconds()
 	}
 	return res, nil
+}
+
+// printCapacity renders the serial link's capacity series, then the same
+// load over the crossover 100 Mbit/s Ethernet link §3 advises past ~100
+// connections (without the message-size column).
+func printCapacity(overSerial, overEthernet []SerialCapacityResult) Printer {
+	series := func(w io.Writer, rows []SerialCapacityResult, withBytes bool) {
+		bytes := func(v any) string {
+			if !withBytes {
+				return ""
+			}
+			return fmt.Sprintf("%-10v ", v)
+		}
+		fmt.Fprintf(w, "%-8s %s%-14s %-14s %s\n", "conns", bytes("hb bytes"), "mean interval", "max backlog", "saturated")
+		for _, r := range rows {
+			fmt.Fprintf(w, "%-8d %s%-14v %-14v %v\n", r.Conns, bytes(r.MessageBytes),
+				r.MeanInterval.Round(time.Millisecond), r.MaxQueueDelay.Round(time.Millisecond), r.Saturated)
+		}
+	}
+	return func(w io.Writer, _ View) error {
+		series(w, overSerial, true)
+		fmt.Fprintln(w, "\n   same load over a crossover 100 Mbit/s Ethernet heartbeat link (§3's advice):")
+		series(w, overEthernet, false)
+		return nil
+	}
 }

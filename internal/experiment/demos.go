@@ -2,25 +2,23 @@ package experiment
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"repro/internal/app"
 	"repro/internal/baseline"
 	"repro/internal/cluster"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/sttcp"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
-// FailoverResult captures what one failover scenario produced, combining
-// the server-side trace (when the failure was detected, when the backup
-// took over) with the client-side view (the stall in the progress series —
-// the paper's failover time).
+// FailoverResult is a run read out as a failover, combining the
+// server-side trace (when the failure was detected, when the backup took
+// over) with the client-side view (the stall in the progress series — the
+// paper's failover time).
 type FailoverResult struct {
-	// Scenario labels the variant inside a multi-run demo (e.g. Demo 4's
-	// "no-cleanup" vs "with-cleanup"); empty for single-run demos.
+	// Scenario is the run's Label.
 	Scenario string
 
 	HBPeriod time.Duration
@@ -54,24 +52,10 @@ type FailoverResult struct {
 	StartAt    time.Time
 	TotalBytes int64
 
-	Tracer *trace.Recorder
-
 	// Anatomy is the span-derived phase decomposition of the failover
 	// (detection / takeover / retransmission wait), nil when the run had
 	// no takeover (baselines, clean runs, non-FT fallbacks).
 	Anatomy *trace.FailoverAnatomy
-
-	// Metrics is the testbed's metric snapshot at the end of the run.
-	Metrics *metrics.Snapshot
-
-	// Telemetry is the windowed time-series export, nil unless the run
-	// sampled telemetry (Params.TelemetryWindow).
-	Telemetry *telemetry.Timeline
-}
-
-func (r FailoverResult) String() string {
-	return fmt.Sprintf("hb=%v detect=%v failover=%v completed=%v",
-		r.HBPeriod, r.DetectionTime.Round(time.Millisecond), r.FailoverTime.Round(time.Millisecond), r.Completed)
 }
 
 // crashPrimary is the fault most runs inject: a HW/OS crash of the primary.
@@ -87,13 +71,12 @@ const demo1CrashAfter = 500 * time.Millisecond
 // the stall itself, reconnect to the backup server, and resume. It returns
 // the ST-TCP run and the baseline run on the identical workload and crash
 // schedule.
-func runDemo1(o Options, transferSize int64) (st, bl FailoverResult, err error) {
-	run, err := plan{Options: o, Workload: Workload{Bytes: transferSize},
+func runDemo1(o Options, transferSize int64) (st *Run, bl FailoverResult, err error) {
+	st, err = plan{Options: o, Workload: Workload{Bytes: transferSize},
 		Faults: []Fault{crashPrimary(demo1CrashAfter)}, Horizon: 10 * time.Minute}.run()
 	if err != nil {
 		return st, bl, err
 	}
-	st = run.failover()
 
 	// Baseline run: same workload, same crash schedule, no ST-TCP. Each
 	// server listens on its own address; the client carries the failover
@@ -119,7 +102,7 @@ func runDemo1(o Options, transferSize int64) (st, bl FailoverResult, err error) 
 		return st, bl, err
 	}
 	bl = FailoverResult{
-		CrashAt:        run.injectAt,
+		CrashAt:        st.injectAt,
 		Completed:      rc.Done && rc.Err == nil && rc.VerifyFailures == 0,
 		ClientErr:      rc.Err,
 		BytesReceived:  rc.Received,
@@ -134,6 +117,34 @@ func runDemo1(o Options, transferSize int64) (st, bl FailoverResult, err error) 
 	return st, bl, nil
 }
 
+// printDemo1 renders the two transfers side by side and the demo GUI's pie
+// chart flattened into a timeline (one glyph per 100 ms): the ST-TCP chart
+// pauses briefly and keeps filling; the baseline chart flatlines until the
+// client's own stall detector reconnects it.
+func printDemo1(run *Run, bl FailoverResult) Printer {
+	return func(w io.Writer, view View) error {
+		st := run.failover()
+		fmt.Fprintf(w, "workload: %d MiB download; primary HW crash mid-transfer\n\n", st.TotalBytes>>20)
+		fmt.Fprintf(w, "%-28s %-14s %-14s %-12s %s\n", "", "transfer time", "client stall", "reconnects", "completed")
+		for _, row := range []struct {
+			name string
+			FailoverResult
+		}{{"ST-TCP", st}, {"plain TCP + hot backup", bl}} {
+			fmt.Fprintf(w, "%-28s %-14v %-14v %-12d %v\n", row.name,
+				row.TransferTime.Round(time.Millisecond), row.FailoverTime.Round(time.Millisecond), row.Reconnects, row.Completed)
+		}
+		fmt.Fprintf(w, "\nST-TCP detection time: %v; the client saw only a %v glitch and never reconnected.\n",
+			st.DetectionTime.Round(time.Millisecond), st.FailoverTime.Round(time.Millisecond))
+		pie := func(r FailoverResult) string {
+			return FormatTimeline(ProgressTimeline(r.Progress, r.TotalBytes, r.StartAt, r.StartAt.Add(6*time.Second), 100*time.Millisecond))
+		}
+		fmt.Fprintln(w, "\npie-chart progression (one glyph per 100ms):")
+		fmt.Fprintf(w, "ST-TCP:    %s\nbaseline:  %s\n", pie(st), pie(bl))
+		view(run, st.Anatomy)
+		return nil
+	}
+}
+
 // demo2CrashAfter is when Demos 2 and 4 break the primary: mid-transfer.
 const demo2CrashAfter = 700 * time.Millisecond
 
@@ -142,7 +153,7 @@ const demo2CrashAfter = 700 * time.Millisecond
 // crashed mid-transfer and the client-observed gap is measured. eager
 // enables the retransmit-at-takeover extension (the paper's design waits
 // for the next retransmission).
-func runDemo2(o Options, periods []time.Duration, eager bool) ([]FailoverResult, error) {
+func runDemo2(o Options, periods []time.Duration, eager bool) ([]*Run, error) {
 	return sweepPeriods(o, periods, plan{
 		mutate:   func(c *sttcp.Config) { c.EagerTakeoverRetransmit = eager },
 		Workload: Workload{Bytes: 32 << 20},
@@ -154,17 +165,16 @@ func runDemo2(o Options, periods []time.Duration, eager bool) ([]FailoverResult,
 // the crash it is the *client's* TCP that retransmits with exponential
 // backoff, and the post-detection gap is governed by the client's RTO
 // schedule rather than the backup's.
-func runDemo2Upload(o Options, periods []time.Duration) ([]FailoverResult, error) {
+func runDemo2Upload(o Options, periods []time.Duration) ([]*Run, error) {
 	return sweepPeriods(o, periods, plan{
 		Workload: Workload{Echo: true, Rounds: 4000, MsgSize: 1024, Gap: time.Millisecond},
 	})
 }
 
 // sweepPeriods runs p once per heartbeat period — period i at seed+i, the
-// primary crashed demo2CrashAfter in — and reads each run out as a
-// failover.
-func sweepPeriods(o Options, periods []time.Duration, p plan) ([]FailoverResult, error) {
-	results := make([]FailoverResult, 0, len(periods))
+// primary crashed demo2CrashAfter in.
+func sweepPeriods(o Options, periods []time.Duration, p plan) ([]*Run, error) {
+	runs := make([]*Run, 0, len(periods))
 	p.Faults, p.Horizon = []Fault{crashPrimary(demo2CrashAfter)}, 10*time.Minute
 	for i, hb := range periods {
 		p.Options, p.HB = o, hb
@@ -173,9 +183,23 @@ func sweepPeriods(o Options, periods []time.Duration, p plan) ([]FailoverResult,
 		if err != nil {
 			return nil, err
 		}
-		results = append(results, run.failover())
+		runs = append(runs, run)
 	}
-	return results, nil
+	return runs, nil
+}
+
+// printFailovers renders runs as a table of failovers, one row a run.
+func printFailovers(runs []*Run) Printer {
+	return func(w io.Writer, view View) error {
+		fmt.Fprintf(w, "%-14s %-14s %-12s %-12s %s\n", "scenario", "HB period", "detection", "failover", "completed")
+		for _, run := range runs {
+			r := run.failover()
+			fmt.Fprintf(w, "%-14s %-14v %-12v %-12v %v\n", or(r.Scenario, "-"), r.HBPeriod,
+				r.DetectionTime.Round(time.Millisecond), r.FailoverTime.Round(time.Millisecond), r.Completed)
+			view(run, r.Anatomy)
+		}
+		return nil
+	}
 }
 
 // Demo3Result compares failure-free transfer time with ST-TCP enabled and
@@ -185,10 +209,6 @@ type Demo3Result struct {
 	WithSTTCP   time.Duration
 	WithoutTCP  time.Duration
 	OverheadPct float64
-
-	// Metrics and Tracer are the ST-TCP-enabled run's.
-	Metrics *metrics.Snapshot
-	Tracer  *trace.Recorder
 }
 
 func (r Demo3Result) String() string {
@@ -198,44 +218,55 @@ func (r Demo3Result) String() string {
 
 // runDemo3 reproduces Demo 3: a large failure-free transfer (the paper
 // uses about 100 MB) timed with ST-TCP enabled and disabled; the point is
-// that the overhead is negligible.
-func runDemo3(seed int64, size int64) (Demo3Result, error) {
+// that the overhead is negligible. The run returned is the ST-TCP-enabled
+// one.
+func runDemo3(o Options, size int64) (*Run, Demo3Result, error) {
 	out := Demo3Result{Size: size}
 	download := Workload{Bytes: size}
 
 	// ST-TCP enabled. The plan injects nothing, so run() also holds it to
 	// the failure-free postcondition: replication on from start to end.
-	run, err := plan{Options: Options{Seed: seed}, Workload: download, Horizon: 30 * time.Minute}.run()
+	run, err := plan{Options: o, Workload: download, Horizon: 30 * time.Minute}.run()
 	if err != nil {
-		return out, err
+		return run, out, err
 	}
 	if err := run.completed("demo3 ST-TCP transfer"); err != nil {
-		return out, err
+		return run, out, err
 	}
-	with := run.failover()
-	out.WithSTTCP, out.Metrics, out.Tracer = with.TransferTime, with.Metrics, with.Tracer
+	out.WithSTTCP = run.client.(*app.StreamClient).Elapsed()
 
 	// ST-TCP disabled: plain server on the primary, same topology.
-	tb := Build(Options{Seed: seed})
+	tb := Build(o)
 	tb.Primary.Netstack().AddAlias(ServiceAddr)
 	l, err := tb.Primary.TCP().Listen(ServiceAddr, ServicePort)
 	if err != nil {
-		return out, err
+		return run, out, err
 	}
 	l.OnEstablished = app.NewDataServer("primary/app", tb.Tracer).Accept
 	cl, err := tb.StartClient("client/app", download)
 	if err != nil {
-		return out, err
+		return run, out, err
 	}
 	if err := tb.Run(30 * time.Minute); err != nil {
-		return out, err
+		return run, out, err
 	}
 	if !app.Completed(cl) {
-		return out, fmt.Errorf("experiment: demo3 plain transfer failed: %s", cl.Progress())
+		return run, out, fmt.Errorf("experiment: demo3 plain transfer failed: %s", cl.Progress())
 	}
 	out.WithoutTCP = cl.(*app.StreamClient).Elapsed()
 	out.OverheadPct = 100 * (out.WithSTTCP.Seconds() - out.WithoutTCP.Seconds()) / out.WithoutTCP.Seconds()
-	return out, nil
+	return run, out, nil
+}
+
+func printDemo3(run *Run, o Demo3Result) Printer {
+	return func(w io.Writer, view View) error {
+		fmt.Fprintf(w, "workload: %d MiB failure-free download over 100 Mbit/s\n\n", o.Size>>20)
+		fmt.Fprintf(w, "%-20s %v\n", "ST-TCP enabled:", o.WithSTTCP.Round(time.Millisecond))
+		fmt.Fprintf(w, "%-20s %v\n", "ST-TCP disabled:", o.WithoutTCP.Round(time.Millisecond))
+		fmt.Fprintf(w, "%-20s %.3f%%\n", "overhead:", o.OverheadPct)
+		view(run, nil)
+		return nil
+	}
 }
 
 // AppCrashMode selects Demo 4's two application-failure scenarios.
@@ -267,7 +298,7 @@ func (m AppCrashMode) String() string { return appCrashModes[m].name }
 // mid-transfer (in either of the two modes) while the OS and TCP layer stay
 // up; ST-TCP detects it via the application-lag criteria and migrates the
 // connection to the backup.
-func runDemo4(o Options, mode AppCrashMode) (FailoverResult, error) {
+func runDemo4(o Options, mode AppCrashMode) (*Run, error) {
 	run, err := plan{
 		Options: o,
 		// Shrink MaxDelayFIN so the gated-FIN path is visible inside the
@@ -278,61 +309,37 @@ func runDemo4(o Options, mode AppCrashMode) (FailoverResult, error) {
 		Faults:   []Fault{{At: demo2CrashAfter, Kind: appCrashModes[mode].fault, Host: "primary"}},
 		Horizon:  10 * time.Minute,
 	}.run()
-	if err != nil {
-		return FailoverResult{}, err
+	if err == nil {
+		run.Label = mode.String()
 	}
-	return run.failover(), nil
+	return run, err
 }
 
-// Demo5Result reports a NIC-failure scenario.
-type Demo5Result struct {
-	FailedAtPrimary bool
-	FailAt          time.Time
-	SuspectAt       time.Time
-	DetectionTime   time.Duration
-	// TookOver / NonFT report the recovery action (Table 1 row 4).
-	TookOver bool
-	NonFT    bool
-	// ClientOK reports that the client workload completed verified.
-	ClientOK  bool
-	ClientErr error
-	Tracer    *trace.Recorder
-	Metrics   *metrics.Snapshot
-	Telemetry *telemetry.Timeline
-}
-
-// runDemo5 reproduces Demo 5: a NIC failure at the primary (first part) or
-// the backup (second part). The heartbeat on the IP link dies while the
-// serial link stays up; the servers diagnose which side lost its NIC using
-// the client-stream positions and gateway pings exchanged over the serial
-// heartbeat. It is Table 1 row 4 with a longer echo conversation — client
-// data flowing in both directions is what the §4.3 diagnosis consumes —
-// and the default FIN gate.
-func runDemo5(o Options, failPrimary bool) (Demo5Result, error) {
-	p := NICFailBackup.plan(o)
-	if failPrimary {
-		p = NICFailPrimary.plan(o)
-	}
+// runDemo5 reproduces Demo 5: a NIC failure at the primary (first part,
+// NICFailPrimary) or the backup (second part, NICFailBackup). The heartbeat
+// on the IP link dies while the serial link stays up; the servers diagnose
+// which side lost its NIC using the client-stream positions and gateway
+// pings exchanged over the serial heartbeat. It is Table 1 row 4 with a
+// longer echo conversation — client data flowing in both directions is what
+// the §4.3 diagnosis consumes — and the default FIN gate.
+func runDemo5(o Options, at Scenario) (*Run, error) {
+	p := at.plan(o)
 	p.mutate, p.Workload.Rounds = nil, 2000
-	run, err := p.run()
-	if err != nil {
-		return Demo5Result{FailedAtPrimary: failPrimary}, err
+	return p.run()
+}
+
+// printDemo5 renders the two parts, the primary's NIC failure first.
+func printDemo5(parts []*Run) Printer {
+	return func(w io.Writer, view View) error {
+		for i, part := range []struct{ where, action string }{
+			{"primary", "backup took over the connection"},
+			{"backup", "primary entered non-fault-tolerant mode"},
+		} {
+			s := parts[i].scenario()
+			fmt.Fprintf(w, "NIC failure at the %s: detected in %v; %s; client unaffected: %v\n",
+				part.where, s.DetectionTime.Round(time.Millisecond), part.action, s.ClientOK)
+			view(parts[i], nil)
+		}
+		return nil
 	}
-	s := run.scenario()
-	out := Demo5Result{
-		FailedAtPrimary: failPrimary,
-		FailAt:          s.InjectAt,
-		DetectionTime:   s.DetectionTime,
-		TookOver:        s.BackupState == sttcp.StateTakenOver,
-		NonFT:           s.PrimaryState == sttcp.StateNonFT,
-		ClientOK:        s.ClientOK,
-		ClientErr:       s.ClientErr,
-		Tracer:          s.Tracer,
-		Metrics:         s.Metrics,
-		Telemetry:       s.Telemetry,
-	}
-	if s.DetectionTime != 0 {
-		out.SuspectAt = s.InjectAt.Add(s.DetectionTime)
-	}
-	return out, nil
 }

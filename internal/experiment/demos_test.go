@@ -5,18 +5,29 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sttcp"
 	"repro/internal/trace"
 )
+
+// readFailovers reads each run out as a failover.
+func readFailovers(runs []*Run) []FailoverResult {
+	out := make([]FailoverResult, len(runs))
+	for i, run := range runs {
+		out[i] = run.failover()
+	}
+	return out
+}
 
 // TestDemo1 checks the paper's headline contrast: under ST-TCP the client
 // completes across a primary crash with a sub-second-scale stall; under the
 // conventional hot-backup baseline the client also completes but only by
 // reconnecting, with a much larger disruption.
 func TestDemo1(t *testing.T) {
-	st, bl, err := runDemo1(Options{Seed: 42}, 16<<20)
+	run, bl, err := runDemo1(Options{Seed: 42}, 16<<20)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	st := run.failover()
 	if !st.Completed {
 		t.Fatalf("ST-TCP client failed: %v", st.ClientErr)
 	}
@@ -44,10 +55,11 @@ func TestDemo1(t *testing.T) {
 // detection time is roughly the heartbeat timeout (3 periods).
 func TestDemo2(t *testing.T) {
 	periods := []time.Duration{200 * time.Millisecond, 500 * time.Millisecond, time.Second}
-	results, err := runDemo2(Options{Seed: 7}, periods, false)
+	runs, err := runDemo2(Options{Seed: 7}, periods, false)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	results := readFailovers(runs)
 	for i, r := range results {
 		if !r.Completed {
 			t.Fatalf("hb=%v: client failed: %v", r.HBPeriod, r.ClientErr)
@@ -74,14 +86,15 @@ func TestDemo2(t *testing.T) {
 // the 1 s-heartbeat failover versus the paper's wait-for-retransmission.
 func TestDemo2Eager(t *testing.T) {
 	periods := []time.Duration{time.Second}
-	faithful, err := runDemo2(Options{Seed: 7}, periods, false)
+	faithfulRuns, err := runDemo2(Options{Seed: 7}, periods, false)
 	if err != nil {
 		t.Fatalf("run faithful: %v", err)
 	}
-	eager, err := runDemo2(Options{Seed: 7}, periods, true)
+	eagerRuns, err := runDemo2(Options{Seed: 7}, periods, true)
 	if err != nil {
 		t.Fatalf("run eager: %v", err)
 	}
+	faithful, eager := readFailovers(faithfulRuns), readFailovers(eagerRuns)
 	if !eager[0].Completed || !faithful[0].Completed {
 		t.Fatalf("transfer failed: eager=%v faithful=%v", eager[0].ClientErr, faithful[0].ClientErr)
 	}
@@ -98,7 +111,7 @@ func TestDemo3(t *testing.T) {
 	if testing.Short() {
 		size = 16 << 20
 	}
-	res, err := runDemo3(11, size)
+	_, res, err := runDemo3(Options{Seed: 11}, size)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -115,10 +128,11 @@ func TestDemo4(t *testing.T) {
 	for _, mode := range []AppCrashMode{CrashNoCleanup, CrashWithCleanup} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
-			res, err := runDemo4(Options{Seed: 13}, mode)
+			run, err := runDemo4(Options{Seed: 13}, mode)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
+			res := run.failover()
 			if !res.Completed {
 				t.Fatalf("client failed: %v", res.ClientErr)
 			}
@@ -130,7 +144,7 @@ func TestDemo4(t *testing.T) {
 			// used to read 700 ms for a 1 s hold, because the clock had been
 			// (falsely) armed since the transfer began.
 			const hold, hbPeriod = time.Second, 200 * time.Millisecond
-			e, _ := res.Tracer.First(trace.KindSuspect)
+			e, _ := run.Testbed.Tracer.First(trace.KindSuspect)
 			if e.Component != "backup/sttcp" || !strings.Contains(e.Message, "peer app lags by") {
 				t.Fatalf("detected by %s: %s; want the backup's byte-lag criterion", e.Component, e.Message)
 			}
@@ -146,11 +160,12 @@ func TestDemo4(t *testing.T) {
 // takeover, backup NIC death in non-FT mode, with the client unaffected.
 func TestDemo5(t *testing.T) {
 	t.Run("primary", func(t *testing.T) {
-		res, err := runDemo5(Options{Seed: 17}, true)
+		run, err := runDemo5(Options{Seed: 17}, NICFailPrimary)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		if !res.TookOver {
+		res := run.scenario()
+		if res.BackupState != sttcp.StateTakenOver {
 			t.Fatalf("backup did not take over after primary NIC failure")
 		}
 		if !res.ClientOK {
@@ -159,11 +174,12 @@ func TestDemo5(t *testing.T) {
 		t.Logf("primary NIC fail: detect=%v", res.DetectionTime)
 	})
 	t.Run("backup", func(t *testing.T) {
-		res, err := runDemo5(Options{Seed: 18}, false)
+		run, err := runDemo5(Options{Seed: 18}, NICFailBackup)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		if !res.NonFT {
+		res := run.scenario()
+		if res.PrimaryState != sttcp.StateNonFT {
 			t.Fatalf("primary did not enter non-FT mode after backup NIC failure")
 		}
 		if !res.ClientOK {

@@ -15,10 +15,11 @@ import (
 // the client's retransmission backoff.
 func TestDemo2Upload(t *testing.T) {
 	periods := []time.Duration{200 * time.Millisecond, time.Second}
-	results, err := runDemo2Upload(Options{Seed: 71}, periods)
+	runs, err := runDemo2Upload(Options{Seed: 71}, periods)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	results := readFailovers(runs)
 	for _, r := range results {
 		if !r.Completed {
 			t.Fatalf("hb=%v: echo failed: %v", r.HBPeriod, r.ClientErr)

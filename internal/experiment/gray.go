@@ -22,10 +22,9 @@ import (
 
 // runGrayStarve runs one echo workload against a primary whose CPU is
 // slowed by scale for the starvation window, with the suspicion scorer
-// on, and reports the outcome as a FailoverResult (CrashAt is the moment
-// starvation begins; a run the scorer rides out simply has no takeover
-// anatomy).
-func runGrayStarve(o Options, scale float64) (FailoverResult, error) {
+// on. Read out as a failover, CrashAt is the moment starvation begins; a
+// run the scorer rides out simply has no takeover anatomy.
+func runGrayStarve(o Options, scale float64) (*Run, error) {
 	run, err := plan{
 		Options:  o,
 		mutate:   func(c *sttcp.Config) { c.Suspicion.Enabled = true },
@@ -35,10 +34,8 @@ func runGrayStarve(o Options, scale float64) (FailoverResult, error) {
 		Faults:  []Fault{{At: time.Second, Kind: FaultStarve, Host: "primary", Dur: 8 * time.Second, Scale: scale}},
 		Horizon: 10 * time.Minute,
 	}.run()
-	if err != nil {
-		return FailoverResult{}, err
+	if err == nil {
+		run.Label = fmt.Sprintf("starve-x%g", scale)
 	}
-	r := run.failover()
-	r.Scenario = fmt.Sprintf("starve-x%g", scale)
-	return r, nil
+	return run, err
 }

@@ -11,10 +11,11 @@ import (
 // accrual bound, with the client completing verified either way.
 func TestGrayDemo(t *testing.T) {
 	t.Run("mild", func(t *testing.T) {
-		res, err := runGrayStarve(Options{Seed: 42}, 25)
+		run, err := runGrayStarve(Options{Seed: 42}, 25)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
+		res := run.failover()
 		if !res.Completed {
 			t.Fatalf("client failed: %v", res.ClientErr)
 		}
@@ -24,10 +25,11 @@ func TestGrayDemo(t *testing.T) {
 		}
 	})
 	t.Run("convicting", func(t *testing.T) {
-		res, err := runGrayStarve(Options{Seed: 42}, 500)
+		run, err := runGrayStarve(Options{Seed: 42}, 500)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
+		res := run.failover()
 		if !res.Completed {
 			t.Fatalf("client failed: %v", res.ClientErr)
 		}

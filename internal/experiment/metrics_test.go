@@ -20,20 +20,14 @@ func TestMetricsMatchTrace(t *testing.T) {
 	if !ok {
 		t.Fatal("demo2 is not registered")
 	}
-	res, err := d.Run(Params{Seed: 42, Periods: []time.Duration{200 * time.Millisecond}})
+	runs, _, err := d.Run(Params{Seed: 42, Periods: []time.Duration{200 * time.Millisecond}})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if len(res.Failovers) != 1 {
-		t.Fatalf("got %d failover results, want 1", len(res.Failovers))
+	if len(runs) != 1 {
+		t.Fatalf("got %d runs, want 1", len(runs))
 	}
-	r := res.Failovers[0]
-	if r.Metrics == nil {
-		t.Fatal("FailoverResult.Metrics snapshot is nil")
-	}
-	if r.Tracer == nil {
-		t.Fatal("FailoverResult.Tracer is nil")
-	}
+	snap, tracer := runs[0].Testbed.Metrics.Snapshot(), runs[0].Testbed.Tracer
 
 	checks := []struct {
 		counter string
@@ -43,8 +37,8 @@ func TestMetricsMatchTrace(t *testing.T) {
 		{"sttcp.takeovers", trace.KindTakeover},
 	}
 	for _, c := range checks {
-		got := r.Metrics.CounterTotal(c.counter)
-		want := int64(r.Tracer.Count(c.kind))
+		got := snap.CounterTotal(c.counter)
+		want := int64(tracer.Count(c.kind))
 		if got != want {
 			t.Errorf("%s: snapshot total %d != %d %v trace events", c.counter, got, want, c.kind)
 		}
@@ -54,7 +48,7 @@ func TestMetricsMatchTrace(t *testing.T) {
 	// counters must actually have moved: a takeover happened, the crash
 	// forced retransmissions, and heartbeats flowed beforehand.
 	for _, name := range []string{"sttcp.takeovers", "tcp.retransmits", "hb.sent", "tcp.segments_sent"} {
-		if r.Metrics.CounterTotal(name) == 0 {
+		if snap.CounterTotal(name) == 0 {
 			t.Errorf("%s: expected a non-zero total after a failover run", name)
 		}
 	}
@@ -66,11 +60,11 @@ func TestMetricsMatchTrace(t *testing.T) {
 func TestMetricsSnapshotDeterministic(t *testing.T) {
 	run := func() string {
 		d, _ := DemoByName("demo2")
-		res, err := d.Run(Params{Seed: 7, Periods: []time.Duration{500 * time.Millisecond}})
+		runs, _, err := d.Run(Params{Seed: 7, Periods: []time.Duration{500 * time.Millisecond}})
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		return res.Failovers[0].Metrics.String()
+		return runs[0].Testbed.Metrics.Snapshot().String()
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("snapshots differ between identical runs:\n--- first ---\n%s\n--- second ---\n%s", a, b)
@@ -175,7 +169,7 @@ func TestTelemetrySamplingDoesNotChangeTheRun(t *testing.T) {
 		if err := out.completed("demo2 download"); err != nil {
 			t.Fatal(err)
 		}
-		return out.tb
+		return out.Testbed
 	}
 	off, on := run(0), run(10*time.Millisecond)
 

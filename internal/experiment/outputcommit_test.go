@@ -10,10 +10,11 @@ import (
 // failure as unrecoverable — the client will not retransmit acknowledged
 // bytes, so the session wedges after takeover.
 func TestOutputCommitWithoutLoggerIsUnrecoverable(t *testing.T) {
-	res, err := runOutputCommit(61, false)
+	run, err := runOutputCommit(Options{Seed: 61}, false)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	res := run.outputCommit()
 	if !res.TookOver {
 		t.Fatalf("backup never took over — scenario did not trigger")
 	}
@@ -28,19 +29,20 @@ func TestOutputCommitWithoutLoggerIsUnrecoverable(t *testing.T) {
 // the logger machine tapping the client stream, the backup retrieves the
 // acknowledged-but-missed bytes at takeover and the session completes.
 func TestOutputCommitWithLoggerRecovers(t *testing.T) {
-	res, err := runOutputCommit(61, true)
+	run, err := runOutputCommit(Options{Seed: 61}, true)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	res := run.outputCommit()
 	if !res.TookOver {
 		t.Fatalf("backup never took over — scenario did not trigger")
 	}
 	if res.LoggerServed == 0 {
-		t.Fatalf("logger never served recovery data\n%s", tailStr(res.Tracer.Dump()))
+		t.Fatalf("logger never served recovery data\n%s", tailStr(run.Testbed.Tracer.Dump()))
 	}
 	if !res.ClientDone {
 		t.Fatalf("client did not complete despite the logger (rounds=%d, err=%v)\n%s",
-			res.RoundsDone, res.ClientErr, tailStr(res.Tracer.Dump()))
+			res.RoundsDone, res.ClientErr, tailStr(run.Testbed.Tracer.Dump()))
 	}
 	t.Logf("logger served %d recovery datagram(s); all %d rounds completed", res.LoggerServed, res.RoundsDone)
 }

@@ -28,10 +28,17 @@ type plan struct {
 	Horizon time.Duration
 }
 
-// outcome is what a plan's run leaves behind.
-type outcome struct {
-	tb     *Testbed
-	client app.Client
+// Run is a finished run, and the run is the result: the testbed as the run
+// left it, the client whose conversation it carried and the instant of its
+// first fault. What a demo prints is a value projection of it (failover,
+// scenario); metrics, trace, timeline and report are read off Testbed by
+// whoever was asked for them, never copied into a result type.
+type Run struct {
+	// Label names the variant inside a multi-run demo (Demo 4's
+	// "no-cleanup", a Table 1 row); empty for single-run demos.
+	Label   string
+	Testbed *Testbed
+	client  app.Client
 	// injectAt is the instant of the first fault (zero without one).
 	injectAt time.Time
 }
@@ -39,7 +46,7 @@ type outcome struct {
 // run executes the plan: build the testbed, start ST-TCP, attach the
 // servers, start the client, arm the faults, run to the horizon. A plan
 // that injects nothing must end failure-free (Testbed.FailureFree).
-func (p plan) run() (*outcome, error) {
+func (p plan) run() (*Run, error) {
 	tb := Build(p.Options)
 	if err := tb.StartSTTCP(p.HB, p.mutate); err != nil {
 		return nil, err
@@ -49,7 +56,7 @@ func (p plan) run() (*outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &outcome{tb: tb, client: cl}
+	out := &Run{Testbed: tb, client: cl}
 	for _, f := range p.Faults {
 		if err := tb.Schedule(f); err != nil {
 			return nil, err
@@ -67,34 +74,35 @@ func (p plan) run() (*outcome, error) {
 
 // completed returns an error naming what unless the client finished its
 // workload with every byte verified.
-func (o *outcome) completed(what string) error {
-	if app.Completed(o.client) {
+func (run *Run) completed(what string) error {
+	if app.Completed(run.client) {
 		return nil
 	}
-	_, bad, err := o.client.Outcome()
-	return fmt.Errorf("experiment: %s failed after %s (%d verify failures): %v", what, o.client.Progress(), bad, err)
+	_, bad, err := run.client.Outcome()
+	return fmt.Errorf("experiment: %s failed after %s (%d verify failures): %v", what, run.client.Progress(), bad, err)
 }
 
 // failover reads the run out as a FailoverResult: the client-side view
 // (completion, the progress series of a download) joined with the
 // detection and takeover instants of the span tree.
-func (o *outcome) failover() FailoverResult {
-	_, bad, err := o.client.Outcome()
+func (run *Run) failover() FailoverResult {
+	_, bad, err := run.client.Outcome()
 	r := FailoverResult{
-		HBPeriod:       o.tb.PrimaryNode.Config().HB.Period,
-		CrashAt:        o.injectAt,
-		Completed:      app.Completed(o.client),
+		Scenario:       run.Label,
+		HBPeriod:       run.Testbed.PrimaryNode.Config().HB.Period,
+		CrashAt:        run.injectAt,
+		Completed:      app.Completed(run.client),
 		ClientErr:      err,
 		VerifyFailures: bad,
 	}
-	switch cl := o.client.(type) {
+	switch cl := run.client.(type) {
 	case *app.StreamClient:
 		r.BytesReceived, r.TransferTime = cl.Received, cl.Elapsed()
 		r.Progress, r.StartAt, r.TotalBytes = cl.Samples, sim.Epoch, cl.Request
 	case *app.EchoClient:
 		r.BytesReceived = int64(cl.RoundsDone) * int64(cl.MsgSize)
 	}
-	fillFailoverTimes(&r, o.tb, o.client.MaxGap)
+	fillFailoverTimes(&r, run.Testbed, run.client.MaxGap)
 	return r
 }
 
@@ -125,7 +133,4 @@ func fillFailoverTimes(r *FailoverResult, tb *Testbed, maxGap func() (time.Durat
 			r.FailoverTime = gap
 		}
 	}
-	r.Tracer = tb.Tracer
-	r.Metrics = tb.Metrics.Snapshot()
-	r.Telemetry = tb.Telemetry.Timeline()
 }

@@ -190,8 +190,8 @@ func TestPlanFailureFreePostcondition(t *testing.T) {
 	// With a fault in the plan a suspicion is the expected outcome.
 	faulty := healthy
 	faulty.Faults = []Fault{crashPrimary(500 * time.Millisecond)}
-	if run, err = faulty.run(); err != nil || !run.tb.Tracer.Has(trace.KindSuspect) {
-		t.Fatalf("plan with a crash: err %v, suspect recorded %v", err, run != nil && run.tb.Tracer.Has(trace.KindSuspect))
+	if run, err = faulty.run(); err != nil || !run.Testbed.Tracer.Has(trace.KindSuspect) {
+		t.Fatalf("plan with a crash: err %v, suspect recorded %v", err, run != nil && run.Testbed.Tracer.Has(trace.KindSuspect))
 	}
 }
 
@@ -204,11 +204,15 @@ func TestFailureFreeRegistryPlans(t *testing.T) {
 		"nicload": {Seed: 5},
 	} {
 		d, _ := DemoByName(name)
-		res, err := d.Run(p)
+		runs, _, err := d.Run(p)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
-		} else if n := res.Tracer.Count(trace.KindSuspect); n != 0 {
-			t.Errorf("%s: %d suspect events in a failure-free run", name, n)
+			continue
+		}
+		for _, run := range runs {
+			if n := run.Testbed.Tracer.Count(trace.KindSuspect); n != 0 {
+				t.Errorf("%s: %d suspect events in a failure-free run", name, n)
+			}
 		}
 	}
 }
@@ -245,7 +249,7 @@ func TestAlwaysOnTraceIsMilestones(t *testing.T) {
 	echo := func(rounds int) Workload {
 		return Workload{Echo: true, Rounds: rounds, MsgSize: 64, Gap: time.Millisecond}
 	}
-	run := func(w Workload, detail bool) *outcome {
+	run := func(w Workload, detail bool) *Run {
 		t.Helper()
 		out, err := plan{Options: Options{Seed: 3, TraceDetail: detail}, Workload: w, Horizon: 5 * time.Second}.run()
 		if err != nil {
@@ -261,12 +265,12 @@ func TestAlwaysOnTraceIsMilestones(t *testing.T) {
 		{echo(100), echo(1000)},
 	} {
 		short, long := run(pair[0], false), run(pair[1], false)
-		if a, b := short.tb.Tracer.Len(), long.tb.Tracer.Len(); a != b {
+		if a, b := short.Testbed.Tracer.Len(), long.Testbed.Tracer.Len(); a != b {
 			t.Errorf("always-on trace has %d events for %+v and %d for %+v: it grows with the workload",
 				a, pair[0], b, pair[1])
 		}
-		for _, out := range []*outcome{short, long} {
-			for _, e := range out.tb.Tracer.Events() {
+		for _, out := range []*Run{short, long} {
+			for _, e := range out.Testbed.Tracer.Events() {
 				if e.Kind.HighVolume() {
 					t.Errorf("%s: %v event recorded with TraceDetail off", out.client.Progress(), e.Kind)
 				}
@@ -278,7 +282,7 @@ func TestAlwaysOnTraceIsMilestones(t *testing.T) {
 
 		detailed := run(pair[0], true)
 		for _, k := range []trace.Kind{trace.KindAppProgress, trace.KindHBSent, trace.KindHBReceived} {
-			if !detailed.tb.Tracer.Has(k) {
+			if !detailed.Testbed.Tracer.Has(k) {
 				t.Errorf("%+v with TraceDetail on: no %v event", pair[0], k)
 			}
 		}

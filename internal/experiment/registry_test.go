@@ -1,9 +1,11 @@
 package experiment
 
 import (
-	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 func mustDemo(t *testing.T, name string) Demo {
@@ -21,17 +23,19 @@ func mustDemo(t *testing.T, name string) Demo {
 // because every job owns a sealed simulator and results merge in input
 // order, never completion order.
 func TestRegistryParallelMatchesSerial(t *testing.T) {
-	cap := mustDemo(t, "capacity")
-	serial, err := cap.Run(Params{Workers: 1})
-	if err != nil {
-		t.Fatalf("serial capacity: %v", err)
+	printed := func(workers int) string {
+		_, printer, err := mustDemo(t, "capacity").Run(Params{Workers: workers})
+		if err != nil {
+			t.Fatalf("capacity, %d workers: %v", workers, err)
+		}
+		var b strings.Builder
+		if err := printer(&b, nil); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
 	}
-	parallel, err := cap.Run(Params{Workers: 3})
-	if err != nil {
-		t.Fatalf("parallel capacity: %v", err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("capacity diverged across worker counts:\nserial:   %+v\nparallel: %+v", serial, parallel)
+	if serial, parallel := printed(1), printed(3); serial != parallel {
+		t.Errorf("capacity diverged across worker counts:\nserial:\n%s\nparallel:\n%s", serial, parallel)
 	}
 
 	if testing.Short() {
@@ -39,15 +43,15 @@ func TestRegistryParallelMatchesSerial(t *testing.T) {
 	}
 	// Three crash phases, not the demo's eight: the contract is the
 	// runner's, whatever the sample count.
-	one, _, err := runDemo2Sampled(7, 200*time.Millisecond, 3, 1)
+	one, err := runDemo2Sampled(Options{Seed: 7}, 200*time.Millisecond, 3, 1)
 	if err != nil {
 		t.Fatalf("serial demo2-dist: %v", err)
 	}
-	three, _, err := runDemo2Sampled(7, 200*time.Millisecond, 3, 3)
+	three, err := runDemo2Sampled(Options{Seed: 7}, 200*time.Millisecond, 3, 3)
 	if err != nil {
 		t.Fatalf("parallel demo2-dist: %v", err)
 	}
-	if one != three {
+	if one, three := distribution(one), distribution(three); one != three {
 		t.Errorf("demo2-dist diverged across worker counts:\nserial:   %+v\nparallel: %+v", one, three)
 	}
 }
@@ -79,31 +83,39 @@ func TestRegistryExtendedDemos(t *testing.T) {
 	}
 }
 
-// TestRegistryArtifactsMatchDeclaration: the CLI refuses -metrics-out and
-// the trace flags before a run on the strength of Demo.NoMetrics and
-// Demo.NoTracer, so each demo must fill exactly what it declares — and
-// every demo that builds a testbed must hand its recorder back.
-func TestRegistryArtifactsMatchDeclaration(t *testing.T) {
+// TestRegistryRunsCarryTheirArtifacts runs every registered demo once: the
+// CLI refuses the artifact flags before a run on the strength of
+// Demo.HasTestbed, so a demo has runs exactly when it says so, and every run
+// carries what the flags export — a snapshot, a recorder, the timeline the
+// window asked for, and a report that ends when the run did.
+func TestRegistryRunsCarryTheirArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every registered demo once")
 	}
-	p := Params{Seed: 3, Size: 1 << 20, Conns: 20,
+	p := Params{Seed: 3, Size: 1 << 20, Conns: 20, TelemetryWindow: 100 * time.Millisecond,
 		Periods: []time.Duration{200 * time.Millisecond}}
 	for _, d := range Demos() {
-		res, err := d.Run(p)
+		runs, printer, err := d.Run(p)
 		if err != nil {
 			t.Errorf("%s: %v", d.Name, err)
 			continue
 		}
-		if (res.Metrics == nil) != d.NoMetrics {
-			t.Errorf("%s: NoMetrics=%v but Result.Metrics nil=%v", d.Name, d.NoMetrics, res.Metrics == nil)
+		if printer == nil || (len(runs) > 0) != d.HasTestbed() {
+			t.Errorf("%s: HasTestbed=%v but %d runs (printer nil=%v)", d.Name, d.HasTestbed(), len(runs), printer == nil)
 		}
-		if (res.Tracer == nil) != d.NoTracer {
-			t.Errorf("%s: NoTracer=%v but Result.Tracer nil=%v", d.Name, d.NoTracer, res.Tracer == nil)
-		}
-		// The one with no run to single out: a bare serial pair.
-		if d.NoTracer && d.Name != "capacity" {
-			t.Errorf("%s builds a testbed, so it must return its recorder", d.Name)
+		for i, run := range runs {
+			tb := run.Testbed
+			rep := tb.Report(d.Name, p)
+			switch {
+			case tb.Tracer == nil || tb.Tracer.Len() == 0:
+				t.Errorf("%s run %d: no recorded trace", d.Name, i)
+			case rep.Metrics == nil || len(rep.Metrics.Samples) == 0:
+				t.Errorf("%s run %d: report carries no metrics", d.Name, i)
+			case rep.Telemetry == nil || rep.Telemetry.Windows == 0:
+				t.Errorf("%s run %d: the %v window sampled no timeline", d.Name, i, p.TelemetryWindow)
+			case !rep.FinishedAt.Equal(tb.Sim.Now()) || !rep.FinishedAt.After(sim.Epoch):
+				t.Errorf("%s run %d: report finished at %v, the run at %v", d.Name, i, rep.FinishedAt, tb.Sim.Now())
+			}
 		}
 	}
 }

@@ -4,33 +4,18 @@ import (
 	"fmt"
 
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
-// BuildReport assembles the run-report artifact for one demo result: the
-// identity of the run (demo, seed, the params that deviated from
-// defaults), the final metrics snapshot, the telemetry timeline, and the
-// failover anatomy — every failover's where the demo sweeps, the last
-// row's for Table 1 (the row whose metrics the report carries).
+// Report is the run-report artifact of the run this testbed carried, read
+// off it once the run is over: the identity of the invocation (demo, seed,
+// the params that deviated from defaults), the final metrics snapshot, the
+// telemetry timeline where a window sampled one, and the anatomy of every
+// failover the tracer assembled. A demo of several runs reports its last.
 //
 // Every field derives from virtual time, so two runs of the same demo at
-// the same seed produce byte-identical reports on any machine — that is
-// the property the cross-run regression observatory (`sttcp report -diff`)
-// is built on.
-func BuildReport(p Params, res Result) *telemetry.Report {
-	var anatomies []trace.FailoverAnatomy
-	for _, f := range res.Failovers {
-		if f.Anatomy != nil {
-			anatomies = append(anatomies, *f.Anatomy)
-		}
-	}
-	if res.Scale != nil && res.Scale.Anatomy != nil {
-		anatomies = append(anatomies, *res.Scale.Anatomy)
-	}
-	if n := len(res.Table1); n > 0 {
-		anatomies = res.Table1[n-1].Tracer.Anatomy()
-	}
-	return telemetry.NewReport(res.Demo, p.Seed, paramsMap(p), res.Metrics, res.Telemetry, anatomies)
+// the same seed produce byte-identical reports on any machine.
+func (tb *Testbed) Report(demo string, p Params) *telemetry.Report {
+	return telemetry.NewReport(demo, p.Seed, paramsMap(p), tb.Metrics.Snapshot(), tb.Telemetry.Timeline(), tb.Tracer.Anatomy())
 }
 
 // paramsMap records the knobs that shaped the run, skipping zero values

@@ -24,11 +24,11 @@ func scaleReport(t *testing.T) *telemetry.Report {
 	if !ok {
 		t.Fatal("scale demo not registered")
 	}
-	res, err := d.Run(p)
+	runs, _, err := d.Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return BuildReport(p, res)
+	return runs[0].Testbed.Report(d.Name, p)
 }
 
 // TestGenuinePairDiffsClean is what makes comparing two reports exact: the
@@ -62,11 +62,11 @@ func TestDemo2DashboardGolden(t *testing.T) {
 	if !ok {
 		t.Fatal("demo2 not registered")
 	}
-	res, err := d.Run(p)
+	runs, _, err := d.Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := BuildReport(p, res)
+	rep := runs[0].Testbed.Report(d.Name, p)
 
 	var buf bytes.Buffer
 	if err := telemetry.RenderDashboard(&buf, rep, telemetry.RenderOptions{Width: 40}); err != nil {

@@ -3,13 +3,12 @@ package experiment
 import (
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/sttcp"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -42,13 +41,8 @@ type ScaleResult struct {
 	// VirtualElapsed is the simulated time from the first dial to the
 	// last client's completion.
 	VirtualElapsed time.Duration
-	Metrics        *metrics.Snapshot
-	// Telemetry is the windowed time-series export, nil unless sampling
-	// was enabled.
-	Telemetry *telemetry.Timeline
 	// Anatomy is the takeover's phase decomposition.
 	Anatomy *trace.FailoverAnatomy
-	Tracer  *trace.Recorder
 }
 
 // runScaleFailover pushes the testbed to conns concurrent connections,
@@ -59,11 +53,13 @@ type ScaleResult struct {
 // and dials are staggered so the SYN burst doesn't serialise into one
 // instant. Reached through the "scale" registry demo; hand-written because
 // a thousand clients dialled mid-run are not a plan's one conversation.
-func runScaleFailover(seed int64, conns int, bytesPerClient int64, telWindow time.Duration) (ScaleResult, error) {
+func runScaleFailover(o Options, conns int, bytesPerClient int64) (*Run, ScaleResult, error) {
 	out := ScaleResult{Conns: conns, BytesPerClient: bytesPerClient, Crashed: true}
-	tb := Build(Options{Seed: seed, SerialRate: 100_000_000, TelemetryWindow: telWindow})
+	o.SerialRate = 100_000_000
+	tb := Build(o)
+	run := &Run{Testbed: tb}
 	if err := tb.StartSTTCP(0, nil); err != nil {
-		return out, err
+		return run, out, err
 	}
 	tb.AttachServers(false)
 
@@ -100,23 +96,23 @@ func runScaleFailover(seed int64, conns int, bytesPerClient int64, telWindow tim
 	// its state replicated through at least two heartbeats.
 	crashAfter := time.Duration(conns)*dialGap + time.Second
 	if err := tb.Schedule(crashPrimary(crashAfter)); err != nil {
-		return out, err
+		return run, out, err
 	}
 
 	deadline := start.Add(30 * time.Minute)
 	if err := tb.Sim.RunUntil(deadline); err != nil && err != sim.ErrStopped {
-		return out, err
+		return run, out, err
 	}
 	// If every transfer drained before the crash was even injected (tiny
 	// per-client sizes), keep simulating in slices until the takeover
 	// lands so the post-run assertions see the settled cluster state.
 	for tb.BackupNode.State() != sttcp.StateTakenOver && tb.Sim.Now().Before(deadline) {
 		if err := tb.Sim.Run(100 * time.Millisecond); err != nil && err != sim.ErrStopped {
-			return out, err
+			return run, out, err
 		}
 	}
 	if dialErr != nil {
-		return out, dialErr
+		return run, out, dialErr
 	}
 	if !lastDone.IsZero() {
 		out.VirtualElapsed = lastDone.Sub(start)
@@ -124,14 +120,14 @@ func runScaleFailover(seed int64, conns int, bytesPerClient int64, telWindow tim
 
 	for i, cl := range clients {
 		if cl == nil {
-			return out, fmt.Errorf("experiment: scale client %d never started", i)
+			return run, out, fmt.Errorf("experiment: scale client %d never started", i)
 		}
 		out.VerifyFailures += cl.VerifyFailures
 		out.TotalBytes += cl.Received
 		if cl.Done && cl.Err == nil && cl.VerifyFailures == 0 {
 			out.ClientsDone++
 		} else if cl.Err != nil {
-			return out, fmt.Errorf("experiment: scale client %d failed after %d/%d bytes: %w",
+			return run, out, fmt.Errorf("experiment: scale client %d failed after %d/%d bytes: %w",
 				i, cl.Received, bytesPerClient, cl.Err)
 		}
 		if gap, _ := cl.MaxGap(); gap > out.MaxStall {
@@ -139,22 +135,33 @@ func runScaleFailover(seed int64, conns int, bytesPerClient int64, telWindow tim
 		}
 	}
 	if out.ClientsDone != conns {
-		return out, fmt.Errorf("experiment: only %d/%d scale clients completed", out.ClientsDone, conns)
+		return run, out, fmt.Errorf("experiment: only %d/%d scale clients completed", out.ClientsDone, conns)
 	}
 
 	out.TookOver = tb.BackupNode.State() == sttcp.StateTakenOver
 	if !out.TookOver {
-		return out, fmt.Errorf("experiment: scale run: backup state %v, want taken-over", tb.BackupNode.State())
+		return run, out, fmt.Errorf("experiment: scale run: backup state %v, want taken-over", tb.BackupNode.State())
 	}
 	if e, ok := tb.Tracer.First(trace.KindSuspect); ok {
 		out.DetectionTime = e.Time.Sub(start.Add(crashAfter))
 	}
 	out.SegmentsEmitted = tb.Client.TCP().Emitted + tb.Primary.TCP().Emitted + tb.Backup.TCP().Emitted
-	out.Metrics = tb.Metrics.Snapshot()
-	out.Telemetry = tb.Telemetry.Timeline()
-	out.Tracer = tb.Tracer
 	if anatomies := tb.Tracer.Anatomy(); len(anatomies) > 0 {
 		out.Anatomy = &anatomies[0]
 	}
-	return out, nil
+	return run, out, nil
+}
+
+func printScale(run *Run, s ScaleResult) Printer {
+	return func(w io.Writer, view View) error {
+		fmt.Fprintf(w, "%d connections × %d KiB each; primary crash=%v\n\n", s.Conns, s.BytesPerClient>>10, s.Crashed)
+		fmt.Fprintf(w, "%-22s %v\n", "backup took over:", s.TookOver)
+		fmt.Fprintf(w, "%-22s %d (pattern-verify failures: %d)\n", "clients completed:", s.ClientsDone, s.VerifyFailures)
+		fmt.Fprintf(w, "%-22s %d MiB in %v virtual\n", "payload:", s.TotalBytes>>20, s.VirtualElapsed.Round(time.Millisecond))
+		fmt.Fprintf(w, "%-22s %v\n", "detection:", s.DetectionTime.Round(time.Millisecond))
+		fmt.Fprintf(w, "%-22s %v\n", "max client stall:", s.MaxStall.Round(time.Millisecond))
+		fmt.Fprintf(w, "%-22s %d\n", "segments emitted:", s.SegmentsEmitted)
+		view(run, s.Anatomy)
+		return nil
+	}
 }

@@ -12,7 +12,7 @@ import (
 // size cheap enough for -short: staggered dials, the 100 Mbit/s heartbeat
 // link, a mid-stream crash, and the aggregated result fields.
 func TestScaleFailoverSmoke(t *testing.T) {
-	res, err := runScaleFailover(91, 25, 1<<20, 0)
+	_, res, err := runScaleFailover(Options{Seed: 91}, 25, 1<<20)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -25,8 +25,8 @@ func TestScaleFailoverSmoke(t *testing.T) {
 	if res.DetectionTime <= 0 || res.MaxStall <= 0 {
 		t.Fatalf("missing failover timings: %+v", res)
 	}
-	if res.SegmentsEmitted == 0 || res.Metrics == nil {
-		t.Fatalf("missing segment/metric accounting: %+v", res)
+	if res.SegmentsEmitted == 0 {
+		t.Fatalf("missing segment accounting: %+v", res)
 	}
 }
 
@@ -39,7 +39,7 @@ func TestThousandConnectionsFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test skipped in -short")
 	}
-	res, err := runScaleFailover(91, 1000, 64<<10, 0)
+	_, res, err := runScaleFailover(Options{Seed: 91}, 1000, 64<<10)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -2,10 +2,9 @@ package experiment
 
 import (
 	"fmt"
+	"io"
 	"slices"
 	"time"
-
-	"repro/internal/trace"
 )
 
 // Stats summarises a sample of durations.
@@ -49,34 +48,49 @@ const demo2DistSamples = 8
 // detection lands between (timeout) and (timeout + one period) after the
 // crash, and the restart is further quantised by the retransmission
 // backoff schedule. Each sample is an independent sealed testbed, so the
-// sweep fans them across workers; the distribution is computed from the
-// samples in phase order regardless of completion order; the recorder
-// returned is the last sample's. Reached through the "demo2-dist" registry
+// sweep fans them across workers; the runs come back in phase order
+// regardless of completion order. Reached through the "demo2-dist" registry
 // demo.
-func runDemo2Sampled(seed int64, period time.Duration, samples, workers int) (Demo2Distribution, *trace.Recorder, error) {
-	out := Demo2Distribution{HBPeriod: period}
-	results, err := fanIdx(workers, samples, func(i int) (FailoverResult, error) {
+func runDemo2Sampled(o Options, period time.Duration, samples, workers int) ([]*Run, error) {
+	return fanIdx(workers, samples, func(i int) (*Run, error) {
+		sample := o // each worker's own copy
+		sample.Seed += int64(i)
 		run, err := plan{
-			Options:  Options{Seed: seed + int64(i)},
+			Options:  sample,
 			HB:       period,
 			Workload: Workload{Bytes: 32 << 20},
 			Faults:   []Fault{crashPrimary(demo2CrashAfter + period*time.Duration(i)/time.Duration(samples))},
 			Horizon:  10 * time.Minute,
 		}.run()
 		if err != nil {
-			return FailoverResult{}, err
+			return run, err
 		}
-		return run.failover(), run.completed(fmt.Sprintf("demo2 sample %d", i))
+		return run, run.completed(fmt.Sprintf("demo2 sample %d", i))
 	})
-	if err != nil {
-		return out, nil, err
-	}
-	detects := make([]time.Duration, len(results))
-	failovers := make([]time.Duration, len(results))
-	for i, r := range results {
+}
+
+// distribution reads the sampled runs out as one Demo2Distribution.
+func distribution(runs []*Run) Demo2Distribution {
+	detects := make([]time.Duration, len(runs))
+	failovers := make([]time.Duration, len(runs))
+	for i, run := range runs {
+		r := run.failover()
 		detects[i], failovers[i] = r.DetectionTime, r.FailoverTime
 	}
-	out.Detection = computeStats(detects)
-	out.Failover = computeStats(failovers)
-	return out, results[len(results)-1].Tracer, nil
+	return Demo2Distribution{
+		HBPeriod:  runs[0].Testbed.PrimaryNode.Config().HB.Period,
+		Detection: computeStats(detects),
+		Failover:  computeStats(failovers),
+	}
+}
+
+func printDistribution(runs []*Run) Printer {
+	return func(w io.Writer, view View) error {
+		d := distribution(runs)
+		fmt.Fprintf(w, "crash-phase sweep at hb=%v\n", d.HBPeriod)
+		fmt.Fprintf(w, "%-12s %v\n", "detection:", d.Detection)
+		fmt.Fprintf(w, "%-12s %v\n", "failover:", d.Failover)
+		view(runs[len(runs)-1], nil)
+		return nil
+	}
 }

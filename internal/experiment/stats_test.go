@@ -23,10 +23,11 @@ func TestDemo2SampledDistribution(t *testing.T) {
 		t.Skip("sampled sweep skipped in -short")
 	}
 	const period = 200 * time.Millisecond
-	dist, _, err := runDemo2Sampled(5, period, 8, 0)
+	runs, err := runDemo2Sampled(Options{Seed: 5}, period, 8, 0)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	dist := distribution(runs)
 	// The liveness timeout counts from the last heartbeat *received*,
 	// which is up to one period before the crash; so relative to the
 	// crash, detection lands in [timeout−period, timeout] (plus checker

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"repro/internal/app"
@@ -10,36 +11,22 @@ import (
 )
 
 // The two-armed extended studies: each runs one plan without, then with,
-// the mechanism under test.
+// the mechanism under test, and prints the pair.
 
-// pair runs both arms across the sweep workers; the recorder returned is
-// the second arm's.
-func pair[T any](p Params, arm func(seed int64, with bool) (T, error), tracer func(T) *trace.Recorder) ([]T, *trace.Recorder, error) {
-	rs, err := fanIdx(p.Workers, 2, func(i int) (T, error) { return arm(p.Seed, i == 1) })
-	if err != nil {
-		return nil, nil, err
-	}
-	return rs, tracer(rs[1]), nil
+// pair runs both arms across the sweep workers.
+func pair(p Params, arm func(o Options, with bool) (*Run, error)) ([]*Run, error) {
+	return fanIdx(p.Workers, 2, func(i int) (*Run, error) { return arm(p.sampled(), i == 1) })
 }
 
-// NICLoadResult is one arm of the "nicload" registry demo: the backup
-// NIC's receive volume under one tap topology.
-type NICLoadResult struct {
-	TapBothDirections bool
-	BackupRxBytes     int64
-	Tracer            *trace.Recorder
-}
-
-// runBackupNICLoad measures the backup NIC's receive volume during a
-// 16 MiB failure-free download, either with the enhanced design (§3: the
-// backup receives only client→server traffic plus heartbeats) or with the
+// runBackupNICLoad is one arm of the "nicload" registry demo: a 16 MiB
+// failure-free download, either with the enhanced design (§3: the backup
+// receives only client→server traffic plus heartbeats) or with the
 // pre-enhancement tap in which primary→client traffic also reaches the
-// backup's NIC — the overload that motivated the design change. Reached
-// through the "nicload" registry demo.
-func runBackupNICLoad(seed int64, tapBothDirections bool) (NICLoadResult, error) {
-	out := NICLoadResult{TapBothDirections: tapBothDirections}
+// backup's NIC — the overload that motivated the design change.
+func runBackupNICLoad(o Options, tapBothDirections bool) (*Run, error) {
+	o.TapBothDirections = tapBothDirections
 	run, err := plan{
-		Options: Options{Seed: seed, TapBothDirections: tapBothDirections},
+		Options: o,
 		// Behind the tap the client's ACKs queue after the primary's whole
 		// output, so the backup's application trails by ~0.5 MB throughout:
 		// allow it, or the byte-lag criterion convicts the old design.
@@ -48,53 +35,62 @@ func runBackupNICLoad(seed int64, tapBothDirections bool) (NICLoadResult, error)
 		Horizon:  2 * time.Minute,
 	}.run()
 	if err != nil {
-		return out, err
+		return run, err
 	}
-	if err := run.completed(fmt.Sprintf("ablation transfer (tap=%v)", tapBothDirections)); err != nil {
-		return out, err
-	}
-	out.BackupRxBytes, out.Tracer = run.tb.Backup.NIC().RxBytes, run.tb.Tracer
-	return out, nil
+	return run, run.completed(fmt.Sprintf("ablation transfer (tap=%v)", tapBothDirections))
 }
 
-// WitnessResult is one arm of the "witness" registry demo: how long a
-// primary-side FIN conflict took to resolve, with or without the witness
-// replica's majority vote.
-type WitnessResult struct {
-	WithWitness bool
-	Resolution  time.Duration
-	Tracer      *trace.Recorder
+// printNICLoad compares the backup NIC's receive volume under the two tap
+// topologies.
+func printNICLoad(arms []*Run) Printer {
+	return func(w io.Writer, view View) error {
+		enhanced, old := arms[0].Testbed.Backup.NIC().RxBytes, arms[1].Testbed.Backup.NIC().RxBytes
+		fmt.Fprintf(w, "%-28s %8d KB received at backup NIC\n", "enhanced (HB state)", enhanced>>10)
+		fmt.Fprintf(w, "%-28s %8d KB received at backup NIC (%.1fx)\n", "old (tap both directions)", old>>10, float64(old)/float64(enhanced))
+		view(arms[1], nil)
+		return nil
+	}
 }
 
-// runWitnessConflict measures how long a primary-side FIN conflict (the
-// primary's application crashes with cleanup mid-echo; Table 1 row 3P)
-// takes to resolve, with or without the witness replica's majority vote
-// (§4.2.2): Resolution is the time from injection to the takeover. Reached
-// through the "witness" registry demo.
-func runWitnessConflict(seed int64, withWitness bool) (WitnessResult, error) {
-	out := WitnessResult{WithWitness: withWitness}
-	p := AppCrashFINPrimary.plan(Options{Seed: seed, WithWitness: withWitness})
+// runWitnessConflict is one arm of the "witness" registry demo: a
+// primary-side FIN conflict (the primary's application crashes with cleanup
+// mid-echo; Table 1 row 3P), resolved pairwise or by the witness replica's
+// majority vote (§4.2.2). The run must end in a takeover.
+func runWitnessConflict(o Options, withWitness bool) (*Run, error) {
+	o.WithWitness = withWitness
+	p := AppCrashFINPrimary.plan(o)
 	p.Horizon = 5 * time.Minute
 	run, err := p.run()
 	if err != nil {
-		return out, err
+		return run, err
 	}
 	if err := run.completed("witness conflict client"); err != nil {
-		return out, err
+		return run, err
 	}
-	e, ok := run.tb.Tracer.First(trace.KindTakeover)
-	if !ok {
-		return out, fmt.Errorf("experiment: witness conflict: no takeover")
+	if !run.Testbed.Tracer.Has(trace.KindTakeover) {
+		return run, fmt.Errorf("experiment: witness conflict: no takeover")
 	}
-	out.Resolution, out.Tracer = e.Time.Sub(run.injectAt), run.tb.Tracer
-	return out, nil
+	return run, nil
 }
 
-// OutputCommitResult reports the §4.3 output-commit scenario: the backup
-// misses client bytes, the primary acknowledges them and then crashes
-// before the backup can retrieve them from the primary's hold buffer.
+// printWitness reports how long each arm's conflict took to resolve: from
+// injection to the takeover.
+func printWitness(arms []*Run) Printer {
+	return func(w io.Writer, view View) error {
+		for i, arb := range []string{"pairwise (no witness)", "witness majority"} {
+			e, _ := arms[i].Testbed.Tracer.First(trace.KindTakeover)
+			fmt.Fprintf(w, "%-24s resolved the partition in %v\n", arb, e.Time.Sub(arms[i].injectAt).Round(time.Millisecond))
+		}
+		view(arms[1], nil)
+		return nil
+	}
+}
+
+// OutputCommitResult is a run read out as the §4.3 output-commit scenario:
+// the backup misses client bytes, the primary acknowledges them and then
+// crashes before the backup can retrieve them from the primary's hold
+// buffer.
 type OutputCommitResult struct {
-	WithLogger bool
 	// TookOver reports the backup completed the takeover.
 	TookOver bool
 	// ClientDone / ClientErr report the echo workload's fate: without a
@@ -106,7 +102,6 @@ type OutputCommitResult struct {
 	RoundsDone, Rounds int
 	// LoggerServed counts recovery datagrams the logger answered.
 	LoggerServed int64
-	Tracer       *trace.Recorder
 }
 
 // runOutputCommit constructs the paper's unrecoverable case
@@ -115,27 +110,44 @@ type OutputCommitResult struct {
 // that window — after it acknowledged client bytes the backup never saw,
 // and before any recovery exchange could happen. With withLogger the
 // optional logger machine taps the client stream and makes the bytes
-// recoverable at takeover. Reached through the "output-commit" registry
-// demo.
-func runOutputCommit(seed int64, withLogger bool) (OutputCommitResult, error) {
-	out := OutputCommitResult{WithLogger: withLogger, Rounds: 800}
-	run, err := plan{
-		Options:  Options{Seed: seed, WithLogger: withLogger},
-		Workload: Workload{Echo: true, Rounds: out.Rounds, MsgSize: 1024, Gap: 2 * time.Millisecond},
+// recoverable at takeover. One arm of the "output-commit" registry demo.
+func runOutputCommit(o Options, withLogger bool) (*Run, error) {
+	o.WithLogger = withLogger
+	return plan{
+		Options:  o,
+		Workload: Workload{Echo: true, Rounds: 800, MsgSize: 1024, Gap: 2 * time.Millisecond},
 		Faults: []Fault{
 			{At: 800 * time.Millisecond, Kind: FaultDrop, Host: "backup", Dur: 300 * time.Millisecond},
 			crashPrimary(1050 * time.Millisecond),
 		},
 		Horizon: 2 * time.Minute,
 	}.run()
-	if err != nil {
-		return out, err
+}
+
+func (run *Run) outputCommit() OutputCommitResult {
+	tb, cl := run.Testbed, run.client.(*app.EchoClient)
+	out := OutputCommitResult{
+		TookOver:   tb.BackupNode.State() == sttcp.StateTakenOver,
+		ClientDone: app.Completed(cl), ClientErr: cl.Err,
+		RoundsDone: cl.RoundsDone, Rounds: cl.Rounds,
 	}
-	tb, cl := run.tb, run.client.(*app.EchoClient)
-	out.TookOver, out.Tracer = tb.BackupNode.State() == sttcp.StateTakenOver, tb.Tracer
-	out.ClientDone, out.ClientErr, out.RoundsDone = app.Completed(cl), cl.Err, cl.RoundsDone
 	if tb.Logger != nil {
 		out.LoggerServed = tb.Logger.Served
 	}
-	return out, nil
+	return out
+}
+
+func printOutputCommit(arms []*Run) Printer {
+	return func(w io.Writer, view View) error {
+		for i, name := range []string{"without logger", "with logger"} {
+			r := arms[i].outputCommit()
+			outcome := fmt.Sprintf("wedged after %d/%d rounds (unrecoverable)", r.RoundsDone, r.Rounds)
+			if r.ClientDone {
+				outcome = fmt.Sprintf("all %d rounds completed (%d recovery datagrams)", r.RoundsDone, r.LoggerServed)
+			}
+			fmt.Fprintf(w, "%-28s %s\n", name, outcome)
+		}
+		view(arms[1], nil)
+		return nil
+	}
 }

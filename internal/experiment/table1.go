@@ -2,12 +2,11 @@ package experiment
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/metrics"
 	"repro/internal/sttcp"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -80,9 +79,9 @@ func (s Scenario) ExpectTakeover() bool { return table1[s-1].expect == sttcp.Sta
 // non-fault-tolerantly.
 func (s Scenario) ExpectNonFT() bool { return table1[s-1].expect == sttcp.StateNonFT }
 
-// ScenarioResult records what a Table 1 scenario produced.
+// ScenarioResult is a run read out as a Table 1 row: where the pair ended
+// up and what the client saw.
 type ScenarioResult struct {
-	Scenario Scenario
 	InjectAt time.Time
 
 	// Final node states; the Table 1 recovery actions map to
@@ -109,12 +108,6 @@ type ScenarioResult struct {
 	// bytes — the client-transparency claim.
 	ClientOK  bool
 	ClientErr error
-
-	Tracer *trace.Recorder
-	// Metrics and Telemetry feed the run-report artifact; Telemetry is
-	// nil unless a telemetry window was requested.
-	Metrics   *metrics.Snapshot
-	Telemetry *telemetry.Timeline
 }
 
 // plan is the row's experiment: an echo workload keeps client data flowing
@@ -132,24 +125,21 @@ func (s Scenario) plan(o Options) plan {
 	}
 }
 
-// runScenario executes one Table 1 case. Reached through the "table1"
-// registry demo.
-func runScenario(o Options, sc Scenario) (ScenarioResult, error) {
+// runScenario executes one Table 1 case, labelled with its row. Reached
+// through the "table1" registry demo.
+func runScenario(o Options, sc Scenario) (*Run, error) {
 	run, err := sc.plan(o).run()
-	if err != nil {
-		return ScenarioResult{Scenario: sc}, err
+	if err == nil {
+		run.Label = sc.String()
 	}
-	out := run.scenario()
-	out.Scenario = sc
-	return out, nil
+	return run, err
 }
 
-// scenario reads the run out as a Table 1 row: where the pair ended up
-// and what the client saw.
-func (o *outcome) scenario() ScenarioResult {
-	tb := o.tb
+// scenario reads the run out as a Table 1 row.
+func (run *Run) scenario() ScenarioResult {
+	tb := run.Testbed
 	out := ScenarioResult{
-		InjectAt:       o.injectAt,
+		InjectAt:       run.injectAt,
 		PrimaryState:   tb.PrimaryNode.State(),
 		BackupState:    tb.BackupNode.State(),
 		PrimaryDead:    tb.Primary.Crashed(),
@@ -158,14 +148,57 @@ func (o *outcome) scenario() ScenarioResult {
 		RecoveryEvents: tb.Tracer.Count(trace.KindByteRecovery),
 		FINDelayed:     tb.Tracer.Has(trace.KindFINDelayed),
 		FINSuppressed:  tb.Tracer.Has(trace.KindFINSuppressed),
-		ClientOK:       app.Completed(o.client),
-		Tracer:         tb.Tracer,
-		Metrics:        tb.Metrics.Snapshot(),
-		Telemetry:      tb.Telemetry.Timeline(),
+		ClientOK:       app.Completed(run.client),
 	}
 	if e, ok := tb.Tracer.First(trace.KindSuspect); ok {
 		out.DetectionTime = e.Time.Sub(out.InjectAt)
 	}
-	_, _, out.ClientErr = o.client.Outcome()
+	_, _, out.ClientErr = run.client.Outcome()
 	return out
+}
+
+// printTable1 renders the paper's Table 1: per scenario the detection
+// latency, the recovery action taken, and whether the client's workload
+// survived untouched — the one summary that can fail, on a row whose client
+// was disturbed.
+func printTable1(runs []*Run) Printer {
+	return func(w io.Writer, view View) error {
+		// The action column is as wide as its longest entry, so 'client ok'
+		// lines up on every row.
+		rows, actions := make([]ScenarioResult, len(runs)), make([]string, len(runs))
+		width := len("recovery action")
+		for i, run := range runs {
+			r := run.scenario()
+			switch {
+			case r.BackupState == sttcp.StateTakenOver:
+				actions[i] = "backup took over; primary powered down"
+			case r.PrimaryState == sttcp.StateNonFT:
+				actions[i] = "primary in non-FT mode; backup shut down"
+			case r.RecoveryEvents > 0:
+				actions[i] = fmt.Sprintf("missed bytes recovered (%d events); no failover", r.RecoveryEvents)
+			default:
+				actions[i] = "absorbed by normal TCP retransmission; no failover"
+			}
+			rows[i], width = r, max(width, len(actions[i]))
+		}
+		fmt.Fprintf(w, "%-32s %-12s %-*s %s\n", "scenario", "detection", width, "recovery action", "client ok")
+		failures := 0
+		for i, r := range rows {
+			det := "-"
+			if r.DetectionTime > 0 {
+				det = r.DetectionTime.Round(time.Millisecond).String()
+			}
+			fmt.Fprintf(w, "%-32s %-12s %-*s %v\n", runs[i].Label, det, width, actions[i], r.ClientOK)
+			if !r.ClientOK {
+				failures++
+			}
+			view(runs[i], nil)
+		}
+		fmt.Fprintln(w)
+		if failures > 0 {
+			return fmt.Errorf("%d scenario(s) disturbed the client", failures)
+		}
+		fmt.Fprintln(w, "All ten scenarios masked from the client.")
+		return nil
+	}
 }

@@ -17,38 +17,39 @@ func TestTable1Scenarios(t *testing.T) {
 		sc := sc
 		seed := int64(100 + i)
 		t.Run(sc.String(), func(t *testing.T) {
-			res, err := runScenario(Options{Seed: seed}, sc)
+			run, err := runScenario(Options{Seed: seed}, sc)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
+			res, tail := run.scenario(), tailStr(run.Testbed.Tracer.Dump())
 			if !res.ClientOK {
-				t.Fatalf("client workload failed: %v\n%s", res.ClientErr, tail(res))
+				t.Fatalf("client workload failed: %v\n%s", res.ClientErr, tail)
 			}
 			switch {
 			case sc.ExpectTakeover():
 				if res.BackupState != sttcp.StateTakenOver {
-					t.Fatalf("backup state %v, want taken-over (reason=%q)\n%s", res.BackupState, res.Reason, tail(res))
+					t.Fatalf("backup state %v, want taken-over (reason=%q)\n%s", res.BackupState, res.Reason, tail)
 				}
 				if !res.PrimaryDead {
-					t.Fatalf("primary not powered down before takeover\n%s", tail(res))
+					t.Fatalf("primary not powered down before takeover\n%s", tail)
 				}
 				if res.DetectionTime <= 0 {
 					t.Fatalf("no suspect event recorded")
 				}
 			case sc.ExpectNonFT():
 				if res.PrimaryState != sttcp.StateNonFT {
-					t.Fatalf("primary state %v, want non-FT (reason=%q)\n%s", res.PrimaryState, res.Reason, tail(res))
+					t.Fatalf("primary state %v, want non-FT (reason=%q)\n%s", res.PrimaryState, res.Reason, tail)
 				}
 				if !res.BackupDead {
-					t.Fatalf("backup not shut down\n%s", tail(res))
+					t.Fatalf("backup not shut down\n%s", tail)
 				}
 			default: // row 5: temporary network failure
 				if res.PrimaryState != sttcp.StateActive || res.BackupState != sttcp.StateActive {
 					t.Fatalf("row 5 must not fail over: primary=%v backup=%v (reason=%q)\n%s",
-						res.PrimaryState, res.BackupState, res.Reason, tail(res))
+						res.PrimaryState, res.BackupState, res.Reason, tail)
 				}
 				if sc == TempNetFailBackup && res.RecoveryEvents == 0 {
-					t.Fatalf("backup never ran missed-byte recovery\n%s", tail(res))
+					t.Fatalf("backup never ran missed-byte recovery\n%s", tail)
 				}
 			}
 			if sc == AppCrashFINPrimary && !res.FINDelayed {
@@ -59,12 +60,4 @@ func TestTable1Scenarios(t *testing.T) {
 			}
 		})
 	}
-}
-
-func tail(res ScenarioResult) string {
-	s := res.Tracer.Dump()
-	if len(s) > 4000 {
-		s = s[len(s)-4000:]
-	}
-	return s
 }

@@ -20,8 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"repro/internal/sim"
 )
 
 // Seeds returns n consecutive seeds starting at base — the conventional
@@ -78,19 +76,4 @@ func Run[T any](workers int, seeds []int64, job func(seed int64) (T, error)) ([]
 		}
 	}
 	return results, errors.Join(failed...)
-}
-
-// RunSim is Run for jobs that drive a simulation: it constructs one
-// fresh sim.New(seed) per job, so the job cannot accidentally share a
-// simulator (and its event loop, clock, and random stream) between
-// seeds. The simulator is sealed to the job — it must not be retained
-// past the job's return. Only the package's tests call it today, but it is
-// why this package imports internal/sim, which is what puts it inside
-// simdeterminism's jurisdiction as the audited boundary: without the
-// import the analyzer reads Run's worker pool as a stray goroutine behind
-// every caller.
-func RunSim[T any](workers int, seeds []int64, job func(s *sim.Simulator, seed int64) (T, error)) ([]T, error) {
-	return Run(workers, seeds, func(seed int64) (T, error) {
-		return job(sim.New(seed), seed)
-	})
 }

@@ -10,11 +10,13 @@ import (
 	"repro/internal/sim"
 )
 
-// simTrace runs a tiny simulation to a fixed horizon and returns a
-// string capturing its event order and random draws — any
-// nondeterminism in the sweep machinery would show up as a mismatch
+// simTrace is a job as production writes them — it builds its own sealed
+// simulator from the seed — running a tiny simulation to a fixed horizon
+// and returning a string that captures its event order and random draws:
+// any nondeterminism in the sweep machinery would show up as a mismatch
 // against the serial run.
-func simTrace(s *sim.Simulator, seed int64) (string, error) {
+func simTrace(seed int64) (string, error) {
+	s := sim.New(seed)
 	out := fmt.Sprintf("seed=%d", seed)
 	r := s.Rand()
 	for i := 0; i < 5; i++ {
@@ -44,36 +46,18 @@ func TestSeeds(t *testing.T) {
 // list, any worker count produces byte-identical results in seed order.
 func TestParallelMatchesSerial(t *testing.T) {
 	seeds := Seeds(42, 16)
-	serial, err := RunSim(1, seeds, simTrace)
+	serial, err := Run(1, seeds, simTrace)
 	if err != nil {
 		t.Fatalf("serial sweep: %v", err)
 	}
 	for _, workers := range []int{0, 2, 4, 16, 64} {
-		par, err := RunSim(workers, seeds, simTrace)
+		par, err := Run(workers, seeds, simTrace)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(par, serial) {
 			t.Fatalf("workers=%d diverged from serial:\n par=%v\nser=%v", workers, par, serial)
 		}
-	}
-}
-
-// TestRunSimFreshSimulatorPerSeed checks each job gets its own world:
-// no pointer is handed to two jobs.
-func TestRunSimFreshSimulatorPerSeed(t *testing.T) {
-	seen := make(map[*sim.Simulator]bool)
-	sims, err := RunSim(1, Seeds(7, 8), func(s *sim.Simulator, seed int64) (*sim.Simulator, error) {
-		return s, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range sims {
-		if seen[s] {
-			t.Fatal("simulator shared between jobs")
-		}
-		seen[s] = true
 	}
 }
 

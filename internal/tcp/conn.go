@@ -889,9 +889,9 @@ func (c *Conn) sendControl(flags Flags) {
 }
 
 // sendSegmentRaw builds and emits one segment. off -1 denotes the SYN.
-// seg.Payload aliases the send buffer: emit and the suppression observers
-// consume the segment synchronously (see the OnTransmit/OnSuppressed
-// contract on Stack), so no defensive copy is taken per segment.
+// seg.Payload aliases the send buffer: emit and its observer consume the
+// segment synchronously (see the OnTransmit contract on Stack), so no
+// defensive copy is taken per segment.
 //
 //sttcp:hotpath
 func (c *Conn) sendSegmentRaw(flags Flags, off int64, payload []byte, isSYN bool) {
@@ -933,7 +933,7 @@ func (c *Conn) sendRST() {
 func (c *Conn) output(seg *Segment) {
 	if c.suppressed {
 		c.SuppressedSegments++
-		c.stack.noteSuppressed(seg, c)
+		c.stack.noteSuppressed(seg)
 	} else {
 		c.stack.emit(c, seg)
 	}

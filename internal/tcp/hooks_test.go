@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/ip"
+	"repro/internal/metrics"
 )
 
 // TestSuppressionDiscardsOutput checks the ST-TCP backup behaviour: a
@@ -14,8 +15,7 @@ func TestSuppressionDiscardsOutput(t *testing.T) {
 	h := newPair(t, 20, lan(), Options{})
 	client, server := connectPair(t, h, 80)
 	emittedBefore := h.stackB.Emitted
-	var suppressed int64
-	h.stackB.OnSuppressed = func(*Conn, *Segment) { suppressed++ }
+	h.stackB.mSuppressed = metrics.New(nil).Counter("b/tcp", "tcp.segments_suppressed")
 
 	server.SetSuppressed(true)
 	if _, err := server.Write(bytes.Repeat([]byte("s"), 4000)); err != nil {
@@ -25,8 +25,8 @@ func TestSuppressionDiscardsOutput(t *testing.T) {
 	if h.stackB.Emitted != emittedBefore {
 		t.Fatalf("suppressed connection emitted %d segments", h.stackB.Emitted-emittedBefore)
 	}
-	if suppressed == 0 || server.SuppressedSegments == 0 {
-		t.Fatal("suppressed segments not counted")
+	if n := h.stackB.mSuppressed.Value(); n == 0 || n != server.SuppressedSegments {
+		t.Fatalf("suppressed segments not counted: tcp.segments_suppressed=%d, Conn.SuppressedSegments=%d", n, server.SuppressedSegments)
 	}
 	if server.LastAppByteWritten() != 4000 {
 		t.Fatalf("appWritten = %d", server.LastAppByteWritten())

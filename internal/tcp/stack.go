@@ -150,17 +150,12 @@ type Stack struct {
 	listeners map[uint16]*Listener
 	nextPort  uint16
 
-	// OnSuppressed, when non-nil, observes every segment a suppressed
-	// connection generated but did not emit. The segment (including its
+	// OnTransmit, when non-nil, observes every segment actually emitted.
+	// The ST-TCP takeover logic uses it to pin down the instant service
+	// transmission resumes after a takeover. The segment (including its
 	// Payload, which aliases the connection's send buffer) is valid only
 	// for the duration of the call; observers must copy anything they
 	// keep.
-	OnSuppressed func(c *Conn, seg *Segment)
-
-	// OnTransmit, when non-nil, observes every segment actually emitted.
-	// The ST-TCP takeover logic uses it to pin down the instant service
-	// transmission resumes after a takeover. The same retention contract
-	// as OnSuppressed applies: the segment is valid only during the call.
 	OnTransmit func(c *Conn, seg *Segment)
 
 	// SegmentFilter, when non-nil, sees every inbound segment before
@@ -428,14 +423,11 @@ func (st *Stack) emit(c *Conn, seg *Segment) {
 	_ = st.ns.SendIPFrom(c.id.LocalAddr, c.id.RemoteAddr, ip.ProtoTCP, st.encBuf)
 }
 
-func (st *Stack) noteSuppressed(seg *Segment, c *Conn) {
+func (st *Stack) noteSuppressed(seg *Segment) {
 	st.mSuppressed.Inc()
 	if st.tracer.Detail() {
 		st.tracer.EmitValue(trace.KindSegmentSuppressed, st.name+"/tcp", int64(seg.Seq),
 			"suppressed %v seq=%d len=%d", seg.Flags, seg.Seq, seg.SegLen())
-	}
-	if st.OnSuppressed != nil {
-		st.OnSuppressed(c, seg)
 	}
 }
 
