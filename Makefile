@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check vet lint build test race bench observers loc flags doc-bytes allows faults-one-place artifacts-one-place timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
+.PHONY: all check vet lint build test race bench observers loc flags doc-bytes allows faults-one-place artifacts-one-place one-window timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
 
 all: check
 
@@ -103,6 +103,21 @@ artifacts-one-place:
 	@! grep -nE '^[[:space:]]+[A-Za-z_][A-Za-z0-9_, ]*[[:space:]]+\*(trace\.Recorder|metrics\.Snapshot|telemetry\.Timeline)\b' \
 	    $$(ls internal/experiment/*.go | grep -vE '_test\.go$$|/testbed\.go$$') \
 	  || { echo "artifacts-one-place: a result type carries a recorder, snapshot or timeline (lines above); read it off the run's Testbed"; exit 1; }
+
+# One stream window and one reassembler: every store of stream bytes between
+# the wire and the application (send and receive buffers, the primary's hold
+# buffer, the logger's log) is a tcp.Window and every out-of-order queue a
+# tcp.Reassembler, so insertOOO and drainOOO are each defined once under
+# internal/, and no non-test file of internal/tcp or internal/sttcp holds the
+# idiom the ring replaced — a buffer copying itself down, copy(x, x[n:]). A
+# grep in the idiom of faults-one-place; CI runs it beside it.
+one-window:
+	@for f in insertOOO drainOOO; do \
+	  n=$$(grep -rhE "^func .*$$f\(" --include='*.go' internal | wc -l); \
+	  [ "$$n" -eq 1 ] || { echo "one-window: $$f is defined $$n times under internal/, want once (tcp.Reassembler)"; exit 1; }; \
+	done
+	@! grep -rnE 'copy\(([A-Za-z_][A-Za-z0-9_.]*), \1\[' --include='*.go' --exclude='*_test.go' internal/tcp internal/sttcp \
+	  || { echo "one-window: a buffer copies itself down (lines above); hold the bytes in a tcp.Window and Release them"; exit 1; }
 
 # Render the Demo 1 failover anatomy: phase report plus ASCII span timeline.
 # The same view ships as a golden (internal/scenario/testdata/golden); after

@@ -59,6 +59,29 @@ func TestExperimentsQuotesTheTool(t *testing.T) {
 	}
 }
 
+// TestPaperClaimsIndexExperiments: PAPER.md is the paper's claims list, each
+// claim naming the marker comment of the EXPERIMENTS.md block that answers
+// it; every marker it names must open a quoted block there.
+func TestPaperClaimsIndexExperiments(t *testing.T) {
+	paper, err := os.ReadFile("../../PAPER.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	experiments, err := os.ReadFile(experimentsDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	markers := regexp.MustCompile("`(<!-- sttcp [^`]*? -->)`").FindAllStringSubmatch(string(paper), -1)
+	if len(markers) < 15 {
+		t.Fatalf("PAPER.md names %d markers; the claims list is gone or the extraction is broken", len(markers))
+	}
+	for _, m := range markers {
+		if !strings.Contains(string(experiments), "\n"+m[1]+"\n```\n") {
+			t.Errorf("PAPER.md cites %s, which opens no quoted block of EXPERIMENTS.md", m[1])
+		}
+	}
+}
+
 // commandLine matches an sttcp invocation inside code: the subcommand and
 // everything up to the end of the shell command it is part of.
 var commandLine = regexp.MustCompile("(?:^|\\s|cmd/)sttcp ([a-z]+)([^`|#&;>()\n]*)")

@@ -73,29 +73,24 @@ func Bracket(samples []ProgressSample, t time.Time) (before, after time.Time) {
 	return before, after
 }
 
-// StreamClient is the paper's demo client: it connects to the service,
-// requests a byte count, verifies every received byte against the
-// deterministic pattern, and records a progress time series from which the
-// experiments compute failover gaps. A seamless ST-TCP failover shows up
-// as an uninterrupted (if briefly stalled) series; a broken connection
-// shows up as an error.
-type StreamClient struct {
+// clientCore is what every workload client keeps, whatever it asks the
+// service for: where it runs, the connection it drives, the progress series
+// the experiments read stalls from, and how it ended.
+type clientCore struct {
 	sim    *sim.Simulator
 	stack  *tcp.Stack
 	tracer *trace.Recorder
 	name   string
+	conn   *tcp.Conn
+	// buf is the one scratch every Read lands in.
+	buf []byte
 
-	service ip.Addr
-	port    uint16
-
-	// Request is how many bytes to ask for.
-	Request int64
-
-	conn *tcp.Conn
-
-	// Received counts verified payload bytes.
-	Received int64
-	// Samples is the progress series (one sample per delivery).
+	// Telemetry, when non-nil, receives per-delivery progress and
+	// client-visible response latency (the gap between consecutive
+	// deliveries — a failover stall shows up as one huge observation).
+	Telemetry *telemetry.ClientTrack
+	// Samples is the progress series: one sample per delivery (per
+	// completed round for an echo client).
 	Samples []ProgressSample
 	// Done and Err record completion.
 	Done bool
@@ -105,10 +100,95 @@ type StreamClient struct {
 	// OnDone fires once at completion or failure.
 	OnDone func(err error)
 
-	started   time.Time
-	finished  time.Time
-	readBuf   []byte
-	telemetry *telemetry.ClientTrack
+	started  time.Time
+	finished time.Time
+}
+
+func newClientCore(name string, stack *tcp.Stack, tracer *trace.Recorder) clientCore {
+	return clientCore{sim: stack.Sim(), stack: stack, tracer: tracer, name: name}
+}
+
+// Conn exposes the client's TCP connection (nil before Start).
+func (c *clientCore) Conn() *tcp.Conn { return c.conn }
+
+// dial connects to addr:port and makes that the client's connection.
+func (c *clientCore) dial(addr ip.Addr, port uint16) (*tcp.Conn, error) {
+	conn, err := c.stack.Dial(ip.Addr{}, addr, port)
+	if err != nil {
+		return nil, fmt.Errorf("app: %s dial %v: %w", c.name, addr, err)
+	}
+	c.conn = conn
+	return conn, nil
+}
+
+// Outcome implements Client.
+func (c *clientCore) Outcome() (bool, int64, error) { return c.Done, c.VerifyFailures, c.Err }
+
+// MaxGap is the largest client-visible stall (see the package's MaxGap).
+func (c *clientCore) MaxGap() (gap time.Duration, around time.Time) {
+	return MaxGap(c.started, c.Samples)
+}
+
+// Elapsed is the workload's duration (through completion, or until now).
+func (c *clientCore) Elapsed() time.Duration {
+	end := c.finished
+	if end.IsZero() {
+		end = c.sim.Now()
+	}
+	return end.Sub(c.started)
+}
+
+// verify checks p against the pattern at stream offset off.
+func (c *clientCore) verify(off int64, p []byte) {
+	if bad := VerifyPattern(off, p); bad >= 0 {
+		c.VerifyFailures++
+		c.tracer.Emit(trace.KindGeneric, c.name, "pattern mismatch at offset %d", off+int64(bad))
+	}
+}
+
+// record notes, once, a delivery of n bytes that brought the verified total
+// to total: a sample on the progress series and a telemetry observation (a
+// no-op unless a window is set). It returns the sample's instant.
+func (c *clientCore) record(n int, total int64) time.Time {
+	now := c.sim.Now()
+	prev := c.started
+	if len(c.Samples) > 0 {
+		prev = c.Samples[len(c.Samples)-1].Time
+	}
+	c.Telemetry.Deliver(n, now.Sub(prev))
+	c.Samples = append(c.Samples, ProgressSample{Time: now, Bytes: total})
+	return now
+}
+
+// finish ends the workload, once: emitDone writes the client's own
+// app-done event, then OnDone hears of it.
+func (c *clientCore) finish(err error, emitDone func()) {
+	if c.Done {
+		return
+	}
+	c.Done, c.Err, c.finished = true, err, c.sim.Now()
+	emitDone()
+	if c.OnDone != nil {
+		c.OnDone(err)
+	}
+}
+
+// StreamClient is the paper's demo client: it connects to the service,
+// requests a byte count, verifies every received byte against the
+// deterministic pattern, and records a progress time series from which the
+// experiments compute failover gaps. A seamless ST-TCP failover shows up
+// as an uninterrupted (if briefly stalled) series; a broken connection
+// shows up as an error.
+type StreamClient struct {
+	clientCore
+
+	service ip.Addr
+	port    uint16
+
+	// Request is how many bytes to ask for.
+	Request int64
+	// Received counts verified payload bytes.
+	Received int64
 }
 
 // ClientConfig configures a StreamClient. Name, Stack, Service, Port,
@@ -133,28 +213,22 @@ type ClientConfig struct {
 
 // NewStreamClient builds a client on the given host TCP stack.
 func NewStreamClient(cfg ClientConfig) *StreamClient {
-	return &StreamClient{
-		sim:       cfg.Stack.Sim(),
-		stack:     cfg.Stack,
-		tracer:    cfg.Tracer,
-		name:      cfg.Name,
-		service:   cfg.Service,
-		port:      cfg.Port,
-		Request:   cfg.Request,
-		telemetry: cfg.Telemetry,
+	cl := &StreamClient{
+		clientCore: newClientCore(cfg.Name, cfg.Stack, cfg.Tracer),
+		service:    cfg.Service,
+		port:       cfg.Port,
+		Request:    cfg.Request,
 	}
+	cl.Telemetry = cfg.Telemetry
+	return cl
 }
-
-// Conn exposes the client's TCP connection (nil before Start).
-func (cl *StreamClient) Conn() *tcp.Conn { return cl.conn }
 
 // Start dials the service and sends the request.
 func (cl *StreamClient) Start() error {
-	c, err := cl.stack.Dial(ip.Addr{}, cl.service, cl.port)
+	c, err := cl.dial(cl.service, cl.port)
 	if err != nil {
-		return fmt.Errorf("app: %s dial: %w", cl.name, err)
+		return err
 	}
-	cl.conn = c
 	cl.started = cl.sim.Now()
 	req := []byte(FormatRequest(cl.Request))
 	c.OnEstablished = func() {
@@ -183,10 +257,10 @@ func (cl *StreamClient) readable() {
 	if cl.Done || cl.conn == nil {
 		return
 	}
-	if cl.readBuf == nil {
-		cl.readBuf = make([]byte, 32<<10)
+	if cl.buf == nil {
+		cl.buf = make([]byte, 32<<10)
 	}
-	buf := cl.readBuf
+	buf := cl.buf
 	for {
 		n, err := cl.conn.Read(buf)
 		if n > 0 {
@@ -212,66 +286,27 @@ func (cl *StreamClient) readable() {
 	}
 }
 
-// deliver verifies one delivery and records it, once: a sample on the
-// progress series (and a telemetry observation, a no-op unless a window is
-// set). The event is per-packet narrative, so it is built only when detail
-// is on; otherwise the steady state allocates nothing
-// (TestClientDeliveryDoesNotAllocate).
+// deliver verifies one delivery and records it. The event is per-packet
+// narrative, so it is built only when detail is on; otherwise the steady
+// state allocates nothing (TestClientDeliveryDoesNotAllocate).
 func (cl *StreamClient) deliver(p []byte) {
-	if bad := VerifyPattern(cl.Received, p); bad >= 0 {
-		cl.VerifyFailures++
-		if cl.tracer != nil {
-			cl.tracer.Emit(trace.KindGeneric, cl.name, "pattern mismatch at offset %d", cl.Received+int64(bad))
-		}
-	}
+	cl.verify(cl.Received, p)
 	cl.Received += int64(len(p))
-	now := cl.sim.Now()
-	prev := cl.started
-	if len(cl.Samples) > 0 {
-		prev = cl.Samples[len(cl.Samples)-1].Time
-	}
-	cl.telemetry.Deliver(len(p), now.Sub(prev))
-	cl.Samples = append(cl.Samples, ProgressSample{Time: now, Bytes: cl.Received})
+	cl.record(len(p), cl.Received)
 	if cl.tracer.Detail() {
 		cl.tracer.EmitValue(trace.KindAppProgress, cl.name, cl.Received, "received %d bytes", cl.Received)
 	}
 }
 
 func (cl *StreamClient) finish(err error) {
-	if cl.Done {
-		return
-	}
-	cl.Done = true
-	cl.Err = err
-	cl.finished = cl.sim.Now()
-	if cl.tracer != nil {
+	cl.clientCore.finish(err, func() {
 		if err == nil {
 			cl.tracer.EmitValue(trace.KindAppDone, cl.name, cl.Received, "received %d bytes in %v", cl.Received, cl.Elapsed())
 		} else {
 			cl.tracer.Emit(trace.KindAppDone, cl.name, "failed after %d bytes: %v", cl.Received, err)
 		}
-	}
-	if cl.OnDone != nil {
-		cl.OnDone(err)
-	}
+	})
 }
-
-// Elapsed is the transfer duration (through completion, or until now).
-func (cl *StreamClient) Elapsed() time.Duration {
-	end := cl.finished
-	if end.IsZero() {
-		end = cl.sim.Now()
-	}
-	return end.Sub(cl.started)
-}
-
-// Outcome implements Client.
-func (cl *StreamClient) Outcome() (bool, int64, error) { return cl.Done, cl.VerifyFailures, cl.Err }
 
 // Progress implements Client.
 func (cl *StreamClient) Progress() string { return fmt.Sprintf("%d/%d bytes", cl.Received, cl.Request) }
-
-// MaxGap is the largest client-visible stall (see the package's MaxGap).
-func (cl *StreamClient) MaxGap() (gap time.Duration, around time.Time) {
-	return MaxGap(cl.started, cl.Samples)
-}

@@ -98,9 +98,7 @@ func (s *DataServer) readable(c *tcp.Conn, st *serveState) {
 		st.writeOff = off
 		st.remain = nbytes
 		s.RequestsServed++
-		if s.tracer != nil {
-			s.tracer.EmitValue(trace.KindGeneric, s.name, nbytes, "request for %d bytes on %v", nbytes, c.ID())
-		}
+		s.tracer.EmitValue(trace.KindGeneric, s.name, nbytes, "request for %d bytes on %v", nbytes, c.ID())
 		s.writable(c, st)
 	}
 }

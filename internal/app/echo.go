@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"repro/internal/ip"
-	"repro/internal/sim"
 	"repro/internal/tcp"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -84,10 +82,12 @@ func (s *EchoServer) pump(c *tcp.Conn, st *echoState) {
 // repeats — keeping a verifiable, client-driven byte flow in both
 // directions.
 type EchoClient struct {
-	sim    *sim.Simulator
-	stack  *tcp.Stack
-	tracer *trace.Recorder
-	name   string
+	// The scratch serves both directions, one at a time (an echo is
+	// verified before the next message is generated). With one message
+	// outstanding there are never more than MsgSize bytes to read or write:
+	// that is its size. Telemetry gets one observation per completed round
+	// (the inter-round gap is the client-visible response latency).
+	clientCore
 
 	service ip.Addr
 	port    uint16
@@ -99,58 +99,32 @@ type EchoClient struct {
 	// Gap, when non-zero, inserts a pause between rounds (driven by a
 	// timer at the *client*, so server determinism is unaffected).
 	Gap time.Duration
-	// Telemetry, when non-nil, receives one progress/latency observation
-	// per completed round (the inter-round gap is the client-visible
-	// response latency).
-	Telemetry *telemetry.ClientTrack
-
-	conn *tcp.Conn
-	// buf serves both directions, one at a time (an echo is verified before
-	// the next message is generated). With one message outstanding there are
-	// never more than MsgSize bytes to read or write: that is its size.
-	buf []byte
 
 	// RoundsDone counts completed verified exchanges.
 	RoundsDone int
-	// Samples records completion time of each round.
-	Samples []ProgressSample
-	Done    bool
-	Err     error
-	// VerifyFailures counts echo mismatches (must stay 0).
-	VerifyFailures int64
-	// OnDone fires once at completion or failure.
-	OnDone func(err error)
 
 	echoed   int64 // total bytes verified
 	sendOff  int64 // pattern offset for sending
 	writeRem int   // bytes of the current message still to write
-	started  time.Time
 }
 
 // NewEchoClient builds an echo client.
 func NewEchoClient(name string, stack *tcp.Stack, service ip.Addr, port uint16, rounds, msgSize int, tracer *trace.Recorder) *EchoClient {
 	return &EchoClient{
-		sim:     stack.Sim(),
-		stack:   stack,
-		tracer:  tracer,
-		name:    name,
-		service: service,
-		port:    port,
-		Rounds:  rounds,
-		MsgSize: msgSize,
+		clientCore: newClientCore(name, stack, tracer),
+		service:    service,
+		port:       port,
+		Rounds:     rounds,
+		MsgSize:    msgSize,
 	}
 }
 
-// Conn exposes the client's connection (nil before Start).
-func (cl *EchoClient) Conn() *tcp.Conn { return cl.conn }
-
 // Start dials and begins the first round.
 func (cl *EchoClient) Start() error {
-	c, err := cl.stack.Dial(ip.Addr{}, cl.service, cl.port)
+	c, err := cl.dial(cl.service, cl.port)
 	if err != nil {
-		return fmt.Errorf("app: %s dial: %w", cl.name, err)
+		return err
 	}
-	cl.conn = c
 	cl.buf = make([]byte, min(cl.MsgSize, echoReadSize))
 	cl.started = cl.sim.Now()
 	c.OnEstablished = func() { cl.sendRound() }
@@ -205,19 +179,11 @@ func (cl *EchoClient) readable() {
 		if n == 0 {
 			return
 		}
-		if bad := VerifyPattern(cl.echoed, cl.buf[:n]); bad >= 0 {
-			cl.VerifyFailures++
-		}
+		cl.verify(cl.echoed, cl.buf[:n])
 		cl.echoed += int64(n)
 		if cl.echoed >= int64(cl.RoundsDone+1)*int64(cl.MsgSize) {
 			cl.RoundsDone++
-			now := cl.sim.Now()
-			prev := cl.started
-			if len(cl.Samples) > 0 {
-				prev = cl.Samples[len(cl.Samples)-1].Time
-			}
-			cl.Telemetry.Deliver(cl.MsgSize, now.Sub(prev))
-			cl.Samples = append(cl.Samples, ProgressSample{Time: now, Bytes: cl.echoed})
+			cl.record(cl.MsgSize, cl.echoed)
 			if cl.tracer.Detail() {
 				cl.tracer.EmitValue(trace.KindAppProgress, cl.name, cl.echoed, "round %d echoed (%d bytes)", cl.RoundsDone, cl.echoed)
 			}
@@ -236,30 +202,14 @@ func (cl *EchoClient) readable() {
 }
 
 func (cl *EchoClient) finish(err error) {
-	if cl.Done {
-		return
-	}
-	cl.Done = true
-	cl.Err = err
-	if cl.tracer != nil {
+	cl.clientCore.finish(err, func() {
 		if err == nil {
 			cl.tracer.EmitValue(trace.KindAppDone, cl.name, int64(cl.RoundsDone), "echo client done: %d rounds", cl.RoundsDone)
 		} else {
 			cl.tracer.Emit(trace.KindAppDone, cl.name, "echo client failed after %d rounds: %v", cl.RoundsDone, err)
 		}
-	}
-	if cl.OnDone != nil {
-		cl.OnDone(err)
-	}
+	})
 }
-
-// Outcome implements Client.
-func (cl *EchoClient) Outcome() (bool, int64, error) { return cl.Done, cl.VerifyFailures, cl.Err }
 
 // Progress implements Client.
 func (cl *EchoClient) Progress() string { return fmt.Sprintf("%d/%d rounds", cl.RoundsDone, cl.Rounds) }
-
-// MaxGap returns the largest interval between consecutive completed rounds.
-func (cl *EchoClient) MaxGap() (gap time.Duration, around time.Time) {
-	return MaxGap(cl.started, cl.Samples)
-}

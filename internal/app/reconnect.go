@@ -1,63 +1,43 @@
-// Package baseline implements what Demo 1 of the paper contrasts ST-TCP
-// against: a conventional hot-backup deployment *without* TCP-layer fault
-// tolerance. The same server application runs on both machines, but each
-// listens on its own address; when the primary dies the client's TCP
-// connection is simply gone, and a failover-aware client application must
-// notice the stall, tear the connection down, reconnect to the backup's
-// address, and resume the transfer at the application layer. The disruption
-// is client-visible and requires client-side logic — exactly what ST-TCP
-// eliminates.
-package baseline
+package app
 
 import (
 	"fmt"
 	"time"
 
-	"repro/internal/app"
 	"repro/internal/ip"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/trace"
 )
 
-// ReconnectClient downloads Request pattern bytes from a list of server
-// addresses. It watches its own progress; when no data arrives for
-// StallTimeout it declares the current server dead, aborts the connection,
-// and reconnects to the next address, resuming at the byte where the
-// transfer broke.
+// ReconnectClient is what Demo 1 of the paper contrasts ST-TCP against: the
+// client of a conventional hot-backup deployment *without* TCP-layer fault
+// tolerance. The same server application runs on both machines, each on its
+// own address; when the primary dies the client's TCP connection is simply
+// gone, and this failover-aware client must notice the stall itself, tear
+// the connection down, reconnect to the next address and resume the
+// download of Request pattern bytes at the byte where it broke. The
+// disruption is client-visible and requires client-side logic — exactly
+// what ST-TCP eliminates.
 type ReconnectClient struct {
-	sim    *sim.Simulator
-	stack  *tcp.Stack
-	tracer *trace.Recorder
-	name   string
+	clientCore
 
 	servers []serverAddr
 	current int
 
 	// Request is the total bytes to download.
 	Request int64
-	// StallTimeout is the application-level failure detector.
+	// StallTimeout is the application-level failure detector: no data for
+	// this long declares the current server dead.
 	StallTimeout time.Duration
-
-	conn *tcp.Conn
 
 	// Received counts verified bytes across all connection attempts.
 	Received int64
-	// Samples is the progress series.
-	Samples []app.ProgressSample
 	// Reconnects counts failovers performed.
 	Reconnects int
-	Done       bool
-	Err        error
-	// VerifyFailures counts pattern mismatches (must stay 0).
-	VerifyFailures int64
-	// OnDone fires once at completion or terminal failure.
-	OnDone func(err error)
 
 	watchdog *sim.Event
 	lastData time.Time
-	started  time.Time
-	finished time.Time
 }
 
 type serverAddr struct {
@@ -67,14 +47,8 @@ type serverAddr struct {
 
 // NewReconnectClient builds a client that tries servers in order.
 func NewReconnectClient(name string, stack *tcp.Stack, request int64, stallTimeout time.Duration, tracer *trace.Recorder) *ReconnectClient {
-	if stallTimeout <= 0 {
-		stallTimeout = 3 * time.Second
-	}
 	return &ReconnectClient{
-		sim:          stack.Sim(),
-		stack:        stack,
-		tracer:       tracer,
-		name:         name,
+		clientCore:   newClientCore(name, stack, tracer),
 		Request:      request,
 		StallTimeout: stallTimeout,
 	}
@@ -88,8 +62,9 @@ func (cl *ReconnectClient) AddServer(addr ip.Addr, port uint16) {
 // Start begins the download from the first server.
 func (cl *ReconnectClient) Start() error {
 	if len(cl.servers) == 0 {
-		return fmt.Errorf("baseline: %s: no servers configured", cl.name)
+		return fmt.Errorf("app: %s: no servers configured", cl.name)
 	}
+	cl.buf = make([]byte, 32<<10)
 	cl.started = cl.sim.Now()
 	cl.lastData = cl.started
 	return cl.connect()
@@ -97,13 +72,12 @@ func (cl *ReconnectClient) Start() error {
 
 func (cl *ReconnectClient) connect() error {
 	srv := cl.servers[cl.current%len(cl.servers)]
-	c, err := cl.stack.Dial(ip.Addr{}, srv.addr, srv.port)
+	c, err := cl.dial(srv.addr, srv.port)
 	if err != nil {
-		return fmt.Errorf("baseline: %s dial %v: %w", cl.name, srv.addr, err)
+		return err
 	}
-	cl.conn = c
 	remaining := cl.Request - cl.Received
-	req := []byte(app.FormatResumeRequest(remaining, cl.Received))
+	req := []byte(FormatResumeRequest(remaining, cl.Received))
 	c.OnEstablished = func() {
 		_, _ = c.Write(req)
 	}
@@ -137,9 +111,7 @@ func (cl *ReconnectClient) failover(why string) {
 	if cl.Done {
 		return
 	}
-	if cl.tracer != nil {
-		cl.tracer.Emit(trace.KindGeneric, cl.name, "reconnecting (#%d): %s", cl.Reconnects+1, why)
-	}
+	cl.tracer.Emit(trace.KindGeneric, cl.name, "reconnecting (#%d): %s", cl.Reconnects+1, why)
 	old := cl.conn
 	cl.conn = nil
 	if old != nil {
@@ -150,7 +122,7 @@ func (cl *ReconnectClient) failover(why string) {
 	cl.current++
 	cl.Reconnects++
 	if cl.Reconnects > 2*len(cl.servers)+4 {
-		cl.finish(fmt.Errorf("baseline: %s: giving up after %d reconnects", cl.name, cl.Reconnects))
+		cl.finish(fmt.Errorf("app: %s: giving up after %d reconnects", cl.name, cl.Reconnects))
 		return
 	}
 	cl.lastData = cl.sim.Now()
@@ -178,19 +150,14 @@ func (cl *ReconnectClient) readable(c *tcp.Conn) {
 	if cl.Done || c != cl.conn {
 		return
 	}
-	buf := make([]byte, 32<<10)
 	for {
-		n, err := c.Read(buf)
+		n, _ := c.Read(cl.buf) // closure is handled via OnClose / connClosed
 		if n == 0 {
-			_ = err // closure is handled via OnClose / connClosed
 			return
 		}
-		if bad := app.VerifyPattern(cl.Received, buf[:n]); bad >= 0 {
-			cl.VerifyFailures++
-		}
+		cl.verify(cl.Received, cl.buf[:n])
 		cl.Received += int64(n)
-		cl.lastData = cl.sim.Now()
-		cl.Samples = append(cl.Samples, app.ProgressSample{Time: cl.lastData, Bytes: cl.Received})
+		cl.lastData = cl.record(n, cl.Received)
 		if cl.Received >= cl.Request {
 			_ = c.Close()
 			cl.finish(nil)
@@ -200,40 +167,21 @@ func (cl *ReconnectClient) readable(c *tcp.Conn) {
 }
 
 func (cl *ReconnectClient) finish(err error) {
-	if cl.Done {
-		return
-	}
-	cl.Done = true
-	cl.Err = err
-	cl.finished = cl.sim.Now()
-	if cl.watchdog != nil {
-		cl.sim.Cancel(cl.watchdog)
-		cl.watchdog = nil
-	}
-	if cl.tracer != nil {
+	cl.clientCore.finish(err, func() {
+		if cl.watchdog != nil {
+			cl.sim.Cancel(cl.watchdog)
+			cl.watchdog = nil
+		}
 		if err == nil {
 			cl.tracer.EmitValue(trace.KindAppDone, cl.name, cl.Received,
 				"baseline client done: %d bytes, %d reconnect(s)", cl.Received, cl.Reconnects)
 		} else {
 			cl.tracer.Emit(trace.KindAppDone, cl.name, "baseline client failed: %v", err)
 		}
-	}
-	if cl.OnDone != nil {
-		cl.OnDone(err)
-	}
+	})
 }
 
-// Elapsed is the transfer duration (through completion, or until now).
-func (cl *ReconnectClient) Elapsed() time.Duration {
-	end := cl.finished
-	if end.IsZero() {
-		end = cl.sim.Now()
-	}
-	return end.Sub(cl.started)
-}
-
-// MaxGap returns the largest interval between consecutive progress
-// samples — the client-visible service disruption.
-func (cl *ReconnectClient) MaxGap() (gap time.Duration, around time.Time) {
-	return app.MaxGap(cl.started, cl.Samples)
+// Progress implements Client.
+func (cl *ReconnectClient) Progress() string {
+	return fmt.Sprintf("%d/%d bytes", cl.Received, cl.Request)
 }

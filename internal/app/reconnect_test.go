@@ -1,10 +1,9 @@
-package baseline
+package app
 
 import (
 	"testing"
 	"time"
 
-	"repro/internal/app"
 	"repro/internal/cluster"
 	"repro/internal/ip"
 	"repro/internal/netem"
@@ -12,37 +11,35 @@ import (
 	"repro/internal/trace"
 )
 
-var (
-	clientAddr = ip.MakeAddr(10, 0, 0, 1)
-	srv1Addr   = ip.MakeAddr(10, 0, 0, 2)
-	srv2Addr   = ip.MakeAddr(10, 0, 0, 3)
-)
+// Two servers on their own addresses: srv1 is addrServer.
+var srv1Addr, srv2Addr = addrServer, ip.MakeAddr(10, 0, 0, 3)
 
-type fixture struct {
+// hotBackup is a client and two independent data servers on one switch.
+type hotBackup struct {
 	sim        *sim.Simulator
 	tracer     *trace.Recorder
 	client     *cluster.Host
 	srv1, srv2 *cluster.Host
-	app1, app2 *app.DataServer
+	app1, app2 *DataServer
 }
 
-func newFixture(t *testing.T, seed int64) *fixture {
+func newHotBackup(t *testing.T, seed int64) *hotBackup {
 	t.Helper()
 	s := sim.New(seed)
 	tr := trace.NewRecorder(s.Now)
 	sw := netem.NewSwitch(s, "sw", time.Microsecond)
-	f := &fixture{
+	f := &hotBackup{
 		sim:    s,
 		tracer: tr,
-		client: cluster.New(s, cluster.HostConfig{Name: "client", EthNum: 1, Addr: clientAddr, Tracer: tr}),
+		client: cluster.New(s, cluster.HostConfig{Name: "client", EthNum: 1, Addr: addrClient, Tracer: tr}),
 		srv1:   cluster.New(s, cluster.HostConfig{Name: "srv1", EthNum: 2, Addr: srv1Addr, Tracer: tr}),
 		srv2:   cluster.New(s, cluster.HostConfig{Name: "srv2", EthNum: 3, Addr: srv2Addr, Tracer: tr}),
 	}
 	for _, h := range []*cluster.Host{f.client, f.srv1, f.srv2} {
 		h.ConnectToSwitch(sw, netem.DefaultLANConfig())
 	}
-	f.app1 = app.NewDataServer("srv1/app", tr)
-	f.app2 = app.NewDataServer("srv2/app", tr)
+	f.app1 = NewDataServer("srv1/app", tr)
+	f.app2 = NewDataServer("srv2/app", tr)
 	l1, err := f.srv1.TCP().Listen(srv1Addr, 80)
 	if err != nil {
 		t.Fatalf("listen srv1: %v", err)
@@ -56,7 +53,7 @@ func newFixture(t *testing.T, seed int64) *fixture {
 	return f
 }
 
-func newClient(f *fixture, size int64, stall time.Duration) *ReconnectClient {
+func newClient(f *hotBackup, size int64, stall time.Duration) *ReconnectClient {
 	cl := NewReconnectClient("client/app", f.client.TCP(), size, stall, f.tracer)
 	cl.AddServer(srv1Addr, 80)
 	cl.AddServer(srv2Addr, 80)
@@ -64,7 +61,7 @@ func newClient(f *fixture, size int64, stall time.Duration) *ReconnectClient {
 }
 
 func TestNoFailureNoReconnect(t *testing.T) {
-	f := newFixture(t, 1)
+	f := newHotBackup(t, 1)
 	cl := newClient(f, 4<<20, 3*time.Second)
 	if err := cl.Start(); err != nil {
 		t.Fatalf("start: %v", err)
@@ -82,7 +79,7 @@ func TestNoFailureNoReconnect(t *testing.T) {
 // must detect the stall, move to the second server, and resume at the
 // break point with the pattern intact.
 func TestReconnectAndResume(t *testing.T) {
-	f := newFixture(t, 2)
+	f := newHotBackup(t, 2)
 	cl := newClient(f, 16<<20, 2*time.Second)
 	if err := cl.Start(); err != nil {
 		t.Fatalf("start: %v", err)
@@ -115,7 +112,7 @@ func TestReconnectAndResume(t *testing.T) {
 
 // TestFirstServerDeadAtStart: the dial itself fails over.
 func TestFirstServerDeadAtStart(t *testing.T) {
-	f := newFixture(t, 3)
+	f := newHotBackup(t, 3)
 	f.srv1.CrashHW()
 	cl := newClient(f, 1<<20, time.Second)
 	if err := cl.Start(); err != nil {
@@ -135,7 +132,7 @@ func TestFirstServerDeadAtStart(t *testing.T) {
 
 // TestAllServersDeadGivesUp: bounded retries, terminal error.
 func TestAllServersDeadGivesUp(t *testing.T) {
-	f := newFixture(t, 4)
+	f := newHotBackup(t, 4)
 	f.srv1.CrashHW()
 	f.srv2.CrashHW()
 	cl := newClient(f, 1<<20, 500*time.Millisecond)

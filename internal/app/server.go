@@ -98,18 +98,14 @@ func (r *replica[S]) run(deferred *bool, pump func()) {
 // FIN is generated.
 func (r *replica[S]) CrashSilent() {
 	r.crashed = true
-	if r.tracer != nil {
-		r.tracer.Emit(trace.KindAppCrash, r.name, "%s crashed (%s)", r.what, r.silentHow)
-	}
+	r.tracer.Emit(trace.KindAppCrash, r.name, "%s crashed (%s)", r.what, r.silentHow)
 }
 
 // CrashCleanup simulates an application crash with OS cleanup (§4.2.2):
 // every socket is closed, generating a FIN (or a RST when abort is true).
 func (r *replica[S]) CrashCleanup(abort bool) {
 	r.crashed = true
-	if r.tracer != nil {
-		r.tracer.Emit(trace.KindAppCrash, r.name, "%s crashed (cleanup, abort=%v)", r.what, abort)
-	}
+	r.tracer.Emit(trace.KindAppCrash, r.name, "%s crashed (cleanup, abort=%v)", r.what, abort)
 	for c := range r.conns {
 		if abort {
 			c.Abort()

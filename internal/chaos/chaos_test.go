@@ -3,9 +3,12 @@ package chaos
 import (
 	"flag"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 var (
@@ -74,19 +77,19 @@ func runOne(t *testing.T, seed int64, verbose bool) Schedule {
 // function of the seed.
 func TestChaosDeterministic(t *testing.T) {
 	for _, seed := range []int64{3, 17, 40} {
-		run := func() (string, string) {
+		run := func() (string, *metrics.Snapshot) {
 			res, err := Run(Generate(CampaignDefault, seed), Options{})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			return res.Trace.Dump(), res.Metrics.String()
+			return res.Trace.Dump(), res.Metrics
 		}
 		tr1, m1 := run()
 		tr2, m2 := run()
 		if tr1 != tr2 {
 			t.Errorf("seed %d: traces differ between identical runs", seed)
 		}
-		if m1 != m2 {
+		if !reflect.DeepEqual(m1, m2) {
 			t.Errorf("seed %d: metrics snapshots differ between identical runs", seed)
 		}
 	}
@@ -278,19 +281,19 @@ func TestChaosGray(t *testing.T) {
 // with the suspicion scorer, flap closures, and corruption RNG in play.
 func TestChaosGrayDeterministic(t *testing.T) {
 	for _, seed := range []int64{2, 30, 42} {
-		run := func() (string, string) {
+		run := func() (string, *metrics.Snapshot) {
 			res, err := Run(Generate(CampaignGray, seed), Options{})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			return res.Trace.Dump(), res.Metrics.String()
+			return res.Trace.Dump(), res.Metrics
 		}
 		tr1, m1 := run()
 		tr2, m2 := run()
 		if tr1 != tr2 {
 			t.Errorf("gray seed %d: traces differ between identical runs", seed)
 		}
-		if m1 != m2 {
+		if !reflect.DeepEqual(m1, m2) {
 			t.Errorf("gray seed %d: metrics snapshots differ between identical runs", seed)
 		}
 	}

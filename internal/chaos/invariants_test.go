@@ -64,7 +64,7 @@ func TestSingleTransmitterViolation(t *testing.T) {
 				t.Errorf("invariant = %q", v.Invariant)
 			}
 			for _, w := range c.who {
-				if !contains(v.Detail, w) {
+				if !strings.Contains(v.Detail, w) {
 					t.Errorf("detail %q does not name %s", v.Detail, w)
 				}
 			}
@@ -93,7 +93,7 @@ func TestBackupSilenceViolation(t *testing.T) {
 			if bad && v.Invariant != "backup-silence" {
 				t.Errorf("invariant = %q", v.Invariant)
 			}
-			if bad && !contains(v.Detail, "7 TCP segments") {
+			if bad && !strings.Contains(v.Detail, "7 TCP segments") {
 				t.Errorf("detail %q does not count the segments", v.Detail)
 			}
 		})
@@ -121,9 +121,13 @@ func newEndHarness() *endHarness {
 // TestEndInvariants drives every post-run invariant with a hand-built
 // violating history, plus a clean history that must pass them all.
 func TestEndInvariants(t *testing.T) {
-	doneClient := func(name string) *clientRec {
-		return &clientRec{name: name, cl: &app.EchoClient{Rounds: 10, RoundsDone: 10, Done: true}}
+	// echo is an echo client that ended this way after all 10 rounds.
+	echo := func(err error, bad int64) *app.EchoClient {
+		cl := &app.EchoClient{Rounds: 10, RoundsDone: 10}
+		cl.Done, cl.Err, cl.VerifyFailures = true, err, bad
+		return cl
 	}
+	doneClient := func(name string) *clientRec { return &clientRec{name: name, cl: echo(nil, 0)} }
 	cases := []struct {
 		name string
 		// build sculpts the violating history; want is the invariant
@@ -148,7 +152,7 @@ func TestEndInvariants(t *testing.T) {
 			name: "client-error",
 			build: func(e *endHarness) {
 				e.h.clients = append(e.h.clients, &clientRec{name: "c0",
-					cl: &app.EchoClient{Rounds: 10, RoundsDone: 10, Done: true, Err: errors.New("conn reset")}})
+					cl: echo(errors.New("conn reset"), 0)})
 			},
 			want: "client-integrity",
 		},
@@ -156,7 +160,7 @@ func TestEndInvariants(t *testing.T) {
 			name: "client-bad-bytes",
 			build: func(e *endHarness) {
 				e.h.clients = append(e.h.clients, &clientRec{name: "c0",
-					cl: &app.EchoClient{Rounds: 10, RoundsDone: 10, Done: true, VerifyFailures: 2}})
+					cl: echo(nil, 2)})
 			},
 			want: "client-integrity",
 		},
@@ -249,5 +253,3 @@ func TestEndInvariants(t *testing.T) {
 		})
 	}
 }
-
-func contains(s, sub string) bool { return strings.Contains(s, sub) }

@@ -164,9 +164,7 @@ func (h *Host) crash(kind trace.Kind, why string) {
 		return
 	}
 	h.crashed = true
-	if h.tracer != nil {
-		h.tracer.Emit(kind, h.name, "%s", why)
-	}
+	h.tracer.Emit(kind, h.name, "%s", why)
 	h.nic.Fail()
 	h.ns.SetDown(true)
 	if h.serial != nil {
@@ -181,9 +179,7 @@ func (h *Host) crash(kind trace.Kind, why string) {
 // silent while the machine, its serial port, and its software keep
 // running.
 func (h *Host) FailNIC() {
-	if h.tracer != nil {
-		h.tracer.Emit(trace.KindNICFail, h.name, "NIC failed")
-	}
+	h.tracer.Emit(trace.KindNICFail, h.name, "NIC failed")
 	h.nic.Fail()
 }
 
@@ -206,9 +202,7 @@ func (h *Host) Reboot() {
 		h.serial.SetDown(false)
 		h.serial.SetHandler(nil)
 	}
-	if h.tracer != nil {
-		h.tracer.Emit(trace.KindGeneric, h.name, "rebooted (boot #%d)", h.reboots+1)
-	}
+	h.tracer.Emit(trace.KindGeneric, h.name, "rebooted (boot #%d)", h.reboots+1)
 }
 
 // PowerController exposes the out-of-band power channel to a target

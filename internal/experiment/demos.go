@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/baseline"
 	"repro/internal/cluster"
-	"repro/internal/sim"
 	"repro/internal/sttcp"
 	"repro/internal/trace"
 )
@@ -71,7 +69,7 @@ const demo1CrashAfter = 500 * time.Millisecond
 // the stall itself, reconnect to the backup server, and resume. It returns
 // the ST-TCP run and the baseline run on the identical workload and crash
 // schedule.
-func runDemo1(o Options, transferSize int64) (st *Run, bl FailoverResult, err error) {
+func runDemo1(o Options, transferSize int64) (st, bl *Run, err error) {
 	st, err = plan{Options: o, Workload: Workload{Bytes: transferSize},
 		Faults: []Fault{crashPrimary(demo1CrashAfter)}, Horizon: 10 * time.Minute}.run()
 	if err != nil {
@@ -89,7 +87,7 @@ func runDemo1(o Options, transferSize int64) (st *Run, bl FailoverResult, err er
 		}
 		l.OnEstablished = app.NewDataServer(h.Name()+"/app", tb.Tracer).Accept
 	}
-	rc := baseline.NewReconnectClient("client/app", tb.Client.TCP(), transferSize, 3*time.Second, tb.Tracer)
+	rc := app.NewReconnectClient("client/app", tb.Client.TCP(), transferSize, 3*time.Second, tb.Tracer)
 	rc.AddServer(PrimaryAddr, ServicePort)
 	rc.AddServer(BackupAddr, ServicePort)
 	if err := rc.Start(); err != nil {
@@ -101,29 +99,18 @@ func runDemo1(o Options, transferSize int64) (st *Run, bl FailoverResult, err er
 	if err := tb.Run(10 * time.Minute); err != nil {
 		return st, bl, err
 	}
-	bl = FailoverResult{
-		CrashAt:        st.injectAt,
-		Completed:      rc.Done && rc.Err == nil && rc.VerifyFailures == 0,
-		ClientErr:      rc.Err,
-		BytesReceived:  rc.Received,
-		VerifyFailures: rc.VerifyFailures,
-		TransferTime:   rc.Elapsed(),
-		Reconnects:     rc.Reconnects,
-		Progress:       rc.Samples,
-		StartAt:        sim.Epoch,
-		TotalBytes:     transferSize,
-	}
-	fillFailoverTimes(&bl, tb, rc.MaxGap)
-	return st, bl, nil
+	// The recorder stays unbound from this client's progress series: the
+	// baseline has no takeover for an anatomy to bracket.
+	return st, &Run{Testbed: tb, client: rc, injectAt: st.injectAt}, nil
 }
 
 // printDemo1 renders the two transfers side by side and the demo GUI's pie
 // chart flattened into a timeline (one glyph per 100 ms): the ST-TCP chart
 // pauses briefly and keeps filling; the baseline chart flatlines until the
 // client's own stall detector reconnects it.
-func printDemo1(run *Run, bl FailoverResult) Printer {
+func printDemo1(run, baseline *Run) Printer {
 	return func(w io.Writer, view View) error {
-		st := run.failover()
+		st, bl := run.failover(), baseline.failover()
 		fmt.Fprintf(w, "workload: %d MiB download; primary HW crash mid-transfer\n\n", st.TotalBytes>>20)
 		fmt.Fprintf(w, "%-28s %-14s %-14s %-12s %s\n", "", "transfer time", "client stall", "reconnects", "completed")
 		for _, row := range []struct {

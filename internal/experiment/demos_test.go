@@ -23,11 +23,11 @@ func readFailovers(runs []*Run) []FailoverResult {
 // conventional hot-backup baseline the client also completes but only by
 // reconnecting, with a much larger disruption.
 func TestDemo1(t *testing.T) {
-	run, bl, err := runDemo1(Options{Seed: 42}, 16<<20)
+	run, baseline, err := runDemo1(Options{Seed: 42}, 16<<20)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	st := run.failover()
+	st, bl := run.failover(), baseline.failover()
 	if !st.Completed {
 		t.Fatalf("ST-TCP client failed: %v", st.ClientErr)
 	}

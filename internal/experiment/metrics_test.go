@@ -58,13 +58,17 @@ func TestMetricsMatchTrace(t *testing.T) {
 // seed and requires byte-identical snapshots: the metric layer must not
 // introduce nondeterminism into the simulation.
 func TestMetricsSnapshotDeterministic(t *testing.T) {
-	run := func() string {
+	run := func() string { // the snapshot as -metrics-out writes it
 		d, _ := DemoByName("demo2")
 		runs, _, err := d.Run(Params{Seed: 7, Periods: []time.Duration{500 * time.Millisecond}})
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		return runs[0].Testbed.Metrics.Snapshot().String()
+		var b strings.Builder
+		if err := runs[0].Testbed.Metrics.Snapshot().WriteJSON(&b); err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		return b.String()
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("snapshots differ between identical runs:\n--- first ---\n%s\n--- second ---\n%s", a, b)

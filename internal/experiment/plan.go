@@ -89,36 +89,36 @@ func (run *Run) failover() FailoverResult {
 	_, bad, err := run.client.Outcome()
 	r := FailoverResult{
 		Scenario:       run.Label,
-		HBPeriod:       run.Testbed.PrimaryNode.Config().HB.Period,
 		CrashAt:        run.injectAt,
 		Completed:      app.Completed(run.client),
 		ClientErr:      err,
 		VerifyFailures: bad,
 	}
+	if n := run.Testbed.PrimaryNode; n != nil { // the plain-TCP baseline has none
+		r.HBPeriod = n.Config().HB.Period
+	}
 	switch cl := run.client.(type) {
+	case *app.ReconnectClient:
+		r.BytesReceived, r.TransferTime, r.Reconnects = cl.Received, cl.Elapsed(), cl.Reconnects
+		r.Progress, r.StartAt, r.TotalBytes = cl.Samples, sim.Epoch, cl.Request
 	case *app.StreamClient:
 		r.BytesReceived, r.TransferTime = cl.Received, cl.Elapsed()
 		r.Progress, r.StartAt, r.TotalBytes = cl.Samples, sim.Epoch, cl.Request
 	case *app.EchoClient:
 		r.BytesReceived = int64(cl.RoundsDone) * int64(cl.MsgSize)
 	}
-	fillFailoverTimes(&r, run.Testbed, run.client.MaxGap)
-	return r
-}
-
-// fillFailoverTimes derives detection/takeover/gap figures for a run whose
-// CrashAt is set. The anatomy analyzer decomposes each takeover into phases
-// that provably reconcile with the client-observed stall (frames already in
-// flight at the crash instant still arrive, so the stall begins when the
-// pipeline drains, and ends at the first post-takeover delivery). Runs
-// without a takeover — the baseline, non-FT fallbacks, faults ridden out —
-// keep the client-side arithmetic: the largest stall in the progress series.
-func fillFailoverTimes(r *FailoverResult, tb *Testbed, maxGap func() (time.Duration, time.Time)) {
-	if e, ok := tb.Tracer.First(trace.KindSuspect); ok {
+	// The anatomy analyzer decomposes each takeover into phases that
+	// provably reconcile with the client-observed stall (frames already in
+	// flight at the crash instant still arrive, so the stall begins when the
+	// pipeline drains, and ends at the first post-takeover delivery). Runs
+	// without a takeover — the baseline, non-FT fallbacks, faults ridden
+	// out — keep the client-side arithmetic: the largest stall in the
+	// progress series.
+	if e, ok := run.Testbed.Tracer.First(trace.KindSuspect); ok {
 		r.SuspectAt = e.Time
 		r.DetectionTime = e.Time.Sub(r.CrashAt)
 	}
-	if anatomies := tb.Tracer.Anatomy(); len(anatomies) > 0 {
+	if anatomies := run.Testbed.Tracer.Anatomy(); len(anatomies) > 0 {
 		a := anatomies[0]
 		r.Anatomy = &a
 		r.SuspectAt = a.SuspectAt
@@ -129,8 +129,9 @@ func fillFailoverTimes(r *FailoverResult, tb *Testbed, maxGap func() (time.Durat
 		}
 	}
 	if r.FailoverTime == 0 {
-		if gap, around := maxGap(); !around.IsZero() && around.After(r.CrashAt.Add(-gap)) {
+		if gap, around := run.client.MaxGap(); !around.IsZero() && around.After(r.CrashAt.Add(-gap)) {
 			r.FailoverTime = gap
 		}
 	}
+	return r
 }

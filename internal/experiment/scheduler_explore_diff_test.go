@@ -2,6 +2,7 @@ package experiment_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -65,8 +66,10 @@ func demandIdentical(t *testing.T, label string, a, b *chaos.RunResult) {
 		}
 		t.Fatalf("%s: trace lengths diverge: %d vs %d events", label, len(ae), len(be))
 	}
-	if as, bs := a.Metrics.String(), b.Metrics.String(); as != bs {
-		t.Errorf("%s: metric snapshots diverged:\n--- a ---\n%s--- b ---\n%s", label, as, bs)
+	if !reflect.DeepEqual(a.Metrics, b.Metrics) {
+		var as, bs strings.Builder
+		_, _ = a.Metrics.WriteJSON(&as), b.Metrics.WriteJSON(&bs)
+		t.Errorf("%s: metric snapshots diverged:\n--- a ---\n%s--- b ---\n%s", label, &as, &bs)
 	}
 	if !reflect.DeepEqual(a.Clients, b.Clients) {
 		t.Errorf("%s: client outcomes diverged:\n  a: %+v\n  b: %+v", label, a.Clients, b.Clients)

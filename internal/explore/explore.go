@@ -482,7 +482,7 @@ func fingerprint(sc chaos.Schedule, res *chaos.RunResult, inWin []Choice) uint64
 	io.WriteString(h, sc.Signature())
 	if res.Metrics != nil {
 		io.WriteString(h, "\x00")
-		io.WriteString(h, res.Metrics.String())
+		_ = res.Metrics.WriteJSON(h) // an fnv hash never fails a write
 	}
 	for _, c := range res.Clients {
 		fmt.Fprintf(h, "\x00c:%s|%v|%s|%s", c.Name, c.Done, c.Err, c.Progress)

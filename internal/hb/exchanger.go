@@ -329,9 +329,7 @@ func (e *Exchanger) receive(link LinkID, raw []byte) {
 	}
 	if e.down[link] {
 		e.down[link] = false
-		if e.tracer != nil {
-			e.tracer.Emit(trace.KindHBLinkUp, e.name, "%v back up", link)
-		}
+		e.tracer.Emit(trace.KindHBLinkUp, e.name, "%v back up", link)
 		if e.OnLinkUp != nil {
 			e.OnLinkUp(link)
 		}
@@ -354,9 +352,7 @@ func (e *Exchanger) checkLiveness() {
 		if now.Sub(e.lastRx[id]) > e.cfg.Timeout {
 			e.down[id] = true
 			e.mLinkDown[id].Inc()
-			if e.tracer != nil {
-				e.tracer.Emit(trace.KindHBLinkDown, e.name, "%v silent for >%v", id, e.cfg.Timeout)
-			}
+			e.tracer.Emit(trace.KindHBLinkDown, e.name, "%v silent for >%v", id, e.cfg.Timeout)
 			if e.OnLinkDown != nil {
 				e.OnLinkDown(id)
 			}

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"time"
@@ -155,37 +154,4 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// String renders a compact human-readable dump (used by -metrics-out=-
-// and debugging).
-func (s *Snapshot) String() string {
-	if s == nil {
-		return "<nil snapshot>"
-	}
-	out := fmt.Sprintf("metrics @ %s (%d samples)\n", s.At.Format("15:04:05.000"), len(s.Samples))
-	for _, sm := range s.Samples {
-		switch sm.Type {
-		case "counter":
-			out += fmt.Sprintf("  %-28s %-26s %s= %d\n", sm.Component, sm.Name, labelCol(sm.Labels), sm.Value)
-		case "gauge":
-			out += fmt.Sprintf("  %-28s %-26s %s= %d (max %d)\n", sm.Component, sm.Name, labelCol(sm.Labels), sm.Value, sm.Max)
-		case "histogram":
-			if sm.Count == 0 {
-				out += fmt.Sprintf("  %-28s %-26s %s= (empty)\n", sm.Component, sm.Name, labelCol(sm.Labels))
-				continue
-			}
-			mean := time.Duration(int64(sm.Sum) / sm.Count)
-			out += fmt.Sprintf("  %-28s %-26s %s= n=%d min=%v mean=%v max=%v\n",
-				sm.Component, sm.Name, labelCol(sm.Labels), sm.Count, sm.MinDur, mean, sm.MaxDur)
-		}
-	}
-	return out
-}
-
-func labelCol(labels string) string {
-	if labels == "" {
-		return ""
-	}
-	return "{" + labels + "} "
 }

@@ -3,7 +3,6 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 )
@@ -201,28 +200,6 @@ func TestSnapshotDeterminism(t *testing.T) {
 		if p.Component > q.Component || (p.Component == q.Component && p.Name > q.Name) {
 			t.Fatalf("samples not sorted at %d: %v then %v", i, p, q)
 		}
-	}
-}
-
-// TestWriteCSV: shape check — header plus one row per sample.
-func TestWriteCSV(t *testing.T) {
-	r := New(nil)
-	r.Counter("x", "c").Add(3)
-	r.Gauge("x", "g").Set(4)
-	r.Histogram("x", "h", nil).Observe(time.Second)
-	var buf bytes.Buffer
-	if err := writeCSV(r.Snapshot(), &buf); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("got %d CSV lines, want 4:\n%s", len(lines), buf.String())
-	}
-	if !strings.HasPrefix(lines[0], "component,name,labels,type") {
-		t.Fatalf("bad header: %s", lines[0])
-	}
-	if !strings.Contains(buf.String(), "x,c,,counter,3") {
-		t.Fatalf("counter row missing:\n%s", buf.String())
 	}
 }
 

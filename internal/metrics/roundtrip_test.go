@@ -2,11 +2,8 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
-	"io"
 	"reflect"
-	"strconv"
 	"testing"
 	"time"
 )
@@ -72,61 +69,5 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	back.At = snap.At // time.Time location differs after JSON; value equality checked above
 	if !reflect.DeepEqual(snap.Samples, back.Samples) {
 		t.Errorf("samples did not round-trip.\nwrote: %+v\nread:  %+v", snap.Samples, back.Samples)
-	}
-}
-
-// writeCSV writes the snapshot as CSV with one row per sample:
-// component,name,labels,type,value,max,count,sum_ns. Histogram buckets
-// are elided — use JSON for the full distribution.
-func writeCSV(s *Snapshot, w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"component", "name", "labels", "type", "value", "max", "count", "sum_ns"}); err != nil {
-		return err
-	}
-	for _, sm := range s.Samples {
-		rec := []string{
-			sm.Component, sm.Name, sm.Labels, sm.Type,
-			strconv.FormatInt(sm.Value, 10),
-			strconv.FormatInt(sm.Max, 10),
-			strconv.FormatInt(sm.Count, 10),
-			strconv.FormatInt(int64(sm.Sum), 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-func TestSnapshotCSVRoundTrip(t *testing.T) {
-	snap := scrambledRegistry().Snapshot()
-	var buf bytes.Buffer
-	if err := writeCSV(snap, &buf); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatalf("parse CSV back: %v", err)
-	}
-	wantHeader := []string{"component", "name", "labels", "type", "value", "max", "count", "sum_ns"}
-	if !reflect.DeepEqual(rows[0], wantHeader) {
-		t.Fatalf("CSV header = %v, want %v", rows[0], wantHeader)
-	}
-	if len(rows)-1 != len(snap.Samples) {
-		t.Fatalf("CSV has %d data rows, want %d", len(rows)-1, len(snap.Samples))
-	}
-	for i, sm := range snap.Samples {
-		row := rows[i+1]
-		if row[0] != sm.Component || row[1] != sm.Name || row[2] != sm.Labels || row[3] != sm.Type {
-			t.Errorf("row %d identity = %v, want %s/%s/%q/%s (CSV must follow snapshot order)",
-				i, row[:4], sm.Component, sm.Name, sm.Labels, sm.Type)
-		}
-		for col, want := range map[int]int64{4: sm.Value, 5: sm.Max, 6: sm.Count, 7: int64(sm.Sum)} {
-			got, err := strconv.ParseInt(row[col], 10, 64)
-			if err != nil || got != want {
-				t.Errorf("row %d col %d = %q, want %d", i, col, row[col], want)
-			}
-		}
 	}
 }

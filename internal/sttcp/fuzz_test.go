@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ip"
+	"repro/internal/tcp"
 )
 
 // fuzzPat is the deterministic content byte for absolute stream offset off;
@@ -14,13 +15,13 @@ import (
 // fall out of the offsets.
 func fuzzPat(off int64) byte { return byte(off*31 + 7) }
 
-// FuzzHoldBuf drives the primary's hold buffer through arbitrary
-// append/release/slice sequences against an offset-window model and checks
-// the conservation invariants the recovery protocol depends on: held bytes
-// always equal end-base and never exceed capacity, appends are
-// gap-and-overflow checked without partial effects, release clamps to the
-// held window, and slice serves exactly the bytes that were appended — or
-// ErrHoldEvicted once they are gone.
+// FuzzHoldBuf drives the primary's hold buffer — a tcp.Window written only
+// through holdAppend and released as the node does, clamped to what is held —
+// through arbitrary append/release/slice sequences against an offset-window
+// model and checks the conservation invariants the recovery protocol depends
+// on: held bytes always equal end-base and never exceed capacity, appends are
+// gap-and-overflow checked without partial effects, and Slice serves exactly
+// the bytes that were appended — or tcp.ErrReleased once they are gone.
 func FuzzHoldBuf(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 32, 0, 32, 2, 16, 3, 8, 0, 200, 1, 1, 2, 255})
 	f.Add(uint8(100), []byte{0, 255, 0, 255, 0, 255, 2, 255, 3, 0})
@@ -28,22 +29,22 @@ func FuzzHoldBuf(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, capSel uint8, ops []byte) {
 		capacity := 16 + int(capSel)%241 // 16..256
-		hb := newHoldBuffer(capacity)
+		hb := tcp.NewWindow(capacity)
 		base, end := int64(0), int64(0) // model: bytes [base, end) are held
 
 		check := func(when string) {
 			t.Helper()
-			if hb.held() != int(end-base) {
-				t.Fatalf("%s: held()=%d, model holds %d", when, hb.held(), end-base)
+			if hb.Len() != int(end-base) {
+				t.Fatalf("%s: Len()=%d, model holds %d", when, hb.Len(), end-base)
 			}
-			if hb.end() != end {
-				t.Fatalf("%s: end()=%d, model end %d", when, hb.end(), end)
+			if hb.End() != end {
+				t.Fatalf("%s: End()=%d, model end %d", when, hb.End(), end)
 			}
-			if hb.held() > capacity {
-				t.Fatalf("%s: held()=%d exceeds capacity %d", when, hb.held(), capacity)
+			if hb.Len() > capacity {
+				t.Fatalf("%s: Len()=%d exceeds capacity %d", when, hb.Len(), capacity)
 			}
-			if hb.free()+hb.held() != capacity {
-				t.Fatalf("%s: free()+held() = %d+%d != cap %d", when, hb.free(), hb.held(), capacity)
+			if hb.Free()+hb.Len() != capacity {
+				t.Fatalf("%s: Free()+Len() = %d+%d != cap %d", when, hb.Free(), hb.Len(), capacity)
 			}
 		}
 		check("fresh")
@@ -56,7 +57,7 @@ func FuzzHoldBuf(f *testing.F) {
 				for j := range p {
 					p[j] = fuzzPat(end + int64(j))
 				}
-				err := hb.append(end, p)
+				err := holdAppend(hb, end, p)
 				if int64(capacity)-(end-base) >= arg {
 					if err != nil {
 						t.Fatalf("in-order append of %d rejected: %v", arg, err)
@@ -66,13 +67,13 @@ func FuzzHoldBuf(f *testing.F) {
 					t.Fatalf("overflowing append of %d returned %v, want ErrHoldOverflow", arg, err)
 				}
 			case 1: // append with a gap: must be rejected without effect
-				err := hb.append(end+1+arg, []byte{0xaa})
+				err := holdAppend(hb, end+1+arg, []byte{0xaa})
 				if !errors.Is(err, ErrHoldGap) {
 					t.Fatalf("gapped append returned %v, want ErrHoldGap", err)
 				}
 			case 2: // release up to base+arg (may exceed end: clamps)
 				upTo := base + arg
-				hb.release(upTo)
+				hb.Release(min(upTo, hb.End()))
 				if upTo > end {
 					base = end
 				} else if upTo > base {
@@ -80,14 +81,14 @@ func FuzzHoldBuf(f *testing.F) {
 				}
 			case 3: // slice
 				if arg%2 == 1 && base > 0 {
-					if _, err := hb.slice(base-1, base+1); !errors.Is(err, ErrHoldEvicted) {
-						t.Fatalf("slice before base returned %v, want ErrHoldEvicted", err)
+					if _, err := hb.Slice(base-1, 2); !errors.Is(err, tcp.ErrReleased) {
+						t.Fatalf("slice before base returned %v, want tcp.ErrReleased", err)
 					}
 					break
 				}
 				from := base + arg/2%16
 				to := from + arg
-				got, err := hb.slice(from, to)
+				got, err := hb.Slice(from, int(to-from))
 				if from > end || from >= to {
 					// Fully outside or empty: any nil-content
 					// success is fine, but never an eviction

@@ -1,83 +1,25 @@
 package sttcp
 
-import "errors"
+import (
+	"errors"
+	"repro/internal/tcp"
+)
 
 // Hold-buffer errors.
 var (
 	ErrHoldOverflow = errors.New("sttcp: hold buffer overflow")
 	ErrHoldGap      = errors.New("sttcp: hold buffer gap")
-	ErrHoldEvicted  = errors.New("sttcp: requested bytes already released")
 )
 
-// holdBuffer is the primary's extra receive buffer (paper §2): a copy of
-// the in-order client byte stream from the oldest byte the backup has not
-// yet confirmed up to the newest byte received. The primary releases bytes
-// as the backup's heartbeats confirm receipt and serves recovery requests
-// from what remains. When the buffer fills — the backup cannot catch up —
-// the primary declares the backup failed (Table 1 row 5).
-type holdBuffer struct {
-	data []byte
-	base int64 // stream offset of data[0]
-	cap  int
-}
-
-func newHoldBuffer(capacity int) *holdBuffer {
-	return &holdBuffer{cap: capacity}
-}
-
-// end returns the stream offset one past the newest held byte.
-func (h *holdBuffer) end() int64 { return h.base + int64(len(h.data)) }
-
-// held reports the number of bytes currently held.
-func (h *holdBuffer) held() int { return len(h.data) }
-
-// free reports remaining capacity.
-func (h *holdBuffer) free() int { return h.cap - len(h.data) }
-
-// append adds newly received in-order client bytes at stream offset off.
-// It returns ErrHoldOverflow when the bytes do not fit (backup lagging
-// beyond the buffer) and ErrHoldGap if off is not contiguous.
-func (h *holdBuffer) append(off int64, p []byte) error {
-	if off != h.end() {
+// holdAppend adds client bytes at stream offset off to a hold buffer, all or
+// nothing: a gap is refused, and so is what does not fit (Table 1 row 5).
+func holdAppend(hold *tcp.Window, off int64, p []byte) error {
+	if off != hold.End() {
 		return ErrHoldGap
 	}
-	if len(p) > h.free() {
+	if len(p) > hold.Free() {
 		return ErrHoldOverflow
 	}
-	h.data = append(h.data, p...)
+	hold.Write(p)
 	return nil
-}
-
-// release discards bytes confirmed received by the backup, up to (not
-// including) offset upTo.
-func (h *holdBuffer) release(upTo int64) {
-	if upTo <= h.base {
-		return
-	}
-	drop := upTo - h.base
-	if drop >= int64(len(h.data)) {
-		h.base = h.end()
-		h.data = h.data[:0]
-		return
-	}
-	remaining := copy(h.data, h.data[drop:])
-	h.data = h.data[:remaining]
-	h.base = upTo
-}
-
-// slice returns held bytes [from, to), clipped to what is available. It
-// fails with ErrHoldEvicted if from precedes the buffer base (the bytes
-// were already confirmed and released — the output-commit limitation the
-// paper notes requires a logger to avoid).
-func (h *holdBuffer) slice(from, to int64) ([]byte, error) {
-	if from < h.base {
-		return nil, ErrHoldEvicted
-	}
-	if to > h.end() {
-		to = h.end()
-	}
-	if from >= to {
-		return nil, nil
-	}
-	return h.data[from-h.base : to-h.base], nil
 }

@@ -6,37 +6,39 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/tcp"
 )
 
 func TestHoldBufferAppendReleaseSlice(t *testing.T) {
-	h := newHoldBuffer(16)
-	if err := h.append(0, []byte("abcdefgh")); err != nil {
+	h := tcp.NewWindow(16)
+	if err := holdAppend(h, 0, []byte("abcdefgh")); err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	if h.held() != 8 || h.end() != 8 {
-		t.Fatalf("held=%d end=%d", h.held(), h.end())
+	if h.Len() != 8 || h.End() != 8 {
+		t.Fatalf("held=%d end=%d", h.Len(), h.End())
 	}
-	got, err := h.slice(2, 6)
+	got, err := h.Slice(2, 4)
 	if err != nil || string(got) != "cdef" {
 		t.Fatalf("slice = %q, %v", got, err)
 	}
-	h.release(4)
-	if h.held() != 4 {
-		t.Fatalf("held after release = %d", h.held())
+	h.Release(4)
+	if h.Len() != 4 {
+		t.Fatalf("held after release = %d", h.Len())
 	}
-	if _, err := h.slice(2, 6); !errors.Is(err, ErrHoldEvicted) {
+	if _, err := h.Slice(2, 4); !errors.Is(err, tcp.ErrReleased) {
 		t.Fatalf("slice below base err = %v", err)
 	}
-	got, err = h.slice(4, 100)
+	got, err = h.Slice(4, 96)
 	if err != nil || string(got) != "efgh" {
 		t.Fatalf("clipped slice = %q, %v", got, err)
 	}
 }
 
 func TestHoldBufferGapRejected(t *testing.T) {
-	h := newHoldBuffer(16)
-	_ = h.append(0, []byte("ab"))
-	if err := h.append(5, []byte("xy")); !errors.Is(err, ErrHoldGap) {
+	h := tcp.NewWindow(16)
+	_ = holdAppend(h, 0, []byte("ab"))
+	if err := holdAppend(h, 5, []byte("xy")); !errors.Is(err, ErrHoldGap) {
 		t.Fatalf("gap append err = %v", err)
 	}
 }
@@ -44,15 +46,15 @@ func TestHoldBufferGapRejected(t *testing.T) {
 // TestHoldBufferOverflow checks the Table 1 row 5 trigger: the buffer
 // refuses bytes beyond its capacity (backup hopelessly behind).
 func TestHoldBufferOverflow(t *testing.T) {
-	h := newHoldBuffer(8)
-	if err := h.append(0, []byte("12345678")); err != nil {
+	h := tcp.NewWindow(8)
+	if err := holdAppend(h, 0, []byte("12345678")); err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	if err := h.append(8, []byte("9")); !errors.Is(err, ErrHoldOverflow) {
+	if err := holdAppend(h, 8, []byte("9")); !errors.Is(err, ErrHoldOverflow) {
 		t.Fatalf("overflow err = %v", err)
 	}
-	h.release(4)
-	if err := h.append(8, []byte("9abc")); err != nil {
+	h.Release(4)
+	if err := holdAppend(h, 8, []byte("9abc")); err != nil {
 		t.Fatalf("append after release: %v", err)
 	}
 }
@@ -65,32 +67,32 @@ func TestHoldBufferProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		stream := make([]byte, 4096)
 		rng.Read(stream)
-		h := newHoldBuffer(1024)
+		h := tcp.NewWindow(1024)
 		written := int64(0)
 		for written < int64(len(stream)) {
 			// Release a random confirmed prefix to make room.
-			if h.free() == 0 || rng.Intn(2) == 0 {
-				h.release(h.base + int64(rng.Intn(h.held()+1)))
+			if h.Free() == 0 || rng.Intn(2) == 0 {
+				h.Release(h.Base() + int64(rng.Intn(h.Len()+1)))
 			}
 			n := rng.Intn(200) + 1
 			if written+int64(n) > int64(len(stream)) {
 				n = int(int64(len(stream)) - written)
 			}
-			if n > h.free() {
-				n = h.free()
+			if n > h.Free() {
+				n = h.Free()
 			}
 			if n == 0 {
 				continue
 			}
-			if err := h.append(written, stream[written:written+int64(n)]); err != nil {
+			if err := holdAppend(h, written, stream[written:written+int64(n)]); err != nil {
 				return false
 			}
 			written += int64(n)
 			// Verify a random slice of what is held.
-			if h.held() > 0 {
-				from := h.base + int64(rng.Intn(h.held()))
-				to := from + int64(rng.Intn(h.held()))
-				got, err := h.slice(from, to)
+			if h.Len() > 0 {
+				from := h.Base() + int64(rng.Intn(h.Len()))
+				to := from + int64(rng.Intn(h.Len()))
+				got, err := h.Slice(from, int(to-from))
 				if err != nil {
 					return false
 				}

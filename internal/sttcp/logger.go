@@ -1,8 +1,6 @@
 package sttcp
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 
 	"repro/internal/cluster"
@@ -28,25 +26,32 @@ type Logger struct {
 	cfg     Config
 	tracer  *trace.Recorder
 	comp    string
-	streams map[tcp.ConnID]*streamLog
+	streams map[tcp.ConnID]*loggedStream
 
 	// Served counts recovery-data datagrams sent.
 	Served int64
 }
 
-// streamLog reassembles one connection's client→server byte stream.
-type streamLog struct {
-	irs  uint32
-	data []byte // contiguous from offset base
-	base int64  // first retained offset (>0 once evicted)
-	next int64  // base + len(data)
-	ooo  []oooChunk
-	cap  int
+// loggedStream is one connection's client→server byte stream: tapped
+// segments reassembled into a log that retains the newest HoldBufferSize
+// bytes. The same size bounds what waits out of order behind a hole, so a
+// stream costs the logger at most twice that.
+type loggedStream struct {
+	irs uint32
+	*tcp.Reassembler
+	log *tcp.Window
 }
 
-type oooChunk struct {
-	off  int64
-	data []byte
+func newLoggedStream(irs uint32, capacity int) *loggedStream {
+	return &loggedStream{irs: irs, Reassembler: tcp.NewReassembler(capacity), log: tcp.NewWindow(capacity)}
+}
+
+// retain appends newly in-order bytes to the log, evicting the oldest to
+// make room; of more than a whole log's worth only the tail is kept.
+func (s *loggedStream) retain(p []byte) {
+	capacity := s.log.Len() + s.log.Free()
+	s.log.Release(s.log.End() + int64(len(p)-capacity))
+	s.log.Write(p[max(0, len(p)-capacity):])
 }
 
 // NewLogger builds a logger on host. The host's stack must have the
@@ -59,7 +64,7 @@ func NewLogger(host *cluster.Host, cfg Config) *Logger {
 		cfg:     cfg,
 		tracer:  host.Tracer(),
 		comp:    host.Name() + "/logger",
-		streams: make(map[tcp.ConnID]*streamLog),
+		streams: make(map[tcp.ConnID]*loggedStream),
 	}
 	return lg
 }
@@ -98,11 +103,8 @@ func (lg *Logger) handlePacket(pkt ip.Packet) {
 		if !seg.Flags.Has(tcp.FlagSYN) {
 			return // missed the SYN: offsets would be ambiguous
 		}
-		s = &streamLog{irs: seg.Seq, cap: lg.cfg.HoldBufferSize}
-		lg.streams[id] = s
-		if lg.tracer != nil {
-			lg.tracer.Emit(trace.KindGeneric, lg.comp, "logging client stream of %v", id)
-		}
+		lg.streams[id] = newLoggedStream(seg.Seq, lg.cfg.HoldBufferSize)
+		lg.tracer.Emit(trace.KindGeneric, lg.comp, "logging client stream of %v", id)
 		return
 	}
 	if len(seg.Payload) == 0 {
@@ -110,79 +112,7 @@ func (lg *Logger) handlePacket(pkt ip.Packet) {
 	}
 	// Stream offset of this payload: offset 0 is the byte after the SYN.
 	off := int64(int32(seg.Seq - (s.irs + 1)))
-	s.accept(off, seg.Payload)
-}
-
-func (s *streamLog) accept(off int64, payload []byte) {
-	if off < s.base {
-		skip := s.base - off
-		if skip >= int64(len(payload)) {
-			return
-		}
-		payload = payload[skip:]
-		off = s.base
-	}
-	switch {
-	case off > s.next:
-		s.insertOOO(off, payload)
-		return
-	case off < s.next:
-		skip := s.next - off
-		if skip >= int64(len(payload)) {
-			return
-		}
-		payload = payload[skip:]
-	}
-	s.data = append(s.data, payload...)
-	s.next += int64(len(payload))
-	s.drainOOO()
-	s.evict()
-}
-
-func (s *streamLog) insertOOO(off int64, payload []byte) {
-	s.ooo = append(s.ooo, oooChunk{off: off, data: bytes.Clone(payload)})
-	// Keep sorted by offset (insertion into a short slice).
-	for i := len(s.ooo) - 1; i > 0 && s.ooo[i].off < s.ooo[i-1].off; i-- {
-		s.ooo[i], s.ooo[i-1] = s.ooo[i-1], s.ooo[i]
-	}
-}
-
-func (s *streamLog) drainOOO() {
-	for len(s.ooo) > 0 && s.ooo[0].off <= s.next {
-		c := s.ooo[0]
-		s.ooo = s.ooo[1:]
-		if c.off+int64(len(c.data)) <= s.next {
-			continue
-		}
-		s.data = append(s.data, c.data[s.next-c.off:]...)
-		s.next = c.off + int64(len(c.data))
-	}
-}
-
-// evict drops the oldest bytes beyond capacity, bounding logger memory.
-func (s *streamLog) evict() {
-	if over := len(s.data) - s.cap; over > 0 {
-		remaining := copy(s.data, s.data[over:])
-		s.data = s.data[:remaining]
-		s.base += int64(over)
-	}
-}
-
-// errLogEvicted reports a recovery request below the retained window.
-var errLogEvicted = errors.New("sttcp: logger evicted the requested bytes")
-
-// slice returns logged bytes [from, to); to < 0 means everything retained.
-func (s *streamLog) slice(from, to int64) ([]byte, error) {
-	if to < 0 || to > s.next {
-		to = s.next
-	}
-	if from < s.base {
-		return nil, errLogEvicted
-	}
-	if from >= to {
-		return nil, nil
-	}
-	return s.data[from-s.base : to-s.base], nil
+	s.Accept(off, seg.Payload, s.retain)
 }
 
 // handleCtrl answers recovery requests from either server.
@@ -200,28 +130,13 @@ func (lg *Logger) handleCtrl(src ip.Addr, srcPort uint16, payload []byte) {
 	if !ok {
 		return
 	}
-	data, err := s.slice(m.From, m.To)
-	if err != nil || len(data) == 0 {
+	// Below the log's base the bytes were evicted: the output-commit hole
+	// a log smaller than the backup's lag leaves open.
+	to := m.end(s.log.End())
+	if m.From < s.log.Base() || m.From >= to {
 		return
 	}
-	if lg.tracer != nil {
-		lg.tracer.EmitValue(trace.KindByteRecovery, lg.comp, int64(len(data)),
-			"serving %d logged bytes [%d,…) of %v to %v", len(data), m.From, id, src)
-	}
-	for off := 0; off < len(data); off += recoveryChunk {
-		end := off + recoveryChunk
-		if end > len(data) {
-			end = len(data)
-		}
-		resp := recoveryDataMsg{
-			RemoteAddr: m.RemoteAddr,
-			RemotePort: m.RemotePort,
-			LocalPort:  m.LocalPort,
-			Off:        m.From + int64(off),
-			Data:       data[off:end],
-		}
-		if lg.host.Netstack().UDPSend(DefaultCtrlPort, src, DefaultCtrlPort, resp.encode()) == nil {
-			lg.Served++
-		}
-	}
+	lg.tracer.EmitValue(trace.KindByteRecovery, lg.comp, to-m.From,
+		"serving %d logged bytes [%d,…) of %v to %v", to-m.From, m.From, id, src)
+	lg.Served += sendRecoveryData(lg.host, src, m, s.log, m.From, to)
 }

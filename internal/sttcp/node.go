@@ -48,7 +48,7 @@ type repConn struct {
 	// key is conn.ID().String(), rendered once: it is the order the node
 	// walks its connections in (sortedKeys).
 	key  string
-	hold *holdBuffer // primary role only
+	hold *tcp.Window // primary role only: the extra receive buffer (paper §2)
 
 	// replicated is false for connections that exist only locally —
 	// those accepted while the node ran alone (post-takeover or non-FT)
@@ -444,7 +444,7 @@ func (n *Node) setupConn(c *tcp.Conn) {
 		})
 	case n.role == RolePrimary && n.state == StateActive:
 		rc.replicated = true
-		rc.hold = newHoldBuffer(n.cfg.HoldBufferSize)
+		rc.hold = tcp.NewWindow(n.cfg.HoldBufferSize)
 		c.SetDeliverTap(func(off int64, data []byte) { n.tapDelivered(rc, off, data) })
 		c.SetFINGate(func(rst bool) { n.onLocalCloseSignal(rc, rst) })
 	}
@@ -452,9 +452,7 @@ func (n *Node) setupConn(c *tcp.Conn) {
 
 // onEstablished hands an established connection to the application.
 func (n *Node) onEstablished(c *tcp.Conn) {
-	if n.tracer != nil {
-		n.tracer.Emit(trace.KindConnEstablished, n.comp, "service conn %v established (%s)", c.ID(), n.role)
-	}
+	n.tracer.Emit(trace.KindConnEstablished, n.comp, "service conn %v established (%s)", c.ID(), n.role)
 	if n.OnAccept != nil {
 		n.OnAccept(c)
 	}
@@ -489,16 +487,15 @@ func (n *Node) tapDelivered(rc *repConn, off int64, data []byte) {
 	if rc.hold == nil || n.state != StateActive {
 		return
 	}
-	before := rc.hold.held()
-	if rc.hold.end() < off {
+	before := rc.hold.Len()
+	if rc.hold.End() < off {
 		// Should not happen (tap is in-order), but never wedge.
-		rc.hold.release(off)
-		rc.hold.base = off
+		rc.hold.Release(off)
 	}
-	err := rc.hold.append(off, data)
+	err := holdAppend(rc.hold, off, data)
 	// Noted before acting on an overflow: declaring the backup failed
 	// discards every hold buffer, this one included.
-	n.noteHoldOccupancy(rc.hold.held() - before)
+	n.noteHoldOccupancy(rc.hold.Len() - before)
 	if errors.Is(err, ErrHoldOverflow) {
 		n.declarePeerFailed("hold buffer overflow: backup cannot catch up")
 	}
@@ -570,9 +567,7 @@ func (n *Node) ReportLocalAppFailure() {
 		return
 	}
 	n.localAppFailed = true
-	if n.tracer != nil {
-		n.tracer.Emit(trace.KindSuspect, n.comp, "local watchdog reports application failure; flagging peer")
-	}
+	n.tracer.Emit(trace.KindSuspect, n.comp, "local watchdog reports application failure; flagging peer")
 	if n.ex != nil {
 		n.ex.SendNow()
 	}
@@ -617,7 +612,7 @@ func (n *Node) dropConn(id tcp.ConnID) {
 			// Not sampled into the gauge here: a drop is not an
 			// occupancy event, and the total is right when the
 			// next append or release samples it.
-			n.holdBytes -= int64(rc.hold.held())
+			n.holdBytes -= int64(rc.hold.Len())
 		}
 		delete(n.conns, id)
 	}
@@ -727,9 +722,7 @@ func (n *Node) adoptFromHB(id tcp.ConnID, cs *hb.ConnState) {
 		return
 	}
 	c.ForceEstablish(cs.IRS)
-	if n.tracer != nil {
-		n.tracer.Emit(trace.KindByteRecovery, n.comp, "replica %v reconstructed from heartbeat", id)
-	}
+	n.tracer.Emit(trace.KindByteRecovery, n.comp, "replica %v reconstructed from heartbeat", id)
 	n.onEstablished(c)
 }
 
@@ -737,9 +730,9 @@ func (n *Node) adoptFromHB(id tcp.ConnID, cs *hb.ConnState) {
 func (n *Node) primaryConsumeConnState(rc *repConn) {
 	// Release hold-buffer bytes the backup has confirmed.
 	if rc.hold != nil {
-		before := rc.hold.held()
-		rc.hold.release(rc.peerLBR)
-		n.noteHoldOccupancy(rc.hold.held() - before)
+		before := rc.hold.Len()
+		rc.hold.Release(min(rc.peerLBR, rc.hold.End()))
+		n.noteHoldOccupancy(rc.hold.Len() - before)
 	}
 	// FIN agreement: if we gated a FIN and the backup has also generated
 	// one, this is a normal close — send it (§4.2.2).
@@ -822,10 +815,8 @@ func (n *Node) maybeRequestRecovery(rc *repConn) {
 	sp := n.tracer.OpenAutoSpan(trace.KindByteRecovery, n.tracer.Ambient(), n.comp,
 		"recover missed bytes [%d,%d) for %v", req.From, req.To, id)
 	defer n.tracer.Activate(sp)()
-	if n.tracer != nil {
-		n.tracer.EmitValue(trace.KindByteRecovery, n.comp, req.To-req.From,
-			"requesting missed bytes [%d,%d) for %v", req.From, req.To, id)
-	}
+	n.tracer.EmitValue(trace.KindByteRecovery, n.comp, req.To-req.From,
+		"requesting missed bytes [%d,%d) for %v", req.From, req.To, id)
 	_ = n.host.Netstack().UDPSend(DefaultCtrlPort, n.cfg.PeerAddr, DefaultCtrlPort, req.encode())
 }
 
@@ -843,10 +834,8 @@ func (n *Node) requestLoggerRecovery(rc *repConn) {
 	sp := n.tracer.OpenAutoSpan(trace.KindByteRecovery, n.tracer.Ambient(), n.comp,
 		"recover logged bytes from %d for %v", req.From, id)
 	defer n.tracer.Activate(sp)()
-	if n.tracer != nil {
-		n.tracer.Emit(trace.KindByteRecovery, n.comp,
-			"takeover: requesting logged bytes from %d for %v from logger", req.From, id)
-	}
+	n.tracer.Emit(trace.KindByteRecovery, n.comp,
+		"takeover: requesting logged bytes from %d for %v from logger", req.From, id)
 	_ = n.host.Netstack().UDPSend(DefaultCtrlPort, n.cfg.LoggerAddr, DefaultCtrlPort, req.encode())
 }
 
@@ -856,32 +845,40 @@ func (n *Node) serveRecovery(m recoveryRequestMsg) {
 	if !ok || rc.hold == nil {
 		return
 	}
-	from := m.From
-	if from < rc.hold.base {
-		from = rc.hold.base // older bytes were confirmed by the peer itself
+	// Older bytes were confirmed by the peer itself.
+	sendRecoveryData(n.host, n.cfg.PeerAddr, m, rc.hold, max(m.From, rc.hold.Base()), m.end(rc.hold.End()))
+}
+
+// end is where recovery request m stops in a store holding bytes up to
+// held: at To, or at held when To is negative (everything) or beyond it.
+func (m recoveryRequestMsg) end(held int64) int64 {
+	if m.To < 0 || m.To > held {
+		return held
 	}
-	to := m.To
-	if to < 0 {
-		to = rc.hold.end()
-	}
-	data, err := rc.hold.slice(from, to)
-	if err != nil || len(data) == 0 {
-		return
-	}
-	for off := 0; off < len(data); off += recoveryChunk {
-		end := off + recoveryChunk
-		if end > len(data) {
-			end = len(data)
+	return m.To
+}
+
+// sendRecoveryData answers recovery request m with the bytes [from, to) of
+// w, a window of client bytes, one datagram per recoveryChunk, and returns
+// how many went out.
+func sendRecoveryData(host *cluster.Host, dst ip.Addr, m recoveryRequestMsg, w *tcp.Window, from, to int64) (sent int64) {
+	for ; from < to; from += recoveryChunk {
+		data, err := w.Slice(from, int(min(recoveryChunk, to-from)))
+		if err != nil {
+			return sent
 		}
 		resp := recoveryDataMsg{
 			RemoteAddr: m.RemoteAddr,
 			RemotePort: m.RemotePort,
 			LocalPort:  m.LocalPort,
-			Off:        from + int64(off),
-			Data:       data[off:end],
+			Off:        from,
+			Data:       data,
 		}
-		_ = n.host.Netstack().UDPSend(DefaultCtrlPort, n.cfg.PeerAddr, DefaultCtrlPort, resp.encode())
+		if host.Netstack().UDPSend(DefaultCtrlPort, dst, DefaultCtrlPort, resp.encode()) == nil {
+			sent++
+		}
 	}
+	return sent
 }
 
 func (n *Node) applyRecovery(m recoveryDataMsg) {
@@ -892,7 +889,7 @@ func (n *Node) applyRecovery(m recoveryDataMsg) {
 	}
 	accepted := rc.conn.InjectStreamBytes(m.Off, m.Data)
 	n.mRecovered.Add(int64(accepted))
-	if accepted > 0 && n.tracer != nil {
+	if accepted > 0 {
 		n.tracer.EmitValue(trace.KindByteRecovery, n.comp, int64(accepted),
 			"recovered %d bytes at %d for %v", accepted, m.Off, id)
 	}
@@ -921,9 +918,7 @@ func (n *Node) onLocalCloseSignal(rc *repConn, rst bool) {
 	case rc.peerFIN || rc.peerRST:
 		n.releaseGatedFIN(rc, "backup already generated "+kind)
 	default:
-		if n.tracer != nil {
-			n.tracer.Emit(trace.KindFINDelayed, n.comp, "%s gated for up to %v on %v", kind, n.cfg.MaxDelayFIN, c.ID())
-		}
+		n.tracer.Emit(trace.KindFINDelayed, n.comp, "%s gated for up to %v on %v", kind, n.cfg.MaxDelayFIN, c.ID())
 		rc.finDelayTimer = n.sim.Schedule(n.cfg.MaxDelayFIN, func() {
 			rc.finDelayTimer = nil
 			n.releaseGatedFIN(rc, "MaxDelayFIN expired; assuming local behaviour correct")
@@ -940,9 +935,7 @@ func (n *Node) releaseGatedFIN(rc *repConn, why string) {
 		rc.finDelayTimer = nil
 	}
 	if rc.conn.FINGated() {
-		if n.tracer != nil {
-			n.tracer.Emit(trace.KindFINReleased, n.comp, "releasing FIN on %v: %s", rc.conn.ID(), why)
-		}
+		n.tracer.Emit(trace.KindFINReleased, n.comp, "releasing FIN on %v: %s", rc.conn.ID(), why)
 		rc.conn.ReleaseFIN()
 	}
 }
@@ -956,10 +949,8 @@ func (n *Node) armFINDisagreeTimer(rc *repConn) {
 		return
 	}
 	n.noteEvidence("backup FIN without local FIN on %v", rc.conn.ID())
-	if n.tracer != nil {
-		n.tracer.Emit(trace.KindFINSuppressed, n.comp,
-			"backup FIN without local FIN on %v; watching for %v", rc.conn.ID(), n.cfg.MaxDelayFIN)
-	}
+	n.tracer.Emit(trace.KindFINSuppressed, n.comp,
+		"backup FIN without local FIN on %v; watching for %v", rc.conn.ID(), n.cfg.MaxDelayFIN)
 	rc.finDisagreeTimer = n.sim.Schedule(n.cfg.MaxDelayFIN, func() {
 		rc.finDisagreeTimer = nil
 		if n.state != StateActive {
@@ -1007,10 +998,8 @@ func (n *Node) decideByMajority(rc *repConn, localFIN bool) {
 	}
 	w, ok := n.witnessView[c.ID()]
 	if !ok || n.sim.Since(w.seen) > 4*n.cfg.HB.Period {
-		if n.tracer != nil {
-			n.tracer.Emit(trace.KindFINSuppressed, n.comp,
-				"majority vote on %v: witness view stale; falling back to MaxDelayFIN", c.ID())
-		}
+		n.tracer.Emit(trace.KindFINSuppressed, n.comp,
+			"majority vote on %v: witness view stale; falling back to MaxDelayFIN", c.ID())
 		return
 	}
 	witnessFIN := w.fin || w.rst
@@ -1021,16 +1010,12 @@ func (n *Node) decideByMajority(rc *repConn, localFIN bool) {
 		n.declarePeerFailed("majority: witness corroborates the close; backup application failed")
 	case localFIN && !witnessFIN:
 		// Two replicas see no close; our FIN signals our own failure.
-		if n.tracer != nil {
-			n.tracer.Emit(trace.KindSuspect, n.comp, "majority: witness does not corroborate local FIN on %v; reporting self failed", c.ID())
-		}
+		n.tracer.Emit(trace.KindSuspect, n.comp, "majority: witness does not corroborate local FIN on %v; reporting self failed", c.ID())
 		n.ReportLocalAppFailure()
 	case !localFIN && witnessFIN:
 		// Backup and witness closed; we did not: our application
 		// failed (row 3P, decided by majority instead of lag).
-		if n.tracer != nil {
-			n.tracer.Emit(trace.KindSuspect, n.comp, "majority: backup and witness closed %v but we did not; reporting self failed", c.ID())
-		}
+		n.tracer.Emit(trace.KindSuspect, n.comp, "majority: backup and witness closed %v but we did not; reporting self failed", c.ID())
 		n.ReportLocalAppFailure()
 	default:
 		// Backup alone produced a FIN: majority says it failed.
@@ -1359,7 +1344,7 @@ func (n *Node) noteEvidence(format string, args ...any) {
 // after heartbeats have been silent for the timeout, knows its phase
 // started at the recorded watermark, and the span should cover it all.
 func (n *Node) noteEvidenceSince(start time.Time, format string, args ...any) {
-	if n.detSpan != 0 || n.tracer == nil {
+	if n.detSpan != 0 {
 		return
 	}
 	n.detSpan = n.tracer.OpenAutoSpanAt(start, trace.KindDetection, 0, n.comp, format, args...)
@@ -1371,7 +1356,7 @@ func (n *Node) noteEvidenceSince(start time.Time, format string, args ...any) {
 // phase starts at its own first symptom rather than at some earlier
 // false alarm.
 func (n *Node) dissolveEvidence(format string, args ...any) {
-	if n.detSpan == 0 || n.tracer == nil {
+	if n.detSpan == 0 {
 		return
 	}
 	n.tracer.EmitIn(n.detSpan, trace.KindGeneric, n.comp, 0, "suspicion dissolved: "+format, args...)
@@ -1552,11 +1537,9 @@ func (n *Node) EnableReplication(peerAddr ip.Addr, peerPower *cluster.PowerContr
 	n.hbEWMA = 0
 	n.hbSamples = 0
 
-	if n.tracer != nil {
-		n.tracer.Emit(trace.KindGeneric, n.comp,
-			"replication re-enabled as primary with peer %v (%d local-only connection(s) remain)",
-			peerAddr, len(n.conns))
-	}
+	n.tracer.Emit(trace.KindGeneric, n.comp,
+		"replication re-enabled as primary with peer %v (%d local-only connection(s) remain)",
+		peerAddr, len(n.conns))
 	return nil
 }
 

@@ -105,7 +105,7 @@ func TestHoldOccupancyRunningTotal(t *testing.T) {
 		var total int64
 		for _, rc := range node.conns {
 			if rc.hold != nil {
-				total += int64(rc.hold.held())
+				total += int64(rc.hold.Len())
 			}
 		}
 		return total
@@ -127,10 +127,10 @@ func TestHoldOccupancyRunningTotal(t *testing.T) {
 		rc := node.conns[keys[rng.Intn(len(keys))]]
 		switch rng.Intn(3) {
 		case 0, 1:
-			node.tapDelivered(rc, rc.hold.end(), make([]byte, 1+rng.Intn(300)))
+			node.tapDelivered(rc, rc.hold.End(), make([]byte, 1+rng.Intn(300)))
 			check("append", true)
 		case 2:
-			rc.peerLBR = rc.hold.base + int64(rng.Intn(rc.hold.held()+1))
+			rc.peerLBR = rc.hold.Base() + int64(rng.Intn(rc.hold.Len()+1))
 			node.primaryConsumeConnState(rc)
 			check("release", true)
 		}
@@ -145,23 +145,23 @@ func TestHoldOccupancyRunningTotal(t *testing.T) {
 
 	// A tap that skips ahead discards what was held and restarts there.
 	rc := node.conns[keys[0]]
-	node.tapDelivered(rc, rc.hold.end()+10, []byte("abc"))
-	if rc.hold.held() != 3 {
-		t.Fatalf("after a skipping tap the buffer holds %d bytes, want 3", rc.hold.held())
+	node.tapDelivered(rc, rc.hold.End()+10, []byte("abc"))
+	if rc.hold.Len() != 3 {
+		t.Fatalf("after a skipping tap the buffer holds %d bytes, want 3", rc.hold.Len())
 	}
 	check("skip-ahead append", true)
 
 	// Dropping a connection takes its bytes out of the total; the gauge
 	// is next sampled at the following append or release.
 	victim := node.conns[keys[1]]
-	node.tapDelivered(victim, victim.hold.end(), make([]byte, 100))
+	node.tapDelivered(victim, victim.hold.End(), make([]byte, 100))
 	node.dropConn(keys[1])
 	check("drop", false)
-	node.tapDelivered(rc, rc.hold.end(), []byte("d"))
+	node.tapDelivered(rc, rc.hold.End(), []byte("d"))
 	check("append after drop", true)
 
 	// Overflow declares the backup failed: every buffer is discarded.
-	node.tapDelivered(rc, rc.hold.end(), make([]byte, node.cfg.HoldBufferSize))
+	node.tapDelivered(rc, rc.hold.End(), make([]byte, node.cfg.HoldBufferSize))
 	if node.State() != StateNonFT {
 		t.Fatalf("overflow left the node %v, want non-FT", node.State())
 	}

@@ -304,9 +304,7 @@ func (n *Node) noteHBArrival(link hb.LinkID) {
 	n.mHBDrift.Set(permille)
 	if !n.hbDriftNoted && (permille >= hbDriftNotePermill || permille <= -hbDriftNotePermill) {
 		n.hbDriftNoted = true
-		if n.tracer != nil {
-			n.tracer.EmitValue(trace.KindGeneric, n.comp, permille,
-				"peer heartbeat cadence drifting %+d permille from nominal: clock-rate skew suspected", permille)
-		}
+		n.tracer.EmitValue(trace.KindGeneric, n.comp, permille,
+			"peer heartbeat cadence drifting %+d permille from nominal: clock-rate skew suspected", permille)
 	}
 }

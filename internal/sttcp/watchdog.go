@@ -76,9 +76,7 @@ func (w *Watchdog) expire() {
 	}
 	w.expired = true
 	w.timer = nil
-	if w.tracer != nil {
-		w.tracer.Emit(trace.KindSuspect, w.name, "watchdog: application missed its %v deadline", w.timeout)
-	}
+	w.tracer.Emit(trace.KindSuspect, w.name, "watchdog: application missed its %v deadline", w.timeout)
 	if w.OnSuspect != nil {
 		w.OnSuspect()
 	}

@@ -103,15 +103,15 @@ func TestAllocsPerSegmentBudget(t *testing.T) {
 // slicing a full buffer — wrapped spans included — allocates nothing.
 func TestSendBufferSteadyStateDoesNotAllocate(t *testing.T) {
 	const size, mss = 64 << 10, 1460 // mss does not divide size: every span position occurs
-	sb := newSendBuffer(size)
-	sb.write(make([]byte, size))
+	sb := NewWindow(size)
+	sb.Write(make([]byte, size))
 	p := make([]byte, mss)
 	round := func() {
-		sb.release(sb.base + mss)
-		if n := sb.write(p); n != mss {
+		sb.Release(sb.base + mss)
+		if n := sb.Write(p); n != mss {
 			t.Fatalf("full buffer accepted %d of %d after a release of as much", n, mss)
 		}
-		if seg, err := sb.slice(sb.end()-mss, mss); err != nil || len(seg) != mss {
+		if seg, err := sb.Slice(sb.End()-mss, mss); err != nil || len(seg) != mss {
 			t.Fatalf("slice = %d bytes, %v", len(seg), err)
 		}
 	}

@@ -3,49 +3,62 @@ package tcp
 import (
 	"bytes"
 	"errors"
-	"sort"
 )
 
-var errGapInData = errors.New("tcp: internal: requested bytes below buffer base")
+// ErrReleased reports a Slice below a Window's base: the bytes were
+// released (acknowledged, read, confirmed or evicted) and are gone.
+var ErrReleased = errors.New("tcp: requested bytes already released")
 
-// sendBuffer holds the unacknowledged portion of the outgoing byte stream.
-// Offsets are absolute stream offsets (offset 0 is the first payload byte
-// after the SYN); keeping them 64-bit internally confines 32-bit sequence
-// wraparound handling to the wire boundary.
+// Window is the one store of stream bytes between the wire and the
+// application: the bytes of a stream from offset Base up to End, appended
+// at the back by Write and trimmed at the front by Release. Offsets are
+// absolute stream offsets (offset 0 is the first payload byte after the
+// SYN); keeping them 64-bit internally confines 32-bit sequence wraparound
+// handling to the wire boundary. A connection's send buffer is a Window of
+// unacknowledged bytes, its receive buffer one of unread bytes; the ST-TCP
+// primary's hold buffer and the logger's log are Windows of client bytes.
 //
-// The bytes live in a ring so that an ACK costs an index update, not a
-// copy of everything still unacknowledged: a bulk sender keeps the buffer
-// full, and every payload byte is then copied in once by write and never
-// moved again. The ring is grown on demand, by doubling, up to the
-// configured capacity and never beyond it, so a connection that only ever
-// has a few bytes outstanding holds only those.
-type sendBuffer struct {
+// The bytes live in a ring so that a Release costs an index update, not a
+// copy of everything still held: a bulk sender keeps the buffer full, and
+// every payload byte is then copied in once by Write and never moved
+// again. The ring is grown on demand, by doubling, up to the configured
+// capacity and never beyond it, so a connection that only ever has a few
+// bytes outstanding holds only those.
+type Window struct {
 	ring []byte // backing store; len(ring) <= cap is what has been grown so far
 	head int    // index in ring of the byte at stream offset base
 	n    int    // bytes held
-	base int64  // stream offset of the oldest unacked byte
+	base int64  // stream offset of the oldest held byte
 	cap  int
 	// wrapped assembles a slice that straddles the end of the ring. It is
-	// sized by the largest such request, which is one MSS.
+	// sized by the largest such request: one MSS, or one recovery chunk.
 	wrapped []byte
 }
 
-func newSendBuffer(capacity int) *sendBuffer {
-	return &sendBuffer{cap: capacity}
+// NewWindow returns an empty window at offset 0 that holds up to capacity
+// bytes.
+func NewWindow(capacity int) *Window {
+	return &Window{cap: capacity}
 }
 
-// end returns the stream offset one past the last byte written.
-func (b *sendBuffer) end() int64 { return b.base + int64(b.n) }
+// Base returns the stream offset of the oldest held byte.
+func (b *Window) Base() int64 { return b.base }
 
-// free reports how many bytes may still be written.
-func (b *sendBuffer) free() int { return b.cap - b.n }
+// End returns the stream offset one past the last byte written.
+func (b *Window) End() int64 { return b.base + int64(b.n) }
 
-// write appends as much of p as fits and returns the number of bytes
+// Len reports how many bytes are held.
+func (b *Window) Len() int { return b.n }
+
+// Free reports how many bytes may still be written.
+func (b *Window) Free() int { return b.cap - b.n }
+
+// Write appends as much of p as fits and returns the number of bytes
 // accepted.
 //
 //sttcp:hotpath
-func (b *sendBuffer) write(p []byte) int {
-	n := b.free()
+func (b *Window) Write(p []byte) int {
+	n := b.Free()
 	if n > len(p) {
 		n = len(p)
 	}
@@ -61,7 +74,7 @@ func (b *sendBuffer) write(p []byte) int {
 
 // grow replaces the ring with one at least need bytes long (need <= cap),
 // unwrapping the held bytes to its start.
-func (b *sendBuffer) grow(need int) {
+func (b *Window) grow(need int) {
 	size := 2 * len(b.ring)
 	if size < need {
 		size = need
@@ -70,14 +83,20 @@ func (b *sendBuffer) grow(need int) {
 		size = b.cap
 	}
 	ring := make([]byte, size)
-	first := copy(ring[:b.n], b.ring[b.head:])
-	copy(ring[first:b.n], b.ring)
+	b.copyOut(ring[:b.n], 0)
 	b.ring, b.head = ring, 0
+}
+
+// copyOut fills dst with the held bytes from distance i from the oldest
+// on, across the end of the ring (i+len(dst) <= n).
+func (b *Window) copyOut(dst []byte, i int) {
+	first := copy(dst, b.ring[b.index(i):])
+	copy(dst[first:], b.ring)
 }
 
 // index maps a distance i <= len(ring) from the oldest held byte to its
 // position in the ring.
-func (b *sendBuffer) index(i int) int {
+func (b *Window) index(i int) int {
 	i += b.head
 	if i >= len(b.ring) {
 		i -= len(b.ring)
@@ -85,15 +104,15 @@ func (b *sendBuffer) index(i int) int {
 	return i
 }
 
-// slice returns the stream bytes [off, off+n), clipped to what the buffer
-// holds. The result aliases the buffer (or its one scratch area, when the
-// span straddles the end of the ring) and must be consumed before the next
-// write, release or slice.
+// Slice returns the stream bytes [off, off+n), clipped to what the window
+// holds; below Base it fails with ErrReleased. The result aliases the
+// window (or its one scratch area, when the span straddles the end of the
+// ring) and must be consumed before the next Write, Release or Slice.
 //
 //sttcp:hotpath
-func (b *sendBuffer) slice(off int64, n int) ([]byte, error) {
+func (b *Window) Slice(off int64, n int) ([]byte, error) {
 	if off < b.base {
-		return nil, errGapInData
+		return nil, ErrReleased
 	}
 	if off-b.base >= int64(b.n) {
 		return nil, nil
@@ -110,15 +129,15 @@ func (b *sendBuffer) slice(off int64, n int) ([]byte, error) {
 		b.wrapped = make([]byte, n)
 	}
 	w := b.wrapped[:n]
-	first := copy(w, b.ring[i:])
-	copy(w[first:], b.ring)
+	b.copyOut(w, start)
 	return w, nil
 }
 
-// release discards bytes acknowledged up to (not including) offset upTo.
+// Release discards the bytes below offset upTo. Beyond End it empties the
+// window and moves Base there: the stream skipped ahead.
 //
 //sttcp:hotpath
-func (b *sendBuffer) release(upTo int64) {
+func (b *Window) Release(upTo int64) {
 	if upTo <= b.base {
 		return
 	}
@@ -138,123 +157,126 @@ type oooSegment struct {
 	data []byte
 }
 
-// recvBuffer assembles the incoming byte stream: an in-order queue the
-// application reads from, plus a bounded set of out-of-order segments.
-type recvBuffer struct {
-	data    []byte // in-order, unread bytes
-	readOff int64  // stream offset of data[0]
-	rcvNxt  int64  // next expected in-order offset (== readOff+len(data))
-	cap     int
-	ooo     []oooSegment
+// Reassembler is the one place segments become a stream: payloads arriving
+// in any order, duplicated and overlapping, go in; each byte of the stream
+// comes out once, in order. Bytes beyond a hole wait in a bounded queue of
+// copies; past the bound they are dropped and the sender's retransmission
+// brings them back.
+type Reassembler struct {
+	next    int64        // next in-order stream offset
+	ooo     []oooSegment // sorted by off
+	oooHeld int          // bytes in ooo
 	oooMax  int
 }
 
+// NewReassembler returns a reassembler expecting offset 0 that keeps at
+// most oooMax out-of-order bytes.
+func NewReassembler(oooMax int) *Reassembler {
+	return &Reassembler{oooMax: oooMax}
+}
+
+// Next returns the next in-order stream offset: one past the last byte
+// delivered.
+func (r *Reassembler) Next() int64 { return r.next }
+
+// OutOfOrder reports the bytes waiting beyond a hole.
+func (r *Reassembler) OutOfOrder() int { return r.oooHeld }
+
+// Accept ingests payload at stream offset off. What was delivered before
+// is trimmed as a duplicate; what became in-order — the payload, then any
+// waiting chunks it connects — is handed to deliver in stream order before
+// Accept returns (deliver must not keep its argument), and its length
+// returned.
+func (r *Reassembler) Accept(off int64, payload []byte, deliver func([]byte)) int {
+	if skip := r.next - off; skip > 0 {
+		if skip >= int64(len(payload)) {
+			return 0
+		}
+		payload, off = payload[skip:], r.next
+	}
+	if len(payload) == 0 {
+		return 0
+	}
+	if off > r.next {
+		r.insertOOO(off, payload)
+		return 0
+	}
+	before := r.next
+	deliver(payload)
+	r.next += int64(len(payload))
+	r.drainOOO(deliver)
+	return int(r.next - before)
+}
+
+func (r *Reassembler) insertOOO(off int64, payload []byte) {
+	if r.oooHeld+len(payload) > r.oooMax {
+		return
+	}
+	r.oooHeld += len(payload)
+	r.ooo = append(r.ooo, oooSegment{off: off, data: bytes.Clone(payload)})
+	for i := len(r.ooo) - 1; i > 0 && r.ooo[i].off < r.ooo[i-1].off; i-- {
+		r.ooo[i], r.ooo[i-1] = r.ooo[i-1], r.ooo[i]
+	}
+}
+
+func (r *Reassembler) drainOOO(deliver func([]byte)) {
+	for len(r.ooo) > 0 && r.ooo[0].off <= r.next {
+		s := r.ooo[0]
+		r.ooo = r.ooo[1:]
+		r.oooHeld -= len(s.data)
+		if s.off+int64(len(s.data)) <= r.next {
+			continue // fully duplicate
+		}
+		s.data = s.data[r.next-s.off:]
+		deliver(s.data)
+		r.next += int64(len(s.data))
+	}
+}
+
+// recvBuffer assembles the incoming byte stream: the reassembler, whose
+// next offset is RCV.NXT, delivering into the window of in-order bytes the
+// application has not read yet (its Base is the application's read
+// offset), plus the receive-window arithmetic between the two.
+type recvBuffer struct {
+	Reassembler
+	win Window
+}
+
 func newRecvBuffer(capacity int) *recvBuffer {
-	return &recvBuffer{cap: capacity, oooMax: capacity}
+	return &recvBuffer{Reassembler: Reassembler{oooMax: capacity}, win: Window{cap: capacity}}
 }
 
 // window returns the receive window to advertise: capacity minus buffered
 // unread bytes.
-func (b *recvBuffer) window() int {
-	w := b.cap - len(b.data)
-	if w < 0 {
-		w = 0
-	}
-	return w
-}
-
-// appRead returns the stream offset of the next byte the application will
-// read (LastAppByteRead in the paper's heartbeat).
-func (b *recvBuffer) appRead() int64 { return b.readOff }
-
-// buffered reports the number of unread in-order bytes.
-func (b *recvBuffer) buffered() int { return len(b.data) }
+func (b *recvBuffer) window() int { return b.win.Free() }
 
 // read copies up to len(p) in-order bytes to p.
 func (b *recvBuffer) read(p []byte) int {
-	n := copy(p, b.data)
-	if n > 0 {
-		remaining := copy(b.data, b.data[n:])
-		b.data = b.data[:remaining]
-		b.readOff += int64(n)
+	n := min(len(p), b.win.n)
+	if n == 0 {
+		return 0 // every drain ends on one
 	}
+	b.win.copyOut(p[:n], 0)
+	b.win.Release(b.win.base + int64(n))
 	return n
 }
 
 // accept ingests segment payload at absolute stream offset off and returns
-// the in-order bytes newly added (for the ST-TCP replication tap), which
-// may be empty. Data beyond the window is truncated; data before rcvNxt is
-// trimmed as already-received duplicate.
+// the in-order bytes newly added (for the ST-TCP replication tap; nil when
+// there are none), aliasing the window as Slice does. Data beyond the
+// receive window is truncated.
 func (b *recvBuffer) accept(off int64, payload []byte) []byte {
-	if len(payload) == 0 {
-		return nil
-	}
-	// Trim duplicate prefix.
-	if off < b.rcvNxt {
-		skip := b.rcvNxt - off
-		if skip >= int64(len(payload)) {
-			return nil
-		}
-		payload = payload[skip:]
-		off = b.rcvNxt
-	}
-	// Truncate to window.
-	limit := b.readOff + int64(b.cap)
+	limit := b.win.base + int64(b.win.cap)
 	if off >= limit {
 		return nil
 	}
 	if off+int64(len(payload)) > limit {
 		payload = payload[:limit-off]
 	}
-	if len(payload) == 0 {
+	n := b.Accept(off, payload, func(p []byte) { b.win.Write(p) })
+	if n == 0 {
 		return nil
 	}
-	if off > b.rcvNxt {
-		b.insertOOO(off, payload)
-		return nil
-	}
-	// In order: append, then drain any now-contiguous out-of-order data.
-	before := len(b.data)
-	b.data = append(b.data, payload...)
-	b.rcvNxt += int64(len(payload))
-	b.drainOOO()
-	return b.data[before:]
-}
-
-func (b *recvBuffer) insertOOO(off int64, payload []byte) {
-	// Bound total out-of-order bytes.
-	total := 0
-	for _, s := range b.ooo {
-		total += len(s.data)
-	}
-	if total+len(payload) > b.oooMax {
-		return
-	}
-	b.ooo = append(b.ooo, oooSegment{off: off, data: bytes.Clone(payload)})
-	sort.Slice(b.ooo, func(i, j int) bool { return b.ooo[i].off < b.ooo[j].off })
-}
-
-func (b *recvBuffer) drainOOO() {
-	for len(b.ooo) > 0 {
-		s := b.ooo[0]
-		if s.off > b.rcvNxt {
-			return
-		}
-		b.ooo = b.ooo[1:]
-		if s.off+int64(len(s.data)) <= b.rcvNxt {
-			continue // fully duplicate
-		}
-		s.data = s.data[b.rcvNxt-s.off:]
-		b.data = append(b.data, s.data...)
-		b.rcvNxt += int64(len(s.data))
-	}
-}
-
-// oooBytes reports buffered out-of-order bytes (diagnostics).
-func (b *recvBuffer) oooBytes() int {
-	n := 0
-	for _, s := range b.ooo {
-		n += len(s.data)
-	}
-	return n
+	delivered, _ := b.win.Slice(b.win.End()-int64(n), n)
+	return delivered
 }

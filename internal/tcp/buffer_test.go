@@ -8,50 +8,50 @@ import (
 )
 
 func TestSendBufferBasics(t *testing.T) {
-	b := newSendBuffer(10)
-	if n := b.write([]byte("hello")); n != 5 {
+	b := NewWindow(10)
+	if n := b.Write([]byte("hello")); n != 5 {
 		t.Fatalf("write = %d", n)
 	}
-	if n := b.write([]byte("worldXYZ")); n != 5 {
+	if n := b.Write([]byte("worldXYZ")); n != 5 {
 		t.Fatalf("overfull write accepted %d, want 5", n)
 	}
-	if b.free() != 0 {
-		t.Fatalf("free = %d", b.free())
+	if b.Free() != 0 {
+		t.Fatalf("free = %d", b.Free())
 	}
-	got, err := b.slice(0, 10)
+	got, err := b.Slice(0, 10)
 	if err != nil || string(got) != "helloworld" {
 		t.Fatalf("slice = %q, %v", got, err)
 	}
-	b.release(5)
-	if b.base != 5 || b.free() != 5 {
-		t.Fatalf("after release: base=%d free=%d", b.base, b.free())
+	b.Release(5)
+	if b.base != 5 || b.Free() != 5 {
+		t.Fatalf("after release: base=%d free=%d", b.base, b.Free())
 	}
-	got, err = b.slice(5, 5)
+	got, err = b.Slice(5, 5)
 	if err != nil || string(got) != "world" {
 		t.Fatalf("slice after release = %q, %v", got, err)
 	}
-	if _, err := b.slice(3, 2); err == nil {
+	if _, err := b.Slice(3, 2); err == nil {
 		t.Fatal("slice below base did not error")
 	}
 }
 
 func TestSendBufferReleaseBeyondEnd(t *testing.T) {
-	b := newSendBuffer(10)
-	b.write([]byte("abc"))
-	b.release(100)
-	if b.base != 100 || b.end() != 100 || b.free() != 10 {
-		t.Fatalf("release beyond end: base=%d end=%d free=%d", b.base, b.end(), b.free())
+	b := NewWindow(10)
+	b.Write([]byte("abc"))
+	b.Release(100)
+	if b.base != 100 || b.End() != 100 || b.Free() != 10 {
+		t.Fatalf("release beyond end: base=%d end=%d free=%d", b.base, b.End(), b.Free())
 	}
 }
 
 func TestSendBufferSliceClipped(t *testing.T) {
-	b := newSendBuffer(10)
-	b.write([]byte("abcdef"))
-	got, err := b.slice(4, 100)
+	b := NewWindow(10)
+	b.Write([]byte("abcdef"))
+	got, err := b.Slice(4, 100)
 	if err != nil || string(got) != "ef" {
 		t.Fatalf("clipped slice = %q, %v", got, err)
 	}
-	got, err = b.slice(6, 5)
+	got, err = b.Slice(6, 5)
 	if err != nil || got != nil {
 		t.Fatalf("slice past end = %q, %v", got, err)
 	}
@@ -62,24 +62,24 @@ func TestSendBufferSliceClipped(t *testing.T) {
 func TestSendBufferProperty(t *testing.T) {
 	fn := func(seed int64, ops []byte) bool {
 		rng := rand.New(rand.NewSource(seed))
-		b := newSendBuffer(256)
+		b := NewWindow(256)
 		var shadow []byte // full stream ever written
 		for _, op := range ops {
 			switch op % 3 {
 			case 0: // write random bytes
 				chunk := make([]byte, rng.Intn(64))
 				rng.Read(chunk)
-				n := b.write(chunk)
+				n := b.Write(chunk)
 				shadow = append(shadow, chunk[:n]...)
 			case 1: // release some prefix
-				if b.end() > b.base {
-					b.release(b.base + int64(rng.Intn(int(b.end()-b.base)+1)))
+				if b.End() > b.base {
+					b.Release(b.base + int64(rng.Intn(int(b.End()-b.base)+1)))
 				}
 			case 2: // slice and compare with shadow
-				if b.end() > b.base {
-					off := b.base + int64(rng.Intn(int(b.end()-b.base)))
+				if b.End() > b.base {
+					off := b.base + int64(rng.Intn(int(b.End()-b.base)))
 					n := rng.Intn(64) + 1
-					got, err := b.slice(off, n)
+					got, err := b.Slice(off, n)
 					if err != nil {
 						return false
 					}
@@ -100,18 +100,18 @@ func TestSendBufferProperty(t *testing.T) {
 	}
 }
 
-// refSendBuffer is the copy-down send buffer the ring replaced, kept as the
+// refWindow is the copy-down buffer the ring replaced, kept as the
 // reference model: same contract, O(held) per release.
-type refSendBuffer struct {
+type refWindow struct {
 	data []byte
 	base int64
 	cap  int
 }
 
-func (b *refSendBuffer) end() int64 { return b.base + int64(len(b.data)) }
-func (b *refSendBuffer) free() int  { return b.cap - len(b.data) }
+func (b *refWindow) end() int64 { return b.base + int64(len(b.data)) }
+func (b *refWindow) free() int  { return b.cap - len(b.data) }
 
-func (b *refSendBuffer) write(p []byte) int {
+func (b *refWindow) write(p []byte) int {
 	n := b.free()
 	if n > len(p) {
 		n = len(p)
@@ -120,9 +120,9 @@ func (b *refSendBuffer) write(p []byte) int {
 	return n
 }
 
-func (b *refSendBuffer) slice(off int64, n int) ([]byte, error) {
+func (b *refWindow) slice(off int64, n int) ([]byte, error) {
 	if off < b.base {
-		return nil, errGapInData
+		return nil, ErrReleased
 	}
 	start := int(off - b.base)
 	if start >= len(b.data) {
@@ -135,7 +135,7 @@ func (b *refSendBuffer) slice(off int64, n int) ([]byte, error) {
 	return b.data[start:stop], nil
 }
 
-func (b *refSendBuffer) release(upTo int64) {
+func (b *refWindow) release(upTo int64) {
 	if upTo <= b.base {
 		return
 	}
@@ -150,11 +150,11 @@ func (b *refSendBuffer) release(upTo int64) {
 	b.base = upTo
 }
 
-// sendBufferOp encodes one step of a send-buffer script: three bytes, the
-// kind and a 16-bit operand (see driveSendBuffers).
-func sendBufferOp(kind byte, v int) []byte { return []byte{kind, byte(v >> 8), byte(v)} }
+// windowOp encodes one step of a window script: three bytes, the
+// kind and a 16-bit operand (see driveWindows).
+func windowOp(kind byte, v int) []byte { return []byte{kind, byte(v >> 8), byte(v)} }
 
-// driveSendBuffers runs one script against the ring and the reference
+// driveWindows runs one script against the ring and the reference
 // model and fails on the first difference in end/free/base, in the bytes a
 // slice returns, or in the whole held content. Per op, with operand v:
 //
@@ -162,10 +162,10 @@ func sendBufferOp(kind byte, v int) []byte { return []byte{kind, byte(v >> 8), b
 //	kind&3 == 1  release to base + v mod (held+2): up to one past the end
 //	kind&3 == 2  slice at base + v mod (held+1), 1 + 24*(kind>>2) bytes
 //	kind&3 == 3  slice 1 + v mod 3 bytes below base: both must refuse
-func driveSendBuffers(t *testing.T, capacity int, script []byte) {
+func driveWindows(t *testing.T, capacity int, script []byte) {
 	t.Helper()
-	ring := newSendBuffer(capacity)
-	ref := &refSendBuffer{cap: capacity}
+	ring := NewWindow(capacity)
+	ref := &refWindow{cap: capacity}
 	var written int64
 	for step := 0; len(script) >= 3; step, script = step+1, script[3:] {
 		kind, v := script[0], int(script[1])<<8|int(script[2])
@@ -177,31 +177,31 @@ func driveSendBuffers(t *testing.T, capacity int, script []byte) {
 				off := written + int64(i)
 				p[i] = byte(off*131 + off>>8)
 			}
-			n, want := ring.write(p), ref.write(p)
+			n, want := ring.Write(p), ref.write(p)
 			if n != want {
 				t.Fatalf("step %d: write(%d) accepted %d, reference %d", step, v, n, want)
 			}
 			written += int64(n)
 		case 1:
 			upTo := ref.base + int64(v%(held+2))
-			ring.release(upTo)
+			ring.Release(upTo)
 			ref.release(upTo)
 		case 2:
 			off, n := ref.base+int64(v%(held+1)), 1+24*int(kind>>2)
-			got, err := ring.slice(off, n)
+			got, err := ring.Slice(off, n)
 			want, _ := ref.slice(off, n)
 			if err != nil || !bytes.Equal(got, want) || (got == nil) != (want == nil) {
 				t.Fatalf("step %d: slice(%d, %d) = %d bytes, %v; reference %d bytes", step, off, n, len(got), err, len(want))
 			}
 		case 3:
 			off := ref.base - 1 - int64(v%3)
-			if _, err := ring.slice(off, 4); err == nil {
+			if _, err := ring.Slice(off, 4); err == nil {
 				t.Fatalf("step %d: slice(%d) below base %d did not error", step, off, ring.base)
 			}
 		}
-		if ring.end() != ref.end() || ring.free() != ref.free() || ring.base != ref.base {
+		if ring.End() != ref.end() || ring.Free() != ref.free() || ring.base != ref.base {
 			t.Fatalf("step %d (kind %d, v %d): end/free/base = %d/%d/%d, reference %d/%d/%d",
-				step, kind&3, v, ring.end(), ring.free(), ring.base, ref.end(), ref.free(), ref.base)
+				step, kind&3, v, ring.End(), ring.Free(), ring.base, ref.end(), ref.free(), ref.base)
 		}
 		if len(ring.ring) > capacity {
 			t.Fatalf("step %d: ring grew to %d, capacity %d", step, len(ring.ring), capacity)
@@ -214,10 +214,10 @@ func driveSendBuffers(t *testing.T, capacity int, script []byte) {
 
 // heldBytes reads the ring's whole content through slice, one span at a
 // time so the scratch area is exercised too.
-func heldBytes(b *sendBuffer) []byte {
+func heldBytes(b *Window) []byte {
 	var out []byte
-	for off := b.base; off < b.end(); {
-		p, err := b.slice(off, 1460)
+	for off := b.base; off < b.End(); {
+		p, err := b.Slice(off, 1460)
 		if err != nil || len(p) == 0 {
 			return nil
 		}
@@ -248,9 +248,9 @@ func TestSendBufferMatchesReference(t *testing.T) {
 					// steps and wraps before it reaches capacity.
 					v = rng.Intn(capacity/3 + 2)
 				}
-				script = append(script, sendBufferOp(kind, v)...)
+				script = append(script, windowOp(kind, v)...)
 			}
-			driveSendBuffers(t, capacity, script)
+			driveWindows(t, capacity, script)
 		}
 	}
 }
@@ -258,28 +258,28 @@ func TestSendBufferMatchesReference(t *testing.T) {
 // TestSendBufferGrowWhileWrapped pins the one path a random script reaches
 // only by luck: the ring must grow while its content straddles the end.
 func TestSendBufferGrowWhileWrapped(t *testing.T) {
-	b := newSendBuffer(16)
-	b.write([]byte("abcd"))
-	b.release(2)
-	b.write([]byte("ef")) // ring of 4: "efcd", head at 'c'
+	b := NewWindow(16)
+	b.Write([]byte("abcd"))
+	b.Release(2)
+	b.Write([]byte("ef")) // ring of 4: "efcd", head at 'c'
 	if len(b.ring) != 4 || b.head != 2 {
 		t.Fatalf("set-up: ring %d head %d, want 4 and 2", len(b.ring), b.head)
 	}
-	if got, _ := b.slice(3, 3); string(got) != "def" {
+	if got, _ := b.Slice(3, 3); string(got) != "def" {
 		t.Fatalf("straddling slice = %q, want def", got)
 	}
-	if n := b.write([]byte("ghi")); n != 3 {
+	if n := b.Write([]byte("ghi")); n != 3 {
 		t.Fatalf("write = %d", n)
 	}
 	if len(b.ring) != 8 || b.head != 0 {
 		t.Fatalf("after growth: ring %d head %d, want 8 and 0", len(b.ring), b.head)
 	}
-	if got, _ := b.slice(2, 16); string(got) != "cdefghi" {
+	if got, _ := b.Slice(2, 16); string(got) != "cdefghi" {
 		t.Fatalf("after growth = %q, want cdefghi", got)
 	}
-	b.write(bytes.Repeat([]byte("z"), 100))
-	if len(b.ring) != 16 || b.free() != 0 {
-		t.Fatalf("ring %d free %d, want the full 16 and 0", len(b.ring), b.free())
+	b.Write(bytes.Repeat([]byte("z"), 100))
+	if len(b.ring) != 16 || b.Free() != 0 {
+		t.Fatalf("ring %d free %d, want the full 16 and 0", len(b.ring), b.Free())
 	}
 }
 
@@ -287,16 +287,16 @@ func TestSendBufferGrowWhileWrapped(t *testing.T) {
 // buffer kept full, one MSS acknowledged, written and sliced per op.
 func BenchmarkSendBufferFull(b *testing.B) {
 	const size, mss = 256 << 10, 1460
-	sb := newSendBuffer(size)
-	sb.write(make([]byte, size))
+	sb := NewWindow(size)
+	sb.Write(make([]byte, size))
 	p := make([]byte, mss)
 	b.ReportAllocs()
 	b.SetBytes(mss)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sb.release(sb.base + mss)
-		sb.write(p)
-		seg, _ := sb.slice(sb.end()-mss, mss)
+		sb.Release(sb.base + mss)
+		sb.Write(p)
+		seg, _ := sb.Slice(sb.End()-mss, mss)
 		benchSink += len(seg)
 	}
 }
@@ -306,15 +306,15 @@ var benchSink int
 func TestRecvBufferInOrder(t *testing.T) {
 	b := newRecvBuffer(100)
 	got := b.accept(0, []byte("hello"))
-	if string(got) != "hello" || b.rcvNxt != 5 {
-		t.Fatalf("accept = %q, rcvNxt=%d", got, b.rcvNxt)
+	if string(got) != "hello" || b.next != 5 {
+		t.Fatalf("accept = %q, rcvNxt=%d", got, b.next)
 	}
 	p := make([]byte, 10)
 	if n := b.read(p); n != 5 || string(p[:5]) != "hello" {
 		t.Fatalf("read = %d %q", n, p[:n])
 	}
-	if b.appRead() != 5 {
-		t.Fatalf("appRead = %d", b.appRead())
+	if b.win.Base() != 5 {
+		t.Fatalf("appRead = %d", b.win.Base())
 	}
 }
 
@@ -322,8 +322,8 @@ func TestRecvBufferDuplicateTrimmed(t *testing.T) {
 	b := newRecvBuffer(100)
 	b.accept(0, []byte("abcdef"))
 	got := b.accept(3, []byte("defghi")) // overlaps 3 bytes
-	if string(got) != "ghi" || b.rcvNxt != 9 {
-		t.Fatalf("overlap accept = %q rcvNxt=%d", got, b.rcvNxt)
+	if string(got) != "ghi" || b.next != 9 {
+		t.Fatalf("overlap accept = %q rcvNxt=%d", got, b.next)
 	}
 	if got := b.accept(0, []byte("abc")); got != nil {
 		t.Fatalf("full duplicate returned %q", got)
@@ -338,16 +338,16 @@ func TestRecvBufferOutOfOrderReassembly(t *testing.T) {
 	if got := b.accept(5, frame); got != nil {
 		t.Fatalf("ooo accept delivered %q", got)
 	}
-	if b.oooBytes() != 5 {
-		t.Fatalf("oooBytes = %d", b.oooBytes())
+	if b.OutOfOrder() != 5 {
+		t.Fatalf("oooBytes = %d", b.OutOfOrder())
 	}
 	copy(frame, "abcde")
 	got := b.accept(0, frame)
 	if string(got) != "abcdefghij" {
 		t.Fatalf("reassembly delivered %q", got)
 	}
-	if b.rcvNxt != 10 || b.oooBytes() != 0 {
-		t.Fatalf("rcvNxt=%d ooo=%d", b.rcvNxt, b.oooBytes())
+	if b.next != 10 || b.OutOfOrder() != 0 {
+		t.Fatalf("rcvNxt=%d ooo=%d", b.next, b.OutOfOrder())
 	}
 }
 
@@ -368,6 +368,28 @@ func TestRecvBufferWindowTruncation(t *testing.T) {
 	b.read(p)
 	if b.window() != 4 {
 		t.Fatalf("window after read = %d, want 4", b.window())
+	}
+}
+
+// TestRecvBufferAcrossTheWrap: partial reads move the ring's head, so a
+// later segment lands across its end. What accept hands the tap and what
+// read copies out still follow the stream.
+func TestRecvBufferAcrossTheWrap(t *testing.T) {
+	b := newRecvBuffer(8)
+	p := make([]byte, 8)
+	b.accept(0, []byte("abcdefgh"))
+	b.read(p[:6])
+	b.accept(8, []byte("ijk"))
+	b.read(p[:4]) // one byte left, at index 2 of 8
+	if got := b.accept(11, []byte("lmnopqr")); string(got) != "lmnopqr" {
+		t.Fatalf("accept across the end of the ring delivered %q, want lmnopqr", got)
+	}
+	if b.win.head+b.win.n <= len(b.win.ring) {
+		t.Fatalf("set-up: head %d + %d held in a ring of %d does not wrap", b.win.head, b.win.n, len(b.win.ring))
+	}
+	if n := b.read(p); n != 8 || string(p) != "klmnopqr" || b.win.Base() != 18 || b.window() != 8 {
+		t.Fatalf("read across the end of the ring = %d %q (read offset %d, window %d), want 8 klmnopqr at 18 with 8 free",
+			n, p[:n], b.win.Base(), b.window())
 	}
 }
 
@@ -402,7 +424,7 @@ func TestRecvBufferShuffledSegmentsProperty(t *testing.T) {
 		for _, sg := range segs {
 			out = append(out, b.accept(sg.off, sg.b)...)
 		}
-		return bytes.Equal(out, stream) && b.rcvNxt == int64(size)
+		return bytes.Equal(out, stream) && b.next == int64(size)
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

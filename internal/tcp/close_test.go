@@ -124,7 +124,7 @@ func TestOOOBufferBounded(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		off := int64(2048 + i*100)
 		b.accept(off, make([]byte, 100))
-		total = b.oooBytes()
+		total = b.OutOfOrder()
 	}
 	if total > 1024 {
 		t.Fatalf("out-of-order buffer grew to %d with cap 1024", total)

@@ -68,7 +68,7 @@ type Conn struct {
 	iss uint32 // initial send sequence number (SYN occupies iss)
 	irs uint32 // initial receive sequence number
 
-	sb *sendBuffer
+	sb *Window
 	rb *recvBuffer
 
 	sndUna int64 // oldest unacked stream offset
@@ -177,7 +177,7 @@ func (c *Conn) RTO() time.Duration {
 
 // LastByteReceived returns the stream offset one past the last in-order
 // byte received from the peer.
-func (c *Conn) LastByteReceived() int64 { return c.rb.rcvNxt }
+func (c *Conn) LastByteReceived() int64 { return c.rb.next }
 
 // LastAckReceived returns the highest stream offset acknowledged by the
 // peer.
@@ -185,11 +185,11 @@ func (c *Conn) LastAckReceived() int64 { return c.sndUna }
 
 // LastAppByteWritten returns the stream offset one past the last byte the
 // application wrote to the send buffer.
-func (c *Conn) LastAppByteWritten() int64 { return c.sb.end() }
+func (c *Conn) LastAppByteWritten() int64 { return c.sb.End() }
 
 // LastAppByteRead returns the stream offset one past the last byte the
 // application read from the receive buffer.
-func (c *Conn) LastAppByteRead() int64 { return c.rb.appRead() }
+func (c *Conn) LastAppByteRead() int64 { return c.rb.win.Base() }
 
 // FINQueued reports whether the local side has generated a FIN (the
 // heartbeat's FIN flag).
@@ -199,7 +199,7 @@ func (c *Conn) FINQueued() bool { return c.finQueued }
 func (c *Conn) PeerFINSeen() bool { return c.peerFINSeen }
 
 // Buffered reports unread in-order receive bytes.
-func (c *Conn) Buffered() int { return c.rb.buffered() }
+func (c *Conn) Buffered() int { return c.rb.win.Len() }
 
 // --- ST-TCP control hooks ---
 
@@ -275,8 +275,6 @@ func (c *Conn) RSTQueued() bool { return c.rstQueued }
 // are fetched through the recovery protocol.
 func (c *Conn) ForceEstablish(irs uint32) {
 	c.irs = irs
-	c.rb.rcvNxt = 0
-	c.rb.readOff = 0
 	c.sndUna, c.sndNxt = 0, 0
 	c.resetCongestion()
 	c.setState(StateEstablished)
@@ -312,7 +310,7 @@ func (c *Conn) InjectStreamBytes(off int64, data []byte) int {
 	delivered := c.rb.accept(off, data)
 	if len(delivered) > 0 {
 		if c.deliverTap != nil {
-			c.deliverTap(c.rb.rcvNxt-int64(len(delivered)), delivered)
+			c.deliverTap(c.rb.next-int64(len(delivered)), delivered)
 		}
 		c.notifyReadable()
 	}
@@ -333,7 +331,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 		}
 		return n, nil
 	}
-	if c.peerFINSeen && c.rb.rcvNxt >= c.peerFINOff {
+	if c.peerFINSeen && c.rb.next >= c.peerFINOff {
 		return 0, ErrClosed
 	}
 	if c.state == StateClosed {
@@ -356,7 +354,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 	default:
 		return 0, fmt.Errorf("%w: state %v", ErrNotConnected, c.state)
 	}
-	n := c.sb.write(p)
+	n := c.sb.Write(p)
 	if n > 0 {
 		c.maybeSend()
 	}
@@ -364,7 +362,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 }
 
 // WriteSpace reports how many bytes Write would currently accept.
-func (c *Conn) WriteSpace() int { return c.sb.free() }
+func (c *Conn) WriteSpace() int { return c.sb.Free() }
 
 // Close closes the write side: a FIN is queued after any buffered data.
 // The read side keeps delivering data already received.
@@ -378,7 +376,7 @@ func (c *Conn) Close() error {
 		return fmt.Errorf("%w: close in state %v", ErrClosed, c.state)
 	}
 	c.finQueued = true
-	c.finOff = c.sb.end()
+	c.finOff = c.sb.End()
 	switch c.state {
 	case StateEstablished, StateSynRcvd, StateSynSent:
 		c.setState(StateFinWait1)
@@ -410,7 +408,7 @@ func (c *Conn) Abort() {
 		c.finGateFired = true
 		c.finQueued = true
 		c.rstQueued = true
-		c.finOff = c.sb.end()
+		c.finOff = c.sb.End()
 		if c.onCloseSignal != nil {
 			c.onCloseSignal(true)
 		}
@@ -434,9 +432,7 @@ func (c *Conn) trace(kind trace.Kind, format string, args ...any) {
 }
 
 func (c *Conn) traceValue(kind trace.Kind, value int64, format string, args ...any) {
-	if c.stack.tracer != nil {
-		c.stack.tracer.EmitValue(kind, c.stack.name+"/tcp", value, format, args...)
-	}
+	c.stack.tracer.EmitValue(kind, c.stack.name+"/tcp", value, format, args...)
 }
 
 // noteRetransmit is the one place a retransmission is recorded: the
@@ -457,7 +453,7 @@ func (c *Conn) recvWireSeq(off int64) uint32 { return c.irs + 1 + uint32(uint64(
 
 // recvOffset unwraps an incoming wire sequence number to a stream offset.
 func (c *Conn) recvOffset(seq uint32) int64 {
-	return c.rb.rcvNxt + int64(seqDelta(seq, c.recvWireSeq(c.rb.rcvNxt)))
+	return c.rb.next + int64(seqDelta(seq, c.recvWireSeq(c.rb.next)))
 }
 
 // ackOffset unwraps an incoming wire acknowledgement number.
@@ -503,7 +499,7 @@ func (c *Conn) handleSegment(seg *Segment) {
 
 	if seg.Flags.Has(FlagRST) {
 		// Accept RST only if in window (approximately).
-		if segOff <= c.rb.rcvNxt+wnd && segOff+segLen >= c.rb.rcvNxt {
+		if segOff <= c.rb.next+wnd && segOff+segLen >= c.rb.next {
 			c.trace(trace.KindConnReset, "RST received in %v", c.state)
 			c.teardown(ErrReset)
 		}
@@ -519,9 +515,9 @@ func (c *Conn) handleSegment(seg *Segment) {
 	// Segment acceptability (RFC 793): any overlap with the window.
 	acceptable := true
 	if segLen == 0 {
-		acceptable = segOff <= c.rb.rcvNxt+wnd // pure ack at or before window edge
+		acceptable = segOff <= c.rb.next+wnd // pure ack at or before window edge
 	} else {
-		acceptable = segOff < c.rb.rcvNxt+wnd && segOff+segLen > c.rb.rcvNxt
+		acceptable = segOff < c.rb.next+wnd && segOff+segLen > c.rb.next
 	}
 	if !acceptable {
 		// Out-of-window (e.g. a persist probe against a zero
@@ -563,8 +559,6 @@ func (c *Conn) handleSynSent(seg *Segment) {
 		return
 	}
 	c.irs = seg.Seq
-	c.rb.rcvNxt = 0
-	c.rb.readOff = 0
 	if seg.MSS != 0 && int(seg.MSS) < c.mss {
 		c.mss = int(seg.MSS)
 	}
@@ -661,10 +655,10 @@ func (c *Conn) advanceUna(ackOff int64) {
 	}
 	// Bytes (not the FIN's phantom octet) leave the buffer.
 	relTo := ackOff
-	if relTo > c.sb.end() {
-		relTo = c.sb.end()
+	if relTo > c.sb.End() {
+		relTo = c.sb.End()
 	}
-	c.sb.release(relTo)
+	c.sb.Release(relTo)
 
 	if c.rtPending && ackOff > c.rtOffset {
 		c.updateRTT(c.stack.sim.Elapsed() - c.rtStart)
@@ -702,7 +696,7 @@ func (c *Conn) applyWindow(seg *Segment) {
 }
 
 func (c *Conn) processData(segOff int64, seg *Segment) {
-	oldNxt := c.rb.rcvNxt
+	oldNxt := c.rb.next
 	delivered := c.rb.accept(segOff, seg.Payload)
 	if len(delivered) > 0 && c.deliverTap != nil {
 		c.deliverTap(oldNxt, delivered)
@@ -748,13 +742,13 @@ func (c *Conn) clearDelayedAck() {
 }
 
 func (c *Conn) processPeerFIN(finOff int64) {
-	if c.rb.rcvNxt != finOff {
+	if c.rb.next != finOff {
 		return // FIN not yet in order; will be processed on retransmit
 	}
 	if !c.peerFINSeen {
 		c.peerFINSeen = true
 		c.peerFINOff = finOff
-		c.rb.rcvNxt = finOff + 1
+		c.rb.next = finOff + 1
 	}
 	c.sendControl(FlagACK)
 	switch c.state {
@@ -776,7 +770,7 @@ func (c *Conn) processPeerFIN(finOff int64) {
 
 // pendingToSend reports whether unsent data or an unsent FIN exists.
 func (c *Conn) pendingToSend() bool {
-	if c.sndNxt < c.sb.end() {
+	if c.sndNxt < c.sb.End() {
 		return true
 	}
 	return c.finQueued && !c.finSent && !c.finGate
@@ -796,7 +790,7 @@ func (c *Conn) maybeSend() {
 		wnd = c.cwnd
 	}
 	sent := false
-	for c.sndNxt < c.sb.end() {
+	for c.sndNxt < c.sb.End() {
 		flight := int(c.sndNxt - c.sndUna)
 		room := wnd - flight
 		if room <= 0 {
@@ -806,7 +800,7 @@ func (c *Conn) maybeSend() {
 		if n > room {
 			n = room
 		}
-		payload, err := c.sb.slice(c.sndNxt, n)
+		payload, err := c.sb.Slice(c.sndNxt, n)
 		if err != nil || len(payload) == 0 {
 			break
 		}
@@ -815,7 +809,7 @@ func (c *Conn) maybeSend() {
 		// a FIN.
 		if c.stack.opts.Nagle && len(payload) < c.mss &&
 			c.sndNxt > c.sndUna &&
-			c.sndNxt+int64(len(payload)) == c.sb.end() &&
+			c.sndNxt+int64(len(payload)) == c.sb.End() &&
 			!(c.finQueued && !c.finGate) {
 			break
 		}
@@ -828,7 +822,7 @@ func (c *Conn) maybeSend() {
 	}
 	// FIN rides after all data, if the gate is open and window permits
 	// its phantom octet.
-	if c.finQueued && !c.finSent && !c.finGate && c.sndNxt == c.sb.end() {
+	if c.finQueued && !c.finSent && !c.finGate && c.sndNxt == c.sb.End() {
 		c.sendSegmentRaw(FlagFIN|FlagACK, c.sndNxt, nil, false)
 		c.finSent = true
 		c.sndNxt = c.finOff + 1
@@ -908,7 +902,7 @@ func (c *Conn) sendSegmentRaw(flags Flags, off int64, payload []byte, isSYN bool
 		seg.MSS = uint16(c.stack.opts.MSS)
 	}
 	if flags.Has(FlagACK) {
-		seg.Ack = c.recvWireSeq(c.rb.rcvNxt)
+		seg.Ack = c.recvWireSeq(c.rb.next)
 		c.clearDelayedAck() // this segment carries the ack
 	}
 	c.output(seg) //sttcp:allow hotpathalloc emit and noteSuppressed box trace arguments behind the Detail() gate, off in measured runs; the Segment itself is pooled (TestAllocsPerSegmentBudget)
@@ -923,7 +917,7 @@ func (c *Conn) sendRST() {
 		SrcPort: c.id.LocalPort,
 		DstPort: c.id.RemotePort,
 		Seq:     c.sendWireSeq(c.sndNxt),
-		Ack:     c.recvWireSeq(c.rb.rcvNxt),
+		Ack:     c.recvWireSeq(c.rb.next),
 		Flags:   FlagRST | FlagACK,
 	}
 	c.output(seg)
@@ -1001,7 +995,7 @@ func (c *Conn) onRetransTimeout() {
 	case StateSynSent, StateSynRcvd:
 		c.retransmit()
 	default:
-		if c.sndUna < c.sb.end() {
+		if c.sndUna < c.sb.End() {
 			c.sndNxt = c.sndUna
 			if c.finSent && !c.finAcked {
 				c.finSent = false // resend the FIN after the data
@@ -1026,9 +1020,9 @@ func (c *Conn) retransmit() {
 		c.sendSegmentRaw(FlagSYN|FlagACK, -1, nil, true)
 		return
 	}
-	if c.sndUna < c.sb.end() {
+	if c.sndUna < c.sb.End() {
 		n := c.mss
-		payload, err := c.sb.slice(c.sndUna, n)
+		payload, err := c.sb.Slice(c.sndUna, n)
 		if err != nil || len(payload) == 0 {
 			return
 		}
@@ -1075,7 +1069,7 @@ func (c *Conn) onPersistTimeout() {
 	}
 	// Send a 1-byte window probe beyond the closed window; the peer
 	// drops the byte but answers with its current window.
-	payload, err := c.sb.slice(c.sndNxt, 1)
+	payload, err := c.sb.Slice(c.sndNxt, 1)
 	if err == nil && len(payload) == 1 {
 		c.sendSegmentRaw(FlagACK|FlagPSH, c.sndNxt, payload, false)
 	} else if c.finQueued && !c.finSent && !c.finGate {
@@ -1218,7 +1212,7 @@ func (c *Conn) deliverReadable() {
 
 func (c *Conn) deliverWritable() {
 	c.writablePending = false
-	if c.OnWritable != nil && c.sb.free() > 0 {
+	if c.OnWritable != nil && c.sb.Free() > 0 {
 		c.OnWritable()
 	}
 }

@@ -69,11 +69,11 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzSendBuffer runs arbitrary write/release/slice scripts (the encoding
-// of driveSendBuffers) against the ring and the copy-down reference model
-// at a fuzzer-chosen capacity. The seeds reach the paths a bulk transfer
-// lives on: a full buffer that wraps on every write, a slice straddling the
-// end of the ring, release beyond the end, and growth while wrapped.
+// FuzzSendBuffer runs arbitrary write/release/slice scripts (the encoding of
+// driveWindows) against the ring and the copy-down reference model at a
+// fuzzer-chosen capacity. The seeds reach the paths a bulk transfer lives
+// on: a full buffer that wraps on every write, a slice straddling the end
+// of the ring, release beyond the end, and growth while wrapped.
 func FuzzSendBuffer(f *testing.F) {
 	join := func(ops ...[]byte) []byte {
 		var out []byte
@@ -84,20 +84,96 @@ func FuzzSendBuffer(f *testing.F) {
 	}
 	const write, release, slice, below = 0, 1, 2, 3
 	// Growth while wrapped: 4 in, 2 out, 2 in (wraps a ring of 4), 3 in.
-	f.Add(uint16(16), join(sendBufferOp(write, 4), sendBufferOp(release, 2), sendBufferOp(write, 2),
-		sendBufferOp(slice, 1), sendBufferOp(write, 3), sendBufferOp(slice, 0), sendBufferOp(below, 0)))
+	f.Add(uint16(16), join(windowOp(write, 4), windowOp(release, 2), windowOp(write, 2),
+		windowOp(slice, 1), windowOp(write, 3), windowOp(slice, 0), windowOp(below, 0)))
 	// A full buffer acknowledged and refilled one MSS at a time, with the
 	// newest MSS sliced (it straddles the wrap on the second round).
-	f.Add(uint16(4096), join(sendBufferOp(write, 5000), sendBufferOp(release, 1460), sendBufferOp(write, 1460),
-		sendBufferOp(slice|60<<2, 2636), sendBufferOp(release, 1460), sendBufferOp(write, 1460), sendBufferOp(slice|60<<2, 2636)))
+	f.Add(uint16(4096), join(windowOp(write, 5000), windowOp(release, 1460), windowOp(write, 1460),
+		windowOp(slice|60<<2, 2636), windowOp(release, 1460), windowOp(write, 1460), windowOp(slice|60<<2, 2636)))
 	// Release one past the end, then start again from the new base.
-	f.Add(uint16(7), join(sendBufferOp(write, 5), sendBufferOp(release, 6), sendBufferOp(write, 9), sendBufferOp(slice|1<<2, 3)))
-	f.Add(uint16(1), join(sendBufferOp(write, 1), sendBufferOp(slice, 0), sendBufferOp(release, 1), sendBufferOp(write, 2)))
+	f.Add(uint16(7), join(windowOp(write, 5), windowOp(release, 6), windowOp(write, 9), windowOp(slice|1<<2, 3)))
+	f.Add(uint16(1), join(windowOp(write, 1), windowOp(slice, 0), windowOp(release, 1), windowOp(write, 2)))
 
 	f.Fuzz(func(t *testing.T, capacity uint16, script []byte) {
 		if len(script) > 3*256 {
 			script = script[:3*256]
 		}
-		driveSendBuffers(t, int(capacity), script)
+		driveWindows(t, int(capacity), script)
+	})
+}
+
+// FuzzReassemble offers a Reassembler arbitrary segments of one pattern
+// stream — duplicates, overlaps, holes, any arrival order, three script
+// bytes each (a 16-bit offset and a length) — beside a byte-map model that
+// marks every byte ever offered. Whatever the order: what is delivered is
+// the stream, in order, each byte once; never a byte beyond the model's
+// contiguous prefix; exactly that prefix when the out-of-order bound was
+// roomy enough never to drop, and in any case once everything has been
+// offered again in offset order (the sender's retransmissions); and the
+// bytes waiting behind a hole never exceed the bound.
+func FuzzReassemble(f *testing.F) {
+	f.Add(uint16(1024), []byte{0, 10, 5, 0, 5, 5, 0, 0, 5})           // the reverse order
+	f.Add(uint16(1024), []byte{0, 0, 6, 0, 3, 6, 0, 0, 3, 0, 20, 4})  // overlap, duplicate, a hole left open
+	f.Add(uint16(8), []byte{0, 9, 8, 0, 30, 8, 0, 1, 8, 0, 0, 1})     // the second chunk exceeds the bound
+	f.Add(uint16(0), []byte{0, 1, 1, 0, 0, 1, 0, 1, 1})               // nothing may wait
+	f.Add(uint16(300), []byte{255, 255, 255, 0, 0, 255, 0, 255, 255}) // the far end of the offset space
+
+	pat := func(off int64) byte { return byte(off*37 + off>>9) }
+	f.Fuzz(func(t *testing.T, bound uint16, script []byte) {
+		if len(script) > 3*200 {
+			script = script[:3*200]
+		}
+		r := NewReassembler(int(bound))
+		var stream []byte // everything delivered
+		deliver := func(p []byte) { stream = append(stream, p...) }
+		offered := make([]bool, 1<<16+256)
+		total := 0
+		offer := func(off int64, n int) {
+			p := make([]byte, n)
+			for i := range p {
+				p[i] = pat(off + int64(i))
+			}
+			before := r.Next()
+			got := r.Accept(off, p, deliver)
+			if int64(got) != r.Next()-before || r.Next() != int64(len(stream)) {
+				t.Fatalf("Accept(%d, %d bytes) = %d with Next %d -> %d and %d bytes delivered", off, n, got, before, r.Next(), len(stream))
+			}
+			if r.OutOfOrder() > int(bound) {
+				t.Fatalf("%d bytes wait out of order, bound %d", r.OutOfOrder(), bound)
+			}
+		}
+		prefix := func() int64 {
+			for i, ok := range offered {
+				if !ok {
+					return int64(i)
+				}
+			}
+			return int64(len(offered))
+		}
+		for s := script; len(s) >= 3; s = s[3:] {
+			off, n := int64(s[0])<<8|int64(s[1]), int(s[2])
+			for i := 0; i < n; i++ {
+				offered[off+int64(i)] = true
+			}
+			total += n
+			offer(off, n)
+			if r.Next() > prefix() {
+				t.Fatalf("delivered up to %d, only [0, %d) was ever offered", r.Next(), prefix())
+			}
+		}
+		if total <= int(bound) && r.Next() != prefix() {
+			t.Fatalf("nothing was dropped (offered %d, bound %d) yet Next is %d, contiguous prefix %d", total, bound, r.Next(), prefix())
+		}
+		for off := int64(0); off < prefix(); off += 255 { // retransmission, in order
+			offer(off, int(min(255, prefix()-off)))
+		}
+		if r.Next() != prefix() {
+			t.Fatalf("after in-order retransmission Next is %d, contiguous prefix %d", r.Next(), prefix())
+		}
+		for i, b := range stream {
+			if b != pat(int64(i)) {
+				t.Fatalf("delivered byte %d is %#x, the stream has %#x", i, b, pat(int64(i)))
+			}
+		}
 	})
 }

@@ -360,7 +360,7 @@ func TestGhostAckApplied(t *testing.T) {
 	ackSeg := Segment{
 		SrcPort: server.ID().RemotePort,
 		DstPort: server.ID().LocalPort,
-		Seq:     server.recvWireSeq(server.rb.rcvNxt),
+		Seq:     server.recvWireSeq(server.rb.next),
 		Ack:     server.sendWireSeq(100),
 		Flags:   FlagACK,
 		Window:  65535,

@@ -326,7 +326,7 @@ func (st *Stack) newConn(id ConnID) *Conn {
 		stack: st,
 		id:    id,
 		mss:   st.opts.MSS,
-		sb:    newSendBuffer(st.opts.SendBufferSize),
+		sb:    NewWindow(st.opts.SendBufferSize),
 		rb:    newRecvBuffer(st.opts.RecvBufferSize),
 		rto:   initialRTO,
 	}

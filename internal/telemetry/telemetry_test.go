@@ -243,13 +243,13 @@ func TestTickDoesNotAllocate(t *testing.T) {
 	sp.AddProbe("sched.pending", "events", func() float64 { return pending })
 	sp.start = s.Now()
 
-	sp.TickForTest() // absorb the refresh for the client latency histogram
+	sp.tick() // absorb the refresh for the client latency histogram
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		g.Set(42)
 		h.Observe(3 * time.Millisecond)
 		ct.Deliver(64, 2*time.Millisecond)
-		sp.TickForTest()
+		sp.tick()
 	}); n != 0 {
 		t.Errorf("sampling tick allocated %.1f times per run, want 0", n)
 	}

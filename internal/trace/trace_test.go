@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -176,5 +178,44 @@ func TestAnatomyReadsTheBoundProgressSeries(t *testing.T) {
 	r.BindProgress(func(time.Time) (before, after time.Time) { return at(105), time.Time{} })
 	if a = r.Anatomy()[0]; a.ClientStall != 0 || !a.StallStart.IsZero() {
 		t.Errorf("client half with no delivery after the takeover = %+v, want zero", a)
+	}
+}
+
+// TestNilRecorderIsASink calls every exported method of a nil *Recorder with
+// zero arguments: instrumented code holds a possibly-nil recorder and emits
+// through it unguarded, so none may panic, and whatever one returns is empty.
+func TestNilRecorderIsASink(t *testing.T) {
+	var r *Recorder
+	v := reflect.ValueOf(r)
+	for i := 0; i < v.NumMethod(); i++ {
+		name, m := v.Type().Method(i).Name, v.Method(i)
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("(*Recorder)(nil).%s panicked: %v", name, p)
+				}
+			}()
+			mt := m.Type()
+			fixed := mt.NumIn()
+			if mt.IsVariadic() {
+				fixed-- // no variadic arguments
+			}
+			args := make([]reflect.Value, fixed)
+			for j := range args {
+				if args[j] = reflect.Zero(mt.In(j)); mt.In(j) == reflect.TypeOf((*io.Writer)(nil)).Elem() {
+					args[j] = reflect.ValueOf(io.Discard)
+				}
+			}
+			for _, out := range m.Call(args) {
+				switch out.Kind() {
+				case reflect.Func: // Activate's restore
+					out.Call(nil)
+				case reflect.Slice, reflect.String:
+					if out.Len() != 0 {
+						t.Fatalf("(*Recorder)(nil).%s returned %v, want nothing", name, out)
+					}
+				}
+			}
+		})
 	}
 }
