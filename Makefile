@@ -34,7 +34,7 @@ race:
 # `go run ./benchmark` for the repository's benchmark, and `sttcp demo` for
 # the paper's experiments.
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' ./internal/sim ./internal/netem ./internal/tcp ./internal/app ./internal/sttcp
+	$(GO) test -bench . -benchtime 1x -run '^$$' ./internal/sim ./internal/netem ./internal/hb ./internal/tcp ./internal/app ./internal/sttcp
 
 # The observers' block of the benchmark's traced ladder on the smallest-packet
 # workload: how many events the always-on trace holds for a whole echo run

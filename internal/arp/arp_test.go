@@ -98,3 +98,28 @@ func TestStaticEntrySurvivesLearn(t *testing.T) {
 		t.Fatalf("len = %d, want 1", tbl.Len())
 	}
 }
+
+// FuzzDecode feeds the ARP decoder what a corrupting link can deliver:
+// arbitrary bytes. It must never panic, and a packet it accepts must survive
+// its own codec.
+func FuzzDecode(f *testing.F) {
+	for _, p := range []Packet{
+		{Op: OpRequest, SenderHW: eth.MakeAddr(1), SenderIP: ip.MakeAddr(10, 0, 0, 1), TargetIP: ip.MakeAddr(10, 0, 0, 100)},
+		{Op: OpReply, SenderHW: eth.MakeAddr(2), SenderIP: ip.MakeAddr(10, 0, 0, 2), TargetHW: eth.MakeAddr(1), TargetIP: ip.MakeAddr(10, 0, 0, 1)},
+	} {
+		f.Add(p.Encode())
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		p, err := Decode(raw)
+		if err != nil {
+			return
+		}
+		again, err := Decode(p.Encode())
+		if err != nil {
+			t.Fatalf("decode of own encoding failed: %v", err)
+		}
+		if again != p {
+			t.Fatalf("round trip changed the packet:\n got %+v\nwant %+v", again, p)
+		}
+	})
+}

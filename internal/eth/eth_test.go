@@ -98,3 +98,38 @@ func TestAddressClasses(t *testing.T) {
 		t.Fatalf("String = %q", MakeAddr(9).String())
 	}
 }
+
+// FuzzDecode feeds the frame decoder what a corrupting link can deliver:
+// arbitrary bytes. It must never panic, and a frame it accepts must survive
+// its own codec. Decode takes a payload past the MTU that Encode refuses; a
+// link never delivers one, so such a frame has nothing to re-encode to.
+func FuzzDecode(f *testing.F) {
+	for _, fr := range []Frame{
+		{Dst: MakeAddr(2), Src: MakeAddr(1), Type: TypeIPv4, Payload: []byte("hello ethernet")},
+		{Dst: Broadcast, Src: MakeAddr(7), Type: TypeARP},
+		{Dst: MakeMulticastAddr(1), Src: MakeAddr(3), Type: TypeIPv4, Payload: bytes.Repeat([]byte{0xa5}, MaxPayload)},
+	} {
+		raw, err := fr.Encode()
+		if err != nil {
+			f.Fatalf("encode seed: %v", err)
+		}
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		fr, err := Decode(raw)
+		if err != nil || len(fr.Payload) > MaxPayload {
+			return
+		}
+		enc, err := fr.Encode()
+		if err != nil {
+			t.Fatalf("a decoded frame does not encode: %v", err)
+		}
+		again, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("decode of own encoding failed: %v", err)
+		}
+		if again.Dst != fr.Dst || again.Src != fr.Src || again.Type != fr.Type || !bytes.Equal(again.Payload, fr.Payload) {
+			t.Fatalf("round trip changed the frame:\n got %+v\nwant %+v", again, fr)
+		}
+	})
+}

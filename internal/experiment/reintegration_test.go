@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -107,6 +108,57 @@ func TestReintegrationDoubleFailover(t *testing.T) {
 	}
 	if takeovers := tb.Tracer.Count(trace.KindTakeover); takeovers != 2 {
 		t.Fatalf("takeovers = %d, want 2", takeovers)
+	}
+}
+
+// TestReintegrationDriftNotedForNewPeer: the heartbeat-cadence drift note
+// is once per peer, not once per node. The backup notes the skewed primary;
+// after that primary crashes and rejoins as the survivor's new backup, its
+// skewed clock must be noted again. A rejoin used to reset the drift
+// estimator field by field and forget the once-only flag, so the survivor
+// never reported clock skew again.
+func TestReintegrationDriftNotedForNewPeer(t *testing.T) {
+	tb := Build(Options{Seed: 123})
+	if err := tb.StartSTTCP(0, nil); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	tb.AttachServers(false)
+	lc := NewLifecycle(tb)
+	notes := func() (n int) {
+		for _, e := range tb.Tracer.Filter(trace.KindGeneric) {
+			if e.Component == "backup/sttcp" && strings.Contains(e.Message, "clock-rate skew suspected") {
+				n++
+			}
+		}
+		return n
+	}
+	// The machine named primary runs 20% slow for 8 s: its heartbeats
+	// arrive every 240 ms instead of 200.
+	skewPrimaryMachine := func() {
+		tb.inject(Fault{Kind: FaultClockSkew, Host: "primary", Dur: 8 * time.Second, Scale: 1.2})
+	}
+
+	skewPrimaryMachine()
+	if err := tb.Run(10 * time.Second); err != nil {
+		t.Fatalf("first pair: %v", err)
+	}
+	if got := notes(); got != 1 {
+		t.Fatalf("backup noted the skewed primary %d time(s), want 1\n%s", got, tailStr(tb.Tracer.Dump()))
+	}
+
+	tb.inject(Fault{Kind: FaultCrash, Host: "primary"})
+	if err := tb.Run(2 * time.Second); err != nil {
+		t.Fatalf("failover: %v", err)
+	}
+	if err := lc.Reintegrate(tb.NewReplica); err != nil {
+		t.Fatalf("reintegrate: %v", err)
+	}
+	skewPrimaryMachine() // now the survivor's new backup
+	if err := tb.Run(10 * time.Second); err != nil {
+		t.Fatalf("rejoined pair: %v", err)
+	}
+	if got := notes(); got != 2 {
+		t.Fatalf("survivor noted drift %d time(s) across two skewed peers, want 2\n%s", got, tailStr(tb.Tracer.Dump()))
 	}
 }
 

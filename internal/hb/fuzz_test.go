@@ -10,13 +10,7 @@ import (
 // accepts must survive its own codec — Decode(Encode(m)) == m.
 func FuzzDecode(f *testing.F) {
 	for _, conns := range []int{0, 1, 2000} {
-		m := sampleMessage()
-		conn := m.Conns[0]
-		m.Conns = make([]ConnState, conns)
-		for i := range m.Conns {
-			m.Conns[i] = conn
-			m.Conns[i].RemotePort = uint16(i)
-		}
+		m := sampleMessageWith(conns)
 		raw, err := m.Encode()
 		if err != nil {
 			f.Fatalf("encode %d conns: %v", conns, err)

@@ -1,6 +1,7 @@
 package hb
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -30,6 +31,39 @@ func sampleMessage() Message {
 			FINGenerated:       true,
 			Established:        true,
 		}},
+	}
+}
+
+// sampleMessageWith is sampleMessage carrying conns copies of its
+// connection, each on its own client port.
+func sampleMessageWith(conns int) Message {
+	m := sampleMessage()
+	conn := m.Conns[0]
+	m.Conns = make([]ConnState, conns)
+	for i := range m.Conns {
+		m.Conns[i] = conn
+		m.Conns[i].RemotePort = uint16(i)
+	}
+	return m
+}
+
+// BenchmarkMessageCodec is one heartbeat's encode and decode, carrying one
+// connection and the scale workload's thousand.
+func BenchmarkMessageCodec(b *testing.B) {
+	for _, conns := range []int{1, 1000} {
+		b.Run(fmt.Sprintf("conns=%d", conns), func(b *testing.B) {
+			m := sampleMessageWith(conns)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				raw, err := m.Encode()
+				if err != nil {
+					b.Fatalf("encode: %v", err)
+				}
+				if _, err := Decode(raw); err != nil {
+					b.Fatalf("decode: %v", err)
+				}
+			}
+		})
 	}
 }
 

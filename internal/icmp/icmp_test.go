@@ -47,3 +47,28 @@ func TestTooShort(t *testing.T) {
 		t.Fatalf("err = %v, want ErrTooShort", err)
 	}
 }
+
+// FuzzDecode feeds the echo decoder what a corrupting link can deliver:
+// arbitrary bytes. It must never panic, and a message it accepts must
+// survive its own codec.
+func FuzzDecode(f *testing.F) {
+	for _, e := range []Echo{
+		{Type: TypeEchoRequest, ID: 7, Seq: 3, Payload: []byte("ping")},
+		{Type: TypeEchoReply, ID: 7, Seq: 3, Payload: []byte("odd")},
+	} {
+		f.Add(e.Encode())
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		e, err := Decode(raw)
+		if err != nil {
+			return
+		}
+		again, err := Decode(e.Encode())
+		if err != nil {
+			t.Fatalf("decode of own encoding failed: %v", err)
+		}
+		if again.Type != e.Type || again.ID != e.ID || again.Seq != e.Seq || !bytes.Equal(again.Payload, e.Payload) {
+			t.Fatalf("round trip changed the message:\n got %+v\nwant %+v", again, e)
+		}
+	})
+}

@@ -246,3 +246,44 @@ func FuzzSumWords(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecode feeds the packet decoder what a corrupting link can deliver:
+// arbitrary bytes. It must never panic, and a packet it accepts must survive
+// its own codec. A TTL of 0 is the one field that does not: Packet's zero
+// TTL means DefaultTTL to Encode, so a wire TTL of 0 — which no router
+// forwards — re-encodes as DefaultTTL.
+func FuzzDecode(f *testing.F) {
+	for _, p := range []Packet{
+		{TOS: 0x10, ID: 1234, TTL: 17, Proto: ProtoTCP, Src: MakeAddr(10, 0, 0, 1), Dst: MakeAddr(10, 0, 0, 100), Payload: []byte("segment bytes")},
+		{ID: 7, DontFrag: true, Proto: ProtoUDP, Src: MakeAddr(10, 0, 0, 2), Dst: MakeAddr(10, 0, 0, 3)},
+	} {
+		raw, err := p.Encode()
+		if err != nil {
+			f.Fatalf("encode seed: %v", err)
+		}
+		f.Add(raw)
+		f.Add(append(raw, 0xff, 0xee)) // link padding past the total length
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		p, err := Decode(raw)
+		if err != nil {
+			return
+		}
+		enc, err := p.Encode()
+		if err != nil {
+			t.Fatalf("a decoded packet does not encode: %v", err)
+		}
+		again, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("decode of own encoding failed: %v", err)
+		}
+		want := p
+		if want.TTL == 0 {
+			want.TTL = DefaultTTL
+		}
+		if again.TOS != want.TOS || again.ID != want.ID || again.DontFrag != want.DontFrag || again.TTL != want.TTL ||
+			again.Proto != want.Proto || again.Src != want.Src || again.Dst != want.Dst || !bytes.Equal(again.Payload, want.Payload) {
+			t.Fatalf("round trip changed the packet:\n got %+v\nwant %+v", again, want)
+		}
+	})
+}

@@ -169,10 +169,5 @@ func ctrlKind(buf []byte) (ctrlType, error) {
 // identity (both servers address the replicated connection with the shared
 // service address as the local half).
 func connKey(service ip.Addr, remoteAddr ip.Addr, remotePort, localPort uint16) tcp.ConnID {
-	return tcp.ConnID{
-		LocalAddr:  service,
-		LocalPort:  localPort,
-		RemoteAddr: remoteAddr,
-		RemotePort: remotePort,
-	}
+	return tcp.ConnID{LocalAddr: service, LocalPort: localPort, RemoteAddr: remoteAddr, RemotePort: remotePort}
 }

@@ -216,8 +216,7 @@ func TestDetectNICLagGraceAndBaseline(t *testing.T) {
 	})
 	// Big pre-existing asymmetry: local received 50000, peer reported 0.
 	h.conn.InjectStreamBytes(0, make([]byte, 50000))
-	h.node.ipDown = true
-	h.node.ipDownSince = h.sim.Now()
+	h.node.ipDown.set(true, h.sim.Now())
 
 	if h.node.detectNICLag(h.rc, h.sim.Now()) {
 		t.Fatal("fired inside the grace period")

@@ -59,14 +59,13 @@ func (s *loggedStream) retain(p []byte) {
 // (the testbed builder does both).
 func NewLogger(host *cluster.Host, cfg Config) *Logger {
 	cfg.fillDefaults()
-	lg := &Logger{
+	return &Logger{
 		host:    host,
 		cfg:     cfg,
 		tracer:  host.Tracer(),
 		comp:    host.Name() + "/logger",
 		streams: make(map[tcp.ConnID]*loggedStream),
 	}
-	return lg
 }
 
 // Start attaches the logger to the host's IP stack.
@@ -92,12 +91,7 @@ func (lg *Logger) handlePacket(pkt ip.Packet) {
 	if err != nil || seg.DstPort != lg.cfg.ServicePort {
 		return
 	}
-	id := tcp.ConnID{
-		LocalAddr:  pkt.Dst,
-		LocalPort:  seg.DstPort,
-		RemoteAddr: pkt.Src,
-		RemotePort: seg.SrcPort,
-	}
+	id := connKey(pkt.Dst, pkt.Src, seg.SrcPort, seg.DstPort)
 	s, ok := lg.streams[id]
 	if !ok {
 		if !seg.Flags.Has(tcp.FlagSYN) {

@@ -72,16 +72,15 @@ type repConn struct {
 	peerRST    bool
 	peerEstab  bool
 
-	// Application-lag watermarks (§4.2.1). A watermark of -1 means the
-	// peer is not currently behind on that stream.
-	wWatermark, rWatermark int64
-	wLagSince, rLagSince   time.Time
-	bytesLagSince          time.Time
-	bytesLagging           bool
-	nicLagWatermark        int64
-	nicLagSince            time.Time
-	nicBaseline            int64
-	nicBaselineSet         bool
+	// Failure-criterion clocks (detect.go): the peer's application write
+	// and read positions (§4.2.1) and, while the IP link is down, its
+	// client-stream position (§4.3), each against ours; how long the byte
+	// lag has exceeded AppMaxLagBytes; and the NIC criterion's baseline,
+	// the lag it had when the criterion engaged.
+	appW, appR, nic stall
+	byteLag         held
+	nicBaseline     int64
+	nicBaselineSet  bool
 
 	// FIN disagreement handling (§4.2.2).
 	finDelayTimer    *sim.Event // primary: local FIN gated for MaxDelayFIN
@@ -98,12 +97,13 @@ type repConn struct {
 	respLag    time.Duration
 	respLagAt  time.Time
 	// Input gating (suspicion.go): lateness only counts while the peer
-	// actually holds the input it is late answering. inputStarvedSince
-	// tracks how long the peer's receive offset has trailed ours;
-	// inputOKSince stamps the recovery from the last confirmed gap.
-	inputStarvedSince time.Time
-	inputStarved      bool
-	inputOKSince      time.Time
+	// actually holds the input it is late answering. inputLag is how long
+	// the peer's receive offset has trailed ours, inputStarved whether that
+	// has outlived inputLagGrace; inputOKSince stamps the recovery from the
+	// last confirmed gap.
+	inputLag     held
+	inputStarved bool
+	inputOKSince time.Time
 
 	lastRecoveryReq time.Time
 }
@@ -111,20 +111,12 @@ type repConn struct {
 // witnessState is the primary's view of the witness replica's verdict on
 // one connection (the §4.2.2 majority mechanism).
 type witnessState struct {
-	fin   bool
-	rst   bool
-	estab bool
-	seen  time.Time
+	closed bool // it generated a FIN or an RST
+	seen   time.Time
 }
 
 func newRepConn(c *tcp.Conn) *repConn {
-	return &repConn{
-		conn:            c,
-		key:             c.ID().String(),
-		wWatermark:      -1,
-		rWatermark:      -1,
-		nicLagWatermark: -1,
-	}
+	return &repConn{conn: c, key: c.ID().String()}
 }
 
 // Node is one ST-TCP server endpoint — the primary or the active backup.
@@ -165,33 +157,16 @@ type Node struct {
 	held      map[tcp.ConnID][]heldSegment
 	announced map[tcp.ConnID]uint32
 
-	// Gateway-ping arbitration (§4.3).
-	pingTicker    *sim.Ticker
-	myPingValid   bool
-	myPingOK      bool
-	peerPingFails int
-	ipDownSince   time.Time
-	ipDown        bool
+	// What the detectors know of the current peer, reset whole by every
+	// pairing (detect.go), and the two tickers that feed it: the gateway
+	// pinger (§4.3) and the detector clock.
+	detectorState
+	pingTicker *sim.Ticker
+	detector   *sim.Ticker
 
-	// Asymmetric-partition criterion (gray-failure suite): the peer's
-	// latest PingValid as carried by any heartbeat, and when the
-	// asymmetry pattern was first observed (zero while not matching).
-	peerPingValid bool
-	asymSince     time.Time
-
-	detector       *sim.Ticker
-	started        bool
-	localAppFailed bool
-
-	// Gray-failure machinery (suspicion.go): the leaky-bucket scorer and
-	// the peer heartbeat-cadence drift estimator. lastSerialCRC tracks
-	// the local serial port's CRC-reject counter so the scorer can tell
-	// a noisy cable from a dead one.
-	susp            suspicionState
-	hbLastIP        time.Time
-	hbEWMA          float64
-	hbSamples       int
-	hbDriftNoted    bool
+	// lastSerialCRC tracks the local serial port's CRC-reject counter so
+	// the scorer can tell a noisy cable from a dead one (suspicion.go). It
+	// is the host's port, not the pair's.
 	lastSerialCRC   int64
 	lastSerialCRCAt time.Time
 
@@ -271,9 +246,6 @@ func (n *Node) Config() Config { return n.cfg }
 // Host returns the underlying host.
 func (n *Node) Host() *cluster.Host { return n.host }
 
-// Exchanger returns the heartbeat exchanger (nil before Start).
-func (n *Node) Exchanger() *hb.Exchanger { return n.ex }
-
 // Conns returns the replicated connections, ordered deterministically.
 func (n *Node) Conns() []*tcp.Conn {
 	keys := n.sortedKeys()
@@ -285,7 +257,7 @@ func (n *Node) Conns() []*tcp.Conn {
 }
 
 // Start brings the node up: the service alias and listener, the control
-// channel, and the heartbeat exchanger on both links.
+// channel, and its pairing with the peer at Config.PeerAddr.
 func (n *Node) Start() error {
 	ns := n.host.Netstack()
 	ns.AddAlias(n.cfg.ServiceAddr)
@@ -297,18 +269,32 @@ func (n *Node) Start() error {
 	n.listener = l
 	l.NewConnSetup = n.setupConn
 	l.OnEstablished = n.onEstablished
+	if err := ns.UDPListen(DefaultCtrlPort, n.handleCtrl); err != nil {
+		return fmt.Errorf("sttcp: %s: %w", n.host.Name(), err)
+	}
+	if err := n.pair(); err != nil {
+		return err
+	}
+	n.host.OnCrash(n.Stop)
+	return nil
+}
+
+// pair joins the node, in its role, to the peer at Config.PeerAddr — at
+// Start, and again for every repaired peer (EnableReplication): the role's
+// listener and segment hooks, a fresh heartbeat exchanger on both links, a
+// zero detectorState, and the detector ticker.
+func (n *Node) pair() error {
 	if n.role == RolePrimary {
-		l.OnSynRcvd = n.announceConn
+		// A rejoin can make a backup the primary: its hooks go.
+		n.listener.ISNProvider = nil
+		n.listener.OnSynRcvd = n.announceConn
+		n.tcpStack.SegmentFilter = nil
 	} else {
-		l.ISNProvider = func(id tcp.ConnID) (uint32, bool) {
+		n.listener.ISNProvider = func(id tcp.ConnID) (uint32, bool) {
 			isn, ok := n.announced[id]
 			return isn, ok
 		}
 		n.tcpStack.SegmentFilter = n.filterSegment
-	}
-
-	if err := ns.UDPListen(DefaultCtrlPort, n.handleCtrl); err != nil {
-		return fmt.Errorf("sttcp: %s: %w", n.host.Name(), err)
 	}
 
 	hbPort := uint16(DefaultHBPort)
@@ -317,9 +303,11 @@ func (n *Node) Start() error {
 		// its liveness cannot be mistaken for the backup's.
 		hbPort = DefaultWitnessHBPort
 	}
+	ns := n.host.Netstack()
+	ns.UDPClose(hbPort) // a rejoin rebinds it toward the new peer
 	udpCh, err := hb.NewUDPChannel(ns, hbPort, n.cfg.PeerAddr, hbPort)
 	if err != nil {
-		return fmt.Errorf("sttcp: %s: %w", n.host.Name(), err)
+		return fmt.Errorf("sttcp: %s: heartbeat channel: %w", n.host.Name(), err)
 	}
 	n.ex = hb.NewExchanger(n.sim, n.comp, n.cfg.HB, n.tracer, n.host.Metrics())
 	n.ex.Attach(udpCh)
@@ -333,11 +321,13 @@ func (n *Node) Start() error {
 	// Heartbeats tick on the host's timer clock, so an injected
 	// clock-rate skew skews the cadence the peer observes.
 	n.ex.Clock = n.host.Clock()
+	n.detectorState = detectorState{}
 	n.ex.Start()
 
 	// A primary with a witness runs a second exchanger toward it; only
-	// the per-connection FIN verdicts are consumed (§4.2.2 majority).
-	if !n.cfg.WitnessAddr.IsZero() {
+	// the per-connection FIN verdicts are consumed (§4.2.2 majority). It
+	// is built once: a rejoin pairs with a new backup, not a new witness.
+	if !n.cfg.WitnessAddr.IsZero() && n.witnessEx == nil {
 		wCh, err := hb.NewUDPChannel(ns, DefaultWitnessHBPort, n.cfg.WitnessAddr, DefaultWitnessHBPort)
 		if err != nil {
 			return fmt.Errorf("sttcp: %s: witness channel: %w", n.host.Name(), err)
@@ -352,33 +342,26 @@ func (n *Node) Start() error {
 	}
 
 	if !n.cfg.Witness {
-		check := n.cfg.HB.Period / 2
-		if check < 50*time.Millisecond {
-			check = 50 * time.Millisecond
-		}
-		n.detector = n.host.Clock().NewTicker(check, n.runDetectors)
+		n.detector = n.host.Clock().NewTicker(max(n.cfg.HB.Period/2, 50*time.Millisecond), n.runDetectors)
 	}
-
-	n.host.OnCrash(n.Stop)
-	n.started = true
 	return nil
 }
 
 // Stop halts all node activity (host crash or external shutdown).
 func (n *Node) Stop() {
-	if n.state == StateStopped {
-		return
-	}
-	n.setState(StateStopped)
-	n.shutdownTimers()
-	if n.rwSpan != 0 {
-		n.tracer.EmitIn(n.rwSpan, trace.KindGeneric, n.comp, 0, "node stopped while waiting for retransmission")
-		n.tracer.CloseSpan(n.rwSpan)
-		n.rwSpan = 0
+	if n.leave(StateStopped) {
+		n.endRetransmitWait(0, "node stopped while waiting for retransmission")
 	}
 }
 
-func (n *Node) shutdownTimers() {
+// leave is the one step out of a serving state — into TakenOver, NonFT or
+// Stopped — and silences what the pair ran: both exchangers, the detector,
+// the pinger and every FIN timer. It reports whether the lifecycle allowed
+// the move.
+func (n *Node) leave(s NodeState) bool {
+	if !n.setState(s) {
+		return false
+	}
 	if n.ex != nil {
 		n.ex.Stop()
 	}
@@ -392,16 +375,21 @@ func (n *Node) shutdownTimers() {
 	for _, rc := range n.conns {
 		n.cancelFINTimers(rc)
 	}
+	return true
 }
 
-func (n *Node) setState(s NodeState) {
-	if n.state == s {
-		return
+// setState is the only place the node's state changes: it takes a move the
+// lifecycle table allows (transition) and reports whether there was one.
+func (n *Node) setState(s NodeState) bool {
+	role, ok := transition(n.state, n.role, s)
+	if !ok {
+		return false
 	}
-	n.state = s
+	n.state, n.role = s, role
 	if n.OnStateChange != nil {
 		n.OnStateChange(s)
 	}
+	return true
 }
 
 // sortedKeys returns the connection IDs in the order of their rendered
@@ -466,13 +454,7 @@ func (n *Node) announceConn(c *tcp.Conn) {
 		return
 	}
 	id := c.ID()
-	msg := connOpenMsg{
-		RemoteAddr: id.RemoteAddr,
-		RemotePort: id.RemotePort,
-		LocalPort:  id.LocalPort,
-		ISS:        c.ISS(),
-		IRS:        c.IRS(),
-	}
+	msg := connOpenMsg{RemoteAddr: id.RemoteAddr, RemotePort: id.RemotePort, LocalPort: id.LocalPort, ISS: c.ISS(), IRS: c.IRS()}
 	raw := msg.encode()
 	_ = n.host.Netstack().UDPSend(DefaultCtrlPort, n.cfg.PeerAddr, DefaultCtrlPort, raw)
 	if !n.cfg.WitnessAddr.IsZero() {
@@ -514,18 +496,10 @@ func (n *Node) noteHoldOccupancy(delta int) {
 // filterSegment parks service-connection segments whose ISN announcement
 // has not arrived yet; everything else passes through.
 func (n *Node) filterSegment(pkt ip.Packet, seg *tcp.Segment) bool {
-	if n.state != StateActive {
+	if n.state != StateActive || pkt.Dst != n.cfg.ServiceAddr || seg.DstPort != n.cfg.ServicePort {
 		return true
 	}
-	if pkt.Dst != n.cfg.ServiceAddr || seg.DstPort != n.cfg.ServicePort {
-		return true
-	}
-	id := tcp.ConnID{
-		LocalAddr:  pkt.Dst,
-		LocalPort:  seg.DstPort,
-		RemoteAddr: pkt.Src,
-		RemotePort: seg.SrcPort,
-	}
+	id := connKey(pkt.Dst, pkt.Src, seg.SrcPort, seg.DstPort)
 	if _, ok := n.tcpStack.Lookup(id); ok {
 		return true
 	}
@@ -640,7 +614,7 @@ func (n *Node) handleHB(m hb.Message, link hb.LinkID) {
 	// is down is oblivious to the outage — the asymmetric-partition
 	// criterion's key observation.
 	n.peerPingValid = m.PingValid
-	if n.ipDown && m.PingValid {
+	if n.ipDown.on() && m.PingValid {
 		if n.myPingValid && n.myPingOK && !m.PingOK {
 			n.peerPingFails++
 			if n.peerPingFails >= n.cfg.PingFailsForVerdict {
@@ -696,10 +670,13 @@ func (n *Node) applyPeerConnState(cs *hb.ConnState, seq uint64) {
 	rc.peerRST = cs.RSTGenerated
 	rc.peerEstab = cs.Established
 
-	if n.role == RolePrimary {
+	switch {
+	case n.role == RolePrimary:
 		n.primaryConsumeConnState(rc)
-	} else {
-		n.backupConsumeConnState(rc)
+	case rc.peerLBR > c.LastByteReceived():
+		// Missed-byte recovery (Table 1 row 5): the primary has client
+		// bytes we never received.
+		n.maybeRequestRecovery(rc)
 	}
 }
 
@@ -743,22 +720,12 @@ func (n *Node) primaryConsumeConnState(rc *repConn) {
 	// application; give it MaxDelayFIN of evidence time.
 	if (rc.peerFIN || rc.peerRST) && !rc.conn.FINQueued() {
 		n.armFINDisagreeTimer(rc)
-	} else if rc.finDisagreeTimer != nil && !(rc.peerFIN || rc.peerRST) {
+	} else if !(rc.peerFIN || rc.peerRST) {
 		n.sim.Cancel(rc.finDisagreeTimer)
 		rc.finDisagreeTimer = nil
 	}
 	// Serve any recovery needs lazily (the backup asks via the control
 	// channel).
-}
-
-// backupConsumeConnState reacts to the primary's view of one connection.
-func (n *Node) backupConsumeConnState(rc *repConn) {
-	c := rc.conn
-	// Missed-byte recovery (Table 1 row 5): the primary has client bytes
-	// we never received.
-	if rc.peerLBR > c.LastByteReceived() {
-		n.maybeRequestRecovery(rc)
-	}
 }
 
 // --- Control channel ---
@@ -801,42 +768,37 @@ func (n *Node) maybeRequestRecovery(rc *repConn) {
 		return
 	}
 	rc.lastRecoveryReq = now
-	id := rc.conn.ID()
-	req := recoveryRequestMsg{
-		RemoteAddr: id.RemoteAddr,
-		RemotePort: id.RemotePort,
-		LocalPort:  id.LocalPort,
-		From:       rc.conn.LastByteReceived(),
-		To:         rc.peerLBR,
-	}
+	from, to, id := rc.conn.LastByteReceived(), rc.peerLBR, rc.conn.ID()
 	// One auto span per recovery round trip; the request datagram, the
 	// peer's serve, and applyRecovery all attach through the ambient
 	// context.
 	sp := n.tracer.OpenAutoSpan(trace.KindByteRecovery, n.tracer.Ambient(), n.comp,
-		"recover missed bytes [%d,%d) for %v", req.From, req.To, id)
+		"recover missed bytes [%d,%d) for %v", from, to, id)
 	defer n.tracer.Activate(sp)()
-	n.tracer.EmitValue(trace.KindByteRecovery, n.comp, req.To-req.From,
-		"requesting missed bytes [%d,%d) for %v", req.From, req.To, id)
-	_ = n.host.Netstack().UDPSend(DefaultCtrlPort, n.cfg.PeerAddr, DefaultCtrlPort, req.encode())
+	n.tracer.EmitValue(trace.KindByteRecovery, n.comp, to-from,
+		"requesting missed bytes [%d,%d) for %v", from, to, id)
+	n.requestRecovery(rc, n.cfg.PeerAddr, to)
 }
 
 // requestLoggerRecovery asks the logger for every logged client byte past
 // our current in-order position on this connection.
 func (n *Node) requestLoggerRecovery(rc *repConn) {
-	id := rc.conn.ID()
-	req := recoveryRequestMsg{
-		RemoteAddr: id.RemoteAddr,
-		RemotePort: id.RemotePort,
-		LocalPort:  id.LocalPort,
-		From:       rc.conn.LastByteReceived(),
-		To:         -1,
-	}
+	from, id := rc.conn.LastByteReceived(), rc.conn.ID()
 	sp := n.tracer.OpenAutoSpan(trace.KindByteRecovery, n.tracer.Ambient(), n.comp,
-		"recover logged bytes from %d for %v", req.From, id)
+		"recover logged bytes from %d for %v", from, id)
 	defer n.tracer.Activate(sp)()
 	n.tracer.Emit(trace.KindByteRecovery, n.comp,
-		"takeover: requesting logged bytes from %d for %v from logger", req.From, id)
-	_ = n.host.Netstack().UDPSend(DefaultCtrlPort, n.cfg.LoggerAddr, DefaultCtrlPort, req.encode())
+		"takeover: requesting logged bytes from %d for %v from logger", from, id)
+	n.requestRecovery(rc, n.cfg.LoggerAddr, -1)
+}
+
+// requestRecovery asks dst for rc's client bytes from our in-order
+// position up to to (negative: everything dst holds).
+func (n *Node) requestRecovery(rc *repConn, dst ip.Addr, to int64) {
+	id := rc.conn.ID()
+	req := recoveryRequestMsg{RemoteAddr: id.RemoteAddr, RemotePort: id.RemotePort, LocalPort: id.LocalPort,
+		From: rc.conn.LastByteReceived(), To: to}
+	_ = n.host.Netstack().UDPSend(DefaultCtrlPort, dst, DefaultCtrlPort, req.encode())
 }
 
 func (n *Node) serveRecovery(m recoveryRequestMsg) {
@@ -867,13 +829,7 @@ func sendRecoveryData(host *cluster.Host, dst ip.Addr, m recoveryRequestMsg, w *
 		if err != nil {
 			return sent
 		}
-		resp := recoveryDataMsg{
-			RemoteAddr: m.RemoteAddr,
-			RemotePort: m.RemotePort,
-			LocalPort:  m.LocalPort,
-			Off:        from,
-			Data:       data,
-		}
+		resp := recoveryDataMsg{RemoteAddr: m.RemoteAddr, RemotePort: m.RemotePort, LocalPort: m.LocalPort, Off: from, Data: data}
 		if host.Netstack().UDPSend(DefaultCtrlPort, dst, DefaultCtrlPort, resp.encode()) == nil {
 			sent++
 		}
@@ -930,10 +886,8 @@ func (n *Node) onLocalCloseSignal(rc *repConn, rst bool) {
 }
 
 func (n *Node) releaseGatedFIN(rc *repConn, why string) {
-	if rc.finDelayTimer != nil {
-		n.sim.Cancel(rc.finDelayTimer)
-		rc.finDelayTimer = nil
-	}
+	n.sim.Cancel(rc.finDelayTimer)
+	rc.finDelayTimer = nil
 	if rc.conn.FINGated() {
 		n.tracer.Emit(trace.KindFINReleased, n.comp, "releasing FIN on %v: %s", rc.conn.ID(), why)
 		rc.conn.ReleaseFIN()
@@ -1002,17 +956,16 @@ func (n *Node) decideByMajority(rc *repConn, localFIN bool) {
 			"majority vote on %v: witness view stale; falling back to MaxDelayFIN", c.ID())
 		return
 	}
-	witnessFIN := w.fin || w.rst
 	switch {
-	case localFIN && witnessFIN:
+	case localFIN && w.closed:
 		// We and the witness closed; the backup did not: its
 		// application failed (Table 1 row 3B, decided by majority).
 		n.declarePeerFailed("majority: witness corroborates the close; backup application failed")
-	case localFIN && !witnessFIN:
+	case localFIN && !w.closed:
 		// Two replicas see no close; our FIN signals our own failure.
 		n.tracer.Emit(trace.KindSuspect, n.comp, "majority: witness does not corroborate local FIN on %v; reporting self failed", c.ID())
 		n.ReportLocalAppFailure()
-	case !localFIN && witnessFIN:
+	case !localFIN && w.closed:
 		// Backup and witness closed; we did not: our application
 		// failed (row 3P, decided by majority instead of lag).
 		n.tracer.Emit(trace.KindSuspect, n.comp, "majority: backup and witness closed %v but we did not; reporting self failed", c.ID())
@@ -1031,261 +984,15 @@ func (n *Node) handleWitnessHB(m hb.Message, link hb.LinkID) {
 	now := n.sim.Now()
 	for i := range m.Conns {
 		cs := &m.Conns[i]
-		n.witnessView[cs.Key(n.cfg.ServiceAddr)] = witnessState{
-			fin:   cs.FINGenerated,
-			rst:   cs.RSTGenerated,
-			estab: cs.Established,
-			seen:  now,
-		}
+		n.witnessView[cs.Key(n.cfg.ServiceAddr)] = witnessState{closed: cs.FINGenerated || cs.RSTGenerated, seen: now}
 	}
 }
 
 func (n *Node) cancelFINTimers(rc *repConn) {
-	if rc.finDelayTimer != nil {
-		n.sim.Cancel(rc.finDelayTimer)
-		rc.finDelayTimer = nil
-	}
-	if rc.finDisagreeTimer != nil {
-		n.sim.Cancel(rc.finDisagreeTimer)
-		rc.finDisagreeTimer = nil
-	}
-	if rc.majorityTimer != nil {
-		n.sim.Cancel(rc.majorityTimer)
-		rc.majorityTimer = nil
-	}
-}
-
-// --- Link events and ping arbitration (§4.3) ---
-
-func (n *Node) onLinkDown(link hb.LinkID) {
-	if n.state != StateActive {
-		return
-	}
-	// The symptom — peer silence on this link — began at the last
-	// heartbeat heard, not at the timeout that noticed it.
-	n.noteEvidenceSince(n.ex.LastReceived(link), "heartbeat link %v down", link)
-	if n.ex.AllLinksDown() {
-		n.declarePeerFailed("heartbeat lost on both links: peer crashed")
-		return
-	}
-	if link == hb.LinkIP {
-		n.ipDown = true
-		n.ipDownSince = n.sim.Now()
-		n.peerPingFails = 0
-		n.startPinging()
-	}
-}
-
-func (n *Node) onLinkUp(link hb.LinkID) {
-	if n.state == StateActive && !n.ex.AnyLinkDown() {
-		n.dissolveEvidence("heartbeat link %v back up", link)
-	}
-	if link == hb.LinkIP {
-		n.ipDown = false
-		n.stopPinging()
-		n.myPingValid = false
-		n.peerPingFails = 0
-		n.asymSince = time.Time{}
-		for _, rc := range n.conns {
-			rc.nicLagWatermark = -1
-			rc.nicBaselineSet = false
-		}
-	}
-}
-
-func (n *Node) startPinging() {
-	if n.pingTicker != nil || n.cfg.GatewayAddr.IsZero() {
-		return
-	}
-	n.pingTicker = n.host.Clock().NewTicker(pingInterval, func() {
-		err := n.host.Netstack().Ping(n.cfg.GatewayAddr, pingTimeout, func(ok bool, _ time.Duration) {
-			n.myPingValid = true
-			n.myPingOK = ok
-		})
-		if err != nil {
-			n.myPingValid = true
-			n.myPingOK = false
-		}
-	})
-}
-
-func (n *Node) stopPinging() {
-	if n.pingTicker != nil {
-		n.pingTicker.Stop()
-		n.pingTicker = nil
-	}
-}
-
-// --- Periodic failure detectors ---
-
-func (n *Node) runDetectors() {
-	if n.state != StateActive {
-		return
-	}
-	now := n.sim.Now()
-	var worstStaleness time.Duration
-	for _, k := range n.sortedKeys() {
-		rc := n.conns[k]
-		if rc.conn.State() == tcp.StateClosed {
-			n.dropConn(k)
-			continue
-		}
-		if !rc.replicated || !rc.peerValid || !rc.peerEstab {
-			continue
-		}
-		if n.detectAppLag(rc, now) {
-			return
-		}
-		if n.ipDown && n.detectNICLag(rc, now) {
-			return
-		}
-		if n.cfg.Suspicion.Enabled {
-			if st := n.respStaleness(rc, now); st > worstStaleness {
-				worstStaleness = st
-			}
-		}
-	}
-	if n.cfg.Suspicion.Enabled {
-		if n.detectAsymLink(now) {
-			return
-		}
-		n.scoreSuspicion(now, worstStaleness)
-	}
-}
-
-// detectAsymLink closes the asymmetric-partition gray gap: when the
-// peer's transmit path on the LAN dies while its receive path survives,
-// we see the IP heartbeat go silent, but the peer — still receiving our
-// heartbeats — considers its IP link healthy and never starts pinging.
-// Ping arbitration therefore never engages (PingValid stays false at the
-// peer), and the client-data criteria stay quiet too because the whole
-// workload stalls symmetrically. The tell is the combination: IP silence
-// past NICLagGrace, the gateway answering our own pings, and a peer
-// fresh on serial that is not arbitrating. Held for AsymHold so momentary
-// coincidences (the peer's first ping result is still in flight after a
-// full NIC death, say) cannot kill a healthy server.
-func (n *Node) detectAsymLink(now time.Time) bool {
-	lastSerial := n.ex.LastReceived(hb.LinkSerial)
-	matching := n.ipDown &&
-		now.Sub(n.ipDownSince) >= n.cfg.NICLagGrace &&
-		n.myPingValid && n.myPingOK &&
-		!n.peerPingValid &&
-		!lastSerial.IsZero() && now.Sub(lastSerial) <= n.cfg.HB.Timeout
-	if !matching {
-		n.asymSince = time.Time{}
-		return false
-	}
-	if n.asymSince.IsZero() {
-		n.asymSince = now
-		n.noteEvidence("IP heartbeat silent %v, gateway answers local pings, peer fresh on serial but not arbitrating: suspecting asymmetric partition",
-			now.Sub(n.ipDownSince).Round(time.Millisecond))
-		return false
-	}
-	if now.Sub(n.asymSince) < n.cfg.AsymHold {
-		return false
-	}
-	n.declarePeerFailed(fmt.Sprintf(
-		"asymmetric partition: peer-to-us LAN path dead %v while local gateway pings succeed and the peer (fresh on serial) sees no outage",
-		now.Sub(n.ipDownSince).Round(time.Millisecond)))
-	return true
-}
-
-// detectAppLag implements §4.2.1: the peer's application has stopped
-// reading or writing while ours progresses.
-func (n *Node) detectAppLag(rc *repConn, now time.Time) bool {
-	c := rc.conn
-	localW, localR := c.LastAppByteWritten(), c.LastAppByteRead()
-
-	// Criterion 2: a particular byte stays unprocessed by the peer for
-	// AppMaxLagTime. Watermarks track the oldest missing byte; peer
-	// progress moves the watermark and restarts the clock.
-	check := func(peerPos, localPos int64, watermark *int64, since *time.Time) bool {
-		if peerPos >= localPos {
-			*watermark = -1
-			return false
-		}
-		if *watermark == -1 || peerPos > *watermark {
-			*watermark = peerPos
-			*since = now
-			return false
-		}
-		return now.Sub(*since) > n.cfg.AppMaxLagTime
-	}
-	if check(rc.peerAppW, localW, &rc.wWatermark, &rc.wLagSince) {
-		n.noteEvidenceSince(rc.wLagSince, "peer app write progress stalled at %d", rc.peerAppW)
-		n.declarePeerFailed(fmt.Sprintf("peer app write position stuck at %d for >%v (local %d)",
-			rc.peerAppW, n.cfg.AppMaxLagTime, localW))
-		return true
-	}
-	if check(rc.peerAppR, localR, &rc.rWatermark, &rc.rLagSince) {
-		n.noteEvidenceSince(rc.rLagSince, "peer app read progress stalled at %d", rc.peerAppR)
-		n.declarePeerFailed(fmt.Sprintf("peer app read position stuck at %d for >%v (local %d)",
-			rc.peerAppR, n.cfg.AppMaxLagTime, localR))
-		return true
-	}
-
-	// Criterion 1: lag exceeding AppMaxLagBytes sustained for
-	// AppLagByteHold, judged on the lag each peer report showed when it
-	// was applied (applyPeerConnState).
-	lag := rc.peerAppLag
-	if lag > n.cfg.AppMaxLagBytes {
-		// The flag alone is not span-opening evidence — one report may
-		// catch the peer mid-burst — so only the *held* lag counts.
-		if !rc.bytesLagging {
-			rc.bytesLagging = true
-			rc.bytesLagSince = now
-		} else if now.Sub(rc.bytesLagSince) > n.cfg.AppLagByteHold {
-			n.noteEvidenceSince(rc.bytesLagSince, "peer app lagging by %d bytes", lag)
-			n.declarePeerFailed(fmt.Sprintf("peer app lags by %d bytes (> %d) for >%v",
-				lag, n.cfg.AppMaxLagBytes, n.cfg.AppLagByteHold))
-			return true
-		}
-	} else {
-		rc.bytesLagging = false
-	}
-	return false
-}
-
-// detectNICLag implements the client-data criterion of §4.3: with the IP
-// heartbeat down, the server that stops receiving client bytes (or client
-// acks) has the dead NIC. Two safeguards keep transients from killing a
-// healthy peer: the criterion only engages once the IP link has been down
-// for a grace period, and the byte threshold applies to lag *accrued
-// since* the link went down (a replica that is legitimately behind — e.g.
-// mid-reconstruction — has a large absolute asymmetry that means nothing).
-func (n *Node) detectNICLag(rc *repConn, now time.Time) bool {
-	if now.Sub(n.ipDownSince) < n.cfg.NICLagGrace {
-		rc.nicBaselineSet = false
-		return false
-	}
-	c := rc.conn
-	localPos := c.LastByteReceived() + c.LastAckReceived()
-	peerPos := rc.peerLBR + rc.peerLAR
-	delta := localPos - peerPos
-	if !rc.nicBaselineSet {
-		rc.nicBaselineSet = true
-		rc.nicBaseline = delta
-		rc.nicLagWatermark = -1
-	}
-	if peerPos >= localPos {
-		rc.nicLagWatermark = -1
-		return false
-	}
-	if growth := delta - rc.nicBaseline; growth > n.cfg.NICLagBytes {
-		n.declarePeerFailed(fmt.Sprintf("IP heartbeat down and peer fell %d further bytes behind on the client stream: peer NIC dead",
-			growth))
-		return true
-	}
-	if rc.nicLagWatermark == -1 || peerPos > rc.nicLagWatermark {
-		rc.nicLagWatermark = peerPos
-		rc.nicLagSince = now
-		return false
-	}
-	if now.Sub(rc.nicLagSince) > n.cfg.NICLagTime {
-		n.declarePeerFailed("IP heartbeat down and peer client stream stalled: peer NIC dead")
-		return true
-	}
-	return false
+	n.sim.Cancel(rc.finDelayTimer)
+	n.sim.Cancel(rc.finDisagreeTimer)
+	n.sim.Cancel(rc.majorityTimer)
+	rc.finDelayTimer, rc.finDisagreeTimer, rc.majorityTimer = nil, nil, nil
 }
 
 // --- Recovery actions (Table 1, rightmost column) ---
@@ -1331,39 +1038,6 @@ func (n *Node) declarePeerFailed(reason string) {
 	}
 }
 
-// noteEvidence opens the detection span at the first sign of peer trouble.
-// It is an auto span: if the suspicion dissolves (the link comes back, the
-// lag clears) it is simply finalized at its last recorded activity instead
-// of being a leak.
-func (n *Node) noteEvidence(format string, args ...any) {
-	n.noteEvidenceSince(time.Time{}, format, args...)
-}
-
-// noteEvidenceSince opens the detection span backdated to when the symptom
-// actually began: a detector that fires only after a lag has persisted, or
-// after heartbeats have been silent for the timeout, knows its phase
-// started at the recorded watermark, and the span should cover it all.
-func (n *Node) noteEvidenceSince(start time.Time, format string, args ...any) {
-	if n.detSpan != 0 {
-		return
-	}
-	n.detSpan = n.tracer.OpenAutoSpanAt(start, trace.KindDetection, 0, n.comp, format, args...)
-}
-
-// dissolveEvidence closes the detection span without a verdict: the
-// suspicion that opened it resolved itself (a transient lag cleared). The
-// next piece of evidence opens a fresh span, so a real failure's detection
-// phase starts at its own first symptom rather than at some earlier
-// false alarm.
-func (n *Node) dissolveEvidence(format string, args ...any) {
-	if n.detSpan == 0 {
-		return
-	}
-	n.tracer.EmitIn(n.detSpan, trace.KindGeneric, n.comp, 0, "suspicion dissolved: "+format, args...)
-	n.tracer.CloseSpan(n.detSpan)
-	n.detSpan = 0
-}
-
 // takeover promotes the backup: output suppression ends and the node
 // serves the client connections with the primary's addressing and sequence
 // numbers. Faithful to the paper, nothing is transmitted at the instant of
@@ -1383,22 +1057,19 @@ func (n *Node) takeover(reason string) {
 	// connection.
 	n.rwSpan = n.tracer.OpenSpan(trace.KindRetransmitWait, takeSpan, n.comp, "waiting for first retransmission")
 	n.watchResume()
-	n.setState(StateTakenOver)
+	n.leave(StateTakenOver)
 	// Detection latency: how long the dead peer was silent before we
 	// promoted ourselves — virtual time since the last heartbeat that
 	// arrived on any link.
 	if n.ex != nil {
-		var last time.Time
-		for _, l := range []hb.LinkID{hb.LinkIP, hb.LinkSerial} {
-			if t := n.ex.LastReceived(l); t.After(last) {
-				last = t
-			}
+		last := n.ex.LastReceived(hb.LinkIP)
+		if t := n.ex.LastReceived(hb.LinkSerial); t.After(last) {
+			last = t
 		}
 		if !last.IsZero() {
 			n.mTakeoverLat.Observe(n.sim.Now().Sub(last))
 		}
 	}
-	n.shutdownTimers()
 	for _, k := range n.sortedKeys() {
 		rc := n.conns[k]
 		rc.conn.SetSuppressed(false)
@@ -1433,12 +1104,20 @@ func (n *Node) watchResume() {
 		if n.rwSpan == 0 {
 			return
 		}
-		n.tracer.EmitIn(n.rwSpan, trace.KindGeneric, n.comp, int64(seg.Seq),
-			"transmission resumed: %v seq=%d len=%d on %v", seg.Flags, seg.Seq, seg.SegLen(), c.ID())
-		n.tracer.CloseSpan(n.rwSpan)
-		n.rwSpan = 0
+		n.endRetransmitWait(int64(seg.Seq), "transmission resumed: %v seq=%d len=%d on %v", seg.Flags, seg.Seq, seg.SegLen(), c.ID())
 		n.tcpStack.OnTransmit = prev
 	}
+}
+
+// endRetransmitWait closes the retransmit-wait span, if one is open, with a
+// note on how the wait ended.
+func (n *Node) endRetransmitWait(value int64, format string, args ...any) {
+	if n.rwSpan == 0 {
+		return
+	}
+	n.tracer.EmitIn(n.rwSpan, trace.KindGeneric, n.comp, value, format, args...)
+	n.tracer.CloseSpan(n.rwSpan)
+	n.rwSpan = 0
 }
 
 // FinishTrace closes the node's still-open causal spans at end of run so a
@@ -1446,11 +1125,7 @@ func (n *Node) watchResume() {
 // reported as leaked instrumentation. Harnesses call it before checking
 // span invariants; it is idempotent.
 func (n *Node) FinishTrace() {
-	if n.rwSpan != 0 {
-		n.tracer.EmitIn(n.rwSpan, trace.KindGeneric, n.comp, 0, "run ended while waiting for retransmission")
-		n.tracer.CloseSpan(n.rwSpan)
-		n.rwSpan = 0
-	}
+	n.endRetransmitWait(0, "run ended while waiting for retransmission")
 }
 
 // EnableReplication restores fault tolerance after a failover: a node that
@@ -1462,30 +1137,21 @@ func (n *Node) FinishTrace() {
 // now on is fully replicated again. The repaired machine must run a new
 // backup-role node (see cluster.Host.Reboot).
 func (n *Node) EnableReplication(peerAddr ip.Addr, peerPower *cluster.PowerController) error {
-	switch n.state {
-	case StateTakenOver, StateNonFT:
-	default:
+	if !n.setState(StateActive) {
 		return fmt.Errorf("sttcp: %s: cannot re-enable replication in state %v", n.host.Name(), n.state)
 	}
 	n.cfg.PeerAddr = peerAddr
 	n.peerPower = peerPower
-	n.role = RolePrimary
-	n.localAppFailed = false
 	n.FailoverReason = ""
 	// A fresh pair means a fresh failover clock: drop the old detection
 	// span and resolve a still-pending retransmission wait.
 	n.detSpan = 0
-	if n.rwSpan != 0 {
-		n.tracer.EmitIn(n.rwSpan, trace.KindGeneric, n.comp, 0, "replication re-enabled while waiting for retransmission")
-		n.tracer.CloseSpan(n.rwSpan)
-		n.rwSpan = 0
-	}
+	n.endRetransmitWait(0, "replication re-enabled while waiting for retransmission")
 
 	// Existing connections continue unreplicated; only their bookkeeping
 	// is reset so stale peer views cannot trigger detectors.
 	for _, rc := range n.conns {
-		rc.replicated = false
-		rc.peerValid = false
+		rc.replicated, rc.peerValid = false, false
 	}
 	var stale int64
 	for _, q := range n.held {
@@ -1495,48 +1161,9 @@ func (n *Node) EnableReplication(peerAddr ip.Addr, peerPower *cluster.PowerContr
 	n.held = make(map[tcp.ConnID][]heldSegment)
 	n.announced = make(map[tcp.ConnID]uint32)
 
-	// Primary-role listener hooks; the backup-role ones are removed.
-	n.listener.ISNProvider = nil
-	n.listener.OnSynRcvd = n.announceConn
-	n.tcpStack.SegmentFilter = nil
-
-	// Fresh heartbeat exchanger toward the new peer on both links.
-	ns := n.host.Netstack()
-	ns.UDPClose(DefaultHBPort)
-	udpCh, err := hb.NewUDPChannel(ns, DefaultHBPort, peerAddr, DefaultHBPort)
-	if err != nil {
-		return fmt.Errorf("sttcp: %s: rebind heartbeat: %w", n.host.Name(), err)
+	if err := n.pair(); err != nil {
+		return err
 	}
-	n.ex = hb.NewExchanger(n.sim, n.comp, n.cfg.HB, n.tracer, n.host.Metrics())
-	n.ex.Attach(udpCh)
-	if n.host.Serial() != nil {
-		n.ex.Attach(hb.NewSerialChannel(n.host.Serial()))
-	}
-	n.ex.Compose = n.composeHB
-	n.ex.OnMessage = n.handleHB
-	n.ex.OnLinkDown = n.onLinkDown
-	n.ex.OnLinkUp = n.onLinkUp
-	n.ex.Clock = n.host.Clock()
-
-	n.ipDown = false
-	n.myPingValid = false
-	n.peerPingFails = 0
-	n.setState(StateActive)
-	n.ex.Start()
-
-	check := n.cfg.HB.Period / 2
-	if check < 50*time.Millisecond {
-		check = 50 * time.Millisecond
-	}
-	if n.detector != nil {
-		n.detector.Stop()
-	}
-	n.detector = n.host.Clock().NewTicker(check, n.runDetectors)
-	n.susp = suspicionState{}
-	n.hbLastIP = time.Time{}
-	n.hbEWMA = 0
-	n.hbSamples = 0
-
 	n.tracer.Emit(trace.KindGeneric, n.comp,
 		"replication re-enabled as primary with peer %v (%d local-only connection(s) remain)",
 		peerAddr, len(n.conns))
@@ -1546,8 +1173,7 @@ func (n *Node) EnableReplication(peerAddr ip.Addr, peerPower *cluster.PowerContr
 // enterNonFT switches the primary to non-fault-tolerant operation: gates
 // open, replication stops, service continues.
 func (n *Node) enterNonFT(reason string) {
-	n.setState(StateNonFT)
-	n.shutdownTimers()
+	n.leave(StateNonFT)
 	for _, k := range n.sortedKeys() {
 		rc := n.conns[k]
 		n.releaseGatedFIN(rc, "entering non-fault-tolerant mode")

@@ -171,6 +171,60 @@ func TestHoldOccupancyRunningTotal(t *testing.T) {
 	}
 }
 
+// TestLifecycleTable states ROADMAP item 6(a)'s properties of the node's
+// transition table: every state but Stopped can crash into Stopped, Stopped
+// is terminal, and — over every path the table allows — a node that took
+// over never acts as a backup again. A move the table refuses changes
+// nothing on a real node either.
+func TestLifecycleTable(t *testing.T) {
+	states := []NodeState{StateActive, StateNonFT, StateTakenOver, StateStopped}
+	for _, s := range states {
+		for _, r := range []Role{RolePrimary, RoleBackup} {
+			if _, ok := transition(s, r, StateStopped); ok != (s != StateStopped) {
+				t.Errorf("%v (%v) → stopped allowed = %v", s, r, ok)
+			}
+			for _, to := range states {
+				if _, ok := transition(StateStopped, r, to); ok {
+					t.Errorf("stopped (%v) → %v allowed: stopped must be terminal", r, to)
+				}
+			}
+		}
+	}
+
+	type position struct {
+		state NodeState
+		role  Role
+	}
+	seen := map[position]bool{{StateTakenOver, RoleBackup}: true}
+	for frontier := []position{{StateTakenOver, RoleBackup}}; len(frontier) > 0; frontier = frontier[1:] {
+		for _, to := range states {
+			role, ok := transition(frontier[0].state, frontier[0].role, to)
+			next := position{to, role}
+			if !ok || seen[next] {
+				continue
+			}
+			if next == (position{StateActive, RoleBackup}) {
+				t.Fatalf("a path from taken-over leads back to an active backup (via %v)", frontier[0])
+			}
+			seen[next] = true
+			frontier = append(frontier, next)
+		}
+	}
+	if !seen[position{StateActive, RolePrimary}] || !seen[position{StateStopped, RolePrimary}] {
+		t.Fatalf("taken-over reaches %v; want the rejoin as primary and its crash", seen)
+	}
+
+	node := newPrimaryWithConns(t, nil)
+	if err := node.EnableReplication(ip.MakeAddr(10, 0, 0, 3), nil); err == nil || node.State() != StateActive {
+		t.Fatalf("re-enabling replication on an active node: err %v, state %v", err, node.State())
+	}
+	node.Stop()
+	node.Stop()
+	if err := node.EnableReplication(ip.MakeAddr(10, 0, 0, 3), nil); err == nil || node.State() != StateStopped {
+		t.Fatalf("re-enabling replication on a stopped node: err %v, state %v", err, node.State())
+	}
+}
+
 // BenchmarkNodeSortedKeys is the per-heartbeat, per-detector-tick walk
 // order at the scale workload's size.
 func BenchmarkNodeSortedKeys(b *testing.B) {

@@ -59,22 +59,37 @@ type respRing struct {
 	n    int
 }
 
+// push appends a sample, evicting the oldest once the ring is full.
 func (r *respRing) push(off int64, at time.Time) {
+	r.buf[(r.head+r.n)%respRingSize] = respSample{off: off, at: at}
 	if r.n < respRingSize {
-		r.buf[(r.head+r.n)%respRingSize] = respSample{off: off, at: at}
 		r.n++
-		return
+	} else {
+		r.head = (r.head + 1) % respRingSize
 	}
-	r.buf[r.head] = respSample{off: off, at: at}
-	r.head = (r.head + 1) % respRingSize
+}
+
+// since is how long before now the local application first reached stream
+// offset off — the age of the oldest sample at or past it, zero if none is
+// — but no longer than since the peer's input recovered at okSince:
+// lateness accrued while the peer was missing its input is not the peer's.
+func (r *respRing) since(off int64, now, okSince time.Time) time.Duration {
+	for i := 0; i < r.n; i++ {
+		if s := &r.buf[(r.head+i)%respRingSize]; s.off >= off {
+			if okSince.IsZero() {
+				return now.Sub(s.at)
+			}
+			return min(now.Sub(s.at), now.Sub(okSince))
+		}
+	}
+	return 0
 }
 
 // suspicionState is the node-wide leaky bucket.
 type suspicionState struct {
 	score     float64
 	lastTick  time.Time
-	violating bool
-	violSince time.Time
+	violation held // staleness past the SLO, backdated to when the peer fell behind
 	spanOpen  bool // the detection span currently open is ours
 }
 
@@ -107,38 +122,17 @@ func (n *Node) respStaleness(rc *repConn, now time.Time) time.Duration {
 	// peer slowness. A genuinely starved peer is different: its network
 	// stack still ACKs on time (only application scheduling is starved),
 	// so its receive offset keeps up and the gate stays open.
-	if rc.peerLBR < rc.conn.LastByteReceived() {
-		if rc.inputStarvedSince.IsZero() {
-			rc.inputStarvedSince = now
-		}
-		if now.Sub(rc.inputStarvedSince) >= inputLagGrace {
-			rc.inputStarved = true
-		}
-	} else {
-		rc.inputStarvedSince = time.Time{}
-		if rc.inputStarved {
-			rc.inputStarved = false
-			rc.inputOKSince = now
-		}
+	if rc.inputLag.set(rc.peerLBR < rc.conn.LastByteReceived(), now); rc.inputLag.on() {
+		rc.inputStarved = rc.inputLag.age(now) >= inputLagGrace
+	} else if rc.inputStarved {
+		rc.inputStarved, rc.inputOKSince = false, now
 	}
 	if rc.inputStarved {
 		return 0
 	}
 	if rc.peerAppW > rc.scoredAppW {
 		rc.scoredAppW = rc.peerAppW
-		rc.respLag = 0
-		for i := 0; i < r.n; i++ {
-			s := &r.buf[(r.head+i)%respRingSize]
-			if s.off >= rc.peerAppW {
-				rc.respLag = now.Sub(s.at)
-				break
-			}
-		}
-		// Lateness accrued while the peer was missing its input is not
-		// the peer's: cap the lag at the time since input recovered.
-		if !rc.inputOKSince.IsZero() && rc.respLag > now.Sub(rc.inputOKSince) {
-			rc.respLag = now.Sub(rc.inputOKSince)
-		}
+		rc.respLag = r.since(rc.peerAppW, now, rc.inputOKSince)
 		rc.respLagAt = now
 	}
 	if rc.peerAppW >= localW && !rc.respLagAt.IsZero() &&
@@ -151,21 +145,9 @@ func (n *Node) respStaleness(rc *repConn, now time.Time) time.Duration {
 		// we first got ahead of where the peer is now. If history has
 		// been evicted past that point the oldest sample is a
 		// (conservative) lower bound.
-		for i := 0; i < r.n; i++ {
-			s := &r.buf[(r.head+i)%respRingSize]
-			if s.off > rc.peerAppW {
-				stale = now.Sub(s.at)
-				break
-			}
-		}
-		if !rc.inputOKSince.IsZero() && stale > now.Sub(rc.inputOKSince) {
-			stale = now.Sub(rc.inputOKSince)
-		}
+		stale = r.since(rc.peerAppW+1, now, rc.inputOKSince)
 	}
-	if rc.respLag > stale {
-		return rc.respLag
-	}
-	return stale
+	return max(rc.respLag, stale)
 }
 
 // scoreSuspicion advances the leaky bucket with the worst staleness seen
@@ -181,19 +163,14 @@ func (n *Node) scoreSuspicion(now time.Time, worst time.Duration) {
 	}
 	s.lastTick = now
 
-	if worst > cfg.RespSLO {
-		if !s.violating {
-			s.violating = true
-			// The symptom began when the peer fell behind, not when the
-			// detector noticed: backdate by the staleness itself.
-			s.violSince = now.Add(-worst)
-		}
+	// The symptom began when the peer fell behind, not when the detector
+	// noticed: a violation is backdated by the staleness itself.
+	if s.violation.set(worst > cfg.RespSLO, now.Add(-worst)); s.violation.on() {
 		s.score += float64(dt) / float64(cfg.RespHold)
 		if lim := suspicionThreshold * 1.2; s.score > lim {
 			s.score = lim
 		}
 	} else {
-		s.violating = false
 		s.score -= float64(dt) / float64(3*cfg.RespHold)
 		if s.score < 0 {
 			s.score = 0
@@ -218,22 +195,22 @@ func (n *Node) scoreSuspicion(now time.Time, worst time.Duration) {
 	// Evidence span lifecycle: open (backdated) at the first violation,
 	// dissolve when the bucket drains without a verdict. Only a span this
 	// scorer opened is dissolved here.
-	if s.violating && s.score > 0 && n.detSpan == 0 {
-		n.noteEvidenceSince(s.violSince, "peer response latency past SLO (staleness %v > %v)", worst, cfg.RespSLO)
+	if s.violation.on() && s.score > 0 && n.detSpan == 0 {
+		n.noteEvidenceSince(s.violation.since, "peer response latency past SLO (staleness %v > %v)", worst, cfg.RespSLO)
 		s.spanOpen = true
 	}
 	if s.spanOpen && n.detSpan != 0 {
 		if s.score == 0 {
 			n.dissolveEvidence("response latency back under SLO")
 			s.spanOpen = false
-		} else if s.violating {
+		} else if s.violation.on() {
 			n.tracer.EmitIn(n.detSpan, trace.KindGeneric, n.comp, int64(total*1000),
 				"suspicion %.2f (staleness %v)", total, worst)
 		}
 	}
 
 	if total >= suspicionThreshold {
-		n.declarePeerFailed(fmt.Sprintf(
+		n.convict(time.Time{}, "", fmt.Sprintf(
 			"suspicion %.2f >= %.2f: peer response latency past SLO %v (staleness %v, link bonus %.1f)",
 			total, suspicionThreshold, cfg.RespSLO, worst, bonus))
 	}

@@ -50,9 +50,7 @@ func (w *Watchdog) Beat() {
 		return
 	}
 	w.beats++
-	if w.timer != nil {
-		w.sim.Cancel(w.timer)
-	}
+	w.sim.Cancel(w.timer)
 	w.timer = w.sim.Schedule(w.timeout, w.expire)
 }
 
@@ -64,10 +62,8 @@ func (w *Watchdog) Expired() bool { return w.expired }
 
 // Stop disarms the watchdog (clean application shutdown).
 func (w *Watchdog) Stop() {
-	if w.timer != nil {
-		w.sim.Cancel(w.timer)
-		w.timer = nil
-	}
+	w.sim.Cancel(w.timer)
+	w.timer = nil
 }
 
 func (w *Watchdog) expire() {

@@ -88,3 +88,33 @@ func TestTrailingBytesIgnored(t *testing.T) {
 		t.Fatalf("payload = %q, want %q", got.Payload, d.Payload)
 	}
 }
+
+// FuzzDecode feeds the datagram decoder what a corrupting link can deliver:
+// arbitrary bytes between fixed addresses. It must never panic, and a
+// datagram it accepts — checksummed or not (a zero checksum means none) —
+// must survive its own codec, which always checksums.
+func FuzzDecode(f *testing.F) {
+	for _, d := range []Datagram{
+		{SrcPort: 7000, DstPort: 7000, Payload: []byte("heartbeat")},
+		{SrcPort: 7001, DstPort: 7001},
+	} {
+		raw := d.Encode(testSrc, testDst)
+		f.Add(raw)
+		unsummed := bytes.Clone(raw)
+		unsummed[6], unsummed[7] = 0, 0
+		f.Add(unsummed)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		d, err := Decode(testSrc, testDst, raw)
+		if err != nil {
+			return
+		}
+		again, err := Decode(testSrc, testDst, d.Encode(testSrc, testDst))
+		if err != nil {
+			t.Fatalf("decode of own encoding failed: %v", err)
+		}
+		if again.SrcPort != d.SrcPort || again.DstPort != d.DstPort || !bytes.Equal(again.Payload, d.Payload) {
+			t.Fatalf("round trip changed the datagram:\n got %+v\nwant %+v", again, d)
+		}
+	})
+}
