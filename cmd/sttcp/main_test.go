@@ -253,9 +253,14 @@ func TestReportsMatchTheOldAssemblers(t *testing.T) {
 		from, sum string
 		rows      int // Table 1 rows that must report client ok
 	}{
+		// Re-pinned when the switch's latency moved onto the switch-bound
+		// wire: the sched.fired series reads one event fewer per switched
+		// frame (sched.pending follows), and a frame whose 5 µs dwell
+		// straddles a window edge is counted by its link one 100 ms window
+		// later — 14 such shifts on the client and backup links, same totals.
 		{"demo2 at 200ms (the demo2-dashboard.golden run)",
 			[]string{"demo", "-demo", "demo2", "-periods", "200ms", "-telemetry-window", "100ms"},
-			"", "b770f5abd431945a16b04c4505f4723ec4c7a639713e65de58725a94a9501621", 0},
+			"", "0e80f139fef161a54214893d9f8c1c69893fc05d0135233b6e241aaf84c20136", 0},
 		// Re-pinned when chaos began injecting through experiment.Testbed:
 		// the harness's no-op revert event behind each self-expiring drop
 		// is gone, so the sched.fired/sched.pending series — and only
@@ -263,15 +268,18 @@ func TestReportsMatchTheOldAssemblers(t *testing.T) {
 		// Re-pinned again when the counter==trace invariant went (counter
 		// and event are written by one helper): its verdict entry, three
 		// lines of the invariants list, is the whole difference.
+		// Re-pinned when the switch's latency moved onto the switch-bound
+		// wire: the sched.fired series, and only it, reads one event fewer
+		// per switched frame — here and in the two runs below.
 		{"chaos seed 1",
 			[]string{"chaos", "-seed", "1", "-runs", "1"},
-			"", "47aa76f9c71711e629ce28f3ebe55c4070aaa5c89f330260747d4623efe79455", 0},
+			"", "adf67647e6758fdf3d4f71f23a954fe9b823f8bd4d7d31760720c5cfd9399694", 0},
 		{"scenario transient-recovery",
 			[]string{"lab", "../../scenarios/transient-recovery.sttcp"},
-			"", "854fcc207bc998584f98d5b80d807aaadb90f672cea0ea3e92ab3e1c760337aa", 0},
+			"", "caddc5833f2d326bbee92ae014630841a3c90d73a3aa9a0f274a40307b1cfd2c", 0},
 		{"Table 1 row 5P",
 			[]string{"demo", "-demo", "table1"},
-			`  "finished_at"`, "3f19a2e2ce63abf3ddf8e9f58f2c8070461c85c84bf228099f0bb5fd33f9b0e5", 10},
+			`  "finished_at"`, "fca1b5ec9e5d259042dd8ec1544cc132680d4927226fec11dc101b4064341290", 10},
 	} {
 		path := filepath.Join(dir, "report.json")
 		out := mustRun(t, append([]string{c.args[0], "-report-out", path}, c.args[1:]...)...)

@@ -257,11 +257,14 @@ func (cl *StreamClient) readable() {
 	if cl.Done || cl.conn == nil {
 		return
 	}
-	if cl.buf == nil {
-		cl.buf = make([]byte, 32<<10)
-	}
-	buf := cl.buf
 	for {
+		// Read returns at most what is buffered, so the scratch grows on
+		// demand to that, up to 32 KiB, instead of 32 KiB per client.
+		want := min(32<<10, cl.conn.Buffered())
+		if cap(cl.buf) < want {
+			cl.buf = make([]byte, want)
+		}
+		buf := cl.buf[:want]
 		n, err := cl.conn.Read(buf)
 		if n > 0 {
 			cl.deliver(buf[:n])

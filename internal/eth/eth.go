@@ -132,11 +132,14 @@ func (f *Frame) AppendEncode(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// Decode parses buf into a frame, verifying the FCS. The returned frame's
-// payload aliases buf.
+// Decode parses buf into a frame, verifying the FCS and, as Encode does,
+// the MTU. The returned frame's payload aliases buf.
 func Decode(buf []byte) (Frame, error) {
 	if len(buf) < HeaderLen+FCSLen {
 		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooShort, len(buf))
+	}
+	if len(buf) > MaxFrameLen {
+		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLong, len(buf)-HeaderLen-FCSLen)
 	}
 	body := buf[:len(buf)-FCSLen]
 	want := binary.BigEndian.Uint32(buf[len(buf)-FCSLen:])

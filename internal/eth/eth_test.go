@@ -2,7 +2,9 @@ package eth
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 	"testing/quick"
 )
@@ -81,6 +83,16 @@ func TestOversizedPayloadRejected(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsOversizedPayload: a frame one byte past the MTU, with a
+// good FCS, is refused as Encode refuses to write it.
+func TestDecodeRejectsOversizedPayload(t *testing.T) {
+	raw := make([]byte, HeaderLen+MaxPayload+1)
+	raw = binary.BigEndian.AppendUint32(raw, crc32.ChecksumIEEE(raw))
+	if _, err := Decode(raw); !errors.Is(err, ErrFrameTooLong) {
+		t.Fatalf("err = %v, want ErrFrameTooLong", err)
+	}
+}
+
 func TestAddressClasses(t *testing.T) {
 	if MakeAddr(7).IsMulticast() {
 		t.Fatal("unicast address reports multicast")
@@ -101,8 +113,7 @@ func TestAddressClasses(t *testing.T) {
 
 // FuzzDecode feeds the frame decoder what a corrupting link can deliver:
 // arbitrary bytes. It must never panic, and a frame it accepts must survive
-// its own codec. Decode takes a payload past the MTU that Encode refuses; a
-// link never delivers one, so such a frame has nothing to re-encode to.
+// its own codec.
 func FuzzDecode(f *testing.F) {
 	for _, fr := range []Frame{
 		{Dst: MakeAddr(2), Src: MakeAddr(1), Type: TypeIPv4, Payload: []byte("hello ethernet")},
@@ -117,7 +128,7 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		fr, err := Decode(raw)
-		if err != nil || len(fr.Payload) > MaxPayload {
+		if err != nil {
 			return
 		}
 		enc, err := fr.Encode()

@@ -81,6 +81,7 @@ var (
 	ErrBadChecksum    = errors.New("ip: bad header checksum")
 	ErrBadLength      = errors.New("ip: total length mismatch")
 	ErrHasOptions     = errors.New("ip: options not supported")
+	ErrZeroTTL        = errors.New("ip: TTL 0")
 )
 
 // Packet is a decoded IPv4 packet.
@@ -142,8 +143,9 @@ func (p *Packet) AppendEncode(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// Decode parses and validates buf. The returned packet's payload aliases
-// buf.
+// Decode parses and validates buf. A TTL of 0, which no router forwards and
+// which Encode writes as DefaultTTL, is refused. The returned packet's
+// payload aliases buf.
 func Decode(buf []byte) (Packet, error) {
 	if len(buf) < HeaderLen {
 		return Packet{}, fmt.Errorf("%w: %d bytes", ErrPacketTooShort, len(buf))
@@ -160,6 +162,9 @@ func Decode(buf []byte) (Packet, error) {
 	total := int(binary.BigEndian.Uint16(buf[2:]))
 	if total < HeaderLen || total > len(buf) {
 		return Packet{}, fmt.Errorf("%w: total %d, have %d", ErrBadLength, total, len(buf))
+	}
+	if buf[8] == 0 {
+		return Packet{}, ErrZeroTTL
 	}
 	var p Packet
 	p.TOS = buf[1]

@@ -2,6 +2,7 @@ package ip
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -83,6 +84,18 @@ func TestDefaultTTLApplied(t *testing.T) {
 	}
 	if got.TTL != DefaultTTL {
 		t.Fatalf("TTL = %d, want default %d", got.TTL, DefaultTTL)
+	}
+}
+
+// TestZeroTTLRejected: a wire TTL of 0 behind a good header checksum is
+// refused — Encode would rewrite it as DefaultTTL.
+func TestZeroTTLRejected(t *testing.T) {
+	p := Packet{Proto: ProtoTCP, Src: MakeAddr(1, 1, 1, 1), Dst: MakeAddr(2, 2, 2, 2)}
+	raw, _ := p.Encode()
+	raw[8], raw[10], raw[11] = 0, 0, 0
+	binary.BigEndian.PutUint16(raw[10:], Checksum(raw[:HeaderLen]))
+	if _, err := Decode(raw); !errors.Is(err, ErrZeroTTL) {
+		t.Fatalf("err = %v, want ErrZeroTTL", err)
 	}
 }
 
@@ -249,9 +262,7 @@ func FuzzSumWords(f *testing.F) {
 
 // FuzzDecode feeds the packet decoder what a corrupting link can deliver:
 // arbitrary bytes. It must never panic, and a packet it accepts must survive
-// its own codec. A TTL of 0 is the one field that does not: Packet's zero
-// TTL means DefaultTTL to Encode, so a wire TTL of 0 — which no router
-// forwards — re-encodes as DefaultTTL.
+// its own codec.
 func FuzzDecode(f *testing.F) {
 	for _, p := range []Packet{
 		{TOS: 0x10, ID: 1234, TTL: 17, Proto: ProtoTCP, Src: MakeAddr(10, 0, 0, 1), Dst: MakeAddr(10, 0, 0, 100), Payload: []byte("segment bytes")},
@@ -277,13 +288,9 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
-		want := p
-		if want.TTL == 0 {
-			want.TTL = DefaultTTL
-		}
-		if again.TOS != want.TOS || again.ID != want.ID || again.DontFrag != want.DontFrag || again.TTL != want.TTL ||
-			again.Proto != want.Proto || again.Src != want.Src || again.Dst != want.Dst || !bytes.Equal(again.Payload, want.Payload) {
-			t.Fatalf("round trip changed the packet:\n got %+v\nwant %+v", again, want)
+		if again.TOS != p.TOS || again.ID != p.ID || again.DontFrag != p.DontFrag || again.TTL != p.TTL ||
+			again.Proto != p.Proto || again.Src != p.Src || again.Dst != p.Dst || !bytes.Equal(again.Payload, p.Payload) {
+			t.Fatalf("round trip changed the packet:\n got %+v\nwant %+v", again, p)
 		}
 	})
 }

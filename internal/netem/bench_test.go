@@ -10,7 +10,8 @@ import (
 
 // BenchmarkFramePath times one frame along the path every testbed frame
 // takes — NIC, link, switch, link, NIC — at the smallest and the largest
-// Ethernet frame, in bursts of 32 the way a TCP window leaves a host.
+// Ethernet frame, in bursts of 32 the way a TCP window leaves a host, and
+// reports the simulator events each frame costs.
 func BenchmarkFramePath(b *testing.B) {
 	for _, size := range []int{64, 1514} {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
@@ -38,12 +39,14 @@ func BenchmarkFramePath(b *testing.B) {
 			}
 			push(256) // fill the frame and delivery pools
 			received = 0
+			fired := s.Fired()
 			b.ReportAllocs()
 			b.ResetTimer()
 			push(b.N)
 			if received != b.N {
 				b.Fatalf("%d of %d frames arrived", received, b.N)
 			}
+			b.ReportMetric(float64(s.Fired()-fired)/float64(b.N), "events/frame")
 		})
 	}
 }

@@ -20,9 +20,9 @@ type Endpoint interface {
 	// DeliverFrame hands a fully received frame to the endpoint. buf is
 	// valid only for the duration of the call — the link returns it to a
 	// frame pool when DeliverFrame returns — so the endpoint must copy
-	// anything it keeps (the switch copies into its own pooled buffer
-	// before the store-and-forward latency; the NIC lends buf on to its
-	// handler under the same contract, see NIC.SetHandler).
+	// anything it keeps (a switch port lends buf on to the egress links,
+	// which copy; the NIC lends it on to its handler under the same
+	// contract, see NIC.SetHandler).
 	DeliverFrame(buf []byte)
 }
 
@@ -58,6 +58,7 @@ type Link struct {
 	cfg        LinkConfig
 	a, b       *linkSide
 	down       bool
+	downFlip   time.Duration // when down last changed, since sim.Epoch
 	extraDelay time.Duration
 
 	// Drops counts frames lost to loss-rate, drop windows, or link-down.
@@ -119,6 +120,7 @@ func (l *Link) takeDelivery() *delivery {
 // O(in-flight frames).
 type linkSide struct {
 	peer     Endpoint      // delivery target (the *other* end)
+	dwell    time.Duration // a switch peer's forwarding latency, added to every arrival (see Connect)
 	nextFree time.Duration // when the wire is free again, since sim.Epoch
 	dropTill time.Duration // end of the drop window, since sim.Epoch
 	cut      bool          // indefinite one-direction cut (asymmetric partition)
@@ -164,8 +166,14 @@ func (l *Link) SetTrace(tracer *trace.Recorder, name string) {
 }
 
 // SetDown cuts or restores the cable; while down every frame in both
-// directions is silently dropped, as with an unplugged cable.
-func (l *Link) SetDown(down bool) { l.down = down }
+// directions is silently dropped, as with an unplugged cable. A frame is
+// judged by the cable at its wire arrival, so a cut inside a switch's dwell
+// spares the frame the switch already holds.
+func (l *Link) SetDown(down bool) {
+	if down != l.down {
+		l.down, l.downFlip = down, l.sim.Elapsed()
+	}
+}
 
 // Down reports whether the cable is cut.
 func (l *Link) Down() bool { return l.down }
@@ -255,7 +263,7 @@ func (l *Link) transmit(side *linkSide, buf []byte) {
 		txTime = time.Duration(bits * int64(time.Second) / l.cfg.BitsPerSecond)
 	}
 	side.nextFree = start + txTime
-	arrival := side.nextFree + l.cfg.Delay + l.extraDelay
+	arrival := side.nextFree + l.cfg.Delay + l.extraDelay + side.dwell
 	if l.cfg.Jitter > 0 {
 		arrival += time.Duration(l.sim.Rand().Int63n(int64(l.cfg.Jitter)))
 	}
@@ -316,7 +324,7 @@ func (l *Link) drain(side *linkSide) {
 		}
 		side.pending[side.head] = nil
 		side.head++
-		l.deliverNow(d)
+		l.deliverNow(side, d)
 	}
 	if side.head > 0 && side.head*2 >= len(side.pending) {
 		n := copy(side.pending, side.pending[side.head:])
@@ -332,13 +340,15 @@ func (l *Link) drain(side *linkSide) {
 }
 
 // deliverNow completes one delivery: the frame is handed to the peer (or
-// dropped if the link went down in flight) under the sender's causal
-// context, and the record and buffer return to their pools.
-func (l *Link) deliverNow(d *delivery) {
+// dropped if the link was down at its wire arrival) under the sender's
+// causal context, and the record and buffer return to their pools.
+func (l *Link) deliverNow(side *linkSide, d *delivery) {
 	frame, peer, ctx := d.frame, d.peer, d.ctx
 	d.frame, d.peer, d.ctx = nil, nil, 0
 	l.deliveries = append(l.deliveries, d)
-	if l.down {
+	// A flip after the wire arrival, inside the dwell, came too late for
+	// this frame: the cable was then the other way.
+	if l.down != (l.downFlip > d.arrival-side.dwell) {
 		l.Drops++
 		l.mDrops.Inc()
 		l.traceDrop(len(frame), "went down in flight")

@@ -191,6 +191,88 @@ func TestLinkDown(t *testing.T) {
 	}
 }
 
+// switchedPair wires a and b through a switch with 5 µs of forwarding
+// latency on 100 Mbit/s, 50 µs links, teaches the switch b's port, and
+// returns the instants b receives at.
+func switchedPair(t *testing.T, s *sim.Simulator) (a, b *NIC, got *[]time.Duration) {
+	t.Helper()
+	sw := NewSwitch(s, "sw", 5*time.Microsecond)
+	a = NewNIC(s, "a", eth.MakeAddr(1))
+	b = NewNIC(s, "b", eth.MakeAddr(2))
+	Connect(s, sw, a, DefaultLANConfig())
+	Connect(s, sw, b, DefaultLANConfig())
+	send(t, b, a.Addr(), "hello")
+	if err := s.Run(time.Second); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	got = new([]time.Duration)
+	b.SetHandler(func(eth.Frame) { *got = append(*got, s.Elapsed()) })
+	return a, b, got
+}
+
+// A 100 B payload is a 118 B frame, 944 bits: 9,440 ns on the wire. It
+// reaches the switch one serialisation and one propagation delay after Send
+// and b the switch's latency, a second serialisation and a second
+// propagation delay after that.
+const (
+	wireArrival = 9_440 + 50_000
+	switchedAt  = wireArrival + 5_000 + 9_440 + 50_000 // 123.88 µs
+)
+
+// TestSwitchedFrameTiming pins a switched frame's arrival to the
+// nanosecond and its cost to two events, one per link: the switch's latency
+// rides the link into it, and the port forwards inside that delivery.
+func TestSwitchedFrameTiming(t *testing.T) {
+	s := sim.New(1)
+	a, b, got := switchedPair(t, s)
+	start, fired := s.Elapsed(), s.Fired()
+	send(t, a, b.Addr(), string(make([]byte, 100)))
+	if err := s.Run(time.Second); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if len(*got) != 1 || (*got)[0]-start != switchedAt {
+		t.Fatalf("arrivals %v after %v, want one at +%v", *got, start, time.Duration(switchedAt))
+	}
+	if n := s.Fired() - fired; n != 2 {
+		t.Errorf("a switched frame fired %d events, want 2", n)
+	}
+}
+
+// TestCableFlipInsideTheDwell: the cable into the switch is judged at the
+// frame's wire arrival, as if the switch held the frame from then on. A cut
+// 2 µs into the 5 µs dwell spares the frame; a cable down at the wire
+// arrival and restored inside the dwell still drops it.
+func TestCableFlipInsideTheDwell(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		flips      []time.Duration // alternately down, up, ... after Send
+		wantFrames int
+	}{
+		{"cut-during-dwell", []time.Duration{wireArrival + 2_000}, 1},
+		{"restore-during-dwell", []time.Duration{30_000, wireArrival + 2_000}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New(1)
+			a, b, got := switchedPair(t, s)
+			start := s.Elapsed()
+			send(t, a, b.Addr(), string(make([]byte, 100)))
+			for i, at := range tc.flips {
+				down := i%2 == 0
+				s.Schedule(at, func() { a.link.SetDown(down) })
+			}
+			if err := s.Run(time.Second); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if len(*got) != tc.wantFrames || a.link.Drops != int64(1-tc.wantFrames) {
+				t.Fatalf("%d frames arrived, %d dropped; want %d arrived", len(*got), a.link.Drops, tc.wantFrames)
+			}
+			if tc.wantFrames == 1 && (*got)[0]-start != switchedAt {
+				t.Errorf("frame arrived at +%v, want +%v", (*got)[0]-start, time.Duration(switchedAt))
+			}
+		})
+	}
+}
+
 func TestDropWindow(t *testing.T) {
 	s := sim.New(1)
 	a, b, _, rxB, _ := twoNICs(s, DefaultLANConfig())

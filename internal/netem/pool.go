@@ -2,8 +2,8 @@ package netem
 
 import "repro/internal/eth"
 
-// bufPool recycles frame buffers on behalf of one owner (a Link or a
-// Switch). The simulation is single-threaded, so no locking is needed; a
+// bufPool recycles the frame buffers of one Link. The simulation is
+// single-threaded, so no locking is needed; a
 // buffer returns to the pool as soon as its synchronous consumer is done
 // with it. Buffers are allocated at eth.MaxFrameLen capacity so every
 // standard frame reuses them regardless of size.

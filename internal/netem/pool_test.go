@@ -74,9 +74,10 @@ func TestLinkPoolingPreservesFrames(t *testing.T) {
 	}
 }
 
-// TestSwitchPoolingPreservesFrames covers the store-and-forward copy: the
-// switch must own its bytes across the forwarding latency even though the
-// ingress link reclaims its buffer immediately.
+// TestSwitchPoolingPreservesFrames covers the switch's borrowed frame: the
+// port forwards the ingress link's own buffer, which that link reissues as
+// soon as the delivery returns, so each egress link must have copied it by
+// then — or back-to-back frames would overwrite each other downstream.
 func TestSwitchPoolingPreservesFrames(t *testing.T) {
 	s := sim.New(1)
 	sw := NewSwitch(s, "sw", 50*time.Microsecond)
@@ -104,12 +105,6 @@ func TestSwitchPoolingPreservesFrames(t *testing.T) {
 		if !bytes.Equal(p, bytes.Repeat([]byte{byte(0x40 + i)}, 600)) {
 			t.Fatalf("frame %d corrupted through switch", i)
 		}
-	}
-	if len(sw.pool.free) == 0 {
-		t.Fatal("switch pool empty after forwards; buffers are not being returned")
-	}
-	if len(sw.jobs) == 0 {
-		t.Fatal("no forward jobs recycled")
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 // source addresses per port, floods broadcast and unknown unicast, and
 // forwards frames addressed to a configured multicast group to every member
 // port — the mechanism the ST-TCP testbed uses to deliver client frames to
-// both servers at once.
+// both servers at once. Its forwarding latency is not an event of its own:
+// Connect adds it to every arrival on the link into the port, and the port
+// forwards as the frame is delivered.
 type Switch struct {
-	sim      *sim.Simulator
 	name     string
 	ports    []*SwitchPort
 	macTable map[eth.Addr]int          // learned unicast address → port index
@@ -24,60 +25,20 @@ type Switch struct {
 	Forwarded int64
 	// Flooded counts frames forwarded by flooding.
 	Flooded int64
-
-	// Frame buffers and forward records are pooled: a frame is copied out
-	// of the link's buffer on ingress (the link reclaims its buffer when
-	// DeliverFrame returns) and the copy is returned to the switch's pool
-	// once forwarded out of the egress ports, which copy synchronously.
-	pool bufPool
-	jobs []*fwdJob
 }
 
-// fwdJob is one frame waiting out the store-and-forward latency. run is
-// bound once at record construction so recycled jobs re-post without
-// allocating.
-type fwdJob struct {
-	sw      *Switch
-	ingress int
-	dst     eth.Addr
-	buf     []byte
-	run     func()
-}
-
-func (s *Switch) takeJob() *fwdJob {
-	if n := len(s.jobs); n > 0 {
-		j := s.jobs[n-1]
-		s.jobs[n-1] = nil
-		s.jobs = s.jobs[:n-1]
-		return j
-	}
-	j := &fwdJob{sw: s}
-	j.run = j.fire
-	return j
-}
-
-func (j *fwdJob) fire() {
-	sw := j.sw
-	ingress, dst, buf := j.ingress, j.dst, j.buf
-	j.buf = nil
-	sw.jobs = append(sw.jobs, j)
-	sw.forward(ingress, dst, buf)
-	sw.pool.put(buf)
-}
-
-// SwitchPort is one port of a switch; it implements Endpoint so a Link can
-// deliver into it.
+// SwitchPort is one port of a switch, the B side of the link Connect made
+// for it; it implements Endpoint so that link can deliver into it.
 type SwitchPort struct {
 	sw    *Switch
 	index int
 	link  *Link
-	sideA bool
 }
 
-// NewSwitch creates a switch with the given forwarding latency per frame.
-func NewSwitch(s *sim.Simulator, name string, latency time.Duration) *Switch {
+// NewSwitch creates a switch with the given forwarding latency per frame. It
+// takes the simulator like every netem constructor but schedules nothing.
+func NewSwitch(_ *sim.Simulator, name string, latency time.Duration) *Switch {
 	return &Switch{
-		sim:      s,
 		name:     name,
 		macTable: make(map[eth.Addr]int),
 		groups:   make(map[eth.Addr]map[int]bool),
@@ -87,14 +48,6 @@ func NewSwitch(s *sim.Simulator, name string, latency time.Duration) *Switch {
 
 // Name returns the switch's trace name.
 func (s *Switch) Name() string { return s.name }
-
-// AddPort creates a new port and returns it; wire it to a link with
-// (*SwitchPort).AttachToLink.
-func (s *Switch) AddPort() *SwitchPort {
-	p := &SwitchPort{sw: s, index: len(s.ports)}
-	s.ports = append(s.ports, p)
-	return p
-}
 
 // JoinGroup adds port p to the multicast group g (static group membership,
 // standing in for IGMP snooping / static switch configuration).
@@ -107,13 +60,9 @@ func (s *Switch) JoinGroup(g eth.Addr, p *SwitchPort) {
 	m[p.index] = true
 }
 
-// AttachToLink binds the port to one side of a link.
-func (p *SwitchPort) AttachToLink(l *Link, sideA bool) {
-	p.link = l
-	p.sideA = sideA
-}
-
-// DeliverFrame implements Endpoint: a frame arrived on this port.
+// DeliverFrame implements Endpoint: a frame arrived on this port and has
+// waited out the switch's latency on the link, so it is forwarded now, the
+// original encoded bytes lent to the egress links, which copy.
 func (p *SwitchPort) DeliverFrame(buf []byte) {
 	sw := p.sw
 	f, err := eth.Decode(buf)
@@ -123,16 +72,7 @@ func (p *SwitchPort) DeliverFrame(buf []byte) {
 	if !f.Src.IsMulticast() {
 		sw.macTable[f.Src] = p.index
 	}
-	// Store-and-forward: copy into the switch's own pooled buffer (the
-	// link reclaims buf when this call returns), wait out the latency,
-	// then forward the original encoded bytes.
-	cp := sw.pool.get(len(buf))
-	copy(cp, buf)
-	j := sw.takeJob()
-	j.ingress = p.index
-	j.dst = f.Dst
-	j.buf = cp
-	sw.sim.Post(sw.latency, j.run)
+	sw.forward(p.index, f.Dst, buf)
 }
 
 func (s *Switch) forward(ingress int, dst eth.Addr, buf []byte) {
@@ -173,29 +113,24 @@ func (s *Switch) flood(ingress int, buf []byte) {
 }
 
 func (s *Switch) transmit(port int, buf []byte) {
-	p := s.ports[port]
-	if p.link == nil {
-		return
-	}
 	s.Forwarded++
-	if p.sideA {
-		p.link.TransmitFromA(buf)
-	} else {
-		p.link.TransmitFromB(buf)
-	}
+	s.ports[port].link.TransmitFromB(buf)
 }
 
 var _ Endpoint = (*SwitchPort)(nil)
 
-// Connect is a convenience that creates a link with cfg and wires endpoint e
-// to a fresh port on the switch. It returns the link so tests can inject
-// faults on it. The endpoint transmits from side A; the switch port from
-// side B.
+// Connect creates a link with cfg and wires endpoint e to a fresh port on
+// the switch; it is the one place a switch port meets a link. It returns
+// the link so tests can inject faults on it. The endpoint transmits from
+// side A, and every frame it sends reaches the port the switch's latency
+// after its last bit: the dwell stands in for the switch's own event. The
+// switch port transmits from side B.
 func Connect(s *sim.Simulator, sw *Switch, e Endpoint, cfg LinkConfig) (*Link, *SwitchPort) {
 	l := NewLink(s, cfg)
-	port := sw.AddPort()
+	port := &SwitchPort{sw: sw, index: len(sw.ports), link: l}
+	sw.ports = append(sw.ports, port)
 	l.Attach(e, port)
-	port.AttachToLink(l, false)
+	l.a.dwell = sw.latency
 	if nic, ok := e.(*NIC); ok {
 		nic.AttachToLink(l, true)
 	}
