@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check vet lint build test race bench observers loc flags doc-bytes allows faults-one-place artifacts-one-place one-window timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
+.PHONY: all check vet lint build test race bench observers loc flags doc-bytes allows faults-one-place artifacts-one-place one-window one-run timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
 
 all: check
 
@@ -118,6 +118,18 @@ one-window:
 	done
 	@! grep -rnE 'copy\(([A-Za-z_][A-Za-z0-9_.]*), \1\[' --include='*.go' --exclude='*_test.go' internal/tcp internal/sttcp \
 	  || { echo "one-window: a buffer copies itself down (lines above); hold the bytes in a tcp.Window and Release them"; exit 1; }
+
+# One run loop: experiment.Plan.Run (plan.go) is the only code that builds
+# and runs an ST-TCP testbed; a lab script and a chaos schedule compile to a
+# Plan. Outside benchmark/ and tests, Build( and StartSTTCP( appear only
+# there and in the named exceptions: scale.go and the quickstart example,
+# and demos.go's plain-TCP baseline legs, which Build but never start
+# ST-TCP. A grep in the idiom of faults-one-place; CI runs it beside it.
+one-run:
+	@! grep -rnE '((^|[^.[:alnum:]_])|experiment\.)Build\(|StartSTTCP\(' --include='*.go' --exclude='*_test.go' \
+	    --exclude-dir=benchmark --exclude-dir=.bench_build . \
+	  | grep -vE ':[0-9]+:func |^\./internal/experiment/(plan|scale)\.go:|^\./examples/quickstart/|^\./internal/experiment/demos\.go:[0-9]+:.*[^.[:alnum:]_]Build\(' \
+	  || { echo "one-run: a testbed is built or started outside experiment.Plan.Run (lines above); compile the run to a Plan"; exit 1; }
 
 # Render the Demo 1 failover anatomy: phase report plus ASCII span timeline.
 # The same view ships as a golden (internal/scenario/testdata/golden); after

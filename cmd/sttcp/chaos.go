@@ -7,6 +7,7 @@ import (
 
 	"repro/cmd/internal/cliflags"
 	"repro/internal/chaos"
+	"repro/internal/experiment"
 )
 
 // setupChaos is `sttcp chaos`: campaigns of seed-derived fault schedules
@@ -25,7 +26,7 @@ func setupChaos(fs *flag.FlagSet) func(io.Writer) error {
 		if *runs < 1 {
 			return usageErr("-runs %d: a campaign needs at least one schedule", *runs)
 		}
-		opts := chaos.Options{TraceDetail: *traceDetail, TelemetryWindow: art.Window()}
+		opts := chaos.Options{Options: experiment.Options{TraceDetail: *traceDetail, TelemetryWindow: art.Window()}}
 
 		campaign := chaos.CampaignDefault
 		if *gray {

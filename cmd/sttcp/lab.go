@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"repro/cmd/internal/cliflags"
+	"repro/internal/experiment"
 	"repro/internal/scenario"
 )
 
@@ -37,7 +38,7 @@ func setupLab(fs *flag.FlagSet) func(io.Writer) error {
 			return err
 		}
 		// Exports want the per-segment detail spans that are off by default.
-		res, err := scenario.RunWith(sc, scenario.RunOptions{
+		res, err := scenario.Run(sc, experiment.Options{
 			TraceDetail:     v.timeline || art.TraceOut != "",
 			TelemetryWindow: art.Window(),
 		})

@@ -32,6 +32,8 @@ type Client interface {
 	Progress() string
 	// Conn exposes the client's TCP connection.
 	Conn() *tcp.Conn
+	// Name is the client's trace name.
+	Name() string
 }
 
 // Completed is the client-transparency claim for one client: it finished,
@@ -110,6 +112,9 @@ func newClientCore(name string, stack *tcp.Stack, tracer *trace.Recorder) client
 
 // Conn exposes the client's TCP connection (nil before Start).
 func (c *clientCore) Conn() *tcp.Conn { return c.conn }
+
+// Name implements Client.
+func (c *clientCore) Name() string { return c.name }
 
 // dial connects to addr:port and makes that the client's connection.
 func (c *clientCore) dial(addr ip.Addr, port uint16) (*tcp.Conn, error) {

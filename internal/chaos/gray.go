@@ -17,6 +17,22 @@ import (
 // Flaps sit in between — flap-containment tolerates one takeover but never
 // two.
 
+// grayExpect is one recorded detection obligation: the gray fault just
+// applied must cause a takeover whose span starts at or before deadline
+// (run-relative). Judged by the gray-detection-bound invariant.
+type grayExpect struct {
+	deadline time.Duration
+	what     string
+}
+
+// grayEvidence is one end-of-run predicate proving an injected gray fault
+// actually bit (corruption counters advanced, the drift note fired).
+// Judged by the gray-evidence invariant.
+type grayEvidence struct {
+	desc string
+	ok   func() bool
+}
+
 // expectTakeoverBy records that the fault just injected must be detected: a
 // takeover span must start within d of now. Judged by gray-detection-bound.
 func (h *harness) expectTakeoverBy(d time.Duration, what string) {

@@ -5,9 +5,11 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/app"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/sttcp"
+	"repro/internal/tcp"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -111,6 +113,102 @@ func backupSilenceViolation(name string, segments int64, openedAt, closedAt time
 	}, true
 }
 
+// silenceEra is one interval during which a node held the backup role and
+// therefore must not have transmitted a single TCP segment. The counter is
+// the live instrument of the host's TCP stack (the registry dedupes, so it
+// survives a reboot); the era closes at the transition to taken-over —
+// which the node signals before it unsuppresses anything — or stopped, or
+// at the end of the run.
+type silenceEra struct {
+	node     *sttcp.Node
+	ctr      *metrics.Counter
+	baseline int64
+	openedAt time.Duration
+	open     bool
+}
+
+// hookNode installs the harness's observation (and sabotage) hooks on a
+// newly started node.
+func (h *harness) hookNode(n *sttcp.Node) {
+	h.nodes = append(h.nodes, n)
+	if h.opts.SabotageUnsuppressedBackup {
+		inner := n.OnAccept
+		n.OnAccept = func(c *tcp.Conn) {
+			if n.Role() == sttcp.RoleBackup && n.State() == sttcp.StateActive {
+				c.SetSuppressed(false)
+			}
+			if inner != nil {
+				inner(c)
+			}
+		}
+	}
+	if n.Role() == sttcp.RoleBackup && n.State() == sttcp.StateActive {
+		h.openEra(n)
+	}
+	n.OnStateChange = func(s sttcp.NodeState) { h.onStateChange(n, s) }
+}
+
+func (h *harness) onStateChange(n *sttcp.Node, s sttcp.NodeState) {
+	// A node leaving the backup role — to take over (it will unsuppress
+	// and retransmit right after this hook) or because it died — ends
+	// its silence obligation; check it now.
+	if s == sttcp.StateTakenOver || s == sttcp.StateStopped {
+		h.closeEra(n)
+	}
+	cause := fmt.Sprintf("%v became %v", n.Host().Name(), s)
+	if v, bad := singleTransmitterViolation(h.tb.Sim.Elapsed(), cause, h.transmitters()); bad {
+		h.violate(v.Invariant, v.Detail)
+	}
+}
+
+// transmitters lists the nodes currently entitled to transmit to clients: a
+// primary that is active or in non-FT mode, or a backup that has taken
+// over. STONITH-before-takeover must keep this set at ≤1 at all times.
+func (h *harness) transmitters() []string {
+	var who []string
+	for _, n := range h.nodes {
+		if n.Host().Crashed() {
+			continue
+		}
+		if transmitterEntitled(n.Role(), n.State()) {
+			who = append(who, fmt.Sprintf("%s(%v/%v)", n.Host().Name(), n.Role(), n.State()))
+		}
+	}
+	return who
+}
+
+func (h *harness) openEra(n *sttcp.Node) {
+	ctr := h.tb.Metrics.Counter(n.Host().Name()+"/tcp", "tcp.segments_sent")
+	h.eras = append(h.eras, &silenceEra{
+		node: n, ctr: ctr, baseline: ctr.Value(),
+		openedAt: h.tb.Sim.Elapsed(), open: true,
+	})
+}
+
+func (h *harness) closeEra(n *sttcp.Node) {
+	for _, e := range h.eras {
+		if e.node == n && e.open {
+			e.open = false
+			if v, bad := backupSilenceViolation(n.Host().Name(), e.ctr.Value()-e.baseline,
+				e.openedAt, h.tb.Sim.Elapsed()); bad {
+				h.violate(v.Invariant, v.Detail)
+			}
+		}
+	}
+}
+
+func (h *harness) closeAllEras() {
+	for _, e := range h.eras {
+		if e.open {
+			h.closeEra(e.node)
+		}
+	}
+}
+
+func (h *harness) violate(inv, detail string) {
+	h.violations = append(h.violations, Violation{Invariant: inv, Detail: detail})
+}
+
 // ClientSummary reports one workload connection's outcome.
 type ClientSummary struct {
 	Name     string
@@ -119,10 +217,10 @@ type ClientSummary struct {
 	Progress string
 }
 
-func summarize(r *clientRec) ClientSummary {
-	s := ClientSummary{Name: r.name, Progress: r.cl.Progress()}
+func summarize(cl app.Client) ClientSummary {
+	s := ClientSummary{Name: cl.Name(), Progress: cl.Progress()}
 	var err error
-	if s.Done, _, err = r.cl.Outcome(); err != nil {
+	if s.Done, _, err = cl.Outcome(); err != nil {
 		s.Err = err.Error()
 	}
 	return s
@@ -196,15 +294,15 @@ func (h *harness) endInvariants(snap *metrics.Snapshot) []Violation {
 
 	// client-integrity: the paper's claim — every client finishes, with
 	// every byte verified against the deterministic pattern.
-	for _, r := range h.clients {
-		s := summarize(r)
+	for _, cl := range h.run.Clients {
+		s := summarize(cl)
 		switch {
 		case !s.Done:
 			bad("client-integrity", "%s never finished (%s)", s.Name, s.Progress)
 		case s.Err != "":
 			bad("client-integrity", "%s failed: %s", s.Name, s.Err)
 		}
-		if _, verr, _ := r.cl.Outcome(); verr > 0 {
+		if _, verr, _ := cl.Outcome(); verr > 0 {
 			bad("client-integrity", "%s observed %d byte-pattern mismatches", s.Name, verr)
 		}
 	}

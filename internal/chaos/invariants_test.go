@@ -111,7 +111,7 @@ type endHarness struct {
 func newEndHarness() *endHarness {
 	epoch := time.Unix(0, 0)
 	now := func() time.Time { return epoch }
-	h := &harness{tb: &experiment.Testbed{Tracer: trace.NewRecorder(now)}}
+	h := &harness{run: &experiment.Run{}, tb: &experiment.Testbed{Tracer: trace.NewRecorder(now)}}
 	h.cfg.HB.Period = 200 * time.Millisecond
 	h.cfg.HB.Timeout = 600 * time.Millisecond
 	h.cfg.HoldBufferSize = 1 << 16
@@ -127,7 +127,6 @@ func TestEndInvariants(t *testing.T) {
 		cl.Done, cl.Err, cl.VerifyFailures = true, err, bad
 		return cl
 	}
-	doneClient := func(name string) *clientRec { return &clientRec{name: name, cl: echo(nil, 0)} }
 	cases := []struct {
 		name string
 		// build sculpts the violating history; want is the invariant
@@ -137,38 +136,34 @@ func TestEndInvariants(t *testing.T) {
 	}{
 		{
 			name:  "all-clean",
-			build: func(e *endHarness) { e.h.clients = append(e.h.clients, doneClient("c0")) },
+			build: func(e *endHarness) { e.h.run.Clients = append(e.h.run.Clients, echo(nil, 0)) },
 			want:  "",
 		},
 		{
 			name: "client-unfinished",
 			build: func(e *endHarness) {
-				e.h.clients = append(e.h.clients,
-					&clientRec{name: "c0", cl: &app.EchoClient{Rounds: 10, RoundsDone: 3}})
+				e.h.run.Clients = append(e.h.run.Clients, &app.EchoClient{Rounds: 10, RoundsDone: 3})
 			},
 			want: "client-integrity",
 		},
 		{
 			name: "client-error",
 			build: func(e *endHarness) {
-				e.h.clients = append(e.h.clients, &clientRec{name: "c0",
-					cl: echo(errors.New("conn reset"), 0)})
+				e.h.run.Clients = append(e.h.run.Clients, echo(errors.New("conn reset"), 0))
 			},
 			want: "client-integrity",
 		},
 		{
 			name: "client-bad-bytes",
 			build: func(e *endHarness) {
-				e.h.clients = append(e.h.clients, &clientRec{name: "c0",
-					cl: echo(nil, 2)})
+				e.h.run.Clients = append(e.h.run.Clients, echo(nil, 2))
 			},
 			want: "client-integrity",
 		},
 		{
 			name: "stream-client-short-download",
 			build: func(e *endHarness) {
-				e.h.clients = append(e.h.clients, &clientRec{name: "c0",
-					cl: &app.StreamClient{Request: 1 << 20, Received: 4096}})
+				e.h.run.Clients = append(e.h.run.Clients, &app.StreamClient{Request: 1 << 20, Received: 4096})
 			},
 			want: "client-integrity",
 		},

@@ -2,23 +2,24 @@ package chaos
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/experiment"
 	"repro/internal/sttcp"
 )
 
-// role says whom an event kind strikes. fire resolves it to a machine at
+// role says whom an event kind strikes. inject resolves it to a machine at
 // injection time, which keeps double-failover schedules meaningful after a
 // rejoin has swapped the machines' roles.
 type role int
 
 const (
-	nobody  role = iota // a workload or repair step, not a fault
+	cable   role = iota // the null-modem serial cable, which is no host's
 	serving             // whichever node currently transmits to the client
 	standby             // the active backup; nil while fault tolerance is lost
 	client              // the client machine
-	cable               // the null-modem serial cable, which is no host's
+	failed              // the failed primary's machine, which a rejoin repairs
 )
 
 // kind is one row of the event-kind table: what chaos itself knows about an
@@ -41,11 +42,10 @@ type kind struct {
 	// and are deterministic functions of the world and the harness's own
 	// notes, so a replayed seed skips exactly the same events.
 	guard check
-	// fault translates the event for the resolved host; its parameters are
-	// vetted by the testbed, whose refusal skips the event too.
-	fault func(ev Event, host string) experiment.Fault
-	// step performs a kind that is not a fault and traces it itself.
-	step func(h *harness, ev Event) error
+	// fault translates the event (nil for the client starts, which become
+	// the plan's clients); fire names the resolved host on it, and the
+	// testbed vets its parameters, whose refusal skips the event too.
+	fault func(ev Event) experiment.Fault
 	// after records what an injected fault obliges the harness to
 	// remember, and what the gray invariants may expect of it.
 	after func(h *harness, ev Event, t *cluster.Host)
@@ -53,8 +53,8 @@ type kind struct {
 
 // kinds is indexed by EventKind, in the order of the constants.
 var kinds = [...]kind{
-	EvClientStart:  {name: "client-start", target: serving, guard: reachable, step: (*harness).startClient},
-	EvSecondClient: {name: "second-client", target: serving, guard: reachable, step: (*harness).startClient},
+	EvClientStart:  {name: "client-start", target: serving, guard: reachable},
+	EvSecondClient: {name: "second-client", target: serving, guard: reachable},
 
 	EvCrashServing: {
 		name: "crash-serving", target: serving, fatal: true,
@@ -145,14 +145,21 @@ var kinds = [...]kind{
 	EvDelayClient: {name: "delay-client", target: client, suffix: " link", fault: strike(experiment.FaultDelay)},
 
 	EvRejoin: {
-		name: "rejoin",
+		name: "rejoin", target: failed,
 		guard: func(h *harness, _ *cluster.Host) string {
-			if survivor := h.lc.BackupNode(); survivor.State() != sttcp.StateTakenOver {
+			if survivor := h.tb.BackupNode; survivor.State() != sttcp.StateTakenOver {
 				return fmt.Sprintf("survivor is %v, not taken-over", survivor.State())
 			}
 			return ""
 		},
-		step: (*harness).rejoin,
+		fault: strike(experiment.FaultRejoin),
+		// The testbed swapped the roles and replaced a cut cable; the
+		// clients started so far are local-only on the survivor.
+		after: func(h *harness, _ Event, _ *cluster.Host) {
+			h.serialCut = false
+			h.preRejoin = len(h.run.Clients)
+			h.hookNode(h.tb.BackupNode)
+		},
 	},
 
 	EvStarveServing: {
@@ -210,19 +217,19 @@ var kinds = [...]kind{
 	},
 }
 
-// strike builds the fault of the given kind on the resolved host, carrying
-// every parameter the event has; the testbed reads the one its kind names.
-func strike(k experiment.FaultKind) func(Event, string) experiment.Fault {
-	return func(ev Event, host string) experiment.Fault {
-		return experiment.Fault{Kind: k, Host: host, Dur: ev.Dur, Scale: ev.Scale, Rate: ev.Rate, Delay: ev.Delay, Period: ev.Period}
+// strike builds the fault of the given kind, carrying every parameter the
+// event has; the testbed reads the one its kind names.
+func strike(k experiment.FaultKind) func(Event) experiment.Fault {
+	return func(ev Event) experiment.Fault {
+		return experiment.Fault{Kind: k, Dur: ev.Dur, Scale: ev.Scale, Rate: ev.Rate, Delay: ev.Delay, Period: ev.Period}
 	}
 }
 
-func appCrash(ev Event, host string) experiment.Fault {
+func appCrash(ev Event) experiment.Fault {
 	if ev.Cleanup {
-		return experiment.Fault{Kind: experiment.FaultAppCrashCleanup, Host: host}
+		return experiment.Fault{Kind: experiment.FaultAppCrashCleanup}
 	}
-	return experiment.Fault{Kind: experiment.FaultAppCrashSilent, Host: host}
+	return experiment.Fault{Kind: experiment.FaultAppCrashSilent}
 }
 
 // String names the kind, per the table.
@@ -245,9 +252,9 @@ func ParseEventKind(s string) (EventKind, error) {
 }
 
 // check is one guard: the reason an event must be skipped, or "". t is the
-// resolved target (nil for the cable, for steps, and for a standby that is
-// not there — which haveStandby and liveStandby turn into a reason before
-// any later check touches it).
+// resolved target (nil for the cable, and for a standby that is not there
+// — which haveStandby and liveStandby turn into a reason before any later
+// check touches it).
 type check func(h *harness, t *cluster.Host) string
 
 // all runs checks in order and answers with the first reason.
@@ -276,7 +283,7 @@ func running(_ *harness, t *cluster.Host) bool { return !t.Crashed() }
 func appRunning(h *harness, t *cluster.Host) bool {
 	return !t.Crashed() && !h.tb.Server(t.Name()).Crashed()
 }
-func servingHealthy(h *harness, _ *cluster.Host) bool { return h.healthy(h.servingNode().Host()) }
+func servingHealthy(h *harness, _ *cluster.Host) bool { return h.healthy(h.tb.Serving().Host()) }
 func serialIntact(h *harness, _ *cluster.Host) bool   { return !h.serialCut }
 func serverNICsUp(h *harness, _ *cluster.Host) bool {
 	return !nicDown(h.tb.Primary) && !nicDown(h.tb.Backup)
@@ -300,10 +307,12 @@ var (
 	// connection.
 	takeover = all(
 		unless(func(h *harness, _ *cluster.Host) bool {
-			sb := h.standbyNode()
+			sb := h.tb.Standby()
 			return sb != nil && h.healthy(sb.Host())
 		}, "no healthy standby to take over"),
-		unless(func(h *harness, _ *cluster.Host) bool { return h.clientsSurviveServingLoss() },
+		// Connections opened before the last rejoin are local-only on the
+		// survivor (reintegration does not replicate them): they die with it.
+		unless(func(h *harness, _ *cluster.Host) bool { return allDone(h.run.Clients[:h.preRejoin]) },
 			"unfinished pre-rejoin connection is local-only on the serving host"))
 	// committed guards the faults that silence the serving machine
 	// outright (see harness.standbyRiskUntil).
@@ -311,58 +320,101 @@ var (
 		"standby link was recently lossy; ACKed-byte recovery may be in flight (§4.3 output-commit window)")
 )
 
-// fire injects one scheduled event, or records why it was skipped: resolve
-// the target, ask the guard, arm the fault on the testbed (which vets its
-// parameters), trace the injection before anything mutates — so the trace
-// shows cause before effect — strike, and book what the harness must
-// remember.
-func (h *harness) fire(ev Event) {
+// healthy reports whether the host is fully up: not crashed, NIC alive,
+// application alive. All three are read from the world (a crash fails the
+// NIC and Reboot recovers it; a rejoin installs a fresh replica).
+func (h *harness) healthy(host *cluster.Host) bool {
+	return !host.NIC().Failed() && !h.tb.Server(host.Name()).Crashed()
+}
+
+// nicDown reports a machine that is running with a dead NIC — the state
+// in which the serial line is its only voice.
+func nicDown(host *cluster.Host) bool { return host.NIC().Failed() && !host.Crashed() }
+
+// noteStandbyRisk records that the standby's inbound link is unreliable
+// for d, plus a grace period for any in-flight missed-byte recovery.
+func (h *harness) noteStandbyRisk(d time.Duration) {
+	h.standbyRiskUntil = max(h.standbyRiskUntil, h.tb.Sim.Elapsed()+d+500*time.Millisecond)
+}
+
+// extendLossWindow records that a server link is unreliable for d from
+// now.
+func (h *harness) extendLossWindow(d time.Duration) {
+	h.lossUntil = max(h.lossUntil, h.tb.Sim.Elapsed()+d)
+}
+
+// inject fires one due event: its row's guard vets it, act performs it,
+// and what the row obliges the harness to remember is booked. An event the
+// guard refuses, or whose act fails, is recorded as skipped.
+func (h *harness) inject(ev Event, act func(t *cluster.Host) error) {
 	if ev.Kind < 0 || int(ev.Kind) >= len(kinds) {
 		h.skip(ev, "unknown event kind")
 		return
 	}
-	k, host := &kinds[ev.Kind], ""
+	k := &kinds[ev.Kind]
 	t := h.resolve(k.target)
-	if t != nil {
-		host = t.Name()
-	}
+	why := ""
 	if k.guard != nil {
-		if why := k.guard(h, t); why != "" {
-			h.skip(ev, why)
-			return
+		why = k.guard(h, t)
+	}
+	if why == "" {
+		if err := act(t); err != nil {
+			why = err.Error()
 		}
 	}
-	if k.step != nil {
-		if err := k.step(h, ev); err != nil {
-			h.skip(ev, err.Error())
-			return
-		}
-	} else {
-		act, err := h.tb.Arm(k.fault(ev, host))
-		if err != nil {
-			h.skip(ev, err.Error())
-			return
-		}
-		h.note(ev, host+k.suffix)
-		act()
+	if why != "" {
+		h.skip(ev, why)
+		return
 	}
-	h.injected[ev.Kind]++
+	h.injected[k.name]++
 	h.fatalInjected = h.fatalInjected || k.fatal
 	if k.after != nil {
 		k.after(h, ev, t)
 	}
 }
 
+// fire is the plan's Judge.Fire: fault i falls due. It strikes the
+// resolved host, armed on the testbed (which vets its parameters) and
+// traced before anything mutates, so the trace shows cause before effect.
+func (h *harness) fire(i int, f experiment.Fault) {
+	ev := h.strikes[i]
+	h.inject(ev, func(t *cluster.Host) error {
+		if t != nil {
+			f.Host = t.Name()
+		}
+		act, err := h.tb.Arm(f)
+		if err != nil {
+			return err
+		}
+		h.note(ev, f.Host+kinds[ev.Kind].suffix)
+		return act()
+	})
+}
+
+// start is the plan's Judge.Start: client-start event i falls due.
+func (h *harness) start(i int) {
+	ev := h.starts[i]
+	h.inject(ev, func(*cluster.Host) error {
+		cl, err := h.run.StartClient(i)
+		if err == nil {
+			h.note(ev, cl.Name())
+		}
+		return err
+	})
+}
+
 func (h *harness) resolve(r role) *cluster.Host {
 	switch r {
 	case serving:
-		return h.servingNode().Host()
+		return h.tb.Serving().Host()
 	case standby:
-		if n := h.standbyNode(); n != nil {
+		if n := h.tb.Standby(); n != nil {
 			return n.Host()
 		}
 	case client:
 		return h.tb.Client
+	case failed:
+		return h.tb.PrimaryNode.Host()
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/experiment"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -31,7 +32,7 @@ func TestLatencyBurstSpikesWindowedP99(t *testing.T) {
 			{At: burstAt, Kind: EvDelayClient, Delay: extra, Dur: burstDur},
 		},
 	}
-	res, err := Run(sc, Options{TelemetryWindow: 100 * time.Millisecond})
+	res, err := Run(sc, Options{Options: experiment.Options{TelemetryWindow: 100 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}

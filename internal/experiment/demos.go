@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/cluster"
+	"repro/internal/sim"
 	"repro/internal/sttcp"
 	"repro/internal/trace"
 )
@@ -56,6 +57,60 @@ type FailoverResult struct {
 	Anatomy *trace.FailoverAnatomy
 }
 
+// failover reads the run out as a FailoverResult: the client-side view
+// (completion, the progress series of a download) joined with the
+// detection and takeover instants of the span tree.
+func (run *Run) failover() FailoverResult {
+	_, bad, err := run.Clients[0].Outcome()
+	r := FailoverResult{
+		Scenario:       run.Label,
+		CrashAt:        run.injectAt,
+		Completed:      app.Completed(run.Clients[0]),
+		ClientErr:      err,
+		VerifyFailures: bad,
+	}
+	if n := run.Testbed.PrimaryNode; n != nil { // the plain-TCP baseline has none
+		r.HBPeriod = n.Config().HB.Period
+	}
+	switch cl := run.Clients[0].(type) {
+	case *app.ReconnectClient:
+		r.BytesReceived, r.TransferTime, r.Reconnects = cl.Received, cl.Elapsed(), cl.Reconnects
+		r.Progress, r.StartAt, r.TotalBytes = cl.Samples, sim.Epoch, cl.Request
+	case *app.StreamClient:
+		r.BytesReceived, r.TransferTime = cl.Received, cl.Elapsed()
+		r.Progress, r.StartAt, r.TotalBytes = cl.Samples, sim.Epoch, cl.Request
+	case *app.EchoClient:
+		r.BytesReceived = int64(cl.RoundsDone) * int64(cl.MsgSize)
+	}
+	// The anatomy analyzer decomposes each takeover into phases that
+	// provably reconcile with the client-observed stall (frames already in
+	// flight at the crash instant still arrive, so the stall begins when the
+	// pipeline drains, and ends at the first post-takeover delivery). Runs
+	// without a takeover — the baseline, non-FT fallbacks, faults ridden
+	// out — keep the client-side arithmetic: the largest stall in the
+	// progress series.
+	if e, ok := run.Testbed.Tracer.First(trace.KindSuspect); ok {
+		r.SuspectAt = e.Time
+		r.DetectionTime = e.Time.Sub(r.CrashAt)
+	}
+	if anatomies := run.Testbed.Tracer.Anatomy(); len(anatomies) > 0 {
+		a := anatomies[0]
+		r.Anatomy = &a
+		r.SuspectAt = a.SuspectAt
+		r.TakeoverAt = a.TakeoverAt
+		r.DetectionTime = a.SuspectAt.Sub(r.CrashAt)
+		if a.ClientStall > 0 {
+			r.FailoverTime = a.ClientStall
+		}
+	}
+	if r.FailoverTime == 0 {
+		if gap, around := run.Clients[0].MaxGap(); !around.IsZero() && around.After(r.CrashAt.Add(-gap)) {
+			r.FailoverTime = gap
+		}
+	}
+	return r
+}
+
 // crashPrimary is the fault most runs inject: a HW/OS crash of the primary.
 func crashPrimary(at time.Duration) Fault { return Fault{At: at, Kind: FaultCrash, Host: "primary"} }
 
@@ -70,8 +125,8 @@ const demo1CrashAfter = 500 * time.Millisecond
 // the ST-TCP run and the baseline run on the identical workload and crash
 // schedule.
 func runDemo1(o Options, transferSize int64) (st, bl *Run, err error) {
-	st, err = plan{Options: o, Workload: Workload{Bytes: transferSize},
-		Faults: []Fault{crashPrimary(demo1CrashAfter)}, Horizon: 10 * time.Minute}.run()
+	st, err = Plan{Options: o, Clients: []Workload{Workload{Bytes: transferSize}},
+		Faults: []Fault{crashPrimary(demo1CrashAfter)}, Horizon: 10 * time.Minute}.Run()
 	if err != nil {
 		return st, bl, err
 	}
@@ -101,7 +156,7 @@ func runDemo1(o Options, transferSize int64) (st, bl *Run, err error) {
 	}
 	// The recorder stays unbound from this client's progress series: the
 	// baseline has no takeover for an anatomy to bracket.
-	return st, &Run{Testbed: tb, client: rc, injectAt: st.injectAt}, nil
+	return st, &Run{Testbed: tb, Clients: []app.Client{rc}, injectAt: st.injectAt}, nil
 }
 
 // printDemo1 renders the two transfers side by side and the demo GUI's pie
@@ -141,9 +196,9 @@ const demo2CrashAfter = 700 * time.Millisecond
 // enables the retransmit-at-takeover extension (the paper's design waits
 // for the next retransmission).
 func runDemo2(o Options, periods []time.Duration, eager bool) ([]*Run, error) {
-	return sweepPeriods(o, periods, plan{
-		mutate:   func(c *sttcp.Config) { c.EagerTakeoverRetransmit = eager },
-		Workload: Workload{Bytes: 32 << 20},
+	return sweepPeriods(o, periods, Plan{
+		Mutate:  func(c *sttcp.Config) { c.EagerTakeoverRetransmit = eager },
+		Clients: []Workload{Workload{Bytes: 32 << 20}},
 	})
 }
 
@@ -153,20 +208,20 @@ func runDemo2(o Options, periods []time.Duration, eager bool) ([]*Run, error) {
 // backoff, and the post-detection gap is governed by the client's RTO
 // schedule rather than the backup's.
 func runDemo2Upload(o Options, periods []time.Duration) ([]*Run, error) {
-	return sweepPeriods(o, periods, plan{
-		Workload: Workload{Echo: true, Rounds: 4000, MsgSize: 1024, Gap: time.Millisecond},
+	return sweepPeriods(o, periods, Plan{
+		Clients: []Workload{Workload{Echo: true, Rounds: 4000, MsgSize: 1024, Gap: time.Millisecond}},
 	})
 }
 
 // sweepPeriods runs p once per heartbeat period — period i at seed+i, the
 // primary crashed demo2CrashAfter in.
-func sweepPeriods(o Options, periods []time.Duration, p plan) ([]*Run, error) {
+func sweepPeriods(o Options, periods []time.Duration, p Plan) ([]*Run, error) {
 	runs := make([]*Run, 0, len(periods))
 	p.Faults, p.Horizon = []Fault{crashPrimary(demo2CrashAfter)}, 10*time.Minute
 	for i, hb := range periods {
 		p.Options, p.HB = o, hb
 		p.Seed += int64(i)
-		run, err := p.run()
+		run, err := p.Run()
 		if err != nil {
 			return nil, err
 		}
@@ -213,14 +268,14 @@ func runDemo3(o Options, size int64) (*Run, Demo3Result, error) {
 
 	// ST-TCP enabled. The plan injects nothing, so run() also holds it to
 	// the failure-free postcondition: replication on from start to end.
-	run, err := plan{Options: o, Workload: download, Horizon: 30 * time.Minute}.run()
+	run, err := Plan{Options: o, Clients: []Workload{download}, Horizon: 30 * time.Minute}.Run()
 	if err != nil {
 		return run, out, err
 	}
 	if err := run.completed("demo3 ST-TCP transfer"); err != nil {
 		return run, out, err
 	}
-	out.WithSTTCP = run.client.(*app.StreamClient).Elapsed()
+	out.WithSTTCP = run.Clients[0].(*app.StreamClient).Elapsed()
 
 	// ST-TCP disabled: plain server on the primary, same topology.
 	tb := Build(o)
@@ -286,16 +341,16 @@ func (m AppCrashMode) String() string { return appCrashModes[m].name }
 // up; ST-TCP detects it via the application-lag criteria and migrates the
 // connection to the backup.
 func runDemo4(o Options, mode AppCrashMode) (*Run, error) {
-	run, err := plan{
+	run, err := Plan{
 		Options: o,
 		// Shrink MaxDelayFIN so the gated-FIN path is visible inside the
 		// run; detection is still expected to come from the lag criteria
 		// first.
-		mutate:   func(c *sttcp.Config) { c.MaxDelayFIN = 20 * time.Second },
-		Workload: Workload{Bytes: 32 << 20},
-		Faults:   []Fault{{At: demo2CrashAfter, Kind: appCrashModes[mode].fault, Host: "primary"}},
-		Horizon:  10 * time.Minute,
-	}.run()
+		Mutate:  func(c *sttcp.Config) { c.MaxDelayFIN = 20 * time.Second },
+		Clients: []Workload{Workload{Bytes: 32 << 20}},
+		Faults:  []Fault{{At: demo2CrashAfter, Kind: appCrashModes[mode].fault, Host: "primary"}},
+		Horizon: 10 * time.Minute,
+	}.Run()
 	if err == nil {
 		run.Label = mode.String()
 	}
@@ -311,8 +366,8 @@ func runDemo4(o Options, mode AppCrashMode) (*Run, error) {
 // the §4.3 diagnosis consumes — and the default FIN gate.
 func runDemo5(o Options, at Scenario) (*Run, error) {
 	p := at.plan(o)
-	p.mutate, p.Workload.Rounds = nil, 2000
-	return p.run()
+	p.Mutate, p.Clients[0].Rounds = nil, 2000
+	return p.Run()
 }
 
 // printDemo5 renders the two parts, the primary's NIC failure first.

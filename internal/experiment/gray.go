@@ -25,15 +25,15 @@ import (
 // on. Read out as a failover, CrashAt is the moment starvation begins; a
 // run the scorer rides out simply has no takeover anatomy.
 func runGrayStarve(o Options, scale float64) (*Run, error) {
-	run, err := plan{
-		Options:  o,
-		mutate:   func(c *sttcp.Config) { c.Suspicion.Enabled = true },
-		Workload: Workload{Echo: true, Rounds: 1000, MsgSize: 512, Gap: 5 * time.Millisecond},
+	run, err := Plan{
+		Options: o,
+		Mutate:  func(c *sttcp.Config) { c.Suspicion.Enabled = true },
+		Clients: []Workload{Workload{Echo: true, Rounds: 1000, MsgSize: 512, Gap: 5 * time.Millisecond}},
 		// The window lasts long enough for the scorer to accrue to
 		// threshold at the convicting scale.
 		Faults:  []Fault{{At: time.Second, Kind: FaultStarve, Host: "primary", Dur: 8 * time.Second, Scale: scale}},
 		Horizon: 10 * time.Minute,
-	}.run()
+	}.Run()
 	if err == nil {
 		run.Label = fmt.Sprintf("starve-x%g", scale)
 	}

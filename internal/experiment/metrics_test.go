@@ -160,13 +160,13 @@ func TestHoldBufferGaugeOnEchoRun(t *testing.T) {
 // values, this sees every path the tick takes.
 func TestTelemetrySamplingDoesNotChangeTheRun(t *testing.T) {
 	run := func(window time.Duration) *Testbed {
-		out, err := plan{
-			Options:  Options{Seed: 42, TelemetryWindow: window},
-			HB:       200 * time.Millisecond,
-			Workload: Workload{Bytes: 32 << 20},
-			Faults:   []Fault{crashPrimary(demo2CrashAfter)},
-			Horizon:  10 * time.Minute,
-		}.run()
+		out, err := Plan{
+			Options: Options{Seed: 42, TelemetryWindow: window},
+			HB:      200 * time.Millisecond,
+			Clients: []Workload{Workload{Bytes: 32 << 20}},
+			Faults:  []Fault{crashPrimary(demo2CrashAfter)},
+			Horizon: 10 * time.Minute,
+		}.Run()
 		if err != nil {
 			t.Fatalf("telemetry window %v: %v", window, err)
 		}

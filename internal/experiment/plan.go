@@ -1,137 +1,177 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/app"
 	"repro/internal/sim"
 	"repro/internal/sttcp"
-	"repro/internal/trace"
 )
 
-// plan is what a single-testbed experiment is: start one client
-// conversation against the replicated service, break things at chosen
-// instants, watch the client. Every runner in this package is a plan
-// literal plus the few lines that are its own.
-type plan struct {
+// Plan is what one ST-TCP run is: start client conversations against the
+// replicated service, break things at chosen instants, watch the clients.
+// Run is the one code that runs an ST-TCP testbed: every runner in this
+// package is a Plan literal plus the few lines that are its own, and a lab
+// script (internal/scenario) and a chaos schedule (internal/chaos) each
+// compile to one.
+type Plan struct {
 	Options
-	// HB is the heartbeat period (0 selects the 200 ms default) and mutate
-	// the adjustment both nodes' configs get.
+	// HB is the heartbeat period (0 selects the 200 ms default) and Mutate
+	// the adjustment every node's config gets, a rejoined backup's too.
 	HB     time.Duration
-	mutate func(*sttcp.Config)
-	// Workload is the client conversation; its kind is also the servers'.
-	Workload Workload
-	// Faults are armed in slice order; At counts from the start of the run.
+	Mutate func(*sttcp.Config)
+	// Clients are the conversations, in start order: each starts At after
+	// the start of the run, and the first one's kind is also the servers'.
+	Clients []Workload
+	// Faults strike in slice order, each At after the start of the run.
 	Faults []Fault
 	// Horizon bounds the run in virtual time.
 	Horizon time.Duration
+	// Judge is whatever decides the run, registered on it.
+	Judge Judge
+}
+
+// Judge is the one hook a plan's caller registers to watch the run and
+// decide it: chaos's invariants, a lab script's expectations. Every func
+// is optional, and each is called on the simulator's goroutine.
+type Judge struct {
+	// Watch is called once the servers run, before any client starts.
+	Watch func(*Run)
+	// Start and Fire, when set, are called from the simulator event at
+	// client i's or fault i's instant in place of the plan starting it
+	// (Run.StartClient) or striking it (Testbed.Arm): the judge may
+	// decline. With Fire set the plan vets no fault up front, and only the
+	// judge knows whether the run injected anything.
+	Start func(i int)
+	Fire  func(i int, f Fault)
+	// Check is called at every stop of the run: its start, each client's
+	// start, the horizon and every instant it asked for. over ends the run
+	// there (the early-stop rule); next is the next instant it wants.
+	Check func(*Run) (over bool, next time.Duration)
 }
 
 // Run is a finished run, and the run is the result: the testbed as the run
-// left it, the client whose conversation it carried and the instant of its
-// first fault. What a demo prints is a value projection of it (failover,
-// scenario); metrics, trace, timeline and report are read off Testbed by
-// whoever was asked for them, never copied into a result type.
+// left it, the clients whose conversations it carried and the instant of
+// its first fault. What a demo prints is a value projection of it
+// (failover, scenario); metrics, trace, timeline and report are read off
+// Testbed by whoever was asked for them, never copied into a result type.
 type Run struct {
 	// Label names the variant inside a multi-run demo (Demo 4's
 	// "no-cleanup", a Table 1 row); empty for single-run demos.
 	Label   string
 	Testbed *Testbed
-	client  app.Client
+	// Clients are the conversations the run started, in start order.
+	Clients []app.Client
+	plan    Plan
 	// injectAt is the instant of the first fault (zero without one).
 	injectAt time.Time
 }
 
-// run executes the plan: build the testbed, start ST-TCP, attach the
-// servers, start the client, arm the faults, run to the horizon. A plan
-// that injects nothing must end failure-free (Testbed.FailureFree).
-func (p plan) run() (*Run, error) {
+// Run builds the testbed, starts ST-TCP and the servers, inserts the
+// faults' events, then runs from stop to stop, starting each client as it
+// falls due and asking the judge, until the horizon or the judge ends it.
+// Besides a run that could not be set up, the error reports a fault that
+// failed as it struck and, for a plan that injects nothing, a run that did
+// not end failure-free (Testbed.FailureFree); the run is returned with it.
+func (p Plan) Run() (*Run, error) {
 	tb := Build(p.Options)
-	if err := tb.StartSTTCP(p.HB, p.mutate); err != nil {
+	if err := tb.StartSTTCP(p.HB, p.Mutate); err != nil {
 		return nil, err
 	}
-	tb.AttachServers(p.Workload.Echo)
-	cl, err := tb.StartClient("client/app", p.Workload)
-	if err != nil {
+	tb.AttachServers(len(p.Clients) > 0 && p.Clients[0].Echo)
+	run, j := &Run{Testbed: tb, plan: p}, p.Judge
+	if j.Watch != nil {
+		j.Watch(run)
+	}
+	// The clients due now start before any event is inserted; a judge's
+	// client starts are events, inserted ahead of the faults'.
+	started := 0
+	startDue := func() error {
+		for ; started < len(p.Clients) && p.Clients[started].At <= tb.Sim.Elapsed(); started++ {
+			if _, err := run.StartClient(started); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if j.Start != nil {
+		for i, w := range p.Clients {
+			tb.Sim.At(sim.Epoch.Add(w.At), func() { j.Start(i) })
+		}
+		started = len(p.Clients)
+	} else if err := startDue(); err != nil {
 		return nil, err
 	}
-	out := &Run{Testbed: tb, client: cl}
-	for _, f := range p.Faults {
-		if err := tb.Schedule(f); err != nil {
+	var errs []error
+	for i, f := range p.Faults {
+		strike := func() { j.Fire(i, f) }
+		if j.Fire == nil {
+			act, err := tb.Arm(f)
+			if err != nil {
+				return nil, err
+			}
+			strike = func() {
+				if err := act(); err != nil {
+					errs = append(errs, fmt.Errorf("%s at %v: %w", f.Kind, f.At, err))
+				}
+			}
+		}
+		tb.Sim.At(sim.Epoch.Add(f.At), strike)
+	}
+	for {
+		next := p.Horizon
+		if started < len(p.Clients) {
+			next = min(next, p.Clients[started].At)
+		}
+		if j.Check != nil {
+			over, want := j.Check(run)
+			if over {
+				break
+			}
+			if want > tb.Sim.Elapsed() {
+				next = min(next, want)
+			}
+		}
+		if tb.Sim.Elapsed() >= p.Horizon {
+			break
+		}
+		if err := tb.Sim.RunUntil(sim.Epoch.Add(next)); err != nil {
+			return nil, err
+		}
+		if err := startDue(); err != nil {
 			return nil, err
 		}
 	}
-	if err := tb.Run(p.Horizon); err != nil {
-		return nil, err
+	if len(p.Faults) > 0 {
+		run.injectAt = sim.Epoch.Add(p.Faults[0].At)
+	} else if j.Fire == nil {
+		errs = append(errs, tb.FailureFree())
 	}
-	if len(p.Faults) == 0 {
-		return out, tb.FailureFree()
+	return run, errors.Join(errs...)
+}
+
+// StartClient starts the plan's client i now and adds it to Clients; they
+// are named client/app, client2/app, ... in the order they start.
+func (run *Run) StartClient(i int) (app.Client, error) {
+	name := "client/app"
+	if n := len(run.Clients); n > 0 {
+		name = fmt.Sprintf("client%d/app", n+1)
 	}
-	out.injectAt = sim.Epoch.Add(p.Faults[0].At)
-	return out, nil
+	cl, err := run.Testbed.StartClient(name, run.plan.Clients[i])
+	if err == nil {
+		run.Clients = append(run.Clients, cl)
+	}
+	return cl, err
 }
 
 // completed returns an error naming what unless the client finished its
 // workload with every byte verified.
 func (run *Run) completed(what string) error {
-	if app.Completed(run.client) {
+	if app.Completed(run.Clients[0]) {
 		return nil
 	}
-	_, bad, err := run.client.Outcome()
-	return fmt.Errorf("experiment: %s failed after %s (%d verify failures): %v", what, run.client.Progress(), bad, err)
-}
-
-// failover reads the run out as a FailoverResult: the client-side view
-// (completion, the progress series of a download) joined with the
-// detection and takeover instants of the span tree.
-func (run *Run) failover() FailoverResult {
-	_, bad, err := run.client.Outcome()
-	r := FailoverResult{
-		Scenario:       run.Label,
-		CrashAt:        run.injectAt,
-		Completed:      app.Completed(run.client),
-		ClientErr:      err,
-		VerifyFailures: bad,
-	}
-	if n := run.Testbed.PrimaryNode; n != nil { // the plain-TCP baseline has none
-		r.HBPeriod = n.Config().HB.Period
-	}
-	switch cl := run.client.(type) {
-	case *app.ReconnectClient:
-		r.BytesReceived, r.TransferTime, r.Reconnects = cl.Received, cl.Elapsed(), cl.Reconnects
-		r.Progress, r.StartAt, r.TotalBytes = cl.Samples, sim.Epoch, cl.Request
-	case *app.StreamClient:
-		r.BytesReceived, r.TransferTime = cl.Received, cl.Elapsed()
-		r.Progress, r.StartAt, r.TotalBytes = cl.Samples, sim.Epoch, cl.Request
-	case *app.EchoClient:
-		r.BytesReceived = int64(cl.RoundsDone) * int64(cl.MsgSize)
-	}
-	// The anatomy analyzer decomposes each takeover into phases that
-	// provably reconcile with the client-observed stall (frames already in
-	// flight at the crash instant still arrive, so the stall begins when the
-	// pipeline drains, and ends at the first post-takeover delivery). Runs
-	// without a takeover — the baseline, non-FT fallbacks, faults ridden
-	// out — keep the client-side arithmetic: the largest stall in the
-	// progress series.
-	if e, ok := run.Testbed.Tracer.First(trace.KindSuspect); ok {
-		r.SuspectAt = e.Time
-		r.DetectionTime = e.Time.Sub(r.CrashAt)
-	}
-	if anatomies := run.Testbed.Tracer.Anatomy(); len(anatomies) > 0 {
-		a := anatomies[0]
-		r.Anatomy = &a
-		r.SuspectAt = a.SuspectAt
-		r.TakeoverAt = a.TakeoverAt
-		r.DetectionTime = a.SuspectAt.Sub(r.CrashAt)
-		if a.ClientStall > 0 {
-			r.FailoverTime = a.ClientStall
-		}
-	}
-	if r.FailoverTime == 0 {
-		if gap, around := run.client.MaxGap(); !around.IsZero() && around.After(r.CrashAt.Add(-gap)) {
-			r.FailoverTime = gap
-		}
-	}
-	return r
+	_, bad, err := run.Clients[0].Outcome()
+	return fmt.Errorf("experiment: %s failed after %s (%d verify failures): %v", what, run.Clients[0].Progress(), bad, err)
 }

@@ -160,37 +160,37 @@ func TestStartClient(t *testing.T) {
 	}
 }
 
-// TestPlanFailureFreePostcondition holds plan.run() to its one
+// TestPlanFailureFreePostcondition holds Plan.Run to its one
 // postcondition from both sides. A plan that injects nothing and runs a
 // download well past the 1.4 s at which the byte-lag detector used to
 // convict a healthy backup must pass; the same plan with the detectors
-// bent by hand into raising a false suspicion must fail run() itself —
+// bent by hand into raising a false suspicion must fail Run itself —
 // no runner has to remember to look.
 func TestPlanFailureFreePostcondition(t *testing.T) {
-	healthy := plan{Options: Options{Seed: 9}, Workload: Workload{Bytes: 48 << 20}, Horizon: time.Minute}
-	run, err := healthy.run()
+	healthy := Plan{Options: Options{Seed: 9}, Clients: []Workload{Workload{Bytes: 48 << 20}}, Horizon: time.Minute}
+	run, err := healthy.Run()
 	if err != nil {
 		t.Fatalf("failure-free plan: %v", err)
 	}
 	if err := run.completed("download"); err != nil {
 		t.Fatal(err)
 	}
-	if run.client.(*app.StreamClient).Elapsed() < 3*time.Second {
+	if run.Clients[0].(*app.StreamClient).Elapsed() < 3*time.Second {
 		t.Fatalf("the download took %v: too short to have crossed the old detector's 1.4 s", run.failover().TransferTime)
 	}
 
 	// A heartbeat timeout shorter than the period declares the peer silent
 	// between two beats of a perfectly healthy exchange.
 	bent := healthy
-	bent.mutate = func(c *sttcp.Config) { c.HB.Period, c.HB.Timeout = 200*time.Millisecond, 50*time.Millisecond }
-	if _, err := bent.run(); err == nil || !strings.Contains(err.Error(), "failure-free run") {
-		t.Fatalf("false suspicion in a failure-free plan: run() returned %v, want the postcondition's error", err)
+	bent.Mutate = func(c *sttcp.Config) { c.HB.Period, c.HB.Timeout = 200*time.Millisecond, 50*time.Millisecond }
+	if _, err := bent.Run(); err == nil || !strings.Contains(err.Error(), "failure-free run") {
+		t.Fatalf("false suspicion in a failure-free plan: Run returned %v, want the postcondition's error", err)
 	}
 
 	// With a fault in the plan a suspicion is the expected outcome.
 	faulty := healthy
 	faulty.Faults = []Fault{crashPrimary(500 * time.Millisecond)}
-	if run, err = faulty.run(); err != nil || !run.Testbed.Tracer.Has(trace.KindSuspect) {
+	if run, err = faulty.Run(); err != nil || !run.Testbed.Tracer.Has(trace.KindSuspect) {
 		t.Fatalf("plan with a crash: err %v, suspect recorded %v", err, run != nil && run.Testbed.Tracer.Has(trace.KindSuspect))
 	}
 }
@@ -217,6 +217,34 @@ func TestFailureFreeRegistryPlans(t *testing.T) {
 	}
 }
 
+// TestRejoinReplacesACutCable: a rejoin is a repair, and the repair also
+// replaces a cut serial cable, whichever path runs it (Reboot resets only
+// the dead machine's port). The lab's rejoin used to leave the survivor's
+// port cut, so the rejoined pair ran on the IP heartbeat alone.
+func TestRejoinReplacesACutCable(t *testing.T) {
+	run, err := Plan{
+		Options: Options{Seed: 7},
+		Clients: []Workload{{Bytes: 4 << 20}},
+		Faults: []Fault{
+			{At: 200 * time.Millisecond, Kind: FaultSerialCut},
+			crashPrimary(500 * time.Millisecond),
+			{At: 5 * time.Second, Kind: FaultRejoin},
+		},
+		Horizon: 8 * time.Second,
+	}.Run()
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	tb := run.Testbed
+	if tb.SerialPrimary.Down() || tb.SerialBackup.Down() {
+		t.Fatalf("serial ports after the rejoin: primary down %v, backup down %v, want both up",
+			tb.SerialPrimary.Down(), tb.SerialBackup.Down())
+	}
+	if tb.Standby() == nil {
+		t.Fatalf("pair %v/%v after the rejoin, want active/active", tb.PrimaryNode.State(), tb.BackupNode.State())
+	}
+}
+
 // TestLongDownloadsStayFailureFree is the detector regression: 64 MiB and
 // 100 MiB downloads with nothing injected run 5.6 and 8.7 virtual seconds
 // at 100 Mbit/s, and must end with zero suspects and both nodes active
@@ -228,7 +256,7 @@ func TestLongDownloadsStayFailureFree(t *testing.T) {
 		t.Skip("two long transfers")
 	}
 	for _, mib := range []int64{64, 100} {
-		run, err := plan{Options: Options{Seed: mib}, Workload: Workload{Bytes: mib << 20}, Horizon: time.Minute}.run()
+		run, err := Plan{Options: Options{Seed: mib}, Clients: []Workload{Workload{Bytes: mib << 20}}, Horizon: time.Minute}.Run()
 		if err != nil {
 			t.Fatalf("%d MiB: %v", mib, err)
 		}
@@ -251,7 +279,7 @@ func TestAlwaysOnTraceIsMilestones(t *testing.T) {
 	}
 	run := func(w Workload, detail bool) *Run {
 		t.Helper()
-		out, err := plan{Options: Options{Seed: 3, TraceDetail: detail}, Workload: w, Horizon: 5 * time.Second}.run()
+		out, err := Plan{Options: Options{Seed: 3, TraceDetail: detail}, Clients: []Workload{w}, Horizon: 5 * time.Second}.Run()
 		if err != nil {
 			t.Fatalf("%+v: %v", w, err)
 		}
@@ -272,11 +300,11 @@ func TestAlwaysOnTraceIsMilestones(t *testing.T) {
 		for _, out := range []*Run{short, long} {
 			for _, e := range out.Testbed.Tracer.Events() {
 				if e.Kind.HighVolume() {
-					t.Errorf("%s: %v event recorded with TraceDetail off", out.client.Progress(), e.Kind)
+					t.Errorf("%s: %v event recorded with TraceDetail off", out.Clients[0].Progress(), e.Kind)
 				}
 			}
-			if gap, _ := out.client.MaxGap(); gap <= 0 {
-				t.Errorf("%s: no progress series behind the run", out.client.Progress())
+			if gap, _ := out.Clients[0].MaxGap(); gap <= 0 {
+				t.Errorf("%s: no progress series behind the run", out.Clients[0].Progress())
 			}
 		}
 

@@ -6,10 +6,100 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/cluster"
 	"repro/internal/sttcp"
 	"repro/internal/trace"
 )
+
+// strike performs f on tb now, failing the test if it cannot.
+func strike(t *testing.T, tb *Testbed, f Fault) {
+	t.Helper()
+	act, err := tb.Arm(f)
+	if err == nil {
+		err = act()
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", f.Kind, err)
+	}
+}
+
+// TestRepeatedFailoverCycles runs three full crash→takeover→rejoin
+// generations on one testbed, with a verified transfer surviving each
+// crash. The service endpoint never changes; the machines alternate roles.
+func TestRepeatedFailoverCycles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("repair-loop soak skipped in -short")
+	}
+	tb := startedTestbed(t, Options{Seed: 131})
+	for gen := 0; gen < 3; gen++ {
+		// A transfer that the mid-flight crash must not break.
+		cl, err := tb.StartClient("client/app", Workload{Bytes: 4 << 20})
+		if err != nil {
+			t.Fatalf("gen %d: client: %v", gen, err)
+		}
+		primary := tb.PrimaryNode.Host().Name()
+		tb.Sim.Schedule(200*time.Millisecond, func() { strike(t, tb, Fault{Kind: FaultCrash, Host: primary}) })
+		if err := tb.Run(10 * time.Second); err != nil {
+			t.Fatalf("gen %d: run: %v", gen, err)
+		}
+		if !app.Completed(cl) {
+			t.Fatalf("gen %d: transfer ended at %s\n%s", gen, cl.Progress(), tailStr(tb.Tracer.Dump()))
+		}
+		survivor := tb.BackupNode
+		strike(t, tb, Fault{Kind: FaultRejoin})
+		if tb.PrimaryNode != survivor || tb.BackupNode.Host().Name() != primary {
+			t.Fatalf("gen %d: the rejoin did not swap the roles", gen)
+		}
+		// Settle and verify the fresh pair is healthy.
+		suspectsBefore := tb.Tracer.Count(trace.KindSuspect)
+		if err := tb.Run(2 * time.Second); err != nil {
+			t.Fatalf("gen %d: settle: %v", gen, err)
+		}
+		if got := tb.Tracer.Count(trace.KindSuspect); got != suspectsBefore {
+			t.Fatalf("gen %d: reintegration raised suspicion\n%s", gen, tailStr(tb.Tracer.Dump()))
+		}
+		if tb.Standby() == nil {
+			t.Fatalf("gen %d: pair %v/%v after the rejoin", gen, tb.PrimaryNode.State(), tb.BackupNode.State())
+		}
+	}
+	if got := tb.Tracer.Count(trace.KindTakeover); got != 3 {
+		t.Fatalf("takeovers = %d, want 3", got)
+	}
+	// A final failure-free transfer on the 4th-generation pair.
+	cl, err := tb.StartClient("client/app", Workload{Bytes: 4 << 20})
+	if err != nil {
+		t.Fatalf("final transfer: %v", err)
+	}
+	if err := tb.Run(30 * time.Second); err != nil {
+		t.Fatalf("final transfer: %v", err)
+	}
+	if !app.Completed(cl) {
+		t.Fatalf("final transfer failed after %s", cl.Progress())
+	}
+}
+
+// TestRejoinRunsTheRunsConfig: the rejoined backup gets the config the run
+// gave the first backup — heartbeat period, mutation, logger address — with
+// only its peer changed. It used to get the default config.
+func TestRejoinRunsTheRunsConfig(t *testing.T) {
+	tb := Build(Options{Seed: 124, WithLogger: true})
+	err := tb.StartSTTCP(100*time.Millisecond, func(c *sttcp.Config) {
+		c.MaxDelayFIN, c.AppMaxLagTime, c.Suspicion.Enabled = 10*time.Second, 3*time.Second, true
+	})
+	if err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	tb.AttachServers(false)
+	want := tb.BackupNode.Config()
+	strike(t, tb, Fault{Kind: FaultCrash, Host: "primary"})
+	if err := tb.Run(2 * time.Second); err != nil {
+		t.Fatalf("failover: %v", err)
+	}
+	strike(t, tb, Fault{Kind: FaultRejoin})
+	want.PeerAddr = BackupAddr
+	if got := tb.BackupNode.Config(); got != want {
+		t.Fatalf("rejoined backup's config\n%+v\nwant generation 1's with the survivor as peer\n%+v", got, want)
+	}
+}
 
 // TestReintegrationDoubleFailover exercises the full repair lifecycle:
 //
@@ -52,25 +142,9 @@ func TestReintegrationDoubleFailover(t *testing.T) {
 	// Phase 2: repair and reintegration. The promoted node (on the old
 	// backup machine) becomes the primary of a fresh pair; the rebooted
 	// original primary machine hosts the new backup-role node.
-	tb.Primary.Reboot()
-	newBackupApp := app.NewDataServer("primary/app2", tb.Tracer) // same deterministic app, fresh instance
 	promoted := tb.BackupNode
-
-	rebootedPower := cluster.NewPowerController(tb.Primary)
-	promotedPower := cluster.NewPowerController(tb.Backup)
-
-	if err := promoted.EnableReplication(PrimaryAddr, rebootedPower); err != nil {
-		t.Fatalf("enable replication: %v", err)
-	}
-	newBackupCfg := tb.NodeConfig(BackupAddr, 0)
-	newBackup, err := sttcp.NewNode(tb.Primary, sttcp.RoleBackup, newBackupCfg, promotedPower)
-	if err != nil {
-		t.Fatalf("new backup node: %v", err)
-	}
-	newBackup.OnAccept = newBackupApp.Accept
-	if err := newBackup.Start(); err != nil {
-		t.Fatalf("start new backup: %v", err)
-	}
+	strike(t, tb, Fault{Kind: FaultRejoin})
+	newBackup := tb.BackupNode
 
 	// Give the fresh pair a moment of quiet operation; nothing may be
 	// suspected during reintegration.
@@ -123,7 +197,6 @@ func TestReintegrationDriftNotedForNewPeer(t *testing.T) {
 		t.Fatalf("start: %v", err)
 	}
 	tb.AttachServers(false)
-	lc := NewLifecycle(tb)
 	notes := func() (n int) {
 		for _, e := range tb.Tracer.Filter(trace.KindGeneric) {
 			if e.Component == "backup/sttcp" && strings.Contains(e.Message, "clock-rate skew suspected") {
@@ -135,7 +208,7 @@ func TestReintegrationDriftNotedForNewPeer(t *testing.T) {
 	// The machine named primary runs 20% slow for 8 s: its heartbeats
 	// arrive every 240 ms instead of 200.
 	skewPrimaryMachine := func() {
-		tb.inject(Fault{Kind: FaultClockSkew, Host: "primary", Dur: 8 * time.Second, Scale: 1.2})
+		strike(t, tb, Fault{Kind: FaultClockSkew, Host: "primary", Dur: 8 * time.Second, Scale: 1.2})
 	}
 
 	skewPrimaryMachine()
@@ -146,13 +219,11 @@ func TestReintegrationDriftNotedForNewPeer(t *testing.T) {
 		t.Fatalf("backup noted the skewed primary %d time(s), want 1\n%s", got, tailStr(tb.Tracer.Dump()))
 	}
 
-	tb.inject(Fault{Kind: FaultCrash, Host: "primary"})
+	strike(t, tb, Fault{Kind: FaultCrash, Host: "primary"})
 	if err := tb.Run(2 * time.Second); err != nil {
 		t.Fatalf("failover: %v", err)
 	}
-	if err := lc.Reintegrate(tb.NewReplica); err != nil {
-		t.Fatalf("reintegrate: %v", err)
-	}
+	strike(t, tb, Fault{Kind: FaultRejoin})
 	skewPrimaryMachine() // now the survivor's new backup
 	if err := tb.Run(10 * time.Second); err != nil {
 		t.Fatalf("rejoined pair: %v", err)
@@ -191,20 +262,8 @@ func TestReintegrationLocalOnlyConnections(t *testing.T) {
 	}
 
 	// Rejoin.
-	tb.Primary.Reboot()
-	promoted := tb.BackupNode
-	if err := promoted.EnableReplication(PrimaryAddr, cluster.NewPowerController(tb.Primary)); err != nil {
-		t.Fatalf("enable replication: %v", err)
-	}
-	newBackup, err := sttcp.NewNode(tb.Primary, sttcp.RoleBackup, tb.NodeConfig(BackupAddr, 0), cluster.NewPowerController(tb.Backup))
-	if err != nil {
-		t.Fatalf("new backup: %v", err)
-	}
-	newBackupApp := app.NewDataServer("primary/app2", tb.Tracer)
-	newBackup.OnAccept = newBackupApp.Accept
-	if err := newBackup.Start(); err != nil {
-		t.Fatalf("start new backup: %v", err)
-	}
+	strike(t, tb, Fault{Kind: FaultRejoin})
+	newBackup := tb.BackupNode
 	if err := tb.Run(10 * time.Second); err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/experiment"
 	"repro/internal/explore"
 	"repro/internal/sim"
 )
@@ -35,10 +36,10 @@ func exploreDiffSchedule() chaos.Schedule {
 
 func runExploreDiff(t *testing.T, custom func() sim.Scheduler) *chaos.RunResult {
 	t.Helper()
-	res, err := chaos.Run(exploreDiffSchedule(), chaos.Options{
+	res, err := chaos.Run(exploreDiffSchedule(), chaos.Options{Options: experiment.Options{
 		TraceDetail:     true,
 		CustomScheduler: custom,
-	})
+	}})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

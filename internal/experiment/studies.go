@@ -25,15 +25,15 @@ func pair(p Params, arm func(o Options, with bool) (*Run, error)) ([]*Run, error
 // backup's NIC — the overload that motivated the design change.
 func runBackupNICLoad(o Options, tapBothDirections bool) (*Run, error) {
 	o.TapBothDirections = tapBothDirections
-	run, err := plan{
+	run, err := Plan{
 		Options: o,
 		// Behind the tap the client's ACKs queue after the primary's whole
 		// output, so the backup's application trails by ~0.5 MB throughout:
 		// allow it, or the byte-lag criterion convicts the old design.
-		mutate:   func(c *sttcp.Config) { c.AppMaxLagBytes = 4 << 20 },
-		Workload: Workload{Bytes: 16 << 20},
-		Horizon:  2 * time.Minute,
-	}.run()
+		Mutate:  func(c *sttcp.Config) { c.AppMaxLagBytes = 4 << 20 },
+		Clients: []Workload{Workload{Bytes: 16 << 20}},
+		Horizon: 2 * time.Minute,
+	}.Run()
 	if err != nil {
 		return run, err
 	}
@@ -60,7 +60,7 @@ func runWitnessConflict(o Options, withWitness bool) (*Run, error) {
 	o.WithWitness = withWitness
 	p := AppCrashFINPrimary.plan(o)
 	p.Horizon = 5 * time.Minute
-	run, err := p.run()
+	run, err := p.Run()
 	if err != nil {
 		return run, err
 	}
@@ -113,19 +113,19 @@ type OutputCommitResult struct {
 // recoverable at takeover. One arm of the "output-commit" registry demo.
 func runOutputCommit(o Options, withLogger bool) (*Run, error) {
 	o.WithLogger = withLogger
-	return plan{
-		Options:  o,
-		Workload: Workload{Echo: true, Rounds: 800, MsgSize: 1024, Gap: 2 * time.Millisecond},
+	return Plan{
+		Options: o,
+		Clients: []Workload{Workload{Echo: true, Rounds: 800, MsgSize: 1024, Gap: 2 * time.Millisecond}},
 		Faults: []Fault{
 			{At: 800 * time.Millisecond, Kind: FaultDrop, Host: "backup", Dur: 300 * time.Millisecond},
 			crashPrimary(1050 * time.Millisecond),
 		},
 		Horizon: 2 * time.Minute,
-	}.run()
+	}.Run()
 }
 
 func (run *Run) outputCommit() OutputCommitResult {
-	tb, cl := run.Testbed, run.client.(*app.EchoClient)
+	tb, cl := run.Testbed, run.Clients[0].(*app.EchoClient)
 	out := OutputCommitResult{
 		TookOver:   tb.BackupNode.State() == sttcp.StateTakenOver,
 		ClientDone: app.Completed(cl), ClientErr: cl.Err,

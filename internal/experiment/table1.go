@@ -113,22 +113,22 @@ type ScenarioResult struct {
 // plan is the row's experiment: an echo workload keeps client data flowing
 // both ways, the row's fault strikes two seconds in, and the run continues
 // until the workload finishes or times out.
-func (s Scenario) plan(o Options) plan {
+func (s Scenario) plan(o Options) Plan {
 	fault := table1[s-1].Fault
 	fault.At = table1InjectAt
-	return plan{
-		Options:  o,
-		mutate:   func(c *sttcp.Config) { c.MaxDelayFIN = 15 * time.Second },
-		Workload: Workload{Echo: true, Rounds: 1500, MsgSize: 1024, Gap: 5 * time.Millisecond},
-		Faults:   []Fault{fault},
-		Horizon:  10 * time.Minute,
+	return Plan{
+		Options: o,
+		Mutate:  func(c *sttcp.Config) { c.MaxDelayFIN = 15 * time.Second },
+		Clients: []Workload{Workload{Echo: true, Rounds: 1500, MsgSize: 1024, Gap: 5 * time.Millisecond}},
+		Faults:  []Fault{fault},
+		Horizon: 10 * time.Minute,
 	}
 }
 
 // runScenario executes one Table 1 case, labelled with its row. Reached
 // through the "table1" registry demo.
 func runScenario(o Options, sc Scenario) (*Run, error) {
-	run, err := sc.plan(o).run()
+	run, err := sc.plan(o).Run()
 	if err == nil {
 		run.Label = sc.String()
 	}
@@ -148,12 +148,12 @@ func (run *Run) scenario() ScenarioResult {
 		RecoveryEvents: tb.Tracer.Count(trace.KindByteRecovery),
 		FINDelayed:     tb.Tracer.Has(trace.KindFINDelayed),
 		FINSuppressed:  tb.Tracer.Has(trace.KindFINSuppressed),
-		ClientOK:       app.Completed(run.client),
+		ClientOK:       app.Completed(run.Clients[0]),
 	}
 	if e, ok := tb.Tracer.First(trace.KindSuspect); ok {
 		out.DetectionTime = e.Time.Sub(out.InjectAt)
 	}
-	_, _, out.ClientErr = run.client.Outcome()
+	_, _, out.ClientErr = run.Clients[0].Outcome()
 	return out
 }
 

@@ -123,8 +123,13 @@ type Testbed struct {
 	PrimaryPower *cluster.PowerController
 	BackupPower  *cluster.PowerController
 
+	// PrimaryNode and BackupNode are the nodes holding each role; a rejoin
+	// swaps them.
 	PrimaryNode *sttcp.Node
 	BackupNode  *sttcp.Node
+	// backupCfg is the config StartSTTCP gave the backup, which a rejoin
+	// gives the rebooted machine's node (with the survivor as its peer).
+	backupCfg sttcp.Config
 
 	// LoggerHost and Logger are present only with Options.WithLogger.
 	LoggerHost *cluster.Host
@@ -327,6 +332,7 @@ func (tb *Testbed) StartSTTCP(hbPeriod time.Duration, mutate func(*sttcp.Config)
 	if err := tb.BackupNode.Start(); err != nil {
 		return fmt.Errorf("experiment: start backup: %w", err)
 	}
+	tb.backupCfg = bCfg
 	if tb.WitnessHost != nil {
 		wCfg := tb.NodeConfig(PrimaryAddr, hbPeriod)
 		if mutate != nil {
@@ -346,6 +352,24 @@ func (tb *Testbed) StartSTTCP(hbPeriod time.Duration, mutate func(*sttcp.Config)
 
 // Run advances the simulation by d.
 func (tb *Testbed) Run(d time.Duration) error { return tb.Sim.Run(d) }
+
+// Serving is the node that currently owns the client connections: the
+// backup once it has taken over, the primary otherwise.
+func (tb *Testbed) Serving() *sttcp.Node {
+	if tb.BackupNode.State() == sttcp.StateTakenOver {
+		return tb.BackupNode
+	}
+	return tb.PrimaryNode
+}
+
+// Standby is the active backup of an active primary, nil while fault
+// tolerance is lost.
+func (tb *Testbed) Standby() *sttcp.Node {
+	if tb.BackupNode.State() == sttcp.StateActive && tb.PrimaryNode.State() == sttcp.StateActive {
+		return tb.BackupNode
+	}
+	return nil
+}
 
 // Link returns the Ethernet link between the named host and the switch
 // (nil for a host this topology does not have). The host is the link's A
@@ -367,8 +391,7 @@ func (tb *Testbed) AttachServers(echo bool) {
 // NewReplica builds the application replica "<host>/app" of the kind
 // AttachServers chose, bound to the host's CPU clock (so a starve fault
 // slows the application, not just a number on the host), records it as
-// Server(host) and returns its accept hook. It is the
-// Lifecycle.Reintegrate callback.
+// Server(host) and returns its accept hook.
 func (tb *Testbed) NewReplica(name string) func(*tcp.Conn) {
 	host := strings.TrimSuffix(name, "/app")
 	srv := app.NewServer(tb.echo, name, tb.Tracer, tb.Sim, tb.hosts[host].CPU())
@@ -382,8 +405,10 @@ func (tb *Testbed) Server(host string) app.Server { return tb.servers[host] }
 
 // Workload describes one client conversation against the replicated
 // service: a verified download of Bytes, or — with Echo — Rounds ping-pong
-// exchanges of MsgSize bytes, Gap apart.
+// exchanges of MsgSize bytes, Gap apart. At is when a plan starts it,
+// counted from the start of the run (StartClient starts it now).
 type Workload struct {
+	At      time.Duration
 	Echo    bool
 	Bytes   int64
 	Rounds  int
@@ -430,8 +455,8 @@ func (tb *Testbed) bracket(t time.Time) (before, after time.Time) {
 }
 
 // FaultKind names one physical act. The vocabulary is the only place
-// outside the substrate packages where a fault is performed: demos, Table 1
-// and the lab schedule one, chaos arms one at strike time.
+// outside the substrate packages where a fault is performed: a plan arms
+// its faults up front, chaos arms each one as it fires.
 type FaultKind string
 
 // The fault vocabulary. The kinds from FaultLoss down are windowed like
@@ -445,6 +470,7 @@ const (
 	FaultStarve          FaultKind = "starve"           // Host's CPU runs Scale times slower for Dur
 	FaultSerialCut       FaultKind = "serialcut"        // the null-modem cable is cut (both ends)
 	FaultReboot          FaultKind = "reboot"           // a crashed Host boots with fresh software
+	FaultRejoin          FaultKind = "rejoin"           // the failed primary's machine reboots and rejoins as the survivor's backup
 	FaultLoss            FaultKind = "loss"             // Host's link loses each frame with probability Rate
 	FaultDelay           FaultKind = "delay"            // Host's link adds Delay of one-way latency
 	FaultTxCut           FaultKind = "txcut"            // Host's transmit direction is cut; it keeps receiving
@@ -455,8 +481,8 @@ const (
 	FaultClockSkew       FaultKind = "clockskew"        // Host's timers run at Scale times the nominal rate
 )
 
-// Fault is one injection: Kind happens to Host (the serial kinds name
-// none) at virtual time At since the start of the run. Dur bounds the
+// Fault is one injection: Kind happens to Host (the serial kinds and
+// rejoin name none) at virtual time At since the start of the run. Dur bounds the
 // windowed kinds; Scale, Rate, Delay and Period are each the one parameter
 // of the kinds that name them above.
 type Fault struct {
@@ -485,7 +511,7 @@ func (tb *Testbed) vet(f Fault) error {
 	switch f.Kind {
 	case FaultCrash, FaultNICFail, FaultReboot, FaultAppCrashSilent, FaultAppCrashCleanup:
 		windowed = false
-	case FaultSerialCut:
+	case FaultSerialCut, FaultRejoin:
 		windowed, cable = false, true
 	case FaultDrop, FaultTxCut:
 	case FaultStarve:
@@ -515,21 +541,26 @@ func (tb *Testbed) vet(f Fault) error {
 }
 
 // Arm validates f against this topology and returns the act that performs
-// it; nothing has happened until strike is called (At is Schedule's
-// business). Chaos arms a fault at the instant it fires, once its own
-// survivability guards have passed.
-func (tb *Testbed) Arm(f Fault) (strike func(), err error) {
+// it; nothing has happened until strike is called (At is the caller's
+// business). Only a rejoin can fail as it strikes: there may be no
+// survivor to rejoin by then.
+func (tb *Testbed) Arm(f Fault) (strike func() error, err error) {
 	if err := tb.vet(f); err != nil {
 		return nil, err
 	}
-	return func() { tb.inject(f) }, nil
+	return func() error { return tb.inject(f) }, nil
 }
 
-// Schedule arms f and performs it At after the start of the run.
+// Schedule arms f and performs it At after the start of the run; a strike
+// that fails is traced.
 func (tb *Testbed) Schedule(f Fault) error {
 	strike, err := tb.Arm(f)
 	if err == nil {
-		tb.Sim.At(sim.Epoch.Add(f.At), strike)
+		tb.Sim.At(sim.Epoch.Add(f.At), func() {
+			if err := strike(); err != nil {
+				tb.Tracer.Emit(trace.KindGeneric, "experiment", "%v", err)
+			}
+		})
 	}
 	return err
 }
@@ -537,7 +568,7 @@ func (tb *Testbed) Schedule(f Fault) error {
 // inject performs a vetted fault, now. Hosts and links are fixed for the
 // life of the testbed; the application replica is looked up here because a
 // rejoin may have replaced it since the fault was armed.
-func (tb *Testbed) inject(f Fault) {
+func (tb *Testbed) inject(f Fault) error {
 	host, link := tb.hosts[f.Host], tb.links[f.Host]
 	cableDown := func(down bool) {
 		tb.SerialPrimary.SetDown(down)
@@ -550,6 +581,8 @@ func (tb *Testbed) inject(f Fault) {
 		host.FailNIC()
 	case FaultReboot:
 		host.Reboot()
+	case FaultRejoin:
+		return tb.rejoin()
 	case FaultAppCrashSilent:
 		tb.servers[f.Host].CrashSilent()
 	case FaultAppCrashCleanup:
@@ -585,7 +618,40 @@ func (tb *Testbed) inject(f Fault) {
 	case FaultSerialFlap:
 		tb.flap(f, cableDown)
 	}
+	return nil
 }
+
+// rejoin reboots the machine of the failed primary and rejoins it as the
+// new backup of the survivor, which must have taken over; the nodes swap
+// roles. The rejoined node runs the config StartSTTCP gave the backup, and
+// the repair also replaces a cut serial cable (Reboot resets only the dead
+// side's port).
+func (tb *Testbed) rejoin() error {
+	dead, survivor := tb.PrimaryNode.Host(), tb.BackupNode
+	if survivor.State() != sttcp.StateTakenOver {
+		return fmt.Errorf("experiment: survivor state %v, want taken-over", survivor.State())
+	}
+	dead.Reboot()
+	if err := survivor.EnableReplication(addrOf(dead), cluster.NewPowerController(dead)); err != nil {
+		return fmt.Errorf("experiment: enable replication: %w", err)
+	}
+	cfg := tb.backupCfg
+	cfg.PeerAddr = addrOf(survivor.Host())
+	fresh, err := sttcp.NewNode(dead, sttcp.RoleBackup, cfg, cluster.NewPowerController(survivor.Host()))
+	if err != nil {
+		return fmt.Errorf("experiment: new backup node: %w", err)
+	}
+	fresh.OnAccept = tb.NewReplica(dead.Name() + "/app")
+	if err := fresh.Start(); err != nil {
+		return fmt.Errorf("experiment: start rejoined backup: %w", err)
+	}
+	tb.PrimaryNode, tb.BackupNode = survivor, fresh
+	tb.SerialPrimary.SetDown(false)
+	tb.SerialBackup.SetDown(false)
+	return nil
+}
+
+func addrOf(h *cluster.Host) ip.Addr { return h.Netstack().Addr() }
 
 // hold sets a windowed fault's off-nominal value for f.Dur, then restores
 // nominal on the very target it set: by then a failover may have moved the

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/experiment"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/trace"
@@ -371,7 +372,7 @@ func (e *explorer) recordViolation(res *Result, sc chaos.Schedule, prefix []int,
 // render the timeline.
 func (e *explorer) execute(sc chaos.Schedule, prefix []int) (*runOut, error) {
 	var sched *Scheduler
-	res, err := chaos.Run(sc, chaos.Options{
+	res, err := chaos.Run(sc, chaos.Options{Options: experiment.Options{
 		TraceDetail: true,
 		CustomScheduler: func() sim.Scheduler {
 			sched = NewScheduler(e.inner(), prefix)
@@ -379,7 +380,7 @@ func (e *explorer) execute(sc chaos.Schedule, prefix []int) (*runOut, error) {
 			sched.RecordBoundaries(e.winLo, e.winHi)
 			return sched
 		},
-	})
+	}})
 	if err != nil {
 		return nil, err
 	}

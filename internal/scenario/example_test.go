@@ -3,6 +3,7 @@ package scenario_test
 import (
 	"fmt"
 
+	"repro/internal/experiment"
 	"repro/internal/scenario"
 )
 
@@ -21,7 +22,7 @@ expect clients-done
 		fmt.Println("parse:", err)
 		return
 	}
-	res, err := scenario.Run(sc)
+	res, err := scenario.Run(sc, experiment.Options{})
 	if err != nil {
 		fmt.Println("run:", err)
 		return

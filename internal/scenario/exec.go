@@ -3,11 +3,11 @@ package scenario
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/app"
 	"repro/internal/experiment"
-	"repro/internal/sim"
 	"repro/internal/sttcp"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -31,8 +31,8 @@ type Result struct {
 	Errors []string
 	Tracer *trace.Recorder
 	// Report is the run-report artifact: seed, final metrics,
-	// telemetry timeline (when RunOptions.TelemetryWindow sampled one),
-	// and any failover anatomy the tracer assembled.
+	// telemetry timeline (when the options sampled one), and any failover
+	// anatomy the tracer assembled.
 	Report *telemetry.Report
 }
 
@@ -50,189 +50,152 @@ func (r *Result) OK() bool {
 	return true
 }
 
-// executor carries the run state.
-type executor struct {
-	tb      *experiment.Testbed
-	lc      *experiment.Lifecycle
-	clients []app.Client
-	kind    string // "download" | "echo"
-	faults  int    // at statements scheduled so far
-	res     *Result
+// expect is one expect statement, compiled: it is judged once the run
+// reaches at, over the clients the script started before it.
+type expect struct {
+	st      Statement
+	at      time.Duration
+	clients int
 }
 
-// RunOptions adjusts execution beyond what the script itself specifies.
-type RunOptions struct {
-	// TraceDetail enables per-segment trace events and segment-journey
-	// spans, for runs whose trace will be exported (`sttcp lab`'s
-	// -trace-out/-timeline flags set it).
-	TraceDetail bool
-	// TelemetryWindow, when > 0, samples every metric into windowed time
-	// series at this period; the timeline lands in Result.Report.
-	TelemetryWindow time.Duration
+// Run executes a parsed script on a fresh simulated testbed. o supplies
+// what a script cannot say (trace detail, a telemetry window); the script's
+// options set the seed (42 by default) and the logger and witness machines.
+func Run(sc *Script, o experiment.Options) (*Result, error) {
+	p, expects, err := compile(sc, o)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{}
+	p.Judge.Check = func(run *experiment.Run) (bool, time.Duration) {
+		for ; len(expects) > 0 && expects[0].at <= run.Testbed.Sim.Elapsed(); expects = expects[1:] {
+			res.Checks = append(res.Checks, expects[0].judge(run))
+		}
+		if len(expects) > 0 {
+			return false, expects[0].at
+		}
+		return false, p.Horizon
+	}
+	run, err := p.Run()
+	if run == nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
+	if err != nil {
+		res.Errors = strings.Split(err.Error(), "\n")
+	}
+	for i, cl := range run.Clients {
+		done, bad, _ := cl.Outcome()
+		gap, _ := cl.MaxGap()
+		res.Clients = append(res.Clients, fmt.Sprintf("%s %d: %s, done=%v, max stall %v, verify failures %d",
+			kind(cl), i, cl.Progress(), done, gap.Round(time.Millisecond), bad))
+	}
+	res.Tracer, res.Report = run.Testbed.Tracer, run.Testbed.Report("scenario", experiment.Params{Seed: p.Seed})
+	return res, nil
 }
 
-// Run executes a parsed script on a fresh simulated testbed.
-func Run(sc *Script) (*Result, error) { return RunWith(sc, RunOptions{}) }
-
-// RunWith is Run with execution options.
-func RunWith(sc *Script, ro RunOptions) (*Result, error) {
-	// Pass 1: options, and the workload kind the servers must speak.
-	opts := experiment.Options{Seed: 42, TraceDetail: ro.TraceDetail, TelemetryWindow: ro.TelemetryWindow}
-	hb := time.Duration(0)
-	maxDelayFIN := time.Duration(0)
+// compile turns the script into the plan it runs, in one pass: a client
+// starts, and an expect is judged, at the virtual time the runs before it
+// reach, which is also how far back an `at` may not reach; every action,
+// rejoin included, is a fault of the testbed's vocabulary, validated there.
+func compile(sc *Script, o experiment.Options) (experiment.Plan, []expect, error) {
+	p := experiment.Plan{Options: o}
+	p.Seed = 42
+	var maxDelayFIN time.Duration
 	suspicion := false
-	kind := ""
+	var expects []expect
 	for _, st := range sc.Statements {
 		switch st.Verb {
 		case VerbOption:
+			// Parse has checked every value.
 			switch st.OptionName {
 			case "hb":
-				hb, _ = time.ParseDuration(st.OptionValue)
+				p.HB, _ = time.ParseDuration(st.OptionValue)
 			case "maxdelayfin":
 				maxDelayFIN, _ = time.ParseDuration(st.OptionValue)
 			case "seed":
-				opts.Seed, _ = strconv.ParseInt(st.OptionValue, 10, 64)
+				p.Seed, _ = strconv.ParseInt(st.OptionValue, 10, 64)
 			case "logger":
-				opts.WithLogger = true
+				p.WithLogger = true
 			case "witness":
-				opts.WithWitness = true
+				p.WithWitness = true
 			case "suspicion":
 				suspicion = true
 			}
 		case VerbClient:
-			if kind == "" {
-				kind = st.ClientKind
+			w := st.Client
+			w.At = p.Horizon
+			p.Clients = append(p.Clients, w)
+		case VerbAt:
+			if st.Fault.At < p.Horizon {
+				return p, nil, fmt.Errorf("scenario: line %d: at %v is in the past: the run is already at %v", st.Line, st.Fault.At, p.Horizon)
 			}
+			p.Faults = append(p.Faults, st.Fault)
+		case VerbRun:
+			p.Horizon += st.RunFor
+		case VerbExpect:
+			expects = append(expects, expect{st: st, at: p.Horizon, clients: len(p.Clients)})
 		}
 	}
-	if kind == "" {
-		kind = "download"
-	}
-
-	tb := experiment.Build(opts)
-	err := tb.StartSTTCP(hb, func(c *sttcp.Config) {
+	p.Mutate = func(c *sttcp.Config) {
 		if maxDelayFIN > 0 {
 			c.MaxDelayFIN = maxDelayFIN
 		}
 		if suspicion {
 			c.Suspicion.Enabled = true
 		}
-	})
-	if err != nil {
-		return nil, err
 	}
-	tb.AttachServers(kind == "echo")
-	ex := &executor{tb: tb, lc: experiment.NewLifecycle(tb), kind: kind, res: &Result{Tracer: tb.Tracer}}
-
-	// Pass 2: execute in order.
-	for _, st := range sc.Statements {
-		var err error
-		switch st.Verb {
-		case VerbClient:
-			err = ex.startClient(st)
-		case VerbAt:
-			err = ex.schedule(st)
-		case VerbRun:
-			err = tb.Run(st.RunFor)
-		case VerbExpect:
-			ex.evaluate(st)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("scenario: line %d: %w", st.Line, err)
-		}
-	}
-	if ex.faults == 0 {
-		if err := tb.FailureFree(); err != nil {
-			ex.res.Errors = append(ex.res.Errors, err.Error())
-		}
-	}
-	for i, cl := range ex.clients {
-		done, bad, _ := cl.Outcome()
-		gap, _ := cl.MaxGap()
-		ex.res.Clients = append(ex.res.Clients, fmt.Sprintf("%s %d: %s, done=%v, max stall %v, verify failures %d",
-			kind, i, cl.Progress(), done, gap.Round(time.Millisecond), bad))
-	}
-	ex.res.Report = telemetry.NewReport("scenario", opts.Seed, nil,
-		tb.Metrics.Snapshot(), tb.Telemetry.Timeline(), tb.Tracer.Anatomy())
-	return ex.res, nil
+	return p, expects, nil
 }
 
-func (ex *executor) startClient(st Statement) error {
-	cl, err := ex.tb.StartClient("client/app", experiment.Workload{
-		Echo: st.ClientKind == "echo", Bytes: st.Size,
-		Rounds: st.Rounds, MsgSize: int(st.Size), Gap: 5 * time.Millisecond,
-	})
-	if err != nil {
-		return err
-	}
-	ex.clients = append(ex.clients, cl)
-	return nil
-}
-
-// schedule arms one `at` statement: every action but rejoin is a fault of
-// the testbed's vocabulary (experiment.Fault), validated there.
-func (ex *executor) schedule(st Statement) error {
-	if st.When < ex.tb.Sim.Elapsed() {
-		return fmt.Errorf("at %v is in the past: the run is already at %v", st.When, ex.tb.Sim.Elapsed())
-	}
-	ex.faults++
-	if st.Action == "rejoin" {
-		ex.tb.Sim.At(sim.Epoch.Add(st.When), func() {
-			if err := ex.lc.Reintegrate(ex.tb.NewReplica); err != nil {
-				ex.res.Errors = append(ex.res.Errors,
-					fmt.Sprintf("line %d: rejoin at %v: %v", st.Line, st.When, err))
-			}
-		})
-		return nil
-	}
-	f := experiment.Fault{At: st.When, Kind: experiment.FaultKind(st.Action), Host: st.Target, Scale: st.Scale}
-	if st.Action == "appcrash" {
-		f.Kind += experiment.FaultKind("-" + st.Arg)
-	} else if st.Arg != "" {
-		f.Dur, _ = time.ParseDuration(st.Arg) // syntax checked by the parser
-	}
-	return ex.tb.Schedule(f)
-}
-
-func (ex *executor) evaluate(st Statement) {
-	check := Check{Line: st.Line, Cond: st.Cond}
-	switch st.Cond {
+// judge evaluates the expectation on the run as it stands.
+func (e expect) judge(run *experiment.Run) Check {
+	tb := run.Testbed
+	check := Check{Line: e.st.Line, Cond: e.st.Cond}
+	switch e.st.Cond {
 	case "takeover":
-		check.Passed = ex.tb.Tracer.Has(trace.KindTakeover)
+		check.Passed = tb.Tracer.Has(trace.KindTakeover)
 		if !check.Passed {
 			check.Detail = "no takeover event recorded"
 		}
 	case "non-ft":
-		check.Passed = ex.tb.Tracer.Has(trace.KindNonFTMode)
+		check.Passed = tb.Tracer.Has(trace.KindNonFTMode)
 		if !check.Passed {
 			check.Detail = "primary never entered non-fault-tolerant mode"
 		}
 	case "no-failover":
-		check.Passed = !ex.tb.Tracer.Has(trace.KindSuspect)
+		check.Passed = !tb.Tracer.Has(trace.KindSuspect)
 		if !check.Passed {
-			e, _ := ex.tb.Tracer.First(trace.KindSuspect)
-			check.Detail = "suspicion raised: " + e.Message
+			ev, _ := tb.Tracer.First(trace.KindSuspect)
+			check.Detail = "suspicion raised: " + ev.Message
 		}
 	case "recovery":
-		check.Passed = ex.tb.Tracer.Has(trace.KindByteRecovery)
+		check.Passed = tb.Tracer.Has(trace.KindByteRecovery)
 		if !check.Passed {
 			check.Detail = "no missed-byte recovery activity"
 		}
 	case "active":
-		p, b := ex.lc.PrimaryNode().State(), ex.lc.BackupNode().State()
+		p, b := tb.PrimaryNode.State(), tb.BackupNode.State()
 		check.Passed = p == sttcp.StateActive && b == sttcp.StateActive
 		if !check.Passed {
 			check.Detail = fmt.Sprintf("states %v/%v", p, b)
 		}
 	case "clients-done":
-		check.Passed = true
-		for i, cl := range ex.clients {
+		var unfinished []string
+		for i, cl := range run.Clients[:e.clients] {
 			if !app.Completed(cl) {
 				done, _, err := cl.Outcome()
-				check.Passed = false
-				check.Detail = fmt.Sprintf("%s %d: done=%v err=%v (%s)", ex.kind, i, done, err, cl.Progress())
+				unfinished = append(unfinished, fmt.Sprintf("%s %d: done=%v err=%v (%s)", kind(cl), i, done, err, cl.Progress()))
 			}
 		}
+		check.Passed, check.Detail = len(unfinished) == 0, strings.Join(unfinished, "; ")
 	}
-	ex.res.Checks = append(ex.res.Checks, check)
+	return check
+}
+
+// kind names a client's workload as the script does.
+func kind(cl app.Client) string {
+	if _, echo := cl.(*app.EchoClient); echo {
+		return "echo"
+	}
+	return "download"
 }

@@ -3,9 +3,11 @@ package scenario
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/experiment"
 )
 
-// TestInjectionErrors exercises the executor's fault-injection error paths:
+// TestInjectionErrors exercises the fault-injection error paths:
 // injections that cannot take effect must fail the run loudly instead of
 // silently doing nothing and letting the expectations judge a different
 // experiment than the one the script asked for.
@@ -100,7 +102,7 @@ func TestInjectionErrors(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
-			res, err := Run(sc)
+			res, err := Run(sc, experiment.Options{})
 			if tc.wantErr != "" {
 				if err == nil {
 					t.Fatalf("Run succeeded, want error containing %q", tc.wantErr)

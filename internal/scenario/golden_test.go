@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/experiment"
 	"repro/internal/trace"
 )
 
@@ -65,7 +66,7 @@ func TestGoldenTraces(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
-			res, err := Run(sc)
+			res, err := Run(sc, experiment.Options{})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}

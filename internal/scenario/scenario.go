@@ -1,6 +1,6 @@
 // Package scenario implements a small line-oriented language for scripting
-// ST-TCP failure demonstrations, and an executor that runs scripts on the
-// simulated testbed. It powers `sttcp lab`: the conference-demo workflow
+// ST-TCP failure demonstrations, compiled to an experiment.Plan that runs
+// on the simulated testbed. It powers `sttcp lab`: the conference-demo workflow
 // of "start a workload, break something at a chosen moment, watch the
 // client" as a reproducible text file.
 //
@@ -32,10 +32,11 @@
 //	                              clients-done | recovery | active
 //
 // Times in `at` statements are absolute virtual times from the start of the
-// run. A statement takes effect where it stands in the script, so an `at`
-// earlier than the virtual time already run is an error (equal is fine).
-// Every action but rejoin is an experiment.Fault, validated by the testbed
-// before it is armed; a script with no `at` at all must end failure-free.
+// run. A client starts, and an expect is judged, at the virtual time the
+// runs before it reach, and an `at` earlier than that is an error (equal is
+// fine). Every action is an experiment.Fault, validated by the testbed
+// before the run starts; a script with no `at` at all must end
+// failure-free.
 // The vocabulary is the one the demos, Table 1 and the chaos campaigns
 // inject through; its chaos-born kinds (loss, delay, txcut, corrupt,
 // serialcorrupt, nicflap, serialflap, clockskew) have no verb here yet.
@@ -46,6 +47,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/experiment"
 )
 
 // Verb enumerates statement kinds.
@@ -60,7 +63,8 @@ const (
 	VerbExpect
 )
 
-// Statement is one parsed line.
+// Statement is one parsed line. A client or at statement is parsed straight
+// into the testbed's vocabulary; the compiler only places it in time.
 type Statement struct {
 	Line int
 	Verb Verb
@@ -69,22 +73,15 @@ type Statement struct {
 	OptionName  string
 	OptionValue string
 
-	// Client fields.
-	ClientKind string // "download" | "echo"
-	Size       int64  // bytes per download, or bytes per echo round
-	Rounds     int    // echo only
+	// Client is the workload a client statement starts.
+	Client experiment.Workload
+	// Fault is the action an at statement strikes, At its time.
+	Fault experiment.Fault
 
-	// At fields.
-	When   time.Duration
-	Action string  // crash|appcrash|nicfail|drop|serialcut|starve|reboot|rejoin
-	Target string  // host name
-	Arg    string  // appcrash mode, drop/starve duration
-	Scale  float64 // starve factor
-
-	// Run fields.
+	// RunFor is how far a run statement advances virtual time.
 	RunFor time.Duration
 
-	// Expect fields.
+	// Cond is the condition an expect statement asserts.
 	Cond string
 }
 
@@ -208,8 +205,7 @@ func parseClient(st *Statement, fields []string) error {
 		if err != nil {
 			return errf(st.Line, "bad size %q", fields[2])
 		}
-		st.ClientKind = "download"
-		st.Size = size
+		st.Client = experiment.Workload{Bytes: size}
 	case "echo":
 		if len(fields) != 4 {
 			return errf(st.Line, "usage: client echo <rounds> <size>")
@@ -222,9 +218,7 @@ func parseClient(st *Statement, fields []string) error {
 		if err != nil {
 			return errf(st.Line, "bad size %q", fields[3])
 		}
-		st.ClientKind = "echo"
-		st.Rounds = rounds
-		st.Size = size
+		st.Client = experiment.Workload{Echo: true, Rounds: rounds, MsgSize: int(size), Gap: 5 * time.Millisecond}
 	default:
 		return errf(st.Line, "unknown client kind %q", fields[1])
 	}
@@ -240,70 +234,64 @@ func parseAt(st *Statement, fields []string) error {
 	if err != nil || when < 0 {
 		return errf(st.Line, "bad time %q", fields[1])
 	}
-	st.When = when
-	st.Action = fields[2]
-	rest := fields[3:]
-	needsHost := func() error {
+	action, rest := fields[2], fields[3:]
+	st.Fault = experiment.Fault{At: when, Kind: experiment.FaultKind(action)}
+	// args checks the arguments after the host, which every action but
+	// serialcut and rejoin names first.
+	args := func(n int, usage string) error {
 		if len(rest) < 1 {
-			return errf(st.Line, "%s needs a host", st.Action)
+			return errf(st.Line, "%s needs a host", action)
 		}
 		switch rest[0] {
 		case "primary", "backup", "witness", "gateway", "client":
-			st.Target = rest[0]
-			return nil
+			st.Fault.Host = rest[0]
 		default:
 			return errf(st.Line, "unknown host %q", rest[0])
 		}
+		if len(rest) != n+1 {
+			return errf(st.Line, "%s", usage)
+		}
+		return nil
 	}
-	switch st.Action {
+	dur := func(s string) error {
+		st.Fault.Dur, err = time.ParseDuration(s)
+		if err != nil {
+			return errf(st.Line, "bad duration %q", s)
+		}
+		return nil
+	}
+	switch action {
 	case "crash", "nicfail", "reboot":
-		if err := needsHost(); err != nil {
-			return err
-		}
-		if len(rest) != 1 {
-			return errf(st.Line, "%s takes exactly one host", st.Action)
-		}
+		return args(0, action+" takes exactly one host")
 	case "appcrash":
-		if err := needsHost(); err != nil {
+		if err := args(1, "usage: appcrash <host> silent|cleanup"); err != nil {
 			return err
 		}
-		if len(rest) != 2 || (rest[1] != "silent" && rest[1] != "cleanup") {
+		if rest[1] != "silent" && rest[1] != "cleanup" {
 			return errf(st.Line, "usage: appcrash <host> silent|cleanup")
 		}
-		st.Arg = rest[1]
+		st.Fault.Kind += experiment.FaultKind("-" + rest[1])
 	case "drop":
-		if err := needsHost(); err != nil {
+		if err := args(1, "usage: drop <host> <duration>"); err != nil {
 			return err
 		}
-		if len(rest) != 2 {
-			return errf(st.Line, "usage: drop <host> <duration>")
-		}
-		if _, err := time.ParseDuration(rest[1]); err != nil {
-			return errf(st.Line, "bad duration %q", rest[1])
-		}
-		st.Arg = rest[1]
+		return dur(rest[1])
 	case "starve":
-		if err := needsHost(); err != nil {
+		if err := args(2, "usage: starve <host> <factor> <duration>"); err != nil {
 			return err
-		}
-		if len(rest) != 3 {
-			return errf(st.Line, "usage: starve <host> <factor> <duration>")
 		}
 		scale, err := strconv.ParseFloat(rest[1], 64)
 		if err != nil || scale < 1 {
 			return errf(st.Line, "bad starve factor %q (want >= 1)", rest[1])
 		}
-		if _, err := time.ParseDuration(rest[2]); err != nil {
-			return errf(st.Line, "bad duration %q", rest[2])
-		}
-		st.Scale = scale
-		st.Arg = rest[2]
+		st.Fault.Scale = scale
+		return dur(rest[2])
 	case "serialcut", "rejoin":
 		if len(rest) != 0 {
-			return errf(st.Line, "%s takes no arguments", st.Action)
+			return errf(st.Line, "%s takes no arguments", action)
 		}
 	default:
-		return errf(st.Line, "unknown action %q", st.Action)
+		return errf(st.Line, "unknown action %q", action)
 	}
 	return nil
 }

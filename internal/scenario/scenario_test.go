@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/experiment"
 )
 
 func TestParseFullScript(t *testing.T) {
@@ -31,11 +33,11 @@ expect clients-done
 		t.Fatalf("option 0 = %+v", sc.Statements[0])
 	}
 	cl := sc.Statements[3]
-	if cl.Verb != VerbClient || cl.ClientKind != "download" || cl.Size != 16<<20 {
+	if cl.Verb != VerbClient || cl.Client != (experiment.Workload{Bytes: 16 << 20}) {
 		t.Fatalf("client = %+v", cl)
 	}
 	at := sc.Statements[4]
-	if at.Verb != VerbAt || at.When != 500*time.Millisecond || at.Action != "crash" || at.Target != "primary" {
+	if at.Verb != VerbAt || at.Fault != (experiment.Fault{At: 500 * time.Millisecond, Kind: experiment.FaultCrash, Host: "primary"}) {
 		t.Fatalf("at = %+v", at)
 	}
 	if sc.Statements[5].RunFor != 30*time.Second {
@@ -116,7 +118,7 @@ expect clients-done
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := Run(sc)
+	res, err := Run(sc, experiment.Options{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -140,7 +142,7 @@ expect clients-done
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := Run(sc)
+	res, err := Run(sc, experiment.Options{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -166,7 +168,7 @@ expect clients-done
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := Run(sc)
+	res, err := Run(sc, experiment.Options{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -184,7 +186,7 @@ expect takeover
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := Run(sc)
+	res, err := Run(sc, experiment.Options{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -193,6 +195,25 @@ expect takeover
 	}
 	if res.Checks[0].Detail == "" {
 		t.Fatal("failed check has no detail")
+	}
+
+	// clients-done names every unfinished client, not only the last.
+	sc, err = Parse(`
+client download 64MiB
+run 100ms
+client download 64MiB
+run 100ms
+expect clients-done
+`)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if res, err = Run(sc, experiment.Options{}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	c := res.Checks[0]
+	if c.Passed || !strings.Contains(c.Detail, "download 0:") || !strings.Contains(c.Detail, "download 1:") {
+		t.Fatalf("clients-done with two unfinished clients: passed=%v detail %q, want both named", c.Passed, c.Detail)
 	}
 }
 
@@ -205,7 +226,7 @@ run 1s
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if _, err := Run(sc); err == nil {
+	if _, err := Run(sc, experiment.Options{}); err == nil {
 		t.Fatal("mixed workloads accepted")
 	}
 }

@@ -9,12 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/experiment"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
 // runShipped executes one scenario from the shipped scenarios/ directory.
-func runShipped(t *testing.T, name string, ro RunOptions) *Result {
+func runShipped(t *testing.T, name string, o experiment.Options) *Result {
 	t.Helper()
 	text, err := os.ReadFile(filepath.Join("..", "..", "scenarios", name))
 	if err != nil {
@@ -24,7 +25,7 @@ func runShipped(t *testing.T, name string, ro RunOptions) *Result {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := RunWith(sc, ro)
+	res, err := Run(sc, o)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -35,7 +36,7 @@ func runShipped(t *testing.T, name string, ro RunOptions) *Result {
 // as Chrome trace-event JSON and feeds it back through the validator — the
 // same check a Perfetto load would make, runnable in CI.
 func TestChromeTraceRoundTrip(t *testing.T) {
-	res := runShipped(t, "demo1-failover.sttcp", RunOptions{TraceDetail: true})
+	res := runShipped(t, "demo1-failover.sttcp", experiment.Options{TraceDetail: true})
 	var buf bytes.Buffer
 	if err := res.Tracer.WriteChromeTrace(&buf, sim.Epoch); err != nil {
 		t.Fatalf("export: %v", err)
@@ -123,7 +124,7 @@ func validateChromeTrace(data []byte) (int, error) {
 //
 //	go test ./internal/scenario -run TimelineGolden -update
 func TestTimelineGolden(t *testing.T) {
-	res := runShipped(t, "demo1-failover.sttcp", RunOptions{})
+	res := runShipped(t, "demo1-failover.sttcp", experiment.Options{})
 	anatomies := res.Tracer.Anatomy()
 	if len(anatomies) == 0 {
 		t.Fatal("scenario produced no failover anatomy")
