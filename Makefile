@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check vet lint build test race bench observers loc flags doc-bytes allows faults-one-place artifacts-one-place one-window one-run timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
+.PHONY: all check vet lint build test race bench observers loc flags settings doc-bytes allows faults-one-place artifacts-one-place one-window one-run timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
 
 all: check
 
@@ -62,6 +62,15 @@ loc:
 flags:
 	@grep -rhoE 'fs\.(Bool|Int|Int64|Uint|String|Duration|Float64|Func|Var|Text)(Var)?\(' \
 	    --include='*.go' --exclude='*_test.go' cmd | wc -l
+
+# How many settable values each config struct a caller fills has (exported
+# fields; a nested config struct counts by its fields), and their total: the
+# library's options, as `make flags` counts the command line's. Read off the
+# types by TestSettableFields in cmd/sttcp, which pins each count; CI prints
+# it beside `make flags`.
+settings:
+	@out=$$($(GO) test ./cmd/sttcp -run '^TestSettableFields$$' -count=1 -v); st=$$?; \
+	  printf '%s\n' "$$out" | sed -n 's/^ *settings_test\.go:[0-9]*: //p'; exit $$st
 
 # Bytes of the three documents ROADMAP item 3 budgets (EXPERIMENTS quotes
 # its figures from `sttcp demo` under a test; the rest is prose). CI prints it

@@ -1,0 +1,65 @@
+package main
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/chaos"
+	"repro/internal/experiment"
+	"repro/internal/explore"
+	"repro/internal/sttcp"
+	"repro/internal/tcp"
+	"repro/internal/telemetry"
+)
+
+// settable lists the config structs a caller fills and how many settable
+// values each has. Like a flag, a settable value is a configuration the
+// tests must cover, so a count should only fall; `make settings` prints
+// them (CI runs it beside `make flags`).
+var settable = []struct {
+	name  string
+	value any
+	count int
+}{
+	{"sttcp.Config", sttcp.Config{}, 14},
+	{"experiment.Options", experiment.Options{}, 9},
+	{"experiment.Params", experiment.Params{}, 8},
+	{"experiment.Plan", experiment.Plan{}, 18},
+	{"explore.Config", explore.Config{}, 12},
+	{"chaos.Options", chaos.Options{}, 11},
+	{"telemetry.Config", telemetry.Config{}, 2},
+	{"tcp.Options", tcp.Options{}, 9},
+}
+
+// TestSettableFields pins each config struct's count of settable values,
+// so one added or removed is a deliberate change to this table and to
+// ROADMAP's instruments line.
+func TestSettableFields(t *testing.T) {
+	total := 0
+	for _, s := range settable {
+		n := settableFields(reflect.TypeOf(s.value))
+		total += n
+		t.Logf("%4d  %s", n, s.name)
+		if n != s.count {
+			t.Errorf("%s has %d settable values, this table says %d", s.name, n, s.count)
+		}
+	}
+	t.Logf("%4d  total", total)
+}
+
+// settableFields counts a struct's exported fields, a nested config struct
+// (a struct type of this module, embedded or not) by its own fields.
+func settableFields(typ reflect.Type) int {
+	n := 0
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); {
+		case !f.IsExported():
+		case f.Type.Kind() == reflect.Struct && strings.HasPrefix(f.Type.PkgPath(), "repro/"):
+			n += settableFields(f.Type)
+		default:
+			n++
+		}
+	}
+	return n
+}

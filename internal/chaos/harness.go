@@ -22,10 +22,11 @@ type Options struct {
 	// (identical) output alongside the primary. The client cannot tell,
 	// but the backup-silence invariant must.
 	SabotageUnsuppressedBackup bool
-	// SabotageBlindDetectors cranks every failure-detection timeout to
-	// roughly an hour, so no fault is ever detected within the run.
-	// Fatal faults then strand the clients, which the integrity
-	// invariant must report.
+	// SabotageBlindDetectors stretches the heartbeat period and
+	// MaxDelayFIN to an hour, so no fault is ever detected within the run:
+	// the detectors tick at half the heartbeat period and a link times out
+	// after three. Fatal faults then strand the clients, which the
+	// integrity invariant must report.
 	SabotageBlindDetectors bool
 }
 
@@ -129,10 +130,10 @@ func (h *harness) plan() experiment.Plan {
 			// detector suite; crisp schedules keep it off so legacy seeds
 			// replay byte-identically.
 			if sc.HasGray() {
-				c.Suspicion.Enabled = true
+				c.Suspicion = true
 			}
 			if h.opts.SabotageBlindDetectors {
-				blindDetectors(c)
+				c.HBPeriod, c.MaxDelayFIN = time.Hour, time.Hour
 			}
 		},
 		Horizon: cmp.Or(sc.Horizon, 60*time.Second),
@@ -199,22 +200,4 @@ func (h *harness) note(ev Event, target string) {
 func (h *harness) skip(ev Event, reason string) {
 	h.skipped = append(h.skipped, fmt.Sprintf("%v: %s", ev, reason))
 	h.tb.Tracer.Emit(trace.KindGeneric, "chaos", "skip %v (%s)", ev, reason)
-}
-
-// blindDetectors is the SabotageBlindDetectors mutation: every failure
-// detector sleeps for about an hour, far past any run horizon.
-func blindDetectors(c *sttcp.Config) {
-	const never = time.Hour
-	c.HB.Period = 200 * time.Millisecond
-	c.HB.Timeout = never
-	c.AppMaxLagTime = never
-	c.AppLagByteHold = never
-	c.MaxDelayFIN = never
-	c.NICLagTime = never
-	c.NICLagGrace = never
-	c.PingFailsForVerdict = 1 << 30
-	// The gray-failure suite sleeps too.
-	c.Suspicion.RespSLO = never
-	c.Suspicion.RespHold = never
-	c.AsymHold = never
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/app"
+	"repro/internal/hb"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/sttcp"
@@ -38,7 +39,7 @@ func (v Violation) String() string { return v.Invariant + ": " + v.Detail }
 //     and no pattern-verification failure — the paper's client-transparent
 //     failover claim.
 //   - takeover-latency: every recorded takeover latency is bounded by
-//     HB.Timeout + HB.Period + 600 ms (detection timeout, plus liveness-
+//     hb.Timeout + the period + 600 ms (detection timeout, plus liveness-
 //     check quantisation, plus the worst benign inbound-drop window a
 //     schedule may stack on top).
 //   - hold-buffer-bound: the hold-buffer occupancy high-water mark never
@@ -308,7 +309,7 @@ func (h *harness) endInvariants(snap *metrics.Snapshot) []Violation {
 	}
 
 	// takeover-latency: detection must act within the heartbeat budget.
-	bound := h.cfg.HB.Timeout + h.cfg.HB.Period + 600*time.Millisecond
+	bound := hb.Timeout(h.cfg.HBPeriod) + h.cfg.HBPeriod + 600*time.Millisecond
 	for _, sm := range snap.Find("sttcp.takeover_latency") {
 		if sm.Type == "histogram" && sm.Count > 0 && sm.MaxDur > bound {
 			bad("takeover-latency", "%s recorded takeover latency %v > bound %v",

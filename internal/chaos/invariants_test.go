@@ -112,8 +112,7 @@ func newEndHarness() *endHarness {
 	epoch := time.Unix(0, 0)
 	now := func() time.Time { return epoch }
 	h := &harness{run: &experiment.Run{}, tb: &experiment.Testbed{Tracer: trace.NewRecorder(now)}}
-	h.cfg.HB.Period = 200 * time.Millisecond
-	h.cfg.HB.Timeout = 600 * time.Millisecond
+	h.cfg.HBPeriod = 200 * time.Millisecond
 	h.cfg.HoldBufferSize = 1 << 16
 	return &endHarness{h: h, reg: metrics.New(now)}
 }
@@ -170,7 +169,7 @@ func TestEndInvariants(t *testing.T) {
 		{
 			name: "takeover-latency-over-bound",
 			build: func(e *endHarness) {
-				// Bound is HB.Timeout + HB.Period + 600ms = 1.4s.
+				// Bound is hb.Timeout + the period + 600ms = 1.4s.
 				e.reg.Histogram("backup/sttcp", "sttcp.takeover_latency", nil).Observe(2 * time.Second)
 			},
 			want: "takeover-latency",

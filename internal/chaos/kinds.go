@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/experiment"
+	"repro/internal/hb"
 	"repro/internal/sttcp"
 )
 
@@ -198,7 +199,7 @@ var kinds = [...]kind{
 			h.flapApplied = true
 			// The link is unreliable for the whole window plus however
 			// long the heartbeat view takes to settle afterwards.
-			h.extendLossWindow(ev.Dur + h.cfg.HB.Timeout)
+			h.extendLossWindow(ev.Dur + hb.Timeout(h.cfg.HBPeriod))
 		},
 	},
 	EvSerialFlap: {

@@ -84,7 +84,7 @@ const (
 
 	// Gray failures: faults that degrade rather than kill, invisible to
 	// the crisp Table 1 detectors. Each has a detector answer in
-	// internal/sttcp (gated by Config.Suspicion.Enabled) and is judged by
+	// internal/sttcp (gated by Config.Suspicion) and is judged by
 	// the gray invariants.
 
 	// EvStarveServing CPU-starves the serving host: application

@@ -70,7 +70,7 @@ func (run *Run) failover() FailoverResult {
 		VerifyFailures: bad,
 	}
 	if n := run.Testbed.PrimaryNode; n != nil { // the plain-TCP baseline has none
-		r.HBPeriod = n.Config().HB.Period
+		r.HBPeriod = n.Config().HBPeriod
 	}
 	switch cl := run.Clients[0].(type) {
 	case *app.ReconnectClient:

@@ -27,7 +27,7 @@ import (
 func runGrayStarve(o Options, scale float64) (*Run, error) {
 	run, err := Plan{
 		Options: o,
-		Mutate:  func(c *sttcp.Config) { c.Suspicion.Enabled = true },
+		Mutate:  func(c *sttcp.Config) { c.Suspicion = true },
 		Clients: []Workload{Workload{Echo: true, Rounds: 1000, MsgSize: 512, Gap: 5 * time.Millisecond}},
 		// The window lasts long enough for the scorer to accrue to
 		// threshold at the convicting scale.

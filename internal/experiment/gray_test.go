@@ -39,7 +39,7 @@ func TestGrayDemo(t *testing.T) {
 		if res.Anatomy == nil {
 			t.Fatalf("convicting run produced no failover anatomy")
 		}
-		// The scorer needs RespHold past the SLO to accrue; anything far
+		// The scorer needs its hold past the SLO to accrue; anything far
 		// beyond that bound means it lost evidence along the way.
 		if res.DetectionTime > 4*time.Second {
 			t.Errorf("detection took %v, want < 4s", res.DetectionTime)

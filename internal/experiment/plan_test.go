@@ -179,10 +179,10 @@ func TestPlanFailureFreePostcondition(t *testing.T) {
 		t.Fatalf("the download took %v: too short to have crossed the old detector's 1.4 s", run.failover().TransferTime)
 	}
 
-	// A heartbeat timeout shorter than the period declares the peer silent
-	// between two beats of a perfectly healthy exchange.
+	// An application-lag limit shorter than the detector cadence convicts
+	// the peer between two reports of a perfectly healthy download.
 	bent := healthy
-	bent.Mutate = func(c *sttcp.Config) { c.HB.Period, c.HB.Timeout = 200*time.Millisecond, 50*time.Millisecond }
+	bent.Mutate = func(c *sttcp.Config) { c.AppMaxLagTime = 50 * time.Millisecond }
 	if _, err := bent.Run(); err == nil || !strings.Contains(err.Error(), "failure-free run") {
 		t.Fatalf("false suspicion in a failure-free plan: Run returned %v, want the postcondition's error", err)
 	}

@@ -78,7 +78,7 @@ func distribution(runs []*Run) Demo2Distribution {
 		detects[i], failovers[i] = r.DetectionTime, r.FailoverTime
 	}
 	return Demo2Distribution{
-		HBPeriod:  runs[0].Testbed.PrimaryNode.Config().HB.Period,
+		HBPeriod:  runs[0].Testbed.PrimaryNode.Config().HBPeriod,
 		Detection: computeStats(detects),
 		Failover:  computeStats(failovers),
 	}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/app"
 	"repro/internal/cluster"
 	"repro/internal/eth"
-	"repro/internal/hb"
 	"repro/internal/ip"
 	"repro/internal/metrics"
 	"repro/internal/netem"
@@ -282,16 +281,13 @@ func (tb *Testbed) wireTelemetryProbes(serialRate int64) {
 // NodeConfig returns the ST-TCP configuration for one of the testbed's
 // servers with the given heartbeat period (0 selects the 200 ms default).
 func (tb *Testbed) NodeConfig(peer ip.Addr, hbPeriod time.Duration) sttcp.Config {
-	cfg := sttcp.Config{
+	return sttcp.Config{
 		ServiceAddr: ServiceAddr,
 		ServicePort: ServicePort,
 		PeerAddr:    peer,
 		GatewayAddr: GatewayAddr,
+		HBPeriod:    hbPeriod,
 	}
-	if hbPeriod > 0 {
-		cfg.HB = hb.ExchangerConfig{Period: hbPeriod, Timeout: 3 * hbPeriod}
-	}
-	return cfg
 }
 
 // StartSTTCP brings up the primary and backup ST-TCP nodes. mutate, if

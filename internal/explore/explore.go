@@ -14,19 +14,21 @@ import (
 	"repro/internal/trace"
 )
 
+// The explored workload is one echo client of echoRounds rounds of
+// echoMsgSize bytes: long enough that the client is mid-workload through
+// the whole takeover.
+const (
+	echoRounds  = 300
+	echoMsgSize = 512
+)
+
 // Config bounds one exploration. The zero value explores a single-
 // connection echo workload around one serving-side crash with the
 // defaults below; every knob exists so tests and the CLI can trade
-// coverage for wall-clock.
+// coverage for wall-clock. An exploration stops at its first violation.
 type Config struct {
 	// Seed drives the testbed simulation of every run.
 	Seed int64
-
-	// Rounds and MsgSize parameterise the echo workload (defaults 300
-	// rounds of 512 B — long enough that the client is mid-workload
-	// through the whole takeover).
-	Rounds  int
-	MsgSize int
 
 	// FaultKinds lists the faults to place at each enumerated boundary
 	// (default: a serving-side machine crash). An event is placed with no
@@ -59,9 +61,6 @@ type Config struct {
 	MaxPrefix int
 	// MaxRuns caps total run executions (default 2000).
 	MaxRuns int
-	// MaxViolations stops the exploration after this many violating
-	// interleavings have been found and shrunk (default 1).
-	MaxViolations int
 	// Workers bounds the replay worker pool (0 = fully parallel, 1 =
 	// serial). The explored set and all counters are identical for every
 	// setting: batches merge in input order.
@@ -79,12 +78,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Rounds == 0 {
-		c.Rounds = 300
-	}
-	if c.MsgSize == 0 {
-		c.MsgSize = 512
-	}
 	if len(c.FaultKinds) == 0 {
 		c.FaultKinds = []chaos.EventKind{chaos.EvCrashServing}
 	}
@@ -105,9 +98,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRuns == 0 {
 		c.MaxRuns = 2000
-	}
-	if c.MaxViolations == 0 {
-		c.MaxViolations = 1
 	}
 	if c.ShrinkBudget == 0 {
 		c.ShrinkBudget = 25
@@ -202,7 +192,7 @@ func explore(cfg Config, inner func() sim.Scheduler) (*Result, error) {
 		choiceHi: (cfg.FaultAt + cfg.FaultSpan + cfg.Grace).Nanoseconds(),
 		seen:     make(map[uint64]bool),
 	}
-	base := BaseSchedule(cfg)
+	base := baseSchedule(cfg.Seed)
 	res := &Result{Base: base}
 
 	// Probe: the fault-free run that discovers the event boundaries
@@ -270,11 +260,8 @@ func explore(cfg Config, inner func() sim.Scheduler) (*Result, error) {
 				if err := e.recordViolation(res, j.sc, j.prefix, out); err != nil {
 					return nil, err
 				}
-				if len(res.Violations) >= cfg.MaxViolations {
-					res.Frontier = len(frontier) + len(outs) - i - 1
-					return res, nil
-				}
-				continue
+				res.Frontier = len(frontier) + len(outs) - i - 1
+				return res, nil
 			}
 			if !cfg.NoDedup {
 				fp := fingerprint(j.sc, out.res, out.choices)
@@ -393,15 +380,14 @@ func (e *explorer) execute(sc chaos.Schedule, prefix []int) (*runOut, error) {
 	return &runOut{res: res, choices: sched.Choices(), boundaries: sched.Boundaries()}, nil
 }
 
-// BaseSchedule is the fault-free single-connection schedule the
+// baseSchedule is the fault-free single-connection schedule the
 // exploration is anchored on.
-func BaseSchedule(cfg Config) chaos.Schedule {
-	cfg = cfg.withDefaults()
+func baseSchedule(seed int64) chaos.Schedule {
 	return chaos.Schedule{
-		Seed:     cfg.Seed,
+		Seed:     seed,
 		Workload: "echo",
-		Rounds:   cfg.Rounds,
-		MsgSize:  cfg.MsgSize,
+		Rounds:   echoRounds,
+		MsgSize:  echoMsgSize,
 		Horizon:  30 * time.Second,
 		Events:   []chaos.Event{{At: 0, Kind: chaos.EvClientStart}},
 	}

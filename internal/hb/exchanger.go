@@ -112,26 +112,16 @@ var (
 	_ Channel = (*SerialChannel)(nil)
 )
 
-// ExchangerConfig tunes a heartbeat exchanger.
-type ExchangerConfig struct {
-	// Period is the heartbeat interval (paper default 200 ms).
-	Period time.Duration
-	// Timeout is how long a link may be silent before it is declared
-	// down; the conventional choice is a small multiple of Period.
-	Timeout time.Duration
-}
-
-// DefaultConfig returns the paper's default heartbeat timing.
-func DefaultConfig() ExchangerConfig {
-	return ExchangerConfig{Period: 200 * time.Millisecond, Timeout: 600 * time.Millisecond}
-}
+// Timeout is how long a link may be silent before it is declared down: three
+// heartbeat periods, the conventional small multiple.
+func Timeout(period time.Duration) time.Duration { return 3 * period }
 
 // Exchanger periodically emits heartbeats over every attached channel and
 // tracks per-link liveness of the peer's heartbeats.
 type Exchanger struct {
 	sim      *sim.Simulator
 	name     string
-	cfg      ExchangerConfig
+	period   time.Duration
 	tracer   *trace.Recorder
 	channels []Channel
 
@@ -166,19 +156,14 @@ type Exchanger struct {
 	mLinkDown map[LinkID]*metrics.Counter
 }
 
-// NewExchanger builds an exchanger; call Attach for each channel, then
-// Start. reg may be nil (no metrics).
-func NewExchanger(s *sim.Simulator, name string, cfg ExchangerConfig, tracer *trace.Recorder, reg *metrics.Registry) *Exchanger {
-	if cfg.Period <= 0 {
-		cfg.Period = DefaultConfig().Period
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 3 * cfg.Period
-	}
+// NewExchanger builds an exchanger that beats every period, which must be
+// positive; call Attach for each channel, then Start. reg may be nil (no
+// metrics).
+func NewExchanger(s *sim.Simulator, name string, period time.Duration, tracer *trace.Recorder, reg *metrics.Registry) *Exchanger {
 	return &Exchanger{
 		sim:       s,
 		name:      name,
-		cfg:       cfg,
+		period:    period,
 		tracer:    tracer,
 		lastRx:    make(map[LinkID]time.Time),
 		down:      make(map[LinkID]bool),
@@ -188,9 +173,6 @@ func NewExchanger(s *sim.Simulator, name string, cfg ExchangerConfig, tracer *tr
 		mLinkDown: make(map[LinkID]*metrics.Counter),
 	}
 }
-
-// Config returns the exchanger's timing configuration.
-func (e *Exchanger) Config() ExchangerConfig { return e.cfg }
 
 // Attach adds a channel and installs the receive handler.
 func (e *Exchanger) Attach(c Channel) {
@@ -213,15 +195,15 @@ func (e *Exchanger) Start() {
 	}
 	// Check liveness at a finer grain than the period so detection
 	// latency is dominated by Timeout, not by check quantisation.
-	check := e.cfg.Period / 4
+	check := e.period / 4
 	if check <= 0 {
 		check = time.Millisecond
 	}
 	if e.Clock != nil {
-		e.ticker = e.Clock.NewTicker(e.cfg.Period, e.tick)
+		e.ticker = e.Clock.NewTicker(e.period, e.tick)
 		e.checker = e.Clock.NewTicker(check, e.checkLiveness)
 	} else {
-		e.ticker = sim.NewTicker(e.sim, e.cfg.Period, e.tick)
+		e.ticker = sim.NewTicker(e.sim, e.period, e.tick)
 		e.checker = sim.NewTicker(e.sim, check, e.checkLiveness)
 	}
 	e.tick() // send the first heartbeat immediately
@@ -343,16 +325,16 @@ func (e *Exchanger) checkLiveness() {
 	if e.stopped {
 		return
 	}
-	now := e.sim.Now()
+	now, timeout := e.sim.Now(), Timeout(e.period)
 	for _, c := range e.channels {
 		id := c.ID()
 		if e.down[id] {
 			continue
 		}
-		if now.Sub(e.lastRx[id]) > e.cfg.Timeout {
+		if now.Sub(e.lastRx[id]) > timeout {
 			e.down[id] = true
 			e.mLinkDown[id].Inc()
-			e.tracer.Emit(trace.KindHBLinkDown, e.name, "%v silent for >%v", id, e.cfg.Timeout)
+			e.tracer.Emit(trace.KindHBLinkDown, e.name, "%v silent for >%v", id, timeout)
 			if e.OnLinkDown != nil {
 				e.OnLinkDown(id)
 			}

@@ -141,7 +141,7 @@ func compile(sc *Script, o experiment.Options) (experiment.Plan, []expect, error
 			c.MaxDelayFIN = maxDelayFIN
 		}
 		if suspicion {
-			c.Suspicion.Enabled = true
+			c.Suspicion = true
 		}
 	}
 	return p, expects, nil

@@ -16,6 +16,36 @@ import (
 // criterion that fires convicts, which opens the detection span backdated to
 // when its symptom began.
 
+// How long each criterion's symptom must hold before it convicts. The paper
+// names AppMaxLagBytes, AppMaxLagTime and MaxDelayFIN as what a deployment
+// tunes (Config); these holds are fixed (DESIGN.md §7).
+const (
+	// appLagByteHold is how long the byte lag of §4.2.1's first criterion
+	// must exceed AppMaxLagBytes.
+	appLagByteHold = time.Second
+
+	// The client-data NIC criteria of §4.3: with the IP heartbeat down
+	// past nicLagGrace (so momentary outages cannot kill a healthy peer),
+	// the server that falls nicLagBytes further behind on the client stream
+	// than when the link died, or stalls for nicLagTime while the other
+	// side advances, has the dead NIC.
+	nicLagGrace = time.Second
+	nicLagBytes = 16 << 10
+	nicLagTime  = 2 * time.Second
+
+	// asymHold is how long the asymmetric-partition pattern must hold
+	// (detectAsymLink).
+	asymHold = time.Second
+)
+
+// AsymPartitionBound is how soon after the peer's transmit path dies the
+// asymmetric-partition criterion convicts at heartbeat period hbPeriod, less
+// ping and detector cadence: the IP link's timeout, nicLagGrace of outage,
+// then asymHold of the pattern.
+func AsymPartitionBound(hbPeriod time.Duration) time.Duration {
+	return hb.Timeout(hbPeriod) + nicLagGrace + asymHold
+}
+
 // stall is the clock of a position the peer must keep advancing: at is where
 // the peer's position has been stuck behind ours since since (zero while it
 // is not behind).
@@ -223,11 +253,11 @@ func (n *Node) runDetectors() {
 		if n.ipDown.on() && n.detectNICLag(rc, now) {
 			return
 		}
-		if n.cfg.Suspicion.Enabled {
+		if n.cfg.Suspicion {
 			worstStaleness = max(worstStaleness, n.respStaleness(rc, now))
 		}
 	}
-	if n.cfg.Suspicion.Enabled {
+	if n.cfg.Suspicion {
 		if n.detectAsymLink(now) {
 			return
 		}
@@ -242,22 +272,22 @@ func (n *Node) runDetectors() {
 // Ping arbitration therefore never engages (PingValid stays false at the
 // peer), and the client-data criteria stay quiet too because the whole
 // workload stalls symmetrically. The tell is the combination: IP silence
-// past NICLagGrace, the gateway answering our own pings, and a peer
-// fresh on serial that is not arbitrating. Held for AsymHold so momentary
+// past nicLagGrace, the gateway answering our own pings, and a peer
+// fresh on serial that is not arbitrating. Held for asymHold so momentary
 // coincidences (the peer's first ping result is still in flight after a
 // full NIC death, say) cannot kill a healthy server.
 func (n *Node) detectAsymLink(now time.Time) bool {
 	lastSerial := n.ex.LastReceived(hb.LinkSerial)
-	matching := n.ipDown.age(now) >= n.cfg.NICLagGrace &&
+	matching := n.ipDown.age(now) >= nicLagGrace &&
 		n.myPingValid && n.myPingOK &&
 		!n.peerPingValid &&
-		!lastSerial.IsZero() && now.Sub(lastSerial) <= n.cfg.HB.Timeout
+		!lastSerial.IsZero() && now.Sub(lastSerial) <= hb.Timeout(n.cfg.HBPeriod)
 	if n.asym.set(matching, now) {
 		n.noteEvidence("IP heartbeat silent %v, gateway answers local pings, peer fresh on serial but not arbitrating: suspecting asymmetric partition",
 			n.ipDown.age(now).Round(time.Millisecond))
 		return false
 	}
-	if n.asym.age(now) < n.cfg.AsymHold {
+	if n.asym.age(now) < asymHold {
 		return false
 	}
 	return n.convict(time.Time{}, "", fmt.Sprintf(
@@ -276,15 +306,15 @@ func (n *Node) detectAppLag(rc *repConn, now time.Time) bool {
 		return true
 	}
 	// Criterion 1: lag exceeding AppMaxLagBytes sustained for
-	// AppLagByteHold, judged on the lag each peer report showed when it
+	// appLagByteHold, judged on the lag each peer report showed when it
 	// was applied (applyPeerConnState). One report may catch the peer
 	// mid-burst, so only the *held* lag is evidence.
 	lag := rc.peerAppLag
-	if rc.byteLag.set(lag > n.cfg.AppMaxLagBytes, now); rc.byteLag.age(now) <= n.cfg.AppLagByteHold {
+	if rc.byteLag.set(lag > n.cfg.AppMaxLagBytes, now); rc.byteLag.age(now) <= appLagByteHold {
 		return false
 	}
 	return n.convict(rc.byteLag.since, fmt.Sprintf("peer app lagging by %d bytes", lag),
-		fmt.Sprintf("peer app lags by %d bytes (> %d) for >%v", lag, n.cfg.AppMaxLagBytes, n.cfg.AppLagByteHold))
+		fmt.Sprintf("peer app lags by %d bytes (> %d) for >%v", lag, n.cfg.AppMaxLagBytes, appLagByteHold))
 }
 
 // appStalled is criterion 2 on one stream: what names it ("write" or
@@ -304,7 +334,7 @@ func (n *Node) appStalled(s *stall, what string, peer, local int64, now time.Tim
 // mid-reconstruction — has a large absolute asymmetry that means nothing).
 // The link's going down is the evidence on record.
 func (n *Node) detectNICLag(rc *repConn, now time.Time) bool {
-	if n.ipDown.age(now) < n.cfg.NICLagGrace {
+	if n.ipDown.age(now) < nicLagGrace {
 		rc.nicBaselineSet = false
 		return false
 	}
@@ -314,10 +344,10 @@ func (n *Node) detectNICLag(rc *repConn, now time.Time) bool {
 	if !rc.nicBaselineSet {
 		rc.nicBaselineSet, rc.nicBaseline, rc.nic = true, localPos-peerPos, stall{}
 	}
-	if growth := localPos - peerPos - rc.nicBaseline; peerPos < localPos && growth > n.cfg.NICLagBytes {
+	if growth := localPos - peerPos - rc.nicBaseline; peerPos < localPos && growth > nicLagBytes {
 		return n.convict(time.Time{}, "", fmt.Sprintf(
 			"IP heartbeat down and peer fell %d further bytes behind on the client stream: peer NIC dead", growth))
 	}
-	return rc.nic.stuck(peerPos, localPos, now, n.cfg.NICLagTime) &&
+	return rc.nic.stuck(peerPos, localPos, now, nicLagTime) &&
 		n.convict(time.Time{}, "", "IP heartbeat down and peer client stream stalled: peer NIC dead")
 }

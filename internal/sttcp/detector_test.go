@@ -102,14 +102,13 @@ func (h *detectorHarness) report(seq uint64, appW, appR int64) {
 }
 
 // TestDetectAppLagBytesCriterion: a byte lag beyond AppMaxLagBytes that
-// the peer's reports keep showing for AppLagByteHold fires; a transient one
+// the peer's reports keep showing for appLagByteHold fires; a transient one
 // does not — and neither does a healthy peer whose reports are merely old
 // by the time the detector looks, which is what the criterion used to
 // convict (it compared the live local position with the last report's).
 func TestDetectAppLagBytesCriterion(t *testing.T) {
 	h := newDetectorHarness(t, func(c *Config) {
 		c.AppMaxLagBytes = 1000
-		c.AppLagByteHold = time.Second
 		c.AppMaxLagTime = time.Hour // keep the other criterion out
 	})
 	fired := func() bool { return h.node.detectAppLag(h.rc, h.sim.Now()) }
@@ -165,7 +164,7 @@ func TestDetectAppLagBytesCriterion(t *testing.T) {
 		h.report(seq, pos-5000, pos-5000)
 		seq++
 		if i < 5 && fired() {
-			t.Fatalf("fired %v into a %v hold", time.Duration(i)*200*time.Millisecond, time.Second)
+			t.Fatalf("fired %v into a %v hold", time.Duration(i)*200*time.Millisecond, appLagByteHold)
 		}
 		h.step(200 * time.Millisecond)
 	}
@@ -207,45 +206,50 @@ func TestDetectAppLagTimeCriterion(t *testing.T) {
 }
 
 // TestDetectNICLagGraceAndBaseline: the bytes criterion only counts lag
-// accrued since the IP link died, and only after the grace period.
+// accrued since the IP link died, and only after the grace period. Every
+// check falls inside nicLagTime, so the stall criterion stays out.
 func TestDetectNICLagGraceAndBaseline(t *testing.T) {
-	h := newDetectorHarness(t, func(c *Config) {
-		c.NICLagBytes = 1000
-		c.NICLagTime = time.Hour // keep the stall criterion out
-		c.NICLagGrace = time.Second
-	})
-	// Big pre-existing asymmetry: local received 50000, peer reported 0.
-	h.conn.InjectStreamBytes(0, make([]byte, 50000))
+	h := newDetectorHarness(t, nil)
+	// Big pre-existing asymmetry: local received 4 × nicLagBytes, peer
+	// reported 0.
+	h.conn.InjectStreamBytes(0, make([]byte, 4*nicLagBytes))
 	h.node.ipDown.set(true, h.sim.Now())
 
 	if h.node.detectNICLag(h.rc, h.sim.Now()) {
 		t.Fatal("fired inside the grace period")
 	}
-	h.step(1100 * time.Millisecond)
+	h.step(nicLagGrace + 100*time.Millisecond)
 	// First post-grace tick takes the baseline; the huge absolute delta
 	// must not fire.
 	if h.node.detectNICLag(h.rc, h.sim.Now()) {
 		t.Fatal("fired on pre-existing asymmetry (baseline not applied)")
 	}
-	// Now the peer falls a further 2000 bytes behind.
-	h.conn.InjectStreamBytes(50000, make([]byte, 2000))
+	// Now the peer falls a further nicLagBytes+1 behind.
+	h.conn.InjectStreamBytes(4*nicLagBytes, make([]byte, nicLagBytes+1))
 	if !h.node.detectNICLag(h.rc, h.sim.Now()) {
-		t.Fatal("fresh lag beyond NICLagBytes not detected")
+		t.Fatal("fresh lag beyond nicLagBytes not detected")
 	}
 }
 
 // TestDetectorsIgnoreUnreplicatedConns: local-only connections are
-// invisible to the failure detectors.
+// invisible to the failure detectors. The same peer report, one that shows
+// the peer stalled AppMaxLagBytes behind past appLagByteHold, convicts
+// through a replicated connection and not through a local-only one.
 func TestDetectorsIgnoreUnreplicatedConns(t *testing.T) {
-	h := newDetectorHarness(t, func(c *Config) {
-		c.AppMaxLagBytes = 10
-		c.AppLagByteHold = time.Millisecond
-	})
-	h.rc.replicated = false
-	h.localProgress(t, 100000)
-	h.step(time.Second)
-	h.node.runDetectors()
-	if h.node.State() != StateActive {
-		t.Fatalf("unreplicated connection triggered detection: %v", h.node.State())
+	for _, replicated := range []bool{true, false} {
+		h := newDetectorHarness(t, nil)
+		h.rc.replicated = replicated
+		h.localProgress(t, 2*int(h.node.cfg.AppMaxLagBytes))
+		h.report(1, 0, 0)
+		h.node.runDetectors()
+		h.step(appLagByteHold + 100*time.Millisecond)
+		h.node.runDetectors()
+		want := StateNonFT
+		if !replicated {
+			want = StateActive
+		}
+		if got := h.node.State(); got != want {
+			t.Errorf("replicated=%v: node %v after a stalled report held past %v, want %v", replicated, got, appLagByteHold, want)
+		}
 	}
 }

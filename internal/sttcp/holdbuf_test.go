@@ -167,11 +167,8 @@ func TestCtrlRejectsGarbage(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	var c Config
 	c.fillDefaults()
-	if c.HB.Period.Milliseconds() != 200 {
-		t.Fatalf("HB period = %v", c.HB.Period)
-	}
-	if c.HB.Timeout != 3*c.HB.Period {
-		t.Fatalf("HB timeout = %v", c.HB.Timeout)
+	if c.HBPeriod.Milliseconds() != 200 {
+		t.Fatalf("HB period = %v", c.HBPeriod)
 	}
 	if c.AppMaxLagBytes != 64<<10 || c.MaxDelayFIN.Seconds() != 60 {
 		t.Fatalf("defaults: %+v", c)

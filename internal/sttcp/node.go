@@ -25,10 +25,12 @@ var ErrNoSerial = errors.New("sttcp: host has no serial port attached")
 const maxHeldSegments = 128
 
 // Gateway pinging: one echo request per pingInterval, lost after
-// pingTimeout.
+// pingTimeout; pingFailsForVerdict consecutive (mine-ok, peer-fail)
+// observations blame the peer's NIC.
 const (
-	pingInterval = 500 * time.Millisecond
-	pingTimeout  = 250 * time.Millisecond
+	pingInterval        = 500 * time.Millisecond
+	pingTimeout         = 250 * time.Millisecond
+	pingFailsForVerdict = 2
 )
 
 // recoveryChunk bounds each recovery-data datagram's payload (node and
@@ -309,7 +311,7 @@ func (n *Node) pair() error {
 	if err != nil {
 		return fmt.Errorf("sttcp: %s: heartbeat channel: %w", n.host.Name(), err)
 	}
-	n.ex = hb.NewExchanger(n.sim, n.comp, n.cfg.HB, n.tracer, n.host.Metrics())
+	n.ex = hb.NewExchanger(n.sim, n.comp, n.cfg.HBPeriod, n.tracer, n.host.Metrics())
 	n.ex.Attach(udpCh)
 	if n.host.Serial() != nil {
 		n.ex.Attach(hb.NewSerialChannel(n.host.Serial()))
@@ -333,7 +335,7 @@ func (n *Node) pair() error {
 			return fmt.Errorf("sttcp: %s: witness channel: %w", n.host.Name(), err)
 		}
 		n.witnessView = make(map[tcp.ConnID]witnessState)
-		n.witnessEx = hb.NewExchanger(n.sim, n.comp+"/witness", n.cfg.HB, n.tracer, n.host.Metrics())
+		n.witnessEx = hb.NewExchanger(n.sim, n.comp+"/witness", n.cfg.HBPeriod, n.tracer, n.host.Metrics())
 		n.witnessEx.Attach(wCh)
 		n.witnessEx.Compose = n.composeHB
 		n.witnessEx.OnMessage = n.handleWitnessHB
@@ -342,7 +344,7 @@ func (n *Node) pair() error {
 	}
 
 	if !n.cfg.Witness {
-		n.detector = n.host.Clock().NewTicker(max(n.cfg.HB.Period/2, 50*time.Millisecond), n.runDetectors)
+		n.detector = n.host.Clock().NewTicker(max(n.cfg.HBPeriod/2, 50*time.Millisecond), n.runDetectors)
 	}
 	return nil
 }
@@ -617,7 +619,7 @@ func (n *Node) handleHB(m hb.Message, link hb.LinkID) {
 	if n.ipDown.on() && m.PingValid {
 		if n.myPingValid && n.myPingOK && !m.PingOK {
 			n.peerPingFails++
-			if n.peerPingFails >= n.cfg.PingFailsForVerdict {
+			if n.peerPingFails >= pingFailsForVerdict {
 				n.declarePeerFailed("gateway pings fail at peer but succeed locally: peer NIC dead")
 				return
 			}
@@ -928,7 +930,7 @@ func (n *Node) armMajorityVote(rc *repConn, localFIN bool) {
 	if rc.majorityTimer != nil {
 		return
 	}
-	rc.majorityTimer = n.sim.Schedule(3*n.cfg.HB.Period, func() {
+	rc.majorityTimer = n.sim.Schedule(3*n.cfg.HBPeriod, func() {
 		rc.majorityTimer = nil
 		n.decideByMajority(rc, localFIN)
 	})
@@ -951,7 +953,7 @@ func (n *Node) decideByMajority(rc *repConn, localFIN bool) {
 		return
 	}
 	w, ok := n.witnessView[c.ID()]
-	if !ok || n.sim.Since(w.seen) > 4*n.cfg.HB.Period {
+	if !ok || n.sim.Since(w.seen) > 4*n.cfg.HBPeriod {
 		n.tracer.Emit(trace.KindFINSuppressed, n.comp,
 			"majority vote on %v: witness view stale; falling back to MaxDelayFIN", c.ID())
 		return

@@ -27,10 +27,19 @@ import (
 // once is worth more than either alone.
 
 // respRingSize bounds the per-connection history of local write-progress
-// samples. At the default detector cadence (HB.Period/2) the ring covers
+// samples. At the default detector cadence (HBPeriod/2) the ring covers
 // several seconds — beyond that the crisp AppMaxLagTime detector owns
 // the verdict anyway.
 const respRingSize = 32
+
+// respSLO is the response-latency objective: peer write progress trailing
+// ours by more than this counts as a violation — far above healthy
+// heartbeat-stale lag, far below the crisp AppMaxLagTime detector. respHold
+// is how much sustained violation alone reaches the threshold.
+const (
+	respSLO  = 400 * time.Millisecond
+	respHold = time.Second
+)
 
 // suspicionThreshold is the score at which the peer is declared failed.
 const suspicionThreshold = 1.0
@@ -136,7 +145,7 @@ func (n *Node) respStaleness(rc *repConn, now time.Time) time.Duration {
 		rc.respLagAt = now
 	}
 	if rc.peerAppW >= localW && !rc.respLagAt.IsZero() &&
-		now.Sub(rc.respLagAt) > n.cfg.Suspicion.RespSLO {
+		now.Sub(rc.respLagAt) > respSLO {
 		rc.respLag = 0
 	}
 	var stale time.Duration
@@ -155,7 +164,6 @@ func (n *Node) respStaleness(rc *repConn, now time.Time) time.Duration {
 // declares the peer failed when the combined score crosses the
 // threshold.
 func (n *Node) scoreSuspicion(now time.Time, worst time.Duration) {
-	cfg := &n.cfg.Suspicion
 	s := &n.susp
 	var dt time.Duration
 	if !s.lastTick.IsZero() {
@@ -165,13 +173,13 @@ func (n *Node) scoreSuspicion(now time.Time, worst time.Duration) {
 
 	// The symptom began when the peer fell behind, not when the detector
 	// noticed: a violation is backdated by the staleness itself.
-	if s.violation.set(worst > cfg.RespSLO, now.Add(-worst)); s.violation.on() {
-		s.score += float64(dt) / float64(cfg.RespHold)
+	if s.violation.set(worst > respSLO, now.Add(-worst)); s.violation.on() {
+		s.score += float64(dt) / float64(respHold)
 		if lim := suspicionThreshold * 1.2; s.score > lim {
 			s.score = lim
 		}
 	} else {
-		s.score -= float64(dt) / float64(3*cfg.RespHold)
+		s.score -= float64(dt) / float64(3*respHold)
 		if s.score < 0 {
 			s.score = 0
 		}
@@ -196,7 +204,7 @@ func (n *Node) scoreSuspicion(now time.Time, worst time.Duration) {
 	// dissolve when the bucket drains without a verdict. Only a span this
 	// scorer opened is dissolved here.
 	if s.violation.on() && s.score > 0 && n.detSpan == 0 {
-		n.noteEvidenceSince(s.violation.since, "peer response latency past SLO (staleness %v > %v)", worst, cfg.RespSLO)
+		n.noteEvidenceSince(s.violation.since, "peer response latency past SLO (staleness %v > %v)", worst, respSLO)
 		s.spanOpen = true
 	}
 	if s.spanOpen && n.detSpan != 0 {
@@ -212,7 +220,7 @@ func (n *Node) scoreSuspicion(now time.Time, worst time.Duration) {
 	if total >= suspicionThreshold {
 		n.convict(time.Time{}, "", fmt.Sprintf(
 			"suspicion %.2f >= %.2f: peer response latency past SLO %v (staleness %v, link bonus %.1f)",
-			total, suspicionThreshold, cfg.RespSLO, worst, bonus))
+			total, suspicionThreshold, respSLO, worst, bonus))
 	}
 }
 
@@ -229,7 +237,7 @@ func (n *Node) serialNoisy(now time.Time) bool {
 		n.lastSerialCRC = p.CRCErrors
 		n.lastSerialCRCAt = now
 	}
-	return !n.lastSerialCRCAt.IsZero() && now.Sub(n.lastSerialCRCAt) <= n.cfg.HB.Timeout
+	return !n.lastSerialCRCAt.IsZero() && now.Sub(n.lastSerialCRCAt) <= hb.Timeout(n.cfg.HBPeriod)
 }
 
 // --- Heartbeat-rate drift (clock skew evidence) ---
@@ -264,7 +272,7 @@ func (n *Node) noteHBArrival(link hb.LinkID) {
 		return
 	}
 	iv := float64(now.Sub(last))
-	period := float64(n.cfg.HB.Period)
+	period := float64(n.cfg.HBPeriod)
 	if iv < period/2 || iv >= 2*period {
 		return // SendNow burst or lost heartbeat(s); not a cadence sample
 	}

@@ -8,7 +8,7 @@ import (
 // suspicionConfig is the scorer configuration every test here uses:
 // defaults, with the scorer switched on.
 func suspicionConfig(c *Config) {
-	c.Suspicion.Enabled = true
+	c.Suspicion = true
 	c.AppMaxLagBytes = 1 << 40 // keep the crisp detectors out
 	c.AppMaxLagTime = time.Hour
 }
