@@ -161,10 +161,11 @@ chaos-gray:
 	$(GO) run ./cmd/sttcp chaos -gray -runs 200
 
 # CI-sized campaign, stated in seeds so every machine checks the same
-# schedules (seeds 1-4,500; ~30 s on a 2-core machine). A local soak is a
-# bigger -runs from another -seed, never a number of seconds.
+# schedules (seeds 1-4,500; ~30 s on a 2-core machine), its summary diffed
+# against the committed one (CI diffs the -gray twin the same way). A local
+# soak is a bigger -runs from another -seed, never a number of seconds.
 chaos-smoke:
-	$(GO) run ./cmd/sttcp chaos -runs 4500
+	$(GO) run ./cmd/sttcp chaos -runs 4500 | diff internal/chaos/testdata/chaos-runs-4500.stdout -
 
 # Exhaustive-interleaving exploration of a bounded failover window: every
 # tie-break order and fault placement, judged by the invariant registry

@@ -22,7 +22,7 @@ var settable = []struct {
 	value any
 	count int
 }{
-	{"sttcp.Config", sttcp.Config{}, 14},
+	{"sttcp.Config", sttcp.Config{}, 13},
 	{"experiment.Options", experiment.Options{}, 9},
 	{"experiment.Params", experiment.Params{}, 8},
 	{"experiment.Plan", experiment.Plan{}, 18},

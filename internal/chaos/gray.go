@@ -46,13 +46,13 @@ func (h *harness) expectEvidence(desc string, ok func() bool) {
 	h.grayEvidence = append(h.grayEvidence, grayEvidence{desc: desc, ok: ok})
 }
 
-// expectStarveVerdict: with the suspicion scorer on and a long echo
-// workload keeping responses flowing, a starve this deep holds response
-// staleness past the SLO (staleness ≈ (scale−1)·1ms of app quantum stretch),
-// so the scorer must reach its threshold: its SLO and hold (DESIGN.md §7)
-// plus heartbeat piggyback lag, with slack for the score ramp.
+// expectStarveVerdict: with a long echo workload keeping responses
+// flowing, a starve this deep holds response staleness past the SLO
+// (staleness ≈ (scale−1)·1ms of app quantum stretch), so the scorer must
+// reach its threshold: its SLO and hold (DESIGN.md §7) plus heartbeat
+// piggyback lag, with slack for the score ramp.
 func expectStarveVerdict(h *harness, ev Event, _ *cluster.Host) {
-	if h.cfg.Suspicion && h.sc.Workload == "echo" && ev.Scale >= 420 && ev.Dur >= 5*time.Second {
+	if h.sc.Workload == "echo" && ev.Scale >= 420 && ev.Dur >= 5*time.Second {
 		h.expectTakeoverBy(4*time.Second, fmt.Sprintf("slow-not-dead primary (cpu ×%.0f) past response SLO", ev.Scale))
 	}
 }
@@ -60,10 +60,8 @@ func expectStarveVerdict(h *harness, ev Event, _ *cluster.Host) {
 // expectAsymVerdict: the standby's asymmetric-partition criterion must
 // convict within its bound, with slack for ping and detector cadence.
 func expectAsymVerdict(h *harness, _ Event, t *cluster.Host) {
-	if h.cfg.Suspicion {
-		h.expectTakeoverBy(sttcp.AsymPartitionBound(h.cfg.HBPeriod)+1500*time.Millisecond,
-			fmt.Sprintf("asymmetric partition (%s outbound cut)", t.Name()))
-	}
+	h.expectTakeoverBy(sttcp.AsymPartitionBound(h.cfg.HBPeriod)+1500*time.Millisecond,
+		fmt.Sprintf("asymmetric partition (%s outbound cut)", t.Name()))
 }
 
 // Corruption evidence is statistical: a clean window proves nothing if
@@ -122,7 +120,7 @@ func expectDriftNote(h *harness, ev Event, t *cluster.Host) {
 	if d < 0 {
 		d = -d
 	}
-	if h.cfg.Suspicion && h.sc.DriftObservable() && d >= 0.10 && ev.Dur >= 5*time.Second {
+	if h.sc.DriftObservable() && d >= 0.10 && ev.Dur >= 5*time.Second {
 		h.expectEvidence(fmt.Sprintf("heartbeat cadence drift note for %s (×%.3f)", t.Name(), ev.Scale), func() bool {
 			for _, e := range h.tb.Tracer.Filter(trace.KindGeneric) {
 				if strings.Contains(e.Message, "clock-rate skew suspected") {

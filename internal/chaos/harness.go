@@ -126,12 +126,6 @@ func (h *harness) plan() experiment.Plan {
 			// would be released on trust (MaxDelayFIN).
 			c.MaxDelayFIN = 10 * time.Second
 			c.AppMaxLagTime = 3 * time.Second
-			// Schedules that carry gray faults get the gray-failure
-			// detector suite; crisp schedules keep it off so legacy seeds
-			// replay byte-identically.
-			if sc.HasGray() {
-				c.Suspicion = true
-			}
 			if h.opts.SabotageBlindDetectors {
 				c.HBPeriod, c.MaxDelayFIN = time.Hour, time.Hour
 			}

@@ -84,8 +84,8 @@ const (
 
 	// Gray failures: faults that degrade rather than kill, invisible to
 	// the crisp Table 1 detectors. Each has a detector answer in
-	// internal/sttcp (gated by Config.Suspicion) and is judged by
-	// the gray invariants.
+	// internal/sttcp, which every node runs, and is judged by the gray
+	// invariants.
 
 	// EvStarveServing CPU-starves the serving host: application
 	// processing is stretched by factor Scale for Dur while the host's
@@ -193,9 +193,9 @@ type Schedule struct {
 	Events []Event
 }
 
-// HasGray reports whether any scheduled event is a gray fault; the
-// harness enables the sttcp gray-failure detector suite exactly then, so
-// legacy schedules replay bit-identically.
+// HasGray reports whether any scheduled event is a gray fault: a failing
+// seed of such a schedule came from the gray campaign, and its replay line
+// says -chaos.gray.
 func (sc Schedule) HasGray() bool {
 	for _, e := range sc.Events {
 		if e.Gray() {

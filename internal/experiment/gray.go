@@ -3,8 +3,6 @@ package experiment
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/sttcp"
 )
 
 // Gray-failure demonstration: the slow-not-dead primary.
@@ -14,20 +12,19 @@ import (
 // criterion fires. CPU starvation is the canonical failure that is
 // neither: heartbeats still flow on both links, the application's write
 // position still (slowly) advances, yet clients wait far past any
-// response SLO. The demo runs the identical echo workload twice with the
-// suspicion scorer enabled: once under mild starvation the scorer must
-// ride out (responses stay inside the SLO; no failover), and once under
-// starvation heavy enough that the scorer convicts the primary and the
-// backup takes over a service that never technically died.
+// response SLO. The demo runs the identical echo workload twice: once
+// under mild starvation the suspicion scorer must ride out (responses stay
+// inside the SLO; no failover), and once under starvation heavy enough
+// that the scorer convicts the primary and the backup takes over a service
+// that never technically died.
 
 // runGrayStarve runs one echo workload against a primary whose CPU is
-// slowed by scale for the starvation window, with the suspicion scorer
-// on. Read out as a failover, CrashAt is the moment starvation begins; a
-// run the scorer rides out simply has no takeover anatomy.
+// slowed by scale for the starvation window. Read out as a failover,
+// CrashAt is the moment starvation begins; a run the scorer rides out
+// simply has no takeover anatomy.
 func runGrayStarve(o Options, scale float64) (*Run, error) {
 	run, err := Plan{
 		Options: o,
-		Mutate:  func(c *sttcp.Config) { c.Suspicion = true },
 		Clients: []Workload{Workload{Echo: true, Rounds: 1000, MsgSize: 512, Gap: 5 * time.Millisecond}},
 		// The window lasts long enough for the scorer to accrue to
 		// threshold at the convicting scale.

@@ -217,6 +217,20 @@ func TestFailureFreeRegistryPlans(t *testing.T) {
 	}
 }
 
+// TestFailureFreeAtSlowHeartbeats: a failure-free download at the slow
+// periods Demo 2 sweeps ends with no suspect (Run enforces it). The
+// suspicion scorer used to charge the peer for the age of its last report
+// and convicted the healthy backup 2.5 s into the run at 1 s and 4 s in at
+// 2 s.
+func TestFailureFreeAtSlowHeartbeats(t *testing.T) {
+	for _, hb := range []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second} {
+		p := Plan{Options: Options{Seed: 42}, HB: hb, Clients: []Workload{{Bytes: 64 << 20}}, Horizon: 10 * time.Second}
+		if _, err := p.Run(); err != nil {
+			t.Errorf("heartbeat %v: %v", hb, err)
+		}
+	}
+}
+
 // TestRejoinReplacesACutCable: a rejoin is a repair, and the repair also
 // replaces a cut serial cable, whichever path runs it (Reboot resets only
 // the dead machine's port). The lab's rejoin used to leave the survivor's

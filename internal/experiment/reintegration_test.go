@@ -83,7 +83,7 @@ func TestRepeatedFailoverCycles(t *testing.T) {
 func TestRejoinRunsTheRunsConfig(t *testing.T) {
 	tb := Build(Options{Seed: 124, WithLogger: true})
 	err := tb.StartSTTCP(100*time.Millisecond, func(c *sttcp.Config) {
-		c.MaxDelayFIN, c.AppMaxLagTime, c.Suspicion = 10*time.Second, 3*time.Second, true
+		c.MaxDelayFIN, c.AppMaxLagTime = 10*time.Second, 3*time.Second
 	})
 	if err != nil {
 		t.Fatalf("start: %v", err)

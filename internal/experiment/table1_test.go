@@ -36,6 +36,14 @@ func TestTable1Scenarios(t *testing.T) {
 				if res.DetectionTime <= 0 {
 					t.Fatalf("no suspect event recorded")
 				}
+				// A primary application that stops answering the echo is
+				// convicted by the suspicion scorer on response staleness,
+				// well before §4.2.1's AppMaxLagTime watermark (TestDemo4
+				// pins that criterion).
+				lagTime := run.Testbed.BackupNode.Config().AppMaxLagTime
+				if (sc == AppCrashNoFINPrimary || sc == AppCrashFINPrimary) && res.DetectionTime >= lagTime {
+					t.Errorf("detected in %v, want under AppMaxLagTime %v (reason=%q)", res.DetectionTime, lagTime, res.Reason)
+				}
 			case sc.ExpectNonFT():
 				if res.PrimaryState != sttcp.StateNonFT {
 					t.Fatalf("primary state %v, want non-FT (reason=%q)\n%s", res.PrimaryState, res.Reason, tail)

@@ -101,7 +101,6 @@ func compile(sc *Script, o experiment.Options) (experiment.Plan, []expect, error
 	p := experiment.Plan{Options: o}
 	p.Seed = 42
 	var maxDelayFIN time.Duration
-	suspicion := false
 	var expects []expect
 	for _, st := range sc.Statements {
 		switch st.Verb {
@@ -118,8 +117,6 @@ func compile(sc *Script, o experiment.Options) (experiment.Plan, []expect, error
 				p.WithLogger = true
 			case "witness":
 				p.WithWitness = true
-			case "suspicion":
-				suspicion = true
 			}
 		case VerbClient:
 			w := st.Client
@@ -139,9 +136,6 @@ func compile(sc *Script, o experiment.Options) (experiment.Plan, []expect, error
 	p.Mutate = func(c *sttcp.Config) {
 		if maxDelayFIN > 0 {
 			c.MaxDelayFIN = maxDelayFIN
-		}
-		if suspicion {
-			c.Suspicion = true
 		}
 	}
 	return p, expects, nil

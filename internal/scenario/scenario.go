@@ -13,7 +13,6 @@
 //	option logger                 deploy the §4.3 logger machine
 //	option witness                deploy the §4.2.2 witness replica
 //	option maxdelayfin <duration> shrink the FIN gate for short runs
-//	option suspicion              enable the gray-failure suspicion scorer
 //
 //	client download <size>        start a verified download (e.g. 16MiB)
 //	client echo <rounds> <size>   start an echo session (e.g. 500 1KiB)
@@ -173,7 +172,7 @@ func Parse(text string) (*Script, error) {
 func parseOption(st *Statement, fields []string) error {
 	st.Verb = VerbOption
 	switch {
-	case len(fields) == 2 && (fields[1] == "logger" || fields[1] == "witness" || fields[1] == "suspicion"):
+	case len(fields) == 2 && (fields[1] == "logger" || fields[1] == "witness"):
 		st.OptionName = fields[1]
 	case len(fields) == 3 && (fields[1] == "hb" || fields[1] == "seed" || fields[1] == "maxdelayfin"):
 		st.OptionName = fields[1]
@@ -189,7 +188,7 @@ func parseOption(st *Statement, fields []string) error {
 			}
 		}
 	default:
-		return errf(st.Line, "usage: option hb <dur> | option seed <n> | option logger | option witness | option suspicion | option maxdelayfin <dur>")
+		return errf(st.Line, "usage: option hb <dur> | option seed <n> | option logger | option witness | option maxdelayfin <dur>")
 	}
 	return nil
 }

@@ -57,6 +57,7 @@ func TestParseErrors(t *testing.T) {
 		{"client download 16MiB\noption hb 1s", "options must precede"},
 		{"option hb soon", "bad duration"},
 		{"option color blue", "usage: option"},
+		{"option suspicion", "usage: option"},
 		{"client teleport 1MiB", "unknown client kind"},
 		{"client echo ten 1KiB", "bad rounds"},
 		{"at noon crash primary", "bad time"},

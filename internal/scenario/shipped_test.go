@@ -96,8 +96,7 @@ func TestShippedScenariosCompile(t *testing.T) {
 		},
 		"gray-slow.sttcp": {
 			clients: []time.Duration{0}, expects: []time.Duration{60 * s, 60 * s},
-			faults:  []experiment.Fault{{At: s, Kind: experiment.FaultStarve, Host: "primary", Scale: 500, Dur: 8 * s}},
-			mutated: sttcp.Config{Suspicion: true},
+			faults: []experiment.Fault{{At: s, Kind: experiment.FaultStarve, Host: "primary", Scale: 500, Dur: 8 * s}},
 		},
 		"long-download.sttcp": {
 			clients: []time.Duration{0}, expects: []time.Duration{30 * s, 30 * s, 30 * s},

@@ -253,16 +253,12 @@ func (n *Node) runDetectors() {
 		if n.ipDown.on() && n.detectNICLag(rc, now) {
 			return
 		}
-		if n.cfg.Suspicion {
-			worstStaleness = max(worstStaleness, n.respStaleness(rc, now))
-		}
+		worstStaleness = max(worstStaleness, n.respStaleness(rc, now))
 	}
-	if n.cfg.Suspicion {
-		if n.detectAsymLink(now) {
-			return
-		}
-		n.scoreSuspicion(now, worstStaleness)
+	if n.detectAsymLink(now) {
+		return
 	}
+	n.scoreSuspicion(now, worstStaleness)
 }
 
 // detectAsymLink closes the asymmetric-partition gray gap: when the

@@ -60,11 +60,12 @@ type repConn struct {
 	replicated bool
 
 	// Latest peer view (unwrapped to 64-bit stream offsets), from the
-	// heartbeat numbered peerSeq. peerAppLag is how far the peer's
-	// application trailed ours, on the worse of the two streams, at the
-	// instant that heartbeat was applied.
+	// heartbeat numbered peerSeq, first applied at peerAt. peerAppLag is
+	// how far the peer's application trailed ours, on the worse of the two
+	// streams, at that instant.
 	peerValid  bool
 	peerSeq    uint64
+	peerAt     time.Time
 	peerLBR    int64 // peer's LastByteReceived
 	peerLAR    int64 // peer's LastAckReceived
 	peerAppW   int64 // peer's LastAppByteWritten
@@ -667,6 +668,7 @@ func (n *Node) applyPeerConnState(cs *hb.ConnState, seq uint64) {
 		// "behind" a healthy peer). The second copy of a heartbeat says
 		// nothing new and does not re-sample.
 		rc.peerAppLag = max(c.LastAppByteWritten()-rc.peerAppW, c.LastAppByteRead()-rc.peerAppR)
+		rc.peerAt = n.sim.Now()
 	}
 	rc.peerFIN = cs.FINGenerated
 	rc.peerRST = cs.RSTGenerated

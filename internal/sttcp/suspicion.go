@@ -33,9 +33,9 @@ import (
 const respRingSize = 32
 
 // respSLO is the response-latency objective: peer write progress trailing
-// ours by more than this counts as a violation — far above healthy
-// heartbeat-stale lag, far below the crisp AppMaxLagTime detector. respHold
-// is how much sustained violation alone reaches the threshold.
+// ours by more than this, as of the report that carried it, counts as a
+// violation — far below the crisp AppMaxLagTime detector. respHold is how
+// much sustained violation alone reaches the threshold.
 const (
 	respSLO  = 400 * time.Millisecond
 	respHold = time.Second
@@ -78,17 +78,21 @@ func (r *respRing) push(off int64, at time.Time) {
 	}
 }
 
-// since is how long before now the local application first reached stream
-// offset off — the age of the oldest sample at or past it, zero if none is
-// — but no longer than since the peer's input recovered at okSince:
-// lateness accrued while the peer was missing its input is not the peer's.
-func (r *respRing) since(off int64, now, okSince time.Time) time.Duration {
+// since is how long before reported — the arrival of the peer report being
+// judged — the local application first reached stream offset off: the age
+// of the oldest sample at or past it, but no longer than since the peer's
+// input recovered at okSince (lateness accrued while the peer was missing
+// its input is not the peer's). Zero if no sample reached off. A sample or
+// okSince after reported is news the report predates, so it reads as zero
+// too.
+func (r *respRing) since(off int64, reported, okSince time.Time) time.Duration {
 	for i := 0; i < r.n; i++ {
 		if s := &r.buf[(r.head+i)%respRingSize]; s.off >= off {
-			if okSince.IsZero() {
-				return now.Sub(s.at)
+			d := reported.Sub(s.at)
+			if !okSince.IsZero() {
+				d = min(d, reported.Sub(okSince))
 			}
-			return min(now.Sub(s.at), now.Sub(okSince))
+			return max(d, 0)
 		}
 	}
 	return 0
@@ -103,9 +107,10 @@ type suspicionState struct {
 }
 
 // respStaleness samples local write progress for rc and returns the
-// worse of two lateness measures. The *instantaneous* staleness is how
-// long ago the local application first passed the peer's current write
-// position — zero when the peer is caught up. That alone is not enough:
+// worse of two lateness measures, each judged as of the peer's latest
+// report. The *instantaneous* staleness is how long before that report the
+// local application first passed the write position it carried — zero
+// when the peer was caught up. That alone is not enough:
 // a request/response workload self-throttles against a slow peer (the
 // client withholds round N+1 until the starved peer answers round N), so
 // the peer catches up briefly every round and an instantaneous measure
@@ -139,9 +144,13 @@ func (n *Node) respStaleness(rc *repConn, now time.Time) time.Duration {
 	if rc.inputStarved {
 		return 0
 	}
+	// Like against like: how old the report has grown since is the
+	// liveness timeout's to judge, not the peer application's — at a 1 s
+	// heartbeat a healthy peer's report is up to a second old.
+	reported := rc.peerAt
 	if rc.peerAppW > rc.scoredAppW {
 		rc.scoredAppW = rc.peerAppW
-		rc.respLag = r.since(rc.peerAppW, now, rc.inputOKSince)
+		rc.respLag = r.since(rc.peerAppW, reported, rc.inputOKSince)
 		rc.respLagAt = now
 	}
 	if rc.peerAppW >= localW && !rc.respLagAt.IsZero() &&
@@ -151,10 +160,10 @@ func (n *Node) respStaleness(rc *repConn, now time.Time) time.Duration {
 	var stale time.Duration
 	if rc.peerAppW < localW {
 		// The oldest sample still above the peer's position marks when
-		// we first got ahead of where the peer is now. If history has
+		// we first got ahead of where the peer reported. If history has
 		// been evicted past that point the oldest sample is a
 		// (conservative) lower bound.
-		stale = r.since(rc.peerAppW+1, now, rc.inputOKSince)
+		stale = r.since(rc.peerAppW+1, reported, rc.inputOKSince)
 	}
 	return max(rc.respLag, stale)
 }
@@ -186,7 +195,7 @@ func (n *Node) scoreSuspicion(now time.Time, worst time.Duration) {
 	}
 
 	bonus := 0.0
-	if n.ex != nil && n.ex.AnyLinkDown() && !n.ex.AllLinksDown() {
+	if n.ex.AnyLinkDown() && !n.ex.AllLinksDown() {
 		bonus = linkSilenceBonus
 		// A "silent" serial link that is still delivering CRC-rejected
 		// frames is a noisy cable, not a dead peer: frames keep arriving,

@@ -5,24 +5,16 @@ import (
 	"time"
 )
 
-// suspicionConfig is the scorer configuration every test here uses:
-// defaults, with the scorer switched on.
-func suspicionConfig(c *Config) {
-	c.Suspicion = true
-	c.AppMaxLagBytes = 1 << 40 // keep the crisp detectors out
-	c.AppMaxLagTime = time.Hour
-}
-
 // suspTick advances the clock and runs one scorer tick, exactly as
-// runDetectors would. The peer's receive offset mirrors the local one:
-// these tests model peers whose network stack is healthy (a starved
-// host still ACKs on time — only the application is slow), so the
-// scorer's input gate stays open. TestSuspicionInputStarvedExonerated
-// covers the gate itself.
+// runDetectors would, on a fresh report of the peer's view. The peer's
+// receive offset mirrors the local one: these tests model peers whose
+// heartbeats and network stack are healthy (a starved host still ACKs on
+// time — only the application is slow), so the scorer's input gate stays
+// open. TestSuspicionInputStarvedExonerated covers the gate itself.
 func (h *detectorHarness) suspTick(dt time.Duration) {
 	h.step(dt)
-	h.rc.peerLBR = h.conn.LastByteReceived()
 	now := h.sim.Now()
+	h.rc.peerLBR, h.rc.peerAt = h.conn.LastByteReceived(), now
 	worst := h.node.respStaleness(h.rc, now)
 	h.node.scoreSuspicion(now, worst)
 }
@@ -31,7 +23,7 @@ func (h *detectorHarness) suspTick(dt time.Duration) {
 // behind a stream of local writes, each position reached only long after
 // the SLO, accrues suspicion to the threshold and is declared failed.
 func TestSuspicionStarvedPeerConvicted(t *testing.T) {
-	h := newDetectorHarness(t, suspicionConfig)
+	h := newDetectorHarness(t, nil)
 	h.localProgress(t, 512)
 	deadline := h.sim.Now().Add(4 * time.Second)
 	for h.node.State() == StateActive {
@@ -52,7 +44,7 @@ func TestSuspicionStarvedPeerConvicted(t *testing.T) {
 // matures. The scorer must still convict, because each advance arrives
 // far past the SLO.
 func TestSuspicionOscillatingCatchupConvicted(t *testing.T) {
-	h := newDetectorHarness(t, suspicionConfig)
+	h := newDetectorHarness(t, nil)
 	pos := 0
 	for round := 0; round < 8 && h.node.State() == StateActive; round++ {
 		h.localProgress(t, 512)
@@ -73,7 +65,7 @@ func TestSuspicionOscillatingCatchupConvicted(t *testing.T) {
 // TestSuspicionHealthyPeerUntouched: a peer answering every round well
 // inside the SLO never accrues score, and the node stays active.
 func TestSuspicionHealthyPeerUntouched(t *testing.T) {
-	h := newDetectorHarness(t, suspicionConfig)
+	h := newDetectorHarness(t, nil)
 	pos := 0
 	for round := 0; round < 40; round++ {
 		h.localProgress(t, 512)
@@ -97,7 +89,7 @@ func TestSuspicionHealthyPeerUntouched(t *testing.T) {
 // the bucket back to zero — one-off retransmission hiccups must not
 // linger.
 func TestSuspicionBriefStallDecays(t *testing.T) {
-	h := newDetectorHarness(t, suspicionConfig)
+	h := newDetectorHarness(t, nil)
 	h.localProgress(t, 512)
 	// 600ms stall: past the 400ms SLO for ~4 ticks.
 	for i := 0; i < 12; i++ {
@@ -131,7 +123,7 @@ func TestSuspicionBriefStallDecays(t *testing.T) {
 // suspicion accrues — delivery failures belong to TCP retransmission
 // and the crisp detectors, not the scorer.
 func TestSuspicionInputStarvedExonerated(t *testing.T) {
-	h := newDetectorHarness(t, suspicionConfig)
+	h := newDetectorHarness(t, nil)
 	h.localProgress(t, 512)
 	// The peer never reports receiving what we received: score must stay
 	// zero no matter how long its write position stalls.
@@ -160,12 +152,12 @@ func TestSuspicionInputStarvedExonerated(t *testing.T) {
 // late advance the sticky lag reads back through respStaleness, and once
 // the peer has caught up and stayed idle past the SLO it reads zero.
 func TestSuspicionStickyLagExpires(t *testing.T) {
-	h := newDetectorHarness(t, suspicionConfig)
+	h := newDetectorHarness(t, nil)
 	h.localProgress(t, 512)
 	h.rc.peerLBR = h.conn.LastByteReceived() // input current; only the app is late
 	h.node.respStaleness(h.rc, h.sim.Now())  // sample the write position
 	h.step(600 * time.Millisecond)
-	h.rc.peerAppW = 512 // answered 600ms late
+	h.rc.peerAppW, h.rc.peerAt = 512, h.sim.Now() // answered 600ms late
 	if got := h.node.respStaleness(h.rc, h.sim.Now()); got < 550*time.Millisecond {
 		t.Fatalf("per-advance lag %v, want ≈600ms", got)
 	}
@@ -178,5 +170,31 @@ func TestSuspicionStickyLagExpires(t *testing.T) {
 	h.step(300 * time.Millisecond)
 	if got := h.node.respStaleness(h.rc, h.sim.Now()); got != 0 {
 		t.Fatalf("sticky lag %v survived an idle, caught-up peer", got)
+	}
+}
+
+// TestSuspicionJudgesTheReport: lateness is judged as of the report that
+// carried the peer's position, not as of the tick that reads it. A healthy
+// peer at a 1 s heartbeat reports caught up, then says nothing for a period
+// while we write on: its report ages, the peer does not. Charged against
+// the tick, that age convicted a healthy backup in failure-free downloads
+// at 1 s and 2 s heartbeats.
+func TestSuspicionJudgesTheReport(t *testing.T) {
+	h := newDetectorHarness(t, func(c *Config) { c.HBPeriod = time.Second })
+	for period := 0; period < 20; period++ {
+		h.rc.peerAppW, h.rc.peerAt = h.conn.LastAppByteWritten(), h.sim.Now()
+		for tick := 0; tick < 2; tick++ { // the detector runs every half period
+			h.localProgress(t, 512)
+			h.step(500 * time.Millisecond)
+			h.rc.peerLBR = h.conn.LastByteReceived()
+			now := h.sim.Now()
+			h.node.scoreSuspicion(now, h.node.respStaleness(h.rc, now))
+		}
+	}
+	if h.node.State() != StateActive {
+		t.Fatalf("healthy peer convicted on its reports' age: state %v", h.node.State())
+	}
+	if s := h.node.susp.score; s != 0 {
+		t.Errorf("healthy peer accrued score %.3f from its reports' age", s)
 	}
 }
