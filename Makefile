@@ -57,11 +57,12 @@ loc:
 # How many command-line flags the one binary registers: every fs.Bool /
 # fs.IntVar / fs.Func / ... call under cmd/ (the shared ones in
 # cmd/internal/cliflags count once). An option is a configuration tests must
-# cover, so the count should only fall. Like `make allows` a grep; CI prints
-# it beside `make loc`.
+# cover, so the count should only fall. Counted and pinned by
+# TestFlagRegistrations in cmd/sttcp, as `make settings` is by its test; CI
+# prints it beside `make loc`.
 flags:
-	@grep -rhoE 'fs\.(Bool|Int|Int64|Uint|String|Duration|Float64|Func|Var|Text)(Var)?\(' \
-	    --include='*.go' --exclude='*_test.go' cmd | wc -l
+	@out=$$($(GO) test ./cmd/sttcp -run '^TestFlagRegistrations$$' -count=1 -v); st=$$?; \
+	  printf '%s\n' "$$out" | sed -n 's/^ *settings_test\.go:[0-9]*: //p'; exit $$st
 
 # How many settable values each config struct a caller fills has (exported
 # fields; a nested config struct counts by its fields), and their total: the
@@ -96,7 +97,7 @@ allows:
 # primary directly, by design). A grep, not an analyzer: the names are few
 # and distinctive. CI runs it next to `make loc`.
 faults-one-place:
-	@! grep -rnE '\.(CrashHW|FailNIC|DropFrom[AB]For|SetLossRate|SetExtraDelay|SetCutFrom[AB]|SetCorruptRate|SetCPUScale|SetTimerScale|CrashSilent|CrashCleanup)\b|SetDown\(true\)' \
+	@! grep -rnE '\.(CrashHW|FailNIC|DropFromBFor|SetLossRate|SetExtraDelay|SetCutFrom[AB]|SetCorruptRate|SetCPUScale|SetTimerScale|CrashSilent|CrashCleanup)\b|SetDown\(true\)' \
 	    --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build . \
 	  | grep -vE '^\./internal/(netem|serial|cluster|app)/|^\./internal/experiment/testbed\.go:' \
 	  || { echo "faults-one-place: a fault is performed outside experiment.Testbed (lines above)"; exit 1; }

@@ -20,7 +20,7 @@ func setupChaos(fs *flag.FlagSet) func(io.Writer) error {
 	traceDetail := fs.Bool("trace-detail", false, "record per-segment trace events and spans (heavier; pairs well with -trace-out)")
 	gray := fs.Bool("gray", false, "generate gray-failure schedules (starvation, asymmetric cuts, corruption, flapping, clock skew) instead of crisp Table 1 faults")
 	verbose := fs.Bool("v", false, "print every schedule and its outcome")
-	art := cliflags.Register(fs, "the last (or first failing) run", cliflags.Metrics|cliflags.Trace|cliflags.Report|cliflags.Window)
+	art := cliflags.Register(fs, "the last (or first failing) run")
 
 	return func(stdout io.Writer) error {
 		if *runs < 1 {
@@ -69,14 +69,14 @@ func setupChaos(fs *flag.FlagSet) func(io.Writer) error {
 				}
 				// The failing run's artifacts (its report carries the
 				// invariant verdicts), not the campaign's last.
-				art.Note(res.Metrics, res.Trace, res.RunReport())
+				art.Note(res.Trace, res.RunReport())
 				if err := art.Write(stdout); err != nil {
 					return err
 				}
 				return fmt.Errorf("seed %d violated an invariant", s)
 			}
 		}
-		art.Note(last.Metrics, last.Trace, last.RunReport())
+		art.Note(last.Trace, last.RunReport())
 		if err := art.Write(stdout); err != nil {
 			return err
 		}

@@ -32,7 +32,7 @@ func setupDemo(fs *flag.FlagSet) func(io.Writer) error {
 		return nil
 	})
 	v := registerView(fs)
-	art := cliflags.Register(fs, "the final demo", cliflags.Metrics|cliflags.Trace|cliflags.Events|cliflags.Report|cliflags.Window)
+	art := cliflags.Register(fs, "the final demo")
 
 	return func(stdout io.Writer) error {
 		selected, err := selectDemos(*demo)
@@ -72,7 +72,7 @@ func setupDemo(fs *flag.FlagSet) func(io.Writer) error {
 			}
 			if len(runs) > 0 {
 				tb := runs[len(runs)-1].Testbed
-				art.Note(tb.Metrics.Snapshot(), tb.Tracer, tb.Report(d.Name, p))
+				art.Note(tb.Tracer, tb.Report(d.Name, p))
 			}
 		}
 		// Artifacts are written before a failed demo is reported: a failing

@@ -31,7 +31,7 @@ func setupExplore(fs *flag.FlagSet) func(io.Writer) error {
 	fs.BoolVar(&cfg.NoDedup, "no-dedup", false, "disable outcome-fingerprint dedup")
 	fs.IntVar(&cfg.ShrinkBudget, "shrink-budget", 25, "max re-executions spent minimising each violation")
 	requireClose := fs.Bool("require-closed", false, "exit nonzero unless the window fully closed (CI smoke asserts the closure, not just the absence of violations)")
-	art := cliflags.Register(fs, "the first violating run", cliflags.Metrics|cliflags.Trace|cliflags.Report)
+	art := cliflags.Register(fs, "the first violating run")
 
 	return func(stdout io.Writer) error {
 		cfg.Seed = *seed
@@ -52,7 +52,7 @@ func setupExplore(fs *flag.FlagSet) func(io.Writer) error {
 
 		if len(res.Violations) > 0 {
 			r := res.Violations[0].Result
-			art.Note(r.Metrics, r.Trace, r.RunReport())
+			art.Note(r.Trace, r.RunReport())
 			if err := art.Write(stdout); err != nil {
 				return err
 			}

@@ -17,7 +17,7 @@ import (
 // non-zero if any `expect` fails.
 func setupLab(fs *flag.FlagSet) func(io.Writer) error {
 	v := registerView(fs)
-	art := cliflags.Register(fs, "the run", cliflags.Trace|cliflags.Report|cliflags.Window)
+	art := cliflags.Register(fs, "the run")
 
 	return func(stdout io.Writer) error {
 		if fs.NArg() != 1 {
@@ -66,7 +66,7 @@ func setupLab(fs *flag.FlagSet) func(io.Writer) error {
 			fmt.Fprintln(stdout)
 		}
 		v.traces(stdout, res.Tracer, nil)
-		art.Note(nil, res.Tracer, res.Report)
+		art.Note(res.Tracer, res.Report)
 		if err := art.Write(stdout); err != nil {
 			return err
 		}

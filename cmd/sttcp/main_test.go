@@ -44,6 +44,11 @@ func TestUsageErrors(t *testing.T) {
 		{"chaos", "-runs", "3", "-wall", "30s"}, // bounded in seeds only
 		{"explore", "-faults", "gremlins"},
 		{"explore", "-wall", "25s"},
+		// The report is the one metrics and events artifact; its window is
+		// the one it implies.
+		{"demo", "-metrics-out", "m.json"},
+		{"demo", "-json", "e.json"},
+		{"demo", "-telemetry-window", "100ms"},
 		{"report"},
 		{"report", "-diff", "a.json", "b.json"}, // two reports compare with cmp
 		{"vet", "-format", "xml"},
@@ -175,12 +180,9 @@ func TestTraceViewsRejectedBeforeTheRun(t *testing.T) {
 	dir := t.TempDir()
 	for _, args := range [][]string{
 		{"-trace-out", filepath.Join(dir, "t.json")},
-		{"-json", filepath.Join(dir, "e.json")},
 		{"-timeline"},
 		{"-trace"},
-		{"-metrics-out", filepath.Join(dir, "m.json")},
 		{"-report-out", "-"},
-		{"-telemetry-window", "100ms"},
 	} {
 		code, out, errb := cli(append([]string{"demo", "-demo", "capacity"}, args...)...)
 		if code != 2 || out != "" || !strings.Contains(errb, "-demo capacity") {
@@ -193,44 +195,44 @@ func TestTraceViewsRejectedBeforeTheRun(t *testing.T) {
 }
 
 // TestTraceArtifactsForAnyTracedDemo: -trace-out used to know two of the
-// result shapes and -json only demo1; now every demo that builds a testbed
-// hands its recorder back.
+// result shapes; now every demo that builds a testbed hands its recorder
+// back.
 func TestTraceArtifactsForAnyTracedDemo(t *testing.T) {
-	dir := t.TempDir()
-	spans, events := filepath.Join(dir, "spans.json"), filepath.Join(dir, "events.json")
-	mustRun(t, "demo", "-demo", "scale", "-conns", "10", "-trace-out", spans, "-json", events)
-	for _, path := range []string{spans, events} {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var doc any
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			t.Errorf("%s is not JSON: %v", filepath.Base(path), err)
-		}
-		if !bytes.Contains(raw, []byte("takeover")) {
-			t.Errorf("%s records no takeover", filepath.Base(path))
-		}
+	spans := filepath.Join(t.TempDir(), "spans.json")
+	mustRun(t, "demo", "-demo", "scale", "-conns", "10", "-trace-out", spans)
+	raw, err := os.ReadFile(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Errorf("the span trace is not JSON: %v", err)
+	}
+	if !bytes.Contains(raw, []byte("takeover")) {
+		t.Error("the span trace records no takeover")
 	}
 }
 
-// TestMetricsOutDashIsJSON: `-metrics-out -` used to print the human
-// rendering although its help text promises JSON.
-func TestMetricsOutDashIsJSON(t *testing.T) {
-	file := filepath.Join(t.TempDir(), "m.json")
-	toFile := mustRun(t, "demo", "-demo", "demo5", "-metrics-out", file)
-	toStdout := mustRun(t, "demo", "-demo", "demo5", "-metrics-out", "-")
+// TestReportOutDashIsJSON: `-report-out -` appends to the demo's output
+// exactly the JSON the file would hold, its metrics section the run's metric
+// snapshot.
+func TestReportOutDashIsJSON(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "r.json")
+	toFile := mustRun(t, "demo", "-demo", "demo5", "-report-out", file)
+	toStdout := mustRun(t, "demo", "-demo", "demo5", "-report-out", "-")
 	want, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	banner := strings.TrimSuffix(toFile, "\n(metric snapshot written to "+file+")\n")
+	banner, _, _ := strings.Cut(toFile, "\n(run report written to "+file)
 	if toStdout != banner+string(want) {
-		t.Errorf("-metrics-out - did not append the file's JSON encoding to the demo output:\n%s", toStdout)
+		t.Errorf("-report-out - did not append the file's JSON encoding to the demo output:\n%s", toStdout)
 	}
-	var snap struct{ Samples []json.RawMessage }
-	if err := json.Unmarshal(want, &snap); err != nil || len(snap.Samples) == 0 {
-		t.Errorf("snapshot does not decode as JSON with samples: %v", err)
+	var rep struct {
+		Metrics struct{ Samples []json.RawMessage }
+	}
+	if err := json.Unmarshal(want, &rep); err != nil || len(rep.Metrics.Samples) == 0 {
+		t.Errorf("report does not decode as JSON with metric samples: %v", err)
 	}
 }
 
@@ -259,7 +261,7 @@ func TestReportsMatchTheOldAssemblers(t *testing.T) {
 		// straddles a window edge is counted by its link one 100 ms window
 		// later — 14 such shifts on the client and backup links, same totals.
 		{"demo2 at 200ms (the demo2-dashboard.golden run)",
-			[]string{"demo", "-demo", "demo2", "-periods", "200ms", "-telemetry-window", "100ms"},
+			[]string{"demo", "-demo", "demo2", "-periods", "200ms"},
 			"", "0e80f139fef161a54214893d9f8c1c69893fc05d0135233b6e241aaf84c20136", 0},
 		// Re-pinned when chaos began injecting through experiment.Testbed:
 		// the harness's no-op revert event behind each self-expiring drop

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -10,7 +14,6 @@ import (
 	"repro/internal/explore"
 	"repro/internal/sttcp"
 	"repro/internal/tcp"
-	"repro/internal/telemetry"
 )
 
 // settable lists the config structs a caller fills and how many settable
@@ -24,12 +27,11 @@ var settable = []struct {
 }{
 	{"sttcp.Config", sttcp.Config{}, 13},
 	{"experiment.Options", experiment.Options{}, 9},
-	{"experiment.Params", experiment.Params{}, 8},
+	{"experiment.Params", experiment.Params{}, 7},
 	{"experiment.Plan", experiment.Plan{}, 18},
 	{"explore.Config", explore.Config{}, 12},
 	{"chaos.Options", chaos.Options{}, 11},
-	{"telemetry.Config", telemetry.Config{}, 2},
-	{"tcp.Options", tcp.Options{}, 9},
+	{"tcp.Options", tcp.Options{}, 4},
 }
 
 // TestSettableFields pins each config struct's count of settable values,
@@ -62,4 +64,35 @@ func settableFields(typ reflect.Type) int {
 		}
 	}
 	return n
+}
+
+// flagRegistrations is how many command-line flags the one binary registers,
+// counted as `make flags` prints it: every registration call under cmd/, the
+// ones shared through cmd/internal/cliflags once. Like a settable value, a
+// flag is a configuration the tests must cover, so the count should only
+// fall.
+const flagRegistrations = 29
+
+// flagCall matches one registration call on a FlagSet named fs.
+var flagCall = regexp.MustCompile(`fs\.(Bool|Int|Int64|Uint|String|Duration|Float64|Func|Var|Text)(Var)?\(`)
+
+// TestFlagRegistrations pins flagRegistrations, so a flag added or removed is
+// a deliberate change to it and to ROADMAP's instruments line.
+func TestFlagRegistrations(t *testing.T) {
+	n := 0
+	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		n += len(flagCall.FindAll(src, -1))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d", n)
+	if n != flagRegistrations {
+		t.Errorf("cmd/ registers %d flags, flagRegistrations says %d", n, flagRegistrations)
+	}
 }

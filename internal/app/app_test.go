@@ -32,8 +32,8 @@ func newFixture(t *testing.T, seed int64) *fixture {
 	return newFixtureOpts(t, seed, tcp.Options{})
 }
 
-// newFixtureOpts is newFixture with the server stack's options given.
-func newFixtureOpts(t *testing.T, seed int64, serverOpts tcp.Options) *fixture {
+// newFixtureOpts is newFixture with the client stack's options given.
+func newFixtureOpts(t *testing.T, seed int64, clientOpts tcp.Options) *fixture {
 	t.Helper()
 	s := sim.New(seed)
 	tracer := trace.NewRecorder(s.Now)
@@ -47,8 +47,8 @@ func newFixtureOpts(t *testing.T, seed int64, serverOpts tcp.Options) *fixture {
 	nsS := netstack.New(s, "server", nicS, addrServer)
 	return &fixture{
 		sim:    s,
-		client: tcp.NewStack(s, nsC, "client", tcp.Options{}, tracer, nil),
-		server: tcp.NewStack(s, nsS, "server", serverOpts, tracer, nil),
+		client: tcp.NewStack(s, nsC, "client", clientOpts, tracer, nil),
+		server: tcp.NewStack(s, nsS, "server", tcp.Options{}, tracer, nil),
 		tracer: tracer,
 	}
 }

@@ -35,13 +35,13 @@ func offerWholeChunks(c *tcp.Conn, maxChunk int, off, remain *int64) {
 	}
 }
 
-// servePumps downloads size bytes from a server whose send buffer holds
-// sendBuf bytes and returns LastAppByteWritten after every callback on the
+// servePumps downloads size bytes into a client whose receive buffer holds
+// recvBuf bytes and returns LastAppByteWritten after every callback on the
 // server's connection. accept installs the server application on the
 // connection and returns nothing: it is DataServer.Accept or the reference.
-func servePumps(t *testing.T, sendBuf int, size int64, accept func(*tcp.Conn)) []pumpSample {
+func servePumps(t *testing.T, recvBuf int, size int64, accept func(*tcp.Conn)) []pumpSample {
 	t.Helper()
-	f := newFixtureOpts(t, 11, tcp.Options{SendBufferSize: sendBuf})
+	f := newFixtureOpts(t, 11, tcp.Options{RecvBufferSize: recvBuf})
 	l, err := f.server.Listen(addrServer, 80)
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -72,25 +72,27 @@ func servePumps(t *testing.T, sendBuf int, size int64, accept func(*tcp.Conn)) [
 }
 
 // TestDataServerPumpMatchesWholeChunkOffers: filling only what the send
-// buffer will take must not change what the connection sees. For a send
-// buffer smaller than, equal to and larger than MaxChunk, and MaxChunk of
-// one byte, one MSS and the 16 KiB default, the write position after every
-// pump — the LastAppByteWritten each heartbeat reports — is at every
+// buffer will take must not change what the connection sees. The response
+// outgrows the 256 KiB send buffer, so the pump runs on a full buffer that
+// each acknowledgement frees a window's worth of: for a client receive
+// buffer (buf) smaller than, equal to and larger than MaxChunk, and MaxChunk
+// of one byte, one MSS and the 16 KiB default, the write position after
+// every pump — the LastAppByteWritten each heartbeat reports — is at every
 // virtual instant what the whole-chunk pump produced, and the client
 // verifies every byte.
 func TestDataServerPumpMatchesWholeChunkOffers(t *testing.T) {
-	const size = 100_003
-	for _, sendBuf := range []int{4096, 16 << 10, 256 << 10} {
+	const size = 300_007
+	for _, recvBuf := range []int{4096, 16 << 10, 256 << 10} {
 		for _, maxChunk := range []int{1, 1460, 16 << 10} {
-			t.Run(fmt.Sprintf("buf%d/chunk%d", sendBuf, maxChunk), func(t *testing.T) {
+			t.Run(fmt.Sprintf("buf%d/chunk%d", recvBuf, maxChunk), func(t *testing.T) {
 				srv := NewDataServer("server/app", nil)
 				srv.MaxChunk = maxChunk
-				got := servePumps(t, sendBuf, size, srv.Accept)
+				got := servePumps(t, recvBuf, size, srv.Accept)
 				if srv.BytesServed != size {
 					t.Fatalf("BytesServed = %d, want %d", srv.BytesServed, size)
 				}
 
-				want := servePumps(t, sendBuf, size, func(c *tcp.Conn) {
+				want := servePumps(t, recvBuf, size, func(c *tcp.Conn) {
 					off, remain, started := int64(0), int64(0), false
 					buf := make([]byte, 512)
 					c.OnReadable = func() {
@@ -133,7 +135,7 @@ func TestDataServerPumpMatchesWholeChunkOffers(t *testing.T) {
 // more than the run delivers and reads none of it.
 func parkedServer(t *testing.T) (*DataServer, *tcp.Conn, *serveState) {
 	t.Helper()
-	f := newFixtureOpts(t, 12, tcp.Options{SendBufferSize: 32 << 10})
+	f := newFixture(t, 12)
 	srv := NewDataServer("server/app", nil)
 	l, err := f.server.Listen(addrServer, 80)
 	if err != nil {

@@ -58,7 +58,7 @@ func TestMetricsMatchTrace(t *testing.T) {
 // seed and requires byte-identical snapshots: the metric layer must not
 // introduce nondeterminism into the simulation.
 func TestMetricsSnapshotDeterministic(t *testing.T) {
-	run := func() string { // the snapshot as -metrics-out writes it
+	run := func() string { // the snapshot as a report's metrics section holds it
 		d, _ := DemoByName("demo2")
 		runs, _, err := d.Run(Params{Seed: 7, Periods: []time.Duration{500 * time.Millisecond}})
 		if err != nil {

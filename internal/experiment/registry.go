@@ -31,20 +31,14 @@ type Params struct {
 	// it); the fan-out studies, Demo 3 and scale ignore it.
 	TraceDetail bool
 	// TelemetryWindow, when > 0, attaches the windowed time-series
-	// sampler to every testbed the demo builds (the -report-out and
-	// -telemetry-window CLI flags set it). The run's virtual-time outcome
-	// is unchanged; each run's testbed gains a timeline.
+	// sampler to every testbed the demo builds (the -report-out CLI flag
+	// sets it). The run's virtual-time outcome is unchanged; each run's
+	// testbed gains a timeline.
 	TelemetryWindow time.Duration
 
 	// Conns is the concurrent-connection count for the scale demo
 	// (default 2,000).
 	Conns int
-	// Workers bounds the worker pool for demos that fan independent
-	// simulations through internal/sweep (capacity, demo2-dist,
-	// output-commit, witness, nicload). 0 runs fully parallel; 1 forces
-	// a serial sweep. Results are merged in input order either way, so
-	// the output is identical for every setting.
-	Workers int
 }
 
 // View is the hook a Printer calls after the lines that describe one run,
@@ -183,7 +177,7 @@ func Demos() []Demo {
 			Extended: true, // a bare serial pair, no testbed: no runs
 			Run: func(p Params) ([]*Run, Printer, error) {
 				series := func(bps int64, counts ...int) ([]SerialCapacityResult, error) {
-					return fanIdx(p.Workers, len(counts), func(i int) (SerialCapacityResult, error) {
+					return fanIdx(len(counts), func(i int) (SerialCapacityResult, error) {
 						return runHBLinkCapacity(counts[i], p.periods()[0], 10*time.Second, bps)
 					})
 				}
@@ -200,7 +194,7 @@ func Demos() []Demo {
 			Title:    "failover-time distribution across the crash phase at one heartbeat period",
 			Extended: true,
 			Run: func(p Params) ([]*Run, Printer, error) {
-				runs, err := runDemo2Sampled(p.sampled(), p.periods()[0], demo2DistSamples, p.Workers)
+				runs, err := runDemo2Sampled(p.sampled(), p.periods()[0], demo2DistSamples)
 				return runs, printDistribution(runs), err
 			},
 		},
@@ -270,12 +264,13 @@ func Demos() []Demo {
 	}
 }
 
-// fanIdx fans job(0..n-1) across the sweep worker pool, merging results
-// in input order — the registry's bridge to internal/sweep for demos
-// whose sweep axis is an index (conn count, scenario variant) rather
-// than a seed.
-func fanIdx[T any](workers, n int, job func(i int) (T, error)) ([]T, error) {
-	return sweep.Run(workers, sweep.Seeds(0, n), func(seed int64) (T, error) {
+// fanIdx fans job(0..n-1) across a fully parallel sweep worker pool,
+// merging results in input order, so the output is that of a serial loop
+// (sweep.TestParallelMatchesSerial) — the registry's bridge to
+// internal/sweep for demos whose sweep axis is an index (conn count,
+// scenario variant) rather than a seed.
+func fanIdx[T any](n int, job func(i int) (T, error)) ([]T, error) {
+	return sweep.Run(0, sweep.Seeds(0, n), func(seed int64) (T, error) {
 		return job(int(seed))
 	})
 }

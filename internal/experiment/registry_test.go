@@ -1,10 +1,11 @@
 package experiment
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/serial"
 	"repro/internal/sim"
 )
 
@@ -18,41 +19,23 @@ func mustDemo(t *testing.T, name string) Demo {
 }
 
 // TestRegistryParallelMatchesSerial pins the sweep contract at the
-// registry level: demos that fan independent simulations across the
-// worker pool must produce identical output for any worker count,
-// because every job owns a sealed simulator and results merge in input
+// registry level: the capacity demo fans its connection counts across the
+// worker pool, every job at once, and gets what a serial loop over the same
+// jobs gets — each job owns a sealed simulator, and results merge in input
 // order, never completion order.
 func TestRegistryParallelMatchesSerial(t *testing.T) {
-	printed := func(workers int) string {
-		_, printer, err := mustDemo(t, "capacity").Run(Params{Workers: workers})
-		if err != nil {
-			t.Fatalf("capacity, %d workers: %v", workers, err)
-		}
-		var b strings.Builder
-		if err := printer(&b, nil); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
+	counts := []int{1, 25, 100, 150}
+	job := func(i int) (SerialCapacityResult, error) {
+		return runHBLinkCapacity(counts[i], 200*time.Millisecond, 10*time.Second, serial.DefaultBitsPerSecond)
 	}
-	if serial, parallel := printed(1), printed(3); serial != parallel {
-		t.Errorf("capacity diverged across worker counts:\nserial:\n%s\nparallel:\n%s", serial, parallel)
-	}
-
-	if testing.Short() {
-		t.Skip("demo2-dist identity check skipped in -short")
-	}
-	// Three crash phases, not the demo's eight: the contract is the
-	// runner's, whatever the sample count.
-	one, err := runDemo2Sampled(Options{Seed: 7}, 200*time.Millisecond, 3, 1)
+	parallel, err := fanIdx(len(counts), job)
 	if err != nil {
-		t.Fatalf("serial demo2-dist: %v", err)
+		t.Fatal(err)
 	}
-	three, err := runDemo2Sampled(Options{Seed: 7}, 200*time.Millisecond, 3, 3)
-	if err != nil {
-		t.Fatalf("parallel demo2-dist: %v", err)
-	}
-	if one, three := distribution(one), distribution(three); one != three {
-		t.Errorf("demo2-dist diverged across worker counts:\nserial:   %+v\nparallel: %+v", one, three)
+	for i := range counts {
+		if one, err := job(i); err != nil || !reflect.DeepEqual(one, parallel[i]) {
+			t.Errorf("%d connections: serial %+v (%v), parallel %+v", counts[i], one, err, parallel[i])
+		}
 	}
 }
 

@@ -51,8 +51,8 @@ const demo2DistSamples = 8
 // sweep fans them across workers; the runs come back in phase order
 // regardless of completion order. Reached through the "demo2-dist" registry
 // demo.
-func runDemo2Sampled(o Options, period time.Duration, samples, workers int) ([]*Run, error) {
-	return fanIdx(workers, samples, func(i int) (*Run, error) {
+func runDemo2Sampled(o Options, period time.Duration, samples int) ([]*Run, error) {
+	return fanIdx(samples, func(i int) (*Run, error) {
 		sample := o // each worker's own copy
 		sample.Seed += int64(i)
 		run, err := Plan{

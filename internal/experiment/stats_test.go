@@ -23,7 +23,7 @@ func TestDemo2SampledDistribution(t *testing.T) {
 		t.Skip("sampled sweep skipped in -short")
 	}
 	const period = 200 * time.Millisecond
-	runs, err := runDemo2Sampled(Options{Seed: 5}, period, 8, 0)
+	runs, err := runDemo2Sampled(Options{Seed: 5}, period, 8)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -15,7 +15,7 @@ import (
 
 // pair runs both arms across the sweep workers.
 func pair(p Params, arm func(o Options, with bool) (*Run, error)) ([]*Run, error) {
-	return fanIdx(p.Workers, 2, func(i int) (*Run, error) { return arm(p.sampled(), i == 1) })
+	return fanIdx(2, func(i int) (*Run, error) { return arm(p.sampled(), i == 1) })
 }
 
 // runBackupNICLoad is one arm of the "nicload" registry demo: a 16 MiB

@@ -1,8 +1,10 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/app"
@@ -69,15 +71,6 @@ func (s Scenario) String() string {
 	}
 	return table1[s-1].name
 }
-
-// ExpectTakeover reports whether the Table 1 recovery action for this
-// scenario is a backup takeover (versus the primary entering non-FT mode,
-// or no action for row 5).
-func (s Scenario) ExpectTakeover() bool { return table1[s-1].expect == sttcp.StateTakenOver }
-
-// ExpectNonFT reports whether the action is the primary running
-// non-fault-tolerantly.
-func (s Scenario) ExpectNonFT() bool { return table1[s-1].expect == sttcp.StateNonFT }
 
 // ScenarioResult is a run read out as a Table 1 row: where the pair ended
 // up and what the client saw.
@@ -157,10 +150,38 @@ func (run *Run) scenario() ScenarioResult {
 	return out
 }
 
+// judge holds a run read out as r to the Table 1 row it is labelled with
+// (runScenario labels each run with its row's name): the client's workload
+// completed, and the pair ended as the row's recovery action says — the
+// backup taken over with the primary powered down, the primary non-FT with
+// the backup powered down, or (row 5) both still active. nil when it did.
+func judge(label string, r ScenarioResult) error {
+	row := slices.IndexFunc(Scenarios, func(sc Scenario) bool { return sc.String() == label })
+	if row < 0 {
+		return fmt.Errorf("%q is no Table 1 row", label)
+	}
+	expect := table1[row].expect
+	held := r.PrimaryState == sttcp.StateActive && r.BackupState == sttcp.StateActive
+	switch expect {
+	case sttcp.StateTakenOver:
+		held = r.BackupState == expect && r.PrimaryDead
+	case sttcp.StateNonFT:
+		held = r.PrimaryState == expect && r.BackupDead
+	}
+	switch {
+	case !r.ClientOK:
+		return fmt.Errorf("%s: the client was disturbed: %v", label, r.ClientErr)
+	case !held:
+		return fmt.Errorf("%s: want the survivor %v, got primary %v (powered down %v) and backup %v (powered down %v)",
+			label, expect, r.PrimaryState, r.PrimaryDead, r.BackupState, r.BackupDead)
+	}
+	return nil
+}
+
 // printTable1 renders the paper's Table 1: per scenario the detection
 // latency, the recovery action taken, and whether the client's workload
 // survived untouched — the one summary that can fail, on a row whose client
-// was disturbed.
+// was disturbed or whose recovery is not the one its row lists.
 func printTable1(runs []*Run) Printer {
 	return func(w io.Writer, view View) error {
 		// The action column is as wide as its longest entry, so 'client ok'
@@ -182,21 +203,21 @@ func printTable1(runs []*Run) Printer {
 			rows[i], width = r, max(width, len(actions[i]))
 		}
 		fmt.Fprintf(w, "%-32s %-12s %-*s %s\n", "scenario", "detection", width, "recovery action", "client ok")
-		failures := 0
+		var failed []error
 		for i, r := range rows {
 			det := "-"
 			if r.DetectionTime > 0 {
 				det = r.DetectionTime.Round(time.Millisecond).String()
 			}
 			fmt.Fprintf(w, "%-32s %-12s %-*s %v\n", runs[i].Label, det, width, actions[i], r.ClientOK)
-			if !r.ClientOK {
-				failures++
+			if err := judge(runs[i].Label, r); err != nil {
+				failed = append(failed, err)
 			}
 			view(runs[i], nil)
 		}
 		fmt.Fprintln(w)
-		if failures > 0 {
-			return fmt.Errorf("%d scenario(s) disturbed the client", failures)
+		if len(failed) > 0 {
+			return fmt.Errorf("%d scenario(s) not masked as Table 1 says: %w", len(failed), errors.Join(failed...))
 		}
 		fmt.Fprintln(w, "All ten scenarios masked from the client.")
 		return nil

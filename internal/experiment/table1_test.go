@@ -1,17 +1,20 @@
 package experiment
 
 import (
+	"io"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sttcp"
+	"repro/internal/trace"
 )
 
 // TestTable1Scenarios runs all ten single-failure cases of the paper's
-// Table 1 and checks the recovery action in the rightmost column:
-// failures at the primary end in a backup takeover, failures at the backup
-// end with the primary in non-fault-tolerant mode, and temporary network
-// failures are absorbed with both nodes still active. In every case the
-// client workload must complete with verified bytes.
+// Table 1 and holds each to its row with the demo's own judge: the client
+// workload completes with verified bytes, and the pair ends as the recovery
+// action in the rightmost column says. What the judge does not check is
+// below it: how each row got there.
 func TestTable1Scenarios(t *testing.T) {
 	for i, sc := range Scenarios {
 		sc := sc
@@ -22,17 +25,11 @@ func TestTable1Scenarios(t *testing.T) {
 				t.Fatalf("run: %v", err)
 			}
 			res, tail := run.scenario(), tailStr(run.Testbed.Tracer.Dump())
-			if !res.ClientOK {
-				t.Fatalf("client workload failed: %v\n%s", res.ClientErr, tail)
+			if err := judge(run.Label, res); err != nil {
+				t.Fatalf("%v (reason=%q)\n%s", err, res.Reason, tail)
 			}
-			switch {
-			case sc.ExpectTakeover():
-				if res.BackupState != sttcp.StateTakenOver {
-					t.Fatalf("backup state %v, want taken-over (reason=%q)\n%s", res.BackupState, res.Reason, tail)
-				}
-				if !res.PrimaryDead {
-					t.Fatalf("primary not powered down before takeover\n%s", tail)
-				}
+			switch table1[sc-1].expect {
+			case sttcp.StateTakenOver:
 				if res.DetectionTime <= 0 {
 					t.Fatalf("no suspect event recorded")
 				}
@@ -44,18 +41,7 @@ func TestTable1Scenarios(t *testing.T) {
 				if (sc == AppCrashNoFINPrimary || sc == AppCrashFINPrimary) && res.DetectionTime >= lagTime {
 					t.Errorf("detected in %v, want under AppMaxLagTime %v (reason=%q)", res.DetectionTime, lagTime, res.Reason)
 				}
-			case sc.ExpectNonFT():
-				if res.PrimaryState != sttcp.StateNonFT {
-					t.Fatalf("primary state %v, want non-FT (reason=%q)\n%s", res.PrimaryState, res.Reason, tail)
-				}
-				if !res.BackupDead {
-					t.Fatalf("backup not shut down\n%s", tail)
-				}
-			default: // row 5: temporary network failure
-				if res.PrimaryState != sttcp.StateActive || res.BackupState != sttcp.StateActive {
-					t.Fatalf("row 5 must not fail over: primary=%v backup=%v (reason=%q)\n%s",
-						res.PrimaryState, res.BackupState, res.Reason, tail)
-				}
+			case sttcp.StateActive:
 				if sc == TempNetFailBackup && res.RecoveryEvents == 0 {
 					t.Fatalf("backup never ran missed-byte recovery\n%s", tail)
 				}
@@ -67,5 +53,28 @@ func TestTable1Scenarios(t *testing.T) {
 				t.Errorf("backup FIN disagreement was not flagged at the primary")
 			}
 		})
+	}
+}
+
+// TestTable1JudgesTheRecoveryColumn: the Table 1 printer fails a row whose
+// client finished but whose recovery is not the row's. Row 5B's drop
+// stretched from 300 ms to 3 s is no temporary failure any more: the primary
+// convicts the backup, powers it down and goes on non-FT, and the client
+// completes — the printer used to pass it on the client alone.
+func TestTable1JudgesTheRecoveryColumn(t *testing.T) {
+	p := TempNetFailBackup.plan(Options{Seed: 50})
+	p.Faults[0].Dur = 3 * time.Second
+	run, err := p.Run()
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	run.Label = TempNetFailBackup.String()
+	if r := run.scenario(); !r.ClientOK || r.PrimaryState != sttcp.StateNonFT || !r.BackupDead {
+		t.Fatalf("the stretched drop ended client ok=%v, primary %v, backup powered down %v; want a completed client, a non-FT primary, a dead backup",
+			r.ClientOK, r.PrimaryState, r.BackupDead)
+	}
+	err = printTable1([]*Run{run})(io.Discard, func(*Run, *trace.FailoverAnatomy) {})
+	if err == nil || !strings.Contains(err.Error(), "5B") {
+		t.Fatalf("the printer passed row 5B ending non-FT with the backup powered down (err %v)", err)
 	}
 }

@@ -240,7 +240,7 @@ func Build(opts Options) *Testbed {
 	tb.BackupPower = cluster.NewPowerController(tb.Backup)
 
 	if opts.TelemetryWindow > 0 {
-		tb.Telemetry = telemetry.NewSampler(s, reg, telemetry.Config{Window: opts.TelemetryWindow})
+		tb.Telemetry = telemetry.NewSampler(s, reg, opts.TelemetryWindow)
 		tb.wireTelemetryProbes(rate)
 		tb.Telemetry.Start()
 	}

@@ -57,11 +57,9 @@ type Link struct {
 	sim        *sim.Simulator
 	cfg        LinkConfig
 	a, b       *linkSide
-	down       bool
-	downFlip   time.Duration // when down last changed, since sim.Epoch
 	extraDelay time.Duration
 
-	// Drops counts frames lost to loss-rate, drop windows, or link-down.
+	// Drops counts frames lost to loss-rate, drop windows, or cuts.
 	Drops int64
 	// Delivered counts frames handed to endpoints.
 	Delivered int64
@@ -86,7 +84,7 @@ type Link struct {
 	// Frame buffers and delivery records are pooled so steady-state
 	// traffic allocates nothing per frame. Each in-flight frame owns one
 	// delivery record and one pooled buffer; both return to their pools
-	// when delivery — or an in-flight drop — completes.
+	// when its delivery completes.
 	pool       bufPool
 	deliveries []*delivery
 }
@@ -165,19 +163,6 @@ func (l *Link) SetTrace(tracer *trace.Recorder, name string) {
 	l.name = "link/" + name
 }
 
-// SetDown cuts or restores the cable; while down every frame in both
-// directions is silently dropped, as with an unplugged cable. A frame is
-// judged by the cable at its wire arrival, so a cut inside a switch's dwell
-// spares the frame the switch already holds.
-func (l *Link) SetDown(down bool) {
-	if down != l.down {
-		l.down, l.downFlip = down, l.sim.Elapsed()
-	}
-}
-
-// Down reports whether the cable is cut.
-func (l *Link) Down() bool { return l.down }
-
 // SetLossRate changes the random loss probability.
 func (l *Link) SetLossRate(p float64) { l.cfg.LossRate = p }
 
@@ -187,30 +172,27 @@ func (l *Link) SetLossRate(p float64) { l.cfg.LossRate = p }
 // elsewhere on the path — without touching the link's serialization rate.
 func (l *Link) SetExtraDelay(d time.Duration) { l.extraDelay = d }
 
-// DropFromAFor drops all frames transmitted by endpoint A for d, modelling a
-// temporary local failure (paper Table 1 row 5: buffer overflow, transient
-// NIC trouble). A window already open beyond d stands: a second, shorter
-// drop must not cut the first one short.
-func (l *Link) DropFromAFor(d time.Duration) { l.dropFor(l.a, d) }
-
-// DropFromBFor drops all frames transmitted by endpoint B for d.
-func (l *Link) DropFromBFor(d time.Duration) { l.dropFor(l.b, d) }
-
-func (l *Link) dropFor(side *linkSide, d time.Duration) {
+// DropFromBFor drops all frames transmitted by endpoint B for d, modelling
+// a temporary local failure (paper Table 1 row 5: buffer overflow, transient
+// NIC trouble) — on a switch link, every frame the switch sends the host. A
+// window already open beyond d stands: a second, shorter drop must not cut
+// the first one short.
+func (l *Link) DropFromBFor(d time.Duration) {
 	till := l.sim.Elapsed() + d
 	if d > 0 && till < 0 {
 		till = math.MaxInt64 // a window that outlasts the clock is forever, not a wrap into the past
 	}
-	if till > side.dropTill {
-		side.dropTill = till
+	if till > l.b.dropTill {
+		l.b.dropTill = till
 	}
 }
 
 // SetCutFromA cuts (or restores) only the A→B direction, indefinitely.
 // The reverse direction keeps working: this is the asymmetric partition
 // of the gray fault model, where one side hears the other but not vice
-// versa. Distinct from the timed DropFrom*For windows, a cut holds until
-// explicitly restored.
+// versa. Distinct from the timed DropFromBFor window, a cut holds until
+// explicitly restored. Frames are judged as they are sent: a frame already
+// on the wire when the cut comes still arrives.
 func (l *Link) SetCutFromA(cut bool) { l.a.cut = cut }
 
 // SetCutFromB cuts (or restores) only the B→A direction, indefinitely.
@@ -236,10 +218,10 @@ func (l *Link) transmit(side *linkSide, buf []byte) {
 		return
 	}
 	now := l.sim.Elapsed()
-	if l.down || side.cut || now < side.dropTill {
+	if side.cut || now < side.dropTill {
 		l.Drops++
 		l.mDrops.Inc()
-		l.traceDrop(len(buf), "down/drop-window")
+		l.traceDrop(len(buf), "cut/drop-window")
 		return
 	}
 	if l.cfg.LossRate > 0 && l.sim.Rand().Float64() < l.cfg.LossRate {
@@ -324,7 +306,7 @@ func (l *Link) drain(side *linkSide) {
 		}
 		side.pending[side.head] = nil
 		side.head++
-		l.deliverNow(side, d)
+		l.deliverNow(d)
 	}
 	if side.head > 0 && side.head*2 >= len(side.pending) {
 		n := copy(side.pending, side.pending[side.head:])
@@ -339,22 +321,13 @@ func (l *Link) drain(side *linkSide) {
 	}
 }
 
-// deliverNow completes one delivery: the frame is handed to the peer (or
-// dropped if the link was down at its wire arrival) under the sender's
-// causal context, and the record and buffer return to their pools.
-func (l *Link) deliverNow(side *linkSide, d *delivery) {
+// deliverNow completes one delivery: the frame is handed to the peer under
+// the sender's causal context, and the record and buffer return to their
+// pools.
+func (l *Link) deliverNow(d *delivery) {
 	frame, peer, ctx := d.frame, d.peer, d.ctx
 	d.frame, d.peer, d.ctx = nil, nil, 0
 	l.deliveries = append(l.deliveries, d)
-	// A flip after the wire arrival, inside the dwell, came too late for
-	// this frame: the cable was then the other way.
-	if l.down != (l.downFlip > d.arrival-side.dwell) {
-		l.Drops++
-		l.mDrops.Inc()
-		l.traceDrop(len(frame), "went down in flight")
-		l.pool.put(frame)
-		return
-	}
 	prev := l.sim.Context()
 	l.sim.SetContext(ctx)
 	l.Delivered++

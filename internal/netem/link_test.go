@@ -1,11 +1,11 @@
 package netem
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // endpointFunc is a raw Endpoint. Unlike a NIC it copies nothing out of buf
@@ -17,56 +17,40 @@ func (f endpointFunc) DeliverFrame(buf []byte) { f(buf) }
 
 // TestLinkDeliveryRunsUnderSenderContextAndRestores states the causal-context
 // discipline of Link.deliverNow: many frames share one drain event, each is
-// delivered under the context its sender transmitted it in, and the drain
-// event's own context is back in place afterwards — a missed restore would
-// re-parent whatever the event does next (here: the drop notes of frames that
-// went down in flight, and the timer arming for the next batch).
+// delivered under the context its sender transmitted it in, and the context
+// that was ambient before a delivery is back in place after it — a missed
+// restore would re-parent whatever the drain event does next (the timer
+// arming for the next batch).
 func TestLinkDeliveryRunsUnderSenderContextAndRestores(t *testing.T) {
 	s := sim.New(1)
-	rec := trace.NewRecorder(s.Now)
-	rec.BindContext(s.Context, s.SetContext)
-	rec.SetDetail(true) // drop notes carry the context that was ambient when they were emitted
 	link := NewLink(s, LinkConfig{Delay: time.Millisecond})
-	link.SetTrace(rec, "l")
-
 	var delivered []uint64
-	link.Attach(nil, endpointFunc(func(buf []byte) {
-		delivered = append(delivered, s.Context())
-		if buf[0] == 2 {
-			link.SetDown(true) // the rest of the batch takes the went-down-in-flight return
-		}
-	}))
+	sink := endpointFunc(func([]byte) { delivered = append(delivered, s.Context()) })
+	link.Attach(nil, sink)
 
-	// Frames 1-3 arrive together, in one drain batch. The first arms the
-	// side's timer, so the drain event's own context is frame 1's: 7.
+	// Frames 1-3 arrive together, in one drain batch; frame 4 is sent later,
+	// under 13, behind frames still in flight.
 	for i, ctx := range []uint64{7, 9, 11} {
 		s.SetContext(ctx)
 		link.TransmitFromA([]byte{byte(i + 1)})
 	}
-	// Frame 4 is sent later, under 13, behind frames still in flight: the
-	// timer for its batch is armed by the end of the first batch.
 	s.SetContext(13)
 	s.Schedule(500*time.Microsecond, func() { link.TransmitFromA([]byte{4}) })
 	s.SetContext(0)
 	if err := s.Run(time.Second); err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	if want := []uint64{7, 9, 11, 13}; !slices.Equal(delivered, want) {
+		t.Errorf("DeliverFrame ran under contexts %v, want each sender's own: %v", delivered, want)
+	}
 
-	if len(delivered) != 2 || delivered[0] != 7 || delivered[1] != 9 {
-		t.Errorf("DeliverFrame ran under contexts %v, want each sender's own: [7 9]", delivered)
-	}
-	drops := rec.Filter(trace.KindNetDrop)
-	if len(drops) != 2 {
-		t.Fatalf("%d in-flight drops noted, want frames 3 and 4:\n%s", len(drops), rec.Dump())
-	}
-	if drops[0].Span != 7 {
-		t.Errorf("after delivering frame 2 (context 9) the drain event ran under %d, want its own context 7 restored", drops[0].Span)
-	}
-	if drops[1].Span != 7 {
-		t.Errorf("the second batch ran under %d, want 7: the first batch — a delivery, then an in-flight drop, which must leave the context alone — armed it under the drain event's own context", drops[1].Span)
-	}
-	if s.Context() != 0 {
-		t.Errorf("ambient context after the run = %d, want 0", s.Context())
+	// One delivery by hand, under an ambient context of 3.
+	d := link.takeDelivery()
+	d.peer, d.frame, d.ctx = sink, link.pool.get(1), 9
+	s.SetContext(3)
+	link.deliverNow(d)
+	if got := s.Context(); got != 3 || delivered[len(delivered)-1] != 9 {
+		t.Errorf("a delivery under context 9 left the ambient context at %d, want 3 restored", got)
 	}
 }
 
@@ -79,16 +63,16 @@ func TestLinkArrivalInstantsByHand(t *testing.T) {
 	s := sim.New(1)
 	link := NewLink(s, DefaultLANConfig())
 	var got []time.Duration
-	link.Attach(nil, endpointFunc(func(buf []byte) { got = append(got, s.Elapsed()) }))
+	link.Attach(endpointFunc(func(buf []byte) { got = append(got, s.Elapsed()) }), nil)
 
 	// Back to back at t = 0: 64 B is 512 bits, 5,120 ns on the wire; 1,514 B
 	// is 12,112 bits, 121,120 ns, and starts when the first has left.
-	link.TransmitFromA(make([]byte, 64))
-	link.TransmitFromA(make([]byte, 1514))
+	link.TransmitFromB(make([]byte, 64))
+	link.TransmitFromB(make([]byte, 1514))
 	// A window over [1 ms, 2 ms): one frame inside it, one exactly at its end.
-	s.Schedule(time.Millisecond, func() { link.DropFromAFor(time.Millisecond) })
-	s.Schedule(1500*time.Microsecond, func() { link.TransmitFromA(make([]byte, 64)) })
-	s.Schedule(2*time.Millisecond, func() { link.TransmitFromA(make([]byte, 64)) })
+	s.Schedule(time.Millisecond, func() { link.DropFromBFor(time.Millisecond) })
+	s.Schedule(1500*time.Microsecond, func() { link.TransmitFromB(make([]byte, 64)) })
+	s.Schedule(2*time.Millisecond, func() { link.TransmitFromB(make([]byte, 64)) })
 	if err := s.Run(time.Second); err != nil {
 		t.Fatalf("run: %v", err)
 	}

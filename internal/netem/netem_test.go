@@ -172,9 +172,10 @@ func TestLinkDown(t *testing.T) {
 	s := sim.New(1)
 	a, b, _, rxB, _ := twoNICs(s, DefaultLANConfig())
 	_ = b
-	// Cut a's cable.
+	// Cut a's cable in both directions.
 	link := a.link
-	link.SetDown(true)
+	link.SetCutFromA(true)
+	link.SetCutFromB(true)
 	send(t, a, b.Addr(), "dropped")
 	_ = s.Run(time.Second)
 	if len(*rxB) != 0 {
@@ -183,7 +184,8 @@ func TestLinkDown(t *testing.T) {
 	if link.Drops == 0 {
 		t.Fatal("drop not counted")
 	}
-	link.SetDown(false)
+	link.SetCutFromA(false)
+	link.SetCutFromB(false)
 	send(t, a, b.Addr(), "works")
 	_ = s.Run(time.Second)
 	if len(*rxB) != 1 {
@@ -238,28 +240,32 @@ func TestSwitchedFrameTiming(t *testing.T) {
 	}
 }
 
-// TestCableFlipInsideTheDwell: the cable into the switch is judged at the
-// frame's wire arrival, as if the switch held the frame from then on. A cut
-// 2 µs into the 5 µs dwell spares the frame; a cable down at the wire
-// arrival and restored inside the dwell still drops it.
+// TestCableFlipInsideTheDwell: a cut judges a frame as it is sent, so a
+// flip while the frame is on the wire or inside the switch's 5 µs dwell
+// changes nothing for it. A cut 2 µs into the dwell spares the frame; a cut
+// in place at the send and lifted inside the dwell still drops it.
 func TestCableFlipInsideTheDwell(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
-		flips      []time.Duration // alternately down, up, ... after Send
+		flips      []time.Duration // alternately cut, restored, ... after Send (0: before it)
 		wantFrames int
 	}{
 		{"cut-during-dwell", []time.Duration{wireArrival + 2_000}, 1},
-		{"restore-during-dwell", []time.Duration{30_000, wireArrival + 2_000}, 0},
+		{"restore-during-dwell", []time.Duration{0, wireArrival + 2_000}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := sim.New(1)
 			a, b, got := switchedPair(t, s)
 			start := s.Elapsed()
-			send(t, a, b.Addr(), string(make([]byte, 100)))
 			for i, at := range tc.flips {
-				down := i%2 == 0
-				s.Schedule(at, func() { a.link.SetDown(down) })
+				cut := i%2 == 0
+				if at == 0 {
+					a.link.SetCutFromA(cut)
+					continue
+				}
+				s.Schedule(at, func() { a.link.SetCutFromA(cut) })
 			}
+			send(t, a, b.Addr(), string(make([]byte, 100)))
 			if err := s.Run(time.Second); err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -273,14 +279,14 @@ func TestCableFlipInsideTheDwell(t *testing.T) {
 	}
 }
 
+// TestDropWindow: b's link drops what the switch sends b for the window.
 func TestDropWindow(t *testing.T) {
 	s := sim.New(1)
 	a, b, _, rxB, _ := twoNICs(s, DefaultLANConfig())
-	_ = b
-	a.link.DropFromAFor(100 * time.Millisecond)
+	b.link.DropFromBFor(100 * time.Millisecond)
 	send(t, a, b.Addr(), "lost")
 	// A shorter window opened inside the first must not cut it short.
-	s.Schedule(20*time.Millisecond, func() { a.link.DropFromAFor(10 * time.Millisecond) })
+	s.Schedule(20*time.Millisecond, func() { b.link.DropFromBFor(10 * time.Millisecond) })
 	s.Schedule(50*time.Millisecond, func() { send(t, a, b.Addr(), "lost too") })
 	s.Schedule(200*time.Millisecond, func() { send(t, a, b.Addr(), "arrives") })
 	_ = s.Run(time.Second)
@@ -296,12 +302,12 @@ func TestDropWindowLongerThanTheClock(t *testing.T) {
 	s := sim.New(1)
 	a, b, _, rxB, _ := twoNICs(s, DefaultLANConfig())
 	s.Schedule(time.Millisecond, func() {
-		a.link.DropFromAFor(math.MaxInt64)
+		b.link.DropFromBFor(math.MaxInt64)
 		send(t, a, b.Addr(), "lost")
 	})
 	_ = s.Run(time.Second)
-	if len(*rxB) != 0 || a.link.Drops != 1 {
-		t.Fatalf("%d frames crossed a window opened for ever, %d dropped", len(*rxB), a.link.Drops)
+	if len(*rxB) != 0 || b.link.Drops != 1 {
+		t.Fatalf("%d frames crossed a window opened for ever, %d dropped", len(*rxB), b.link.Drops)
 	}
 }
 

@@ -108,40 +108,6 @@ func TestSwitchPoolingPreservesFrames(t *testing.T) {
 	}
 }
 
-// TestLinkDropInFlightReturnsBuffer checks a frame dropped because the
-// link went down mid-flight still recycles its pooled buffer.
-func TestLinkDropInFlightReturnsBuffer(t *testing.T) {
-	s := sim.New(1)
-	link := NewLink(s, LinkConfig{Delay: 10 * time.Millisecond})
-	a := NewNIC(s, "a", eth.MakeAddr(1))
-	b := NewNIC(s, "b", eth.MakeAddr(2))
-	link.Attach(a, b)
-	a.AttachToLink(link, true)
-	b.AttachToLink(link, false)
-	received := 0
-	b.SetHandler(func(eth.Frame) { received++ })
-
-	if err := a.Send(eth.Frame{Dst: b.Addr(), Type: eth.TypeIPv4, Payload: []byte("doomed")}); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	s.Schedule(time.Millisecond, func() { link.SetDown(true) })
-	if err := s.Run(time.Second); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if received != 0 {
-		t.Fatal("frame delivered despite link down")
-	}
-	if link.Drops != 1 {
-		t.Fatalf("Drops = %d, want 1", link.Drops)
-	}
-	if len(link.pool.free) != 1 {
-		t.Fatalf("pool has %d buffers after in-flight drop, want 1", len(link.pool.free))
-	}
-	if len(link.deliveries) != 1 {
-		t.Fatalf("%d delivery records recycled, want 1", len(link.deliveries))
-	}
-}
-
 // TestDeliverFrameBufValidForTheWholeCall states the Endpoint contract from
 // the endpoint's side: buf stays the bytes that were sent until DeliverFrame
 // returns, whatever the endpoint does meanwhile. A raw Endpoint replies from

@@ -113,8 +113,8 @@ func TestPingSuccessAndTimeout(t *testing.T) {
 	if !ok || rtt <= 0 {
 		t.Fatalf("ping failed: ok=%v rtt=%v", ok, rtt)
 	}
-	// Cut the link: the next ping times out.
-	f.link.SetDown(true)
+	// Cut the link toward b: the next ping times out.
+	f.link.SetCutFromA(true)
 	done := false
 	if err := f.a.Ping(addrB, 500*time.Millisecond, func(o bool, _ time.Duration) { done = true; ok = o }); err != nil {
 		t.Fatalf("ping: %v", err)

@@ -53,11 +53,6 @@ func (c *Clock) Stretch(d time.Duration) time.Duration {
 	return sd
 }
 
-// Schedule runs fn after the clock-local delay d.
-func (c *Clock) Schedule(d time.Duration, fn func()) *Event {
-	return c.s.Schedule(c.Stretch(d), fn)
-}
-
 // NewTicker returns a ticker whose period is stretched by this clock at
 // every re-arm, so rate changes mid-run take effect on the next tick.
 func (c *Clock) NewTicker(period time.Duration, fn func()) *Ticker {

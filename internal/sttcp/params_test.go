@@ -37,6 +37,7 @@ func TestDesignParameterTable(t *testing.T) {
 		"serial.DefaultBitsPerSecond": fmt.Sprintf("%d bit/s", serial.DefaultBitsPerSecond),
 		"hb.EncodedSize":              fmt.Sprintf("%d B/conn", hb.EncodedSize(1)-hb.EncodedSize(0)),
 		"tcp.DefaultMSS":              fmt.Sprintf("%d B", tcp.DefaultMSS),
+		"tcp.MinRTO":                  dur(tcp.MinRTO),
 		"netem.DefaultLANConfig":      fmt.Sprintf("%d Mbit/s", netem.DefaultLANConfig().BitsPerSecond/1_000_000),
 	}
 	rows := designSection7(t)

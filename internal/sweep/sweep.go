@@ -35,7 +35,8 @@ func Seeds(base int64, n int) []int64 {
 
 // Run executes job(seed) for every seed on a pool of workers goroutines
 // and returns the results indexed by seed position. workers < 1 (and
-// workers > len(seeds)) is clamped, so Run(0, ...) is a serial sweep.
+// workers > len(seeds)) is clamped to len(seeds), so Run(0, ...) runs
+// every job at once; Run(1, ...) is a serial sweep.
 //
 // All workers are joined before Run returns: no job outlives the call.
 // If any jobs fail, Run still completes the rest and returns the

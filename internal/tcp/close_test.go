@@ -74,17 +74,22 @@ func TestReadDrainsAfterPeerClose(t *testing.T) {
 }
 
 // TestCloseWithEmptyBuffers: an idle connection closes in a handful of
-// round trips — no timer-waiting beyond TIME_WAIT.
+// round trips — no timer-waiting beyond TIME_WAIT, which lasts 2 × msl
+// (10 s).
 func TestCloseWithEmptyBuffers(t *testing.T) {
-	h := newPair(t, 43, lan(), Options{MSL: 100 * time.Millisecond})
+	h := newPair(t, 43, lan(), Options{})
 	client, server := connectPair(t, h, 80)
 	_ = client.Close()
 	_ = server.Close()
-	// 2×MSL (200 ms) plus a few round trips must suffice — the close
-	// handshake needs no retransmission timers on a clean link.
-	_ = h.sim.Run(500 * time.Millisecond)
+	// Simultaneous close: both ends wait out TIME_WAIT, and nothing else —
+	// the close handshake needs no retransmission timers on a clean link.
+	_ = h.sim.Run(2*msl - 100*time.Millisecond)
+	if client.State() != StateTimeWait || server.State() != StateTimeWait {
+		t.Fatalf("states %v/%v just before 2×MSL, want TIME_WAIT/TIME_WAIT", client.State(), server.State())
+	}
+	_ = h.sim.Run(300 * time.Millisecond)
 	if client.State() != StateClosed || server.State() != StateClosed {
-		t.Fatalf("states %v/%v after 500ms", client.State(), server.State())
+		t.Fatalf("states %v/%v after 2×MSL and a few round trips", client.State(), server.State())
 	}
 }
 
@@ -173,11 +178,11 @@ func TestAbortAfterEstablishIsImmediate(t *testing.T) {
 
 // TestTracedLifecycle: the tracer captures establishment and closure.
 func TestTracedLifecycle(t *testing.T) {
-	h := newPair(t, 47, lan(), Options{MSL: 50 * time.Millisecond})
+	h := newPair(t, 47, lan(), Options{})
 	client, server := connectPair(t, h, 80)
 	_ = client.Close()
 	_ = server.Close()
-	_ = h.sim.Run(5 * time.Second)
+	_ = h.sim.Run(2*msl + time.Second)
 	got := 0
 	for _, e := range h.tracer.Events() {
 		if strings.Contains(e.Component, "tcp") {

@@ -13,7 +13,7 @@ import (
 // doubling.
 func TestSlowStartExponentialRamp(t *testing.T) {
 	cfg := netem.LinkConfig{BitsPerSecond: 1_000_000_000, Delay: 40 * time.Millisecond}
-	h := newPair(t, 80, cfg, Options{SendBufferSize: 4 << 20, RecvBufferSize: 4 << 20})
+	h := newPair(t, 80, cfg, Options{RecvBufferSize: 4 << 20})
 	client, server := connectPair(t, h, 80)
 	sk := attachSink(server)
 	payload := make([]byte, 4<<20)
@@ -48,22 +48,25 @@ func TestSlowStartExponentialRamp(t *testing.T) {
 	}
 }
 
-// TestRTOTracksPathRTT: after steady acks over an 80 ms-RTT path, the
-// retransmission timeout reflects the measured RTT rather than staying at
-// the 1 s initial value (with MinRTO lowered out of the way).
+// TestRTOTracksPathRTT: after steady acks the retransmission timeout
+// reflects the measured RTT rather than staying at the 1 s initial value —
+// on an 80 ms-RTT path it converges to the 200 ms MinRTO floor, and on a
+// 400 ms one it settles above the path RTT.
 func TestRTOTracksPathRTT(t *testing.T) {
-	cfg := netem.LinkConfig{BitsPerSecond: 1_000_000_000, Delay: 40 * time.Millisecond}
-	h := newPair(t, 81, cfg, Options{MinRTO: 10 * time.Millisecond})
-	client, server := connectPair(t, h, 80)
-	attachSink(server)
-	writeAll(client, make([]byte, 1<<20))
-	_ = h.sim.Run(10 * time.Second)
-	rto := client.RTO()
-	if rto < 80*time.Millisecond {
-		t.Fatalf("RTO %v below the path RTT — retransmission storms would follow", rto)
+	rtoAfter := func(seed int64, delay time.Duration) time.Duration {
+		cfg := netem.LinkConfig{BitsPerSecond: 1_000_000_000, Delay: delay}
+		h := newPair(t, seed, cfg, Options{})
+		client, server := connectPair(t, h, 80)
+		attachSink(server)
+		writeAll(client, make([]byte, 1<<20))
+		_ = h.sim.Run(10 * time.Second)
+		return client.RTO()
 	}
-	if rto > 500*time.Millisecond {
-		t.Fatalf("RTO %v did not converge toward the ~80ms RTT", rto)
+	if rto := rtoAfter(81, 40*time.Millisecond); rto != MinRTO {
+		t.Errorf("RTO %v on an 80ms-RTT path, want the %v floor", rto, MinRTO)
+	}
+	if rto := rtoAfter(81, 200*time.Millisecond); rto < 400*time.Millisecond || rto >= initialRTO {
+		t.Errorf("RTO %v on a 400ms-RTT path, want at least the RTT and below the %v initial value", rto, initialRTO)
 	}
 }
 
@@ -80,7 +83,7 @@ func TestTimeoutCollapsesWindow(t *testing.T) {
 	writeAll(client, payload)
 	_ = h.sim.Run(50 * time.Millisecond)
 	cwndBefore := client.cwnd
-	h.link.SetDown(true)
+	h.cut(true)
 	_ = h.sim.Run(2 * time.Second)
 	if client.cwnd != client.mss {
 		t.Fatalf("cwnd = %d after timeouts, want 1 MSS (%d)", client.cwnd, client.mss)
@@ -88,7 +91,7 @@ func TestTimeoutCollapsesWindow(t *testing.T) {
 	if client.cwnd >= cwndBefore {
 		t.Fatalf("cwnd did not collapse: %d -> %d", cwndBefore, client.cwnd)
 	}
-	h.link.SetDown(false)
+	h.cut(false)
 	_ = h.sim.Run(5 * time.Minute)
 	if len(sk.data) != len(payload) {
 		t.Fatalf("transfer incomplete after heal: %d/%d", len(sk.data), len(payload))
@@ -100,14 +103,15 @@ func TestTimeoutCollapsesWindow(t *testing.T) {
 func TestFastRetransmitAvoidsTimeout(t *testing.T) {
 	h := newPair(t, 83, lan(), Options{})
 	client, server := connectPair(t, h, 80)
-	sk := attachSink(server)
+	// The server (side B) sends, so the drop window lands on data segments.
+	sk := attachSink(client)
 	payload := make([]byte, 1<<20)
 	for i := range payload {
 		payload[i] = byte(i * 5)
 	}
-	writeAll(client, payload)
+	writeAll(server, payload)
 	// Drop a short burst early in the transfer: ~2 frames at 100 Mb/s.
-	h.sim.Schedule(10*time.Millisecond, func() { h.link.DropFromAFor(250 * time.Microsecond) })
+	h.sim.Schedule(10*time.Millisecond, func() { h.link.DropFromBFor(250 * time.Microsecond) })
 	start := h.sim.Now()
 	// Step in small slices so the completion time is observable (Run
 	// always advances the clock to its deadline).
@@ -119,7 +123,7 @@ func TestFastRetransmitAvoidsTimeout(t *testing.T) {
 	if len(sk.data) != len(payload) {
 		t.Fatalf("transfer incomplete: %d/%d", len(sk.data), len(payload))
 	}
-	if client.Retransmits == 0 {
+	if server.Retransmits == 0 {
 		t.Fatal("no retransmission despite the drop")
 	}
 	// The whole 1 MiB at ~96 Mb/s takes ~90 ms; a 200 ms RTO stall

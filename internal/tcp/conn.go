@@ -723,7 +723,7 @@ func (c *Conn) scheduleDelayedAck() {
 		return
 	}
 	c.ackPending = true
-	c.delAckTimer.Arm(c.stack.opts.AckDelay)
+	c.delAckTimer.Arm(ackDelay)
 }
 
 func (c *Conn) onDelAckTimeout() {
@@ -969,7 +969,7 @@ func (c *Conn) onRetransTimeout() {
 		return // nothing outstanding
 	}
 	c.retransCount++
-	if c.retransCount > c.stack.opts.MaxRetransmits {
+	if c.retransCount > maxRetransmits {
 		c.trace(trace.KindConnClosed, "giving up after %d retransmits", c.retransCount-1)
 		c.teardown(ErrTimeout)
 		return
@@ -1051,7 +1051,7 @@ func (c *Conn) armPersistTimer() {
 	if c.persistTimer.Armed() {
 		return
 	}
-	d := c.stack.opts.MinRTO << c.persistShift
+	d := MinRTO << c.persistShift
 	if d > maxRTO {
 		d = maxRTO
 	}
@@ -1085,7 +1085,7 @@ func (c *Conn) enterTimeWait() {
 	c.setState(StateTimeWait)
 	c.cancelRetransTimer()
 	c.cancelPersistTimer()
-	c.timeWaitTimer.Arm(2 * c.stack.opts.MSL)
+	c.timeWaitTimer.Arm(2 * msl)
 }
 
 func (c *Conn) onTimeWaitExpired() {
@@ -1142,8 +1142,8 @@ func (c *Conn) updateRTT(sample time.Duration) {
 		c.srtt = (7*c.srtt + sample) / 8
 	}
 	rto := c.srtt + 4*c.rttvar
-	if rto < c.stack.opts.MinRTO {
-		rto = c.stack.opts.MinRTO
+	if rto < MinRTO {
+		rto = MinRTO
 	}
 	if rto > maxRTO {
 		rto = maxRTO
@@ -1165,8 +1165,8 @@ func (c *Conn) growCwnd(acked int) {
 	} else {
 		c.cwnd += maxInt(1, c.mss*c.mss/c.cwnd) // congestion avoidance
 	}
-	if limit := c.stack.opts.SendBufferSize; c.cwnd > limit {
-		c.cwnd = limit
+	if c.cwnd > sendBufferSize {
+		c.cwnd = sendBufferSize
 	}
 	c.noteCwnd()
 }

@@ -114,7 +114,7 @@ func TestTransferProperty(t *testing.T) {
 // TestZeroWindowAndPersist checks flow control: a non-reading receiver
 // closes the window, the sender probes, and reading resumes the stream.
 func TestZeroWindowAndPersist(t *testing.T) {
-	opts := Options{RecvBufferSize: 8 << 10, SendBufferSize: 64 << 10}
+	opts := Options{RecvBufferSize: 8 << 10}
 	h := newPair(t, 5, lan(), opts)
 	client, server := connectPair(t, h, 80)
 	payload := make([]byte, 64<<10)
@@ -243,18 +243,29 @@ func TestOutOfTheBlueGetsRST(t *testing.T) {
 	}
 }
 
+// TestRetransmissionTimeoutGivesUp: an unanswered segment is retransmitted
+// maxRetransmits (15) times, backing off from the 1 s initial RTO (the
+// handshake gave no sample) to the 60 s cap, and the timeout after the 15th,
+// 663 s after the write, gives up.
 func TestRetransmissionTimeoutGivesUp(t *testing.T) {
-	h := newPair(t, 11, lan(), Options{MaxRetransmits: 4})
+	h := newPair(t, 11, lan(), Options{})
 	client, server := connectPair(t, h, 80)
 	_ = server
 	sk := attachSink(client)
-	h.link.SetDown(true)
+	h.cut(true)
 	if _, err := client.Write([]byte("into the void")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	_ = h.sim.Run(2 * time.Minute)
+	_ = h.sim.Run(660 * time.Second)
+	if sk.closed || client.Retransmits != maxRetransmits {
+		t.Fatalf("after 660 s: %d retransmits, closed=%v; want all %d sent and the connection still waiting", client.Retransmits, sk.closed, maxRetransmits)
+	}
+	_ = h.sim.Run(6 * time.Second)
 	if !sk.closed || !errors.Is(sk.err, ErrTimeout) {
 		t.Fatalf("close err = %v, want ErrTimeout", sk.err)
+	}
+	if client.Retransmits != maxRetransmits {
+		t.Fatalf("gave up after %d retransmits, want %d", client.Retransmits, maxRetransmits)
 	}
 }
 
@@ -266,7 +277,7 @@ func TestRTOBackoffGrows(t *testing.T) {
 	_ = server
 	_, _ = client.Write([]byte("x"))
 	_ = h.sim.Run(100 * time.Millisecond)
-	h.link.SetDown(true)
+	h.cut(true)
 	_, _ = client.Write([]byte("y"))
 	before := client.RTO()
 	_ = h.sim.Run(10 * time.Second)

@@ -51,6 +51,12 @@ func newPair(t *testing.T, seed int64, linkCfg netem.LinkConfig, opts Options) *
 	}
 }
 
+// cut cuts (or restores) the cable in both directions.
+func (h *pairHarness) cut(cut bool) {
+	h.link.SetCutFromA(cut)
+	h.link.SetCutFromB(cut)
+}
+
 // sink accumulates everything read from a connection.
 type sink struct {
 	data   []byte

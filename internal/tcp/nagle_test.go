@@ -74,7 +74,7 @@ func TestDelayedAckReducesPureAcks(t *testing.T) {
 // TestDelayedAckTimerBoundsLatency: a lone segment is still acknowledged
 // within the ack-delay bound, so the sender's RTO never fires.
 func TestDelayedAckTimerBoundsLatency(t *testing.T) {
-	h := newPair(t, 65, lan(), Options{DelayedACK: true, AckDelay: 40 * time.Millisecond})
+	h := newPair(t, 65, lan(), Options{DelayedACK: true})
 	client, server := connectPair(t, h, 80)
 	attachSink(server)
 	if _, err := client.Write([]byte("lone segment")); err != nil {
@@ -112,10 +112,10 @@ func TestDelayedAckStillDupAcksOutOfOrder(t *testing.T) {
 // TestNagleDelayedAckInteraction demonstrates the classic pathology the
 // two options create together on request/response traffic: the sender's
 // held sub-MSS segment waits for an ack the receiver is deliberately
-// delaying, adding ~AckDelay per exchange.
+// delaying, adding ~ackDelay (40 ms) per exchange.
 func TestNagleDelayedAckInteraction(t *testing.T) {
 	round := func(nagle, delayed bool) time.Duration {
-		h := newPair(t, 67, lan(), Options{Nagle: nagle, DelayedACK: delayed, AckDelay: 40 * time.Millisecond})
+		h := newPair(t, 67, lan(), Options{Nagle: nagle, DelayedACK: delayed})
 		client, server := connectPair(t, h, 80)
 		attachSink(server)
 		start := h.sim.Now()

@@ -51,55 +51,51 @@ func appendEndpoint(b []byte, addr ip.Addr, port uint16) []byte {
 }
 
 // The retransmission timeout starts at initialRTO, before the first RTT
-// sample, and is clamped to maxRTO however far it backs off (RFC 6298).
+// sample, is never set below MinRTO (which also paces the persist probes),
+// and is clamped to maxRTO however far it backs off (RFC 6298). A segment
+// retransmitted more than maxRetransmits times gives the connection up.
 const (
 	initialRTO = time.Second
-	maxRTO     = 60 * time.Second
+	// MinRTO is the RTO floor: after a takeover the backup's retransmission
+	// backs off from it, which sets Demo 2's residual stall.
+	MinRTO         = 200 * time.Millisecond
+	maxRTO         = 60 * time.Second
+	maxRetransmits = 15
 )
 
-// Options tune a TCP stack. Zero values select defaults.
+// The other fixed timings and sizes of every stack: TIME_WAIT lasts 2 × msl,
+// the delayed-acknowledgement timer is ackDelay, and the send buffer holds
+// sendBufferSize bytes (it also caps the congestion window).
+const (
+	msl            = 5 * time.Second
+	ackDelay       = 40 * time.Millisecond
+	sendBufferSize = 256 << 10
+)
+
+// Options select a stack's TCP personality. Zero values select defaults.
 type Options struct {
-	MSS            int
-	SendBufferSize int
+	// MSS is the largest segment payload offered (DefaultMSS if 0).
+	MSS int
+	// RecvBufferSize is the receive buffer, and so the largest window
+	// advertised (256 KiB if 0).
 	RecvBufferSize int
-	MinRTO         time.Duration
-	MaxRetransmits int
-	MSL            time.Duration
 
 	// Nagle enables RFC 896 small-segment coalescing: a sub-MSS segment
 	// is held back while unacknowledged data is in flight.
 	Nagle bool
 	// DelayedACK enables RFC 1122 acknowledgement delay: a lone in-order
-	// data segment is acknowledged after AckDelay or when a second
-	// segment arrives, whichever is first. Out-of-order segments are
-	// always acknowledged immediately (duplicate acks drive fast
-	// retransmit).
+	// data segment is acknowledged after 40 ms or when a second segment
+	// arrives, whichever is first. Out-of-order segments are always
+	// acknowledged immediately (duplicate acks drive fast retransmit).
 	DelayedACK bool
-	// AckDelay is the delayed-acknowledgement timer (default 40 ms).
-	AckDelay time.Duration
 }
 
 func (o *Options) fillDefaults() {
 	if o.MSS == 0 {
 		o.MSS = DefaultMSS
 	}
-	if o.SendBufferSize == 0 {
-		o.SendBufferSize = 256 << 10
-	}
 	if o.RecvBufferSize == 0 {
 		o.RecvBufferSize = 256 << 10
-	}
-	if o.MinRTO == 0 {
-		o.MinRTO = 200 * time.Millisecond
-	}
-	if o.MaxRetransmits == 0 {
-		o.MaxRetransmits = 15
-	}
-	if o.MSL == 0 {
-		o.MSL = 5 * time.Second
-	}
-	if o.AckDelay == 0 {
-		o.AckDelay = 40 * time.Millisecond
 	}
 }
 
@@ -326,7 +322,7 @@ func (st *Stack) newConn(id ConnID) *Conn {
 		stack: st,
 		id:    id,
 		mss:   st.opts.MSS,
-		sb:    NewWindow(st.opts.SendBufferSize),
+		sb:    NewWindow(sendBufferSize),
 		rb:    newRecvBuffer(st.opts.RecvBufferSize),
 		rto:   initialRTO,
 	}

@@ -34,37 +34,16 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultWindow is the sampling period when Config.Window is zero: fine
-// enough to resolve a sub-second failover stall, coarse enough that a
-// minutes-long run stays in a few thousand windows.
+// DefaultWindow is the sampling period a run report implies: fine enough to
+// resolve a sub-second failover stall, coarse enough that a minutes-long run
+// stays in a few thousand windows.
 const DefaultWindow = 100 * time.Millisecond
 
-// DefaultMaxWindows bounds each series ring when Config.MaxWindows is
-// zero. Older windows are evicted once the ring is full; Timeline reports
-// how many were dropped. Sized so a standard 10-minute demo horizon at
-// DefaultWindow (6,000 windows) fits without evicting the failover
-// activity at the start of the run.
-const DefaultMaxWindows = 8192
-
-// Config parameterizes a Sampler.
-type Config struct {
-	// Window is the sampling period in virtual time (DefaultWindow if 0).
-	Window time.Duration
-	// MaxWindows caps each series ring (DefaultMaxWindows if 0). When a
-	// run outlives the cap, the rings keep the most recent MaxWindows
-	// windows and Timeline.Dropped counts the evicted ones.
-	MaxWindows int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = DefaultWindow
-	}
-	if c.MaxWindows <= 0 {
-		c.MaxWindows = DefaultMaxWindows
-	}
-	return c
-}
+// maxWindows bounds each series ring. Older windows are evicted once the ring
+// is full; Timeline reports how many were dropped. Sized so a standard
+// 10-minute demo horizon at DefaultWindow (6,000 windows) fits without
+// evicting the failover activity at the start of the run.
+const maxWindows = 8192
 
 // series is one named time series backed by a fixed ring. The Sampler's
 // global window counter indexes every ring, so a series registered
@@ -105,9 +84,9 @@ type probe struct {
 // Sampler drives the per-window sampling loop for one simulation run.
 // Create it with NewSampler, register derived series, then Start it.
 type Sampler struct {
-	sim *sim.Simulator
-	reg *metrics.Registry
-	cfg Config
+	sim    *sim.Simulator
+	reg    *metrics.Registry
+	window time.Duration
 
 	ticker  *sim.Ticker
 	start   time.Time
@@ -126,15 +105,15 @@ type Sampler struct {
 	regLen int // Registry.Len at last refresh
 }
 
-// NewSampler builds a sampler over s and reg. reg may be nil (only
-// probes, Windowed, and ClientTrack series are collected then). The
+// NewSampler builds a sampler over s and reg that closes one window every
+// window of virtual time (DefaultWindow if not positive). reg may be nil
+// (only probes, Windowed, and ClientTrack series are collected then). The
 // sampler is idle until Start.
-func NewSampler(s *sim.Simulator, reg *metrics.Registry, cfg Config) *Sampler {
-	sp := &Sampler{
-		sim: s,
-		reg: reg,
-		cfg: cfg.withDefaults(),
+func NewSampler(s *sim.Simulator, reg *metrics.Registry, window time.Duration) *Sampler {
+	if window <= 0 {
+		window = DefaultWindow
 	}
+	sp := &Sampler{sim: s, reg: reg, window: window}
 	sp.refresh()
 	return sp
 }
@@ -144,7 +123,7 @@ func (sp *Sampler) Window() time.Duration {
 	if sp == nil {
 		return 0
 	}
-	return sp.cfg.Window
+	return sp.window
 }
 
 // Start begins sampling: the first window closes one period from now.
@@ -163,7 +142,7 @@ func (sp *Sampler) Start() {
 	// A daemon ticker: sampling must never extend the run. The last
 	// partial window after the workload drains goes unsampled, which is
 	// the right trade — it would otherwise be an endless tail of zeros.
-	sp.ticker = sim.NewDaemonTicker(sp.sim, sp.cfg.Window, sp.tick)
+	sp.ticker = sim.NewDaemonTicker(sp.sim, sp.window, sp.tick)
 }
 
 // Stop halts sampling. Idempotent; safe before Start and on nil.
@@ -175,7 +154,7 @@ func (sp *Sampler) Stop() {
 
 // newSeries allocates a ring and registers the series (cold path).
 func (sp *Sampler) newSeries(name, unit string) *series {
-	s := &series{name: name, unit: unit, ring: make([]float64, sp.cfg.MaxWindows)}
+	s := &series{name: name, unit: unit, ring: make([]float64, maxWindows)}
 	sp.allSeries = append(sp.allSeries, s)
 	return s
 }
@@ -226,7 +205,7 @@ func (sp *Sampler) refresh() {
 }
 
 // tick closes one window: it samples every track, probe, windowed
-// percentile set, and client track into ring cell windows%MaxWindows.
+// percentile set, and client track into ring cell windows%maxWindows.
 // One event per window for the whole run, so it must not allocate.
 //
 //sttcp:hotpath
@@ -234,7 +213,7 @@ func (sp *Sampler) tick() {
 	if sp.reg.Len() != sp.regLen {
 		sp.refresh() //sttcp:allow hotpathalloc cold: runs only when instruments were added mid-run
 	}
-	idx := sp.windows % sp.cfg.MaxWindows
+	idx := sp.windows % maxWindows
 	for i := range sp.tracks {
 		t := &sp.tracks[i]
 		switch t.kind {
@@ -454,23 +433,23 @@ func (sp *Sampler) Timeline() *Timeline {
 		return nil
 	}
 	tl := &Timeline{
-		Window:  sp.cfg.Window,
+		Window:  sp.window,
 		Start:   sp.start,
 		Windows: sp.windows,
 	}
 	n := sp.windows
-	if n > sp.cfg.MaxWindows {
-		tl.Dropped = n - sp.cfg.MaxWindows
-		n = sp.cfg.MaxWindows
+	if n > maxWindows {
+		tl.Dropped = n - maxWindows
+		n = maxWindows
 	}
 	for _, s := range sp.allSeries {
 		pts := make([]float64, n)
-		if sp.windows <= sp.cfg.MaxWindows {
+		if sp.windows <= maxWindows {
 			copy(pts, s.ring[:n])
 		} else {
-			head := sp.windows % sp.cfg.MaxWindows // oldest retained cell
+			head := sp.windows % maxWindows // oldest retained cell
 			copy(pts, s.ring[head:])
-			copy(pts[sp.cfg.MaxWindows-head:], s.ring[:head])
+			copy(pts[maxWindows-head:], s.ring[:head])
 		}
 		tl.Series = append(tl.Series, SeriesData{Name: s.name, Unit: s.unit, Points: pts})
 	}

@@ -8,11 +8,11 @@ import (
 	"repro/internal/sim"
 )
 
-func newTestSampler(t *testing.T, cfg Config) (*sim.Simulator, *metrics.Registry, *Sampler) {
+func newTestSampler(t *testing.T, window time.Duration) (*sim.Simulator, *metrics.Registry, *Sampler) {
 	t.Helper()
 	s := sim.New(1)
 	r := metrics.New(s.Now)
-	return s, r, NewSampler(s, r, cfg)
+	return s, r, NewSampler(s, r, window)
 }
 
 // runTo drives the sim to d with a sentinel workload event at the end.
@@ -28,7 +28,7 @@ func runTo(t *testing.T, s *sim.Simulator, d time.Duration) {
 }
 
 func TestSamplerCounterDeltasAndGaugeValues(t *testing.T) {
-	s, r, sp := newTestSampler(t, Config{Window: 100 * time.Millisecond})
+	s, r, sp := newTestSampler(t, 100*time.Millisecond)
 	c := r.Counter("tcp", "segments_sent")
 	g := r.Gauge("backup", "hold_buffer_bytes")
 	sp.Start()
@@ -56,7 +56,7 @@ func TestSamplerCounterDeltasAndGaugeValues(t *testing.T) {
 }
 
 func TestSamplerPicksUpLateRegisteredInstruments(t *testing.T) {
-	s, r, sp := newTestSampler(t, Config{Window: 100 * time.Millisecond})
+	s, r, sp := newTestSampler(t, 100*time.Millisecond)
 	sp.Start()
 	// Instrument registered after sampling began: the tick's Len check
 	// must notice it on the next window.
@@ -75,7 +75,7 @@ func TestSamplerPicksUpLateRegisteredInstruments(t *testing.T) {
 }
 
 func TestWindowedPercentiles(t *testing.T) {
-	s, r, sp := newTestSampler(t, Config{Window: 100 * time.Millisecond})
+	s, r, sp := newTestSampler(t, 100*time.Millisecond)
 	h := r.Histogram("app", "latency", []time.Duration{
 		time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond, time.Second,
 	})
@@ -126,7 +126,7 @@ func TestWindowedPercentiles(t *testing.T) {
 }
 
 func TestWindowedOverflowUsesGlobalMax(t *testing.T) {
-	s, r, sp := newTestSampler(t, Config{Window: 100 * time.Millisecond})
+	s, r, sp := newTestSampler(t, 100*time.Millisecond)
 	h := r.Histogram("app", "latency", []time.Duration{time.Millisecond})
 	sp.NewWindowed("app.latency", h)
 	sp.Start()
@@ -139,7 +139,7 @@ func TestWindowedOverflowUsesGlobalMax(t *testing.T) {
 }
 
 func TestClientTracksDeriveStallAndProgress(t *testing.T) {
-	s, _, sp := newTestSampler(t, Config{Window: 100 * time.Millisecond})
+	s, _, sp := newTestSampler(t, 100*time.Millisecond)
 	a := sp.NewClientTrack()
 	b := sp.NewClientTrack()
 	sp.Start()
@@ -177,7 +177,7 @@ func TestClientTracksDeriveStallAndProgress(t *testing.T) {
 }
 
 func TestProbesSampledPerWindow(t *testing.T) {
-	s, _, sp := newTestSampler(t, Config{Window: 100 * time.Millisecond})
+	s, _, sp := newTestSampler(t, 100*time.Millisecond)
 	depth := 0.0
 	sp.AddProbe("sched.pending", "events", func() float64 { return depth })
 	sp.Start()
@@ -190,19 +190,23 @@ func TestProbesSampledPerWindow(t *testing.T) {
 	}
 }
 
+// TestRingWrapKeepsMostRecentWindows: a run that outlives the ring keeps
+// its last maxWindows (8,192) windows, oldest first, and counts the evicted.
 func TestRingWrapKeepsMostRecentWindows(t *testing.T) {
-	s, _, sp := newTestSampler(t, Config{Window: 10 * time.Millisecond, MaxWindows: 4})
+	s, _, sp := newTestSampler(t, time.Millisecond)
 	w := 0.0
 	sp.AddProbe("w", "index", func() float64 { w++; return w })
 	sp.Start()
-	runTo(t, s, 105*time.Millisecond)
+	const windows = maxWindows + 6
+	runTo(t, s, windows*time.Millisecond+time.Millisecond/2)
 	tl := sp.Timeline()
-	if tl.Windows != 10 || tl.Dropped != 6 {
-		t.Fatalf("windows/dropped = %d/%d, want 10/6", tl.Windows, tl.Dropped)
+	if tl.Windows != windows || tl.Dropped != 6 {
+		t.Fatalf("windows/dropped = %d/%d, want %d/6", tl.Windows, tl.Dropped, windows)
 	}
 	ser := tl.Find("w")
-	if want := []float64{7, 8, 9, 10}; !floatsEqual(ser.Points, want) {
-		t.Errorf("retained points = %v, want most recent %v", ser.Points, want)
+	if n := len(ser.Points); n != maxWindows || ser.Points[0] != 7 || ser.Points[n-1] != windows {
+		t.Errorf("retained %d points from %v to %v, want the most recent %d: 7 to %d",
+			n, ser.Points[0], ser.Points[n-1], maxWindows, windows)
 	}
 }
 
@@ -210,7 +214,7 @@ func TestRingWrapKeepsMostRecentWindows(t *testing.T) {
 // i covers [Start+i*Window, Start+(i+1)*Window), with Start the instant
 // sampling began, not the epoch.
 func TestWindowIndex(t *testing.T) {
-	s, r, sp := newTestSampler(t, Config{Window: 100 * time.Millisecond})
+	s, r, sp := newTestSampler(t, 100*time.Millisecond)
 	c := r.Counter("x", "hits")
 	s.Post(time.Second, sp.Start)
 	at := sim.Epoch.Add(1250 * time.Millisecond)
@@ -233,7 +237,7 @@ func TestWindowIndex(t *testing.T) {
 func TestTickDoesNotAllocate(t *testing.T) {
 	s := sim.New(1)
 	r := metrics.New(s.Now)
-	sp := NewSampler(s, r, Config{Window: 100 * time.Millisecond, MaxWindows: 64})
+	sp := NewSampler(s, r, 100*time.Millisecond)
 	c := r.Counter("tcp", "segments_sent")
 	g := r.Gauge("backup", "hold_buffer_bytes")
 	h := r.Histogram("app", "latency", nil)
