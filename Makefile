@@ -115,12 +115,15 @@ artifacts-one-place:
 	  || { echo "artifacts-one-place: a result type carries a recorder, snapshot or timeline (lines above); read it off the run's Testbed"; exit 1; }
 
 # One stream window and one reassembler: every store of stream bytes between
-# the wire and the application (send and receive buffers, the primary's hold
-# buffer, the logger's log) is a tcp.Window and every out-of-order queue a
-# tcp.Reassembler, so insertOOO and drainOOO are each defined once under
-# internal/, and no non-test file of internal/tcp or internal/sttcp holds the
-# idiom the ring replaced — a buffer copying itself down, copy(x, x[n:]). A
-# grep in the idiom of faults-one-place; CI runs it beside it.
+# the wire and the application (send and receive buffers, the logger's log)
+# is a tcp.Window and every out-of-order queue a tcp.Reassembler, so
+# insertOOO and drainOOO are each defined once under internal/, and no
+# non-test file of internal/tcp or internal/sttcp holds the idiom the ring
+# replaced — a buffer copying itself down, copy(x, x[n:]). The primary keeps
+# the client bytes the backup has not reported in its receive buffer
+# (tcp.Conn.Hold), not a second store: outside tests, internal/sttcp builds a
+# tcp.NewWindow only in logger.go. A grep in the idiom of faults-one-place;
+# CI runs it beside it.
 one-window:
 	@for f in insertOOO drainOOO; do \
 	  n=$$(grep -rhE "^func .*$$f\(" --include='*.go' internal | wc -l); \
@@ -128,6 +131,8 @@ one-window:
 	done
 	@! grep -rnE 'copy\(([A-Za-z_][A-Za-z0-9_.]*), \1\[' --include='*.go' --exclude='*_test.go' internal/tcp internal/sttcp \
 	  || { echo "one-window: a buffer copies itself down (lines above); hold the bytes in a tcp.Window and Release them"; exit 1; }
+	@! grep -rn 'tcp\.NewWindow' --include='*.go' --exclude='*_test.go' --exclude='logger.go' internal/sttcp \
+	  || { echo "one-window: a second store of client bytes on the primary (lines above); hold them in the receive buffer (tcp.Conn.Hold)"; exit 1; }
 
 # One run loop: experiment.Plan.Run (plan.go) is the only code that builds
 # and runs an ST-TCP testbed; a lab script and a chaos schedule compile to a

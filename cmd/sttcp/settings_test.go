@@ -25,7 +25,7 @@ var settable = []struct {
 	value any
 	count int
 }{
-	{"sttcp.Config", sttcp.Config{}, 13},
+	{"sttcp.Config", sttcp.Config{}, 12},
 	{"experiment.Options", experiment.Options{}, 9},
 	{"experiment.Params", experiment.Params{}, 7},
 	{"experiment.Plan", experiment.Plan{}, 18},

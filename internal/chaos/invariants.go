@@ -42,8 +42,6 @@ func (v Violation) String() string { return v.Invariant + ": " + v.Detail }
 //     hb.Timeout + the period + 600 ms (detection timeout, plus liveness-
 //     check quantisation, plus the worst benign inbound-drop window a
 //     schedule may stack on top).
-//   - hold-buffer-bound: the hold-buffer occupancy high-water mark never
-//     exceeds the configured capacity.
 //   - span-integrity: the causal span tree is well-formed at end of run —
 //     every takeover span has a suspect event on itself or an ancestor
 //     (a takeover must be caused by a declared suspicion), no non-auto
@@ -69,7 +67,6 @@ func InvariantNames() []string {
 		"backup-silence",
 		"client-integrity",
 		"takeover-latency",
-		"hold-buffer-bound",
 		"span-integrity",
 		"gray-quiescence",
 		"gray-detection-bound",
@@ -314,14 +311,6 @@ func (h *harness) endInvariants(snap *metrics.Snapshot) []Violation {
 		if sm.Type == "histogram" && sm.Count > 0 && sm.MaxDur > bound {
 			bad("takeover-latency", "%s recorded takeover latency %v > bound %v",
 				sm.Component, sm.MaxDur, bound)
-		}
-	}
-
-	// hold-buffer-bound: occupancy may never exceed capacity.
-	for _, sm := range snap.Find("sttcp.holdbuf_bytes") {
-		if sm.Type == "gauge" && sm.Max > int64(h.cfg.HoldBufferSize) {
-			bad("hold-buffer-bound", "%s hold buffer peaked at %d bytes > capacity %d",
-				sm.Component, sm.Max, h.cfg.HoldBufferSize)
 		}
 	}
 

@@ -113,7 +113,6 @@ func newEndHarness() *endHarness {
 	now := func() time.Time { return epoch }
 	h := &harness{run: &experiment.Run{}, tb: &experiment.Testbed{Tracer: trace.NewRecorder(now)}}
 	h.cfg.HBPeriod = 200 * time.Millisecond
-	h.cfg.HoldBufferSize = 1 << 16
 	return &endHarness{h: h, reg: metrics.New(now)}
 }
 
@@ -180,13 +179,6 @@ func TestEndInvariants(t *testing.T) {
 				e.reg.Histogram("backup/sttcp", "sttcp.takeover_latency", nil).Observe(1400 * time.Millisecond)
 			},
 			want: "",
-		},
-		{
-			name: "hold-buffer-overflow",
-			build: func(e *endHarness) {
-				e.reg.Gauge("primary/sttcp", "sttcp.holdbuf_bytes").Set(int64(e.h.cfg.HoldBufferSize) + 1)
-			},
-			want: "hold-buffer-bound",
 		},
 		{
 			name: "takeover-span-without-suspect",

@@ -11,12 +11,12 @@ import (
 // TestSteadyStateSegmentAllocatesNothing is TestAllocsPerSegmentBudget
 // (internal/tcp) on the whole Figure 2 testbed with ST-TCP on, so every path
 // a client segment takes is under it: the multicast tap that delivers it
-// twice, the primary's hold buffer, the backup's suppressed replica and its
-// segment filter, the applications on both servers, heartbeats on both links.
-// Once the pools, free lists and rings have grown, a segment allocates
-// nothing; what is left is per heartbeat (a few objects every 200 ms) and the
-// client's progress series doubling, both far under one object in twenty
-// segments.
+// twice, the primary's held receive buffer, the backup's suppressed replica
+// and its segment filter, the applications on both servers, heartbeats on
+// both links. Once the pools, free lists and rings have grown, a segment
+// allocates nothing; what is left is per heartbeat (a few objects every
+// 200 ms) and the client's progress series doubling, both far under one
+// object in twenty segments.
 func TestSteadyStateSegmentAllocatesNothing(t *testing.T) {
 	const warmUp, measured, budget = 300 * time.Millisecond, 600 * time.Millisecond, 0.05
 	for _, tc := range []struct {

@@ -101,11 +101,11 @@ func TestDemoRegistry(t *testing.T) {
 
 // TestHoldBufferGaugeOnEchoRun pins the hold-buffer occupancy gauge on an
 // echo-shaped run — four connections of 64-byte ping-pong, failure-free, the
-// only shape where clients write payload all run long. The gauge is fed
-// from a running total on the node; the figures are those the walk over
-// every connection's buffer produced before it (same seed, same run), so a
-// missed adjustment shows up as a different high-water mark or a total that
-// does not return to zero.
+// only shape where clients write payload all run long. Each connection's
+// receive buffer moves the gauge as it delivers and as reports release; the
+// figures are those the separate hold buffers produced before it (same seed,
+// same run), so a missed adjustment shows up as a different high-water mark
+// or a total that does not return to zero.
 func TestHoldBufferGaugeOnEchoRun(t *testing.T) {
 	tb := Build(Options{Seed: 17})
 	if err := tb.StartSTTCP(0, nil); err != nil {

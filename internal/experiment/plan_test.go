@@ -218,15 +218,33 @@ func TestFailureFreeRegistryPlans(t *testing.T) {
 }
 
 // TestFailureFreeAtSlowHeartbeats: a failure-free download at the slow
-// periods Demo 2 sweeps ends with no suspect (Run enforces it). The
-// suspicion scorer used to charge the peer for the age of its last report
-// and convicted the healthy backup 2.5 s into the run at 1 s and 4 s in at
-// 2 s.
+// periods Demo 2 sweeps, and a back-to-back echo of large messages, end with
+// no suspect (Run enforces it) and every byte verified. The suspicion scorer
+// used to charge the peer for the age of its last report and convicted the
+// healthy backup 2.5 s into the download at 1 s and 4 s in at 2 s. The echo
+// sends the client's bytes faster than one heartbeat period's reports
+// release them: the primary's hold buffer used to overflow and convict the
+// backup within 170 ms, and now the client's window closes until the report.
 func TestFailureFreeAtSlowHeartbeats(t *testing.T) {
-	for _, hb := range []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second} {
-		p := Plan{Options: Options{Seed: 42}, HB: hb, Clients: []Workload{{Bytes: 64 << 20}}, Horizon: 10 * time.Second}
-		if _, err := p.Run(); err != nil {
-			t.Errorf("heartbeat %v: %v", hb, err)
+	for _, c := range []struct {
+		hb time.Duration
+		w  Workload
+	}{
+		{500 * time.Millisecond, Workload{Bytes: 64 << 20}},
+		{time.Second, Workload{Bytes: 64 << 20}},
+		{2 * time.Second, Workload{Bytes: 64 << 20}},
+		{200 * time.Millisecond, Workload{Echo: true, Rounds: 2000, MsgSize: 8 << 10}},
+		{200 * time.Millisecond, Workload{Echo: true, Rounds: 2000, MsgSize: 64 << 10}},
+		{500 * time.Millisecond, Workload{Echo: true, Rounds: 2000, MsgSize: 16 << 10}},
+		{time.Second, Workload{Echo: true, Rounds: 2000, MsgSize: 16 << 10}},
+		{2 * time.Second, Workload{Echo: true, Rounds: 2000, MsgSize: 16 << 10}},
+	} {
+		run, err := Plan{Options: Options{Seed: 42}, HB: c.hb, Clients: []Workload{c.w}, Horizon: 2 * time.Minute}.Run()
+		if err == nil {
+			err = run.completed("workload")
+		}
+		if err != nil {
+			t.Errorf("heartbeat %v, %+v: %v", c.hb, c.w, err)
 		}
 	}
 }

@@ -205,13 +205,8 @@ func TestTapAblationNICLoad(t *testing.T) {
 func TestBackupFINCommunicatedImmediately(t *testing.T) {
 	tb := Build(Options{Seed: 56})
 	// A huge HB period makes the periodic path useless: only SendNow
-	// can communicate the FIN in time. The hold buffer must cover a
-	// full period of client upload at this HB rate (a real property of
-	// the design: confirmations only travel in heartbeats).
-	err := tb.StartSTTCP(5*time.Second, func(c *sttcp.Config) {
-		c.HoldBufferSize = 64 << 20
-	})
-	if err != nil {
+	// can communicate the FIN in time.
+	if err := tb.StartSTTCP(5*time.Second, nil); err != nil {
 		t.Fatalf("start: %v", err)
 	}
 	pSrv := app.NewEchoServer("primary/app", tb.Tracer)

@@ -73,6 +73,12 @@ func transition(from NodeState, role Role, to NodeState) (Role, bool) {
 	return role, true
 }
 
+// holdBufferSize bounds, per connection, the client bytes the primary keeps
+// for the missed-byte recovery protocol until the backup reports them (the
+// paper's extra receive buffer, §2): past it the primary's advertised window
+// closes. The logger keeps the newest holdBufferSize bytes of a stream.
+const holdBufferSize = 1 << 20
+
 // Well-known inter-server ports.
 const (
 	// DefaultHBPort carries the UDP heartbeat on the IP link.
@@ -120,10 +126,6 @@ type Config struct {
 	// about a minute — demos shrink it).
 	MaxDelayFIN time.Duration
 
-	// HoldBufferSize is the primary's extra receive buffer per
-	// connection for the missed-byte recovery protocol.
-	HoldBufferSize int
-
 	// GatewayAddr is pinged when the IP heartbeat link fails while the
 	// serial link survives (§4.3). Zero disables ping arbitration.
 	GatewayAddr ip.Addr
@@ -160,5 +162,4 @@ func (c *Config) fillDefaults() {
 	c.AppMaxLagBytes = cmp.Or(c.AppMaxLagBytes, 64<<10)
 	c.AppMaxLagTime = cmp.Or(c.AppMaxLagTime, 5*time.Second)
 	c.MaxDelayFIN = cmp.Or(c.MaxDelayFIN, time.Minute)
-	c.HoldBufferSize = cmp.Or(c.HoldBufferSize, 1<<20)
 }

@@ -16,8 +16,8 @@ import (
 // retransmit. The logger passively taps the client→service traffic through
 // the same multicast Ethernet group as the servers, reassembles each
 // connection's in-order client byte stream, and answers the same recovery
-// protocol the primary's hold buffer serves; the backup falls back to it at
-// takeover.
+// protocol the primary's held receive buffer serves; the backup falls back
+// to it at takeover.
 //
 // The logger is entirely passive on the data path: it never transmits a
 // TCP segment, only recovery-data datagrams on the control port.
@@ -33,7 +33,7 @@ type Logger struct {
 }
 
 // loggedStream is one connection's client→server byte stream: tapped
-// segments reassembled into a log that retains the newest HoldBufferSize
+// segments reassembled into a log that retains the newest holdBufferSize
 // bytes. The same size bounds what waits out of order behind a hole, so a
 // stream costs the logger at most twice that.
 type loggedStream struct {
@@ -97,7 +97,7 @@ func (lg *Logger) handlePacket(pkt ip.Packet) {
 		if !seg.Flags.Has(tcp.FlagSYN) {
 			return // missed the SYN: offsets would be ambiguous
 		}
-		lg.streams[id] = newLoggedStream(seg.Seq, lg.cfg.HoldBufferSize)
+		lg.streams[id] = newLoggedStream(seg.Seq, holdBufferSize)
 		lg.tracer.Emit(trace.KindGeneric, lg.comp, "logging client stream of %v", id)
 		return
 	}

@@ -133,7 +133,7 @@ type loggerNet struct {
 
 const loggerNetIRS = 0xfffffff0 // the stream crosses the 32-bit wrap 15 bytes in
 
-func newLoggerNet(t *testing.T, capacity int) *loggerNet {
+func newLoggerNet(t *testing.T) *loggerNet {
 	t.Helper()
 	s := sim.New(1)
 	sw := netem.NewSwitch(s, "sw", 0)
@@ -147,7 +147,7 @@ func newLoggerNet(t *testing.T, capacity int) *loggerNet {
 		LocalAddr: ip.MakeAddr(10, 0, 0, 100), LocalPort: 80,
 		RemoteAddr: ip.MakeAddr(10, 0, 0, 1), RemotePort: 50123,
 	}}
-	n.lg = NewLogger(lgHost, Config{ServiceAddr: n.id.LocalAddr, ServicePort: n.id.LocalPort, HoldBufferSize: capacity})
+	n.lg = NewLogger(lgHost, Config{ServiceAddr: n.id.LocalAddr, ServicePort: n.id.LocalPort})
 	if err := n.lg.Start(); err != nil {
 		t.Fatalf("logger: %v", err)
 	}
@@ -186,17 +186,17 @@ func logPat(off int64) byte { return byte(off*31 + off>>10) }
 // after it waits behind a permanent hole. What waits is bounded by the
 // log's capacity; the rest is dropped, not hoarded.
 func TestLoggerOutOfOrderBound(t *testing.T) {
-	const capacity = 4096
-	n := newLoggerNet(t, capacity)
+	const capacity, mss = holdBufferSize, 1460
+	n := newLoggerNet(t)
 	n.tapData(0, 100)
-	for off := int64(200); off < 10*capacity; off += 100 { // [100, 200) never arrives
-		n.tapData(off, 100)
+	for off := int64(200); off < 2*capacity; off += mss { // [100, 200) never arrives
+		n.tapData(off, mss)
 	}
 	s := n.lg.streams[n.id]
 	if s.Next() != 100 {
 		t.Fatalf("in-order stream reached %d across the hole at 100", s.Next())
 	}
-	if got := s.OutOfOrder(); got > capacity || got < capacity-100 {
+	if got := s.OutOfOrder(); got > capacity || got < capacity-mss {
 		t.Fatalf("logger holds %d out-of-order bytes behind a permanent hole, want the %d of its capacity (to within a segment)", got, capacity)
 	}
 }
@@ -205,8 +205,8 @@ func TestLoggerOutOfOrderBound(t *testing.T) {
 // for what is left: the request below the retained window goes unanswered,
 // the one for the tail is served byte for byte in recovery chunks.
 func TestLoggerServesRetainedTail(t *testing.T) {
-	const capacity, total, mss = 1 << 20, 8 << 20, 1460
-	n := newLoggerNet(t, capacity)
+	const capacity, total, mss = holdBufferSize, 8 << 20, 1460
+	n := newLoggerNet(t)
 	for off := int64(0); off < total; off += mss {
 		n.tapData(off, int(min(mss, total-off)))
 	}

@@ -49,8 +49,7 @@ type repConn struct {
 	conn *tcp.Conn
 	// key is conn.ID().String(), rendered once: it is the order the node
 	// walks its connections in (sortedKeys).
-	key  string
-	hold *tcp.Window // primary role only: the extra receive buffer (paper §2)
+	key string
 
 	// replicated is false for connections that exist only locally —
 	// those accepted while the node ran alone (post-takeover or non-FT)
@@ -150,10 +149,6 @@ type Node struct {
 
 	state NodeState
 	conns map[tcp.ConnID]*repConn
-	// holdBytes is the total parked across every connection's hold
-	// buffer, adjusted wherever one is appended to, released, dropped or
-	// discarded, so sampling the occupancy gauge walks nothing.
-	holdBytes int64
 
 	// Backup-only: segments parked until the ISN announcement, and the
 	// announced ISNs.
@@ -416,8 +411,8 @@ func (n *Node) sortedKeys() []tcp.ConnID {
 // --- Connection setup ---
 
 // setupConn runs on every new passive connection before any segment
-// processing: the backup suppresses output; the primary installs the hold
-// buffer tap and the FIN gate.
+// processing: the backup suppresses output; the primary holds client bytes
+// for the backup and installs the FIN gate.
 func (n *Node) setupConn(c *tcp.Conn) {
 	rc := newRepConn(c)
 	n.conns[c.ID()] = rc
@@ -435,8 +430,7 @@ func (n *Node) setupConn(c *tcp.Conn) {
 		})
 	case n.role == RolePrimary && n.state == StateActive:
 		rc.replicated = true
-		rc.hold = tcp.NewWindow(n.cfg.HoldBufferSize)
-		c.SetDeliverTap(func(off int64, data []byte) { n.tapDelivered(rc, off, data) })
+		c.Hold(holdBufferSize, n.mHoldBytes)
 		c.SetFINGate(func(rst bool) { n.onLocalCloseSignal(rc, rst) })
 	}
 }
@@ -463,35 +457,6 @@ func (n *Node) announceConn(c *tcp.Conn) {
 	if !n.cfg.WitnessAddr.IsZero() {
 		_ = n.host.Netstack().UDPSend(DefaultCtrlPort, n.cfg.WitnessAddr, DefaultCtrlPort, raw)
 	}
-}
-
-// tapDelivered copies newly received client bytes into the hold buffer
-// (primary). Overflow means the backup cannot keep up: Table 1 row 5
-// declares the backup failed.
-func (n *Node) tapDelivered(rc *repConn, off int64, data []byte) {
-	if rc.hold == nil || n.state != StateActive {
-		return
-	}
-	before := rc.hold.Len()
-	if rc.hold.End() < off {
-		// Should not happen (tap is in-order), but never wedge.
-		rc.hold.Release(off)
-	}
-	err := holdAppend(rc.hold, off, data)
-	// Noted before acting on an overflow: declaring the backup failed
-	// discards every hold buffer, this one included.
-	n.noteHoldOccupancy(rc.hold.Len() - before)
-	if errors.Is(err, ErrHoldOverflow) {
-		n.declarePeerFailed("hold buffer overflow: backup cannot catch up")
-	}
-}
-
-// noteHoldOccupancy folds a change in one hold buffer's occupancy into the
-// node-wide total and samples it into the occupancy gauge (its Max is the
-// high-water mark).
-func (n *Node) noteHoldOccupancy(delta int) {
-	n.holdBytes += int64(delta)
-	n.mHoldBytes.Set(n.holdBytes)
 }
 
 // --- Backup segment holding ---
@@ -585,12 +550,7 @@ func (n *Node) composeHB() hb.Message {
 func (n *Node) dropConn(id tcp.ConnID) {
 	if rc, ok := n.conns[id]; ok {
 		n.cancelFINTimers(rc)
-		if rc.hold != nil {
-			// Not sampled into the gauge here: a drop is not an
-			// occupancy event, and the total is right when the
-			// next append or release samples it.
-			n.holdBytes -= int64(rc.hold.Len())
-		}
+		rc.conn.StopHolding()
 		delete(n.conns, id)
 	}
 	delete(n.announced, id)
@@ -709,12 +669,8 @@ func (n *Node) adoptFromHB(id tcp.ConnID, cs *hb.ConnState) {
 
 // primaryConsumeConnState reacts to the backup's view of one connection.
 func (n *Node) primaryConsumeConnState(rc *repConn) {
-	// Release hold-buffer bytes the backup has confirmed.
-	if rc.hold != nil {
-		before := rc.hold.Len()
-		rc.hold.Release(min(rc.peerLBR, rc.hold.End()))
-		n.noteHoldOccupancy(rc.hold.Len() - before)
-	}
+	// Release the client bytes the backup has confirmed.
+	rc.conn.ReleaseHeld(rc.peerLBR)
 	// FIN agreement: if we gated a FIN and the backup has also generated
 	// one, this is a normal close — send it (§4.2.2).
 	if rc.conn.FINGated() && (rc.peerFIN || rc.peerRST) {
@@ -807,12 +763,10 @@ func (n *Node) requestRecovery(rc *repConn, dst ip.Addr, to int64) {
 
 func (n *Node) serveRecovery(m recoveryRequestMsg) {
 	id := connKey(n.cfg.ServiceAddr, m.RemoteAddr, m.RemotePort, m.LocalPort)
-	rc, ok := n.conns[id]
-	if !ok || rc.hold == nil {
-		return
+	if rc, ok := n.conns[id]; ok && rc.conn.Held() != nil {
+		held := rc.conn.Held()
+		sendRecoveryData(n.host, n.cfg.PeerAddr, m, held, max(m.From, held.Base()), m.end(held.End()))
 	}
-	// Older bytes were confirmed by the peer itself.
-	sendRecoveryData(n.host, n.cfg.PeerAddr, m, rc.hold, max(m.From, rc.hold.Base()), m.end(rc.hold.End()))
 }
 
 // end is where recovery request m stops in a store holding bytes up to
@@ -1181,8 +1135,7 @@ func (n *Node) enterNonFT(reason string) {
 	for _, k := range n.sortedKeys() {
 		rc := n.conns[k]
 		n.releaseGatedFIN(rc, "entering non-fault-tolerant mode")
-		rc.hold = nil
+		rc.conn.StopHolding()
 	}
-	n.noteHoldOccupancy(-int(n.holdBytes)) // every hold buffer is gone
 	n.milestone(n.mNonFT, n.tracer.Ambient(), trace.KindNonFTMode, "primary in non-fault-tolerant mode: %s", reason)
 }

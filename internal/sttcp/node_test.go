@@ -2,6 +2,7 @@ package sttcp
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 
 // newPrimaryWithConns builds an unstarted primary node holding one
 // established service connection per client endpoint, each set up as the
-// stack would on accept: hold buffer, delivery tap and FIN gate installed.
+// stack would on accept: client bytes held for the backup, FIN gate installed.
 func newPrimaryWithConns(tb testing.TB, clients []tcp.ConnID) *Node {
 	tb.Helper()
 	s := sim.New(1)
@@ -27,10 +28,9 @@ func newPrimaryWithConns(tb testing.TB, clients []tcp.ConnID) *Node {
 	sp, _ := serial.NewPair(s, "a/tty", "b/tty", 0)
 	host.AttachSerial(sp)
 	node, err := NewNode(host, RolePrimary, Config{
-		ServiceAddr:    ip.MakeAddr(10, 0, 0, 100),
-		ServicePort:    80,
-		PeerAddr:       ip.MakeAddr(10, 0, 0, 3),
-		HoldBufferSize: 4096,
+		ServiceAddr: ip.MakeAddr(10, 0, 0, 100),
+		ServicePort: 80,
+		PeerAddr:    ip.MakeAddr(10, 0, 0, 3),
 	}, nil)
 	if err != nil {
 		tb.Fatalf("node: %v", err)
@@ -93,81 +93,56 @@ func TestSortedKeysIsTextOrder(t *testing.T) {
 	}
 }
 
-// TestHoldOccupancyRunningTotal drives every way a hold buffer's occupancy
-// changes — client bytes tapped in, releases on the backup's confirmation,
-// a dropped connection, the wedge-recovery path, overflow into
-// non-fault-tolerant mode — across several connections, and after every
-// step compares the node's running total with the sum over the buffers,
-// and the gauge with it wherever occupancy is sampled.
+// TestHoldOccupancyRunningTotal drives every way the bytes held for the
+// backup change — client bytes delivered, application reads, releases on
+// the backup's reports, a dropped connection, non-fault-tolerant mode —
+// across several connections, and after every step compares the occupancy
+// gauge with the sum of their unreported bytes.
 func TestHoldOccupancyRunningTotal(t *testing.T) {
-	node := newPrimaryWithConns(t, clientIDs(6))
-	sum := func() int64 {
-		var total int64
-		for _, rc := range node.conns {
-			if rc.hold != nil {
-				total += int64(rc.hold.Len())
-			}
-		}
-		return total
-	}
-	check := func(step string, sampled bool) {
+	hs := newHeldConns(t, 6)
+	node := hs[0].node
+	check := func(step string) {
 		t.Helper()
-		if node.holdBytes != sum() {
-			t.Fatalf("%s: running total %d, hold buffers sum to %d", step, node.holdBytes, sum())
-		}
-		if sampled && node.mHoldBytes.Value() != sum() {
-			t.Fatalf("%s: gauge reads %d, hold buffers sum to %d", step, node.mHoldBytes.Value(), sum())
+		if got, want := node.mHoldBytes.Value(), unreported(hs); got != want {
+			t.Fatalf("%s: gauge reads %d, the connections hold %d unreported bytes", step, got, want)
 		}
 	}
 
 	rng := rand.New(rand.NewSource(5))
-	keys := node.sortedKeys()
 	var peak int64
 	for step := 0; step < 400; step++ {
-		rc := node.conns[keys[rng.Intn(len(keys))]]
-		switch rng.Intn(3) {
+		h := hs[rng.Intn(len(hs))]
+		switch rng.Intn(4) {
 		case 0, 1:
-			node.tapDelivered(rc, rc.hold.End(), make([]byte, 1+rng.Intn(300)))
-			check("append", true)
+			h.deliver(1 + rng.Int63n(300))
 		case 2:
-			rc.peerLBR = rc.hold.Base() + int64(rng.Intn(rc.hold.Len()+1))
-			node.primaryConsumeConnState(rc)
-			check("release", true)
+			h.readN(rng.Int63n(300))
+		case 3:
+			h.report(h.reported + rng.Int63n(h.end-h.reported+1))
 		}
-		if node.State() != StateActive {
-			t.Fatalf("step %d: node left the active state (%s); lower the append sizes", step, node.FailoverReason)
-		}
-		peak = max(peak, sum())
+		check("step")
+		peak = max(peak, unreported(hs))
 	}
 	if peak == 0 || node.mHoldBytes.Max() != peak {
 		t.Fatalf("gauge max %d, peak of the recomputed sum %d", node.mHoldBytes.Max(), peak)
 	}
 
-	// A tap that skips ahead discards what was held and restarts there.
-	rc := node.conns[keys[0]]
-	node.tapDelivered(rc, rc.hold.End()+10, []byte("abc"))
-	if rc.hold.Len() != 3 {
-		t.Fatalf("after a skipping tap the buffer holds %d bytes, want 3", rc.hold.Len())
-	}
-	check("skip-ahead append", true)
+	// Dropping a connection takes its bytes out of the total.
+	victim := hs[1]
+	victim.deliver(100)
+	node.dropConn(victim.rc.conn.ID())
+	hs = slices.Delete(hs, 1, 2)
+	check("drop")
 
-	// Dropping a connection takes its bytes out of the total; the gauge
-	// is next sampled at the following append or release.
-	victim := node.conns[keys[1]]
-	node.tapDelivered(victim, victim.hold.End(), make([]byte, 100))
-	node.dropConn(keys[1])
-	check("drop", false)
-	node.tapDelivered(rc, rc.hold.End(), []byte("d"))
-	check("append after drop", true)
-
-	// Overflow declares the backup failed: every buffer is discarded.
-	node.tapDelivered(rc, rc.hold.End(), make([]byte, node.cfg.HoldBufferSize))
-	if node.State() != StateNonFT {
-		t.Fatalf("overflow left the node %v, want non-FT", node.State())
+	// Declaring the backup failed stops holding: nothing is held any more.
+	node.declarePeerFailed("backup declared failed")
+	for _, h := range hs {
+		if h.rc.conn.Held() != nil {
+			t.Fatalf("%v still holds bytes in non-FT mode", h.rc.conn.ID())
+		}
 	}
-	check("non-FT", true)
-	if node.holdBytes != 0 {
-		t.Fatalf("running total %d after every hold buffer was discarded", node.holdBytes)
+	if got := node.mHoldBytes.Value(); got != 0 {
+		t.Fatalf("gauge reads %d in non-FT mode", got)
 	}
 }
 

@@ -25,7 +25,7 @@ func TestDesignParameterTable(t *testing.T) {
 		"Config.AppMaxLagBytes":       size(c.AppMaxLagBytes),
 		"Config.AppMaxLagTime":        dur(c.AppMaxLagTime),
 		"Config.MaxDelayFIN":          dur(c.MaxDelayFIN),
-		"Config.HoldBufferSize":       size(int64(c.HoldBufferSize)),
+		"holdBufferSize":              size(holdBufferSize),
 		"appLagByteHold":              dur(appLagByteHold),
 		"nicLagGrace":                 dur(nicLagGrace),
 		"nicLagBytes":                 size(nicLagBytes),

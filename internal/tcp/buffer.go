@@ -3,6 +3,8 @@ package tcp
 import (
 	"bytes"
 	"errors"
+
+	"repro/internal/metrics"
 )
 
 // ErrReleased reports a Slice below a Window's base: the bytes were
@@ -15,8 +17,9 @@ var ErrReleased = errors.New("tcp: requested bytes already released")
 // absolute stream offsets (offset 0 is the first payload byte after the
 // SYN); keeping them 64-bit internally confines 32-bit sequence wraparound
 // handling to the wire boundary. A connection's send buffer is a Window of
-// unacknowledged bytes, its receive buffer one of unread bytes; the ST-TCP
-// primary's hold buffer and the logger's log are Windows of client bytes.
+// unacknowledged bytes, its receive buffer one of unread bytes (on the
+// ST-TCP primary, also of bytes the backup has not reported); the logger's
+// log is a Window of client bytes.
 //
 // The bytes live in a ring so that a Release costs an index update, not a
 // copy of everything still held: a bulk sender keeps the buffer full, and
@@ -234,49 +237,72 @@ func (r *Reassembler) drainOOO(deliver func([]byte)) {
 }
 
 // recvBuffer assembles the incoming byte stream: the reassembler, whose
-// next offset is RCV.NXT, delivering into the window of in-order bytes the
-// application has not read yet (its Base is the application's read
-// offset), plus the receive-window arithmetic between the two.
+// next offset is RCV.NXT, delivering into the window of in-order bytes not
+// yet released, plus the receive-window arithmetic between the two. A byte
+// is released once the application has read it and, while the buffer holds
+// for a replica (Conn.Hold), once the replica has reported it too.
 type recvBuffer struct {
 	Reassembler
-	win Window
+	win     Window
+	size    int   // at most this many unread bytes
+	readOff int64 // the application's read offset
+
+	// While holding, hold bounds the bytes delivered but not reported —
+	// those from reported on — and unreported counts them.
+	hold       int
+	reported   int64
+	unreported *metrics.Gauge
 }
 
 func newRecvBuffer(capacity int) *recvBuffer {
-	return &recvBuffer{Reassembler: Reassembler{oooMax: capacity}, win: Window{cap: capacity}}
+	return &recvBuffer{Reassembler: Reassembler{oooMax: capacity}, win: Window{cap: capacity}, size: capacity}
 }
 
-// window returns the receive window to advertise: capacity minus buffered
-// unread bytes.
-func (b *recvBuffer) window() int { return b.win.Free() }
+// window returns the receive window to advertise: the unread space, and
+// while holding no more than the unreported space.
+func (b *recvBuffer) window() int {
+	w := b.size - int(b.win.End()-b.readOff)
+	if b.hold > 0 {
+		w = min(w, b.hold-int(b.win.End()-b.reported))
+	}
+	return w
+}
 
-// read copies up to len(p) in-order bytes to p.
+// read copies up to len(p) unread in-order bytes to p.
 func (b *recvBuffer) read(p []byte) int {
-	n := min(len(p), b.win.n)
+	n := min(len(p), int(b.win.End()-b.readOff))
 	if n == 0 {
 		return 0 // every drain ends on one
 	}
-	b.win.copyOut(p[:n], 0)
-	b.win.Release(b.win.base + int64(n))
+	b.win.copyOut(p[:n], int(b.readOff-b.win.base))
+	b.readOff += int64(n)
+	b.release()
 	return n
 }
 
+// release lets go of every byte read and, while holding, reported.
+func (b *recvBuffer) release() {
+	upTo := b.readOff
+	if b.hold > 0 {
+		upTo = min(upTo, b.reported)
+	}
+	b.win.Release(upTo)
+}
+
 // accept ingests segment payload at absolute stream offset off and returns
-// the in-order bytes newly added (for the ST-TCP replication tap; nil when
-// there are none), aliasing the window as Slice does. Data beyond the
-// receive window is truncated.
-func (b *recvBuffer) accept(off int64, payload []byte) []byte {
-	limit := b.win.base + int64(b.win.cap)
+// how many in-order bytes it added. Data beyond the receive window is
+// truncated.
+func (b *recvBuffer) accept(off int64, payload []byte) int {
+	limit := b.win.End() + int64(b.window())
 	if off >= limit {
-		return nil
+		return 0
 	}
 	if off+int64(len(payload)) > limit {
 		payload = payload[:limit-off]
 	}
 	n := b.Accept(off, payload, func(p []byte) { b.win.Write(p) })
-	if n == 0 {
-		return nil
+	if b.hold > 0 {
+		b.unreported.Add(int64(n))
 	}
-	delivered, _ := b.win.Slice(b.win.End()-int64(n), n)
-	return delivered
+	return n
 }

@@ -303,9 +303,20 @@ func BenchmarkSendBufferFull(b *testing.B) {
 
 var benchSink int
 
+// delivered accepts payload at off into b and returns the in-order bytes it
+// added, aliasing the buffer.
+func delivered(b *recvBuffer, off int64, payload []byte) []byte {
+	n := b.accept(off, payload)
+	if n == 0 {
+		return nil
+	}
+	got, _ := b.win.Slice(b.win.End()-int64(n), n)
+	return got
+}
+
 func TestRecvBufferInOrder(t *testing.T) {
 	b := newRecvBuffer(100)
-	got := b.accept(0, []byte("hello"))
+	got := delivered(b, 0, []byte("hello"))
 	if string(got) != "hello" || b.next != 5 {
 		t.Fatalf("accept = %q, rcvNxt=%d", got, b.next)
 	}
@@ -313,19 +324,19 @@ func TestRecvBufferInOrder(t *testing.T) {
 	if n := b.read(p); n != 5 || string(p[:5]) != "hello" {
 		t.Fatalf("read = %d %q", n, p[:n])
 	}
-	if b.win.Base() != 5 {
-		t.Fatalf("appRead = %d", b.win.Base())
+	if b.readOff != 5 {
+		t.Fatalf("appRead = %d", b.readOff)
 	}
 }
 
 func TestRecvBufferDuplicateTrimmed(t *testing.T) {
 	b := newRecvBuffer(100)
-	b.accept(0, []byte("abcdef"))
-	got := b.accept(3, []byte("defghi")) // overlaps 3 bytes
+	delivered(b, 0, []byte("abcdef"))
+	got := delivered(b, 3, []byte("defghi")) // overlaps 3 bytes
 	if string(got) != "ghi" || b.next != 9 {
 		t.Fatalf("overlap accept = %q rcvNxt=%d", got, b.next)
 	}
-	if got := b.accept(0, []byte("abc")); got != nil {
+	if got := delivered(b, 0, []byte("abc")); got != nil {
 		t.Fatalf("full duplicate returned %q", got)
 	}
 }
@@ -335,14 +346,14 @@ func TestRecvBufferDuplicateTrimmed(t *testing.T) {
 func TestRecvBufferOutOfOrderReassembly(t *testing.T) {
 	b := newRecvBuffer(100)
 	frame := []byte("fghij")
-	if got := b.accept(5, frame); got != nil {
+	if got := delivered(b, 5, frame); got != nil {
 		t.Fatalf("ooo accept delivered %q", got)
 	}
 	if b.OutOfOrder() != 5 {
 		t.Fatalf("oooBytes = %d", b.OutOfOrder())
 	}
 	copy(frame, "abcde")
-	got := b.accept(0, frame)
+	got := delivered(b, 0, frame)
 	if string(got) != "abcdefghij" {
 		t.Fatalf("reassembly delivered %q", got)
 	}
@@ -353,7 +364,7 @@ func TestRecvBufferOutOfOrderReassembly(t *testing.T) {
 
 func TestRecvBufferWindowTruncation(t *testing.T) {
 	b := newRecvBuffer(8)
-	got := b.accept(0, []byte("0123456789")) // 10 bytes into an 8-byte window
+	got := delivered(b, 0, []byte("0123456789")) // 10 bytes into an 8-byte window
 	if string(got) != "01234567" {
 		t.Fatalf("accepted %q", got)
 	}
@@ -361,7 +372,7 @@ func TestRecvBufferWindowTruncation(t *testing.T) {
 		t.Fatalf("window = %d, want 0", b.window())
 	}
 	// Data fully beyond the window is refused.
-	if got := b.accept(8, []byte("89")); got != nil {
+	if got := delivered(b, 8, []byte("89")); got != nil {
 		t.Fatalf("beyond-window accept delivered %q", got)
 	}
 	p := make([]byte, 4)
@@ -372,24 +383,24 @@ func TestRecvBufferWindowTruncation(t *testing.T) {
 }
 
 // TestRecvBufferAcrossTheWrap: partial reads move the ring's head, so a
-// later segment lands across its end. What accept hands the tap and what
-// read copies out still follow the stream.
+// later segment lands across its end. What accept delivers and what read
+// copies out still follow the stream.
 func TestRecvBufferAcrossTheWrap(t *testing.T) {
 	b := newRecvBuffer(8)
 	p := make([]byte, 8)
-	b.accept(0, []byte("abcdefgh"))
+	delivered(b, 0, []byte("abcdefgh"))
 	b.read(p[:6])
-	b.accept(8, []byte("ijk"))
+	delivered(b, 8, []byte("ijk"))
 	b.read(p[:4]) // one byte left, at index 2 of 8
-	if got := b.accept(11, []byte("lmnopqr")); string(got) != "lmnopqr" {
+	if got := delivered(b, 11, []byte("lmnopqr")); string(got) != "lmnopqr" {
 		t.Fatalf("accept across the end of the ring delivered %q, want lmnopqr", got)
 	}
 	if b.win.head+b.win.n <= len(b.win.ring) {
 		t.Fatalf("set-up: head %d + %d held in a ring of %d does not wrap", b.win.head, b.win.n, len(b.win.ring))
 	}
-	if n := b.read(p); n != 8 || string(p) != "klmnopqr" || b.win.Base() != 18 || b.window() != 8 {
+	if n := b.read(p); n != 8 || string(p) != "klmnopqr" || b.readOff != 18 || b.window() != 8 {
 		t.Fatalf("read across the end of the ring = %d %q (read offset %d, window %d), want 8 klmnopqr at 18 with 8 free",
-			n, p[:n], b.win.Base(), b.window())
+			n, p[:n], b.readOff, b.window())
 	}
 }
 
@@ -422,7 +433,7 @@ func TestRecvBufferShuffledSegmentsProperty(t *testing.T) {
 		b := newRecvBuffer(size + 4096)
 		var out []byte
 		for _, sg := range segs {
-			out = append(out, b.accept(sg.off, sg.b)...)
+			out = append(out, delivered(b, sg.off, sg.b)...)
 		}
 		return bytes.Equal(out, stream) && b.next == int64(size)
 	}

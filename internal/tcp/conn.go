@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -120,7 +121,6 @@ type Conn struct {
 	finGateFired  bool
 	rstQueued     bool
 	closeObserver func(rst bool)
-	deliverTap    func(off int64, data []byte)
 	onCloseSignal func(rst bool)
 	ghostAck      int64 // highest ack beyond sndNxt seen while suppressed
 
@@ -189,7 +189,7 @@ func (c *Conn) LastAppByteWritten() int64 { return c.sb.End() }
 
 // LastAppByteRead returns the stream offset one past the last byte the
 // application read from the receive buffer.
-func (c *Conn) LastAppByteRead() int64 { return c.rb.win.Base() }
+func (c *Conn) LastAppByteRead() int64 { return c.rb.readOff }
 
 // FINQueued reports whether the local side has generated a FIN (the
 // heartbeat's FIN flag).
@@ -199,7 +199,7 @@ func (c *Conn) FINQueued() bool { return c.finQueued }
 func (c *Conn) PeerFINSeen() bool { return c.peerFINSeen }
 
 // Buffered reports unread in-order receive bytes.
-func (c *Conn) Buffered() int { return c.rb.win.Len() }
+func (c *Conn) Buffered() int { return int(c.rb.win.End() - c.rb.readOff) }
 
 // --- ST-TCP control hooks ---
 
@@ -222,10 +222,58 @@ func (c *Conn) SetSuppressed(v bool) {
 // Suppressed reports whether output is being discarded.
 func (c *Conn) Suppressed() bool { return c.suppressed }
 
-// SetDeliverTap registers a callback invoked with every chunk of newly
-// in-order received payload, before the application reads it. The ST-TCP
-// primary uses the tap to copy client bytes into its hold buffer.
-func (c *Conn) SetDeliverTap(tap func(off int64, data []byte)) { c.deliverTap = tap }
+// Hold makes the receive buffer the ST-TCP primary's extra receive buffer:
+// every byte received from now on stays, after the application has read
+// it, until ReleaseHeld reports it, and at most capacity unreported bytes
+// are accepted (the advertised window closes instead). unreported counts
+// them.
+func (c *Conn) Hold(capacity int, unreported *metrics.Gauge) {
+	b := c.rb
+	b.hold, b.reported, b.unreported = capacity, b.win.End(), unreported
+	b.win.cap = max(b.size, capacity)
+}
+
+// ReleaseHeld reports the held bytes below upTo.
+func (c *Conn) ReleaseHeld(upTo int64) { c.releaseHeld(upTo, c.rb.hold) }
+
+// StopHolding returns the receive buffer to plain TCP.
+func (c *Conn) StopHolding() { c.releaseHeld(c.rb.win.End(), 0) }
+
+// releaseHeld reports the held bytes below upTo, clamped to what arrived,
+// and goes on holding at most hold bytes; a release that reopens a closed
+// window tells the peer.
+func (c *Conn) releaseHeld(upTo int64, hold int) {
+	b := c.rb
+	if b.hold == 0 {
+		return
+	}
+	before := b.window()
+	if upTo = min(upTo, b.win.End()); upTo > b.reported {
+		b.unreported.Add(b.reported - upTo)
+		b.reported = upTo
+	}
+	b.hold = hold
+	b.release()
+	c.windowOpened(before)
+}
+
+// Held returns the held received bytes — read or not, from the oldest
+// unreported or unread one on — while Hold is in force, else nil. A Slice
+// of it aliases the receive buffer.
+func (c *Conn) Held() *Window {
+	if c.rb.hold == 0 {
+		return nil
+	}
+	return &c.rb.win
+}
+
+// windowOpened sends a window update when the receive window, which was
+// before, has just reopened to a segment or more.
+func (c *Conn) windowOpened(before int) {
+	if before < c.mss && c.rb.window() >= c.mss {
+		c.sendControl(FlagACK)
+	}
+}
 
 // SetFINGate enables the MaxDelayFIN mechanism: when the application
 // closes (or aborts) the connection, the FIN (or RST) is generated and
@@ -307,14 +355,11 @@ func (c *Conn) SendAck() { c.sendControl(FlagACK) }
 // ST-TCP missed-byte recovery of Table 1 row 5) as if they had arrived in a
 // segment. It returns the number of in-order bytes newly accepted.
 func (c *Conn) InjectStreamBytes(off int64, data []byte) int {
-	delivered := c.rb.accept(off, data)
-	if len(delivered) > 0 {
-		if c.deliverTap != nil {
-			c.deliverTap(c.rb.next-int64(len(delivered)), delivered)
-		}
+	n := c.rb.accept(off, data)
+	if n > 0 {
 		c.notifyReadable()
 	}
-	return len(delivered)
+	return n
 }
 
 // --- Application API ---
@@ -322,13 +367,10 @@ func (c *Conn) InjectStreamBytes(off int64, data []byte) int {
 // Read copies buffered in-order data into p. It returns 0, nil when no
 // data is available, and 0, io-style error once the stream has ended.
 func (c *Conn) Read(p []byte) (int, error) {
+	before := c.rb.window()
 	n := c.rb.read(p)
 	if n > 0 {
-		// Window may have re-opened; let the peer know if it was
-		// closed enough to matter.
-		if c.rb.window() >= c.mss && c.rb.window()-n < c.mss {
-			c.sendControl(FlagACK)
-		}
+		c.windowOpened(before)
 		return n, nil
 	}
 	if c.peerFINSeen && c.rb.next >= c.peerFINOff {
@@ -698,19 +740,16 @@ func (c *Conn) applyWindow(seg *Segment) {
 func (c *Conn) processData(segOff int64, seg *Segment) {
 	oldNxt := c.rb.next
 	delivered := c.rb.accept(segOff, seg.Payload)
-	if len(delivered) > 0 && c.deliverTap != nil {
-		c.deliverTap(oldNxt, delivered)
-	}
 	// A duplicate or out-of-order segment must be acknowledged
 	// immediately — the duplicate ack drives the peer's fast retransmit;
 	// only a lone in-order segment may be delayed (RFC 1122).
-	inOrder := len(delivered) > 0 && segOff <= oldNxt
+	inOrder := delivered > 0 && segOff <= oldNxt
 	if c.stack.opts.DelayedACK && inOrder && !seg.Flags.Has(FlagFIN) {
 		c.scheduleDelayedAck()
 	} else {
 		c.sendControl(FlagACK)
 	}
-	if len(delivered) > 0 {
+	if delivered > 0 {
 		c.notifyReadable()
 	}
 }

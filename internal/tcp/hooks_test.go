@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -77,28 +78,68 @@ func TestForceRetransmitImmediate(t *testing.T) {
 	}
 }
 
-// TestDeliverTap checks the primary's hold-buffer tap sees exactly the
-// in-order stream.
-func TestDeliverTap(t *testing.T) {
-	h := newPair(t, 23, lan(), Options{})
+// TestHeldReceiveWindow checks the ST-TCP primary's extra receive buffer: a
+// held byte stays after the application reads it, until it is reported; the
+// advertised window is the lesser of the unread and the unreported space; a
+// report that reopens a closed window sends one window update; and once
+// holding stops the buffer is plain TCP again.
+func TestHeldReceiveWindow(t *testing.T) {
+	const size, hold = 8192, 4096
+	h := newPair(t, 23, lan(), Options{RecvBufferSize: size})
 	client, server := connectPair(t, h, 80)
-	var tapped []byte
-	var lastOff int64 = -1
-	server.SetDeliverTap(func(off int64, data []byte) {
-		if off != int64(len(tapped)) {
-			lastOff = off
+	unreported := metrics.New(nil).Gauge("b/sttcp", "sttcp.holdbuf_bytes")
+	server.Hold(hold, unreported)
+	wantWindow := func(step string) {
+		t.Helper()
+		lbr, reported := server.LastByteReceived(), server.rb.reported
+		want := min(size-int(lbr-server.LastAppByteRead()), hold-int(lbr-reported))
+		if got := server.rb.window(); got != want {
+			t.Fatalf("%s: window %d, want %d", step, got, want)
 		}
-		tapped = append(tapped, data...)
-	})
-	attachSink(server)
-	payload := bytes.Repeat([]byte("tapdata."), 2000)
-	writeAll(client, payload)
-	_ = h.sim.Run(time.Minute)
-	if !bytes.Equal(tapped, payload) {
-		t.Fatalf("tap saw %d bytes, want %d", len(tapped), len(payload))
+		if got := unreported.Value(); got != lbr-reported {
+			t.Fatalf("%s: gauge reads %d unreported bytes, want %d", step, got, lbr-reported)
+		}
 	}
-	if lastOff != -1 {
-		t.Fatalf("tap offsets were not contiguous (jump at %d)", lastOff)
+	payload := patternBytes(0, 20000)
+	writeAll(client, payload)
+	_ = h.sim.Run(time.Second)
+	if got := server.LastByteReceived(); got != hold || client.sndWnd != 0 {
+		t.Fatalf("received %d bytes, client sees window %d; want the hold's %d and a closed window", got, client.sndWnd, hold)
+	}
+	wantWindow("hold full")
+
+	buf := make([]byte, 1000)
+	if n, _ := server.Read(buf); n != len(buf) || !bytes.Equal(buf, payload[:n]) {
+		t.Fatalf("read %d bytes", n)
+	}
+	wantWindow("after a read")
+	held := server.Held()
+	if got, err := held.Slice(0, 1000); err != nil || !bytes.Equal(got, payload[:1000]) {
+		t.Fatalf("recovery slice of bytes already read = %d bytes, %v", len(got), err)
+	}
+
+	emitted := h.stackB.Emitted
+	server.ReleaseHeld(3000)
+	server.ReleaseHeld(3000) // reopens nothing
+	if got := h.stackB.Emitted - emitted; got != 1 {
+		t.Fatalf("releases sent %d segments, want the one window update", got)
+	}
+	wantWindow("after the release")
+	if _, err := held.Slice(999, 1); !errors.Is(err, ErrReleased) {
+		t.Fatalf("a byte read and reported is still held (%v)", err)
+	}
+	if got, _ := held.Slice(1000, 10); !bytes.Equal(got, payload[1000:1010]) {
+		t.Fatalf("a reported byte not yet read is gone: %q", got)
+	}
+
+	server.StopHolding()
+	if server.Held() != nil || unreported.Value() != 0 {
+		t.Fatalf("after StopHolding: held %v, gauge %d", server.Held(), unreported.Value())
+	}
+	sk := attachSink(server)
+	_ = h.sim.Run(time.Minute)
+	if !bytes.Equal(sk.data, payload[1000:]) || server.rb.window() != size {
+		t.Fatalf("plain TCP again: read %d of %d bytes, window %d of %d", len(sk.data), len(payload)-1000, server.rb.window(), size)
 	}
 }
 
