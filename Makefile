@@ -135,15 +135,14 @@ one-window:
 	  || { echo "one-window: a second store of client bytes on the primary (lines above); hold them in the receive buffer (tcp.Conn.Hold)"; exit 1; }
 
 # One run loop: experiment.Plan.Run (plan.go) is the only code that builds
-# and runs an ST-TCP testbed; a lab script and a chaos schedule compile to a
-# Plan. Outside benchmark/ and tests, Build( and StartSTTCP( appear only
-# there and in the named exceptions: scale.go and the quickstart example,
-# and demos.go's plain-TCP baseline legs, which Build but never start
-# ST-TCP. A grep in the idiom of faults-one-place; CI runs it beside it.
+# a testbed; every runner, the quickstart example, a lab script and a chaos
+# schedule is a Plan, plain-TCP twins included (Plan.Plain). Outside
+# benchmark/ and tests, Build( and StartSTTCP( appear only in plan.go. A
+# grep in the idiom of faults-one-place; CI runs it beside it.
 one-run:
 	@! grep -rnE '((^|[^.[:alnum:]_])|experiment\.)Build\(|StartSTTCP\(' --include='*.go' --exclude='*_test.go' \
 	    --exclude-dir=benchmark --exclude-dir=.bench_build . \
-	  | grep -vE ':[0-9]+:func |^\./internal/experiment/(plan|scale)\.go:|^\./examples/quickstart/|^\./internal/experiment/demos\.go:[0-9]+:.*[^.[:alnum:]_]Build\(' \
+	  | grep -vE ':[0-9]+:func |^\./internal/experiment/plan\.go:' \
 	  || { echo "one-run: a testbed is built or started outside experiment.Plan.Run (lines above); compile the run to a Plan"; exit 1; }
 
 # Render the Demo 1 failover anatomy: phase report plus ASCII span timeline.

@@ -28,9 +28,9 @@ var settable = []struct {
 	{"sttcp.Config", sttcp.Config{}, 12},
 	{"experiment.Options", experiment.Options{}, 9},
 	{"experiment.Params", experiment.Params{}, 7},
-	{"experiment.Plan", experiment.Plan{}, 18},
+	{"experiment.Plan", experiment.Plan{}, 19},
 	{"explore.Config", explore.Config{}, 12},
-	{"chaos.Options", chaos.Options{}, 11},
+	{"chaos.Options", chaos.Options{}, 9},
 	{"tcp.Options", tcp.Options{}, 4},
 }
 

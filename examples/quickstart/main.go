@@ -1,10 +1,11 @@
 // Quickstart: the smallest end-to-end ST-TCP run.
 //
-// It builds the paper's Figure 2 testbed (client, switch, primary, backup,
-// gateway, serial cable), starts the replicated service, downloads 8 MiB,
-// and crashes the primary mid-transfer. The download completes anyway —
-// the backup takes over the same TCP connection (same IP, port, sequence
-// numbers) and the client never notices beyond a sub-second stall.
+// It plans a run on the paper's Figure 2 testbed (client, switch, primary,
+// backup, gateway, serial cable): the replicated service, a client
+// downloading 8 MiB, and a crash of the primary mid-transfer. The download
+// completes anyway — the backup takes over the same TCP connection (same
+// IP, port, sequence numbers) and the client never notices beyond a
+// sub-second stall.
 //
 //	go run ./examples/quickstart
 package main
@@ -27,43 +28,26 @@ func main() {
 }
 
 func run() error {
-	// 1. Build the testbed and start the ST-TCP pair.
-	tb := experiment.Build(experiment.Options{Seed: 1})
-	if err := tb.StartSTTCP(0 /* default 200 ms heartbeat */, nil); err != nil {
-		return err
-	}
-
-	// 2. Run the same deterministic server application on both nodes.
-	//    ST-TCP requires the replica to produce the same bytes from the
-	//    same input; it sees the identical client stream via the
-	//    multicast Ethernet group.
-	primaryApp := app.NewDataServer("primary/app", tb.Tracer)
-	backupApp := app.NewDataServer("backup/app", tb.Tracer)
-	tb.PrimaryNode.OnAccept = primaryApp.Accept
-	tb.BackupNode.OnAccept = backupApp.Accept
-
-	// 3. A client downloads 8 MiB from the service address.
 	const size = 8 << 20
-	client := app.NewStreamClient(app.ClientConfig{
-		Name: "client/app", Stack: tb.Client.TCP(),
-		Service: experiment.ServiceAddr, Port: experiment.ServicePort,
-		Request: size, Tracer: tb.Tracer,
-	})
-	if err := client.Start(); err != nil {
+	r, err := experiment.Plan{
+		// The testbed, with the ST-TCP pair on the default 200 ms
+		// heartbeat. Both servers run the same deterministic application:
+		// ST-TCP requires the replica to produce the same bytes from the
+		// same input, and it sees the identical client stream via the
+		// multicast Ethernet group.
+		Options: experiment.Options{Seed: 1},
+		// A client downloads 8 MiB from the service address ...
+		Clients: []experiment.Workload{{Bytes: size}},
+		// ... and the primary crashes 300 ms in.
+		Faults:  []experiment.Fault{{At: 300 * time.Millisecond, Kind: experiment.FaultCrash, Host: "primary"}},
+		Horizon: 2 * time.Minute,
+	}.Run()
+	if err != nil {
 		return err
 	}
 
-	// 4. Crash the primary 300 ms in.
-	if err := tb.Schedule(experiment.Fault{At: 300 * time.Millisecond, Kind: experiment.FaultCrash, Host: "primary"}); err != nil {
-		return err
-	}
-
-	// 5. Let the simulation play out.
-	if err := tb.Run(2 * time.Minute); err != nil {
-		return err
-	}
-
-	// 6. What happened?
+	// What happened?
+	client, tb := r.Clients[0].(*app.StreamClient), r.Testbed
 	fmt.Printf("downloaded:     %d/%d bytes (verify failures: %d)\n",
 		client.Received, int64(size), client.VerifyFailures)
 	fmt.Printf("transfer time:  %v\n", client.Elapsed().Round(time.Millisecond))

@@ -143,7 +143,7 @@ func baseFailoverSchedule(seed int64) Schedule {
 // only the backup-silence invariant can catch it — and it must, with a
 // schedule that shrinks to the bare workload.
 func TestChaosCatchesUnsuppressedBackup(t *testing.T) {
-	opts := Options{SabotageUnsuppressedBackup: true}
+	opts := Options{sabotageUnsuppressedBackup: true}
 	sc := baseFailoverSchedule(123)
 	res, err := Run(sc, opts)
 	if err != nil {
@@ -181,7 +181,7 @@ func TestChaosCatchesUnsuppressedBackup(t *testing.T) {
 // client — caught by client-integrity — and (b) the shrinker strips the
 // decoy noise events down to the minimal client+crash pair.
 func TestChaosShrinksBrokenDetection(t *testing.T) {
-	opts := Options{SabotageBlindDetectors: true}
+	opts := Options{sabotageBlindDetectors: true}
 	sc := Schedule{
 		Seed:     7,
 		Workload: "download",

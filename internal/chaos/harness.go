@@ -12,22 +12,22 @@ import (
 )
 
 // Options tune a chaos run: the testbed's options (the schedule's seed is
-// the run's), and two sabotage switches that deliberately break a protocol
-// mechanism so tests can prove the invariant registry catches real bugs —
-// they are never used in campaigns.
+// the run's), and two sabotage switches, unexported, that this package's
+// tests set to break a protocol mechanism deliberately and prove the
+// invariant registry catches real bugs — campaigns never use them.
 type Options struct {
 	experiment.Options
-	// SabotageUnsuppressedBackup disables the backup's output
+	// sabotageUnsuppressedBackup disables the backup's output
 	// suppression on accepted connections: the replica transmits its
 	// (identical) output alongside the primary. The client cannot tell,
 	// but the backup-silence invariant must.
-	SabotageUnsuppressedBackup bool
-	// SabotageBlindDetectors stretches the heartbeat period and
+	sabotageUnsuppressedBackup bool
+	// sabotageBlindDetectors stretches the heartbeat period and
 	// MaxDelayFIN to an hour, so no fault is ever detected within the run:
 	// the detectors tick at half the heartbeat period and a link times out
 	// after three. Fatal faults then strand the clients, which the
 	// integrity invariant must report.
-	SabotageBlindDetectors bool
+	sabotageBlindDetectors bool
 }
 
 // harness judges one chaos run: it is the plan's Judge, firing the
@@ -126,7 +126,7 @@ func (h *harness) plan() experiment.Plan {
 			// would be released on trust (MaxDelayFIN).
 			c.MaxDelayFIN = 10 * time.Second
 			c.AppMaxLagTime = 3 * time.Second
-			if h.opts.SabotageBlindDetectors {
+			if h.opts.sabotageBlindDetectors {
 				c.HBPeriod, c.MaxDelayFIN = time.Hour, time.Hour
 			}
 		},

@@ -129,7 +129,7 @@ type silenceEra struct {
 // newly started node.
 func (h *harness) hookNode(n *sttcp.Node) {
 	h.nodes = append(h.nodes, n)
-	if h.opts.SabotageUnsuppressedBackup {
+	if h.opts.sabotageUnsuppressedBackup {
 		inner := n.OnAccept
 		n.OnAccept = func(c *tcp.Conn) {
 			if n.Role() == sttcp.RoleBackup && n.State() == sttcp.StateActive {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/sttcp"
 	"repro/internal/trace"
@@ -122,41 +121,16 @@ const demo1CrashAfter = 500 * time.Millisecond
 // the primary is crashed mid-transfer. Under ST-TCP the transfer survives
 // with at worst a brief stall; under the baseline the client must detect
 // the stall itself, reconnect to the backup server, and resume. It returns
-// the ST-TCP run and the baseline run on the identical workload and crash
-// schedule.
+// the ST-TCP run and the baseline run, the same plan on plain TCP.
 func runDemo1(o Options, transferSize int64) (st, bl *Run, err error) {
-	st, err = Plan{Options: o, Clients: []Workload{Workload{Bytes: transferSize}},
-		Faults: []Fault{crashPrimary(demo1CrashAfter)}, Horizon: 10 * time.Minute}.Run()
-	if err != nil {
-		return st, bl, err
+	p := Plan{Options: o, Clients: []Workload{{Bytes: transferSize}},
+		Faults: []Fault{crashPrimary(demo1CrashAfter)}, Horizon: 10 * time.Minute}
+	if st, err = p.Run(); err != nil {
+		return st, nil, err
 	}
-
-	// Baseline run: same workload, same crash schedule, no ST-TCP. Each
-	// server listens on its own address; the client carries the failover
-	// logic.
-	tb := Build(o)
-	for _, h := range []*cluster.Host{tb.Primary, tb.Backup} {
-		l, err := h.TCP().Listen(addrOf(h), ServicePort)
-		if err != nil {
-			return st, bl, err
-		}
-		l.OnEstablished = app.NewDataServer(h.Name()+"/app", tb.Tracer).Accept
-	}
-	rc := app.NewReconnectClient("client/app", tb.Client.TCP(), transferSize, 3*time.Second, tb.Tracer)
-	rc.AddServer(PrimaryAddr, ServicePort)
-	rc.AddServer(BackupAddr, ServicePort)
-	if err := rc.Start(); err != nil {
-		return st, bl, err
-	}
-	if err := tb.Schedule(crashPrimary(demo1CrashAfter)); err != nil {
-		return st, bl, err
-	}
-	if err := tb.Run(10 * time.Minute); err != nil {
-		return st, bl, err
-	}
-	// The recorder stays unbound from this client's progress series: the
-	// baseline has no takeover for an anatomy to bracket.
-	return st, &Run{Testbed: tb, Clients: []app.Client{rc}, injectAt: st.injectAt}, nil
+	p.Plain = true
+	bl, err = p.Run()
+	return st, bl, err
 }
 
 // printDemo1 renders the two transfers side by side and the demo GUI's pie
@@ -259,43 +233,31 @@ func (r Demo3Result) String() string {
 }
 
 // runDemo3 reproduces Demo 3: a large failure-free transfer (the paper
-// uses about 100 MB) timed with ST-TCP enabled and disabled; the point is
-// that the overhead is negligible. The run returned is the ST-TCP-enabled
-// one.
+// uses about 100 MB) timed with ST-TCP enabled and disabled (the same plan
+// on plain TCP); the point is that the overhead is negligible. The run
+// returned is the ST-TCP-enabled one.
 func runDemo3(o Options, size int64) (*Run, Demo3Result, error) {
 	out := Demo3Result{Size: size}
-	download := Workload{Bytes: size}
-
-	// ST-TCP enabled. The plan injects nothing, so run() also holds it to
-	// the failure-free postcondition: replication on from start to end.
-	run, err := Plan{Options: o, Clients: []Workload{download}, Horizon: 30 * time.Minute}.Run()
+	// The plan injects nothing, so Run also holds the ST-TCP leg to the
+	// failure-free postcondition: replication on from start to end.
+	p := Plan{Options: o, Clients: []Workload{{Bytes: size}}, Horizon: 30 * time.Minute}
+	run, err := p.Run()
 	if err != nil {
 		return run, out, err
 	}
 	if err := run.completed("demo3 ST-TCP transfer"); err != nil {
 		return run, out, err
 	}
+	p.Plain = true
+	plain, err := p.Run()
+	if err != nil {
+		return run, out, err
+	}
+	if err := plain.completed("demo3 plain transfer"); err != nil {
+		return run, out, err
+	}
 	out.WithSTTCP = run.Clients[0].(*app.StreamClient).Elapsed()
-
-	// ST-TCP disabled: plain server on the primary, same topology.
-	tb := Build(o)
-	tb.Primary.Netstack().AddAlias(ServiceAddr)
-	l, err := tb.Primary.TCP().Listen(ServiceAddr, ServicePort)
-	if err != nil {
-		return run, out, err
-	}
-	l.OnEstablished = app.NewDataServer("primary/app", tb.Tracer).Accept
-	cl, err := tb.StartClient("client/app", download)
-	if err != nil {
-		return run, out, err
-	}
-	if err := tb.Run(30 * time.Minute); err != nil {
-		return run, out, err
-	}
-	if !app.Completed(cl) {
-		return run, out, fmt.Errorf("experiment: demo3 plain transfer failed: %s", cl.Progress())
-	}
-	out.WithoutTCP = cl.(*app.StreamClient).Elapsed()
+	out.WithoutTCP = plain.Clients[0].(*app.StreamClient).Elapsed()
 	out.OverheadPct = 100 * (out.WithSTTCP.Seconds() - out.WithoutTCP.Seconds()) / out.WithoutTCP.Seconds()
 	return run, out, nil
 }

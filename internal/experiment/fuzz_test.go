@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/app"
+	"repro/internal/sim"
 	"repro/internal/sttcp"
 )
 
@@ -40,9 +41,11 @@ func TestTransientFaultFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("client: %v", err)
 			}
-			if err := tb.Schedule(Fault{At: at, Kind: FaultDrop, Host: where, Dur: dur}); err != nil {
-				t.Fatalf("schedule: %v", err)
+			strike, err := tb.Arm(Fault{Kind: FaultDrop, Host: where, Dur: dur})
+			if err != nil {
+				t.Fatalf("arm: %v", err)
 			}
+			tb.Sim.At(sim.Epoch.Add(at), func() { _ = strike() })
 			if err := tb.Run(5 * time.Minute); err != nil {
 				t.Fatalf("run: %v", err)
 			}

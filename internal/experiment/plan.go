@@ -10,14 +10,20 @@ import (
 	"repro/internal/sttcp"
 )
 
-// Plan is what one ST-TCP run is: start client conversations against the
+// Plan is what one run is: start client conversations against the
 // replicated service, break things at chosen instants, watch the clients.
-// Run is the one code that runs an ST-TCP testbed: every runner in this
+// Run is the one code that builds and runs a testbed: every runner in this
 // package is a Plan literal plus the few lines that are its own, and a lab
 // script (internal/scenario) and a chaos schedule (internal/chaos) each
 // compile to one.
 type Plan struct {
 	Options
+	// Plain runs the service on plain TCP, the paper's baseline: no ST-TCP
+	// node starts, and each server runs the application on a plain
+	// listener (AttachServers). A plain plan that injects a fault gets the
+	// reconnecting client (Testbed.StartClient), one that injects nothing
+	// the same client as its ST-TCP twin.
+	Plain bool
 	// HB is the heartbeat period (0 selects the 200 ms default) and Mutate
 	// the adjustment every node's config gets, a rejoined backup's too.
 	HB     time.Duration
@@ -48,7 +54,8 @@ type Judge struct {
 	Fire  func(i int, f Fault)
 	// Check is called at every stop of the run: its start, each client's
 	// start, the horizon and every instant it asked for. over ends the run
-	// there (the early-stop rule); next is the next instant it wants.
+	// there (the early-stop rule); next is the next instant it wants. Any
+	// hook may also end the run at once with Testbed.Sim.Stop.
 	Check func(*Run) (over bool, next time.Duration)
 }
 
@@ -71,15 +78,19 @@ type Run struct {
 
 // Run builds the testbed, starts ST-TCP and the servers, inserts the
 // faults' events, then runs from stop to stop, starting each client as it
-// falls due and asking the judge, until the horizon or the judge ends it.
-// Besides a run that could not be set up, the error reports a fault that
-// failed as it struck and, for a plan that injects nothing, a run that did
-// not end failure-free (Testbed.FailureFree); the run is returned with it.
+// falls due and asking the judge, until the horizon or the judge ends it
+// (Check's over, or a judge's Sim.Stop). Besides a run that could not be
+// set up, the error reports a fault that failed as it struck and, for an
+// ST-TCP plan that injects nothing, a run that did not end failure-free
+// (Testbed.FailureFree); the run is returned with it.
 func (p Plan) Run() (*Run, error) {
 	tb := Build(p.Options)
-	if err := tb.StartSTTCP(p.HB, p.Mutate); err != nil {
-		return nil, err
+	if !p.Plain {
+		if err := tb.StartSTTCP(p.HB, p.Mutate); err != nil {
+			return nil, err
+		}
 	}
+	tb.reconnect = p.Plain && len(p.Faults) > 0
 	tb.AttachServers(len(p.Clients) > 0 && p.Clients[0].Echo)
 	run, j := &Run{Testbed: tb, plan: p}, p.Judge
 	if j.Watch != nil {
@@ -137,7 +148,9 @@ func (p Plan) Run() (*Run, error) {
 		if tb.Sim.Elapsed() >= p.Horizon {
 			break
 		}
-		if err := tb.Sim.RunUntil(sim.Epoch.Add(next)); err != nil {
+		if err := tb.Sim.RunUntil(sim.Epoch.Add(next)); errors.Is(err, sim.ErrStopped) {
+			break
+		} else if err != nil {
 			return nil, err
 		}
 		if err := startDue(); err != nil {
@@ -146,7 +159,7 @@ func (p Plan) Run() (*Run, error) {
 	}
 	if len(p.Faults) > 0 {
 		run.injectAt = sim.Epoch.Add(p.Faults[0].At)
-	} else if j.Fire == nil {
+	} else if j.Fire == nil && !p.Plain {
 		errs = append(errs, tb.FailureFree())
 	}
 	return run, errors.Join(errs...)

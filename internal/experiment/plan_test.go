@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/app"
+	"repro/internal/sim"
 	"repro/internal/sttcp"
 	"repro/internal/trace"
 )
@@ -39,7 +40,7 @@ func TestTable1Spec(t *testing.T) {
 			t.Errorf("row %d: name %q duplicated or not what String() returns (%q)", i, row.name, row.Scenario)
 		}
 		names[row.name] = true
-		if err := tb.Schedule(row.Fault); err != nil {
+		if _, err := tb.Arm(row.Fault); err != nil {
 			t.Errorf("%v: fault does not validate: %v", row.Scenario, err)
 		}
 		if row.expect != sttcp.StateTakenOver && row.expect != sttcp.StateNonFT && row.expect != sttcp.StateActive {
@@ -51,8 +52,8 @@ func TestTable1Spec(t *testing.T) {
 	}
 }
 
-// TestScheduleValidation drives every refusal Testbed.Schedule has: a
-// fault that cannot take effect must fail loudly instead of silently doing
+// TestScheduleValidation drives every refusal Testbed.Arm has: a fault
+// that cannot take effect must fail loudly instead of silently doing
 // nothing.
 func TestScheduleValidation(t *testing.T) {
 	tb := startedTestbed(t, Options{Seed: 1})
@@ -96,7 +97,7 @@ func TestScheduleValidation(t *testing.T) {
 		{"drop on gateway link", Fault{Kind: FaultDrop, Host: "gateway", Dur: time.Second}, ""},
 		{"reboot", Fault{Kind: FaultReboot, Host: "backup"}, ""},
 	} {
-		err := tb.Schedule(tc.f)
+		_, err := tb.Arm(tc.f)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: refused: %v", tc.name, err)
@@ -111,11 +112,11 @@ func TestScheduleValidation(t *testing.T) {
 		if full.Link(host) == nil {
 			t.Errorf("Link(%q) = nil in a topology that has the host", host)
 		}
-		if err := full.Schedule(Fault{Kind: FaultDrop, Host: host, Dur: time.Second}); err != nil {
+		if _, err := full.Arm(Fault{Kind: FaultDrop, Host: host, Dur: time.Second}); err != nil {
 			t.Errorf("drop on %s: %v", host, err)
 		}
 	}
-	if err := full.Schedule(Fault{Kind: FaultAppCrashSilent, Host: "witness"}); err != nil {
+	if _, err := full.Arm(Fault{Kind: FaultAppCrashSilent, Host: "witness"}); err != nil {
 		t.Errorf("appcrash on the witness replica: %v", err)
 	}
 }
@@ -192,6 +193,44 @@ func TestPlanFailureFreePostcondition(t *testing.T) {
 	faulty.Faults = []Fault{crashPrimary(500 * time.Millisecond)}
 	if run, err = faulty.Run(); err != nil || !run.Testbed.Tracer.Has(trace.KindSuspect) {
 		t.Fatalf("plan with a crash: err %v, suspect recorded %v", err, run != nil && run.Testbed.Tracer.Has(trace.KindSuspect))
+	}
+}
+
+// TestPlainPlan runs a small download and its plain-TCP twin, the same
+// plan with Plain set. Failure-free, the twin needs no ST-TCP node and no
+// postcondition, and its client is the ST-TCP plan's. Across a primary
+// crash the twin completes only by reconnecting once to the backup, while
+// the ST-TCP plan's client never reconnects.
+func TestPlainPlan(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		plain      bool
+		faults     []Fault
+		reconnects int
+	}{
+		{"plain failure-free", true, nil, 0},
+		{"plain primary crash", true, []Fault{crashPrimary(200 * time.Millisecond)}, 1},
+		{"st-tcp primary crash", false, []Fault{crashPrimary(200 * time.Millisecond)}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run, err := Plan{Options: Options{Seed: 4}, Plain: tc.plain, Clients: []Workload{{Bytes: 4 << 20}},
+				Faults: tc.faults, Horizon: time.Minute}.Run()
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if err := run.completed("download"); err != nil {
+				t.Fatal(err)
+			}
+			if got := run.failover().Reconnects; got != tc.reconnects {
+				t.Errorf("%d reconnects, want %d", got, tc.reconnects)
+			}
+			if _, reconnecting := run.Clients[0].(*app.ReconnectClient); reconnecting != (tc.plain && tc.faults != nil) {
+				t.Errorf("client %T: a plain plan reconnects exactly when it injects a fault", run.Clients[0])
+			}
+			if (run.Testbed.PrimaryNode == nil) != tc.plain {
+				t.Errorf("primary node %v in a plan with Plain=%v", run.Testbed.PrimaryNode, tc.plain)
+			}
+		})
 	}
 }
 
@@ -416,9 +455,11 @@ func TestWindowedFaults(t *testing.T) {
 				t.Helper()
 				f := tc.f
 				f.At, f.Dur, f.Host = at, dur, "primary"
-				if err := tb.Schedule(f); err != nil {
-					t.Fatalf("schedule: %v", err)
+				strike, err := tb.Arm(f)
+				if err != nil {
+					t.Fatalf("arm: %v", err)
 				}
+				tb.Sim.At(sim.Epoch.Add(f.At), func() { _ = strike() })
 			}
 			tb = Build(Options{Seed: 1})
 			nominal := tc.state(t, tb)

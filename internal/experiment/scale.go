@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -51,80 +50,59 @@ type ScaleResult struct {
 // 100 Mbit/s — §3's advice for beyond ~100 connections, where
 // per-connection heartbeat state saturates the 115.2 kbit/s serial line —
 // and dials are staggered so the SYN burst doesn't serialise into one
-// instant. Reached through the "scale" registry demo; hand-written because
-// a thousand clients dialled mid-run are not a plan's one conversation.
+// instant. Reached through the "scale" registry demo.
 func runScaleFailover(o Options, conns int, bytesPerClient int64) (*Run, ScaleResult, error) {
 	out := ScaleResult{Conns: conns, BytesPerClient: bytesPerClient, Crashed: true}
 	o.SerialRate = 100_000_000
-	tb := Build(o)
-	run := &Run{Testbed: tb}
-	if err := tb.StartSTTCP(0, nil); err != nil {
-		return run, out, err
-	}
-	tb.AttachServers(false)
-
 	// Stagger dials 500µs apart: connection setup overlaps with the
 	// transfers of already-established clients, as a real arrival process
 	// would, and the ARP/SYN machinery never sees all conns in one event.
+	// One second past the last dial, every connection is established and
+	// its state replicated through at least two heartbeats: the crash.
 	const dialGap = 500 * time.Microsecond
-	start := tb.Sim.Now()
-	clients := make([]*app.StreamClient, conns)
+	p := Plan{Options: o, Clients: make([]Workload, conns),
+		Faults: []Fault{crashPrimary(time.Duration(conns)*dialGap + time.Second)}, Horizon: 30 * time.Minute}
+	for i := range p.Clients {
+		p.Clients[i] = Workload{At: time.Duration(i) * dialGap, Bytes: bytesPerClient}
+	}
+	// The run is over once every transfer has settled and the backup has
+	// taken over, whichever comes last: tiny transfers drain before the
+	// crash, and the post-run assertions want the settled cluster.
+	var run *Run
 	var lastDone time.Time
-	var done int
-	var dialErr error
-	for i := 0; i < conns; i++ {
-		i := i
-		tb.Sim.At(start.Add(time.Duration(i)*dialGap), func() {
-			cl, err := tb.StartClient("client/app", Workload{Bytes: bytesPerClient})
-			if err != nil {
-				dialErr = errors.Join(dialErr, fmt.Errorf("experiment: scale dial %d: %w", i, err))
-				return
-			}
-			clients[i] = cl.(*app.StreamClient)
-			clients[i].OnDone = func(error) {
-				lastDone = tb.Sim.Now()
-				if done++; done == conns {
-					// All transfers settled: stop instead of
-					// simulating heartbeats out to the horizon.
-					tb.Sim.Stop()
+	done := 0
+	settle := func() {
+		if tb := run.Testbed; done == conns && tb.BackupNode.State() == sttcp.StateTakenOver {
+			tb.Sim.Stop()
+		}
+	}
+	p.Judge = Judge{
+		Watch: func(r *Run) {
+			run = r
+			r.Testbed.BackupNode.OnStateChange = func(sttcp.NodeState) { settle() }
+		},
+		Start: func(i int) {
+			if cl, err := run.StartClient(i); err == nil {
+				cl.(*app.StreamClient).OnDone = func(error) {
+					lastDone = run.Testbed.Sim.Now()
+					done++
+					settle()
 				}
 			}
-		})
+		},
 	}
-
-	// One second past the last dial: every connection is established and
-	// its state replicated through at least two heartbeats.
-	crashAfter := time.Duration(conns)*dialGap + time.Second
-	if err := tb.Schedule(crashPrimary(crashAfter)); err != nil {
+	run, err := p.Run()
+	if err != nil {
 		return run, out, err
-	}
-
-	deadline := start.Add(30 * time.Minute)
-	if err := tb.Sim.RunUntil(deadline); err != nil && err != sim.ErrStopped {
-		return run, out, err
-	}
-	// If every transfer drained before the crash was even injected (tiny
-	// per-client sizes), keep simulating in slices until the takeover
-	// lands so the post-run assertions see the settled cluster state.
-	for tb.BackupNode.State() != sttcp.StateTakenOver && tb.Sim.Now().Before(deadline) {
-		if err := tb.Sim.Run(100 * time.Millisecond); err != nil && err != sim.ErrStopped {
-			return run, out, err
-		}
-	}
-	if dialErr != nil {
-		return run, out, dialErr
 	}
 	if !lastDone.IsZero() {
-		out.VirtualElapsed = lastDone.Sub(start)
+		out.VirtualElapsed = lastDone.Sub(sim.Epoch)
 	}
-
-	for i, cl := range clients {
-		if cl == nil {
-			return run, out, fmt.Errorf("experiment: scale client %d never started", i)
-		}
+	for i, c := range run.Clients {
+		cl := c.(*app.StreamClient)
 		out.VerifyFailures += cl.VerifyFailures
 		out.TotalBytes += cl.Received
-		if cl.Done && cl.Err == nil && cl.VerifyFailures == 0 {
+		if app.Completed(cl) {
 			out.ClientsDone++
 		} else if cl.Err != nil {
 			return run, out, fmt.Errorf("experiment: scale client %d failed after %d/%d bytes: %w",
@@ -135,15 +113,15 @@ func runScaleFailover(o Options, conns int, bytesPerClient int64) (*Run, ScaleRe
 		}
 	}
 	if out.ClientsDone != conns {
-		return run, out, fmt.Errorf("experiment: only %d/%d scale clients completed", out.ClientsDone, conns)
+		return run, out, fmt.Errorf("experiment: only %d/%d scale clients completed (%d started)", out.ClientsDone, conns, len(run.Clients))
 	}
-
+	tb := run.Testbed
 	out.TookOver = tb.BackupNode.State() == sttcp.StateTakenOver
 	if !out.TookOver {
 		return run, out, fmt.Errorf("experiment: scale run: backup state %v, want taken-over", tb.BackupNode.State())
 	}
 	if e, ok := tb.Tracer.First(trace.KindSuspect); ok {
-		out.DetectionTime = e.Time.Sub(start.Add(crashAfter))
+		out.DetectionTime = e.Time.Sub(run.injectAt)
 	}
 	out.SegmentsEmitted = tb.Client.TCP().Emitted + tb.Primary.TCP().Emitted + tb.Backup.TCP().Emitted
 	if anatomies := tb.Tracer.Anatomy(); len(anatomies) > 0 {

@@ -103,15 +103,18 @@ type Testbed struct {
 	Gateway *cluster.Host
 
 	// hosts and links index every machine and its switch link by host
-	// name (Link); servers holds the application replica on each ST-TCP
+	// name (Link); servers holds the application replica on each server
 	// host (AttachServers, NewReplica), all of the echo kind or none;
-	// series are the progress series of the clients StartClient started,
-	// which the tracer's anatomy reads the client-visible stall from.
-	hosts   map[string]*cluster.Host
-	links   map[string]*netem.Link
-	servers map[string]app.Server
-	echo    bool
-	series  []*[]app.ProgressSample
+	// reconnect makes StartClient's downloads reconnecting clients (a plain
+	// plan that injects a fault); series are the progress series of the
+	// clients StartClient started, which the tracer's anatomy reads the
+	// client-visible stall from.
+	hosts     map[string]*cluster.Host
+	links     map[string]*netem.Link
+	servers   map[string]app.Server
+	echo      bool
+	reconnect bool
+	series    []*[]app.ProgressSample
 	// holds counts the open windows of each windowed fault kind on each
 	// target (keyed by a Fault holding just Kind and Host).
 	holds map[Fault]int
@@ -374,9 +377,24 @@ func (tb *Testbed) Link(host string) *netem.Link { return tb.links[host] }
 
 // AttachServers installs one application replica per ST-TCP node — echo
 // servers when echo is set, data servers otherwise — on the primary, the
-// backup, and the witness when the topology has one.
+// backup, and the witness when the topology has one. Without ST-TCP nodes
+// (a plain plan) the primary and the backup each run one on a plain
+// listener at their own address, and the primary also answers on
+// ServiceAddr through an alias.
 func (tb *Testbed) AttachServers(echo bool) {
 	tb.echo, tb.servers = echo, map[string]app.Server{}
+	if tb.PrimaryNode == nil {
+		tb.Primary.Netstack().AddAlias(ServiceAddr)
+		for _, h := range []*cluster.Host{tb.Primary, tb.Backup} {
+			// The zero address listens on every address the host has.
+			l, err := h.TCP().Listen(ip.Addr{}, ServicePort)
+			if err != nil {
+				panic("experiment: AttachServers called twice on a plain testbed")
+			}
+			l.OnEstablished = tb.NewReplica(h.Name() + "/app")
+		}
+		return
+	}
 	for _, n := range []*sttcp.Node{tb.PrimaryNode, tb.BackupNode, tb.WitnessNode} {
 		if n != nil {
 			n.OnAccept = tb.NewReplica(n.Host().Name() + "/app")
@@ -415,9 +433,21 @@ type Workload struct {
 // StartClient dials the service from the client host and starts w under
 // the given trace name. It is the one place a workload client is built:
 // service address, tracer and telemetry track all come from the testbed.
+// On a plain testbed that will see a fault, a download is plain TCP's
+// answer to it, an app.ReconnectClient: the primary's own address first,
+// then after 3 s without data the backup's, resuming at the byte it broke.
 func (tb *Testbed) StartClient(name string, w Workload) (app.Client, error) {
 	if tb.servers != nil && w.Echo != tb.echo {
 		return nil, fmt.Errorf("experiment: %s: cannot mix download and echo workloads (one service protocol per testbed)", name)
+	}
+	if tb.reconnect {
+		if w.Echo {
+			return nil, fmt.Errorf("experiment: %s: plain TCP survives a server fault only by resuming a download", name)
+		}
+		cl := app.NewReconnectClient(name, tb.Client.TCP(), w.Bytes, 3*time.Second, tb.Tracer)
+		cl.AddServer(PrimaryAddr, ServicePort)
+		cl.AddServer(BackupAddr, ServicePort)
+		return cl, cl.Start()
 	}
 	if w.Echo {
 		cl := app.NewEchoClient(name, tb.Client.TCP(), ServiceAddr, ServicePort, w.Rounds, w.MsgSize, tb.Tracer)
@@ -545,20 +575,6 @@ func (tb *Testbed) Arm(f Fault) (strike func() error, err error) {
 		return nil, err
 	}
 	return func() error { return tb.inject(f) }, nil
-}
-
-// Schedule arms f and performs it At after the start of the run; a strike
-// that fails is traced.
-func (tb *Testbed) Schedule(f Fault) error {
-	strike, err := tb.Arm(f)
-	if err == nil {
-		tb.Sim.At(sim.Epoch.Add(f.At), func() {
-			if err := strike(); err != nil {
-				tb.Tracer.Emit(trace.KindGeneric, "experiment", "%v", err)
-			}
-		})
-	}
-	return err
 }
 
 // inject performs a vetted fault, now. Hosts and links are fixed for the
