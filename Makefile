@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check vet lint build test race bench observers loc flags settings doc-bytes allows faults-one-place artifacts-one-place one-window one-run timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
+.PHONY: all check vet lint build test race bench observers loc flags settings doc-bytes allows faults-one-place artifacts-one-place one-window one-run one-judge timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
 
 all: check
 
@@ -144,6 +144,21 @@ one-run:
 	    --exclude-dir=benchmark --exclude-dir=.bench_build . \
 	  | grep -vE ':[0-9]+:func |^\./internal/experiment/plan\.go:' \
 	  || { echo "one-run: a testbed is built or started outside experiment.Plan.Run (lines above); compile the run to a Plan"; exit 1; }
+
+# One judge: the invariant registry (internal/experiment/invariants.go)
+# decides what a correct run is, and Plan.Run applies it to every plan, so
+# no runner keeps a check of its own. Outside that file no non-test file
+# constructs a Violation{ — but chaos's invariants.go, for the three
+# predicates that read its injection records, and the explorer's
+# scheduler-order — and the per-runner checks it replaced
+# (Testbed.FailureFree, Run.completed) are gone, tests included. A grep in
+# the idiom of one-run; CI runs it beside it.
+one-judge:
+	@! grep -rnE 'Violation\{' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . \
+	  | grep -vE '^\./internal/(experiment|chaos)/invariants\.go:|^\./internal/explore/explore\.go:' \
+	  || { echo "one-judge: a violation is constructed outside the invariant registry (lines above); register the invariant in internal/experiment/invariants.go"; exit 1; }
+	@! grep -rnE '\bFailureFree\(|\) completed\(' --include='*.go' --exclude-dir=.bench_build . \
+	  || { echo "one-judge: a per-runner check is back (lines above); Plan.Run judges every run"; exit 1; }
 
 # Render the Demo 1 failover anatomy: phase report plus ASCII span timeline.
 # The same view ships as a golden (internal/scenario/testdata/golden); after

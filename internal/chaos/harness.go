@@ -8,6 +8,7 @@ import (
 	"repro/internal/app"
 	"repro/internal/experiment"
 	"repro/internal/sttcp"
+	"repro/internal/tcp"
 	"repro/internal/trace"
 )
 
@@ -30,8 +31,8 @@ type Options struct {
 	sabotageBlindDetectors bool
 }
 
-// harness judges one chaos run: it is the plan's Judge, firing the
-// schedule's events through the kinds table and watching every node.
+// harness is one chaos run's Judge: it fires the schedule's events
+// through the kinds table and keeps the records the gray invariants read.
 type harness struct {
 	sc   Schedule
 	opts Options
@@ -42,11 +43,6 @@ type harness struct {
 	// starts and strikes are the schedule's events that became the plan's
 	// clients and its faults, index for index.
 	starts, strikes []Event
-
-	// nodes lists every sttcp node ever started (stale post-crash nodes
-	// included; their state is Stopped).
-	nodes []*sttcp.Node
-	eras  []*silenceEra
 
 	// Fault bookkeeping the world does not hold: a cut cable (a flapped
 	// or crashed port is also Down, which is not the same fact), and
@@ -67,7 +63,7 @@ type harness struct {
 	lastEventAt time.Duration
 
 	// Gray-failure bookkeeping (recorded by the after hooks of the gray
-	// kinds, judged by endInvariants).
+	// kinds, judged by grayInvariants).
 	injected      map[string]int
 	fatalInjected bool
 	grayNoise     int
@@ -78,8 +74,7 @@ type harness struct {
 	// cfg is the primary's filled-in config, for invariant bounds.
 	cfg sttcp.Config
 
-	violations []Violation
-	skipped    []string
+	skipped []string
 }
 
 // Run executes one chaos schedule on a fresh testbed and returns the
@@ -87,27 +82,28 @@ type harness struct {
 // same inputs produce byte-identical traces and metrics.
 func Run(sc Schedule, opts Options) (*RunResult, error) {
 	h := &harness{sc: sc, opts: opts, injected: map[string]int{}}
-	if _, err := h.plan().Run(); err != nil {
+	// With the judge firing every fault, the plan errs only with the run's
+	// violations, read off the run below; an unbuilt run comes back nil.
+	run, err := h.plan().Run()
+	if run == nil {
 		return nil, err
 	}
-	h.closeAllEras()
-	// Resolve the causal-span layer before judging it: nodes close a
-	// legitimately still-pending retransmission wait, fan-out spans are
-	// finalized at their last activity. Anything still open after this
-	// is leaked instrumentation.
-	for _, n := range h.nodes {
-		n.FinishTrace()
+	violations := run.Violations
+	// Noise-class gray degradation (corruption, mild skew) must never
+	// escalate to a verdict: a run that injected gray noise and nothing
+	// that legitimately warrants one — no verdict expectation, no crisp
+	// fatal fault, no flap — is held to the quiescence of a run that
+	// injected nothing.
+	if h.grayNoise > 0 && len(h.grayExpects) == 0 && !h.fatalInjected && !h.flapApplied {
+		violations = append(violations, run.Quiescence()...)
 	}
-	h.tb.Tracer.FinalizeAutoSpans()
-
 	snap := h.tb.Metrics.Snapshot()
 	res := &RunResult{
-		Schedule: sc, Opts: opts,
-		Trace: h.tb.Tracer, Metrics: snap, Telemetry: h.tb.Telemetry.Timeline(),
+		Schedule: sc, Trace: h.tb.Tracer, Metrics: snap, Telemetry: h.tb.Telemetry.Timeline(),
 		Skipped: h.skipped, Injected: h.injected,
-		Violations: append(h.violations, h.endInvariants(snap)...),
+		Violations: append(violations, h.grayInvariants(snap)...),
 	}
-	for _, cl := range h.run.Clients {
+	for _, cl := range run.Clients {
 		res.Clients = append(res.Clients, summarize(cl))
 	}
 	return res, nil
@@ -160,12 +156,20 @@ func (h *harness) plan() experiment.Plan {
 	return p
 }
 
-// watch hooks the two nodes the run starts with.
+// watch takes the run as it starts (Plan.Run watches its nodes) and, in
+// this package's tests, sabotages the backup it starts with.
 func (h *harness) watch(run *experiment.Run) {
 	h.run, h.tb = run, run.Testbed
 	h.cfg = h.tb.PrimaryNode.Config()
-	h.hookNode(h.tb.PrimaryNode)
-	h.hookNode(h.tb.BackupNode)
+	if n := h.tb.BackupNode; h.opts.sabotageUnsuppressedBackup {
+		accept := n.OnAccept
+		n.OnAccept = func(c *tcp.Conn) {
+			if n.State() == sttcp.StateActive {
+				c.SetSuppressed(false)
+			}
+			accept(c)
+		}
+	}
 }
 
 // check is the early-stop rule, asked every 500 ms: the run ends once every

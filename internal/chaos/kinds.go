@@ -159,7 +159,6 @@ var kinds = [...]kind{
 		after: func(h *harness, _ Event, _ *cluster.Host) {
 			h.serialCut = false
 			h.preRejoin = len(h.run.Clients)
-			h.hookNode(h.tb.BackupNode)
 		},
 	},
 

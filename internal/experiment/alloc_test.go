@@ -66,8 +66,8 @@ func TestSteadyStateSegmentAllocatesNothing(t *testing.T) {
 			if done, bad, err := cl.Outcome(); done || bad != 0 || err != nil {
 				t.Fatalf("client left steady state: done=%v mismatches=%d err=%v", done, bad, err)
 			}
-			if err := tb.FailureFree(); err != nil {
-				t.Fatal(err)
+			if v := (&Run{Testbed: tb}).Quiescence(); len(v) > 0 {
+				t.Fatal(v)
 			}
 			if tb.Backup.TCP().Received == 0 {
 				t.Fatal("the backup's tap did not run: no segment reached its stack")

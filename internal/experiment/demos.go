@@ -34,12 +34,10 @@ type FailoverResult struct {
 	FailoverTime time.Duration
 
 	// Completed reports whether the client finished its transfer with
-	// zero verification failures.
-	Completed      bool
-	ClientErr      error
-	BytesReceived  int64
-	VerifyFailures int64
-	TransferTime   time.Duration
+	// zero verification failures (the invariant registry says why not).
+	Completed     bool
+	BytesReceived int64
+	TransferTime  time.Duration
 
 	// Reconnects is non-zero only for the baseline client.
 	Reconnects int
@@ -60,14 +58,7 @@ type FailoverResult struct {
 // (completion, the progress series of a download) joined with the
 // detection and takeover instants of the span tree.
 func (run *Run) failover() FailoverResult {
-	_, bad, err := run.Clients[0].Outcome()
-	r := FailoverResult{
-		Scenario:       run.Label,
-		CrashAt:        run.injectAt,
-		Completed:      app.Completed(run.Clients[0]),
-		ClientErr:      err,
-		VerifyFailures: bad,
-	}
+	r := FailoverResult{Scenario: run.Label, CrashAt: run.injectAt, Completed: app.Completed(run.Clients[0])}
 	if n := run.Testbed.PrimaryNode; n != nil { // the plain-TCP baseline has none
 		r.HBPeriod = n.Config().HBPeriod
 	}
@@ -238,22 +229,16 @@ func (r Demo3Result) String() string {
 // returned is the ST-TCP-enabled one.
 func runDemo3(o Options, size int64) (*Run, Demo3Result, error) {
 	out := Demo3Result{Size: size}
-	// The plan injects nothing, so Run also holds the ST-TCP leg to the
-	// failure-free postcondition: replication on from start to end.
+	// The plan injects nothing, so Run also holds the ST-TCP leg to
+	// gray-quiescence: replication on from start to end.
 	p := Plan{Options: o, Clients: []Workload{{Bytes: size}}, Horizon: 30 * time.Minute}
 	run, err := p.Run()
 	if err != nil {
 		return run, out, err
 	}
-	if err := run.completed("demo3 ST-TCP transfer"); err != nil {
-		return run, out, err
-	}
 	p.Plain = true
 	plain, err := p.Run()
 	if err != nil {
-		return run, out, err
-	}
-	if err := plain.completed("demo3 plain transfer"); err != nil {
 		return run, out, err
 	}
 	out.WithSTTCP = run.Clients[0].(*app.StreamClient).Elapsed()

@@ -17,7 +17,7 @@ func TestGrayDemo(t *testing.T) {
 		}
 		res := run.failover()
 		if !res.Completed {
-			t.Fatalf("client failed: %v", res.ClientErr)
+			t.Fatal("client did not complete")
 		}
 		if !res.SuspectAt.IsZero() || !res.TakeoverAt.IsZero() {
 			t.Fatalf("mild starvation must be ridden out, got suspect=%v takeover=%v",
@@ -31,7 +31,7 @@ func TestGrayDemo(t *testing.T) {
 		}
 		res := run.failover()
 		if !res.Completed {
-			t.Fatalf("client failed: %v", res.ClientErr)
+			t.Fatal("client did not complete")
 		}
 		if res.TakeoverAt.IsZero() {
 			t.Fatalf("heavy starvation never convicted the primary")

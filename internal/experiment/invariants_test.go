@@ -1,4 +1,4 @@
-package chaos
+package experiment
 
 import (
 	"errors"
@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/experiment"
 	"repro/internal/metrics"
 	"repro/internal/sttcp"
 	"repro/internal/trace"
@@ -100,20 +99,12 @@ func TestBackupSilenceViolation(t *testing.T) {
 	}
 }
 
-// endHarness fabricates the slice of a harness that endInvariants reads:
-// a recorder, a metric registry, the primary's config bounds, and the
-// client records. Each test case sculpts a violating history onto it.
-type endHarness struct {
-	h   *harness
-	reg *metrics.Registry
-}
-
-func newEndHarness() *endHarness {
-	epoch := time.Unix(0, 0)
-	now := func() time.Time { return epoch }
-	h := &harness{run: &experiment.Run{}, tb: &experiment.Testbed{Tracer: trace.NewRecorder(now)}}
-	h.cfg.HBPeriod = 200 * time.Millisecond
-	return &endHarness{h: h, reg: metrics.New(now)}
+// endRun fabricates the slice of a finished run that endInvariants reads:
+// a recorder, a metric registry and the client records. Each test case
+// sculpts a violating history onto it.
+func endRun() *Run {
+	now := func() time.Time { return time.Unix(0, 0) }
+	return &Run{Testbed: &Testbed{Tracer: trace.NewRecorder(now), Metrics: metrics.New(now)}}
 }
 
 // TestEndInvariants drives every post-run invariant with a hand-built
@@ -129,80 +120,80 @@ func TestEndInvariants(t *testing.T) {
 		name string
 		// build sculpts the violating history; want is the invariant
 		// that must be reported (empty: no violations at all).
-		build func(e *endHarness)
+		build func(r *Run)
 		want  string
 	}{
 		{
 			name:  "all-clean",
-			build: func(e *endHarness) { e.h.run.Clients = append(e.h.run.Clients, echo(nil, 0)) },
+			build: func(r *Run) { r.Clients = append(r.Clients, echo(nil, 0)) },
 			want:  "",
 		},
 		{
 			name: "client-unfinished",
-			build: func(e *endHarness) {
-				e.h.run.Clients = append(e.h.run.Clients, &app.EchoClient{Rounds: 10, RoundsDone: 3})
+			build: func(r *Run) {
+				r.Clients = append(r.Clients, &app.EchoClient{Rounds: 10, RoundsDone: 3})
 			},
 			want: "client-integrity",
 		},
 		{
 			name: "client-error",
-			build: func(e *endHarness) {
-				e.h.run.Clients = append(e.h.run.Clients, echo(errors.New("conn reset"), 0))
+			build: func(r *Run) {
+				r.Clients = append(r.Clients, echo(errors.New("conn reset"), 0))
 			},
 			want: "client-integrity",
 		},
 		{
 			name: "client-bad-bytes",
-			build: func(e *endHarness) {
-				e.h.run.Clients = append(e.h.run.Clients, echo(nil, 2))
+			build: func(r *Run) {
+				r.Clients = append(r.Clients, echo(nil, 2))
 			},
 			want: "client-integrity",
 		},
 		{
 			name: "stream-client-short-download",
-			build: func(e *endHarness) {
-				e.h.run.Clients = append(e.h.run.Clients, &app.StreamClient{Request: 1 << 20, Received: 4096})
+			build: func(r *Run) {
+				r.Clients = append(r.Clients, &app.StreamClient{Request: 1 << 20, Received: 4096})
 			},
 			want: "client-integrity",
 		},
 		{
 			name: "takeover-latency-over-bound",
-			build: func(e *endHarness) {
+			build: func(r *Run) {
 				// Bound is hb.Timeout + the period + 600ms = 1.4s.
-				e.reg.Histogram("backup/sttcp", "sttcp.takeover_latency", nil).Observe(2 * time.Second)
+				r.Testbed.Metrics.Histogram("backup/sttcp", "sttcp.takeover_latency", nil).Observe(2 * time.Second)
 			},
 			want: "takeover-latency",
 		},
 		{
 			name: "takeover-latency-at-bound",
-			build: func(e *endHarness) {
-				e.reg.Histogram("backup/sttcp", "sttcp.takeover_latency", nil).Observe(1400 * time.Millisecond)
+			build: func(r *Run) {
+				r.Testbed.Metrics.Histogram("backup/sttcp", "sttcp.takeover_latency", nil).Observe(1400 * time.Millisecond)
 			},
 			want: "",
 		},
 		{
 			name: "takeover-span-without-suspect",
-			build: func(e *endHarness) {
-				id := e.h.tb.Tracer.OpenSpan(trace.KindTakeover, 0, "backup/sttcp", "took over")
-				e.h.tb.Tracer.CloseSpan(id)
+			build: func(r *Run) {
+				id := r.Testbed.Tracer.OpenSpan(trace.KindTakeover, 0, "backup/sttcp", "took over")
+				r.Testbed.Tracer.CloseSpan(id)
 			},
 			want: "span-integrity",
 		},
 		{
 			name: "takeover-span-with-suspect-ancestor",
-			build: func(e *endHarness) {
-				det := e.h.tb.Tracer.OpenSpan(trace.KindDetection, 0, "backup/sttcp", "detecting")
-				e.h.tb.Tracer.EmitIn(det, trace.KindSuspect, "backup/sttcp", 0, "peer failed")
-				take := e.h.tb.Tracer.OpenSpan(trace.KindTakeover, det, "backup/sttcp", "took over")
-				e.h.tb.Tracer.CloseSpan(take)
-				e.h.tb.Tracer.CloseSpan(det)
+			build: func(r *Run) {
+				det := r.Testbed.Tracer.OpenSpan(trace.KindDetection, 0, "backup/sttcp", "detecting")
+				r.Testbed.Tracer.EmitIn(det, trace.KindSuspect, "backup/sttcp", 0, "peer failed")
+				take := r.Testbed.Tracer.OpenSpan(trace.KindTakeover, det, "backup/sttcp", "took over")
+				r.Testbed.Tracer.CloseSpan(take)
+				r.Testbed.Tracer.CloseSpan(det)
 			},
 			want: "",
 		},
 		{
 			name: "span-left-open",
-			build: func(e *endHarness) {
-				e.h.tb.Tracer.OpenSpan(trace.KindDetection, 0, "backup/sttcp", "never closed")
+			build: func(r *Run) {
+				r.Testbed.Tracer.OpenSpan(trace.KindDetection, 0, "backup/sttcp", "never closed")
 			},
 			want: "span-integrity",
 		},
@@ -210,9 +201,9 @@ func TestEndInvariants(t *testing.T) {
 
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			e := newEndHarness()
-			c.build(e)
-			got := e.h.endInvariants(e.reg.Snapshot())
+			r := endRun()
+			c.build(r)
+			got := r.endInvariants(200 * time.Millisecond)
 			if c.want == "" {
 				if len(got) != 0 {
 					t.Fatalf("clean history reported violations: %v", got)

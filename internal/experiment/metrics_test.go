@@ -170,9 +170,6 @@ func TestTelemetrySamplingDoesNotChangeTheRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("telemetry window %v: %v", window, err)
 		}
-		if err := out.completed("demo2 download"); err != nil {
-			t.Fatal(err)
-		}
 		return out.Testbed
 	}
 	off, on := run(0), run(10*time.Millisecond)

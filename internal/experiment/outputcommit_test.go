@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -41,8 +42,28 @@ func TestOutputCommitWithLoggerRecovers(t *testing.T) {
 		t.Fatalf("logger never served recovery data\n%s", tailStr(run.Testbed.Tracer.Dump()))
 	}
 	if !res.ClientDone {
-		t.Fatalf("client did not complete despite the logger (rounds=%d, err=%v)\n%s",
-			res.RoundsDone, res.ClientErr, tailStr(run.Testbed.Tracer.Dump()))
+		t.Fatalf("client did not complete despite the logger (rounds=%d, violations %v)\n%s",
+			res.RoundsDone, run.Violations, tailStr(run.Testbed.Tracer.Dump()))
 	}
 	t.Logf("logger served %d recovery datagram(s); all %d rounds completed", res.LoggerServed, res.RoundsDone)
+}
+
+// TestOutputCommitArmsAreJudged holds both arms to the invariant registry:
+// the arm without the logger breaks client-integrity on its client, as the
+// paper predicts, and nothing else — runOutputCommit accepts exactly that —
+// and the arm with the logger breaks nothing.
+func TestOutputCommitArmsAreJudged(t *testing.T) {
+	for _, withLogger := range []bool{false, true} {
+		run, err := runOutputCommit(Options{Seed: 42}, withLogger)
+		if err != nil {
+			t.Fatalf("logger %v: %v", withLogger, err)
+		}
+		v := run.Violations
+		switch {
+		case withLogger && len(v) != 0:
+			t.Errorf("with the logger: violations %v, want none", v)
+		case !withLogger && (len(v) != 1 || v[0].Invariant != "client-integrity" || !strings.HasPrefix(v[0].Detail, "client/app never finished")):
+			t.Errorf("without the logger: violations %v, want client/app's client-integrity alone", v)
+		}
+	}
 }

@@ -40,8 +40,9 @@ type Plan struct {
 }
 
 // Judge is the one hook a plan's caller registers to watch the run and
-// decide it: chaos's invariants, a lab script's expectations. Every func
-// is optional, and each is called on the simulator's goroutine.
+// decide it beyond the invariant registry: chaos's guards and gray
+// invariants, a lab script's expectations. Every func is optional, and
+// each is called on the simulator's goroutine.
 type Judge struct {
 	// Watch is called once the servers run, before any client starts.
 	Watch func(*Run)
@@ -60,10 +61,11 @@ type Judge struct {
 }
 
 // Run is a finished run, and the run is the result: the testbed as the run
-// left it, the clients whose conversations it carried and the instant of
-// its first fault. What a demo prints is a value projection of it
-// (failover, scenario); metrics, trace, timeline and report are read off
-// Testbed by whoever was asked for them, never copied into a result type.
+// left it, the clients whose conversations it carried, the invariants it
+// broke and the instant of its first fault. What a demo prints is a value
+// projection of it (failover, scenario); metrics, trace, timeline and
+// report are read off Testbed by whoever was asked for them, never copied
+// into a result type.
 type Run struct {
 	// Label names the variant inside a multi-run demo (Demo 4's
 	// "no-cleanup", a Table 1 row); empty for single-run demos.
@@ -71,18 +73,27 @@ type Run struct {
 	Testbed *Testbed
 	// Clients are the conversations the run started, in start order.
 	Clients []app.Client
-	plan    Plan
+	// Violations are the invariants the run broke (invariants.go): the
+	// live ones as they broke, then the end-of-run ones.
+	Violations []Violation
+	plan       Plan
 	// injectAt is the instant of the first fault (zero without one).
 	injectAt time.Time
+	// nodes are the ST-TCP nodes the run started, a rejoined one included,
+	// and eras the backup-silence eras opened on them.
+	nodes []*sttcp.Node
+	eras  []*silenceEra
 }
 
 // Run builds the testbed, starts ST-TCP and the servers, inserts the
 // faults' events, then runs from stop to stop, starting each client as it
 // falls due and asking the judge, until the horizon or the judge ends it
-// (Check's over, or a judge's Sim.Stop). Besides a run that could not be
-// set up, the error reports a fault that failed as it struck and, for an
-// ST-TCP plan that injects nothing, a run that did not end failure-free
-// (Testbed.FailureFree); the run is returned with it.
+// (Check's over, or a judge's Sim.Stop). The invariant registry judges the
+// run (Run.judge): every node it starts is watched from its first event,
+// and the finished run is held to the end invariants — and, when the plan
+// injects nothing, to gray-quiescence. Besides a run that could not be set
+// up, the error reports a fault that failed as it struck and every
+// violation; the run is returned with it.
 func (p Plan) Run() (*Run, error) {
 	tb := Build(p.Options)
 	if !p.Plain {
@@ -95,6 +106,14 @@ func (p Plan) Run() (*Run, error) {
 	run, j := &Run{Testbed: tb, plan: p}, p.Judge
 	if j.Watch != nil {
 		j.Watch(run)
+	}
+	if !p.Plain {
+		for _, n := range []*sttcp.Node{tb.PrimaryNode, tb.BackupNode, tb.WitnessNode} {
+			if n != nil {
+				run.watch(n)
+			}
+		}
+		tb.rejoined = run.watch
 	}
 	// The clients due now start before any event is inserted; a judge's
 	// client starts are events, inserted ahead of the faults'.
@@ -159,8 +178,10 @@ func (p Plan) Run() (*Run, error) {
 	}
 	if len(p.Faults) > 0 {
 		run.injectAt = sim.Epoch.Add(p.Faults[0].At)
-	} else if j.Fire == nil && !p.Plain {
-		errs = append(errs, tb.FailureFree())
+	}
+	run.judge(len(p.Faults) == 0)
+	for _, v := range run.Violations {
+		errs = append(errs, v)
 	}
 	return run, errors.Join(errs...)
 }
@@ -177,14 +198,4 @@ func (run *Run) StartClient(i int) (app.Client, error) {
 		run.Clients = append(run.Clients, cl)
 	}
 	return cl, err
-}
-
-// completed returns an error naming what unless the client finished its
-// workload with every byte verified.
-func (run *Run) completed(what string) error {
-	if app.Completed(run.Clients[0]) {
-		return nil
-	}
-	_, bad, err := run.Clients[0].Outcome()
-	return fmt.Errorf("experiment: %s failed after %s (%d verify failures): %v", what, run.Clients[0].Progress(), bad, err)
 }

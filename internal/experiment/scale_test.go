@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"repro/internal/app"
+	"repro/internal/sim"
 	"repro/internal/sttcp"
+	"repro/internal/trace"
 )
 
 // TestScaleFailoverSmoke exercises the capacity runner end to end at a
@@ -27,6 +29,35 @@ func TestScaleFailoverSmoke(t *testing.T) {
 	}
 	if res.SegmentsEmitted == 0 {
 		t.Fatalf("missing segment accounting: %+v", res)
+	}
+}
+
+// TestScaleClosesTheBackupSilenceEraAtTakeover: the scale run ends itself
+// from a hook on the backup's state changes, and the registry's hook on the
+// same node must keep running beside it — the backup's silence era closes
+// at the takeover, not at the end of the run, where the segments the
+// taken-over backup sent would convict it.
+func TestScaleClosesTheBackupSilenceEraAtTakeover(t *testing.T) {
+	run, _, err := runScaleFailover(Options{Seed: 91}, 25, 1<<20)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	took, ok := run.Testbed.Tracer.First(trace.KindTakeover)
+	if !ok {
+		t.Fatal("no takeover")
+	}
+	closed := 0
+	for _, e := range run.eras {
+		if e.node != run.Testbed.BackupNode {
+			continue
+		}
+		if e.open || e.closedAt != took.Time.Sub(sim.Epoch) {
+			t.Errorf("backup's silence era open %v, closed at %v; the takeover was at %v", e.open, e.closedAt, took.Time.Sub(sim.Epoch))
+		}
+		closed++
+	}
+	if closed != 1 {
+		t.Errorf("the backup held %d silence eras, want 1", closed)
 	}
 }
 

@@ -55,17 +55,13 @@ func runDemo2Sampled(o Options, period time.Duration, samples int) ([]*Run, erro
 	return fanIdx(samples, func(i int) (*Run, error) {
 		sample := o // each worker's own copy
 		sample.Seed += int64(i)
-		run, err := Plan{
+		return Plan{
 			Options: sample,
 			HB:      period,
 			Clients: []Workload{Workload{Bytes: 32 << 20}},
 			Faults:  []Fault{crashPrimary(demo2CrashAfter + period*time.Duration(i)/time.Duration(samples))},
 			Horizon: 10 * time.Minute,
 		}.Run()
-		if err != nil {
-			return run, err
-		}
-		return run, run.completed(fmt.Sprintf("demo2 sample %d", i))
 	})
 }
 

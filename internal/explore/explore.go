@@ -375,7 +375,7 @@ func (e *explorer) execute(sc chaos.Schedule, prefix []int) (*runOut, error) {
 	// (when, seq) total-order contract; a breach joins the run's
 	// violations as the explorer-specific scheduler-order invariant.
 	for _, msg := range sched.OrderViolations() {
-		res.Violations = append(res.Violations, chaos.Violation{Invariant: "scheduler-order", Detail: msg})
+		res.Violations = append(res.Violations, experiment.Violation{Invariant: "scheduler-order", Detail: msg})
 	}
 	return &runOut{res: res, choices: sched.Choices(), boundaries: sched.Boundaries()}, nil
 }

@@ -26,8 +26,8 @@ type Result struct {
 	Checks  []Check
 	Clients []string // one status line per workload
 	// Errors lists what went wrong at run time outside any expectation: a
-	// fault injection that failed (rejoin with no takeover), or a script
-	// that injects nothing ending other than failure-free.
+	// fault injection that failed (rejoin with no takeover), then every
+	// invariant the run broke (experiment.InvariantNames).
 	Errors []string
 	Tracer *trace.Recorder
 	// Report is the run-report artifact: seed, final metrics,

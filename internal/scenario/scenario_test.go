@@ -231,3 +231,26 @@ run 1s
 		t.Fatal("mixed workloads accepted")
 	}
 }
+
+// TestScriptWithoutExpectIsJudged: a script states no expectation, yet its
+// run is held to the invariant registry like every plan's. With the
+// detectors blinded by an hour-long heartbeat, a primary crash strands the
+// download, and the run reports it as client-integrity.
+func TestScriptWithoutExpectIsJudged(t *testing.T) {
+	sc, err := Parse(`
+option hb 1h
+client download 16MiB
+at 500ms crash primary
+run 10s
+`)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	res, err := Run(sc, experiment.Options{})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if res.OK() || len(res.Errors) == 0 || !strings.HasPrefix(res.Errors[0], "client-integrity: client/app never finished") {
+		t.Fatalf("stranded client: OK %v, errors %q, want a client-integrity error", res.OK(), res.Errors)
+	}
+}
