@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check vet lint build test race bench observers loc flags settings doc-bytes allows faults-one-place artifacts-one-place one-window one-run one-judge timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
+.PHONY: all check vet lint build test race bench observers loc flags settings doc-bytes allows faults-one-place artifacts-one-place one-window one-run one-judge one-clock timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
 
 all: check
 
@@ -159,6 +159,17 @@ one-judge:
 	  || { echo "one-judge: a violation is constructed outside the invariant registry (lines above); register the invariant in internal/experiment/invariants.go"; exit 1; }
 	@! grep -rnE '\bFailureFree\(|\) completed\(' --include='*.go' --exclude-dir=.bench_build . \
 	  || { echo "one-judge: a per-runner check is back (lines above); Plan.Run judges every run"; exit 1; }
+
+# One clock: every timer and post a host's software arms belongs to the
+# host's sim.Clock, which a crash stops (cluster.Host), so a dead host runs
+# nothing. No non-test file of the host software — TCP, the netstack, the
+# heartbeat exchanger, the ST-TCP node and the application server — arms a
+# timer on the raw simulator. A grep in the idiom of one-judge; CI runs it
+# beside it.
+one-clock:
+	@! grep -rnE '\.sim\.(Schedule|At|NewTimer|Post)\(|sim\.NewTicker\(' --include='*.go' --exclude='*_test.go' \
+	    internal/tcp internal/netstack internal/hb internal/sttcp internal/app/server.go \
+	  || { echo "one-clock: host software arms a timer on the raw simulator (lines above); arm it on the host's sim.Clock"; exit 1; }
 
 # Render the Demo 1 failover anatomy: phase report plus ASCII span timeline.
 # The same view ships as a golden (internal/scenario/testdata/golden); after

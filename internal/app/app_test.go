@@ -43,12 +43,13 @@ func newFixtureOpts(t *testing.T, seed int64, clientOpts tcp.Options) *fixture {
 	link.Attach(nicC, nicS)
 	nicC.AttachToLink(link, true)
 	nicS.AttachToLink(link, false)
-	nsC := netstack.New(s, "client", nicC, addrClient)
-	nsS := netstack.New(s, "server", nicS, addrServer)
+	clockC, clockS := sim.NewClock(s), sim.NewClock(s)
+	nsC := netstack.New(clockC, "client", nicC, addrClient)
+	nsS := netstack.New(clockS, "server", nicS, addrServer)
 	return &fixture{
 		sim:    s,
-		client: tcp.NewStack(s, nsC, "client", clientOpts, tracer, nil),
-		server: tcp.NewStack(s, nsS, "server", tcp.Options{}, tracer, nil),
+		client: tcp.NewStack(clockC, nsC, "client", clientOpts, tracer, nil),
+		server: tcp.NewStack(clockS, nsS, "server", tcp.Options{}, tracer, nil),
 		tracer: tracer,
 	}
 }

@@ -17,19 +17,19 @@ type Server interface {
 	CrashSilent()
 	CrashCleanup(abort bool)
 	Crashed() bool
-	SetCPU(sm *sim.Simulator, cpu *sim.Clock)
+	SetCPU(cpu *sim.Clock)
 }
 
 // NewServer builds the echo server when echo is set and the data server
 // otherwise, bound to the host's CPU clock so a starve injection slows the
 // application without touching protocol timers (at rate 1 the binding is
-// inert).
-func NewServer(echo bool, name string, tracer *trace.Recorder, sm *sim.Simulator, cpu *sim.Clock) Server {
+// inert) and a crash stops it.
+func NewServer(echo bool, name string, tracer *trace.Recorder, cpu *sim.Clock) Server {
 	var srv Server = NewDataServer(name, tracer)
 	if echo {
 		srv = NewEchoServer(name, tracer)
 	}
-	srv.SetCPU(sm, cpu)
+	srv.SetCPU(cpu)
 	return srv
 }
 
@@ -53,11 +53,11 @@ type replica[S any] struct {
 	conns   map[*tcp.Conn]*S
 
 	// cpu models scheduler starvation on the host (SetCPU): at rates
-	// above 1 each processing quantum is deferred by the stretch, so
-	// responses slow down while the host's timers — and heartbeats —
-	// stay on schedule. Nil or rate 1 keeps the pump fully inline.
+	// above 1 each processing quantum is deferred by the stretch, on the
+	// clock, so responses slow down while the host's timers — and
+	// heartbeats — stay on schedule. Nil or rate 1 keeps the pump fully
+	// inline.
 	cpu *sim.Clock
-	sm  *sim.Simulator
 }
 
 func newReplica[S any](name string, tracer *trace.Recorder, what, silentHow string) replica[S] {
@@ -72,14 +72,14 @@ func (r *replica[S]) adopt(c *tcp.Conn, st *S) {
 
 // SetCPU attaches the host's CPU clock so injected starvation stretches
 // this server's processing time. Call before traffic starts.
-func (r *replica[S]) SetCPU(sm *sim.Simulator, cpu *sim.Clock) { r.sm, r.cpu = sm, cpu }
+func (r *replica[S]) SetCPU(cpu *sim.Clock) { r.cpu = cpu }
 
 // run executes pump inline at nominal CPU rate, or defers it by the
 // starvation stretch otherwise. Deferred pumps coalesce per connection
 // through *deferred: however many readable/writable wakeups arrive during
 // the wait, the starved process gets one quantum at the end of it.
 func (r *replica[S]) run(deferred *bool, pump func()) {
-	if r.cpu.Rate() == 1 || r.sm == nil {
+	if r.cpu.Rate() == 1 {
 		pump()
 		return
 	}
@@ -87,7 +87,7 @@ func (r *replica[S]) run(deferred *bool, pump func()) {
 		return
 	}
 	*deferred = true
-	r.sm.Schedule(r.cpu.Stretch(procQuantum)-procQuantum, func() {
+	r.cpu.AfterFunc(r.cpu.Stretch(procQuantum)-procQuantum, func() {
 		*deferred = false
 		pump()
 	})
@@ -118,12 +118,13 @@ func (r *replica[S]) CrashCleanup(abort bool) {
 // Crashed reports whether a crash was injected.
 func (r *replica[S]) Crashed() bool { return r.crashed }
 
-// StartHealthBeats runs a local timer that calls beat every interval while
-// the application is healthy — the application-side half of the §4.2.2
-// watchdog mechanism. A purely local timer does not affect replica
-// determinism, which constrains only the socket I/O.
-func (r *replica[S]) StartHealthBeats(sm *sim.Simulator, interval time.Duration, beat func()) {
-	sim.NewTicker(sm, interval, func() {
+// StartHealthBeats runs a local timer on the host's clock that calls beat
+// every interval while the application is healthy — the application-side
+// half of the §4.2.2 watchdog mechanism — until the application or its
+// host crashes. A purely local timer does not affect replica determinism,
+// which constrains only the socket I/O.
+func (r *replica[S]) StartHealthBeats(clock *sim.Clock, interval time.Duration, beat func()) {
+	clock.NewTicker(interval, func() {
 		if !r.crashed {
 			beat()
 		}

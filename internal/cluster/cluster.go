@@ -1,8 +1,9 @@
 // Package cluster models the machines of the testbed: a Host bundles a NIC,
 // an IP stack, a TCP stack, and an optional serial port, and supports the
 // fault injections the paper's demonstrations use — HW/OS crash (the host
-// goes silent on every interface) and remote power-off (the STONITH action
-// the backup performs before taking over, paper §2).
+// goes silent on every interface and its software stops) and remote
+// power-off (the STONITH action the backup performs before taking over,
+// paper §2).
 package cluster
 
 import (
@@ -31,13 +32,14 @@ type Host struct {
 	tcp    *tcp.Stack
 	serial *serial.Port
 
-	// timerClock models the machine's oscillator: protocol tickers
-	// (heartbeats, detectors) arm through it, so skewing its rate skews
-	// every periodic timer on the host. cpuClock models scheduler
-	// pressure: application servers stretch their processing quanta by
-	// it, so a starved host answers slowly while its kernel-level timers
-	// (and thus heartbeats) still fire on time — the paper-adjacent
-	// "slow-not-dead" gray failure.
+	// The two clocks own every timer the host's software arms, so a
+	// crash stops them all. timerClock models the machine's oscillator:
+	// the kernel and protocol timers arm through it, and periodic tickers
+	// (heartbeats, detectors) stretch by its rate, so skewing it skews
+	// them. cpuClock models scheduler pressure: application servers
+	// stretch their processing quanta by it, so a starved host answers
+	// slowly while its kernel-level timers (and thus heartbeats) still
+	// fire on time — the paper-adjacent "slow-not-dead" gray failure.
 	timerClock *sim.Clock
 	cpuClock   *sim.Clock
 
@@ -67,21 +69,25 @@ type HostConfig struct {
 
 // New builds a machine with one NIC from cfg.
 func New(s *sim.Simulator, cfg HostConfig) *Host {
-	nic := netem.NewNIC(s, cfg.Name+"/eth0", eth.MakeAddr(cfg.EthNum))
-	ns := netstack.New(s, cfg.Name, nic, cfg.Addr)
-	st := tcp.NewStack(s, ns, cfg.Name, tcp.Options{}, cfg.Tracer, cfg.Metrics)
-	return &Host{
+	h := &Host{
 		sim:        s,
 		name:       cfg.Name,
 		tracer:     cfg.Tracer,
 		metrics:    cfg.Metrics,
 		addr:       cfg.Addr,
-		nic:        nic,
-		ns:         ns,
-		tcp:        st,
+		nic:        netem.NewNIC(s, cfg.Name+"/eth0", eth.MakeAddr(cfg.EthNum)),
 		timerClock: sim.NewClock(s),
 		cpuClock:   sim.NewClock(s),
 	}
+	h.boot()
+	return h
+}
+
+// boot starts the host's software: a clean IP stack and TCP layer on the
+// timer clock.
+func (h *Host) boot() {
+	h.ns = netstack.New(h.timerClock, h.name, h.nic, h.addr)
+	h.tcp = tcp.NewStack(h.timerClock, h.ns, h.name, tcp.Options{}, h.tracer, h.metrics)
 }
 
 // Name returns the host name.
@@ -105,14 +111,15 @@ func (h *Host) Tracer() *trace.Recorder { return h.tracer }
 // Metrics returns the host's metrics registry (possibly nil).
 func (h *Host) Metrics() *metrics.Registry { return h.metrics }
 
-// Clock returns the host's timer clock. Protocol layers that arm periodic
-// timers (heartbeat exchangers, detectors) should tick through it so an
-// injected clock-rate skew reaches them.
+// Clock returns the host's timer clock. Every timer the host's protocol
+// software arms belongs to it, so a crash stops them; periodic ones
+// (heartbeats, detectors) tick through its NewTicker so an injected
+// clock-rate skew reaches them. A reboot replaces it.
 func (h *Host) Clock() *sim.Clock { return h.timerClock }
 
-// CPU returns the host's CPU clock. Application servers stretch their
-// processing time by it, so CPU starvation slows responses without
-// touching kernel timers.
+// CPU returns the host's CPU clock. Application servers arm on it and
+// stretch their processing time by it, so CPU starvation slows responses
+// without touching kernel timers. A reboot replaces it.
 func (h *Host) CPU() *sim.Clock { return h.cpuClock }
 
 // SetTimerScale skews the host's timer rate: 1 is nominal, 1.05 makes
@@ -138,17 +145,18 @@ func (h *Host) ConnectToSwitch(sw *netem.Switch, cfg netem.LinkConfig) *netem.Li
 	return l
 }
 
-// OnCrash registers a callback to run when the host crashes; protocol
-// layers register their shutdown here so a dead machine stops emitting
-// heartbeats and timers.
+// OnCrash registers a callback to run, in registration order, when the
+// host crashes — after its interfaces fail and before its clocks stop.
+// Protocol layers register their shutdown here; a reboot forgets them.
 func (h *Host) OnCrash(fn func()) { h.onCrash = append(h.onCrash, fn) }
 
 // Crashed reports whether the host has crashed.
 func (h *Host) Crashed() bool { return h.crashed }
 
-// CrashHW simulates a hardware or OS crash: the NIC goes silent, the IP
-// stack stops, the serial port drops, and registered crash hooks run. This
-// is Table 1 row 1's injected failure.
+// CrashHW simulates a hardware or OS crash: the NIC goes silent, the
+// serial port drops, registered crash hooks run, and both clocks stop, so
+// no timer the host's software armed fires again. This is Table 1 row 1's
+// injected failure.
 func (h *Host) CrashHW() {
 	h.crash(trace.KindHostCrash, "HW/OS crash")
 }
@@ -166,13 +174,14 @@ func (h *Host) crash(kind trace.Kind, why string) {
 	h.crashed = true
 	h.tracer.Emit(kind, h.name, "%s", why)
 	h.nic.Fail()
-	h.ns.SetDown(true)
 	if h.serial != nil {
 		h.serial.SetDown(true)
 	}
 	for _, fn := range h.onCrash {
 		fn()
 	}
+	h.timerClock.Stop()
+	h.cpuClock.Stop()
 }
 
 // FailNIC injects a NIC failure (Demo 5): the Ethernet interface goes
@@ -184,10 +193,11 @@ func (h *Host) FailNIC() {
 }
 
 // Reboot brings a crashed machine back with freshly initialised software:
-// a clean IP stack and TCP layer on the same hardware (NIC, addresses,
-// serial wiring). All pre-crash connection state is gone, exactly as after
-// a real reboot; protocol layers must be re-created by the caller. It does
-// nothing on a live host.
+// new clocks at the old rates (the oscillator and the CPU are hardware),
+// and a clean IP stack and TCP layer on the same NIC, addresses and serial
+// wiring. All pre-crash connection state is gone, exactly as after a real
+// reboot; protocol layers must be re-created by the caller, on the new
+// clocks. It does nothing on a live host.
 func (h *Host) Reboot() {
 	if !h.crashed {
 		return
@@ -196,13 +206,21 @@ func (h *Host) Reboot() {
 	h.onCrash = nil
 	h.reboots++
 	h.nic.Recover()
-	h.ns = netstack.New(h.sim, h.name, h.nic, h.addr)
-	h.tcp = tcp.NewStack(h.sim, h.ns, h.name, tcp.Options{}, h.tracer, h.metrics)
+	h.timerClock = restart(h.timerClock)
+	h.cpuClock = restart(h.cpuClock)
+	h.boot()
 	if h.serial != nil {
 		h.serial.SetDown(false)
 		h.serial.SetHandler(nil)
 	}
 	h.tracer.Emit(trace.KindGeneric, h.name, "rebooted (boot #%d)", h.reboots+1)
+}
+
+// restart returns a running clock at a stopped one's rate.
+func restart(old *sim.Clock) *sim.Clock {
+	c := sim.NewClock(old.Sim())
+	c.SetRate(old.Rate())
+	return c
 }
 
 // PowerController exposes the out-of-band power channel to a target

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/hb"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -32,6 +33,10 @@ func (v Violation) Error() string { return v.Invariant + ": " + v.Detail }
 //   - backup-silence: a node holding the backup role sends zero TCP
 //     segments (output suppression), per role era, from the host's live
 //     tcp.segments_sent counter.
+//   - dead-host-silence: from the end of a host's crash step to its
+//     reboot or the end of the run, the host sends zero TCP segments (the
+//     same counter) and traces no event from a <host>/… component — a
+//     powered-off machine runs nothing.
 //   - client-integrity: every client finishes its workload with no error
 //     and no pattern-verification failure — the paper's claim.
 //   - takeover-latency: every takeover latency is at most hb.Timeout + the
@@ -44,8 +49,8 @@ func (v Violation) Error() string { return v.Invariant + ": " + v.Detail }
 //     as it began (Run.Quiescence). Plan.Run asks it of a plan that
 //     injects nothing; chaos of a run whose faults were all gray noise.
 func InvariantNames() []string {
-	return []string{"single-transmitter", "backup-silence", "client-integrity",
-		"takeover-latency", "span-integrity", "gray-quiescence"}
+	return []string{"single-transmitter", "backup-silence", "dead-host-silence",
+		"client-integrity", "takeover-latency", "span-integrity", "gray-quiescence"}
 }
 
 // transmitterEntitled reports whether a node in (role, state) on a live
@@ -72,27 +77,59 @@ func backupSilenceViolation(name string, segments int64, openedAt, closedAt time
 		name, segments, openedAt, closedAt)}, segments > 0
 }
 
-// silenceEra is one interval during which a node held the backup role and
-// so must not have sent a TCP segment, read off the live counter of the
-// host's stack (the registry dedupes it, so it survives a reboot). It
-// closes at the transition to taken-over — signalled before anything is
-// unsuppressed — or stopped, or at the end of the run.
+// deadHostSilenceViolation judges one closed dead-host era: segments is the
+// era's delta of the host's tcp.segments_sent counter and events the trace
+// recorded meanwhile, of which none may come from a <name>/… component. A
+// link-drop record is the fault injector's, written under the NIC it cuts
+// off: the switch port drops, not the host.
+func deadHostSilenceViolation(name string, segments int64, events []trace.Event, openedAt, closedAt time.Duration) (Violation, bool) {
+	var own []trace.Event
+	for _, e := range events {
+		if e.Kind != trace.KindLinkDrop && strings.HasPrefix(e.Component, name+"/") {
+			own = append(own, e)
+		}
+	}
+	detail := fmt.Sprintf("%s sent %d TCP segments and traced %d events while crashed (era %v–%v)",
+		name, segments, len(own), openedAt, closedAt)
+	if len(own) > 0 {
+		e := own[0]
+		detail += fmt.Sprintf(", the first %v from %s at %v", e.Kind, e.Component, e.Time.Sub(sim.Epoch))
+	}
+	return Violation{Invariant: "dead-host-silence", Detail: detail}, segments > 0 || len(own) > 0
+}
+
+// silenceEra is one interval during which a host must not have sent a TCP
+// segment, read off the live counter of its stack (the registry dedupes
+// it, so it survives a reboot). A backup-silence era is a node's hold of
+// the backup role: it closes at the transition to taken-over — signalled
+// before anything is unsuppressed — or stopped. A dead-host-silence era
+// runs from the end of the host's crash step, where mark is the trace's
+// length, to its reboot. Either closes at the end of the run.
 type silenceEra struct {
-	node               *sttcp.Node
+	node               *sttcp.Node   // backup-silence
+	host               *cluster.Host // dead-host-silence
+	mark               int
 	ctr                *metrics.Counter
 	baseline           int64
 	openedAt, closedAt time.Duration
 	open               bool
 }
 
-// watch puts a node the run started under the live invariants. A hook the
-// node already has (a judge's Watch set it) keeps running after the
+// openEra starts e on the counter of h's stack.
+func (run *Run) openEra(e *silenceEra, h *cluster.Host) {
+	tb := run.Testbed
+	e.ctr = tb.Metrics.Counter(h.Name()+"/tcp", "tcp.segments_sent")
+	e.baseline, e.openedAt, e.open = e.ctr.Value(), tb.Sim.Elapsed(), true
+	run.eras = append(run.eras, e)
+}
+
+// watch puts a node the run started under the live invariants. A hook
+// the node already has (a judge's Watch set it) keeps running after the
 // registry's.
 func (run *Run) watch(n *sttcp.Node) {
 	run.nodes = append(run.nodes, n)
-	if tb := run.Testbed; n.Role() == sttcp.RoleBackup && n.State() == sttcp.StateActive {
-		ctr := tb.Metrics.Counter(n.Host().Name()+"/tcp", "tcp.segments_sent")
-		run.eras = append(run.eras, &silenceEra{node: n, ctr: ctr, baseline: ctr.Value(), openedAt: tb.Sim.Elapsed(), open: true})
+	if n.Role() == sttcp.RoleBackup && n.State() == sttcp.StateActive {
+		run.openEra(&silenceEra{node: n}, n.Host())
 	}
 	prev := n.OnStateChange
 	n.OnStateChange = func(s sttcp.NodeState) {
@@ -108,7 +145,7 @@ func (run *Run) onStateChange(n *sttcp.Node, s sttcp.NodeState) {
 	// and retransmit right after this hook) or because it died — ends
 	// its silence obligation; check it now.
 	if s == sttcp.StateTakenOver || s == sttcp.StateStopped {
-		run.closeEra(n)
+		run.closeEras(func(e *silenceEra) bool { return e.node == n })
 	}
 	// The live nodes entitled to transmit to clients: never more than one.
 	var who []string
@@ -123,13 +160,46 @@ func (run *Run) onStateChange(n *sttcp.Node, s sttcp.NodeState) {
 	}
 }
 
-func (run *Run) closeEra(n *sttcp.Node) {
+// hook puts a host under dead-host-silence. It is called once the host's
+// software is in place, so the registry's crash hook runs after the
+// software's own and the era opens once the crash step is over.
+func (run *Run) hook(h *cluster.Host) {
+	h.OnCrash(func() { run.openEra(&silenceEra{host: h, mark: run.Testbed.Tracer.Len()}, h) })
+}
+
+// rebooted ends the dead-host era of a host that booted again.
+func (run *Run) rebooted(h *cluster.Host) {
+	run.closeEras(func(e *silenceEra) bool { return e.host == h })
+}
+
+// booted puts a rebooted host back under the invariants once its software
+// is in place: fresh, the node a rejoin started on it (nil for none), and
+// the host, whose crash hooks a reboot forgot.
+func (run *Run) booted(h *cluster.Host, fresh *sttcp.Node) {
+	if fresh != nil {
+		run.watch(fresh)
+	}
+	run.hook(h)
+}
+
+// closeEras closes and judges the open eras that match.
+func (run *Run) closeEras(match func(*silenceEra) bool) {
+	tb := run.Testbed
 	for _, e := range run.eras {
-		if e.node == n && e.open {
-			e.open, e.closedAt = false, run.Testbed.Sim.Elapsed()
-			if v, bad := backupSilenceViolation(n.Host().Name(), e.ctr.Value()-e.baseline, e.openedAt, e.closedAt); bad {
-				run.Violations = append(run.Violations, v)
-			}
+		if !e.open || !match(e) {
+			continue
+		}
+		e.open, e.closedAt = false, tb.Sim.Elapsed()
+		sent := e.ctr.Value() - e.baseline
+		var v Violation
+		var bad bool
+		if e.node != nil {
+			v, bad = backupSilenceViolation(e.node.Host().Name(), sent, e.openedAt, e.closedAt)
+		} else {
+			v, bad = deadHostSilenceViolation(e.host.Name(), sent, tb.Tracer.Events()[e.mark:], e.openedAt, e.closedAt)
+		}
+		if bad {
+			run.Violations = append(run.Violations, v)
 		}
 	}
 }
@@ -144,8 +214,8 @@ func (run *Run) judge(quiet bool) {
 		run.Violations = append(run.Violations, run.clientIntegrity()...)
 		return
 	}
+	run.closeEras(func(*silenceEra) bool { return true })
 	for _, n := range run.nodes {
-		run.closeEra(n)
 		n.FinishTrace()
 	}
 	run.Testbed.Tracer.FinalizeAutoSpans()

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/app"
+	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/sttcp"
 )
@@ -80,7 +81,7 @@ type Run struct {
 	// injectAt is the instant of the first fault (zero without one).
 	injectAt time.Time
 	// nodes are the ST-TCP nodes the run started, a rejoined one included,
-	// and eras the backup-silence eras opened on them.
+	// and eras the silence eras opened on them and on the crashed hosts.
 	nodes []*sttcp.Node
 	eras  []*silenceEra
 }
@@ -113,7 +114,12 @@ func (p Plan) Run() (*Run, error) {
 				run.watch(n)
 			}
 		}
-		tb.rejoined = run.watch
+		for _, h := range []*cluster.Host{tb.Client, tb.Primary, tb.Backup, tb.Gateway, tb.LoggerHost, tb.WitnessHost} {
+			if h != nil {
+				run.hook(h)
+			}
+		}
+		tb.rebooted, tb.booted = run.rebooted, run.booted
 	}
 	// The clients due now start before any event is inserted; a judge's
 	// client starts are events, inserted ahead of the faults'.

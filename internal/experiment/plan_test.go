@@ -97,6 +97,8 @@ func TestScheduleValidation(t *testing.T) {
 		{"serial cut needs no host", Fault{Kind: FaultSerialCut}, ""},
 		{"drop on gateway link", Fault{Kind: FaultDrop, Host: "gateway", Dur: time.Second}, ""},
 		{"reboot", Fault{Kind: FaultReboot, Host: "backup"}, ""},
+		// Its echo workload used to panic writing to the stopped stack.
+		{"crash the client", Fault{Kind: FaultCrash, Host: "client"}, "the client's workload would go on driving its dead host"},
 	} {
 		_, err := tb.Arm(tc.f)
 		switch {
@@ -347,6 +349,88 @@ func TestRejoinReplacesACutCable(t *testing.T) {
 	}
 	if tb.Standby() == nil {
 		t.Fatalf("pair %v/%v after the rejoin, want active/active", tb.PrimaryNode.State(), tb.BackupNode.State())
+	}
+}
+
+// TestFaultsOnACrashedHost strikes faults at a host after its crash. An
+// application crash there ran the dead replica — a cleanup one closing a
+// live connection sent its FIN on the stopped clock and panicked in the
+// event loop — and fails as it strikes instead, as it does after a reboot
+// (the replica died with the machine); a reboot fails on a host that is
+// up, where it used to do nothing. A link drop is the switch port's act,
+// not the dead host's, so dead-host-silence does not charge the host for
+// its record.
+func TestFaultsOnACrashedHost(t *testing.T) {
+	crash := crashPrimary(500 * time.Millisecond)
+	at := func(d time.Duration, kind FaultKind) Fault {
+		return Fault{At: d, Kind: kind, Host: "primary", Dur: time.Second}
+	}
+	for _, tc := range []struct {
+		name   string
+		faults []Fault
+		want   string // "" = the run passes
+		bytes  int64
+	}{
+		{"appcrash after a crash", []Fault{crash, at(700*time.Millisecond, FaultAppCrashCleanup)},
+			`appcrash-cleanup at 700ms: host "primary" is down`, 16 << 20},
+		{"appcrash after a reboot", []Fault{crash, at(700*time.Millisecond, FaultReboot), at(900*time.Millisecond, FaultAppCrashSilent)},
+			`appcrash-silent at 900ms: host "primary" runs no server application since its reboot`, 16 << 20},
+		{"drop after a crash", []Fault{crash, at(700*time.Millisecond, FaultDrop)}, "", 16 << 20},
+		{"reboot of a live host", []Fault{at(300*time.Millisecond, FaultReboot)},
+			`reboot at 300ms: host "primary" is up; only a crashed host reboots`, 16 << 20},
+		{"cleanup on the crashed survivor of a rejoin", []Fault{crashPrimary(time.Second), {At: 3 * time.Second, Kind: FaultRejoin},
+			{At: 5 * time.Second, Kind: FaultCrash, Host: "backup"}, {At: 6 * time.Second, Kind: FaultAppCrashCleanup, Host: "backup"}},
+			`appcrash-cleanup at 6s: host "backup" is down`, 16 << 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run, err := Plan{Options: Options{Seed: 4}, Clients: []Workload{{Bytes: tc.bytes}},
+				Faults: tc.faults, Horizon: 10 * time.Second}.Run()
+			if run == nil {
+				t.Fatalf("run: %v", err)
+			}
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("run: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("run returned %v, want an error containing %q", err, tc.want)
+			case len(run.Violations) != 0:
+				t.Fatalf("violations %v, want none", run.Violations)
+			}
+		})
+	}
+}
+
+// TestEveryCrashedHostIsJudged: dead-host-silence opens an era at every
+// crash of every host — a host with no node (the gateway) and a host that
+// a reboot without a rejoin brought back, then crashed again. A record a
+// harness writes under each dead host's name is what a zombie would write;
+// the registry must convict both, and without the records the plan passes.
+func TestEveryCrashedHostIsJudged(t *testing.T) {
+	p := Plan{Options: Options{Seed: 4}, Clients: []Workload{{Bytes: 16 << 20}}, Horizon: 10 * time.Second,
+		Faults: []Fault{
+			crashPrimary(500 * time.Millisecond),
+			{At: 2 * time.Second, Kind: FaultReboot, Host: "primary"},
+			crashPrimary(2500 * time.Millisecond),
+			{At: 3 * time.Second, Kind: FaultCrash, Host: "gateway"},
+		}}
+	if _, err := p.Run(); err != nil {
+		t.Fatalf("silent dead hosts: %v", err)
+	}
+	p.Judge.Watch = func(run *Run) {
+		tb := run.Testbed
+		tb.Sim.At(sim.Epoch.Add(4*time.Second), func() {
+			tb.Tracer.Emit(trace.KindGeneric, "primary/app", "zombie")
+			tb.Tracer.Emit(trace.KindGeneric, "gateway/ip", "zombie")
+		})
+	}
+	_, err := p.Run()
+	for _, want := range []string{
+		"dead-host-silence: primary sent 0 TCP segments and traced 1 events while crashed (era 2.5s–10s), the first generic from primary/app at 4s",
+		"dead-host-silence: gateway sent 0 TCP segments and traced 1 events while crashed (era 3s–10s), the first generic from gateway/ip at 4s",
+	} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("zombie records: Run returned %v, want %q", err, want)
+		}
 	}
 }
 

@@ -32,12 +32,12 @@ func TestFullSystemSoak(t *testing.T) {
 	tb.BackupNode.OnAccept = bSrv.Accept
 	tb.WitnessNode.OnAccept = wSrv.Accept
 
-	pwd := sttcp.NewWatchdog(tb.Sim, "primary/watchdog", time.Second, tb.Tracer)
+	pwd := sttcp.NewWatchdog(tb.Primary.Clock(), "primary/watchdog", time.Second, tb.Tracer)
 	pwd.OnSuspect = tb.PrimaryNode.ReportLocalAppFailure
-	pSrv.StartHealthBeats(tb.Sim, 200*time.Millisecond, pwd.Beat)
-	bwd := sttcp.NewWatchdog(tb.Sim, "backup/watchdog", time.Second, tb.Tracer)
+	pSrv.StartHealthBeats(tb.Primary.Clock(), 200*time.Millisecond, pwd.Beat)
+	bwd := sttcp.NewWatchdog(tb.Backup.Clock(), "backup/watchdog", time.Second, tb.Tracer)
 	bwd.OnSuspect = tb.BackupNode.ReportLocalAppFailure
-	bSrv.StartHealthBeats(tb.Sim, 200*time.Millisecond, bwd.Beat)
+	bSrv.StartHealthBeats(tb.Backup.Clock(), 200*time.Millisecond, bwd.Beat)
 
 	// Workloads: one long echo session plus staggered bulk downloads.
 	echo := app.NewEchoClient("client/echo", tb.Client.TCP(), ServiceAddr, ServicePort, 3000, 512, tb.Tracer)

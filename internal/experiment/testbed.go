@@ -130,10 +130,14 @@ type Testbed struct {
 	PrimaryNode *sttcp.Node
 	BackupNode  *sttcp.Node
 	// backupCfg is the config StartSTTCP gave the backup, which a rejoin
-	// gives the rebooted machine's node (with the survivor as its peer),
-	// and rejoined puts that node under the run's invariants (Run.watch).
+	// gives the rebooted machine's node (with the survivor as its peer).
+	// rebooted and booted put a crashed host back under the run's
+	// invariants: rebooted as the machine comes back (Run.rebooted), booted
+	// once its software is in place, with the node a rejoin started on it
+	// or nil (Run.booted).
 	backupCfg sttcp.Config
-	rejoined  func(*sttcp.Node)
+	rebooted  func(*cluster.Host)
+	booted    func(*cluster.Host, *sttcp.Node)
 
 	// LoggerHost and Logger are present only with Options.WithLogger.
 	LoggerHost *cluster.Host
@@ -410,7 +414,7 @@ func (tb *Testbed) AttachServers(echo bool) {
 // Server(host) and returns its accept hook.
 func (tb *Testbed) NewReplica(name string) func(*tcp.Conn) {
 	host := strings.TrimSuffix(name, "/app")
-	srv := app.NewServer(tb.echo, name, tb.Tracer, tb.Sim, tb.hosts[host].CPU())
+	srv := app.NewServer(tb.echo, name, tb.Tracer, tb.hosts[host].CPU())
 	tb.servers[host] = srv
 	return srv.Accept
 }
@@ -560,6 +564,8 @@ func (tb *Testbed) vet(f Fault) error {
 	switch {
 	case !cable && tb.hosts[f.Host] == nil:
 		return fmt.Errorf("%s: host %q not present in this topology", f.Kind, f.Host)
+	case f.Kind == FaultCrash && tb.hosts[f.Host] == tb.Client:
+		return fmt.Errorf("%s: the client's workload would go on driving its dead host", f.Kind)
 	case (f.Kind == FaultAppCrashSilent || f.Kind == FaultAppCrashCleanup) && tb.servers[f.Host] == nil:
 		return fmt.Errorf("%s: host %q runs no server application", f.Kind, f.Host)
 	case windowed && f.Dur <= 0:
@@ -570,8 +576,10 @@ func (tb *Testbed) vet(f Fault) error {
 
 // Arm validates f against this topology and returns the act that performs
 // it; nothing has happened until strike is called (At is the caller's
-// business). Only a rejoin can fail as it strikes: there may be no
-// survivor to rejoin by then.
+// business). A rejoin can fail as it strikes, when there is no survivor
+// to rejoin by then; so can a reboot of a host that is up, and an
+// application crash on a host that has crashed or rebooted since: its
+// replica died with the machine.
 func (tb *Testbed) Arm(f Fault) (strike func() error, err error) {
 	if err := tb.vet(f); err != nil {
 		return nil, err
@@ -594,13 +602,27 @@ func (tb *Testbed) inject(f Fault) error {
 	case FaultNICFail:
 		host.FailNIC()
 	case FaultReboot:
-		host.Reboot()
+		if !host.Crashed() {
+			return fmt.Errorf("host %q is up; only a crashed host reboots", f.Host)
+		}
+		tb.reboot(host)
+		if tb.booted != nil {
+			tb.booted(host, nil)
+		}
 	case FaultRejoin:
 		return tb.rejoin()
-	case FaultAppCrashSilent:
-		tb.servers[f.Host].CrashSilent()
-	case FaultAppCrashCleanup:
-		tb.servers[f.Host].CrashCleanup(false)
+	case FaultAppCrashSilent, FaultAppCrashCleanup:
+		srv := tb.servers[f.Host]
+		switch {
+		case host.Crashed():
+			return fmt.Errorf("host %q is down, its application with it", f.Host)
+		case srv == nil:
+			return fmt.Errorf("host %q runs no server application since its reboot", f.Host)
+		case f.Kind == FaultAppCrashSilent:
+			srv.CrashSilent()
+		default:
+			srv.CrashCleanup(false)
+		}
 	case FaultSerialCut:
 		cableDown(true)
 	case FaultDrop:
@@ -645,7 +667,7 @@ func (tb *Testbed) rejoin() error {
 	if survivor.State() != sttcp.StateTakenOver {
 		return fmt.Errorf("experiment: survivor state %v, want taken-over", survivor.State())
 	}
-	dead.Reboot()
+	tb.reboot(dead)
 	if err := survivor.EnableReplication(addrOf(dead), cluster.NewPowerController(dead)); err != nil {
 		return fmt.Errorf("experiment: enable replication: %w", err)
 	}
@@ -662,10 +684,20 @@ func (tb *Testbed) rejoin() error {
 	tb.PrimaryNode, tb.BackupNode = survivor, fresh
 	tb.SerialPrimary.SetDown(false)
 	tb.SerialBackup.SetDown(false)
-	if tb.rejoined != nil {
-		tb.rejoined(fresh)
+	if tb.booted != nil {
+		tb.booted(dead, fresh)
 	}
 	return nil
+}
+
+// reboot boots a crashed host's fresh stacks. Its application replica died
+// with the machine; only a rejoin installs a new one.
+func (tb *Testbed) reboot(h *cluster.Host) {
+	h.Reboot()
+	delete(tb.servers, h.Name())
+	if tb.rebooted != nil {
+		tb.rebooted(h)
+	}
 }
 
 func addrOf(h *cluster.Host) ip.Addr { return h.Netstack().Addr() }

@@ -13,8 +13,10 @@ import (
 // after a burst of activity, then crashes the primary application silently
 // during the idle period. This is exactly the blind spot §4.2.1 concedes:
 // "if there is no activity on the connection, failure detection may be
-// delayed … detected when the connection is used again."
-func watchdogFixture(t *testing.T, seed int64, withWatchdog bool) (*Testbed, *app.EchoClient) {
+// delayed … detected when the connection is used again." With hostCrash,
+// the primary's whole host crashes instead. The primary's watchdog is
+// returned (nil without one).
+func watchdogFixture(t *testing.T, seed int64, withWatchdog, hostCrash bool) (*Testbed, *app.EchoClient, *sttcp.Watchdog) {
 	t.Helper()
 	tb := Build(Options{Seed: seed})
 	if err := tb.StartSTTCP(0, nil); err != nil {
@@ -25,14 +27,15 @@ func watchdogFixture(t *testing.T, seed int64, withWatchdog bool) (*Testbed, *ap
 	tb.PrimaryNode.OnAccept = pSrv.Accept
 	tb.BackupNode.OnAccept = bSrv.Accept
 
+	var wd *sttcp.Watchdog
 	if withWatchdog {
-		wd := sttcp.NewWatchdog(tb.Sim, "primary/watchdog", time.Second, tb.Tracer)
+		wd = sttcp.NewWatchdog(tb.Primary.Clock(), "primary/watchdog", time.Second, tb.Tracer)
 		wd.OnSuspect = tb.PrimaryNode.ReportLocalAppFailure
-		pSrv.StartHealthBeats(tb.Sim, 250*time.Millisecond, wd.Beat)
+		pSrv.StartHealthBeats(tb.Primary.Clock(), 250*time.Millisecond, wd.Beat)
 		// The backup's application gets a watchdog too (symmetry).
-		wdB := sttcp.NewWatchdog(tb.Sim, "backup/watchdog", time.Second, tb.Tracer)
+		wdB := sttcp.NewWatchdog(tb.Backup.Clock(), "backup/watchdog", time.Second, tb.Tracer)
 		wdB.OnSuspect = tb.BackupNode.ReportLocalAppFailure
-		bSrv.StartHealthBeats(tb.Sim, 250*time.Millisecond, wdB.Beat)
+		bSrv.StartHealthBeats(tb.Backup.Clock(), 250*time.Millisecond, wdB.Beat)
 	}
 
 	// 50 quick echo rounds, then a long idle gap before the final
@@ -46,15 +49,19 @@ func watchdogFixture(t *testing.T, seed int64, withWatchdog bool) (*Testbed, *ap
 	// below to go quiet from roughly t≈0.2s (after ~50 rounds) until
 	// t=15s, so the TCP layer sees no activity around the crash.
 	tb.Sim.Schedule(200*time.Millisecond, func() { cl.Gap = 20 * time.Second })
-	tb.Sim.Schedule(time.Second, pSrv.CrashSilent)
-	return tb, cl
+	crash := pSrv.CrashSilent
+	if hostCrash {
+		crash = tb.Primary.CrashHW
+	}
+	tb.Sim.Schedule(time.Second, crash)
+	return tb, cl, wd
 }
 
 // TestIdleAppCrashUndetectedWithoutWatchdog reproduces the paper's caveat:
 // with no connection activity and no watchdog, the silent application
 // crash goes unnoticed for the whole idle period.
 func TestIdleAppCrashUndetectedWithoutWatchdog(t *testing.T) {
-	tb, _ := watchdogFixture(t, 81, false)
+	tb, _, _ := watchdogFixture(t, 81, false, false)
 	if err := tb.Run(10 * time.Second); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -70,7 +77,7 @@ func TestIdleAppCrashUndetectedWithoutWatchdog(t *testing.T) {
 // closes the gap: the failure is flagged within the watchdog timeout plus
 // one heartbeat, long before any connection activity.
 func TestIdleAppCrashDetectedByWatchdog(t *testing.T) {
-	tb, _ := watchdogFixture(t, 81, true)
+	tb, _, _ := watchdogFixture(t, 81, true, false)
 	if err := tb.Run(10 * time.Second); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -95,7 +102,7 @@ func TestIdleAppCrashDetectedByWatchdog(t *testing.T) {
 // end: after the watchdog-triggered takeover, the client resumes activity
 // and the remaining echo rounds complete against the promoted backup.
 func TestWatchdogFailoverCompletesSession(t *testing.T) {
-	tb, cl := watchdogFixture(t, 82, true)
+	tb, cl, _ := watchdogFixture(t, 82, true, false)
 	// Resume activity at t=15s (after cl.Gap's scheduled round fires).
 	if err := tb.Run(5 * time.Minute); err != nil {
 		t.Fatalf("run: %v", err)
@@ -108,11 +115,28 @@ func TestWatchdogFailoverCompletesSession(t *testing.T) {
 	}
 }
 
+// TestHealthBeatsStopWithTheHost crashes the primary's host, not its
+// application: the health beats run on the host's clock, so they stop with
+// everything else the host ran, and the watchdog hears none after 1 s.
+func TestHealthBeatsStopWithTheHost(t *testing.T) {
+	tb, _, wd := watchdogFixture(t, 81, true, true)
+	if err := tb.Run(time.Second); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	beats := wd.Beats()
+	if err := tb.Run(4 * time.Second); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if got := wd.Beats(); got != beats {
+		t.Fatalf("the crashed primary's application beat its watchdog %d times after the crash", got-beats)
+	}
+}
+
 // TestWatchdogUnit exercises the Watchdog type directly.
 func TestWatchdogUnit(t *testing.T) {
 	tb := Build(Options{Seed: 83})
 	fired := 0
-	wd := sttcp.NewWatchdog(tb.Sim, "wd", 500*time.Millisecond, tb.Tracer)
+	wd := sttcp.NewWatchdog(tb.Primary.Clock(), "wd", 500*time.Millisecond, tb.Tracer)
 	wd.OnSuspect = func() { fired++ }
 	wd.Beat()
 	// Beats at 400ms and 800ms keep it alive past two would-be

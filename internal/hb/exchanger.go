@@ -119,7 +119,7 @@ func Timeout(period time.Duration) time.Duration { return 3 * period }
 // Exchanger periodically emits heartbeats over every attached channel and
 // tracks per-link liveness of the peer's heartbeats.
 type Exchanger struct {
-	sim      *sim.Simulator
+	clock    *sim.Clock // the host's: both tickers arm and stretch on it
 	name     string
 	period   time.Duration
 	tracer   *trace.Recorder
@@ -134,11 +134,6 @@ type Exchanger struct {
 	OnLinkDown func(link LinkID)
 	// OnLinkUp fires once when a link transitions back up.
 	OnLinkUp func(link LinkID)
-
-	// Clock, when set before Start, paces the send and liveness tickers
-	// on the host's (possibly skewed) timer clock instead of the nominal
-	// simulator timeline. Nil keeps nominal timing.
-	Clock *sim.Clock
 
 	lastRx  map[LinkID]time.Time
 	down    map[LinkID]bool
@@ -157,11 +152,12 @@ type Exchanger struct {
 }
 
 // NewExchanger builds an exchanger that beats every period, which must be
-// positive; call Attach for each channel, then Start. reg may be nil (no
-// metrics).
-func NewExchanger(s *sim.Simulator, name string, period time.Duration, tracer *trace.Recorder, reg *metrics.Registry) *Exchanger {
+// positive, on the host's clock (which paces it at the host's possibly
+// skewed rate); call Attach for each channel, then Start. reg may be nil
+// (no metrics).
+func NewExchanger(clock *sim.Clock, name string, period time.Duration, tracer *trace.Recorder, reg *metrics.Registry) *Exchanger {
 	return &Exchanger{
-		sim:       s,
+		clock:     clock,
 		name:      name,
 		period:    period,
 		tracer:    tracer,
@@ -189,7 +185,7 @@ func (e *Exchanger) Attach(c Channel) {
 // considered up at start; the first timeout can therefore only occur one
 // full Timeout after Start.
 func (e *Exchanger) Start() {
-	now := e.sim.Now()
+	now := e.clock.Sim().Now()
 	for _, c := range e.channels {
 		e.lastRx[c.ID()] = now
 	}
@@ -199,13 +195,8 @@ func (e *Exchanger) Start() {
 	if check <= 0 {
 		check = time.Millisecond
 	}
-	if e.Clock != nil {
-		e.ticker = e.Clock.NewTicker(e.period, e.tick)
-		e.checker = e.Clock.NewTicker(check, e.checkLiveness)
-	} else {
-		e.ticker = sim.NewTicker(e.sim, e.period, e.tick)
-		e.checker = sim.NewTicker(e.sim, check, e.checkLiveness)
-	}
+	e.ticker = e.clock.NewTicker(e.period, e.tick)
+	e.checker = e.clock.NewTicker(check, e.checkLiveness)
 	e.tick() // send the first heartbeat immediately
 }
 
@@ -305,7 +296,7 @@ func (e *Exchanger) receive(link LinkID, raw []byte) {
 		return
 	}
 	e.mReceived[link].Inc()
-	e.lastRx[link] = e.sim.Now()
+	e.lastRx[link] = e.clock.Sim().Now()
 	if e.tracer.Detail() {
 		e.tracer.EmitValue(trace.KindHBReceived, e.name, int64(m.Seq), "hb seq=%d on %v", m.Seq, link)
 	}
@@ -325,7 +316,7 @@ func (e *Exchanger) checkLiveness() {
 	if e.stopped {
 		return
 	}
-	now, timeout := e.sim.Now(), Timeout(e.period)
+	now, timeout := e.clock.Sim().Now(), Timeout(e.period)
 	for _, c := range e.channels {
 		id := c.ID()
 		if e.down[id] {

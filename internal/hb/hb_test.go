@@ -190,8 +190,8 @@ func TestWrapUnwrapProperty(t *testing.T) {
 func exchangerPair(s *sim.Simulator, period time.Duration) (*Exchanger, *Exchanger) {
 	tr := trace.NewRecorder(s.Now)
 	pa, pb := serial.NewPair(s, "a/tty", "b/tty", 0)
-	ea := NewExchanger(s, "a", period, tr, nil)
-	eb := NewExchanger(s, "b", period, tr, nil)
+	ea := NewExchanger(sim.NewClock(s), "a", period, tr, nil)
+	eb := NewExchanger(sim.NewClock(s), "b", period, tr, nil)
 	ea.Attach(NewSerialChannel(pa))
 	eb.Attach(NewSerialChannel(pb))
 	ea.Compose = func() Message { return Message{Role: RolePrimary} }

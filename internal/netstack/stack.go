@@ -21,7 +21,6 @@ import (
 
 // Stack errors.
 var (
-	ErrStackDown   = errors.New("netstack: stack is down")
 	ErrPortInUse   = errors.New("netstack: UDP port already bound")
 	ErrPingPending = errors.New("netstack: ping with this ID already pending")
 )
@@ -51,11 +50,11 @@ const (
 type arpWaiter struct {
 	packets  []pendingPacket
 	attempts int
-	timer    *sim.Event
+	timer    *sim.Timer
 }
 
 type pendingPing struct {
-	timer *sim.Event
+	timer *sim.Timer
 	done  func(ok bool, rtt time.Duration)
 	sent  time.Time
 }
@@ -64,6 +63,7 @@ type pendingPing struct {
 // simulation event loop.
 type Stack struct {
 	sim     *sim.Simulator
+	clock   *sim.Clock // the host's: ARP retries and ping timeouts arm here
 	name    string
 	nic     *netem.NIC
 	addr    ip.Addr
@@ -79,8 +79,6 @@ type Stack struct {
 	nextPingID uint16
 	nextIPID   uint16
 
-	down bool
-
 	// encBuf is the reusable IP-encoding scratch. Safe because the
 	// simulation is single-threaded and the NIC copies the encoded packet
 	// into its own frame scratch synchronously.
@@ -88,10 +86,11 @@ type Stack struct {
 }
 
 // New creates a stack bound to nic with primary address addr and installs
-// itself as the NIC's frame handler.
-func New(s *sim.Simulator, name string, nic *netem.NIC, addr ip.Addr) *Stack {
+// itself as the NIC's frame handler. Its timers arm on the host's clock.
+func New(clock *sim.Clock, name string, nic *netem.NIC, addr ip.Addr) *Stack {
 	st := &Stack{
-		sim:         s,
+		sim:         clock.Sim(),
+		clock:       clock,
 		name:        name,
 		nic:         nic,
 		addr:        addr,
@@ -127,13 +126,6 @@ func (s *Stack) AddAlias(a ip.Addr) { s.aliases[a] = true }
 // HasAddr reports whether a is the primary address or an alias.
 func (s *Stack) HasAddr(a ip.Addr) bool { return a == s.addr || s.aliases[a] }
 
-// SetDown makes the stack inert (OS crash): every frame is ignored and
-// every send fails. The NIC itself may still be electrically alive.
-func (s *Stack) SetDown(down bool) { s.down = down }
-
-// IsDown reports whether the stack is inert.
-func (s *Stack) IsDown() bool { return s.down }
-
 // RegisterTCP installs the handler for inbound TCP segments.
 func (s *Stack) RegisterTCP(h TCPHandler) { s.tcpHandler = h }
 
@@ -150,9 +142,6 @@ func (s *Stack) SendIP(dst ip.Addr, proto ip.Protocol, payload []byte) error {
 // frame, or into the ARP pending queue on a resolution miss), so callers
 // may pass a reused scratch buffer.
 func (s *Stack) SendIPFrom(src, dst ip.Addr, proto ip.Protocol, payload []byte) error {
-	if s.down {
-		return ErrStackDown
-	}
 	hw, ok := s.arpTable.Lookup(dst)
 	if !ok {
 		s.queueForARP(src, dst, proto, payload)
@@ -210,7 +199,7 @@ func (s *Stack) sendARPRequest(dst ip.Addr, w *arpWaiter) {
 	}
 	_ = s.nic.Send(eth.Frame{Dst: eth.Broadcast, Type: eth.TypeARP, Payload: req.Encode()})
 	// Retry: a single lost reply must not blackhole the destination.
-	w.timer = s.sim.Schedule(arpRetryInterval, func() {
+	w.timer = s.clock.AfterFunc(arpRetryInterval, func() {
 		if s.arpPending[dst] != w {
 			return
 		}
@@ -249,23 +238,20 @@ func (s *Stack) UDPSend(srcPort uint16, dst ip.Addr, dstPort uint16, payload []b
 // timeout. This is the primitive behind the gateway-ping arbitration of
 // paper §4.3.
 func (s *Stack) Ping(dst ip.Addr, timeout time.Duration, done func(ok bool, rtt time.Duration)) error {
-	if s.down {
-		return ErrStackDown
-	}
 	id := s.nextPingID
 	s.nextPingID++
 	if _, ok := s.pings[id]; ok {
 		return fmt.Errorf("%w: %d", ErrPingPending, id)
 	}
 	p := &pendingPing{done: done, sent: s.sim.Now()}
-	p.timer = s.sim.Schedule(timeout, func() {
+	p.timer = s.clock.AfterFunc(timeout, func() {
 		delete(s.pings, id)
 		done(false, 0)
 	})
 	s.pings[id] = p
 	echo := icmp.Echo{Type: icmp.TypeEchoRequest, ID: id, Seq: 1}
 	if err := s.SendIP(dst, ip.ProtoICMP, echo.Encode()); err != nil {
-		s.sim.Cancel(p.timer)
+		p.timer.Stop()
 		delete(s.pings, id)
 		return err
 	}
@@ -275,9 +261,6 @@ func (s *Stack) Ping(dst ip.Addr, timeout time.Duration, done func(ok bool, rtt 
 // --- Receive path ---
 
 func (s *Stack) handleFrame(f eth.Frame) {
-	if s.down {
-		return
-	}
 	switch f.Type {
 	case eth.TypeARP:
 		s.handleARP(f)
@@ -320,7 +303,7 @@ func (s *Stack) flushARPQueue(addr ip.Addr, hw eth.Addr) {
 		return
 	}
 	delete(s.arpPending, addr)
-	s.sim.Cancel(w.timer)
+	w.timer.Stop()
 	for _, p := range w.packets {
 		_ = s.sendResolved(hw, p.src, addr, p.proto, p.payload)
 	}
@@ -361,7 +344,7 @@ func (s *Stack) handleICMP(pkt ip.Packet) {
 			return
 		}
 		delete(s.pings, e.ID)
-		s.sim.Cancel(p.timer)
+		p.timer.Stop()
 		p.done(true, s.sim.Since(p.sent))
 	}
 }

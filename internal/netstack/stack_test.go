@@ -35,8 +35,8 @@ func newFixture(t *testing.T) *fixture {
 	nicB.AttachToLink(link, false)
 	return &fixture{
 		sim:  s,
-		a:    New(s, "a", nicA, addrA),
-		b:    New(s, "b", nicB, addrB),
+		a:    New(sim.NewClock(s), "a", nicA, addrA),
+		b:    New(sim.NewClock(s), "b", nicB, addrB),
 		link: link,
 	}
 }
@@ -136,30 +136,6 @@ func TestUDPPortManagement(t *testing.T) {
 	f.a.UDPClose(7)
 	if err := f.a.UDPListen(7, func(ip.Addr, uint16, []byte) {}); err != nil {
 		t.Fatalf("rebind after close: %v", err)
-	}
-}
-
-func TestStackDownSilence(t *testing.T) {
-	f := newFixture(t)
-	// Prime ARP.
-	_ = f.a.UDPSend(9, addrB, 9, []byte("prime"))
-	_ = f.sim.Run(time.Second)
-	var got int
-	_ = f.b.UDPListen(10, func(ip.Addr, uint16, []byte) { got++ })
-	f.b.SetDown(true)
-	_ = f.a.UDPSend(10, addrB, 10, []byte("x"))
-	_ = f.sim.Run(time.Second)
-	if got != 0 {
-		t.Fatal("down stack processed a datagram")
-	}
-	if err := f.b.UDPSend(10, addrA, 10, []byte("y")); !errors.Is(err, ErrStackDown) {
-		t.Fatalf("send from down stack err = %v", err)
-	}
-	f.b.SetDown(false)
-	_ = f.a.UDPSend(10, addrB, 10, []byte("z"))
-	_ = f.sim.Run(time.Second)
-	if got != 1 {
-		t.Fatal("restored stack did not receive")
 	}
 }
 

@@ -48,18 +48,24 @@ func BenchmarkHold(b *testing.B) {
 // BenchmarkTimerRearm times Timer.Arm on a pending timer among 16 other
 // events: behind them all, where a connection's RTO sits in a run, and
 // ahead of them all, the worst case (the whole heap's depth both ways) and
-// what the repository benchmark's sim.timer_reset_ns driver times.
+// what the repository benchmark's sim.timer_reset_ns driver times. The
+// clock case is the behind one on a host clock's timer, as TCP's are.
 func BenchmarkTimerRearm(b *testing.B) {
 	for _, c := range []struct {
 		name   string
 		others time.Duration
-	}{{"behind", time.Millisecond}, {"ahead", time.Hour}} {
+		clock  bool
+	}{{"behind", time.Millisecond, false}, {"ahead", time.Hour, false}, {"clock", time.Millisecond, true}} {
 		b.Run(c.name, func(b *testing.B) {
 			s := New(1)
 			for i := 0; i < 16; i++ {
 				s.Post(c.others, func() {})
 			}
-			t := s.NewTimer(func() {})
+			newTimer := s.NewTimer
+			if c.clock {
+				newTimer = NewClock(s).NewTimer
+			}
+			t := newTimer(func() {})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

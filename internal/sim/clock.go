@@ -1,26 +1,48 @@
 package sim
 
-import "time"
+import (
+	"errors"
+	"time"
+)
 
-// Clock scales virtual-time delays for one consumer of the simulator —
-// typically one host. The simulator itself keeps a single global timeline;
-// a Clock models a machine whose oscillator (or scheduler) runs fast or
-// slow relative to that timeline: a rate of 1.05 means every period this
-// clock schedules takes 5% longer of global virtual time, which is how
-// inter-host clock-rate skew and CPU starvation are injected without
-// forking the event queue.
+// Clock is one host's view of the simulator: the owner of every timer and
+// post the host's software arms, and the rate its oscillator (or
+// scheduler) runs at. The simulator keeps a single global timeline; a rate
+// of 1.05 means every period the clock stretches takes 5% longer of global
+// virtual time, which is how inter-host clock-rate skew and CPU starvation
+// are injected without forking the event queue. Stop is a crash: it
+// cancels every pending timer and post of the clock, and none of them may
+// be armed again.
 //
-// A nil *Clock behaves as the nominal rate-1 clock everywhere, so
-// components can carry an optional Clock without nil checks. Rate 1 is an
+// Rate and Stretch accept a nil *Clock as the nominal rate-1 clock, so a
+// component may carry an optional clock for stretching alone; NewTimer,
+// AfterFunc, NewTicker, Post and Stop need one from NewClock. Rate 1 is an
 // exact pass-through: Stretch returns its argument unchanged, so enabling
 // the plumbing cannot perturb an unskewed run by even a nanosecond.
 type Clock struct {
-	s    *Simulator
-	rate float64
+	s       *Simulator
+	rate    float64
+	stopped bool
+	// armed is the sentinel of the circular list of this clock's armed
+	// timers and posts. An event joins it when armed and leaves it when it
+	// fires or is cancelled, so the clock keeps no fired or stopped timer
+	// reachable.
+	armed Event
 }
 
-// NewClock returns a clock at nominal rate 1.
-func NewClock(s *Simulator) *Clock { return &Clock{s: s, rate: 1} }
+// errStoppedClock is the panic of arming a timer after its clock stopped:
+// software built before a crash must never run again.
+var errStoppedClock = errors.New("sim: timer armed on a stopped clock")
+
+// NewClock returns a running clock at nominal rate 1.
+func NewClock(s *Simulator) *Clock {
+	c := &Clock{s: s, rate: 1}
+	c.armed.prev, c.armed.next = &c.armed, &c.armed
+	return c
+}
+
+// Sim returns the simulator the clock's timers are armed on.
+func (c *Clock) Sim() *Simulator { return c.s }
 
 // SetRate changes the clock's rate. Rates must be positive; 1 is nominal,
 // >1 runs slow (stretched periods), <1 runs fast. Tickers built on the
@@ -53,12 +75,68 @@ func (c *Clock) Stretch(d time.Duration) time.Duration {
 	return sd
 }
 
-// NewTicker returns a ticker whose period is stretched by this clock at
-// every re-arm, so rate changes mid-run take effect on the next tick.
-func (c *Clock) NewTicker(period time.Duration, fn func()) *Ticker {
-	t := NewTicker(c.s, period, fn)
+// NewTimer returns a timer owned by this clock: Stop cancels it, and
+// arming it after Stop panics. Its delays are not stretched; a caller that
+// wants the clock's rate applies Stretch itself.
+func (c *Clock) NewTimer(fn func()) *Timer {
+	t := c.s.NewTimer(fn)
 	t.clock = c
-	// Re-arm the first tick under the clock's current rate.
+	return t
+}
+
+// AfterFunc returns a timer owned by this clock, armed to run fn once
+// after d.
+func (c *Clock) AfterFunc(d time.Duration, fn func()) *Timer {
+	t := c.NewTimer(fn)
+	t.Arm(d)
+	return t
+}
+
+// NewTicker returns a ticker owned by this clock whose period is
+// stretched at every arming, so rate changes mid-run take effect on the
+// next tick.
+func (c *Clock) NewTicker(period time.Duration, fn func()) *Ticker {
+	t := newTicker(period, fn)
+	t.clock = c
+	t.timer = c.NewTimer(t.tick)
 	t.timer.Arm(c.Stretch(period))
 	return t
+}
+
+// Post is Simulator.Post owned by the clock: Stop cancels the event if it
+// has not fired, and posting after Stop panics.
+//
+//sttcp:hotpath
+func (c *Clock) Post(delay time.Duration, fn func()) {
+	if c.stopped {
+		panic(errStoppedClock)
+	}
+	c.own(c.s.post(delay, fn))
+}
+
+// Stop cancels every pending timer, ticker and post of the clock, in the
+// order they were armed; arming one afterwards panics. Stopping a stopped
+// clock is a no-op.
+func (c *Clock) Stop() {
+	c.stopped = true
+	for c.armed.next != &c.armed {
+		c.s.Cancel(c.armed.next)
+	}
+}
+
+// own appends an armed timer's or post's event to the clock's list.
+//
+//sttcp:hotpath
+func (c *Clock) own(e *Event) {
+	last := c.armed.prev
+	e.prev, e.next = last, &c.armed
+	last.next, c.armed.prev = e, e
+}
+
+// disown takes e off its clock's list.
+//
+//sttcp:hotpath
+func (e *Event) disown() {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
 }

@@ -46,6 +46,10 @@ type Event struct {
 	live    bool   // the event is in the queue
 	pooled  bool   // created by Post; recycled after firing
 	daemon  bool   // background event: does not keep Run alive (see NewDaemonTicker)
+
+	// prev and next link an armed timer or post into its Clock's list,
+	// which Clock.Stop cancels; both are nil while the event is off one.
+	prev, next *Event
 }
 
 // When reports the virtual time at which the event will fire.
@@ -210,7 +214,12 @@ func (s *Simulator) scheduleAt(whenNS int64, fn func()) *Event {
 // traffic does not allocate one Event per segment.
 //
 //sttcp:hotpath
-func (s *Simulator) Post(delay time.Duration, fn func()) {
+func (s *Simulator) Post(delay time.Duration, fn func()) { s.post(delay, fn) }
+
+// post is Post returning the queued event, for Clock.Post to own.
+//
+//sttcp:hotpath
+func (s *Simulator) post(delay time.Duration, fn func()) *Event {
 	if fn == nil {
 		//sttcp:allow hotpathalloc programming-error panic, never taken in steady state (TestHeapSteadyStateAllocs)
 		panic("sim: Post called with nil callback")
@@ -225,6 +234,7 @@ func (s *Simulator) Post(delay time.Duration, fn func()) {
 		e = &Event{fn: fn, ctx: s.ctx, pooled: true}
 	}
 	s.enqueue(e, s.after(delay))
+	return e
 }
 
 // Cancel removes e from the queue. Cancelling a nil, fired, or already
@@ -240,6 +250,9 @@ func (s *Simulator) Cancel(e *Event) {
 	if !e.daemon {
 		s.fg--
 	}
+	if e.next != nil {
+		e.disown()
+	}
 	s.sched.Cancel(e)
 }
 
@@ -254,6 +267,9 @@ func (s *Simulator) take(e *Event) {
 	e.gen++
 	if !e.daemon {
 		s.fg--
+	}
+	if e.next != nil {
+		e.disown()
 	}
 	if e.when > s.nowNS {
 		s.nowNS = e.when

@@ -13,9 +13,9 @@ type Ticker struct {
 	fn      func()
 	stopped bool
 
-	// clock, when set (Clock.NewTicker), stretches the period at each
-	// re-arm so the ticker follows its host's skewed timer rate. Nil means
-	// the nominal simulator timeline.
+	// clock, when set (Clock.NewTicker), owns the ticker and stretches
+	// the period at each re-arm so the ticker follows its host's skewed
+	// timer rate. Nil means the nominal simulator timeline.
 	clock *Clock
 }
 
@@ -23,13 +23,17 @@ type Ticker struct {
 // A non-positive period panics: a zero-period ticker would wedge the event
 // loop at a single instant.
 func NewTicker(s *Simulator, period time.Duration, fn func()) *Ticker {
-	if period <= 0 {
-		panic("sim: NewTicker with non-positive period")
-	}
-	t := &Ticker{period: period, fn: fn}
+	t := newTicker(period, fn)
 	t.timer = s.NewTimer(t.tick)
 	t.timer.Arm(period)
 	return t
+}
+
+func newTicker(period time.Duration, fn func()) *Ticker {
+	if period <= 0 {
+		panic("sim: NewTicker with non-positive period")
+	}
+	return &Ticker{period: period, fn: fn}
 }
 
 // NewDaemonTicker is NewTicker for background instrumentation: its ticks

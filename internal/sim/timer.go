@@ -14,10 +14,14 @@ import "time"
 // one. A timer pushed back again and again without firing (the RTO, reset
 // on every ACK) sits near the heap's leaves, where both halves are cheap.
 //
-// The zero value is not usable; construct with Simulator.NewTimer.
+// The zero value is not usable; construct with Simulator.NewTimer, or
+// Clock.NewTimer for a timer a host's crash cancels.
 type Timer struct {
-	s  *Simulator
-	ev Event
+	s *Simulator
+	// clock, when set (Clock.NewTimer), owns the timer: it lists the
+	// timer while armed and cancels it at Clock.Stop.
+	clock *Clock
+	ev    Event
 }
 
 // NewTimer returns a timer that runs fn each time it fires. The callback
@@ -32,21 +36,30 @@ func (s *Simulator) NewTimer(fn func()) *Timer {
 }
 
 // Arm schedules the callback after delay of virtual time, replacing any
-// pending arming. A negative delay is treated as zero.
+// pending arming. A negative delay is treated as zero. Arming a timer
+// whose clock has stopped panics.
 //
 //sttcp:hotpath
 func (t *Timer) Arm(delay time.Duration) {
+	if t.clock != nil && t.clock.stopped {
+		panic(errStoppedClock)
+	}
 	t.s.Cancel(&t.ev)
 	t.ev.ctx = t.s.ctx
 	t.s.enqueue(&t.ev, t.s.after(delay))
+	if t.clock != nil {
+		t.clock.own(&t.ev)
+	}
 }
 
-// Stop cancels a pending arming. Stopping an unarmed timer is a no-op; the
-// timer may be re-armed afterwards.
+// Stop cancels a pending arming. Stopping a nil or unarmed timer is a
+// no-op; the timer may be re-armed afterwards (unless its clock stopped).
 //
 //sttcp:hotpath
 func (t *Timer) Stop() {
-	t.s.Cancel(&t.ev)
+	if t != nil {
+		t.s.Cancel(&t.ev)
+	}
 }
 
 // Armed reports whether the timer is scheduled and has not yet fired.

@@ -117,17 +117,19 @@ func TestTimerCapturesContextAtArm(t *testing.T) {
 
 func TestTimerArmDoesNotAllocate(t *testing.T) {
 	s := New(1)
-	tm := s.NewTimer(func() {})
-	tm.Arm(time.Millisecond)
-	if err := s.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
+	for _, tm := range []*Timer{s.NewTimer(func() {}), NewClock(s).NewTimer(func() {})} {
 		tm.Arm(time.Millisecond)
-		s.Step()
-	})
-	if allocs != 0 {
-		t.Fatalf("Arm+fire allocates %v times per cycle, want 0", allocs)
+		if err := s.Run(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			tm.Arm(time.Millisecond)
+			tm.Arm(2 * time.Millisecond) // re-arming an armed timer
+			s.Step()
+		})
+		if allocs != 0 {
+			t.Fatalf("Arm+fire allocates %v times per cycle (clock-owned: %v), want 0", allocs, tm.clock != nil)
+		}
 	}
 }
 

@@ -213,7 +213,7 @@ func (n *Node) startPinging() {
 	if n.pingTicker != nil || n.cfg.GatewayAddr.IsZero() {
 		return
 	}
-	n.pingTicker = n.host.Clock().NewTicker(pingInterval, func() {
+	n.pingTicker = n.clock.NewTicker(pingInterval, func() {
 		err := n.host.Netstack().Ping(n.cfg.GatewayAddr, pingTimeout, func(ok bool, _ time.Duration) {
 			n.myPingValid, n.myPingOK = true, ok
 		})

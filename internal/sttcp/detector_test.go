@@ -47,7 +47,7 @@ func newDetectorHarness(t *testing.T, mutate func(*Config)) *detectorHarness {
 	// A started node always has an exchanger (pair builds it). This one is
 	// never started: the detectors read its view of the links, and no
 	// heartbeat runs.
-	node.ex = hb.NewExchanger(s, node.comp, node.cfg.HBPeriod, tr, host.Metrics())
+	node.ex = hb.NewExchanger(host.Clock(), node.comp, node.cfg.HBPeriod, tr, host.Metrics())
 	id := tcp.ConnID{
 		LocalAddr:  cfg.ServiceAddr,
 		LocalPort:  80,

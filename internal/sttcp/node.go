@@ -85,9 +85,9 @@ type repConn struct {
 	nicBaselineSet  bool
 
 	// FIN disagreement handling (§4.2.2).
-	finDelayTimer    *sim.Event // primary: local FIN gated for MaxDelayFIN
-	finDisagreeTimer *sim.Event // primary: backup FIN'd, we did not
-	majorityTimer    *sim.Event // primary: pending witness majority vote
+	finDelayTimer    *sim.Timer // primary: local FIN gated for MaxDelayFIN
+	finDisagreeTimer *sim.Timer // primary: backup FIN'd, we did not
+	majorityTimer    *sim.Timer // primary: pending witness majority vote
 
 	// resp is the local write-progress history feeding the suspicion
 	// scorer's response-latency staleness (suspicion.go). scoredAppW
@@ -128,6 +128,7 @@ func newRepConn(c *tcp.Conn) *repConn {
 // takeover / non-fault-tolerant transitions.
 type Node struct {
 	sim    *sim.Simulator
+	clock  *sim.Clock // the host's at NewNode: every timer the node arms
 	host   *cluster.Host
 	role   Role
 	cfg    Config
@@ -207,6 +208,7 @@ func NewNode(host *cluster.Host, role Role, cfg Config, peerPower *cluster.Power
 	}
 	n := &Node{
 		sim:       host.Sim(),
+		clock:     host.Clock(),
 		host:      host,
 		role:      role,
 		cfg:       cfg,
@@ -307,7 +309,9 @@ func (n *Node) pair() error {
 	if err != nil {
 		return fmt.Errorf("sttcp: %s: heartbeat channel: %w", n.host.Name(), err)
 	}
-	n.ex = hb.NewExchanger(n.sim, n.comp, n.cfg.HBPeriod, n.tracer, n.host.Metrics())
+	// Heartbeats tick on the host's timer clock, so an injected
+	// clock-rate skew skews the cadence the peer observes.
+	n.ex = hb.NewExchanger(n.clock, n.comp, n.cfg.HBPeriod, n.tracer, n.host.Metrics())
 	n.ex.Attach(udpCh)
 	if n.host.Serial() != nil {
 		n.ex.Attach(hb.NewSerialChannel(n.host.Serial()))
@@ -316,9 +320,6 @@ func (n *Node) pair() error {
 	n.ex.OnMessage = n.handleHB
 	n.ex.OnLinkDown = n.onLinkDown
 	n.ex.OnLinkUp = n.onLinkUp
-	// Heartbeats tick on the host's timer clock, so an injected
-	// clock-rate skew skews the cadence the peer observes.
-	n.ex.Clock = n.host.Clock()
 	n.detectorState = detectorState{}
 	n.ex.Start()
 
@@ -331,16 +332,15 @@ func (n *Node) pair() error {
 			return fmt.Errorf("sttcp: %s: witness channel: %w", n.host.Name(), err)
 		}
 		n.witnessView = make(map[tcp.ConnID]witnessState)
-		n.witnessEx = hb.NewExchanger(n.sim, n.comp+"/witness", n.cfg.HBPeriod, n.tracer, n.host.Metrics())
+		n.witnessEx = hb.NewExchanger(n.clock, n.comp+"/witness", n.cfg.HBPeriod, n.tracer, n.host.Metrics())
 		n.witnessEx.Attach(wCh)
 		n.witnessEx.Compose = n.composeHB
 		n.witnessEx.OnMessage = n.handleWitnessHB
-		n.witnessEx.Clock = n.host.Clock()
 		n.witnessEx.Start()
 	}
 
 	if !n.cfg.Witness {
-		n.detector = n.host.Clock().NewTicker(max(n.cfg.HBPeriod/2, 50*time.Millisecond), n.runDetectors)
+		n.detector = n.clock.NewTicker(max(n.cfg.HBPeriod/2, 50*time.Millisecond), n.runDetectors)
 	}
 	return nil
 }
@@ -681,7 +681,7 @@ func (n *Node) primaryConsumeConnState(rc *repConn) {
 	if (rc.peerFIN || rc.peerRST) && !rc.conn.FINQueued() {
 		n.armFINDisagreeTimer(rc)
 	} else if !(rc.peerFIN || rc.peerRST) {
-		n.sim.Cancel(rc.finDisagreeTimer)
+		rc.finDisagreeTimer.Stop()
 		rc.finDisagreeTimer = nil
 	}
 	// Serve any recovery needs lazily (the backup asks via the control
@@ -833,7 +833,7 @@ func (n *Node) onLocalCloseSignal(rc *repConn, rst bool) {
 		n.releaseGatedFIN(rc, "backup already generated "+kind)
 	default:
 		n.tracer.Emit(trace.KindFINDelayed, n.comp, "%s gated for up to %v on %v", kind, n.cfg.MaxDelayFIN, c.ID())
-		rc.finDelayTimer = n.sim.Schedule(n.cfg.MaxDelayFIN, func() {
+		rc.finDelayTimer = n.clock.AfterFunc(n.cfg.MaxDelayFIN, func() {
 			rc.finDelayTimer = nil
 			n.releaseGatedFIN(rc, "MaxDelayFIN expired; assuming local behaviour correct")
 		})
@@ -844,7 +844,7 @@ func (n *Node) onLocalCloseSignal(rc *repConn, rst bool) {
 }
 
 func (n *Node) releaseGatedFIN(rc *repConn, why string) {
-	n.sim.Cancel(rc.finDelayTimer)
+	rc.finDelayTimer.Stop()
 	rc.finDelayTimer = nil
 	if rc.conn.FINGated() {
 		n.tracer.Emit(trace.KindFINReleased, n.comp, "releasing FIN on %v: %s", rc.conn.ID(), why)
@@ -863,7 +863,7 @@ func (n *Node) armFINDisagreeTimer(rc *repConn) {
 	n.noteEvidence("backup FIN without local FIN on %v", rc.conn.ID())
 	n.tracer.Emit(trace.KindFINSuppressed, n.comp,
 		"backup FIN without local FIN on %v; watching for %v", rc.conn.ID(), n.cfg.MaxDelayFIN)
-	rc.finDisagreeTimer = n.sim.Schedule(n.cfg.MaxDelayFIN, func() {
+	rc.finDisagreeTimer = n.clock.AfterFunc(n.cfg.MaxDelayFIN, func() {
 		rc.finDisagreeTimer = nil
 		if n.state != StateActive {
 			return
@@ -886,7 +886,7 @@ func (n *Node) armMajorityVote(rc *repConn, localFIN bool) {
 	if rc.majorityTimer != nil {
 		return
 	}
-	rc.majorityTimer = n.sim.Schedule(3*n.cfg.HBPeriod, func() {
+	rc.majorityTimer = n.clock.AfterFunc(3*n.cfg.HBPeriod, func() {
 		rc.majorityTimer = nil
 		n.decideByMajority(rc, localFIN)
 	})
@@ -947,9 +947,9 @@ func (n *Node) handleWitnessHB(m hb.Message, link hb.LinkID) {
 }
 
 func (n *Node) cancelFINTimers(rc *repConn) {
-	n.sim.Cancel(rc.finDelayTimer)
-	n.sim.Cancel(rc.finDisagreeTimer)
-	n.sim.Cancel(rc.majorityTimer)
+	rc.finDelayTimer.Stop()
+	rc.finDisagreeTimer.Stop()
+	rc.majorityTimer.Stop()
 	rc.finDelayTimer, rc.finDisagreeTimer, rc.majorityTimer = nil, nil, nil
 }
 

@@ -21,7 +21,6 @@ import (
 // beat makes the node flag itself failed in its very next heartbeat, so
 // the peer can act immediately.
 type Watchdog struct {
-	sim     *sim.Simulator
 	name    string
 	tracer  *trace.Recorder
 	timeout time.Duration
@@ -30,18 +29,21 @@ type Watchdog struct {
 	// wire it to (*Node).ReportLocalAppFailure.
 	OnSuspect func()
 
-	timer   *sim.Event
+	timer   *sim.Timer
 	expired bool
 	beats   int64
 }
 
-// NewWatchdog creates a watchdog that suspects the application if Beat is
-// not called for timeout. Monitoring starts at the first Beat.
-func NewWatchdog(s *sim.Simulator, name string, timeout time.Duration, tracer *trace.Recorder) *Watchdog {
+// NewWatchdog creates a watchdog on the host's clock that suspects the
+// application if Beat is not called for timeout. Monitoring starts at the
+// first Beat.
+func NewWatchdog(clock *sim.Clock, name string, timeout time.Duration, tracer *trace.Recorder) *Watchdog {
 	if timeout <= 0 {
 		timeout = time.Second
 	}
-	return &Watchdog{sim: s, name: name, tracer: tracer, timeout: timeout}
+	w := &Watchdog{name: name, tracer: tracer, timeout: timeout}
+	w.timer = clock.NewTimer(w.expire)
+	return w
 }
 
 // Beat reports the application alive and re-arms the deadline.
@@ -50,8 +52,7 @@ func (w *Watchdog) Beat() {
 		return
 	}
 	w.beats++
-	w.sim.Cancel(w.timer)
-	w.timer = w.sim.Schedule(w.timeout, w.expire)
+	w.timer.Arm(w.timeout)
 }
 
 // Beats reports how many beats have been received.
@@ -61,17 +62,13 @@ func (w *Watchdog) Beats() int64 { return w.beats }
 func (w *Watchdog) Expired() bool { return w.expired }
 
 // Stop disarms the watchdog (clean application shutdown).
-func (w *Watchdog) Stop() {
-	w.sim.Cancel(w.timer)
-	w.timer = nil
-}
+func (w *Watchdog) Stop() { w.timer.Stop() }
 
 func (w *Watchdog) expire() {
 	if w.expired {
 		return
 	}
 	w.expired = true
-	w.timer = nil
 	w.tracer.Emit(trace.KindSuspect, w.name, "watchdog: application missed its %v deadline", w.timeout)
 	if w.OnSuspect != nil {
 		w.OnSuspect()

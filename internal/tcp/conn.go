@@ -1221,8 +1221,9 @@ func (c *Conn) noteCwnd() {
 // asynchronously (as zero-delay events) so that protocol processing
 // triggered from inside an application's Read/Write call can never
 // re-enter the application synchronously. Deliveries are coalesced, and
-// the prebound callbacks ride pooled Post events, so steady-state data
-// delivery allocates nothing here.
+// the prebound callbacks ride the host clock's pooled posts, so
+// steady-state data delivery allocates nothing here and a crash drops a
+// pending one.
 //
 //sttcp:hotpath
 func (c *Conn) notifyReadable() {
@@ -1230,7 +1231,7 @@ func (c *Conn) notifyReadable() {
 		return
 	}
 	c.readablePending = true
-	c.stack.sim.Post(0, c.readableFn)
+	c.stack.clock.Post(0, c.readableFn)
 }
 
 //sttcp:hotpath
@@ -1239,7 +1240,7 @@ func (c *Conn) notifyWritable() {
 		return
 	}
 	c.writablePending = true
-	c.stack.sim.Post(0, c.writableFn)
+	c.stack.clock.Post(0, c.writableFn)
 }
 
 func (c *Conn) deliverReadable() {

@@ -38,15 +38,16 @@ func newPair(t *testing.T, seed int64, linkCfg netem.LinkConfig, opts Options) *
 	link.Attach(nicA, nicB)
 	nicA.AttachToLink(link, true)
 	nicB.AttachToLink(link, false)
-	nsA := netstack.New(s, "a", nicA, addrA)
-	nsB := netstack.New(s, "b", nicB, addrB)
+	clockA, clockB := sim.NewClock(s), sim.NewClock(s)
+	nsA := netstack.New(clockA, "a", nicA, addrA)
+	nsB := netstack.New(clockB, "b", nicB, addrB)
 	return &pairHarness{
 		sim:    s,
 		link:   link,
 		nicA:   nicA,
 		nicB:   nicB,
-		stackA: NewStack(s, nsA, "a", opts, tracer, nil),
-		stackB: NewStack(s, nsB, "b", opts, tracer, nil),
+		stackA: NewStack(clockA, nsA, "a", opts, tracer, nil),
+		stackB: NewStack(clockB, nsB, "b", opts, tracer, nil),
 		tracer: tracer,
 	}
 }

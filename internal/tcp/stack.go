@@ -137,6 +137,7 @@ func (l *Listener) Port() uint16 { return l.port }
 // inbound segments, and emits outbound segments through the netstack.
 type Stack struct {
 	sim    *sim.Simulator
+	clock  *sim.Clock // the host's: every connection timer and notification arms here
 	ns     *netstack.Stack
 	name   string
 	opts   Options
@@ -212,12 +213,14 @@ func (st *Stack) releaseSegment(seg *Segment) {
 }
 
 // NewStack creates a TCP layer on top of ns and registers itself as the
-// netstack's TCP handler. reg may be nil, in which case the stack keeps
-// only its legacy public counters.
-func NewStack(s *sim.Simulator, ns *netstack.Stack, name string, opts Options, tracer *trace.Recorder, reg *metrics.Registry) *Stack {
+// netstack's TCP handler. Its connection timers arm on the host's clock.
+// reg may be nil, in which case the stack keeps only its legacy public
+// counters.
+func NewStack(clock *sim.Clock, ns *netstack.Stack, name string, opts Options, tracer *trace.Recorder, reg *metrics.Registry) *Stack {
 	opts.fillDefaults()
 	st := &Stack{
-		sim:       s,
+		sim:       clock.Sim(),
+		clock:     clock,
 		ns:        ns,
 		name:      name,
 		opts:      opts,
@@ -317,6 +320,11 @@ func (st *Stack) chooseISN() uint32 {
 	return st.sim.Rand().Uint32()
 }
 
+// newRTOTimer builds a connection's retransmission timer on the host clock.
+// It is a variable so a test can seed the defect dead-host-silence exists to
+// catch: the timer on the raw simulator, where a crash does not stop it.
+var newRTOTimer = func(st *Stack, fn func()) *sim.Timer { return st.clock.NewTimer(fn) }
+
 func (st *Stack) newConn(id ConnID) *Conn {
 	c := &Conn{
 		stack: st,
@@ -328,10 +336,10 @@ func (st *Stack) newConn(id ConnID) *Conn {
 	}
 	// All per-connection timers and notification callbacks are bound here,
 	// once, so the per-segment path re-arms and re-posts without allocating.
-	c.retransTimer = st.sim.NewTimer(c.onRetransTimeout)
-	c.persistTimer = st.sim.NewTimer(c.onPersistTimeout)
-	c.timeWaitTimer = st.sim.NewTimer(c.onTimeWaitExpired)
-	c.delAckTimer = st.sim.NewTimer(c.onDelAckTimeout)
+	c.retransTimer = newRTOTimer(st, c.onRetransTimeout)
+	c.persistTimer = st.clock.NewTimer(c.onPersistTimeout)
+	c.timeWaitTimer = st.clock.NewTimer(c.onTimeWaitExpired)
+	c.delAckTimer = st.clock.NewTimer(c.onDelAckTimeout)
 	c.readableFn = c.deliverReadable
 	c.writableFn = c.deliverWritable
 	c.resetCongestion()
@@ -392,15 +400,8 @@ func (st *Stack) noteReceived() {
 	st.mReceived.Inc()
 }
 
-// emit transmits a segment for conn through the IP layer. A stack whose
-// netstack is down (OS crash) transmits — and counts — nothing: timers
-// armed before the crash may still fire, and a dead machine putting
-// segments on its own books would corrupt per-host accounting across a
-// reboot (the registry deduplicates instruments by name).
+// emit transmits a segment for conn through the IP layer.
 func (st *Stack) emit(c *Conn, seg *Segment) {
-	if st.ns.IsDown() {
-		return
-	}
 	st.noteEmit()
 	if st.OnTransmit != nil {
 		st.OnTransmit(c, seg)
