@@ -84,7 +84,8 @@ type clientCore struct {
 	tracer *trace.Recorder
 	name   string
 	conn   *tcp.Conn
-	// buf is the one scratch every Read lands in.
+	// buf is the one scratch every Read lands in; finish drops it, as
+	// every reader returns early once Done.
 	buf []byte
 
 	// Telemetry, when non-nil, receives per-delivery progress and
@@ -172,6 +173,7 @@ func (c *clientCore) finish(err error, emitDone func()) {
 		return
 	}
 	c.Done, c.Err, c.finished = true, err, c.sim.Now()
+	c.buf = nil
 	emitDone()
 	if c.OnDone != nil {
 		c.OnDone(err)

@@ -155,8 +155,9 @@ func (h *Host) Crashed() bool { return h.crashed }
 
 // CrashHW simulates a hardware or OS crash: the NIC goes silent, the
 // serial port drops, registered crash hooks run, and both clocks stop, so
-// no timer the host's software armed fires again. This is Table 1 row 1's
-// injected failure.
+// no timer the host's software armed fires again; the TCP stack then lets
+// go of its connections' buffers. This is Table 1 row 1's injected
+// failure.
 func (h *Host) CrashHW() {
 	h.crash(trace.KindHostCrash, "HW/OS crash")
 }
@@ -182,6 +183,7 @@ func (h *Host) crash(kind trace.Kind, why string) {
 	}
 	h.timerClock.Stop()
 	h.cpuClock.Stop()
+	h.tcp.Crash()
 }
 
 // FailNIC injects a NIC failure (Demo 5): the Ethernet interface goes

@@ -84,7 +84,7 @@ type Link struct {
 	// Frame buffers and delivery records are pooled so steady-state
 	// traffic allocates nothing per frame. Each in-flight frame owns one
 	// delivery record and one pooled buffer; both return to their pools
-	// when its delivery completes.
+	// when its delivery completes, each pool keeping at most poolFrames.
 	pool       bufPool
 	deliveries []*delivery
 }
@@ -326,8 +326,10 @@ func (l *Link) drain(side *linkSide) {
 // pools.
 func (l *Link) deliverNow(d *delivery) {
 	frame, peer, ctx := d.frame, d.peer, d.ctx
-	d.frame, d.peer, d.ctx = nil, nil, 0
-	l.deliveries = append(l.deliveries, d)
+	if len(l.deliveries) < poolFrames {
+		*d = delivery{}
+		l.deliveries = append(l.deliveries, d)
+	}
 	prev := l.sim.Context()
 	l.sim.SetContext(ctx)
 	l.Delivered++

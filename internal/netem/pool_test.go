@@ -140,3 +140,35 @@ func TestDeliverFrameBufValidForTheWholeCall(t *testing.T) {
 		t.Fatalf("delivered %d frames, want %d", checked, frames)
 	}
 }
+
+// TestLinkPoolsAreBounded sends a burst of 1,000 frames through one link,
+// all in flight at once: once they are delivered each pool keeps at most
+// poolFrames, and a frame of the steady state after the burst is still a
+// reused buffer.
+func TestLinkPoolsAreBounded(t *testing.T) {
+	s := sim.New(1)
+	link := NewLink(s, LinkConfig{BitsPerSecond: 1_000_000, Delay: time.Millisecond})
+	var last *byte
+	link.Attach(endpointFunc(func([]byte) {}), endpointFunc(func(buf []byte) { last = &buf[0] }))
+	frame := make([]byte, 200)
+	for i := 0; i < 1000; i++ {
+		link.TransmitFromA(frame)
+	}
+	if err := s.Run(time.Minute); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if len(link.pool.free) != poolFrames || len(link.deliveries) != poolFrames {
+		t.Fatalf("after the burst the pools keep %d frames and %d delivery records, want %d each", len(link.pool.free), len(link.deliveries), poolFrames)
+	}
+	var seen []*byte
+	for i := 0; i < 2; i++ {
+		link.TransmitFromA(frame)
+		if err := s.Run(time.Minute); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		seen = append(seen, last)
+	}
+	if seen[0] != seen[1] {
+		t.Fatal("a steady-state frame did not reuse the pooled buffer")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"repro/internal/metrics"
+	"repro/internal/netem"
 )
 
 // ErrReleased reports a Slice below a Window's base: the bytes were
@@ -26,7 +27,10 @@ var ErrReleased = errors.New("tcp: requested bytes already released")
 // every payload byte is then copied in once by Write and never moved
 // again. The ring is grown on demand, by doubling, up to the configured
 // capacity and never beyond it, so a connection that only ever has a few
-// bytes outstanding holds only those.
+// bytes outstanding holds only those. An empty window whose stream has no
+// use for it any more drops the ring (drop): a connection whose peer has
+// finished, once every byte is acknowledged, and every window of a crashed
+// host. A later Write grows a new one.
 type Window struct {
 	ring []byte // backing store; len(ring) <= cap is what has been grown so far
 	head int    // index in ring of the byte at stream offset base
@@ -88,6 +92,15 @@ func (b *Window) grow(need int) {
 	ring := make([]byte, size)
 	b.copyOut(ring[:b.n], 0)
 	b.ring, b.head = ring, 0
+}
+
+// drop lets go of the ring and its scratch; nothing may be held (n == 0).
+// The race build poisons both first, so an alias a Slice caller kept reads
+// 0xDB.
+func (b *Window) drop() {
+	netem.Poison(b.ring)
+	netem.Poison(b.wrapped[:cap(b.wrapped)])
+	b.ring, b.wrapped, b.head = nil, nil, 0
 }
 
 // copyOut fills dst with the held bytes from distance i from the oldest

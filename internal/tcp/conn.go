@@ -608,7 +608,6 @@ func (c *Conn) handleSynSent(seg *Segment) {
 	c.sndUna = 0
 	c.sndWnd = int(seg.Window)
 	c.cancelRetransTimer()
-	c.takeRTTSample()
 	c.setState(StateEstablished)
 	c.trace(trace.KindConnEstablished, "active open to %v:%d", c.id.RemoteAddr, c.id.RemotePort)
 	c.sendControl(FlagACK)
@@ -701,6 +700,7 @@ func (c *Conn) advanceUna(ackOff int64) {
 		relTo = c.sb.End()
 	}
 	c.sb.Release(relTo)
+	c.dropSendRing()
 
 	if c.rtPending && ackOff > c.rtOffset {
 		c.updateRTT(c.stack.sim.Elapsed() - c.rtStart)
@@ -725,6 +725,15 @@ func (c *Conn) advanceUna(ackOff int64) {
 		c.cancelRetransTimer()
 	}
 	c.notifyWritable()
+}
+
+// dropSendRing lets go of the send ring once the peer has finished and
+// every byte is acknowledged: a connection in CLOSE_WAIT, or one waiting
+// out its own close, holds no send storage. Write regrows it.
+func (c *Conn) dropSendRing() {
+	if c.peerFINSeen && c.sb.Len() == 0 {
+		c.sb.drop()
+	}
 }
 
 func (c *Conn) applyWindow(seg *Segment) {
@@ -788,6 +797,7 @@ func (c *Conn) processPeerFIN(finOff int64) {
 		c.peerFINSeen = true
 		c.peerFINOff = finOff
 		c.rb.next = finOff + 1
+		c.dropSendRing()
 	}
 	c.sendControl(FlagACK)
 	switch c.state {
@@ -1158,11 +1168,6 @@ func (c *Conn) startRTTSample(off int64) {
 	c.rtPending = true
 	c.rtOffset = off
 	c.rtStart = c.stack.sim.Elapsed()
-}
-
-// takeRTTSample seeds the estimator from the handshake round trip.
-func (c *Conn) takeRTTSample() {
-	// The SYN's RTT is unknown here (no timestamp kept); keep defaults.
 }
 
 func (c *Conn) updateRTT(sample time.Duration) {

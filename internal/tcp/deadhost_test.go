@@ -1,10 +1,17 @@
 package tcp_test
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/experiment"
+	"repro/internal/ip"
+	"repro/internal/netem"
+	"repro/internal/sim"
 	"repro/internal/tcp"
 )
 
@@ -32,5 +39,81 @@ func TestRawRTOTimerBreaksDeadHostSilence(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error lacks %q:\n%v", want, err)
 		}
+	}
+}
+
+// TestCrashReleasesTheStacksBuffers crashes a host whose connections hold
+// bytes in both windows, some unacknowledged: afterwards every connection
+// of the dead stack holds no storage, and a Slice of bytes it held reports
+// ErrReleased. The rebooted host serves again on its new stack.
+func TestCrashReleasesTheStacksBuffers(t *testing.T) {
+	s := sim.New(1)
+	sw := netem.NewSwitch(s, "sw", time.Microsecond)
+	client := cluster.New(s, cluster.HostConfig{Name: "client", EthNum: 1, Addr: ip.MakeAddr(10, 0, 0, 1)})
+	server := cluster.New(s, cluster.HostConfig{Name: "server", EthNum: 2, Addr: ip.MakeAddr(10, 0, 0, 2)})
+	client.ConnectToSwitch(sw, netem.DefaultLANConfig())
+	server.ConnectToSwitch(sw, netem.DefaultLANConfig())
+	payload := make([]byte, 64<<10)
+	for i := range payload {
+		payload[i] = byte(i*31 + i>>9)
+	}
+	// serve answers every connection with payload and reads nothing.
+	serve := func() {
+		l, err := server.TCP().Listen(server.Netstack().Addr(), 80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.OnEstablished = func(c *tcp.Conn) { _, _ = c.Write(payload) }
+	}
+	dial := func() *tcp.Conn {
+		c, err := client.TCP().Dial(client.Netstack().Addr(), server.Netstack().Addr(), 80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.OnEstablished = func() { _, _ = c.Write(payload[:4096]) }
+		return c
+	}
+
+	serve()
+	for i := 0; i < 3; i++ {
+		dial()
+	}
+	_ = s.Run(2 * time.Millisecond)
+	conns := server.TCP().Conns()
+	held := make([]int64, len(conns))
+	for i, c := range conns {
+		sb := c.SendWindow()
+		if c.Storage() == 0 || sb.Len() == 0 || c.Buffered() == 0 {
+			t.Fatalf("before the crash %v holds %d bytes of storage, %d unacknowledged, %d unread; the case needs all three", c.ID(), c.Storage(), sb.Len(), c.Buffered())
+		}
+		held[i] = sb.Base()
+	}
+	if len(conns) != 3 {
+		t.Fatalf("server has %d connections, want 3", len(conns))
+	}
+
+	server.CrashHW()
+	for i, c := range conns {
+		if n := c.Storage(); n != 0 {
+			t.Errorf("%v holds %d bytes of storage after the crash", c.ID(), n)
+		}
+		if _, err := c.SendWindow().Slice(held[i], 1); !errors.Is(err, tcp.ErrReleased) {
+			t.Errorf("%v: Slice of a held byte after the crash = %v, want ErrReleased", c.ID(), err)
+		}
+	}
+
+	server.Reboot()
+	serve()
+	c := dial()
+	var got []byte
+	buf := make([]byte, 4096)
+	c.OnReadable = func() {
+		for n, _ := c.Read(buf); n > 0; n, _ = c.Read(buf) {
+			got = append(got, buf[:n]...)
+		}
+	}
+	_ = s.Run(time.Second)
+	if !bytes.Equal(got, payload) {
+		t.Fatalf("after the reboot the client read %d of %d bytes, or not the ones served", len(got), len(payload))
 	}
 }

@@ -11,3 +11,11 @@ func SeedRawRTOTimer() (undo func()) {
 	newRTOTimer = func(st *Stack, fn func()) *sim.Timer { return st.sim.NewTimer(fn) }
 	return func() { newRTOTimer = prev }
 }
+
+// Storage reports the bytes of ring and scratch c's two windows hold.
+func (c *Conn) Storage() int {
+	return cap(c.sb.ring) + cap(c.sb.wrapped) + cap(c.rb.win.ring) + cap(c.rb.win.wrapped)
+}
+
+// SendWindow returns c's send buffer.
+func (c *Conn) SendWindow() *Window { return c.sb }

@@ -261,6 +261,20 @@ func (st *Stack) Conns() []*Conn {
 	return out
 }
 
+// Crash lets go of every connection's buffers once the host is dead:
+// nothing runs on it again, and a reboot builds a new stack. Each window is
+// released to its end, so a Slice of it reports ErrReleased, and its
+// storage dropped; so are the bytes waiting beyond a hole.
+func (st *Stack) Crash() {
+	for _, c := range st.conns {
+		for _, w := range []*Window{c.sb, &c.rb.win} {
+			w.Release(w.End())
+			w.drop()
+		}
+		c.rb.ooo, c.rb.oooHeld = nil, 0
+	}
+}
+
 // Lookup finds the connection with the given 4-tuple.
 func (st *Stack) Lookup(id ConnID) (*Conn, bool) {
 	c, ok := st.conns[id]
