@@ -252,8 +252,8 @@ func TestDataServerCrashCleanupClosesConns(t *testing.T) {
 	})
 	_ = cl.Start()
 	_ = f.sim.Run(500 * time.Millisecond)
-	if srv.ActiveConns() != 1 {
-		t.Fatalf("active conns = %d", srv.ActiveConns())
+	if len(srv.conns) != 1 {
+		t.Fatalf("active conns = %d", len(srv.conns))
 	}
 	srv.CrashCleanup(false)
 	_ = f.sim.Run(5 * time.Second)

@@ -84,8 +84,9 @@ type clientCore struct {
 	tracer *trace.Recorder
 	name   string
 	conn   *tcp.Conn
-	// buf is the one scratch every Read lands in; finish drops it, as
-	// every reader returns early once Done.
+	// buf is the one scratch the echo and reconnecting clients Read into
+	// (the stream client verifies its receive buffer in place); finish
+	// drops it, as every reader returns early once Done.
 	buf []byte
 
 	// Telemetry, when non-nil, receives per-delivery progress and
@@ -144,9 +145,16 @@ func (c *clientCore) Elapsed() time.Duration {
 	return end.Sub(c.started)
 }
 
-// verify checks p against the pattern at stream offset off.
-func (c *clientCore) verify(off int64, p []byte) {
-	if bad := VerifyPattern(off, p); bad >= 0 {
+// verify checks one delivery, first then second, against the pattern from
+// stream offset off; a delivery with a mismatch counts once.
+func (c *clientCore) verify(off int64, first, second []byte) {
+	bad := VerifyPattern(off, first)
+	if bad < 0 {
+		if bad = VerifyPattern(off+int64(len(first)), second); bad >= 0 {
+			bad += len(first)
+		}
+	}
+	if bad >= 0 {
 		c.VerifyFailures++
 		c.tracer.Emit(trace.KindGeneric, c.name, "pattern mismatch at offset %d", off+int64(bad))
 	}
@@ -265,16 +273,13 @@ func (cl *StreamClient) readable() {
 		return
 	}
 	for {
-		// Read returns at most what is buffered, so the scratch grows on
-		// demand to that, up to 32 KiB, instead of 32 KiB per client.
-		want := min(32<<10, cl.conn.Buffered())
-		if cap(cl.buf) < want {
-			cl.buf = make([]byte, want)
-		}
-		buf := cl.buf[:want]
-		n, err := cl.conn.Read(buf)
-		if n > 0 {
-			cl.deliver(buf[:n])
+		first, second, err := cl.conn.Peek(32 << 10)
+		if n := len(first) + len(second); n > 0 {
+			// Verified before Discard ends the spans, recorded after it,
+			// where a Read's delivery was.
+			cl.verify(cl.Received, first, second)
+			cl.conn.Discard(n)
+			cl.deliver(n)
 			if cl.Received >= cl.Request {
 				_ = cl.conn.Close()
 				cl.finish(nil)
@@ -296,13 +301,12 @@ func (cl *StreamClient) readable() {
 	}
 }
 
-// deliver verifies one delivery and records it. The event is per-packet
-// narrative, so it is built only when detail is on; otherwise the steady
-// state allocates nothing (TestClientDeliveryDoesNotAllocate).
-func (cl *StreamClient) deliver(p []byte) {
-	cl.verify(cl.Received, p)
-	cl.Received += int64(len(p))
-	cl.record(len(p), cl.Received)
+// deliver records one delivery of n verified bytes. The event is
+// per-packet narrative, so it is built only when detail is on; otherwise
+// the steady state allocates nothing (TestClientDeliveryDoesNotAllocate).
+func (cl *StreamClient) deliver(n int) {
+	cl.Received += int64(n)
+	cl.record(n, cl.Received)
 	if cl.tracer.Detail() {
 		cl.tracer.EmitValue(trace.KindAppProgress, cl.name, cl.Received, "received %d bytes", cl.Received)
 	}

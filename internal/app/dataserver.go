@@ -25,12 +25,6 @@ type DataServer struct {
 
 	// CloseAfterServe closes the connection after the response bytes.
 	CloseAfterServe bool
-	// MaxChunk bounds each Write call (0 means 16 KiB).
-	MaxChunk int
-
-	// chunk is the one scratch area every pump fills and writes from;
-	// Write copies out of it before returning.
-	chunk []byte
 
 	// BytesServed totals response bytes written across connections.
 	BytesServed int64
@@ -67,54 +61,51 @@ func (s *DataServer) Accept(c *tcp.Conn) {
 	s.readable(c, st)
 }
 
-// ActiveConns reports the number of live connections.
-func (s *DataServer) ActiveConns() int { return len(s.conns) }
-
+// readable consumes what the client sent in place: the request line,
+// gathered in reqBuf until its newline is in, and anything after it.
 func (s *DataServer) readable(c *tcp.Conn, st *serveState) {
 	if s.crashed {
 		return
 	}
-	buf := make([]byte, 512)
-	for {
-		n, err := c.Read(buf)
-		if n == 0 || err != nil {
-			return
-		}
-		if st.started {
-			continue // drain anything after the request line
-		}
-		st.reqBuf.Write(buf[:n])
-		line := st.reqBuf.String()
-		idx := strings.IndexByte(line, '\n')
-		if idx < 0 {
-			continue
-		}
-		nbytes, off, err := parseRequest(line[:idx])
-		if err != nil {
-			c.Abort()
-			return
-		}
-		st.started = true
-		st.writeOff = off
-		st.remain = nbytes
-		s.RequestsServed++
-		s.tracer.EmitValue(trace.KindGeneric, s.name, nbytes, "request for %d bytes on %v", nbytes, c.ID())
-		s.writable(c, st)
+	first, second, _ := c.Peek(c.Buffered())
+	n := len(first) + len(second)
+	if n == 0 {
+		return
 	}
+	if !st.started {
+		st.reqBuf.Write(first)
+		st.reqBuf.Write(second)
+	}
+	c.Discard(n)
+	if st.started {
+		return // drain anything after the request line
+	}
+	line := st.reqBuf.String()
+	idx := strings.IndexByte(line, '\n')
+	if idx < 0 {
+		return
+	}
+	nbytes, off, err := parseRequest(line[:idx])
+	if err != nil {
+		c.Abort()
+		return
+	}
+	st.started = true
+	st.writeOff = off
+	st.remain = nbytes
+	s.RequestsServed++
+	s.tracer.EmitValue(trace.KindGeneric, s.name, nbytes, "request for %d bytes on %v", nbytes, c.ID())
+	s.writable(c, st)
 }
 
-// writable pumps response bytes until the send buffer is full or the
-// response is complete.
+// writable generates as much of the response as the send buffer takes,
+// straight into it, until the buffer is full or the response complete.
 func (s *DataServer) writable(c *tcp.Conn, st *serveState) {
 	if s.crashed || !st.started {
 		return
 	}
-	for st.remain > 0 {
-		chunk := s.fill(st, c.WriteSpace())
-		if len(chunk) == 0 {
-			return
-		}
-		written, err := c.Write(chunk)
+	if st.remain > 0 {
+		written, err := c.WriteFunc(int(min(int64(c.WriteSpace()), st.remain)), st.fill)
 		if err != nil || written == 0 {
 			return
 		}
@@ -128,24 +119,13 @@ func (s *DataServer) writable(c *tcp.Conn, st *serveState) {
 	}
 }
 
-// fill generates the next bytes of st's response in the server's scratch
-// chunk: min(MaxChunk, remaining, space) of them, space being what the
-// connection will accept. Offering only that much means no byte is
-// generated twice, and Write accepts exactly what it would have accepted
-// of a full chunk.
+// fill writes the next response bytes into the send-buffer spans
+// WriteFunc hands it.
 //
 //sttcp:hotpath
-func (s *DataServer) fill(st *serveState, space int) []byte {
-	chunkSize := s.MaxChunk
-	if chunkSize <= 0 {
-		chunkSize = 16 << 10
-	}
-	if len(s.chunk) != chunkSize {
-		s.chunk = make([]byte, chunkSize)
-	}
-	n := min(int64(chunkSize), int64(space), st.remain)
-	FillPattern(st.writeOff, s.chunk[:n])
-	return s.chunk[:n]
+func (st *serveState) fill(first, second []byte) {
+	FillPattern(st.writeOff, first)
+	FillPattern(st.writeOff+int64(len(first)), second)
 }
 
 // parseRequest parses "GET <nbytes>" or the resuming form

@@ -17,16 +17,16 @@ type pumpSample struct {
 	written int64
 }
 
-// offerWholeChunks is the pump DataServer had before it filled only what
-// fits: every Write offers a whole maxChunk (or all that remains) and the
-// connection clips it. It is the reference the fill-what-fits pump must be
+// offerWholeChunks is a pump through Conn.Write: every Write offers a
+// whole chunk (or all that remains) and the connection clips it to its
+// free space. It is the reference the in-place pump must be
 // indistinguishable from, seen from the connection.
-func offerWholeChunks(c *tcp.Conn, maxChunk int, off, remain *int64) {
-	chunk := make([]byte, maxChunk)
+func offerWholeChunks(c *tcp.Conn, chunk int, off, remain *int64) {
+	p := make([]byte, chunk)
 	for *remain > 0 {
-		n := min(int64(len(chunk)), *remain)
-		FillPattern(*off, chunk[:n])
-		written, err := c.Write(chunk[:n])
+		n := min(int64(len(p)), *remain)
+		FillPattern(*off, p[:n])
+		written, err := c.Write(p[:n])
 		if err != nil || written == 0 {
 			return
 		}
@@ -71,22 +71,25 @@ func servePumps(t *testing.T, recvBuf int, size int64, accept func(*tcp.Conn)) [
 	return samples
 }
 
-// TestDataServerPumpMatchesWholeChunkOffers: filling only what the send
-// buffer will take must not change what the connection sees. The response
-// outgrows the 256 KiB send buffer, so the pump runs on a full buffer that
-// each acknowledgement frees a window's worth of: for a client receive
-// buffer (buf) smaller than, equal to and larger than MaxChunk, and MaxChunk
-// of one byte, one MSS and the 16 KiB default, the write position after
-// every pump — the LastAppByteWritten each heartbeat reports — is at every
-// virtual instant what the whole-chunk pump produced, and the client
-// verifies every byte.
+// TestDataServerPumpMatchesWholeChunkOffers: generating the response
+// straight into the send buffer must not change what the connection sees.
+// The response outgrows the 256 KiB send buffer, so the pump runs on a full
+// buffer that each acknowledgement frees a window's worth of: for a client
+// receive buffer (buf) smaller than, equal to and larger than the old 16 KiB
+// chunk, the write position after every pump — the LastAppByteWritten each
+// heartbeat reports — is at every virtual instant what a pump through
+// Conn.Write produced, offering the whole response (chunk "whole"), one MSS
+// or 16 KiB per Write, and the client verifies every byte.
 func TestDataServerPumpMatchesWholeChunkOffers(t *testing.T) {
 	const size = 300_007
 	for _, recvBuf := range []int{4096, 16 << 10, 256 << 10} {
-		for _, maxChunk := range []int{1, 1460, 16 << 10} {
-			t.Run(fmt.Sprintf("buf%d/chunk%d", recvBuf, maxChunk), func(t *testing.T) {
+		for _, chunk := range []int{1460, 16 << 10, size} {
+			name := fmt.Sprintf("buf%d/chunk%d", recvBuf, chunk)
+			if chunk == size {
+				name = fmt.Sprintf("buf%d/whole", recvBuf)
+			}
+			t.Run(name, func(t *testing.T) {
 				srv := NewDataServer("server/app", nil)
-				srv.MaxChunk = maxChunk
 				got := servePumps(t, recvBuf, size, srv.Accept)
 				if srv.BytesServed != size {
 					t.Fatalf("BytesServed = %d, want %d", srv.BytesServed, size)
@@ -105,13 +108,13 @@ func TestDataServerPumpMatchesWholeChunkOffers(t *testing.T) {
 								started, remain = true, size
 							}
 						}
-						offerWholeChunks(c, maxChunk, &off, &remain)
+						offerWholeChunks(c, chunk, &off, &remain)
 					}
-					c.OnWritable = func() { offerWholeChunks(c, maxChunk, &off, &remain) }
+					c.OnWritable = func() { offerWholeChunks(c, chunk, &off, &remain) }
 				})
 
 				if len(got) != len(want) {
-					t.Fatalf("%d pumps, whole-chunk reference %d", len(got), len(want))
+					t.Fatalf("%d pumps, reference %d", len(got), len(want))
 				}
 				for i := range got {
 					if got[i] != want[i] {
@@ -156,23 +159,56 @@ func parkedServer(t *testing.T) (*DataServer, *tcp.Conn, *serveState) {
 }
 
 // TestDataServerPumpDoesNotAllocate is the gate a 16 KiB scratch chunk per
-// pump slipped past: after the first pump has sized the server's scratch
-// area, a pump allocates nothing — neither the wake-up that finds the send
-// buffer still full (most of them, on a window-limited connection) nor the
-// generation of the next bytes when there is room.
+// pump slipped past: a pump allocates nothing — neither the wake-up that
+// finds the send buffer still full (most of them, on a window-limited
+// connection) nor, once the send ring has grown to its size, the
+// generation of the next bytes straight into it when there is room.
 func TestDataServerPumpDoesNotAllocate(t *testing.T) {
 	srv, conn, st := parkedServer(t)
 	if n := testing.AllocsPerRun(1000, func() { srv.writable(conn, st) }); n != 0 {
 		t.Fatalf("pump on a full send buffer allocated %.1f times, want 0", n)
 	}
-	space := 0
-	if n := testing.AllocsPerRun(1000, func() {
-		space = (space + 1460) % (20 << 10)
-		if got := len(srv.fill(st, space)); got != min(space, 16<<10) {
-			t.Fatalf("fill(%d) generated %d bytes", space, got)
+
+	// A response larger than the send buffer, read as it comes, grows the
+	// server's send ring to its size; then the client stops reading, and
+	// the server's next bytes close its small receive window, so the
+	// pumps below write into the ring and send nothing.
+	f := newFixtureOpts(t, 12, tcp.Options{RecvBufferSize: 4096})
+	srv = NewDataServer("server/app", nil)
+	l, err := f.server.Listen(addrServer, 80)
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	l.OnEstablished = func(c *tcp.Conn) { conn = c; srv.Accept(c) }
+	c, err := f.client.Dial(addrClient, addrServer, 80)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	const size = 300_000
+	c.OnEstablished = func() { _, _ = c.Write([]byte(FormatRequest(size))) }
+	sink := make([]byte, 4096)
+	c.OnReadable = func() {
+		for n, _ := c.Read(sink); n > 0; n, _ = c.Read(sink) {
 		}
+	}
+	_ = f.sim.Run(5 * time.Second)
+	st = srv.conns[conn]
+	if st == nil || srv.BytesServed != size || conn.WriteSpace() != 256<<10 { // the send buffer's size
+		t.Fatalf("set-up: served %d of %d bytes, %v bytes free", srv.BytesServed, size, conn.WriteSpace())
+	}
+	c.OnReadable = nil
+	st.remain = 2 * 4096
+	srv.writable(conn, st)
+	_ = f.sim.Run(time.Second)
+	const runs, each = 1000, 100
+	if n := testing.AllocsPerRun(runs, func() {
+		st.remain = each
+		srv.writable(conn, st)
 	}); n != 0 {
-		t.Fatalf("fill allocated %.1f times, want 0", n)
+		t.Fatalf("in-place pump with room allocated %.1f times, want 0", n)
+	}
+	if got, want := conn.LastAppByteWritten(), int64(size+2*4096+(runs+1)*each); got != want {
+		t.Fatalf("write position %d after the pumps, want %d", got, want)
 	}
 }
 
@@ -194,7 +230,8 @@ func TestClientDeliveryDoesNotAllocate(t *testing.T) {
 	p := make([]byte, tcp.DefaultMSS)
 	deliver := func() {
 		FillPattern(cl.Received, p)
-		cl.deliver(p)
+		cl.verify(cl.Received, p[:1000], p[1000:])
+		cl.deliver(len(p))
 	}
 	if n := testing.AllocsPerRun(runs, deliver); n != 0 {
 		t.Fatalf("a delivery with detail off allocated %.1f times, want 0", n)
@@ -215,6 +252,9 @@ func TestClientDeliveryDoesNotAllocate(t *testing.T) {
 // DataServer and StreamClient, after a warm-up one, stays within the
 // per-segment budgets for objects and for bytes. The pump's per-call chunk
 // read 17 KB per segment here while the stack-only test read under 1 KB.
+// The byte budget is the one the send ring's growth must fit: most of the
+// 131 B a segment reads is the server's 256 KiB ring, allocated once; grown
+// by doubling from 16 KiB writes, it read 215 B.
 func TestDataServerDownloadAllocBudget(t *testing.T) {
 	f := newFixture(t, 13)
 	srv := NewDataServer("server/app", nil)
@@ -237,7 +277,7 @@ func TestDataServerDownloadAllocBudget(t *testing.T) {
 			t.Fatalf("client: done=%v err=%v verifyFailures=%d", cl.Done, cl.Err, cl.VerifyFailures)
 		}
 	}
-	download() // pools, free lists and the server's scratch chunk reach steady state
+	download() // pools and free lists reach steady state
 
 	segsBefore := f.client.Emitted + f.server.Emitted
 	var before, after runtime.MemStats
@@ -253,7 +293,7 @@ func TestDataServerDownloadAllocBudget(t *testing.T) {
 	perSeg := float64(after.Mallocs-before.Mallocs) / segs
 	bytesPerSeg := float64(after.TotalAlloc-before.TotalAlloc) / segs
 	t.Logf("%.0f segments, %.2f allocs/segment, %.0f B/segment", segs, perSeg, bytesPerSeg)
-	if perSeg > 6 || bytesPerSeg > 2<<10 {
-		t.Fatalf("download allocates %.2f objects and %.0f B per segment, budget 6 and %d", perSeg, bytesPerSeg, 2<<10)
+	if perSeg > 6 || bytesPerSeg > 160 {
+		t.Fatalf("download allocates %.2f objects and %.0f B per segment, budget 6 and 160", perSeg, bytesPerSeg)
 	}
 }

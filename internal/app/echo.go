@@ -179,7 +179,7 @@ func (cl *EchoClient) readable() {
 		if n == 0 {
 			return
 		}
-		cl.verify(cl.echoed, cl.buf[:n])
+		cl.verify(cl.echoed, cl.buf[:n], nil)
 		cl.echoed += int64(n)
 		if cl.echoed >= int64(cl.RoundsDone+1)*int64(cl.MsgSize) {
 			cl.RoundsDone++

@@ -155,7 +155,7 @@ func (cl *ReconnectClient) readable(c *tcp.Conn) {
 		if n == 0 {
 			return
 		}
-		cl.verify(cl.Received, cl.buf[:n])
+		cl.verify(cl.Received, cl.buf[:n], nil)
 		cl.Received += int64(n)
 		cl.lastData = cl.record(n, cl.Received)
 		if cl.Received >= cl.Request {

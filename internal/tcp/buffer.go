@@ -24,10 +24,12 @@ var ErrReleased = errors.New("tcp: requested bytes already released")
 //
 // The bytes live in a ring so that a Release costs an index update, not a
 // copy of everything still held: a bulk sender keeps the buffer full, and
-// every payload byte is then copied in once by Write and never moved
-// again. The ring is grown on demand, by doubling, up to the configured
-// capacity and never beyond it, so a connection that only ever has a few
-// bytes outstanding holds only those. An empty window whose stream has no
+// every payload byte is then written once — copied in by Write, or
+// generated in place in the spans reserve hands out — and never moved
+// again. The ring is grown on demand, at least doubling, up to the
+// configured capacity and never beyond it, so a connection that only ever
+// has a few bytes outstanding holds only those, and one that reserves its
+// whole free space at once allocates the ring once. An empty window whose stream has no
 // use for it any more drops the ring (drop): a connection whose peer has
 // finished, once every byte is acknowledged, and every window of a crashed
 // host. A later Write grows a new one.
@@ -61,22 +63,29 @@ func (b *Window) Len() int { return b.n }
 func (b *Window) Free() int { return b.cap - b.n }
 
 // Write appends as much of p as fits and returns the number of bytes
-// accepted.
+// accepted: a reserve and a copy.
 //
 //sttcp:hotpath
 func (b *Window) Write(p []byte) int {
-	n := b.Free()
-	if n > len(p) {
-		n = len(p)
-	}
+	n := min(len(p), b.Free())
+	first, second := b.reserve(n)
+	copy(second, p[copy(first, p[:n]):n])
+	return n
+}
+
+// reserve appends n bytes (n <= Free) for the caller to fill in place and
+// returns the ring spans that hold them, in stream order: second is empty
+// unless they cross the end of the ring. A ring too small for them grows
+// once, to at least the size they need. The spans must be filled before
+// the next call on the window.
+//
+//sttcp:hotpath
+func (b *Window) reserve(n int) (first, second []byte) {
 	if b.n+n > len(b.ring) {
 		b.grow(b.n + n)
 	}
-	tail := b.index(b.n)
-	first := copy(b.ring[tail:], p[:n])
-	copy(b.ring, p[first:n])
 	b.n += n
-	return n
+	return b.spans(b.n-n, n)
 }
 
 // grow replaces the ring with one at least need bytes long (need <= cap),
@@ -90,7 +99,8 @@ func (b *Window) grow(need int) {
 		size = b.cap
 	}
 	ring := make([]byte, size)
-	b.copyOut(ring[:b.n], 0)
+	first, second := b.spans(0, b.n)
+	copy(ring[copy(ring, first):], second)
 	b.ring, b.head = ring, 0
 }
 
@@ -103,11 +113,28 @@ func (b *Window) drop() {
 	b.ring, b.wrapped, b.head = nil, nil, 0
 }
 
-// copyOut fills dst with the held bytes from distance i from the oldest
-// on, across the end of the ring (i+len(dst) <= n).
-func (b *Window) copyOut(dst []byte, i int) {
-	first := copy(dst, b.ring[b.index(i):])
-	copy(dst[first:], b.ring)
+// spans returns the n held bytes from distance i from the oldest on, in
+// place and in stream order: first runs at most to the end of the ring,
+// second, empty unless the bytes wrap, from its start (i+n <= n held).
+//
+//sttcp:hotpath
+func (b *Window) spans(i, n int) (first, second []byte) {
+	j := b.index(i)
+	if j+n <= len(b.ring) {
+		return b.ring[j : j+n], nil
+	}
+	return b.ring[j:], b.ring[:j+n-len(b.ring)]
+}
+
+// poison overwrites the n oldest held bytes with 0xDB in the race build
+// (netem.Poison), just before they are released, so a slice of them kept
+// past that reads poison; it does nothing otherwise.
+func (b *Window) poison(n int) {
+	if netem.PoisonReleased {
+		first, second := b.spans(0, n)
+		netem.Poison(first)
+		netem.Poison(second)
+	}
 }
 
 // index maps a distance i <= len(ring) from the oldest held byte to its
@@ -137,20 +164,21 @@ func (b *Window) Slice(off int64, n int) ([]byte, error) {
 	if n > b.n-start {
 		n = b.n - start
 	}
-	i := b.index(start)
-	if i+n <= len(b.ring) {
-		return b.ring[i : i+n], nil
+	first, second := b.spans(start, n)
+	if len(second) == 0 {
+		return first, nil
 	}
 	if cap(b.wrapped) < n {
 		b.wrapped = make([]byte, n)
 	}
 	w := b.wrapped[:n]
-	b.copyOut(w, start)
+	copy(w[copy(w, first):], second)
 	return w, nil
 }
 
 // Release discards the bytes below offset upTo. Beyond End it empties the
-// window and moves Base there: the stream skipped ahead.
+// window and moves Base there: the stream skipped ahead. The race build
+// poisons what it lets go.
 //
 //sttcp:hotpath
 func (b *Window) Release(upTo int64) {
@@ -158,6 +186,7 @@ func (b *Window) Release(upTo int64) {
 		return
 	}
 	drop := upTo - b.base
+	b.poison(int(min(drop, int64(b.n))))
 	if drop >= int64(b.n) {
 		b.base, b.head, b.n = upTo, 0, 0
 		return
@@ -281,15 +310,30 @@ func (b *recvBuffer) window() int {
 	return w
 }
 
-// read copies up to len(p) unread in-order bytes to p.
-func (b *recvBuffer) read(p []byte) int {
-	n := min(len(p), int(b.win.End()-b.readOff))
-	if n == 0 {
-		return 0 // every drain ends on one
-	}
-	b.win.copyOut(p[:n], int(b.readOff-b.win.base))
+// peek returns up to n unread in-order bytes in place (Window.spans).
+//
+//sttcp:hotpath
+func (b *recvBuffer) peek(n int) (first, second []byte) {
+	n = min(n, int(b.win.End()-b.readOff))
+	return b.win.spans(int(b.readOff-b.win.base), n)
+}
+
+// discard marks the n oldest unread bytes read and releases what it may.
+//
+//sttcp:hotpath
+func (b *recvBuffer) discard(n int) {
 	b.readOff += int64(n)
 	b.release()
+}
+
+// read copies up to len(p) unread in-order bytes to p: a peek, a copy and
+// a discard.
+func (b *recvBuffer) read(p []byte) int {
+	first, second := b.peek(len(p))
+	n := copy(p, first) + copy(p[len(first):], second)
+	if n > 0 {
+		b.discard(n)
+	}
 	return n
 }
 

@@ -57,6 +57,47 @@ func TestSendBufferSliceClipped(t *testing.T) {
 	}
 }
 
+// TestReserveAcrossTheWrap: a reserve whose bytes run past the end of the
+// ring hands out two spans, the end of the ring then its start, and what is
+// written into them is the stream in order.
+func TestReserveAcrossTheWrap(t *testing.T) {
+	b := NewWindow(8)
+	b.Write([]byte("abcdefgh"))
+	b.Release(6)
+	b.Write([]byte("ijkl"))
+	b.Release(10) // "kl" held at ring indices 2 and 3; the tail is index 4
+	first, second := b.reserve(6)
+	if len(b.ring) != 8 || len(first) != 4 || len(second) != 2 || &first[0] != &b.ring[4] || &second[0] != &b.ring[0] {
+		t.Fatalf("reserve(6) in a ring of %d with tail 4 = spans of %d and %d, want the ring's last 4 then its first 2",
+			len(b.ring), len(first), len(second))
+	}
+	copy(first, "mnop")
+	copy(second, "qr")
+	if got, err := b.Slice(10, 8); err != nil || string(got) != "klmnopqr" || b.Free() != 0 {
+		t.Fatalf("held after the reserve = %q, %v (%d free), want klmnopqr and a full window", got, err, b.Free())
+	}
+}
+
+// TestFirstReserveAllocatesOnce: the first reserve on an empty window makes
+// one allocation, the ring at the size asked for, not a ring grown by
+// doubling towards it.
+func TestFirstReserveAllocatesOnce(t *testing.T) {
+	const runs, n = 100, 100_000
+	ws := make([]*Window, runs+1)
+	for i := range ws {
+		ws[i] = NewWindow(256 << 10)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(runs, func() { ws[i].reserve(n); i++ }); allocs != 1 {
+		t.Fatalf("a first reserve allocated %.1f times, want once", allocs)
+	}
+	for _, w := range ws {
+		if len(w.ring) != n || cap(w.ring) != n || w.Len() != n {
+			t.Fatalf("ring of %d (cap %d) holding %d after reserve(%d), want exactly %d", len(w.ring), cap(w.ring), w.Len(), n, n)
+		}
+	}
+}
+
 // TestSendBufferProperty property-checks that any write/release/slice
 // sequence preserves the byte stream.
 func TestSendBufferProperty(t *testing.T) {
@@ -158,7 +199,8 @@ func windowOp(kind byte, v int) []byte { return []byte{kind, byte(v >> 8), byte(
 // model and fails on the first difference in end/free/base, in the bytes a
 // slice returns, or in the whole held content. Per op, with operand v:
 //
-//	kind&3 == 0  write v bytes (clipped by both to what fits)
+//	kind&3 == 0  write v bytes (clipped by both to what fits); with kind&4
+//	             the ring takes them in place: reserve what fits, fill it
 //	kind&3 == 1  release to base + v mod (held+2): up to one past the end
 //	kind&3 == 2  slice at base + v mod (held+1), 1 + 24*(kind>>2) bytes
 //	kind&3 == 3  slice 1 + v mod 3 bytes below base: both must refuse
@@ -177,8 +219,15 @@ func driveWindows(t *testing.T, capacity int, script []byte) {
 				off := written + int64(i)
 				p[i] = byte(off*131 + off>>8)
 			}
-			n, want := ring.Write(p), ref.write(p)
-			if n != want {
+			var n int
+			if kind&4 == 0 {
+				n = ring.Write(p)
+			} else { // in place: reserve what fits and fill it
+				n = min(v, ring.Free())
+				first, second := ring.reserve(n)
+				copy(second, p[copy(first, p):])
+			}
+			if want := ref.write(p); n != want {
 				t.Fatalf("step %d: write(%d) accepted %d, reference %d", step, v, n, want)
 			}
 			written += int64(n)

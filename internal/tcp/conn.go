@@ -368,26 +368,73 @@ func (c *Conn) InjectStreamBytes(off int64, data []byte) int {
 // data is available, and 0, io-style error once the stream has ended.
 func (c *Conn) Read(p []byte) (int, error) {
 	before := c.rb.window()
-	n := c.rb.read(p)
-	if n > 0 {
+	if n := c.rb.read(p); n > 0 {
 		c.windowOpened(before)
 		return n, nil
 	}
+	return 0, c.readErr()
+}
+
+// Peek returns up to n buffered in-order bytes in place, without consuming
+// them, as at most two spans in stream order: second is empty unless the
+// bytes cross the end of the receive buffer's ring. The spans alias the
+// receive buffer until Discard or the next call that moves the stream.
+// With no bytes buffered it returns what Read would: nil, or the error
+// that ended the stream.
+//
+//sttcp:hotpath
+func (c *Conn) Peek(n int) (first, second []byte, err error) {
+	if first, second = c.rb.peek(n); len(first) > 0 {
+		return first, second, nil
+	}
+	return nil, nil, c.readErr()
+}
+
+// readErr is what a read that finds nothing buffered returns: the error
+// that ended the stream, or nil while it goes on.
+//
+//sttcp:hotpath
+func (c *Conn) readErr() error {
 	if c.peerFINSeen && c.rb.next >= c.peerFINOff {
-		return 0, ErrClosed
+		return ErrClosed
 	}
 	if c.state == StateClosed {
 		if c.closeErr != nil {
-			return 0, c.closeErr
+			return c.closeErr
 		}
-		return 0, ErrClosed
+		return ErrClosed
 	}
-	return 0, nil
+	return nil
+}
+
+// Discard consumes the n oldest buffered bytes (at most Buffered) as a
+// Read of them would: they are released, unless Hold keeps them until
+// they are reported, and a receive window they reopen is advertised.
+//
+//sttcp:hotpath
+func (c *Conn) Discard(n int) {
+	if n = min(n, c.Buffered()); n <= 0 {
+		return
+	}
+	before := c.rb.window()
+	c.rb.discard(n)
+	c.windowOpened(before)
 }
 
 // Write appends p to the send buffer, returning how many bytes were
-// accepted (possibly 0 when the buffer is full).
+// accepted (possibly 0 when the buffer is full): a WriteFunc that copies.
 func (c *Conn) Write(p []byte) (int, error) {
+	return c.WriteFunc(len(p), func(first, second []byte) {
+		copy(second, p[copy(first, p):])
+	})
+}
+
+// WriteFunc appends n bytes to the send buffer in place, or as many as
+// fit: fill is handed the at most two spans of the buffer that hold the
+// bytes accepted, in stream order, and must write every byte of them
+// before it returns; then they are sent as written bytes are. It returns
+// how many bytes it accepted, calling fill only when that is not 0.
+func (c *Conn) WriteFunc(n int, fill func(first, second []byte)) (int, error) {
 	if c.finQueued {
 		return 0, ErrWriteClosed
 	}
@@ -396,10 +443,11 @@ func (c *Conn) Write(p []byte) (int, error) {
 	default:
 		return 0, fmt.Errorf("%w: state %v", ErrNotConnected, c.state)
 	}
-	n := c.sb.Write(p)
-	if n > 0 {
-		c.maybeSend()
+	if n = min(n, c.sb.Free()); n <= 0 {
+		return 0, nil
 	}
+	fill(c.sb.reserve(n))
+	c.maybeSend()
 	return n, nil
 }
 

@@ -69,11 +69,13 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzSendBuffer runs arbitrary write/release/slice scripts (the encoding of
-// driveWindows) against the ring and the copy-down reference model at a
-// fuzzer-chosen capacity. The seeds reach the paths a bulk transfer lives
-// on: a full buffer that wraps on every write, a slice straddling the end
-// of the ring, release beyond the end, and growth while wrapped.
+// FuzzSendBuffer runs arbitrary write/reserve/release/slice scripts (the
+// encoding of driveWindows) against the ring and the copy-down reference
+// model at a fuzzer-chosen capacity. The seeds reach the paths a bulk
+// transfer lives on: a full buffer that wraps on every write, a slice
+// straddling the end of the ring, release beyond the end, growth while
+// wrapped, and an in-place reserve that grows the ring once and then
+// crosses its end.
 func FuzzSendBuffer(f *testing.F) {
 	join := func(ops ...[]byte) []byte {
 		var out []byte
@@ -82,7 +84,7 @@ func FuzzSendBuffer(f *testing.F) {
 		}
 		return out
 	}
-	const write, release, slice, below = 0, 1, 2, 3
+	const write, release, slice, below, reserve = 0, 1, 2, 3, 4
 	// Growth while wrapped: 4 in, 2 out, 2 in (wraps a ring of 4), 3 in.
 	f.Add(uint16(16), join(windowOp(write, 4), windowOp(release, 2), windowOp(write, 2),
 		windowOp(slice, 1), windowOp(write, 3), windowOp(slice, 0), windowOp(below, 0)))
@@ -93,6 +95,10 @@ func FuzzSendBuffer(f *testing.F) {
 	// Release one past the end, then start again from the new base.
 	f.Add(uint16(7), join(windowOp(write, 5), windowOp(release, 6), windowOp(write, 9), windowOp(slice|1<<2, 3)))
 	f.Add(uint16(1), join(windowOp(write, 1), windowOp(slice, 0), windowOp(release, 1), windowOp(write, 2)))
+	// The data server's pump: reserve the whole free space, then refill
+	// what each acknowledgement frees, across the end of the ring.
+	f.Add(uint16(4096), join(windowOp(reserve, 5000), windowOp(release, 1500), windowOp(reserve, 2000),
+		windowOp(slice|60<<2, 1000), windowOp(release, 3000), windowOp(reserve, 9000), windowOp(slice|60<<2, 0)))
 
 	f.Fuzz(func(t *testing.T, capacity uint16, script []byte) {
 		if len(script) > 3*256 {

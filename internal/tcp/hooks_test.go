@@ -143,6 +143,70 @@ func TestHeldReceiveWindow(t *testing.T) {
 	}
 }
 
+// TestPeekDiscardMatchesRead: consuming the receive buffer in place is a
+// Read without the copy. The same held transfer is consumed by Read on one
+// pair and by Peek and Discard on a twin; after every step both read the
+// same bytes, have the same read offset, release the same bytes (a byte
+// discarded but not yet reported stays in the held window), advertise the
+// same receive window and send the same window updates, and the peeks
+// cross the end of the ring. The hold is roomy, so the unread bytes close
+// the window and a discard reopens it.
+func TestPeekDiscardMatchesRead(t *testing.T) {
+	const size, hold = 8192, 2 * 8192
+	payload := patternBytes(0, 20000)
+	type pair struct {
+		h      *pairHarness
+		server *Conn
+		got    []byte
+	}
+	start := func() *pair {
+		h := newPair(t, 25, lan(), Options{RecvBufferSize: size})
+		client, server := connectPair(t, h, 80)
+		server.Hold(hold, metrics.New(nil).Gauge("b/sttcp", "sttcp.holdbuf_bytes"))
+		writeAll(client, payload)
+		return &pair{h: h, server: server}
+	}
+	read, inPlace := start(), start()
+	buf := make([]byte, 1500)
+	wrapped, updates := false, 0
+	for step := 0; len(read.got) < len(payload); step++ {
+		for _, p := range []*pair{read, inPlace} {
+			_ = p.h.sim.Run(3 * time.Millisecond)
+			if p == read {
+				n, _ := p.server.Read(buf)
+				p.got = append(p.got, buf[:n]...)
+			} else {
+				first, second, _ := p.server.Peek(len(buf))
+				wrapped = wrapped || len(second) > 0
+				p.got = append(append(p.got, first...), second...)
+				sent := p.h.stackB.Emitted
+				p.server.Discard(len(first) + len(second))
+				updates += int(p.h.stackB.Emitted - sent)
+			}
+			p.server.ReleaseHeld(p.server.LastAppByteRead() - 700)
+		}
+		r, ip := read.server, inPlace.server
+		if !bytes.Equal(read.got, inPlace.got) || !bytes.Equal(read.got, payload[:len(read.got)]) {
+			t.Fatalf("step %d: Read has %d bytes, Peek/Discard %d, and they are not both the stream", step, len(read.got), len(inPlace.got))
+		}
+		if r.LastAppByteRead() != ip.LastAppByteRead() || r.rb.win.Base() != ip.rb.win.Base() ||
+			r.rb.window() != ip.rb.window() || read.h.stackB.Emitted != inPlace.h.stackB.Emitted {
+			t.Fatalf("step %d: read offset %d/%d, window base %d/%d, advertised %d/%d, segments sent %d/%d (Read/Peek)",
+				step, r.LastAppByteRead(), ip.LastAppByteRead(), r.rb.win.Base(), ip.rb.win.Base(),
+				r.rb.window(), ip.rb.window(), read.h.stackB.Emitted, inPlace.h.stackB.Emitted)
+		}
+		if reported := ip.rb.reported; reported < ip.LastAppByteRead() {
+			kept, err := ip.Held().Slice(reported, int(ip.LastAppByteRead()-reported))
+			if err != nil || !bytes.Equal(kept, payload[reported:ip.LastAppByteRead()]) {
+				t.Fatalf("step %d: the %d bytes discarded but unreported are not held (%v)", step, ip.LastAppByteRead()-reported, err)
+			}
+		}
+	}
+	if !wrapped || updates == 0 {
+		t.Fatalf("%d window updates, a peek across the end of the ring: %v; want both", updates, wrapped)
+	}
+}
+
 // TestFINGateHoldsAndReleases checks MaxDelayFIN machinery: Close
 // generates a FIN that is withheld until ReleaseFIN.
 func TestFINGateHoldsAndReleases(t *testing.T) {
