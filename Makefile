@@ -1,6 +1,8 @@
 GO ?= go
+# The command the smoke targets run; `make reach` points it at the cover build.
+STTCP ?= $(GO) run ./cmd/sttcp
 
-.PHONY: all check vet lint build test race bench observers loc flags settings doc-bytes allows faults-one-place artifacts-one-place one-window one-run one-judge one-clock timeline chaos chaos-gray chaos-smoke explore explore-smoke clean
+.PHONY: all check vet lint build test race bench observers loc flags settings doc-bytes allows faults-one-place artifacts-one-place one-window one-run one-judge one-clock timeline chaos chaos-gray chaos-smoke chaos-gray-smoke explore explore-smoke reach reach-build reach-check clean
 
 all: check
 
@@ -193,10 +195,13 @@ chaos-gray:
 
 # CI-sized campaign, stated in seeds so every machine checks the same
 # schedules (seeds 1-4,500; ~30 s on a 2-core machine), its summary diffed
-# against the committed one (CI diffs the -gray twin the same way). A local
-# soak is a bigger -runs from another -seed, never a number of seconds.
+# against the committed one, and its -gray twin the same way. A local soak
+# is a bigger -runs from another -seed, never a number of seconds.
 chaos-smoke:
-	$(GO) run ./cmd/sttcp chaos -runs 4500 | diff internal/chaos/testdata/chaos-runs-4500.stdout -
+	$(STTCP) chaos -runs 4500 | diff internal/chaos/testdata/chaos-runs-4500.stdout -
+
+chaos-gray-smoke:
+	$(STTCP) chaos -gray -runs 4500 | diff internal/chaos/testdata/chaos-gray-runs-4500.stdout -
 
 # Exhaustive-interleaving exploration of a bounded failover window: every
 # tie-break order and fault placement, judged by the invariant registry
@@ -207,7 +212,44 @@ explore:
 # CI-sized exploration: the closable window must close (-max-runs bounds it
 # on any machine, after the same run).
 explore-smoke:
-	$(GO) run ./cmd/sttcp explore -seed 7 -fault-span 4ms -grace 10ms -fault-points 2 -require-closed
+	$(STTCP) explore -seed 7 -fault-span 4ms -grace 10ms -fault-points 2 -require-closed
+
+# What code the shipped runs execute (ROADMAP item 21). One cover build of
+# sttcp runs the shipped set: both smoke campaigns and explore-smoke, then
+# (reach-check) every command EXPERIMENTS.md quotes, read from its markers,
+# every scenario through lab, one report with its trace exports, and vet.
+# reach-check lists the functions none of them executed, by file and name,
+# and diffs that list against cmd/sttcp/testdata/unreached.txt, where each
+# line is `file function — reason`: a new unreached function fails, and so
+# does a listed one that is now reached. CI runs its campaign steps through
+# the same binary with GOCOVERDIR set, then reach-check. ~3 min.
+REACH_DIR := .reach
+REACH_BIN := $(REACH_DIR)/sttcp
+GOCOVERDIR_REACH := $(CURDIR)/$(REACH_DIR)/cover
+
+reach: reach-build
+	GOCOVERDIR=$(GOCOVERDIR_REACH) $(MAKE) --no-print-directory chaos-smoke chaos-gray-smoke explore-smoke STTCP=$(REACH_BIN)
+	@$(MAKE) --no-print-directory reach-check
+
+reach-build:
+	rm -rf $(REACH_DIR) && mkdir -p $(GOCOVERDIR_REACH)
+	$(GO) build -cover -coverpkg=./... -o $(REACH_BIN) ./cmd/sttcp
+
+reach-check:
+	@export GOCOVERDIR=$(GOCOVERDIR_REACH); set -e; \
+	  sed -n 's/^<!-- sttcp \(.*\) -->$$/\1/p' EXPERIMENTS.md | while read -r cmd; do \
+	    echo "reach: sttcp $$cmd"; $(REACH_BIN) $$cmd >/dev/null; done; \
+	  for s in scenarios/*.sttcp; do echo "reach: sttcp lab $$s"; $(REACH_BIN) lab $$s >/dev/null; done; \
+	  $(REACH_BIN) demo -demo demo1 -trace -trace-out $(REACH_DIR)/trace.json -report-out $(REACH_DIR)/report.json >/dev/null; \
+	  $(REACH_BIN) report $(REACH_DIR)/report.json >/dev/null; \
+	  $(REACH_BIN) vet ./...
+	@$(GO) tool covdata func -i=$(GOCOVERDIR_REACH) \
+	  | awk '$$NF == "0.0%" { f = $$1; sub(/:[0-9]+:$$/, "", f); sub(/^repro\//, "", f); print f, $$2 }' | sort > $(REACH_DIR)/unreached
+	@! grep -vnE '^(#|$$|[^ ]+ [^ ]+ — .+)' cmd/sttcp/testdata/unreached.txt \
+	  || { echo "reach: the lines above are not \`file function — reason\`"; exit 1; }
+	@grep -vE '^(#|$$)' cmd/sttcp/testdata/unreached.txt | sed 's/ — .*//' | sort | diff - $(REACH_DIR)/unreached \
+	  || { echo "reach: '>' is a function no shipped run executes (give it a run, delete it, or list it with a reason); '<' is listed but now reached (take it off cmd/sttcp/testdata/unreached.txt)"; exit 1; }
+	@echo "reach: $$(grep -cvE '^(#|$$)' cmd/sttcp/testdata/unreached.txt) functions unreached, each listed with its reason"
 
 clean:
 	$(GO) clean ./...

@@ -70,7 +70,7 @@ func setupLab(fs *flag.FlagSet) func(io.Writer) error {
 		if err := art.Write(stdout); err != nil {
 			return err
 		}
-		if failed > 0 || len(res.Errors) > 0 {
+		if !res.OK() {
 			return fmt.Errorf("%d expectation(s) failed, %d run-time error(s)", failed, len(res.Errors))
 		}
 		return nil

@@ -31,7 +31,7 @@ var settable = []struct {
 	{"experiment.Plan", experiment.Plan{}, 19},
 	{"explore.Config", explore.Config{}, 12},
 	{"chaos.Options", chaos.Options{}, 9},
-	{"tcp.Options", tcp.Options{}, 4},
+	{"tcp.Options", tcp.Options{}, 1},
 }
 
 // TestSettableFields pins each config struct's count of settable values,

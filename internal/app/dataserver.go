@@ -46,9 +46,6 @@ func NewDataServer(name string, tracer *trace.Recorder) *DataServer {
 	return &DataServer{replica: newReplica[serveState](name, tracer, "application", "no cleanup, no FIN")}
 }
 
-// Name returns the server's trace name.
-func (s *DataServer) Name() string { return s.name }
-
 // Accept adopts an established connection.
 func (s *DataServer) Accept(c *tcp.Conn) {
 	st := &serveState{}

@@ -36,7 +36,7 @@ func newHotBackup(t *testing.T, seed int64) *hotBackup {
 		srv2:   cluster.New(s, cluster.HostConfig{Name: "srv2", EthNum: 3, Addr: srv2Addr, Tracer: tr}),
 	}
 	for _, h := range []*cluster.Host{f.client, f.srv1, f.srv2} {
-		h.ConnectToSwitch(sw, netem.DefaultLANConfig())
+		netem.Connect(s, sw, h.NIC(), netem.DefaultLANConfig())
 	}
 	f.app1 = NewDataServer("srv1/app", tr)
 	f.app2 = NewDataServer("srv2/app", tr)

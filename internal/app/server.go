@@ -40,8 +40,7 @@ const procQuantum = time.Millisecond
 
 // replica is what DataServer and EchoServer share: the crash flag and its
 // two injections (Demo 4), the connections a crash with cleanup closes,
-// the health beats of the §4.2.2 watchdog, and the host CPU clock that
-// models scheduler starvation. S is the server's per-connection state.
+// and the host CPU clock that models scheduler starvation. S is the server's per-connection state.
 type replica[S any] struct {
 	name   string
 	tracer *trace.Recorder
@@ -117,16 +116,3 @@ func (r *replica[S]) CrashCleanup(abort bool) {
 
 // Crashed reports whether a crash was injected.
 func (r *replica[S]) Crashed() bool { return r.crashed }
-
-// StartHealthBeats runs a local timer on the host's clock that calls beat
-// every interval while the application is healthy — the application-side
-// half of the §4.2.2 watchdog mechanism — until the application or its
-// host crashes. A purely local timer does not affect replica determinism,
-// which constrains only the socket I/O.
-func (r *replica[S]) StartHealthBeats(clock *sim.Clock, interval time.Duration, beat func()) {
-	clock.NewTicker(interval, func() {
-		if !r.crashed {
-			beat()
-		}
-	})
-}

@@ -126,6 +126,3 @@ func (t *Table) Lookup(addr ip.Addr) (eth.Addr, bool) {
 	e, ok := t.entries[addr]
 	return e.hw, ok
 }
-
-// Len reports the number of entries.
-func (t *Table) Len() int { return len(t.entries) }

@@ -94,8 +94,8 @@ func TestStaticEntrySurvivesLearn(t *testing.T) {
 	if !tbl.entries[service].static {
 		t.Fatal("entry no longer static")
 	}
-	if tbl.Len() != 1 {
-		t.Fatalf("len = %d, want 1", tbl.Len())
+	if len(tbl.entries) != 1 {
+		t.Fatalf("len = %d, want 1", len(tbl.entries))
 	}
 }
 

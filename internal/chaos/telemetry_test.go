@@ -43,7 +43,12 @@ func TestLatencyBurstSpikesWindowedP99(t *testing.T) {
 	if rep.Telemetry == nil {
 		t.Fatal("run report has no telemetry timeline")
 	}
-	p99 := rep.Telemetry.Find("client.response_latency.p99")
+	var p99 *telemetry.SeriesData
+	for i, s := range rep.Telemetry.Series {
+		if s.Name == "client.response_latency.p99" {
+			p99 = &rep.Telemetry.Series[i]
+		}
+	}
 	if p99 == nil {
 		t.Fatalf("no client.response_latency.p99 series in timeline (have %d series)", len(rep.Telemetry.Series))
 	}

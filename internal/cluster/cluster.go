@@ -138,13 +138,6 @@ func (h *Host) AttachSerial(p *serial.Port) { h.serial = p }
 // Serial returns the host's serial port, if any.
 func (h *Host) Serial() *serial.Port { return h.serial }
 
-// ConnectToSwitch wires the host's NIC to sw and returns the link for
-// fault injection.
-func (h *Host) ConnectToSwitch(sw *netem.Switch, cfg netem.LinkConfig) *netem.Link {
-	l, _ := netem.Connect(h.sim, sw, h.nic, cfg)
-	return l
-}
-
 // OnCrash registers a callback to run, in registration order, when the
 // host crashes — after its interfaces fail and before its clocks stop.
 // Protocol layers register their shutdown here; a reboot forgets them.
@@ -238,6 +231,3 @@ func NewPowerController(target *Host) *PowerController {
 
 // Off powers the target down.
 func (p *PowerController) Off() { p.target.PowerOff() }
-
-// Target returns the controlled host.
-func (p *PowerController) Target() *Host { return p.target }

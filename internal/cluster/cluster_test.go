@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -19,8 +20,8 @@ func newHostPair(t *testing.T) (*sim.Simulator, *Host, *Host, *trace.Recorder) {
 	sw := netem.NewSwitch(s, "sw", time.Microsecond)
 	a := New(s, HostConfig{Name: "a", EthNum: 1, Addr: ip.MakeAddr(10, 0, 0, 1), Tracer: tr})
 	b := New(s, HostConfig{Name: "b", EthNum: 2, Addr: ip.MakeAddr(10, 0, 0, 2), Tracer: tr})
-	a.ConnectToSwitch(sw, netem.DefaultLANConfig())
-	b.ConnectToSwitch(sw, netem.DefaultLANConfig())
+	netem.Connect(s, sw, a.NIC(), netem.DefaultLANConfig())
+	netem.Connect(s, sw, b.NIC(), netem.DefaultLANConfig())
 	return s, a, b, tr
 }
 
@@ -54,7 +55,7 @@ func TestCrashHWSilencesEverything(t *testing.T) {
 	if hooks != 2 {
 		t.Fatalf("crash hooks ran %d times, want 2", hooks)
 	}
-	if !a.NIC().Failed() || !a.Serial().Down() {
+	if !a.NIC().Failed() || !errors.Is(a.Serial().Send([]byte{0}), serial.ErrPortDown) {
 		t.Fatal("crash did not silence all interfaces")
 	}
 	if !tr.Has(trace.KindHostCrash) {
@@ -126,7 +127,7 @@ func TestCrashStopsTheHostsClocks(t *testing.T) {
 func TestPowerControllerTraces(t *testing.T) {
 	_, a, _, tr := newHostPair(t)
 	p := NewPowerController(a)
-	if p.Target() != a {
+	if p.target != a {
 		t.Fatal("target wrong")
 	}
 	p.Off()

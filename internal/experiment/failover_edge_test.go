@@ -63,12 +63,19 @@ func TestClientAbortNoFailover(t *testing.T) {
 	if tb.PrimaryNode.State() != sttcp.StateActive || tb.BackupNode.State() != sttcp.StateActive {
 		t.Fatalf("states %v/%v after client abort", tb.PrimaryNode.State(), tb.BackupNode.State())
 	}
-	if n := len(tb.Primary.TCP().Conns()); n != 0 {
-		t.Fatalf("primary still has %d connection(s) after client RST", n)
+	id := serverEnd(cl.Conn())
+	if _, ok := tb.Primary.TCP().Lookup(id); ok {
+		t.Fatalf("primary still has %v after client RST", id)
 	}
-	if n := len(tb.Backup.TCP().Conns()); n != 0 {
-		t.Fatalf("backup still has %d connection(s) after client RST", n)
+	if _, ok := tb.Backup.TCP().Lookup(id); ok {
+		t.Fatalf("backup still has %v after client RST", id)
 	}
+}
+
+// serverEnd names a client connection as the servers' stacks do.
+func serverEnd(c *tcp.Conn) tcp.ConnID {
+	id := c.ID()
+	return tcp.ConnID{LocalAddr: id.RemoteAddr, LocalPort: id.RemotePort, RemoteAddr: id.LocalAddr, RemotePort: id.LocalPort}
 }
 
 // TestClientCleanCloseNoFailover checks a client-initiated FIN mid-transfer:
@@ -189,6 +196,7 @@ func TestConnectionChurnThenFailover(t *testing.T) {
 
 	// Ten short-lived transfers back to back.
 	done := 0
+	var churn []*app.StreamClient
 	var spawn func(i int)
 	spawn = func(i int) {
 		if i >= 10 {
@@ -199,6 +207,7 @@ func TestConnectionChurnThenFailover(t *testing.T) {
 			Service: ServiceAddr, Port: ServicePort,
 			Request: 64 << 10, Tracer: tb.Tracer,
 		})
+		churn = append(churn, cl)
 		cl.OnDone = func(err error) {
 			if err != nil {
 				t.Errorf("churn client %d: %v", i, err)
@@ -217,9 +226,15 @@ func TestConnectionChurnThenFailover(t *testing.T) {
 	if done != 10 {
 		t.Fatalf("only %d/10 churn transfers completed", done)
 	}
-	// The replication state must not leak closed connections.
-	if n := len(tb.PrimaryNode.Conns()); n > 1 {
-		t.Fatalf("primary node still tracks %d connections after churn", n)
+	// The primary must not keep closed connections.
+	kept := 0
+	for _, cl := range churn {
+		if _, ok := tb.Primary.TCP().Lookup(serverEnd(cl.Conn())); ok {
+			kept++
+		}
+	}
+	if kept > 1 {
+		t.Fatalf("primary still has %d connections after churn", kept)
 	}
 
 	// Now a live transfer across a crash.
@@ -268,13 +283,17 @@ func TestTakeoverStateIntrospection(t *testing.T) {
 	if tb.BackupNode.FailoverReason == "" {
 		t.Fatal("no failover reason recorded")
 	}
-	for _, c := range tb.BackupNode.Conns() {
-		if c.Suppressed() {
-			t.Fatalf("connection %v still suppressed after takeover", c.ID())
-		}
-		if c.State() != tcp.StateEstablished {
-			t.Fatalf("connection %v in state %v right after takeover", c.ID(), c.State())
-		}
+	c, ok := tb.Backup.TCP().Lookup(serverEnd(cl.Conn()))
+	if !ok {
+		t.Fatal("the backup has no connection for the client after takeover")
+	}
+	if c.State() != tcp.StateEstablished {
+		t.Fatalf("connection %v in state %v right after takeover", c.ID(), c.State())
+	}
+	suppressed := c.SuppressedSegments
+	c.SendAck()
+	if c.SuppressedSegments != suppressed {
+		t.Fatalf("connection %v still suppressed after takeover", c.ID())
 	}
 	if !tb.Primary.Crashed() {
 		t.Fatal("primary not powered down")

@@ -118,9 +118,9 @@ type Message struct {
 	PingValid bool
 	PingOK    bool
 
-	// AppFailed reports that the sender's local watchdog has declared
-	// its application dead (the §4.2.2 watchdog extension); the receiver
-	// should take the recovery action immediately.
+	// AppFailed reports that the sender has declared its own application
+	// dead (the witness majority convicted it); the receiver should take
+	// the recovery action immediately.
 	AppFailed bool
 
 	Conns []ConnState

@@ -106,21 +106,6 @@ func (s *Snapshot) CounterTotal(name string) int64 {
 	return total
 }
 
-// Counter returns the value of the counter (component, name, labels),
-// or 0 if absent. labels must be in canonical "k=v,k=v" sorted form
-// (empty for none).
-func (s *Snapshot) Counter(component, name, labels string) int64 {
-	if s == nil {
-		return 0
-	}
-	for _, sm := range s.Samples {
-		if sm.Type == "counter" && sm.Component == component && sm.Name == name && sm.Labels == labels {
-			return sm.Value
-		}
-	}
-	return 0
-}
-
 // Find returns every sample named name, in snapshot order. Nil-safe.
 func (s *Snapshot) Find(name string) []Sample {
 	if s == nil {
@@ -133,20 +118,6 @@ func (s *Snapshot) Find(name string) []Sample {
 		}
 	}
 	return out
-}
-
-// Histogram returns the first histogram sample named name, across any
-// component, or nil. Nil-safe.
-func (s *Snapshot) Histogram(name string) *Sample {
-	if s == nil {
-		return nil
-	}
-	for i := range s.Samples {
-		if s.Samples[i].Type == "histogram" && s.Samples[i].Name == name {
-			return &s.Samples[i]
-		}
-	}
-	return nil
 }
 
 // WriteJSON writes the snapshot as indented JSON.

@@ -165,14 +165,6 @@ func (g *Gauge) Value() int64 {
 	return g.v
 }
 
-// Max returns the high-water mark (0 on nil).
-func (g *Gauge) Max() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.max
-}
-
 // Histogram is a fixed-bucket latency histogram. Bucket i counts
 // observations d with d <= Buckets[i] (and above Buckets[i-1]); one
 // extra overflow bucket counts everything larger than the last bound.
@@ -234,14 +226,6 @@ func (h *Histogram) Count() int64 {
 	return h.count
 }
 
-// Sum returns the total of all observations (0 on nil).
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
 // BucketCount returns the number of observations in bucket i, where
 // i == NumBounds() is the overflow bucket (0 on nil). It is read by the
 // telemetry sampler once per window, so like the update path it never
@@ -272,14 +256,6 @@ func (h *Histogram) Bound(i int) time.Duration {
 		return 0
 	}
 	return h.bounds[i]
-}
-
-// Min returns the smallest observation (0 on nil or empty).
-func (h *Histogram) Min() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return h.min
 }
 
 // Max returns the largest observation (0 on nil or empty).

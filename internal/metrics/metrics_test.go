@@ -23,14 +23,14 @@ func TestNilSafety(t *testing.T) {
 	g.Set(7)
 	g.Add(-2)
 	h.Observe(time.Second)
-	if c.Value() != 0 || g.Value() != 0 || g.Max() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}
 	snap := r.Snapshot()
 	if len(snap.Samples) != 0 {
 		t.Fatalf("nil registry snapshot has %d samples", len(snap.Samples))
 	}
-	if snap.CounterTotal("c") != 0 || snap.Histogram("h") != nil {
+	if snap.CounterTotal("c") != 0 || snap.Find("h") != nil {
 		t.Fatal("empty snapshot lookups must be zero")
 	}
 }
@@ -54,8 +54,8 @@ func TestCounterGauge(t *testing.T) {
 	g.Set(100)
 	g.Add(50)
 	g.Set(20)
-	if g.Value() != 20 || g.Max() != 150 {
-		t.Fatalf("gauge value=%d max=%d, want 20/150", g.Value(), g.Max())
+	if g.Value() != 20 || g.max != 150 {
+		t.Fatalf("gauge value=%d max=%d, want 20/150", g.Value(), g.max)
 	}
 }
 
@@ -78,8 +78,14 @@ func TestLabels(t *testing.T) {
 	if got := snap.CounterTotal("hb.sent"); got != 4 {
 		t.Fatalf("CounterTotal = %d, want 4", got)
 	}
-	if got := snap.Counter("hb", "hb.sent", "dir=tx,link=serial"); got != 3 {
-		t.Fatalf("labelled lookup = %d, want 3", got)
+	var got int64
+	for _, sm := range snap.Find("hb.sent") {
+		if sm.Component == "hb" && sm.Labels == "dir=tx,link=serial" {
+			got = sm.Value
+		}
+	}
+	if got != 3 {
+		t.Fatalf("labelled sample = %d, want 3", got)
 	}
 }
 
@@ -98,10 +104,11 @@ func TestHistogramBucketEdges(t *testing.T) {
 	h.Observe(5 * time.Second)        // overflow
 	h.Observe(0)                      // below everything → bucket 0
 
-	snap := r.Snapshot().Histogram("lat")
-	if snap == nil {
+	found := r.Snapshot().Find("lat")
+	if len(found) != 1 {
 		t.Fatal("histogram sample missing from snapshot")
 	}
+	snap := found[0]
 	want := []int64{2, 2, 1, 1}
 	for i, w := range want {
 		if snap.Buckets[i] != w {
@@ -127,7 +134,7 @@ func TestHistogramBoundsSorted(t *testing.T) {
 	r := New(nil)
 	h := r.Histogram("x", "lat", []time.Duration{time.Second, time.Millisecond})
 	h.Observe(2 * time.Millisecond)
-	s := r.Snapshot().Histogram("lat")
+	s := r.Snapshot().Find("lat")[0]
 	if s.Bounds[0] != time.Millisecond || s.Bounds[1] != time.Second {
 		t.Fatalf("bounds not sorted: %v", s.Bounds)
 	}
@@ -153,7 +160,7 @@ func TestSnapshotImmutability(t *testing.T) {
 	if got := snap.CounterTotal("c"); got != 1 {
 		t.Fatalf("snapshot counter moved: %d", got)
 	}
-	hs := snap.Histogram("h")
+	hs := snap.Find("h")[0]
 	if hs.Count != 1 || hs.Buckets[1] != 0 {
 		t.Fatalf("snapshot histogram moved: %+v", hs)
 	}
@@ -162,7 +169,7 @@ func TestSnapshotImmutability(t *testing.T) {
 	}
 	// Mutating the snapshot's slices must not reach the registry.
 	hs.Buckets[0] = 999
-	if r.Snapshot().Histogram("h").Buckets[0] == 999 {
+	if r.Snapshot().Find("h")[0].Buckets[0] == 999 {
 		t.Fatal("snapshot shares bucket storage with the registry")
 	}
 }

@@ -204,9 +204,6 @@ func (l *Link) SetCutFromB(cut bool) { l.b.cut = cut }
 // them. Zero disables corruption.
 func (l *Link) SetCorruptRate(p float64) { l.corruptRate = p }
 
-// CorruptRate returns the current bit-flip probability.
-func (l *Link) CorruptRate() float64 { return l.corruptRate }
-
 // TransmitFromA sends buf from endpoint A toward endpoint B.
 func (l *Link) TransmitFromA(buf []byte) { l.transmit(l.a, buf) }
 

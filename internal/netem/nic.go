@@ -47,9 +47,6 @@ func NewNIC(s *sim.Simulator, name string, addr eth.Addr) *NIC {
 	}
 }
 
-// Name returns the NIC's trace name.
-func (n *NIC) Name() string { return n.name }
-
 // Addr returns the NIC's unicast Ethernet address.
 func (n *NIC) Addr() eth.Addr { return n.addr }
 

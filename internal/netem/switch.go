@@ -15,7 +15,6 @@ import (
 // Connect adds it to every arrival on the link into the port, and the port
 // forwards as the frame is delivered.
 type Switch struct {
-	name     string
 	ports    []*SwitchPort
 	macTable map[eth.Addr]int          // learned unicast address → port index
 	groups   map[eth.Addr]map[int]bool // multicast address → member ports
@@ -36,18 +35,15 @@ type SwitchPort struct {
 }
 
 // NewSwitch creates a switch with the given forwarding latency per frame. It
-// takes the simulator like every netem constructor but schedules nothing.
-func NewSwitch(_ *sim.Simulator, name string, latency time.Duration) *Switch {
+// takes the simulator like every netem constructor but schedules nothing,
+// and a name for its callers' reading; it keeps neither.
+func NewSwitch(_ *sim.Simulator, _ string, latency time.Duration) *Switch {
 	return &Switch{
-		name:     name,
 		macTable: make(map[eth.Addr]int),
 		groups:   make(map[eth.Addr]map[int]bool),
 		latency:  latency,
 	}
 }
-
-// Name returns the switch's trace name.
-func (s *Switch) Name() string { return s.name }
 
 // JoinGroup adds port p to the multicast group g (static group membership,
 // standing in for IGMP snooping / static switch configuration).

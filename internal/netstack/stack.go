@@ -106,14 +106,8 @@ func New(clock *sim.Clock, name string, nic *netem.NIC, addr ip.Addr) *Stack {
 	return st
 }
 
-// Name returns the stack's trace name.
-func (s *Stack) Name() string { return s.name }
-
 // Addr returns the primary IP address.
 func (s *Stack) Addr() ip.Addr { return s.addr }
-
-// NIC returns the underlying NIC.
-func (s *Stack) NIC() *netem.NIC { return s.nic }
 
 // ARP exposes the ARP table so topologies can pin static entries, notably
 // serviceIP → multiEA on the client/gateway (paper Figure 2).

@@ -73,9 +73,6 @@ func NewPair(s *sim.Simulator, nameA, nameB string, rate int64) (*Port, *Port) {
 	return a, b
 }
 
-// Name returns the port's trace name.
-func (p *Port) Name() string { return p.name }
-
 // SetHandler registers the message-received callback.
 func (p *Port) SetHandler(h func(msg []byte)) { p.handler = h }
 
@@ -83,17 +80,11 @@ func (p *Port) SetHandler(h func(msg []byte)) { p.handler = h }
 // neither sends nor receives.
 func (p *Port) SetDown(down bool) { p.down = down }
 
-// Down reports whether this end is down.
-func (p *Port) Down() bool { return p.down }
-
 // SetCorruptRate makes this transmitter flip one random bit in each
 // outgoing message with probability prob. The damaged message still
 // rides the wire; the receiving port's CRC check rejects it and counts a
 // CRCError. Zero disables corruption.
 func (p *Port) SetCorruptRate(prob float64) { p.corruptRate = prob }
-
-// CorruptRate returns the transmitter's current bit-flip probability.
-func (p *Port) CorruptRate() float64 { return p.corruptRate }
 
 // QueueDelay reports how long a message sent now would wait before its
 // first bit goes on the wire, a direct measure of serial-link saturation.

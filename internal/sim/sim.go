@@ -52,9 +52,6 @@ type Event struct {
 	prev, next *Event
 }
 
-// When reports the virtual time at which the event will fire.
-func (e *Event) When() time.Time { return Epoch.Add(time.Duration(e.when)) }
-
 // SchedKey reports the (virtual time, sequence) key the event is ordered
 // by: nanoseconds since Epoch and the simulator-unique sequence number.
 // It exists for Scheduler implementations outside this package (injected

@@ -71,6 +71,3 @@ func (t *Ticker) Stop() {
 	t.stopped = true
 	t.timer.Stop()
 }
-
-// Period returns the ticker's period.
-func (t *Ticker) Period() time.Duration { return t.period }

@@ -7,8 +7,8 @@ import "time"
 // embedded Event. Re-arming replaces any pending arming. Unlike the handle
 // returned by Schedule — which must be abandoned once it fires — a Timer is
 // the sole owner of its event and stays valid across any number of
-// arm/fire/stop cycles, which is what lets per-connection RTO, persist, and
-// delayed-ACK timers run without per-segment heap churn.
+// arm/fire/stop cycles, which is what lets per-connection RTO, persist and
+// TIME_WAIT timers run without per-segment heap churn.
 //
 // Re-arming takes the pending entry out of the queue and inserts the new
 // one. A timer pushed back again and again without firing (the RTO, reset
@@ -64,7 +64,3 @@ func (t *Timer) Stop() {
 
 // Armed reports whether the timer is scheduled and has not yet fired.
 func (t *Timer) Armed() bool { return t.ev.live }
-
-// When reports the virtual time of the pending arming. It is only
-// meaningful while Armed.
-func (t *Timer) When() time.Time { return t.ev.When() }

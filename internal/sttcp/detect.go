@@ -113,8 +113,8 @@ type detectorState struct {
 	peerPingValid bool
 	asym          held
 
-	// localAppFailed is the local watchdog's verdict, carried in every
-	// heartbeat.
+	// localAppFailed is the witness majority's verdict against the local
+	// application, carried in every heartbeat.
 	localAppFailed bool
 
 	// The leaky-bucket scorer and the peer heartbeat-cadence drift

@@ -34,10 +34,9 @@ func newHeldConns(t testing.TB, n int) []*heldConn {
 }
 
 // window is what the model advertises: the lesser of the unread and the
-// unreported space.
+// unreported space. The host's stack is built with zero tcp.Options.
 func (h *heldConn) window() int64 {
-	size := int64(h.node.host.TCP().Options().RecvBufferSize)
-	return min(size-(h.end-h.read), holdBufferSize-(h.end-h.reported))
+	return min(tcp.DefaultRecvBufferSize-(h.end-h.read), holdBufferSize-(h.end-h.reported))
 }
 
 // deliver offers n client bytes at the in-order edge; exactly the window's

@@ -79,9 +79,6 @@ func (lg *Logger) Start() error {
 	return nil
 }
 
-// Streams reports how many connections the logger is tracking.
-func (lg *Logger) Streams() int { return len(lg.streams) }
-
 // handlePacket ingests one tapped client→service TCP packet.
 func (lg *Logger) handlePacket(pkt ip.Packet) {
 	if pkt.Dst != lg.cfg.ServiceAddr {

@@ -41,8 +41,8 @@ func TestStreamLogOutOfOrderMerge(t *testing.T) {
 	frame := make([]byte, 5)
 	s.Accept(10, frame[:copy(frame, "cccc")], s.retain)
 	s.Accept(5, frame[:copy(frame, "bbbbb")], s.retain)
-	if s.Next() != 0 {
-		t.Fatalf("next advanced to %d before the gap filled", s.Next())
+	if s.log.End() != 0 {
+		t.Fatalf("the log reached %d before the gap filled", s.log.End())
 	}
 	s.Accept(0, frame[:copy(frame, "aaaaa")], s.retain)
 	got, err := logged(s, 0)
@@ -110,7 +110,7 @@ func TestStreamLogProperty(t *testing.T) {
 		for _, sg := range segs {
 			s.Accept(sg.off, sg.b, s.retain)
 		}
-		if s.Next() != int64(size) {
+		if s.log.End() != int64(size) {
 			return false
 		}
 		got, err := logged(s, 0)
@@ -139,7 +139,7 @@ func newLoggerNet(t *testing.T) *loggerNet {
 	sw := netem.NewSwitch(s, "sw", 0)
 	host := func(name string, num byte) *cluster.Host {
 		h := cluster.New(s, cluster.HostConfig{Name: name, EthNum: uint32(num), Addr: ip.MakeAddr(10, 0, 0, num)})
-		h.ConnectToSwitch(sw, netem.DefaultLANConfig())
+		netem.Connect(s, sw, h.NIC(), netem.DefaultLANConfig())
 		return h
 	}
 	backup, lgHost := host("backup", 3), host("logger", 4)
@@ -193,11 +193,13 @@ func TestLoggerOutOfOrderBound(t *testing.T) {
 		n.tapData(off, mss)
 	}
 	s := n.lg.streams[n.id]
-	if s.Next() != 100 {
-		t.Fatalf("in-order stream reached %d across the hole at 100", s.Next())
+	if s.log.End() != 100 {
+		t.Fatalf("in-order stream reached %d across the hole at 100", s.log.End())
 	}
-	if got := s.OutOfOrder(); got > capacity || got < capacity-mss {
-		t.Fatalf("logger holds %d out-of-order bytes behind a permanent hole, want the %d of its capacity (to within a segment)", got, capacity)
+	// Filling the hole delivers what waited behind it.
+	n.tapData(100, 100)
+	if got := s.log.End() - 200; got > capacity || got < capacity-mss {
+		t.Fatalf("logger held %d out-of-order bytes behind the hole, want the %d of its capacity (to within a segment)", got, capacity)
 	}
 }
 

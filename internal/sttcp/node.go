@@ -246,16 +246,6 @@ func (n *Node) Config() Config { return n.cfg }
 // Host returns the underlying host.
 func (n *Node) Host() *cluster.Host { return n.host }
 
-// Conns returns the replicated connections, ordered deterministically.
-func (n *Node) Conns() []*tcp.Conn {
-	keys := n.sortedKeys()
-	out := make([]*tcp.Conn, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, n.conns[k].conn)
-	}
-	return out
-}
-
 // Start brings the node up: the service alias and listener, the control
 // channel, and its pairing with the peer at Config.PeerAddr.
 func (n *Node) Start() error {
@@ -501,10 +491,11 @@ func (n *Node) adoptAnnouncement(id tcp.ConnID, iss uint32) {
 
 // --- Heartbeat compose / consume ---
 
-// ReportLocalAppFailure is the watchdog's entry point (§4.2.2 extension):
-// the node flags itself failed in an immediate heartbeat so the peer can
-// take the recovery action without waiting for socket-level evidence.
-func (n *Node) ReportLocalAppFailure() {
+// reportLocalAppFailure is the witness majority's verdict against this
+// node's own application: the node flags itself failed (hb AppFailed) in an
+// immediate heartbeat so the peer takes the recovery action without
+// waiting for socket-level evidence.
+func (n *Node) reportLocalAppFailure() {
 	if n.state != StateActive || n.localAppFailed {
 		return
 	}
@@ -565,8 +556,8 @@ func (n *Node) handleHB(m hb.Message, link hb.LinkID) {
 		return
 	}
 	n.noteHBArrival(link)
-	// Watchdog extension: the peer's own watchdog says its application
-	// is dead — no further evidence needed.
+	// The peer flagged its own application failed (the witness majority
+	// convicted it) — no further evidence needed.
 	if m.AppFailed && n.state == StateActive {
 		n.declarePeerFailed("peer watchdog reported application failure")
 		return
@@ -922,12 +913,12 @@ func (n *Node) decideByMajority(rc *repConn, localFIN bool) {
 	case localFIN && !w.closed:
 		// Two replicas see no close; our FIN signals our own failure.
 		n.tracer.Emit(trace.KindSuspect, n.comp, "majority: witness does not corroborate local FIN on %v; reporting self failed", c.ID())
-		n.ReportLocalAppFailure()
+		n.reportLocalAppFailure()
 	case !localFIN && w.closed:
 		// Backup and witness closed; we did not: our application
 		// failed (row 3P, decided by majority instead of lag).
 		n.tracer.Emit(trace.KindSuspect, n.comp, "majority: backup and witness closed %v but we did not; reporting self failed", c.ID())
-		n.ReportLocalAppFailure()
+		n.reportLocalAppFailure()
 	default:
 		// Backup alone produced a FIN: majority says it failed.
 		n.declarePeerFailed("majority: backup FIN not corroborated by primary or witness")
@@ -979,8 +970,8 @@ func (n *Node) declarePeerFailed(reason string) {
 	n.FailoverReason = reason
 	// Detection is declared over: the suspect verdict and the STONITH
 	// action both belong to the detection span, which ends here. When the
-	// declaration came without prior evidence (e.g. the peer's own
-	// watchdog flagged it over a live heartbeat link), the span is
+	// declaration came without prior evidence (e.g. the peer flagged
+	// its own application failed over a live heartbeat link), the span is
 	// zero-length by construction.
 	n.noteEvidence("%s", reason)
 	n.milestone(n.mSuspects, n.detSpan, trace.KindSuspect, "peer declared failed: %s", reason)

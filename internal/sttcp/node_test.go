@@ -123,8 +123,8 @@ func TestHoldOccupancyRunningTotal(t *testing.T) {
 		check("step")
 		peak = max(peak, unreported(hs))
 	}
-	if peak == 0 || node.mHoldBytes.Max() != peak {
-		t.Fatalf("gauge max %d, peak of the recomputed sum %d", node.mHoldBytes.Max(), peak)
+	if hold := node.host.Metrics().Snapshot().Find("sttcp.holdbuf_bytes"); peak == 0 || len(hold) != 1 || hold[0].Max != peak {
+		t.Fatalf("gauge %+v, peak of the recomputed sum %d", hold, peak)
 	}
 
 	// Dropping a connection takes its bytes out of the total.
@@ -143,6 +143,23 @@ func TestHoldOccupancyRunningTotal(t *testing.T) {
 	}
 	if got := node.mHoldBytes.Value(); got != 0 {
 		t.Fatalf("gauge reads %d in non-FT mode", got)
+	}
+}
+
+// TestClosedConnLeavesTheNode: a replicated connection the client resets
+// drops out of the node's bookkeeping at the next heartbeat, which no longer
+// advertises it, so connection churn leaks nothing.
+func TestClosedConnLeavesTheNode(t *testing.T) {
+	node := newPrimaryWithConns(t, clientIDs(3))
+	keys := node.sortedKeys()
+	id := keys[1]
+	rst := tcp.Segment{SrcPort: id.RemotePort, DstPort: id.LocalPort, Seq: 0x2000 + 1, Flags: tcp.FlagRST}
+	node.host.TCP().HandleSegment(ip.Packet{Src: id.RemoteAddr, Dst: id.LocalAddr, Proto: ip.ProtoTCP}, &rst)
+	if m := node.composeHB(); len(m.Conns) != 2 || len(node.conns) != 2 {
+		t.Fatalf("after one of three connections closed: heartbeat carries %d, node tracks %d; want 2 and 2", len(m.Conns), len(node.conns))
+	}
+	if _, ok := node.conns[id]; ok {
+		t.Fatalf("the closed connection %v is still tracked", id)
 	}
 }
 

@@ -220,13 +220,6 @@ func NewReassembler(oooMax int) *Reassembler {
 	return &Reassembler{oooMax: oooMax}
 }
 
-// Next returns the next in-order stream offset: one past the last byte
-// delivered.
-func (r *Reassembler) Next() int64 { return r.next }
-
-// OutOfOrder reports the bytes waiting beyond a hole.
-func (r *Reassembler) OutOfOrder() int { return r.oooHeld }
-
 // Accept ingests payload at stream offset off. What was delivered before
 // is trimmed as a duplicate; what became in-order — the payload, then any
 // waiting chunks it connects — is handed to deliver in stream order before

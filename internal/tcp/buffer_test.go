@@ -398,16 +398,16 @@ func TestRecvBufferOutOfOrderReassembly(t *testing.T) {
 	if got := delivered(b, 5, frame); got != nil {
 		t.Fatalf("ooo accept delivered %q", got)
 	}
-	if b.OutOfOrder() != 5 {
-		t.Fatalf("oooBytes = %d", b.OutOfOrder())
+	if b.oooHeld != 5 {
+		t.Fatalf("oooBytes = %d", b.oooHeld)
 	}
 	copy(frame, "abcde")
 	got := delivered(b, 0, frame)
 	if string(got) != "abcdefghij" {
 		t.Fatalf("reassembly delivered %q", got)
 	}
-	if b.next != 10 || b.OutOfOrder() != 0 {
-		t.Fatalf("rcvNxt=%d ooo=%d", b.next, b.OutOfOrder())
+	if b.next != 10 || b.oooHeld != 0 {
+		t.Fatalf("rcvNxt=%d ooo=%d", b.next, b.oooHeld)
 	}
 }
 

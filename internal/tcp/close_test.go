@@ -129,7 +129,7 @@ func TestOOOBufferBounded(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		off := int64(2048 + i*100)
 		b.accept(off, make([]byte, 100))
-		total = b.OutOfOrder()
+		total = b.oooHeld
 	}
 	if total > 1024 {
 		t.Fatalf("out-of-order buffer grew to %d with cap 1024", total)

@@ -99,8 +99,6 @@ type Conn struct {
 	retransTimer  *sim.Timer
 	persistTimer  *sim.Timer
 	timeWaitTimer *sim.Timer
-	delAckTimer   *sim.Timer
-	ackPending    bool
 	persistShift  uint
 	retransCount  int
 
@@ -160,9 +158,6 @@ func (c *Conn) ISS() uint32 { return c.iss }
 // IRS returns the initial receive sequence number.
 func (c *Conn) IRS() uint32 { return c.irs }
 
-// MSS returns the negotiated maximum segment size.
-func (c *Conn) MSS() int { return c.mss }
-
 // RTO returns the current retransmission timeout including backoff,
 // clamped to the stack's maximum.
 func (c *Conn) RTO() time.Duration {
@@ -218,9 +213,6 @@ func (c *Conn) SetSuppressed(v bool) {
 		c.wasReplica = true
 	}
 }
-
-// Suppressed reports whether output is being discarded.
-func (c *Conn) Suppressed() bool { return c.suppressed }
 
 // Hold makes the receive buffer the ST-TCP primary's extra receive buffer:
 // every byte received from now on stays, after the application has read
@@ -795,46 +787,13 @@ func (c *Conn) applyWindow(seg *Segment) {
 }
 
 func (c *Conn) processData(segOff int64, seg *Segment) {
-	oldNxt := c.rb.next
 	delivered := c.rb.accept(segOff, seg.Payload)
-	// A duplicate or out-of-order segment must be acknowledged
-	// immediately — the duplicate ack drives the peer's fast retransmit;
-	// only a lone in-order segment may be delayed (RFC 1122).
-	inOrder := delivered > 0 && segOff <= oldNxt
-	if c.stack.opts.DelayedACK && inOrder && !seg.Flags.Has(FlagFIN) {
-		c.scheduleDelayedAck()
-	} else {
-		c.sendControl(FlagACK)
-	}
+	// Every data segment is acknowledged at once: a duplicate ack drives
+	// the peer's fast retransmit.
+	c.sendControl(FlagACK)
 	if delivered > 0 {
 		c.notifyReadable()
 	}
-}
-
-// scheduleDelayedAck acknowledges every second segment immediately and a
-// lone segment after the ack-delay timer.
-func (c *Conn) scheduleDelayedAck() {
-	if c.ackPending {
-		c.sendControl(FlagACK) // second segment: ack now
-		return
-	}
-	c.ackPending = true
-	c.delAckTimer.Arm(ackDelay)
-}
-
-func (c *Conn) onDelAckTimeout() {
-	if c.ackPending {
-		c.sendControl(FlagACK)
-	}
-}
-
-// clearDelayedAck cancels a pending delayed acknowledgement; called when
-// any segment carrying ACK goes out (the ack rides along).
-//
-//sttcp:hotpath
-func (c *Conn) clearDelayedAck() {
-	c.ackPending = false
-	c.delAckTimer.Stop()
 }
 
 func (c *Conn) processPeerFIN(finOff int64) {
@@ -899,15 +858,6 @@ func (c *Conn) maybeSend() {
 		}
 		payload, err := c.sb.Slice(c.sndNxt, n)
 		if err != nil || len(payload) == 0 {
-			break
-		}
-		// Nagle (RFC 896): hold back a sub-MSS segment while earlier
-		// data is unacknowledged, unless it is the final data before
-		// a FIN.
-		if c.stack.opts.Nagle && len(payload) < c.mss &&
-			c.sndNxt > c.sndUna &&
-			c.sndNxt+int64(len(payload)) == c.sb.End() &&
-			!(c.finQueued && !c.finGate) {
 			break
 		}
 		c.transmitData(c.sndNxt, payload, false)
@@ -996,11 +946,10 @@ func (c *Conn) sendSegmentRaw(flags Flags, off int64, payload []byte, isSYN bool
 		Payload: payload,
 	}
 	if isSYN {
-		seg.MSS = uint16(c.stack.opts.MSS)
+		seg.MSS = DefaultMSS
 	}
 	if flags.Has(FlagACK) {
 		seg.Ack = c.recvWireSeq(c.rb.next)
-		c.clearDelayedAck() // this segment carries the ack
 	}
 	c.output(seg) //sttcp:allow hotpathalloc emit and noteSuppressed box trace arguments behind the Detail() gate, off in measured runs; the Segment itself is pooled (TestAllocsPerSegmentBudget)
 }
@@ -1199,7 +1148,6 @@ func (c *Conn) teardown(err error) {
 	c.closeErr = err
 	c.cancelRetransTimer()
 	c.cancelPersistTimer()
-	c.clearDelayedAck()
 	c.timeWaitTimer.Stop()
 	c.stack.removeConn(c)
 	if !c.closeNotified {

@@ -23,8 +23,8 @@ func TestHandshake(t *testing.T) {
 	if client.IRS() != server.ISS() || server.IRS() != client.ISS() {
 		t.Fatal("IRS/ISS mismatch between the two ends")
 	}
-	if client.MSS() != DefaultMSS {
-		t.Fatalf("negotiated MSS %d, want %d", client.MSS(), DefaultMSS)
+	if client.mss != DefaultMSS {
+		t.Fatalf("negotiated MSS %d, want %d", client.mss, DefaultMSS)
 	}
 }
 
@@ -316,15 +316,22 @@ func TestDuplicateSYNHandled(t *testing.T) {
 	}
 }
 
+// TestMSSNegotiationTakesMin has the wire offer 536 bytes: every SYN and
+// SYN-ACK arrives with that MSS option, as from a peer with a smaller
+// segment size, and both ends settle on it.
 func TestMSSNegotiationTakesMin(t *testing.T) {
-	s := newPair(t, 14, lan(), Options{})
-	_ = s
-	// Rebuild with asymmetric MSS: client 536, server default.
 	h := newPair(t, 14, lan(), Options{})
-	h.stackA.opts.MSS = 536
+	offer536 := func(_ ip.Packet, seg *Segment) bool {
+		if seg.Flags.Has(FlagSYN) {
+			seg.MSS = 536
+		}
+		return true
+	}
+	h.stackA.SegmentFilter = offer536
+	h.stackB.SegmentFilter = offer536
 	client, server := connectPair(t, h, 80)
-	if client.MSS() != 536 || server.MSS() != 536 {
-		t.Fatalf("negotiated MSS %d/%d, want 536", client.MSS(), server.MSS())
+	if client.mss != 536 || server.mss != 536 {
+		t.Fatalf("negotiated MSS %d/%d, want 536", client.mss, server.mss)
 	}
 }
 

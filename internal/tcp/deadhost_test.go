@@ -51,19 +51,23 @@ func TestCrashReleasesTheStacksBuffers(t *testing.T) {
 	sw := netem.NewSwitch(s, "sw", time.Microsecond)
 	client := cluster.New(s, cluster.HostConfig{Name: "client", EthNum: 1, Addr: ip.MakeAddr(10, 0, 0, 1)})
 	server := cluster.New(s, cluster.HostConfig{Name: "server", EthNum: 2, Addr: ip.MakeAddr(10, 0, 0, 2)})
-	client.ConnectToSwitch(sw, netem.DefaultLANConfig())
-	server.ConnectToSwitch(sw, netem.DefaultLANConfig())
+	netem.Connect(s, sw, client.NIC(), netem.DefaultLANConfig())
+	netem.Connect(s, sw, server.NIC(), netem.DefaultLANConfig())
 	payload := make([]byte, 64<<10)
 	for i := range payload {
 		payload[i] = byte(i*31 + i>>9)
 	}
 	// serve answers every connection with payload and reads nothing.
+	var conns []*tcp.Conn
 	serve := func() {
 		l, err := server.TCP().Listen(server.Netstack().Addr(), 80)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l.OnEstablished = func(c *tcp.Conn) { _, _ = c.Write(payload) }
+		l.OnEstablished = func(c *tcp.Conn) {
+			conns = append(conns, c)
+			_, _ = c.Write(payload)
+		}
 	}
 	dial := func() *tcp.Conn {
 		c, err := client.TCP().Dial(client.Netstack().Addr(), server.Netstack().Addr(), 80)
@@ -79,7 +83,6 @@ func TestCrashReleasesTheStacksBuffers(t *testing.T) {
 		dial()
 	}
 	_ = s.Run(2 * time.Millisecond)
-	conns := server.TCP().Conns()
 	held := make([]int64, len(conns))
 	for i, c := range conns {
 		sb := c.SendWindow()

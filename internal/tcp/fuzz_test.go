@@ -139,13 +139,13 @@ func FuzzReassemble(f *testing.F) {
 			for i := range p {
 				p[i] = pat(off + int64(i))
 			}
-			before := r.Next()
+			before := r.next
 			got := r.Accept(off, p, deliver)
-			if int64(got) != r.Next()-before || r.Next() != int64(len(stream)) {
-				t.Fatalf("Accept(%d, %d bytes) = %d with Next %d -> %d and %d bytes delivered", off, n, got, before, r.Next(), len(stream))
+			if int64(got) != r.next-before || r.next != int64(len(stream)) {
+				t.Fatalf("Accept(%d, %d bytes) = %d with Next %d -> %d and %d bytes delivered", off, n, got, before, r.next, len(stream))
 			}
-			if r.OutOfOrder() > int(bound) {
-				t.Fatalf("%d bytes wait out of order, bound %d", r.OutOfOrder(), bound)
+			if r.oooHeld > int(bound) {
+				t.Fatalf("%d bytes wait out of order, bound %d", r.oooHeld, bound)
 			}
 		}
 		prefix := func() int64 {
@@ -163,18 +163,18 @@ func FuzzReassemble(f *testing.F) {
 			}
 			total += n
 			offer(off, n)
-			if r.Next() > prefix() {
-				t.Fatalf("delivered up to %d, only [0, %d) was ever offered", r.Next(), prefix())
+			if r.next > prefix() {
+				t.Fatalf("delivered up to %d, only [0, %d) was ever offered", r.next, prefix())
 			}
 		}
-		if total <= int(bound) && r.Next() != prefix() {
-			t.Fatalf("nothing was dropped (offered %d, bound %d) yet Next is %d, contiguous prefix %d", total, bound, r.Next(), prefix())
+		if total <= int(bound) && r.next != prefix() {
+			t.Fatalf("nothing was dropped (offered %d, bound %d) yet Next is %d, contiguous prefix %d", total, bound, r.next, prefix())
 		}
 		for off := int64(0); off < prefix(); off += 255 { // retransmission, in order
 			offer(off, int(min(255, prefix()-off)))
 		}
-		if r.Next() != prefix() {
-			t.Fatalf("after in-order retransmission Next is %d, contiguous prefix %d", r.Next(), prefix())
+		if r.next != prefix() {
+			t.Fatalf("after in-order retransmission Next is %d, contiguous prefix %d", r.next, prefix())
 		}
 		for i, b := range stream {
 			if b != pat(int64(i)) {

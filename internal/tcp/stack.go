@@ -64,46 +64,34 @@ const (
 )
 
 // The other fixed timings and sizes of every stack: TIME_WAIT lasts 2 × msl,
-// the delayed-acknowledgement timer is ackDelay, and the send buffer holds
-// sendBufferSize bytes (it also caps the congestion window).
+// and the send buffer holds sendBufferSize bytes (it also caps the
+// congestion window). Every stack offers DefaultMSS and acknowledges each
+// segment at once.
 const (
 	msl            = 5 * time.Second
-	ackDelay       = 40 * time.Millisecond
 	sendBufferSize = 256 << 10
 )
 
-// Options select a stack's TCP personality. Zero values select defaults.
-type Options struct {
-	// MSS is the largest segment payload offered (DefaultMSS if 0).
-	MSS int
-	// RecvBufferSize is the receive buffer, and so the largest window
-	// advertised (256 KiB if 0).
-	RecvBufferSize int
+// DefaultRecvBufferSize is the receive buffer of a stack built with zero
+// Options.
+const DefaultRecvBufferSize = 256 << 10
 
-	// Nagle enables RFC 896 small-segment coalescing: a sub-MSS segment
-	// is held back while unacknowledged data is in flight.
-	Nagle bool
-	// DelayedACK enables RFC 1122 acknowledgement delay: a lone in-order
-	// data segment is acknowledged after 40 ms or when a second segment
-	// arrives, whichever is first. Out-of-order segments are always
-	// acknowledged immediately (duplicate acks drive fast retransmit).
-	DelayedACK bool
+// Options size a stack. Zero values select defaults.
+type Options struct {
+	// RecvBufferSize is the receive buffer, and so the largest window
+	// advertised (DefaultRecvBufferSize if 0).
+	RecvBufferSize int
 }
 
 func (o *Options) fillDefaults() {
-	if o.MSS == 0 {
-		o.MSS = DefaultMSS
-	}
 	if o.RecvBufferSize == 0 {
-		o.RecvBufferSize = 256 << 10
+		o.RecvBufferSize = DefaultRecvBufferSize
 	}
 }
 
 // Listener accepts inbound connections on one (address, port) pair.
 type Listener struct {
-	stack *Stack
-	addr  ip.Addr
-	port  uint16
+	addr ip.Addr
 
 	// ISNProvider, when non-nil, supplies the initial send sequence
 	// number for a new passive connection. The ST-TCP backup installs a
@@ -126,12 +114,6 @@ type Listener struct {
 	// to install taps and suppression.
 	NewConnSetup func(*Conn)
 }
-
-// Addr returns the listening address.
-func (l *Listener) Addr() ip.Addr { return l.addr }
-
-// Port returns the listening port.
-func (l *Listener) Port() uint16 { return l.port }
 
 // Stack is a host's TCP layer: it owns the connection table, demultiplexes
 // inbound segments, and emits outbound segments through the netstack.
@@ -240,26 +222,8 @@ func NewStack(clock *sim.Clock, ns *netstack.Stack, name string, opts Options, t
 	return st
 }
 
-// Name returns the stack's trace name.
-func (st *Stack) Name() string { return st.name }
-
-// Options returns the stack's effective options.
-func (st *Stack) Options() Options { return st.opts }
-
-// Netstack returns the underlying IP stack.
-func (st *Stack) Netstack() *netstack.Stack { return st.ns }
-
 // Sim returns the simulator the stack runs on.
 func (st *Stack) Sim() *sim.Simulator { return st.sim }
-
-// Conns returns a snapshot of live connections.
-func (st *Stack) Conns() []*Conn {
-	out := make([]*Conn, 0, len(st.conns))
-	for _, c := range st.conns {
-		out = append(out, c)
-	}
-	return out
-}
 
 // Crash lets go of every connection's buffers once the host is dead:
 // nothing runs on it again, and a reboot builds a new stack. Each window is
@@ -287,13 +251,10 @@ func (st *Stack) Listen(addr ip.Addr, port uint16) (*Listener, error) {
 	if _, ok := st.listeners[port]; ok {
 		return nil, fmt.Errorf("%w: port %d", ErrListenerExists, port)
 	}
-	l := &Listener{stack: st, addr: addr, port: port}
+	l := &Listener{addr: addr}
 	st.listeners[port] = l
 	return l, nil
 }
-
-// Close unbinds the listener.
-func (l *Listener) Close() { delete(l.stack.listeners, l.port) }
 
 // Dial opens an active connection from local (the stack's primary address
 // if zero) to remote:remotePort.
@@ -343,7 +304,7 @@ func (st *Stack) newConn(id ConnID) *Conn {
 	c := &Conn{
 		stack: st,
 		id:    id,
-		mss:   st.opts.MSS,
+		mss:   DefaultMSS,
 		sb:    NewWindow(sendBufferSize),
 		rb:    newRecvBuffer(st.opts.RecvBufferSize),
 		rto:   initialRTO,
@@ -353,7 +314,6 @@ func (st *Stack) newConn(id ConnID) *Conn {
 	c.retransTimer = newRTOTimer(st, c.onRetransTimeout)
 	c.persistTimer = st.clock.NewTimer(c.onPersistTimeout)
 	c.timeWaitTimer = st.clock.NewTimer(c.onTimeWaitExpired)
-	c.delAckTimer = st.clock.NewTimer(c.onDelAckTimeout)
 	c.readableFn = c.deliverReadable
 	c.writableFn = c.deliverWritable
 	c.resetCongestion()

@@ -74,7 +74,7 @@ func TestSuppressedReplicaAcrossWrap(t *testing.T) {
 	if server == nil {
 		// Expected: create on first SYN only after unsuppression.
 		// Unsuppress via the stack's conns table.
-		for _, c := range h.stackB.Conns() {
+		for _, c := range h.stackB.conns {
 			c.SetSuppressed(false)
 		}
 	} else {

@@ -145,13 +145,6 @@ func (sp *Sampler) Start() {
 	sp.ticker = sim.NewDaemonTicker(sp.sim, sp.window, sp.tick)
 }
 
-// Stop halts sampling. Idempotent; safe before Start and on nil.
-func (sp *Sampler) Stop() {
-	if sp != nil && sp.ticker != nil {
-		sp.ticker.Stop()
-	}
-}
-
 // newSeries allocates a ring and registers the series (cold path).
 func (sp *Sampler) newSeries(name, unit string) *series {
 	s := &series{name: name, unit: unit, ring: make([]float64, maxWindows)}
@@ -355,14 +348,6 @@ func (t *ClientTrack) Deliver(n int, lat time.Duration) {
 	}
 }
 
-// Bytes returns the cumulative delivered bytes (0 on nil).
-func (t *ClientTrack) Bytes() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.bytes
-}
-
 // NewClientTrack registers a per-connection progress cell. The first call
 // also creates the aggregate derived series (client.stalled_conns,
 // client.progress_bytes) and the shared client.response_latency windowed
@@ -455,19 +440,6 @@ func (sp *Sampler) Timeline() *Timeline {
 	}
 	sort.Slice(tl.Series, func(i, j int) bool { return tl.Series[i].Name < tl.Series[j].Name })
 	return tl
-}
-
-// Find returns the named series, or nil. Nil-safe.
-func (t *Timeline) Find(name string) *SeriesData {
-	if t == nil {
-		return nil
-	}
-	for i := range t.Series {
-		if t.Series[i].Name == name {
-			return &t.Series[i]
-		}
-	}
-	return nil
 }
 
 // Max returns the largest point and its window index (-1 when empty).

@@ -42,14 +42,14 @@ func TestSamplerCounterDeltasAndGaugeValues(t *testing.T) {
 	if tl.Windows != 3 {
 		t.Fatalf("windows = %d, want 3", tl.Windows)
 	}
-	rate := tl.Find("tcp.segments_sent.rate")
+	rate := find(tl, "tcp.segments_sent.rate")
 	if rate == nil {
 		t.Fatal("counter rate series missing")
 	}
 	if want := []float64{3, 0, 5}; !floatsEqual(rate.Points, want) {
 		t.Errorf("counter deltas = %v, want %v", rate.Points, want)
 	}
-	gauge := tl.Find("backup.hold_buffer_bytes")
+	gauge := find(tl, "backup.hold_buffer_bytes")
 	if want := []float64{100, 100, 40}; !floatsEqual(gauge.Points, want) {
 		t.Errorf("gauge values = %v, want %v", gauge.Points, want)
 	}
@@ -62,7 +62,7 @@ func TestSamplerPicksUpLateRegisteredInstruments(t *testing.T) {
 	// must notice it on the next window.
 	s.Post(150*time.Millisecond, func() { r.Counter("late", "arrivals").Add(2) })
 	runTo(t, s, 350*time.Millisecond)
-	rate := sp.Timeline().Find("late.arrivals.rate")
+	rate := find(sp.Timeline(), "late.arrivals.rate")
 	if rate == nil {
 		t.Fatal("late-registered counter was never tracked")
 	}
@@ -100,9 +100,9 @@ func TestWindowedPercentiles(t *testing.T) {
 	runTo(t, s, 350*time.Millisecond)
 
 	tl := sp.Timeline()
-	p50 := tl.Find("app.latency.p50")
-	p99 := tl.Find("app.latency.p99")
-	max := tl.Find("app.latency.max")
+	p50 := find(tl, "app.latency.p50")
+	p99 := find(tl, "app.latency.p99")
+	max := find(tl, "app.latency.max")
 	if p50 == nil || p99 == nil || max == nil {
 		t.Fatal("windowed percentile series missing")
 	}
@@ -132,7 +132,7 @@ func TestWindowedOverflowUsesGlobalMax(t *testing.T) {
 	sp.Start()
 	s.Post(10*time.Millisecond, func() { h.Observe(3 * time.Second) }) // overflow bucket
 	runTo(t, s, 150*time.Millisecond)
-	max := sp.Timeline().Find("app.latency.max")
+	max := find(sp.Timeline(), "app.latency.max")
 	if max.Points[0] != 3.0 {
 		t.Errorf("overflow window max = %v, want 3.0 (histogram global max)", max.Points[0])
 	}
@@ -154,26 +154,23 @@ func TestClientTracksDeriveStallAndProgress(t *testing.T) {
 	runTo(t, s, 350*time.Millisecond)
 
 	tl := sp.Timeline()
-	stalled := tl.Find("client.stalled_conns")
+	stalled := find(tl, "client.stalled_conns")
 	if want := []float64{0, 1, 2}; !floatsEqual(stalled.Points, want) {
 		t.Errorf("stalled_conns = %v, want %v", stalled.Points, want)
 	}
-	prog := tl.Find("client.progress_bytes")
+	prog := find(tl, "client.progress_bytes")
 	if want := []float64{150, 70, 0}; !floatsEqual(prog.Points, want) {
 		t.Errorf("progress_bytes = %v, want %v", prog.Points, want)
 	}
-	if tl.Find("client.response_latency.p99") == nil {
+	if find(tl, "client.response_latency.p99") == nil {
 		t.Error("client latency percentile series missing")
 	}
-	if a.Bytes() != 170 || b.Bytes() != 50 {
-		t.Errorf("cumulative bytes = %d/%d, want 170/50", a.Bytes(), b.Bytes())
+	if a.bytes != 170 || b.bytes != 50 {
+		t.Errorf("cumulative bytes = %d/%d, want 170/50", a.bytes, b.bytes)
 	}
 	// Nil track is a no-op, matching the metrics package contract.
 	var nilTrack *ClientTrack
 	nilTrack.Deliver(10, time.Millisecond)
-	if nilTrack.Bytes() != 0 {
-		t.Error("nil ClientTrack must be inert")
-	}
 }
 
 func TestProbesSampledPerWindow(t *testing.T) {
@@ -184,7 +181,7 @@ func TestProbesSampledPerWindow(t *testing.T) {
 	s.Post(50*time.Millisecond, func() { depth = 7 })
 	s.Post(150*time.Millisecond, func() { depth = 3 })
 	runTo(t, s, 250*time.Millisecond)
-	ser := sp.Timeline().Find("sched.pending")
+	ser := find(sp.Timeline(), "sched.pending")
 	if want := []float64{7, 3}; !floatsEqual(ser.Points, want) {
 		t.Errorf("probe series = %v, want %v", ser.Points, want)
 	}
@@ -203,7 +200,7 @@ func TestRingWrapKeepsMostRecentWindows(t *testing.T) {
 	if tl.Windows != windows || tl.Dropped != 6 {
 		t.Fatalf("windows/dropped = %d/%d, want %d/6", tl.Windows, tl.Dropped, windows)
 	}
-	ser := tl.Find("w")
+	ser := find(tl, "w")
 	if n := len(ser.Points); n != maxWindows || ser.Points[0] != 7 || ser.Points[n-1] != windows {
 		t.Errorf("retained %d points from %v to %v, want the most recent %d: 7 to %d",
 			n, ser.Points[0], ser.Points[n-1], maxWindows, windows)
@@ -225,7 +222,7 @@ func TestWindowIndex(t *testing.T) {
 	if !tl.Start.Equal(sim.Epoch.Add(time.Second)) {
 		t.Fatalf("Start = %v, want the instant sampling began", tl.Start)
 	}
-	idx, got := int(at.Sub(tl.Start)/tl.Window), tl.Find("x.hits.rate").Points
+	idx, got := int(at.Sub(tl.Start)/tl.Window), find(tl, "x.hits.rate").Points
 	if want := []float64{0, 0, 1, 0}; idx != 2 || !floatsEqual(got, want) {
 		t.Errorf("+250ms maps to window %d of %v, want window 2 of %v", idx, got, want)
 	}
@@ -269,4 +266,14 @@ func floatsEqual(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// find returns the named series of tl, or nil.
+func find(tl *Timeline, name string) *SeriesData {
+	for i := range tl.Series {
+		if tl.Series[i].Name == name {
+			return &tl.Series[i]
+		}
+	}
+	return nil
 }
