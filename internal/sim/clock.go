@@ -104,21 +104,30 @@ func (c *Clock) NewTicker(period time.Duration, fn func()) *Ticker {
 }
 
 // Post is Simulator.Post owned by the clock: Stop cancels the event if it
-// has not fired, and posting after Stop panics.
+// has not fired, and posting after Stop panics. A zero-delay post from a
+// running callback (a wake-up) is parked in the simulator's same-instant
+// tail instead, and runs in place if nothing else is due at its instant
+// (see Simulator.settle); it pops where it would have otherwise.
 //
 //sttcp:hotpath
 func (c *Clock) Post(delay time.Duration, fn func()) {
 	if c.stopped {
 		panic(errStoppedClock)
 	}
+	if delay <= 0 && c.s.park(c, fn) {
+		return
+	}
 	c.own(c.s.post(delay, fn))
 }
 
 // Stop cancels every pending timer, ticker and post of the clock, in the
-// order they were armed; arming one afterwards panics. Stopping a stopped
-// clock is a no-op.
+// order they were armed, and drops its parked wake-up; arming one
+// afterwards panics. Stopping a stopped clock is a no-op.
 func (c *Clock) Stop() {
 	c.stopped = true
+	if c.s.wake.clock == c {
+		c.s.wake = wakeup{}
+	}
 	for c.armed.next != &c.armed {
 		c.s.Cancel(c.armed.next)
 	}

@@ -328,20 +328,31 @@ func TestCalendarCompaction(t *testing.T) {
 }
 
 // steadyStateAllocs measures allocations per re-arm/fire cycle once the
-// scheduler has reached steady state for a timer-heavy workload.
+// scheduler has reached steady state for a timer-heavy workload. Every
+// firing also wakes the clock's software: one wake-up alone at its
+// instant runs in place, every fourth firing adds a second, which queues
+// both (the same-instant tail's two branches).
 func steadyStateAllocs(t *testing.T, kind SchedulerKind) float64 {
 	t.Helper()
 	s := NewWithConfig(Config{Scheduler: kind})
+	c := NewClock(s)
 	const nTimers = 64
 	timers := make([]*Timer, nTimers)
 	period := 100 * time.Microsecond
+	var fires, wakes uint64
+	wake := func() { wakes++ }
 	for i := range timers {
 		i := i
 		timers[i] = s.NewTimer(func() {
+			fires++
 			timers[i].Arm(period) // fired path: re-arm
 			// cancelled path: the neighbour's pending arming is dropped
 			// and immediately replaced.
 			timers[(i+1)%nTimers].Arm(period + time.Duration(i))
+			c.Post(0, wake)
+			if i%4 == 0 {
+				c.Post(0, wake)
+			}
 		})
 		timers[i].Arm(time.Duration(i) * time.Microsecond)
 	}
@@ -349,16 +360,21 @@ func steadyStateAllocs(t *testing.T, kind SchedulerKind) float64 {
 	if err := s.Run(50 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	return testing.AllocsPerRun(100, func() {
+	allocs := testing.AllocsPerRun(100, func() {
 		if err := s.Run(time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 	})
+	if queued := s.Fired() - fires; queued == 0 || queued == wakes {
+		t.Fatalf("%d of %d wake-ups queued, want some run in place and some queued", queued, wakes)
+	}
+	return allocs
 }
 
 // TestHeapSteadyStateAllocs is the audit backing the //sttcp:allow
 // hotpathalloc directives in heapq.go: once warm, the heap's re-arm/
-// fire/cancel cycle must not allocate.
+// fire/cancel cycle, wake-ups run in place or queued alike, must not
+// allocate.
 func TestHeapSteadyStateAllocs(t *testing.T) {
 	if allocs := steadyStateAllocs(t, SchedulerHeap); allocs != 0 {
 		t.Fatalf("heap steady state allocates %v per run, want 0", allocs)

@@ -10,6 +10,12 @@
 // Events wait in an indexed heap that holds live events only (a cancelled
 // one leaves at once), behind the Scheduler interface; Config.Custom is the
 // seam through which the interleaving explorer and the benchmark decorate it.
+// A wake-up — a zero-delay Clock.Post from a running callback — is parked
+// rather than queued, and once the callback returns it runs in place if
+// nothing else is due at its instant, without an event; otherwise it is
+// queued under the sequence number it reserved, so pop order, virtual time
+// and every tie group stay as if each wake-up were queued. Fired counts the
+// events the queue pops, so a wake-up run in place adds nothing to it.
 // Virtual time is an integer, nanoseconds since Epoch, wherever an event is
 // keyed or a per-segment deadline kept; Now is its time.Time form, for
 // reports (see DESIGN.md "Scheduler architecture").
@@ -79,6 +85,22 @@ type Simulator struct {
 	ctx     uint64
 	fg      int      // live non-daemon events in the queue
 	free    []*Event // recycled Post events
+
+	// firing is set while a popped event's callback runs; only then does
+	// Clock.Post park a zero-delay call in wake instead of queueing it.
+	firing bool
+	wake   wakeup
+}
+
+// wakeup is the same-instant tail: a zero-delay Clock.Post parked by the
+// running callback, keyed by the sequence number it reserved. fn is nil
+// when the tail is empty. It holds at most one call: a second one at the
+// same instant makes both due now, so both queue (see settle).
+type wakeup struct {
+	fn    func()
+	ctx   uint64
+	seq   uint64
+	clock *Clock
 }
 
 // NewRand returns a deterministic random source derived from seed. It is
@@ -168,9 +190,17 @@ func (s *Simulator) after(delay time.Duration) int64 {
 //
 //sttcp:hotpath
 func (s *Simulator) enqueue(e *Event, whenNS int64) {
-	e.when = whenNS
-	e.seq = s.seq
+	seq := s.seq
 	s.seq++
+	s.enqueueSeq(e, whenNS, seq)
+}
+
+// enqueueSeq keys e at (whenNS, seq) and hands it to the scheduler.
+//
+//sttcp:hotpath
+func (s *Simulator) enqueueSeq(e *Event, whenNS int64, seq uint64) {
+	e.when = whenNS
+	e.seq = seq
 	e.live = true
 	if !e.daemon {
 		s.fg++
@@ -221,17 +251,74 @@ func (s *Simulator) post(delay time.Duration, fn func()) *Event {
 		//sttcp:allow hotpathalloc programming-error panic, never taken in steady state (TestHeapSteadyStateAllocs)
 		panic("sim: Post called with nil callback")
 	}
-	var e *Event
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		e.fn, e.ctx = fn, s.ctx
-	} else {
-		e = &Event{fn: fn, ctx: s.ctx, pooled: true}
-	}
+	e := s.pooled(fn, s.ctx)
 	s.enqueue(e, s.after(delay))
 	return e
+}
+
+// pooled returns a recycled Post event (a new one when none is free)
+// carrying fn and ctx.
+//
+//sttcp:hotpath
+func (s *Simulator) pooled(fn func(), ctx uint64) *Event {
+	n := len(s.free)
+	if n == 0 {
+		return &Event{fn: fn, ctx: ctx, pooled: true}
+	}
+	e := s.free[n-1]
+	s.free[n-1] = nil
+	s.free = s.free[:n-1]
+	e.fn, e.ctx = fn, ctx
+	return e
+}
+
+// park holds a zero-delay Clock.Post in the same-instant tail and reports
+// whether it did: only a running callback parks, and a second call at
+// the same instant queues the parked one and is queued itself.
+//
+//sttcp:hotpath
+func (s *Simulator) park(c *Clock, fn func()) bool {
+	if !s.firing || fn == nil {
+		return false
+	}
+	if s.wake.fn != nil {
+		s.queueWake()
+		return false
+	}
+	s.wake = wakeup{fn: fn, ctx: s.ctx, seq: s.seq, clock: c}
+	s.seq++
+	return true
+}
+
+// queueWake queues the parked call as the pooled post it would have been,
+// under the sequence number it reserved, so it pops where that post would.
+//
+//sttcp:hotpath
+func (s *Simulator) queueWake() {
+	w := s.wake
+	s.wake = wakeup{}
+	e := s.pooled(w.fn, w.ctx)
+	s.enqueueSeq(e, s.nowNS, w.seq)
+	w.clock.own(e)
+}
+
+// settle empties the same-instant tail after a callback returns. A parked
+// call with nothing else due at this instant — what Peek returns, so a
+// Config.Custom queue has its say — runs in place, without an event: it
+// is the pop that would come next, and alone at its instant it forms no
+// tie. Otherwise, or once Stop was called, it is queued. A call parked by
+// one that ran in place is settled the same way.
+func (s *Simulator) settle() {
+	for s.wake.fn != nil {
+		if next := s.sched.Peek(); s.stopped || next != nil && next.when <= s.nowNS {
+			s.queueWake()
+			return
+		}
+		w := s.wake
+		s.wake = wakeup{}
+		s.ctx = w.ctx
+		w.fn()
+	}
 }
 
 // Cancel removes e from the queue. Cancelling a nil, fired, or already
@@ -355,7 +442,8 @@ func (s *Simulator) RunUntilIdle(maxEvents uint64) error {
 	return nil
 }
 
-// Step fires exactly one event if one is pending and reports whether it did.
+// Step fires exactly one event if one is pending, and with it the
+// wake-ups it leaves that run in place, and reports whether it did.
 func (s *Simulator) Step() bool {
 	next := s.sched.Pop()
 	if next == nil {
@@ -367,10 +455,10 @@ func (s *Simulator) Step() bool {
 }
 
 // fire runs an event's callback with the event's captured causal context as
-// the ambient one, and restores the previous ambient context afterwards.
-// Pooled events are recycled before the callback runs: no handle to them can
-// exist outside the simulator, so the callback itself may immediately reuse
-// the Event via another Post.
+// the ambient one, settles the same-instant tail it left, and restores the
+// previous ambient context afterwards. Pooled events are recycled before
+// the callback runs: no handle to them can exist outside the simulator, so
+// the callback itself may immediately reuse the Event via another Post.
 func (s *Simulator) fire(e *Event) {
 	prev := s.ctx
 	s.ctx = e.ctx
@@ -379,6 +467,9 @@ func (s *Simulator) fire(e *Event) {
 		e.fn = nil
 		s.free = append(s.free, e)
 	}
+	s.firing = true
 	fn()
+	s.settle()
+	s.firing = false
 	s.ctx = prev
 }

@@ -1219,10 +1219,11 @@ func (c *Conn) noteCwnd() {
 }
 
 // notifyReadable and notifyWritable deliver application callbacks
-// asynchronously (as zero-delay events) so that protocol processing
-// triggered from inside an application's Read/Write call can never
-// re-enter the application synchronously. Deliveries are coalesced, and
-// the prebound callbacks ride the host clock's pooled posts, so
+// asynchronously (as zero-delay wake-ups, which run after the current
+// event, in place when nothing else is due at the instant) so that
+// protocol processing triggered from inside an application's Read/Write
+// call can never re-enter the application synchronously. Deliveries are
+// coalesced, and the prebound callbacks ride the host clock's posts, so
 // steady-state data delivery allocates nothing here and a crash drops a
 // pending one.
 //
