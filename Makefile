@@ -148,16 +148,16 @@ one-run:
 	  || { echo "one-run: a testbed is built or started outside experiment.Plan.Run (lines above); compile the run to a Plan"; exit 1; }
 
 # One judge: the invariant registry (internal/experiment/invariants.go)
-# decides what a correct run is, and Plan.Run applies it to every plan, so
-# no runner keeps a check of its own. Outside that file no non-test file
-# constructs a Violation{ — but chaos's invariants.go, for the three
-# predicates that read its injection records, and the explorer's
-# scheduler-order — and the per-runner checks it replaced
-# (Testbed.FailureFree, Run.completed) are gone, tests included. A grep in
-# the idiom of one-run; CI runs it beside it.
+# decides what a correct run is, and Plan.Run applies it to every plan,
+# chaos's gray verdicts included, so no runner keeps a check of its own.
+# Outside that file no non-test file constructs a Violation{ — but the
+# explorer's scheduler-order, which audits the event queue rather than the
+# run — and the per-runner checks it replaced (Testbed.FailureFree,
+# Run.completed) are gone, tests included. A grep in the idiom of one-run;
+# CI runs it beside it.
 one-judge:
 	@! grep -rnE 'Violation\{' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . \
-	  | grep -vE '^\./internal/(experiment|chaos)/invariants\.go:|^\./internal/explore/explore\.go:' \
+	  | grep -vE '^\./internal/experiment/invariants\.go:|^\./internal/explore/explore\.go:' \
 	  || { echo "one-judge: a violation is constructed outside the invariant registry (lines above); register the invariant in internal/experiment/invariants.go"; exit 1; }
 	@! grep -rnE '\bFailureFree\(|\) completed\(' --include='*.go' --exclude-dir=.bench_build . \
 	  || { echo "one-judge: a per-runner check is back (lines above); Plan.Run judges every run"; exit 1; }
@@ -181,20 +181,20 @@ one-clock:
 timeline:
 	$(GO) run ./cmd/sttcp demo -demo demo1 -timeline
 
-# Randomized fault-injection campaign: 200 seeded schedules judged by the
+# Randomized fault-injection campaign: 200 seeded plans judged by the
 # system-wide invariant registry (see EXPERIMENTS.md "Chaos campaigns").
 chaos:
 	$(GO) run ./cmd/sttcp chaos -runs 200
 
-# Gray-failure campaign: every schedule carries at least one slow-not-dead,
+# Gray-failure campaign: every plan carries at least one slow-not-dead,
 # asymmetric-partition, corruption, flapping, or clock-skew fault, judged
-# by the gray invariants on top of the crisp ones (see EXPERIMENTS.md
-# "Gray failures").
+# by the registry's gray verdicts on top of the crisp ones (see
+# EXPERIMENTS.md "Gray failures").
 chaos-gray:
 	$(GO) run ./cmd/sttcp chaos -gray -runs 200
 
 # CI-sized campaign, stated in seeds so every machine checks the same
-# schedules (seeds 1-4,500; ~30 s on a 2-core machine), its summary diffed
+# plans (seeds 1-4,500; ~30 s on a 2-core machine), its summary diffed
 # against the committed one, and its -gray twin the same way. A local soak
 # is a bigger -runs from another -seed, never a number of seconds.
 chaos-smoke:

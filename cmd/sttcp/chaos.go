@@ -10,27 +10,27 @@ import (
 	"repro/internal/experiment"
 )
 
-// setupChaos is `sttcp chaos`: campaigns of seed-derived fault schedules
-// judged by the invariant registry, with greedy schedule shrinking on
+// setupChaos is `sttcp chaos`: campaigns of seed-derived fault plans
+// judged by the invariant registry, with greedy plan shrinking on
 // failure. The same seed always reproduces the same run bit for bit.
 func setupChaos(fs *flag.FlagSet) func(io.Writer) error {
 	seed := cliflags.Seed(fs, 1, "run i uses seed+i")
-	runs := fs.Int("runs", 100, "number of schedules to run (seeds seed..seed+runs-1)")
+	runs := fs.Int("runs", 100, "number of plans to run (seeds seed..seed+runs-1)")
 	shrinkBudget := fs.Int("shrink-budget", 50, "max re-executions the shrinker may spend on a failure")
 	traceDetail := fs.Bool("trace-detail", false, "record per-segment trace events and spans (heavier; pairs well with -trace-out)")
-	gray := fs.Bool("gray", false, "generate gray-failure schedules (starvation, asymmetric cuts, corruption, flapping, clock skew) instead of crisp Table 1 faults")
-	verbose := fs.Bool("v", false, "print every schedule and its outcome")
+	gray := fs.Bool("gray", false, "draw gray-failure plans (starvation, asymmetric cuts, corruption, flapping, clock skew) instead of crisp Table 1 faults")
+	verbose := fs.Bool("v", false, "print every plan and its outcome")
 	art := cliflags.Register(fs, "the last (or first failing) run")
 
 	return func(stdout io.Writer) error {
 		if *runs < 1 {
-			return usageErr("-runs %d: a campaign needs at least one schedule", *runs)
+			return usageErr("-runs %d: a campaign needs at least one plan", *runs)
 		}
 		opts := chaos.Options{Options: experiment.Options{TraceDetail: *traceDetail, TelemetryWindow: art.Window()}}
 
-		campaign := chaos.CampaignDefault
+		campaign, grayFlag := chaos.CampaignDefault, ""
 		if *gray {
-			campaign = chaos.CampaignGray
+			campaign, grayFlag = chaos.CampaignGray, " -gray"
 		}
 		var (
 			skipped          int
@@ -39,11 +39,11 @@ func setupChaos(fs *flag.FlagSet) func(io.Writer) error {
 		)
 		for i := 0; i < *runs; i++ {
 			s := *seed + int64(i)
-			sc := chaos.Generate(campaign, s)
+			p := chaos.Generate(campaign, s)
 			if *verbose {
-				fmt.Fprintf(stdout, "--- run %d ---\n%v", i, sc)
+				fmt.Fprintf(stdout, "--- run %d ---\n%s", i, chaos.Describe(p))
 			}
-			res, err := chaos.Run(sc, opts)
+			res, err := chaos.Run(p, opts)
 			if err != nil {
 				return fmt.Errorf("seed %d: %w", s, err)
 			}
@@ -60,12 +60,20 @@ func setupChaos(fs *flag.FlagSet) func(io.Writer) error {
 				}
 			}
 			if res.Failed() {
-				fmt.Fprintf(stdout, "%s", res.Report())
-				shr, serr := chaos.Shrink(sc, opts, res, *shrinkBudget)
+				fmt.Fprintf(stdout, "%sreplay: sttcp chaos -seed %d -runs 1%s\n", res.Report(), s, grayFlag)
+				shrunk := res
+				_, extra, serr := experiment.Shrink(p, *shrinkBudget, func(c experiment.Plan) (bool, error) {
+					r, err := chaos.Run(c, opts)
+					if err != nil || !r.Failed() {
+						return false, err
+					}
+					shrunk = r
+					return true, nil
+				})
 				if serr != nil {
 					fmt.Fprintf(stdout, "--- shrink failed: %v ---\n", serr)
 				} else {
-					fmt.Fprintf(stdout, "--- minimized after %d extra runs ---\n%s", shr.Runs, shr.Result.Report())
+					fmt.Fprintf(stdout, "--- minimized after %d extra runs ---\n%s", extra, shrunk.Report())
 				}
 				// The failing run's artifacts (its report carries the
 				// invariant verdicts), not the campaign's last.
@@ -82,7 +90,7 @@ func setupChaos(fs *flag.FlagSet) func(io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "sttcp chaos: %d runs, all invariants held (%d takeovers, %d non-FT transitions, %d events skipped as unsurvivable)\n",
 			*runs, takeovers, nonft, skipped)
-		fmt.Fprintf(stdout, "invariants checked: %v\n", chaos.InvariantNames())
+		fmt.Fprintf(stdout, "invariants checked: %v\n", experiment.InvariantNames())
 		return nil
 	}
 }

@@ -15,7 +15,7 @@ import (
 // setupExplore is `sttcp explore`. Where chaos samples the schedule space,
 // explore closes a slice of it: a clean exit means every tie-break order and
 // fault placement in the window was replayed (or proven redundant) and every
-// invariant of the chaos registry held on all of them.
+// invariant of the registry held on all of them.
 func setupExplore(fs *flag.FlagSet) func(io.Writer) error {
 	var cfg explore.Config
 	seed := cliflags.Seed(fs, 1, "every replayed interleaving uses the same seed")
@@ -23,7 +23,7 @@ func setupExplore(fs *flag.FlagSet) func(io.Writer) error {
 	fs.DurationVar(&cfg.FaultSpan, "fault-span", 30*time.Millisecond, "length of the fault-placement window")
 	fs.DurationVar(&cfg.Grace, "grace", 1400*time.Millisecond, "how far past the fault window tie-breaks keep forking (the takeover-latency bound)")
 	fs.IntVar(&cfg.MaxFaultPoints, "fault-points", 6, "max fault boundaries to enumerate (even stride over the window)")
-	faults := fs.String("faults", "crash-serving", "comma-separated fault kinds to place at each boundary")
+	faults := fs.String("faults", "crash-serving", "comma-separated faults, by their chaos names, to place at each boundary")
 	fs.IntVar(&cfg.MaxRuns, "max-runs", 2000, "max interleavings to execute")
 	fs.IntVar(&cfg.MaxPrefix, "max-prefix", 64, "max choice-prefix depth (deeper branch points void the closure claim)")
 	fs.IntVar(&cfg.Workers, "workers", 0, "replay worker pool (0: fully parallel; results identical for any setting)")
@@ -36,11 +36,11 @@ func setupExplore(fs *flag.FlagSet) func(io.Writer) error {
 	return func(stdout io.Writer) error {
 		cfg.Seed = *seed
 		for _, name := range strings.Split(*faults, ",") {
-			k, err := chaos.ParseEventKind(strings.TrimSpace(name))
+			f, err := chaos.FaultNamed(strings.TrimSpace(name))
 			if err != nil {
 				return usageErr("-faults: %w", err)
 			}
-			cfg.FaultKinds = append(cfg.FaultKinds, k)
+			cfg.FaultKinds = append(cfg.FaultKinds, f)
 		}
 		res, err := explore.Explore(cfg)
 		if err != nil {

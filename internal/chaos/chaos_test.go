@@ -8,18 +8,19 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/experiment"
 	"repro/internal/metrics"
 )
 
 var (
-	chaosRuns = flag.Int("chaos.runs", 50, "number of randomized chaos schedules TestChaos executes")
+	chaosRuns = flag.Int("chaos.runs", 50, "number of randomized chaos plans TestChaos executes")
 	chaosSeed = flag.Int64("chaos.seed", 0, "when non-zero, TestChaos replays exactly this one seed, verbosely")
-	chaosGray = flag.Bool("chaos.gray", false, "run TestChaos (campaign or -chaos.seed replay) on gray-failure schedules instead of crisp ones")
+	chaosGray = flag.Bool("chaos.gray", false, "run TestChaos (campaign or -chaos.seed replay) on gray-failure plans instead of crisp ones")
 )
 
-// TestChaos is the main campaign: N seed-derived schedules, every one of
+// TestChaos is the main campaign: N seed-derived plans, every one of
 // which must satisfy the full invariant registry. On failure it shrinks the
-// schedule and reports the seed, so the exact run replays with
+// plan and reports the seed, so the exact run replays with
 //
 //	go test ./internal/chaos -run TestChaos -chaos.seed=<seed>
 func TestChaos(t *testing.T) {
@@ -30,27 +31,26 @@ func TestChaos(t *testing.T) {
 	signatures := make(map[string]bool)
 	for i := 0; i < *chaosRuns; i++ {
 		seed := int64(1 + i)
-		sc := runOne(t, seed, false)
-		signatures[sc.Signature()] = true
+		signatures[Signature(runOne(t, seed, false))] = true
 	}
 	// The generator must actually explore the fault space, not emit the
-	// same few schedules over and over.
+	// same few plans over and over.
 	if min := *chaosRuns * 9 / 10; len(signatures) < min {
-		t.Errorf("only %d distinct schedules out of %d runs (want ≥ %d)", len(signatures), *chaosRuns, min)
+		t.Errorf("only %d distinct plans out of %d runs (want ≥ %d)", len(signatures), *chaosRuns, min)
 	}
 }
 
-func runOne(t *testing.T, seed int64, verbose bool) Schedule {
+func runOne(t *testing.T, seed int64, verbose bool) experiment.Plan {
 	t.Helper()
 	campaign := CampaignDefault
 	if *chaosGray {
 		campaign = CampaignGray
 	}
-	sc := Generate(campaign, seed)
+	p := Generate(campaign, seed)
 	if verbose {
-		t.Logf("schedule:\n%v", sc)
+		t.Logf("plan:\n%s", Describe(p))
 	}
-	res, err := Run(sc, Options{})
+	res, err := Run(p, Options{})
 	if err != nil {
 		t.Fatalf("seed %d: run: %v", seed, err)
 	}
@@ -61,18 +61,32 @@ func runOne(t *testing.T, seed int64, verbose bool) Schedule {
 		}
 	}
 	if res.Failed() {
-		shr, serr := Shrink(sc, Options{}, res, 50)
-		if serr != nil {
-			t.Logf("shrink error: %v", serr)
-		}
-		t.Fatalf("seed %d violated invariants.\n--- original ---\n%s--- shrunk (%d runs) ---\n%s",
-			seed, res.Report(), shr.Runs, shr.Result.Report())
+		failShrunk(t, fmt.Sprintf("seed %d", seed), p, res)
 	}
-	return sc
+	return p
+}
+
+// failShrunk fails the test with a failing run's report and that of the
+// smallest plan experiment.Shrink finds that still fails.
+func failShrunk(t *testing.T, what string, p experiment.Plan, res *RunResult) {
+	t.Helper()
+	shrunk := res
+	_, runs, err := experiment.Shrink(p, 50, func(c experiment.Plan) (bool, error) {
+		r, err := Run(c, Options{})
+		if err == nil && r.Failed() {
+			shrunk = r
+		}
+		return err == nil && r.Failed(), err
+	})
+	if err != nil {
+		t.Logf("shrink error: %v", err)
+	}
+	t.Fatalf("%s violated invariants.\n--- original ---\n%s--- shrunk (%d runs) ---\n%s",
+		what, res.Report(), runs, shrunk.Report())
 }
 
 // TestChaosDeterministic replays a few seeds twice and demands
-// byte-identical traces and metrics: the whole harness — schedule
+// byte-identical traces and metrics: the whole harness — plan
 // generation, injection guards, shrink candidates — must be a pure
 // function of the seed.
 func TestChaosDeterministic(t *testing.T) {
@@ -122,120 +136,7 @@ func TestSeed4468AppCrashWaitsOutTheCommitWindow(t *testing.T) {
 	}
 }
 
-// baseFailoverSchedule is a plain mid-transfer primary crash: the simplest
-// schedule on which the sabotage tests operate.
-func baseFailoverSchedule(seed int64) Schedule {
-	return Schedule{
-		Seed:     seed,
-		Workload: "download",
-		Bytes:    2 << 20,
-		Horizon:  30 * time.Second,
-		Events: []Event{
-			{At: 0, Kind: EvClientStart},
-			{At: 400 * time.Millisecond, Kind: EvCrashServing},
-		},
-	}
-}
-
-// TestChaosCatchesUnsuppressedBackup proves the invariant registry detects
-// a real protocol bug: with output suppression sabotaged the client still
-// sees a correct byte stream (the replica transmits identical data), so
-// only the backup-silence invariant can catch it — and it must, with a
-// schedule that shrinks to the bare workload.
-func TestChaosCatchesUnsuppressedBackup(t *testing.T) {
-	opts := Options{sabotageUnsuppressedBackup: true}
-	sc := baseFailoverSchedule(123)
-	res, err := Run(sc, opts)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !res.Failed() {
-		t.Fatalf("sabotaged suppression went undetected.\n%s", res.Report())
-	}
-	found := false
-	for _, v := range res.Violations {
-		if v.Invariant == "backup-silence" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("expected a backup-silence violation, got: %v", res.Violations)
-	}
-	shr, err := Shrink(sc, opts, res, 50)
-	if err != nil {
-		t.Fatalf("shrink: %v", err)
-	}
-	// The bug needs no fault at all — any accepted connection transmits
-	// from the backup — so the shrinker must drop the crash.
-	if got := len(shr.Schedule.Events); got > 1 {
-		t.Errorf("shrunk schedule still has %d events, want 1 (client start only):\n%v", got, shr.Schedule)
-	}
-	if !shr.Result.Failed() {
-		t.Error("shrunk schedule no longer fails")
-	}
-	t.Logf("shrunk in %d runs to:\n%v", shr.Runs, shr.Schedule)
-}
-
-// TestChaosShrinksBrokenDetection sabotages failure detection entirely (no
-// fault is ever declared) and checks that (a) a crash now strands the
-// client — caught by client-integrity — and (b) the shrinker strips the
-// decoy noise events down to the minimal client+crash pair.
-func TestChaosShrinksBrokenDetection(t *testing.T) {
-	opts := Options{sabotageBlindDetectors: true}
-	sc := Schedule{
-		Seed:     7,
-		Workload: "download",
-		Bytes:    32 << 20,
-		Horizon:  12 * time.Second,
-		Events: []Event{
-			{At: 0, Kind: EvClientStart},
-			{At: 100 * time.Millisecond, Kind: EvDelayClient, Delay: 2 * time.Millisecond, Dur: 300 * time.Millisecond},
-			{At: 150 * time.Millisecond, Kind: EvDropStandby, Dur: 80 * time.Millisecond},
-			{At: 200 * time.Millisecond, Kind: EvLossClient, Rate: 0.05, Dur: 200 * time.Millisecond},
-			// Past the standby-risk grace window the drop-standby decoy
-			// opens, and mid-transfer (32 MiB take ≈3 s on the wire).
-			{At: 1 * time.Second, Kind: EvCrashServing},
-		},
-	}
-	res, err := Run(sc, opts)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !res.Failed() {
-		t.Fatalf("blind detectors went undetected.\n%s", res.Report())
-	}
-	found := false
-	for _, v := range res.Violations {
-		if v.Invariant == "client-integrity" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("expected a client-integrity violation, got: %v", res.Violations)
-	}
-	shr, err := Shrink(sc, opts, res, 50)
-	if err != nil {
-		t.Fatalf("shrink: %v", err)
-	}
-	if got := len(shr.Schedule.Events); got > 2 {
-		t.Errorf("shrunk schedule still has %d events, want 2 (client + crash):\n%v", got, shr.Schedule)
-	}
-	if !shr.Result.Failed() {
-		t.Error("shrunk schedule no longer fails")
-	}
-	hasCrash := false
-	for _, e := range shr.Schedule.Events {
-		if e.Kind == EvCrashServing {
-			hasCrash = true
-		}
-	}
-	if !hasCrash {
-		t.Errorf("shrunk schedule lost the crash that causes the failure:\n%v", shr.Schedule)
-	}
-	t.Logf("shrunk in %d runs to:\n%v", shr.Runs, shr.Schedule)
-}
-
-// TestChaosGray is the gray-failure campaign: 50 seed-derived schedules
+// TestChaosGray is the gray-failure campaign: 50 seed-derived plans
 // drawn from the gray campaign — starvation, asymmetric cuts, corrupting links,
 // flapping interfaces, clock skew — every one judged by the full
 // invariant registry including the gray invariants (quiescence under
@@ -246,34 +147,46 @@ func TestChaosShrinksBrokenDetection(t *testing.T) {
 func TestChaosGray(t *testing.T) {
 	verdicts, noise := 0, 0
 	for seed := int64(1); seed <= 50; seed++ {
-		sc := Generate(CampaignGray, seed)
-		if !sc.HasGray() {
-			t.Fatalf("seed %d: gray-campaign schedule has no gray fault:\n%v", seed, sc)
-		}
-		if sc.DriftObservable() && sc.HasGray() {
-			noise++
-		} else {
+		p := Generate(CampaignGray, seed)
+		switch grayClass(p) {
+		case "":
+			t.Fatalf("seed %d: gray-campaign plan has no gray fault:\n%s", seed, Describe(p))
+		case "verdict":
 			verdicts++
+		default:
+			noise++
 		}
-		res, err := Run(sc, Options{})
+		res, err := Run(p, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: run: %v", seed, err)
 		}
 		if res.Failed() {
-			shr, serr := Shrink(sc, Options{}, res, 50)
-			if serr != nil {
-				t.Logf("shrink error: %v", serr)
-			}
-			t.Fatalf("gray seed %d violated invariants.\n--- original ---\n%s--- shrunk (%d runs) ---\n%s",
-				seed, res.Report(), shr.Runs, shr.Result.Report())
+			failShrunk(t, fmt.Sprintf("gray seed %d", seed), p, res)
 		}
 	}
 	// The generator must exercise both halves of the gray fault model:
-	// schedules the detectors must act on and schedules they must ride
-	// out.
+	// plans the detectors must act on and plans they must ride out.
 	if verdicts == 0 || noise == 0 {
-		t.Errorf("campaign shape degenerate: %d verdict-carrying schedules, %d noise-only", verdicts, noise)
+		t.Errorf("campaign shape degenerate: %d verdict-carrying plans, %d noise-only", verdicts, noise)
 	}
+}
+
+// grayClass sorts a gray-campaign plan: "verdict" when it carries a fault
+// the detectors must act on (starve, asymmetric partition) or that may
+// trip one (a NIC flap), "noise" when it carries gray faults they must
+// ride out, "" when it carries no gray fault at all.
+func grayClass(p experiment.Plan) string {
+	class := ""
+	for _, f := range p.Faults {
+		switch f.Kind {
+		case experiment.FaultStarve, experiment.FaultTxCut, experiment.FaultNICFlap:
+			return "verdict"
+		case experiment.FaultDrop, experiment.FaultLoss, experiment.FaultDelay:
+		default:
+			class = "noise"
+		}
+	}
+	return class
 }
 
 // TestChaosGrayDeterministic is the gray twin of TestChaosDeterministic:
@@ -300,90 +213,105 @@ func TestChaosGrayDeterministic(t *testing.T) {
 }
 
 // TestGrayStarveDetected pins the tentpole behavior end to end on a
-// hand-built schedule: a deep CPU starve of the serving host under an
-// echo workload must end in a takeover within the injector's declared
-// bound, driven by the suspicion scorer (no crisp detector fires — the
+// hand-built plan: a deep CPU starve of the serving host under an
+// echo workload must end in a takeover within gray-detection-bound's
+// deadline, driven by the suspicion scorer (no crisp detector fires — the
 // host's heartbeats keep flowing).
 func TestGrayStarveDetected(t *testing.T) {
-	sc := Schedule{
-		Seed:     99,
-		Workload: "echo",
-		Rounds:   1000,
-		MsgSize:  512,
-		Horizon:  30 * time.Second,
-		Events: []Event{
-			{At: 0, Kind: EvClientStart},
-			{At: 1 * time.Second, Kind: EvStarveServing, Scale: 500, Dur: 8 * time.Second},
-		},
-	}
-	res, err := Run(sc, Options{})
+	p := echoPlan(99, 1000)
+	p.Faults = []experiment.Fault{{At: 1 * time.Second, Kind: experiment.FaultStarve, Host: "serving", Scale: 500, Dur: 8 * time.Second}}
+	res, err := Run(p, Options{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if res.Failed() {
-		t.Fatalf("starve schedule violated invariants:\n%s", res.Report())
+		t.Fatalf("starve plan violated invariants:\n%s", res.Report())
 	}
 	if got := res.Metrics.CounterTotal("sttcp.takeovers"); got != 1 {
 		t.Errorf("takeovers = %d, want exactly 1 (suspicion verdict on the starved primary)", got)
 	}
 }
 
+// echoPlan is a hand-built chaos plan: one echo client of rounds 512-byte
+// rounds from t=0, a 30 s horizon, no fault yet.
+func echoPlan(seed int64, rounds int) experiment.Plan {
+	p := experiment.Plan{
+		Clients: []experiment.Workload{{Echo: true, Rounds: rounds, MsgSize: 512, Gap: 3 * time.Millisecond}},
+		Horizon: 30 * time.Second,
+	}
+	p.Seed = seed
+	return p
+}
+
 // TestGrayCorruptionRiddenOut pins the flip side: checksum noise alone,
 // however dense, must never cause a takeover — the gray-quiescence
 // invariant enforces it, and this test double-checks the counter.
 func TestGrayCorruptionRiddenOut(t *testing.T) {
-	sc := Schedule{
-		Seed:     98,
-		Workload: "echo",
-		Rounds:   1000,
-		MsgSize:  512,
-		Horizon:  30 * time.Second,
-		Events: []Event{
-			{At: 0, Kind: EvClientStart},
-			{At: 800 * time.Millisecond, Kind: EvCorruptServing, Rate: 0.10, Dur: 1500 * time.Millisecond},
-			{At: 1 * time.Second, Kind: EvCorruptSerial, Rate: 0.40, Dur: 3 * time.Second},
-		},
+	p := echoPlan(98, 1000)
+	p.Faults = []experiment.Fault{
+		{At: 800 * time.Millisecond, Kind: experiment.FaultCorrupt, Host: "serving", Rate: 0.10, Dur: 1500 * time.Millisecond},
+		{At: 1 * time.Second, Kind: experiment.FaultSerialCorrupt, Rate: 0.40, Dur: 3 * time.Second},
 	}
-	res, err := Run(sc, Options{})
+	res, err := Run(p, Options{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if res.Failed() {
-		t.Fatalf("corruption noise schedule violated invariants:\n%s", res.Report())
+		t.Fatalf("corruption noise plan violated invariants:\n%s", res.Report())
 	}
 	if got := res.Metrics.CounterTotal("sttcp.takeovers"); got != 0 {
 		t.Errorf("takeovers = %d, want 0 (checksum noise must be ridden out)", got)
 	}
 	if res.Injected["corrupt-serving"] != 1 || res.Injected["corrupt-serial"] != 1 {
-		t.Errorf("injected = %v, want both corruption events applied", res.Injected)
+		t.Errorf("injected = %v, want both corruption faults applied", res.Injected)
 	}
 }
 
 // TestGenerateShapes sanity-checks the generator's structural guarantees
-// over many seeds: a client always starts at t=0, events are sorted, at
-// least one fault exists, and String/Signature round out stably.
+// over many seeds: a client always starts at t=0, faults are sorted, at
+// least one exists, and Describe/Signature round out stably.
 func TestGenerateShapes(t *testing.T) {
 	for seed := int64(1); seed <= 500; seed++ {
-		sc := Generate(CampaignDefault, seed)
-		if len(sc.Events) < 2 {
-			t.Fatalf("seed %d: schedule has no fault events:\n%v", seed, sc)
+		p := Generate(CampaignDefault, seed)
+		if len(p.Faults) == 0 {
+			t.Fatalf("seed %d: plan has no fault:\n%s", seed, Describe(p))
 		}
-		if sc.Events[0].Kind != EvClientStart || sc.Events[0].At != 0 {
-			t.Fatalf("seed %d: first event is %v, want client-start@0", seed, sc.Events[0])
+		if p.Clients[0].At != 0 {
+			t.Fatalf("seed %d: first client starts at %v, want 0", seed, p.Clients[0].At)
 		}
-		for i := 1; i < len(sc.Events); i++ {
-			if sc.Events[i].At < sc.Events[i-1].At {
-				t.Fatalf("seed %d: events out of order:\n%v", seed, sc)
+		for i := 1; i < len(p.Faults); i++ {
+			if p.Faults[i].At < p.Faults[i-1].At {
+				t.Fatalf("seed %d: faults out of order:\n%s", seed, Describe(p))
 			}
 		}
-		if sc.Workload != "download" && sc.Workload != "echo" {
-			t.Fatalf("seed %d: unknown workload %q", seed, sc.Workload)
+		for _, f := range p.Faults {
+			if rowOf(f) == nil {
+				t.Fatalf("seed %d: fault %s %q has no row", seed, f.Kind, f.Host)
+			}
 		}
-		if a, b := Generate(CampaignDefault, seed).Signature(), sc.Signature(); a != b {
+		if a, b := Signature(Generate(CampaignDefault, seed)), Signature(p); a != b {
 			t.Fatalf("seed %d: Generate is not deterministic", seed)
 		}
-		if fmt.Sprint(sc) == "" {
-			t.Fatalf("seed %d: empty String", seed)
+		if Describe(p) == "" {
+			t.Fatalf("seed %d: empty description", seed)
 		}
+	}
+}
+
+// TestFaultNamed pins the command-line spelling of a fault: every row's
+// name resolves to a template of that row, and an application crash
+// spelled by name is the silent one.
+func TestFaultNamed(t *testing.T) {
+	for _, r := range rows {
+		f, err := FaultNamed(r.name)
+		if err != nil || rowOf(f) == nil || rowOf(f).name != r.name {
+			t.Errorf("FaultNamed(%q) = %+v, %v", r.name, f, err)
+		}
+	}
+	if f, _ := FaultNamed("appcrash-serving"); f.Kind != experiment.FaultAppCrashSilent || f.Host != "serving" {
+		t.Errorf("appcrash-serving is %+v, want the silent crash of the serving node", f)
+	}
+	if _, err := FaultNamed("gremlins"); err == nil {
+		t.Error("an unknown name resolved")
 	}
 }

@@ -19,11 +19,11 @@ var updateDigest = flag.Bool("update", false, "rewrite the campaign outcome dige
 // trace reads: which events were injected and which refused (and why), the
 // verdicts, where every client ended, and the virtual instant of every
 // takeover and non-FT transition. A change to how faults are injected must
-// reproduce it byte for byte; a change to what a schedule injects shows up
+// reproduce it byte for byte; a change to what a plan injects shows up
 // as a reviewable diff naming the seed.
 func outcomeDigest(res *RunResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "seed %d\n", res.Schedule.Seed)
+	fmt.Fprintf(&b, "seed %d\n", res.Plan.Seed)
 	kinds := make([]string, 0, len(res.Injected))
 	for k := range res.Injected {
 		kinds = append(kinds, k)
@@ -54,7 +54,7 @@ func outcomeDigest(res *RunResult) string {
 
 // TestCampaignDigest pins the outcome of seeds 1–60 of both campaigns
 // against testdata/digest-{default,gray}.golden. Regenerate after a
-// deliberate change to what schedules inject with
+// deliberate change to what plans inject with
 //
 //	go test ./internal/chaos -run CampaignDigest -update
 //

@@ -2,11 +2,13 @@ package chaos
 
 import (
 	"testing"
+
+	"repro/internal/experiment"
 )
 
 // FuzzGraySchedule hammers the gray-failure generator and harness with
-// arbitrary seeds: every generated schedule must be structurally sound
-// (sorted, client-start first, parameters inside their declared bounds),
+// arbitrary seeds: every drawn plan must be structurally sound
+// (sorted, client at 0, parameters inside their declared bounds),
 // generation must be a pure function of the seed, and — the property the
 // campaign asserts for its fixed seed range — the full run must satisfy
 // every invariant in the registry, gray ones included. The checked-in
@@ -18,34 +20,34 @@ func FuzzGraySchedule(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		sc := Generate(CampaignGray, seed)
-		if !sc.HasGray() {
-			t.Fatalf("seed %d: no gray fault in a gray-campaign schedule:\n%v", seed, sc)
+		p := Generate(CampaignGray, seed)
+		if grayClass(p) == "" {
+			t.Fatalf("seed %d: no gray fault in a gray-campaign plan:\n%s", seed, Describe(p))
 		}
-		if len(sc.Events) == 0 || sc.Events[0].Kind != EvClientStart || sc.Events[0].At != 0 {
-			t.Fatalf("seed %d: schedule must open with client-start@0:\n%v", seed, sc)
+		if p.Clients[0].At != 0 {
+			t.Fatalf("seed %d: plan must open with its client at 0:\n%s", seed, Describe(p))
 		}
-		for i, e := range sc.Events {
-			if i > 0 && e.At < sc.Events[i-1].At {
-				t.Fatalf("seed %d: events out of order:\n%v", seed, sc)
+		for i, f := range p.Faults {
+			if i > 0 && f.At < p.Faults[i-1].At {
+				t.Fatalf("seed %d: faults out of order:\n%s", seed, Describe(p))
 			}
-			if e.Rate < 0 || e.Rate > 1 {
-				t.Fatalf("seed %d: event %d rate %v out of [0,1]:\n%v", seed, i, e.Rate, sc)
+			if f.Rate < 0 || f.Rate > 1 {
+				t.Fatalf("seed %d: fault %d rate %v out of [0,1]:\n%s", seed, i, f.Rate, Describe(p))
 			}
-			if e.Kind == EvStarveServing && e.Scale < 1 {
-				t.Fatalf("seed %d: starve scale %v < 1:\n%v", seed, i, sc)
+			if f.Kind == experiment.FaultStarve && f.Scale < 1 {
+				t.Fatalf("seed %d: starve scale %v < 1:\n%s", seed, f.Scale, Describe(p))
 			}
-			if e.Kind == EvClockSkew && e.Scale <= 0 {
-				t.Fatalf("seed %d: skew scale %v not positive:\n%v", seed, e.Scale, sc)
+			if f.Kind == experiment.FaultClockSkew && f.Scale <= 0 {
+				t.Fatalf("seed %d: skew scale %v not positive:\n%s", seed, f.Scale, Describe(p))
 			}
-			if (e.Kind == EvNICFlap || e.Kind == EvSerialFlap) && e.Period <= 0 {
-				t.Fatalf("seed %d: flap period %v not positive:\n%v", seed, e.Period, sc)
+			if (f.Kind == experiment.FaultNICFlap || f.Kind == experiment.FaultSerialFlap) && f.Period <= 0 {
+				t.Fatalf("seed %d: flap period %v not positive:\n%s", seed, f.Period, Describe(p))
 			}
 		}
-		if Generate(CampaignGray, seed).Signature() != sc.Signature() {
+		if Signature(Generate(CampaignGray, seed)) != Signature(p) {
 			t.Fatalf("seed %d: generation is not deterministic", seed)
 		}
-		res, err := Run(sc, Options{})
+		res, err := Run(p, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: run: %v", seed, err)
 		}

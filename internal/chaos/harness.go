@@ -8,46 +8,28 @@ import (
 	"repro/internal/app"
 	"repro/internal/experiment"
 	"repro/internal/sttcp"
-	"repro/internal/tcp"
 	"repro/internal/trace"
 )
 
-// Options tune a chaos run: the testbed's options (the schedule's seed is
-// the run's), and two sabotage switches, unexported, that this package's
-// tests set to break a protocol mechanism deliberately and prove the
-// invariant registry catches real bugs — campaigns never use them.
+// Options are the testbed options a chaos run builds its testbed with:
+// trace detail, a telemetry window, the explorer's scheduler. The plan's
+// own seed drives the run.
 type Options struct {
 	experiment.Options
-	// sabotageUnsuppressedBackup disables the backup's output
-	// suppression on accepted connections: the replica transmits its
-	// (identical) output alongside the primary. The client cannot tell,
-	// but the backup-silence invariant must.
-	sabotageUnsuppressedBackup bool
-	// sabotageBlindDetectors stretches the heartbeat period and
-	// MaxDelayFIN to an hour, so no fault is ever detected within the run:
-	// the detectors tick at half the heartbeat period and a link times out
-	// after three. Fatal faults then strand the clients, which the
-	// integrity invariant must report.
-	sabotageBlindDetectors bool
 }
 
-// harness is one chaos run's Judge: it fires the schedule's events
-// through the kinds table and keeps the records the gray invariants read.
+// harness is one chaos run's Judge: it starts the plan's clients and
+// strikes its faults through the rows table, and keeps the notes the
+// guards read.
 type harness struct {
-	sc   Schedule
-	opts Options
-
+	p   experiment.Plan
 	run *experiment.Run
 	tb  *experiment.Testbed
-
-	// starts and strikes are the schedule's events that became the plan's
-	// clients and its faults, index for index.
-	starts, strikes []Event
 
 	// Fault bookkeeping the world does not hold: a cut cable (a flapped
 	// or crashed port is also Down, which is not the same fact), and
 	// lossUntil, when the latest loss window on a *server* link ends —
-	// serial cuts are deferred past it (see the EvSerialCut row).
+	// serial cuts are deferred past it (see the serial-cut row).
 	serialCut bool
 	lossUntil time.Duration
 	// standbyRiskUntil is when the standby's link was last dropping
@@ -59,122 +41,63 @@ type harness struct {
 	// this), so the harness never stacks those two faults.
 	standbyRiskUntil time.Duration
 	// preRejoin counts the clients started before the last rejoin.
-	preRejoin   int
+	preRejoin int
+	// lastEventAt is when the plan's last client start or fault window
+	// is over.
 	lastEventAt time.Duration
 
-	// Gray-failure bookkeeping (recorded by the after hooks of the gray
-	// kinds, judged by grayInvariants).
-	injected      map[string]int
-	fatalInjected bool
-	grayNoise     int
-	flapApplied   bool
-	grayExpects   []grayExpect
-	grayEvidence  []grayEvidence
-
-	// cfg is the primary's filled-in config, for invariant bounds.
-	cfg sttcp.Config
-
-	skipped []string
+	injected map[string]int
+	skipped  []string
 }
 
-// Run executes one chaos schedule on a fresh testbed and returns the
-// invariant-checked result. The run is a pure function of (sc, opts): the
-// same inputs produce byte-identical traces and metrics.
-func Run(sc Schedule, opts Options) (*RunResult, error) {
-	h := &harness{sc: sc, opts: opts, injected: map[string]int{}}
+// Run executes one chaos plan on a fresh testbed built with opts and the
+// plan's seed, and returns the invariant-checked result. Run gives the
+// plan its judge (the harness), a 60 s horizon if it has none, and its
+// nodes' config: detection must outrun the gated-FIN auto-release, so a
+// silent app crash is declared (AppMaxLagTime) long before a lone FIN
+// would be released on trust (MaxDelayFIN). The run is a pure function of
+// (p, opts): the same inputs produce byte-identical traces and metrics.
+func Run(p experiment.Plan, opts Options) (*RunResult, error) {
+	h := &harness{p: p, injected: map[string]int{}}
+	run := p
+	run.Options, run.Seed = opts.Options, p.Seed
+	run.Mutate = func(c *sttcp.Config) {
+		c.MaxDelayFIN = 10 * time.Second
+		c.AppMaxLagTime = 3 * time.Second
+	}
+	run.Horizon = cmp.Or(p.Horizon, 60*time.Second)
+	run.Judge = experiment.Judge{Watch: h.watch, Start: h.start, Fire: h.fire, Check: h.check}
+	// The run must outlast every fault *window*, not just the last
+	// injection instant — gray evidence (drift notes, corruption
+	// counters) accumulates across the whole window.
+	for _, w := range p.Clients {
+		h.lastEventAt = max(h.lastEventAt, w.At)
+	}
+	for _, f := range p.Faults {
+		h.lastEventAt = max(h.lastEventAt, f.At+f.Dur)
+	}
 	// With the judge firing every fault, the plan errs only with the run's
 	// violations, read off the run below; an unbuilt run comes back nil.
-	run, err := h.plan().Run()
-	if run == nil {
+	r, err := run.Run()
+	if r == nil {
 		return nil, err
 	}
-	violations := run.Violations
-	// Noise-class gray degradation (corruption, mild skew) must never
-	// escalate to a verdict: a run that injected gray noise and nothing
-	// that legitimately warrants one — no verdict expectation, no crisp
-	// fatal fault, no flap — is held to the quiescence of a run that
-	// injected nothing.
-	if h.grayNoise > 0 && len(h.grayExpects) == 0 && !h.fatalInjected && !h.flapApplied {
-		violations = append(violations, run.Quiescence()...)
-	}
-	snap := h.tb.Metrics.Snapshot()
 	res := &RunResult{
-		Schedule: sc, Trace: h.tb.Tracer, Metrics: snap, Telemetry: h.tb.Telemetry.Timeline(),
-		Skipped: h.skipped, Injected: h.injected,
-		Violations: append(violations, h.grayInvariants(snap)...),
+		Plan: p, Trace: h.tb.Tracer, Metrics: h.tb.Metrics.Snapshot(), Telemetry: h.tb.Telemetry.Timeline(),
+		Skipped: h.skipped, Injected: h.injected, Violations: r.Violations,
 	}
-	for _, cl := range run.Clients {
+	for _, cl := range r.Clients {
 		res.Clients = append(res.Clients, summarize(cl))
 	}
 	return res, nil
 }
 
-// plan compiles the schedule: its client starts become the plan's clients
-// and every other event a fault, each fired through the kinds table as it
-// falls due.
-func (h *harness) plan() experiment.Plan {
-	sc := h.sc
-	p := experiment.Plan{
-		Options: h.opts.Options,
-		Mutate: func(c *sttcp.Config) {
-			// Detection must outrun the gated-FIN auto-release: a silent
-			// app crash is declared (AppMaxLagTime) long before a lone FIN
-			// would be released on trust (MaxDelayFIN).
-			c.MaxDelayFIN = 10 * time.Second
-			c.AppMaxLagTime = 3 * time.Second
-			if h.opts.sabotageBlindDetectors {
-				c.HBPeriod, c.MaxDelayFIN = time.Hour, time.Hour
-			}
-		},
-		Horizon: cmp.Or(sc.Horizon, 60*time.Second),
-		Judge:   experiment.Judge{Watch: h.watch, Start: h.start, Fire: h.fire, Check: h.check},
-	}
-	p.Seed = sc.Seed
-	w := experiment.Workload{
-		Echo: sc.Workload == "echo", Bytes: sc.Bytes,
-		Rounds: sc.Rounds, MsgSize: sc.MsgSize, Gap: 3 * time.Millisecond,
-	}
-	for _, ev := range sc.Events {
-		// The run must outlast every fault *window*, not just the last
-		// injection instant — gray evidence (drift notes, corruption
-		// counters) accumulates across the whole window.
-		h.lastEventAt = max(h.lastEventAt, ev.At+ev.Dur)
-		if ev.Kind == EvClientStart || ev.Kind == EvSecondClient {
-			w.At = ev.At
-			p.Clients = append(p.Clients, w)
-			h.starts = append(h.starts, ev)
-			continue
-		}
-		var f experiment.Fault
-		if ev.Kind >= 0 && int(ev.Kind) < len(kinds) {
-			f = kinds[ev.Kind].fault(ev)
-		}
-		f.At = ev.At
-		p.Faults = append(p.Faults, f)
-		h.strikes = append(h.strikes, ev)
-	}
-	return p
-}
-
-// watch takes the run as it starts (Plan.Run watches its nodes) and, in
-// this package's tests, sabotages the backup it starts with.
-func (h *harness) watch(run *experiment.Run) {
-	h.run, h.tb = run, run.Testbed
-	h.cfg = h.tb.PrimaryNode.Config()
-	if n := h.tb.BackupNode; h.opts.sabotageUnsuppressedBackup {
-		accept := n.OnAccept
-		n.OnAccept = func(c *tcp.Conn) {
-			if n.State() == sttcp.StateActive {
-				c.SetSuppressed(false)
-			}
-			accept(c)
-		}
-	}
-}
+// watch takes the run as it starts (Plan.Run watches its nodes).
+func (h *harness) watch(run *experiment.Run) { h.run, h.tb = run, run.Testbed }
 
 // check is the early-stop rule, asked every 500 ms: the run ends once every
-// client has finished and the schedule, plus a grace period for detectors
-// to settle, is exhausted.
+// client has finished and the plan, plus a grace period for detectors to
+// settle, is exhausted.
 func (h *harness) check(*experiment.Run) (bool, time.Duration) {
 	const slice = 500 * time.Millisecond
 	now := h.tb.Sim.Elapsed()
@@ -191,11 +114,11 @@ func allDone(clients []app.Client) bool {
 	return true
 }
 
-func (h *harness) note(ev Event, target string) {
-	h.tb.Tracer.Emit(trace.KindGeneric, "chaos", "inject %v → %s", ev, target)
+func (h *harness) note(desc, target string) {
+	h.tb.Tracer.Emit(trace.KindGeneric, "chaos", "inject %s → %s", desc, target)
 }
 
-func (h *harness) skip(ev Event, reason string) {
-	h.skipped = append(h.skipped, fmt.Sprintf("%v: %s", ev, reason))
-	h.tb.Tracer.Emit(trace.KindGeneric, "chaos", "skip %v (%s)", ev, reason)
+func (h *harness) skip(desc, reason string) {
+	h.skipped = append(h.skipped, fmt.Sprintf("%s: %s", desc, reason))
+	h.tb.Tracer.Emit(trace.KindGeneric, "chaos", "skip %s (%s)", desc, reason)
 }

@@ -10,251 +10,150 @@ import (
 	"repro/internal/sttcp"
 )
 
-// role says whom an event kind strikes. inject resolves it to a machine at
-// injection time, which keeps double-failover schedules meaningful after a
-// rejoin has swapped the machines' roles.
-type role int
-
-const (
-	cable   role = iota // the null-modem serial cable, which is no host's
-	serving             // whichever node currently transmits to the client
-	standby             // the active backup; nil while fault tolerance is lost
-	client              // the client machine
-	failed              // the failed primary's machine, which a rejoin repairs
-)
-
-// kind is one row of the event-kind table: what chaos itself knows about an
-// EventKind. The physical act is not here — fault names it in the testbed's
-// vocabulary and experiment.Testbed performs (and, for a windowed kind,
-// reverts) it.
-type kind struct {
-	name   string
-	target role
+// row is chaos's policy for one fault template, a kind striking a host or
+// role: what reports call it, when striking it is survivable, and what a
+// fault that struck obliges the harness to remember. The physical act is
+// not here — experiment.Testbed resolves the role, performs the fault and
+// (for a windowed kind) reverts it — and neither is any verdict: the
+// invariant registry judges every run.
+type row struct {
+	kind experiment.FaultKind
+	host string
+	name string
 	// suffix completes the inject note's target: "primary link",
 	// "primary outbound", "serial cable".
 	suffix string
-	// fatal marks the crisp Table 1 faults; once one ran, gray-quiescence
-	// (which demands zero verdicts) no longer applies to the run.
-	fatal bool
-	// guard vets the event before anything mutates; a non-empty answer is
-	// the skip reason. Guards keep every generated schedule survivable —
-	// the invariants demand that all clients finish, so nothing stacks a
-	// second fatal fault onto a cluster that has not regained redundancy —
-	// and are deterministic functions of the world and the harness's own
-	// notes, so a replayed seed skips exactly the same events.
+	// guard vets the fault as it falls due, before anything mutates; a
+	// non-empty answer is the skip reason (Judge.Fire's veto). Guards keep
+	// every drawn plan survivable — the invariants demand that all clients
+	// finish, so nothing stacks a second fatal fault onto a cluster that
+	// has not regained redundancy — and are deterministic functions of the
+	// world and the harness's own notes, so a replayed seed skips exactly
+	// the same faults.
 	guard check
-	// fault translates the event (nil for the client starts, which become
-	// the plan's clients); fire names the resolved host on it, and the
-	// testbed vets its parameters, whose refusal skips the event too.
-	fault func(ev Event) experiment.Fault
-	// after records what an injected fault obliges the harness to
-	// remember, and what the gray invariants may expect of it.
-	after func(h *harness, ev Event, t *cluster.Host)
+	// after records what a fault that struck obliges the harness to
+	// remember for later guards.
+	after func(h *harness, f experiment.Fault)
 }
 
-// kinds is indexed by EventKind, in the order of the constants.
-var kinds = [...]kind{
-	EvClientStart:  {name: "client-start", target: serving, guard: reachable},
-	EvSecondClient: {name: "second-client", target: serving, guard: reachable},
+// With the serial line gone a NIC failure is indistinguishable from a
+// full crash from BOTH sides: whichever server detects total silence
+// first STONITHs the other, and if the healthy one loses that race the
+// service dies. The real testbed has the same exposure; the harness only
+// injects survivable combinations. Likewise a loss burst can silence
+// enough IP heartbeats that, with serial also gone, a healthy peer gets
+// STONITHed: cuts wait out the loss window.
+var (
+	crashServing    = all(unless(running, "serving host already down"), takeover, committed)
+	crashStandby    = all(haveStandby, unless(servingHealthy, "serving side unhealthy; killing the standby would lose service"))
+	appCrashServing = all(unless(appRunning, "serving application already gone"), takeover, committed)
+	appCrashStandby = all(haveStandby, unless(appRunning, "standby application already crashed"), servingUp)
+	nicSerialFirst  = unless(serialIntact, "serial already cut; NIC failure would be an unsurvivable double fault")
+)
 
-	EvCrashServing: {
-		name: "crash-serving", target: serving, fatal: true,
-		guard: all(unless(running, "serving host already down"), takeover, committed),
-		fault: strike(experiment.FaultCrash),
-	},
-	EvCrashStandby: {
-		name: "crash-standby", target: standby, fatal: true,
-		guard: all(haveStandby, unless(servingHealthy, "serving side unhealthy; killing the standby would lose service")),
-		fault: strike(experiment.FaultCrash),
-	},
-	EvAppCrashServing: {
-		name: "appcrash-serving", target: serving, fatal: true,
-		guard: all(unless(appRunning, "serving application already gone"), takeover, committed),
-		fault: appCrash,
-	},
-	EvAppCrashStandby: {
-		name: "appcrash-standby", target: standby, fatal: true,
-		guard: all(haveStandby, unless(appRunning, "standby application already crashed"), servingUp),
-		fault: appCrash,
-	},
-	// With the serial line gone a NIC failure is indistinguishable from a
-	// full crash from BOTH sides: whichever server detects total silence
-	// first STONITHs the other, and if the healthy one loses that race the
-	// service dies. The real testbed has the same exposure; the harness
-	// only injects survivable combinations.
-	EvNICFailServing: {
-		name: "nicfail-serving", target: serving, fatal: true,
-		guard: all(unless(serialIntact, "serial already cut; NIC failure would be an unsurvivable double fault"),
-			takeover, committed, nicAlive),
-		fault: strike(experiment.FaultNICFail),
-	},
-	EvNICFailStandby: {
-		name: "nicfail-standby", target: standby, fatal: true,
-		guard: all(unless(serialIntact, "serial already cut; NIC failure would be an unsurvivable double fault"),
-			haveStandby, servingUp, nicAlive),
-		fault: strike(experiment.FaultNICFail),
-	},
-	// A loss burst can silence enough IP heartbeats that, with serial also
-	// gone, a healthy peer gets STONITHed: cuts wait out the loss window.
-	EvSerialCut: {
-		name: "serial-cut", target: cable, suffix: "serial cable", fatal: true,
+// rows holds one row per fault template a plan of this package draws.
+// FaultNamed answers with the first row of a name, so an application
+// crash spelled on the command line is the silent one.
+var rows = []row{
+	{kind: experiment.FaultCrash, host: "serving", name: "crash-serving", guard: crashServing},
+	{kind: experiment.FaultCrash, host: "standby", name: "crash-standby", guard: crashStandby},
+	{kind: experiment.FaultAppCrashSilent, host: "serving", name: "appcrash-serving", guard: appCrashServing},
+	{kind: experiment.FaultAppCrashCleanup, host: "serving", name: "appcrash-serving", guard: appCrashServing},
+	{kind: experiment.FaultAppCrashSilent, host: "standby", name: "appcrash-standby", guard: appCrashStandby},
+	{kind: experiment.FaultAppCrashCleanup, host: "standby", name: "appcrash-standby", guard: appCrashStandby},
+	{kind: experiment.FaultNICFail, host: "serving", name: "nicfail-serving",
+		guard: all(nicSerialFirst, takeover, committed, nicAlive)},
+	{kind: experiment.FaultNICFail, host: "standby", name: "nicfail-standby",
+		guard: all(nicSerialFirst, haveStandby, servingUp, nicAlive)},
+	{kind: experiment.FaultSerialCut, name: "serial-cut", suffix: "serial cable",
 		guard: all(serialPlugged,
 			unless(serverNICsUp, "a server NIC is down; cutting serial too would be an unsurvivable double fault"),
 			lossSettled),
-		fault: strike(experiment.FaultSerialCut),
-		after: func(h *harness, _ Event, _ *cluster.Host) { h.serialCut = true },
-	},
+		after: func(h *harness, _ experiment.Fault) { h.serialCut = true }},
 
-	EvDropServing: {
-		name: "drop-serving", target: serving, suffix: " link",
-		guard: liveServing,
-		fault: strike(experiment.FaultDrop),
-	},
-	EvDropStandby: {
-		name: "drop-standby", target: standby, suffix: " link",
-		guard: liveStandby,
-		fault: strike(experiment.FaultDrop),
-		after: func(h *harness, ev Event, _ *cluster.Host) { h.noteStandbyRisk(ev.Dur) },
-	},
-	EvDropClient: {name: "drop-client", target: client, suffix: " link", fault: strike(experiment.FaultDrop)},
-	EvLossServing: {
-		name: "loss-serving", target: serving, suffix: " link",
-		guard: all(liveServing, hbRedundant),
-		fault: strike(experiment.FaultLoss),
-		after: func(h *harness, ev Event, _ *cluster.Host) { h.extendLossWindow(ev.Dur) },
-	},
-	EvLossStandby: {
-		name: "loss-standby", target: standby, suffix: " link",
-		guard: all(liveStandby, hbRedundant),
-		fault: strike(experiment.FaultLoss),
-		after: func(h *harness, ev Event, _ *cluster.Host) {
-			h.extendLossWindow(ev.Dur)
-			h.noteStandbyRisk(ev.Dur)
-		},
-	},
-	EvLossClient: {name: "loss-client", target: client, suffix: " link", fault: strike(experiment.FaultLoss)},
-	EvDelayServing: {
-		name: "delay-serving", target: serving, suffix: " link",
-		guard: liveServing,
-		fault: strike(experiment.FaultDelay),
-	},
-	EvDelayStandby: {
-		name: "delay-standby", target: standby, suffix: " link",
-		guard: liveStandby,
-		fault: strike(experiment.FaultDelay),
-	},
-	EvDelayClient: {name: "delay-client", target: client, suffix: " link", fault: strike(experiment.FaultDelay)},
+	{kind: experiment.FaultDrop, host: "serving", name: "drop-serving", suffix: " link", guard: liveServing},
+	{kind: experiment.FaultDrop, host: "standby", name: "drop-standby", suffix: " link", guard: liveStandby,
+		after: func(h *harness, f experiment.Fault) { h.noteStandbyRisk(f.Dur) }},
+	{kind: experiment.FaultDrop, host: "client", name: "drop-client", suffix: " link", guard: none},
+	{kind: experiment.FaultLoss, host: "serving", name: "loss-serving", suffix: " link", guard: all(liveServing, hbRedundant),
+		after: func(h *harness, f experiment.Fault) { h.extendLossWindow(f.Dur) }},
+	{kind: experiment.FaultLoss, host: "standby", name: "loss-standby", suffix: " link", guard: all(liveStandby, hbRedundant),
+		after: func(h *harness, f experiment.Fault) {
+			h.extendLossWindow(f.Dur)
+			h.noteStandbyRisk(f.Dur)
+		}},
+	{kind: experiment.FaultLoss, host: "client", name: "loss-client", suffix: " link", guard: none},
+	{kind: experiment.FaultDelay, host: "serving", name: "delay-serving", suffix: " link", guard: liveServing},
+	{kind: experiment.FaultDelay, host: "standby", name: "delay-standby", suffix: " link", guard: liveStandby},
+	{kind: experiment.FaultDelay, host: "client", name: "delay-client", suffix: " link", guard: none},
 
-	EvRejoin: {
-		name: "rejoin", target: failed,
+	{kind: experiment.FaultRejoin, name: "rejoin",
 		guard: func(h *harness, _ *cluster.Host) string {
 			if survivor := h.tb.BackupNode; survivor.State() != sttcp.StateTakenOver {
 				return fmt.Sprintf("survivor is %v, not taken-over", survivor.State())
 			}
 			return ""
 		},
-		fault: strike(experiment.FaultRejoin),
 		// The testbed swapped the roles and replaced a cut cable; the
 		// clients started so far are local-only on the survivor.
-		after: func(h *harness, _ Event, _ *cluster.Host) {
+		after: func(h *harness, _ experiment.Fault) {
 			h.serialCut = false
 			h.preRejoin = len(h.run.Clients)
-		},
-	},
+		}},
 
-	EvStarveServing: {
-		name: "starve-serving", target: serving,
-		guard: all(servingFit, takeover, committed),
-		fault: strike(experiment.FaultStarve),
-		after: expectStarveVerdict,
-	},
-	EvAsymPartition: {
-		name: "asym-partition", target: serving, suffix: " outbound",
+	{kind: experiment.FaultStarve, host: "serving", name: "starve-serving", guard: all(servingFit, takeover, committed)},
+	{kind: experiment.FaultTxCut, host: "serving", name: "asym-partition", suffix: " outbound",
 		guard: all(unless(serialIntact, "serial is cut; the asymmetry verdict needs the serial path"),
-			servingFit, takeover, committed),
-		fault: strike(experiment.FaultTxCut),
-		after: expectAsymVerdict,
-	},
-	EvCorruptServing: {
-		name: "corrupt-serving", target: serving, suffix: " link",
+			servingFit, takeover, committed)},
+	{kind: experiment.FaultCorrupt, host: "serving", name: "corrupt-serving", suffix: " link",
 		guard: all(unless(serialIntact, "serial is cut; corruption-dropped heartbeats could STONITH a healthy peer"),
 			liveServing),
-		fault: strike(experiment.FaultCorrupt),
-		after: observeLinkCorruption,
-	},
-	EvCorruptSerial: {
-		name: "corrupt-serial", target: cable, suffix: "serial cable",
+		after: func(h *harness, f experiment.Fault) { h.extendLossWindow(f.Dur) }},
+	{kind: experiment.FaultSerialCorrupt, name: "corrupt-serial", suffix: "serial cable",
 		guard: all(serialPlugged,
-			unless(serverNICsUp, "a server NIC is down; serial noise on top risks an unsurvivable double fault")),
-		fault: strike(experiment.FaultSerialCorrupt),
-		after: observeSerialCorruption,
-	},
-	EvNICFlap: {
-		name: "nicflap-serving", target: serving, suffix: " link",
+			unless(serverNICsUp, "a server NIC is down; serial noise on top risks an unsurvivable double fault"))},
+	{kind: experiment.FaultNICFlap, host: "serving", name: "nicflap-serving", suffix: " link",
 		guard: all(unless(serialIntact, "serial already cut; NIC flapping would be an unsurvivable double fault"),
 			servingFit, takeover, committed),
-		fault: strike(experiment.FaultNICFlap),
-		after: func(h *harness, ev Event, _ *cluster.Host) {
-			h.flapApplied = true
-			// The link is unreliable for the whole window plus however
-			// long the heartbeat view takes to settle afterwards.
-			h.extendLossWindow(ev.Dur + hb.Timeout(h.cfg.HBPeriod))
-		},
-	},
-	EvSerialFlap: {
-		name: "serialflap", target: cable, suffix: "serial cable",
+		// The link is unreliable for the whole window plus however long
+		// the heartbeat view takes to settle afterwards.
+		after: func(h *harness, f experiment.Fault) {
+			h.extendLossWindow(f.Dur + hb.Timeout(h.tb.PrimaryNode.Config().HBPeriod))
+		}},
+	{kind: experiment.FaultSerialFlap, name: "serialflap", suffix: "serial cable",
 		guard: all(serialPlugged,
 			unless(serverNICsUp, "a server NIC is down; flapping serial too risks an unsurvivable double fault"),
-			lossSettled),
-		fault: strike(experiment.FaultSerialFlap),
-		after: func(h *harness, _ Event, _ *cluster.Host) { h.flapApplied = true },
-	},
-	EvClockSkew: {
-		name: "clockskew-standby", target: standby,
-		guard: haveStandby,
-		fault: strike(experiment.FaultClockSkew),
-		after: expectDriftNote,
-	},
+			lossSettled)},
+	{kind: experiment.FaultClockSkew, host: "standby", name: "clockskew-standby", guard: haveStandby},
 }
 
-// strike builds the fault of the given kind, carrying every parameter the
-// event has; the testbed reads the one its kind names.
-func strike(k experiment.FaultKind) func(Event) experiment.Fault {
-	return func(ev Event) experiment.Fault {
-		return experiment.Fault{Kind: k, Dur: ev.Dur, Scale: ev.Scale, Rate: ev.Rate, Delay: ev.Delay, Period: ev.Period}
-	}
-}
-
-func appCrash(ev Event) experiment.Fault {
-	if ev.Cleanup {
-		return experiment.Fault{Kind: experiment.FaultAppCrashCleanup}
-	}
-	return experiment.Fault{Kind: experiment.FaultAppCrashSilent}
-}
-
-// String names the kind, per the table.
-func (k EventKind) String() string {
-	if k >= 0 && int(k) < len(kinds) {
-		return kinds[k].name
-	}
-	return fmt.Sprintf("EventKind(%d)", int(k))
-}
-
-// ParseEventKind resolves a kind's command-line spelling (the String form,
-// e.g. "crash-serving").
-func ParseEventKind(s string) (EventKind, error) {
-	for k := range kinds {
-		if kinds[k].name == s {
-			return EventKind(k), nil
+// rowOf finds the row of f's kind and host, nil for a fault no plan of
+// this package draws.
+func rowOf(f experiment.Fault) *row {
+	for i := range rows {
+		if rows[i].kind == f.Kind && rows[i].host == f.Host {
+			return &rows[i]
 		}
 	}
-	return 0, fmt.Errorf("chaos: unknown event kind %q", s)
+	return nil
 }
 
-// check is one guard: the reason an event must be skipped, or "". t is the
-// resolved target (nil for the cable, and for a standby that is not there
-// — which haveStandby and liveStandby turn into a reason before any later
-// check touches it).
+// FaultNamed resolves a fault's command-line spelling, its name in
+// reports (e.g. "crash-serving"), to the fault template: its kind and host
+// or role, with no parameters.
+func FaultNamed(name string) (experiment.Fault, error) {
+	for _, r := range rows {
+		if r.name == name {
+			return experiment.Fault{Kind: r.kind, Host: r.host}, nil
+		}
+	}
+	return experiment.Fault{}, fmt.Errorf("chaos: unknown fault %q", name)
+}
+
+// check is one guard: the reason a fault must be skipped, or "". t is the
+// machine its host resolves to (nil for the cable, and for a standby that
+// is not there — which haveStandby and liveStandby turn into a reason
+// before any later check touches it).
 type check func(h *harness, t *cluster.Host) string
 
 // all runs checks in order and answers with the first reason.
@@ -278,6 +177,7 @@ func unless(ok func(h *harness, t *cluster.Host) bool, why string) check {
 	}
 }
 
+func none(*harness, *cluster.Host) string      { return "" }
 func present(_ *harness, t *cluster.Host) bool { return t != nil }
 func running(_ *harness, t *cluster.Host) bool { return !t.Crashed() }
 func appRunning(h *harness, t *cluster.Host) bool {
@@ -290,7 +190,6 @@ func serverNICsUp(h *harness, _ *cluster.Host) bool {
 }
 
 var (
-	reachable     = unless(servingHealthy, "service is not reachable right now")
 	servingFit    = unless(servingHealthy, "serving host unhealthy")
 	servingUp     = unless(servingHealthy, "serving side unhealthy")
 	liveServing   = unless(running, "no live target link")
@@ -343,78 +242,60 @@ func (h *harness) extendLossWindow(d time.Duration) {
 	h.lossUntil = max(h.lossUntil, h.tb.Sim.Elapsed()+d)
 }
 
-// inject fires one due event: its row's guard vets it, act performs it,
-// and what the row obliges the harness to remember is booked. An event the
-// guard refuses, or whose act fails, is recorded as skipped.
-func (h *harness) inject(ev Event, act func(t *cluster.Host) error) {
-	if ev.Kind < 0 || int(ev.Kind) >= len(kinds) {
-		h.skip(ev, "unknown event kind")
+// fire is the plan's Judge.Fire: fault i falls due. Its row's guard vets
+// it against the machine its host resolves to (Testbed.Resolve) — a
+// rejoin's is the failed primary's, which it repairs — then it is armed
+// on the testbed (which vets its parameters), traced before anything
+// mutates so the trace shows cause before effect, and struck; what the
+// row obliges the harness to remember is booked. A fault the guard
+// refuses, or whose strike fails, is recorded as skipped.
+func (h *harness) fire(_ int, f experiment.Fault) {
+	desc, r := faultString(f), rowOf(f)
+	if r == nil {
+		h.skip(desc, "no chaos row for this fault")
 		return
 	}
-	k := &kinds[ev.Kind]
-	t := h.resolve(k.target)
-	why := ""
-	if k.guard != nil {
-		why = k.guard(h, t)
+	t := h.tb.Resolve(f.Host)
+	if f.Kind == experiment.FaultRejoin {
+		t = h.tb.PrimaryNode.Host()
 	}
-	if why == "" {
-		if err := act(t); err != nil {
-			why = err.Error()
-		}
-	}
-	if why != "" {
-		h.skip(ev, why)
+	if why := r.guard(h, t); why != "" {
+		h.skip(desc, why)
 		return
 	}
-	h.injected[k.name]++
-	h.fatalInjected = h.fatalInjected || k.fatal
-	if k.after != nil {
-		k.after(h, ev, t)
-	}
-}
-
-// fire is the plan's Judge.Fire: fault i falls due. It strikes the
-// resolved host, armed on the testbed (which vets its parameters) and
-// traced before anything mutates, so the trace shows cause before effect.
-func (h *harness) fire(i int, f experiment.Fault) {
-	ev := h.strikes[i]
-	h.inject(ev, func(t *cluster.Host) error {
+	act, err := h.tb.Arm(f)
+	if err == nil {
+		target := r.suffix
 		if t != nil {
-			f.Host = t.Name()
+			target = t.Name() + r.suffix
 		}
-		act, err := h.tb.Arm(f)
-		if err != nil {
-			return err
-		}
-		h.note(ev, f.Host+kinds[ev.Kind].suffix)
-		return act()
-	})
-}
-
-// start is the plan's Judge.Start: client-start event i falls due.
-func (h *harness) start(i int) {
-	ev := h.starts[i]
-	h.inject(ev, func(*cluster.Host) error {
-		cl, err := h.run.StartClient(i)
-		if err == nil {
-			h.note(ev, cl.Name())
-		}
-		return err
-	})
-}
-
-func (h *harness) resolve(r role) *cluster.Host {
-	switch r {
-	case serving:
-		return h.tb.Serving().Host()
-	case standby:
-		if n := h.tb.Standby(); n != nil {
-			return n.Host()
-		}
-	case client:
-		return h.tb.Client
-	case failed:
-		return h.tb.PrimaryNode.Host()
+		h.note(desc, target)
+		err = act()
 	}
-	return nil
+	if err != nil {
+		h.skip(desc, err.Error())
+		return
+	}
+	h.injected[r.name]++
+	if r.after != nil {
+		r.after(h, f)
+	}
+}
+
+// start is the plan's Judge.Start: client i falls due, and starts while
+// the service is reachable.
+func (h *harness) start(i int) {
+	name := clientName(i)
+	desc := fmt.Sprintf("@%v %s", h.p.Clients[i].At, name)
+	if !h.healthy(h.tb.Serving().Host()) {
+		h.skip(desc, "service is not reachable right now")
+		return
+	}
+	cl, err := h.run.StartClient(i)
+	if err != nil {
+		h.skip(desc, err.Error())
+		return
+	}
+	h.note(desc, cl.Name())
+	h.injected[name]++
 }

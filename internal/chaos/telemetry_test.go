@@ -10,7 +10,7 @@ import (
 )
 
 // TestLatencyBurstSpikesWindowedP99 is the observability acceptance test:
-// a hand-built schedule injects a client-link latency burst mid-run, and
+// a hand-built plan injects a client-link latency burst mid-run, and
 // the run report's windowed p99 response-latency series must spike during
 // the burst windows and stay flat before it. This is the paper's
 // client-visible view of a network glitch, reconstructed from telemetry
@@ -21,18 +21,9 @@ func TestLatencyBurstSpikesWindowedP99(t *testing.T) {
 		burstDur = 1 * time.Second
 		extra    = 150 * time.Millisecond
 	)
-	sc := Schedule{
-		Seed:     601,
-		Workload: "echo",
-		Rounds:   900,
-		MsgSize:  512,
-		Horizon:  30 * time.Second,
-		Events: []Event{
-			{At: 0, Kind: EvClientStart},
-			{At: burstAt, Kind: EvDelayClient, Delay: extra, Dur: burstDur},
-		},
-	}
-	res, err := Run(sc, Options{Options: experiment.Options{TelemetryWindow: 100 * time.Millisecond}})
+	p := echoPlan(601, 900)
+	p.Faults = []experiment.Fault{{At: burstAt, Kind: experiment.FaultDelay, Host: "client", Delay: extra, Dur: burstDur}}
+	res, err := Run(p, Options{Options: experiment.Options{TelemetryWindow: 100 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,15 +62,15 @@ func TestLatencyBurstSpikesWindowedP99(t *testing.T) {
 		t.Errorf("burst p99 %gs not clearly above quiet p99 %gs", burstMax, quietMax)
 	}
 
-	// The same report must carry the chaos section: the schedule, and one
+	// The same report must carry the chaos section: the plan, and one
 	// verdict per registered invariant, all clean.
 	if rep.Chaos == nil {
 		t.Fatal("run report has no chaos section")
 	}
-	if rep.Chaos.Events != len(sc.Events) {
-		t.Errorf("chaos section records %d events, want %d", rep.Chaos.Events, len(sc.Events))
+	if rep.Chaos.Events != 2 {
+		t.Errorf("chaos section records %d events, want 2 (the client and the burst)", rep.Chaos.Events)
 	}
-	if got, want := len(rep.Chaos.Invariants), len(InvariantNames()); got != want {
+	if got, want := len(rep.Chaos.Invariants), len(experiment.InvariantNames()); got != want {
 		t.Errorf("chaos section has %d invariant verdicts, want %d", got, want)
 	}
 	for _, iv := range rep.Chaos.Invariants {

@@ -66,7 +66,7 @@ func TestSteadyStateSegmentAllocatesNothing(t *testing.T) {
 			if done, bad, err := cl.Outcome(); done || bad != 0 || err != nil {
 				t.Fatalf("client left steady state: done=%v mismatches=%d err=%v", done, bad, err)
 			}
-			if v := (&Run{Testbed: tb}).Quiescence(); len(v) > 0 {
+			if v := (&Run{Testbed: tb}).quiescence(); len(v) > 0 {
 				t.Fatal(v)
 			}
 			if tb.Backup.TCP().Received == 0 {

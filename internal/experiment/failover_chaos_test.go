@@ -6,13 +6,14 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/experiment"
 	"repro/internal/trace"
 )
 
 // TestFailoverChaos sweeps the crash instant across the whole life of a
 // transfer — during the handshake, mid-stream, near completion — for both
 // HW crashes and silent application crashes, expressed as hand-written
-// chaos schedules so the full invariant registry (stream integrity,
+// chaos plans so the full invariant registry (stream integrity,
 // single-transmitter, backup silence, latency bound, counter/trace
 // consistency) judges every run, not just client completion. This is the
 // transparency claim stress-tested against timing windows.
@@ -26,24 +27,18 @@ func TestFailoverChaos(t *testing.T) {
 		seed := int64(1000 + i)
 		crashAt := time.Duration(rng.Int63n(int64(1200 * time.Millisecond)))
 		hwCrash := rng.Intn(2) == 0
-		name := "app"
-		kind := chaos.EvAppCrashServing
+		name, kind := "app", experiment.FaultAppCrashSilent
 		if hwCrash {
-			name = "hw"
-			kind = chaos.EvCrashServing
+			name, kind = "hw", experiment.FaultCrash
 		}
 		t.Run(name+"@"+crashAt.Round(time.Millisecond).String(), func(t *testing.T) {
-			sc := chaos.Schedule{
-				Seed:     seed,
-				Workload: "download",
-				Bytes:    8 << 20,
-				Horizon:  5 * time.Minute,
-				Events: []chaos.Event{
-					{At: 0, Kind: chaos.EvClientStart},
-					{At: crashAt, Kind: kind},
-				},
+			p := experiment.Plan{
+				Clients: []experiment.Workload{{Bytes: 8 << 20, Gap: 3 * time.Millisecond}},
+				Faults:  []experiment.Fault{{At: crashAt, Kind: kind, Host: "serving"}},
+				Horizon: 5 * time.Minute,
 			}
-			res, err := chaos.Run(sc, chaos.Options{})
+			p.Seed = seed
+			res, err := chaos.Run(p, chaos.Options{})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}

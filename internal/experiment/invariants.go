@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -46,11 +47,24 @@ func (v Violation) Error() string { return v.Invariant + ": " + v.Detail }
 //     itself or an ancestor, no non-auto span is open, and the recorder
 //     saw no open/close error.
 //   - gray-quiescence: a run that injected nothing a verdict answers ends
-//     as it began (Run.Quiescence). Plan.Run asks it of a plan that
-//     injects nothing; chaos of a run whose faults were all gray noise.
+//     as it began (Run.quiescence): one whose plan has no fault, or whose
+//     faults that struck were gray noise — corruption or clock skew — and
+//     benign drop, loss or delay windows (Run.quiet).
+//   - gray-detection-bound: every verdict-class gray fault that struck — a
+//     starve of an echo service past the response SLO, an asymmetric
+//     partition — is answered by a takeover starting by its deadline.
+//   - gray-evidence: every gray-noise fault that struck left its
+//     fingerprint — a corrupting window advanced a checksum or CRC reject
+//     counter, a large clock skew tripped the peer's cadence-drift note.
+//   - flap-containment: a flapping interface may trip a crisp detector
+//     once, but STONITH must prevent oscillation: at most one takeover.
+//
+// The last three read the record of the faults that struck
+// (Testbed.strikes).
 func InvariantNames() []string {
 	return []string{"single-transmitter", "backup-silence", "dead-host-silence",
-		"client-integrity", "takeover-latency", "span-integrity", "gray-quiescence"}
+		"client-integrity", "takeover-latency", "span-integrity", "gray-quiescence",
+		"gray-detection-bound", "gray-evidence", "flap-containment"}
 }
 
 // transmitterEntitled reports whether a node in (role, state) on a live
@@ -207,9 +221,9 @@ func (run *Run) closeEras(match func(*silenceEra) bool) {
 // judge is Plan.Run's postcondition: it closes the silence eras still open,
 // resolves the span layer (a node closes a still-pending retransmission
 // wait, a fan-out span ends at its last activity; anything open after that
-// leaked), then adds the end invariants' violations, and when quiet
-// gray-quiescence's, to the live ones.
-func (run *Run) judge(quiet bool) {
+// leaked), then adds the end invariants' violations, when quiet
+// gray-quiescence's, and the gray verdicts', to the live ones.
+func (run *Run) judge() {
 	if run.plan.Plain {
 		run.Violations = append(run.Violations, run.clientIntegrity()...)
 		return
@@ -219,10 +233,12 @@ func (run *Run) judge(quiet bool) {
 		n.FinishTrace()
 	}
 	run.Testbed.Tracer.FinalizeAutoSpans()
-	run.Violations = append(run.Violations, run.endInvariants(run.nodes[0].Config().HBPeriod)...)
-	if quiet {
-		run.Violations = append(run.Violations, run.Quiescence()...)
+	period := run.nodes[0].Config().HBPeriod
+	run.Violations = append(run.Violations, run.endInvariants(period)...)
+	if run.quiet() {
+		run.Violations = append(run.Violations, run.quiescence()...)
 	}
+	run.Violations = append(run.Violations, run.grayVerdicts(period)...)
 }
 
 // endInvariants evaluates the invariants checked once, over the finished
@@ -285,10 +301,31 @@ func (run *Run) clientIntegrity() []Violation {
 	return out
 }
 
-// Quiescence is the gray-quiescence invariant over the finished run: no
+// quiet reports whether gray-quiescence holds the run: its plan has no
+// fault, or gray noise struck (corruption, clock skew) and nothing else did
+// but benign drop, loss and delay windows, which neither demand a verdict
+// nor excuse one.
+func (run *Run) quiet() bool {
+	if len(run.plan.Faults) == 0 {
+		return true
+	}
+	noise := false
+	for _, s := range run.Testbed.strikes {
+		switch s.Kind {
+		case FaultCorrupt, FaultSerialCorrupt, FaultClockSkew:
+			noise = true
+		case FaultDrop, FaultLoss, FaultDelay:
+		default:
+			return false
+		}
+	}
+	return noise
+}
+
+// quiescence is the gray-quiescence invariant over the finished run: no
 // node ever suspected its peer, took over or fell back to non-FT mode, and
 // both ended the run active.
-func (run *Run) Quiescence() []Violation {
+func (run *Run) quiescence() []Violation {
 	var out []Violation
 	bad := func(format string, args ...any) {
 		out = append(out, Violation{Invariant: "gray-quiescence", Detail: "a run with nothing to convict " + fmt.Sprintf(format, args...)})
@@ -307,4 +344,156 @@ func (run *Run) Quiescence() []Violation {
 		bad("ended %v/%v, want active/active", p, b)
 	}
 	return out
+}
+
+// struck is one fault that took effect, its host resolved to the machine it
+// struck. A corrupting window also counts, in exposed, the traffic its rate
+// applied to until it closed.
+type struck struct {
+	Fault
+	exposed func() int64
+}
+
+// grayExpect is one detection obligation a verdict-class gray fault leaves:
+// a takeover must start by deadline (run-relative).
+type grayExpect struct {
+	deadline time.Duration
+	what     string
+}
+
+// grayDetectionViolation judges one obligation against the start of the
+// run's first takeover (tookOver false: there was none).
+func grayDetectionViolation(ex grayExpect, first time.Duration, tookOver bool) (Violation, bool) {
+	v := Violation{Invariant: "gray-detection-bound"}
+	switch {
+	case !tookOver:
+		v.Detail = fmt.Sprintf("no takeover answered %s (deadline %v)", ex.what, ex.deadline)
+	case first > ex.deadline:
+		v.Detail = fmt.Sprintf("takeover answering %s started at %v, past deadline %v", ex.what, first, ex.deadline)
+	}
+	return v, v.Detail != ""
+}
+
+// grayEvidence is the fingerprint a gray-noise fault must leave: seen is
+// whether it showed by the end of the run. A fingerprint that is
+// statistical is demanded only once the fault exposed at least need
+// frames or messages to its rate — a clean window proves nothing if almost
+// no traffic crossed it (0.95^250 ≈ 3e-6 at the gray campaign's rate
+// floor; 0.70^25 ≈ 1e-4 on serial).
+type grayEvidence struct {
+	desc          string
+	seen          bool
+	exposed, need int64
+}
+
+// grayEvidenceViolation judges one fingerprint.
+func grayEvidenceViolation(e grayEvidence) (Violation, bool) {
+	return Violation{Invariant: "gray-evidence", Detail: "expected evidence never materialised: " + e.desc},
+		!e.seen && e.exposed >= e.need
+}
+
+// flapContainmentViolation judges the takeover count of a run in which an
+// interface flap struck.
+func flapContainmentViolation(takeovers int64) (Violation, bool) {
+	return Violation{Invariant: "flap-containment", Detail: fmt.Sprintf("flapping caused %d takeovers; STONITH must prevent oscillation", takeovers)},
+		takeovers > 1
+}
+
+// Corruption exposure floors: see grayEvidence.
+const (
+	corruptMinFrames     = 250
+	serialCorruptMinMsgs = 25
+)
+
+// grayVerdicts evaluates the three verdicts that read the record of what
+// struck, once, over the finished run, against the heartbeat period of the
+// pair the run started with.
+func (run *Run) grayVerdicts(period time.Duration) []Violation {
+	tb := run.Testbed
+	var expects []grayExpect
+	var evidence []grayEvidence
+	flapped := false
+	for _, s := range tb.strikes {
+		switch s.Kind {
+		case FaultStarve:
+			// A starve this deep holds echo response staleness past the
+			// SLO ((scale−1)·1 ms of app quantum stretch), so the scorer
+			// must reach its threshold: its SLO and hold (DESIGN.md §7)
+			// plus heartbeat piggyback lag, with slack for the score ramp.
+			if tb.echo && s.Scale >= 420 && s.Dur >= 5*time.Second {
+				expects = append(expects, grayExpect{s.At + 4*time.Second,
+					fmt.Sprintf("slow-not-dead primary (cpu ×%.0f) past response SLO", s.Scale)})
+			}
+		case FaultTxCut:
+			// The standby's asymmetric-partition criterion convicts within
+			// its bound; the slack covers the ping and detector cadence.
+			expects = append(expects, grayExpect{s.At + sttcp.AsymPartitionBound(period) + 1500*time.Millisecond,
+				fmt.Sprintf("asymmetric partition (%s outbound cut)", s.Host)})
+		case FaultCorrupt:
+			evidence = append(evidence, grayEvidence{fmt.Sprintf("checksum rejects on the %s link", s.Host),
+				tb.Link(s.Host).Corrupted > 0, s.exposed(), corruptMinFrames})
+		case FaultSerialCorrupt:
+			evidence = append(evidence, grayEvidence{"CRC rejects on the serial cable",
+				tb.SerialPrimary.CRCErrors+tb.SerialBackup.CRCErrors > 0, s.exposed(), serialCorruptMinMsgs})
+		case FaultClockSkew:
+			// A skew this large held this long trips the peer's cadence
+			// drift estimator (±80‰ note threshold, EWMA warm-up ≈ 30
+			// heartbeats), if the observer lives and its heartbeat stream
+			// stays whole (driftObservable).
+			if run.driftObservable() && math.Abs(s.Scale-1) >= 0.10 && s.Dur >= 5*time.Second {
+				evidence = append(evidence, grayEvidence{desc: fmt.Sprintf("heartbeat cadence drift note for %s (×%.3f)", s.Host, s.Scale),
+					seen: driftNoted(tb.Tracer)})
+			}
+		case FaultNICFlap, FaultSerialFlap:
+			flapped = true
+		}
+	}
+
+	var out []Violation
+	add := func(v Violation, bad bool) {
+		if bad {
+			out = append(out, v)
+		}
+	}
+	first, tookOver := time.Duration(0), false
+	for _, sp := range tb.Tracer.FilterSpans(trace.KindTakeover) {
+		if at := sp.Start.Sub(sim.Epoch); !tookOver || at < first {
+			first, tookOver = at, true
+		}
+	}
+	for _, ex := range expects {
+		add(grayDetectionViolation(ex, first, tookOver))
+	}
+	for _, e := range evidence {
+		add(grayEvidenceViolation(e))
+	}
+	if flapped {
+		add(flapContainmentViolation(tb.Metrics.Snapshot().CounterTotal("sttcp.takeovers")))
+	}
+	return out
+}
+
+// driftNoted reports whether a node noted the peer's clock-rate skew.
+func driftNoted(tr *trace.Recorder) bool {
+	for _, e := range tr.Filter(trace.KindGeneric) {
+		if strings.Contains(e.Message, "clock-rate skew suspected") {
+			return true
+		}
+	}
+	return false
+}
+
+// driftObservable reports whether the serving node's heartbeat-cadence
+// drift estimator can be expected to converge under this plan. It cannot
+// when a verdict-class gray fault may STONITH the observer mid-run (starve,
+// asymmetric partition), nor when a NIC flap punches holes in the very
+// inter-arrival stream the estimator averages.
+func (run *Run) driftObservable() bool {
+	for _, f := range run.plan.Faults {
+		switch f.Kind {
+		case FaultStarve, FaultTxCut, FaultNICFlap:
+			return false
+		}
+	}
+	return true
 }

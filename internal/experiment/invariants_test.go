@@ -8,6 +8,9 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/metrics"
+	"repro/internal/netem"
+	"repro/internal/serial"
+	"repro/internal/sim"
 	"repro/internal/sttcp"
 	"repro/internal/trace"
 )
@@ -226,6 +229,165 @@ func TestEndInvariants(t *testing.T) {
 			}
 			if len(names) != 1 {
 				t.Errorf("history built for %q also tripped %v", c.want, got)
+			}
+		})
+	}
+}
+
+// TestGrayDetectionViolation feeds the detection-deadline judge
+// hand-built first-takeover instants.
+func TestGrayDetectionViolation(t *testing.T) {
+	ex := grayExpect{deadline: 5 * time.Second, what: "asymmetric partition (primary outbound cut)"}
+	cases := []struct {
+		name     string
+		first    time.Duration
+		tookOver bool
+		bad      string // "" = no violation, else a phrase of its detail
+	}{
+		{"no-takeover", 0, false, "no takeover answered asymmetric partition"},
+		{"in-time", 3 * time.Second, true, ""},
+		{"at-deadline", 5 * time.Second, true, ""},
+		{"late", 6 * time.Second, true, "started at 6s, past deadline 5s"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			v, bad := grayDetectionViolation(ex, c.first, c.tookOver)
+			if bad != (c.bad != "") {
+				t.Fatalf("bad = %v, want %v", bad, c.bad != "")
+			}
+			if bad && (v.Invariant != "gray-detection-bound" || !strings.Contains(v.Detail, c.bad)) {
+				t.Errorf("violation %v, want gray-detection-bound naming %q", v, c.bad)
+			}
+		})
+	}
+}
+
+// TestGrayEvidenceViolation feeds the fingerprint judge hand-built
+// observations: a fingerprint is demanded once the fault exposed enough
+// traffic to its rate, and always when it needs none.
+func TestGrayEvidenceViolation(t *testing.T) {
+	cases := []struct {
+		name string
+		e    grayEvidence
+		bad  bool
+	}{
+		{"seen", grayEvidence{seen: true, exposed: 900, need: corruptMinFrames}, false},
+		{"too-little-traffic", grayEvidence{exposed: corruptMinFrames - 1, need: corruptMinFrames}, false},
+		{"clean-window", grayEvidence{exposed: corruptMinFrames, need: corruptMinFrames}, true},
+		{"drift-note-missing", grayEvidence{}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			c.e.desc = "checksum rejects on the primary link"
+			v, bad := grayEvidenceViolation(c.e)
+			if bad != c.bad {
+				t.Fatalf("bad = %v, want %v", bad, c.bad)
+			}
+			if bad && (v.Invariant != "gray-evidence" || !strings.Contains(v.Detail, c.e.desc)) {
+				t.Errorf("violation %v does not name the evidence", v)
+			}
+		})
+	}
+}
+
+// TestFlapContainmentViolation feeds the oscillation judge the hand-built
+// takeover counts of a run in which a flap struck.
+func TestFlapContainmentViolation(t *testing.T) {
+	cases := []struct {
+		name      string
+		takeovers int64
+		bad       bool
+	}{
+		{"ridden-out", 0, false},
+		{"one-takeover", 1, false},
+		{"oscillation", 2, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			v, bad := flapContainmentViolation(c.takeovers)
+			if bad != c.bad {
+				t.Fatalf("bad = %v, want %v", bad, c.bad)
+			}
+			if bad && (v.Invariant != "flap-containment" || !strings.Contains(v.Detail, "2 takeovers")) {
+				t.Errorf("violation %v does not count the takeovers", v)
+			}
+		})
+	}
+}
+
+// TestGrayVerdicts drives the three gray verdicts over hand-built
+// records of what struck, on a fabricated finished run: each case names
+// the one verdict its history must break, or none.
+func TestGrayVerdicts(t *testing.T) {
+	s := func(f Fault) struck { return struck{Fault: f, exposed: func() int64 { return 1000 }} }
+	// now is the fabricated run's clock; takeover records one takeover at
+	// it.
+	var now time.Duration
+	takeover := func(r *Run, at time.Duration) {
+		now = at
+		tr := r.Testbed.Tracer
+		tr.CloseSpan(tr.OpenSpan(trace.KindTakeover, 0, "backup/sttcp", "took over"))
+		r.Testbed.Metrics.Counter("backup/sttcp", "sttcp.takeovers").Inc()
+	}
+	cases := []struct {
+		name  string
+		build func(r *Run)
+		want  string
+	}{
+		{"starve-unanswered", func(r *Run) {
+			r.Testbed.strikes = append(r.Testbed.strikes, s(Fault{Kind: FaultStarve, Host: "primary", Scale: 500, Dur: 8 * time.Second}))
+		}, "gray-detection-bound"},
+		{"mild-starve-expects-nothing", func(r *Run) {
+			r.Testbed.strikes = append(r.Testbed.strikes, s(Fault{Kind: FaultStarve, Host: "primary", Scale: 25, Dur: 8 * time.Second}))
+		}, ""},
+		{"txcut-answered", func(r *Run) {
+			r.Testbed.strikes = append(r.Testbed.strikes, s(Fault{At: time.Second, Kind: FaultTxCut, Host: "primary", Dur: 5 * time.Second}))
+			takeover(r, 3*time.Second)
+		}, ""},
+		{"txcut-answered-late", func(r *Run) {
+			r.Testbed.strikes = append(r.Testbed.strikes, s(Fault{At: time.Second, Kind: FaultTxCut, Host: "primary", Dur: 5 * time.Second}))
+			takeover(r, 30*time.Second)
+		}, "gray-detection-bound"},
+		{"clean-corruption-window", func(r *Run) {
+			r.Testbed.strikes = append(r.Testbed.strikes, s(Fault{Kind: FaultCorrupt, Host: "primary", Rate: 0.1, Dur: time.Second}))
+		}, "gray-evidence"},
+		{"corruption-caught", func(r *Run) {
+			r.Testbed.links["primary"].Corrupted = 3
+			r.Testbed.strikes = append(r.Testbed.strikes, s(Fault{Kind: FaultCorrupt, Host: "primary", Rate: 0.1, Dur: time.Second}))
+		}, ""},
+		{"clean-serial-window", func(r *Run) {
+			r.Testbed.strikes = append(r.Testbed.strikes, s(Fault{Kind: FaultSerialCorrupt, Rate: 0.4, Dur: 3 * time.Second}))
+		}, "gray-evidence"},
+		{"skew-unnoted", func(r *Run) {
+			r.Testbed.strikes = append(r.Testbed.strikes, s(Fault{Kind: FaultClockSkew, Host: "backup", Scale: 1.12, Dur: 7 * time.Second}))
+		}, "gray-evidence"},
+		{"skew-unobservable", func(r *Run) {
+			r.plan.Faults = []Fault{{Kind: FaultNICFlap}}
+			r.Testbed.strikes = append(r.Testbed.strikes, s(Fault{Kind: FaultClockSkew, Host: "backup", Scale: 1.12, Dur: 7 * time.Second}))
+		}, ""},
+		{"flap-oscillation", func(r *Run) {
+			r.Testbed.strikes = append(r.Testbed.strikes, s(Fault{Kind: FaultNICFlap, Host: "primary", Period: 200 * time.Millisecond, Dur: 2 * time.Second}))
+			takeover(r, 2*time.Second)
+			takeover(r, 3*time.Second)
+		}, "flap-containment"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := endRun()
+			r.Testbed.Tracer = trace.NewRecorder(func() time.Time { return sim.Epoch.Add(now) })
+			r.Testbed.echo = true
+			r.Testbed.links = map[string]*netem.Link{"primary": {}}
+			r.Testbed.SerialPrimary, r.Testbed.SerialBackup = &serial.Port{}, &serial.Port{}
+			c.build(r)
+			got := r.grayVerdicts(200 * time.Millisecond)
+			if c.want == "" {
+				if len(got) != 0 {
+					t.Fatalf("clean history reported violations: %v", got)
+				}
+				return
+			}
+			if len(got) != 1 || got[0].Invariant != c.want {
+				t.Fatalf("violations %v, want one of %q", got, c.want)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package experiment
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/app"
@@ -41,9 +42,9 @@ type Plan struct {
 }
 
 // Judge is the one hook a plan's caller registers to watch the run and
-// decide it beyond the invariant registry: chaos's guards and gray
-// invariants, a lab script's expectations. Every func is optional, and
-// each is called on the simulator's goroutine.
+// steer it beyond the invariant registry: chaos's guards, a lab script's
+// expectations. Every func is optional, and each is called on the
+// simulator's goroutine.
 type Judge struct {
 	// Watch is called once the servers run, before any client starts.
 	Watch func(*Run)
@@ -91,10 +92,11 @@ type Run struct {
 // falls due and asking the judge, until the horizon or the judge ends it
 // (Check's over, or a judge's Sim.Stop). The invariant registry judges the
 // run (Run.judge): every node it starts is watched from its first event,
-// and the finished run is held to the end invariants — and, when the plan
-// injects nothing, to gray-quiescence. Besides a run that could not be set
-// up, the error reports a fault that failed as it struck and every
-// violation; the run is returned with it.
+// and the finished run is held to the end invariants, to gray-quiescence
+// when it injected nothing a verdict answers, and to the gray verdicts
+// over the faults that struck. Besides a run that could not be set up, the
+// error reports a fault that failed as it struck and every violation; the
+// run is returned with it.
 func (p Plan) Run() (*Run, error) {
 	tb := Build(p.Options)
 	if !p.Plain {
@@ -185,7 +187,7 @@ func (p Plan) Run() (*Run, error) {
 	if len(p.Faults) > 0 {
 		run.injectAt = sim.Epoch.Add(p.Faults[0].At)
 	}
-	run.judge(len(p.Faults) == 0)
+	run.judge()
 	for _, v := range run.Violations {
 		errs = append(errs, v)
 	}
@@ -204,4 +206,48 @@ func (run *Run) StartClient(i int) (app.Client, error) {
 		run.Clients = append(run.Clients, cl)
 	}
 	return cl, err
+}
+
+// Shrink greedily minimises a failing plan: it tries the plan without one
+// fault, the latest first, then without one client but the first, the
+// latest first; fails re-runs a candidate and reports whether it still
+// fails, and the first candidate that does is kept and the scan starts
+// over, until no single removal fails or budget runs are spent (a budget
+// of 0 or less spends none). fails must be deterministic, or the shrink
+// will not converge; a caller pins whatever else its run depends on (the
+// explorer its choice prefix) in the closure. Shrink returns the smallest
+// failing plan found and the runs it spent.
+func Shrink(p Plan, budget int, fails func(Plan) (bool, error)) (Plan, int, error) {
+	runs := 0
+	for {
+		var cands []Plan
+		for i := len(p.Faults) - 1; i >= 0; i-- {
+			c := p
+			c.Faults = slices.Delete(slices.Clone(p.Faults), i, i+1)
+			cands = append(cands, c)
+		}
+		for i := len(p.Clients) - 1; i > 0; i-- {
+			c := p
+			c.Clients = slices.Delete(slices.Clone(p.Clients), i, i+1)
+			cands = append(cands, c)
+		}
+		shrunk := false
+		for _, c := range cands {
+			if runs >= budget {
+				return p, runs, nil
+			}
+			failed, err := fails(c)
+			if err != nil {
+				return p, runs, err
+			}
+			runs++
+			if failed {
+				p, shrunk = c, true
+				break
+			}
+		}
+		if !shrunk {
+			return p, runs, nil
+		}
+	}
 }

@@ -101,6 +101,10 @@ func TestScheduleValidation(t *testing.T) {
 		{"reboot", Fault{Kind: FaultReboot, Host: "backup"}, ""},
 		// Its echo workload used to panic writing to the stopped stack.
 		{"crash the client", Fault{Kind: FaultCrash, Host: "client"}, "the client's workload would go on driving its dead host"},
+		// A role resolves as the fault strikes.
+		{"crash serving", Fault{Kind: FaultCrash, Host: "serving"}, ""},
+		{"appcrash standby", Fault{Kind: FaultAppCrashCleanup, Host: "standby"}, ""},
+		{"drop standby without duration", Fault{Kind: FaultDrop, Host: "standby"}, "duration must be positive"},
 	} {
 		_, err := tb.Arm(tc.f)
 		switch {

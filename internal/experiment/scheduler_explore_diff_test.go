@@ -20,23 +20,19 @@ import (
 // runs. (It lives outside package experiment because explore imports
 // experiment for its demo registration.)
 
-func exploreDiffSchedule() chaos.Schedule {
-	return chaos.Schedule{
-		Seed:     23,
-		Workload: "echo",
-		Rounds:   300,
-		MsgSize:  512,
-		Horizon:  30 * time.Second,
-		Events: []chaos.Event{
-			{At: 0, Kind: chaos.EvClientStart},
-			{At: 500 * time.Millisecond, Kind: chaos.EvCrashServing},
-		},
+func exploreDiffPlan() experiment.Plan {
+	p := experiment.Plan{
+		Clients: []experiment.Workload{{Echo: true, Rounds: 300, MsgSize: 512, Gap: 3 * time.Millisecond}},
+		Faults:  []experiment.Fault{{At: 500 * time.Millisecond, Kind: experiment.FaultCrash, Host: "serving"}},
+		Horizon: 30 * time.Second,
 	}
+	p.Seed = 23
+	return p
 }
 
 func runExploreDiff(t *testing.T, custom func() sim.Scheduler) *chaos.RunResult {
 	t.Helper()
-	res, err := chaos.Run(exploreDiffSchedule(), chaos.Options{Options: experiment.Options{
+	res, err := chaos.Run(exploreDiffPlan(), chaos.Options{Options: experiment.Options{
 		TraceDetail:     true,
 		CustomScheduler: custom,
 	}})

@@ -116,8 +116,10 @@ type Testbed struct {
 	reconnect bool
 	series    []*[]app.ProgressSample
 	// holds counts the open windows of each windowed fault kind on each
-	// target (keyed by a Fault holding just Kind and Host).
-	holds map[Fault]int
+	// machine (keyed by a Fault holding just Kind and Host); strikes are
+	// the faults that took effect, in order, which the gray verdicts read.
+	holds   map[Fault]int
+	strikes []struck
 
 	SerialPrimary *serial.Port
 	SerialBackup  *serial.Port
@@ -376,6 +378,25 @@ func (tb *Testbed) Standby() *sttcp.Node {
 	return nil
 }
 
+// Resolve names the machine a fault's host means now: a role — serving,
+// the node that owns the client connections (Serving), or standby, the
+// active backup (Standby) — or a machine by name. It is nil for a standby
+// while fault tolerance is lost, and for a host the topology lacks. The
+// testbed resolves a fault's host once, as it strikes; chaos's guards read
+// the same answer.
+func (tb *Testbed) Resolve(host string) *cluster.Host {
+	switch host {
+	case "serving":
+		return tb.Serving().Host()
+	case "standby":
+		if n := tb.Standby(); n != nil {
+			return n.Host()
+		}
+		return nil
+	}
+	return tb.hosts[host]
+}
+
 // Link returns the Ethernet link between the named host and the switch
 // (nil for a host this topology does not have). The host is the link's A
 // side, the switch port its B side.
@@ -514,7 +535,9 @@ const (
 )
 
 // Fault is one injection: Kind happens to Host (the serial kinds and
-// rejoin name none) at virtual time At since the start of the run. Dur bounds the
+// rejoin name none) at virtual time At since the start of the run. Host is
+// a machine or a role, serving or standby, which names the machine that
+// holds the role when the fault strikes (Resolve). Dur bounds the
 // windowed kinds; Scale, Rate, Delay and Period are each the one parameter
 // of the kinds that name them above.
 type Fault struct {
@@ -561,12 +584,16 @@ func (tb *Testbed) vet(f Fault) error {
 	default:
 		return fmt.Errorf("unknown fault kind %q", f.Kind)
 	}
+	// A role resolves to a server machine as the fault strikes.
+	role := f.Host == "serving" || f.Host == "standby"
 	switch {
-	case !cable && tb.hosts[f.Host] == nil:
+	case role && tb.PrimaryNode == nil:
+		return fmt.Errorf("%s: %s names a role, and a plain testbed runs no ST-TCP node", f.Kind, f.Host)
+	case !cable && !role && tb.hosts[f.Host] == nil:
 		return fmt.Errorf("%s: host %q not present in this topology", f.Kind, f.Host)
 	case f.Kind == FaultCrash && tb.hosts[f.Host] == tb.Client:
 		return fmt.Errorf("%s: the client's workload would go on driving its dead host", f.Kind)
-	case (f.Kind == FaultAppCrashSilent || f.Kind == FaultAppCrashCleanup) && tb.servers[f.Host] == nil:
+	case (f.Kind == FaultAppCrashSilent || f.Kind == FaultAppCrashCleanup) && !role && tb.servers[f.Host] == nil:
 		return fmt.Errorf("%s: host %q runs no server application", f.Kind, f.Host)
 	case windowed && f.Dur <= 0:
 		return need(false, "duration must be positive", f.Dur)
@@ -577,19 +604,63 @@ func (tb *Testbed) vet(f Fault) error {
 // Arm validates f against this topology and returns the act that performs
 // it; nothing has happened until strike is called (At is the caller's
 // business). A rejoin can fail as it strikes, when there is no survivor
-// to rejoin by then; so can a reboot of a host that is up, and an
-// application crash on a host that has crashed or rebooted since: its
-// replica died with the machine.
+// to rejoin by then; so can a reboot of a host that is up, an
+// application crash on a host that has crashed or rebooted since (its
+// replica died with the machine), and a fault on the standby while there
+// is none.
 func (tb *Testbed) Arm(f Fault) (strike func() error, err error) {
 	if err := tb.vet(f); err != nil {
 		return nil, err
 	}
-	return func() error { return tb.inject(f) }, nil
+	return func() error { return tb.strike(f) }, nil
 }
 
-// inject performs a vetted fault, now. Hosts and links are fixed for the
-// life of the testbed; the application replica is looked up here because a
-// rejoin may have replaced it since the fault was armed.
+// strike resolves a vetted fault's host to a machine, performs the fault
+// and records it in strikes; a corrupting window also counts the traffic
+// it exposes to its rate, which gray-evidence reads.
+func (tb *Testbed) strike(f Fault) error {
+	if f.Host != "" {
+		h := tb.Resolve(f.Host)
+		if h == nil {
+			return fmt.Errorf("no %s node to strike", f.Host)
+		}
+		f.Host = h.Name()
+	}
+	if err := tb.inject(f); err != nil {
+		return err
+	}
+	s := struck{Fault: f}
+	switch f.Kind {
+	case FaultCorrupt:
+		link := tb.links[f.Host]
+		s.exposed = tb.exposure(f.Dur, func() int64 { return link.Delivered })
+	case FaultSerialCorrupt:
+		// A message counts once it reached a receiver's CRC check: a
+		// flapped-down port drops in flight without checking it.
+		a, b := tb.SerialPrimary, tb.SerialBackup
+		s.exposed = tb.exposure(f.Dur, func() int64 { return a.RxMessages + a.CRCErrors + b.RxMessages + b.CRCErrors })
+	}
+	tb.strikes = append(tb.strikes, s)
+	return nil
+}
+
+// exposure reads a monotonic traffic counter from now until a window of d
+// closes, where it freezes so later traffic does not inflate it.
+func (tb *Testbed) exposure(d time.Duration, count func() int64) func() int64 {
+	start, end, closed := count(), int64(0), false
+	tb.Sim.Schedule(d, func() { end, closed = count(), true })
+	return func() int64 {
+		if closed {
+			return end - start
+		}
+		return count() - start
+	}
+}
+
+// inject performs a vetted fault on the machine it names, now. Hosts and
+// links are fixed for the life of the testbed; the application replica is
+// looked up here because a rejoin may have replaced it since the fault was
+// armed.
 func (tb *Testbed) inject(f Fault) error {
 	host, link := tb.hosts[f.Host], tb.links[f.Host]
 	cableDown := func(down bool) {
@@ -703,11 +774,11 @@ func (tb *Testbed) reboot(h *cluster.Host) {
 func addrOf(h *cluster.Host) ip.Addr { return h.Netstack().Addr() }
 
 // hold sets a windowed fault's off-nominal value for f.Dur, then restores
-// nominal on the very target it set: by then a failover may have moved the
-// role the caller resolved the host from. Windows of one kind that overlap
-// on one target end together, when the last of them does — an earlier
-// window's end must not cancel a later one (the latest value wins
-// meanwhile).
+// nominal on the very machine it set, f.Host as strike resolved it: by
+// then a failover may have moved the role to another machine. Windows of
+// one kind that overlap on one machine end together, when the last of
+// them does — an earlier window's end must not cancel a later one (the
+// latest value wins meanwhile).
 func hold[T any](tb *Testbed, f Fault, during, nominal T, set func(T)) {
 	key := Fault{Kind: f.Kind, Host: f.Host}
 	tb.holds[key]++

@@ -30,13 +30,13 @@ type Config struct {
 	// Seed drives the testbed simulation of every run.
 	Seed int64
 
-	// FaultKinds lists the faults to place at each enumerated boundary
-	// (default: a serving-side machine crash). An event is placed with no
-	// parameters, so only the kinds that need none are meaningful — the
-	// crashes, NIC failures and the serial cut; the testbed's fault
-	// validator refuses a windowed kind without a duration and the run
-	// records the skip.
-	FaultKinds []chaos.EventKind
+	// FaultKinds lists the fault templates to place at each enumerated
+	// boundary, each a kind and the host or role it strikes (default: a
+	// crash of the serving node); a template's At is the boundary's. A
+	// template carries whatever parameters it was given, so a windowed
+	// kind needs its duration: the testbed's fault validator refuses one
+	// without, and the run records the skip.
+	FaultKinds []experiment.Fault
 	// FaultAt and FaultSpan bound the fault-placement window
 	// [FaultAt, FaultAt+FaultSpan): a probe run collects the distinct
 	// event times inside it and each becomes a candidate injection point.
@@ -73,13 +73,13 @@ type Config struct {
 	NoDedup bool
 
 	// ShrinkBudget bounds the re-runs spent minimising each violation
-	// (default 25, shared between schedule and prefix shrinking).
+	// (default 25, shared between plan and prefix shrinking).
 	ShrinkBudget int
 }
 
 func (c Config) withDefaults() Config {
 	if len(c.FaultKinds) == 0 {
-		c.FaultKinds = []chaos.EventKind{chaos.EvCrashServing}
+		c.FaultKinds = []experiment.Fault{{Kind: experiment.FaultCrash, Host: "serving"}}
 	}
 	if c.FaultAt == 0 {
 		c.FaultAt = 300 * time.Millisecond
@@ -108,14 +108,15 @@ func (c Config) withDefaults() Config {
 // ViolationRun is one interleaving that broke an invariant, with its
 // minimised reproduction.
 type ViolationRun struct {
-	// Schedule and Prefix are the violating run as first found.
-	Schedule chaos.Schedule
-	Prefix   []int
-	// ShrunkSchedule and MinPrefix are the minimised reproduction:
-	// greedy event removal with the prefix pinned, then greedy trailing-
-	// prefix truncation on the shrunk schedule. Both are deterministic.
-	ShrunkSchedule chaos.Schedule
-	MinPrefix      []int
+	// Plan and Prefix are the violating run as first found.
+	Plan   experiment.Plan
+	Prefix []int
+	// ShrunkPlan and MinPrefix are the minimised reproduction: greedy
+	// fault removal with the prefix pinned (experiment.Shrink), then
+	// greedy trailing-prefix truncation on the shrunk plan. Both are
+	// deterministic.
+	ShrunkPlan experiment.Plan
+	MinPrefix  []int
 	// Result is the minimal failing run (Report() renders its timeline).
 	Result *chaos.RunResult
 	// ShrinkRuns is how many re-executions the minimisation spent.
@@ -124,8 +125,8 @@ type ViolationRun struct {
 
 // Result is one exploration's outcome.
 type Result struct {
-	// Base is the fault-free schedule the probe ran.
-	Base chaos.Schedule
+	// Base is the fault-free plan the probe ran.
+	Base experiment.Plan
 	// Boundaries are the fault points actually enumerated (post-stride).
 	Boundaries []time.Duration
 
@@ -142,7 +143,7 @@ type Result struct {
 	Deduped      int
 	Truncated    int
 
-	// Frontier is the number of unexplored (schedule, prefix) candidates
+	// Frontier is the number of unexplored (plan, prefix) candidates
 	// left when the exploration stopped; FullyClosed reports that the
 	// frontier drained with zero truncations and inside MaxRuns — the
 	// bounded window's interleaving space is exhausted.
@@ -152,9 +153,9 @@ type Result struct {
 	Violations []ViolationRun
 }
 
-// job is one frontier entry: a schedule plus the choice prefix to force.
+// job is one frontier entry: a plan plus the choice prefix to force.
 type job struct {
-	sc     chaos.Schedule
+	p      experiment.Plan
 	prefix []int
 }
 
@@ -192,7 +193,7 @@ func explore(cfg Config, inner func() sim.Scheduler) (*Result, error) {
 		choiceHi: (cfg.FaultAt + cfg.FaultSpan + cfg.Grace).Nanoseconds(),
 		seen:     make(map[uint64]bool),
 	}
-	base := baseSchedule(cfg.Seed)
+	base := basePlan(cfg.Seed)
 	res := &Result{Base: base}
 
 	// Probe: the fault-free run that discovers the event boundaries
@@ -220,12 +221,12 @@ func explore(cfg Config, inner func() sim.Scheduler) (*Result, error) {
 	res.FaultPoints = len(bounds) * len(cfg.FaultKinds)
 
 	var frontier []job
-	for _, kind := range cfg.FaultKinds {
+	for _, f := range cfg.FaultKinds {
 		for _, b := range bounds {
-			sc := base
-			sc.Events = append(append([]chaos.Event{}, base.Events...),
-				chaos.Event{At: time.Duration(b), Kind: kind})
-			frontier = append(frontier, job{sc: sc})
+			p := base
+			f.At = time.Duration(b)
+			p.Faults = []experiment.Fault{f}
+			frontier = append(frontier, job{p: p})
 		}
 	}
 
@@ -246,7 +247,7 @@ func explore(cfg Config, inner func() sim.Scheduler) (*Result, error) {
 
 		outs, err := sweep.Run(cfg.Workers, sweep.Seeds(0, len(batch)), func(i int64) (*runOut, error) {
 			j := batch[int(i)]
-			return e.execute(j.sc, j.prefix)
+			return e.execute(j.p, j.prefix)
 		})
 		if err != nil {
 			return nil, err
@@ -257,14 +258,14 @@ func explore(cfg Config, inner func() sim.Scheduler) (*Result, error) {
 			res.ChoicePoints += len(out.choices)
 
 			if out.res.Failed() {
-				if err := e.recordViolation(res, j.sc, j.prefix, out); err != nil {
+				if err := e.recordViolation(res, j.p, j.prefix, out); err != nil {
 					return nil, err
 				}
 				res.Frontier = len(frontier) + len(outs) - i - 1
 				return res, nil
 			}
 			if !cfg.NoDedup {
-				fp := fingerprint(j.sc, out.res, out.choices)
+				fp := fingerprint(j.p, out.res, out.choices)
 				if e.seen[fp] {
 					res.Deduped++
 					continue
@@ -303,40 +304,39 @@ func (e *explorer) extend(res *Result, j job, out *runOut) []job {
 				prefix[k] = out.choices[k].Picked
 			}
 			prefix[ci] = alt
-			next = append(next, job{sc: j.sc, prefix: prefix})
+			next = append(next, job{p: j.p, prefix: prefix})
 		}
 	}
 	return next
 }
 
-// recordViolation minimises and records one violating run: the schedule
-// shrinks by greedy event removal with the choice prefix pinned
-// (chaos.ShrinkWith), then the prefix shrinks by greedy trailing
-// truncation on the minimal schedule. Both phases share ShrinkBudget.
-func (e *explorer) recordViolation(res *Result, sc chaos.Schedule, prefix []int, out *runOut) error {
+// recordViolation minimises and records one violating run: the plan
+// shrinks by greedy fault removal with the choice prefix pinned in the
+// rerun closure (experiment.Shrink), then the prefix shrinks by greedy
+// trailing truncation on the minimal plan. Both phases share ShrinkBudget.
+func (e *explorer) recordViolation(res *Result, p experiment.Plan, prefix []int, out *runOut) error {
 	vr := ViolationRun{
-		Schedule: sc,
-		Prefix:   append([]int{}, prefix...),
-		Result:   out.res,
+		Plan:   p,
+		Prefix: append([]int{}, prefix...),
+		Result: out.res,
 	}
-	shr, err := chaos.ShrinkWith(sc, out.res, e.cfg.ShrinkBudget, func(cand chaos.Schedule) (*chaos.RunResult, error) {
+	shrunk, runs, err := experiment.Shrink(p, e.cfg.ShrinkBudget, func(cand experiment.Plan) (bool, error) {
 		o, err := e.execute(cand, prefix)
-		if err != nil {
-			return nil, err
+		if err != nil || !o.res.Failed() {
+			return false, err
 		}
-		return o.res, nil
+		vr.Result = o.res
+		return true, nil
 	})
 	if err != nil {
 		return err
 	}
-	vr.ShrunkSchedule = shr.Schedule
-	vr.Result = shr.Result
-	vr.ShrinkRuns = shr.Runs
+	vr.ShrunkPlan, vr.ShrinkRuns = shrunk, runs
 
 	minPrefix := append([]int{}, prefix...)
 	for len(minPrefix) > 0 && vr.ShrinkRuns < e.cfg.ShrinkBudget {
 		cand := minPrefix[:len(minPrefix)-1]
-		o, err := e.execute(shr.Schedule, cand)
+		o, err := e.execute(shrunk, cand)
 		if err != nil {
 			return err
 		}
@@ -352,14 +352,14 @@ func (e *explorer) recordViolation(res *Result, sc chaos.Schedule, prefix []int,
 	return nil
 }
 
-// execute runs one (schedule, prefix) candidate on a fresh testbed with
+// execute runs one (plan, prefix) candidate on a fresh testbed with
 // the forking wrapper injected, and returns the result plus the
 // wrapper's recorded choices and boundaries. Trace detail is always on:
 // independence pruning reads span components and violation reports
 // render the timeline.
-func (e *explorer) execute(sc chaos.Schedule, prefix []int) (*runOut, error) {
+func (e *explorer) execute(p experiment.Plan, prefix []int) (*runOut, error) {
 	var sched *Scheduler
-	res, err := chaos.Run(sc, chaos.Options{Options: experiment.Options{
+	res, err := chaos.Run(p, chaos.Options{Options: experiment.Options{
 		TraceDetail: true,
 		CustomScheduler: func() sim.Scheduler {
 			sched = NewScheduler(e.inner(), prefix)
@@ -380,17 +380,15 @@ func (e *explorer) execute(sc chaos.Schedule, prefix []int) (*runOut, error) {
 	return &runOut{res: res, choices: sched.Choices(), boundaries: sched.Boundaries()}, nil
 }
 
-// baseSchedule is the fault-free single-connection schedule the
-// exploration is anchored on.
-func baseSchedule(seed int64) chaos.Schedule {
-	return chaos.Schedule{
-		Seed:     seed,
-		Workload: "echo",
-		Rounds:   echoRounds,
-		MsgSize:  echoMsgSize,
-		Horizon:  30 * time.Second,
-		Events:   []chaos.Event{{At: 0, Kind: chaos.EvClientStart}},
+// basePlan is the fault-free single-connection plan the exploration is
+// anchored on.
+func basePlan(seed int64) experiment.Plan {
+	p := experiment.Plan{
+		Clients: []experiment.Workload{{Echo: true, Rounds: echoRounds, MsgSize: echoMsgSize, Gap: 3 * time.Millisecond}},
+		Horizon: 30 * time.Second,
 	}
+	p.Seed = seed
+	return p
 }
 
 // batchSize is how many frontier entries one sweep batch executes: a few
@@ -458,15 +456,15 @@ func independent(tr *trace.Recorder, ctxs []uint64) bool {
 	return true
 }
 
-// fingerprint hashes a run's observable outcome: the schedule signature,
+// fingerprint hashes a run's observable outcome: the plan's signature,
 // the full metrics snapshot, every client summary, violations, skips,
 // and an order-insensitive digest of the in-window tie groups. Two runs
 // with equal fingerprints behaved identically everywhere the system's
 // observability can see, so the second one's alternatives are assumed
 // covered by the first's — the dedup Config.NoDedup disables.
-func fingerprint(sc chaos.Schedule, res *chaos.RunResult, inWin []Choice) uint64 {
+func fingerprint(p experiment.Plan, res *chaos.RunResult, inWin []Choice) uint64 {
 	h := fnv.New64a()
-	io.WriteString(h, sc.Signature())
+	io.WriteString(h, chaos.Signature(p))
 	if res.Metrics != nil {
 		io.WriteString(h, "\x00")
 		_ = res.Metrics.WriteJSON(h) // an fnv hash never fails a write

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/sim"
 )
 
@@ -121,7 +122,7 @@ func renderViolation(v ViolationRun) string {
 	sort.Strings(sorted)
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "schedule: %v\n", v.ShrunkSchedule)
+	fmt.Fprintf(&b, "schedule: %s\n", chaos.Describe(v.ShrunkPlan))
 	fmt.Fprintf(&b, "prefix: %v\n", v.MinPrefix)
 	fmt.Fprintf(&b, "invariants: %s\n", strings.Join(sorted, " "))
 	return b.String()

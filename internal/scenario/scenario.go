@@ -17,7 +17,8 @@
 //	client download <size>        start a verified download (e.g. 16MiB)
 //	client echo <rounds> <size>   start an echo session (e.g. 500 1KiB)
 //
-//	at <time> crash <host>        HW/OS crash (primary|backup|witness|gateway)
+//	at <time> crash <host>        HW/OS crash (primary|backup|witness|gateway,
+//	                              or a role: serving|standby)
 //	at <time> appcrash <host> <silent|cleanup>
 //	at <time> nicfail <host>
 //	at <time> drop <host> <dur>   drop all frames toward host for dur
@@ -35,7 +36,8 @@
 // runs before it reach, and an `at` earlier than that is an error (equal is
 // fine). Every action is an experiment.Fault, validated by the testbed
 // before the run starts; a script with no `at` at all must end
-// failure-free.
+// failure-free. A host may be a role, serving or standby, which the
+// testbed resolves to the machine holding it when the action strikes.
 // The vocabulary is the one the demos, Table 1 and the chaos campaigns
 // inject through; its chaos-born kinds (loss, delay, txcut, corrupt,
 // serialcorrupt, nicflap, serialflap, clockskew) have no verb here yet.
@@ -242,7 +244,7 @@ func parseAt(st *Statement, fields []string) error {
 			return errf(st.Line, "%s needs a host", action)
 		}
 		switch rest[0] {
-		case "primary", "backup", "witness", "gateway", "client":
+		case "primary", "backup", "witness", "gateway", "client", "serving", "standby":
 			st.Fault.Host = rest[0]
 		default:
 			return errf(st.Line, "unknown host %q", rest[0])

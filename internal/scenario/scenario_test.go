@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/trace"
 )
 
 func TestParseFullScript(t *testing.T) {
@@ -175,6 +176,42 @@ expect clients-done
 	}
 	if !res.OK() {
 		t.Fatalf("checks failed: %+v", res.Checks)
+	}
+}
+
+// TestRunRoleScript is double-failover.sttcp spelled by role: both crashes
+// name the serving node, which is the primary machine the first time and
+// the backup machine, serving since the takeover, the second.
+func TestRunRoleScript(t *testing.T) {
+	sc, err := Parse(`
+client download 4MiB
+at 200ms crash serving
+run 5s
+expect takeover
+at 5s rejoin
+run 2s
+expect active
+client download 8MiB
+at 8s crash serving
+run 1m
+expect clients-done
+`)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	res, err := Run(sc, experiment.Options{})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !res.OK() {
+		t.Fatalf("checks failed: %+v, errors %v", res.Checks, res.Errors)
+	}
+	var crashed []string
+	for _, e := range res.Tracer.Filter(trace.KindHostCrash) {
+		crashed = append(crashed, e.Component)
+	}
+	if got := strings.Join(crashed, " "); got != "primary backup" {
+		t.Errorf("crash serving crashed %q, want the primary, then the backup", got)
 	}
 }
 

@@ -96,20 +96,21 @@ func PhasesFromAnatomy(a trace.FailoverAnatomy) Phases {
 	}
 }
 
-// ChaosReport captures a chaos run's schedule and invariant verdicts.
+// ChaosReport captures a chaos run's plan and invariant verdicts.
 type ChaosReport struct {
-	// Schedule is the human-readable fault schedule (chaos.Schedule.String).
+	// Schedule is the human-readable plan: seed, workload, client starts
+	// and faults (chaos.Describe).
 	Schedule string `json:"schedule"`
-	// Events is the number of scheduled fault events.
+	// Events is the number of the plan's client starts and faults.
 	Events int `json:"events"`
 	// Invariants holds one verdict per system-wide invariant, in
-	// chaos.InvariantNames order.
+	// experiment.InvariantNames order.
 	Invariants []InvariantVerdict `json:"invariants"`
-	// Injected counts successfully applied fault events per injector
-	// name — the ground truth for what the run actually exercised (a
-	// skipped event leaves no count here).
+	// Injected counts the client starts and faults that took effect, per
+	// chaos row name — the ground truth for what the run actually
+	// exercised (a skipped one leaves no count here).
 	Injected map[string]int `json:"injected,omitempty"`
-	// Skipped lists events the harness could not apply (if any).
+	// Skipped lists the client starts and faults the harness refused (if any).
 	Skipped []string `json:"skipped,omitempty"`
 }
 
