@@ -57,9 +57,12 @@ type Packet struct {
 	TargetIP ip.Addr
 }
 
-// Encode serialises the packet.
-func (p *Packet) Encode() []byte {
-	buf := make([]byte, PacketLen)
+// AppendEncode serialises the packet onto dst, reusing its capacity when
+// possible, and returns the extended slice. A stack passes an outbound
+// frame here, so the packet is written in place.
+func (p *Packet) AppendEncode(dst []byte) []byte {
+	dst = append(dst, make([]byte, PacketLen)...)
+	buf := dst[len(dst)-PacketLen:]
 	binary.BigEndian.PutUint16(buf[0:], 1) // hardware type: Ethernet
 	binary.BigEndian.PutUint16(buf[2:], uint16(eth.TypeIPv4))
 	buf[4] = eth.AddrLen
@@ -69,7 +72,7 @@ func (p *Packet) Encode() []byte {
 	copy(buf[14:], p.SenderIP[:])
 	copy(buf[18:], p.TargetHW[:])
 	copy(buf[24:], p.TargetIP[:])
-	return buf
+	return dst
 }
 
 // Decode parses buf into a packet.

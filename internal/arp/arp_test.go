@@ -16,7 +16,7 @@ func TestPacketRoundtrip(t *testing.T) {
 		SenderIP: ip.MakeAddr(10, 0, 0, 1),
 		TargetIP: ip.MakeAddr(10, 0, 0, 100),
 	}
-	got, err := Decode(p.Encode())
+	got, err := Decode(p.AppendEncode(nil))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -37,7 +37,7 @@ func TestPacketRoundtripProperty(t *testing.T) {
 		if op {
 			p.Op = OpReply
 		}
-		got, err := Decode(p.Encode())
+		got, err := Decode(p.AppendEncode(nil))
 		return err == nil && got == p
 	}
 	if err := quick.Check(fn, nil); err != nil {
@@ -53,7 +53,7 @@ func TestDecodeRejectsShort(t *testing.T) {
 
 func TestDecodeRejectsWrongHardware(t *testing.T) {
 	p := Packet{Op: OpRequest}
-	raw := p.Encode()
+	raw := p.AppendEncode(nil)
 	raw[0] = 0xff // hardware type
 	if _, err := Decode(raw); !errors.Is(err, ErrNotEthIPv4) {
 		t.Fatalf("err = %v, want ErrNotEthIPv4", err)
@@ -107,14 +107,14 @@ func FuzzDecode(f *testing.F) {
 		{Op: OpRequest, SenderHW: eth.MakeAddr(1), SenderIP: ip.MakeAddr(10, 0, 0, 1), TargetIP: ip.MakeAddr(10, 0, 0, 100)},
 		{Op: OpReply, SenderHW: eth.MakeAddr(2), SenderIP: ip.MakeAddr(10, 0, 0, 2), TargetHW: eth.MakeAddr(1), TargetIP: ip.MakeAddr(10, 0, 0, 1)},
 	} {
-		f.Add(p.Encode())
+		f.Add(p.AppendEncode(nil))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		p, err := Decode(raw)
 		if err != nil {
 			return
 		}
-		again, err := Decode(p.Encode())
+		again, err := Decode(p.AppendEncode(nil))
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}

@@ -100,15 +100,9 @@ type Frame struct {
 	Payload []byte
 }
 
-// Encode serialises the frame, appending the CRC-32 FCS.
-func (f *Frame) Encode() ([]byte, error) {
-	return f.AppendEncode(nil)
-}
-
 // AppendEncode serialises the frame onto dst, reusing its capacity when
-// possible, and returns the extended slice. The hot transmit path passes a
-// per-NIC scratch buffer here so steady-state traffic encodes without
-// allocating.
+// possible, and returns the extended slice. The segment path does not come
+// here: a NIC seals a frame whose payload its stack wrote in place.
 func (f *Frame) AppendEncode(dst []byte) ([]byte, error) {
 	if len(f.Payload) > MaxPayload {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLong, len(f.Payload))
@@ -122,34 +116,52 @@ func (f *Frame) AppendEncode(dst []byte) ([]byte, error) {
 	} else {
 		dst = dst[:base+total]
 	}
-	buf := dst[base:]
-	copy(buf[0:], f.Dst[:])
-	copy(buf[AddrLen:], f.Src[:])
-	binary.BigEndian.PutUint16(buf[2*AddrLen:], uint16(f.Type))
-	copy(buf[HeaderLen:], f.Payload)
-	fcs := crc32.ChecksumIEEE(buf[:HeaderLen+len(f.Payload)])
-	binary.BigEndian.PutUint32(buf[HeaderLen+len(f.Payload):], fcs)
+	copy(dst[base+HeaderLen:], f.Payload)
+	Seal(dst[base:], f.Dst, f.Src, f.Type)
 	return dst, nil
 }
 
-// Decode parses buf into a frame, verifying the FCS and, as Encode does,
-// the MTU. The returned frame's payload aliases buf.
+// Seal writes the header of frame, whose payload already sits at
+// frame[HeaderLen:len(frame)-FCSLen], and then its FCS into the last
+// FCSLen bytes, over everything before them. It is the one encoder of the
+// package: AppendEncode and a NIC's transmit both end here.
+func Seal(frame []byte, dst, src Addr, t EtherType) {
+	*(*Addr)(frame[0:]) = dst // array stores, not memmove calls
+	*(*Addr)(frame[AddrLen:]) = src
+	binary.BigEndian.PutUint16(frame[2*AddrLen:], uint16(t))
+	body := len(frame) - FCSLen
+	binary.BigEndian.PutUint32(frame[body:], crc32.ChecksumIEEE(frame[:body]))
+}
+
+// Decode parses buf into a frame, verifying the FCS and, as AppendEncode
+// does, the MTU. The returned frame's payload aliases buf.
 func Decode(buf []byte) (Frame, error) {
-	if len(buf) < HeaderLen+FCSLen {
-		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooShort, len(buf))
-	}
-	if len(buf) > MaxFrameLen {
-		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLong, len(buf)-HeaderLen-FCSLen)
+	f, err := Parse(buf)
+	if err != nil {
+		return Frame{}, err
 	}
 	body := buf[:len(buf)-FCSLen]
 	want := binary.BigEndian.Uint32(buf[len(buf)-FCSLen:])
 	if got := crc32.ChecksumIEEE(body); got != want {
 		return Frame{}, fmt.Errorf("%w: got %#08x want %#08x", ErrBadFCS, got, want)
 	}
-	var f Frame
-	copy(f.Dst[:], body[0:])
-	copy(f.Src[:], body[AddrLen:])
-	f.Type = EtherType(binary.BigEndian.Uint16(body[2*AddrLen:]))
-	f.Payload = body[HeaderLen:]
 	return f, nil
+}
+
+// Parse is Decode without the FCS check, for bytes whose FCS someone has
+// already verified: a NIC handed the switch's verdict on the very buffer
+// it receives. It still checks the length.
+func Parse(buf []byte) (Frame, error) {
+	if len(buf) < HeaderLen+FCSLen {
+		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooShort, len(buf))
+	}
+	if len(buf) > MaxFrameLen {
+		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLong, len(buf)-HeaderLen-FCSLen)
+	}
+	return Frame{
+		Dst:     Addr(buf[0:]),
+		Src:     Addr(buf[AddrLen:]),
+		Type:    EtherType(binary.BigEndian.Uint16(buf[2*AddrLen:])),
+		Payload: buf[HeaderLen : len(buf)-FCSLen],
+	}, nil
 }

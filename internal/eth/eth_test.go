@@ -16,7 +16,7 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 		Type:    TypeIPv4,
 		Payload: []byte("hello ethernet"),
 	}
-	raw, err := f.Encode()
+	raw, err := f.AppendEncode(nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -40,7 +40,7 @@ func TestRoundtripProperty(t *testing.T) {
 		} else {
 			f.Dst = MakeAddr(dst)
 		}
-		raw, err := f.Encode()
+		raw, err := f.AppendEncode(nil)
 		if err != nil {
 			return false
 		}
@@ -57,7 +57,7 @@ func TestRoundtripProperty(t *testing.T) {
 
 func TestCorruptionDetected(t *testing.T) {
 	f := Frame{Dst: MakeAddr(2), Src: MakeAddr(1), Type: TypeIPv4, Payload: []byte("payload")}
-	raw, err := f.Encode()
+	raw, err := f.AppendEncode(nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -78,13 +78,13 @@ func TestTooShort(t *testing.T) {
 
 func TestOversizedPayloadRejected(t *testing.T) {
 	f := Frame{Payload: make([]byte, MaxPayload+1)}
-	if _, err := f.Encode(); !errors.Is(err, ErrFrameTooLong) {
+	if _, err := f.AppendEncode(nil); !errors.Is(err, ErrFrameTooLong) {
 		t.Fatalf("err = %v, want ErrFrameTooLong", err)
 	}
 }
 
 // TestDecodeRejectsOversizedPayload: a frame one byte past the MTU, with a
-// good FCS, is refused as Encode refuses to write it.
+// good FCS, is refused as AppendEncode refuses to write it.
 func TestDecodeRejectsOversizedPayload(t *testing.T) {
 	raw := make([]byte, HeaderLen+MaxPayload+1)
 	raw = binary.BigEndian.AppendUint32(raw, crc32.ChecksumIEEE(raw))
@@ -120,7 +120,7 @@ func FuzzDecode(f *testing.F) {
 		{Dst: Broadcast, Src: MakeAddr(7), Type: TypeARP},
 		{Dst: MakeMulticastAddr(1), Src: MakeAddr(3), Type: TypeIPv4, Payload: bytes.Repeat([]byte{0xa5}, MaxPayload)},
 	} {
-		raw, err := fr.Encode()
+		raw, err := fr.AppendEncode(nil)
 		if err != nil {
 			f.Fatalf("encode seed: %v", err)
 		}
@@ -131,7 +131,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc, err := fr.Encode()
+		enc, err := fr.AppendEncode(nil)
 		if err != nil {
 			t.Fatalf("a decoded frame does not encode: %v", err)
 		}

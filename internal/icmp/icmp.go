@@ -50,15 +50,19 @@ type Echo struct {
 	Payload []byte
 }
 
-// Encode serialises the message with its checksum.
-func (e *Echo) Encode() []byte {
-	buf := make([]byte, HeaderLen+len(e.Payload))
+// AppendEncode serialises the message with its checksum onto dst, reusing
+// its capacity when possible, and returns the extended slice. A stack
+// passes an outbound frame here, so the message is written in place.
+func (e *Echo) AppendEncode(dst []byte) []byte {
+	n := HeaderLen + len(e.Payload)
+	dst = append(dst, make([]byte, n)...)
+	buf := dst[len(dst)-n:]
 	buf[0] = uint8(e.Type)
 	binary.BigEndian.PutUint16(buf[4:], e.ID)
 	binary.BigEndian.PutUint16(buf[6:], e.Seq)
 	copy(buf[HeaderLen:], e.Payload)
 	binary.BigEndian.PutUint16(buf[2:], ip.Checksum(buf))
-	return buf
+	return dst
 }
 
 // Decode parses and validates buf. The payload aliases buf.

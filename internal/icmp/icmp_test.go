@@ -9,7 +9,7 @@ import (
 
 func TestEchoRoundtrip(t *testing.T) {
 	e := Echo{Type: TypeEchoRequest, ID: 7, Seq: 3, Payload: []byte("ping")}
-	got, err := Decode(e.Encode())
+	got, err := Decode(e.AppendEncode(nil))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -24,7 +24,7 @@ func TestEchoRoundtripProperty(t *testing.T) {
 		if req {
 			e.Type = TypeEchoRequest
 		}
-		got, err := Decode(e.Encode())
+		got, err := Decode(e.AppendEncode(nil))
 		return err == nil && got.Type == e.Type && got.ID == e.ID &&
 			got.Seq == e.Seq && bytes.Equal(got.Payload, e.Payload)
 	}
@@ -35,7 +35,7 @@ func TestEchoRoundtripProperty(t *testing.T) {
 
 func TestCorruptionDetected(t *testing.T) {
 	e := Echo{Type: TypeEchoRequest, ID: 1, Seq: 1, Payload: []byte("xyz")}
-	raw := e.Encode()
+	raw := e.AppendEncode(nil)
 	raw[HeaderLen] ^= 0x55
 	if _, err := Decode(raw); !errors.Is(err, ErrBadChecksum) {
 		t.Fatalf("err = %v, want ErrBadChecksum", err)
@@ -56,14 +56,14 @@ func FuzzDecode(f *testing.F) {
 		{Type: TypeEchoRequest, ID: 7, Seq: 3, Payload: []byte("ping")},
 		{Type: TypeEchoReply, ID: 7, Seq: 3, Payload: []byte("odd")},
 	} {
-		f.Add(e.Encode())
+		f.Add(e.AppendEncode(nil))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		e, err := Decode(raw)
 		if err != nil {
 			return
 		}
-		again, err := Decode(e.Encode())
+		again, err := Decode(e.AppendEncode(nil))
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}

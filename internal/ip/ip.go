@@ -96,15 +96,10 @@ type Packet struct {
 	Payload  []byte
 }
 
-// Encode serialises the packet with a freshly computed header checksum.
-func (p *Packet) Encode() ([]byte, error) {
-	return p.AppendEncode(nil)
-}
-
 // AppendEncode serialises the packet onto dst, reusing its capacity when
-// possible, and returns the extended slice. The hot transmit path passes a
-// per-stack scratch buffer here so steady-state traffic encodes without
-// allocating.
+// possible, and returns the extended slice. The segment path does not come
+// here: the stack writes the header in front of a transport payload
+// already in its frame, with PutHeader.
 func (p *Packet) AppendEncode(dst []byte) ([]byte, error) {
 	if len(p.Payload) > MaxPayload {
 		return nil, fmt.Errorf("ip: payload %d exceeds max %d", len(p.Payload), MaxPayload)
@@ -118,13 +113,22 @@ func (p *Packet) AppendEncode(dst []byte) ([]byte, error) {
 	} else {
 		dst = dst[:base+total]
 	}
-	buf := dst[base:]
+	copy(dst[base+HeaderLen:], p.Payload)
+	p.PutHeader(dst[base:])
+	return dst, nil
+}
+
+// PutHeader writes the header, with a freshly computed checksum, into
+// pkt[:HeaderLen], for a packet of len(pkt) bytes whose payload already
+// follows it; p.Payload is not read. It is the one encoder of the package.
+func (p *Packet) PutHeader(pkt []byte) {
+	buf := pkt[:HeaderLen]
 	buf[0] = 0x45 // version 4, IHL 5
 	buf[1] = p.TOS
-	binary.BigEndian.PutUint16(buf[2:], uint16(total))
+	binary.BigEndian.PutUint16(buf[2:], uint16(len(pkt)))
 	binary.BigEndian.PutUint16(buf[4:], p.ID)
 	// Write the flags/fragment and checksum fields unconditionally: the
-	// buffer may be a reused scratch carrying a previous packet's bytes.
+	// buffer may be a reused frame carrying a previous packet's bytes.
 	buf[6], buf[7] = 0, 0
 	if p.DontFrag {
 		buf[6] = 0x40
@@ -138,13 +142,11 @@ func (p *Packet) AppendEncode(dst []byte) ([]byte, error) {
 	buf[10], buf[11] = 0, 0
 	copy(buf[12:], p.Src[:])
 	copy(buf[16:], p.Dst[:])
-	binary.BigEndian.PutUint16(buf[10:], Checksum(buf[:HeaderLen]))
-	copy(buf[HeaderLen:], p.Payload)
-	return dst, nil
+	binary.BigEndian.PutUint16(buf[10:], Checksum(buf))
 }
 
 // Decode parses and validates buf. A TTL of 0, which no router forwards and
-// which Encode writes as DefaultTTL, is refused. The returned packet's
+// which PutHeader writes as DefaultTTL, is refused. The returned packet's
 // payload aliases buf.
 func Decode(buf []byte) (Packet, error) {
 	if len(buf) < HeaderLen {
@@ -201,9 +203,22 @@ func SumWords(sum uint32, data []byte) uint32 {
 		acc, carry = bits.Add64(acc, binary.BigEndian.Uint64(data), carry)
 		data = data[8:]
 	}
-	var tail uint64 // the last 0-7 bytes, left-aligned as a load has them
-	for i, b := range data {
-		tail |= uint64(b) << (56 - 8*uint(i))
+	// The last 0-7 bytes, left-aligned as a load has them: at most one
+	// 4-byte, one 2-byte and one 1-byte load.
+	var tail uint64
+	shift := uint(64)
+	if len(data) >= 4 {
+		shift -= 32
+		tail = uint64(binary.BigEndian.Uint32(data)) << shift
+		data = data[4:]
+	}
+	if len(data) >= 2 {
+		shift -= 16
+		tail |= uint64(binary.BigEndian.Uint16(data)) << shift
+		data = data[2:]
+	}
+	if len(data) == 1 {
+		tail |= uint64(data[0]) << (shift - 8)
 	}
 	acc, carry = bits.Add64(acc, tail, carry)
 	acc = acc>>32 + acc&0xffffffff + carry

@@ -19,7 +19,7 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 		Dst:     MakeAddr(10, 0, 0, 100),
 		Payload: []byte("segment bytes"),
 	}
-	raw, err := p.Encode()
+	raw, err := p.AppendEncode(nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -40,7 +40,7 @@ func TestRoundtripProperty(t *testing.T) {
 			payload = payload[:MaxPayload]
 		}
 		p := Packet{ID: id, Proto: ProtoUDP, Src: src, Dst: dst, Payload: payload}
-		raw, err := p.Encode()
+		raw, err := p.AppendEncode(nil)
 		if err != nil {
 			return false
 		}
@@ -57,7 +57,7 @@ func TestRoundtripProperty(t *testing.T) {
 
 func TestHeaderCorruptionDetected(t *testing.T) {
 	p := Packet{Proto: ProtoTCP, Src: MakeAddr(1, 2, 3, 4), Dst: MakeAddr(5, 6, 7, 8), Payload: []byte("x")}
-	raw, err := p.Encode()
+	raw, err := p.AppendEncode(nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -74,7 +74,7 @@ func TestHeaderCorruptionDetected(t *testing.T) {
 
 func TestDefaultTTLApplied(t *testing.T) {
 	p := Packet{Proto: ProtoICMP, Src: MakeAddr(1, 1, 1, 1), Dst: MakeAddr(2, 2, 2, 2)}
-	raw, err := p.Encode()
+	raw, err := p.AppendEncode(nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -88,10 +88,10 @@ func TestDefaultTTLApplied(t *testing.T) {
 }
 
 // TestZeroTTLRejected: a wire TTL of 0 behind a good header checksum is
-// refused — Encode would rewrite it as DefaultTTL.
+// refused — AppendEncode would rewrite it as DefaultTTL.
 func TestZeroTTLRejected(t *testing.T) {
 	p := Packet{Proto: ProtoTCP, Src: MakeAddr(1, 1, 1, 1), Dst: MakeAddr(2, 2, 2, 2)}
-	raw, _ := p.Encode()
+	raw, _ := p.AppendEncode(nil)
 	raw[8], raw[10], raw[11] = 0, 0, 0
 	binary.BigEndian.PutUint16(raw[10:], Checksum(raw[:HeaderLen]))
 	if _, err := Decode(raw); !errors.Is(err, ErrZeroTTL) {
@@ -101,7 +101,7 @@ func TestZeroTTLRejected(t *testing.T) {
 
 func TestBadVersionRejected(t *testing.T) {
 	p := Packet{Proto: ProtoTCP, Src: MakeAddr(1, 1, 1, 1), Dst: MakeAddr(2, 2, 2, 2)}
-	raw, _ := p.Encode()
+	raw, _ := p.AppendEncode(nil)
 	raw[0] = 0x65 // version 6
 	if _, err := Decode(raw); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("err = %v, want ErrBadVersion", err)
@@ -116,7 +116,7 @@ func TestTooShortRejected(t *testing.T) {
 
 func TestOversizedPayloadRejected(t *testing.T) {
 	p := Packet{Payload: make([]byte, MaxPayload+1)}
-	if _, err := p.Encode(); err == nil {
+	if _, err := p.AppendEncode(nil); err == nil {
 		t.Fatal("oversized payload accepted")
 	}
 }
@@ -207,7 +207,8 @@ func sumWordsRef(sum uint32, data []byte) uint32 {
 // alignment of the 32-byte run, the 8-byte steps and the 0-7 byte tail — over
 // bytes that carry hard (all 0xff), not at all (all zero) and arbitrarily,
 // from zero and non-zero incoming sums, alone and chained the way a transport
-// checksum chains pseudo-header, header and payload.
+// checksum chains pseudo-header, header and payload; and every length up to
+// 64 at each start offset 0-7.
 func TestSumWordsMatchesReference(t *testing.T) {
 	const maxLen = 1514
 	fills := map[string]func(i int) byte{
@@ -219,6 +220,18 @@ func TestSumWordsMatchesReference(t *testing.T) {
 		buf := make([]byte, maxLen)
 		for i := range buf {
 			buf[i] = fill(i)
+		}
+		// Every short length at every start offset within a word: the
+		// tail's 4-, 2- and 1-byte loads, from any alignment.
+		for off := 0; off < 8; off++ {
+			for n := 0; n <= 64; n++ {
+				data := buf[off : off+n]
+				for _, sum := range []uint32{0, 0xffff, 0x0bad_f00d} {
+					if got, want := FinishChecksum(SumWords(sum, data)), FinishChecksum(sumWordsRef(sum, data)); got != want {
+						t.Fatalf("%s, %d bytes at offset %d, sum %#x: checksum %#04x, reference %#04x", name, n, off, sum, got, want)
+					}
+				}
+			}
 		}
 		for n := 0; n <= maxLen; n++ {
 			data := buf[maxLen-n:] // vary the start too: the pattern differs per n
@@ -268,7 +281,7 @@ func FuzzDecode(f *testing.F) {
 		{TOS: 0x10, ID: 1234, TTL: 17, Proto: ProtoTCP, Src: MakeAddr(10, 0, 0, 1), Dst: MakeAddr(10, 0, 0, 100), Payload: []byte("segment bytes")},
 		{ID: 7, DontFrag: true, Proto: ProtoUDP, Src: MakeAddr(10, 0, 0, 2), Dst: MakeAddr(10, 0, 0, 3)},
 	} {
-		raw, err := p.Encode()
+		raw, err := p.AppendEncode(nil)
 		if err != nil {
 			f.Fatalf("encode seed: %v", err)
 		}
@@ -280,7 +293,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc, err := p.Encode()
+		enc, err := p.AppendEncode(nil)
 		if err != nil {
 			t.Fatalf("a decoded packet does not encode: %v", err)
 		}

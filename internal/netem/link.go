@@ -14,16 +14,19 @@ import (
 	"repro/internal/trace"
 )
 
-// Endpoint receives raw Ethernet frames from a link. Both NICs and switch
-// ports implement it.
+// Endpoint receives raw Ethernet frames from a link. A NIC implements it;
+// a switch port is not an Endpoint, because it keeps what it is handed (see
+// Connect).
 type Endpoint interface {
 	// DeliverFrame hands a fully received frame to the endpoint. buf is
-	// valid only for the duration of the call — the link returns it to a
+	// valid only for the duration of the call — the link returns it to its
 	// frame pool when DeliverFrame returns — so the endpoint must copy
-	// anything it keeps (a switch port lends buf on to the egress links,
-	// which copy; the NIC lends it on to its handler under the same
-	// contract, see NIC.SetHandler).
-	DeliverFrame(buf []byte)
+	// anything it keeps (the NIC lends it on to its handler under the same
+	// contract, see NIC.SetHandler). fcsOK reports that the switch
+	// verified the FCS of these very bytes and nothing has written them
+	// since; a frame a corrupting link damaged, or one that came straight
+	// from its sender, has no such verdict.
+	DeliverFrame(buf []byte, fcsOK bool)
 }
 
 // LinkConfig describes one full-duplex link.
@@ -83,20 +86,22 @@ type Link struct {
 
 	// Frame buffers and delivery records are pooled so steady-state
 	// traffic allocates nothing per frame. Each in-flight frame owns one
-	// delivery record and one pooled buffer; both return to their pools
-	// when its delivery completes, each pool keeping at most poolFrames.
-	pool       bufPool
+	// delivery record and one pooled buffer. The record returns to the
+	// link's pool, which keeps at most poolFrames, when the delivery
+	// completes; the buffer returns to pool when the endpoint is done
+	// with it — or, delivered to a switch port, when the switch is.
+	pool       *bufPool
 	deliveries []*delivery
 }
 
-// delivery is one in-flight frame: the pooled buffer, the arrival
-// deadline (virtual time since sim.Epoch, as Simulator.Elapsed reads it),
-// and the sender's causal context, restored around the endpoint call so
-// trace spans follow the frame across the wire even though many frames
-// share one timer event.
+// delivery is one in-flight frame: the pooled buffer, whether the switch
+// verified its FCS, the arrival deadline (virtual time since sim.Epoch, as
+// Simulator.Elapsed reads it), and the sender's causal context, restored
+// around the endpoint call so trace spans follow the frame across the wire
+// even though many frames share one timer event.
 type delivery struct {
-	peer    Endpoint
 	frame   []byte
+	fcsOK   bool
 	arrival time.Duration
 	ctx     uint64
 }
@@ -118,6 +123,7 @@ func (l *Link) takeDelivery() *delivery {
 // O(in-flight frames).
 type linkSide struct {
 	peer     Endpoint      // delivery target (the *other* end)
+	port     *SwitchPort   // or the switch port it feeds, which keeps each frame (see Connect)
 	dwell    time.Duration // a switch peer's forwarding latency, added to every arrival (see Connect)
 	nextFree time.Duration // when the wire is free again, since sim.Epoch
 	dropTill time.Duration // end of the drop window, since sim.Epoch
@@ -130,7 +136,7 @@ type linkSide struct {
 
 // NewLink creates a link; attach both ends with Attach before use.
 func NewLink(s *sim.Simulator, cfg LinkConfig) *Link {
-	l := &Link{sim: s, cfg: cfg, a: &linkSide{}, b: &linkSide{}}
+	l := &Link{sim: s, cfg: cfg, a: &linkSide{}, b: &linkSide{}, pool: &bufPool{limit: poolFrames}}
 	l.a.timer = s.NewTimer(func() { l.drain(l.a) })
 	l.b.timer = s.NewTimer(func() { l.drain(l.b) })
 	return l
@@ -204,27 +210,30 @@ func (l *Link) SetCutFromB(cut bool) { l.b.cut = cut }
 // them. Zero disables corruption.
 func (l *Link) SetCorruptRate(p float64) { l.corruptRate = p }
 
-// TransmitFromA sends buf from endpoint A toward endpoint B.
-func (l *Link) TransmitFromA(buf []byte) { l.transmit(l.a, buf) }
+// TransmitFromA sends frame from endpoint A toward endpoint B, and takes
+// it (see transmit).
+func (l *Link) TransmitFromA(frame []byte) { l.transmit(l.a, frame, false) }
 
-// TransmitFromB sends buf from endpoint B toward endpoint A.
-func (l *Link) TransmitFromB(buf []byte) { l.transmit(l.b, buf) }
+// TransmitFromB sends frame from endpoint B toward endpoint A, and takes
+// it.
+func (l *Link) TransmitFromB(frame []byte) { l.transmit(l.b, frame, false) }
 
-func (l *Link) transmit(side *linkSide, buf []byte) {
-	if side.peer == nil {
+// transmit sends frame, normally a buffer from the link's pool, from side
+// toward its peer. The link takes the frame: it holds it in flight and
+// hands it to the peer, or on a drop returns it to the pool at once. fcsOK
+// carries the switch's verdict on these bytes (see Endpoint).
+func (l *Link) transmit(side *linkSide, frame []byte, fcsOK bool) {
+	if side.peer == nil && side.port == nil {
+		l.pool.put(frame)
 		return
 	}
 	now := l.sim.Elapsed()
 	if side.cut || now < side.dropTill {
-		l.Drops++
-		l.mDrops.Inc()
-		l.traceDrop(len(buf), "cut/drop-window")
+		l.drop(frame, "cut/drop-window")
 		return
 	}
 	if l.cfg.LossRate > 0 && l.sim.Rand().Float64() < l.cfg.LossRate {
-		l.Drops++
-		l.mDrops.Inc()
-		l.traceDrop(len(buf), "random loss")
+		l.drop(frame, "random loss")
 		return
 	}
 	start := now
@@ -233,12 +242,12 @@ func (l *Link) transmit(side *linkSide, buf []byte) {
 	}
 	l.mQueue.Observe(start - now)
 	if l.tracer.Detail() {
-		l.tracer.EmitValue(trace.KindNetEnqueue, l.name, int64(len(buf)),
-			"enqueue %dB, wire free in %v", len(buf), start-now)
+		l.tracer.EmitValue(trace.KindNetEnqueue, l.name, int64(len(frame)),
+			"enqueue %dB, wire free in %v", len(frame), start-now)
 	}
 	var txTime time.Duration
 	if l.cfg.BitsPerSecond > 0 {
-		bits := int64(len(buf)) * 8
+		bits := int64(len(frame)) * 8
 		txTime = time.Duration(bits * int64(time.Second) / l.cfg.BitsPerSecond)
 	}
 	side.nextFree = start + txTime
@@ -246,13 +255,14 @@ func (l *Link) transmit(side *linkSide, buf []byte) {
 	if l.cfg.Jitter > 0 {
 		arrival += time.Duration(l.sim.Rand().Int63n(int64(l.cfg.Jitter)))
 	}
-	frame := l.pool.get(len(buf))
-	copy(frame, buf)
 	if l.corruptRate > 0 && l.sim.Rand().Float64() < l.corruptRate {
-		// Flip one bit of the pooled copy; the sender's buffer is
-		// untouched and the damaged frame rides to the receiver, where
-		// a checksum must reject it.
+		// A sealed frame is never written: flip one bit of a copy, which
+		// carries no verdict, and let the original go. The damaged frame
+		// rides to the receiver, where a checksum must reject it.
 		bit := l.sim.Rand().Int63n(int64(len(frame)) * 8)
+		damaged := append(l.pool.get(0), frame...)
+		l.pool.put(frame)
+		frame, fcsOK = damaged, false
 		frame[bit/8] ^= 1 << (bit % 8)
 		l.Corrupted++
 		if l.tracer.Detail() {
@@ -261,8 +271,8 @@ func (l *Link) transmit(side *linkSide, buf []byte) {
 		}
 	}
 	d := l.takeDelivery()
-	d.peer = side.peer
 	d.frame = frame
+	d.fcsOK = fcsOK
 	d.arrival = arrival
 	d.ctx = l.sim.Context()
 	l.enqueue(side, d)
@@ -303,7 +313,7 @@ func (l *Link) drain(side *linkSide) {
 		}
 		side.pending[side.head] = nil
 		side.head++
-		l.deliverNow(d)
+		l.deliverNow(side, d)
 	}
 	if side.head > 0 && side.head*2 >= len(side.pending) {
 		n := copy(side.pending, side.pending[side.head:])
@@ -318,11 +328,12 @@ func (l *Link) drain(side *linkSide) {
 	}
 }
 
-// deliverNow completes one delivery: the frame is handed to the peer under
-// the sender's causal context, and the record and buffer return to their
-// pools.
-func (l *Link) deliverNow(d *delivery) {
-	frame, peer, ctx := d.frame, d.peer, d.ctx
+// deliverNow completes one delivery: the frame is handed to side's peer
+// under the sender's causal context, and the record and buffer return to
+// their pools — the buffer unless the peer is a switch port, which keeps
+// it.
+func (l *Link) deliverNow(side *linkSide, d *delivery) {
+	frame, fcsOK, ctx := d.frame, d.fcsOK, d.ctx
 	if len(l.deliveries) < poolFrames {
 		*d = delivery{}
 		l.deliveries = append(l.deliveries, d)
@@ -334,13 +345,21 @@ func (l *Link) deliverNow(d *delivery) {
 	if l.tracer.Detail() {
 		l.tracer.EmitValue(trace.KindNetDeliver, l.name, int64(len(frame)), "deliver %dB", len(frame))
 	}
-	peer.DeliverFrame(frame)
-	l.pool.put(frame)
+	if side.port != nil {
+		side.port.take(frame)
+	} else {
+		side.peer.DeliverFrame(frame, fcsOK)
+		l.pool.put(frame)
+	}
 	l.sim.SetContext(prev)
 }
 
-func (l *Link) traceDrop(size int, why string) {
+// drop counts a frame lost on the wire and returns it to the pool.
+func (l *Link) drop(frame []byte, why string) {
+	l.Drops++
+	l.mDrops.Inc()
 	if l.tracer.Detail() {
-		l.tracer.EmitValue(trace.KindNetDrop, l.name, int64(size), "drop %dB: %s", size, why)
+		l.tracer.EmitValue(trace.KindNetDrop, l.name, int64(len(frame)), "drop %dB: %s", len(frame), why)
 	}
+	l.pool.put(frame)
 }

@@ -13,7 +13,7 @@ import (
 // causal context.
 type endpointFunc func(buf []byte)
 
-func (f endpointFunc) DeliverFrame(buf []byte) { f(buf) }
+func (f endpointFunc) DeliverFrame(buf []byte, _ bool) { f(buf) }
 
 // TestLinkDeliveryRunsUnderSenderContextAndRestores states the causal-context
 // discipline of Link.deliverNow: many frames share one drain event, each is
@@ -46,9 +46,9 @@ func TestLinkDeliveryRunsUnderSenderContextAndRestores(t *testing.T) {
 
 	// One delivery by hand, under an ambient context of 3.
 	d := link.takeDelivery()
-	d.peer, d.frame, d.ctx = sink, link.pool.get(1), 9
+	d.frame, d.ctx = link.pool.get(1), 9
 	s.SetContext(3)
-	link.deliverNow(d)
+	link.deliverNow(link.a, d)
 	if got := s.Context(); got != 3 || delivered[len(delivered)-1] != 9 {
 		t.Errorf("a delivery under context 9 left the ambient context at %d, want 3 restored", got)
 	}

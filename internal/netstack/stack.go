@@ -33,10 +33,13 @@ type UDPHandler func(src ip.Addr, srcPort uint16, payload []byte)
 // pkt.Payload is the received frame's, valid only until the handler returns.
 type TCPHandler func(pkt ip.Packet)
 
+// pendingPacket is an outbound frame waiting for ARP: the transport's
+// packet is in place behind its headroom, the IP and Ethernet headers not
+// yet written.
 type pendingPacket struct {
-	src     ip.Addr
-	proto   ip.Protocol
-	payload []byte
+	src   ip.Addr
+	proto ip.Protocol
+	frame []byte
 }
 
 // arpRetryInterval and arpMaxAttempts govern ARP request retransmission: a
@@ -78,11 +81,6 @@ type Stack struct {
 	pings      map[uint16]*pendingPing
 	nextPingID uint16
 	nextIPID   uint16
-
-	// encBuf is the reusable IP-encoding scratch. Safe because the
-	// simulation is single-threaded and the NIC copies the encoded packet
-	// into its own frame scratch synchronously.
-	encBuf []byte
 }
 
 // New creates a stack bound to nic with primary address addr and installs
@@ -125,52 +123,56 @@ func (s *Stack) RegisterTCP(h TCPHandler) { s.tcpHandler = h }
 
 // --- Sending ---
 
-// SendIP transmits payload to dst with the stack's primary source address.
-func (s *Stack) SendIP(dst ip.Addr, proto ip.Protocol, payload []byte) error {
-	return s.SendIPFrom(s.addr, dst, proto, payload)
-}
+// Headroom is where a transport's packet starts in a frame from NewFrame:
+// behind the Ethernet header the NIC writes and the IP header SendFrame
+// writes.
+const Headroom = eth.HeaderLen + ip.HeaderLen
 
-// SendIPFrom transmits payload with an explicit source address; the ST-TCP
-// servers source service traffic from the shared serviceIP alias. The
-// payload is consumed before SendIPFrom returns (copied into the outbound
-// frame, or into the ARP pending queue on a resolution miss), so callers
-// may pass a reused scratch buffer.
-func (s *Stack) SendIPFrom(src, dst ip.Addr, proto ip.Protocol, payload []byte) error {
+// NewFrame returns an outbound frame for a transport to append its packet
+// to: Headroom bytes long, with capacity for a full-size frame behind. The
+// packet is written once, there, and no layer below copies it.
+func (s *Stack) NewFrame() []byte { return s.nic.NewFrame(Headroom) }
+
+// SendFrame transmits the transport packet at frame[Headroom:], a frame
+// from NewFrame, from src to dst; the ST-TCP servers source service traffic
+// from the shared serviceIP alias. It takes the frame: the IP header is
+// written in front of the packet and the NIC seals it, or on a resolution
+// miss the ARP queue holds it.
+func (s *Stack) SendFrame(src, dst ip.Addr, proto ip.Protocol, frame []byte) error {
 	hw, ok := s.arpTable.Lookup(dst)
 	if !ok {
-		s.queueForARP(src, dst, proto, payload)
+		s.queueForARP(src, dst, proto, frame)
 		return nil
 	}
-	return s.sendResolved(hw, src, dst, proto, payload)
+	return s.sendResolved(hw, src, dst, proto, frame)
 }
 
-func (s *Stack) sendResolved(hw eth.Addr, src, dst ip.Addr, proto ip.Protocol, payload []byte) error {
+// SendIPFrom copies payload into a new frame and transmits it with
+// SendFrame, so a caller may pass a buffer it reuses.
+func (s *Stack) SendIPFrom(src, dst ip.Addr, proto ip.Protocol, payload []byte) error {
+	return s.SendFrame(src, dst, proto, append(s.NewFrame(), payload...))
+}
+
+func (s *Stack) sendResolved(hw eth.Addr, src, dst ip.Addr, proto ip.Protocol, frame []byte) error {
 	s.nextIPID++
 	pkt := ip.Packet{
-		ID:      s.nextIPID,
-		TTL:     ip.DefaultTTL,
-		Proto:   proto,
-		Src:     src,
-		Dst:     dst,
-		Payload: payload,
+		ID:    s.nextIPID,
+		TTL:   ip.DefaultTTL,
+		Proto: proto,
+		Src:   src,
+		Dst:   dst,
 	}
-	raw, err := pkt.AppendEncode(s.encBuf[:0])
-	if err != nil {
-		return fmt.Errorf("netstack: %s: %w", s.name, err)
-	}
-	s.encBuf = raw
-	if err := s.nic.Send(eth.Frame{Dst: hw, Type: eth.TypeIPv4, Payload: raw}); err != nil {
+	pkt.PutHeader(frame[eth.HeaderLen:])
+	if err := s.nic.Transmit(hw, eth.TypeIPv4, frame); err != nil {
 		return fmt.Errorf("netstack: %s: %w", s.name, err)
 	}
 	return nil
 }
 
-func (s *Stack) queueForARP(src, dst ip.Addr, proto ip.Protocol, payload []byte) {
-	// Copy: the caller may pass a scratch buffer it reuses for the next
-	// segment, and the queue holds the payload until ARP resolves. This is
-	// the cold path — the testbed pins static ARP entries for the hot
-	// service traffic.
-	p := pendingPacket{src: src, proto: proto, payload: append([]byte(nil), payload...)}
+// queueForARP holds frame until dst resolves. This is the cold path: the
+// testbed pins static ARP entries for the hot service traffic.
+func (s *Stack) queueForARP(src, dst ip.Addr, proto ip.Protocol, frame []byte) {
+	p := pendingPacket{src: src, proto: proto, frame: frame}
 	w, waiting := s.arpPending[dst]
 	if waiting {
 		if len(w.packets) < arpQueueCap {
@@ -183,6 +185,12 @@ func (s *Stack) queueForARP(src, dst ip.Addr, proto ip.Protocol, payload []byte)
 	s.sendARPRequest(dst, w)
 }
 
+// sendARP transmits an ARP packet to dst, written in place behind the
+// Ethernet header.
+func (s *Stack) sendARP(dst eth.Addr, p arp.Packet) {
+	_ = s.nic.Transmit(dst, eth.TypeARP, p.AppendEncode(s.nic.NewFrame(eth.HeaderLen)))
+}
+
 func (s *Stack) sendARPRequest(dst ip.Addr, w *arpWaiter) {
 	w.attempts++
 	req := arp.Packet{
@@ -191,7 +199,7 @@ func (s *Stack) sendARPRequest(dst ip.Addr, w *arpWaiter) {
 		SenderIP: s.addr,
 		TargetIP: dst,
 	}
-	_ = s.nic.Send(eth.Frame{Dst: eth.Broadcast, Type: eth.TypeARP, Payload: req.Encode()})
+	s.sendARP(eth.Broadcast, req)
 	// Retry: a single lost reply must not blackhole the destination.
 	w.timer = s.clock.AfterFunc(arpRetryInterval, func() {
 		if s.arpPending[dst] != w {
@@ -219,10 +227,11 @@ func (s *Stack) UDPListen(port uint16, h UDPHandler) error {
 // UDPClose releases a bound port.
 func (s *Stack) UDPClose(port uint16) { delete(s.udpHandlers, port) }
 
-// UDPSend transmits a datagram from srcPort to dst:dstPort.
+// UDPSend transmits a datagram from srcPort to dst:dstPort, written into
+// its frame, so a caller may pass a buffer it reuses.
 func (s *Stack) UDPSend(srcPort uint16, dst ip.Addr, dstPort uint16, payload []byte) error {
 	d := udp.Datagram{SrcPort: srcPort, DstPort: dstPort, Payload: payload}
-	return s.SendIP(dst, ip.ProtoUDP, d.Encode(s.addr, dst))
+	return s.SendFrame(s.addr, dst, ip.ProtoUDP, d.AppendEncode(s.NewFrame(), s.addr, dst))
 }
 
 // --- ICMP ping ---
@@ -244,7 +253,7 @@ func (s *Stack) Ping(dst ip.Addr, timeout time.Duration, done func(ok bool, rtt 
 	})
 	s.pings[id] = p
 	echo := icmp.Echo{Type: icmp.TypeEchoRequest, ID: id, Seq: 1}
-	if err := s.SendIP(dst, ip.ProtoICMP, echo.Encode()); err != nil {
+	if err := s.SendFrame(s.addr, dst, ip.ProtoICMP, echo.AppendEncode(s.NewFrame())); err != nil {
 		p.timer.Stop()
 		delete(s.pings, id)
 		return err
@@ -288,7 +297,7 @@ func (s *Stack) handleARP(f eth.Frame) {
 		TargetHW: p.SenderHW,
 		TargetIP: p.SenderIP,
 	}
-	_ = s.nic.Send(eth.Frame{Dst: p.SenderHW, Type: eth.TypeARP, Payload: reply.Encode()})
+	s.sendARP(p.SenderHW, reply)
 }
 
 func (s *Stack) flushARPQueue(addr ip.Addr, hw eth.Addr) {
@@ -299,7 +308,7 @@ func (s *Stack) flushARPQueue(addr ip.Addr, hw eth.Addr) {
 	delete(s.arpPending, addr)
 	w.timer.Stop()
 	for _, p := range w.packets {
-		_ = s.sendResolved(hw, p.src, addr, p.proto, p.payload)
+		_ = s.sendResolved(hw, p.src, addr, p.proto, p.frame)
 	}
 }
 
@@ -331,7 +340,7 @@ func (s *Stack) handleICMP(pkt ip.Packet) {
 	switch e.Type {
 	case icmp.TypeEchoRequest:
 		reply := icmp.Echo{Type: icmp.TypeEchoReply, ID: e.ID, Seq: e.Seq, Payload: e.Payload}
-		_ = s.SendIPFrom(pkt.Dst, pkt.Src, ip.ProtoICMP, reply.Encode())
+		_ = s.SendFrame(pkt.Dst, pkt.Src, ip.ProtoICMP, reply.AppendEncode(s.NewFrame()))
 	case icmp.TypeEchoReply:
 		p, ok := s.pings[e.ID]
 		if !ok {

@@ -35,10 +35,10 @@ func TestSegmentBookkeepingDoesNotAllocate(t *testing.T) {
 // half that sees an escape (hotpathalloc is syntactic: for many PRs it passed
 // a Segment that escaped to the heap through the OnTransmit hook inside an
 // annotated function). In steady state a segment allocates nothing: timers
-// are reusable sim.Timers, notifications ride pooled Post events, wire
-// encoding reuses per-owner scratch buffers, link and switch frames come
-// from buffer pools and are borrowed — not copied — up the receive path, and
-// Segments come from the stack's free list. The budget is what amortised
+// are reusable sim.Timers, notifications ride pooled Post events, a segment
+// is written once into a pooled frame that every hop hands on and the
+// receive path borrows — not copies — and Segments come from the stack's
+// free list. The budget is what amortised
 // growth leaves (a pool or ring doubling once in the measured transfer), so
 // one allocation per segment anywhere fails it ten times over.
 func TestAllocsPerSegmentBudget(t *testing.T) {

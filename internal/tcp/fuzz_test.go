@@ -31,7 +31,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 			MSS:     mss,
 			Payload: payload,
 		}
-		enc := seg.Encode(src, dst)
+		enc := seg.AppendEncode(nil, src, dst)
 		dec, err := Decode(src, dst, enc)
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)

@@ -98,17 +98,12 @@ func (s *Segment) SegLen() int {
 	return n
 }
 
-// Encode serialises the segment, computing the checksum over the IPv4
-// pseudo-header for src and dst. The MSS option is emitted only on SYN
-// segments that carry a non-zero MSS.
-func (s *Segment) Encode(src, dst ip.Addr) []byte {
-	return s.AppendEncode(nil, src, dst)
-}
-
 // AppendEncode serialises the segment onto dstBuf, reusing its capacity
-// when possible, and returns the extended slice. The hot transmit path
-// passes a per-stack scratch buffer here so steady-state traffic encodes
-// without allocating.
+// when possible, and returns the extended slice; the checksum covers the
+// IPv4 pseudo-header for src and dst. The MSS option is emitted only on SYN
+// segments that carry a non-zero MSS. The stack passes an outbound frame
+// from its netstack here, so header, payload and checksum are written once,
+// in place, and no layer below copies them.
 func (s *Segment) AppendEncode(dstBuf []byte, src, dst ip.Addr) []byte {
 	optLen := 0
 	if s.Flags.Has(FlagSYN) && s.MSS != 0 {
@@ -132,7 +127,7 @@ func (s *Segment) AppendEncode(dstBuf []byte, src, dst ip.Addr) []byte {
 	buf[13] = uint8(s.Flags)
 	binary.BigEndian.PutUint16(buf[14:], s.Window)
 	// Zero the checksum and urgent-pointer fields: the buffer may be a
-	// reused scratch carrying a previous segment's bytes.
+	// reused frame carrying a previous segment's bytes.
 	buf[16], buf[17], buf[18], buf[19] = 0, 0, 0, 0
 	if optLen > 0 {
 		buf[HeaderLen] = 2 // kind: MSS

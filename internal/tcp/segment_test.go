@@ -24,7 +24,7 @@ func TestSegmentRoundtrip(t *testing.T) {
 		Window:  8192,
 		Payload: []byte("segment payload"),
 	}
-	got, err := Decode(segSrc, segDst, s.Encode(segSrc, segDst))
+	got, err := Decode(segSrc, segDst, s.AppendEncode(nil, segSrc, segDst))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -37,12 +37,12 @@ func TestSegmentRoundtrip(t *testing.T) {
 
 func TestSegmentMSSOptionOnlyOnSYN(t *testing.T) {
 	syn := Segment{Flags: FlagSYN, MSS: 1460}
-	got, err := Decode(segSrc, segDst, syn.Encode(segSrc, segDst))
+	got, err := Decode(segSrc, segDst, syn.AppendEncode(nil, segSrc, segDst))
 	if err != nil || got.MSS != 1460 {
 		t.Fatalf("SYN MSS = %d, %v", got.MSS, err)
 	}
 	data := Segment{Flags: FlagACK, MSS: 1460}
-	got, err = Decode(segSrc, segDst, data.Encode(segSrc, segDst))
+	got, err = Decode(segSrc, segDst, data.AppendEncode(nil, segSrc, segDst))
 	if err != nil || got.MSS != 0 {
 		t.Fatalf("non-SYN carried MSS option: %d, %v", got.MSS, err)
 	}
@@ -61,7 +61,7 @@ func TestSegmentRoundtripProperty(t *testing.T) {
 		if s.Flags.Has(FlagSYN) {
 			s.MSS = 1460
 		}
-		got, err := Decode(segSrc, segDst, s.Encode(segSrc, segDst))
+		got, err := Decode(segSrc, segDst, s.AppendEncode(nil, segSrc, segDst))
 		return err == nil && got.Seq == s.Seq && got.Ack == s.Ack &&
 			got.Flags == s.Flags && bytes.Equal(got.Payload, s.Payload)
 	}
@@ -72,7 +72,7 @@ func TestSegmentRoundtripProperty(t *testing.T) {
 
 func TestSegmentChecksumCoversPayload(t *testing.T) {
 	s := Segment{Flags: FlagACK, Payload: []byte("abcdef")}
-	raw := s.Encode(segSrc, segDst)
+	raw := s.AppendEncode(nil, segSrc, segDst)
 	raw[len(raw)-1] ^= 0x40
 	if _, err := Decode(segSrc, segDst, raw); !errors.Is(err, ErrBadChecksum) {
 		t.Fatalf("err = %v, want ErrBadChecksum", err)
@@ -81,7 +81,7 @@ func TestSegmentChecksumCoversPayload(t *testing.T) {
 
 func TestSegmentChecksumCoversAddresses(t *testing.T) {
 	s := Segment{Flags: FlagACK}
-	raw := s.Encode(segSrc, segDst)
+	raw := s.AppendEncode(nil, segSrc, segDst)
 	other := ip.MakeAddr(192, 168, 1, 1)
 	if _, err := Decode(other, segDst, raw); !errors.Is(err, ErrBadChecksum) {
 		t.Fatalf("err = %v, want ErrBadChecksum (pseudo-header not covered)", err)

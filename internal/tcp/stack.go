@@ -159,13 +159,6 @@ type Stack struct {
 	mBackoffs    *metrics.Counter
 	mCwnd        *metrics.Gauge
 
-	// encBuf is the reusable wire-encoding scratch for outbound segments.
-	// The simulation is single-threaded and every hop below emit copies
-	// synchronously (netstack into its own scratch, the link into a pooled
-	// frame), so one buffer per stack suffices and the per-segment
-	// make([]byte) disappears.
-	encBuf []byte
-
 	// segFree is the LIFO free list every Segment this stack builds or
 	// decodes comes from: the hooks take it by pointer through a function
 	// value, so a local would be a heap object per segment. A list, not one
@@ -390,8 +383,7 @@ func (st *Stack) emit(c *Conn, seg *Segment) {
 			"tx %v seq=%d ack=%d len=%d", seg.Flags, seg.Seq, seg.Ack, seg.SegLen())
 		defer st.tracer.Activate(sp)()
 	}
-	st.encBuf = seg.AppendEncode(st.encBuf[:0], c.id.LocalAddr, c.id.RemoteAddr)
-	_ = st.ns.SendIPFrom(c.id.LocalAddr, c.id.RemoteAddr, ip.ProtoTCP, st.encBuf)
+	st.send(seg, c.id.LocalAddr, c.id.RemoteAddr)
 }
 
 func (st *Stack) noteSuppressed(seg *Segment) {
@@ -481,6 +473,11 @@ func (st *Stack) sendRSTFor(pkt ip.Packet, seg *Segment) {
 		rst.Flags = FlagRST
 	}
 	st.noteEmit()
-	st.encBuf = rst.AppendEncode(st.encBuf[:0], pkt.Dst, pkt.Src)
-	_ = st.ns.SendIPFrom(pkt.Dst, pkt.Src, ip.ProtoTCP, st.encBuf)
+	st.send(&rst, pkt.Dst, pkt.Src)
+}
+
+// send writes seg into a frame from the netstack and transmits it.
+func (st *Stack) send(seg *Segment, src, dst ip.Addr) {
+	frame := seg.AppendEncode(st.ns.NewFrame(), src, dst)
+	_ = st.ns.SendFrame(src, dst, ip.ProtoTCP, frame)
 }

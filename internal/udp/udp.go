@@ -29,11 +29,14 @@ type Datagram struct {
 	Payload []byte
 }
 
-// Encode serialises the datagram, computing the checksum over the IPv4
-// pseudo-header for src and dst.
-func (d *Datagram) Encode(src, dst ip.Addr) []byte {
+// AppendEncode serialises the datagram onto dstBuf, reusing its capacity
+// when possible, and returns the extended slice; the checksum covers the
+// IPv4 pseudo-header for src and dst. A stack passes an outbound frame
+// here, so the datagram is written in place.
+func (d *Datagram) AppendEncode(dstBuf []byte, src, dst ip.Addr) []byte {
 	total := HeaderLen + len(d.Payload)
-	buf := make([]byte, total)
+	dstBuf = append(dstBuf, make([]byte, total)...)
+	buf := dstBuf[len(dstBuf)-total:]
 	binary.BigEndian.PutUint16(buf[0:], d.SrcPort)
 	binary.BigEndian.PutUint16(buf[2:], d.DstPort)
 	binary.BigEndian.PutUint16(buf[4:], uint16(total))
@@ -44,7 +47,7 @@ func (d *Datagram) Encode(src, dst ip.Addr) []byte {
 		ck = 0xffff // RFC 768: transmitted all-ones when computed zero
 	}
 	binary.BigEndian.PutUint16(buf[6:], ck)
-	return buf
+	return dstBuf
 }
 
 // Decode parses and validates buf against the pseudo-header for src and

@@ -16,7 +16,7 @@ var (
 
 func TestRoundtrip(t *testing.T) {
 	d := Datagram{SrcPort: 7000, DstPort: 7000, Payload: []byte("heartbeat")}
-	got, err := Decode(testSrc, testDst, d.Encode(testSrc, testDst))
+	got, err := Decode(testSrc, testDst, d.AppendEncode(nil, testSrc, testDst))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -31,7 +31,7 @@ func TestRoundtripProperty(t *testing.T) {
 			payload = payload[:ip.MaxPayload-HeaderLen]
 		}
 		d := Datagram{SrcPort: sp, DstPort: dp, Payload: payload}
-		got, err := Decode(src, dst, d.Encode(src, dst))
+		got, err := Decode(src, dst, d.AppendEncode(nil, src, dst))
 		return err == nil && got.SrcPort == sp && got.DstPort == dp && bytes.Equal(got.Payload, payload)
 	}
 	if err := quick.Check(fn, nil); err != nil {
@@ -41,7 +41,7 @@ func TestRoundtripProperty(t *testing.T) {
 
 func TestChecksumCoversAddresses(t *testing.T) {
 	d := Datagram{SrcPort: 1, DstPort: 2, Payload: []byte("x")}
-	raw := d.Encode(testSrc, testDst)
+	raw := d.AppendEncode(nil, testSrc, testDst)
 	// Decoding against different addresses must fail: the pseudo-header
 	// protects against misdelivery. (Note merely swapping src and dst
 	// would NOT fail — ones-complement addition is commutative.)
@@ -53,7 +53,7 @@ func TestChecksumCoversAddresses(t *testing.T) {
 
 func TestPayloadCorruptionDetected(t *testing.T) {
 	d := Datagram{SrcPort: 1, DstPort: 2, Payload: []byte("abcdef")}
-	raw := d.Encode(testSrc, testDst)
+	raw := d.AppendEncode(nil, testSrc, testDst)
 	raw[HeaderLen+2] ^= 0x01
 	if _, err := Decode(testSrc, testDst, raw); !errors.Is(err, ErrBadChecksum) {
 		t.Fatalf("err = %v, want ErrBadChecksum", err)
@@ -68,7 +68,7 @@ func TestTooShort(t *testing.T) {
 
 func TestLengthFieldMismatch(t *testing.T) {
 	d := Datagram{SrcPort: 1, DstPort: 2, Payload: []byte("abc")}
-	raw := d.Encode(testSrc, testDst)
+	raw := d.AppendEncode(nil, testSrc, testDst)
 	raw[4], raw[5] = 0xff, 0xff // absurd length
 	if _, err := Decode(testSrc, testDst, raw); !errors.Is(err, ErrBadLength) {
 		t.Fatalf("err = %v, want ErrBadLength", err)
@@ -78,7 +78,7 @@ func TestLengthFieldMismatch(t *testing.T) {
 func TestTrailingBytesIgnored(t *testing.T) {
 	// IP may deliver a padded payload; the UDP length field governs.
 	d := Datagram{SrcPort: 9, DstPort: 10, Payload: []byte("data")}
-	raw := d.Encode(testSrc, testDst)
+	raw := d.AppendEncode(nil, testSrc, testDst)
 	padded := append(raw, 0, 0, 0)
 	got, err := Decode(testSrc, testDst, padded)
 	if err != nil {
@@ -98,7 +98,7 @@ func FuzzDecode(f *testing.F) {
 		{SrcPort: 7000, DstPort: 7000, Payload: []byte("heartbeat")},
 		{SrcPort: 7001, DstPort: 7001},
 	} {
-		raw := d.Encode(testSrc, testDst)
+		raw := d.AppendEncode(nil, testSrc, testDst)
 		f.Add(raw)
 		unsummed := bytes.Clone(raw)
 		unsummed[6], unsummed[7] = 0, 0
@@ -109,7 +109,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := Decode(testSrc, testDst, d.Encode(testSrc, testDst))
+		again, err := Decode(testSrc, testDst, d.AppendEncode(nil, testSrc, testDst))
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
