@@ -2,7 +2,7 @@ GO ?= go
 # The command the smoke targets run; `make reach` points it at the cover build.
 STTCP ?= $(GO) run ./cmd/sttcp
 
-.PHONY: all check vet lint build test race bench observers loc flags settings doc-bytes allows faults-one-place artifacts-one-place one-window one-run one-judge one-clock timeline chaos chaos-gray chaos-smoke chaos-gray-smoke explore explore-smoke reach reach-build reach-check clean
+.PHONY: all check vet lint build test race bench observers loc flags settings doc-bytes allows timeline chaos chaos-gray chaos-smoke chaos-gray-smoke explore explore-smoke reach reach-build reach-check clean
 
 all: check
 
@@ -15,7 +15,9 @@ vet:
 
 # Domain-specific static analysis: determinism (wall clock, randomness,
 # goroutines, map-ordered output), hot-path allocation discipline, discarded
-# harness errors, and the //sttcp:allow audit (see DESIGN.md §10).
+# harness errors, the structural rules (one place performs faults, one run
+# loop, one judge, one clock, one window, one artifact holder) and the
+# //sttcp:allow audit (see DESIGN.md §10).
 lint:
 	$(GO) run ./cmd/sttcp vet ./...
 
@@ -81,97 +83,13 @@ settings:
 doc-bytes:
 	@wc -c README.md DESIGN.md EXPERIMENTS.md
 
-# Which analyzers carry audited exceptions, and how many: every
-# //sttcp:allow directive in the code `sttcp vet` loads (non-test Go; the
-# analysis package's own docs and corpora excluded), counted per analyzer
-# list. A line whose directive sits behind an earlier `//` is a doc-comment
-# example, not a directive. Like faults-one-place a grep, not an analyzer;
-# CI prints it next to `make loc`.
+# How many audited //sttcp:allow exceptions each analyzer carries: the
+# directive table `sttcp vet` suppresses with, counted and pinned by
+# TestRepoLintsClean in internal/analysis, as `make flags` is by its test.
+# CI prints it beside `make loc`.
 allows:
-	@grep -rhE '^([^/]|/[^/])*//sttcp:allow ' --include='*.go' --exclude='*_test.go' \
-	    --exclude-dir=analysis --exclude-dir=testdata --exclude-dir=.bench_build . \
-	  | grep -o '//sttcp:allow [a-z,]*' | sort | uniq -c
-
-# One fault vocabulary: the substrate packages implement the mechanisms
-# (netem, serial, cluster, app), internal/experiment/testbed.go performs
-# them as experiment.Fault, and nobody else — demos, Table 1, lab, chaos,
-# examples — breaks the world behind its back (benchmark/ crashes its
-# primary directly, by design). A grep, not an analyzer: the names are few
-# and distinctive. CI runs it next to `make loc`.
-faults-one-place:
-	@! grep -rnE '\.(CrashHW|FailNIC|DropFromBFor|SetLossRate|SetExtraDelay|SetCutFrom[AB]|SetCorruptRate|SetCPUScale|SetTimerScale|CrashSilent|CrashCleanup)\b|SetDown\(true\)' \
-	    --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build . \
-	  | grep -vE '^\./internal/(netem|serial|cluster|app)/|^\./internal/experiment/testbed\.go:' \
-	  || { echo "faults-one-place: a fault is performed outside experiment.Testbed (lines above)"; exit 1; }
-
-# One place a run's artifacts live: the finished experiment.Testbed. A run
-# is the result (experiment.Run) and what a demo prints is a value
-# projection of it, so no struct under internal/experiment but Testbed
-# (testbed.go) declares a *trace.Recorder, *metrics.Snapshot or
-# *telemetry.Timeline field — the per-result-type plumbing (twenty such
-# lines before PR 23) cannot quietly grow back. A grep in the idiom of
-# faults-one-place; CI runs it beside it.
-artifacts-one-place:
-	@! grep -nE '^[[:space:]]+[A-Za-z_][A-Za-z0-9_, ]*[[:space:]]+\*(trace\.Recorder|metrics\.Snapshot|telemetry\.Timeline)\b' \
-	    $$(ls internal/experiment/*.go | grep -vE '_test\.go$$|/testbed\.go$$') \
-	  || { echo "artifacts-one-place: a result type carries a recorder, snapshot or timeline (lines above); read it off the run's Testbed"; exit 1; }
-
-# One stream window and one reassembler: every store of stream bytes between
-# the wire and the application (send and receive buffers, the logger's log)
-# is a tcp.Window and every out-of-order queue a tcp.Reassembler, so
-# insertOOO and drainOOO are each defined once under internal/, and no
-# non-test file of internal/tcp or internal/sttcp holds the idiom the ring
-# replaced — a buffer copying itself down, copy(x, x[n:]). The primary keeps
-# the client bytes the backup has not reported in its receive buffer
-# (tcp.Conn.Hold), not a second store: outside tests, internal/sttcp builds a
-# tcp.NewWindow only in logger.go. A grep in the idiom of faults-one-place;
-# CI runs it beside it.
-one-window:
-	@for f in insertOOO drainOOO; do \
-	  n=$$(grep -rhE "^func .*$$f\(" --include='*.go' internal | wc -l); \
-	  [ "$$n" -eq 1 ] || { echo "one-window: $$f is defined $$n times under internal/, want once (tcp.Reassembler)"; exit 1; }; \
-	done
-	@! grep -rnE 'copy\(([A-Za-z_][A-Za-z0-9_.]*), \1\[' --include='*.go' --exclude='*_test.go' internal/tcp internal/sttcp \
-	  || { echo "one-window: a buffer copies itself down (lines above); hold the bytes in a tcp.Window and Release them"; exit 1; }
-	@! grep -rn 'tcp\.NewWindow' --include='*.go' --exclude='*_test.go' --exclude='logger.go' internal/sttcp \
-	  || { echo "one-window: a second store of client bytes on the primary (lines above); hold them in the receive buffer (tcp.Conn.Hold)"; exit 1; }
-
-# One run loop: experiment.Plan.Run (plan.go) is the only code that builds
-# a testbed; every runner, the quickstart example, a lab script and a chaos
-# schedule is a Plan, plain-TCP twins included (Plan.Plain). Outside
-# benchmark/ and tests, Build( and StartSTTCP( appear only in plan.go. A
-# grep in the idiom of faults-one-place; CI runs it beside it.
-one-run:
-	@! grep -rnE '((^|[^.[:alnum:]_])|experiment\.)Build\(|StartSTTCP\(' --include='*.go' --exclude='*_test.go' \
-	    --exclude-dir=benchmark --exclude-dir=.bench_build . \
-	  | grep -vE ':[0-9]+:func |^\./internal/experiment/plan\.go:' \
-	  || { echo "one-run: a testbed is built or started outside experiment.Plan.Run (lines above); compile the run to a Plan"; exit 1; }
-
-# One judge: the invariant registry (internal/experiment/invariants.go)
-# decides what a correct run is, and Plan.Run applies it to every plan,
-# chaos's gray verdicts included, so no runner keeps a check of its own.
-# Outside that file no non-test file constructs a Violation{ — but the
-# explorer's scheduler-order, which audits the event queue rather than the
-# run — and the per-runner checks it replaced (Testbed.FailureFree,
-# Run.completed) are gone, tests included. A grep in the idiom of one-run;
-# CI runs it beside it.
-one-judge:
-	@! grep -rnE 'Violation\{' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . \
-	  | grep -vE '^\./internal/experiment/invariants\.go:|^\./internal/explore/explore\.go:' \
-	  || { echo "one-judge: a violation is constructed outside the invariant registry (lines above); register the invariant in internal/experiment/invariants.go"; exit 1; }
-	@! grep -rnE '\bFailureFree\(|\) completed\(' --include='*.go' --exclude-dir=.bench_build . \
-	  || { echo "one-judge: a per-runner check is back (lines above); Plan.Run judges every run"; exit 1; }
-
-# One clock: every timer and post a host's software arms belongs to the
-# host's sim.Clock, which a crash stops (cluster.Host), so a dead host runs
-# nothing. No non-test file of the host software — TCP, the netstack, the
-# heartbeat exchanger, the ST-TCP node and the application server — arms a
-# timer on the raw simulator. A grep in the idiom of one-judge; CI runs it
-# beside it.
-one-clock:
-	@! grep -rnE '\.sim\.(Schedule|At|NewTimer|Post)\(|sim\.NewTicker\(' --include='*.go' --exclude='*_test.go' \
-	    internal/tcp internal/netstack internal/hb internal/sttcp internal/app/server.go \
-	  || { echo "one-clock: host software arms a timer on the raw simulator (lines above); arm it on the host's sim.Clock"; exit 1; }
+	@out=$$($(GO) test ./internal/analysis -run '^TestRepoLintsClean$$' -count=1 -v); st=$$?; \
+	  printf '%s\n' "$$out" | sed -n 's/^ *lint_test\.go:[0-9]*: //p'; exit $$st
 
 # Render the Demo 1 failover anatomy: phase report plus ASCII span timeline.
 # The same view ships as a golden (internal/scenario/testdata/golden); after

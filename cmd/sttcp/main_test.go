@@ -153,11 +153,11 @@ func TestReportRendersAndDiffsItsOwnOutput(t *testing.T) {
 	}
 }
 
-// TestVetListsTheAnalyzers: vet has no -list; `sttcp help` names the four
+// TestVetListsTheAnalyzers: vet has no -list; `sttcp help` names the five
 // analyzers of the suite, each with its one-line doc.
 func TestVetListsTheAnalyzers(t *testing.T) {
 	out := mustRun(t, "help")
-	want := []string{"simdeterminism", "maporder", "hotpathalloc", "resulterrors"}
+	want := []string{"simdeterminism", "maporder", "hotpathalloc", "resulterrors", "structure"}
 	suite := analysis.Analyzers()
 	if len(suite) != len(want) {
 		t.Fatalf("the suite has %d analyzers, want %v", len(suite), want)

@@ -1,5 +1,5 @@
 // Package analysis is a stdlib-only static-analysis framework for the
-// ST-TCP testbed, plus the four domain analyzers that check what a run
+// ST-TCP testbed, plus the five domain analyzers that check what a run
 // cannot show.
 //
 // Everything this reproduction claims — replay-by-seed chaos campaigns,
@@ -13,12 +13,16 @@
 // map iteration (maporder); and two analyzers make a decision the tests
 // do not — hotpathalloc names the expression behind a per-segment
 // allocation regression, resulterrors finds a discarded harness error
-// that would turn a failed run into a passed one. `sttcp vet` runs the
-// four from the command line and lint_test.go runs them under plain
-// `go test ./...` so a violation fails the tier-1 gate. Span pairing,
-// causal-context restore, frame-pool lifetimes and daemon-tick hygiene
-// are deterministic runtime faults at a handful of call sites, so tests
-// hold them, not analyzers — DESIGN.md §10 names them.
+// that would turn a failed run into a passed one. No run tells a second
+// path from the first either, so the architecture's one-X rules — one
+// place performs faults, one loop builds a testbed, one registry judges
+// it, one window stores stream bytes, one type holds the artifacts, host
+// timers on the host clock — are rows of one table (structure). `sttcp
+// vet` runs the five from the command line and lint_test.go runs them
+// under plain `go test ./...` so a violation fails the tier-1 gate. Span
+// pairing, causal-context restore, frame-pool lifetimes and daemon-tick
+// hygiene are deterministic runtime faults at a handful of call sites, so
+// tests hold them, not analyzers — DESIGN.md §10 names them.
 //
 // The framework is deliberately small: a Package loader built on
 // go/parser and go/types (the "source" importer resolves the standard
@@ -117,7 +121,18 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object { return p.Pkg.Info.ObjectOf
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{SimDeterminism, MapOrder, HotPathAlloc, ResultErrors}
+	return []*Analyzer{SimDeterminism, MapOrder, HotPathAlloc, ResultErrors, Structure}
+}
+
+// allowable names the analyzers an //sttcp:allow directive may name: any
+// of the suite, even one a run does not execute, but structure, whose
+// rows' allowed places are its only exemptions.
+func allowable() map[string]bool {
+	known := map[string]bool{allowAnalyzerName: true}
+	for _, a := range Analyzers() {
+		known[a.Name] = a != Structure
+	}
+	return known
 }
 
 // Run executes the analyzers over the packages, applies //sttcp:allow
@@ -128,14 +143,9 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	if len(pkgs) == 0 {
 		return nil
 	}
-	known := map[string]bool{allowAnalyzerName: true}
-	for _, a := range Analyzers() { // directives may name any suite analyzer,
-		known[a.Name] = true // even one this run does not execute
-	}
-
 	// One directive table for the whole run: module passes cross package
 	// boundaries, so suppression state must too.
-	table := newAllowTable()
+	table, known := newAllowTable(), allowable()
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		diags = append(diags, table.collect(pkg, known)...)

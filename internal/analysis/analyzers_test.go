@@ -38,6 +38,16 @@ func TestResultErrorsCorpus(t *testing.T) {
 	runCorpus(t, "./resulterrors", ResultErrors)
 }
 
+// TestStructureCorpus seeds every structural row with a violation and
+// with a case its allowed places or its predicate let pass, including the
+// typed-only ones a spelling match misses: a call through clock.Sim(), a
+// local alias of the simulator, a function value of experiment.Build and
+// a method value, a self-copy of a field sliced on both sides.
+func TestStructureCorpus(t *testing.T) {
+	t.Parallel()
+	runCorpus(t, "./structure/...", Structure)
+}
+
 func TestAllowDirectiveCorpus(t *testing.T) {
 	t.Parallel()
 	runCorpus(t, "./allowdir", SimDeterminism)

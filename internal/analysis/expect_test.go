@@ -38,8 +38,12 @@ func checkExpectations(moduleDir, modulePath string, patterns []string, analyzer
 	var expects []*expectation
 	seenFiles := map[string]bool{}
 	for _, pkg := range pkgs {
+		// Test files carry wants too: the structure analyzer reads them.
+		names, _ := filepath.Glob(filepath.Join(pkg.Dir, "*_test.go"))
 		for _, f := range pkg.Files {
-			name := pkg.Fset.Position(f.Pos()).Filename
+			names = append(names, pkg.Fset.Position(f.Pos()).Filename)
+		}
+		for _, name := range names {
 			if seenFiles[name] {
 				continue
 			}

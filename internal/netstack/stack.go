@@ -147,12 +147,6 @@ func (s *Stack) SendFrame(src, dst ip.Addr, proto ip.Protocol, frame []byte) err
 	return s.sendResolved(hw, src, dst, proto, frame)
 }
 
-// SendIPFrom copies payload into a new frame and transmits it with
-// SendFrame, so a caller may pass a buffer it reuses.
-func (s *Stack) SendIPFrom(src, dst ip.Addr, proto ip.Protocol, payload []byte) error {
-	return s.SendFrame(src, dst, proto, append(s.NewFrame(), payload...))
-}
-
 func (s *Stack) sendResolved(hw eth.Addr, src, dst ip.Addr, proto ip.Protocol, frame []byte) error {
 	s.nextIPID++
 	pkt := ip.Packet{

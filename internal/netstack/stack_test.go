@@ -139,7 +139,7 @@ func TestUDPPortManagement(t *testing.T) {
 	}
 }
 
-func TestSendIPFromUsesAlias(t *testing.T) {
+func TestSendFrameUsesAlias(t *testing.T) {
 	f := newFixture(t)
 	service := ip.MakeAddr(10, 0, 0, 100)
 	f.a.AddAlias(service)
@@ -150,7 +150,7 @@ func TestSendIPFromUsesAlias(t *testing.T) {
 	_ = f.sim.Run(time.Second)
 	// Now send a raw UDP datagram sourced from the alias.
 	d := udp.Datagram{SrcPort: 11, DstPort: 11, Payload: []byte("aliased")}
-	if err := f.a.SendIPFrom(service, addrB, ip.ProtoUDP, d.AppendEncode(nil, service, addrB)); err != nil {
+	if err := f.a.SendFrame(service, addrB, ip.ProtoUDP, d.AppendEncode(f.a.NewFrame(), service, addrB)); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	_ = f.sim.Run(time.Second)
