@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/chaos"
 	"repro/internal/experiment"
 	"repro/internal/explore"
 	"repro/internal/sttcp"
@@ -30,7 +29,6 @@ var settable = []struct {
 	{"experiment.Params", experiment.Params{}, 7},
 	{"experiment.Plan", experiment.Plan{}, 19},
 	{"explore.Config", explore.Config{}, 12},
-	{"chaos.Options", chaos.Options{}, 9},
 	{"tcp.Options", tcp.Options{}, 1},
 }
 

@@ -50,7 +50,7 @@ func runOne(t *testing.T, seed int64, verbose bool) experiment.Plan {
 	if verbose {
 		t.Logf("plan:\n%s", Describe(p))
 	}
-	res, err := Run(p, Options{})
+	res, err := Run(p, experiment.Options{})
 	if err != nil {
 		t.Fatalf("seed %d: run: %v", seed, err)
 	}
@@ -72,7 +72,7 @@ func failShrunk(t *testing.T, what string, p experiment.Plan, res *RunResult) {
 	t.Helper()
 	shrunk := res
 	_, runs, err := experiment.Shrink(p, 50, func(c experiment.Plan) (bool, error) {
-		r, err := Run(c, Options{})
+		r, err := Run(c, experiment.Options{})
 		if err == nil && r.Failed() {
 			shrunk = r
 		}
@@ -92,7 +92,7 @@ func failShrunk(t *testing.T, what string, p experiment.Plan, res *RunResult) {
 func TestChaosDeterministic(t *testing.T) {
 	for _, seed := range []int64{3, 17, 40} {
 		run := func() (string, *metrics.Snapshot) {
-			res, err := Run(Generate(CampaignDefault, seed), Options{})
+			res, err := Run(Generate(CampaignDefault, seed), experiment.Options{})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -117,7 +117,7 @@ func TestChaosDeterministic(t *testing.T) {
 // calls unrecoverable, so the guard must refuse it like every other fault
 // that silences the serving side.
 func TestSeed4468AppCrashWaitsOutTheCommitWindow(t *testing.T) {
-	res, err := Run(Generate(CampaignDefault, 4468), Options{})
+	res, err := Run(Generate(CampaignDefault, 4468), experiment.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestChaosGray(t *testing.T) {
 		default:
 			noise++
 		}
-		res, err := Run(p, Options{})
+		res, err := Run(p, experiment.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: run: %v", seed, err)
 		}
@@ -195,7 +195,7 @@ func grayClass(p experiment.Plan) string {
 func TestChaosGrayDeterministic(t *testing.T) {
 	for _, seed := range []int64{2, 30, 42} {
 		run := func() (string, *metrics.Snapshot) {
-			res, err := Run(Generate(CampaignGray, seed), Options{})
+			res, err := Run(Generate(CampaignGray, seed), experiment.Options{})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -220,7 +220,7 @@ func TestChaosGrayDeterministic(t *testing.T) {
 func TestGrayStarveDetected(t *testing.T) {
 	p := echoPlan(99, 1000)
 	p.Faults = []experiment.Fault{{At: 1 * time.Second, Kind: experiment.FaultStarve, Host: "serving", Scale: 500, Dur: 8 * time.Second}}
-	res, err := Run(p, Options{})
+	res, err := Run(p, experiment.Options{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -252,7 +252,7 @@ func TestGrayCorruptionRiddenOut(t *testing.T) {
 		{At: 800 * time.Millisecond, Kind: experiment.FaultCorrupt, Host: "serving", Rate: 0.10, Dur: 1500 * time.Millisecond},
 		{At: 1 * time.Second, Kind: experiment.FaultSerialCorrupt, Rate: 0.40, Dur: 3 * time.Second},
 	}
-	res, err := Run(p, Options{})
+	res, err := Run(p, experiment.Options{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/experiment"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -69,7 +70,7 @@ func TestCampaignDigest(t *testing.T) {
 	}{{"default", CampaignDefault}, {"gray", CampaignGray}} {
 		var got strings.Builder
 		for seed := int64(1); seed <= 60; seed++ {
-			res, err := Run(Generate(c.campaign, seed), Options{})
+			res, err := Run(Generate(c.campaign, seed), experiment.Options{})
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", c.name, seed, err)
 			}

@@ -47,7 +47,7 @@ func FuzzGraySchedule(f *testing.F) {
 		if Signature(Generate(CampaignGray, seed)) != Signature(p) {
 			t.Fatalf("seed %d: generation is not deterministic", seed)
 		}
-		res, err := Run(p, Options{})
+		res, err := Run(p, experiment.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: run: %v", seed, err)
 		}

@@ -11,13 +11,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Options are the testbed options a chaos run builds its testbed with:
-// trace detail, a telemetry window, the explorer's scheduler. The plan's
-// own seed drives the run.
-type Options struct {
-	experiment.Options
-}
-
 // harness is one chaos run's Judge: it starts the plan's clients and
 // strikes its faults through the rows table, and keeps the notes the
 // guards read.
@@ -50,17 +43,18 @@ type harness struct {
 	skipped  []string
 }
 
-// Run executes one chaos plan on a fresh testbed built with opts and the
-// plan's seed, and returns the invariant-checked result. Run gives the
+// Run executes one chaos plan on a fresh testbed built with opts (trace
+// detail, a telemetry window, the explorer's scheduler) and the plan's own
+// seed, and returns the invariant-checked result. Run gives the
 // plan its judge (the harness), a 60 s horizon if it has none, and its
 // nodes' config: detection must outrun the gated-FIN auto-release, so a
 // silent app crash is declared (AppMaxLagTime) long before a lone FIN
 // would be released on trust (MaxDelayFIN). The run is a pure function of
 // (p, opts): the same inputs produce byte-identical traces and metrics.
-func Run(p experiment.Plan, opts Options) (*RunResult, error) {
+func Run(p experiment.Plan, opts experiment.Options) (*RunResult, error) {
 	h := &harness{p: p, injected: map[string]int{}}
 	run := p
-	run.Options, run.Seed = opts.Options, p.Seed
+	run.Options, run.Seed = opts, p.Seed
 	run.Mutate = func(c *sttcp.Config) {
 		c.MaxDelayFIN = 10 * time.Second
 		c.AppMaxLagTime = 3 * time.Second

@@ -23,7 +23,7 @@ func TestLatencyBurstSpikesWindowedP99(t *testing.T) {
 	)
 	p := echoPlan(601, 900)
 	p.Faults = []experiment.Fault{{At: burstAt, Kind: experiment.FaultDelay, Host: "client", Delay: extra, Dur: burstDur}}
-	res, err := Run(p, Options{Options: experiment.Options{TelemetryWindow: 100 * time.Millisecond}})
+	res, err := Run(p, experiment.Options{TelemetryWindow: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

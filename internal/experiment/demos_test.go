@@ -1,12 +1,10 @@
 package experiment
 
 import (
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/sttcp"
-	"repro/internal/trace"
 )
 
 // readFailovers reads each run out as a failover.
@@ -144,9 +142,8 @@ func TestDemo4(t *testing.T) {
 			// used to read 700 ms for a 1 s hold, because the clock had been
 			// (falsely) armed since the transfer began.
 			const hold, hbPeriod = time.Second, 200 * time.Millisecond
-			e, _ := run.Testbed.Tracer.First(trace.KindSuspect)
-			if e.Component != "backup/sttcp" || !strings.Contains(e.Message, "peer app lags by") {
-				t.Fatalf("detected by %s: %s; want the backup's byte-lag criterion", e.Component, e.Message)
+			if v := run.Testbed.BackupNode.Verdict(); v.Criterion != sttcp.CriterionByteLag {
+				t.Fatalf("the backup convicted on %v (%s); want the byte-lag criterion", v.Criterion, v)
 			}
 			if res.DetectionTime < hold || res.DetectionTime > hold+3*hbPeriod {
 				t.Fatalf("detection %v after the crash, want within [%v, %v]", res.DetectionTime, hold, hold+3*hbPeriod)

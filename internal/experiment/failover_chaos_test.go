@@ -38,7 +38,7 @@ func TestFailoverChaos(t *testing.T) {
 				Horizon: 5 * time.Minute,
 			}
 			p.Seed = seed
-			res, err := chaos.Run(p, chaos.Options{})
+			res, err := chaos.Run(p, experiment.Options{})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}

@@ -280,8 +280,8 @@ func TestTakeoverStateIntrospection(t *testing.T) {
 	if tb.BackupNode.State() != sttcp.StateTakenOver {
 		t.Fatalf("backup state %v", tb.BackupNode.State())
 	}
-	if tb.BackupNode.FailoverReason == "" {
-		t.Fatal("no failover reason recorded")
+	if v := tb.BackupNode.Verdict(); v.Criterion != sttcp.CriterionHBLost {
+		t.Fatalf("verdict %v (%s), want the heartbeat-loss criterion", v.Criterion, v)
 	}
 	c, ok := tb.Backup.TCP().Lookup(serverEnd(cl.Conn()))
 	if !ok {

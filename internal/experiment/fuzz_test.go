@@ -56,7 +56,7 @@ func TestTransientFaultFuzz(t *testing.T) {
 			if tb.PrimaryNode.State() != sttcp.StateActive || tb.BackupNode.State() != sttcp.StateActive {
 				t.Fatalf("transient %v@%v on %s caused a failover: primary=%v backup=%v reason=%q%q\n%s",
 					dur, at, where, tb.PrimaryNode.State(), tb.BackupNode.State(),
-					tb.PrimaryNode.FailoverReason, tb.BackupNode.FailoverReason,
+					tb.PrimaryNode.Verdict(), tb.BackupNode.Verdict(),
 					tailStr(tb.Tracer.Dump()))
 			}
 		})

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -442,7 +443,7 @@ func (run *Run) grayVerdicts(period time.Duration) []Violation {
 			// stays whole (driftObservable).
 			if run.driftObservable() && math.Abs(s.Scale-1) >= 0.10 && s.Dur >= 5*time.Second {
 				evidence = append(evidence, grayEvidence{desc: fmt.Sprintf("heartbeat cadence drift note for %s (×%.3f)", s.Host, s.Scale),
-					seen: driftNoted(tb.Tracer)})
+					seen: run.driftNoted()})
 			}
 		case FaultNICFlap, FaultSerialFlap:
 			flapped = true
@@ -473,14 +474,10 @@ func (run *Run) grayVerdicts(period time.Duration) []Violation {
 	return out
 }
 
-// driftNoted reports whether a node noted the peer's clock-rate skew.
-func driftNoted(tr *trace.Recorder) bool {
-	for _, e := range tr.Filter(trace.KindGeneric) {
-		if strings.Contains(e.Message, "clock-rate skew suspected") {
-			return true
-		}
-	}
-	return false
+// driftNoted reports whether a node of the run noted its peer's clock-rate
+// skew.
+func (run *Run) driftNoted() bool {
+	return slices.ContainsFunc(run.nodes, func(n *sttcp.Node) bool { return n.DriftNotes() > 0 })
 }
 
 // driftObservable reports whether the serving node's heartbeat-cadence

@@ -12,44 +12,56 @@ import (
 )
 
 // TestMetricsMatchTrace is the observability subsystem's ground-truth
-// check: every counter is incremented exactly where the corresponding
-// trace event is emitted, so after a Demo 2 failover run the snapshot's
-// totals must equal the trace stream's event counts.
+// check: every counted milestone is incremented exactly where its trace
+// event is emitted, so the snapshot's totals must equal the trace stream's
+// event counts — after a Demo 2 failover run, and in both arms of the
+// witness study, where the primary's self-reports are notes, not verdicts.
 func TestMetricsMatchTrace(t *testing.T) {
-	d, ok := DemoByName("demo2")
-	if !ok {
-		t.Fatal("demo2 is not registered")
-	}
-	runs, _, err := d.Run(Params{Seed: 42, Periods: []time.Duration{200 * time.Millisecond}})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if len(runs) != 1 {
-		t.Fatalf("got %d runs, want 1", len(runs))
-	}
-	snap, tracer := runs[0].Testbed.Metrics.Snapshot(), runs[0].Testbed.Tracer
-
-	checks := []struct {
-		counter string
-		kind    trace.Kind
+	var runs []*Run
+	for _, demo := range []struct {
+		name string
+		p    Params
 	}{
-		{"tcp.retransmits", trace.KindRetransmit},
-		{"sttcp.takeovers", trace.KindTakeover},
-	}
-	for _, c := range checks {
-		got := snap.CounterTotal(c.counter)
-		want := int64(tracer.Count(c.kind))
-		if got != want {
-			t.Errorf("%s: snapshot total %d != %d %v trace events", c.counter, got, want, c.kind)
+		{"demo2", Params{Seed: 42, Periods: []time.Duration{200 * time.Millisecond}}},
+		{"witness", Params{Seed: 42}},
+	} {
+		d, ok := DemoByName(demo.name)
+		if !ok {
+			t.Fatalf("%s is not registered", demo.name)
 		}
+		rs, _, err := d.Run(demo.p)
+		if err != nil {
+			t.Fatalf("%s: %v", demo.name, err)
+		}
+		runs = append(runs, rs...)
 	}
-
-	// The run crashed the primary mid-transfer, so the interesting
-	// counters must actually have moved: a takeover happened, the crash
-	// forced retransmissions, and heartbeats flowed beforehand.
-	for _, name := range []string{"sttcp.takeovers", "tcp.retransmits", "hb.sent", "tcp.segments_sent"} {
-		if snap.CounterTotal(name) == 0 {
-			t.Errorf("%s: expected a non-zero total after a failover run", name)
+	if len(runs) != 3 {
+		t.Fatalf("got %d runs, want demo2's one and the witness study's two", len(runs))
+	}
+	for i, run := range runs {
+		snap, tracer := run.Testbed.Metrics.Snapshot(), run.Testbed.Tracer
+		for _, c := range []struct {
+			counter string
+			kind    trace.Kind
+		}{
+			{"tcp.retransmits", trace.KindRetransmit},
+			{"sttcp.takeovers", trace.KindTakeover},
+			{"sttcp.suspects", trace.KindSuspect},
+			{"sttcp.nonft_transitions", trace.KindNonFTMode},
+		} {
+			got := snap.CounterTotal(c.counter)
+			want := int64(tracer.Count(c.kind))
+			if got != want {
+				t.Errorf("run %d: %s: snapshot total %d != %d %v trace events", i, c.counter, got, want, c.kind)
+			}
+		}
+		// Every run failed over, so the interesting counters must
+		// actually have moved: a takeover happened, the crash forced
+		// retransmissions, and heartbeats flowed beforehand.
+		for _, name := range []string{"sttcp.takeovers", "sttcp.suspects", "tcp.retransmits", "hb.sent", "tcp.segments_sent"} {
+			if snap.CounterTotal(name) == 0 {
+				t.Errorf("run %d: %s: expected a non-zero total after a failover run", i, name)
+			}
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -174,7 +173,7 @@ func TestReintegrationDoubleFailover(t *testing.T) {
 	}
 	if newBackup.State() != sttcp.StateTakenOver {
 		t.Fatalf("no second takeover: %v (reason=%q)\n%s",
-			newBackup.State(), newBackup.FailoverReason, tailStr(tb.Tracer.Dump()))
+			newBackup.State(), newBackup.Verdict(), tailStr(tb.Tracer.Dump()))
 	}
 	if !second.Done || second.Err != nil || second.VerifyFailures != 0 {
 		t.Fatalf("second transfer across failover #2: done=%v err=%v received=%d\n%s",
@@ -197,14 +196,8 @@ func TestReintegrationDriftNotedForNewPeer(t *testing.T) {
 		t.Fatalf("start: %v", err)
 	}
 	tb.AttachServers(false)
-	notes := func() (n int) {
-		for _, e := range tb.Tracer.Filter(trace.KindGeneric) {
-			if e.Component == "backup/sttcp" && strings.Contains(e.Message, "clock-rate skew suspected") {
-				n++
-			}
-		}
-		return n
-	}
+	survivor := tb.BackupNode
+	notes := survivor.DriftNotes
 	// The machine named primary runs 20% slow for 8 s: its heartbeats
 	// arrive every 240 ms instead of 200.
 	skewPrimaryMachine := func() {

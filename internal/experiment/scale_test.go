@@ -109,12 +109,12 @@ func TestNICFailureWithDeadGateway(t *testing.T) {
 	}
 	if tb.BackupNode.State() != sttcp.StateTakenOver {
 		t.Fatalf("backup state %v (reason=%q)\n%s",
-			tb.BackupNode.State(), tb.BackupNode.FailoverReason, tailStr(tb.Tracer.Dump()))
+			tb.BackupNode.State(), tb.BackupNode.Verdict(), tailStr(tb.Tracer.Dump()))
 	}
 	if !cl.Done || cl.Err != nil || cl.VerifyFailures != 0 {
 		t.Fatalf("client: done=%v err=%v rounds=%d", cl.Done, cl.Err, cl.RoundsDone)
 	}
-	t.Logf("diagnosed without gateway: %s", tb.BackupNode.FailoverReason)
+	t.Logf("diagnosed without gateway: %s", tb.BackupNode.Verdict())
 }
 
 // TestNonFTPrimaryKeepsServing: after the backup is declared failed, the

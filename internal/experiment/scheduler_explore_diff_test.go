@@ -32,10 +32,10 @@ func exploreDiffPlan() experiment.Plan {
 
 func runExploreDiff(t *testing.T, custom func() sim.Scheduler) *chaos.RunResult {
 	t.Helper()
-	res, err := chaos.Run(exploreDiffPlan(), chaos.Options{Options: experiment.Options{
+	res, err := chaos.Run(exploreDiffPlan(), experiment.Options{
 		TraceDetail:     true,
 		CustomScheduler: custom,
-	}})
+	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -62,8 +62,8 @@ func TestFullSystemSoak(t *testing.T) {
 	}
 	if tb.PrimaryNode.State() != sttcp.StateActive || tb.BackupNode.State() != sttcp.StateActive {
 		t.Fatalf("transient phase caused a failover: primary=%v (%q) backup=%v (%q)",
-			tb.PrimaryNode.State(), tb.PrimaryNode.FailoverReason,
-			tb.BackupNode.State(), tb.BackupNode.FailoverReason)
+			tb.PrimaryNode.State(), tb.PrimaryNode.Verdict(),
+			tb.BackupNode.State(), tb.BackupNode.Verdict())
 	}
 
 	// Phase 2: the real crash.

@@ -52,7 +52,7 @@ func TestWitnessSpeedsUpBackupFINConflict(t *testing.T) {
 			t.Fatalf("client (witness=%v): done=%v err=%v", withWitness, cl.Done, cl.Err)
 		}
 		if tb.PrimaryNode.State() != sttcp.StateNonFT {
-			t.Fatalf("primary state %v (witness=%v), reason=%q", tb.PrimaryNode.State(), withWitness, tb.PrimaryNode.FailoverReason)
+			t.Fatalf("primary state %v (witness=%v), reason=%q", tb.PrimaryNode.State(), withWitness, tb.PrimaryNode.Verdict())
 		}
 		e, ok := tb.Tracer.First(trace.KindShutdownPeer)
 		if !ok {
@@ -69,7 +69,7 @@ func TestWitnessSpeedsUpBackupFINConflict(t *testing.T) {
 		t.Fatalf("majority resolution took %v, want ≲ 2× the 600 ms majority delay", with)
 	}
 	t.Logf("3B conflict resolved: without witness %v, with witness %v (reason: %s)",
-		without, with, tb.PrimaryNode.FailoverReason)
+		without, with, tb.PrimaryNode.Verdict())
 }
 
 // TestWitnessSpeedsUpPrimaryFINConflict: the primary's application crashes
@@ -142,7 +142,7 @@ func TestWitnessNoFalsePositiveOnNormalClose(t *testing.T) {
 	}
 	if tb.PrimaryNode.State() != sttcp.StateActive || tb.BackupNode.State() != sttcp.StateActive {
 		t.Fatalf("states %v/%v after normal closes (primary reason=%q)",
-			tb.PrimaryNode.State(), tb.BackupNode.State(), tb.PrimaryNode.FailoverReason)
+			tb.PrimaryNode.State(), tb.BackupNode.State(), tb.PrimaryNode.Verdict())
 	}
 	if tb.Tracer.Has(trace.KindShutdownPeer) {
 		t.Fatalf("someone was shot during normal operation:\n%s", tailStr(tb.Tracer.Dump()))

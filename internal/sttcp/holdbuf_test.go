@@ -113,7 +113,7 @@ func (h *heldConn) check() {
 		h.t.Fatalf("held [%d, %d), model [%d, %d)", held.Base(), held.End(), min(h.read, h.reported), h.end)
 	}
 	if s := h.node.State(); s != StateActive {
-		h.t.Fatalf("node went %v over its held bytes: %s", s, h.node.FailoverReason)
+		h.t.Fatalf("node went %v over its held bytes: %s", s, h.node.Verdict())
 	}
 }
 

@@ -131,6 +131,7 @@ type Node struct {
 	clock  *sim.Clock // the host's at NewNode: every timer the node arms
 	host   *cluster.Host
 	role   Role
+	drifts uint32 // peers noted drifting (DriftNotes); in role's word, so a Node stays in its size class
 	cfg    Config
 	tracer *trace.Recorder
 	comp   string
@@ -182,8 +183,8 @@ type Node struct {
 	// OnStateChange is invoked after every node state transition.
 	OnStateChange func(NodeState)
 
-	// FailoverReason records why the node left StateActive.
-	FailoverReason string
+	// verdict is why the node left StateActive (Verdict).
+	verdict Verdict
 
 	// Metric instruments, from the host's registry (nil no-ops without
 	// one). mTakeovers, mSuspects and mNonFT move only in milestone,
@@ -239,6 +240,14 @@ func (n *Node) Role() Role { return n.role }
 
 // State returns the node's life-cycle state.
 func (n *Node) State() NodeState { return n.state }
+
+// Verdict returns the verdict on which the node last left StateActive, the
+// zero Verdict while it has not since it paired.
+func (n *Node) Verdict() Verdict { return n.verdict }
+
+// DriftNotes returns how many peers the node has noted a heartbeat cadence
+// drift of (clock-rate skew suspected): at most one per pairing.
+func (n *Node) DriftNotes() int { return int(n.drifts) }
 
 // Config returns the node's effective configuration.
 func (n *Node) Config() Config { return n.cfg }
@@ -494,13 +503,14 @@ func (n *Node) adoptAnnouncement(id tcp.ConnID, iss uint32) {
 // reportLocalAppFailure is the witness majority's verdict against this
 // node's own application: the node flags itself failed (hb AppFailed) in an
 // immediate heartbeat so the peer takes the recovery action without
-// waiting for socket-level evidence.
+// waiting for socket-level evidence. A self-report is a note (on the
+// detection span, if one is open), not a verdict: only convict records one.
 func (n *Node) reportLocalAppFailure() {
 	if n.state != StateActive || n.localAppFailed {
 		return
 	}
 	n.localAppFailed = true
-	n.tracer.Emit(trace.KindSuspect, n.comp, "local watchdog reports application failure; flagging peer")
+	n.tracer.EmitIn(n.detSpan, trace.KindGeneric, n.comp, 0, "local watchdog reports application failure; flagging peer")
 	if n.ex != nil {
 		n.ex.SendNow()
 	}
@@ -559,7 +569,7 @@ func (n *Node) handleHB(m hb.Message, link hb.LinkID) {
 	// The peer flagged its own application failed (the witness majority
 	// convicted it) — no further evidence needed.
 	if m.AppFailed && n.state == StateActive {
-		n.declarePeerFailed("peer watchdog reported application failure")
+		n.convict(CriterionSelfReport.verdict())
 		return
 	}
 	// Peer ping arbitration inputs (only meaningful while the IP link is
@@ -572,7 +582,7 @@ func (n *Node) handleHB(m hb.Message, link hb.LinkID) {
 		if n.myPingValid && n.myPingOK && !m.PingOK {
 			n.peerPingFails++
 			if n.peerPingFails >= pingFailsForVerdict {
-				n.declarePeerFailed("gateway pings fail at peer but succeed locally: peer NIC dead")
+				n.convict(CriterionGatewayPing.verdict())
 				return
 			}
 		} else {
@@ -862,7 +872,7 @@ func (n *Node) armFINDisagreeTimer(rc *repConn) {
 		if rc.conn.FINQueued() {
 			return // we closed too in the meantime: normal close
 		}
-		n.declarePeerFailed("backup generated FIN; local application did not within MaxDelayFIN")
+		n.convict(CriterionFINTimeout.verdict())
 	})
 	if n.witnessView != nil {
 		n.armMajorityVote(rc, false)
@@ -909,19 +919,19 @@ func (n *Node) decideByMajority(rc *repConn, localFIN bool) {
 	case localFIN && w.closed:
 		// We and the witness closed; the backup did not: its
 		// application failed (Table 1 row 3B, decided by majority).
-		n.declarePeerFailed("majority: witness corroborates the close; backup application failed")
+		n.convict(CriterionMajorityClose.verdict())
 	case localFIN && !w.closed:
 		// Two replicas see no close; our FIN signals our own failure.
-		n.tracer.Emit(trace.KindSuspect, n.comp, "majority: witness does not corroborate local FIN on %v; reporting self failed", c.ID())
+		n.tracer.EmitIn(n.detSpan, trace.KindGeneric, n.comp, 0, "majority: witness does not corroborate local FIN on %v; reporting self failed", c.ID())
 		n.reportLocalAppFailure()
 	case !localFIN && w.closed:
 		// Backup and witness closed; we did not: our application
 		// failed (row 3P, decided by majority instead of lag).
-		n.tracer.Emit(trace.KindSuspect, n.comp, "majority: backup and witness closed %v but we did not; reporting self failed", c.ID())
+		n.tracer.EmitIn(n.detSpan, trace.KindGeneric, n.comp, 0, "majority: backup and witness closed %v but we did not; reporting self failed", c.ID())
 		n.reportLocalAppFailure()
 	default:
 		// Backup alone produced a FIN: majority says it failed.
-		n.declarePeerFailed("majority: backup FIN not corroborated by primary or witness")
+		n.convict(CriterionMajorityFIN.verdict())
 	}
 }
 
@@ -946,7 +956,7 @@ func (n *Node) cancelFINTimers(rc *repConn) {
 
 // --- Recovery actions (Table 1, rightmost column) ---
 
-// milestone is the one place a suspicion verdict, a takeover or a non-FT
+// milestone is the one place a verdict, a takeover or a non-FT
 // transition is recorded: its counter and its event on span move together,
 // so the two cannot disagree. A node without a registry (nil counter) or
 // without a tracer still records the other half.
@@ -955,49 +965,17 @@ func (n *Node) milestone(c *metrics.Counter, span trace.SpanID, kind trace.Kind,
 	n.tracer.EmitIn(span, kind, n.comp, 0, format, args...)
 }
 
-// declarePeerFailed performs the role-appropriate recovery action: the
-// backup takes over the client connections; the primary transitions to
-// non-fault-tolerant mode. Both power the peer down first (STONITH).
-func (n *Node) declarePeerFailed(reason string) {
-	if n.state != StateActive {
-		return
-	}
-	if n.cfg.Witness {
-		// A witness observes but never acts: no STONITH, no takeover.
-		n.milestone(n.mSuspects, n.tracer.Ambient(), trace.KindSuspect, "witness observed peer failure (no action): %s", reason)
-		return
-	}
-	n.FailoverReason = reason
-	// Detection is declared over: the suspect verdict and the STONITH
-	// action both belong to the detection span, which ends here. When the
-	// declaration came without prior evidence (e.g. the peer flagged
-	// its own application failed over a live heartbeat link), the span is
-	// zero-length by construction.
-	n.noteEvidence("%s", reason)
-	n.milestone(n.mSuspects, n.detSpan, trace.KindSuspect, "peer declared failed: %s", reason)
-	if n.peerPower != nil {
-		n.tracer.EmitIn(n.detSpan, trace.KindShutdownPeer, n.comp, 0, "powering peer down")
-		n.peerPower.Off()
-	}
-	n.tracer.CloseSpan(n.detSpan)
-	if n.role == RoleBackup {
-		n.takeover(reason)
-	} else {
-		n.enterNonFT(reason)
-	}
-}
-
 // takeover promotes the backup: output suppression ends and the node
 // serves the client connections with the primary's addressing and sequence
 // numbers. Faithful to the paper, nothing is transmitted at the instant of
 // takeover: the stream restarts at the next retransmission (ours or the
 // client's) unless EagerTakeoverRetransmit is set.
-func (n *Node) takeover(reason string) {
+func (n *Node) takeover() {
 	// The takeover span hangs off the detection span; activating it makes
 	// everything below — unsuppression, eager retransmits, logger
 	// recovery requests and their asynchronous continuations — part of
 	// the failover's causal tree.
-	takeSpan := n.tracer.OpenSpan(trace.KindTakeover, n.detSpan, n.comp, "takeover: %s", reason)
+	takeSpan := n.tracer.OpenSpan(trace.KindTakeover, n.detSpan, n.comp, "takeover: %s", n.verdict.sentence)
 	defer n.tracer.Activate(takeSpan)()
 	defer n.tracer.CloseSpan(takeSpan)
 	// The paper's third phase starts now: nothing flows until the next
@@ -1034,7 +1012,7 @@ func (n *Node) takeover(reason string) {
 			n.requestLoggerRecovery(rc)
 		}
 	}
-	n.milestone(n.mTakeovers, n.tracer.Ambient(), trace.KindTakeover, "backup took over %d connection(s): %s", len(n.conns), reason)
+	n.milestone(n.mTakeovers, n.tracer.Ambient(), trace.KindTakeover, "backup took over %d connection(s): %s", len(n.conns), n.verdict.sentence)
 }
 
 // watchResume installs a transmit hook that pins the end of the
@@ -1091,7 +1069,7 @@ func (n *Node) EnableReplication(peerAddr ip.Addr, peerPower *cluster.PowerContr
 	}
 	n.cfg.PeerAddr = peerAddr
 	n.peerPower = peerPower
-	n.FailoverReason = ""
+	n.verdict = Verdict{}
 	// A fresh pair means a fresh failover clock: drop the old detection
 	// span and resolve a still-pending retransmission wait.
 	n.detSpan = 0
@@ -1121,12 +1099,12 @@ func (n *Node) EnableReplication(peerAddr ip.Addr, peerPower *cluster.PowerContr
 
 // enterNonFT switches the primary to non-fault-tolerant operation: gates
 // open, replication stops, service continues.
-func (n *Node) enterNonFT(reason string) {
+func (n *Node) enterNonFT() {
 	n.leave(StateNonFT)
 	for _, k := range n.sortedKeys() {
 		rc := n.conns[k]
 		n.releaseGatedFIN(rc, "entering non-fault-tolerant mode")
 		rc.conn.StopHolding()
 	}
-	n.milestone(n.mNonFT, n.tracer.Ambient(), trace.KindNonFTMode, "primary in non-fault-tolerant mode: %s", reason)
+	n.milestone(n.mNonFT, n.tracer.Ambient(), trace.KindNonFTMode, "primary in non-fault-tolerant mode: %s", n.verdict.sentence)
 }

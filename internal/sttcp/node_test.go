@@ -135,7 +135,7 @@ func TestHoldOccupancyRunningTotal(t *testing.T) {
 	check("drop")
 
 	// Declaring the backup failed stops holding: nothing is held any more.
-	node.declarePeerFailed("backup declared failed")
+	node.convict(CriterionHBLost.verdict())
 	for _, h := range hs {
 		if h.rc.conn.Held() != nil {
 			t.Fatalf("%v still holds bytes in non-FT mode", h.rc.conn.ID())

@@ -669,9 +669,7 @@ func (c *Conn) processAck(seg *Segment) {
 			// The backup sees client acks for bytes the primary
 			// sent before the (deterministic) replica produced
 			// them; remember and apply once our stream catches up.
-			if ackOff > c.ghostAck {
-				c.ghostAck = ackOff
-			}
+			c.ghostAck = max(c.ghostAck, ackOff)
 			c.applyWindow(seg)
 			return
 		}
@@ -731,15 +729,9 @@ func (c *Conn) processAck(seg *Segment) {
 func (c *Conn) advanceUna(ackOff int64) {
 	acked := ackOff - c.sndUna
 	c.sndUna = ackOff
-	if c.sndNxt < ackOff {
-		c.sndNxt = ackOff // the ack vouches for rewound-past bytes
-	}
+	c.sndNxt = max(c.sndNxt, ackOff) // the ack vouches for rewound-past bytes
 	// Bytes (not the FIN's phantom octet) leave the buffer.
-	relTo := ackOff
-	if relTo > c.sb.End() {
-		relTo = c.sb.End()
-	}
-	c.sb.Release(relTo)
+	c.sb.Release(min(ackOff, c.sb.End()))
 	c.dropSendRing()
 
 	if c.rtPending && ackOff > c.rtOffset {
@@ -841,10 +833,7 @@ func (c *Conn) maybeSend() {
 		return
 	}
 	c.applyGhostAck()
-	wnd := c.sndWnd
-	if c.cwnd < wnd {
-		wnd = c.cwnd
-	}
+	wnd := min(c.sndWnd, c.cwnd)
 	sent := false
 	for c.sndNxt < c.sb.End() {
 		flight := int(c.sndNxt - c.sndUna)
@@ -852,19 +841,13 @@ func (c *Conn) maybeSend() {
 		if room <= 0 {
 			break
 		}
-		n := c.mss
-		if n > room {
-			n = room
-		}
-		payload, err := c.sb.Slice(c.sndNxt, n)
+		payload, err := c.sb.Slice(c.sndNxt, min(c.mss, room))
 		if err != nil || len(payload) == 0 {
 			break
 		}
 		c.transmitData(c.sndNxt, payload, false)
 		c.sndNxt += int64(len(payload))
-		if c.sndMax < c.sndNxt {
-			c.sndMax = c.sndNxt
-		}
+		c.sndMax = max(c.sndMax, c.sndNxt)
 		sent = true
 	}
 	// FIN rides after all data, if the gate is open and window permits
@@ -873,9 +856,7 @@ func (c *Conn) maybeSend() {
 		c.sendSegmentRaw(FlagFIN|FlagACK, c.sndNxt, nil, false)
 		c.finSent = true
 		c.sndNxt = c.finOff + 1
-		if c.sndMax < c.sndNxt {
-			c.sndMax = c.sndNxt
-		}
+		c.sndMax = max(c.sndMax, c.sndNxt)
 		sent = true
 	}
 	if sent {
@@ -901,11 +882,7 @@ func (c *Conn) applyGhostAck() {
 	if !(c.suppressed || c.wasReplica) || c.ghostAck <= c.sndUna {
 		return
 	}
-	target := c.ghostAck
-	if target > c.sndNxt {
-		target = c.sndNxt
-	}
-	if target > c.sndUna {
+	if target := min(c.ghostAck, c.sndNxt); target > c.sndUna {
 		c.advanceUna(target)
 	}
 }
@@ -981,10 +958,7 @@ func (c *Conn) output(seg *Segment) {
 }
 
 func clampWindow(w int) uint16 {
-	if w > 65535 {
-		return 65535
-	}
-	return uint16(w)
+	return uint16(min(w, 65535))
 }
 
 // --- Timers ---
@@ -1022,7 +996,7 @@ func (c *Conn) onRetransTimeout() {
 	}
 	// Timeout: collapse the congestion window (Reno).
 	flight := int(c.sndNxt - c.sndUna)
-	c.ssthresh = maxInt(flight/2, 2*c.mss)
+	c.ssthresh = max(flight/2, 2*c.mss)
 	c.cwnd = c.mss
 	c.dupAcks = 0
 	c.fastRecovery = false
@@ -1087,7 +1061,7 @@ func (c *Conn) fastRetransmit() {
 	c.fastRecovery = true
 	c.recoverOff = c.sndNxt
 	flight := int(c.sndNxt - c.sndUna)
-	c.ssthresh = maxInt(flight/2, 2*c.mss)
+	c.ssthresh = max(flight/2, 2*c.mss)
 	c.cwnd = c.ssthresh
 	c.noteCwnd()
 	c.retransmit()
@@ -1097,11 +1071,7 @@ func (c *Conn) armPersistTimer() {
 	if c.persistTimer.Armed() {
 		return
 	}
-	d := MinRTO << c.persistShift
-	if d > maxRTO {
-		d = maxRTO
-	}
-	c.persistTimer.Arm(d)
+	c.persistTimer.Arm(min(MinRTO<<c.persistShift, maxRTO))
 }
 
 func (c *Conn) cancelPersistTimer() {
@@ -1181,14 +1151,7 @@ func (c *Conn) updateRTT(sample time.Duration) {
 		c.rttvar = (3*c.rttvar + d) / 4
 		c.srtt = (7*c.srtt + sample) / 8
 	}
-	rto := c.srtt + 4*c.rttvar
-	if rto < MinRTO {
-		rto = MinRTO
-	}
-	if rto > maxRTO {
-		rto = maxRTO
-	}
-	c.rto = rto
+	c.rto = min(max(c.srtt+4*c.rttvar, MinRTO), maxRTO)
 }
 
 func (c *Conn) resetCongestion() {
@@ -1201,13 +1164,11 @@ func (c *Conn) growCwnd(acked int) {
 		return
 	}
 	if c.cwnd < c.ssthresh {
-		c.cwnd += minInt(acked, c.mss) // slow start
+		c.cwnd += min(acked, c.mss) // slow start
 	} else {
-		c.cwnd += maxInt(1, c.mss*c.mss/c.cwnd) // congestion avoidance
+		c.cwnd += max(1, c.mss*c.mss/c.cwnd) // congestion avoidance
 	}
-	if c.cwnd > sendBufferSize {
-		c.cwnd = sendBufferSize
-	}
+	c.cwnd = min(c.cwnd, sendBufferSize)
 	c.noteCwnd()
 }
 
@@ -1257,18 +1218,4 @@ func (c *Conn) deliverWritable() {
 	if c.OnWritable != nil && c.sb.Free() > 0 {
 		c.OnWritable()
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
