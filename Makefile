@@ -14,10 +14,10 @@ vet:
 	$(GO) vet ./...
 
 # Domain-specific static analysis: determinism (wall clock, randomness,
-# goroutines, map-ordered output), hot-path allocation discipline, discarded
-# harness errors, the structural rules (one place performs faults, one run
-# loop, one judge, one clock, one window, one artifact holder) and the
-# //sttcp:allow audit (see DESIGN.md §10).
+# goroutines, map-ordered output), discarded harness errors, the structural
+# rules (one place performs faults, one run loop, one judge, one clock, one
+# window, one artifact holder) and the //sttcp:allow audit (see DESIGN.md
+# §10).
 lint:
 	$(GO) run ./cmd/sttcp vet ./...
 

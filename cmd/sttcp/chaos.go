@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"runtime"
 
 	"repro/cmd/internal/cliflags"
 	"repro/internal/chaos"
@@ -40,7 +39,7 @@ func setupChaos(fs *flag.FlagSet) func(io.Writer) error {
 		// first seed that fails to run or violates an invariant ends the
 		// campaign; it, or else the last seed, runs again alone for the
 		// report, the shrink and the artifacts.
-		outs, _ := sweep.Run(runtime.GOMAXPROCS(0), sweep.Seeds(*seed, *runs), func(s int64) (chaosOutcome, error) {
+		outs, _ := sweep.Run(sweep.Seeds(*seed, *runs), func(s int64) (chaosOutcome, error) {
 			res, err := chaos.Run(chaos.Generate(campaign, s), opts)
 			if err != nil {
 				return chaosOutcome{err: err}, nil

@@ -26,7 +26,6 @@ func setupExplore(fs *flag.FlagSet) func(io.Writer) error {
 	faults := fs.String("faults", "crash-serving", "comma-separated faults, by their chaos names, to place at each boundary")
 	fs.IntVar(&cfg.MaxRuns, "max-runs", 2000, "max interleavings to execute")
 	fs.IntVar(&cfg.MaxPrefix, "max-prefix", 64, "max choice-prefix depth (deeper branch points void the closure claim)")
-	fs.IntVar(&cfg.Workers, "workers", 0, "replay worker pool (0: fully parallel; results identical for any setting)")
 	fs.BoolVar(&cfg.NoPrune, "no-prune", false, "disable DPOR-style independence pruning")
 	fs.BoolVar(&cfg.NoDedup, "no-dedup", false, "disable outcome-fingerprint dedup")
 	fs.IntVar(&cfg.ShrinkBudget, "shrink-budget", 25, "max re-executions spent minimising each violation")

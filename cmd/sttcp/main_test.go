@@ -153,11 +153,11 @@ func TestReportRendersAndDiffsItsOwnOutput(t *testing.T) {
 	}
 }
 
-// TestVetListsTheAnalyzers: vet has no -list; `sttcp help` names the five
+// TestVetListsTheAnalyzers: vet has no -list; `sttcp help` names the four
 // analyzers of the suite, each with its one-line doc.
 func TestVetListsTheAnalyzers(t *testing.T) {
 	out := mustRun(t, "help")
-	want := []string{"simdeterminism", "maporder", "hotpathalloc", "resulterrors", "structure"}
+	want := []string{"simdeterminism", "maporder", "resulterrors", "structure"}
 	suite := analysis.Analyzers()
 	if len(suite) != len(want) {
 		t.Fatalf("the suite has %d analyzers, want %v", len(suite), want)
@@ -271,9 +271,12 @@ func TestReportsMatchTheOldAssemblers(t *testing.T) {
 		// began running in place, without an event: the sched.fired
 		// series, and only it, reads those wake-ups fewer — here and in
 		// the three runs below (sched.pending is unchanged).
+		// Re-pinned when a finished client stopped counting as stalled:
+		// the client.stalled_conns cells after the client finished read 0,
+		// not 1 — here and in the three runs below — and nothing else moves.
 		{"demo2 at 200ms (the demo2-dashboard.golden run)",
 			[]string{"demo", "-demo", "demo2", "-periods", "200ms"},
-			"", "0d67fa2d7e7f01399d8d6daee55e34d1f87b811283a80bd44f3226fad8daf4ba", 0},
+			"", "564070d020ab58f77a335ea00c86b3472b65dbcd9cf4a2af3447d95b8d9f58e0", 0},
 		// Re-pinned when chaos began injecting through experiment.Testbed:
 		// the harness's no-op revert event behind each self-expiring drop
 		// is gone, so the sched.fired/sched.pending series — and only
@@ -291,13 +294,13 @@ func TestReportsMatchTheOldAssemblers(t *testing.T) {
 		// in the invariants list is the whole difference.
 		{"chaos seed 1",
 			[]string{"chaos", "-seed", "1", "-runs", "1"},
-			"", "612695ece5920681e74eb48c2c53fd8b7405ed0bd171ab3ae619c91d44f1b3b3", 0},
+			"", "6e1687eb6ff5747c210f3e76962c6c1834a62b4197ace2027f2588ee6eec11e3", 0},
 		{"scenario transient-recovery",
 			[]string{"lab", "../../scenarios/transient-recovery.sttcp"},
-			"", "d7338bee801d163b51c832fd2e34094837891e84ce24f181950e3965893c5167", 0},
+			"", "a26b36402bca7ffd82196cc499b7eec97d395c8b641413130221b9749ae705fe", 0},
 		{"Table 1 row 5P",
 			[]string{"demo", "-demo", "table1"},
-			`  "finished_at"`, "0c4f494abf4613383c044f5a397807a5763ded4db03ce4931c27d2118e34421d", 10},
+			`  "finished_at"`, "11849dd2fc39328ec3f9498e1db9919b92da5acef2b2e7b5f56526a54e01fb09", 10},
 	} {
 		path := filepath.Join(dir, "report.json")
 		out := mustRun(t, append([]string{c.args[0], "-report-out", path}, c.args[1:]...)...)

@@ -1,5 +1,5 @@
 // Package analysis is a stdlib-only static-analysis framework for the
-// ST-TCP testbed, plus the five domain analyzers that check what a run
+// ST-TCP testbed, plus the four domain analyzers that check what a run
 // cannot show.
 //
 // Everything this reproduction claims — replay-by-seed chaos campaigns,
@@ -10,19 +10,18 @@
 // cannot work: no deterministic test can observe a wall-clock read,
 // global randomness, a goroutine or a second event queue in sim-driven
 // code (simdeterminism), nor observable work ordered by Go's randomised
-// map iteration (maporder); and two analyzers make a decision the tests
-// do not — hotpathalloc names the expression behind a per-segment
-// allocation regression, resulterrors finds a discarded harness error
-// that would turn a failed run into a passed one. No run tells a second
-// path from the first either, so the architecture's one-X rules — one
-// place performs faults, one loop builds a testbed, one registry judges
-// it, one window stores stream bytes, one type holds the artifacts, host
-// timers on the host clock — are rows of one table (structure). `sttcp
-// vet` runs the five from the command line and lint_test.go runs them
+// map iteration (maporder); and resulterrors makes a decision the tests
+// do not: it finds a discarded harness error that would turn a failed run
+// into a passed one. No run tells a second path from the first either, so
+// the architecture's one-X rules — one place performs faults, one loop
+// builds a testbed, one registry judges it, one window stores stream
+// bytes, one type holds the artifacts, host timers on the host clock — are
+// rows of one table (structure). `sttcp vet` runs the four from the command line and lint_test.go runs them
 // under plain `go test ./...` so a violation fails the tier-1 gate. Span
-// pairing, causal-context restore, frame-pool lifetimes and daemon-tick
-// hygiene are deterministic runtime faults at a handful of call sites, so
-// tests hold them, not analyzers — DESIGN.md §10 names them.
+// pairing, causal-context restore, frame-pool lifetimes, daemon-tick
+// hygiene and per-segment allocation are deterministic runtime faults that
+// a run observes, so tests hold them, not analyzers — DESIGN.md §10 names
+// them.
 //
 // The framework is deliberately small: a Package loader built on
 // go/parser and go/types (the "source" importer resolves the standard
@@ -100,7 +99,8 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 // site as audited (and, say, stop taint there) without reporting; the
 // mark keeps such directives out of the unused-suppression audit.
 func (p *ModulePass) Allowed(pos token.Pos) bool {
-	return p.allows.allowedAt(p.fset.Position(pos), p.Analyzer.Name)
+	at := p.fset.Position(pos)
+	return p.allows.hit(at.Filename, at.Line, p.Analyzer.Name)
 }
 
 // Pass is one package's view of a ModulePass: the same report sink and
@@ -121,7 +121,7 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object { return p.Pkg.Info.ObjectOf
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{SimDeterminism, MapOrder, HotPathAlloc, ResultErrors, Structure}
+	return []*Analyzer{SimDeterminism, MapOrder, ResultErrors, Structure}
 }
 
 // allowable names the analyzers an //sttcp:allow directive may name: any

@@ -28,11 +28,6 @@ func TestMapOrderCorpus(t *testing.T) {
 	runCorpus(t, "./maporder", MapOrder)
 }
 
-func TestHotPathAllocCorpus(t *testing.T) {
-	t.Parallel()
-	runCorpus(t, "./hotpathalloc", HotPathAlloc)
-}
-
 func TestResultErrorsCorpus(t *testing.T) {
 	t.Parallel()
 	runCorpus(t, "./resulterrors", ResultErrors)

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"go/ast"
 	"go/token"
 	"strings"
 )
@@ -55,13 +54,6 @@ func (t *allowTable) hit(file string, line int, analyzer string) bool {
 // suppresses reports (and records) whether a directive covers d.
 func (t *allowTable) suppresses(d Diagnostic) bool {
 	return t.hit(d.Pos.Filename, d.Pos.Line, d.Analyzer)
-}
-
-// allowedAt reports (and records) whether a directive for the analyzer
-// covers the position — the query analyzers use to treat a site as
-// audited without emitting a diagnostic there.
-func (t *allowTable) allowedAt(pos token.Position, analyzer string) bool {
-	return t.hit(pos.Filename, pos.Line, analyzer)
 }
 
 // unused returns a diagnostic for every directive that suppressed
@@ -179,20 +171,4 @@ func (t *allowTable) collect(pkg *Package, known map[string]bool) []Diagnostic {
 		}
 	}
 	return diags
-}
-
-// hasDirective reports whether the function declaration carries the given
-// //sttcp:<name> marker in its doc comment.
-func hasDirective(fn *ast.FuncDecl, name string) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	for _, c := range fn.Doc.List {
-		if text, ok := strings.CutPrefix(c.Text, "//sttcp:"+name); ok {
-			if text == "" || text[0] == ' ' || text[0] == '\t' {
-				return true
-			}
-		}
-	}
-	return false
 }

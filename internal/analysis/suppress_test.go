@@ -10,7 +10,7 @@ import (
 var testKnown = map[string]bool{
 	"simdeterminism": true,
 	"maporder":       true,
-	"hotpathalloc":   true,
+	"resulterrors":   true,
 }
 
 func TestParseAllow(t *testing.T) {
@@ -72,9 +72,9 @@ func TestParseAllow(t *testing.T) {
 		},
 		{
 			name:      "missing reason",
-			text:      "//sttcp:allow hotpathalloc",
+			text:      "//sttcp:allow maporder",
 			directive: true,
-			malformed: "sttcp:allow hotpathalloc is missing a reason",
+			malformed: "sttcp:allow maporder is missing a reason",
 		},
 		{
 			name:      "other sttcp marker is not a directive",
@@ -149,7 +149,7 @@ func TestCollectCoversOwnLineAndLineBelow(t *testing.T) {
 		{5, "maporder", true},        // standalone directive's own line
 		{6, "maporder", true},        // the code it stands above
 		{4, "maporder", false},       // the line above it
-		{4, "hotpathalloc", false},   // an analyzer the directive does not name
+		{4, "resulterrors", false},   // an analyzer the directive does not name
 	}
 	for _, c := range covered {
 		got := table.hit("allow.go", c.line, c.analyzer)
@@ -190,8 +190,8 @@ func TestUnusedReportsOnlyJudgeableDirectives(t *testing.T) {
 		"func f() {\n" +
 		"\t_ = 1 //sttcp:allow simdeterminism this one will be hit\n" +
 		"\t_ = 2 //sttcp:allow maporder this one goes stale\n" +
-		"\t_ = 3 //sttcp:allow hotpathalloc names an analyzer that did not run\n" +
-		"\t_ = 4 //sttcp:allow simdeterminism,hotpathalloc mixed: one name did not run\n" +
+		"\t_ = 3 //sttcp:allow resulterrors names an analyzer that did not run\n" +
+		"\t_ = 4 //sttcp:allow simdeterminism,resulterrors mixed: one name did not run\n" +
 		"}\n"
 	pkg := parsePackage(t, src)
 	table := newAllowTable()

@@ -182,6 +182,7 @@ func (c *clientCore) finish(err error, emitDone func()) {
 	}
 	c.Done, c.Err, c.finished = true, err, c.sim.Now()
 	c.buf = nil
+	c.Telemetry.Finish()
 	emitDone()
 	if c.OnDone != nil {
 		c.OnDone(err)

@@ -118,8 +118,6 @@ func (s *DataServer) writable(c *tcp.Conn, st *serveState) {
 
 // fill writes the next response bytes into the send-buffer spans
 // WriteFunc hands it.
-//
-//sttcp:hotpath
 func (st *serveState) fill(first, second []byte) {
 	FillPattern(st.writeOff, first)
 	FillPattern(st.writeOff+int64(len(first)), second)

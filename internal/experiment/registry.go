@@ -264,13 +264,13 @@ func Demos() []Demo {
 	}
 }
 
-// fanIdx fans job(0..n-1) across a fully parallel sweep worker pool,
-// merging results in input order, so the output is that of a serial loop
+// fanIdx fans job(0..n-1) across the sweep's worker pool, merging results
+// in input order, so the output is that of a serial loop
 // (sweep.TestParallelMatchesSerial) — the registry's bridge to
 // internal/sweep for demos whose sweep axis is an index (conn count,
 // scenario variant) rather than a seed.
 func fanIdx[T any](n int, job func(i int) (T, error)) ([]T, error) {
-	return sweep.Run(0, sweep.Seeds(0, n), func(seed int64) (T, error) {
+	return sweep.Run(sweep.Seeds(0, n), func(seed int64) (T, error) {
 		return job(int(seed))
 	})
 }

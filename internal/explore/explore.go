@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"runtime"
 	"strings"
 	"time"
 
@@ -61,10 +62,6 @@ type Config struct {
 	MaxPrefix int
 	// MaxRuns caps total run executions (default 2000).
 	MaxRuns int
-	// Workers bounds the replay worker pool (0 = fully parallel, 1 =
-	// serial). The explored set and all counters are identical for every
-	// setting: batches merge in input order.
-	Workers int
 
 	// NoPrune disables independence pruning and NoDedup disables
 	// fingerprint dedup — the switches that re-verify a closure claim
@@ -231,7 +228,7 @@ func explore(cfg Config, inner func() sim.Scheduler) (*Result, error) {
 	}
 
 	for len(frontier) > 0 {
-		n := batchSize(cfg.Workers)
+		n := batchSize()
 		if room := cfg.MaxRuns - res.Interleavings; room < n {
 			n = room
 		}
@@ -245,7 +242,7 @@ func explore(cfg Config, inner func() sim.Scheduler) (*Result, error) {
 		batch := frontier[:n]
 		frontier = frontier[n:]
 
-		outs, err := sweep.Run(cfg.Workers, sweep.Seeds(0, len(batch)), func(i int64) (*runOut, error) {
+		outs, err := sweep.Run(sweep.Seeds(0, len(batch)), func(i int64) (*runOut, error) {
 			j := batch[int(i)]
 			return e.execute(j.p, j.prefix)
 		})
@@ -392,13 +389,12 @@ func basePlan(seed int64) experiment.Plan {
 }
 
 // batchSize is how many frontier entries one sweep batch executes: a few
-// per worker keeps the pool busy without letting the in-flight set race
-// far ahead of violation/budget cutoffs.
-func batchSize(workers int) int {
-	if workers <= 0 {
-		workers = 8
-	}
-	return workers * 4
+// per sweep worker keeps the pool busy without letting the in-flight set
+// race far ahead of violation/budget cutoffs. The frontier is FIFO and a
+// batch merges in input order, so the explored set and every counter are
+// the same for any GOMAXPROCS.
+func batchSize() int {
+	return runtime.GOMAXPROCS(0) * 4
 }
 
 // stride evenly thins bounds down to max entries, keeping both

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -46,7 +47,8 @@ func TestExploreClosesSmallWindow(t *testing.T) {
 
 // TestExploreDeterministic reruns the same exploration and demands the
 // identical result — counters, boundaries, closure verdict, everything.
-// Workers changes the replay parallelism and must not change any of it.
+// A serial replay pool (GOMAXPROCS 1, a batch of four) must not change
+// any of it.
 func TestExploreDeterministic(t *testing.T) {
 	a, err := Explore(smallWindow())
 	if err != nil {
@@ -56,9 +58,9 @@ func TestExploreDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}
-	serial := smallWindow()
-	serial.Workers = 1
-	c, err := Explore(serial)
+	prev := runtime.GOMAXPROCS(1)
+	c, err := Explore(smallWindow())
+	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatalf("serial run: %v", err)
 	}

@@ -5,9 +5,8 @@ import (
 	"time"
 )
 
-// The instrument update paths are annotated //sttcp:hotpath: the
-// hotpathalloc analyzer forbids allocating constructs in them
-// statically, and these tests assert the property dynamically.
+// The instrument update paths run once per simulated segment: these tests
+// hold them to zero allocations.
 
 func TestCounterUpdatesDoNotAllocate(t *testing.T) {
 	r := New(nil)

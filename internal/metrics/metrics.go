@@ -99,8 +99,6 @@ type Counter struct {
 }
 
 // Inc adds one.
-//
-//sttcp:hotpath
 func (c *Counter) Inc() {
 	if c == nil {
 		return
@@ -110,8 +108,6 @@ func (c *Counter) Inc() {
 
 // Add adds n (n must be >= 0; negative deltas are ignored to keep the
 // counter monotonic).
-//
-//sttcp:hotpath
 func (c *Counter) Add(n int64) {
 	if c == nil || n < 0 {
 		return
@@ -135,8 +131,6 @@ type Gauge struct {
 }
 
 // Set replaces the current value.
-//
-//sttcp:hotpath
 func (g *Gauge) Set(v int64) {
 	if g == nil {
 		return
@@ -148,8 +142,6 @@ func (g *Gauge) Set(v int64) {
 }
 
 // Add applies a delta.
-//
-//sttcp:hotpath
 func (g *Gauge) Add(n int64) {
 	if g == nil {
 		return
@@ -195,8 +187,6 @@ var DefaultLatencyBuckets = []time.Duration{
 }
 
 // Observe records one duration.
-//
-//sttcp:hotpath
 func (h *Histogram) Observe(d time.Duration) {
 	if h == nil {
 		return
@@ -230,8 +220,6 @@ func (h *Histogram) Count() int64 {
 // i == NumBounds() is the overflow bucket (0 on nil). It is read by the
 // telemetry sampler once per window, so like the update path it never
 // allocates.
-//
-//sttcp:hotpath
 func (h *Histogram) BucketCount(i int) int64 {
 	if h == nil || i < 0 || i >= len(h.counts) {
 		return 0
@@ -249,8 +237,6 @@ func (h *Histogram) NumBounds() int {
 }
 
 // Bound returns the i-th bucket upper bound (0 on nil or out of range).
-//
-//sttcp:hotpath
 func (h *Histogram) Bound(i int) time.Duration {
 	if h == nil || i < 0 || i >= len(h.bounds) {
 		return 0

@@ -69,7 +69,6 @@ func (c *calendarScheduler) Len() int { return c.live }
 // span is the total time the ring currently covers.
 func (c *calendarScheduler) span() int64 { return c.width * calBuckets }
 
-//sttcp:hotpath
 func (c *calendarScheduler) Schedule(e *Event) {
 	en := entry{when: e.when, seq: e.seq, gen: e.gen, ev: e}
 	c.live++
@@ -77,10 +76,10 @@ func (c *calendarScheduler) Schedule(e *Event) {
 		// Only possible when a run stopped at a deadline short of a
 		// re-anchored ring and new work was scheduled in the gap; pull
 		// the ring back so the new event is inside it.
-		c.rewind(e.when) //sttcp:allow hotpathalloc rewind is the rare re-anchor-gap path; its appends reuse bucket/overflow backing arrays
+		c.rewind(e.when)
 	}
 	if e.when >= c.ringEnd {
-		//sttcp:allow hotpathalloc amortized overflow growth; steady state reuses capacity (TestCalendarSteadyStateAllocs)
+		// amortized overflow growth; steady state reuses capacity (TestCalendarSteadyStateAllocs)
 		c.overflow = append(c.overflow, en)
 		return
 	}
@@ -88,18 +87,17 @@ func (c *calendarScheduler) Schedule(e *Event) {
 	if idx == c.cur && c.sorted {
 		c.insertSortedCur(en)
 	} else {
-		//sttcp:allow hotpathalloc amortized bucket growth; steady state reuses capacity (TestCalendarSteadyStateAllocs)
+		// amortized bucket growth; steady state reuses capacity (TestCalendarSteadyStateAllocs)
 		c.buckets[idx] = append(c.buckets[idx], en)
 	}
 	c.ring++
 }
 
-//sttcp:hotpath
 func (c *calendarScheduler) Cancel(e *Event) {
 	c.live--
 	c.dead++
 	if c.dead > 64 && c.dead > 4*c.live {
-		c.compact() //sttcp:allow hotpathalloc amortized tombstone compaction reuses the overflow backing array
+		c.compact() // amortized: compaction reuses the overflow backing array
 	}
 }
 
@@ -110,7 +108,6 @@ func (c *calendarScheduler) Peek() *Event {
 	return c.buckets[c.cur][c.drained].ev
 }
 
-//sttcp:hotpath
 func (c *calendarScheduler) Pop() *Event {
 	if !c.settle() {
 		return nil
@@ -127,8 +124,6 @@ func (c *calendarScheduler) Pop() *Event {
 // settle advances the ring until buckets[cur][drained] is the earliest
 // live entry in the whole queue, discarding tombstones on the way. It
 // reports false when no live entries remain.
-//
-//sttcp:hotpath
 func (c *calendarScheduler) settle() bool {
 	if c.live == 0 {
 		if c.ring > 0 || len(c.overflow) > 0 {
@@ -157,7 +152,7 @@ func (c *calendarScheduler) settle() bool {
 		c.drained = 0
 		c.sorted = false
 		if c.ring == 0 {
-			if !c.reanchor() { //sttcp:allow hotpathalloc re-anchoring is the between-bursts slow path; compaction reuses backing arrays
+			if !c.reanchor() { // the between-bursts slow path; compaction reuses backing arrays
 				return false
 			}
 			continue
@@ -171,8 +166,6 @@ func (c *calendarScheduler) settle() bool {
 // Every earlier-keyed entry has already been consumed — the simulator
 // clamps deadlines to the present and seq grows monotonically — so the
 // insertion point is always at or after drained.
-//
-//sttcp:hotpath
 func (c *calendarScheduler) insertSortedCur(en entry) {
 	b := c.buckets[c.cur]
 	lo, hi := c.drained, len(b)
@@ -184,7 +177,7 @@ func (c *calendarScheduler) insertSortedCur(en entry) {
 			hi = mid
 		}
 	}
-	//sttcp:allow hotpathalloc amortized bucket growth; steady state reuses capacity (TestCalendarSteadyStateAllocs)
+	// amortized bucket growth; steady state reuses capacity (TestCalendarSteadyStateAllocs)
 	b = append(b, entry{})
 	copy(b[lo+1:], b[lo:])
 	b[lo] = en

@@ -108,8 +108,6 @@ func (c *Clock) NewTicker(period time.Duration, fn func()) *Ticker {
 // running callback (a wake-up) is parked in the simulator's same-instant
 // tail instead, and runs in place if nothing else is due at its instant
 // (see Simulator.settle); it pops where it would have otherwise.
-//
-//sttcp:hotpath
 func (c *Clock) Post(delay time.Duration, fn func()) {
 	if c.stopped {
 		panic(errStoppedClock)
@@ -134,8 +132,6 @@ func (c *Clock) Stop() {
 }
 
 // own appends an armed timer's or post's event to the clock's list.
-//
-//sttcp:hotpath
 func (c *Clock) own(e *Event) {
 	last := c.armed.prev
 	e.prev, e.next = last, &c.armed
@@ -143,8 +139,6 @@ func (c *Clock) own(e *Event) {
 }
 
 // disown takes e off its clock's list.
-//
-//sttcp:hotpath
 func (e *Event) disown() {
 	e.prev.next, e.next.prev = e.next, e.prev
 	e.prev, e.next = nil, nil

@@ -37,16 +37,13 @@ func (h *heapScheduler) Kind() SchedulerKind { return SchedulerHeap }
 
 func (h *heapScheduler) Len() int { return len(h.q) }
 
-//sttcp:hotpath
 func (h *heapScheduler) Schedule(e *Event) {
-	//sttcp:allow hotpathalloc amortized heap growth; steady state reuses capacity (TestHeapSteadyStateAllocs)
+	// amortized heap growth; steady state reuses capacity (TestHeapSteadyStateAllocs)
 	h.q = append(h.q, heapEntry{})
 	h.up(len(h.q)-1, heapEntry{when: e.when, seq: e.seq, ev: e})
 }
 
 // Cancel of an event that is not queued is a no-op.
-//
-//sttcp:hotpath
 func (h *heapScheduler) Cancel(e *Event) {
 	if e.heapPos > 0 {
 		h.remove(e.heapPos - 1)
@@ -60,7 +57,6 @@ func (h *heapScheduler) Peek() *Event {
 	return h.q[0].ev
 }
 
-//sttcp:hotpath
 func (h *heapScheduler) Pop() *Event {
 	if len(h.q) == 0 {
 		return nil
@@ -72,8 +68,6 @@ func (h *heapScheduler) Pop() *Event {
 
 // remove takes the entry at i out: the last entry leaves its slot and is
 // sifted from the hole at i to wherever it belongs.
-//
-//sttcp:hotpath
 func (h *heapScheduler) remove(i int) {
 	h.q[i].ev.heapPos = 0
 	n := len(h.q) - 1
@@ -91,8 +85,6 @@ func (h *heapScheduler) remove(i int) {
 }
 
 // up moves the hole at i toward the root until en fits, and puts en there.
-//
-//sttcp:hotpath
 func (h *heapScheduler) up(i int, en heapEntry) {
 	for i > 0 {
 		parent := (i - 1) / heapArity
@@ -107,8 +99,6 @@ func (h *heapScheduler) up(i int, en heapEntry) {
 
 // down moves the hole at i toward the leaves until en fits, and puts en
 // there.
-//
-//sttcp:hotpath
 func (h *heapScheduler) down(i int, en heapEntry) {
 	n := len(h.q)
 	for {
@@ -136,8 +126,6 @@ func (h *heapScheduler) down(i int, en heapEntry) {
 
 // place stores en at i and records the position in its event: the one
 // spot where an entry moves, so the two can never disagree.
-//
-//sttcp:hotpath
 func (h *heapScheduler) place(i int, en heapEntry) {
 	h.q[i] = en
 	en.ev.heapPos = i + 1

@@ -173,8 +173,6 @@ func (s *Simulator) Pending() int { return s.sched.Len() }
 // negative delay is the present (events cannot fire in the past), and a
 // delay that would overflow saturates at the end of time instead of
 // wrapping into the past.
-//
-//sttcp:hotpath
 func (s *Simulator) after(delay time.Duration) int64 {
 	if delay <= 0 {
 		return s.nowNS
@@ -187,8 +185,6 @@ func (s *Simulator) after(delay time.Duration) int64 {
 
 // enqueue keys e at whenNS with the next sequence number and hands it to
 // the scheduler.
-//
-//sttcp:hotpath
 func (s *Simulator) enqueue(e *Event, whenNS int64) {
 	seq := s.seq
 	s.seq++
@@ -196,8 +192,6 @@ func (s *Simulator) enqueue(e *Event, whenNS int64) {
 }
 
 // enqueueSeq keys e at (whenNS, seq) and hands it to the scheduler.
-//
-//sttcp:hotpath
 func (s *Simulator) enqueueSeq(e *Event, whenNS int64, seq uint64) {
 	e.when = whenNS
 	e.seq = seq
@@ -239,16 +233,11 @@ func (s *Simulator) scheduleAt(whenNS int64, fn func()) *Event {
 // recycles its Event once it fires. Per-segment work (frame delivery, switch
 // forwarding, readable/writable notifications) uses Post so steady-state
 // traffic does not allocate one Event per segment.
-//
-//sttcp:hotpath
 func (s *Simulator) Post(delay time.Duration, fn func()) { s.post(delay, fn) }
 
 // post is Post returning the queued event, for Clock.Post to own.
-//
-//sttcp:hotpath
 func (s *Simulator) post(delay time.Duration, fn func()) *Event {
 	if fn == nil {
-		//sttcp:allow hotpathalloc programming-error panic, never taken in steady state (TestHeapSteadyStateAllocs)
 		panic("sim: Post called with nil callback")
 	}
 	e := s.pooled(fn, s.ctx)
@@ -258,8 +247,6 @@ func (s *Simulator) post(delay time.Duration, fn func()) *Event {
 
 // pooled returns a recycled Post event (a new one when none is free)
 // carrying fn and ctx.
-//
-//sttcp:hotpath
 func (s *Simulator) pooled(fn func(), ctx uint64) *Event {
 	n := len(s.free)
 	if n == 0 {
@@ -275,8 +262,6 @@ func (s *Simulator) pooled(fn func(), ctx uint64) *Event {
 // park holds a zero-delay Clock.Post in the same-instant tail and reports
 // whether it did: only a running callback parks, and a second call at
 // the same instant queues the parked one and is queued itself.
-//
-//sttcp:hotpath
 func (s *Simulator) park(c *Clock, fn func()) bool {
 	if !s.firing || fn == nil {
 		return false
@@ -292,8 +277,6 @@ func (s *Simulator) park(c *Clock, fn func()) bool {
 
 // queueWake queues the parked call as the pooled post it would have been,
 // under the sequence number it reserved, so it pops where that post would.
-//
-//sttcp:hotpath
 func (s *Simulator) queueWake() {
 	w := s.wake
 	s.wake = wakeup{}
@@ -323,8 +306,6 @@ func (s *Simulator) settle() {
 
 // Cancel removes e from the queue. Cancelling a nil, fired, or already
 // cancelled event is a no-op.
-//
-//sttcp:hotpath
 func (s *Simulator) Cancel(e *Event) {
 	if e == nil || !e.live {
 		return
@@ -344,8 +325,6 @@ func (s *Simulator) Cancel(e *Event) {
 // event may be re-scheduled (timer re-arm) from its callback onward.
 // The clock never moves backwards: a daemon event stranded behind an
 // idle-time advance (see RunUntil) fires at the present instead.
-//
-//sttcp:hotpath
 func (s *Simulator) take(e *Event) {
 	e.live = false
 	e.gen++

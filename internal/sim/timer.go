@@ -38,8 +38,6 @@ func (s *Simulator) NewTimer(fn func()) *Timer {
 // Arm schedules the callback after delay of virtual time, replacing any
 // pending arming. A negative delay is treated as zero. Arming a timer
 // whose clock has stopped panics.
-//
-//sttcp:hotpath
 func (t *Timer) Arm(delay time.Duration) {
 	if t.clock != nil && t.clock.stopped {
 		panic(errStoppedClock)
@@ -54,8 +52,6 @@ func (t *Timer) Arm(delay time.Duration) {
 
 // Stop cancels a pending arming. Stopping a nil or unarmed timer is a
 // no-op; the timer may be re-armed afterwards (unless its clock stopped).
-//
-//sttcp:hotpath
 func (t *Timer) Stop() {
 	if t != nil {
 		t.s.Cancel(&t.ev)

@@ -9,7 +9,7 @@
 //     stack, and random stream a job touches is constructed inside the
 //     job from its seed, and nothing escapes except the returned value.
 //   - Results are merged by input position, never by completion order,
-//     so Run(workers=N, seeds) is byte-identical to Run(workers=1, seeds).
+//     so Run is byte-identical under any GOMAXPROCS, one included.
 //   - Errors are joined in seed order for the same reason.
 //
 // Jobs must not share mutable state; anything a job reads besides its
@@ -19,6 +19,7 @@ package sweep
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 )
 
@@ -33,21 +34,18 @@ func Seeds(base int64, n int) []int64 {
 	return out
 }
 
-// Run executes job(seed) for every seed on a pool of workers goroutines
-// and returns the results indexed by seed position. workers < 1 (and
-// workers > len(seeds)) is clamped to len(seeds), so Run(0, ...) runs
-// every job at once; Run(1, ...) is a serial sweep.
+// Run executes job(seed) for every seed on a pool of runtime.GOMAXPROCS(0)
+// goroutines (at most one per seed; a pool of one is a serial loop) and
+// returns the results indexed by seed position.
 //
 // All workers are joined before Run returns: no job outlives the call.
 // If any jobs fail, Run still completes the rest and returns the
 // failures joined in seed order; results at failed positions are the
 // zero value of T.
-func Run[T any](workers int, seeds []int64, job func(seed int64) (T, error)) ([]T, error) {
+func Run[T any](seeds []int64, job func(seed int64) (T, error)) ([]T, error) {
 	results := make([]T, len(seeds))
 	errs := make([]error, len(seeds))
-	if workers < 1 || workers > len(seeds) {
-		workers = len(seeds)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(seeds))
 	if workers <= 1 {
 		for i, seed := range seeds {
 			results[i], errs[i] = job(seed)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -42,21 +43,31 @@ func TestSeeds(t *testing.T) {
 	}
 }
 
+// withProcs runs f under runtime.GOMAXPROCS(n), the sweep's pool size,
+// and restores the setting afterwards.
+func withProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
 // TestParallelMatchesSerial is the sweep contract: for the same seed
-// list, any worker count produces byte-identical results in seed order.
+// list, any pool size produces byte-identical results in seed order.
 func TestParallelMatchesSerial(t *testing.T) {
 	seeds := Seeds(42, 16)
-	serial, err := Run(1, seeds, simTrace)
+	var serial []string
+	var err error
+	withProcs(1, func() { serial, err = Run(seeds, simTrace) })
 	if err != nil {
 		t.Fatalf("serial sweep: %v", err)
 	}
-	for _, workers := range []int{0, 2, 4, 16, 64} {
-		par, err := Run(workers, seeds, simTrace)
+	for _, procs := range []int{2, 4, 16, 64} {
+		var par []string
+		withProcs(procs, func() { par, err = Run(seeds, simTrace) })
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		if !reflect.DeepEqual(par, serial) {
-			t.Fatalf("workers=%d diverged from serial:\n par=%v\nser=%v", workers, par, serial)
+			t.Fatalf("GOMAXPROCS=%d diverged from serial:\n par=%v\nser=%v", procs, par, serial)
 		}
 	}
 }
@@ -66,11 +77,15 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestErrorsJoinedInSeedOrder(t *testing.T) {
 	boom := errors.New("boom")
 	seeds := Seeds(0, 10)
-	results, err := Run(4, seeds, func(seed int64) (int, error) {
-		if seed%3 == 0 {
-			return 0, boom
-		}
-		return int(seed * 2), nil
+	var results []int
+	var err error
+	withProcs(4, func() {
+		results, err = Run(seeds, func(seed int64) (int, error) {
+			if seed%3 == 0 {
+				return 0, boom
+			}
+			return int(seed * 2), nil
+		})
 	})
 	if err == nil {
 		t.Fatal("want joined error")
@@ -89,7 +104,7 @@ func TestErrorsJoinedInSeedOrder(t *testing.T) {
 }
 
 func TestRunEmptySeeds(t *testing.T) {
-	results, err := Run(8, nil, func(seed int64) (int, error) { return 0, nil })
+	results, err := Run(nil, func(seed int64) (int, error) { return 0, nil })
 	if err != nil || len(results) != 0 {
 		t.Fatalf("empty sweep: results=%v err=%v", results, err)
 	}

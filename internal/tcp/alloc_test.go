@@ -9,10 +9,10 @@ import (
 	"repro/internal/netem"
 )
 
-// The per-segment bookkeeping (noteEmit / noteReceived) is annotated
-// //sttcp:hotpath; this test is the dynamic half of that contract. The
-// trace-emission side of the segment path is deliberately excluded: it
-// formats strings and is gated behind tracer.Detail().
+// The per-segment bookkeeping (noteEmit / noteReceived) runs once per
+// segment on every host and must not allocate. The trace-emission side of
+// the segment path is deliberately excluded: it formats strings and is
+// gated behind tracer.Detail().
 func TestSegmentBookkeepingDoesNotAllocate(t *testing.T) {
 	reg := metrics.New(nil)
 	st := &Stack{
@@ -31,10 +31,10 @@ func TestSegmentBookkeepingDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestAllocsPerSegmentBudget is the runtime half of //sttcp:hotpath, and the
-// half that sees an escape (hotpathalloc is syntactic: for many PRs it passed
-// a Segment that escaped to the heap through the OnTransmit hook inside an
-// annotated function). In steady state a segment allocates nothing: timers
+// TestAllocsPerSegmentBudget holds the segment path's allocation
+// discipline where it can be observed, escapes included (a syntactic check
+// once passed, for many releases, a Segment that escaped to the heap through
+// the OnTransmit hook). In steady state a segment allocates nothing: timers
 // are reusable sim.Timers, notifications ride pooled Post events, a segment
 // is written once into a pooled frame that every hop hands on and the
 // receive path borrows — not copies — and Segments come from the stack's
@@ -97,8 +97,7 @@ func TestAllocsPerSegmentBudget(t *testing.T) {
 	}
 }
 
-// TestSendBufferSteadyStateDoesNotAllocate is the dynamic half of the
-// //sttcp:hotpath annotations on sendBuffer: once the ring has reached its
+// TestSendBufferSteadyStateDoesNotAllocate: once the send ring has reached its
 // capacity and its scratch area exists, acknowledging, refilling and
 // slicing a full buffer — wrapped spans included — allocates nothing.
 func TestSendBufferSteadyStateDoesNotAllocate(t *testing.T) {

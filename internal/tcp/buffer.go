@@ -64,8 +64,6 @@ func (b *Window) Free() int { return b.cap - b.n }
 
 // Write appends as much of p as fits and returns the number of bytes
 // accepted: a reserve and a copy.
-//
-//sttcp:hotpath
 func (b *Window) Write(p []byte) int {
 	n := min(len(p), b.Free())
 	first, second := b.reserve(n)
@@ -78,8 +76,6 @@ func (b *Window) Write(p []byte) int {
 // unless they cross the end of the ring. A ring too small for them grows
 // once, to at least the size they need. The spans must be filled before
 // the next call on the window.
-//
-//sttcp:hotpath
 func (b *Window) reserve(n int) (first, second []byte) {
 	if b.n+n > len(b.ring) {
 		b.grow(b.n + n)
@@ -116,8 +112,6 @@ func (b *Window) drop() {
 // spans returns the n held bytes from distance i from the oldest on, in
 // place and in stream order: first runs at most to the end of the ring,
 // second, empty unless the bytes wrap, from its start (i+n <= n held).
-//
-//sttcp:hotpath
 func (b *Window) spans(i, n int) (first, second []byte) {
 	j := b.index(i)
 	if j+n <= len(b.ring) {
@@ -151,8 +145,6 @@ func (b *Window) index(i int) int {
 // holds; below Base it fails with ErrReleased. The result aliases the
 // window (or its one scratch area, when the span straddles the end of the
 // ring) and must be consumed before the next Write, Release or Slice.
-//
-//sttcp:hotpath
 func (b *Window) Slice(off int64, n int) ([]byte, error) {
 	if off < b.base {
 		return nil, ErrReleased
@@ -179,8 +171,6 @@ func (b *Window) Slice(off int64, n int) ([]byte, error) {
 // Release discards the bytes below offset upTo. Beyond End it empties the
 // window and moves Base there: the stream skipped ahead. The race build
 // poisons what it lets go.
-//
-//sttcp:hotpath
 func (b *Window) Release(upTo int64) {
 	if upTo <= b.base {
 		return
@@ -304,16 +294,12 @@ func (b *recvBuffer) window() int {
 }
 
 // peek returns up to n unread in-order bytes in place (Window.spans).
-//
-//sttcp:hotpath
 func (b *recvBuffer) peek(n int) (first, second []byte) {
 	n = min(n, int(b.win.End()-b.readOff))
 	return b.win.spans(int(b.readOff-b.win.base), n)
 }
 
 // discard marks the n oldest unread bytes read and releases what it may.
-//
-//sttcp:hotpath
 func (b *recvBuffer) discard(n int) {
 	b.readOff += int64(n)
 	b.release()

