@@ -127,10 +127,11 @@ chaos-gray-smoke:
 explore:
 	$(GO) run ./cmd/sttcp explore -seed 7 -fault-span 4ms -grace 10ms -fault-points 2
 
-# CI-sized exploration: the closable window must close (-max-runs bounds it
-# on any machine, after the same run).
+# CI-sized exploration: both closable windows EXPERIMENTS quotes must close
+# (-max-runs bounds them on any machine, after the same run); ~1 s together.
 explore-smoke:
 	$(STTCP) explore -seed 7 -fault-span 4ms -grace 10ms -fault-points 2 -require-closed
+	$(STTCP) explore -seed 7 -fault-span 10ms -grace 50ms -fault-points 3 -require-closed
 
 # What code the shipped runs execute (ROADMAP item 21). One cover build of
 # sttcp runs the shipped set: both smoke campaigns and explore-smoke, then

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"repro/cmd/internal/cliflags"
 	"repro/internal/chaos"
@@ -17,23 +16,26 @@ import (
 // fault placement in the window was replayed (or proven redundant) and every
 // invariant of the registry held on all of them.
 func setupExplore(fs *flag.FlagSet) func(io.Writer) error {
-	var cfg explore.Config
-	seed := cliflags.Seed(fs, 1, "every replayed interleaving uses the same seed")
-	fs.DurationVar(&cfg.FaultAt, "fault-at", 300*time.Millisecond, "start of the fault-placement window")
-	fs.DurationVar(&cfg.FaultSpan, "fault-span", 30*time.Millisecond, "length of the fault-placement window")
-	fs.DurationVar(&cfg.Grace, "grace", 1400*time.Millisecond, "how far past the fault window tie-breaks keep forking (the takeover-latency bound)")
-	fs.IntVar(&cfg.MaxFaultPoints, "fault-points", 6, "max fault boundaries to enumerate (even stride over the window)")
+	cfg := explore.DefaultConfig()
+	seed := cliflags.Seed(fs, cfg.Seed, "every replayed interleaving uses the same seed")
+	fs.DurationVar(&cfg.FaultAt, "fault-at", cfg.FaultAt, "start of the fault-placement window")
+	fs.DurationVar(&cfg.FaultSpan, "fault-span", cfg.FaultSpan, "length of the fault-placement window")
+	fs.DurationVar(&cfg.Grace, "grace", cfg.Grace, "how far past the fault window tie-breaks keep forking (the takeover-latency bound)")
+	fs.IntVar(&cfg.MaxFaultPoints, "fault-points", cfg.MaxFaultPoints, "max fault boundaries to enumerate (even stride over the window; 0: every boundary)")
 	faults := fs.String("faults", "crash-serving", "comma-separated faults, by their chaos names, to place at each boundary")
-	fs.IntVar(&cfg.MaxRuns, "max-runs", 2000, "max interleavings to execute")
-	fs.IntVar(&cfg.MaxPrefix, "max-prefix", 64, "max choice-prefix depth (deeper branch points void the closure claim)")
-	fs.BoolVar(&cfg.NoPrune, "no-prune", false, "disable DPOR-style independence pruning")
+	fs.IntVar(&cfg.MaxRuns, "max-runs", cfg.MaxRuns, "max interleavings to execute")
+	fs.IntVar(&cfg.MaxPrefix, "max-prefix", cfg.MaxPrefix, "max choice-prefix depth (deeper branch points void the closure claim)")
 	fs.BoolVar(&cfg.NoDedup, "no-dedup", false, "disable outcome-fingerprint dedup")
-	fs.IntVar(&cfg.ShrinkBudget, "shrink-budget", 25, "max re-executions spent minimising each violation")
+	fs.IntVar(&cfg.ShrinkBudget, "shrink-budget", cfg.ShrinkBudget, "max re-executions spent minimising each violation (0: none)")
 	requireClose := fs.Bool("require-closed", false, "exit nonzero unless the window fully closed (CI smoke asserts the closure, not just the absence of violations)")
 	art := cliflags.Register(fs, "the first violating run")
 
 	return func(stdout io.Writer) error {
 		cfg.Seed = *seed
+		if cfg.MaxRuns < 1 || min(cfg.FaultAt, cfg.FaultSpan, cfg.Grace) < 0 || min(cfg.MaxFaultPoints, cfg.MaxPrefix, cfg.ShrinkBudget) < 0 {
+			return usageErr("-max-runs must be at least 1, and no window, count or budget may be negative")
+		}
+		cfg.FaultKinds = nil // -faults names every template, the default one too
 		for _, name := range strings.Split(*faults, ",") {
 			f, err := chaos.FaultNamed(strings.TrimSpace(name))
 			if err != nil {

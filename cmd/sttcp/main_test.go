@@ -44,6 +44,9 @@ func TestUsageErrors(t *testing.T) {
 		{"chaos", "-runs", "3", "-wall", "30s"}, // bounded in seeds only
 		{"explore", "-faults", "gremlins"},
 		{"explore", "-wall", "25s"},
+		{"explore", "-max-runs", "0"}, // an exploration of nothing must not report a verdict
+		{"explore", "-fault-points", "-1"},
+		{"explore", "-grace", "-1ms"},
 		// The report is the one metrics and events artifact; its window is
 		// the one it implies.
 		{"demo", "-metrics-out", "m.json"},
@@ -128,6 +131,22 @@ func TestExploreIsDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(first, "explored 29 interleavings") || !strings.Contains(first, "window FULLY CLOSED") {
 		t.Errorf("the window that closes in 29 interleavings printed:\n%s", first)
+	}
+}
+
+// TestExploreHonoursZeros: a zero flag means what it says. This window
+// starts at 0 s and forks nothing past its 4 ms; a zero once meant the
+// default 300 ms and 1.4 s while the header still printed the zeros, and
+// this command then met 2,253 choice points, 758 of them truncated.
+func TestExploreHonoursZeros(t *testing.T) {
+	got := mustRun(t, "explore", "-seed", "7", "-fault-at", "0s", "-fault-span", "4ms", "-grace", "0s", "-fault-points", "2", "-max-runs", "3")
+	want := `sttcp explore: seed=7 window=[0s,4ms) grace=0s
+explored 3 interleavings across 2 fault points (2 boundaries)
+choice points 47, deduped 0, truncated 0, frontier 34
+window NOT closed (budget reached); no violations found
+`
+	if got != want {
+		t.Errorf("explore over [0s,4ms) with no grace printed:\n%s\nwant:\n%s", got, want)
 	}
 }
 

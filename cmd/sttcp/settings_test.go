@@ -28,7 +28,7 @@ var settable = []struct {
 	{"experiment.Options", experiment.Options{}, 9},
 	{"experiment.Params", experiment.Params{}, 7},
 	{"experiment.Plan", experiment.Plan{}, 19},
-	{"explore.Config", explore.Config{}, 11},
+	{"explore.Config", explore.Config{}, 10},
 	{"tcp.Options", tcp.Options{}, 1},
 }
 
@@ -69,7 +69,7 @@ func settableFields(typ reflect.Type) int {
 // ones shared through cmd/internal/cliflags once. Like a settable value, a
 // flag is a configuration the tests must cover, so the count should only
 // fall.
-const flagRegistrations = 28
+const flagRegistrations = 27
 
 // flagCall matches one registration call on a FlagSet named fs.
 var flagCall = regexp.MustCompile(`fs\.(Bool|Int|Int64|Uint|String|Duration|Float64|Func|Var|Text)(Var)?\(`)

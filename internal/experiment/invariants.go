@@ -36,9 +36,10 @@ func (v Violation) Error() string { return v.Invariant + ": " + v.Detail }
 //     segments (output suppression), per role era, from the host's live
 //     tcp.segments_sent counter.
 //   - dead-host-silence: from the end of a host's crash step to its
-//     reboot or the end of the run, the host sends zero TCP segments (the
-//     same counter) and traces no event from a <host>/… component — a
-//     powered-off machine runs nothing.
+//     reboot or the end of the run, no counter under a <host>/… component
+//     moves (segments sent and received, heartbeats sent and received, …)
+//     and the host traces no event from such a component — a powered-off
+//     machine runs nothing. The counters hold it with trace detail off.
 //   - client-integrity: every client finishes its workload with no error
 //     and no pattern-verification failure — the paper's claim.
 //   - takeover-latency: every takeover latency is at most hb.Timeout + the
@@ -92,49 +93,59 @@ func backupSilenceViolation(name string, segments int64, openedAt, closedAt time
 		name, segments, openedAt, closedAt)}, segments > 0
 }
 
-// deadHostSilenceViolation judges one closed dead-host era: segments is the
-// era's delta of the host's tcp.segments_sent counter and events the trace
-// recorded meanwhile, of which none may come from a <name>/… component. A
-// link-drop record is the fault injector's, written under the NIC it cuts
-// off: the switch port drops, not the host.
-func deadHostSilenceViolation(name string, segments int64, events []trace.Event, openedAt, closedAt time.Duration) (Violation, bool) {
+// deadHostSilenceViolation judges one closed dead-host era: moved names
+// each counter under a <name>/… component that moved in the era, with its
+// delta, and events are the trace recorded meanwhile, of which none may
+// come from a <name>/… component. A link-drop record is the fault
+// injector's, written under the NIC it cuts off: the switch port drops,
+// not the host.
+func deadHostSilenceViolation(name string, moved []string, events []trace.Event, openedAt, closedAt time.Duration) (Violation, bool) {
 	var own []trace.Event
 	for _, e := range events {
 		if e.Kind != trace.KindLinkDrop && strings.HasPrefix(e.Component, name+"/") {
 			own = append(own, e)
 		}
 	}
-	detail := fmt.Sprintf("%s sent %d TCP segments and traced %d events while crashed (era %v–%v)",
-		name, segments, len(own), openedAt, closedAt)
+	detail := fmt.Sprintf("%s moved %d counters and traced %d events while crashed (era %v–%v)",
+		name, len(moved), len(own), openedAt, closedAt)
+	if len(moved) > 0 {
+		detail += ": " + strings.Join(moved, ", ")
+	}
 	if len(own) > 0 {
 		e := own[0]
 		detail += fmt.Sprintf(", the first %v from %s at %v", e.Kind, e.Component, e.Time.Sub(sim.Epoch))
 	}
-	return Violation{Invariant: "dead-host-silence", Detail: detail}, segments > 0 || len(own) > 0
+	return Violation{Invariant: "dead-host-silence", Detail: detail}, len(moved) > 0 || len(own) > 0
 }
 
-// silenceEra is one interval during which a host must not have sent a TCP
-// segment, read off the live counter of its stack (the registry dedupes
-// it, so it survives a reboot). A backup-silence era is a node's hold of
-// the backup role: it closes at the transition to taken-over — signalled
-// before anything is unsuppressed — or stopped. A dead-host-silence era
-// runs from the end of the host's crash step, where mark is the trace's
-// length, to its reboot. Either closes at the end of the run.
+// silenceEra is one interval during which a host must stay silent, judged
+// on the live counters it watches, each against its value as the era
+// opened (the registry dedupes a counter, so it survives a reboot). A
+// backup-silence era is a node's hold of the backup role, on the
+// tcp.segments_sent counter of its stack: it closes at the transition to
+// taken-over — signalled before anything is unsuppressed — or stopped. A
+// dead-host-silence era runs from the end of the host's crash step to its
+// reboot, on every counter under a <host>/… component and on the trace
+// from mark, its length then. Either closes at the end of the run.
 type silenceEra struct {
 	node               *sttcp.Node   // backup-silence
 	host               *cluster.Host // dead-host-silence
+	ctrs               []metrics.InstrumentRef
+	base               []int64
 	mark               int
-	ctr                *metrics.Counter
-	baseline           int64
 	openedAt, closedAt time.Duration
 	open               bool
 }
 
-// openEra starts e on the counter of h's stack.
-func (run *Run) openEra(e *silenceEra, h *cluster.Host) {
+// openEra starts e on the counters watched picks by component and name.
+func (run *Run) openEra(e *silenceEra, watched func(component, name string) bool) {
 	tb := run.Testbed
-	e.ctr = tb.Metrics.Counter(h.Name()+"/tcp", "tcp.segments_sent")
-	e.baseline, e.openedAt, e.open = e.ctr.Value(), tb.Sim.Elapsed(), true
+	for _, r := range tb.Metrics.Instruments() {
+		if r.Counter != nil && watched(r.Component, r.Name) {
+			e.ctrs, e.base = append(e.ctrs, r), append(e.base, r.Counter.Value())
+		}
+	}
+	e.mark, e.openedAt, e.open = tb.Tracer.Len(), tb.Sim.Elapsed(), true
 	run.eras = append(run.eras, e)
 }
 
@@ -144,7 +155,8 @@ func (run *Run) openEra(e *silenceEra, h *cluster.Host) {
 func (run *Run) watch(n *sttcp.Node) {
 	run.nodes = append(run.nodes, n)
 	if n.Role() == sttcp.RoleBackup && n.State() == sttcp.StateActive {
-		run.openEra(&silenceEra{node: n}, n.Host())
+		stack := n.Host().Name() + "/tcp"
+		run.openEra(&silenceEra{node: n}, func(c, name string) bool { return c == stack && name == "tcp.segments_sent" })
 	}
 	prev := n.OnStateChange
 	n.OnStateChange = func(s sttcp.NodeState) {
@@ -179,7 +191,9 @@ func (run *Run) onStateChange(n *sttcp.Node, s sttcp.NodeState) {
 // software is in place, so the registry's crash hook runs after the
 // software's own and the era opens once the crash step is over.
 func (run *Run) hook(h *cluster.Host) {
-	h.OnCrash(func() { run.openEra(&silenceEra{host: h, mark: run.Testbed.Tracer.Len()}, h) })
+	h.OnCrash(func() {
+		run.openEra(&silenceEra{host: h}, func(c, _ string) bool { return strings.HasPrefix(c, h.Name()+"/") })
+	})
 }
 
 // rebooted ends the dead-host era of a host that booted again.
@@ -205,13 +219,19 @@ func (run *Run) closeEras(match func(*silenceEra) bool) {
 			continue
 		}
 		e.open, e.closedAt = false, tb.Sim.Elapsed()
-		sent := e.ctr.Value() - e.baseline
+		var moved []string
+		var sent int64 // a backup-silence era watches one counter
+		for i, c := range e.ctrs {
+			if d := c.Counter.Value() - e.base[i]; d != 0 {
+				moved, sent = append(moved, fmt.Sprintf("%s %s{%s} %+d", c.Component, c.Name, c.Labels, d)), sent+d
+			}
+		}
 		var v Violation
 		var bad bool
 		if e.node != nil {
 			v, bad = backupSilenceViolation(e.node.Host().Name(), sent, e.openedAt, e.closedAt)
 		} else {
-			v, bad = deadHostSilenceViolation(e.host.Name(), sent, tb.Tracer.Events()[e.mark:], e.openedAt, e.closedAt)
+			v, bad = deadHostSilenceViolation(e.host.Name(), moved, tb.Tracer.Events()[e.mark:], e.openedAt, e.closedAt)
 		}
 		if bad {
 			run.Violations = append(run.Violations, v)

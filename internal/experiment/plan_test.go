@@ -411,6 +411,8 @@ func TestFaultsOnACrashedHost(t *testing.T) {
 // a reboot without a rejoin brought back, then crashed again. A record a
 // harness writes under each dead host's name is what a zombie would write;
 // the registry must convict both, and without the records the plan passes.
+// With trace detail off a zombie heartbeat leaves no record, only its
+// counter, and the registry must convict that too.
 func TestEveryCrashedHostIsJudged(t *testing.T) {
 	p := Plan{Options: Options{Seed: 4}, Clients: []Workload{{Bytes: 16 << 20}}, Horizon: 10 * time.Second,
 		Faults: []Fault{
@@ -422,21 +424,42 @@ func TestEveryCrashedHostIsJudged(t *testing.T) {
 	if _, err := p.Run(); err != nil {
 		t.Fatalf("silent dead hosts: %v", err)
 	}
-	p.Judge.Watch = func(run *Run) {
-		tb := run.Testbed
-		tb.Sim.At(sim.Epoch.Add(4*time.Second), func() {
-			tb.Tracer.Emit(trace.KindGeneric, "primary/app", "zombie")
-			tb.Tracer.Emit(trace.KindGeneric, "gateway/ip", "zombie")
-		})
+	zombie := func(act func(tb *Testbed)) error {
+		p.Judge.Watch = func(run *Run) {
+			tb := run.Testbed
+			tb.Sim.At(sim.Epoch.Add(4*time.Second), func() { act(tb) })
+		}
+		_, err := p.Run()
+		return err
 	}
-	_, err := p.Run()
+	err := zombie(func(tb *Testbed) {
+		tb.Tracer.Emit(trace.KindGeneric, "primary/app", "zombie")
+		tb.Tracer.Emit(trace.KindGeneric, "gateway/ip", "zombie")
+	})
 	for _, want := range []string{
-		"dead-host-silence: primary sent 0 TCP segments and traced 1 events while crashed (era 2.5s–10s), the first generic from primary/app at 4s",
-		"dead-host-silence: gateway sent 0 TCP segments and traced 1 events while crashed (era 3s–10s), the first generic from gateway/ip at 4s",
+		"dead-host-silence: primary moved 0 counters and traced 1 events while crashed (era 2.5s–10s), the first generic from primary/app at 4s",
+		"dead-host-silence: gateway moved 0 counters and traced 1 events while crashed (era 3s–10s), the first generic from gateway/ip at 4s",
 	} {
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("zombie records: Run returned %v, want %q", err, want)
 		}
+	}
+
+	if p.TraceDetail {
+		t.Fatal("the heartbeat case must run without trace detail")
+	}
+	err = zombie(func(tb *Testbed) {
+		for _, r := range tb.Metrics.Instruments() {
+			if r.Component == "primary/sttcp" && r.Name == "hb.sent" {
+				r.Counter.Inc()
+				return
+			}
+		}
+		t.Error("no primary/sttcp hb.sent counter to move")
+	})
+	want := "dead-host-silence: primary moved 1 counters and traced 0 events while crashed (era 2.5s–10s): primary/sttcp hb.sent{link=ip-link} +1"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("zombie heartbeat: Run returned %v, want %q", err, want)
 	}
 }
 

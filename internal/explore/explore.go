@@ -12,7 +12,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/sim"
 	"repro/internal/sweep"
-	"repro/internal/trace"
 )
 
 // The explored workload is one echo client of echoRounds rounds of
@@ -23,83 +22,71 @@ const (
 	echoMsgSize = 512
 )
 
-// Config bounds one exploration. The zero value explores a single-
-// connection echo workload around one serving-side crash with the
-// defaults below; every knob exists so tests and the CLI can trade
-// coverage for wall-clock. An exploration stops at its first violation.
+// Config bounds one exploration; DefaultConfig is what `sttcp explore`
+// runs without flags. Every field means what it says, zero included: a
+// zero-length window places no fault, a zero grace forks only inside the
+// fault window, and zero fault points means every boundary. Every knob
+// exists so tests and the CLI can trade coverage for wall-clock. An
+// exploration stops at its first violation.
 type Config struct {
 	// Seed drives the testbed simulation of every run.
 	Seed int64
 
 	// FaultKinds lists the fault templates to place at each enumerated
-	// boundary, each a kind and the host or role it strikes (default: a
-	// crash of the serving node); a template's At is the boundary's. A
-	// template carries whatever parameters it was given, so a windowed
-	// kind needs its duration: the testbed's fault validator refuses one
-	// without, and the run records the skip.
+	// boundary, each a kind and the host or role it strikes; a template's
+	// At is the boundary's. A template carries whatever parameters it was
+	// given, so a windowed kind needs its duration: the testbed's fault
+	// validator refuses one without, and the run records the skip.
 	FaultKinds []experiment.Fault
 	// FaultAt and FaultSpan bound the fault-placement window
 	// [FaultAt, FaultAt+FaultSpan): a probe run collects the distinct
 	// event times inside it and each becomes a candidate injection point.
-	// Defaults 300 ms + 30 ms — the paper's connection-established,
-	// transfer-in-flight regime.
 	FaultAt   time.Duration
 	FaultSpan time.Duration
-	// MaxFaultPoints caps the boundary enumeration by even striding
-	// (default 6). Capping is reported, not silent: Result.Boundaries
+	// MaxFaultPoints caps the boundary enumeration by even striding (0:
+	// every boundary). Capping is reported, not silent: Result.Boundaries
 	// holds what was actually used.
 	MaxFaultPoints int
 
 	// Grace extends tie-break forking past the fault window so the
 	// takeover itself is explored: choices are forked in
-	// [FaultAt, FaultAt+FaultSpan+Grace). Default 1.4 s, the
-	// takeover-latency invariant bound (HB timeout + period + 600 ms).
+	// [FaultAt, FaultAt+FaultSpan+Grace).
 	Grace time.Duration
 
-	// MaxPrefix caps the choice-prefix length (default 64); deeper
-	// branch points are counted as truncations and void the closure
-	// claim rather than silently narrowing it.
+	// MaxPrefix caps the choice-prefix length; deeper branch points are
+	// counted as truncations and void the closure claim rather than
+	// silently narrowing it.
 	MaxPrefix int
-	// MaxRuns caps total run executions (default 2000).
+	// MaxRuns caps total run executions.
 	MaxRuns int
 
-	// NoPrune disables independence pruning and NoDedup disables
-	// fingerprint dedup — the switches that re-verify a closure claim
-	// without the engineered approximations.
-	NoPrune bool
+	// NoDedup disables fingerprint dedup — the switch that re-verifies a
+	// closure claim without the engineered approximation.
 	NoDedup bool
 
 	// ShrinkBudget bounds the re-runs spent minimising each violation
-	// (default 25, shared between plan and prefix shrinking).
+	// (shared between plan and prefix shrinking; 0 shrinks nothing).
 	ShrinkBudget int
 }
 
-func (c Config) withDefaults() Config {
-	if len(c.FaultKinds) == 0 {
-		c.FaultKinds = []experiment.Fault{{Kind: experiment.FaultCrash, Host: "serving"}}
+// DefaultConfig explores a single-connection echo workload around one
+// serving-side crash: faults at up to six boundaries of the 30 ms from
+// 300 ms on (the paper's connection-established, transfer-in-flight
+// regime), forking for a 1.4 s grace past them (the takeover-latency
+// invariant bound, HB timeout + period + 600 ms), at most 64 choices
+// deep and 2,000 runs, and 25 re-runs to shrink a violation.
+func DefaultConfig() Config {
+	return Config{
+		Seed:           1,
+		FaultKinds:     []experiment.Fault{{Kind: experiment.FaultCrash, Host: "serving"}},
+		FaultAt:        300 * time.Millisecond,
+		FaultSpan:      30 * time.Millisecond,
+		MaxFaultPoints: 6,
+		Grace:          1400 * time.Millisecond,
+		MaxPrefix:      64,
+		MaxRuns:        2000,
+		ShrinkBudget:   25,
 	}
-	if c.FaultAt == 0 {
-		c.FaultAt = 300 * time.Millisecond
-	}
-	if c.FaultSpan == 0 {
-		c.FaultSpan = 30 * time.Millisecond
-	}
-	if c.MaxFaultPoints == 0 {
-		c.MaxFaultPoints = 6
-	}
-	if c.Grace == 0 {
-		c.Grace = 1400 * time.Millisecond
-	}
-	if c.MaxPrefix == 0 {
-		c.MaxPrefix = 64
-	}
-	if c.MaxRuns == 0 {
-		c.MaxRuns = 2000
-	}
-	if c.ShrinkBudget == 0 {
-		c.ShrinkBudget = 25
-	}
-	return c
 }
 
 // ViolationRun is one interleaving that broke an invariant, with its
@@ -114,7 +101,8 @@ type ViolationRun struct {
 	// deterministic.
 	ShrunkPlan experiment.Plan
 	MinPrefix  []int
-	// Result is the minimal failing run (Report() renders its timeline).
+	// Result is the minimal failing run replayed with trace detail, so
+	// Report() renders its full timeline.
 	Result *chaos.RunResult
 	// ShrinkRuns is how many re-executions the minimisation spent.
 	ShrinkRuns int
@@ -132,11 +120,9 @@ type Result struct {
 	Interleavings int
 	FaultPoints   int
 	// ChoicePoints totals the in-window multi-way tie groups observed
-	// across all runs; Pruned counts alternatives skipped as
-	// independent, Deduped counts runs whose outcome fingerprint was
+	// across all runs; Deduped counts runs whose outcome fingerprint was
 	// already known, Truncated counts branch points beyond MaxPrefix.
 	ChoicePoints int
-	Pruned       int
 	Deduped      int
 	Truncated    int
 
@@ -175,14 +161,8 @@ type explorer struct {
 	seen     map[uint64]bool
 }
 
-// Explore runs the systematic exploration and returns its results. The
-// whole exploration is deterministic in Config: the same
-// inputs enumerate the same interleavings in the same order.
-func Explore(cfg Config) (*Result, error) { return explore(cfg, heapQueue) }
-
-func explore(cfg Config, inner func() sim.Scheduler) (*Result, error) {
-	cfg = cfg.withDefaults()
-	e := &explorer{
+func newExplorer(cfg Config, inner func() sim.Scheduler) *explorer {
+	return &explorer{
 		cfg:      cfg,
 		inner:    inner,
 		winLo:    cfg.FaultAt.Nanoseconds(),
@@ -190,13 +170,22 @@ func explore(cfg Config, inner func() sim.Scheduler) (*Result, error) {
 		choiceHi: (cfg.FaultAt + cfg.FaultSpan + cfg.Grace).Nanoseconds(),
 		seen:     make(map[uint64]bool),
 	}
+}
+
+// Explore runs the systematic exploration and returns its results. The
+// whole exploration is deterministic in Config: the same
+// inputs enumerate the same interleavings in the same order.
+func Explore(cfg Config) (*Result, error) { return explore(cfg, heapQueue) }
+
+func explore(cfg Config, inner func() sim.Scheduler) (*Result, error) {
+	e := newExplorer(cfg, inner)
 	base := basePlan(cfg.Seed)
 	res := &Result{Base: base}
 
 	// Probe: the fault-free run that discovers the event boundaries
 	// inside the fault window. Its tie-breaks follow canonical order; the
 	// fault axis, not the probe, is what gets forked.
-	probe, err := e.execute(base, nil)
+	probe, err := e.execute(base, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +194,7 @@ func explore(cfg Config, inner func() sim.Scheduler) (*Result, error) {
 	if probe.res.Failed() {
 		// The baseline itself violates — the golden seeded-bug test's
 		// path. Minimise and report; there is no fault axis to explore.
-		if err := e.recordViolation(res, base, nil, probe); err != nil {
+		if err := e.recordViolation(res, base, nil); err != nil {
 			return nil, err
 		}
 		return res, nil
@@ -244,7 +233,7 @@ func explore(cfg Config, inner func() sim.Scheduler) (*Result, error) {
 
 		outs, err := sweep.Run(sweep.Seeds(0, len(batch)), func(i int64) (*runOut, error) {
 			j := batch[int(i)]
-			return e.execute(j.p, j.prefix)
+			return e.execute(j.p, j.prefix, false)
 		})
 		if err != nil {
 			return nil, err
@@ -255,7 +244,7 @@ func explore(cfg Config, inner func() sim.Scheduler) (*Result, error) {
 			res.ChoicePoints += len(out.choices)
 
 			if out.res.Failed() {
-				if err := e.recordViolation(res, j.p, j.prefix, out); err != nil {
+				if err := e.recordViolation(res, j.p, j.prefix); err != nil {
 					return nil, err
 				}
 				res.Frontier = len(frontier) + len(outs) - i - 1
@@ -284,10 +273,6 @@ func (e *explorer) extend(res *Result, j job, out *runOut) []job {
 	var next []job
 	for ci := len(j.prefix); ci < len(out.choices); ci++ {
 		c := out.choices[ci]
-		if !e.cfg.NoPrune && independent(out.res.Trace, c.Ctxs) {
-			res.Pruned += c.N - 1
-			continue
-		}
 		if ci+1 > e.cfg.MaxPrefix {
 			res.Truncated++
 			continue
@@ -310,20 +295,17 @@ func (e *explorer) extend(res *Result, j job, out *runOut) []job {
 // recordViolation minimises and records one violating run: the plan
 // shrinks by greedy fault removal with the choice prefix pinned in the
 // rerun closure (experiment.Shrink), then the prefix shrinks by greedy
-// trailing truncation on the minimal plan. Both phases share ShrinkBudget.
-func (e *explorer) recordViolation(res *Result, p experiment.Plan, prefix []int, out *runOut) error {
-	vr := ViolationRun{
-		Plan:   p,
-		Prefix: append([]int{}, prefix...),
-		Result: out.res,
-	}
+// trailing truncation on the minimal plan. Both phases share ShrinkBudget
+// and run without trace detail, like the exploration; the minimal
+// reproduction then runs once more with detail, and that replay is the
+// reported Result. Detail schedules no events, so the replay takes the
+// same tie groups and must violate again; if it does not, the exploration
+// errs rather than report a passing run.
+func (e *explorer) recordViolation(res *Result, p experiment.Plan, prefix []int) error {
+	vr := ViolationRun{Plan: p, Prefix: append([]int{}, prefix...)}
 	shrunk, runs, err := experiment.Shrink(p, e.cfg.ShrinkBudget, func(cand experiment.Plan) (bool, error) {
-		o, err := e.execute(cand, prefix)
-		if err != nil || !o.res.Failed() {
-			return false, err
-		}
-		vr.Result = o.res
-		return true, nil
+		o, err := e.execute(cand, prefix, false)
+		return err == nil && o.res.Failed(), err
 	})
 	if err != nil {
 		return err
@@ -333,7 +315,7 @@ func (e *explorer) recordViolation(res *Result, p experiment.Plan, prefix []int,
 	minPrefix := append([]int{}, prefix...)
 	for len(minPrefix) > 0 && vr.ShrinkRuns < e.cfg.ShrinkBudget {
 		cand := minPrefix[:len(minPrefix)-1]
-		o, err := e.execute(shrunk, cand)
+		o, err := e.execute(shrunk, cand, false)
 		if err != nil {
 			return err
 		}
@@ -342,22 +324,30 @@ func (e *explorer) recordViolation(res *Result, p experiment.Plan, prefix []int,
 			break
 		}
 		minPrefix = cand
-		vr.Result = o.res
 	}
 	vr.MinPrefix = minPrefix
+
+	replay, err := e.execute(shrunk, minPrefix, true)
+	if err != nil {
+		return err
+	}
+	if !replay.res.Failed() {
+		return fmt.Errorf("explore: the minimal reproduction (%s, prefix %v) passed when replayed with trace detail",
+			chaos.Describe(shrunk), minPrefix)
+	}
+	vr.Result = replay.res
 	res.Violations = append(res.Violations, vr)
 	return nil
 }
 
 // execute runs one (plan, prefix) candidate on a fresh testbed with
 // the forking wrapper injected, and returns the result plus the
-// wrapper's recorded choices and boundaries. Trace detail is always on:
-// independence pruning reads span components and violation reports
-// render the timeline.
-func (e *explorer) execute(p experiment.Plan, prefix []int) (*runOut, error) {
+// wrapper's recorded choices and boundaries. detail turns on the trace's
+// per-segment events: only a violation's report reads them.
+func (e *explorer) execute(p experiment.Plan, prefix []int, detail bool) (*runOut, error) {
 	var sched *Scheduler
 	res, err := chaos.Run(p, experiment.Options{
-		TraceDetail: true,
+		TraceDetail: detail,
 		CustomScheduler: func() sim.Scheduler {
 			sched = NewScheduler(e.inner(), prefix)
 			sched.ForkWindow(e.winLo, e.choiceHi)
@@ -416,42 +406,6 @@ func stride(bounds []int64, max int) []int64 {
 	return out
 }
 
-// independent reports whether a tie group's members pairwise commute
-// under the DPOR-style heuristic: every member carries a causal context,
-// and the contexts' spans live on pairwise-distinct locations (the
-// component's first path segment — the host, or a link/switch name).
-// Same-instant events on disjoint locations cannot read or write the
-// same simulated state, so their relative order cannot matter; any
-// member without a context (or with an evicted span) disqualifies the
-// group. This is an engineered approximation — Config.NoPrune re-checks
-// a closure without it.
-func independent(tr *trace.Recorder, ctxs []uint64) bool {
-	if tr == nil {
-		return false
-	}
-	locs := make([]string, 0, len(ctxs))
-	for _, id := range ctxs {
-		if id == 0 {
-			return false
-		}
-		sp, ok := tr.SpanByID(trace.SpanID(id))
-		if !ok {
-			return false
-		}
-		loc := sp.Component
-		if i := strings.IndexByte(loc, '/'); i >= 0 {
-			loc = loc[:i]
-		}
-		for _, have := range locs {
-			if have == loc {
-				return false
-			}
-		}
-		locs = append(locs, loc)
-	}
-	return true
-}
-
 // fingerprint hashes a run's observable outcome: the plan's signature,
 // the full metrics snapshot, every client summary, violations, skips,
 // and an order-insensitive digest of the in-window tie groups. Two runs
@@ -491,8 +445,8 @@ func (r *Result) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "explored %d interleavings across %d fault points (%d boundaries)\n",
 		r.Interleavings, r.FaultPoints, len(r.Boundaries))
-	fmt.Fprintf(&b, "choice points %d, pruned %d, deduped %d, truncated %d, frontier %d\n",
-		r.ChoicePoints, r.Pruned, r.Deduped, r.Truncated, r.Frontier)
+	fmt.Fprintf(&b, "choice points %d, deduped %d, truncated %d, frontier %d\n",
+		r.ChoicePoints, r.Deduped, r.Truncated, r.Frontier)
 	if r.FullyClosed {
 		b.WriteString("window FULLY CLOSED: every interleaving explored, all invariants held\n")
 	} else if len(r.Violations) == 0 {

@@ -8,15 +8,12 @@ import (
 )
 
 // smallWindow is a configuration whose interleaving space closes in
-// about a second of wall clock: one connection, one crash kind, a 4 ms
-// fault window, and a 10 ms forking grace.
+// well under a second of wall clock: the default exploration narrowed to
+// a 4 ms fault window with two boundaries and a 10 ms forking grace.
 func smallWindow() Config {
-	return Config{
-		Seed:           7,
-		FaultSpan:      4 * time.Millisecond,
-		Grace:          10 * time.Millisecond,
-		MaxFaultPoints: 2,
-	}
+	cfg := DefaultConfig()
+	cfg.Seed, cfg.FaultSpan, cfg.Grace, cfg.MaxFaultPoints = 7, 4*time.Millisecond, 10*time.Millisecond, 2
+	return cfg
 }
 
 // TestExploreClosesSmallWindow is the tentpole acceptance: a bounded
@@ -93,37 +90,38 @@ func TestExploreStop(t *testing.T) {
 	}
 }
 
-// TestApproximationsAgreeWithTheSlowWay holds independence pruning and
-// fingerprint dedup to their reference: on a window small enough to close
-// both ways, switching both off (what -no-prune -no-dedup do) must reach the
-// same verdict over at least as many interleavings.
+// TestApproximationsAgreeWithTheSlowWay holds fingerprint dedup to its
+// reference: on a window small enough to close both ways, switching it off
+// (what -no-dedup does) must reach the same verdict over at least as many
+// interleavings.
 func TestApproximationsAgreeWithTheSlowWay(t *testing.T) {
-	fast := Config{Seed: 7, FaultSpan: 4 * time.Millisecond, Grace: 2 * time.Millisecond, MaxFaultPoints: 1}
+	fast := smallWindow()
+	fast.Grace, fast.MaxFaultPoints = 2*time.Millisecond, 1
 	slow := fast
-	slow.NoPrune, slow.NoDedup = true, true
+	slow.NoDedup = true
 	a, err := Explore(fast)
 	if err != nil {
-		t.Fatalf("with the approximations: %v", err)
+		t.Fatalf("with dedup: %v", err)
 	}
 	b, err := Explore(slow)
 	if err != nil {
-		t.Fatalf("without them: %v", err)
+		t.Fatalf("without it: %v", err)
 	}
 	for _, r := range []*Result{a, b} {
 		if !r.FullyClosed || len(r.Violations) != 0 {
 			t.Errorf("window did not close clean:\n%s", r.Report())
 		}
 	}
-	if b.Pruned != 0 || b.Deduped != 0 {
-		t.Errorf("the slow way still pruned %d and deduped %d", b.Pruned, b.Deduped)
+	if b.Deduped != 0 {
+		t.Errorf("the slow way still deduped %d", b.Deduped)
 	}
-	if a.Pruned+a.Deduped == 0 {
-		t.Errorf("the approximations never fired over %d interleavings; the comparison proves nothing", a.Interleavings)
+	if a.Deduped == 0 {
+		t.Errorf("dedup never fired over %d interleavings; the comparison proves nothing", a.Interleavings)
 	}
 	if b.Interleavings < a.Interleavings {
-		t.Errorf("the slow way explored %d interleavings, fewer than the approximated %d", b.Interleavings, a.Interleavings)
+		t.Errorf("the slow way explored %d interleavings, fewer than the deduplicated %d", b.Interleavings, a.Interleavings)
 	}
-	t.Logf("approximated %d interleavings, exhaustive %d", a.Interleavings, b.Interleavings)
+	t.Logf("deduplicated %d interleavings, exhaustive %d", a.Interleavings, b.Interleavings)
 }
 
 // TestStride pins the boundary-thinning helper: endpoints survive, order

@@ -124,7 +124,7 @@ func FuzzExploreChoices(f *testing.F) {
 		}
 		picks := make([]int, len(got.choices))
 		for i, c := range got.choices {
-			if c.N < 2 || c.Picked < 0 || c.Picked >= c.N || len(c.Ctxs) != c.N {
+			if c.N < 2 || c.Picked < 0 || c.Picked >= c.N {
 				t.Fatalf("malformed choice %d: %+v", i, c)
 			}
 			picks[i] = c.Picked

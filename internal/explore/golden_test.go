@@ -54,8 +54,9 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden minimal-schedu
 
 // TestGoldenSeededRewindBug reintroduces the calendar queue's historical
 // rewind-strand bug as a buggy inner queue and demands that the explorer
-// (a) finds a violating interleaving and (b) shrinks it to the exact
-// minimal schedule checked into testdata/golden. The bug leaves an entry
+// (a) finds a violating interleaving with trace detail off, (b) shrinks it
+// to the exact minimal schedule checked into testdata/golden, and (c)
+// reports it from a replay with detail on. The bug leaves an entry
 // stranded so pops come out of order and the virtual clock steps backward
 // — invisible to every end-state invariant (the queue self-heals at the
 // next pop) but caught by the wrapper's scheduler-order audit on the very
@@ -91,6 +92,20 @@ func TestGoldenSeededRewindBug(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("minimal reproduction drifted from %s.\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+	}
+
+	// The bug is found without trace detail — the probe the exploration
+	// runs violates with it off — and reported from a replay with it on.
+	found, err := newExplorer(cfg, strandingQueue).execute(res.Base, nil, false)
+	if err != nil {
+		t.Fatalf("probe: %v", err)
+	}
+	if !found.res.Failed() || found.res.Trace.Detail() {
+		t.Errorf("the detail-off probe: violated=%v detail=%v, want a violation without detail",
+			found.res.Failed(), found.res.Trace.Detail())
+	}
+	if !res.Violations[0].Result.Trace.Detail() {
+		t.Errorf("the reported violation was not replayed with trace detail")
 	}
 
 	// The shrink must also be stable: a second exploration lands on the
@@ -161,5 +176,24 @@ func TestGoldenBugOffStillCloses(t *testing.T) {
 	if len(res.Violations) != 0 || !res.FullyClosed {
 		t.Fatalf("bug-off exploration: closed=%v violations=%d\n%s",
 			res.FullyClosed, len(res.Violations), res.Report())
+	}
+}
+
+// TestUnreproducedViolationErrs: a violation whose detail replay passes is
+// an error, never a pass and never a report without its timeline. The
+// queue strands only on the first run, the probe, so the replay is sound.
+func TestUnreproducedViolationErrs(t *testing.T) {
+	cfg := smallWindow()
+	cfg.ShrinkBudget = 0
+	runs := 0
+	once := func() sim.Scheduler {
+		if runs++; runs == 1 {
+			return strandingQueue()
+		}
+		return soundQueue()
+	}
+	res, err := explore(cfg, once)
+	if err == nil || !strings.Contains(err.Error(), "passed when replayed with trace detail") {
+		t.Fatalf("explore returned %v, %v; want the failed replay's error", res, err)
 	}
 }

@@ -14,10 +14,11 @@
 // a run is identified by its schedule and a choice prefix, and every
 // candidate is re-executed from the start through the deterministic
 // simulator, so no simulator state is ever snapshotted or restored.
-// DPOR-style independence pruning (same-instant events on disjoint
-// hosts commute) and order-insensitive run fingerprints keep the
-// enumeration tractable; both are engineered approximations and both
-// can be disabled to re-verify a closure claim the slow way.
+// Every run goes without trace detail, which schedules no events; only a
+// violation's minimal reproduction is replayed with it, for its report.
+// Order-insensitive run fingerprints keep the enumeration tractable; they
+// are an engineered approximation, and can be disabled to re-verify a
+// closure claim the slow way.
 package explore
 
 import (
@@ -36,9 +37,6 @@ type Choice struct {
 	N int
 	// Picked is the chosen index within the group, in (when, seq) order.
 	Picked int
-	// Ctxs holds each group member's causal context (trace span ID, or
-	// zero), in group order — the raw material for independence pruning.
-	Ctxs []uint64
 }
 
 // Scheduler is a sim.Scheduler decorator that exposes same-timestamp
@@ -256,11 +254,7 @@ func (x *Scheduler) decide() *sim.Event {
 			}
 			x.used++
 		}
-		ch := Choice{WhenNS: when, N: len(x.group), Picked: pick, Ctxs: make([]uint64, len(x.group))}
-		for i, e := range x.group {
-			ch.Ctxs[i] = e.CausalContext()
-		}
-		x.choices = append(x.choices, ch)
+		x.choices = append(x.choices, Choice{WhenNS: when, N: len(x.group), Picked: pick})
 		x.pendingChoice = true
 	}
 

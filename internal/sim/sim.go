@@ -66,12 +66,6 @@ type Event struct {
 // whole license to fork.
 func (e *Event) SchedKey() (whenNS int64, seq uint64) { return e.when, e.seq }
 
-// CausalContext reports the ambient causal context captured when the
-// event was scheduled (a trace span ID, or zero for none). Scheduler
-// wrappers use it to judge whether two same-timestamp events touch
-// disjoint components and therefore commute.
-func (e *Event) CausalContext() uint64 { return e.ctx }
-
 // Simulator is a deterministic discrete-event scheduler. The zero value is
 // not usable; construct with New or NewWithConfig.
 type Simulator struct {
