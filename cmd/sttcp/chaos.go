@@ -8,7 +8,6 @@ import (
 	"repro/cmd/internal/cliflags"
 	"repro/internal/chaos"
 	"repro/internal/experiment"
-	"repro/internal/sweep"
 )
 
 // setupChaos is `sttcp chaos`: campaigns of seed-derived fault plans
@@ -18,103 +17,66 @@ func setupChaos(fs *flag.FlagSet) func(io.Writer) error {
 	seed := cliflags.Seed(fs, 1, "run i uses seed+i")
 	runs := fs.Int("runs", 100, "number of plans to run (seeds seed..seed+runs-1)")
 	shrinkBudget := fs.Int("shrink-budget", 50, "max re-executions the shrinker may spend on a failure")
-	traceDetail := fs.Bool("trace-detail", false, "record per-segment trace events and spans (heavier; pairs well with -trace-out)")
 	gray := fs.Bool("gray", false, "draw gray-failure plans (starvation, asymmetric cuts, corruption, flapping, clock skew) instead of crisp Table 1 faults")
 	verbose := fs.Bool("v", false, "print every plan and its outcome")
-	art := cliflags.Register(fs, "the last (or first failing) run")
+	art := cliflags.Register(fs, "the last (or minimal failing) run")
 
 	return func(stdout io.Writer) error {
 		if *runs < 1 {
 			return usageErr("-runs %d: a campaign needs at least one plan", *runs)
 		}
-		opts := experiment.Options{TraceDetail: *traceDetail, TelemetryWindow: art.Window()}
-
 		campaign, grayFlag := chaos.CampaignDefault, ""
 		if *gray {
 			campaign, grayFlag = chaos.CampaignGray, " -gray"
 		}
-		// The seeds run on every core, each on its own testbed; what a run
-		// leaves is its outcome (a run error included, so sweep.Run returns
-		// none), and a campaign holds no trace. Read in seed order, the
-		// first seed that fails to run or violates an invariant ends the
-		// campaign; it, or else the last seed, runs again alone for the
-		// report, the shrink and the artifacts.
-		outs, _ := sweep.Run(sweep.Seeds(*seed, *runs), func(s int64) (chaosOutcome, error) {
-			res, err := chaos.Run(chaos.Generate(campaign, s), opts)
-			if err != nil {
-				return chaosOutcome{err: err}, nil
+		// The seeds run on every core without trace detail; read in seed
+		// order, the first that fails to run or violates an invariant ends
+		// the campaign. The run reported is its minimal reproduction, or
+		// else the last seed's run, and it is replayed with detail exactly
+		// when a trace is written.
+		d := campaign.Seeds(*seed, *runs, experiment.Options{TelemetryWindow: art.Window()})
+		d.ShrinkBudget, d.Detail = *shrinkBudget, art.TraceOut != ""
+		var last *chaos.RunResult
+		d.Read = func(p experiment.Plan, r *chaos.RunResult) {
+			last = r
+			if !*verbose {
+				return
 			}
-			return chaosOutcome{res.Clients, res.Skipped, res.Metrics.CounterTotal("sttcp.takeovers"),
-				res.Metrics.CounterTotal("sttcp.nonft_transitions"), res.Failed(), nil}, nil
-		})
-		var (
-			skipped          int
-			takeovers, nonft int64
-			s                = *seed + int64(*runs-1)
-		)
-		for i, o := range outs {
-			if *verbose {
-				fmt.Fprintf(stdout, "--- run %d ---\n%s", i, chaos.Describe(chaos.Generate(campaign, *seed+int64(i))))
-				for _, c := range o.clients {
-					fmt.Fprintf(stdout, "    client %s done=%v %s\n", c.Name, c.Done, c.Progress)
-				}
-				for _, sk := range o.skipped {
-					fmt.Fprintf(stdout, "    skipped %s\n", sk)
-				}
+			fmt.Fprintf(stdout, "--- run %d ---\n%s", p.Seed-*seed, chaos.Describe(p))
+			if r == nil {
+				return
 			}
-			if o.err != nil {
-				return fmt.Errorf("seed %d: %w", *seed+int64(i), o.err)
+			for _, c := range r.Clients {
+				fmt.Fprintf(stdout, "    client %s done=%v %s\n", c.Name, c.Done, c.Progress)
 			}
-			skipped, takeovers, nonft = skipped+len(o.skipped), takeovers+o.takeovers, nonft+o.nonft
-			if o.failed {
-				s = *seed + int64(i)
-				break
+			for _, sk := range r.Skipped {
+				fmt.Fprintf(stdout, "    skipped %s\n", sk)
 			}
 		}
-		p := chaos.Generate(campaign, s)
-		res, err := chaos.Run(p, opts)
+		census, fail, err := d.Drive()
 		if err != nil {
-			return fmt.Errorf("seed %d: %w", s, err)
+			return err
 		}
-		if res.Failed() {
-			fmt.Fprintf(stdout, "%sreplay: sttcp chaos -seed %d -runs 1%s\n", res.Report(), s, grayFlag)
-			shrunk := res
-			_, extra, serr := experiment.Shrink(p, *shrinkBudget, func(c experiment.Plan) (bool, error) {
-				r, err := chaos.Run(c, opts)
-				if err != nil || !r.Failed() {
-					return false, err
-				}
-				shrunk = r
-				return true, nil
-			})
-			if serr != nil {
-				fmt.Fprintf(stdout, "--- shrink failed: %v ---\n", serr)
-			} else {
-				fmt.Fprintf(stdout, "--- minimized after %d extra runs ---\n%s", extra, shrunk.Report())
+		if fail != nil {
+			fmt.Fprintf(stdout, "%sreplay: sttcp chaos -seed %d -runs 1%s\n", fail.Found.Report(), fail.Job.Seed, grayFlag)
+			fmt.Fprintf(stdout, "--- minimized after %d extra runs ---\n%s", fail.ShrinkRuns, fail.Result.Report())
+			last = fail.Result
+		} else if d.Detail {
+			if last, err = d.Run(last.Plan, true); err != nil {
+				return err
 			}
 		}
 		// A failing run's artifacts carry its invariant verdicts.
-		art.Note(res.Trace, res.RunReport())
+		art.Note(last.Trace, last.RunReport())
 		if err := art.Write(stdout); err != nil {
 			return err
 		}
-		if res.Failed() {
-			return fmt.Errorf("seed %d violated an invariant", s)
+		if fail != nil {
+			return fmt.Errorf("seed %d violated an invariant", fail.Job.Seed)
 		}
 		fmt.Fprintf(stdout, "sttcp chaos: %d runs, all invariants held (%d takeovers, %d non-FT transitions, %d events skipped as unsurvivable)\n",
-			*runs, takeovers, nonft, skipped)
+			*runs, census.Takeovers, census.NonFT, census.Skipped)
 		fmt.Fprintf(stdout, "invariants checked: %v\n", experiment.InvariantNames())
 		return nil
 	}
-}
-
-// chaosOutcome is what one campaign seed leaves for the summary and -v:
-// its clients, skips and counts, whether it violated an invariant, and the
-// error it failed to run with.
-type chaosOutcome struct {
-	clients          []chaos.ClientSummary
-	skipped          []string
-	takeovers, nonft int64
-	failed           bool
-	err              error
 }

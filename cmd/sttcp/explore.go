@@ -51,13 +51,12 @@ func setupExplore(fs *flag.FlagSet) func(io.Writer) error {
 			cfg.Seed, cfg.FaultAt, cfg.FaultAt+cfg.FaultSpan, cfg.Grace)
 		fmt.Fprintf(stdout, "%s", res.Report())
 
-		if len(res.Violations) > 0 {
-			r := res.Violations[0].Result
-			art.Note(r.Trace, r.RunReport())
+		if v := res.Violation; v != nil {
+			art.Note(v.Result.Trace, v.Result.RunReport())
 			if err := art.Write(stdout); err != nil {
 				return err
 			}
-			return fmt.Errorf("%d interleaving(s) violated an invariant", len(res.Violations))
+			return fmt.Errorf("1 interleaving(s) violated an invariant")
 		}
 		if *requireClose && !res.FullyClosed {
 			return exitError{3, fmt.Errorf("window did not fully close (-require-closed)")}

@@ -143,10 +143,27 @@ func TestExploreHonoursZeros(t *testing.T) {
 	want := `sttcp explore: seed=7 window=[0s,4ms) grace=0s
 explored 3 interleavings across 2 fault points (2 boundaries)
 choice points 47, deduped 0, truncated 0, frontier 34
+takeovers 2, non-FT transitions 0, guard skips 0
 window NOT closed (budget reached); no violations found
 `
 	if got != want {
 		t.Errorf("explore over [0s,4ms) with no grace printed:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestExploreNamesWhyItDidNotClose: a window whose frontier drains but whose
+// forks were all cut by -max-prefix 0 did not close for that reason, not for
+// a budget it never reached.
+func TestExploreNamesWhyItDidNotClose(t *testing.T) {
+	got := mustRun(t, "explore", "-seed", "7", "-fault-span", "4ms", "-grace", "2ms", "-fault-points", "1", "-max-prefix", "0")
+	want := `sttcp explore: seed=7 window=[300ms,304ms) grace=2ms
+explored 2 interleavings across 1 fault points (1 boundaries)
+choice points 12, deduped 0, truncated 3, frontier 0
+takeovers 1, non-FT transitions 0, guard skips 0
+window NOT closed (3 choice points truncated beyond -max-prefix); no violations found
+`
+	if got != want {
+		t.Errorf("explore with -max-prefix 0 printed:\n%s\nwant:\n%s", got, want)
 	}
 }
 

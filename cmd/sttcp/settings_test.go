@@ -69,7 +69,7 @@ func settableFields(typ reflect.Type) int {
 // ones shared through cmd/internal/cliflags once. Like a settable value, a
 // flag is a configuration the tests must cover, so the count should only
 // fall.
-const flagRegistrations = 27
+const flagRegistrations = 26
 
 // flagCall matches one registration call on a FlagSet named fs.
 var flagCall = regexp.MustCompile(`fs\.(Bool|Int|Int64|Uint|String|Duration|Float64|Func|Var|Text)(Var)?\(`)

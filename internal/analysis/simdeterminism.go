@@ -127,9 +127,9 @@ func runSimDeterminism(mp *ModulePass) {
 func checkSimDirect(mp *ModulePass, pkg *Package) {
 	inSim := pkgPathHasSuffix(pkg.Path, "internal/sim")
 
-	// internal/sweep is the audited parallelism boundary: it fans whole
-	// sealed simulations across worker goroutines and merges results by
-	// seed order, so goroutine spawns are legal there — but only there.
+	// internal/sweep is the audited parallelism boundary: it runs whole
+	// sealed simulations on worker goroutines and hands results back in
+	// input order, so goroutine spawns are legal there — but only there.
 	// The wall-clock and randomness rules still apply in full: a sweep
 	// worker reading time.Now would decouple its runs from their seeds
 	// just like any other sim-driven code.

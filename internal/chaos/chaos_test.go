@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"flag"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -24,15 +23,28 @@ var (
 //
 //	go test ./internal/chaos -run TestChaos -chaos.seed=<seed>
 func TestChaos(t *testing.T) {
+	campaign := CampaignDefault
+	if *chaosGray {
+		campaign = CampaignGray
+	}
 	if *chaosSeed != 0 {
-		runOne(t, *chaosSeed, true)
+		d := campaign.Seeds(*chaosSeed, 1, experiment.Options{})
+		d.Read = func(p experiment.Plan, res *RunResult) {
+			t.Logf("plan:\n%s", Describe(p))
+			if res != nil {
+				t.Logf("clients: %+v", res.Clients)
+				for _, s := range res.Skipped {
+					t.Logf("skipped: %s", s)
+				}
+			}
+		}
+		drive(t, d)
 		return
 	}
 	signatures := make(map[string]bool)
-	for i := 0; i < *chaosRuns; i++ {
-		seed := int64(1 + i)
-		signatures[Signature(runOne(t, seed, false))] = true
-	}
+	d := campaign.Seeds(1, *chaosRuns, experiment.Options{})
+	d.Read = func(p experiment.Plan, _ *RunResult) { signatures[Signature(p)] = true }
+	drive(t, d)
 	// The generator must actually explore the fault space, not emit the
 	// same few plans over and over.
 	if min := *chaosRuns * 9 / 10; len(signatures) < min {
@@ -40,49 +52,19 @@ func TestChaos(t *testing.T) {
 	}
 }
 
-func runOne(t *testing.T, seed int64, verbose bool) experiment.Plan {
+// drive runs a campaign of seeds and fails the test with the first failing
+// seed's report and that of its minimal reproduction.
+func drive(t *testing.T, d Driver[experiment.Plan]) {
 	t.Helper()
-	campaign := CampaignDefault
-	if *chaosGray {
-		campaign = CampaignGray
-	}
-	p := Generate(campaign, seed)
-	if verbose {
-		t.Logf("plan:\n%s", Describe(p))
-	}
-	res, err := Run(p, experiment.Options{})
+	d.ShrinkBudget = 50
+	_, fail, err := d.Drive()
 	if err != nil {
-		t.Fatalf("seed %d: run: %v", seed, err)
+		t.Fatal(err)
 	}
-	if verbose {
-		t.Logf("clients: %+v", res.Clients)
-		for _, s := range res.Skipped {
-			t.Logf("skipped: %s", s)
-		}
+	if fail != nil {
+		t.Fatalf("seed %d violated invariants.\n--- original ---\n%s--- shrunk (%d runs) ---\n%s",
+			fail.Job.Seed, fail.Found.Report(), fail.ShrinkRuns, fail.Result.Report())
 	}
-	if res.Failed() {
-		failShrunk(t, fmt.Sprintf("seed %d", seed), p, res)
-	}
-	return p
-}
-
-// failShrunk fails the test with a failing run's report and that of the
-// smallest plan experiment.Shrink finds that still fails.
-func failShrunk(t *testing.T, what string, p experiment.Plan, res *RunResult) {
-	t.Helper()
-	shrunk := res
-	_, runs, err := experiment.Shrink(p, 50, func(c experiment.Plan) (bool, error) {
-		r, err := Run(c, experiment.Options{})
-		if err == nil && r.Failed() {
-			shrunk = r
-		}
-		return err == nil && r.Failed(), err
-	})
-	if err != nil {
-		t.Logf("shrink error: %v", err)
-	}
-	t.Fatalf("%s violated invariants.\n--- original ---\n%s--- shrunk (%d runs) ---\n%s",
-		what, res.Report(), runs, shrunk.Report())
 }
 
 // TestChaosDeterministic replays a few seeds twice and demands
@@ -146,24 +128,18 @@ func TestSeed4468AppCrashWaitsOutTheCommitWindow(t *testing.T) {
 //	go test ./internal/chaos -run TestChaos -chaos.seed=<seed> -chaos.gray
 func TestChaosGray(t *testing.T) {
 	verdicts, noise := 0, 0
-	for seed := int64(1); seed <= 50; seed++ {
-		p := Generate(CampaignGray, seed)
+	d := CampaignGray.Seeds(1, 50, experiment.Options{})
+	d.Read = func(p experiment.Plan, _ *RunResult) {
 		switch grayClass(p) {
 		case "":
-			t.Fatalf("seed %d: gray-campaign plan has no gray fault:\n%s", seed, Describe(p))
+			t.Fatalf("seed %d: gray-campaign plan has no gray fault:\n%s", p.Seed, Describe(p))
 		case "verdict":
 			verdicts++
 		default:
 			noise++
 		}
-		res, err := Run(p, experiment.Options{})
-		if err != nil {
-			t.Fatalf("seed %d: run: %v", seed, err)
-		}
-		if res.Failed() {
-			failShrunk(t, fmt.Sprintf("gray seed %d", seed), p, res)
-		}
 	}
+	drive(t, d)
 	// The generator must exercise both halves of the gray fault model:
 	// plans the detectors must act on and plans they must ride out.
 	if verdicts == 0 || noise == 0 {

@@ -69,13 +69,13 @@ func TestCampaignDigest(t *testing.T) {
 		campaign Campaign
 	}{{"default", CampaignDefault}, {"gray", CampaignGray}} {
 		var got strings.Builder
-		for seed := int64(1); seed <= 60; seed++ {
-			res, err := Run(Generate(c.campaign, seed), experiment.Options{})
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", c.name, seed, err)
+		d := c.campaign.Seeds(1, 60, experiment.Options{})
+		d.Read = func(_ experiment.Plan, res *RunResult) {
+			if res != nil {
+				got.WriteString(outcomeDigest(res))
 			}
-			got.WriteString(outcomeDigest(res))
 		}
+		drive(t, d)
 		golden := filepath.Join("testdata", "digest-"+c.name+".golden")
 		if *updateDigest {
 			if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -177,9 +178,11 @@ func Demos() []Demo {
 			Extended: true, // a bare serial pair, no testbed: no runs
 			Run: func(p Params) ([]*Run, Printer, error) {
 				series := func(bps int64, counts ...int) ([]SerialCapacityResult, error) {
-					return fanIdx(len(counts), func(i int) (SerialCapacityResult, error) {
-						return runHBLinkCapacity(counts[i], p.periods()[0], 10*time.Second, bps)
+					out, errs := make([]SerialCapacityResult, len(counts)), make([]error, len(counts))
+					sweep.Run(len(counts), func(i int) {
+						out[i], errs[i] = runHBLinkCapacity(counts[i], p.periods()[0], 10*time.Second, bps)
 					})
+					return out, errors.Join(errs...)
 				}
 				overSerial, err := series(serial.DefaultBitsPerSecond, 1, 10, 25, 50, 75, 100, 125, 150, 250)
 				if err != nil {
@@ -262,17 +265,6 @@ func Demos() []Demo {
 			},
 		},
 	}
-}
-
-// fanIdx fans job(0..n-1) across the sweep's worker pool, merging results
-// in input order, so the output is that of a serial loop
-// (sweep.TestParallelMatchesSerial) — the registry's bridge to
-// internal/sweep for demos whose sweep axis is an index (conn count,
-// scenario variant) rather than a seed.
-func fanIdx[T any](n int, job func(i int) (T, error)) ([]T, error) {
-	return sweep.Run(sweep.Seeds(0, n), func(seed int64) (T, error) {
-		return job(int(seed))
-	})
 }
 
 // DemoByName finds a registered demo.

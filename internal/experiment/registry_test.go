@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/serial"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 func mustDemo(t *testing.T, name string) Demo {
@@ -28,10 +29,13 @@ func TestRegistryParallelMatchesSerial(t *testing.T) {
 	job := func(i int) (SerialCapacityResult, error) {
 		return runHBLinkCapacity(counts[i], 200*time.Millisecond, 10*time.Second, serial.DefaultBitsPerSecond)
 	}
-	parallel, err := fanIdx(len(counts), job)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parallel := make([]SerialCapacityResult, len(counts))
+	sweep.Run(len(counts), func(i int) {
+		var err error
+		if parallel[i], err = job(i); err != nil {
+			t.Error(err)
+		}
+	})
 	for i := range counts {
 		if one, err := job(i); err != nil || !reflect.DeepEqual(one, parallel[i]) {
 			t.Errorf("%d connections: serial %+v (%v), parallel %+v", counts[i], one, err, parallel[i])

@@ -1,10 +1,13 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"slices"
 	"time"
+
+	"repro/internal/sweep"
 )
 
 // Stats summarises a sample of durations.
@@ -52,10 +55,11 @@ const demo2DistSamples = 8
 // regardless of completion order. Reached through the "demo2-dist" registry
 // demo.
 func runDemo2Sampled(o Options, period time.Duration, samples int) ([]*Run, error) {
-	return fanIdx(samples, func(i int) (*Run, error) {
+	runs, errs := make([]*Run, samples), make([]error, samples)
+	sweep.Run(samples, func(i int) {
 		sample := o // each worker's own copy
 		sample.Seed += int64(i)
-		return Plan{
+		runs[i], errs[i] = Plan{
 			Options: sample,
 			HB:      period,
 			Clients: []Workload{Workload{Bytes: 32 << 20}},
@@ -63,6 +67,7 @@ func runDemo2Sampled(o Options, period time.Duration, samples int) ([]*Run, erro
 			Horizon: 10 * time.Minute,
 		}.Run()
 	})
+	return runs, errors.Join(errs...)
 }
 
 // distribution reads the sampled runs out as one Demo2Distribution.

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/sttcp"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 )
 
@@ -16,7 +18,9 @@ import (
 
 // pair runs both arms across the sweep workers.
 func pair(p Params, arm func(o Options, with bool) (*Run, error)) ([]*Run, error) {
-	return fanIdx(2, func(i int) (*Run, error) { return arm(p.sampled(), i == 1) })
+	runs, errs := make([]*Run, 2), make([]error, 2)
+	sweep.Run(2, func(i int) { runs[i], errs[i] = arm(p.sampled(), i == 1) })
+	return runs, errors.Join(errs...)
 }
 
 // runBackupNICLoad is one arm of the "nicload" registry demo: a 16 MiB

@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"runtime"
 	"strings"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/experiment"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 )
 
 // The explored workload is one echo client of echoRounds rounds of
@@ -89,25 +87,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// ViolationRun is one interleaving that broke an invariant, with its
-// minimised reproduction.
-type ViolationRun struct {
-	// Plan and Prefix are the violating run as first found.
-	Plan   experiment.Plan
-	Prefix []int
-	// ShrunkPlan and MinPrefix are the minimised reproduction: greedy
-	// fault removal with the prefix pinned (experiment.Shrink), then
-	// greedy trailing-prefix truncation on the shrunk plan. Both are
-	// deterministic.
-	ShrunkPlan experiment.Plan
-	MinPrefix  []int
-	// Result is the minimal failing run replayed with trace detail, so
-	// Report() renders its full timeline.
-	Result *chaos.RunResult
-	// ShrinkRuns is how many re-executions the minimisation spent.
-	ShrinkRuns int
-}
-
 // Result is one exploration's outcome.
 type Result struct {
 	// Base is the fault-free plan the probe ran.
@@ -125,6 +104,9 @@ type Result struct {
 	ChoicePoints int
 	Deduped      int
 	Truncated    int
+	// Census folds the takeovers, non-FT transitions and guard skips of
+	// the runs Interleavings counts.
+	Census chaos.Census
 
 	// Frontier is the number of unexplored (plan, prefix) candidates
 	// left when the exploration stopped; FullyClosed reports that the
@@ -133,18 +115,19 @@ type Result struct {
 	Frontier    int
 	FullyClosed bool
 
-	Violations []ViolationRun
+	// Violation is the first interleaving, in frontier order, that broke
+	// an invariant: its node, and its minimal reproduction after greedy
+	// fault removal with the prefix pinned, then greedy trailing-prefix
+	// truncation on the shrunk plan. Its Result is that reproduction
+	// replayed with trace detail, so Report renders its full timeline.
+	Violation *chaos.Failure[*node]
 }
 
-// job is one frontier entry: a plan plus the choice prefix to force.
-type job struct {
-	p      experiment.Plan
-	prefix []int
-}
-
-// runOut is one executed run with the wrapper's recordings.
-type runOut struct {
-	res        *chaos.RunResult
+// node is one run of the exploration: the plan and choice prefix it forces
+// and, once run, what its forking scheduler recorded.
+type node struct {
+	p          experiment.Plan
+	prefix     []int
 	choices    []Choice
 	boundaries []int64
 }
@@ -177,102 +160,94 @@ func newExplorer(cfg Config, inner func() sim.Scheduler) *explorer {
 // inputs enumerate the same interleavings in the same order.
 func Explore(cfg Config) (*Result, error) { return explore(cfg, heapQueue) }
 
+// explore runs a FIFO frontier on the campaign driver. Its first node is
+// the probe: the fault-free run, at canonical tie order, that discovers the
+// event boundaries inside the fault window, each a fault point. Every other
+// passing run that is not a duplicate adds its untaken tie alternatives.
+// The driver reads runs in frontier order, so the explored set and every
+// counter are the same for any GOMAXPROCS; at most MaxRuns runs are taken.
 func explore(cfg Config, inner func() sim.Scheduler) (*Result, error) {
 	e := newExplorer(cfg, inner)
-	base := basePlan(cfg.Seed)
-	res := &Result{Base: base}
-
-	// Probe: the fault-free run that discovers the event boundaries
-	// inside the fault window. Its tie-breaks follow canonical order; the
-	// fault axis, not the probe, is what gets forked.
-	probe, err := e.execute(base, nil, false)
+	res := &Result{Base: basePlan(cfg.Seed)}
+	probe := &node{p: res.Base}
+	frontier, taken := []*node{probe}, 0
+	census, fail, err := chaos.Driver[*node]{
+		Next: func() (*node, bool) {
+			if len(frontier) == 0 || taken == cfg.MaxRuns {
+				return nil, false
+			}
+			n := frontier[0]
+			frontier, taken = frontier[1:], taken+1
+			return n, true
+		},
+		With: func(n *node, p experiment.Plan) *node { return &node{p: p, prefix: n.prefix} },
+		Run:  e.execute,
+		Read: func(n *node, r *chaos.RunResult) {
+			if r == nil {
+				return
+			}
+			res.Interleavings++
+			res.ChoicePoints += len(n.choices)
+			switch {
+			case r.Failed(): // the driver stops at it
+			case n == probe:
+				frontier = append(frontier, e.faultAxis(res, n)...)
+			case !cfg.NoDedup && e.duplicate(n, r):
+				res.Deduped++
+			default:
+				frontier = append(frontier, e.extend(res, n)...)
+			}
+		},
+		ShrinkBudget: cfg.ShrinkBudget,
+		Minimize:     e.shortenPrefix,
+		Detail:       true,
+	}.Drive()
 	if err != nil {
 		return nil, err
 	}
-	res.Interleavings++
-	res.ChoicePoints += len(probe.choices)
-	if probe.res.Failed() {
-		// The baseline itself violates — the golden seeded-bug test's
-		// path. Minimise and report; there is no fault axis to explore.
-		if err := e.recordViolation(res, base, nil); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
+	res.Census, res.Violation = census, fail
+	res.Frontier = len(frontier) + taken - res.Interleavings
+	res.FullyClosed = res.Truncated == 0 && fail == nil && res.Frontier == 0
+	return res, nil
+}
 
-	bounds := stride(probe.boundaries, cfg.MaxFaultPoints)
+// faultAxis places every fault template at every boundary the probe
+// recorded (thinned to MaxFaultPoints): one node each.
+func (e *explorer) faultAxis(res *Result, probe *node) []*node {
+	bounds := stride(probe.boundaries, e.cfg.MaxFaultPoints)
 	for _, b := range bounds {
 		res.Boundaries = append(res.Boundaries, time.Duration(b))
 	}
-	res.FaultPoints = len(bounds) * len(cfg.FaultKinds)
-
-	var frontier []job
-	for _, f := range cfg.FaultKinds {
+	res.FaultPoints = len(bounds) * len(e.cfg.FaultKinds)
+	var axis []*node
+	for _, f := range e.cfg.FaultKinds {
 		for _, b := range bounds {
-			p := base
+			p := probe.p
 			f.At = time.Duration(b)
 			p.Faults = []experiment.Fault{f}
-			frontier = append(frontier, job{p: p})
+			axis = append(axis, &node{p: p})
 		}
 	}
+	return axis
+}
 
-	for len(frontier) > 0 {
-		n := batchSize()
-		if room := cfg.MaxRuns - res.Interleavings; room < n {
-			n = room
-		}
-		if n <= 0 {
-			res.Frontier = len(frontier)
-			return res, nil
-		}
-		if n > len(frontier) {
-			n = len(frontier)
-		}
-		batch := frontier[:n]
-		frontier = frontier[n:]
-
-		outs, err := sweep.Run(sweep.Seeds(0, len(batch)), func(i int64) (*runOut, error) {
-			j := batch[int(i)]
-			return e.execute(j.p, j.prefix, false)
-		})
-		if err != nil {
-			return nil, err
-		}
-		for i, out := range outs {
-			j := batch[i]
-			res.Interleavings++
-			res.ChoicePoints += len(out.choices)
-
-			if out.res.Failed() {
-				if err := e.recordViolation(res, j.p, j.prefix); err != nil {
-					return nil, err
-				}
-				res.Frontier = len(frontier) + len(outs) - i - 1
-				return res, nil
-			}
-			if !cfg.NoDedup {
-				fp := fingerprint(j.p, out.res, out.choices)
-				if e.seen[fp] {
-					res.Deduped++
-					continue
-				}
-				e.seen[fp] = true
-			}
-			frontier = append(frontier, e.extend(res, j, out)...)
-		}
-	}
-	res.FullyClosed = res.Truncated == 0 && len(res.Violations) == 0
-	return res, nil
+// duplicate reports whether a run with n's outcome fingerprint was already
+// seen, and marks it seen.
+func (e *explorer) duplicate(n *node, r *chaos.RunResult) bool {
+	fp := fingerprint(n.p, r, n.choices)
+	dup := e.seen[fp]
+	e.seen[fp] = true
+	return dup
 }
 
 // extend enumerates the untaken alternatives of one passing run: for
 // every in-window multi-way tie group at or past the forced prefix, each
-// alternative index becomes a new frontier entry whose prefix replays
+// alternative index becomes a new frontier node whose prefix replays
 // the run's actual picks up to that group and then diverges.
-func (e *explorer) extend(res *Result, j job, out *runOut) []job {
-	var next []job
-	for ci := len(j.prefix); ci < len(out.choices); ci++ {
-		c := out.choices[ci]
+func (e *explorer) extend(res *Result, n *node) []*node {
+	var next []*node
+	for ci := len(n.prefix); ci < len(n.choices); ci++ {
+		c := n.choices[ci]
 		if ci+1 > e.cfg.MaxPrefix {
 			res.Truncated++
 			continue
@@ -283,73 +258,45 @@ func (e *explorer) extend(res *Result, j job, out *runOut) []job {
 			}
 			prefix := make([]int, ci+1)
 			for k := 0; k < ci; k++ {
-				prefix[k] = out.choices[k].Picked
+				prefix[k] = n.choices[k].Picked
 			}
 			prefix[ci] = alt
-			next = append(next, job{p: j.p, prefix: prefix})
+			next = append(next, &node{p: n.p, prefix: prefix})
 		}
 	}
 	return next
 }
 
-// recordViolation minimises and records one violating run: the plan
-// shrinks by greedy fault removal with the choice prefix pinned in the
-// rerun closure (experiment.Shrink), then the prefix shrinks by greedy
-// trailing truncation on the minimal plan. Both phases share ShrinkBudget
-// and run without trace detail, like the exploration; the minimal
-// reproduction then runs once more with detail, and that replay is the
-// reported Result. Detail schedules no events, so the replay takes the
-// same tie groups and must violate again; if it does not, the exploration
-// errs rather than report a passing run.
-func (e *explorer) recordViolation(res *Result, p experiment.Plan, prefix []int) error {
-	vr := ViolationRun{Plan: p, Prefix: append([]int{}, prefix...)}
-	shrunk, runs, err := experiment.Shrink(p, e.cfg.ShrinkBudget, func(cand experiment.Plan) (bool, error) {
-		o, err := e.execute(cand, prefix, false)
-		return err == nil && o.res.Failed(), err
-	})
-	if err != nil {
-		return err
-	}
-	vr.ShrunkPlan, vr.ShrinkRuns = shrunk, runs
-
-	minPrefix := append([]int{}, prefix...)
-	for len(minPrefix) > 0 && vr.ShrinkRuns < e.cfg.ShrinkBudget {
-		cand := minPrefix[:len(minPrefix)-1]
-		o, err := e.execute(shrunk, cand, false)
+// shortenPrefix is the explorer's shrink after the driver's plan shrink,
+// on what is left of the budget: greedy trailing truncation of the choice
+// prefix while the shrunk plan still violates.
+func (e *explorer) shortenPrefix(n *node, budget int) (*node, int, error) {
+	runs := 0
+	for len(n.prefix) > 0 && runs < budget {
+		cand := &node{p: n.p, prefix: n.prefix[:len(n.prefix)-1]}
+		r, err := e.execute(cand, false)
 		if err != nil {
-			return err
+			return nil, runs, err
 		}
-		vr.ShrinkRuns++
-		if !o.res.Failed() {
+		runs++
+		if !r.Failed() {
 			break
 		}
-		minPrefix = cand
+		n = cand
 	}
-	vr.MinPrefix = minPrefix
-
-	replay, err := e.execute(shrunk, minPrefix, true)
-	if err != nil {
-		return err
-	}
-	if !replay.res.Failed() {
-		return fmt.Errorf("explore: the minimal reproduction (%s, prefix %v) passed when replayed with trace detail",
-			chaos.Describe(shrunk), minPrefix)
-	}
-	vr.Result = replay.res
-	res.Violations = append(res.Violations, vr)
-	return nil
+	return n, runs, nil
 }
 
-// execute runs one (plan, prefix) candidate on a fresh testbed with
-// the forking wrapper injected, and returns the result plus the
-// wrapper's recorded choices and boundaries. detail turns on the trace's
-// per-segment events: only a violation's report reads them.
-func (e *explorer) execute(p experiment.Plan, prefix []int, detail bool) (*runOut, error) {
+// execute runs node n's (plan, prefix) on a fresh testbed with the forking
+// wrapper injected, and records on n the wrapper's choices and boundaries.
+// detail turns on the trace's per-segment events: only a violation's
+// report reads them.
+func (e *explorer) execute(n *node, detail bool) (*chaos.RunResult, error) {
 	var sched *Scheduler
-	res, err := chaos.Run(p, experiment.Options{
+	res, err := chaos.Run(n.p, experiment.Options{
 		TraceDetail: detail,
 		CustomScheduler: func() sim.Scheduler {
-			sched = NewScheduler(e.inner(), prefix)
+			sched = NewScheduler(e.inner(), n.prefix)
 			sched.ForkWindow(e.winLo, e.choiceHi)
 			sched.RecordBoundaries(e.winLo, e.winHi)
 			return sched
@@ -364,7 +311,8 @@ func (e *explorer) execute(p experiment.Plan, prefix []int, detail bool) (*runOu
 	for _, msg := range sched.OrderViolations() {
 		res.Violations = append(res.Violations, experiment.Violation{Invariant: "scheduler-order", Detail: msg})
 	}
-	return &runOut{res: res, choices: sched.Choices(), boundaries: sched.Boundaries()}, nil
+	n.choices, n.boundaries = sched.Choices(), sched.Boundaries()
+	return res, nil
 }
 
 // basePlan is the fault-free single-connection plan the exploration is
@@ -376,15 +324,6 @@ func basePlan(seed int64) experiment.Plan {
 	}
 	p.Seed = seed
 	return p
-}
-
-// batchSize is how many frontier entries one sweep batch executes: a few
-// per sweep worker keeps the pool busy without letting the in-flight set
-// race far ahead of violation/budget cutoffs. The frontier is FIFO and a
-// batch merges in input order, so the explored set and every counter are
-// the same for any GOMAXPROCS.
-func batchSize() int {
-	return runtime.GOMAXPROCS(0) * 4
 }
 
 // stride evenly thins bounds down to max entries, keeping both
@@ -447,16 +386,18 @@ func (r *Result) Report() string {
 		r.Interleavings, r.FaultPoints, len(r.Boundaries))
 	fmt.Fprintf(&b, "choice points %d, deduped %d, truncated %d, frontier %d\n",
 		r.ChoicePoints, r.Deduped, r.Truncated, r.Frontier)
-	if r.FullyClosed {
+	fmt.Fprintf(&b, "takeovers %d, non-FT transitions %d, guard skips %d\n",
+		r.Census.Takeovers, r.Census.NonFT, r.Census.Skipped)
+	switch v := r.Violation; {
+	case r.FullyClosed:
 		b.WriteString("window FULLY CLOSED: every interleaving explored, all invariants held\n")
-	} else if len(r.Violations) == 0 {
-		b.WriteString("window NOT closed (budget reached); no violations found\n")
-	}
-	for i := range r.Violations {
-		v := &r.Violations[i]
-		fmt.Fprintf(&b, "VIOLATION %d (shrunk in %d runs): prefix %v (from %v)\n",
-			i+1, v.ShrinkRuns, v.MinPrefix, v.Prefix)
+	case v != nil:
+		fmt.Fprintf(&b, "VIOLATION 1 (shrunk in %d runs): prefix %v (from %v)\n", v.ShrinkRuns, v.Min.prefix, v.Job.prefix)
 		b.WriteString(v.Result.Report())
+	case r.Frontier > 0:
+		b.WriteString("window NOT closed (budget reached); no violations found\n")
+	default:
+		fmt.Fprintf(&b, "window NOT closed (%d choice points truncated beyond -max-prefix); no violations found\n", r.Truncated)
 	}
 	return b.String()
 }

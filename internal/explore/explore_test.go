@@ -24,7 +24,7 @@ func TestExploreClosesSmallWindow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("explore: %v", err)
 	}
-	if len(res.Violations) != 0 {
+	if res.Violation != nil {
 		t.Fatalf("violations in a correct system:\n%s", res.Report())
 	}
 	if !res.FullyClosed || res.Frontier != 0 || res.Truncated != 0 {
@@ -108,7 +108,7 @@ func TestApproximationsAgreeWithTheSlowWay(t *testing.T) {
 		t.Fatalf("without it: %v", err)
 	}
 	for _, r := range []*Result{a, b} {
-		if !r.FullyClosed || len(r.Violations) != 0 {
+		if !r.FullyClosed || r.Violation != nil {
 			t.Errorf("window did not close clean:\n%s", r.Report())
 		}
 	}

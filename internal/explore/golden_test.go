@@ -71,11 +71,11 @@ func TestGoldenSeededRewindBug(t *testing.T) {
 	if err != nil {
 		t.Fatalf("explore: %v", err)
 	}
-	if len(res.Violations) == 0 {
+	if res.Violation == nil {
 		t.Fatalf("explorer missed the seeded rewind-strand bug:\n%s", res.Report())
 	}
 
-	got := renderViolation(res.Violations[0])
+	got := renderViolation(res.Violation)
 	golden := filepath.Join("testdata", "golden", "rewind-strand.golden")
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
@@ -96,15 +96,15 @@ func TestGoldenSeededRewindBug(t *testing.T) {
 
 	// The bug is found without trace detail — the probe the exploration
 	// runs violates with it off — and reported from a replay with it on.
-	found, err := newExplorer(cfg, strandingQueue).execute(res.Base, nil, false)
+	found, err := newExplorer(cfg, strandingQueue).execute(&node{p: res.Base}, false)
 	if err != nil {
 		t.Fatalf("probe: %v", err)
 	}
-	if !found.res.Failed() || found.res.Trace.Detail() {
+	if !found.Failed() || found.Trace.Detail() {
 		t.Errorf("the detail-off probe: violated=%v detail=%v, want a violation without detail",
-			found.res.Failed(), found.res.Trace.Detail())
+			found.Failed(), found.Trace.Detail())
 	}
-	if !res.Violations[0].Result.Trace.Detail() {
+	if !res.Violation.Result.Trace.Detail() {
 		t.Errorf("the reported violation was not replayed with trace detail")
 	}
 
@@ -114,10 +114,10 @@ func TestGoldenSeededRewindBug(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second explore: %v", err)
 	}
-	if len(again.Violations) == 0 {
+	if again.Violation == nil {
 		t.Fatalf("second exploration missed the bug")
 	}
-	if r2 := renderViolation(again.Violations[0]); r2 != got {
+	if r2 := renderViolation(again.Violation); r2 != got {
 		t.Errorf("shrink is unstable across runs:\n--- first ---\n%s--- second ---\n%s", got, r2)
 	}
 }
@@ -125,7 +125,7 @@ func TestGoldenSeededRewindBug(t *testing.T) {
 // renderViolation is the golden surface: the minimal schedule, the
 // minimal choice prefix, and the set of invariants broken — everything a
 // developer needs to reproduce, nothing volatile enough to churn.
-func renderViolation(v ViolationRun) string {
+func renderViolation(v *chaos.Failure[*node]) string {
 	names := map[string]bool{}
 	for _, viol := range v.Result.Violations {
 		names[viol.Invariant] = true
@@ -137,8 +137,8 @@ func renderViolation(v ViolationRun) string {
 	sort.Strings(sorted)
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "schedule: %s\n", chaos.Describe(v.ShrunkPlan))
-	fmt.Fprintf(&b, "prefix: %v\n", v.MinPrefix)
+	fmt.Fprintf(&b, "schedule: %s\n", chaos.Describe(v.Min.p))
+	fmt.Fprintf(&b, "prefix: %v\n", v.Min.prefix)
 	fmt.Fprintf(&b, "invariants: %s\n", strings.Join(sorted, " "))
 	return b.String()
 }
@@ -152,10 +152,10 @@ func TestSeededBugInvisibleWithoutAudit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("explore: %v", err)
 	}
-	if len(res.Violations) == 0 {
+	if res.Violation == nil {
 		t.Fatalf("no violation found")
 	}
-	for _, viol := range res.Violations[0].Result.Violations {
+	for _, viol := range res.Violation.Result.Violations {
 		if viol.Invariant != "scheduler-order" {
 			t.Errorf("seeded bug tripped end-state invariant %q; the audit is no longer the only detector (update the doc comment)", viol.Invariant)
 		}
@@ -173,9 +173,9 @@ func TestGoldenBugOffStillCloses(t *testing.T) {
 	if err != nil {
 		t.Fatalf("explore: %v", err)
 	}
-	if len(res.Violations) != 0 || !res.FullyClosed {
-		t.Fatalf("bug-off exploration: closed=%v violations=%d\n%s",
-			res.FullyClosed, len(res.Violations), res.Report())
+	if res.Violation != nil || !res.FullyClosed {
+		t.Fatalf("bug-off exploration: closed=%v violated=%v\n%s",
+			res.FullyClosed, res.Violation != nil, res.Report())
 	}
 }
 
