@@ -2,7 +2,7 @@ GO ?= go
 # The command the smoke targets run; `make reach` points it at the cover build.
 STTCP ?= $(GO) run ./cmd/sttcp
 
-.PHONY: all check vet lint build test race bench observers loc flags settings doc-bytes allows timeline chaos chaos-gray chaos-smoke chaos-gray-smoke explore explore-smoke reach reach-build reach-check clean
+.PHONY: all check vet lint build test race fuzz-heap bench observers loc flags settings doc-bytes allows timeline chaos chaos-gray chaos-smoke chaos-gray-smoke explore explore-smoke reach reach-build reach-check clean
 
 all: check
 
@@ -31,6 +31,12 @@ test:
 # slower, so give the long experiment suites room.
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# Twenty seconds of fuzzing the event queue against its sorted-slice
+# reference (FuzzHeapOps): its pop order, the same whichever of its two
+# heaps an event sits in, is what keeps every golden identical. CI runs it.
+fuzz-heap:
+	$(GO) test -run '^$$' -fuzz '^FuzzHeapOps$$' -fuzztime 20s ./internal/sim
 
 # One iteration of every go-test benchmark: the in-package micro-benchmarks
 # of the layers a download's host time is spent in. A smoke (CI runs it) —

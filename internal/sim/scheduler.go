@@ -10,8 +10,9 @@ type SchedulerKind uint8
 const (
 	// SchedulerDefault resolves to the reference implementation.
 	SchedulerDefault SchedulerKind = iota
-	// SchedulerHeap is the indexed min-heap every run uses: O(log n)
-	// insert, pop and cancel, robust for any event mix.
+	// SchedulerHeap is the pair of indexed min-heaps, near and far,
+	// every run uses: O(log n) insert, pop and cancel, robust for any
+	// event mix.
 	SchedulerHeap
 	// SchedulerCalendar is a calendar queue tuned for the RTO/HB
 	// timer-heavy workload: events land in time-indexed buckets by O(1)
@@ -94,7 +95,7 @@ func newScheduler(k SchedulerKind) Scheduler {
 	if k.Resolve() == SchedulerCalendar {
 		return newCalendarScheduler()
 	}
-	return &heapScheduler{}
+	return newHeapScheduler()
 }
 
 // NewScheduler constructs a standalone event queue of kind k, for

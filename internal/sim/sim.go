@@ -7,9 +7,12 @@
 // bit-for-bit. No component inside a simulation may use the real clock or
 // spawn goroutines.
 //
-// Events wait in an indexed heap that holds live events only (a cancelled
-// one leaves at once), behind the Scheduler interface; Config.Custom is the
-// seam through which the interleaving explorer and the benchmark decorate it.
+// Events wait in two indexed heaps, one for what is due within a few
+// milliseconds and one for every later timer, that hold live events only (a
+// cancelled one leaves at once), behind the Scheduler interface; a pop takes
+// the earlier of the two roots, so the split never changes the order.
+// Config.Custom is the seam through which the interleaving explorer and the
+// benchmark decorate it.
 // A wake-up — a zero-delay Clock.Post from a running callback — is parked
 // rather than queued, and once the callback returns it runs in place if
 // nothing else is due at its instant, without an event; otherwise it is
@@ -47,7 +50,7 @@ type Event struct {
 	seq     uint64
 	fn      func()
 	ctx     uint64 // causal context captured at schedule time
-	heapPos int    // owned by heapScheduler: 1 + the index of the event's entry, 0 when not queued there
+	heapPos int    // owned by heapScheduler: 1 + the index of the event's entry, negated in the far heap, 0 when not queued there
 	gen     uint32 // bumped on cancel and fire; the calendar queue's entries snapshot it
 	live    bool   // the event is in the queue
 	pooled  bool   // created by Post; recycled after firing

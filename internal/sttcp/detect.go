@@ -310,7 +310,7 @@ func (n *Node) onLinkUp(link hb.LinkID) {
 		n.stopPinging()
 		n.myPingValid = false
 		n.peerPingFails = 0
-		for _, rc := range n.conns {
+		for _, rc := range n.ordered {
 			rc.nicBaselineSet = false // the next outage takes its own
 		}
 	}
@@ -345,10 +345,11 @@ func (n *Node) runDetectors() {
 	}
 	now := n.sim.Now()
 	var worstStaleness time.Duration
-	for _, k := range n.sortedKeys() {
-		rc := n.conns[k]
+	walk := n.snapshot()
+	defer n.release(walk)
+	for _, rc := range walk {
 		if rc.conn.State() == tcp.StateClosed {
-			n.dropConn(k)
+			n.dropConn(rc.conn.ID())
 			continue
 		}
 		if !rc.replicated || !rc.peerValid || !rc.peerEstab {

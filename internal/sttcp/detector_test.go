@@ -63,7 +63,7 @@ func newDetectorHarness(t *testing.T, mutate func(*Config)) *detectorHarness {
 	rc.replicated = true
 	rc.peerValid = true
 	rc.peerEstab = true
-	node.conns[id] = rc
+	node.addConn(rc)
 	return &detectorHarness{sim: s, node: node, rc: rc, conn: conn}
 }
 

@@ -27,8 +27,8 @@ func newHeldConns(t testing.TB, n int) []*heldConn {
 	t.Helper()
 	node := newPrimaryWithConns(t, clientIDs(n))
 	hs := make([]*heldConn, 0, n)
-	for _, k := range node.sortedKeys() {
-		hs = append(hs, &heldConn{t: t, node: node, rc: node.conns[k]})
+	for _, rc := range node.ordered {
+		hs = append(hs, &heldConn{t: t, node: node, rc: rc})
 	}
 	return hs
 }

@@ -48,7 +48,7 @@ type heldSegment struct {
 type repConn struct {
 	conn *tcp.Conn
 	// key is conn.ID().String(), rendered once: it is the order the node
-	// walks its connections in (sortedKeys).
+	// walks its connections in (Node.ordered).
 	key string
 
 	// replicated is false for connections that exist only locally —
@@ -151,6 +151,15 @@ type Node struct {
 
 	state NodeState
 	conns map[tcp.ConnID]*repConn
+
+	// ordered holds the same connections as conns, sorted by key: the order
+	// heartbeats list connections in and takeover retransmits them in.
+	// Decimal text and numeric field order disagree across port widths
+	// ("10000" sorts before "9999"), so the order is the text's. addConn
+	// and dropConn alone change it, together with conns. spare is the
+	// snapshot a walk that drops connections reuses (snapshot).
+	ordered []*repConn
+	spare   []*repConn
 
 	// Backup-only: segments parked until the ISN announcement, and the
 	// announced ISNs.
@@ -369,7 +378,7 @@ func (n *Node) leave(s NodeState) bool {
 		n.detector.Stop()
 	}
 	n.stopPinging()
-	for _, rc := range n.conns {
+	for _, rc := range n.ordered {
 		n.cancelFINTimers(rc)
 	}
 	return true
@@ -389,22 +398,35 @@ func (n *Node) setState(s NodeState) bool {
 	return true
 }
 
-// sortedKeys returns the connection IDs in the order of their rendered
-// text (ConnID.String): the order heartbeats list connections in and
-// takeover retransmits them in. Decimal text and numeric field order
-// disagree across port widths ("10000" sorts before "9999"), so the sort
-// is on the text itself, cached on the repConn.
-func (n *Node) sortedKeys() []tcp.ConnID {
-	rcs := make([]*repConn, 0, len(n.conns))
-	for _, rc := range n.conns {
-		rcs = append(rcs, rc)
+// addConn tracks rc, in conns and at its place in ordered. A connection
+// accepted again on a 4-tuple whose closed predecessor is still tracked
+// takes the predecessor's place.
+func (n *Node) addConn(rc *repConn) {
+	n.conns[rc.conn.ID()] = rc
+	if i, found := n.find(rc.key); found {
+		n.ordered[i] = rc
+	} else {
+		n.ordered = slices.Insert(n.ordered, i, rc)
 	}
-	slices.SortFunc(rcs, func(a, b *repConn) int { return strings.Compare(a.key, b.key) })
-	keys := make([]tcp.ConnID, len(rcs))
-	for i, rc := range rcs {
-		keys[i] = rc.conn.ID()
-	}
-	return keys
+}
+
+// find is where key sits in ordered, or would.
+func (n *Node) find(key string) (int, bool) {
+	return slices.BinarySearchFunc(n.ordered, key, func(rc *repConn, key string) int { return strings.Compare(rc.key, key) })
+}
+
+// snapshot copies ordered for a walk that drops connections as it goes;
+// the walk hands it back with release. A walk nested in another takes a
+// buffer of its own.
+func (n *Node) snapshot() []*repConn {
+	walk := append(n.spare, n.ordered...)
+	n.spare = nil
+	return walk
+}
+
+func (n *Node) release(walk []*repConn) {
+	clear(walk)
+	n.spare = walk[:0]
 }
 
 // --- Connection setup ---
@@ -414,7 +436,7 @@ func (n *Node) sortedKeys() []tcp.ConnID {
 // for the backup and installs the FIN gate.
 func (n *Node) setupConn(c *tcp.Conn) {
 	rc := newRepConn(c)
-	n.conns[c.ID()] = rc
+	n.addConn(rc)
 	switch {
 	case n.role == RoleBackup && n.state == StateActive:
 		rc.replicated = true
@@ -518,9 +540,10 @@ func (n *Node) reportLocalAppFailure() {
 
 func (n *Node) composeHB() hb.Message {
 	m := hb.Message{Role: n.role, PingValid: n.myPingValid, PingOK: n.myPingOK, AppFailed: n.localAppFailed}
-	for _, k := range n.sortedKeys() {
-		rc := n.conns[k]
-		c := rc.conn
+	walk := n.snapshot()
+	defer n.release(walk)
+	for _, rc := range walk {
+		c, k := rc.conn, rc.conn.ID()
 		if c.State() == tcp.StateClosed {
 			n.dropConn(k)
 			continue
@@ -553,6 +576,8 @@ func (n *Node) dropConn(id tcp.ConnID) {
 		n.cancelFINTimers(rc)
 		rc.conn.StopHolding()
 		delete(n.conns, id)
+		i, _ := n.find(rc.key)
+		n.ordered = slices.Delete(n.ordered, i, i+1)
 	}
 	delete(n.announced, id)
 	if q, ok := n.held[id]; ok {
@@ -997,8 +1022,7 @@ func (n *Node) takeover() {
 			n.mTakeoverLat.Observe(n.sim.Now().Sub(last))
 		}
 	}
-	for _, k := range n.sortedKeys() {
-		rc := n.conns[k]
+	for _, rc := range n.ordered {
 		rc.conn.SetSuppressed(false)
 		if n.cfg.EagerTakeoverRetransmit {
 			rc.conn.ForceRetransmit()
@@ -1077,7 +1101,7 @@ func (n *Node) EnableReplication(peerAddr ip.Addr, peerPower *cluster.PowerContr
 
 	// Existing connections continue unreplicated; only their bookkeeping
 	// is reset so stale peer views cannot trigger detectors.
-	for _, rc := range n.conns {
+	for _, rc := range n.ordered {
 		rc.replicated, rc.peerValid = false, false
 	}
 	var stale int64
@@ -1101,8 +1125,7 @@ func (n *Node) EnableReplication(peerAddr ip.Addr, peerPower *cluster.PowerContr
 // open, replication stops, service continues.
 func (n *Node) enterNonFT() {
 	n.leave(StateNonFT)
-	for _, k := range n.sortedKeys() {
-		rc := n.conns[k]
+	for _, rc := range n.ordered {
 		n.releaseGatedFIN(rc, "entering non-fault-tolerant mode")
 		rc.conn.StopHolding()
 	}

@@ -61,6 +61,16 @@ func clientIDs(n int) []tcp.ConnID {
 	return ids
 }
 
+// walkOrder returns the IDs of the node's connections in the order it walks
+// them.
+func walkOrder(node *Node) []tcp.ConnID {
+	ids := make([]tcp.ConnID, len(node.ordered))
+	for i, rc := range node.ordered {
+		ids[i] = rc.conn.ID()
+	}
+	return ids
+}
+
 // TestSortedKeysIsTextOrder: the order the node walks its connections in —
 // heartbeat contents, takeover retransmit order, every golden — is the
 // order of ConnID.String, whatever the port widths. Numeric field order
@@ -72,7 +82,7 @@ func TestSortedKeysIsTextOrder(t *testing.T) {
 		tcp.ConnID{LocalAddr: ip.MakeAddr(10, 0, 0, 100), LocalPort: 80, RemoteAddr: ip.MakeAddr(10, 0, 0, 1), RemotePort: 10000},
 	)
 	node := newPrimaryWithConns(t, ids)
-	got := node.sortedKeys()
+	got := walkOrder(node)
 
 	want := append([]tcp.ConnID(nil), ids...)
 	sort.Slice(want, func(i, j int) bool { return want[i].String() < want[j].String() })
@@ -151,8 +161,7 @@ func TestHoldOccupancyRunningTotal(t *testing.T) {
 // advertises it, so connection churn leaks nothing.
 func TestClosedConnLeavesTheNode(t *testing.T) {
 	node := newPrimaryWithConns(t, clientIDs(3))
-	keys := node.sortedKeys()
-	id := keys[1]
+	id := walkOrder(node)[1]
 	rst := tcp.Segment{SrcPort: id.RemotePort, DstPort: id.LocalPort, Seq: 0x2000 + 1, Flags: tcp.FlagRST}
 	node.host.TCP().HandleSegment(ip.Packet{Src: id.RemoteAddr, Dst: id.LocalAddr, Proto: ip.ProtoTCP}, &rst)
 	if m := node.composeHB(); len(m.Conns) != 2 || len(node.conns) != 2 {
@@ -160,6 +169,70 @@ func TestClosedConnLeavesTheNode(t *testing.T) {
 	}
 	if _, ok := node.conns[id]; ok {
 		t.Fatalf("the closed connection %v is still tracked", id)
+	}
+}
+
+// TestConnOrderUnderChurn: connections accepted, reset and dropped — through
+// runDetectors' and composeHB's closed-connection paths and through
+// dropConn — in a seeded random order, 4-tuples among them accepted again
+// while their closed predecessors are still tracked. After every step the
+// node walks exactly the connections it tracks, in ConnID.String order.
+func TestConnOrderUnderChurn(t *testing.T) {
+	node := newDetectorHarness(t, nil).node
+	stack := node.host.TCP()
+	ids := clientIDs(40)
+	rng := rand.New(rand.NewSource(7))
+	var reaccepted int
+	for step := 0; step < 2000; step++ {
+		id := ids[rng.Intn(len(ids))]
+		c, open := stack.Lookup(id)
+		switch rng.Intn(5) {
+		case 0:
+			if open {
+				break
+			}
+			if rc, ok := node.conns[id]; ok && rc.conn.State() == tcp.StateClosed {
+				reaccepted++
+			}
+			c, err := stack.CreateReplicaConn(id, uint32(0x1000+step), node.setupConn)
+			if err != nil {
+				t.Fatalf("step %d: accept %v: %v", step, id, err)
+			}
+			c.ForceEstablish(0x2000)
+		case 1:
+			if open {
+				rst := tcp.Segment{SrcPort: id.RemotePort, DstPort: id.LocalPort, Seq: 0x2000 + 1, Flags: tcp.FlagRST}
+				stack.HandleSegment(ip.Packet{Src: id.RemoteAddr, Dst: id.LocalAddr, Proto: ip.ProtoTCP}, &rst)
+				if c.State() != tcp.StateClosed {
+					t.Fatalf("step %d: %v is %v after a reset", step, id, c.State())
+				}
+			}
+		case 2:
+			node.runDetectors()
+		case 3:
+			node.composeHB()
+		case 4:
+			node.dropConn(id)
+		}
+		want := make([]tcp.ConnID, 0, len(node.conns))
+		for id := range node.conns {
+			want = append(want, id)
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].String() < want[j].String() })
+		if got := walkOrder(node); !slices.Equal(got, want) {
+			t.Fatalf("step %d: the node walks %v, it tracks %v", step, got, want)
+		}
+		for _, rc := range node.ordered {
+			if node.conns[rc.conn.ID()] != rc {
+				t.Fatalf("step %d: the walk holds a connection on %v that the map has replaced", step, rc.conn.ID())
+			}
+		}
+		if node.State() != StateActive {
+			t.Fatalf("step %d: node %v", step, node.State())
+		}
+	}
+	if reaccepted == 0 {
+		t.Fatal("no 4-tuple was accepted again while its closed predecessor was tracked")
 	}
 }
 
@@ -217,8 +290,9 @@ func TestLifecycleTable(t *testing.T) {
 	}
 }
 
-// BenchmarkNodeSortedKeys is the per-heartbeat, per-detector-tick walk
-// order at the scale workload's size.
+// BenchmarkNodeSortedKeys is what the per-heartbeat, per-detector-tick walk
+// pays for its order at the scale workload's size: the snapshot of a walk
+// that drops connections as it goes.
 func BenchmarkNodeSortedKeys(b *testing.B) {
 	node := newPrimaryWithConns(b, clientIDs(1000))
 	if got := len(node.conns); got != 1000 {
@@ -227,9 +301,11 @@ func BenchmarkNodeSortedKeys(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(node.sortedKeys()) != 1000 {
-			b.Fatal("keys lost")
+		walk := node.snapshot()
+		if len(walk) != 1000 {
+			b.Fatal("connections lost")
 		}
+		node.release(walk)
 	}
 }
 
