@@ -2,7 +2,7 @@ GO ?= go
 # The command the smoke targets run; `make reach` points it at the cover build.
 STTCP ?= $(GO) run ./cmd/sttcp
 
-.PHONY: all check vet lint build test race fuzz-heap bench observers loc flags settings doc-bytes allows timeline chaos chaos-gray chaos-smoke chaos-gray-smoke explore explore-smoke reach reach-build reach-check clean
+.PHONY: all check vet lint build test race fuzz-heap fuzz-decode bench observers loc flags settings doc-bytes allows timeline chaos chaos-gray chaos-smoke chaos-gray-smoke explore explore-smoke reach reach-build reach-check clean
 
 all: check
 
@@ -37,6 +37,15 @@ race:
 # heaps an event sits in, is what keeps every golden identical. CI runs it.
 fuzz-heap:
 	$(GO) test -run '^$$' -fuzz '^FuzzHeapOps$$' -fuzztime 20s ./internal/sim
+
+# Twenty seconds each of fuzzing the decoders a receiver uses on bytes with
+# an intact verdict (FuzzParse in ip, udp and tcp): Parse must never panic,
+# and must return what the verifying Decode does wherever Decode accepts.
+# CI runs it.
+fuzz-decode:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/ip
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/udp
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/tcp
 
 # One iteration of every go-test benchmark: the in-package micro-benchmarks
 # of the layers a download's host time is spent in. A smoke (CI runs it) —

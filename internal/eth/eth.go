@@ -100,9 +100,10 @@ type Frame struct {
 	Payload []byte
 }
 
-// AppendEncode serialises the frame onto dst, reusing its capacity when
-// possible, and returns the extended slice. The segment path does not come
-// here: a NIC seals a frame whose payload its stack wrote in place.
+// AppendEncode serialises the whole frame, FCS included, onto dst, reusing
+// its capacity when possible, and returns the extended slice. The segment
+// path does not come here: a NIC writes the header of a frame whose payload
+// its stack wrote in place.
 func (f *Frame) AppendEncode(dst []byte) ([]byte, error) {
 	if len(f.Payload) > MaxPayload {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLong, len(f.Payload))
@@ -117,18 +118,27 @@ func (f *Frame) AppendEncode(dst []byte) ([]byte, error) {
 		dst = dst[:base+total]
 	}
 	copy(dst[base+HeaderLen:], f.Payload)
-	Seal(dst[base:], f.Dst, f.Src, f.Type)
+	PutHeader(dst[base:], f.Dst, f.Src, f.Type)
+	Seal(dst[base:])
 	return dst, nil
 }
 
-// Seal writes the header of frame, whose payload already sits at
-// frame[HeaderLen:len(frame)-FCSLen], and then its FCS into the last
-// FCSLen bytes, over everything before them. It is the one encoder of the
-// package: AppendEncode and a NIC's transmit both end here.
-func Seal(frame []byte, dst, src Addr, t EtherType) {
+// PutHeader writes the header of frame, whose payload already sits at
+// frame[HeaderLen:len(frame)-FCSLen]. It leaves the FCS to Seal.
+func PutHeader(frame []byte, dst, src Addr, t EtherType) {
 	*(*Addr)(frame[0:]) = dst // array stores, not memmove calls
 	*(*Addr)(frame[AddrLen:]) = src
 	binary.BigEndian.PutUint16(frame[2*AddrLen:], uint16(t))
+}
+
+// Seal writes frame's FCS into its last FCSLen bytes, over everything
+// before them. AppendEncode seals every frame it builds. A NIC's transmit
+// writes only the header: no check reads the FCS of a frame that nothing
+// has written since its sender did, so netem seals a frame only where
+// something can read its FCS: on a LAN with a link set to damage frames,
+// and in the race build, whose checks recompute every CRC. A link that
+// damages a frame seals its copy before it flips the bit.
+func Seal(frame []byte) {
 	body := len(frame) - FCSLen
 	binary.BigEndian.PutUint32(frame[body:], crc32.ChecksumIEEE(frame[:body]))
 }
@@ -148,9 +158,9 @@ func Decode(buf []byte) (Frame, error) {
 	return f, nil
 }
 
-// Parse is Decode without the FCS check, for bytes whose FCS someone has
-// already verified: a NIC handed the switch's verdict on the very buffer
-// it receives. It still checks the length.
+// Parse is Decode without the FCS check, for bytes a link hands on with an
+// intact verdict: sent by a NIC and not written since, whether or not their
+// FCS field was written (see netem.Endpoint). It still checks the length.
 func Parse(buf []byte) (Frame, error) {
 	if len(buf) < HeaderLen+FCSLen {
 		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooShort, len(buf))

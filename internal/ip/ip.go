@@ -145,10 +145,25 @@ func (p *Packet) PutHeader(pkt []byte) {
 	binary.BigEndian.PutUint16(buf[10:], Checksum(buf))
 }
 
-// Decode parses and validates buf. A TTL of 0, which no router forwards and
-// which PutHeader writes as DefaultTTL, is refused. The returned packet's
-// payload aliases buf.
+// Decode parses and validates buf: Parse, and then the header checksum.
+// The returned packet's payload aliases buf.
 func Decode(buf []byte) (Packet, error) {
+	p, err := Parse(buf)
+	if err != nil {
+		return Packet{}, err
+	}
+	if Checksum(buf[:HeaderLen]) != 0 {
+		return Packet{}, ErrBadChecksum
+	}
+	return p, nil
+}
+
+// Parse is Decode without the header checksum, for bytes that are intact
+// since PutHeader wrote them (see netstack). It checks everything else: the
+// version, that there are no options, the total length, and the TTL — a TTL
+// of 0, which no router forwards and which PutHeader writes as DefaultTTL,
+// is refused. The returned packet's payload aliases buf.
+func Parse(buf []byte) (Packet, error) {
 	if len(buf) < HeaderLen {
 		return Packet{}, fmt.Errorf("%w: %d bytes", ErrPacketTooShort, len(buf))
 	}
@@ -157,9 +172,6 @@ func Decode(buf []byte) (Packet, error) {
 	}
 	if ihl := int(buf[0]&0x0f) * 4; ihl != HeaderLen {
 		return Packet{}, fmt.Errorf("%w: IHL %d", ErrHasOptions, ihl)
-	}
-	if Checksum(buf[:HeaderLen]) != 0 {
-		return Packet{}, ErrBadChecksum
 	}
 	total := int(binary.BigEndian.Uint16(buf[2:]))
 	if total < HeaderLen || total > len(buf) {

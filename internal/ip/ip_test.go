@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -304,6 +305,41 @@ func FuzzDecode(f *testing.F) {
 		if again.TOS != p.TOS || again.ID != p.ID || again.DontFrag != p.DontFrag || again.TTL != p.TTL ||
 			again.Proto != p.Proto || again.Src != p.Src || again.Dst != p.Dst || !bytes.Equal(again.Payload, p.Payload) {
 			t.Fatalf("round trip changed the packet:\n got %+v\nwant %+v", again, p)
+		}
+	})
+}
+
+// FuzzParse holds Parse, the decoder a receiver uses on bytes with an
+// intact verdict, to Decode: it must never panic, whatever the bytes, and
+// wherever Decode accepts a packet Parse must return the very same one.
+// Arbitrary bytes rarely bear a good checksum, so each input is also tried
+// with its header checksum made good.
+func FuzzParse(f *testing.F) {
+	for _, p := range []Packet{
+		{TOS: 0x10, ID: 1234, TTL: 17, Proto: ProtoTCP, Src: MakeAddr(10, 0, 0, 1), Dst: MakeAddr(10, 0, 0, 100), Payload: []byte("segment bytes")},
+		{ID: 7, DontFrag: true, Proto: ProtoUDP, Src: MakeAddr(10, 0, 0, 2), Dst: MakeAddr(10, 0, 0, 3)},
+	} {
+		raw, err := p.AppendEncode(nil)
+		if err != nil {
+			f.Fatalf("encode seed: %v", err)
+		}
+		f.Add(raw)
+		f.Add(append(raw, 0xff, 0xee)) // link padding past the total length
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		check := func(buf []byte) {
+			want, err := Decode(buf)
+			got, perr := Parse(buf)
+			if err == nil && (perr != nil || !reflect.DeepEqual(got, want)) {
+				t.Fatalf("Decode accepted %+v, Parse returned %+v, %v", want, got, perr)
+			}
+		}
+		check(raw)
+		if len(raw) >= HeaderLen {
+			summed := bytes.Clone(raw)
+			summed[10], summed[11] = 0, 0
+			binary.BigEndian.PutUint16(summed[10:], Checksum(summed[:HeaderLen]))
+			check(summed)
 		}
 	})
 }

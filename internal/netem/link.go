@@ -9,6 +9,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/eth"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -22,10 +23,12 @@ type Endpoint interface {
 	// valid only for the duration of the call — the link returns it to its
 	// frame pool when DeliverFrame returns — so the endpoint must copy
 	// anything it keeps (the NIC lends it on to its handler under the same
-	// contract, see NIC.SetHandler). fcsOK reports that the switch
-	// verified the FCS of these very bytes and nothing has written them
-	// since; a frame a corrupting link damaged, or one that came straight
-	// from its sender, has no such verdict.
+	// contract, see NIC.SetReceiver). fcsOK is the frame's verdict: these
+	// bytes are intact since a NIC sent them, and nothing has written them
+	// since, so every checksum in them holds as their sender wrote it. With
+	// fcsOK true the FCS field may be unwritten. A frame a corrupting link
+	// damaged, or one handed to TransmitFromA or TransmitFromB, has no such
+	// verdict, and a receiver checks all of it, its FCS first.
 	DeliverFrame(buf []byte, fcsOK bool)
 }
 
@@ -73,6 +76,9 @@ type Link struct {
 
 	// corruptRate flips one random bit per frame with this probability.
 	corruptRate float64
+	// damaging is set once corruptRate has been non-zero: from then on a
+	// NIC on this link seals each frame as it sends it (see sealEagerly).
+	damaging bool
 
 	// Metric instruments, wired by SetMetrics; nil no-ops otherwise.
 	mFrames *metrics.Counter
@@ -94,8 +100,8 @@ type Link struct {
 	deliveries []*delivery
 }
 
-// delivery is one in-flight frame: the pooled buffer, whether the switch
-// verified its FCS, the arrival deadline (virtual time since sim.Epoch, as
+// delivery is one in-flight frame: the pooled buffer, its verdict (see
+// Endpoint), the arrival deadline (virtual time since sim.Epoch, as
 // Simulator.Elapsed reads it), and the sender's causal context, restored
 // around the endpoint call so trace spans follow the frame across the wire
 // even though many frames share one timer event.
@@ -208,10 +214,28 @@ func (l *Link) SetCutFromB(cut bool) { l.b.cut = cut }
 // probability p (both directions). Corrupted frames are still delivered;
 // the receiver's integrity checks (Ethernet/TCP checksums) must catch
 // them. Zero disables corruption.
-func (l *Link) SetCorruptRate(p float64) { l.corruptRate = p }
+func (l *Link) SetCorruptRate(p float64) {
+	l.corruptRate = p
+	if p > 0 {
+		l.damaging = true
+		if l.a.port != nil {
+			l.a.port.sw.damaging = true
+		}
+	}
+}
+
+// sealEagerly reports whether a NIC sending on l writes each frame's FCS
+// as it sends it: in the race build, whose checks recompute every CRC, and
+// once l or any link of its switch has been set to damage frames, so the
+// wire there carries a real FCS. Elsewhere only a damaging link seals, its
+// copy (see transmit).
+func (l *Link) sealEagerly() bool {
+	return RecheckVerdicts || l.damaging || l.a.port != nil && l.a.port.sw.damaging
+}
 
 // TransmitFromA sends frame from endpoint A toward endpoint B, and takes
-// it (see transmit).
+// it (see transmit). The frame carries no verdict: a receiver checks
+// everything in it, its FCS first.
 func (l *Link) TransmitFromA(frame []byte) { l.transmit(l.a, frame, false) }
 
 // TransmitFromB sends frame from endpoint B toward endpoint A, and takes
@@ -221,7 +245,8 @@ func (l *Link) TransmitFromB(frame []byte) { l.transmit(l.b, frame, false) }
 // transmit sends frame, normally a buffer from the link's pool, from side
 // toward its peer. The link takes the frame: it holds it in flight and
 // hands it to the peer, or on a drop returns it to the pool at once. fcsOK
-// carries the switch's verdict on these bytes (see Endpoint).
+// is the frame's verdict (see Endpoint): true from a NIC's Transmit and
+// from a switch forwarding an intact frame.
 func (l *Link) transmit(side *linkSide, frame []byte, fcsOK bool) {
 	if side.peer == nil && side.port == nil {
 		l.pool.put(frame)
@@ -256,11 +281,16 @@ func (l *Link) transmit(side *linkSide, frame []byte, fcsOK bool) {
 		arrival += time.Duration(l.sim.Rand().Int63n(int64(l.cfg.Jitter)))
 	}
 	if l.corruptRate > 0 && l.sim.Rand().Float64() < l.corruptRate {
-		// A sealed frame is never written: flip one bit of a copy, which
-		// carries no verdict, and let the original go. The damaged frame
-		// rides to the receiver, where a checksum must reject it.
+		// A frame in flight is never written: flip one bit of a copy,
+		// which carries no verdict, and let the original go. An intact
+		// frame's FCS may be unwritten, so the copy is sealed first: the
+		// damaged frame rides to the receiver with the FCS its sender
+		// would have written, and the FCS check must reject it.
 		bit := l.sim.Rand().Int63n(int64(len(frame)) * 8)
 		damaged := append(l.pool.get(0), frame...)
+		if fcsOK {
+			eth.Seal(damaged)
+		}
 		l.pool.put(frame)
 		frame, fcsOK = damaged, false
 		frame[bit/8] ^= 1 << (bit % 8)
@@ -346,7 +376,7 @@ func (l *Link) deliverNow(side *linkSide, d *delivery) {
 		l.tracer.EmitValue(trace.KindNetDeliver, l.name, int64(len(frame)), "deliver %dB", len(frame))
 	}
 	if side.port != nil {
-		side.port.take(frame)
+		side.port.take(frame, fcsOK)
 	} else {
 		side.peer.DeliverFrame(frame, fcsOK)
 		l.pool.put(frame)

@@ -26,7 +26,7 @@ type NIC struct {
 	groups  []eth.Addr // joined multicast groups: a NIC joins one or two
 	promisc bool
 	failed  bool
-	handler func(eth.Frame)
+	handler func(f eth.Frame, intact bool)
 
 	// Counters for the tap-ablation experiment (paper §3 observes the
 	// backup NIC overload when it taps both traffic directions).
@@ -69,11 +69,19 @@ func (n *NIC) JoinGroup(g eth.Addr) {
 // observe primary→client traffic.
 func (n *NIC) SetPromiscuous(p bool) { n.promisc = p }
 
-// SetHandler registers the receive callback; it runs on the event loop. The
+// SetReceiver registers the receive callback; it runs on the event loop. The
 // frame's Payload is the received frame's own bytes — the one buffer its
 // sender's stack wrote — lent until h returns, when the link takes it back
-// into its pool.
-func (n *NIC) SetHandler(h func(eth.Frame)) { n.handler = h }
+// into its pool. intact is the link's verdict (see Endpoint): the bytes are
+// the ones a NIC sent, so every checksum its sender's encoders wrote over
+// them still holds; without it the receiver checks them.
+func (n *NIC) SetReceiver(h func(f eth.Frame, intact bool)) { n.handler = h }
+
+// SetHandler registers a receive callback that has no use for the verdict;
+// otherwise it is SetReceiver.
+func (n *NIC) SetHandler(h func(eth.Frame)) {
+	n.SetReceiver(func(f eth.Frame, _ bool) { h(f) })
+}
 
 // Fail makes the NIC silently drop everything in both directions.
 func (n *NIC) Fail() { n.failed = true }
@@ -97,10 +105,11 @@ func (n *NIC) NewFrame(headroom int) []byte {
 	return p.get(headroom)
 }
 
-// Transmit seals frame, a frame from NewFrame whose payload is in place
-// behind its header, with the header for dst and t, the NIC's own source
-// address and the FCS, and hands it to the link, which takes it: the
-// caller must not touch it again, whatever Transmit returns.
+// Transmit writes the header of frame, a frame from NewFrame whose payload
+// is in place behind it, for dst and t and the NIC's own source address,
+// and hands it to the link with an intact verdict. The link takes it: the
+// caller must not touch it again, whatever Transmit returns. The FCS is
+// written only where something can read it (see Link.sealEagerly).
 func (n *NIC) Transmit(dst eth.Addr, t eth.EtherType, frame []byte) error {
 	if n.link == nil {
 		return fmt.Errorf("%w: %s not attached", ErrNICDown, n.name)
@@ -114,14 +123,17 @@ func (n *NIC) Transmit(dst eth.Addr, t eth.EtherType, frame []byte) error {
 		return fmt.Errorf("netem: %s encode: %w: %d bytes", n.name, eth.ErrFrameTooLong, payload)
 	}
 	frame = append(frame, 0, 0, 0, 0) // the FCS
-	eth.Seal(frame, dst, n.addr, t)
+	eth.PutHeader(frame, dst, n.addr, t)
+	if n.link.sealEagerly() {
+		eth.Seal(frame)
+	}
 	n.TxFrames++
 	n.TxBytes += int64(len(frame))
+	side := n.link.b
 	if n.sideA {
-		n.link.TransmitFromA(frame)
-	} else {
-		n.link.TransmitFromB(frame)
+		side = n.link.a
 	}
+	n.link.transmit(side, frame, true)
 	return nil
 }
 
@@ -131,25 +143,14 @@ func (n *NIC) Send(f eth.Frame) error {
 	return n.Transmit(f.Dst, f.Type, append(n.NewFrame(eth.HeaderLen), f.Payload...))
 }
 
-// DeliverFrame implements Endpoint. It checks the FCS unless the switch
-// verified these very bytes; the race build checks anyway, and panics if a
-// verdict it was handed is wrong.
+// DeliverFrame implements Endpoint. It checks the FCS unless the frame is
+// intact since a NIC sent it, and hands the verdict on to the receiver.
 func (n *NIC) DeliverFrame(buf []byte, fcsOK bool) {
 	if n.failed {
 		n.RxDrops++
 		return
 	}
-	var f eth.Frame
-	var err error
-	if fcsOK {
-		if f, err = eth.Parse(buf); err == nil && recheckFCS {
-			if _, bad := eth.Decode(buf); bad != nil {
-				panic(fmt.Sprintf("netem: %s was handed an FCS verdict its bytes do not bear: %v", n.name, bad))
-			}
-		}
-	} else {
-		f, err = eth.Decode(buf)
-	}
+	f, err := readFrame(n.name, buf, fcsOK)
 	if err != nil {
 		n.RxDrops++
 		return
@@ -161,8 +162,25 @@ func (n *NIC) DeliverFrame(buf []byte, fcsOK bool) {
 	n.RxFrames++
 	n.RxBytes += int64(len(buf))
 	if n.handler != nil {
-		n.handler(f)
+		n.handler(f, fcsOK)
 	}
+}
+
+// readFrame parses buf as who received it: a frame with an intact verdict
+// without its FCS, which may be unwritten, and any other with it. The race
+// build checks the FCS of an intact frame too, and panics if a verdict it
+// was handed is wrong.
+func readFrame(who string, buf []byte, fcsOK bool) (eth.Frame, error) {
+	if !fcsOK {
+		return eth.Decode(buf)
+	}
+	f, err := eth.Parse(buf)
+	if err == nil && RecheckVerdicts {
+		if _, bad := eth.Decode(buf); bad != nil {
+			panic(fmt.Sprintf("netem: %s was handed an FCS verdict its bytes do not bear: %v", who, bad))
+		}
+	}
+	return f, err
 }
 
 func (n *NIC) accepts(dst eth.Addr) bool {

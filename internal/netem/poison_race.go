@@ -6,6 +6,9 @@ package netem
 // lifetimes: released frames, and in internal/tcp Segments, are overwritten.
 const PoisonReleased = true
 
-// recheckFCS makes a NIC that reuses the switch's FCS verdict compute the
-// CRC-32 anyway, in the race build, and panic if the two disagree.
-const recheckFCS = true
+// RecheckVerdicts makes every check an intact verdict lets a receiver skip
+// run anyway, in the race build, and panic if the bytes fail it: the FCS at
+// the switch and the NIC, and the IP, UDP and TCP checksums above them. So
+// that the FCS can be checked, the race build also seals every frame as it
+// is sent.
+const RecheckVerdicts = true

@@ -24,6 +24,9 @@ type Switch struct {
 	// NIC on them: a frame goes back to the pool it came from, whichever
 	// link lets it go.
 	pool *bufPool
+	// damaging is set once any of those links has been set to damage
+	// frames (see Link.sealEagerly).
+	damaging bool
 
 	// Forwarded counts frame copies sent out of ports.
 	Forwarded int64
@@ -64,11 +67,12 @@ func (s *Switch) JoinGroup(g eth.Addr, p *SwitchPort) {
 
 // take receives a frame that arrived on this port and has waited out the
 // switch's latency on the link. The port keeps the buffer the link
-// delivered: the switch verifies its FCS, the one check it gets, and hands
-// it to the egress links, or drops it back into the pool.
-func (p *SwitchPort) take(buf []byte) {
+// delivered: the switch verifies its FCS, the one check it gets, unless the
+// frame is intact since a NIC sent it (fcsOK, see Endpoint), and hands it
+// to the egress links, or drops it back into the pool.
+func (p *SwitchPort) take(buf []byte, fcsOK bool) {
 	sw := p.sw
-	f, err := eth.Decode(buf)
+	f, err := readFrame("a switch port", buf, fcsOK)
 	if err != nil {
 		sw.pool.put(buf) // corrupt frame: a real switch would drop it too
 		return
@@ -79,30 +83,32 @@ func (p *SwitchPort) take(buf []byte) {
 			sw.macTable[src] = p.index // a lookup is cheaper than a store per frame
 		}
 	}
-	sw.forward(p.index, f.Dst, buf)
+	sw.forward(p.index, f.Dst, buf, fcsOK)
 }
 
 // forward sends buf out of every port dst reaches from ingress, in port
-// order, each with the verdict the switch just gave. A frame has one owner
+// order, each with the verdict it arrived with: the switch writes nothing,
+// and a frame it checked, not sent by a NIC, is still not one whose
+// checksums above the FCS a receiver may skip. A frame has one owner
 // at a time: each egress port is sent a copy once the next one is found,
 // and the last gets buf itself, so every copy is taken from bytes no link
 // has yet let go.
-func (s *Switch) forward(ingress int, dst eth.Addr, buf []byte) {
+func (s *Switch) forward(ingress int, dst eth.Addr, buf []byte, fcsOK bool) {
 	last := -1
 	switch {
 	case dst.IsBroadcast():
-		last = s.flood(ingress, buf)
+		last = s.flood(ingress, buf, fcsOK)
 	case dst.IsMulticast():
 		members, ok := s.groups[addrKey(dst)]
 		if !ok {
 			// Unknown multicast floods, like a switch without
 			// snooping state.
-			last = s.flood(ingress, buf)
+			last = s.flood(ingress, buf, fcsOK)
 			break
 		}
 		for i := range s.ports {
 			if i != ingress && i < len(members) && members[i] {
-				last = s.egress(last, i, buf)
+				last = s.egress(last, i, buf, fcsOK)
 			}
 		}
 	default:
@@ -112,41 +118,41 @@ func (s *Switch) forward(ingress int, dst eth.Addr, buf []byte) {
 			}
 			break
 		}
-		last = s.flood(ingress, buf)
+		last = s.flood(ingress, buf, fcsOK)
 	}
 	if last < 0 {
 		s.pool.put(buf)
 		return
 	}
-	s.send(last, buf)
+	s.send(last, buf, fcsOK)
 }
 
 // egress makes port the frame's latest egress port, sending prev, the one
 // found before it if any, a copy of buf.
-func (s *Switch) egress(prev, port int, buf []byte) int {
+func (s *Switch) egress(prev, port int, buf []byte, fcsOK bool) int {
 	if prev >= 0 {
-		s.send(prev, append(s.pool.get(0), buf...))
+		s.send(prev, append(s.pool.get(0), buf...), fcsOK)
 	}
 	return port
 }
 
 // flood makes every port but ingress an egress port and returns the last.
-func (s *Switch) flood(ingress int, buf []byte) int {
+func (s *Switch) flood(ingress int, buf []byte, fcsOK bool) int {
 	s.Flooded++
 	last := -1
 	for i := range s.ports {
 		if i != ingress {
-			last = s.egress(last, i, buf)
+			last = s.egress(last, i, buf, fcsOK)
 		}
 	}
 	return last
 }
 
-// send transmits frame out of port with the switch's verdict.
-func (s *Switch) send(port int, frame []byte) {
+// send transmits frame out of port with its verdict.
+func (s *Switch) send(port int, frame []byte, fcsOK bool) {
 	s.Forwarded++
 	l := s.ports[port].link
-	l.transmit(l.b, frame, true)
+	l.transmit(l.b, frame, fcsOK)
 }
 
 // Connect creates a link with cfg and wires endpoint e to a fresh port on

@@ -31,7 +31,10 @@ type UDPHandler func(src ip.Addr, srcPort uint16, payload []byte)
 
 // TCPHandler receives raw TCP segments (the IP payload) for the host;
 // pkt.Payload is the received frame's, valid only until the handler returns.
-type TCPHandler func(pkt ip.Packet)
+// intact is the NIC's verdict (see netem.NIC.SetReceiver): the segment's
+// checksum holds, as its sender's encoder wrote it, and the handler may
+// skip it.
+type TCPHandler func(pkt ip.Packet, intact bool)
 
 // pendingPacket is an outbound frame waiting for ARP: the transport's
 // packet is in place behind its headroom, the IP and Ethernet headers not
@@ -100,7 +103,7 @@ func New(clock *sim.Clock, name string, nic *netem.NIC, addr ip.Addr) *Stack {
 		nextPingID:  1,
 	}
 	st.arpTable.AddStatic(addr, nic.Addr())
-	nic.SetHandler(st.handleFrame)
+	nic.SetReceiver(st.handleFrame)
 	return st
 }
 
@@ -257,12 +260,12 @@ func (s *Stack) Ping(dst ip.Addr, timeout time.Duration, done func(ok bool, rtt 
 
 // --- Receive path ---
 
-func (s *Stack) handleFrame(f eth.Frame) {
+func (s *Stack) handleFrame(f eth.Frame, intact bool) {
 	switch f.Type {
 	case eth.TypeARP:
 		s.handleARP(f)
 	case eth.TypeIPv4:
-		s.handleIPv4(f)
+		s.handleIPv4(f, intact)
 	}
 }
 
@@ -306,8 +309,22 @@ func (s *Stack) flushARPQueue(addr ip.Addr, hw eth.Addr) {
 	}
 }
 
-func (s *Stack) handleIPv4(f eth.Frame) {
-	pkt, err := ip.Decode(f.Payload)
+// handleIPv4 reads an IPv4 frame. A frame with an intact verdict holds the
+// bytes sendResolved and a transport's encoder wrote, checksums included,
+// so its IP header is parsed without summing it, and a UDP or TCP
+// receiver may skip its own checksum too. The race build sums each anyway
+// and panics if a verdict it was handed is wrong. ICMP, a cold path, is
+// always checked.
+func (s *Stack) handleIPv4(f eth.Frame, intact bool) {
+	var pkt ip.Packet
+	var err error
+	if !intact {
+		pkt, err = ip.Decode(f.Payload)
+	} else if pkt, err = ip.Parse(f.Payload); err == nil && netem.RecheckVerdicts {
+		if _, bad := ip.Decode(f.Payload); bad != nil {
+			panic(fmt.Sprintf("netstack: %s was handed an intact verdict its IP header does not bear: %v", s.name, bad))
+		}
+	}
 	if err != nil {
 		return
 	}
@@ -318,10 +335,10 @@ func (s *Stack) handleIPv4(f eth.Frame) {
 	case ip.ProtoICMP:
 		s.handleICMP(pkt)
 	case ip.ProtoUDP:
-		s.handleUDP(pkt)
+		s.handleUDP(pkt, intact)
 	case ip.ProtoTCP:
 		if s.tcpHandler != nil {
-			s.tcpHandler(pkt)
+			s.tcpHandler(pkt, intact)
 		}
 	}
 }
@@ -346,8 +363,16 @@ func (s *Stack) handleICMP(pkt ip.Packet) {
 	}
 }
 
-func (s *Stack) handleUDP(pkt ip.Packet) {
-	d, err := udp.Decode(pkt.Src, pkt.Dst, pkt.Payload)
+func (s *Stack) handleUDP(pkt ip.Packet, intact bool) {
+	var d udp.Datagram
+	var err error
+	if !intact {
+		d, err = udp.Decode(pkt.Src, pkt.Dst, pkt.Payload)
+	} else if d, err = udp.Parse(pkt.Payload); err == nil && netem.RecheckVerdicts {
+		if _, bad := udp.Decode(pkt.Src, pkt.Dst, pkt.Payload); bad != nil {
+			panic(fmt.Sprintf("netstack: %s was handed an intact verdict its UDP checksum does not bear: %v", s.name, bad))
+		}
+	}
 	if err != nil {
 		return
 	}

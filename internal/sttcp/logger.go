@@ -80,11 +80,11 @@ func (lg *Logger) Start() error {
 }
 
 // handlePacket ingests one tapped client→service TCP packet.
-func (lg *Logger) handlePacket(pkt ip.Packet) {
+func (lg *Logger) handlePacket(pkt ip.Packet, intact bool) {
 	if pkt.Dst != lg.cfg.ServiceAddr {
 		return
 	}
-	seg, err := tcp.Decode(pkt.Src, pkt.Dst, pkt.Payload)
+	seg, err := tcp.DecodePacket(pkt, intact)
 	if err != nil || seg.DstPort != lg.cfg.ServicePort {
 		return
 	}

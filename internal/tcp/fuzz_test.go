@@ -1,6 +1,9 @@
 package tcp
 
 import (
+	"bytes"
+	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"repro/internal/ip"
@@ -180,6 +183,39 @@ func FuzzReassemble(f *testing.F) {
 			if b != pat(int64(i)) {
 				t.Fatalf("delivered byte %d is %#x, the stream has %#x", i, b, pat(int64(i)))
 			}
+		}
+	})
+}
+
+// FuzzParse holds Parse, the decoder a receiver uses on bytes with an
+// intact verdict, to Decode: it must never panic, whatever the bytes, and
+// wherever Decode accepts a segment Parse must return the very same one.
+// Arbitrary bytes rarely bear a good checksum, so each input is also tried
+// with its checksum made good.
+func FuzzParse(f *testing.F) {
+	src, dst := ip.MakeAddr(10, 0, 0, 1), ip.MakeAddr(10, 0, 0, 100)
+	for _, seg := range []Segment{
+		{SrcPort: 49152, DstPort: 80, Seq: 1000, Flags: FlagSYN, Window: 65535, MSS: 1460},
+		{SrcPort: 80, DstPort: 49152, Seq: 7, Ack: 1001, Flags: FlagACK | FlagPSH, Window: 4096, Payload: []byte("GET 1024\n")},
+	} {
+		f.Add(seg.AppendEncode(nil, src, dst))
+	}
+	f.Add([]byte{0, 80, 0, 80, 0, 0, 0, 1, 0, 0, 0, 0, 0x70, 0x02, 0, 0, 0, 0, 0, 0, 1, 1, 2, 4, 5, 0xb4, 8, 3}) // options past the MSS
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		check := func(buf []byte) {
+			want, err := Decode(src, dst, buf)
+			got, perr := Parse(buf)
+			if err == nil && (perr != nil || !reflect.DeepEqual(got, want)) {
+				t.Fatalf("Decode accepted %+v, Parse returned %+v, %v", want, got, perr)
+			}
+		}
+		check(raw)
+		if len(raw) >= HeaderLen {
+			summed := bytes.Clone(raw)
+			summed[16], summed[17] = 0, 0
+			sum := ip.FinishChecksum(ip.SumWords(ip.PseudoHeaderSum(src, dst, ip.ProtoTCP, len(summed)), summed))
+			binary.BigEndian.PutUint16(summed[16:], sum)
+			check(summed)
 		}
 	})
 }

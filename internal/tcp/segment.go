@@ -141,14 +141,25 @@ func (s *Segment) AppendEncode(dstBuf []byte, src, dst ip.Addr) []byte {
 }
 
 // Decode parses and validates buf against the pseudo-header for src and
-// dst. The payload aliases buf.
+// dst: Parse, and then the checksum. The payload aliases buf.
 func Decode(src, dst ip.Addr, buf []byte) (Segment, error) {
-	if len(buf) < HeaderLen {
-		return Segment{}, fmt.Errorf("%w: %d bytes", ErrSegmentTooShort, len(buf))
+	s, err := Parse(buf)
+	if err != nil {
+		return Segment{}, err
 	}
 	sum := ip.PseudoHeaderSum(src, dst, ip.ProtoTCP, len(buf))
 	if ip.FinishChecksum(ip.SumWords(sum, buf)) != 0 {
 		return Segment{}, ErrBadChecksum
+	}
+	return s, nil
+}
+
+// Parse is Decode without the checksum, for bytes that are intact since
+// AppendEncode wrote them (see DecodePacket). It checks the length and the
+// data offset. The payload aliases buf.
+func Parse(buf []byte) (Segment, error) {
+	if len(buf) < HeaderLen {
+		return Segment{}, fmt.Errorf("%w: %d bytes", ErrSegmentTooShort, len(buf))
 	}
 	dataOff := int(buf[12]>>4) * 4
 	if dataOff < HeaderLen || dataOff > len(buf) {

@@ -51,8 +51,27 @@ func (d *Datagram) AppendEncode(dstBuf []byte, src, dst ip.Addr) []byte {
 }
 
 // Decode parses and validates buf against the pseudo-header for src and
-// dst. The payload aliases buf.
+// dst: Parse, and then the checksum if the sender wrote one. The payload
+// aliases buf.
 func Decode(src, dst ip.Addr, buf []byte) (Datagram, error) {
+	d, err := Parse(buf)
+	if err != nil {
+		return Datagram{}, err
+	}
+	buf = buf[:HeaderLen+len(d.Payload)]
+	if binary.BigEndian.Uint16(buf[6:]) != 0 { // checksum present
+		sum := ip.PseudoHeaderSum(src, dst, ip.ProtoUDP, len(buf))
+		if ip.FinishChecksum(ip.SumWords(sum, buf)) != 0 {
+			return Datagram{}, ErrBadChecksum
+		}
+	}
+	return d, nil
+}
+
+// Parse is Decode without the checksum, for bytes that are intact since
+// AppendEncode wrote them (see netstack). It checks the length. The payload
+// aliases buf.
+func Parse(buf []byte) (Datagram, error) {
 	if len(buf) < HeaderLen {
 		return Datagram{}, fmt.Errorf("%w: %d bytes", ErrTooShort, len(buf))
 	}
@@ -60,16 +79,9 @@ func Decode(src, dst ip.Addr, buf []byte) (Datagram, error) {
 	if total < HeaderLen || total > len(buf) {
 		return Datagram{}, fmt.Errorf("%w: length %d, have %d", ErrBadLength, total, len(buf))
 	}
-	buf = buf[:total]
-	if binary.BigEndian.Uint16(buf[6:]) != 0 { // checksum present
-		sum := ip.PseudoHeaderSum(src, dst, ip.ProtoUDP, total)
-		if ip.FinishChecksum(ip.SumWords(sum, buf)) != 0 {
-			return Datagram{}, ErrBadChecksum
-		}
-	}
 	return Datagram{
 		SrcPort: binary.BigEndian.Uint16(buf[0:]),
 		DstPort: binary.BigEndian.Uint16(buf[2:]),
-		Payload: buf[HeaderLen:],
+		Payload: buf[HeaderLen:total],
 	}, nil
 }

@@ -2,7 +2,9 @@ package udp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -116,5 +118,42 @@ func FuzzDecode(f *testing.F) {
 		if again.SrcPort != d.SrcPort || again.DstPort != d.DstPort || !bytes.Equal(again.Payload, d.Payload) {
 			t.Fatalf("round trip changed the datagram:\n got %+v\nwant %+v", again, d)
 		}
+	})
+}
+
+// FuzzParse holds Parse, the decoder a receiver uses on bytes with an
+// intact verdict, to Decode: it must never panic, whatever the bytes, and
+// wherever Decode accepts a datagram Parse must return the very same one.
+// Each input is also tried with its checksum made good over its length.
+func FuzzParse(f *testing.F) {
+	for _, d := range []Datagram{
+		{SrcPort: 7000, DstPort: 7000, Payload: []byte("heartbeat")},
+		{SrcPort: 7001, DstPort: 7001},
+	} {
+		raw := d.AppendEncode(nil, testSrc, testDst)
+		f.Add(raw)
+		f.Add(append(raw, 0xff)) // bytes past the length field
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		check := func(buf []byte) {
+			want, err := Decode(testSrc, testDst, buf)
+			got, perr := Parse(buf)
+			if err == nil && (perr != nil || !reflect.DeepEqual(got, want)) {
+				t.Fatalf("Decode accepted %+v, Parse returned %+v, %v", want, got, perr)
+			}
+		}
+		check(raw)
+		if len(raw) < HeaderLen {
+			return
+		}
+		n := int(binary.BigEndian.Uint16(raw[4:]))
+		if n < HeaderLen || n > len(raw) {
+			return
+		}
+		summed := bytes.Clone(raw)
+		summed[6], summed[7] = 0, 0
+		sum := ip.FinishChecksum(ip.SumWords(ip.PseudoHeaderSum(testSrc, testDst, ip.ProtoUDP, n), summed[:n]))
+		binary.BigEndian.PutUint16(summed[6:], sum)
+		check(summed)
 	})
 }
