@@ -2,7 +2,7 @@ GO ?= go
 # The command the smoke targets run; `make reach` points it at the cover build.
 STTCP ?= $(GO) run ./cmd/sttcp
 
-.PHONY: all check vet lint build test race fuzz-heap fuzz-decode bench observers loc flags settings doc-bytes allows timeline chaos chaos-gray chaos-smoke chaos-gray-smoke explore explore-smoke reach reach-build reach-check clean
+.PHONY: all check vet lint build test race fuzz-heap fuzz-decode fuzz-window bench observers loc flags settings doc-bytes allows timeline chaos chaos-gray chaos-smoke chaos-gray-smoke explore explore-smoke reach reach-build reach-check clean
 
 all: check
 
@@ -46,6 +46,13 @@ fuzz-decode:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/ip
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/udp
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/tcp
+
+# Twenty seconds of fuzzing tcp.Window (FuzzWindowScript): arbitrary
+# write/release/slice scripts against the copy-down reference model, once
+# on a window that copies into its ring and once on one that reads its
+# bytes from a source (Conn.WriteFrom). CI runs it.
+fuzz-window:
+	$(GO) test -run '^$$' -fuzz '^FuzzWindowScript$$' -fuzztime 20s ./internal/tcp
 
 # One iteration of every go-test benchmark: the in-package micro-benchmarks
 # of the layers a download's host time is spent in. A smoke (CI runs it) —

@@ -32,9 +32,11 @@ type DataServer struct {
 	RequestsServed int64
 }
 
+// serveState is one connection's service, and the source its response is
+// read from (ReadAt).
 type serveState struct {
 	reqBuf   strings.Builder
-	writeOff int64 // absolute stream offset of the next response byte
+	shift    int64 // the pattern offset of stream offset 0 (the request's offset, less the stream's start)
 	remain   int64 // response bytes still to write
 	started  bool
 	deferred bool // a starved pump is already scheduled
@@ -88,25 +90,26 @@ func (s *DataServer) readable(c *tcp.Conn, st *serveState) {
 		return
 	}
 	st.started = true
-	st.writeOff = off
+	st.shift = off - c.LastAppByteWritten()
 	st.remain = nbytes
 	s.RequestsServed++
 	s.tracer.EmitValue(trace.KindGeneric, s.name, nbytes, "request for %d bytes on %v", nbytes, c.ID())
 	s.writable(c, st)
 }
 
-// writable generates as much of the response as the send buffer takes,
-// straight into it, until the buffer is full or the response complete.
+// writable appends as much of the response as the send buffer takes, until
+// the buffer is full or the response complete. The buffer stores none of
+// it: st is its source, and the stack reads each byte as a segment carrying
+// it goes out.
 func (s *DataServer) writable(c *tcp.Conn, st *serveState) {
 	if s.crashed || !st.started {
 		return
 	}
 	if st.remain > 0 {
-		written, err := c.WriteFunc(int(min(int64(c.WriteSpace()), st.remain)), st.fill)
+		written, err := c.WriteFrom(int(min(int64(c.WriteSpace()), st.remain)), st)
 		if err != nil || written == 0 {
 			return
 		}
-		st.writeOff += int64(written)
 		st.remain -= int64(written)
 		s.BytesServed += int64(written)
 	}
@@ -116,11 +119,14 @@ func (s *DataServer) writable(c *tcp.Conn, st *serveState) {
 	}
 }
 
-// fill writes the next response bytes into the send-buffer spans
-// WriteFunc hands it.
-func (st *serveState) fill(first, second []byte) {
-	FillPattern(st.writeOff, first)
-	FillPattern(st.writeOff+int64(len(first)), second)
+// ReadAt writes the response bytes at stream offset off into p: the
+// pattern, shifted to start at the request's offset. The same offset
+// always gives the same bytes, as Conn.WriteFrom requires, and a crashed
+// server still gives them: they were handed to the stack, which a real
+// kernel keeps.
+func (st *serveState) ReadAt(p []byte, off int64) (int, error) {
+	FillPattern(off+st.shift, p)
+	return len(p), nil
 }
 
 // parseRequest parses "GET <nbytes>" or the resuming form

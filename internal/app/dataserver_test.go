@@ -19,7 +19,7 @@ type pumpSample struct {
 
 // offerWholeChunks is a pump through Conn.Write: every Write offers a
 // whole chunk (or all that remains) and the connection clips it to its
-// free space. It is the reference the in-place pump must be
+// free space. It is the reference the sourced pump must be
 // indistinguishable from, seen from the connection.
 func offerWholeChunks(c *tcp.Conn, chunk int, off, remain *int64) {
 	p := make([]byte, chunk)
@@ -71,8 +71,9 @@ func servePumps(t *testing.T, recvBuf int, size int64, accept func(*tcp.Conn)) [
 	return samples
 }
 
-// TestDataServerPumpMatchesWholeChunkOffers: generating the response
-// straight into the send buffer must not change what the connection sees.
+// TestDataServerPumpMatchesWholeChunkOffers: appending the response as
+// bytes the stack reads from the server must not change what the
+// connection sees.
 // The response outgrows the 256 KiB send buffer, so the pump runs on a full
 // buffer that each acknowledgement frees a window's worth of: for a client
 // receive buffer (buf) smaller than, equal to and larger than the old 16 KiB
@@ -161,18 +162,17 @@ func parkedServer(t *testing.T) (*DataServer, *tcp.Conn, *serveState) {
 // TestDataServerPumpDoesNotAllocate is the gate a 16 KiB scratch chunk per
 // pump slipped past: a pump allocates nothing — neither the wake-up that
 // finds the send buffer still full (most of them, on a window-limited
-// connection) nor, once the send ring has grown to its size, the
-// generation of the next bytes straight into it when there is room.
+// connection) nor the WriteFrom of the next bytes when there is room.
 func TestDataServerPumpDoesNotAllocate(t *testing.T) {
 	srv, conn, st := parkedServer(t)
 	if n := testing.AllocsPerRun(1000, func() { srv.writable(conn, st) }); n != 0 {
 		t.Fatalf("pump on a full send buffer allocated %.1f times, want 0", n)
 	}
 
-	// A response larger than the send buffer, read as it comes, grows the
-	// server's send ring to its size; then the client stops reading, and
-	// the server's next bytes close its small receive window, so the
-	// pumps below write into the ring and send nothing.
+	// A response larger than the send buffer, read as it comes; then the
+	// client stops reading, and the server's next bytes close its small
+	// receive window, so the pumps below append to the send buffer and
+	// send nothing.
 	f := newFixtureOpts(t, 12, tcp.Options{RecvBufferSize: 4096})
 	srv = NewDataServer("server/app", nil)
 	l, err := f.server.Listen(addrServer, 80)
@@ -205,7 +205,7 @@ func TestDataServerPumpDoesNotAllocate(t *testing.T) {
 		st.remain = each
 		srv.writable(conn, st)
 	}); n != 0 {
-		t.Fatalf("in-place pump with room allocated %.1f times, want 0", n)
+		t.Fatalf("a pump with room allocated %.1f times, want 0", n)
 	}
 	if got, want := conn.LastAppByteWritten(), int64(size+2*4096+(runs+1)*each); got != want {
 		t.Fatalf("write position %d after the pumps, want %d", got, want)
@@ -252,9 +252,11 @@ func TestClientDeliveryDoesNotAllocate(t *testing.T) {
 // DataServer and StreamClient, after a warm-up one, stays within the
 // per-segment budgets for objects and for bytes. The pump's per-call chunk
 // read 17 KB per segment here while the stack-only test read under 1 KB.
-// The byte budget is the one the send ring's growth must fit: most of the
-// 131 B a segment reads is the server's 256 KiB ring, allocated once; grown
-// by doubling from 16 KiB writes, it read 215 B.
+// The response is read from the server when a segment goes out, not stored
+// in a send ring: a download reads 43 B per segment, and the budget is that
+// plus 17 B. A 256 KiB send ring allocated once per download, which the
+// server kept before, read 131 B; grown by doubling from 16 KiB writes,
+// 215 B.
 func TestDataServerDownloadAllocBudget(t *testing.T) {
 	f := newFixture(t, 13)
 	srv := NewDataServer("server/app", nil)
@@ -293,7 +295,7 @@ func TestDataServerDownloadAllocBudget(t *testing.T) {
 	perSeg := float64(after.Mallocs-before.Mallocs) / segs
 	bytesPerSeg := float64(after.TotalAlloc-before.TotalAlloc) / segs
 	t.Logf("%.0f segments, %.2f allocs/segment, %.0f B/segment", segs, perSeg, bytesPerSeg)
-	if perSeg > 6 || bytesPerSeg > 160 {
-		t.Fatalf("download allocates %.2f objects and %.0f B per segment, budget 6 and 160", perSeg, bytesPerSeg)
+	if perSeg > 6 || bytesPerSeg > 60 {
+		t.Fatalf("download allocates %.2f objects and %.0f B per segment, budget 6 and 60", perSeg, bytesPerSeg)
 	}
 }

@@ -49,30 +49,30 @@ func TestDamageIsRejectedAtTheNextCheck(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		run  func(l *lan)
-		// corrupted is Link.Corrupted of linkA and linkB, forwarded the
-		// switch's Forwarded: a frame the switch refused is not forwarded.
-		corrupted        [2]int64
-		forwarded        int64
-		rxFrames, rxDrop int64
-		intact           bool
+		// corrupted is Link.Corrupted of linkA and linkB; forwarded and
+		// dropped the switch's Forwarded and Dropped.
+		corrupted          [2]int64
+		forwarded, dropped int64
+		rxFrames, rxDrop   int64
+		intact             bool
 	}{
 		{"sent by a NIC", func(l *lan) {
 			_ = l.a.Send(eth.Frame{Dst: l.b.Addr(), Type: eth.TypeIPv4, Payload: payload})
-		}, [2]int64{0, 0}, 1, 1, 0, true},
+		}, [2]int64{0, 0}, 1, 0, 1, 0, true},
 		{"nic to switch", func(l *lan) {
 			l.linkA.SetCorruptRate(1)
 			_ = l.a.Send(eth.Frame{Dst: l.b.Addr(), Type: eth.TypeIPv4, Payload: payload})
-		}, [2]int64{1, 0}, 0, 0, 0, false},
+		}, [2]int64{1, 0}, 0, 1, 0, 0, false},
 		{"switch to nic", func(l *lan) {
 			l.linkB.SetCorruptRate(1)
 			_ = l.a.Send(eth.Frame{Dst: l.b.Addr(), Type: eth.TypeIPv4, Payload: payload})
-		}, [2]int64{0, 1}, 1, 0, 1, false},
+		}, [2]int64{0, 1}, 1, 0, 0, 1, false},
 		{"switch to nic, set while the frame is on its way", func(l *lan) {
 			_ = l.a.Send(eth.Frame{Dst: l.b.Addr(), Type: eth.TypeIPv4, Payload: payload})
 			l.linkB.SetCorruptRate(1)
-		}, [2]int64{0, 1}, 1, 0, 1, false},
-		{"raw frame with a bad FCS", func(l *lan) { l.linkA.TransmitFromA(raw(l, true)) }, [2]int64{0, 0}, 0, 0, 0, false},
-		{"raw frame with a good FCS", func(l *lan) { l.linkA.TransmitFromA(raw(l, false)) }, [2]int64{0, 0}, 1, 1, 0, false},
+		}, [2]int64{0, 1}, 1, 0, 0, 1, false},
+		{"raw frame with a bad FCS", func(l *lan) { l.linkA.TransmitFromA(raw(l, true)) }, [2]int64{0, 0}, 0, 1, 0, 0, false},
+		{"raw frame with a good FCS", func(l *lan) { l.linkA.TransmitFromA(raw(l, false)) }, [2]int64{0, 0}, 1, 0, 1, 0, false},
 	} {
 		l := newLAN()
 		intact := false
@@ -82,9 +82,11 @@ func TestDamageIsRejectedAtTheNextCheck(t *testing.T) {
 			t.Fatalf("%s: run: %v", tc.name, err)
 		}
 		got := [2]int64{l.linkA.Corrupted, l.linkB.Corrupted}
-		if got != tc.corrupted || l.sw.Forwarded != tc.forwarded || l.b.RxFrames != tc.rxFrames || l.b.RxDrops != tc.rxDrop {
-			t.Errorf("%s: Corrupted %v, switch forwarded %d, b RxFrames %d RxDrops %d; want %v, %d, %d, %d",
-				tc.name, got, l.sw.Forwarded, l.b.RxFrames, l.b.RxDrops, tc.corrupted, tc.forwarded, tc.rxFrames, tc.rxDrop)
+		if got != tc.corrupted || l.sw.Forwarded != tc.forwarded || l.sw.Dropped != tc.dropped ||
+			l.b.RxFrames != tc.rxFrames || l.b.RxDrops != tc.rxDrop {
+			t.Errorf("%s: Corrupted %v, switch forwarded %d dropped %d, b RxFrames %d RxDrops %d; want %v, %d, %d, %d, %d",
+				tc.name, got, l.sw.Forwarded, l.sw.Dropped, l.b.RxFrames, l.b.RxDrops,
+				tc.corrupted, tc.forwarded, tc.dropped, tc.rxFrames, tc.rxDrop)
 		}
 		if intact != tc.intact {
 			t.Errorf("%s: b's receiver was handed intact %v, want %v", tc.name, intact, tc.intact)

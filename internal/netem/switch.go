@@ -32,6 +32,9 @@ type Switch struct {
 	Forwarded int64
 	// Flooded counts frames forwarded by flooding.
 	Flooded int64
+	// Dropped counts frames refused at a port because their FCS check
+	// failed.
+	Dropped int64
 }
 
 // SwitchPort is one port of a switch, the far end of the link Connect made
@@ -74,6 +77,7 @@ func (p *SwitchPort) take(buf []byte, fcsOK bool) {
 	sw := p.sw
 	f, err := readFrame("a switch port", buf, fcsOK)
 	if err != nil {
+		sw.Dropped++
 		sw.pool.put(buf) // corrupt frame: a real switch would drop it too
 		return
 	}

@@ -3,6 +3,8 @@ package tcp
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 
 	"repro/internal/metrics"
 	"repro/internal/netem"
@@ -14,35 +16,46 @@ var ErrReleased = errors.New("tcp: requested bytes already released")
 
 // Window is the one store of stream bytes between the wire and the
 // application: the bytes of a stream from offset Base up to End, appended
-// at the back by Write and trimmed at the front by Release. Offsets are
-// absolute stream offsets (offset 0 is the first payload byte after the
-// SYN); keeping them 64-bit internally confines 32-bit sequence wraparound
-// handling to the wire boundary. A connection's send buffer is a Window of
-// unacknowledged bytes, its receive buffer one of unread bytes (on the
-// ST-TCP primary, also of bytes the backup has not reported); the logger's
-// log is a Window of client bytes.
+// at the back by Write or WriteFrom and trimmed at the front by Release.
+// Offsets are absolute stream offsets (offset 0 is the first payload byte
+// after the SYN); keeping them 64-bit internally confines 32-bit sequence
+// wraparound handling to the wire boundary. A connection's send buffer is a
+// Window of unacknowledged bytes, its receive buffer one of unread bytes
+// (on the ST-TCP primary, also of bytes the backup has not reported); the
+// logger's log is a Window of client bytes.
 //
-// The bytes live in a ring so that a Release costs an index update, not a
-// copy of everything still held: a bulk sender keeps the buffer full, and
-// every payload byte is then written once — copied in by Write, or
-// generated in place in the spans reserve hands out — and never moved
-// again. The ring is grown on demand, at least doubling, up to the
+// Bytes copied in by Write live in a ring so that a Release costs an index
+// update, not a copy of everything still held: a bulk sender keeps the
+// buffer full, and every payload byte is then copied in once and never
+// moved again. The ring is grown on demand, at least doubling, up to the
 // configured capacity and never beyond it, so a connection that only ever
-// has a few bytes outstanding holds only those, and one that reserves its
-// whole free space at once allocates the ring once. An empty window whose stream has no
-// use for it any more drops the ring (drop): a connection whose peer has
-// finished, once every byte is acknowledged, and every window of a crashed
-// host. A later Write grows a new one.
+// has a few bytes outstanding holds only those, and one that writes its
+// whole free space at once allocates the ring once. An empty window whose
+// stream has no use for it any more drops the ring (drop): a connection
+// whose peer has finished, once every byte is acknowledged, and every
+// window of a crashed host. A later Write grows a new one.
+//
+// Bytes appended by WriteFrom are not stored at all: the window keeps
+// their count and their source, and Slice reads them from it. While a
+// window holds any bytes they are of one kind: a Write into a window
+// holding sourced bytes, or a WriteFrom of another source or into one
+// holding copied bytes, panics. Once it is empty the next append chooses.
 type Window struct {
-	ring []byte // backing store; len(ring) <= cap is what has been grown so far
-	head int    // index in ring of the byte at stream offset base
-	n    int    // bytes held
-	base int64  // stream offset of the oldest held byte
+	ring []byte      // backing store; len(ring) <= cap is what has been grown so far
+	src  io.ReaderAt // where the held bytes are read from; nil when they are in ring
+	head int         // index in ring of the byte at stream offset base
+	n    int         // bytes held
+	base int64       // stream offset of the oldest held byte
 	cap  int
-	// wrapped assembles a slice that straddles the end of the ring. It is
-	// sized by the largest such request: one MSS, or one recovery chunk.
+	// wrapped assembles a slice that straddles the end of the ring, or
+	// holds one read from src. It is sized by the largest such request:
+	// one MSS, or one recovery chunk.
 	wrapped []byte
 }
+
+// errMixedWrite is the panic of a Write or WriteFrom that would hold bytes
+// of two kinds, or of two sources, at once.
+const errMixedWrite = "tcp: a window holds the bytes of one source, or copied ones, not both"
 
 // NewWindow returns an empty window at offset 0 that holds up to capacity
 // bytes.
@@ -65,9 +78,28 @@ func (b *Window) Free() int { return b.cap - b.n }
 // Write appends as much of p as fits and returns the number of bytes
 // accepted: a reserve and a copy.
 func (b *Window) Write(p []byte) int {
+	if b.src != nil {
+		panic(errMixedWrite)
+	}
 	n := min(len(p), b.Free())
 	first, second := b.reserve(n)
 	copy(second, p[copy(first, p[:n]):n])
+	return n
+}
+
+// WriteFrom appends up to n bytes, as many as fit, and returns how many it
+// accepted. It stores none of them: the byte at stream offset off is what
+// src.ReadAt writes at the matching place of p when Slice asks for it, so
+// src must give the same bytes each time until they are released.
+func (b *Window) WriteFrom(n int, src io.ReaderAt) int {
+	if src == nil || (b.n > 0 && b.src != src) {
+		panic(errMixedWrite)
+	}
+	n = min(n, b.Free())
+	if n > 0 {
+		b.src = src
+		b.n += n
+	}
 	return n
 }
 
@@ -120,15 +152,21 @@ func (b *Window) spans(i, n int) (first, second []byte) {
 	return b.ring[j:], b.ring[:j+n-len(b.ring)]
 }
 
-// poison overwrites the n oldest held bytes with 0xDB in the race build
-// (netem.Poison), just before they are released, so a slice of them kept
-// past that reads poison; it does nothing otherwise.
+// poison overwrites the n oldest held bytes, or for sourced bytes the
+// scratch they were read into, with 0xDB in the race build (netem.Poison),
+// just before they are released, so a slice of them kept past that reads
+// poison; it does nothing otherwise.
 func (b *Window) poison(n int) {
-	if netem.PoisonReleased {
-		first, second := b.spans(0, n)
-		netem.Poison(first)
-		netem.Poison(second)
+	if !netem.PoisonReleased {
+		return
 	}
+	if b.src != nil {
+		netem.Poison(b.wrapped[:cap(b.wrapped)])
+		return
+	}
+	first, second := b.spans(0, n)
+	netem.Poison(first)
+	netem.Poison(second)
 }
 
 // index maps a distance i <= len(ring) from the oldest held byte to its
@@ -141,36 +179,77 @@ func (b *Window) index(i int) int {
 	return i
 }
 
+// clip checks a request for the stream bytes [off, off+n): below Base it
+// fails with ErrReleased; otherwise it returns their distance from the
+// oldest held byte and n clipped to what is held from there, 0 at or past
+// End.
+func (b *Window) clip(off int64, n int) (start, m int, err error) {
+	if off < b.base {
+		return 0, 0, ErrReleased
+	}
+	if off-b.base >= int64(b.n) {
+		return 0, 0, nil
+	}
+	start = int(off - b.base)
+	return start, min(n, b.n-start), nil
+}
+
 // Slice returns the stream bytes [off, off+n), clipped to what the window
 // holds; below Base it fails with ErrReleased. The result aliases the
 // window (or its one scratch area, when the span straddles the end of the
-// ring) and must be consumed before the next Write, Release or Slice.
+// ring or was read from the window's source) and must be consumed before
+// the next Write, Release or Slice.
 func (b *Window) Slice(off int64, n int) ([]byte, error) {
-	if off < b.base {
-		return nil, ErrReleased
+	start, n, err := b.clip(off, n)
+	if err != nil || n == 0 {
+		return nil, err
 	}
-	if off-b.base >= int64(b.n) {
-		return nil, nil
-	}
-	start := int(off - b.base)
-	if n > b.n-start {
-		n = b.n - start
+	if b.src != nil {
+		return b.read(off, n)
 	}
 	first, second := b.spans(start, n)
 	if len(second) == 0 {
 		return first, nil
 	}
-	if cap(b.wrapped) < n {
-		b.wrapped = make([]byte, n)
-	}
-	w := b.wrapped[:n]
+	w := b.scratch(n)
 	copy(w[copy(w, first):], second)
 	return w, nil
 }
 
+// read reads the n sourced bytes from stream offset off into the scratch.
+// The race build poisons the scratch first, so bytes a source left
+// unwritten read 0xDB, and reads them twice, panicking if the source gave
+// two answers.
+func (b *Window) read(off int64, n int) ([]byte, error) {
+	k := 1
+	if netem.PoisonReleased {
+		k = 2 // room to read the bytes again
+	}
+	both := b.scratch(k * n)
+	netem.Poison(both)
+	w := both[:n]
+	if _, err := b.src.ReadAt(w, off); err != nil {
+		return nil, err
+	}
+	if again := both[n:]; len(again) > 0 {
+		if _, err := b.src.ReadAt(again, off); err != nil || !bytes.Equal(w, again) {
+			panic(fmt.Sprintf("tcp: the source of a window gave two answers for the %d bytes at %d", n, off))
+		}
+	}
+	return w, nil
+}
+
+// scratch returns the window's scratch area at n bytes, grown to fit.
+func (b *Window) scratch(n int) []byte {
+	if cap(b.wrapped) < n {
+		b.wrapped = make([]byte, n)
+	}
+	return b.wrapped[:n]
+}
+
 // Release discards the bytes below offset upTo. Beyond End it empties the
 // window and moves Base there: the stream skipped ahead. The race build
-// poisons what it lets go.
+// poisons what it lets go. An emptied window forgets its source.
 func (b *Window) Release(upTo int64) {
 	if upTo <= b.base {
 		return
@@ -178,10 +257,12 @@ func (b *Window) Release(upTo int64) {
 	drop := upTo - b.base
 	b.poison(int(min(drop, int64(b.n))))
 	if drop >= int64(b.n) {
-		b.base, b.head, b.n = upTo, 0, 0
+		b.base, b.head, b.n, b.src = upTo, 0, 0, nil
 		return
 	}
-	b.head = b.index(int(drop))
+	if b.src == nil {
+		b.head = b.index(int(drop))
+	}
 	b.n -= int(drop)
 	b.base = upTo
 }

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -195,34 +196,50 @@ func (b *refWindow) release(upTo int64) {
 // kind and a 16-bit operand (see driveWindows).
 func windowOp(kind byte, v int) []byte { return []byte{kind, byte(v >> 8), byte(v)} }
 
-// driveWindows runs one script against the ring and the reference
-// model and fails on the first difference in end/free/base, in the bytes a
-// slice returns, or in the whole held content. Per op, with operand v:
+// windowByte is the byte every window script writes at stream offset off.
+func windowByte(off int64) byte { return byte(off*131 + off>>8) }
+
+// patternSource is a pure source of the script stream: ReadAt gives
+// windowByte at every offset, the same bytes however often it is asked.
+type patternSource struct{}
+
+func (patternSource) ReadAt(p []byte, off int64) (int, error) {
+	for i := range p {
+		p[i] = windowByte(off + int64(i))
+	}
+	return len(p), nil
+}
+
+// driveWindows runs one script against a window and the reference model
+// and fails on the first difference in end/free/base, in the bytes a slice
+// returns, or in the whole held content. A sourced window takes every
+// write as a WriteFrom of patternSource and must hold no ring; any other
+// copies them in. Per op, with operand v:
 //
 //	kind&3 == 0  write v bytes (clipped by both to what fits); with kind&4
-//	             the ring takes them in place: reserve what fits, fill it
+//	             a copying window takes them in place: reserve what fits,
+//	             fill it
 //	kind&3 == 1  release to base + v mod (held+2): up to one past the end
 //	kind&3 == 2  slice at base + v mod (held+1), 1 + 24*(kind>>2) bytes
 //	kind&3 == 3  slice 1 + v mod 3 bytes below base: both must refuse
-func driveWindows(t *testing.T, capacity int, script []byte) {
+func driveWindows(t *testing.T, capacity int, script []byte, sourced bool) {
 	t.Helper()
 	ring := NewWindow(capacity)
 	ref := &refWindow{cap: capacity}
-	var written int64
 	for step := 0; len(script) >= 3; step, script = step+1, script[3:] {
 		kind, v := script[0], int(script[1])<<8|int(script[2])
 		held := int(ref.end() - ref.base)
 		switch kind & 3 {
 		case 0:
 			p := make([]byte, v)
-			for i := range p {
-				off := written + int64(i)
-				p[i] = byte(off*131 + off>>8)
-			}
+			_, _ = patternSource{}.ReadAt(p, ref.end())
 			var n int
-			if kind&4 == 0 {
+			switch {
+			case sourced:
+				n = ring.WriteFrom(v, patternSource{})
+			case kind&4 == 0:
 				n = ring.Write(p)
-			} else { // in place: reserve what fits and fill it
+			default: // in place: reserve what fits and fill it
 				n = min(v, ring.Free())
 				first, second := ring.reserve(n)
 				copy(second, p[copy(first, p):])
@@ -230,7 +247,6 @@ func driveWindows(t *testing.T, capacity int, script []byte) {
 			if want := ref.write(p); n != want {
 				t.Fatalf("step %d: write(%d) accepted %d, reference %d", step, v, n, want)
 			}
-			written += int64(n)
 		case 1:
 			upTo := ref.base + int64(v%(held+2))
 			ring.Release(upTo)
@@ -244,16 +260,16 @@ func driveWindows(t *testing.T, capacity int, script []byte) {
 			}
 		case 3:
 			off := ref.base - 1 - int64(v%3)
-			if _, err := ring.Slice(off, 4); err == nil {
-				t.Fatalf("step %d: slice(%d) below base %d did not error", step, off, ring.base)
+			if _, err := ring.Slice(off, 4); !errors.Is(err, ErrReleased) {
+				t.Fatalf("step %d: slice(%d) below base %d = %v, want ErrReleased", step, off, ring.base, err)
 			}
 		}
 		if ring.End() != ref.end() || ring.Free() != ref.free() || ring.base != ref.base {
 			t.Fatalf("step %d (kind %d, v %d): end/free/base = %d/%d/%d, reference %d/%d/%d",
 				step, kind&3, v, ring.End(), ring.Free(), ring.base, ref.end(), ref.free(), ref.base)
 		}
-		if len(ring.ring) > capacity {
-			t.Fatalf("step %d: ring grew to %d, capacity %d", step, len(ring.ring), capacity)
+		if len(ring.ring) > capacity || (sourced && len(ring.ring) != 0) {
+			t.Fatalf("step %d: ring grew to %d, capacity %d (sourced %v)", step, len(ring.ring), capacity, sourced)
 		}
 		if got := heldBytes(ring); !bytes.Equal(got, ref.data) {
 			t.Fatalf("step %d: held bytes differ from reference (%d held)", step, len(ref.data))
@@ -276,10 +292,10 @@ func heldBytes(b *Window) []byte {
 	return out
 }
 
-// TestSendBufferMatchesReference drives the ring and the copy-down buffer
-// it replaced with the same seeded random scripts at capacities on both
-// sides of every boundary that matters: a single byte, a prime, one MSS, a
-// power of two, and sizes that are neither.
+// TestSendBufferMatchesReference drives the ring, a sourced window and the
+// copy-down buffer the ring replaced with the same seeded random scripts at
+// capacities on both sides of every boundary that matters: a single byte,
+// a prime, one MSS, a power of two, and sizes that are neither.
 func TestSendBufferMatchesReference(t *testing.T) {
 	for _, capacity := range []int{1, 7, 1460, 4096, 3000, 100_003} {
 		for seed := int64(1); seed <= 8; seed++ {
@@ -299,7 +315,8 @@ func TestSendBufferMatchesReference(t *testing.T) {
 				}
 				script = append(script, windowOp(kind, v)...)
 			}
-			driveWindows(t, capacity, script)
+			driveWindows(t, capacity, script, false)
+			driveWindows(t, capacity, script, true)
 		}
 	}
 }
@@ -329,6 +346,70 @@ func TestSendBufferGrowWhileWrapped(t *testing.T) {
 	b.Write(bytes.Repeat([]byte("z"), 100))
 	if len(b.ring) != 16 || b.Free() != 0 {
 		t.Fatalf("ring %d free %d, want the full 16 and 0", len(b.ring), b.Free())
+	}
+}
+
+// mustPanic fails the test unless f panics with the window's mixed-write
+// message.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != errMixedWrite {
+			t.Fatalf("%s: recovered %v, want the mixed-write panic", what, r)
+		}
+	}()
+	f()
+}
+
+// otherSource is a second pure source, distinct from patternSource.
+type otherSource struct{ patternSource }
+
+// TestWindowHoldsOneKindOfBytes pins the rule for mixing Write and
+// WriteFrom: while a window holds bytes they are all copied, or all of one
+// source; an append of another kind, or of another source, panics and
+// changes nothing. Once the window is empty the next append chooses.
+func TestWindowHoldsOneKindOfBytes(t *testing.T) {
+	w := NewWindow(64)
+	w.Write([]byte("copied"))
+	mustPanic(t, "WriteFrom into copied bytes", func() { w.WriteFrom(4, patternSource{}) })
+	mustPanic(t, "WriteFrom of a nil source", func() { w.WriteFrom(4, nil) })
+	w.Release(w.End())
+	if n := w.WriteFrom(10, patternSource{}); n != 10 || w.End() != 16 {
+		t.Fatalf("WriteFrom into the emptied window = %d to end %d, want 10 to 16", n, w.End())
+	}
+	mustPanic(t, "Write into sourced bytes", func() { w.Write([]byte("x")) })
+	mustPanic(t, "WriteFrom of another source", func() { w.WriteFrom(1, otherSource{}) })
+	if n := w.WriteFrom(2, patternSource{}); n != 2 || w.Len() != 12 {
+		t.Fatalf("a second WriteFrom of the same source = %d, %d held; want 2 and 12", n, w.Len())
+	}
+	w.Release(w.End())
+	if n := w.Write([]byte("again")); n != 5 {
+		t.Fatalf("Write into the emptied window = %d, want 5", n)
+	}
+	if got, err := w.Slice(18, 5); err != nil || string(got) != "again" {
+		t.Fatalf("slice = %q, %v; want again", got, err)
+	}
+}
+
+// TestDroppedSourcedWindowCopiesAgain: a sourced window that is emptied and
+// dropped, as a finished connection's send buffer is, holds no source,
+// ring or scratch, and a later Write copies into a new ring.
+func TestDroppedSourcedWindowCopiesAgain(t *testing.T) {
+	w := NewWindow(4096)
+	w.WriteFrom(3000, patternSource{})
+	if got, err := w.Slice(1000, 1460); err != nil || len(got) != 1460 || got[0] != windowByte(1000) {
+		t.Fatalf("sourced slice = %d bytes, %v", len(got), err)
+	}
+	w.Release(w.End())
+	w.drop()
+	if w.src != nil || w.ring != nil || w.wrapped != nil {
+		t.Fatalf("dropped window holds source %v, ring %d, scratch %d", w.src, len(w.ring), len(w.wrapped))
+	}
+	if n := w.Write([]byte("copied")); n != 6 || len(w.ring) != 6 {
+		t.Fatalf("Write after the drop = %d into a ring of %d, want 6 and 6", n, len(w.ring))
+	}
+	if got, err := w.Slice(3000, 10); err != nil || string(got) != "copied" {
+		t.Fatalf("slice after the drop = %q, %v; want copied", got, err)
 	}
 }
 

@@ -1,8 +1,10 @@
 package tcp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"repro/internal/metrics"
@@ -408,33 +410,50 @@ func (c *Conn) Discard(n int) {
 }
 
 // Write appends p to the send buffer, returning how many bytes were
-// accepted (possibly 0 when the buffer is full): a WriteFunc that copies.
+// accepted (possibly 0 when the buffer is full); the buffer keeps a copy of
+// them until they are acknowledged. It panics while the buffer holds bytes
+// a WriteFrom appended (see Window).
 func (c *Conn) Write(p []byte) (int, error) {
-	return c.WriteFunc(len(p), func(first, second []byte) {
-		copy(second, p[copy(first, p):])
-	})
+	if err := c.writeErr(); err != nil {
+		return 0, err
+	}
+	n := c.sb.Write(p)
+	if n > 0 {
+		c.maybeSend()
+	}
+	return n, nil
 }
 
-// WriteFunc appends n bytes to the send buffer in place, or as many as
-// fit: fill is handed the at most two spans of the buffer that hold the
-// bytes accepted, in stream order, and must write every byte of them
-// before it returns; then they are sent as written bytes are. It returns
-// how many bytes it accepted, calling fill only when that is not 0.
-func (c *Conn) WriteFunc(n int, fill func(first, second []byte)) (int, error) {
+// WriteFrom appends n bytes to the send buffer, or as many as fit, without
+// copying them: the byte at stream offset off (LastAppByteWritten before
+// the call is the first one's) is what src.ReadAt writes at the matching
+// place of p. They are read when a segment that carries them goes out, and
+// again for a retransmission, so src must give the same bytes each time it
+// is asked until they are acknowledged; a suppressed connection reads
+// none. It returns how many bytes it accepted, and panics while the buffer
+// holds bytes copied in by Write or read from another source (see Window).
+func (c *Conn) WriteFrom(n int, src io.ReaderAt) (int, error) {
+	if err := c.writeErr(); err != nil {
+		return 0, err
+	}
+	n = c.sb.WriteFrom(n, src)
+	if n > 0 {
+		c.maybeSend()
+	}
+	return n, nil
+}
+
+// writeErr is why a write would be refused: the write side is closed, or
+// the connection is not (yet or any more) one that sends.
+func (c *Conn) writeErr() error {
 	if c.finQueued {
-		return 0, ErrWriteClosed
+		return ErrWriteClosed
 	}
 	switch c.state {
 	case StateEstablished, StateCloseWait, StateSynRcvd, StateSynSent:
-	default:
-		return 0, fmt.Errorf("%w: state %v", ErrNotConnected, c.state)
+		return nil
 	}
-	if n = min(n, c.sb.Free()); n <= 0 {
-		return 0, nil
-	}
-	fill(c.sb.reserve(n))
-	c.maybeSend()
-	return n, nil
+	return fmt.Errorf("%w: state %v", ErrNotConnected, c.state)
 }
 
 // WriteSpace reports how many bytes Write would currently accept.
@@ -835,7 +854,7 @@ func (c *Conn) maybeSend() {
 		if room <= 0 {
 			break
 		}
-		payload, err := c.sb.Slice(c.sndNxt, min(c.mss, room))
+		payload, err := c.payload(c.sndNxt, min(c.mss, room))
 		if err != nil || len(payload) == 0 {
 			break
 		}
@@ -879,6 +898,27 @@ func (c *Conn) applyGhostAck() {
 	if target := min(c.ghostAck, c.sndNxt); target > c.sndUna {
 		c.advanceUna(target)
 	}
+}
+
+// unreadPayload is what every suppressed segment carries (Conn.payload).
+// Only its length is read; anything that reads its bytes finds 0xDB. It is
+// shared by every stack, so nothing may write it.
+var unreadPayload = bytes.Repeat([]byte{0xDB}, DefaultMSS)
+
+// payload returns the send-buffer bytes [off, off+n) a segment carries,
+// as Window.Slice clips them. A suppressed connection's segments are
+// counted, not sent (output reads only their length), so it reads none,
+// and a sourced window's source is not asked: its payload is
+// unreadPayload, at the clipped length (n is at most one MSS).
+func (c *Conn) payload(off int64, n int) ([]byte, error) {
+	if !c.suppressed {
+		return c.sb.Slice(off, n)
+	}
+	_, n, err := c.sb.clip(off, n)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	return unreadPayload[:n], nil
 }
 
 func (c *Conn) transmitData(off int64, payload []byte, retrans bool) {
@@ -1030,8 +1070,7 @@ func (c *Conn) retransmit() {
 		return
 	}
 	if c.sndUna < c.sb.End() {
-		n := c.mss
-		payload, err := c.sb.Slice(c.sndUna, n)
+		payload, err := c.payload(c.sndUna, c.mss)
 		if err != nil || len(payload) == 0 {
 			return
 		}
@@ -1074,7 +1113,7 @@ func (c *Conn) onPersistTimeout() {
 	}
 	// Send a 1-byte window probe beyond the closed window; the peer
 	// drops the byte but answers with its current window.
-	payload, err := c.sb.Slice(c.sndNxt, 1)
+	payload, err := c.payload(c.sndNxt, 1)
 	if err == nil && len(payload) == 1 {
 		c.sendSegmentRaw(FlagACK|FlagPSH, c.sndNxt, payload, false)
 	} else if c.finQueued && !c.finSent && !c.finGate {

@@ -19,3 +19,7 @@ func (c *Conn) Storage() int {
 
 // SendWindow returns c's send buffer.
 func (c *Conn) SendWindow() *Window { return c.sb }
+
+// SendStorage reports the bytes of ring and of scratch c's send buffer
+// holds.
+func (c *Conn) SendStorage() (ring, scratch int) { return len(c.sb.ring), cap(c.sb.wrapped) }

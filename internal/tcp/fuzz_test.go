@@ -72,14 +72,15 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzSendBuffer runs arbitrary write/reserve/release/slice scripts (the
-// encoding of driveWindows) against the ring and the copy-down reference
-// model at a fuzzer-chosen capacity. The seeds reach the paths a bulk
-// transfer lives on: a full buffer that wraps on every write, a slice
-// straddling the end of the ring, release beyond the end, growth while
-// wrapped, and an in-place reserve that grows the ring once and then
-// crosses its end.
-func FuzzSendBuffer(f *testing.F) {
+// FuzzWindowScript runs arbitrary write/reserve/release/slice scripts (the
+// encoding of driveWindows) against the copy-down reference model at a
+// fuzzer-chosen capacity, twice: once on a window that copies its bytes
+// into a ring, once on one that reads them from a source. The seeds reach
+// the paths a bulk transfer lives on: a full buffer that wraps on every
+// write, a slice straddling the end of the ring, release beyond the end,
+// growth while wrapped, and an in-place reserve that grows the ring once
+// and then crosses its end; sourced, the data server's pump.
+func FuzzWindowScript(f *testing.F) {
 	join := func(ops ...[]byte) []byte {
 		var out []byte
 		for _, op := range ops {
@@ -107,7 +108,8 @@ func FuzzSendBuffer(f *testing.F) {
 		if len(script) > 3*256 {
 			script = script[:3*256]
 		}
-		driveWindows(t, int(capacity), script)
+		driveWindows(t, int(capacity), script, false)
+		driveWindows(t, int(capacity), script, true)
 	})
 }
 

@@ -30,3 +30,31 @@ func TestKeptPeekReadsPoison(t *testing.T) {
 		t.Fatalf("the bytes not discarded read %q, want \", world\"", rest)
 	}
 }
+
+// lazySource claims every read and writes nothing.
+type lazySource struct{}
+
+func (lazySource) ReadAt(p []byte, _ int64) (int, error) { return len(p), nil }
+
+// TestSourcedScratchReadsPoison: in the race build the scratch a sourced
+// span is read into is poisoned before every read and on every Release, so
+// a slice kept past its Release reads 0xDB, and so do the bytes a source
+// left unwritten, not the previous span's.
+func TestSourcedScratchReadsPoison(t *testing.T) {
+	poison := bytes.Repeat([]byte{0xDB}, 100)
+	w := NewWindow(4096)
+	w.WriteFrom(300, patternSource{})
+	kept, err := w.Slice(0, 100)
+	if err != nil || kept[99] != windowByte(99) {
+		t.Fatalf("slice = %d bytes, %v", len(kept), err)
+	}
+	w.Release(50)
+	if !bytes.Equal(kept, poison) {
+		t.Fatalf("a sourced slice kept past its Release reads % x..., want poison", kept[:8])
+	}
+	w.Release(w.End())
+	w.WriteFrom(300, lazySource{})
+	if got, _ := w.Slice(w.Base(), 100); !bytes.Equal(got, poison) {
+		t.Fatalf("the bytes a source left unwritten read % x..., want poison", got[:8])
+	}
+}

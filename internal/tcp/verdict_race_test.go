@@ -32,3 +32,30 @@ func TestWrongChecksumVerdictPanics(t *testing.T) {
 	}()
 	_ = h.sim.Run(time.Second)
 }
+
+// impureSource gives different bytes each time it is asked: every read is
+// filled with the count of reads so far.
+type impureSource struct{ reads byte }
+
+func (s *impureSource) ReadAt(p []byte, _ int64) (int, error) {
+	s.reads++
+	for i := range p {
+		p[i] = s.reads
+	}
+	return len(p), nil
+}
+
+// TestImpureSourcePanics seeds a source that breaks WriteFrom's contract:
+// the race build reads every sourced span twice and panics when the two
+// reads differ, where the plain build would send whatever the first gave.
+func TestImpureSourcePanics(t *testing.T) {
+	w := NewWindow(4096)
+	w.WriteFrom(3000, &impureSource{})
+	defer func() {
+		r := recover()
+		if s, ok := r.(string); !ok || !strings.Contains(s, "two answers") {
+			t.Fatalf("a source that answered twice differently was accepted: recovered %v", r)
+		}
+	}()
+	_, _ = w.Slice(0, DefaultMSS)
+}
