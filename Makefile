@@ -41,9 +41,13 @@ fuzz-heap:
 # Twenty seconds each of fuzzing the decoders a receiver uses on bytes with
 # an intact verdict (FuzzParse in ip, udp and tcp): Parse must never panic,
 # and must return what the verifying Decode does wherever Decode accepts.
+# And of the sealer a NIC runs where a frame's sums can be read (FuzzSeal):
+# ip.Seal must never panic, must write only sums the full decoders accept,
+# and must turn a packet a stack wrote into the full encoders' bytes.
 # CI runs it.
 fuzz-decode:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/ip
+	$(GO) test -run '^$$' -fuzz '^FuzzSeal$$' -fuzztime 20s ./internal/ip
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/udp
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/tcp
 

@@ -283,6 +283,27 @@ func TestEchoPingPong(t *testing.T) {
 	}
 }
 
+// TestEchoClientRecordsIntoOneSeries: an echo client records one sample per
+// round into a series Start allocated at that size, so after a full run
+// the series is exactly full and was never regrown.
+func TestEchoClientRecordsIntoOneSeries(t *testing.T) {
+	f := newFixture(t, 6)
+	srv := NewEchoServer("server/app", f.tracer)
+	l, _ := f.server.Listen(addrServer, 80)
+	l.OnEstablished = srv.Accept
+	cl := NewEchoClient("client/app", f.client, addrServer, 80, 40, 64, f.tracer)
+	if err := cl.Start(); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	_ = f.sim.Run(time.Minute)
+	if !cl.Done || cl.Err != nil {
+		t.Fatalf("echo client: done=%v err=%v rounds=%d", cl.Done, cl.Err, cl.RoundsDone)
+	}
+	if len(cl.Samples) != cl.Rounds || cap(cl.Samples) != cl.Rounds {
+		t.Fatalf("%d rounds left a series of %d samples in %d; want both %d", cl.Rounds, len(cl.Samples), cap(cl.Samples), cl.Rounds)
+	}
+}
+
 func TestEchoClientGapPacing(t *testing.T) {
 	f := newFixture(t, 7)
 	srv := NewEchoServer("server/app", f.tracer)

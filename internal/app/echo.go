@@ -126,6 +126,7 @@ func (cl *EchoClient) Start() error {
 		return err
 	}
 	cl.buf = make([]byte, min(cl.MsgSize, echoReadSize))
+	cl.Samples = make([]ProgressSample, 0, cl.Rounds) // one per round
 	cl.started = cl.sim.Now()
 	c.OnEstablished = func() { cl.sendRound() }
 	c.OnWritable = func() { cl.continueSend() }

@@ -99,7 +99,7 @@ type Packet struct {
 // AppendEncode serialises the packet onto dst, reusing its capacity when
 // possible, and returns the extended slice. The segment path does not come
 // here: the stack writes the header in front of a transport payload
-// already in its frame, with PutHeader.
+// already in its frame, with PutUnsealedHeader.
 func (p *Packet) AppendEncode(dst []byte) ([]byte, error) {
 	if len(p.Payload) > MaxPayload {
 		return nil, fmt.Errorf("ip: payload %d exceeds max %d", len(p.Payload), MaxPayload)
@@ -118,10 +118,18 @@ func (p *Packet) AppendEncode(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// PutHeader writes the header, with a freshly computed checksum, into
-// pkt[:HeaderLen], for a packet of len(pkt) bytes whose payload already
-// follows it; p.Payload is not read. It is the one encoder of the package.
+// PutHeader writes the header, with its checksum, into pkt[:HeaderLen], for
+// a packet of len(pkt) bytes whose payload already follows it; p.Payload is
+// not read. It is PutUnsealedHeader and then the header's checksum.
 func (p *Packet) PutHeader(pkt []byte) {
+	p.PutUnsealedHeader(pkt)
+	sealHeader(pkt)
+}
+
+// PutUnsealedHeader is PutHeader with the checksum field zero: the one
+// writer of the header. A stack sends what it writes and a NIC seals it
+// (Seal) only where something can read the sum (see netem.Link).
+func (p *Packet) PutUnsealedHeader(pkt []byte) {
 	buf := pkt[:HeaderLen]
 	buf[0] = 0x45 // version 4, IHL 5
 	buf[1] = p.TOS
@@ -142,7 +150,71 @@ func (p *Packet) PutHeader(pkt []byte) {
 	buf[10], buf[11] = 0, 0
 	copy(buf[12:], p.Src[:])
 	copy(buf[16:], p.Dst[:])
-	binary.BigEndian.PutUint16(buf[10:], Checksum(buf))
+}
+
+// Seal writes the checksums of pkt, an IPv4 packet: its header's and, for
+// TCP and UDP, the transport checksum over the pseudo-header
+// (SealTransport). ICMP writes its own checksum; any other protocol is left
+// alone, and so are bytes Parse refuses. Sealing a packet whose sum fields
+// a stack left zero gives the bytes the full encoders (PutHeader and the
+// transports' AppendEncode) write.
+func Seal(pkt []byte) {
+	p, err := Parse(pkt)
+	if err != nil {
+		return
+	}
+	sealHeader(pkt)
+	SealTransport(p.Src, p.Dst, p.Proto, p.Payload)
+}
+
+// sealHeader writes the header checksum of pkt over its first HeaderLen
+// bytes.
+func sealHeader(pkt []byte) {
+	pkt[10], pkt[11] = 0, 0
+	binary.BigEndian.PutUint16(pkt[10:], Checksum(pkt[:HeaderLen]))
+}
+
+// The transport headers SealTransport writes into: each one's least length
+// and where its checksum sits.
+const (
+	tcpSumAt     = 16
+	tcpHeaderLen = 20
+	udpSumAt     = 6
+	udpHeaderLen = 8
+)
+
+// SealTransport writes the checksum of seg, a TCP segment or a UDP datagram
+// sent from src to dst, over the IPv4 pseudo-header and seg, the datagram
+// up to its length field. It is the one writer of either checksum: a UDP
+// sum that computes to zero is written as all ones (RFC 768). A segment too
+// short for its header, a datagram whose length field is out of range, and
+// any other protocol are left alone.
+func SealTransport(src, dst Addr, proto Protocol, seg []byte) {
+	var at int
+	switch proto {
+	case ProtoTCP:
+		if len(seg) < tcpHeaderLen {
+			return
+		}
+		at = tcpSumAt
+	case ProtoUDP:
+		if len(seg) < udpHeaderLen {
+			return
+		}
+		n := int(binary.BigEndian.Uint16(seg[4:]))
+		if n < udpHeaderLen || n > len(seg) {
+			return
+		}
+		seg, at = seg[:n], udpSumAt
+	default:
+		return
+	}
+	seg[at], seg[at+1] = 0, 0
+	sum := FinishChecksum(SumWords(PseudoHeaderSum(src, dst, proto, len(seg)), seg))
+	if sum == 0 && proto == ProtoUDP {
+		sum = 0xffff
+	}
+	binary.BigEndian.PutUint16(seg[at:], sum)
 }
 
 // Decode parses and validates buf: Parse, and then the header checksum.
@@ -159,10 +231,11 @@ func Decode(buf []byte) (Packet, error) {
 }
 
 // Parse is Decode without the header checksum, for bytes that are intact
-// since PutHeader wrote them (see netstack). It checks everything else: the
-// version, that there are no options, the total length, and the TTL — a TTL
-// of 0, which no router forwards and which PutHeader writes as DefaultTTL,
-// is refused. The returned packet's payload aliases buf.
+// since a stack wrote them, whether or not their checksum was written (see
+// netstack). It checks everything else: the version, that there are no
+// options, the total length, and the TTL — a TTL of 0, which no router
+// forwards and which PutUnsealedHeader writes as DefaultTTL, is refused.
+// The returned packet's payload aliases buf.
 func Parse(buf []byte) (Packet, error) {
 	if len(buf) < HeaderLen {
 		return Packet{}, fmt.Errorf("%w: %d bytes", ErrPacketTooShort, len(buf))

@@ -1,10 +1,13 @@
 package netem
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 
 	"repro/internal/eth"
+	"repro/internal/ip"
 	"repro/internal/sim"
 )
 
@@ -113,15 +116,40 @@ func TestDamageOnANICToNICLink(t *testing.T) {
 	}
 }
 
-// TestDamagedCopyCarriesTheTrueFCS sends a frame whose FCS no one has
-// written — no link of the switch damaged frames when it left — and only
-// then makes the egress link corrupt: the link seals its copy before it
-// flips a bit, so the frame in flight to b differs in exactly one bit from
-// the fully encoded frame, FCS included.
+// tcpPacket is an IPv4 packet from 10.0.0.1 to 10.0.0.2 carrying a TCP
+// segment with payload, its IP header checksum and its TCP checksum true.
+func tcpPacket(t *testing.T, payload string) []byte {
+	t.Helper()
+	src, dst := ip.MakeAddr(10, 0, 0, 1), ip.MakeAddr(10, 0, 0, 2)
+	seg := make([]byte, 20+len(payload))
+	binary.BigEndian.PutUint16(seg[0:], 40000)
+	binary.BigEndian.PutUint16(seg[2:], 80)
+	binary.BigEndian.PutUint32(seg[4:], 1)
+	seg[12], seg[13] = 5<<4, 0x18 // a bare header; PSH|ACK
+	binary.BigEndian.PutUint16(seg[14:], 4096)
+	copy(seg[20:], payload)
+	binary.BigEndian.PutUint16(seg[16:], ip.FinishChecksum(ip.SumWords(ip.PseudoHeaderSum(src, dst, ip.ProtoTCP, len(seg)), seg)))
+	p := ip.Packet{TTL: ip.DefaultTTL, Proto: ip.ProtoTCP, Src: src, Dst: dst, Payload: seg}
+	pkt, err := p.AppendEncode(nil)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	return pkt
+}
+
+// TestDamagedCopyCarriesTheTrueFCS sends a TCP segment's frame whose sums
+// no one has written — its FCS, IP header checksum and TCP checksum are
+// zero, as a stack leaves them when no link of the switch damages frames —
+// and only then makes the egress link corrupt: the link seals its copy
+// before it flips a bit, so the frame in flight to b differs in exactly one
+// bit from the fully encoded frame, every sum included.
 func TestDamagedCopyCarriesTheTrueFCS(t *testing.T) {
 	l := newLAN()
-	f := eth.Frame{Dst: l.b.Addr(), Src: l.a.Addr(), Type: eth.TypeIPv4, Payload: []byte("sealed late, by the link that damages it")}
-	if err := l.a.Send(f); err != nil {
+	pkt := tcpPacket(t, "sealed late, by the link that damages it")
+	unsealed := bytes.Clone(pkt)
+	unsealed[10], unsealed[11] = 0, 0
+	unsealed[ip.HeaderLen+16], unsealed[ip.HeaderLen+17] = 0, 0
+	if err := l.a.Send(eth.Frame{Dst: l.b.Addr(), Type: eth.TypeIPv4, Payload: unsealed}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	l.linkB.SetCorruptRate(1)
@@ -133,6 +161,7 @@ func TestDamagedCopyCarriesTheTrueFCS(t *testing.T) {
 	if d.fcsOK {
 		t.Fatal("the damaged frame kept an intact verdict")
 	}
+	f := eth.Frame{Dst: l.b.Addr(), Src: l.a.Addr(), Type: eth.TypeIPv4, Payload: pkt}
 	want, err := f.AppendEncode(nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)

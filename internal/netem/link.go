@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/eth"
+	"repro/internal/ip"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -25,10 +26,11 @@ type Endpoint interface {
 	// anything it keeps (the NIC lends it on to its handler under the same
 	// contract, see NIC.SetReceiver). fcsOK is the frame's verdict: these
 	// bytes are intact since a NIC sent them, and nothing has written them
-	// since, so every checksum in them holds as their sender wrote it. With
-	// fcsOK true the FCS field may be unwritten. A frame a corrupting link
-	// damaged, or one handed to TransmitFromA or TransmitFromB, has no such
-	// verdict, and a receiver checks all of it, its FCS first.
+	// since, so no checksum in them needs reading. With fcsOK true the FCS,
+	// IP, TCP and UDP checksum fields may be unwritten (see
+	// Link.sealEagerly). A frame a corrupting link damaged, or one handed to
+	// TransmitFromA or TransmitFromB, has no such verdict, and a receiver
+	// checks all of it, its FCS first.
 	DeliverFrame(buf []byte, fcsOK bool)
 }
 
@@ -224,13 +226,22 @@ func (l *Link) SetCorruptRate(p float64) {
 	}
 }
 
-// sealEagerly reports whether a NIC sending on l writes each frame's FCS
-// as it sends it: in the race build, whose checks recompute every CRC, and
-// once l or any link of its switch has been set to damage frames, so the
-// wire there carries a real FCS. Elsewhere only a damaging link seals, its
-// copy (see transmit).
+// sealEagerly reports whether a NIC sending on l seals each frame as it
+// sends it: in the race build, whose checks recompute every sum, and once l
+// or any link of its switch has been set to damage frames, so the wire
+// there carries real sums. Elsewhere only a damaging link seals, its copy
+// (see transmit): no check reads the sums of an intact frame.
 func (l *Link) sealEagerly() bool {
 	return RecheckVerdicts || l.damaging || l.a.port != nil && l.a.port.sw.damaging
+}
+
+// seal writes every checksum frame may carry: an IPv4 packet's (ip.Seal),
+// then the FCS over them.
+func seal(frame []byte) {
+	if f, err := eth.Parse(frame); err == nil && f.Type == eth.TypeIPv4 {
+		ip.Seal(f.Payload)
+	}
+	eth.Seal(frame)
 }
 
 // TransmitFromA sends frame from endpoint A toward endpoint B, and takes
@@ -283,13 +294,14 @@ func (l *Link) transmit(side *linkSide, frame []byte, fcsOK bool) {
 	if l.corruptRate > 0 && l.sim.Rand().Float64() < l.corruptRate {
 		// A frame in flight is never written: flip one bit of a copy,
 		// which carries no verdict, and let the original go. An intact
-		// frame's FCS may be unwritten, so the copy is sealed first: the
-		// damaged frame rides to the receiver with the FCS its sender
-		// would have written, and the FCS check must reject it.
+		// frame's sums may be unwritten, so the copy is sealed first: the
+		// damaged frame rides to the receiver with the sums its sender's
+		// full encoders would have written, and the FCS check must reject
+		// it.
 		bit := l.sim.Rand().Int63n(int64(len(frame)) * 8)
 		damaged := append(l.pool.get(0), frame...)
 		if fcsOK {
-			eth.Seal(damaged)
+			seal(damaged)
 		}
 		l.pool.put(frame)
 		frame, fcsOK = damaged, false

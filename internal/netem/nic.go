@@ -73,8 +73,8 @@ func (n *NIC) SetPromiscuous(p bool) { n.promisc = p }
 // frame's Payload is the received frame's own bytes — the one buffer its
 // sender's stack wrote — lent until h returns, when the link takes it back
 // into its pool. intact is the link's verdict (see Endpoint): the bytes are
-// the ones a NIC sent, so every checksum its sender's encoders wrote over
-// them still holds; without it the receiver checks them.
+// the ones a NIC sent, so no checksum needs reading, and any its sender
+// wrote still holds; without it the receiver checks them all.
 func (n *NIC) SetReceiver(h func(f eth.Frame, intact bool)) { n.handler = h }
 
 // SetHandler registers a receive callback that has no use for the verdict;
@@ -108,8 +108,9 @@ func (n *NIC) NewFrame(headroom int) []byte {
 // Transmit writes the header of frame, a frame from NewFrame whose payload
 // is in place behind it, for dst and t and the NIC's own source address,
 // and hands it to the link with an intact verdict. The link takes it: the
-// caller must not touch it again, whatever Transmit returns. The FCS is
-// written only where something can read it (see Link.sealEagerly).
+// caller must not touch it again, whatever Transmit returns. The FCS, and
+// an IPv4 packet's checksums, are written only where something can read
+// them (see Link.sealEagerly).
 func (n *NIC) Transmit(dst eth.Addr, t eth.EtherType, frame []byte) error {
 	if n.link == nil {
 		return fmt.Errorf("%w: %s not attached", ErrNICDown, n.name)
@@ -125,7 +126,7 @@ func (n *NIC) Transmit(dst eth.Addr, t eth.EtherType, frame []byte) error {
 	frame = append(frame, 0, 0, 0, 0) // the FCS
 	eth.PutHeader(frame, dst, n.addr, t)
 	if n.link.sealEagerly() {
-		eth.Seal(frame)
+		seal(frame)
 	}
 	n.TxFrames++
 	n.TxBytes += int64(len(frame))

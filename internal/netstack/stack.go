@@ -139,8 +139,9 @@ func (s *Stack) NewFrame() []byte { return s.nic.NewFrame(Headroom) }
 // SendFrame transmits the transport packet at frame[Headroom:], a frame
 // from NewFrame, from src to dst; the ST-TCP servers source service traffic
 // from the shared serviceIP alias. It takes the frame: the IP header is
-// written in front of the packet and the NIC seals it, or on a resolution
-// miss the ARP queue holds it.
+// written in front of the packet, its checksum zero, and the NIC sends it
+// (sealing it where something can read its sums, see netem.Link), or on a
+// resolution miss the ARP queue holds it.
 func (s *Stack) SendFrame(src, dst ip.Addr, proto ip.Protocol, frame []byte) error {
 	hw, ok := s.arpTable.Lookup(dst)
 	if !ok {
@@ -159,7 +160,7 @@ func (s *Stack) sendResolved(hw eth.Addr, src, dst ip.Addr, proto ip.Protocol, f
 		Src:   src,
 		Dst:   dst,
 	}
-	pkt.PutHeader(frame[eth.HeaderLen:])
+	pkt.PutUnsealedHeader(frame[eth.HeaderLen:])
 	if err := s.nic.Transmit(hw, eth.TypeIPv4, frame); err != nil {
 		return fmt.Errorf("netstack: %s: %w", s.name, err)
 	}
@@ -225,10 +226,10 @@ func (s *Stack) UDPListen(port uint16, h UDPHandler) error {
 func (s *Stack) UDPClose(port uint16) { delete(s.udpHandlers, port) }
 
 // UDPSend transmits a datagram from srcPort to dst:dstPort, written into
-// its frame, so a caller may pass a buffer it reuses.
+// its frame without its checksum, so a caller may pass a buffer it reuses.
 func (s *Stack) UDPSend(srcPort uint16, dst ip.Addr, dstPort uint16, payload []byte) error {
 	d := udp.Datagram{SrcPort: srcPort, DstPort: dstPort, Payload: payload}
-	return s.SendFrame(s.addr, dst, ip.ProtoUDP, d.AppendEncode(s.NewFrame(), s.addr, dst))
+	return s.SendFrame(s.addr, dst, ip.ProtoUDP, d.AppendUnsealed(s.NewFrame()))
 }
 
 // --- ICMP ping ---
@@ -310,11 +311,11 @@ func (s *Stack) flushARPQueue(addr ip.Addr, hw eth.Addr) {
 }
 
 // handleIPv4 reads an IPv4 frame. A frame with an intact verdict holds the
-// bytes sendResolved and a transport's encoder wrote, checksums included,
-// so its IP header is parsed without summing it, and a UDP or TCP
-// receiver may skip its own checksum too. The race build sums each anyway
-// and panics if a verdict it was handed is wrong. ICMP, a cold path, is
-// always checked.
+// bytes sendResolved and a transport's writer wrote, whose IP, UDP and TCP
+// checksums may be unwritten, so its IP header is parsed without summing
+// it, and a UDP or TCP receiver skips its own checksum too. The race build
+// seals every frame, sums each anyway and panics if a verdict it was handed
+// is wrong. ICMP, a cold path, writes and checks its own checksum.
 func (s *Stack) handleIPv4(f eth.Frame, intact bool) {
 	var pkt ip.Packet
 	var err error
@@ -369,7 +370,13 @@ func (s *Stack) handleUDP(pkt ip.Packet, intact bool) {
 	if !intact {
 		d, err = udp.Decode(pkt.Src, pkt.Dst, pkt.Payload)
 	} else if d, err = udp.Parse(pkt.Payload); err == nil && netem.RecheckVerdicts {
-		if _, bad := udp.Decode(pkt.Src, pkt.Dst, pkt.Payload); bad != nil {
+		// Decode takes a zero sum for none, but the race build seals
+		// every frame, so an intact datagram there carries one.
+		_, bad := udp.Decode(pkt.Src, pkt.Dst, pkt.Payload)
+		if bad == nil && pkt.Payload[6]|pkt.Payload[7] == 0 {
+			bad = errors.New("udp: no checksum")
+		}
+		if bad != nil {
 			panic(fmt.Sprintf("netstack: %s was handed an intact verdict its UDP checksum does not bear: %v", s.name, bad))
 		}
 	}

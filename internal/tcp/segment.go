@@ -100,11 +100,22 @@ func (s *Segment) SegLen() int {
 
 // AppendEncode serialises the segment onto dstBuf, reusing its capacity
 // when possible, and returns the extended slice; the checksum covers the
-// IPv4 pseudo-header for src and dst. The MSS option is emitted only on SYN
-// segments that carry a non-zero MSS. The stack passes an outbound frame
-// from its netstack here, so header, payload and checksum are written once,
-// in place, and no layer below copies them.
+// IPv4 pseudo-header for src and dst. It is AppendUnsealed and then the
+// checksum (ip.SealTransport).
 func (s *Segment) AppendEncode(dstBuf []byte, src, dst ip.Addr) []byte {
+	base := len(dstBuf)
+	dstBuf = s.AppendUnsealed(dstBuf)
+	ip.SealTransport(src, dst, ip.ProtoTCP, dstBuf[base:])
+	return dstBuf
+}
+
+// AppendUnsealed is AppendEncode with the checksum field zero: the one
+// writer of the segment. The MSS option is emitted only on SYN segments
+// that carry a non-zero MSS. The stack passes an outbound frame from its
+// netstack here, so header and payload are written once, in place, and no
+// layer below copies them; a NIC writes the checksum (ip.Seal) only where
+// something can read it (see netem.Link).
+func (s *Segment) AppendUnsealed(dstBuf []byte) []byte {
 	optLen := 0
 	if s.Flags.Has(FlagSYN) && s.MSS != 0 {
 		optLen = optMSSLen
@@ -135,8 +146,6 @@ func (s *Segment) AppendEncode(dstBuf []byte, src, dst ip.Addr) []byte {
 		binary.BigEndian.PutUint16(buf[HeaderLen+2:], s.MSS)
 	}
 	copy(buf[HeaderLen+optLen:], s.Payload)
-	sum := ip.PseudoHeaderSum(src, dst, ip.ProtoTCP, total)
-	binary.BigEndian.PutUint16(buf[16:], ip.FinishChecksum(ip.SumWords(sum, buf)))
 	return dstBuf
 }
 
@@ -155,8 +164,9 @@ func Decode(src, dst ip.Addr, buf []byte) (Segment, error) {
 }
 
 // Parse is Decode without the checksum, for bytes that are intact since
-// AppendEncode wrote them (see DecodePacket). It checks the length and the
-// data offset. The payload aliases buf.
+// AppendUnsealed wrote them, whether or not their checksum was written
+// (see DecodePacket). It checks the length and the data offset. The
+// payload aliases buf.
 func Parse(buf []byte) (Segment, error) {
 	if len(buf) < HeaderLen {
 		return Segment{}, fmt.Errorf("%w: %d bytes", ErrSegmentTooShort, len(buf))

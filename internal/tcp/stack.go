@@ -400,9 +400,10 @@ func (st *Stack) handlePacket(pkt ip.Packet, intact bool) {
 }
 
 // DecodePacket reads the segment in pkt, which a netstack handed a
-// TCPHandler with its verdict. An intact segment is the bytes AppendEncode
-// wrote, so it is parsed without its checksum; the race build checks that
-// too and panics if the verdict was wrong. Any other is decoded in full.
+// TCPHandler with its verdict. An intact segment is the bytes
+// AppendUnsealed wrote, whose checksum may be unwritten, so it is parsed
+// without it; the race build, which seals every frame, checks it too and
+// panics if the verdict was wrong. Any other is decoded in full.
 func DecodePacket(pkt ip.Packet, intact bool) (Segment, error) {
 	if !intact {
 		return Decode(pkt.Src, pkt.Dst, pkt.Payload)
@@ -488,8 +489,9 @@ func (st *Stack) sendRSTFor(pkt ip.Packet, seg *Segment) {
 	st.send(&rst, pkt.Dst, pkt.Src)
 }
 
-// send writes seg into a frame from the netstack and transmits it.
+// send writes seg, without its checksum, into a frame from the netstack
+// and transmits it.
 func (st *Stack) send(seg *Segment, src, dst ip.Addr) {
-	frame := seg.AppendEncode(st.ns.NewFrame(), src, dst)
+	frame := seg.AppendUnsealed(st.ns.NewFrame())
 	_ = st.ns.SendFrame(src, dst, ip.ProtoTCP, frame)
 }

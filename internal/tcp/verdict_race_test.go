@@ -9,28 +9,38 @@ import (
 
 	"repro/internal/ip"
 	"repro/internal/netem"
-	"repro/internal/netstack"
 )
 
-// TestWrongChecksumVerdictPanics seeds an encoder that writes a wrong TCP
-// checksum: a's stack sends the segment through its netstack and NIC, so it
-// arrives with an intact verdict, and b's stack, which in the race build
-// checks the checksum it would otherwise skip, panics.
+// TestWrongChecksumVerdictPanics seeds a wrong TCP checksum past the seal:
+// a's stack sends a SYN through its netstack and NIC, which in the race
+// build seals it, and between b's netstack and b's stack the checksum is
+// flipped or zeroed while the segment keeps its intact verdict. b's stack,
+// which in the race build checks the checksum it would otherwise skip,
+// panics.
 func TestWrongChecksumVerdictPanics(t *testing.T) {
-	h := newPair(t, 1, netem.DefaultLANConfig(), Options{})
-	seg := Segment{SrcPort: 40000, DstPort: 9, Seq: 1, Flags: FlagSYN, Window: 1024}
-	frame := seg.AppendEncode(h.stackA.ns.NewFrame(), addrA, addrB)
-	frame[netstack.Headroom+16] ^= 0x01
-	if err := h.stackA.ns.SendFrame(addrA, addrB, ip.ProtoTCP, frame); err != nil {
-		t.Fatalf("send: %v", err)
+	for _, tc := range []struct {
+		name  string
+		alter func(seg []byte)
+	}{
+		{"flipped", func(seg []byte) { seg[17] ^= 0x01 }},
+		{"zero", func(seg []byte) { seg[16], seg[17] = 0, 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newPair(t, 1, netem.DefaultLANConfig(), Options{})
+			h.stackB.ns.RegisterTCP(func(pkt ip.Packet, intact bool) {
+				tc.alter(pkt.Payload)
+				h.stackB.handlePacket(pkt, intact)
+			})
+			h.stackA.send(&Segment{SrcPort: 40000, DstPort: 9, Seq: 1, Flags: FlagSYN, Window: 1024}, addrA, addrB)
+			defer func() {
+				r := recover()
+				if r == nil || !strings.Contains(r.(string), "intact verdict") {
+					t.Fatalf("a checksum the verdict does not cover was accepted: recovered %v", r)
+				}
+			}()
+			_ = h.sim.Run(time.Second)
+		})
 	}
-	defer func() {
-		r := recover()
-		if r == nil || !strings.Contains(r.(string), "intact verdict") {
-			t.Fatalf("a checksum the verdict does not cover was accepted: recovered %v", r)
-		}
-	}()
-	_ = h.sim.Run(time.Second)
 }
 
 // impureSource gives different bytes each time it is asked: every read is

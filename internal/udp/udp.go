@@ -31,22 +31,27 @@ type Datagram struct {
 
 // AppendEncode serialises the datagram onto dstBuf, reusing its capacity
 // when possible, and returns the extended slice; the checksum covers the
-// IPv4 pseudo-header for src and dst. A stack passes an outbound frame
-// here, so the datagram is written in place.
+// IPv4 pseudo-header for src and dst. It is AppendUnsealed and then the
+// checksum (ip.SealTransport).
 func (d *Datagram) AppendEncode(dstBuf []byte, src, dst ip.Addr) []byte {
+	base := len(dstBuf)
+	dstBuf = d.AppendUnsealed(dstBuf)
+	ip.SealTransport(src, dst, ip.ProtoUDP, dstBuf[base:])
+	return dstBuf
+}
+
+// AppendUnsealed is AppendEncode with the checksum field zero: the one
+// writer of the datagram. A stack passes an outbound frame here, so the
+// datagram is written in place; a NIC writes the checksum (ip.Seal) only
+// where something can read it (see netem.Link).
+func (d *Datagram) AppendUnsealed(dstBuf []byte) []byte {
 	total := HeaderLen + len(d.Payload)
-	dstBuf = append(dstBuf, make([]byte, total)...)
+	dstBuf = append(dstBuf, make([]byte, total)...) // zeroed: the checksum field too
 	buf := dstBuf[len(dstBuf)-total:]
 	binary.BigEndian.PutUint16(buf[0:], d.SrcPort)
 	binary.BigEndian.PutUint16(buf[2:], d.DstPort)
 	binary.BigEndian.PutUint16(buf[4:], uint16(total))
 	copy(buf[HeaderLen:], d.Payload)
-	sum := ip.PseudoHeaderSum(src, dst, ip.ProtoUDP, total)
-	ck := ip.FinishChecksum(ip.SumWords(sum, buf))
-	if ck == 0 {
-		ck = 0xffff // RFC 768: transmitted all-ones when computed zero
-	}
-	binary.BigEndian.PutUint16(buf[6:], ck)
 	return dstBuf
 }
 
@@ -69,8 +74,8 @@ func Decode(src, dst ip.Addr, buf []byte) (Datagram, error) {
 }
 
 // Parse is Decode without the checksum, for bytes that are intact since
-// AppendEncode wrote them (see netstack). It checks the length. The payload
-// aliases buf.
+// AppendUnsealed wrote them, whether or not their checksum was written (see
+// netstack). It checks the length. The payload aliases buf.
 func Parse(buf []byte) (Datagram, error) {
 	if len(buf) < HeaderLen {
 		return Datagram{}, fmt.Errorf("%w: %d bytes", ErrTooShort, len(buf))
