@@ -2,7 +2,7 @@ GO ?= go
 # The command the smoke targets run; `make reach` points it at the cover build.
 STTCP ?= $(GO) run ./cmd/sttcp
 
-.PHONY: all check vet lint build test race fuzz-heap fuzz-decode fuzz-window bench observers loc flags settings doc-bytes allows timeline chaos chaos-gray chaos-smoke chaos-gray-smoke explore explore-smoke reach reach-build reach-check clean
+.PHONY: all check vet lint build test race fuzz-heap fuzz-decode fuzz-window bench observers loc flags settings doc-bytes allows timeline chaos chaos-gray chaos-smoke chaos-gray-smoke explore explore-smoke race-smoke reach reach-build reach-check clean
 
 all: check
 
@@ -38,12 +38,13 @@ race:
 fuzz-heap:
 	$(GO) test -run '^$$' -fuzz '^FuzzHeapOps$$' -fuzztime 20s ./internal/sim
 
-# Twenty seconds each of fuzzing the decoders a receiver uses on bytes with
-# an intact verdict (FuzzParse in ip, udp and tcp): Parse must never panic,
+# Twenty seconds each of fuzzing the decoders a stack uses on bytes its NIC
+# has found intact (FuzzParse in ip, udp and tcp): Parse must never panic,
 # and must return what the verifying Decode does wherever Decode accepts.
-# And of the sealer a NIC runs where a frame's sums can be read (FuzzSeal):
-# ip.Seal must never panic, must write only sums the full decoders accept,
-# and must turn a packet a stack wrote into the full encoders' bytes.
+# And of the sealer and the checker of a frame's sums (FuzzSeal): ip.Seal
+# must never panic, must write only sums the full decoders accept, and must
+# turn a packet a stack wrote into the full encoders' bytes; ip.Verify, the
+# receiving NIC's check, must accept exactly what the full decoders do.
 # CI runs it.
 fuzz-decode:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20s ./internal/ip
@@ -158,6 +159,24 @@ explore:
 explore-smoke:
 	$(STTCP) explore -seed 7 -fault-span 4ms -grace 10ms -fault-points 2 -require-closed
 	$(STTCP) explore -seed 7 -fault-span 10ms -grace 50ms -fault-points 3 -require-closed
+
+# The race build's proofs over the campaigns: in a -race build of sttcp every
+# frame is sealed as it is sent, every check an intact verdict skips is run
+# anyway (a wrong verdict panics), released frames are poisoned and a sourced
+# span is read twice. It runs seeds 1-600 of each chaos campaign, and each
+# summary must equal the plain build's; both explore-smoke windows must
+# close. ~2.5 min on a 2-core machine. CI runs it.
+RACE_DIR := .race
+
+race-smoke:
+	rm -rf $(RACE_DIR) && mkdir -p $(RACE_DIR)
+	$(GO) build -race -o $(RACE_DIR)/sttcp-race ./cmd/sttcp
+	$(GO) build -o $(RACE_DIR)/sttcp ./cmd/sttcp
+	$(RACE_DIR)/sttcp-race chaos -runs 600 > $(RACE_DIR)/chaos.stdout
+	$(RACE_DIR)/sttcp chaos -runs 600 | diff $(RACE_DIR)/chaos.stdout -
+	$(RACE_DIR)/sttcp-race chaos -gray -runs 600 > $(RACE_DIR)/chaos-gray.stdout
+	$(RACE_DIR)/sttcp chaos -gray -runs 600 | diff $(RACE_DIR)/chaos-gray.stdout -
+	@$(MAKE) --no-print-directory explore-smoke STTCP=$(RACE_DIR)/sttcp-race
 
 # What code the shipped runs execute (ROADMAP item 21). One cover build of
 # sttcp runs the shipped set: both smoke campaigns and explore-smoke, then

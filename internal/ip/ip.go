@@ -82,6 +82,9 @@ var (
 	ErrBadLength      = errors.New("ip: total length mismatch")
 	ErrHasOptions     = errors.New("ip: options not supported")
 	ErrZeroTTL        = errors.New("ip: TTL 0")
+
+	ErrTransportTooShort    = errors.New("ip: transport header out of range")
+	ErrBadTransportChecksum = errors.New("ip: bad transport checksum")
 )
 
 // Packet is a decoded IPv4 packet.
@@ -174,8 +177,8 @@ func sealHeader(pkt []byte) {
 	binary.BigEndian.PutUint16(pkt[10:], Checksum(pkt[:HeaderLen]))
 }
 
-// The transport headers SealTransport writes into: each one's least length
-// and where its checksum sits.
+// The transport headers SealTransport and VerifyTransport read: each one's
+// least length and where its checksum sits.
 const (
 	tcpSumAt     = 16
 	tcpHeaderLen = 20
@@ -183,30 +186,34 @@ const (
 	udpHeaderLen = 8
 )
 
+// transportSum locates the checksum of seg, a TCP segment or a UDP
+// datagram: it returns the bytes the sum covers (a datagram up to its
+// length field) and where in them the sum sits. ok is false for any other
+// protocol, a segment shorter than its header (a data offset out of range
+// included) and a datagram whose length field is out of range: the bytes
+// the transports' Parse refuses.
+func transportSum(proto Protocol, seg []byte) (covered []byte, at int, ok bool) {
+	switch {
+	case proto == ProtoTCP && len(seg) >= tcpHeaderLen:
+		off := int(seg[12]>>4) * 4
+		return seg, tcpSumAt, off >= tcpHeaderLen && off <= len(seg)
+	case proto == ProtoUDP && len(seg) >= udpHeaderLen:
+		n := int(binary.BigEndian.Uint16(seg[4:]))
+		if n >= udpHeaderLen && n <= len(seg) {
+			return seg[:n], udpSumAt, true
+		}
+	}
+	return nil, 0, false
+}
+
 // SealTransport writes the checksum of seg, a TCP segment or a UDP datagram
 // sent from src to dst, over the IPv4 pseudo-header and seg, the datagram
 // up to its length field. It is the one writer of either checksum: a UDP
-// sum that computes to zero is written as all ones (RFC 768). A segment too
-// short for its header, a datagram whose length field is out of range, and
-// any other protocol are left alone.
+// sum that computes to zero is written as all ones (RFC 768). Bytes the
+// transports' Parse refuses, and any other protocol, are left alone.
 func SealTransport(src, dst Addr, proto Protocol, seg []byte) {
-	var at int
-	switch proto {
-	case ProtoTCP:
-		if len(seg) < tcpHeaderLen {
-			return
-		}
-		at = tcpSumAt
-	case ProtoUDP:
-		if len(seg) < udpHeaderLen {
-			return
-		}
-		n := int(binary.BigEndian.Uint16(seg[4:]))
-		if n < udpHeaderLen || n > len(seg) {
-			return
-		}
-		seg, at = seg[:n], udpSumAt
-	default:
+	seg, at, ok := transportSum(proto, seg)
+	if !ok {
 		return
 	}
 	seg[at], seg[at+1] = 0, 0
@@ -215,6 +222,42 @@ func SealTransport(src, dst Addr, proto Protocol, seg []byte) {
 		sum = 0xffff
 	}
 	binary.BigEndian.PutUint16(seg[at:], sum)
+}
+
+// Verify checks the sums Seal writes into pkt, an IPv4 packet: its header
+// checksum and, for TCP and UDP, the transport checksum (VerifyTransport).
+// It is Seal's counterpart and leaves to the stack what Seal leaves alone:
+// bytes Parse refuses, and ICMP and any other protocol past the header.
+func Verify(pkt []byte) error {
+	p, err := Parse(pkt)
+	switch {
+	case err != nil:
+		return nil
+	case Checksum(pkt[:HeaderLen]) != 0:
+		return ErrBadChecksum
+	case p.Proto == ProtoTCP || p.Proto == ProtoUDP:
+		return VerifyTransport(p.Src, p.Dst, p.Proto, p.Payload)
+	}
+	return nil
+}
+
+// VerifyTransport checks the checksum of seg, a TCP segment or a UDP
+// datagram sent from src to dst, as SealTransport writes it: the one
+// checker of either sum. A datagram whose sum is zero carries none and
+// passes (RFC 768). Bytes the transports' Parse refuses fail, and so does
+// any other protocol.
+func VerifyTransport(src, dst Addr, proto Protocol, seg []byte) error {
+	seg, at, ok := transportSum(proto, seg)
+	if !ok {
+		return fmt.Errorf("%w: %v", ErrTransportTooShort, proto)
+	}
+	if proto == ProtoUDP && seg[at]|seg[at+1] == 0 {
+		return nil
+	}
+	if FinishChecksum(SumWords(PseudoHeaderSum(src, dst, proto, len(seg)), seg)) != 0 {
+		return fmt.Errorf("%w: %v", ErrBadTransportChecksum, proto)
+	}
+	return nil
 }
 
 // Decode parses and validates buf: Parse, and then the header checksum.
@@ -230,9 +273,9 @@ func Decode(buf []byte) (Packet, error) {
 	return p, nil
 }
 
-// Parse is Decode without the header checksum, for bytes that are intact
-// since a stack wrote them, whether or not their checksum was written (see
-// netstack). It checks everything else: the version, that there are no
+// Parse is Decode without the header checksum, which a receiving NIC has
+// checked where the bytes can have changed (Verify; see netem.NIC). It
+// checks everything else: the version, that there are no
 // options, the total length, and the TTL — a TTL of 0, which no router
 // forwards and which PutUnsealedHeader writes as DefaultTTL, is refused.
 // The returned packet's payload aliases buf.

@@ -10,18 +10,24 @@ import (
 	"repro/internal/udp"
 )
 
-// FuzzSeal holds ip.Seal, which a NIC runs where something can read a
-// frame's sums, to two rules.
+// FuzzSeal holds ip.Seal, which writes a frame's sums where something can
+// read them, and ip.Verify, the receiving NIC's check of them, to three
+// rules.
 //
-// It never panics, whatever the bytes, and it writes only what the full
+// Seal never panics, whatever the bytes, and it writes only what the full
 // decoders then accept: bytes ip.Parse refuses are left as they are, a
 // packet it takes carries a header checksum ip.Decode accepts, a TCP
 // segment or UDP datagram its parser takes a checksum its Decode accepts (a
 // datagram a non-zero one), and any other protocol's payload is left alone.
 //
+// Verify passes bytes ip.Parse refuses, for the stack to judge, and on any
+// others, sealed or not, accepts exactly when ip.Decode does and then
+// tcp.Decode or udp.Decode, by protocol.
+//
 // And a packet a stack writes, its sums zero (AppendUnsealed behind
 // PutUnsealedHeader), is the full encoders' packet with its sum fields
-// zeroed, and Seal turns it into the full encoders' packet byte for byte.
+// zeroed, and Seal turns it into the full encoders' packet byte for byte,
+// which Verify accepts.
 func FuzzSeal(f *testing.F) {
 	src, dst := ip.MakeAddr(10, 0, 0, 1), ip.MakeAddr(10, 0, 0, 100)
 	seg := tcp.Segment{SrcPort: 49152, DstPort: 80, Seq: 1000, Flags: tcp.FlagSYN, Window: 65535, MSS: 1460}
@@ -41,6 +47,8 @@ func FuzzSeal(f *testing.F) {
 		sealed := bytes.Clone(raw)
 		ip.Seal(sealed)
 		checkSealed(t, raw, sealed)
+		checkVerify(t, raw)
+		checkVerify(t, sealed)
 
 		proto, room := ip.ProtoTCP, ip.MaxPayload-tcp.HeaderLen-4
 		if datagram {
@@ -79,6 +87,9 @@ func FuzzSeal(f *testing.F) {
 		if !bytes.Equal(unsealed, full) {
 			t.Fatalf("Seal did not restore the encoded packet:\n got % x\nwant % x", unsealed, full)
 		}
+		if err := ip.Verify(unsealed); err != nil {
+			t.Fatalf("Verify refused a packet Seal wrote: %v", err)
+		}
 	})
 }
 
@@ -112,5 +123,30 @@ func checkSealed(t *testing.T, raw, sealed []byte) {
 		if !bytes.Equal(raw[ip.HeaderLen:], sealed[ip.HeaderLen:]) {
 			t.Fatalf("Seal wrote the payload of a %v packet", p.Proto)
 		}
+	}
+}
+
+// checkVerify holds ip.Verify on pkt to FuzzSeal's second rule.
+func checkVerify(t *testing.T, pkt []byte) {
+	t.Helper()
+	got := ip.Verify(pkt)
+	p, err := ip.Parse(pkt)
+	if err != nil {
+		if got != nil {
+			t.Fatalf("Verify refused bytes Parse leaves to the stack (%v): %v", err, got)
+		}
+		return
+	}
+	_, want := ip.Decode(pkt)
+	if want == nil {
+		switch p.Proto {
+		case ip.ProtoTCP:
+			_, want = tcp.Decode(p.Src, p.Dst, p.Payload)
+		case ip.ProtoUDP:
+			_, want = udp.Decode(p.Src, p.Dst, p.Payload)
+		}
+	}
+	if (got == nil) != (want == nil) {
+		t.Fatalf("Verify says %v, the full decoders %v", got, want)
 	}
 }

@@ -24,13 +24,13 @@ type Endpoint interface {
 	// valid only for the duration of the call — the link returns it to its
 	// frame pool when DeliverFrame returns — so the endpoint must copy
 	// anything it keeps (the NIC lends it on to its handler under the same
-	// contract, see NIC.SetReceiver). fcsOK is the frame's verdict: these
+	// contract, see NIC.SetHandler). fcsOK is the frame's verdict: these
 	// bytes are intact since a NIC sent them, and nothing has written them
-	// since, so no checksum in them needs reading. With fcsOK true the FCS,
-	// IP, TCP and UDP checksum fields may be unwritten (see
-	// Link.sealEagerly). A frame a corrupting link damaged, or one handed to
-	// TransmitFromA or TransmitFromB, has no such verdict, and a receiver
-	// checks all of it, its FCS first.
+	// since, so their FCS, IP, TCP and UDP checksum fields, which may be
+	// unwritten, need no reading. A frame a corrupting link damaged, or one
+	// handed to TransmitFromA or TransmitFromB, has no such verdict, and
+	// the receiving NIC checks all of it. Integrity is decided at the
+	// receiving NIC; nothing above it sees a verdict.
 	DeliverFrame(buf []byte, fcsOK bool)
 }
 
@@ -78,9 +78,6 @@ type Link struct {
 
 	// corruptRate flips one random bit per frame with this probability.
 	corruptRate float64
-	// damaging is set once corruptRate has been non-zero: from then on a
-	// NIC on this link seals each frame as it sends it (see sealEagerly).
-	damaging bool
 
 	// Metric instruments, wired by SetMetrics; nil no-ops otherwise.
 	mFrames *metrics.Counter
@@ -216,24 +213,7 @@ func (l *Link) SetCutFromB(cut bool) { l.b.cut = cut }
 // probability p (both directions). Corrupted frames are still delivered;
 // the receiver's integrity checks (Ethernet/TCP checksums) must catch
 // them. Zero disables corruption.
-func (l *Link) SetCorruptRate(p float64) {
-	l.corruptRate = p
-	if p > 0 {
-		l.damaging = true
-		if l.a.port != nil {
-			l.a.port.sw.damaging = true
-		}
-	}
-}
-
-// sealEagerly reports whether a NIC sending on l seals each frame as it
-// sends it: in the race build, whose checks recompute every sum, and once l
-// or any link of its switch has been set to damage frames, so the wire
-// there carries real sums. Elsewhere only a damaging link seals, its copy
-// (see transmit): no check reads the sums of an intact frame.
-func (l *Link) sealEagerly() bool {
-	return RecheckVerdicts || l.damaging || l.a.port != nil && l.a.port.sw.damaging
-}
+func (l *Link) SetCorruptRate(p float64) { l.corruptRate = p }
 
 // seal writes every checksum frame may carry: an IPv4 packet's (ip.Seal),
 // then the FCS over them.

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/eth"
+	"repro/internal/ip"
 	"repro/internal/sim"
 )
 
@@ -26,7 +27,7 @@ type NIC struct {
 	groups  []eth.Addr // joined multicast groups: a NIC joins one or two
 	promisc bool
 	failed  bool
-	handler func(f eth.Frame, intact bool)
+	handler func(eth.Frame)
 
 	// Counters for the tap-ablation experiment (paper §3 observes the
 	// backup NIC overload when it taps both traffic directions).
@@ -69,19 +70,13 @@ func (n *NIC) JoinGroup(g eth.Addr) {
 // observe primary→client traffic.
 func (n *NIC) SetPromiscuous(p bool) { n.promisc = p }
 
-// SetReceiver registers the receive callback; it runs on the event loop. The
-// frame's Payload is the received frame's own bytes — the one buffer its
-// sender's stack wrote — lent until h returns, when the link takes it back
-// into its pool. intact is the link's verdict (see Endpoint): the bytes are
-// the ones a NIC sent, so no checksum needs reading, and any its sender
-// wrote still holds; without it the receiver checks them all.
-func (n *NIC) SetReceiver(h func(f eth.Frame, intact bool)) { n.handler = h }
-
-// SetHandler registers a receive callback that has no use for the verdict;
-// otherwise it is SetReceiver.
-func (n *NIC) SetHandler(h func(eth.Frame)) {
-	n.SetReceiver(func(f eth.Frame, _ bool) { h(f) })
-}
+// SetHandler registers the receive callback; it runs on the event loop.
+// The frame's Payload is the received frame's own bytes — the one buffer
+// its sender's stack wrote — lent until h returns, when the link takes it
+// back into its pool. h sees only frames DeliverFrame found intact, and no
+// verdict: an IPv4 packet's header and TCP or UDP sums hold, whether or not
+// they were written.
+func (n *NIC) SetHandler(h func(eth.Frame)) { n.handler = h }
 
 // Fail makes the NIC silently drop everything in both directions.
 func (n *NIC) Fail() { n.failed = true }
@@ -109,8 +104,8 @@ func (n *NIC) NewFrame(headroom int) []byte {
 // is in place behind it, for dst and t and the NIC's own source address,
 // and hands it to the link with an intact verdict. The link takes it: the
 // caller must not touch it again, whatever Transmit returns. The FCS, and
-// an IPv4 packet's checksums, are written only where something can read
-// them (see Link.sealEagerly).
+// an IPv4 packet's checksums, are written only in the race build; a
+// corrupting link seals the copy it damages (see Link.transmit).
 func (n *NIC) Transmit(dst eth.Addr, t eth.EtherType, frame []byte) error {
 	if n.link == nil {
 		return fmt.Errorf("%w: %s not attached", ErrNICDown, n.name)
@@ -125,7 +120,7 @@ func (n *NIC) Transmit(dst eth.Addr, t eth.EtherType, frame []byte) error {
 	}
 	frame = append(frame, 0, 0, 0, 0) // the FCS
 	eth.PutHeader(frame, dst, n.addr, t)
-	if n.link.sealEagerly() {
+	if RecheckVerdicts {
 		seal(frame)
 	}
 	n.TxFrames++
@@ -144,26 +139,27 @@ func (n *NIC) Send(f eth.Frame) error {
 	return n.Transmit(f.Dst, f.Type, append(n.NewFrame(eth.HeaderLen), f.Payload...))
 }
 
-// DeliverFrame implements Endpoint. It checks the FCS unless the frame is
-// intact since a NIC sent it, and hands the verdict on to the receiver.
+// DeliverFrame implements Endpoint. It is where a frame's integrity is
+// decided: a frame without an intact verdict has its FCS checked and then,
+// if it carries IPv4, its header and TCP or UDP sums (ip.Verify); one that
+// fails counts in RxDrops. Nothing above the NIC sees a verdict.
 func (n *NIC) DeliverFrame(buf []byte, fcsOK bool) {
 	if n.failed {
 		n.RxDrops++
 		return
 	}
 	f, err := readFrame(n.name, buf, fcsOK)
-	if err != nil {
-		n.RxDrops++
-		return
+	if err == nil && (!fcsOK || RecheckVerdicts) && f.Type == eth.TypeIPv4 {
+		err = verifyPacket(n.name, f.Payload, fcsOK)
 	}
-	if !n.accepts(f.Dst) {
+	if err != nil || !n.accepts(f.Dst) {
 		n.RxDrops++
 		return
 	}
 	n.RxFrames++
 	n.RxBytes += int64(len(buf))
 	if n.handler != nil {
-		n.handler(f, fcsOK)
+		n.handler(f)
 	}
 }
 
@@ -182,6 +178,24 @@ func readFrame(who string, buf []byte, fcsOK bool) (eth.Frame, error) {
 		}
 	}
 	return f, err
+}
+
+// verifyPacket checks the sums of pkt, the IPv4 packet of a frame whose
+// FCS holds (ip.Verify). With an intact verdict it runs only in the race
+// build, which sealed the frame as it was sent: there every sum must hold
+// and a datagram must carry one, or who panics.
+func verifyPacket(who string, pkt []byte, fcsOK bool) error {
+	err := ip.Verify(pkt)
+	if !fcsOK {
+		return err
+	}
+	if p, _ := ip.Parse(pkt); err == nil && p.Proto == ip.ProtoUDP && p.Payload[6]|p.Payload[7] == 0 {
+		err = errors.New("udp: no checksum")
+	}
+	if err != nil {
+		panic(fmt.Sprintf("netem: %s was handed an intact verdict its packet does not bear: %v", who, err))
+	}
+	return nil
 }
 
 func (n *NIC) accepts(dst eth.Addr) bool {

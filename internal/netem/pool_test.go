@@ -198,9 +198,10 @@ func TestLinkPoolsAreBounded(t *testing.T) {
 // group whose one egress link corrupts every frame, with that member the
 // first and then the last port the switch forwards to. Either way the
 // other member gets intact bytes, the damaged copy, which carries no
-// verdict, raises its NIC's RxDrops by one, and the buffer the switch took
-// from the ingress link is never written: while it is still in flight it
-// holds the bytes it arrived with.
+// verdict, is the sealed ingress frame with one bit flipped and raises its
+// NIC's RxDrops by one, and the buffer the switch took from the ingress
+// link is never written: while it is still in flight it holds the bytes it
+// arrived with.
 func TestMulticastCorruptionDamagesOnlyItsCopy(t *testing.T) {
 	for _, corruptFirst := range []bool{true, false} {
 		s := sim.New(1)
@@ -245,8 +246,10 @@ func TestMulticastCorruptionDamagesOnlyItsCopy(t *testing.T) {
 		if corruptFirst && &goodFrame.frame[0] != &ingress[0] {
 			t.Fatal("the last egress port did not get the ingress buffer itself")
 		}
-		if flipped := bitsDiffer(badFrame.frame, sent); flipped != 1 {
-			t.Fatalf("corrupt first %v: the damaged copy differs from what was sent in %d bits, want 1", corruptFirst, flipped)
+		sealed := bytes.Clone(sent)
+		seal(sealed)
+		if flipped := bitsDiffer(badFrame.frame, sealed); flipped != 1 {
+			t.Fatalf("corrupt first %v: the damaged copy differs from the sealed frame sent in %d bits, want 1", corruptFirst, flipped)
 		}
 		if err := s.Run(time.Second); err != nil {
 			t.Fatalf("run: %v", err)

@@ -24,9 +24,6 @@ type Switch struct {
 	// NIC on them: a frame goes back to the pool it came from, whichever
 	// link lets it go.
 	pool *bufPool
-	// damaging is set once any of those links has been set to damage
-	// frames (see Link.sealEagerly).
-	damaging bool
 
 	// Forwarded counts frame copies sent out of ports.
 	Forwarded int64

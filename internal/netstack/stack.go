@@ -31,10 +31,9 @@ type UDPHandler func(src ip.Addr, srcPort uint16, payload []byte)
 
 // TCPHandler receives raw TCP segments (the IP payload) for the host;
 // pkt.Payload is the received frame's, valid only until the handler returns.
-// intact is the NIC's verdict (see netem.NIC.SetReceiver): the segment's
-// checksum holds, as its sender's encoder wrote it, and the handler may
-// skip it.
-type TCPHandler func(pkt ip.Packet, intact bool)
+// The NIC has decided the segment's integrity (see netem.NIC.SetHandler), so
+// the handler parses it without its checksum.
+type TCPHandler func(pkt ip.Packet)
 
 // pendingPacket is an outbound frame waiting for ARP: the transport's
 // packet is in place behind its headroom, the IP and Ethernet headers not
@@ -103,7 +102,7 @@ func New(clock *sim.Clock, name string, nic *netem.NIC, addr ip.Addr) *Stack {
 		nextPingID:  1,
 	}
 	st.arpTable.AddStatic(addr, nic.Addr())
-	nic.SetReceiver(st.handleFrame)
+	nic.SetHandler(st.handleFrame)
 	return st
 }
 
@@ -261,12 +260,12 @@ func (s *Stack) Ping(dst ip.Addr, timeout time.Duration, done func(ok bool, rtt 
 
 // --- Receive path ---
 
-func (s *Stack) handleFrame(f eth.Frame, intact bool) {
+func (s *Stack) handleFrame(f eth.Frame) {
 	switch f.Type {
 	case eth.TypeARP:
 		s.handleARP(f)
 	case eth.TypeIPv4:
-		s.handleIPv4(f, intact)
+		s.handleIPv4(f)
 	}
 }
 
@@ -310,36 +309,23 @@ func (s *Stack) flushARPQueue(addr ip.Addr, hw eth.Addr) {
 	}
 }
 
-// handleIPv4 reads an IPv4 frame. A frame with an intact verdict holds the
-// bytes sendResolved and a transport's writer wrote, whose IP, UDP and TCP
-// checksums may be unwritten, so its IP header is parsed without summing
-// it, and a UDP or TCP receiver skips its own checksum too. The race build
-// seals every frame, sums each anyway and panics if a verdict it was handed
-// is wrong. ICMP, a cold path, writes and checks its own checksum.
-func (s *Stack) handleIPv4(f eth.Frame, intact bool) {
-	var pkt ip.Packet
-	var err error
-	if !intact {
-		pkt, err = ip.Decode(f.Payload)
-	} else if pkt, err = ip.Parse(f.Payload); err == nil && netem.RecheckVerdicts {
-		if _, bad := ip.Decode(f.Payload); bad != nil {
-			panic(fmt.Sprintf("netstack: %s was handed an intact verdict its IP header does not bear: %v", s.name, bad))
-		}
-	}
-	if err != nil {
-		return
-	}
-	if !s.HasAddr(pkt.Dst) {
+// handleIPv4 reads an IPv4 frame. Its NIC has checked the IP header and
+// UDP or TCP sums wherever the bytes can have changed, so they are parsed
+// without them (see netem.NIC.DeliverFrame); ICMP, a cold path, writes and
+// checks its own checksum.
+func (s *Stack) handleIPv4(f eth.Frame) {
+	pkt, err := ip.Parse(f.Payload)
+	if err != nil || !s.HasAddr(pkt.Dst) {
 		return
 	}
 	switch pkt.Proto {
 	case ip.ProtoICMP:
 		s.handleICMP(pkt)
 	case ip.ProtoUDP:
-		s.handleUDP(pkt, intact)
+		s.handleUDP(pkt)
 	case ip.ProtoTCP:
 		if s.tcpHandler != nil {
-			s.tcpHandler(pkt, intact)
+			s.tcpHandler(pkt)
 		}
 	}
 }
@@ -364,22 +350,8 @@ func (s *Stack) handleICMP(pkt ip.Packet) {
 	}
 }
 
-func (s *Stack) handleUDP(pkt ip.Packet, intact bool) {
-	var d udp.Datagram
-	var err error
-	if !intact {
-		d, err = udp.Decode(pkt.Src, pkt.Dst, pkt.Payload)
-	} else if d, err = udp.Parse(pkt.Payload); err == nil && netem.RecheckVerdicts {
-		// Decode takes a zero sum for none, but the race build seals
-		// every frame, so an intact datagram there carries one.
-		_, bad := udp.Decode(pkt.Src, pkt.Dst, pkt.Payload)
-		if bad == nil && pkt.Payload[6]|pkt.Payload[7] == 0 {
-			bad = errors.New("udp: no checksum")
-		}
-		if bad != nil {
-			panic(fmt.Sprintf("netstack: %s was handed an intact verdict its UDP checksum does not bear: %v", s.name, bad))
-		}
-	}
+func (s *Stack) handleUDP(pkt ip.Packet) {
+	d, err := udp.Parse(pkt.Payload)
 	if err != nil {
 		return
 	}

@@ -22,18 +22,19 @@ func (f *fixture) rawUDP(port uint16, breakPkt func(pkt []byte)) []byte {
 }
 
 // TestFrameWithoutVerdictIsChecked sends frames with a good FCS but no
-// verdict, as a link's TransmitFromA does, past the IP and UDP checks: a
-// bad header checksum or a bad UDP checksum is refused as before, and the
-// intact datagram is delivered.
+// verdict, as a link's TransmitFromA does, past the IP and UDP checks: b's
+// NIC refuses a bad header checksum or a bad UDP checksum and counts it in
+// RxDrops, and the intact datagram is delivered.
 func TestFrameWithoutVerdictIsChecked(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		breakPkt  func(pkt []byte)
 		delivered bool
+		drops     int64
 	}{
-		{"intact", func([]byte) {}, true},
-		{"IP header checksum", func(pkt []byte) { pkt[10] ^= 0x01 }, false},
-		{"UDP checksum", func(pkt []byte) { pkt[ip.HeaderLen+7] ^= 0x01 }, false},
+		{"intact", func([]byte) {}, true, 0},
+		{"IP header checksum", func(pkt []byte) { pkt[10] ^= 0x01 }, false, 1},
+		{"UDP checksum", func(pkt []byte) { pkt[ip.HeaderLen+7] ^= 0x01 }, false, 1},
 	} {
 		f := newFixture(t)
 		got := false
@@ -44,6 +45,9 @@ func TestFrameWithoutVerdictIsChecked(t *testing.T) {
 		}
 		if got != tc.delivered {
 			t.Errorf("%s: delivered %v, want %v", tc.name, got, tc.delivered)
+		}
+		if drops := f.b.nic.RxDrops; drops != tc.drops {
+			t.Errorf("%s: b's NIC RxDrops %d, want %d", tc.name, drops, tc.drops)
 		}
 	}
 }

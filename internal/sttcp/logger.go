@@ -80,11 +80,11 @@ func (lg *Logger) Start() error {
 }
 
 // handlePacket ingests one tapped client→service TCP packet.
-func (lg *Logger) handlePacket(pkt ip.Packet, intact bool) {
+func (lg *Logger) handlePacket(pkt ip.Packet) {
 	if pkt.Dst != lg.cfg.ServiceAddr {
 		return
 	}
-	seg, err := tcp.DecodePacket(pkt, intact)
+	seg, err := tcp.Parse(pkt.Payload)
 	if err != nil || seg.DstPort != lg.cfg.ServicePort {
 		return
 	}

@@ -167,7 +167,7 @@ func newLoggerNet(t *testing.T) *loggerNet {
 func (n *loggerNet) tap(seg tcp.Segment) {
 	seg.SrcPort, seg.DstPort = n.id.RemotePort, n.id.LocalPort
 	n.lg.handlePacket(ip.Packet{Src: n.id.RemoteAddr, Dst: n.id.LocalAddr, Proto: ip.ProtoTCP,
-		Payload: seg.AppendEncode(nil, n.id.RemoteAddr, n.id.LocalAddr)}, true)
+		Payload: seg.AppendEncode(nil, n.id.RemoteAddr, n.id.LocalAddr)})
 }
 
 // tapData taps the stream bytes [off, off+n) in pattern content.

@@ -189,8 +189,8 @@ func FuzzReassemble(f *testing.F) {
 	})
 }
 
-// FuzzParse holds Parse, the decoder a receiver uses on bytes with an
-// intact verdict, to Decode: it must never panic, whatever the bytes, and
+// FuzzParse holds Parse, the decoder a stack uses on bytes its NIC has
+// found intact, to Decode: it must never panic, whatever the bytes, and
 // wherever Decode accepts a segment Parse must return the very same one.
 // Arbitrary bytes rarely bear a good checksum, so each input is also tried
 // with its checksum made good.

@@ -150,23 +150,22 @@ func (s *Segment) AppendUnsealed(dstBuf []byte) []byte {
 }
 
 // Decode parses and validates buf against the pseudo-header for src and
-// dst: Parse, and then the checksum. The payload aliases buf.
+// dst: Parse, and then the checksum (ip.VerifyTransport). The payload
+// aliases buf.
 func Decode(src, dst ip.Addr, buf []byte) (Segment, error) {
 	s, err := Parse(buf)
 	if err != nil {
 		return Segment{}, err
 	}
-	sum := ip.PseudoHeaderSum(src, dst, ip.ProtoTCP, len(buf))
-	if ip.FinishChecksum(ip.SumWords(sum, buf)) != 0 {
+	if ip.VerifyTransport(src, dst, ip.ProtoTCP, buf) != nil {
 		return Segment{}, ErrBadChecksum
 	}
 	return s, nil
 }
 
-// Parse is Decode without the checksum, for bytes that are intact since
-// AppendUnsealed wrote them, whether or not their checksum was written
-// (see DecodePacket). It checks the length and the data offset. The
-// payload aliases buf.
+// Parse is Decode without the checksum, which a receiving NIC has checked
+// where the bytes can have changed (see netem.NIC). It checks the length
+// and the data offset. The payload aliases buf.
 func Parse(buf []byte) (Segment, error) {
 	if len(buf) < HeaderLen {
 		return Segment{}, fmt.Errorf("%w: %d bytes", ErrSegmentTooShort, len(buf))

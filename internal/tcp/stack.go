@@ -389,32 +389,15 @@ func (st *Stack) noteSuppressed(seg *Segment) {
 	}
 }
 
-// handlePacket demultiplexes one inbound TCP packet.
-func (st *Stack) handlePacket(pkt ip.Packet, intact bool) {
+// handlePacket demultiplexes one inbound TCP packet, whose checksum its
+// NIC has decided (see netstack.TCPHandler).
+func (st *Stack) handlePacket(pkt ip.Packet) {
 	seg := st.takeSegment()
 	var err error
-	if *seg, err = DecodePacket(pkt, intact); err == nil {
+	if *seg, err = Parse(pkt.Payload); err == nil {
 		st.HandleSegment(pkt, seg)
 	}
 	st.releaseSegment(seg)
-}
-
-// DecodePacket reads the segment in pkt, which a netstack handed a
-// TCPHandler with its verdict. An intact segment is the bytes
-// AppendUnsealed wrote, whose checksum may be unwritten, so it is parsed
-// without it; the race build, which seals every frame, checks it too and
-// panics if the verdict was wrong. Any other is decoded in full.
-func DecodePacket(pkt ip.Packet, intact bool) (Segment, error) {
-	if !intact {
-		return Decode(pkt.Src, pkt.Dst, pkt.Payload)
-	}
-	s, err := Parse(pkt.Payload)
-	if err == nil && netem.RecheckVerdicts {
-		if _, bad := Decode(pkt.Src, pkt.Dst, pkt.Payload); bad != nil {
-			panic(fmt.Sprintf("tcp: %v→%v was handed an intact verdict its checksum does not bear: %v", pkt.Src, pkt.Dst, bad))
-		}
-	}
-	return s, err
 }
 
 // HandleSegment runs demux on an already-decoded segment. It is exported

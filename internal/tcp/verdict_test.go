@@ -11,14 +11,15 @@ import (
 
 // TestSegmentWithoutVerdictIsChecked hands b out-of-the-blue SYNs in
 // frames with a good FCS but no verdict, as a link's TransmitFromA does:
-// the intact one draws a RST, and one with a bad TCP checksum is refused
-// before demux, as before.
+// the intact one draws a RST, and b's NIC refuses one with a bad TCP
+// checksum before demux and counts it in RxDrops.
 func TestSegmentWithoutVerdictIsChecked(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		flip byte
-		rst  int64
-	}{{"intact", 0, 1}, {"bad checksum", 0x01, 0}} {
+		name  string
+		flip  byte
+		rst   int64
+		drops int64
+	}{{"intact", 0, 1, 0}, {"bad checksum", 0x01, 0, 1}} {
 		h := newPair(t, 1, netem.DefaultLANConfig(), Options{})
 		seg := Segment{SrcPort: 40000, DstPort: 9, Seq: 1, Flags: FlagSYN, Window: 1024}
 		raw := seg.AppendEncode(nil, addrA, addrB)
@@ -33,6 +34,9 @@ func TestSegmentWithoutVerdictIsChecked(t *testing.T) {
 		}
 		if h.stackB.Received != tc.rst || h.stackB.Emitted != tc.rst {
 			t.Errorf("%s: b accepted %d segments and sent %d, want %d and %d", tc.name, h.stackB.Received, h.stackB.Emitted, tc.rst, tc.rst)
+		}
+		if h.nicB.RxDrops != tc.drops {
+			t.Errorf("%s: b's NIC RxDrops %d, want %d", tc.name, h.nicB.RxDrops, tc.drops)
 		}
 	}
 }

@@ -56,26 +56,22 @@ func (d *Datagram) AppendUnsealed(dstBuf []byte) []byte {
 }
 
 // Decode parses and validates buf against the pseudo-header for src and
-// dst: Parse, and then the checksum if the sender wrote one. The payload
-// aliases buf.
+// dst: Parse, and then the checksum if the sender wrote one
+// (ip.VerifyTransport). The payload aliases buf.
 func Decode(src, dst ip.Addr, buf []byte) (Datagram, error) {
 	d, err := Parse(buf)
 	if err != nil {
 		return Datagram{}, err
 	}
-	buf = buf[:HeaderLen+len(d.Payload)]
-	if binary.BigEndian.Uint16(buf[6:]) != 0 { // checksum present
-		sum := ip.PseudoHeaderSum(src, dst, ip.ProtoUDP, len(buf))
-		if ip.FinishChecksum(ip.SumWords(sum, buf)) != 0 {
-			return Datagram{}, ErrBadChecksum
-		}
+	if ip.VerifyTransport(src, dst, ip.ProtoUDP, buf) != nil {
+		return Datagram{}, ErrBadChecksum
 	}
 	return d, nil
 }
 
-// Parse is Decode without the checksum, for bytes that are intact since
-// AppendUnsealed wrote them, whether or not their checksum was written (see
-// netstack). It checks the length. The payload aliases buf.
+// Parse is Decode without the checksum, which a receiving NIC has checked
+// where the bytes can have changed (see netem.NIC). It checks the length.
+// The payload aliases buf.
 func Parse(buf []byte) (Datagram, error) {
 	if len(buf) < HeaderLen {
 		return Datagram{}, fmt.Errorf("%w: %d bytes", ErrTooShort, len(buf))

@@ -121,8 +121,8 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzParse holds Parse, the decoder a receiver uses on bytes with an
-// intact verdict, to Decode: it must never panic, whatever the bytes, and
+// FuzzParse holds Parse, the decoder a stack uses on bytes its NIC has
+// found intact, to Decode: it must never panic, whatever the bytes, and
 // wherever Decode accepts a datagram Parse must return the very same one.
 // Each input is also tried with its checksum made good over its length.
 func FuzzParse(f *testing.F) {
