@@ -1,9 +1,11 @@
 package app
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/tcp"
 	"repro/internal/trace"
@@ -21,7 +23,7 @@ import (
 // and CrashCleanup closes every connection (FIN, or RST when abort is
 // requested), modelling the OS cleaning up a dead process.
 type DataServer struct {
-	replica[serveState]
+	replica[serveConn]
 
 	// CloseAfterServe closes the connection after the response bytes.
 	CloseAfterServe bool
@@ -32,12 +34,14 @@ type DataServer struct {
 	RequestsServed int64
 }
 
-// serveState is one connection's service, and the source its response is
-// read from (ReadAt).
-type serveState struct {
-	reqBuf   strings.Builder
-	shift    int64 // the pattern offset of stream offset 0 (the request's offset, less the stream's start)
-	remain   int64 // response bytes still to write
+// serveConn is one connection's service: its methods are the connection's
+// callbacks, and it is the source its response is read from (ReadAt).
+type serveConn struct {
+	s        *DataServer
+	c        *tcp.Conn
+	reqBuf   []byte // a request line that came in pieces
+	shift    int64  // the pattern offset of stream offset 0 (the request's offset, less the stream's start)
+	remain   int64  // response bytes still to write
 	started  bool
 	deferred bool // a starved pump is already scheduled
 }
@@ -45,24 +49,41 @@ type serveState struct {
 // NewDataServer builds a server; attach it with Accept (typically
 // node.OnAccept = server.Accept).
 func NewDataServer(name string, tracer *trace.Recorder) *DataServer {
-	return &DataServer{replica: newReplica[serveState](name, tracer, "application", "no cleanup, no FIN")}
+	return &DataServer{replica: newReplica[serveConn](name, tracer, "application", "no cleanup, no FIN")}
 }
 
 // Accept adopts an established connection.
 func (s *DataServer) Accept(c *tcp.Conn) {
-	st := &serveState{}
-	s.adopt(c, st)
-	readable, writable := func() { s.readable(c, st) }, func() { s.writable(c, st) }
-	c.OnReadable = func() { s.run(&st.deferred, readable) }
-	c.OnWritable = func() { s.run(&st.deferred, writable) }
+	sc := &serveConn{s: s, c: c}
+	s.adopt(c, sc)
+	c.OnReadable = sc.onReadable
+	c.OnWritable = sc.onWritable
 	// Data may already be buffered (replica force-established or request
 	// segment processed before accept).
-	s.readable(c, st)
+	sc.readable()
+}
+
+func (sc *serveConn) onReadable() {
+	if sc.s.inline() {
+		sc.readable()
+		return
+	}
+	sc.s.starve(&sc.deferred, sc.readable)
+}
+
+func (sc *serveConn) onWritable() {
+	if sc.s.inline() {
+		sc.writable()
+		return
+	}
+	sc.s.starve(&sc.deferred, sc.writable)
 }
 
 // readable consumes what the client sent in place: the request line,
-// gathered in reqBuf until its newline is in, and anything after it.
-func (s *DataServer) readable(c *tcp.Conn, st *serveState) {
+// parsed where it lies when it came whole or gathered in reqBuf until its
+// newline is in, and anything after it.
+func (sc *serveConn) readable() {
+	s, c := sc.s, sc.c
 	if s.crashed {
 		return
 	}
@@ -71,50 +92,54 @@ func (s *DataServer) readable(c *tcp.Conn, st *serveState) {
 	if n == 0 {
 		return
 	}
-	if !st.started {
-		st.reqBuf.Write(first)
-		st.reqBuf.Write(second)
+	if sc.started {
+		c.Discard(n) // drain anything after the request line
+		return
 	}
-	c.Discard(n)
-	if st.started {
-		return // drain anything after the request line
+	line := first
+	if len(sc.reqBuf) > 0 || bytes.IndexByte(first, '\n') < 0 {
+		sc.reqBuf = append(append(sc.reqBuf, first...), second...)
+		line = sc.reqBuf
 	}
-	line := st.reqBuf.String()
-	idx := strings.IndexByte(line, '\n')
+	idx := bytes.IndexByte(line, '\n')
 	if idx < 0 {
+		c.Discard(n)
 		return
 	}
 	nbytes, off, err := parseRequest(line[:idx])
+	c.Discard(n)
 	if err != nil {
 		c.Abort()
 		return
 	}
-	st.started = true
-	st.shift = off - c.LastAppByteWritten()
-	st.remain = nbytes
+	sc.reqBuf = nil
+	sc.started = true
+	sc.shift = off - c.LastAppByteWritten()
+	sc.remain = nbytes
 	s.RequestsServed++
 	s.tracer.EmitValue(trace.KindGeneric, s.name, nbytes, "request for %d bytes on %v", nbytes, c.ID())
-	s.writable(c, st)
+	sc.writable()
 }
 
 // writable appends as much of the response as the send buffer takes, until
 // the buffer is full or the response complete. The buffer stores none of
-// it: st is its source, and the stack reads each byte as a segment carrying
+// it: sc is its source, and the stack reads each byte as a segment carrying
 // it goes out.
-func (s *DataServer) writable(c *tcp.Conn, st *serveState) {
-	if s.crashed || !st.started {
+func (sc *serveConn) writable() {
+	s, c := sc.s, sc.c
+	if s.crashed || !sc.started {
 		return
 	}
-	if st.remain > 0 {
-		written, err := c.WriteFrom(int(min(int64(c.WriteSpace()), st.remain)), st)
+	if sc.remain > 0 {
+		written, err := c.WriteFrom(int(min(int64(c.WriteSpace()), sc.remain)), sc)
 		if err != nil || written == 0 {
 			return
 		}
-		st.remain -= int64(written)
+		sc.remain -= int64(written)
 		s.BytesServed += int64(written)
 	}
-	if st.remain == 0 && s.CloseAfterServe {
-		st.started = false // single-shot service
+	if sc.remain == 0 && s.CloseAfterServe {
+		sc.started = false // single-shot service
 		_ = c.Close()
 	}
 }
@@ -124,25 +149,32 @@ func (s *DataServer) writable(c *tcp.Conn, st *serveState) {
 // always gives the same bytes, as Conn.WriteFrom requires, and a crashed
 // server still gives them: they were handed to the stack, which a real
 // kernel keeps.
-func (st *serveState) ReadAt(p []byte, off int64) (int, error) {
-	FillPattern(off+st.shift, p)
+func (sc *serveConn) ReadAt(p []byte, off int64) (int, error) {
+	FillPattern(off+sc.shift, p)
 	return len(p), nil
 }
 
 // parseRequest parses "GET <nbytes>" or the resuming form
 // "GET <nbytes> <offset>" (the offset restarts the pattern mid-stream, so a
-// baseline client that reconnects can resume a broken transfer).
-func parseRequest(line string) (n, off int64, err error) {
-	fields := strings.Fields(line)
-	if (len(fields) != 2 && len(fields) != 3) || fields[0] != "GET" {
+// baseline client that reconnects can resume a broken transfer), its
+// fields split as strings.Fields splits.
+func parseRequest(line []byte) (n, off int64, err error) {
+	var fields [4][]byte // a fourth means too many
+	k := 0
+	for rest := line; k < len(fields); k++ {
+		if fields[k], rest = cutField(rest); len(fields[k]) == 0 {
+			break
+		}
+	}
+	if (k != 2 && k != 3) || string(fields[0]) != "GET" {
 		return 0, 0, fmt.Errorf("app: malformed request %q", line)
 	}
-	n, err = strconv.ParseInt(fields[1], 10, 64)
+	n, err = strconv.ParseInt(string(fields[1]), 10, 64)
 	if err != nil || n < 0 {
 		return 0, 0, fmt.Errorf("app: bad byte count %q", fields[1])
 	}
-	if len(fields) == 3 {
-		off, err = strconv.ParseInt(fields[2], 10, 64)
+	if k == 3 {
+		off, err = strconv.ParseInt(string(fields[2]), 10, 64)
 		if err != nil || off < 0 {
 			return 0, 0, fmt.Errorf("app: bad offset %q", fields[2])
 		}
@@ -150,8 +182,36 @@ func parseRequest(line string) (n, off int64, err error) {
 	return n, off, nil
 }
 
-// FormatRequest renders the request line for n bytes.
-func FormatRequest(n int64) string { return "GET " + strconv.FormatInt(n, 10) + "\n" }
+// cutField returns the first field of b, delimited by Unicode white space
+// as strings.Fields delimits it, and what follows.
+func cutField(b []byte) (field, rest []byte) {
+	space := func(b []byte) (bool, int) {
+		r, w := utf8.DecodeRune(b)
+		return unicode.IsSpace(r), w
+	}
+	i := 0
+	for i < len(b) {
+		sp, w := space(b[i:])
+		if !sp {
+			break
+		}
+		i += w
+	}
+	j := i
+	for j < len(b) {
+		sp, w := space(b[j:])
+		if sp {
+			break
+		}
+		j += w
+	}
+	return b[i:j], b[j:]
+}
+
+// AppendRequest appends the request line for n bytes to b.
+func AppendRequest(b []byte, n int64) []byte {
+	return append(strconv.AppendInt(append(b, "GET "...), n, 10), '\n')
+}
 
 // FormatResumeRequest renders the request line for n bytes starting at
 // pattern offset off.

@@ -3,6 +3,8 @@ package app
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -137,7 +139,7 @@ func TestDataServerPumpMatchesWholeChunkOffers(t *testing.T) {
 // parkedServer returns a DataServer connection sitting on a full send
 // buffer with most of its response still to write: the client asked for
 // more than the run delivers and reads none of it.
-func parkedServer(t *testing.T) (*DataServer, *tcp.Conn, *serveState) {
+func parkedServer(t *testing.T) (*DataServer, *tcp.Conn, *serveConn) {
 	t.Helper()
 	f := newFixture(t, 12)
 	srv := NewDataServer("server/app", nil)
@@ -151,7 +153,7 @@ func parkedServer(t *testing.T) (*DataServer, *tcp.Conn, *serveState) {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	c.OnEstablished = func() { _, _ = c.Write([]byte(FormatRequest(1 << 30))) }
+	c.OnEstablished = func() { _, _ = c.Write(AppendRequest(nil, 1<<30)) }
 	_ = f.sim.Run(2 * time.Second)
 	if conn == nil || conn.WriteSpace() != 0 || srv.BytesServed == 0 {
 		t.Fatalf("set-up: server connection %v not parked on a full send buffer", conn)
@@ -165,7 +167,7 @@ func parkedServer(t *testing.T) (*DataServer, *tcp.Conn, *serveState) {
 // connection) nor the WriteFrom of the next bytes when there is room.
 func TestDataServerPumpDoesNotAllocate(t *testing.T) {
 	srv, conn, st := parkedServer(t)
-	if n := testing.AllocsPerRun(1000, func() { srv.writable(conn, st) }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { st.writable() }); n != 0 {
 		t.Fatalf("pump on a full send buffer allocated %.1f times, want 0", n)
 	}
 
@@ -185,7 +187,7 @@ func TestDataServerPumpDoesNotAllocate(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	const size = 300_000
-	c.OnEstablished = func() { _, _ = c.Write([]byte(FormatRequest(size))) }
+	c.OnEstablished = func() { _, _ = c.Write(AppendRequest(nil, size)) }
 	sink := make([]byte, 4096)
 	c.OnReadable = func() {
 		for n, _ := c.Read(sink); n > 0; n, _ = c.Read(sink) {
@@ -198,12 +200,12 @@ func TestDataServerPumpDoesNotAllocate(t *testing.T) {
 	}
 	c.OnReadable = nil
 	st.remain = 2 * 4096
-	srv.writable(conn, st)
+	st.writable()
 	_ = f.sim.Run(time.Second)
 	const runs, each = 1000, 100
 	if n := testing.AllocsPerRun(runs, func() {
 		st.remain = each
-		srv.writable(conn, st)
+		st.writable()
 	}); n != 0 {
 		t.Fatalf("a pump with room allocated %.1f times, want 0", n)
 	}
@@ -297,5 +299,28 @@ func TestDataServerDownloadAllocBudget(t *testing.T) {
 	t.Logf("%.0f segments, %.2f allocs/segment, %.0f B/segment", segs, perSeg, bytesPerSeg)
 	if perSeg > 6 || bytesPerSeg > 60 {
 		t.Fatalf("download allocates %.2f objects and %.0f B per segment, budget 6 and 60", perSeg, bytesPerSeg)
+	}
+}
+
+// TestRequestFieldsSplitAsStringsFields: the request parser splits a line
+// where strings.Fields would, Unicode spaces and bad UTF-8 included.
+func TestRequestFieldsSplitAsStringsFields(t *testing.T) {
+	for _, line := range []string{
+		"GET 10", " GET\t10  20 ", "GET 10", "GET 10\u0085 7", "\xffGET 1", "GET 1 2 3", "", "   ",
+	} {
+		var got []string
+		for rest := []byte(line); ; {
+			var f []byte
+			if f, rest = cutField(rest); len(f) == 0 {
+				break
+			}
+			got = append(got, string(f))
+		}
+		if want := strings.Fields(line); !slices.Equal(got, want) {
+			t.Errorf("%q splits into %q, strings.Fields into %q", line, got, want)
+		}
+	}
+	if n, off, err := parseRequest([]byte("GET 640 12")); n != 640 || off != 12 || err != nil {
+		t.Errorf("parsed %d, %d, %v; want 640, 12, nil", n, off, err)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // application-lag failure detector (§4.2.1) and the NIC-failure client-data
 // criterion (§4.3) are exercised.
 type EchoServer struct {
-	replica[echoState]
+	replica[echoConn]
 
 	// buf is the one scratch every pump reads into, on the way to pending.
 	buf []byte
@@ -23,7 +23,11 @@ type EchoServer struct {
 	BytesEchoed int64
 }
 
-type echoState struct {
+// echoConn is one connection's echo: its pump is the connection's
+// readable and writable callback.
+type echoConn struct {
+	s        *EchoServer
+	c        *tcp.Conn
 	pending  []byte // read but not yet written back: pending[flushed:]
 	flushed  int
 	deferred bool // a starved pump is already scheduled
@@ -34,27 +38,35 @@ const echoReadSize = 16 << 10
 
 // NewEchoServer builds an echo server.
 func NewEchoServer(name string, tracer *trace.Recorder) *EchoServer {
-	return &EchoServer{replica: newReplica[echoState](name, tracer, "echo application", "no cleanup"), buf: make([]byte, echoReadSize)}
+	return &EchoServer{replica: newReplica[echoConn](name, tracer, "echo application", "no cleanup"), buf: make([]byte, echoReadSize)}
 }
 
 // Accept adopts an established connection.
 func (s *EchoServer) Accept(c *tcp.Conn) {
-	st := &echoState{}
-	s.adopt(c, st)
-	pump := func() { s.pump(c, st) }
-	c.OnReadable = func() { s.run(&st.deferred, pump) }
+	ec := &echoConn{s: s, c: c}
+	s.adopt(c, ec)
+	c.OnReadable = ec.onReady
 	c.OnWritable = c.OnReadable
 	c.OnReadable()
 }
 
-func (s *EchoServer) pump(c *tcp.Conn, st *echoState) {
+func (ec *echoConn) onReady() {
+	if ec.s.inline() {
+		ec.pump()
+		return
+	}
+	ec.s.starve(&ec.deferred, ec.pump)
+}
+
+func (ec *echoConn) pump() {
+	s, c := ec.s, ec.c
 	if s.crashed {
 		return
 	}
 	for {
 		// Flush pending echo bytes first to preserve order.
-		for st.flushed < len(st.pending) {
-			n, err := c.Write(st.pending[st.flushed:])
+		for ec.flushed < len(ec.pending) {
+			n, err := c.Write(ec.pending[ec.flushed:])
 			if err != nil {
 				return
 			}
@@ -62,10 +74,10 @@ func (s *EchoServer) pump(c *tcp.Conn, st *echoState) {
 				return // send buffer full; OnWritable resumes
 			}
 			s.BytesEchoed += int64(n)
-			st.flushed += n
+			ec.flushed += n
 		}
 		// Drained: back to the base of the array, for the append to reuse.
-		st.pending, st.flushed = st.pending[:0], 0
+		ec.pending, ec.flushed = ec.pending[:0], 0
 		n, err := c.Read(s.buf)
 		if n == 0 {
 			if err != nil && c.PeerFINSeen() {
@@ -73,7 +85,7 @@ func (s *EchoServer) pump(c *tcp.Conn, st *echoState) {
 			}
 			return
 		}
-		st.pending = append(st.pending, s.buf[:n]...)
+		ec.pending = append(ec.pending, s.buf[:n]...)
 	}
 }
 

@@ -73,15 +73,16 @@ func (r *replica[S]) adopt(c *tcp.Conn, st *S) {
 // this server's processing time. Call before traffic starts.
 func (r *replica[S]) SetCPU(cpu *sim.Clock) { r.cpu = cpu }
 
-// run executes pump inline at nominal CPU rate, or defers it by the
-// starvation stretch otherwise. Deferred pumps coalesce per connection
-// through *deferred: however many readable/writable wakeups arrive during
-// the wait, the starved process gets one quantum at the end of it.
-func (r *replica[S]) run(deferred *bool, pump func()) {
-	if r.cpu.Rate() == 1 {
-		pump()
-		return
-	}
+// inline reports whether a pump runs at once, at nominal CPU rate; if not,
+// the caller hands it to starve. A caller asks first, so that the pump's
+// func value is built only when it is deferred.
+func (r *replica[S]) inline() bool { return r.cpu.Rate() == 1 }
+
+// starve defers pump by the starvation stretch. Deferred pumps coalesce per
+// connection through *deferred: however many readable/writable wakeups
+// arrive during the wait, the starved process gets one quantum at the end
+// of it.
+func (r *replica[S]) starve(deferred *bool, pump func()) {
 	if *deferred {
 		return
 	}

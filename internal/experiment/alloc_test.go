@@ -81,3 +81,57 @@ func TestSteadyStateSegmentAllocatesNothing(t *testing.T) {
 		})
 	}
 }
+
+// TestConnectionSetupAllocBudget pins what a connection's whole life costs
+// in allocations on the Figure 2 testbed with ST-TCP: 50 downloads of
+// 32 KiB, dialled 500 µs apart, each a connection on the client, the
+// primary and the backup, its service, its replication state and its
+// milestones. Per-segment work allocates nothing (the test above), so
+// nearly all of it is per connection: a Conn is one object, its timers and
+// windows inside it, and a milestone's message is not rendered until it is
+// read. The budget is the measured 70.5 plus 10 %.
+// tcp's TestNewConnIsOneObject holds the Conn to its one object exactly.
+// The race build renders every message as it is emitted, so it is not
+// measured there.
+func TestConnectionSetupAllocBudget(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race build renders each message at its emit")
+	}
+	const conns, size, gap = 50, 32 << 10, 500 * time.Microsecond
+	const budget = 70.5 * 1.1
+	tb := Build(Options{Seed: 19})
+	if err := tb.StartSTTCP(0, nil); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	tb.AttachServers(false)
+	clients := make([]app.Client, 0, conns)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range conns {
+		tb.Sim.Schedule(time.Duration(i)*gap, func() {
+			cl, err := tb.StartClient("client/app", Workload{Bytes: size})
+			if err != nil {
+				t.Errorf("client %d: %v", i, err)
+			}
+			clients = append(clients, cl)
+		})
+	}
+	if err := tb.Run(time.Second); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	for i, cl := range clients {
+		if !app.Completed(cl) {
+			t.Fatalf("client %d did not complete its download", i)
+		}
+	}
+	if len(clients) != conns {
+		t.Fatalf("%d clients, want %d", len(clients), conns)
+	}
+	perConn := float64(after.Mallocs-before.Mallocs) / conns
+	t.Logf("%.2f allocations and %.0f B per connection", perConn, float64(after.TotalAlloc-before.TotalAlloc)/conns)
+	if perConn > budget {
+		t.Fatalf("a connection costs %.2f allocations, budget %.2f", perConn, budget)
+	}
+}

@@ -89,14 +89,12 @@ type Link struct {
 	tracer *trace.Recorder
 	name   string
 
-	// Frame buffers and delivery records are pooled so steady-state
-	// traffic allocates nothing per frame. Each in-flight frame owns one
-	// delivery record and one pooled buffer. The record returns to the
-	// link's pool, which keeps at most poolFrames, when the delivery
-	// completes; the buffer returns to pool when the endpoint is done
-	// with it — or, delivered to a switch port, when the switch is.
-	pool       *bufPool
-	deliveries []*delivery
+	// Frame buffers are pooled so steady-state traffic allocates nothing
+	// per frame. Each in-flight frame is one delivery value in its side's
+	// pending ring and one pooled buffer, which returns to pool when the
+	// endpoint is done with it — or, delivered to a switch port, when the
+	// switch is.
+	pool *bufPool
 }
 
 // delivery is one in-flight frame: the pooled buffer, its verdict (see
@@ -109,16 +107,6 @@ type delivery struct {
 	fcsOK   bool
 	arrival time.Duration
 	ctx     uint64
-}
-
-func (l *Link) takeDelivery() *delivery {
-	if n := len(l.deliveries); n > 0 {
-		d := l.deliveries[n-1]
-		l.deliveries[n-1] = nil
-		l.deliveries = l.deliveries[:n-1]
-		return d
-	}
-	return &delivery{}
 }
 
 // linkSide is one direction of the link. In-flight frames sit in
@@ -134,16 +122,16 @@ type linkSide struct {
 	dropTill time.Duration // end of the drop window, since sim.Epoch
 	cut      bool          // indefinite one-direction cut (asymmetric partition)
 
-	pending []*delivery // in flight, pending[head:] sorted by arrival
+	pending []delivery // in flight, pending[head:] sorted by arrival
 	head    int
-	timer   *sim.Timer
+	timer   sim.Timer
 }
 
 // NewLink creates a link; attach both ends with Attach before use.
 func NewLink(s *sim.Simulator, cfg LinkConfig) *Link {
 	l := &Link{sim: s, cfg: cfg, a: &linkSide{}, b: &linkSide{}, pool: &bufPool{limit: poolFrames}}
-	l.a.timer = s.NewTimer(func() { l.drain(l.a) })
-	l.b.timer = s.NewTimer(func() { l.drain(l.b) })
+	s.InitTimer(&l.a.timer, func() { l.drain(l.a) })
+	s.InitTimer(&l.b.timer, func() { l.drain(l.b) })
 	return l
 }
 
@@ -292,19 +280,14 @@ func (l *Link) transmit(side *linkSide, frame []byte, fcsOK bool) {
 				"corrupt %dB: bit %d flipped", len(frame), bit)
 		}
 	}
-	d := l.takeDelivery()
-	d.frame = frame
-	d.fcsOK = fcsOK
-	d.arrival = arrival
-	d.ctx = l.sim.Context()
-	l.enqueue(side, d)
+	l.enqueue(side, delivery{frame: frame, fcsOK: fcsOK, arrival: arrival, ctx: l.sim.Context()})
 }
 
 // enqueue inserts d into side's in-flight queue, keeping pending[head:]
 // sorted by arrival (a stable insert: jitter may reorder frames, and
 // frames with equal arrivals keep transmit order). The timer re-arms
 // only when d became the new earliest arrival.
-func (l *Link) enqueue(side *linkSide, d *delivery) {
+func (l *Link) enqueue(side *linkSide, d delivery) {
 	p := side.pending
 	// Without jitter arrivals are monotone and this scan is zero
 	// iterations; with jitter it is bounded by the frames inside one
@@ -313,7 +296,7 @@ func (l *Link) enqueue(side *linkSide, d *delivery) {
 	for i > side.head && p[i-1].arrival > d.arrival {
 		i--
 	}
-	p = append(p, nil)
+	p = append(p, delivery{})
 	copy(p[i+1:], p[i:])
 	p[i] = d
 	side.pending = p
@@ -333,15 +316,13 @@ func (l *Link) drain(side *linkSide) {
 		if d.arrival > now {
 			break
 		}
-		side.pending[side.head] = nil
+		side.pending[side.head] = delivery{}
 		side.head++
 		l.deliverNow(side, d)
 	}
 	if side.head > 0 && side.head*2 >= len(side.pending) {
 		n := copy(side.pending, side.pending[side.head:])
-		for i := n; i < len(side.pending); i++ {
-			side.pending[i] = nil
-		}
+		clear(side.pending[n:])
 		side.pending = side.pending[:n]
 		side.head = 0
 	}
@@ -351,17 +332,12 @@ func (l *Link) drain(side *linkSide) {
 }
 
 // deliverNow completes one delivery: the frame is handed to side's peer
-// under the sender's causal context, and the record and buffer return to
-// their pools — the buffer unless the peer is a switch port, which keeps
-// it.
-func (l *Link) deliverNow(side *linkSide, d *delivery) {
-	frame, fcsOK, ctx := d.frame, d.fcsOK, d.ctx
-	if len(l.deliveries) < poolFrames {
-		*d = delivery{}
-		l.deliveries = append(l.deliveries, d)
-	}
+// under the sender's causal context, and the buffer returns to the pool
+// unless the peer is a switch port, which keeps it.
+func (l *Link) deliverNow(side *linkSide, d delivery) {
+	frame, fcsOK := d.frame, d.fcsOK
 	prev := l.sim.Context()
-	l.sim.SetContext(ctx)
+	l.sim.SetContext(d.ctx)
 	l.Delivered++
 	l.mFrames.Inc()
 	if l.tracer.Detail() {

@@ -45,10 +45,8 @@ func TestLinkDeliveryRunsUnderSenderContextAndRestores(t *testing.T) {
 	}
 
 	// One delivery by hand, under an ambient context of 3.
-	d := link.takeDelivery()
-	d.frame, d.ctx = link.pool.get(1), 9
 	s.SetContext(3)
-	link.deliverNow(link.a, d)
+	link.deliverNow(link.a, delivery{frame: link.pool.get(1), ctx: 9})
 	if got := s.Context(); got != 3 || delivered[len(delivered)-1] != 9 {
 		t.Errorf("a delivery under context 9 left the ambient context at %d, want 3 restored", got)
 	}

@@ -15,8 +15,8 @@ import (
 // be armed again.
 //
 // Rate and Stretch accept a nil *Clock as the nominal rate-1 clock, so a
-// component may carry an optional clock for stretching alone; NewTimer,
-// AfterFunc, NewTicker, Post and Stop need one from NewClock. Rate 1 is an
+// component may carry an optional clock for stretching alone; InitTimer,
+// NewTimer, AfterFunc, NewTicker, Post and Stop need one from NewClock. Rate 1 is an
 // exact pass-through: Stretch returns its argument unchanged, so enabling
 // the plumbing cannot perturb an unskewed run by even a nanosecond.
 type Clock struct {
@@ -75,12 +75,18 @@ func (c *Clock) Stretch(d time.Duration) time.Duration {
 	return sd
 }
 
-// NewTimer returns a timer owned by this clock: Stop cancels it, and
-// arming it after Stop panics. Its delays are not stretched; a caller that
-// wants the clock's rate applies Stretch itself.
-func (c *Clock) NewTimer(fn func()) *Timer {
-	t := c.s.NewTimer(fn)
+// InitTimer is Simulator.InitTimer for a timer owned by this clock: Stop
+// cancels it, and arming it after Stop panics. Its delays are not
+// stretched; a caller that wants the clock's rate applies Stretch itself.
+func (c *Clock) InitTimer(t *Timer, fn func()) {
+	c.s.InitTimer(t, fn)
 	t.clock = c
+}
+
+// NewTimer returns a new timer initialised with InitTimer.
+func (c *Clock) NewTimer(fn func()) *Timer {
+	t := new(Timer)
+	c.InitTimer(t, fn)
 	return t
 }
 
@@ -98,7 +104,7 @@ func (c *Clock) AfterFunc(d time.Duration, fn func()) *Timer {
 func (c *Clock) NewTicker(period time.Duration, fn func()) *Ticker {
 	t := newTicker(period, fn)
 	t.clock = c
-	t.timer = c.NewTimer(t.tick)
+	c.InitTimer(&t.timer, t.tick)
 	t.timer.Arm(c.Stretch(period))
 	return t
 }

@@ -8,7 +8,7 @@ import "time"
 // Each tick re-arms a single reusable Timer, so a steady ticker (heartbeats,
 // pacing loops) allocates nothing after construction.
 type Ticker struct {
-	timer   *Timer
+	timer   Timer
 	period  time.Duration
 	fn      func()
 	stopped bool
@@ -24,7 +24,7 @@ type Ticker struct {
 // loop at a single instant.
 func NewTicker(s *Simulator, period time.Duration, fn func()) *Ticker {
 	t := newTicker(period, fn)
-	t.timer = s.NewTimer(t.tick)
+	s.InitTimer(&t.timer, t.tick)
 	t.timer.Arm(period)
 	return t
 }
@@ -47,7 +47,7 @@ func NewDaemonTicker(s *Simulator, period time.Duration, fn func()) *Ticker {
 		panic("sim: NewDaemonTicker with non-positive period")
 	}
 	t := &Ticker{period: period, fn: fn}
-	t.timer = s.NewTimer(t.tick)
+	s.InitTimer(&t.timer, t.tick)
 	t.timer.ev.daemon = true
 	t.timer.Arm(period)
 	return t

@@ -14,24 +14,36 @@ import "time"
 // one. A timer pushed back again and again without firing (the RTO, reset
 // on every ACK) sits near the heap's leaves, where both halves are cheap.
 //
-// The zero value is not usable; construct with Simulator.NewTimer, or
-// Clock.NewTimer for a timer a host's crash cancels.
+// A Timer may live inside its owner: initialise it in place with
+// Simulator.InitTimer, or Clock.InitTimer for a timer a host's crash
+// cancels. NewTimer on either is new plus init. Arming a timer that was
+// never initialised panics.
 type Timer struct {
 	s *Simulator
-	// clock, when set (Clock.NewTimer), owns the timer: it lists the
+	// clock, when set (Clock.InitTimer), owns the timer: it lists the
 	// timer while armed and cancels it at Clock.Stop.
 	clock *Clock
 	ev    Event
 }
 
-// NewTimer returns a timer that runs fn each time it fires. The callback
-// runs with the causal context that was ambient when Arm was called.
-func (s *Simulator) NewTimer(fn func()) *Timer {
+// errUninitTimer is the panic of arming a zero Timer.
+const errUninitTimer = "sim: Timer armed before InitTimer"
+
+// InitTimer makes t, typically a field of its owner, a timer that runs fn
+// each time it fires. The callback runs with the causal context that was
+// ambient when Arm was called. t must not be armed.
+func (s *Simulator) InitTimer(t *Timer, fn func()) {
 	if fn == nil {
-		panic("sim: NewTimer called with nil callback")
+		panic("sim: InitTimer called with nil callback")
 	}
-	t := &Timer{s: s}
+	*t = Timer{s: s}
 	t.ev.fn = fn
+}
+
+// NewTimer returns a new timer initialised with InitTimer.
+func (s *Simulator) NewTimer(fn func()) *Timer {
+	t := new(Timer)
+	s.InitTimer(t, fn)
 	return t
 }
 
@@ -39,6 +51,9 @@ func (s *Simulator) NewTimer(fn func()) *Timer {
 // pending arming. A negative delay is treated as zero. Arming a timer
 // whose clock has stopped panics.
 func (t *Timer) Arm(delay time.Duration) {
+	if t.s == nil {
+		panic(errUninitTimer)
+	}
 	if t.clock != nil && t.clock.stopped {
 		panic(errStoppedClock)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
@@ -117,7 +118,9 @@ func TestTimerCapturesContextAtArm(t *testing.T) {
 
 func TestTimerArmDoesNotAllocate(t *testing.T) {
 	s := New(1)
-	for _, tm := range []*Timer{s.NewTimer(func() {}), NewClock(s).NewTimer(func() {})} {
+	var owner struct{ tm Timer }
+	NewClock(s).InitTimer(&owner.tm, func() {})
+	for _, tm := range []*Timer{s.NewTimer(func() {}), NewClock(s).NewTimer(func() {}), &owner.tm} {
 		tm.Arm(time.Millisecond)
 		if err := s.Run(time.Second); err != nil {
 			t.Fatal(err)
@@ -211,4 +214,48 @@ func TestTickerDoesNotAllocatePerTick(t *testing.T) {
 		t.Fatalf("ticker allocates %v times per tick, want 0", allocs)
 	}
 	tk.Stop()
+}
+
+// TestEmbeddedTimer runs a timer that lives inside its owner, as a
+// tcp.Conn's do: it fires like a new one, its clock's Stop cancels it, and
+// arming it after the Stop panics.
+func TestEmbeddedTimer(t *testing.T) {
+	s := New(1)
+	c := NewClock(s)
+	var owner struct {
+		fired int
+		tm    Timer
+	}
+	c.InitTimer(&owner.tm, func() { owner.fired++ })
+	owner.tm.Arm(time.Millisecond)
+	if err := s.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	owner.tm.Arm(time.Second)
+	c.Stop()
+	if owner.tm.Armed() || armedCount(c) != 0 {
+		t.Fatalf("after Clock.Stop the timer is armed %v, %d listed; want cancelled", owner.tm.Armed(), armedCount(c))
+	}
+	if err := s.Run(time.Minute); err != nil || owner.fired != 1 {
+		t.Fatalf("fired %d times (run: %v), want once: Stop cancels it", owner.fired, err)
+	}
+	defer func() {
+		if err, _ := recover().(error); !errors.Is(err, errStoppedClock) {
+			t.Fatalf("arming after Clock.Stop recovered %v, want %v", err, errStoppedClock)
+		}
+	}()
+	owner.tm.Arm(time.Second)
+}
+
+// TestUninitialisedTimerPanics: a Timer field nobody passed to InitTimer
+// says so when armed, rather than dereferencing a nil simulator.
+func TestUninitialisedTimerPanics(t *testing.T) {
+	var tm Timer
+	tm.Stop() // a no-op, like stopping a nil timer
+	defer func() {
+		if r := recover(); r != errUninitTimer {
+			t.Fatalf("arming a zero Timer recovered %v, want %q", r, errUninitTimer)
+		}
+	}()
+	tm.Arm(time.Second)
 }

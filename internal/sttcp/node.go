@@ -148,6 +148,8 @@ type Node struct {
 	listener  *tcp.Listener
 	ex        *hb.Exchanger
 	peerPower *cluster.PowerController
+	// onReplicaClose is replicaClosed, bound once for every connection.
+	onReplicaClose func(rst bool)
 
 	state NodeState
 	conns map[tcp.ConnID]*repConn
@@ -231,6 +233,7 @@ func NewNode(host *cluster.Host, role Role, cfg Config, peerPower *cluster.Power
 		held:      make(map[tcp.ConnID][]heldSegment),
 		announced: make(map[tcp.ConnID]uint32),
 	}
+	n.onReplicaClose = n.replicaClosed
 	reg := host.Metrics()
 	n.mTakeovers = reg.Counter(n.comp, "sttcp.takeovers")
 	n.mSuspects = reg.Counter(n.comp, "sttcp.suspects")
@@ -441,18 +444,20 @@ func (n *Node) setupConn(c *tcp.Conn) {
 	case n.role == RoleBackup && n.state == StateActive:
 		rc.replicated = true
 		c.SetSuppressed(true)
-		// A server generating a FIN must communicate it to its peer
-		// immediately through the heartbeat (§4.2.2); the segment
-		// itself stays suppressed.
-		c.SetCloseSignalObserver(func(bool) {
-			if n.state == StateActive && n.ex != nil {
-				n.ex.SendNow()
-			}
-		})
+		c.SetCloseSignalObserver(n.onReplicaClose)
 	case n.role == RolePrimary && n.state == StateActive:
 		rc.replicated = true
 		c.Hold(holdBufferSize, n.mHoldBytes)
 		c.SetFINGate(func(rst bool) { n.onLocalCloseSignal(rc, rst) })
+	}
+}
+
+// replicaClosed is a suppressed connection's close-signal observer. A
+// server generating a FIN must communicate it to its peer immediately
+// through the heartbeat (§4.2.2); the segment itself stays suppressed.
+func (n *Node) replicaClosed(bool) {
+	if n.state == StateActive && n.ex != nil {
+		n.ex.SendNow()
 	}
 }
 

@@ -121,3 +121,14 @@ func TestSendBufferSteadyStateDoesNotAllocate(t *testing.T) {
 		t.Fatalf("steady-state release+write+slice allocated %.1f times per round, want 0", n)
 	}
 }
+
+// TestNewConnIsOneObject: a connection is one allocation, its two windows
+// and three timers inside it, plus the five callbacks bound to it once (the
+// timers' and the two wake-ups').
+func TestNewConnIsOneObject(t *testing.T) {
+	h := newPair(t, 1, lan(), Options{})
+	id := ConnID{LocalPort: 80, RemotePort: 49152}
+	if n := testing.AllocsPerRun(100, func() { h.stackA.newConn(id) }); n != 1+5 {
+		t.Fatalf("a new connection costs %.1f allocations, want 6", n)
+	}
+}

@@ -360,8 +360,8 @@ type recvBuffer struct {
 	unreported *metrics.Gauge
 }
 
-func newRecvBuffer(capacity int) *recvBuffer {
-	return &recvBuffer{Reassembler: Reassembler{oooMax: capacity}, win: Window{cap: capacity}, size: capacity}
+func newRecvBuffer(capacity int) recvBuffer {
+	return recvBuffer{Reassembler: Reassembler{oooMax: capacity}, win: Window{cap: capacity}, size: capacity}
 }
 
 // window returns the receive window to advertise: the unread space, and

@@ -445,7 +445,8 @@ func delivered(b *recvBuffer, off int64, payload []byte) []byte {
 }
 
 func TestRecvBufferInOrder(t *testing.T) {
-	b := newRecvBuffer(100)
+	rb := newRecvBuffer(100)
+	b := &rb
 	got := delivered(b, 0, []byte("hello"))
 	if string(got) != "hello" || b.next != 5 {
 		t.Fatalf("accept = %q, rcvNxt=%d", got, b.next)
@@ -460,7 +461,8 @@ func TestRecvBufferInOrder(t *testing.T) {
 }
 
 func TestRecvBufferDuplicateTrimmed(t *testing.T) {
-	b := newRecvBuffer(100)
+	rb := newRecvBuffer(100)
+	b := &rb
 	delivered(b, 0, []byte("abcdef"))
 	got := delivered(b, 3, []byte("defghi")) // overlaps 3 bytes
 	if string(got) != "ghi" || b.next != 9 {
@@ -474,7 +476,8 @@ func TestRecvBufferDuplicateTrimmed(t *testing.T) {
 // Both payloads arrive in one frame buffer, as they do from a link, which
 // reissues it once accept has returned: a kept out-of-order chunk is a copy.
 func TestRecvBufferOutOfOrderReassembly(t *testing.T) {
-	b := newRecvBuffer(100)
+	rb := newRecvBuffer(100)
+	b := &rb
 	frame := []byte("fghij")
 	if got := delivered(b, 5, frame); got != nil {
 		t.Fatalf("ooo accept delivered %q", got)
@@ -493,7 +496,8 @@ func TestRecvBufferOutOfOrderReassembly(t *testing.T) {
 }
 
 func TestRecvBufferWindowTruncation(t *testing.T) {
-	b := newRecvBuffer(8)
+	rb := newRecvBuffer(8)
+	b := &rb
 	got := delivered(b, 0, []byte("0123456789")) // 10 bytes into an 8-byte window
 	if string(got) != "01234567" {
 		t.Fatalf("accepted %q", got)
@@ -516,7 +520,8 @@ func TestRecvBufferWindowTruncation(t *testing.T) {
 // later segment lands across its end. What accept delivers and what read
 // copies out still follow the stream.
 func TestRecvBufferAcrossTheWrap(t *testing.T) {
-	b := newRecvBuffer(8)
+	rb := newRecvBuffer(8)
+	b := &rb
 	p := make([]byte, 8)
 	delivered(b, 0, []byte("abcdefgh"))
 	b.read(p[:6])
@@ -560,7 +565,8 @@ func TestRecvBufferShuffledSegmentsProperty(t *testing.T) {
 		rng.Shuffle(len(segs), func(i, j int) { segs[i], segs[j] = segs[j], segs[i] })
 		segs = append(segs, segs[:len(segs)/3]...)
 
-		b := newRecvBuffer(size + 4096)
+		rb := newRecvBuffer(size + 4096)
+		b := &rb
 		var out []byte
 		for _, sg := range segs {
 			out = append(out, delivered(b, sg.off, sg.b)...)

@@ -124,7 +124,8 @@ func TestWindowUpdateAfterDrain(t *testing.T) {
 // TestOOOBufferBounded: out-of-order data beyond the buffer limit is
 // dropped, not hoarded.
 func TestOOOBufferBounded(t *testing.T) {
-	b := newRecvBuffer(1024)
+	rb := newRecvBuffer(1024)
+	b := &rb
 	total := 0
 	for i := 0; i < 100; i++ {
 		off := int64(2048 + i*100)

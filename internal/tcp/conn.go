@@ -71,8 +71,8 @@ type Conn struct {
 	iss uint32 // initial send sequence number (SYN occupies iss)
 	irs uint32 // initial receive sequence number
 
-	sb *Window
-	rb *recvBuffer
+	sb Window
+	rb recvBuffer
 
 	sndUna int64 // oldest unacked stream offset
 	sndNxt int64 // next stream offset to send
@@ -98,9 +98,9 @@ type Conn struct {
 	// Timers are reusable sim.Timers bound once at construction, so the
 	// steady-state data path re-arms them without allocating (the RTO
 	// timer alone re-arms once per ack'd flight).
-	retransTimer  *sim.Timer
-	persistTimer  *sim.Timer
-	timeWaitTimer *sim.Timer
+	retransTimer  sim.Timer
+	persistTimer  sim.Timer
+	timeWaitTimer sim.Timer
 	persistShift  uint
 	retransCount  int
 
@@ -222,7 +222,7 @@ func (c *Conn) SetSuppressed(v bool) {
 // are accepted (the advertised window closes instead). unreported counts
 // them.
 func (c *Conn) Hold(capacity int, unreported *metrics.Gauge) {
-	b := c.rb
+	b := &c.rb
 	b.hold, b.reported, b.unreported = capacity, b.win.End(), unreported
 	b.win.cap = max(b.size, capacity)
 }
@@ -237,7 +237,7 @@ func (c *Conn) StopHolding() { c.releaseHeld(c.rb.win.End(), 0) }
 // and goes on holding at most hold bytes; a release that reopens a closed
 // window tells the peer.
 func (c *Conn) releaseHeld(upTo int64, hold int) {
-	b := c.rb
+	b := &c.rb
 	if b.hold == 0 {
 		return
 	}
@@ -527,7 +527,7 @@ func (c *Conn) trace(kind trace.Kind, format string, args ...any) {
 }
 
 func (c *Conn) traceValue(kind trace.Kind, value int64, format string, args ...any) {
-	c.stack.tracer.EmitValue(kind, c.stack.name+"/tcp", value, format, args...)
+	c.stack.tracer.EmitValue(kind, c.stack.comp, value, format, args...)
 }
 
 // noteRetransmit is the one place a retransmission is recorded: the

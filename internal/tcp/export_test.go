@@ -7,9 +7,9 @@ import "repro/internal/sim"
 // stop it, until the returned undo runs: the defect dead-host-silence
 // exists to catch.
 func SeedRawRTOTimer() (undo func()) {
-	prev := newRTOTimer
-	newRTOTimer = func(st *Stack, fn func()) *sim.Timer { return st.sim.NewTimer(fn) }
-	return func() { newRTOTimer = prev }
+	prev := initRTOTimer
+	initRTOTimer = func(st *Stack, t *sim.Timer, fn func()) { st.sim.InitTimer(t, fn) }
+	return func() { initRTOTimer = prev }
 }
 
 // Storage reports the bytes of ring and scratch c's two windows hold.
@@ -18,7 +18,7 @@ func (c *Conn) Storage() int {
 }
 
 // SendWindow returns c's send buffer.
-func (c *Conn) SendWindow() *Window { return c.sb }
+func (c *Conn) SendWindow() *Window { return &c.sb }
 
 // SendStorage reports the bytes of ring and of scratch c's send buffer
 // holds.

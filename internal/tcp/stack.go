@@ -121,7 +121,7 @@ type Stack struct {
 	sim    *sim.Simulator
 	clock  *sim.Clock // the host's: every connection timer and notification arms here
 	ns     *netstack.Stack
-	name   string
+	comp   string // "<host>/tcp": what its events and instruments are under
 	opts   Options
 	tracer *trace.Recorder
 
@@ -197,14 +197,14 @@ func NewStack(clock *sim.Clock, ns *netstack.Stack, name string, opts Options, t
 		sim:       clock.Sim(),
 		clock:     clock,
 		ns:        ns,
-		name:      name,
+		comp:      name + "/tcp",
 		opts:      opts,
 		tracer:    tracer,
 		conns:     make(map[ConnID]*Conn),
 		listeners: make(map[uint16]*Listener),
 		nextPort:  49152,
 	}
-	comp := name + "/tcp"
+	comp := st.comp
 	st.mSent = reg.Counter(comp, "tcp.segments_sent")
 	st.mReceived = reg.Counter(comp, "tcp.segments_received")
 	st.mSuppressed = reg.Counter(comp, "tcp.segments_suppressed")
@@ -224,7 +224,7 @@ func (st *Stack) Sim() *sim.Simulator { return st.sim }
 // storage dropped; so are the bytes waiting beyond a hole.
 func (st *Stack) Crash() {
 	for _, c := range st.conns {
-		for _, w := range []*Window{c.sb, &c.rb.win} {
+		for _, w := range []*Window{&c.sb, &c.rb.win} {
 			w.Release(w.End())
 			w.drop()
 		}
@@ -288,25 +288,27 @@ func (st *Stack) chooseISN() uint32 {
 	return st.sim.Rand().Uint32()
 }
 
-// newRTOTimer builds a connection's retransmission timer on the host clock.
+// initRTOTimer binds a connection's retransmission timer to the host clock.
 // It is a variable so a test can seed the defect dead-host-silence exists to
 // catch: the timer on the raw simulator, where a crash does not stop it.
-var newRTOTimer = func(st *Stack, fn func()) *sim.Timer { return st.clock.NewTimer(fn) }
+var initRTOTimer = func(st *Stack, t *sim.Timer, fn func()) { st.clock.InitTimer(t, fn) }
 
+// newConn builds a connection in one allocation: its windows and timers
+// live inside it.
 func (st *Stack) newConn(id ConnID) *Conn {
 	c := &Conn{
 		stack: st,
 		id:    id,
 		mss:   DefaultMSS,
-		sb:    NewWindow(sendBufferSize),
+		sb:    Window{cap: sendBufferSize},
 		rb:    newRecvBuffer(st.opts.RecvBufferSize),
 		rto:   initialRTO,
 	}
 	// All per-connection timers and notification callbacks are bound here,
 	// once, so the per-segment path re-arms and re-posts without allocating.
-	c.retransTimer = newRTOTimer(st, c.onRetransTimeout)
-	c.persistTimer = st.clock.NewTimer(c.onPersistTimeout)
-	c.timeWaitTimer = st.clock.NewTimer(c.onTimeWaitExpired)
+	initRTOTimer(st, &c.retransTimer, c.onRetransTimeout)
+	st.clock.InitTimer(&c.persistTimer, c.onPersistTimeout)
+	st.clock.InitTimer(&c.timeWaitTimer, c.onTimeWaitExpired)
 	c.readableFn = c.deliverReadable
 	c.writableFn = c.deliverWritable
 	c.resetCongestion()
@@ -373,8 +375,8 @@ func (st *Stack) emit(c *Conn, seg *Segment) {
 		// makes the link/switch hops and the remote receive — scheduled
 		// asynchronously — attach to it as one causal tree.
 		sp := st.tracer.OpenAutoSpan(trace.KindSegmentJourney, st.tracer.Ambient(),
-			st.name+"/tcp", "%v seq=%d len=%d", seg.Flags, seg.Seq, seg.SegLen())
-		st.tracer.EmitIn(sp, trace.KindSegmentTX, st.name+"/tcp", int64(seg.Seq),
+			st.comp, "%v seq=%d len=%d", seg.Flags, seg.Seq, seg.SegLen())
+		st.tracer.EmitIn(sp, trace.KindSegmentTX, st.comp, int64(seg.Seq),
 			"tx %v seq=%d ack=%d len=%d", seg.Flags, seg.Seq, seg.Ack, seg.SegLen())
 		defer st.tracer.Activate(sp)()
 	}
@@ -384,7 +386,7 @@ func (st *Stack) emit(c *Conn, seg *Segment) {
 func (st *Stack) noteSuppressed(seg *Segment) {
 	st.mSuppressed.Inc()
 	if st.tracer.Detail() {
-		st.tracer.EmitValue(trace.KindSegmentSuppressed, st.name+"/tcp", int64(seg.Seq),
+		st.tracer.EmitValue(trace.KindSegmentSuppressed, st.comp, int64(seg.Seq),
 			"suppressed %v seq=%d len=%d", seg.Flags, seg.Seq, seg.SegLen())
 	}
 }
@@ -409,7 +411,7 @@ func (st *Stack) HandleSegment(pkt ip.Packet, seg *Segment) {
 	}
 	st.noteReceived()
 	if st.tracer.Detail() {
-		st.tracer.EmitValue(trace.KindSegmentRX, st.name+"/tcp", int64(seg.Seq),
+		st.tracer.EmitValue(trace.KindSegmentRX, st.comp, int64(seg.Seq),
 			"rx %v seq=%d ack=%d len=%d", seg.Flags, seg.Seq, seg.Ack, seg.SegLen())
 	}
 	id := ConnID{

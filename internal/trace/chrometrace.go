@@ -55,8 +55,8 @@ func (r *Recorder) WriteChromeTrace(w io.Writer, epoch time.Time) error {
 	for _, s := range r.spans {
 		comps[s.Component] = true
 	}
-	for _, e := range r.events {
-		comps[e.Component] = true
+	for i := range r.events.end {
+		comps[r.events.at(i).component] = true
 	}
 	var names []string
 	for c := range comps {
@@ -112,7 +112,8 @@ func (r *Recorder) WriteChromeTrace(w io.Writer, epoch time.Time) error {
 			})
 		}
 	}
-	for _, e := range r.events {
+	for i := range r.events.end {
+		e := r.event(i)
 		args := map[string]any{"msg": e.Message}
 		if e.Value != 0 {
 			args["value"] = e.Value

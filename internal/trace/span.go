@@ -250,7 +250,7 @@ func (r *Recorder) CausallyLinked(id SpanID, kind Kind) bool {
 		set[a] = true
 	}
 	for _, j := range r.byKind[kind] {
-		if set[r.events[j].Span] {
+		if set[r.events.at(j).span] {
 			return true
 		}
 	}

@@ -77,12 +77,13 @@ func (r *Recorder) RenderSpanTimeline(o TimelineOptions) string {
 		label := fmt.Sprintf("%s %v", s.Kind, s.End.Sub(s.Start).Round(time.Millisecond))
 		lanes[s.Component] = append(lanes[s.Component], bar{col(s.Start), col(s.End), label})
 	}
-	for _, e := range r.events {
-		if !drawn(e.Kind) || e.Time.Before(start) || e.Time.After(end) {
+	for i := range r.events.end {
+		e := r.events.at(i)
+		if !drawn(Kind(e.kind)) || e.at.Before(start) || e.at.After(end) {
 			continue
 		}
-		c := col(e.Time)
-		lanes[e.Component] = append(lanes[e.Component], bar{c, c, "*" + e.Kind.String()})
+		c := col(e.at)
+		lanes[e.component] = append(lanes[e.component], bar{c, c, "*" + Kind(e.kind).String()})
 	}
 
 	comps := make([]string, 0, len(lanes))
@@ -155,8 +156,9 @@ func (r *Recorder) timeRange() (lo, hi time.Time) {
 			hi = z
 		}
 	}
-	for _, e := range r.events {
-		visit(e.Time, e.Time)
+	for i := range r.events.end {
+		at := r.events.at(i).at
+		visit(at, at)
 	}
 	for _, s := range r.spans {
 		z := s.End

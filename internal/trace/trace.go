@@ -9,6 +9,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 )
@@ -149,14 +150,33 @@ func (e Event) String() string {
 	return s
 }
 
+// record is one stored event. Its message is kept as the format and the
+// arguments it was emitted with, and rendered only when the event is read
+// (Recorder.event): most runs never read most messages. No larger than an
+// Event.
+type record struct {
+	at        time.Time
+	component string
+	format    string
+	value     int64
+	span      SpanID
+	args      uint32 // the index of the first argument in Recorder.args
+	nargs     uint16
+	kind      uint16
+}
+
 // Recorder accumulates events in timestamp order (events arrive in order
 // because the simulation is single-threaded) and the causal span tree they
 // hang off. A per-kind index keeps Filter/Count/First/Has from rescanning
 // the whole log on every analyzer or invariant query.
 type Recorder struct {
-	events []Event
+	events chunked[record]
+	args   chunked[any]   // every record's message arguments
 	byKind map[Kind][]int // event indices per kind, in order
 	nowFn  func() time.Time
+	// rendered holds each event's message as rendered when it was emitted,
+	// in the race build only (checkMessages), for every read to compare.
+	rendered []string
 
 	spans    []Span // append-only; span ID n is spans[n-1]
 	spanErrs []string
@@ -230,27 +250,67 @@ func (r *Recorder) EmitValue(kind Kind, component string, value int64, format st
 }
 
 // EmitIn records an event attached to a specific span rather than the
-// ambient one.
+// ambient one. The message is rendered from format and args when the event
+// is read, not now, so the arguments are values: nothing an argument
+// refers to may change after the call. The race build renders it now too
+// and panics at any read that renders it differently.
 func (r *Recorder) EmitIn(span SpanID, kind Kind, component string, value int64, format string, args ...any) {
 	if r == nil {
 		return
 	}
-	r.append(Event{
-		Time:      r.nowFn(),
-		Kind:      kind,
-		Component: component,
-		Message:   fmt.Sprintf(format, args...),
-		Value:     value,
-		Span:      span,
+	if len(args) > chunkLen {
+		// Too many to keep in a chunk: keep the message instead.
+		format, args = "%s", []any{fmt.Sprintf(format, args...)}
+	}
+	now := r.nowFn()
+	if sp := r.span(span); sp != nil {
+		sp.lastTouch = now
+	}
+	first := r.args.append(args...)
+	if first > math.MaxUint32 {
+		panic("trace: more message arguments than a record can index")
+	}
+	i := r.events.append(record{
+		at:        now,
+		component: component,
+		format:    format,
+		value:     value,
+		span:      span,
+		args:      uint32(first),
+		nargs:     uint16(len(args)),
+		kind:      uint16(kind),
 	})
+	r.byKind[kind] = append(r.byKind[kind], i)
+	if checkMessages {
+		r.rendered = append(r.rendered, r.message(i))
+	}
 }
 
-func (r *Recorder) append(e Event) {
-	if sp := r.span(e.Span); sp != nil {
-		sp.lastTouch = e.Time
+// message renders event i's message from its format and arguments.
+func (r *Recorder) message(i int) string {
+	e := r.events.at(i)
+	args := r.args.slice(int(e.args), int(e.nargs))
+	msg := e.format
+	if len(args) > 0 || strings.IndexByte(msg, '%') >= 0 {
+		msg = fmt.Sprintf(msg, args...)
 	}
-	r.events = append(r.events, e)
-	r.byKind[e.Kind] = append(r.byKind[e.Kind], len(r.events)-1)
+	if checkMessages && i < len(r.rendered) && msg != r.rendered[i] {
+		panic(fmt.Sprintf("trace: event %d (%s) reads %q but was emitted as %q: an argument changed after EmitIn", i, Kind(e.kind), msg, r.rendered[i]))
+	}
+	return msg
+}
+
+// event renders record i as the Event it stands for.
+func (r *Recorder) event(i int) Event {
+	e := r.events.at(i)
+	return Event{
+		Time:      e.at,
+		Kind:      Kind(e.kind),
+		Component: e.component,
+		Message:   r.message(i),
+		Value:     e.value,
+		Span:      e.span,
+	}
 }
 
 // Events returns a copy of all recorded events.
@@ -258,8 +318,10 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
+	out := make([]Event, r.events.end)
+	for i := range out {
+		out[i] = r.event(i)
+	}
 	return out
 }
 
@@ -268,7 +330,7 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.events)
+	return r.events.end
 }
 
 // Filter returns the events matching kind, in order.
@@ -282,7 +344,7 @@ func (r *Recorder) Filter(kind Kind) []Event {
 	}
 	out := make([]Event, len(idx))
 	for i, j := range idx {
-		out[i] = r.events[j]
+		out[i] = r.event(j)
 	}
 	return out
 }
@@ -296,7 +358,7 @@ func (r *Recorder) First(kind Kind) (Event, bool) {
 	if len(idx) == 0 {
 		return Event{}, false
 	}
-	return r.events[idx[0]], true
+	return r.event(idx[0]), true
 }
 
 // Count reports the number of events of the given kind.
@@ -319,8 +381,8 @@ func (r *Recorder) Dump() string {
 		return ""
 	}
 	var b strings.Builder
-	for _, e := range r.events {
-		b.WriteString(e.String())
+	for i := range r.events.end {
+		b.WriteString(r.event(i).String())
 		b.WriteByte('\n')
 	}
 	return b.String()

@@ -1,11 +1,13 @@
 package trace
 
 import (
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func newClock() func() time.Time {
@@ -217,5 +219,50 @@ func TestNilRecorderIsASink(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRecordIsNoLargerThanAnEvent: keeping a message's format and arguments
+// instead of its text costs the log nothing per event.
+func TestRecordIsNoLargerThanAnEvent(t *testing.T) {
+	if rec, ev := unsafe.Sizeof(record{}), unsafe.Sizeof(Event{}); rec > ev {
+		t.Fatalf("a record is %d B, an Event %d B", rec, ev)
+	}
+}
+
+// TestMessagesRenderWhenRead: a message renders from the arguments it was
+// emitted with, in a log long enough to fill several chunks: argument
+// lists that leave a chunk's rest unused, one too long for a chunk, and one
+// of none just as the last chunk is full.
+func TestMessagesRenderWhenRead(t *testing.T) {
+	r := NewRecorder(newClock())
+	var want []string
+	emit := func(format string, args ...any) {
+		r.Emit(KindGeneric, "c", format, args...)
+		want = append(want, fmt.Sprintf(format, args...))
+	}
+	for i := range 3 * chunkLen {
+		emit("event %d of %s%s", i, "many", "")
+		if i%100 == 0 {
+			emit("100%% plain")
+		}
+	}
+	long := make([]any, chunkLen+1)
+	for i := range long {
+		long[i] = i
+	}
+	emit(strings.Repeat("%d,", len(long)), long...)
+	for r.args.end%chunkLen != 0 {
+		emit("%d", r.args.end)
+	}
+	emit("none")
+	events := r.Events()
+	if len(events) != len(want) {
+		t.Fatalf("%d events, want %d", len(events), len(want))
+	}
+	for i, e := range events {
+		if e.Message != want[i] {
+			t.Fatalf("event %d reads %q, want %q", i, e.Message, want[i])
+		}
 	}
 }
